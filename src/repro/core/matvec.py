@@ -35,14 +35,26 @@ posterior sampling and OED sweeps get their speedup.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import hashlib
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.backend import Backend, host_empty, resolve_backend
 from repro.blas.dispatch import SBGEMVDispatcher
-from repro.blas.types import Operation
+from repro.blas.gemm_kernels import (
+    PairwiseSBGEMM,
+    gemm_checksum_verify,
+    gemm_strided_batched_reference,
+    pairwise_gemm_strided_batched_reference,
+    pairwise_segment_values,
+)
+from repro.blas.gemv_kernels import RocblasSBGEMV, gemv_strided_batched_reference
+from repro.blas.permute import permute3d
+from repro.blas.types import BlasDatatype, GemmProblem, GemvProblem, Operation
 from repro.core.phases import pad_to_soti, unpad_from_soti
 from repro.core.precision import PrecisionConfig
 from repro.core.reorder import soti_to_tosi, tosi_to_soti
@@ -54,11 +66,15 @@ from repro.util.blocking import check_block, check_out_buffer
 from repro.util.dtypes import Precision, cast_to, complex_dtype, real_dtype
 from repro.util.timing import TimingReport
 from repro.util.validation import ReproError
-from repro.util.workspace import Workspace
+from repro.util.workspace import Workspace, apply_scope
 
 __all__ = ["FFTMatvec"]
 
 _PHASES = ("pad", "fft", "sbgemv", "ifft", "unpad")
+
+# Phase context of a device-less engine: one reusable no-op instead of
+# a fresh nullcontext per phase per apply.
+_NO_PHASE = contextlib.nullcontext()
 
 _VALIDATE_MODES = ("guard", "abft")
 
@@ -221,35 +237,27 @@ class FFTMatvec:
         original CUDA code and the custom kernel performs after
         hipification (see :mod:`repro.blas.permute`).
         """
-        import contextlib
-
-        from repro.blas.permute import permute3d
-
-        ctx = (
-            self.device.clock.phase("setup")
-            if self.device is not None
-            else contextlib.nullcontext()
-        )
-        with ctx:
-            return self._setup_spectrum_inner(permute3d)
-
-    def _setup_spectrum_inner(self, permute3d) -> np.ndarray:
-        padded = self.matrix.padded_kernel()  # (2*Nt, Nd, Nm), lag-major
-        # (2Nt, Nd, Nm) -> (Nd, Nm, 2Nt): lags contiguous for the FFT.
-        lag_inner = permute3d(padded, (1, 2, 0), device=self.device, phase="setup")
-        plan = FFTPlan(
-            n=self.n_pad,
-            batch=self.nd * self.nm,
-            fft_type=FFTType.D2Z,
-            device=self.device,
-        )
-        spec = plan.execute(
-            lag_inner.reshape(self.nd * self.nm, self.n_pad), phase="setup"
-        ).reshape(self.nd, self.nm, self.n_freq)
-        # (Nd, Nm, Nt+1) -> (Nt+1, Nd, Nm): frequency-major for SBGEMV.
-        freq_major = permute3d(spec, (2, 0, 1), device=self.device, phase="setup")
-        scale = 1.0 / float(self.n_pad)  # fold in the IFFT normalization
-        return (freq_major * scale).astype(np.complex128)
+        with self._phase_ctx("setup"):
+            padded = self.matrix.padded_kernel()  # (2*Nt, Nd, Nm), lag-major
+            # (2Nt, Nd, Nm) -> (Nd, Nm, 2Nt): lags contiguous for the FFT.
+            lag_inner = permute3d(
+                padded, (1, 2, 0), device=self.device, phase="setup"
+            )
+            plan = FFTPlan(
+                n=self.n_pad,
+                batch=self.nd * self.nm,
+                fft_type=FFTType.D2Z,
+                device=self.device,
+            )
+            spec = plan.execute(
+                lag_inner.reshape(self.nd * self.nm, self.n_pad), phase="setup"
+            ).reshape(self.nd, self.nm, self.n_freq)
+            # (Nd, Nm, Nt+1) -> (Nt+1, Nd, Nm): frequency-major for SBGEMV.
+            freq_major = permute3d(
+                spec, (2, 0, 1), device=self.device, phase="setup"
+            )
+            scale = 1.0 / float(self.n_pad)  # fold in the IFFT normalization
+            return (freq_major * scale).astype(np.complex128)
 
     def _fhat_double_for_tests(self) -> np.ndarray:
         """The double-precision host spectrum (test hook)."""
@@ -348,9 +356,7 @@ class FFTMatvec:
     def _phase_ctx(self, name: str):
         if self.device is not None:
             return self.device.clock.phase(name)
-        import contextlib
-
-        return contextlib.nullcontext()
+        return _NO_PHASE
 
     def _run_sbgemv(
         self, mhat: Any, operation: Operation, precision: Precision
@@ -384,9 +390,6 @@ class FFTMatvec:
                     backend=be,
                 )
             # Ablation: force the original kernel through the same path.
-            from repro.blas.gemv_kernels import RocblasSBGEMV
-            from repro.blas.types import BlasDatatype, GemvProblem
-
             problem = GemvProblem(
                 m=self.nd,
                 n=self.nm,
@@ -404,11 +407,17 @@ class FFTMatvec:
                 x_conj=x_conj,
                 backend=be,
             )
-        from repro.blas.gemv_kernels import gemv_strided_batched_reference
-
         return gemv_strided_batched_reference(
             fhat, mhat, operation, out=out, x_conj=x_conj, backend=be
         )
+
+    def _run_sbgemv_column(
+        self, panel: Any, operation: Operation, precision: Precision
+    ) -> Any:
+        """Vector Phase 3 in panel form: the strided-batched GEMV on the
+        lone column of an ``(n_freq, nx, 1)`` panel."""
+        yhat = self._run_sbgemv(panel[:, :, 0], operation, precision)
+        return yhat.reshape(yhat.shape + (1,))
 
     def _run_sbgemm(
         self, mhat: Any, operation: Operation, precision: Precision
@@ -448,9 +457,6 @@ class FFTMatvec:
                 )
             # Ablation: force the vendor GEMM, mirroring the GEMV ablation
             # (wrapped in the fixed-tree order when the engine pins one).
-            from repro.blas.gemm_kernels import PairwiseSBGEMM
-            from repro.blas.types import BlasDatatype, GemmProblem
-
             problem = GemmProblem(
                 m=self.nd,
                 n=self.nm,
@@ -473,15 +479,9 @@ class FFTMatvec:
                 backend=be,
             )
         if self.reduction == "pairwise":
-            from repro.blas.gemm_kernels import (
-                pairwise_gemm_strided_batched_reference,
-            )
-
             return pairwise_gemm_strided_batched_reference(
                 fhat, mhat, operation, out=out, a_conj=a_conj, backend=be
             )
-        from repro.blas.gemm_kernels import gemm_strided_batched_reference
-
         return gemm_strided_batched_reference(
             fhat, mhat, operation, out=out, a_conj=a_conj, backend=be
         )
@@ -505,8 +505,6 @@ class FFTMatvec:
         the full contraction is one fixed tree regardless of partition.
         Charges the local pairwise kernel's modeled launch.
         """
-        from repro.blas.gemm_kernels import pairwise_segment_values
-
         be = self.backend
         fhat = self.spectrum(precision)
         a_conj = self.spectrum_conj(precision) if operation is Operation.C else None
@@ -514,8 +512,6 @@ class FFTMatvec:
             fhat, panel, operation, start, n_global, a_conj=a_conj, backend=be
         )
         if self.dispatcher is not None and self.device is not None:
-            from repro.blas.types import BlasDatatype, GemmProblem
-
             problem = GemmProblem(
                 m=self.nd,
                 n=self.nm,
@@ -623,31 +619,27 @@ class FFTMatvec:
         )
 
     def _maybe_corrupt(self, buf: Any, stage: str) -> None:
-        """Device-site injection: flip one bit of a freshly computed buffer
+        """Device-site injection: flip one bit of a freshly computed
+        stage result — a buffer, or the pairwise path's segment table —
         if the armed schedule fires at this event."""
         sched = self._corruption
         if sched is None:
             return
         if sched.on_event(stage, self._corruption_where()) is None:
             return
+        if isinstance(buf, dict):
+            _chk.flip_table_bit(buf, sched.element_index(1 << 30), bit=sched.bit)
+            return
         arr = np.asarray(buf)
         floats = int(arr.size) * (2 if arr.dtype.kind == "c" else 1)
         _chk.flip_bit(arr, sched.element_index(max(1, floats)), bit=sched.bit)
 
-    def _maybe_corrupt_table(self, values: Dict, stage: str) -> None:
-        """Injection site for the pairwise path's segment table."""
-        sched = self._corruption
-        if sched is None:
-            return
-        if sched.on_event(stage, self._corruption_where()) is None:
-            return
-        _chk.flip_table_bit(values, sched.element_index(1 << 30), bit=sched.bit)
-
     def _guard_check(self, arr: Any, phase: str) -> None:
         if self._guard_on:
-            _chk.ensure_finite(
-                self.backend.from_device(arr), phase=phase, rank=self.rank_label
-            )
+            for part in arr.values() if isinstance(arr, dict) else (arr,):
+                _chk.ensure_finite(
+                    self.backend.from_device(part), phase=phase, rank=self.rank_label
+                )
 
     def _check_forward_energy(self, x: Any, xhat: Any, plan: FFTPlan) -> None:
         if self._abft_on:
@@ -662,60 +654,35 @@ class FFTMatvec:
     def _check_gemm(
         self, panel: Any, result: Any, operation: Operation, precision: Precision
     ) -> None:
-        """ABFT column-checksum verification of a Phase-3 panel."""
+        """ABFT column-checksum verification of a Phase-3 result.
+
+        ``result`` is the ``(n_freq, ny, k)`` output panel, or a grid
+        rank's canonical-segment table: the segments tile the rank's
+        whole contraction range, so their elementwise total must satisfy
+        the same column-checksum identity as the undivided local GEMM —
+        one check covers every segment.
+        """
         if not self._abft_on:
             return
-        from repro.blas.gemm_kernels import gemm_checksum_verify
-
-        a_conj = (
-            self.spectrum_conj(precision) if operation is Operation.C else None
-        )
+        context = ""
+        if isinstance(result, dict):
+            context = "pairwise segments"
+            total = None
+            for key in sorted(result.keys()):
+                total = result[key] if total is None else total + result[key]
+            result = total
         gemm_checksum_verify(
             self.spectrum(precision),
             panel,
             operation,
             result,
-            a_conj=a_conj,
+            a_conj=(
+                self.spectrum_conj(precision) if operation is Operation.C else None
+            ),
             backend=self.backend,
             phase="sbgemv",
             rank=self.rank_label,
-        )
-        self.sdc_checks += 1
-
-    def _check_gemm_segments(
-        self,
-        panel: Any,
-        values: Dict[Tuple[int, int], Any],
-        operation: Operation,
-        precision: Precision,
-    ) -> None:
-        """ABFT verification of a rank's canonical-segment partials.
-
-        The segments tile the rank's whole contraction range, so their
-        elementwise total must satisfy the same column-checksum identity
-        as the undivided local GEMM — one check covers every segment.
-        """
-        if not self._abft_on:
-            return
-        from repro.blas.gemm_kernels import gemm_checksum_verify
-
-        total = None
-        for key in sorted(values.keys()):
-            v = values[key]
-            total = v if total is None else total + v
-        a_conj = (
-            self.spectrum_conj(precision) if operation is Operation.C else None
-        )
-        gemm_checksum_verify(
-            self.spectrum(precision),
-            panel,
-            operation,
-            total,
-            a_conj=a_conj,
-            backend=self.backend,
-            phase="sbgemv",
-            rank=self.rank_label,
-            context="pairwise segments",
+            context=context,
         )
         self.sdc_checks += 1
 
@@ -796,50 +763,50 @@ class FFTMatvec:
             return None
         return out.reshape(shape2d)
 
-    def _pipeline(
+    # -- the five-phase pipeline: one front half, one back half -----------------
+    # Every apply is front + back on a (Nt, nx, k) block.  The split sits
+    # where the grid's pairwise mode needs it: the IFFT does not
+    # distribute over addition bitwise, so a partition-invariant grid
+    # apply must reduce in *frequency domain* (where the contraction
+    # lives) and run phases 4-5 exactly once per output part.  Phases 1-2
+    # are per-column batch-independent and the spectrum slices are bitwise
+    # slices of the global spectrum (per-(d,m) lag FFTs in
+    # _setup_spectrum), which is what makes a rank's front bitwise-equal
+    # to the corresponding slice of a single-device front.
+
+    def _front(
         self,
         v_in: np.ndarray,
         config: PrecisionConfig,
         adjoint: bool,
-        out: Optional[np.ndarray] = None,
-        detach: bool = True,
-    ) -> np.ndarray:
-        """Shared forward/adjoint pipeline.
+        kernel: Callable[[Any, Operation, Precision], Any],
+    ) -> Any:
+        """Phases 1-3 on a ``(Nt, nx, k)`` block; returns Phase 3's result.
 
-        Forward: v_in is (Nt, Nm); output (Nt, Nd); SBGEMV op = N.
-        Adjoint: v_in is (Nt, Nd); output (Nt, Nm); SBGEMV op = C.
-        ``out`` (float64, (Nt, ny)) receives the result in place;
-        ``detach=False`` may return an arena buffer (internal callers
-        only — it is overwritten by this engine's next apply).
+        Owns the ``pad`` and ``fft`` clock phases and the head of
+        ``sbgemv``; the ``cast_fft``/``cast_sbgemv`` casts and the
+        ``fwd_reorder`` arena tag; the forward Parseval check and the
+        Phase-3 ABFT check, each behind its injection site and followed
+        by the guard.  ``kernel(panel, operation, precision)`` — the
+        Phase-3 kernel on the ``(n_freq, nx, k)`` panel — is the only
+        thing the entry points vary; it returns the ``(n_freq, ny, k)``
+        output panel, or a canonical-segment table on the grid front.
+
+        The k columns ride along as an extra inner dimension of the
+        "space" axis: pad/FFT/reorder treat ``nx * k`` fused columns (the
+        batched kernels are agnostic), and only Phase 3 unflattens them
+        into per-frequency (nx, k) panels.
         """
-        ws = self.workspace
-        if ws is None:
-            return self._pipeline_inner(v_in, config, adjoint, out, detach)
-        # Apply boundary: cursors reset, and a second apply interleaving
-        # on this arena raises instead of aliasing checkout slots.
-        ws.begin_apply()
-        try:
-            return self._pipeline_inner(v_in, config, adjoint, out, detach)
-        finally:
-            ws.end_apply()
-
-    def _pipeline_inner(
-        self,
-        v_in: np.ndarray,
-        config: PrecisionConfig,
-        adjoint: bool,
-        out: Optional[np.ndarray],
-        detach: bool,
-    ) -> np.ndarray:
-        """:meth:`_pipeline` body, inside the workspace apply scope."""
         operation = Operation.C if adjoint else Operation.N
+        nt, nx, k = v_in.shape
         ws = self.workspace
 
-        # Phase 1: broadcast (trivial single-device) + zero-pad, in the
-        # phase's precision (cast fused into the pad kernel's writes).
+        # Phase 1: broadcast (trivial single-device) + one zero-pad
+        # kernel over all k vectors, in the phase's precision (cast fused
+        # into the pad kernel's writes).
         with self._phase_ctx("pad"):
             x = pad_to_soti(
-                v_in,
+                v_in.reshape(nt, nx * k),
                 config.pad,
                 device=self.device,
                 phase="pad",
@@ -849,9 +816,10 @@ class FFTMatvec:
                 rank=self.rank_label,
             )
 
-        # Phase 2: batched forward FFT in its precision.  The input cast
-        # (if needed) fuses with the pad's writes in the real code; here
-        # it is an explicit no-op when the precisions agree.
+        # Phase 2: one batched forward FFT (batch = k * space) in its
+        # precision.  The input cast (if needed) fuses with the pad's
+        # writes in the real code; here it is an explicit no-op when the
+        # precisions agree.
         with self._phase_ctx("fft"):
             x = self._maybe_cast(x, config.fft, "cast_fft")
             plan = self._plan("fwd", config.fft, batch=x.shape[0])
@@ -861,12 +829,11 @@ class FFTMatvec:
             self._guard_check(xhat, "fft")
 
         # Reorder to frequency-outer layout at the lower adjacent
-        # precision, then present to the SBGEMV at its precision.
-        reorder_prec = config.reorder_precision("fft", "sbgemv")
+        # precision, then present to Phase 3 at its precision.
         with self._phase_ctx("sbgemv"):
             vhat = soti_to_tosi(
                 xhat,
-                precision=reorder_prec,
+                precision=config.reorder_precision("fft", "sbgemv"),
                 device=self.device,
                 phase="sbgemv",
                 workspace=ws,
@@ -875,18 +842,38 @@ class FFTMatvec:
             )
             vhat = self._maybe_cast(vhat, config.sbgemv, "cast_sbgemv")
             if self.backend.dtype_of(vhat) != complex_dtype(config.sbgemv):
-                raise ReproError("internal: SBGEMV input precision mismatch")
-            yhat = self._run_sbgemv(vhat, operation, config.sbgemv)
+                raise ReproError("internal: Phase-3 input precision mismatch")
+            panel = vhat.reshape(self.n_freq, nx, k)
+            yhat = kernel(panel, operation, config.sbgemv)
             self._maybe_corrupt(yhat, "sbgemm")
-            if self._abft_on:
-                self._check_gemm(
-                    vhat[:, :, None], yhat[:, :, None], operation, config.sbgemv
-                )
+            self._check_gemm(panel, yhat, operation, config.sbgemv)
             self._guard_check(yhat, "sbgemv")
-            reorder_prec = config.reorder_precision("sbgemv", "ifft")
+        return yhat
+
+    def _back(
+        self,
+        yhat: Any,
+        config: PrecisionConfig,
+        adjoint: bool,
+        out: Optional[np.ndarray],
+        detach: bool,
+    ) -> np.ndarray:
+        """Phases 4-5 on an ``(n_freq, ny, k)`` frequency panel; returns
+        the float64 ``(Nt, ny, k)`` result (see :meth:`_finalize`).
+
+        Owns the tail of the ``sbgemv`` clock phase (the reorder back to
+        space-outer, arena tag ``bwd_reorder``) and the ``ifft`` and
+        ``unpad`` phases; the ``cast_ifft`` cast; the inverse Parseval
+        check behind its injection site, followed by the guard.
+        """
+        ny = self.nm if adjoint else self.nd
+        k = yhat.shape[2]
+        ws = self.workspace
+
+        with self._phase_ctx("sbgemv"):
             yhat = tosi_to_soti(
-                yhat,
-                precision=reorder_prec,
+                yhat.reshape(self.n_freq, ny * k),
+                precision=config.reorder_precision("sbgemv", "ifft"),
                 device=self.device,
                 phase="sbgemv",
                 workspace=ws,
@@ -894,7 +881,7 @@ class FFTMatvec:
                 backend=self.backend,
             )
 
-        # Phase 4: batched inverse FFT.
+        # Phase 4: one batched inverse FFT, batch = k * space.
         with self._phase_ctx("ifft"):
             yhat = self._maybe_cast(yhat, config.ifft, "cast_ifft")
             plan = self._plan("inv", config.ifft, batch=yhat.shape[0])
@@ -903,10 +890,10 @@ class FFTMatvec:
             self._check_inverse_energy(yhat, y, plan)
             self._guard_check(y, "ifft")
 
-        # Phase 5: unpad (+ reduction across the grid in the parallel
-        # engine) in its precision, then return to double.  With an
-        # arena and a double-precision unpad the kernel writes straight
-        # into the caller's buffer.
+        # Phase 5: one unpad kernel over all k vectors (+ reduction
+        # across the grid in the parallel engine) in its precision, then
+        # return to double.  With an arena and a double-precision unpad
+        # the kernel writes straight into the caller's buffer.
         with self._phase_ctx("unpad"):
             dest = self._unpad_dest(config, out, (self.nt, y.shape[0]))
             res = unpad_from_soti(
@@ -921,7 +908,35 @@ class FFTMatvec:
                 validate=self._guard_on,
                 rank=self.rank_label,
             )
-        return self._finalize(res, out, detach=detach)
+        return self._finalize(res.reshape(self.nt, ny, k), out, detach=detach)
+
+    def _pipeline(
+        self,
+        v_in: np.ndarray,
+        config: PrecisionConfig,
+        adjoint: bool,
+        out: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Vector pipeline: front + back on the ``(Nt, nx, 1)`` view.
+
+        Forward: v_in is (Nt, Nm); output (Nt, Nd); Phase-3 op = N.
+        Adjoint: v_in is (Nt, Nd); output (Nt, Nm); Phase-3 op = C.
+        The result lands in ``out`` (float64, (Nt, ny)) — the caller's,
+        or a fresh host array, so a vector apply returns an array that
+        owns its data, never a view into a width-1 block.  Phase 3 is
+        the strided-batched GEMV — or, on a pairwise engine, the
+        fixed-tree kernel every blocked apply uses, so a lone column
+        accumulates bitwise like the same column inside any block.
+        """
+        kernel = (
+            self._run_sbgemm if self.reduction == "pairwise" else self._run_sbgemv_column
+        )
+        if out is None:
+            out = host_empty((self.nt, self.nm if adjoint else self.nd), np.float64)
+        with apply_scope(self.workspace):
+            yhat = self._front(v_in[:, :, None], config, adjoint, kernel)
+            self._back(yhat, config, adjoint, out.reshape(out.shape + (1,)), True)
+        return out
 
     def _pipeline_block(
         self,
@@ -942,133 +957,11 @@ class FFTMatvec:
         ``deterministic`` swaps the Phase-3 GEMM for the per-column
         batched GEMV (:meth:`_run_sbgemv_panel`), making every column
         bitwise what the vector pipeline returns for it.
-
-        The k columns ride along as an extra inner dimension of the
-        "space" axis: pad/FFT/reorder treat ``nx * k`` fused columns (the
-        batched kernels are agnostic), and only Phase 3 unflattens them
-        into per-frequency (nx, k) panels for the strided-batched GEMM.
         """
-        ws = self.workspace
-        if ws is None:
-            return self._pipeline_block_inner(
-                v_in, config, adjoint, out, detach, deterministic
-            )
-        ws.begin_apply()
-        try:
-            return self._pipeline_block_inner(
-                v_in, config, adjoint, out, detach, deterministic
-            )
-        finally:
-            ws.end_apply()
-
-    def _pipeline_block_inner(
-        self,
-        v_in: np.ndarray,
-        config: PrecisionConfig,
-        adjoint: bool,
-        out: Optional[np.ndarray],
-        detach: bool,
-        deterministic: bool,
-    ) -> np.ndarray:
-        """:meth:`_pipeline_block` body, inside the workspace apply scope."""
-        operation = Operation.C if adjoint else Operation.N
-        nt, nx, k = v_in.shape
-        ny = self.nm if adjoint else self.nd
-        ws = self.workspace
-
-        # Phase 1: one pad kernel over all k vectors (batch = k * space).
-        with self._phase_ctx("pad"):
-            x = pad_to_soti(
-                v_in.reshape(nt, nx * k),
-                config.pad,
-                device=self.device,
-                phase="pad",
-                workspace=ws,
-                backend=self.backend,
-                validate=self._guard_on,
-                rank=self.rank_label,
-            )
-
-        # Phase 2: one batched forward FFT, batch = k * space.
-        with self._phase_ctx("fft"):
-            x = self._maybe_cast(x, config.fft, "cast_fft")
-            plan = self._plan("fwd", config.fft, batch=x.shape[0])
-            xhat = plan.execute(x, phase="fft", workspace=ws)
-            self._maybe_corrupt(xhat, "fft")
-            self._check_forward_energy(x, xhat, plan)
-            self._guard_check(xhat, "fft")
-
-        reorder_prec = config.reorder_precision("fft", "sbgemv")
-        with self._phase_ctx("sbgemv"):
-            vhat = soti_to_tosi(
-                xhat,
-                precision=reorder_prec,
-                device=self.device,
-                phase="sbgemv",
-                workspace=ws,
-                tag="fwd_reorder",
-                backend=self.backend,
-            )
-            vhat = self._maybe_cast(vhat, config.sbgemv, "cast_sbgemv")
-            if self.backend.dtype_of(vhat) != complex_dtype(config.sbgemv):
-                raise ReproError("internal: SBGEMM input precision mismatch")
-            # Phase 3: per-frequency (nx, k) panels through one GEMM —
-            # or k batched GEMVs when the caller needs every column
-            # bitwise-equal to its sequential apply.
-            panel = vhat.reshape(self.n_freq, nx, k)
-            if deterministic:
-                yhat = self._run_sbgemv_panel(panel, operation, config.sbgemv)
-            else:
-                yhat = self._run_sbgemm(panel, operation, config.sbgemv)
-            self._maybe_corrupt(yhat, "sbgemm")
-            self._check_gemm(panel, yhat, operation, config.sbgemv)
-            self._guard_check(yhat, "sbgemv")
-            reorder_prec = config.reorder_precision("sbgemv", "ifft")
-            yhat = tosi_to_soti(
-                yhat.reshape(self.n_freq, ny * k),
-                precision=reorder_prec,
-                device=self.device,
-                phase="sbgemv",
-                workspace=ws,
-                tag="bwd_reorder",
-                backend=self.backend,
-            )
-
-        # Phase 4: one batched inverse FFT, batch = k * space.
-        with self._phase_ctx("ifft"):
-            yhat = self._maybe_cast(yhat, config.ifft, "cast_ifft")
-            plan = self._plan("inv", config.ifft, batch=yhat.shape[0])
-            y = plan.inverse(yhat, phase="ifft", workspace=ws)
-            self._maybe_corrupt(y, "ifft")
-            self._check_inverse_energy(yhat, y, plan)
-            self._guard_check(y, "ifft")
-
-        # Phase 5: one unpad kernel over all k vectors.
-        with self._phase_ctx("unpad"):
-            dest = self._unpad_dest(config, out, (self.nt, y.shape[0]))
-            res = unpad_from_soti(
-                y,
-                self.nt,
-                config.unpad,
-                device=self.device,
-                phase="unpad",
-                workspace=None if dest is not None else ws,
-                out=dest,
-                backend=self.backend,
-                validate=self._guard_on,
-                rank=self.rank_label,
-            )
-        return self._finalize(res.reshape(nt, ny, k), out, detach=detach)
-
-    # -- grid pairwise split: front (phases 1-3) / finish (phases 4-5) ---------
-    # The IFFT does not distribute over addition bitwise, so a
-    # partition-invariant grid apply must reduce in *frequency domain*
-    # (where the contraction lives) and run phases 4-5 exactly once per
-    # output part.  Phases 1-2 are per-column batch-independent and the
-    # spectrum slices are bitwise slices of the global spectrum
-    # (per-(d,m) lag FFTs in _setup_spectrum), which is what makes a
-    # rank's front bitwise-equal to the corresponding slice of a
-    # single-device front.
+        kernel = self._run_sbgemv_panel if deterministic else self._run_sbgemm
+        with apply_scope(self.workspace):
+            yhat = self._front(v_in, config, adjoint, kernel)
+            return self._back(yhat, config, adjoint, out, detach)
 
     def _pipeline_block_pairwise_segments(
         self,
@@ -1078,76 +971,17 @@ class FFTMatvec:
         start: int,
         n_global: int,
     ) -> Dict[Tuple[int, int], Any]:
-        """Front half for one grid rank: pad, FFT, reorder, cast, then
-        Phase-3 canonical-segment partials over the rank's global
+        """Front half alone, for one grid rank in pairwise mode: Phase 3
+        yields the canonical-segment partials over the rank's global
         contraction range ``[start, start + nx)``.  Segment values are
         fresh arrays (not arena buffers), safe to hold across this
         engine's next apply.
         """
-        ws = self.workspace
-        if ws is None:
-            return self._pairwise_segments_inner(
-                v_in, config, adjoint, start, n_global
-            )
-        ws.begin_apply()
-        try:
-            return self._pairwise_segments_inner(
-                v_in, config, adjoint, start, n_global
-            )
-        finally:
-            ws.end_apply()
-
-    def _pairwise_segments_inner(
-        self,
-        v_in: np.ndarray,
-        config: PrecisionConfig,
-        adjoint: bool,
-        start: int,
-        n_global: int,
-    ) -> Dict[Tuple[int, int], Any]:
-        operation = Operation.C if adjoint else Operation.N
-        nt, nx, k = v_in.shape
-        ws = self.workspace
-
-        with self._phase_ctx("pad"):
-            x = pad_to_soti(
-                v_in.reshape(nt, nx * k),
-                config.pad,
-                device=self.device,
-                phase="pad",
-                workspace=ws,
-                backend=self.backend,
-                validate=self._guard_on,
-                rank=self.rank_label,
-            )
-        with self._phase_ctx("fft"):
-            x = self._maybe_cast(x, config.fft, "cast_fft")
-            plan = self._plan("fwd", config.fft, batch=x.shape[0])
-            xhat = plan.execute(x, phase="fft", workspace=ws)
-            self._maybe_corrupt(xhat, "fft")
-            self._check_forward_energy(x, xhat, plan)
-            self._guard_check(xhat, "fft")
-        reorder_prec = config.reorder_precision("fft", "sbgemv")
-        with self._phase_ctx("sbgemv"):
-            vhat = soti_to_tosi(
-                xhat,
-                precision=reorder_prec,
-                device=self.device,
-                phase="sbgemv",
-                workspace=ws,
-                tag="fwd_reorder",
-                backend=self.backend,
-            )
-            vhat = self._maybe_cast(vhat, config.sbgemv, "cast_sbgemv")
-            if self.backend.dtype_of(vhat) != complex_dtype(config.sbgemv):
-                raise ReproError("internal: SBGEMM input precision mismatch")
-            panel = vhat.reshape(self.n_freq, nx, k)
-            values = self._run_sbgemm_pairwise_segments(
-                panel, operation, config.sbgemv, start, n_global
-            )
-            self._maybe_corrupt_table(values, "sbgemm")
-            self._check_gemm_segments(panel, values, operation, config.sbgemv)
-            return values
+        kernel = functools.partial(
+            self._run_sbgemm_pairwise_segments, start=start, n_global=n_global
+        )
+        with apply_scope(self.workspace):
+            return self._front(v_in, config, adjoint, kernel)
 
     def _pipeline_block_finish(
         self,
@@ -1157,74 +991,19 @@ class FFTMatvec:
         out: Optional[np.ndarray] = None,
         detach: bool = True,
     ) -> np.ndarray:
-        """Back half: reorder/cast the merged ``(n_freq, ny, k)``
-        frequency panel, inverse FFT, unpad, finalize.  Runs once per
-        output part on its root rank's engine (``ny`` must match this
-        engine's output extent)."""
-        ws = self.workspace
-        if ws is None:
-            return self._pipeline_finish_inner(yhat, config, adjoint, out, detach)
-        ws.begin_apply()
-        try:
-            return self._pipeline_finish_inner(yhat, config, adjoint, out, detach)
-        finally:
-            ws.end_apply()
-
-    def _pipeline_finish_inner(
-        self,
-        yhat: Any,
-        config: PrecisionConfig,
-        adjoint: bool,
-        out: Optional[np.ndarray],
-        detach: bool,
-    ) -> np.ndarray:
+        """Back half alone, on the merged ``(n_freq, ny, k)`` frequency
+        panel.  Runs once per output part on its root rank's engine
+        (``ny`` must match this engine's output extent)."""
         ny = self.nm if adjoint else self.nd
-        nf, ny_got, k = yhat.shape
-        if (nf, ny_got) != (self.n_freq, ny):
+        if tuple(yhat.shape[:2]) != (self.n_freq, ny):
             raise ReproError(
                 f"finish panel must be ({self.n_freq}, {ny}, k), "
                 f"got {tuple(yhat.shape)}"
             )
-        ws = self.workspace
-        with self._phase_ctx("sbgemv"):
-            reorder_prec = config.reorder_precision("sbgemv", "ifft")
-            yhat = tosi_to_soti(
-                yhat.reshape(self.n_freq, ny * k),
-                precision=reorder_prec,
-                device=self.device,
-                phase="sbgemv",
-                workspace=ws,
-                tag="bwd_reorder",
-                backend=self.backend,
-            )
-        with self._phase_ctx("ifft"):
-            yhat = self._maybe_cast(yhat, config.ifft, "cast_ifft")
-            plan = self._plan("inv", config.ifft, batch=yhat.shape[0])
-            y = plan.inverse(yhat, phase="ifft", workspace=ws)
-            self._maybe_corrupt(y, "ifft")
-            self._check_inverse_energy(yhat, y, plan)
-            self._guard_check(y, "ifft")
-        with self._phase_ctx("unpad"):
-            dest = self._unpad_dest(config, out, (self.nt, y.shape[0]))
-            res = unpad_from_soti(
-                y,
-                self.nt,
-                config.unpad,
-                device=self.device,
-                phase="unpad",
-                workspace=None if dest is not None else ws,
-                out=dest,
-                backend=self.backend,
-                validate=self._guard_on,
-                rank=self.rank_label,
-            )
-        return self._finalize(res.reshape(self.nt, ny, k), out, detach=detach)
+        with apply_scope(self.workspace):
+            return self._back(yhat, config, adjoint, out, detach)
 
     # -- public API ----------------------------------------------------------
-    def _check_out(self, out: Optional[np.ndarray], shape: Tuple[int, ...]):
-        """Validate a caller-supplied output buffer (float64, contiguous)."""
-        return check_out_buffer(out, shape)
-
     def matvec(
         self,
         m: np.ndarray,
@@ -1245,9 +1024,7 @@ class FFTMatvec:
         """
         cfg = PrecisionConfig.parse(config)
         mm = self.matrix.check_input(m).astype(np.float64, copy=False)
-        out = self._check_out(out, (self.nt, self.nd))
-        if self.reduction == "pairwise":
-            return self._apply_vector_pairwise(mm, cfg, adjoint=False, out=out)
+        out = check_out_buffer(out, (self.nt, self.nd))
         return self._timed(
             lambda: self._pipeline(mm, cfg, adjoint=False, out=out), str(cfg)
         )
@@ -1261,35 +1038,12 @@ class FFTMatvec:
         """Compute ``m = F* d`` (adjoint/conjugate-transpose matvec)."""
         cfg = PrecisionConfig.parse(config)
         dd = self.matrix.check_output(d).astype(np.float64, copy=False)
-        out = self._check_out(out, (self.nt, self.nm))
-        if self.reduction == "pairwise":
-            return self._apply_vector_pairwise(dd, cfg, adjoint=True, out=out)
+        out = check_out_buffer(out, (self.nt, self.nm))
         return self._timed(
             lambda: self._pipeline(dd, cfg, adjoint=True, out=out), str(cfg)
         )
 
-    def _apply_vector_pairwise(
-        self,
-        v_in: np.ndarray,
-        cfg: PrecisionConfig,
-        adjoint: bool,
-        out: Optional[np.ndarray],
-    ) -> np.ndarray:
-        """Vector apply via the width-1 blocked pipeline (pairwise mode)."""
-        res3 = self._timed(
-            lambda: self._pipeline_block(v_in[:, :, None], cfg, adjoint=adjoint),
-            f"{cfg}[pairwise]",
-        )
-        if out is not None:
-            out[...] = res3[:, :, 0]
-            return out
-        return res3[:, :, 0]
-
     # -- blocked multi-RHS API -------------------------------------------------
-    def _check_block(self, V: np.ndarray, nx: int, what: str) -> np.ndarray:
-        """Validate/reshape a multi-RHS block to (Nt, nx, k)."""
-        return check_block(V, self.nt, nx, what)
-
     def matmat(
         self,
         M: np.ndarray,
@@ -1316,19 +1070,7 @@ class FFTMatvec:
         uses this to batch concurrent tenants without perturbing anyone's
         answer.
         """
-        cfg = PrecisionConfig.parse(config)
-        mm = self._check_block(M, self.nm, "parameter")
-        k = mm.shape[2]
-        out = self._check_out(out, (self.nt, self.nd, k))
-        res = self._timed(
-            lambda: self._pipeline_block(
-                mm, cfg, adjoint=False, out=out, deterministic=deterministic
-            ),
-            f"{cfg}[k={k}{', det' if deterministic else ''}]",
-        )
-        self.matvec_count += k - 1  # _timed already counted one
-        self.matmat_count += 1
-        return res
+        return self._apply_block(M, config, False, out, deterministic)
 
     def rmatmat(
         self,
@@ -1344,37 +1086,45 @@ class FFTMatvec:
         ``deterministic=True`` makes column ``j`` bitwise
         ``rmatvec(D[:, :, j])``, as in :meth:`matmat`.
         """
+        return self._apply_block(D, config, True, out, deterministic)
+
+    def _apply_block(self, V, config, adjoint: bool, out, deterministic: bool):
+        """:meth:`matmat` / :meth:`rmatmat` body."""
         cfg = PrecisionConfig.parse(config)
-        dd = self._check_block(D, self.nd, "data")
-        k = dd.shape[2]
-        out = self._check_out(out, (self.nt, self.nm, k))
+        nx, ny = (self.nd, self.nm) if adjoint else (self.nm, self.nd)
+        vv = check_block(V, self.nt, nx, "data" if adjoint else "parameter")
+        k = vv.shape[2]
+        out = check_out_buffer(out, (self.nt, ny, k))
         res = self._timed(
             lambda: self._pipeline_block(
-                dd, cfg, adjoint=True, out=out, deterministic=deterministic
+                vv, cfg, adjoint=adjoint, out=out, deterministic=deterministic
             ),
             f"{cfg}[k={k}{', det' if deterministic else ''}]",
+            k=k,
         )
-        self.matvec_count += k - 1
         self.matmat_count += 1
         return res
 
-    def _timed(self, fn, label: str) -> np.ndarray:
+    def _timed(self, fn, label: str, k: int = 1) -> np.ndarray:
+        """Run one apply of ``k`` columns: ``matvec_count`` advances by
+        ``k`` and, with a device, ``last_timing`` gets the apply's
+        per-phase sim-clock breakdown."""
         if self.device is None:
-            self.matvec_count += 1
             self.last_timing = None
-            return fn()
-        clock = self.device.clock
-        before = {p: clock.phase_total(p) for p in _PHASES}
-        out = fn()
-        self.last_timing = TimingReport(
-            phases={
-                p: clock.phase_total(p) - before[p]
-                for p in _PHASES
-                if clock.phase_total(p) - before[p] > 0
-            },
-            label=label,
-        )
-        self.matvec_count += 1
+            out = fn()
+        else:
+            clock = self.device.clock
+            before = {p: clock.phase_total(p) for p in _PHASES}
+            out = fn()
+            self.last_timing = TimingReport(
+                phases={
+                    p: clock.phase_total(p) - before[p]
+                    for p in _PHASES
+                    if clock.phase_total(p) - before[p] > 0
+                },
+                label=label,
+            )
+        self.matvec_count += k
         return out
 
     # -- convenience -----------------------------------------------------------
@@ -1400,8 +1150,6 @@ class FFTMatvec:
         if ref is None:
             check = self.matrix.check_output if adjoint else self.matrix.check_input
             mm = np.ascontiguousarray(check(m), dtype=np.float64)
-            import hashlib
-
             key = (adjoint, mm.shape, hashlib.sha1(mm.tobytes()).digest())
             ref = self._ref_cache.get(key)
             if ref is None:

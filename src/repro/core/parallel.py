@@ -88,18 +88,19 @@ The broadcast payload is the whole ``(Nt, nm_c, k_c)`` parameter block
 in Phase 1's precision — the volume term of the tree cost scales by
 ``k_c``, the ``log2`` latency trees are paid once per chunk — and the
 Phase-5 tree-reduce sums ``(Nt, nd_r, k_c)`` partial blocks elementwise,
-so the ``eps5 * log2(pc)`` accumulation term of Eq. 6 applies per column
-exactly as in the vector path.  Per-rank compute routes through
-``FFTMatvec``'s blocked pipeline; a chunk of one column degenerates
-*bitwise* to the vector path, wider chunks match it to rounding (GEMM
-vs GEMV column-accumulation order) — or *bitwise* for every column with
-``deterministic=True``, which swaps each rank's Phase-3 GEMM for
-per-column batched GEMVs (the serving coalescer's mode).
+so the ``eps5 * log2(pc)`` accumulation term of Eq. 6 applies per
+column.  Per-rank compute routes through ``FFTMatvec``'s blocked
+pipeline.  A vector apply (:meth:`ParallelFFTMatvec.matvec` /
+:meth:`~ParallelFFTMatvec.rmatvec`) *is* this loop — one width-1 chunk
+on the serial schedule with ``deterministic=True``, which swaps each
+rank's Phase-3 GEMM for per-column batched GEMVs (the serving
+coalescer's mode).  Wider chunks match it to rounding (GEMM vs GEMV
+column-accumulation order) — or *bitwise* for every column when they
+run ``deterministic`` too.
 """
 
 from __future__ import annotations
 
-import contextlib
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -122,7 +123,7 @@ from repro.util.blocking import (
 from repro.util.dtypes import real_dtype
 from repro.util.timing import HostModel, SimClock, Stream, Timeline, TimingReport
 from repro.util.validation import ReproError
-from repro.util.workspace import Workspace
+from repro.util.workspace import Workspace, apply_scope
 
 __all__ = ["ParallelFFTMatvec"]
 
@@ -139,24 +140,6 @@ RankSpecs = Union[
     Mapping[Tuple[int, int], Union[GPUSpec, str]],
     Sequence[Sequence[Union[GPUSpec, str]]],
 ]
-
-
-@contextlib.contextmanager
-def _apply_scope(ws: Optional[Workspace]):
-    """Bracket a grid-level apply in the arena's re-entrancy guard.
-
-    No-op without a workspace; otherwise cursors reset and a second
-    apply interleaving on the grid arena raises :class:`ReproError`
-    instead of aliasing staging buffers.
-    """
-    if ws is None:
-        yield
-        return
-    ws.begin_apply()
-    try:
-        yield
-    finally:
-        ws.end_apply()
 
 
 def _normalize_rank_specs(
@@ -385,9 +368,8 @@ class ParallelFFTMatvec:
             # clones are armed below, once constructed).
             grid.set_payload_verification(True)
         # Grid-level arena: broadcast payload staging, per-rank receive
-        # buffers and float64 input staging shared by the chunk loop and
-        # the vector path (per-rank pipeline buffers live in each
-        # engine's own arena).
+        # buffers and float64 input staging for the chunk loop (per-rank
+        # pipeline buffers live in each engine's own arena).
         self.workspace: Optional[Workspace] = (
             Workspace(name="grid", backend=self.backend) if use_workspace else None
         )
@@ -654,7 +636,7 @@ class ParallelFFTMatvec:
                 with clock.phase(p):
                     clock.advance(t)
 
-    # -- forward ---------------------------------------------------------------
+    # -- vector applies -------------------------------------------------------
     def matvec(
         self, m: np.ndarray, config: Union[str, PrecisionConfig] = "ddddd"
     ) -> np.ndarray:
@@ -662,118 +644,33 @@ class ParallelFFTMatvec:
 
         A single matvec cannot overlap (phases 2–4 depend on the Phase-1
         broadcast), so the serial schedule applies; compute is charged as
-        the max over ranks.  In pairwise mode the vector rides the
-        width-1 blocked path — the same fixed contraction tree a wide
-        panel's columns see, which is what makes blocked == looped
-        bitwise.
+        the max over ranks.  The vector rides the chunk loop as a lone
+        width-1 chunk: in fast mode every rank's Phase 3 is the
+        per-column GEMV (``deterministic``), in pairwise mode the same
+        fixed contraction tree a wide panel's columns see — which is
+        what makes blocked == looped bitwise.
         """
-        if self.reduction == "pairwise":
-            mm = self.matrix.check_input(m).astype(np.float64, copy=False)
-            return self._matmat_impl(
-                mm[:, :, None], config, None, adjoint=False, overlap=False
-            )[:, :, 0]
-        cfg = PrecisionConfig.parse(config)
-        mm = self.matrix.check_input(m).astype(np.float64, copy=False)
-        before = self._snapshot()
-        with _apply_scope(self.workspace):
-            # Phase 1 communication: broadcast each column's parameter
-            # block down its pr ranks, in Phase 1's precision (comm
-            # volume follows).
-            col_blocks: Dict[int, np.ndarray] = {}
-            for c in range(self.grid.pc):
-                c0, c1 = self._col_ranges[c]
-                payload = self._stage_payload(mm[:, c0:c1], cfg.pad, f"pay/c{c}")
-                copies = self._timed_col(c).bcast(
-                    payload, root=0, phase="pad", workspace=self.workspace,
-                    tag=f"recv/c{c}", backend=self.backend,
-                )
-                col_blocks[c] = self._as_input64(copies[0], f"in64/c{c}")
+        return self._apply_vector(self.matrix.check_input(m), config, adjoint=False)
 
-            # Local five-phase pipelines on every rank; wall = max over
-            # ranks.
-            partials, compute = self._rank_compute(
-                lambda r, c, engine: engine._pipeline(
-                    col_blocks[c], cfg, adjoint=False, detach=False
-                )
-            )
-            self._charge_compute(compute)
-
-            # Phase 5 communication: tree-reduce each row's partial data
-            # block over its pc ranks in Phase 5's precision.  The gather
-            # target is fully overwritten, one row range at a time.
-            out = np.empty((self.nt, self.nd))
-            for r in range(self.grid.pr):
-                r0, r1 = self._row_ranges[r]
-                contribs = [
-                    self.backend.cast(partials[(r, c)], cfg.unpad)
-                    for c in range(self.grid.pc)
-                ]
-                reduced = self._timed_row(r).reduce(
-                    contribs, root=0, precision=cfg.unpad, phase="unpad",
-                    backend=self.backend,
-                )
-                out[:, r0:r1] = self.backend.from_device(reduced)
-
-        self._record(before, f"{cfg} F ({self.grid.pr}x{self.grid.pc})")
-        self.matvec_count += 1
-        return out
-
-    # -- adjoint ------------------------------------------------------------------
     def rmatvec(
         self, d: np.ndarray, config: Union[str, PrecisionConfig] = "ddddd"
     ) -> np.ndarray:
         """Compute ``m = F* d`` across the grid; returns the global (Nt, Nm)."""
-        if self.reduction == "pairwise":
-            dd = self.matrix.check_output(d).astype(np.float64, copy=False)
-            return self._matmat_impl(
-                dd[:, :, None], config, None, adjoint=True, overlap=False
-            )[:, :, 0]
-        cfg = PrecisionConfig.parse(config)
-        dd = self.matrix.check_output(d).astype(np.float64, copy=False)
-        before = self._snapshot()
-        with _apply_scope(self.workspace):
-            # Phase 1: broadcast each row's data block across pc ranks.
-            row_blocks: Dict[int, np.ndarray] = {}
-            for r in range(self.grid.pr):
-                r0, r1 = self._row_ranges[r]
-                payload = self._stage_payload(dd[:, r0:r1], cfg.pad, f"pay/r{r}")
-                copies = self._timed_row(r).bcast(
-                    payload, root=0, phase="pad", workspace=self.workspace,
-                    tag=f"recv/r{r}", backend=self.backend,
-                )
-                row_blocks[r] = self._as_input64(copies[0], f"in64/r{r}")
+        return self._apply_vector(self.matrix.check_output(d), config, adjoint=True)
 
-            partials, compute = self._rank_compute(
-                lambda r, c, engine: engine._pipeline(
-                    row_blocks[r], cfg, adjoint=True, detach=False
-                )
-            )
-            self._charge_compute(compute)
-
-            # Phase 5: reduce each column's partial parameter block over
-            # pr ranks.
-            out = np.empty((self.nt, self.nm))
-            for c in range(self.grid.pc):
-                c0, c1 = self._col_ranges[c]
-                contribs = [
-                    self.backend.cast(partials[(r, c)], cfg.unpad)
-                    for r in range(self.grid.pr)
-                ]
-                reduced = self._timed_col(c).reduce(
-                    contribs, root=0, precision=cfg.unpad, phase="unpad",
-                    backend=self.backend,
-                )
-                out[:, c0:c1] = self.backend.from_device(reduced)
-
-        self._record(before, f"{cfg} F* ({self.grid.pr}x{self.grid.pc})")
-        self.matvec_count += 1
+    def _apply_vector(self, v: np.ndarray, config, adjoint: bool) -> np.ndarray:
+        """Single-chunk, serial-schedule block apply of one vector."""
+        out = np.empty((self.nt, self.nm if adjoint else self.nd))
+        self._matmat_impl(
+            v[:, :, None], config, None, adjoint=adjoint, overlap=False,
+            out=out.reshape(out.shape + (1,)), deterministic=True,
+        )
+        # The lone chunk is one logical action (matvec_count), not a
+        # blocked pipeline pass.
+        self.matmat_count -= 1
         return out
 
     # -- blocked multi-RHS path across the grid ------------------------------
-    def _check_block(self, V: np.ndarray, nx: int, what: str) -> np.ndarray:
-        """Validate/reshape a multi-RHS block to (Nt, nx, k)."""
-        return check_block(V, self.nt, nx, what)
-
     def _chunk_bcast(
         self,
         chunk: np.ndarray,
@@ -1110,7 +1007,7 @@ class ParallelFFTMatvec:
     ) -> np.ndarray:
         cfg = PrecisionConfig.parse(config)
         nx = self.nd if adjoint else self.nm
-        VV = self._check_block(V, nx, "data" if adjoint else "parameter")
+        VV = check_block(V, self.nt, nx, "data" if adjoint else "parameter")
         k = VV.shape[2]
         if max_block_k is None:
             max_block_k = self.max_block_k
@@ -1129,7 +1026,7 @@ class ParallelFFTMatvec:
         out = check_out_buffer(out, (self.nt, ny, k))
         if out is None:
             out = np.empty((self.nt, ny, k))
-        with _apply_scope(self.workspace):
+        with apply_scope(self.workspace):
             if use_overlap:
                 self._matmat_overlapped(
                     VV, out, ranges, cfg, adjoint, deterministic=deterministic,

@@ -46,11 +46,11 @@ class HostModel:
     """Host-side costs per vector (seconds).
 
     ``gen_time`` covers producing the next input (RNG / reading a unit
-    vector / disk read); ``save_time`` covers writing the result.  Both
-    the single-device :class:`~repro.core.pipeline.OverlappedMatvecRunner`
-    and the grid engine's fused three-stream schedule
-    (``ParallelFFTMatvec(host=...)``) charge these onto a dedicated host
-    stream, so generate/save overlap device compute *and* collectives.
+    vector / disk read); ``save_time`` covers writing the result.  The
+    grid engine's fused three-stream schedule
+    (``ParallelFFTMatvec(host=...)``, a 1x1 grid for one device) charges
+    these onto a dedicated host stream, so generate/save overlap device
+    compute *and* collectives.
     """
 
     gen_time: float = 50e-6

@@ -37,16 +37,18 @@ registrations (and drops the buffers), letting leak checks pass.
 The checkout discipline assumes **one apply at a time**: two pipelines
 interleaving checkouts on a shared arena would silently hand the same
 buffer to both (the slot cursor cannot tell the callers apart).  The
-engines therefore bracket every apply with :meth:`Workspace.begin_apply`
-/ :meth:`Workspace.end_apply`, which raise :class:`ReproError` on
-re-entrant use instead of corrupting results — the serving layer relies
-on this plus per-engine arenas to keep concurrent tenants safe.
+engines therefore bracket every apply in :func:`apply_scope`
+(:meth:`Workspace.begin_apply` / :meth:`Workspace.end_apply`), which
+raises :class:`ReproError` on re-entrant use instead of corrupting
+results — the serving layer relies on this plus per-engine arenas to
+keep concurrent tenants safe.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -54,7 +56,7 @@ from repro.backend import Backend, NumpyBackend
 from repro.gpu.memory import Allocation, DeviceAllocator
 from repro.util.validation import ReproError
 
-__all__ = ["Workspace", "WorkspaceStats"]
+__all__ = ["Workspace", "WorkspaceStats", "apply_scope"]
 
 _Key = Tuple[str, Tuple[int, ...], np.dtype]
 
@@ -258,3 +260,21 @@ class Workspace:
             f"Workspace({self.name!r}, buffers={self.buffer_count}, "
             f"nbytes={self.nbytes}, allocs={self.alloc_count})"
         )
+
+
+@contextlib.contextmanager
+def apply_scope(ws: Optional[Workspace]) -> Iterator[None]:
+    """Bracket one engine apply in the arena's re-entrancy guard.
+
+    No-op without a workspace; otherwise cursors reset at the apply
+    boundary and a second apply interleaving on the same arena raises
+    :class:`ReproError` instead of aliasing checkout slots.
+    """
+    if ws is None:
+        yield
+        return
+    ws.begin_apply()
+    try:
+        yield
+    finally:
+        ws.end_apply()

@@ -67,6 +67,39 @@ class TestChunkedEdgeCases:
             eng.rmatmat(d[:, :, None])[:, :, 0], eng.rmatvec(d)
         )
 
+    def test_vector_apply_is_the_deterministic_k1_chunk_bitwise(self):
+        # Device-less, skewed, fast mode: no dispatcher forces the GEMV,
+        # so a vector apply routed through the wrong Phase-3 kernel
+        # shows.  Oracle: every rank engine's own vector pipeline, summed
+        # over the two ranks of each output part (one tree edge).
+        rng = np.random.default_rng(3)
+        matrix = BlockTriangularToeplitz.random(16, 5, 23, rng=rng)
+        rows, cols = [(0, 2), (2, 5)], [(0, 17), (17, 23)]
+        eng = ParallelFFTMatvec(
+            matrix, ProcessGrid(2, 2, net=FRONTIER_NETWORK), spec=None,
+            row_ranges=rows, col_ranges=cols,
+        )
+        m = rng.standard_normal((16, 23))
+        d = rng.standard_normal((16, 5))
+        Fm, Ftd = np.empty((16, 5)), np.empty((16, 23))
+        for r, (r0, r1) in enumerate(rows):
+            Fm[:, r0:r1] = sum(
+                eng.engines[(r, c)].matvec(m[:, c0:c1])
+                for c, (c0, c1) in enumerate(cols)
+            )
+        for c, (c0, c1) in enumerate(cols):
+            Ftd[:, c0:c1] = sum(
+                eng.engines[(r, c)].rmatvec(d[:, r0:r1])
+                for r, (r0, r1) in enumerate(rows)
+            )
+        assert np.array_equal(eng.matvec(m), Fm)
+        assert np.array_equal(eng.rmatvec(d), Ftd)
+        for det in (True, False):
+            FM = eng.matmat(m[:, :, None], deterministic=det)
+            FtD = eng.rmatmat(d[:, :, None], deterministic=det)
+            assert np.array_equal(FM[:, :, 0], Fm)
+            assert np.array_equal(FtD[:, :, 0], Ftd)
+
     def test_max_block_k_1_is_looped_path_bitwise(self):
         eng, _, rng = make(pr=2, pc=2)
         M = rng.standard_normal((16, 24, 7))
@@ -143,11 +176,18 @@ class TestCollectivesAndCounters:
             vols.append(eng.grid.col_comm(0).bytes_communicated)
         assert vols[1] == pytest.approx(vols[0] * 4)
 
-    def test_action_counters(self):
-        eng, _, rng = make(pr=2, pc=2)
+    @pytest.mark.parametrize("reduction", ["fast", "pairwise"])
+    def test_action_counters(self, reduction):
+        rng = np.random.default_rng(0)
+        matrix = BlockTriangularToeplitz.random(16, 4, 24, rng=rng)
+        eng = ParallelFFTMatvec(
+            matrix, ProcessGrid(2, 2, net=FRONTIER_NETWORK), reduction=reduction
+        )
         eng.matvec(rng.standard_normal((16, 24)))
+        eng.rmatvec(rng.standard_normal((16, 4)))
+        assert (eng.matvec_count, eng.matmat_count) == (2, 0)
         eng.matmat(rng.standard_normal((16, 24, 6)), max_block_k=4)
-        assert eng.matvec_count == 7  # 1 + 6 logical actions
+        assert eng.matvec_count == 8  # 2 + 6 logical actions
         assert eng.matmat_count == 2  # ceil(6/4) chunks
 
     def test_blocked_timing_recorded(self):

@@ -6,7 +6,6 @@ import pytest
 from repro.comm.grid import ProcessGrid
 from repro.comm.netmodel import FRONTIER_NETWORK
 from repro.core.parallel import ParallelFFTMatvec
-from repro.core.pipeline import HostModel as PipelineHostModel
 from repro.core.toeplitz import BlockTriangularToeplitz
 from repro.util.timing import HostModel
 from repro.util.validation import ReproError
@@ -38,15 +37,21 @@ def _make(mat, **kw):
 HM = HostModel(gen_time=50e-6, save_time=100e-6)
 
 
-def test_hostmodel_reexported_from_pipeline():
-    # The original import path must keep working.
-    assert PipelineHostModel is HostModel
-
-
 def test_hostmodel_validation():
     with pytest.raises(ReproError):
         HostModel(gen_time=-1e-6)
+    with pytest.raises(ReproError):
+        HostModel(save_time=-1.0)
+    default = HostModel()
+    assert default.per_vector == default.gen_time + default.save_time
     assert HM.per_vector == pytest.approx(150e-6)
+
+
+@pytest.mark.parametrize("reduction", ["fast", "pairwise"])
+def test_vector_apply_charges_one_vector_of_host_work(mat, M, reduction):
+    eng = _make(mat, host=HM, reduction=reduction)
+    eng.matvec(M[:, :, 0])
+    assert eng.last_timing.phases["host"] == pytest.approx(HM.per_vector)
 
 
 def test_no_host_leaves_timing_untouched(mat, M):

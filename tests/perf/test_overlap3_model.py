@@ -88,6 +88,38 @@ class TestScheduleContract:
         assert out["overlapped3"] >= sum(gen)
         assert out["overlapped3"] < out["two_stream_host"]
 
+    @pytest.mark.parametrize(
+        "compute, gen, save",
+        [
+            ([5.0] * 4, [1.0] * 4, [0.5] * 4),  # device-bound
+            ([1.0] * 4, [3.0] * 4, [2.0] * 4),  # host-bound
+            ([4.0, 1.0, 6.0, 2.0], [2.0, 0.5, 3.0, 1.0], [1.0, 2.5, 0.5, 3.0]),
+            ([2.0], [1.0], [1.0]),  # single slot: nothing to overlap
+        ],
+    )
+    def test_zero_comm_wall_within_double_buffer_closed_form(
+        self, compute, gen, save
+    ):
+        # Section 4.2.2's host/device double buffering, cross-checked in
+        # closed form: with free collectives the fused wall can beat
+        # neither side's total work, nor lose to the slot-barrier
+        # schedule gen_0 + sum_i max(compute_i, gen_{i+1} + save_{i-1})
+        # + save_last (events order strictly less than barriers do).
+        n = len(compute)
+        out = overlapped_chunk_schedule(
+            [0.0] * n, compute, [0.0] * n, chunk_gen=gen, chunk_save=save
+        )
+        slots = sum(
+            max(
+                compute[i],
+                (gen[i + 1] if i + 1 < n else 0.0) + (save[i - 1] if i > 0 else 0.0),
+            )
+            for i in range(n)
+        )
+        closed_form = gen[0] + slots + save[-1]
+        lower = max(sum(compute), sum(gen) + sum(save))
+        assert lower <= out["overlapped3"] <= closed_form + 1e-12
+
     def test_empty_schedule_is_all_zero(self):
         out = overlapped_chunk_schedule([], [], [])
         assert all(v == 0.0 for v in out.values())

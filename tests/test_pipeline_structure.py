@@ -1,0 +1,87 @@
+"""Structural guard: the five-phase pipeline is spelled out once.
+
+``core/matvec.py`` used to carry four hand-copied pipeline bodies, each
+re-threading the cast / injection / Parseval / ABFT / guard calls, and
+``core/parallel.py`` a second, vector-only bcast → compute → reduce
+loop.  They are now one front/back pair and one chunk loop; this test
+walks the AST and fails when a copy grows back — a second call site of
+a phase kernel, a second collective loop, or a hand-rolled
+``begin_apply()`` bracket beside :func:`repro.util.workspace.apply_scope`.
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+
+import pytest
+
+CORE = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro" / "core"
+
+
+def _calls(tree: ast.AST, name: str) -> list:
+    """Line numbers of calls to ``name(...)`` or ``<anything>.name(...)``."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if called == name:
+            lines.append(node.lineno)
+    return lines
+
+
+def _module(filename: str) -> ast.Module:
+    path = CORE / filename
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _method(tree: ast.Module, cls: str, name: str) -> ast.FunctionDef:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == name:
+                    return item
+    raise AssertionError(f"{cls}.{name} not found — layout changed?")
+
+
+@pytest.mark.parametrize(
+    "phase_call",
+    ["pad_to_soti", "soti_to_tosi", "tosi_to_soti", "unpad_from_soti", "inverse"],
+)
+def test_matvec_has_one_call_site_per_phase(phase_call):
+    lines = _calls(_module("matvec.py"), phase_call)
+    assert len(lines) == 1, (
+        f"core/matvec.py calls {phase_call}() at lines {lines}: the pipeline "
+        "must be spelled out once (FFTMatvec._front / _back), not copied"
+    )
+
+
+def test_forward_fft_runs_in_the_front_half_only():
+    # plan.execute has one legitimate use outside the pipeline — the
+    # setup-time spectrum FFT — so it is counted inside the front half.
+    tree = _module("matvec.py")
+    assert len(_calls(_method(tree, "FFTMatvec", "_front"), "execute")) == 1
+    assert len(_calls(tree, "execute")) == 2, _calls(tree, "execute")
+
+
+@pytest.mark.parametrize("collective", ["bcast", "reduce"])
+def test_parallel_has_one_call_site_per_collective(collective):
+    tree = _module("parallel.py")
+    lines = _calls(tree, collective)
+    assert len(lines) == 1, (
+        f"core/parallel.py calls .{collective}() at lines {lines}: vector "
+        "applies ride the chunk loop, they do not get their own collectives"
+    )
+    for name in ("matvec", "rmatvec"):
+        assert _calls(_method(tree, "ParallelFFTMatvec", name), collective) == []
+
+
+def test_core_brackets_applies_through_apply_scope_only():
+    for path in sorted(CORE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert _calls(tree, "begin_apply") == [], (
+            f"{path.name} opens a workspace apply scope by hand; use "
+            "repro.util.workspace.apply_scope"
+        )

@@ -26,9 +26,11 @@ from repro.comm.fault import (
     NumericalHealthError,
     SilentCorruption,
 )
+from repro.comm.collectives import fixed_tree_reduce_segments
 from repro.comm.simcomm import SimCommunicator
 from repro.core.elastic import ElasticEngine
 from repro.core.matvec import FFTMatvec
+from repro.core.precision import PrecisionConfig
 from repro.core.toeplitz import BlockTriangularToeplitz
 from repro.serve import EngineCache, SolverService
 from repro.util import checksum as chk
@@ -272,6 +274,71 @@ class TestEngineValidate:
         eng.install_corruption_schedule(CorruptionSchedule())
         eng.matmat(block)
         assert eng.sdc_checks > 0
+
+
+class _RecordingSchedule(CorruptionSchedule):
+    """Flips nothing; records the stage of every injection-site visit."""
+
+    def __init__(self):
+        super().__init__()
+        self.stages = []
+
+    def on_event(self, op, where=""):
+        self.stages.append(op)
+        return super().on_event(op, where)
+
+
+# (sdc_checks per call, injection stages per call) of each pipeline
+# entry point: the safety hooks are threaded through one front and one
+# back half, and every composition must visit exactly its halves' hooks.
+PIPELINE_HOOKS = {
+    "vector": (3, ["fft", "sbgemm", "ifft"]),
+    "block": (3, ["fft", "sbgemm", "ifft"]),
+    "segments": (2, ["fft", "sbgemm"]),
+    "finish": (1, ["ifft"]),
+}
+
+
+class TestPipelineHooks:
+    @pytest.mark.parametrize("config", ["ddddd", "dssdd"])
+    @pytest.mark.parametrize("workspace", [True, False])
+    @pytest.mark.parametrize("entry", list(PIPELINE_HOOKS))
+    @pytest.mark.parametrize("adjoint", [False, True])
+    def test_every_entry_point_runs_its_checks_and_injection_sites(
+        self, matrix, entry, workspace, config, adjoint
+    ):
+        cfg = PrecisionConfig.parse(config)
+        nx = ND if adjoint else NM
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal((NT, nx, 3))
+
+        def call(eng):
+            if entry == "vector":
+                return eng._pipeline(v[:, :, 0], cfg, adjoint)
+            if entry == "block":
+                return eng._pipeline_block(v, cfg, adjoint)
+            if entry == "segments":
+                return eng._pipeline_block_pairwise_segments(v, cfg, adjoint, 0, nx)
+            return eng._pipeline_block_finish(merged, cfg, adjoint)
+
+        # The finish half consumes a genuine merged frequency panel.
+        table = FFTMatvec(matrix)._pipeline_block_pairwise_segments(
+            v, cfg, adjoint, 0, nx
+        )
+        merged = fixed_tree_reduce_segments(table, nx)
+
+        checks, stages = PIPELINE_HOOKS[entry]
+        checked = FFTMatvec(matrix, workspace=workspace, validate="guard+abft")
+        for n_calls in (1, 2):  # steady state too: no hook is first-call-only
+            call(checked)
+            assert checked.sdc_checks == n_calls * checks
+
+        armed = FFTMatvec(matrix, workspace=workspace)
+        sched = _RecordingSchedule()
+        armed.install_corruption_schedule(sched)
+        call(armed)
+        assert sched.stages == stages
+        assert armed.sdc_checks == checks  # an armed schedule implies abft
 
 
 # -- elastic chunk-local recomputation ----------------------------------------
