@@ -12,6 +12,12 @@ The ISSUE-8 acceptance benchmark: at ``k = 16`` on a 2x2 grid with
   on the blocked apply — the determinism tax the paper's fleet pays for
   run-to-run reproducibility.
 
+Next to the modeled tax it records what the wall clock says about the
+same blocked apply — ``wall_fast_s`` / ``wall_pairwise_s`` (medians of
+interleaved runs) and their ``wall_ratio`` — with no threshold: at tiny
+sizes the ratio is Python overhead, but the modeled-vs-measured gap is
+now visible in every run.
+
 Emits ``BENCH_determinism.json`` so CI's smoke step can assert the
 bitwise guarantee and the overhead bound at tiny sizes
 (``REPRO_BENCH_TINY=1``).
@@ -19,6 +25,8 @@ bitwise guarantee and the overhead bound at tiny sizes
 
 import json
 import os
+import statistics
+import time
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +74,20 @@ def make_engine(matrix, reduction="pairwise", **kw):
     )
 
 
+def wall_medians(matrix, block, reps=7):
+    """Real-clock medians of one blocked grid apply, fast vs pairwise,
+    interleaved so host drift hits both alike."""
+    engines = {r: make_engine(matrix, reduction=r)[0] for r in ("fast", "pairwise")}
+    samples = {r: [] for r in engines}
+    for rep in range(reps + 1):
+        for reduction, eng in engines.items():
+            t0 = time.perf_counter()
+            eng.matmat(block)
+            if rep:  # the first round warms plans and caches
+                samples[reduction].append(time.perf_counter() - t0)
+    return {r: statistics.median(v) for r, v in samples.items()}
+
+
 class TestDeterminismBench:
     def test_bitwise_across_partitions_with_artifact(self):
         matrix, block = make_problem()
@@ -104,13 +126,18 @@ class TestDeterminismBench:
         rel = np.linalg.norm(out_fast - single) / np.linalg.norm(single)
         assert rel < 1e-12
 
+        wall = wall_medians(matrix, block)
+        wall_ratio = wall["pairwise"] / wall["fast"]
+
         print(
             f"\ngrid {PR}x{PC}, k={K}: pairwise bitwise across "
             f"{len(outputs)} partitions (incl. width-1); serial "
             f"{t_fast_serial * 1e3:.3f} -> {t_pw_serial * 1e3:.3f} ms "
             f"({overhead_serial * 100:.2f}% tax), overlapped "
             f"{t_fast * 1e3:.3f} -> {t_pairwise * 1e3:.3f} ms "
-            f"({overhead * 100:.2f}%)"
+            f"({overhead * 100:.2f}%); wall clock "
+            f"{wall['fast'] * 1e3:.2f} -> {wall['pairwise'] * 1e3:.2f} ms "
+            f"({wall_ratio:.2f}x)"
         )
 
         ARTIFACT.write_text(json.dumps({
@@ -128,11 +155,15 @@ class TestDeterminismBench:
             "modeled_pairwise_s": t_pairwise,
             "overhead_fraction": overhead,
             "overhead_bound": 0.15,
+            "wall_fast_s": wall["fast"],
+            "wall_pairwise_s": wall["pairwise"],
+            "wall_ratio": wall_ratio,
         }, indent=2) + "\n")
         data = json.loads(ARTIFACT.read_text())
         assert data["bitwise_across_partitions"]
         assert data["overhead_fraction"] <= data["overhead_bound"]
         assert data["overhead_fraction_serial"] <= data["overhead_bound"]
+        assert min(data["wall_fast_s"], data["wall_pairwise_s"], data["wall_ratio"]) > 0
 
     def test_fast_mode_regroups_where_pairwise_does_not(self):
         # The control: under the fast reduction, repartitioning is

@@ -32,7 +32,7 @@ once instead of ``k`` times.
 from __future__ import annotations
 
 import math
-from typing import Any, Optional, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,8 +44,9 @@ from repro.gpu.kernel import Dim3, KernelLaunch
 from repro.gpu.specs import GPUSpec, MI300X
 from repro.util import checksum as _checksum
 from repro.util.dtypes import Precision
-from repro.util.pairwise import canonical_segments, fold_pairwise
+from repro.util.pairwise import canonical_segments, fold_in_place, virtual_span
 from repro.util.validation import ReproError
+from repro.util.workspace import Workspace
 
 __all__ = [
     "SBGEMMKernel",
@@ -55,10 +56,52 @@ __all__ = [
     "gemm_strided_batched_reference",
     "pairwise_gemm_strided_batched_reference",
     "pairwise_segment_values",
+    "gemm_checksum_rows",
     "gemm_checksum_verify",
 ]
 
 _NUMPY = NumpyBackend()
+
+
+def _gemm_operands(
+    A: Any, B: Any, operation: Operation, out: Optional[Any], be: Backend
+) -> Tuple[Any, Any, Operation, Tuple[int, int, int]]:
+    """Validate a strided-batched GEMM call; returns the backend arrays,
+    the parsed operation and the ``(batch, out_rows, k)`` panel shape."""
+    A = be.asarray(A)
+    B = be.asarray(B)
+    if A.ndim != 3:
+        raise ReproError(f"A must be (batch, m, n), got shape {tuple(A.shape)}")
+    if B.ndim != 3:
+        raise ReproError(f"B must be (batch, in_rows, k), got shape {tuple(B.shape)}")
+    op = Operation.parse(operation)
+    in_rows = A.shape[2] if op is Operation.N else A.shape[1]
+    if tuple(B.shape[:2]) != (A.shape[0], in_rows):
+        raise ReproError(
+            f"B must be ({A.shape[0]}, {in_rows}, k), got {tuple(B.shape)}"
+        )
+    out_rows = A.shape[1] if op is Operation.N else A.shape[2]
+    shape = (int(A.shape[0]), int(out_rows), int(B.shape[2]))
+    if out is not None and (
+        tuple(out.shape) != shape or be.dtype_of(out) != be.dtype_of(A)
+    ):
+        raise ReproError(
+            f"out must be {shape} {be.dtype_of(A)}, "
+            f"got {tuple(out.shape)} {be.dtype_of(out)}"
+        )
+    return A, B, op, shape
+
+
+def _conjugated(A: Any, a_conj: Optional[Any], be: Backend) -> Any:
+    """``conj(A)`` for op C: the caller's cached copy, or a fresh one."""
+    if a_conj is None:
+        return be.conjugate(A)
+    if tuple(a_conj.shape) != tuple(A.shape) or be.dtype_of(a_conj) != be.dtype_of(A):
+        raise ReproError(
+            f"a_conj must be {tuple(A.shape)} {be.dtype_of(A)}, "
+            f"got {tuple(a_conj.shape)} {be.dtype_of(a_conj)}"
+        )
+    return a_conj
 
 
 def gemm_strided_batched_reference(
@@ -83,65 +126,131 @@ def gemm_strided_batched_reference(
     ``np.conj(A)`` would produce, so the result is bitwise-unchanged.
     """
     be = backend if backend is not None else _NUMPY
-    A = be.asarray(A)
-    B = be.asarray(B)
-    if A.ndim != 3:
-        raise ReproError(f"A must be (batch, m, n), got shape {tuple(A.shape)}")
-    if B.ndim != 3:
-        raise ReproError(f"B must be (batch, in_rows, k), got shape {tuple(B.shape)}")
-    op = Operation.parse(operation)
-    in_rows = A.shape[2] if op is Operation.N else A.shape[1]
-    if tuple(B.shape[:2]) != (A.shape[0], in_rows):
-        raise ReproError(
-            f"B must be ({A.shape[0]}, {in_rows}, k), got {tuple(B.shape)}"
-        )
-    out_rows = A.shape[1] if op is Operation.N else A.shape[2]
-    if out is not None and (
-        tuple(out.shape) != (A.shape[0], out_rows, B.shape[2])
-        or be.dtype_of(out) != be.dtype_of(A)
-    ):
-        raise ReproError(
-            f"out must be {(A.shape[0], out_rows, B.shape[2])} {be.dtype_of(A)}, "
-            f"got {tuple(out.shape)} {be.dtype_of(out)}"
-        )
+    A, B, op, _ = _gemm_operands(A, B, operation, out, be)
     if op is Operation.N:
         return be.matmul(A, B, out=out)
     if op is Operation.C:
-        if a_conj is None:
-            a_conj = be.conjugate(A)
-        elif tuple(a_conj.shape) != tuple(A.shape) or be.dtype_of(a_conj) != be.dtype_of(A):
-            raise ReproError(
-                f"a_conj must be {tuple(A.shape)} {be.dtype_of(A)}, "
-                f"got {tuple(a_conj.shape)} {be.dtype_of(a_conj)}"
-            )
-        return be.matmul(be.transpose(a_conj, (0, 2, 1)), B, out=out)
+        A = _conjugated(A, a_conj, be)
     return be.matmul(be.transpose(A, (0, 2, 1)), B, out=out)
 
 
-def _pairwise_leaves(
+# -- the fixed-tree pairwise kernel ---------------------------------------------
+# numpy's buffered ufunc iterator copies every operand through its
+# 8192-element buffer when the operands' common contiguous run is at most
+# a quarter of it: a complex add runs at ~1.8 ns/element on runs of up to
+# 2048 elements and at ~0.45 ns from 2049 on.  One scratch row (one
+# contraction index of a tile) is therefore kept longer than that.
+_ROW_ELEMS = 2049
+# Scratch per tile: well inside a 2 MB L2 next to the streamed operands,
+# so the leaf products are still cache-resident when the fold reads them
+# back (512 KB to 1.25 MB measure the same here).
+_TILE_BYTES = 3 << 18
+
+
+def _tile_plan(
+    n_freq: int, panel: int, itemsize: int, count: int, row_elems: int = _ROW_ELEMS
+) -> Tuple[int, int]:
+    """Tile shape for a contraction of ``count`` leaves per output element.
+
+    Returns ``(subtree, ftile)``: scratch holds ``subtree`` (a power of
+    two) consecutive contraction indices of ``ftile`` frequencies, each
+    a row of ``ftile * panel`` elements (``panel = out_rows * k``).
+    Rows are made at least ``row_elems`` long first, the sub-tree then
+    takes what is left of ``_TILE_BYTES``; when the whole contraction
+    fits in one sub-tree the spare budget widens the frequency tile.
+    """
+    ftile = min(n_freq, -(-row_elems // panel))
+    subtree = max(2, _TILE_BYTES // (ftile * panel * itemsize))
+    subtree = 1 << (subtree.bit_length() - 1)
+    if subtree >= virtual_span(count):
+        subtree = virtual_span(count)
+        ftile = min(n_freq, max(ftile, _TILE_BYTES // (subtree * panel * itemsize)))
+    # Equal-width tiles: 129 frequencies in tiles of 43, not 64 + 64 + 1.
+    return subtree, -(-n_freq // -(-n_freq // ftile))
+
+
+def _pairwise_panels(
     A: Any,
     B: Any,
     op: Operation,
-    a_conj: Optional[Any],
+    spans: Sequence[Tuple[int, int]],
+    outs: Sequence[Any],
     be: Backend,
-) -> Tuple[Any, int]:
-    """Elementwise leaf products of a GEMM contraction, plus the fold axis.
+    workspace: Optional[Workspace],
+) -> None:
+    """Fixed-tree sums of leaf products over contraction ranges, tiled.
 
-    For op N (contraction over A's columns) the leaf tensor is
-    ``A[b, i, j] * B[b, j, r]`` with shape (batch, m, n, k) and fold
-    axis 2; for op T/C (contraction over A's rows) it is
-    ``op(A)[b, j, i] * B[b, i, r]`` with shape (batch, m, n, k) and fold
-    axis 1.  Each product is a separate elementwise multiply — never a
-    ``matmul`` — so no fused multiply-add can regroup the sum the fixed
-    tree is about to pin down.
+    For every ``(lo, hi)`` in ``spans`` (local contraction indices whose
+    first leaf sits on a virtual-tree node boundary) the matching
+    ``(batch, out_rows, k)`` array in ``outs`` receives, per element,
+    the tree sum over ``j in [lo, hi)`` of ``op(A)[b, i, j] * B[b, j, r]``
+    — the grouping of :func:`~repro.util.pairwise.fold_in_place` over
+    the ``hi - lo`` leaves.  ``A`` is already conjugated for op C.
+
+    The leaves are never materialized as one tensor.  The kernel walks
+    frequency tiles x aligned power-of-two sub-trees of the contraction
+    axis; for each it forms the sub-tree's leaf products with a single
+    elementwise ``multiply`` into a reused scratch whose *outermost*
+    axis is the contraction index (the spectrum is read through a
+    transposed view, never copied), folds that scratch in place, and
+    finally folds the sub-tree roots the same way.  A sub-tree of
+    ``2^s`` aligned leaves is a node of the virtual tree and
+    ``fold_in_place`` pairs rows exactly as the tree pairs nodes, so
+    "fold sub-trees, then fold their roots" performs the additions of
+    the one fixed tree in the same grouping as a fold over all leaves at
+    once; and since every operation is an elementwise ``multiply`` or
+    ``add`` on the same operand values, tiling, layout and iteration
+    order cannot change a bit of any output element.
     """
-    if op is Operation.C:
-        A = a_conj if a_conj is not None else be.conjugate(A)
-    if op is Operation.N:
-        # leaves[b, i, j, r] = A[b, i, j] * B[b, j, r]; contract axis 2.
-        return be.multiply(A[:, :, :, None], B[:, None, :, :]), 2
-    # leaves[b, i, j, r] = A[b, i, j] * B[b, i, r]; contract axis 1.
-    return be.multiply(A[:, :, :, None], B[:, :, None, :]), 1
+    n_freq, k = int(B.shape[0]), int(B.shape[2])
+    # Everything below is indexed (contraction, freq, k, out_rows):
+    # contraction outermost so a fold level adds whole rows, out_rows
+    # innermost because it is the longer run (contiguous in A for op T/C).
+    a_t = be.transpose(A, (2, 0, 1) if op is Operation.N else (1, 0, 2))
+    a_v = a_t[:, :, None, :]
+    b_v = be.transpose(B, (1, 0, 2))[:, :, :, None]
+    dsts = [be.transpose(out, (0, 2, 1)) for out in outs]
+    rows = int(a_t.shape[2])
+    dtype = be.dtype_of(A)
+    longest = max(hi - lo for lo, hi in spans)
+    # A lone op-N column re-reads the transposed spectrum once per leaf,
+    # so the strided gather, not the fold, is the cost to contain: a
+    # quarter of the row keeps the cache lines one contraction index
+    # touches (ftile * out_rows of them) within L1/L2 associativity.
+    narrow = op is Operation.N and k == 1
+    subtree, ftile = _tile_plan(
+        n_freq, rows * k, dtype.itemsize, longest, _ROW_ELEMS // 4 if narrow else _ROW_ELEMS
+    )
+    max_roots = -(-longest // subtree)
+    if max_roots == 1:
+        max_roots = 0  # a lone sub-tree folds straight into the output
+    elems = (subtree + max_roots) * ftile * rows * k
+    buf = (
+        workspace.checkout("pairwise_scratch", (elems,), dtype)
+        if workspace is not None
+        else be.empty((elems,), dtype)
+    )
+    for f0 in range(0, n_freq, ftile):
+        f1 = min(n_freq, f0 + ftile)
+        size = (f1 - f0) * k * rows
+        scratch = buf[: subtree * size].reshape(subtree, f1 - f0, k, rows)
+        roots = buf[subtree * size : (subtree + max_roots) * size].reshape(
+            max_roots, f1 - f0, k, rows
+        )
+        for (lo, hi), dst in zip(spans, dsts):
+            n_sub = -(-(hi - lo) // subtree)
+            for t in range(n_sub):
+                j0 = lo + t * subtree
+                j1 = min(hi, j0 + subtree)
+                be.multiply(a_v[j0:j1, f0:f1], b_v[j0:j1, f0:f1], out=scratch[: j1 - j0])
+                fold_in_place(
+                    scratch,
+                    j1 - j0,
+                    backend=be,
+                    out=dst[f0:f1] if n_sub == 1 else roots[t],
+                )
+            if n_sub > 1:
+                fold_in_place(roots, n_sub, backend=be, out=dst[f0:f1])
 
 
 def pairwise_gemm_strided_batched_reference(
@@ -151,6 +260,7 @@ def pairwise_gemm_strided_batched_reference(
     out: Optional[Any] = None,
     a_conj: Optional[Any] = None,
     backend: Optional[Backend] = None,
+    workspace: Optional[Workspace] = None,
 ) -> Any:
     """Strided-batched GEMM with fixed-order pairwise accumulation.
 
@@ -161,36 +271,21 @@ def pairwise_gemm_strided_batched_reference(
     output element and independent of ``k``, blocked and looped applies
     agree bitwise at any block width — and restricting the contraction
     range to a sub-partition and merging segment values reproduces the
-    same bits (see :func:`pairwise_segment_values`).
+    same bits (see :func:`pairwise_segment_values`, of which this is the
+    single-segment case written straight into ``out``).
+
+    Transient memory is one tile of scratch (about ``_TILE_BYTES``, from
+    ``workspace`` when given), whatever the problem size.
     """
     be = backend if backend is not None else _NUMPY
-    A = be.asarray(A)
-    B = be.asarray(B)
-    if A.ndim != 3:
-        raise ReproError(f"A must be (batch, m, n), got shape {tuple(A.shape)}")
-    if B.ndim != 3:
-        raise ReproError(f"B must be (batch, in_rows, k), got shape {tuple(B.shape)}")
-    op = Operation.parse(operation)
-    in_rows = A.shape[2] if op is Operation.N else A.shape[1]
-    if tuple(B.shape[:2]) != (A.shape[0], in_rows):
-        raise ReproError(
-            f"B must be ({A.shape[0]}, {in_rows}, k), got {tuple(B.shape)}"
-        )
-    out_rows = A.shape[1] if op is Operation.N else A.shape[2]
-    if out is not None and (
-        tuple(out.shape) != (A.shape[0], out_rows, B.shape[2])
-        or be.dtype_of(out) != be.dtype_of(A)
-    ):
-        raise ReproError(
-            f"out must be {(A.shape[0], out_rows, B.shape[2])} {be.dtype_of(A)}, "
-            f"got {tuple(out.shape)} {be.dtype_of(out)}"
-        )
-    leaves, axis = _pairwise_leaves(A, B, op, a_conj, be)
-    C = fold_pairwise(leaves, axis=axis, backend=be)
-    if out is not None:
-        out[...] = C
-        return out
-    return C
+    A, B, op, shape = _gemm_operands(A, B, operation, out, be)
+    if op is Operation.C:
+        A = _conjugated(A, a_conj, be)
+    if out is None:
+        out = be.empty(shape, be.dtype_of(A))
+    n = int(B.shape[1])
+    _pairwise_panels(A, B, op, [(0, n)], [out], be, workspace)
+    return out
 
 
 def pairwise_segment_values(
@@ -201,6 +296,7 @@ def pairwise_segment_values(
     n_global: int,
     a_conj: Optional[Any] = None,
     backend: Optional[Backend] = None,
+    workspace: Optional[Workspace] = None,
 ) -> dict:
     """Canonical-segment partial panels for a *local slice* of a GEMM.
 
@@ -217,17 +313,43 @@ def pairwise_segment_values(
     operands — for *any* partition, including width-1 parts.
     """
     be = backend if backend is not None else _NUMPY
-    A = be.asarray(A)
-    B = be.asarray(B)
-    op = Operation.parse(operation)
-    leaves, axis = _pairwise_leaves(A, B, op, a_conj, be)
-    local = int(leaves.shape[axis])
-    values = {}
-    for s, e in canonical_segments(start, start + local, n_global):
-        lo, hi = s - start, min(e, n_global) - start
-        sl = (slice(None),) * axis + (slice(lo, hi),)
-        values[(s, e)] = fold_pairwise(leaves[sl], axis=axis, backend=be)
+    A, B, op, shape = _gemm_operands(A, B, operation, None, be)
+    if op is Operation.C:
+        A = _conjugated(A, a_conj, be)
+    local = int(B.shape[1])
+    segments = canonical_segments(start, start + local, n_global)
+    # A tail segment's virtual extent may reach past n_global; its
+    # absent leaves are simply not there to fold.
+    spans = [(s - start, min(e, n_global) - start) for s, e in segments]
+    values = {key: be.empty(shape, be.dtype_of(A)) for key in segments}
+    _pairwise_panels(A, B, op, spans, list(values.values()), be, workspace)
     return values
+
+
+def gemm_checksum_rows(
+    A: Any,
+    operation: Operation,
+    a_conj: Optional[Any] = None,
+    backend: Optional[Backend] = None,
+) -> Tuple[Any, np.ndarray]:
+    """The two ABFT checksum rows of ``op(A)``: ``(e^T op(A), e^T |op(A)|)``.
+
+    Both depend on ``A`` alone, so a caller that applies one matrix many
+    times computes them once and hands them to
+    :func:`gemm_checksum_verify` as ``rows=`` — which also makes the
+    check sensitive to ``A`` itself changing afterwards: rows taken from
+    the clean matrix no longer move with a corrupted one.
+    """
+    be = backend if backend is not None else _NUMPY
+    A = be.asarray(A)
+    op = Operation.parse(operation)
+    if op is Operation.C:
+        A = _conjugated(A, a_conj, be)
+    opA = A if op is Operation.N else be.transpose(A, (0, 2, 1))
+    ones = be.asarray(np.ones((1, int(opA.shape[1])), dtype=be.dtype_of(A)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = be.matmul(ones, opA)
+    return row, _checksum.gemm_checksum_abs_row(be.from_device(opA))
 
 
 def gemm_checksum_verify(
@@ -241,6 +363,7 @@ def gemm_checksum_verify(
     rank: Optional[int] = None,
     context: str = "",
     rtol: Optional[float] = None,
+    rows: Optional[Tuple[Any, np.ndarray]] = None,
 ) -> None:
     """Huang–Abraham column-checksum verification of a computed panel.
 
@@ -248,36 +371,42 @@ def gemm_checksum_verify(
     output must satisfy ``e^T C == (e^T op(A)) @ B`` — the right-hand
     side is one extra GEMM row (the checksum row carried alongside the
     panel), so the check costs ``1/out_rows`` of the GEMM plus one read
-    of ``C``.  A single corrupted element of ``A``, ``B`` or ``C``
-    perturbs at least one column sum by the magnitude of the corruption,
-    which a bit-62 flip makes enormous; rounding noise stays inside a
-    tolerance scaled by ``(e^T |op(A)|) |B|``.  Raises
+    of ``C``.  A single corrupted element of ``C`` — or of ``A``, when
+    ``rows`` predates the corruption — perturbs at least one column sum
+    by the magnitude of the corruption, which a bit-62 flip makes
+    enormous; rounding noise stays inside a tolerance scaled by
+    ``(e^T |op(A)|) |B|``.  (A panel ``B`` corrupted before the GEMM read
+    it satisfies the identity and is not this check's to find.)  Raises
     :class:`~repro.util.checksum.SilentCorruption` on mismatch.
+
+    ``rows`` is a cached :func:`gemm_checksum_rows` result for ``A``
+    (computed here when omitted).  ``C`` may also be a canonical-segment
+    table ``{(s, e): panel}`` whose panels sum to the product: the column
+    sums are taken per segment and added, never the full-size panels.
     """
     be = backend if backend is not None else _NUMPY
     A = be.asarray(A)
     B = be.asarray(B)
-    C = be.asarray(C)
     op = Operation.parse(operation)
-    if op is Operation.N:
-        opA = A
-    elif op is Operation.C:
-        opA = be.transpose(a_conj if a_conj is not None else be.conjugate(A), (0, 2, 1))
-    else:
-        opA = be.transpose(A, (0, 2, 1))
-    out_rows = int(opA.shape[1])
+    row, abs_row = (
+        rows if rows is not None else gemm_checksum_rows(A, op, a_conj=a_conj, backend=be)
+    )
+    panels = [C[key] for key in sorted(C)] if isinstance(C, dict) else [C]
+    out_rows = int(panels[0].shape[1])
     ones = be.asarray(np.ones((1, out_rows), dtype=be.dtype_of(A)))
     # A corrupted panel may hold Inf/NaN; the checksum contractions then
     # propagate non-finite sums (which the verifier treats as a
     # detection) without numpy warning noise.
     with np.errstate(over="ignore", invalid="ignore"):
-        expected = be.matmul(be.matmul(ones, opA), B)
-        got = be.matmul(ones, C)
+        expected = be.matmul(row, B)
+        got = be.matmul(ones, be.asarray(panels[0]))
+        for panel in panels[1:]:
+            be.add(got, be.matmul(ones, be.asarray(panel)), out=got)
     _checksum.verify_gemm_checksums(
         be.from_device(expected),
         be.from_device(got),
-        _checksum.gemm_checksum_scale(be.from_device(opA), be.from_device(B)),
-        length=out_rows + int(opA.shape[2]),
+        _checksum.gemm_checksum_scale(abs_row, be.from_device(B)),
+        length=out_rows + int(B.shape[1]),
         phase=phase,
         rank=rank,
         context=context,

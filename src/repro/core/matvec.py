@@ -47,6 +47,7 @@ from repro.backend import Backend, host_empty, resolve_backend
 from repro.blas.dispatch import SBGEMVDispatcher
 from repro.blas.gemm_kernels import (
     PairwiseSBGEMM,
+    gemm_checksum_rows,
     gemm_checksum_verify,
     gemm_strided_batched_reference,
     pairwise_gemm_strided_batched_reference,
@@ -210,6 +211,7 @@ class FFTMatvec:
         self.cast_noop_count = 0  # inter-phase casts skipped (equal precisions)
         self._ref_cache: Dict[Tuple[bool, Tuple[int, ...], bytes], np.ndarray] = {}
         self._fhat_conj: Dict[Precision, Any] = {}
+        self._abft_rows: Dict[Tuple[Precision, Operation], Tuple[Any, np.ndarray]] = {}
         if workspace is True:
             workspace = Workspace(
                 allocator=device.allocator if device is not None else None,
@@ -288,6 +290,27 @@ class FFTMatvec:
                 self.spectrum(precision)
             )
         return self._fhat_conj[precision]
+
+    def checksum_rows(
+        self, precision: Precision, operation: Operation
+    ) -> Tuple[Any, np.ndarray]:
+        """The ABFT checksum rows ``(e^T op(F_hat), e^T |op(F_hat)|)``, cached.
+
+        Taken from the spectrum on first use and kept, like
+        :meth:`spectrum_conj`: every later check then compares the
+        panel against what the *clean* spectrum implies, so a bit that
+        flips in the live spectrum afterwards breaks the identity
+        instead of moving both of its sides together.
+        """
+        precision, op = Precision.parse(precision), Operation.parse(operation)
+        if (precision, op) not in self._abft_rows:
+            self._abft_rows[precision, op] = gemm_checksum_rows(
+                self.spectrum(precision),
+                op,
+                a_conj=self.spectrum_conj(precision) if op is Operation.C else None,
+                backend=self.backend,
+            )
+        return self._abft_rows[precision, op]
 
     # Bound on the (kind, precision, batch)-keyed FFT-plan cache.  Under
     # serving load the batch dimension varies with every coalesced block
@@ -480,7 +503,13 @@ class FFTMatvec:
             )
         if self.reduction == "pairwise":
             return pairwise_gemm_strided_batched_reference(
-                fhat, mhat, operation, out=out, a_conj=a_conj, backend=be
+                fhat,
+                mhat,
+                operation,
+                out=out,
+                a_conj=a_conj,
+                backend=be,
+                workspace=self.workspace,
             )
         return gemm_strided_batched_reference(
             fhat, mhat, operation, out=out, a_conj=a_conj, backend=be
@@ -509,7 +538,14 @@ class FFTMatvec:
         fhat = self.spectrum(precision)
         a_conj = self.spectrum_conj(precision) if operation is Operation.C else None
         values = pairwise_segment_values(
-            fhat, panel, operation, start, n_global, a_conj=a_conj, backend=be
+            fhat,
+            panel,
+            operation,
+            start,
+            n_global,
+            a_conj=a_conj,
+            backend=be,
+            workspace=self.workspace,
         )
         if self.dispatcher is not None and self.device is not None:
             problem = GemmProblem(
@@ -658,31 +694,23 @@ class FFTMatvec:
 
         ``result`` is the ``(n_freq, ny, k)`` output panel, or a grid
         rank's canonical-segment table: the segments tile the rank's
-        whole contraction range, so their elementwise total must satisfy
-        the same column-checksum identity as the undivided local GEMM —
-        one check covers every segment.
+        whole contraction range, so their column sums must add up to
+        the same checksum row as the undivided local GEMM — one check
+        covers every segment.  The row itself comes from
+        :meth:`checksum_rows`, not from the live spectrum.
         """
         if not self._abft_on:
             return
-        context = ""
-        if isinstance(result, dict):
-            context = "pairwise segments"
-            total = None
-            for key in sorted(result.keys()):
-                total = result[key] if total is None else total + result[key]
-            result = total
         gemm_checksum_verify(
             self.spectrum(precision),
             panel,
             operation,
             result,
-            a_conj=(
-                self.spectrum_conj(precision) if operation is Operation.C else None
-            ),
             backend=self.backend,
             phase="sbgemv",
             rank=self.rank_label,
-            context=context,
+            context="pairwise segments" if isinstance(result, dict) else "",
+            rows=self.checksum_rows(precision, operation),
         )
         self.sdc_checks += 1
 

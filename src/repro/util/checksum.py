@@ -65,6 +65,7 @@ __all__ = [
     "verify_table",
     "flip_bit",
     "flip_table_bit",
+    "gemm_checksum_abs_row",
     "gemm_checksum_scale",
     "verify_gemm_checksums",
     "half_spectrum_energy",
@@ -304,16 +305,27 @@ def flip_table_bit(
 
 
 # -- GEMM column checksums (ABFT) ---------------------------------------------
+def gemm_checksum_abs_row(opA: Any) -> np.ndarray:
+    """``e^T |op(A)|`` in float64 — the matrix half of the ABFT yardstick.
+
+    Depends on ``op(A)`` alone, so engines compute it once per operator
+    next to the checksum row itself.
+    """
+    a = np.abs(np.asarray(opA)).astype(np.float64, copy=False)
+    return np.sum(a, axis=-2, keepdims=True)
+
+
 def gemm_checksum_scale(opA: Any, B: Any) -> np.ndarray:
     """Magnitude yardstick for the ABFT tolerance: ``(e^T |op(A)|) |B|``.
 
     The same contraction the checksum row performs, over absolute
     values — the natural bound on how much rounding the checksum
-    comparison can legitimately accumulate.
+    comparison can legitimately accumulate.  A cached
+    :func:`gemm_checksum_abs_row` may stand in for ``opA`` (a one-row
+    non-negative matrix is its own abs row).
     """
-    a = np.abs(np.asarray(opA)).astype(np.float64, copy=False)
     b = np.abs(np.asarray(B)).astype(np.float64, copy=False)
-    return np.matmul(np.sum(a, axis=-2, keepdims=True), b)
+    return np.matmul(gemm_checksum_abs_row(opA), b)
 
 
 def verify_gemm_checksums(

@@ -15,11 +15,12 @@ canonical grouping for any contraction axis of length ``n``:
 * :func:`canonical_segments` decomposes any contiguous index range into
   the unique maximal set of tree nodes covering it (at most
   ``2*log2(n)`` of them) — the standard segment-tree decomposition.
-* :func:`fold_pairwise` evaluates one node's value from its present
+* :func:`fold_in_place` evaluates one node's value from its present
   leaves by level-order adjacent pairing with odd-tail passthrough,
   which is provably the same grouping as the virtual tree (an unpaired
   trailing node at any level is exactly a node with an absent right
-  sibling).
+  sibling).  It works in a caller-owned buffer with doubling strides;
+  :func:`fold_pairwise` is its non-mutating wrapper.
 * :func:`fixed_tree_merge` combines per-segment node values up the tree
   by splitting at virtual midpoints, so *every* addition performed —
   inside segments and across them — is an edge of the one fixed tree.
@@ -39,7 +40,7 @@ vendor dot-product kernel would regroup the sum we are pinning down.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, List, Mapping, Optional, Tuple
 
 from repro.backend import Backend, NumpyBackend
 from repro.util.validation import ReproError
@@ -47,6 +48,7 @@ from repro.util.validation import ReproError
 __all__ = [
     "virtual_span",
     "canonical_segments",
+    "fold_in_place",
     "fold_pairwise",
     "fixed_tree_merge",
     "validate_segments",
@@ -98,8 +100,40 @@ def canonical_segments(start: int, stop: int, n: int) -> Tuple[Segment, ...]:
     return tuple(segments)
 
 
-def _axis_index(axis: int, sl: Any) -> Tuple[Any, ...]:
-    return (slice(None),) * axis + (sl,)
+def fold_in_place(
+    buf: Any, count: int, backend: Optional[Backend] = None, out: Optional[Any] = None
+) -> Any:
+    """Fold ``buf[:count]`` along axis 0 in fixed level-order pairs, in place.
+
+    The one pairing routine of the module.  At level ``l`` the surviving
+    nodes sit at rows ``0, 2^l, 2*2^l, ...``; each row at an even
+    multiple adds the row ``2^l`` above it into itself
+    (``add(a, b, out=a)``), and a row whose partner would lie at or past
+    ``count`` is left untouched — the odd-tail passthrough, i.e. a node
+    of the virtual tree whose right child is absent.  Row ``p`` at level
+    ``l`` therefore holds the tree sum of leaves ``[p, p + 2^l)``
+    clipped to ``count``: the same grouping for every ``count``, with no
+    per-level allocation and no data movement besides the additions.
+
+    ``buf`` is caller-owned scratch and is overwritten; rows past
+    ``count`` are ignored.  Returns the root: ``buf[0]``, or ``out`` when
+    given (the last addition — or a copy for ``count == 1`` — lands
+    there, which saves the caller a pass over the result).
+    """
+    be = backend if backend is not None else _NUMPY
+    if count < 1:
+        raise ReproError("cannot fold an empty axis")
+    step = 1
+    while step < count:
+        if out is not None and 2 * step >= count:
+            return be.add(buf[0], buf[step], out=out)
+        left = buf[0 : count - step : 2 * step]
+        be.add(left, buf[step : count : 2 * step], out=left)
+        step *= 2
+    if out is None:
+        return buf[0]
+    be.copyto(out, buf[0])
+    return out
 
 
 def fold_pairwise(leaves: Any, axis: int = 0, backend: Optional[Backend] = None) -> Any:
@@ -112,53 +146,25 @@ def fold_pairwise(leaves: Any, axis: int = 0, backend: Optional[Backend] = None)
     dtype via ``backend.add`` (elementwise — per-output-element order is
     independent of every other axis, which is what makes blocked and
     looped applies bitwise-identical).
+
+    ``leaves`` is not modified: the first level lands in a fresh buffer
+    of ``ceil(count / 2)`` nodes and :func:`fold_in_place` finishes the
+    tree there.
     """
     be = backend if backend is not None else _NUMPY
     count = int(leaves.shape[axis])
     if count < 1:
         raise ReproError(f"cannot fold an empty axis (axis {axis})")
+    order = (axis,) + tuple(i for i in range(leaves.ndim) if i != axis)
+    rows = be.transpose(leaves, order)
     if count == 1:
-        return leaves[_axis_index(axis, 0)]
-    # `block` holds this level's nodes stacked along `axis`; `tail` is
-    # an optional final node (axis removed) that an earlier odd level
-    # left unpaired.  Pairing is positional over block-nodes + tail.
-    block: Optional[Any] = leaves
-    tail: Optional[Any] = None
-    q = count
-    while q + (1 if tail is not None else 0) > 1:
-        if q == 0:
-            break
-        if tail is None:
-            pairs = q // 2
-            summed = be.add(
-                block[_axis_index(axis, slice(0, 2 * pairs, 2))],
-                block[_axis_index(axis, slice(1, 2 * pairs, 2))],
-            )
-            tail = block[_axis_index(axis, q - 1)] if q % 2 else None
-            block, q = summed, pairs
-        elif q % 2 == 0:
-            # Even block + tail: block pairs internally, tail stays odd.
-            pairs = q // 2
-            block = be.add(
-                block[_axis_index(axis, slice(0, 2 * pairs, 2))],
-                block[_axis_index(axis, slice(1, 2 * pairs, 2))],
-            )
-            q = pairs
-        else:
-            # Odd block + tail: the last block node pairs with the tail.
-            pairs = (q - 1) // 2
-            new_tail = be.add(block[_axis_index(axis, q - 1)], tail)
-            if pairs:
-                block = be.add(
-                    block[_axis_index(axis, slice(0, 2 * pairs, 2))],
-                    block[_axis_index(axis, slice(1, 2 * pairs, 2))],
-                )
-            else:
-                block = None
-            tail, q = new_tail, pairs
-    if q >= 1:
-        return block[_axis_index(axis, 0)]
-    return tail
+        return rows[0]
+    pairs = count // 2
+    nodes = be.empty((count - pairs,) + tuple(rows.shape[1:]), be.dtype_of(leaves))
+    be.add(rows[0 : 2 * pairs : 2], rows[1 : 2 * pairs : 2], out=nodes[:pairs])
+    if count % 2:
+        be.copyto(nodes[pairs:], rows[count - 1 :])
+    return fold_in_place(nodes, count - pairs, backend=be)
 
 
 def validate_segments(segments: Mapping[Segment, Any], n: int) -> None:

@@ -27,9 +27,11 @@ from repro.comm.fault import (
     SilentCorruption,
 )
 from repro.comm.collectives import fixed_tree_reduce_segments
+from repro.comm.grid import ProcessGrid
 from repro.comm.simcomm import SimCommunicator
 from repro.core.elastic import ElasticEngine
 from repro.core.matvec import FFTMatvec
+from repro.core.parallel import ParallelFFTMatvec
 from repro.core.precision import PrecisionConfig
 from repro.core.toeplitz import BlockTriangularToeplitz
 from repro.serve import EngineCache, SolverService
@@ -274,6 +276,76 @@ class TestEngineValidate:
         eng.install_corruption_schedule(CorruptionSchedule())
         eng.matmat(block)
         assert eng.sdc_checks > 0
+
+
+class TestSpectrumCorruptedAfterFirstUse:
+    """A bit that flips in the live spectrum *after* the engine has used
+    it.  Deriving the checksum row from the matrix being checked moves
+    both sides of ``e^T C == (e^T op(A)) B`` together, so mantissa and
+    low-exponent flips changed the output with zero detections (and a
+    bit-62 flip was only caught two phases later by the non-finite
+    Parseval rule, blamed on the IFFT).  The row cached from the clean
+    spectrum pins the right-hand side."""
+
+    SHAPE, WIDTH = (16, 6, 20), 4
+
+    @pytest.fixture(scope="class")
+    def operands(self):
+        rng = np.random.default_rng(2024)
+        nt, nd, nm = self.SHAPE
+        return (
+            BlockTriangularToeplitz(rng.standard_normal(self.SHAPE)),
+            rng.standard_normal((nt, nm, self.WIDTH)),
+            rng.standard_normal((nt, nd, self.WIDTH)),
+        )
+
+    @staticmethod
+    def _flip_and_apply(engine, rank_engine, operands, adjoint, bit, index):
+        """One clean apply (first use), flip one spectrum bit (float
+        ``index`` of a mid-band frequency), apply again."""
+        _, M, D = operands
+        apply = (lambda: engine.rmatmat(D)) if adjoint else (lambda: engine.matmat(M))
+        want = apply().copy()
+        checks = rank_engine.sdc_checks
+        live = rank_engine.spectrum_conj("d") if adjoint else rank_engine.spectrum("d")
+        chk.flip_bit(live, index, bit)
+        with pytest.raises(SilentCorruption) as ei:
+            apply()
+        assert (ei.value.check, ei.value.phase) == ("abft", "sbgemv")
+        chk.flip_bit(live, index, bit)  # heal
+        assert np.array_equal(apply(), want)
+        assert rank_engine.sdc_checks > checks
+        return ei.value
+
+    @pytest.mark.parametrize("bit", [51, 54, 58, 62])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("reduction", ["fast", "pairwise"])
+    def test_single_engine(self, operands, reduction, adjoint, bit):
+        engine = FFTMatvec(operands[0], reduction=reduction, validate="abft")
+        self._flip_and_apply(engine, engine, operands, adjoint, bit, index=1001)
+
+    @pytest.mark.parametrize("bit", [51, 54, 58, 62])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("reduction", ["fast", "pairwise"])
+    def test_grid_rank(self, operands, reduction, adjoint, bit):
+        grid = ParallelFFTMatvec(
+            operands[0], ProcessGrid(2, 2), reduction=reduction, validate="abft",
+            max_block_k=2,
+        )
+        err = self._flip_and_apply(
+            grid, grid.engines[(1, 0)], operands, adjoint, bit, index=301
+        )
+        assert err.rank == grid.engines[(1, 0)].rank_label
+
+    def test_rows_are_taken_once_per_precision_and_op(self, operands):
+        engine = FFTMatvec(operands[0], validate="abft")
+        engine.matmat(operands[1]), engine.rmatmat(operands[2])
+        rows = dict(engine._abft_rows)
+        assert len(rows) == 2
+        engine.matmat(operands[1]), engine.rmatmat(operands[2])
+        assert all(engine._abft_rows[key] is rows[key] for key in rows)
+        engine.matmat(operands[1], config="dssdd")
+        assert len(engine._abft_rows) == 3
 
 
 class _RecordingSchedule(CorruptionSchedule):

@@ -6,6 +6,7 @@ import pytest
 from repro.util.pairwise import (
     canonical_segments,
     fixed_tree_merge,
+    fold_in_place,
     fold_pairwise,
     validate_segments,
     virtual_span,
@@ -90,6 +91,33 @@ class TestFoldPairwise:
         x = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
         expected = ((x[0] + x[1]) + (x[2] + x[3])) + x[4]
         assert fold_pairwise(x, axis=0) == expected
+
+    @pytest.mark.parametrize("count", list(range(1, 41)) + [192, 200, 255, 257])
+    def test_matches_recursive_virtual_tree(self, count):
+        # Independent oracle: the virtual tree written as a recursion —
+        # split at the midpoint, an absent right child passes through.
+        rng = np.random.default_rng(count)
+        x = rng.standard_normal((count, 3)) * 10.0 ** rng.uniform(-8, 8, (count, 3))
+
+        def node(s, e):
+            if e - s == 1:
+                return x[s]
+            mid = (s + e) // 2
+            return node(s, mid) if mid >= count else node(s, mid) + node(mid, e)
+
+        want = node(0, virtual_span(count))
+        before = x.copy()
+        assert np.array_equal(fold_pairwise(x, axis=0), want)
+        assert np.array_equal(x, before)  # non-mutating
+        buf = np.concatenate([x, np.full((2, 3), np.nan)])  # rows past count ignored
+        assert np.array_equal(fold_in_place(buf, count), want)
+        out = np.empty(3)
+        assert fold_in_place(x.copy(), count, out=out) is out
+        assert np.array_equal(out, want)
+
+    def test_in_place_rejects_empty(self):
+        with pytest.raises(ReproError):
+            fold_in_place(np.zeros((0, 2)), 0)
 
     def test_inner_axis(self):
         rng = np.random.default_rng(8)
