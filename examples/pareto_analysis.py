@@ -1,7 +1,11 @@
 #!/usr/bin/env python
 """The paper's Pareto-front analysis (Section 3.2 / Figure 3): sweep all
 32 mixed-precision configurations, measure (time, error) for each, and
-select the optimum under a 1e-7 relative error tolerance.
+select the optimum under a relative error tolerance — the paper's 1e-7,
+and single precision's unit roundoff 2^-23 ~ 1.19e-7.  At this reduced
+size the published F optimum ``dssdd`` measures right at 1e-7 (0.97e-7
+to 1.14e-7 depending on the random operator), so the 1e-7 selection can
+land one step up the front; at 2^-23 it is ``dssdd`` every time.
 
 Run:  python examples/pareto_analysis.py
 """
@@ -35,10 +39,13 @@ print(f"\nPareto front ({len(front)} configurations):")
 for p in front:
     print(f"  {p.config}  time={p.time * 1e3:8.4f} ms  err={p.error:.2e}")
 
-best = optimal_config(points, TOL)
-print(f"\noptimal under tolerance {TOL:g}: {best.config} "
-      f"({(best.speedup - 1) * 100:.0f}% speedup, err {best.error:.2e})")
-print("paper's published optimum for the F matvec: dssdd")
+for tol in (TOL, float(np.finfo(np.float32).eps)):
+    best = optimal_config(points, tol)
+    print(f"\noptimal under tolerance {tol:.3g}: {best.config} "
+          f"({(best.speedup - 1) * 100:.0f}% speedup, err {best.error:.2e})")
+published = next(p for p in points if str(p.config) == "dssdd")
+print(f"paper's published optimum for the F matvec: dssdd "
+      f"(err {published.error:.2e} here — on the 1e-7 boundary at this size)")
 
 # The adjoint direction: the paper reports SBGEMV+IFFT single (ddssd).
 print("\nsweeping the F* direction...")

@@ -20,8 +20,9 @@ backend exposes:
   wall-clock timestamps are read).
 
 The numpy backend implements every operation with the *exact* numpy
-call the engines used before this layer existed, so the numpy path is
-bitwise-identical to the pre-backend code.  Simulated timing is
+call the engines used before this layer existed — single-precision FFTs
+excepted, which run on ``scipy.fft`` because ``np.fft`` computes them in
+double (see :mod:`repro.backend.numpy_backend`).  Simulated timing is
 unaffected by backend choice: kernels charge modeled time from problem
 *sizes*, never from array contents.
 """
@@ -83,7 +84,8 @@ class Backend:
 
     @property
     def fft(self) -> Any:
-        """FFT module with numpy-style ``rfft/irfft/fft/ifft(a, axis=)``."""
+        """FFT module with numpy-style ``rfft/irfft/fft/ifft(a, axis=)``,
+        each computed at the precision of its input."""
         raise NotImplementedError
 
     # -- availability --------------------------------------------------------

@@ -1,11 +1,21 @@
 """NumPy backend: the reference implementation, bitwise-stable.
 
-Every method is the *exact* numpy call the hot-path modules made before
-the backend layer existed (``np.empty``, ``np.matmul(..., out=)``,
+Every method but one is the *exact* numpy call the hot-path modules made
+before the backend layer existed (``np.empty``, ``np.matmul(..., out=)``,
 ``np.conj``, ``np.copyto(..., casting="same_kind")``, ...), so routing
 through this backend changes nothing — not allocation behaviour, not
 rounding, not a single bit of any result.  The parity tests assert
 exactly that.
+
+The exception is :attr:`NumpyBackend.fft` for float32/complex64 input.
+``np.fft.rfft``/``np.fft.fft`` hand pocketfft a Python-int scale, which
+numpy (2.4) resolves to the *double* loop through buffered casts: the
+result is bit-for-bit ``rfft(x.astype(float64)).astype(complex64)`` —
+double-precision error at 2.5x the cost of the float64 transform.  A
+single-precision tier computed that way is neither single nor fast, so
+single-precision transforms go to ``scipy.fft`` (typed pocketfft, SIMD)
+and double-precision ones stay on ``np.fft``, where the two libraries
+agree bit for bit.  See :class:`_TieredFFT`.
 """
 
 from __future__ import annotations
@@ -17,6 +27,41 @@ import numpy as np
 from repro.backend.base import Backend
 
 __all__ = ["NumpyBackend"]
+
+
+class _TieredFFT:
+    """numpy-style ``rfft/irfft/fft/ifft``, each computed at the
+    precision of its input.
+
+    The provider is picked from the input dtype alone: float32/complex64
+    run on ``scipy.fft``, everything else on ``np.fft`` exactly as before.
+    ``scipy.fft`` is imported by the first single-precision transform,
+    not with this module: importing it costs 5-29 MB of resident memory,
+    which an all-double process (most of them) should not pay.
+    """
+
+    @staticmethod
+    def _provider(a) -> Any:
+        if a.dtype.char not in "fF":
+            return np.fft
+        import scipy.fft
+
+        return scipy.fft
+
+    def rfft(self, a, axis: int = -1):
+        return self._provider(a).rfft(a, axis=axis)
+
+    def irfft(self, a, n=None, axis: int = -1):
+        return self._provider(a).irfft(a, n=n, axis=axis)
+
+    def fft(self, a, axis: int = -1):
+        return self._provider(a).fft(a, axis=axis)
+
+    def ifft(self, a, axis: int = -1):
+        return self._provider(a).ifft(a, axis=axis)
+
+
+_FFT = _TieredFFT()
 
 
 class NumpyBackend(Backend):
@@ -31,7 +76,7 @@ class NumpyBackend(Backend):
 
     @property
     def fft(self) -> Any:
-        return np.fft
+        return _FFT
 
     @classmethod
     def probe(cls) -> Tuple[bool, str]:

@@ -208,7 +208,7 @@ class FFTMatvec:
         self.last_timing: Optional[TimingReport] = None
         self.matvec_count = 0
         self.matmat_count = 0
-        self.cast_noop_count = 0  # inter-phase casts skipped (equal precisions)
+        self.cast_noop_count = 0  # phase boundaries crossed without a cast pass
         self._ref_cache: Dict[Tuple[bool, Tuple[int, ...], bytes], np.ndarray] = {}
         self._fhat_conj: Dict[Precision, Any] = {}
         self._abft_rows: Dict[Tuple[Precision, Operation], Tuple[Any, np.ndarray]] = {}
@@ -716,12 +716,17 @@ class FFTMatvec:
 
     # -- the five-phase pipeline -----------------------------------------------
     def _maybe_cast(self, arr: Any, prec: Precision, tag: str) -> Any:
-        """Inter-phase cast with the no-op made explicit (and counted).
+        """Standalone inter-phase cast, with the no-op made explicit (and
+        counted).
 
-        Adjacent phases at equal precision skip the cast entirely —
-        ``cast_noop_count`` advances instead of a call that relies on
-        ``copy=False`` doing nothing.  An actual cast writes into an
-        arena buffer when the workspace is active.
+        Tier changes ride the pass that already moves the data — the pad
+        kernel's writes, the two reorders — so the only boundary left
+        that can need a pass of its own is a single-precision pad
+        feeding a double FFT (the pad must round before the up-cast).
+        Everywhere else ``arr`` arrives at ``prec`` and
+        ``cast_noop_count`` advances: it counts phase boundaries crossed
+        without a standalone pass.  An actual cast writes into an arena
+        buffer when the workspace is active.
         """
         be = self.backend
         target = complex_dtype(prec) if be.iscomplex(arr) else real_dtype(prec)
@@ -812,8 +817,8 @@ class FFTMatvec:
         """Phases 1-3 on a ``(Nt, nx, k)`` block; returns Phase 3's result.
 
         Owns the ``pad`` and ``fft`` clock phases and the head of
-        ``sbgemv``; the ``cast_fft``/``cast_sbgemv`` casts and the
-        ``fwd_reorder`` arena tag; the forward Parseval check and the
+        ``sbgemv``; the ``cast_fft`` cast (``sd...`` configs only) and
+        the ``fwd_reorder`` arena tag; the forward Parseval check and the
         Phase-3 ABFT check, each behind its injection site and followed
         by the guard.  ``kernel(panel, operation, precision)`` — the
         Phase-3 kernel on the ``(n_freq, nx, k)`` panel — is the only
@@ -831,7 +836,9 @@ class FFTMatvec:
 
         # Phase 1: broadcast (trivial single-device) + one zero-pad
         # kernel over all k vectors, in the phase's precision (cast fused
-        # into the pad kernel's writes).
+        # into the pad kernel's writes).  The input is double, so a
+        # double pad writes the FFT's tier directly: one rounding, the
+        # one "pad in double, then cast" would make.
         with self._phase_ctx("pad"):
             x = pad_to_soti(
                 v_in.reshape(nt, nx * k),
@@ -842,12 +849,12 @@ class FFTMatvec:
                 backend=self.backend,
                 validate=self._guard_on,
                 rank=self.rank_label,
+                out_precision=config.fft if config.pad is Precision.DOUBLE else None,
             )
 
         # Phase 2: one batched forward FFT (batch = k * space) in its
-        # precision.  The input cast (if needed) fuses with the pad's
-        # writes in the real code; here it is an explicit no-op when the
-        # precisions agree.
+        # precision.  Only a single-precision pad feeding a double FFT
+        # still needs a cast pass of its own.
         with self._phase_ctx("fft"):
             x = self._maybe_cast(x, config.fft, "cast_fft")
             plan = self._plan("fwd", config.fft, batch=x.shape[0])
@@ -856,19 +863,21 @@ class FFTMatvec:
             self._check_forward_energy(x, xhat, plan)
             self._guard_check(xhat, "fft")
 
-        # Reorder to frequency-outer layout at the lower adjacent
-        # precision, then present to Phase 3 at its precision.
+        # Reorder to frequency-outer layout, written at Phase 3's
+        # precision: the value "reorder at the lower adjacent precision,
+        # then cast" gives (a down-cast rounds once, an up-cast is
+        # exact), without the second pass.
         with self._phase_ctx("sbgemv"):
             vhat = soti_to_tosi(
                 xhat,
-                precision=config.reorder_precision("fft", "sbgemv"),
+                precision=config.sbgemv,
                 device=self.device,
                 phase="sbgemv",
                 workspace=ws,
                 tag="fwd_reorder",
                 backend=self.backend,
             )
-            vhat = self._maybe_cast(vhat, config.sbgemv, "cast_sbgemv")
+            self.cast_noop_count += 1
             if self.backend.dtype_of(vhat) != complex_dtype(config.sbgemv):
                 raise ReproError("internal: Phase-3 input precision mismatch")
             panel = vhat.reshape(self.n_freq, nx, k)
@@ -890,9 +899,10 @@ class FFTMatvec:
         the float64 ``(Nt, ny, k)`` result (see :meth:`_finalize`).
 
         Owns the tail of the ``sbgemv`` clock phase (the reorder back to
-        space-outer, arena tag ``bwd_reorder``) and the ``ifft`` and
-        ``unpad`` phases; the ``cast_ifft`` cast; the inverse Parseval
-        check behind its injection site, followed by the guard.
+        space-outer, arena tag ``bwd_reorder``, written at the IFFT's
+        precision like the forward reorder) and the ``ifft`` and
+        ``unpad`` phases; the inverse Parseval check behind its
+        injection site, followed by the guard.
         """
         ny = self.nm if adjoint else self.nd
         k = yhat.shape[2]
@@ -901,17 +911,17 @@ class FFTMatvec:
         with self._phase_ctx("sbgemv"):
             yhat = tosi_to_soti(
                 yhat.reshape(self.n_freq, ny * k),
-                precision=config.reorder_precision("sbgemv", "ifft"),
+                precision=config.ifft,
                 device=self.device,
                 phase="sbgemv",
                 workspace=ws,
                 tag="bwd_reorder",
                 backend=self.backend,
             )
+            self.cast_noop_count += 1
 
         # Phase 4: one batched inverse FFT, batch = k * space.
         with self._phase_ctx("ifft"):
-            yhat = self._maybe_cast(yhat, config.ifft, "cast_ifft")
             plan = self._plan("inv", config.ifft, batch=yhat.shape[0])
             y = plan.inverse(yhat, phase="ifft", workspace=ws)
             self._maybe_corrupt(y, "ifft")

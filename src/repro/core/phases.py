@@ -67,14 +67,23 @@ def pad_to_soti(
     backend: Optional[Backend] = None,
     validate: bool = False,
     rank: Optional[int] = None,
+    out_precision: Optional[Precision] = None,
 ) -> Any:
     """Phase-1 kernel: (Nt, nx) time-outer -> (nx, 2*Nt) padded SOTI.
 
     The output dtype is the phase's precision — the cast (if any) is
-    fused into the pad kernel's writes.  With a ``workspace`` the output
-    is a checked-out arena buffer: the data half is fully overwritten
-    and only the padding half is re-zeroed, no allocation at steady
-    state.  ``validate=True`` runs the numerical-health guard on the
+    fused into the pad kernel's writes.  ``out_precision`` names a
+    different tier for the written buffer when the consumer (the FFT)
+    wants one: the writes then round the input once to that tier, and
+    the modeled kernel is still charged at ``precision``.  The caller
+    owns the equivalence with "pad at ``precision``, then cast" — it
+    holds whenever ``precision`` is the input's own tier, not when the
+    pad itself rounds (single pad feeding a double FFT).
+
+    With a ``workspace`` the output is a checked-out arena buffer: the
+    data half is fully overwritten and only the padding half is
+    re-zeroed, no allocation at steady state.
+    ``validate=True`` runs the numerical-health guard on the
     produced buffer and raises
     :class:`~repro.util.checksum.NumericalHealthError` naming this
     phase (and ``rank`` when supplied) if anything non-finite crossed
@@ -87,7 +96,7 @@ def pad_to_soti(
     if be.iscomplex(a):
         raise ReproError("pad operates on real time-domain vectors")
     nt, nx = a.shape
-    dt = real_dtype(precision)
+    dt = real_dtype(precision if out_precision is None else out_precision)
     if workspace is None:
         out = be.zeros((nx, 2 * nt), dt)
     else:
@@ -107,7 +116,7 @@ def pad_to_soti(
         device,
         "pad_zero",
         bytes_read=float(be.nbytes(a)),
-        bytes_written=float(be.nbytes(out)),
+        bytes_written=float(be.size(out) * real_dtype(precision).itemsize),
         out_elems=be.size(out),
         phase=phase,
     )

@@ -12,7 +12,13 @@ FFTMatvec keeps block vectors in two layouts:
 The conversions are pure memory operations (transposes).  Per paper
 footnote 8 they execute in the lowest precision of the adjacent compute
 phases and fuse any required cast into the same kernel — the cast is a
-dtype change on the transpose's write side, not an extra pass.
+dtype change on the transpose's write side, not an extra pass.  That
+holds in both directions: ``precision`` names the tier of the buffer the
+consumer reads, so a down-cast rounds once on the write and an up-cast
+is exact, and either way the value is what "reorder at the lower tier,
+then cast" would produce.  The modeled kernel is charged at the lower
+of the source and destination tiers (the up-cast is the consumer's
+read), whichever tier the host buffer carries.
 
 With a :class:`~repro.util.workspace.Workspace` the transposed (and
 cast) output is written into a checked-out arena buffer — the fused
@@ -78,15 +84,13 @@ def reorder_bytes(arr_shape, in_itemsize: int, out_itemsize: int) -> float:
 
 
 def _charge_reorder(
-    device: Optional[SimulatedDevice],
+    device: SimulatedDevice,
     name: str,
     in_bytes: int,
     out_bytes: int,
     out_elems: int,
     phase: str,
 ) -> None:
-    if device is None:
-        return
     traffic = float(in_bytes + out_bytes)
     eff = stream_efficiency(traffic, device.spec)
     # Transposes are less cache-friendly than pure streams; apply the
@@ -131,9 +135,14 @@ def _reorder(
         out = be.ascontiguous(be.transpose(a))
         if precision is not None:
             out = be.cast(out, precision)
-    _charge_reorder(
-        device, kernel_name, be.nbytes(a), be.nbytes(out), be.size(out), phase
-    )
+    if device is not None:
+        # Written at the lower tier of the two even when ``out`` was
+        # up-cast for its consumer (see the module docstring).
+        itemsize = min(be.dtype_of(a).itemsize, be.dtype_of(out).itemsize)
+        _charge_reorder(
+            device, kernel_name, be.nbytes(a), be.size(out) * itemsize,
+            be.size(out), phase,
+        )
     return out
 
 

@@ -3,10 +3,18 @@
 A plan fixes the transform length, batch count, type (D2Z/Z2D/Z2Z and the
 single-precision variants R2C/C2R/C2C) and precision.  Executing a plan:
 
-* computes the transform with NumPy's pocketfft **at the plan's
-  precision** — complex64 input stays in single precision end to end, so
-  the numerical error of a single-precision FFT phase is measured, not
-  modeled;
+* computes the transform through the backend's ``fft`` namespace **at
+  the plan's precision**.  On the numpy backend that means two
+  libraries: double-precision plans (D2Z/Z2D/Z2Z) run on ``np.fft``,
+  single-precision plans (R2C/C2R/C2C) on ``scipy.fft`` — because
+  ``np.fft.rfft``/``np.fft.fft`` compute float32/complex64 input in
+  *double* and round the result (slower than the float64 transform, and
+  not single-precision error), whereas ``scipy.fft`` is typed: complex64
+  in, single-precision butterflies, complex64 out.  So the numerical
+  error of a single-precision FFT phase is measured, not modeled, and
+  lowering the tier makes the transform faster.  The two libraries
+  agree bit for bit on float64 transforms; details and measurements in
+  :mod:`repro.backend.numpy_backend`;
 * optionally charges simulated time on an attached
   :class:`~repro.gpu.device.SimulatedDevice`.  FFT cost model: a radix
   FFT of length n moves ~``2 * ceil(log2 n) / unroll`` passes over the
@@ -125,6 +133,8 @@ class FFTPlan:
         self.precision = fft_type.precision
         self._rdt = real_dtype(self.precision)
         self._cdt = complex_dtype(self.precision)
+        # cuFFT-style unnormalized inverse: the result is scaled back by n.
+        self._unscale = np.asarray(self.n, dtype=self._rdt)
         self.executions = 0
         self.stage_noops = 0  # inputs that needed no staging copy
         self.stage_copies = 0  # inputs staged into a workspace buffer
@@ -244,12 +254,11 @@ class FFTPlan:
         and callers scale by ``1/n`` themselves (FFTMatvec folds the scale
         into the precomputed ``F_hat``).
         """
-        if self.fft_type.is_real_forward and self.fft_type in (FFTType.D2Z, FFTType.R2C):
+        if self.fft_type.is_real_forward:
             raise ReproError(
                 f"plan type {self.fft_type.value} is forward-only; use execute()"
             )
         be = self.backend
-        scale = np.asarray(self.n, dtype=self._rdt)
         if self.fft_type.is_real_inverse:
             arr = self._check_batch_shape(x, self.half_len, "inverse")
             arr = self._stage(arr, self._cdt, workspace, "fft_stage_inv")
@@ -260,7 +269,7 @@ class FFTPlan:
             out = be.astype(be.fft.ifft(arr, axis=1), self._cdt, copy=False)
         # Unnormalize in place: the transform output is freshly owned, so
         # the scaling needs no temporary (bitwise-identical multiply).
-        be.multiply(out, scale, out=out)
+        be.multiply(out, self._unscale, out=out)
         self.executions += 1
         self._charge(phase)
         return out

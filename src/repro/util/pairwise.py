@@ -212,16 +212,21 @@ def fixed_tree_merge(
     """
     be = backend if backend is not None else _NUMPY
     validate_segments(segments, n)
-    span = virtual_span(n)
+    return _node_value(segments, n, be, 0, virtual_span(n))
 
-    def node_value(s: int, e: int) -> Any:
-        found = segments.get((s, e))
-        if found is not None:
-            return found
-        mid = (s + e) // 2
-        left = node_value(s, mid)
-        if mid >= n:
-            return left  # absent right child: passthrough, no addition
-        return be.add(left, node_value(mid, e))
 
-    return node_value(0, span)
+def _node_value(
+    segments: Mapping[Segment, Any], n: int, be: Backend, s: int, e: int
+) -> Any:
+    # Module-level, not a closure inside fixed_tree_merge: a nested
+    # function that calls itself is a reference cycle (function -> its
+    # own closure cell), which kept ``segments`` — every rank's partial
+    # panels — alive until the cycle collector's next pass.
+    found = segments.get((s, e))
+    if found is not None:
+        return found
+    mid = (s + e) // 2
+    left = _node_value(segments, n, be, s, mid)
+    if mid >= n:
+        return left  # absent right child: passthrough, no addition
+    return be.add(left, _node_value(segments, n, be, mid, e))

