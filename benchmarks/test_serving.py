@@ -7,10 +7,13 @@ several tenants — are replayed through a coalescing
 :class:`~repro.serve.service.SolverService` and a ``max_block_k=1``
 baseline.  At full size the coalesced service must
 
-* deliver **>= 2x** the serve-one throughput at the highest arrival
-  rate (concurrent applies share blocked pipeline passes; concurrent
-  solves run as one block CG, one blocked Hessian pass per iteration
-  for the whole batch),
+* actually coalesce at the highest arrival rate (mean batch > 1.5) and
+  record the throughput ratio over serve-one (``speedup`` per rate in
+  the artifact, ~2.2x at full size: concurrent applies share blocked
+  pipeline passes; concurrent solves run as one block CG, one blocked
+  Hessian pass per iteration for the whole batch).  The ratio is
+  reported, not asserted — tier-1 carries no raw ratio-of-walls gate
+  (ROADMAP item 1(a)),
 * return apply results **bitwise-identical** to sequential engine
   applies and solve results within the CG tolerance (block CG is
   tolerance-equivalent, not bitwise — see ``docs/SERVING.md``),
@@ -20,10 +23,8 @@ baseline.  At full size the coalesced service must
   so this asserts the accounting stayed wired up).
 
 It emits ``BENCH_serving.json`` next to this file.  CI's tiny smoke
-(``REPRO_BENCH_TINY=1``) runs a shrunken trace and asserts the schema,
-the correctness gates and that coalescing still beats serve-one — the
-2x floor is only enforced at full size, where per-request work is big
-enough for the ratio to be stable.
+(``REPRO_BENCH_TINY=1``) runs a shrunken trace through the same schema
+and correctness gates.
 """
 
 import json
@@ -36,7 +37,6 @@ TINY = bool(os.environ.get("REPRO_BENCH_TINY"))
 NT, ND, NM = (16, 8, 48) if TINY else (64, 24, 96)
 RATES = (200.0, 2000.0) if TINY else (50.0, 2000.0)
 N_REQUESTS = 96 if TINY else 240
-SPEEDUP_FLOOR = 1.05 if TINY else 2.0
 
 ARTIFACT = Path(__file__).parent / "BENCH_serving.json"
 
@@ -65,11 +65,7 @@ class TestServingBench:
             # The coalescer must actually coalesce at the high rate.
             if row["rate_rps"] == max(RATES):
                 assert coalesced["mean_batch"] > 1.5
-                assert row["speedup"] >= SPEEDUP_FLOOR, (
-                    f"coalesced speedup {row['speedup']:.2f}x at "
-                    f"{row['rate_rps']:.0f} rps is below the "
-                    f"{SPEEDUP_FLOOR}x floor"
-                )
+            assert row["speedup"] > 0
 
         cache = artifact["cache"]
         assert cache["within_budget"] is True

@@ -505,19 +505,26 @@ class SBGEMMKernel:
         numerical entry point (the grid engine's per-segment pairwise
         path) can still book the kernel's modeled cost.
         """
-        grid, block = self.launch_geometry(problem, device.spec)
-        eff = self.efficiency(problem, device.spec)
+        device.launch_memo(
+            self._launch_key(problem), lambda: self._launch_record(problem, device.spec), phase
+        )
+
+    def _launch_key(self, problem: GemmProblem) -> Tuple:
+        """What the launch record depends on besides the device."""
+        return (self.name, problem)
+
+    def _launch_record(self, problem: GemmProblem, spec: GPUSpec) -> KernelLaunch:
+        grid, block = self.launch_geometry(problem, spec)
         out_b = problem.out_rows * problem.k * problem.batch * problem.datatype.itemsize
-        kernel = KernelLaunch(
+        return KernelLaunch(
             name=f"{self.name}_{problem.datatype.value}{problem.operation.value.lower()}",
             grid=grid,
             block=block,
             bytes_read=float(problem.total_bytes - out_b),
             bytes_written=float(out_b),
             flops=2.0 * problem.m * problem.n * problem.k * problem.batch,
-            efficiency_hint=eff,
+            efficiency_hint=self.efficiency(problem, spec),
         )
-        device.launch(kernel, phase=phase)
 
     # -- modeled performance -------------------------------------------------
     def modeled_time(self, problem: GemmProblem, spec: GPUSpec) -> float:
@@ -635,6 +642,9 @@ class PairwiseSBGEMM(SBGEMMKernel):
 
     def supports(self, problem: GemmProblem) -> bool:
         return self.inner.supports(problem)
+
+    def _launch_key(self, problem: GemmProblem) -> Tuple:
+        return (self.name,) + self.inner._launch_key(problem)
 
     def launch_geometry(self, problem: GemmProblem, spec: GPUSpec) -> Tuple[Dim3, Dim3]:
         return self.inner.launch_geometry(problem, spec)

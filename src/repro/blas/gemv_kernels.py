@@ -277,19 +277,24 @@ class SBGEMVKernel:
             A, x, problem.operation, out=out, x_conj=x_conj, backend=be
         )
         if device is not None:
-            grid, block = self.launch_geometry(problem, device.spec)
-            eff = self.efficiency(problem, device.spec)
-            kernel = KernelLaunch(
-                name=f"{self.name}_{problem.datatype.value}{problem.operation.value.lower()}",
-                grid=grid,
-                block=block,
-                bytes_read=float(problem.matrix_bytes + problem.vector_bytes / 2),
-                bytes_written=float(problem.vector_bytes / 2),
-                flops=2.0 * problem.m * problem.n * problem.batch,
-                efficiency_hint=eff,
+            device.launch_memo(
+                (self.name, problem),
+                lambda: self._launch_record(problem, device.spec),
+                phase,
             )
-            device.launch(kernel, phase=phase)
         return y
+
+    def _launch_record(self, problem: GemvProblem, spec: GPUSpec) -> KernelLaunch:
+        grid, block = self.launch_geometry(problem, spec)
+        return KernelLaunch(
+            name=f"{self.name}_{problem.datatype.value}{problem.operation.value.lower()}",
+            grid=grid,
+            block=block,
+            bytes_read=float(problem.matrix_bytes + problem.vector_bytes / 2),
+            bytes_written=float(problem.vector_bytes / 2),
+            flops=2.0 * problem.m * problem.n * problem.batch,
+            efficiency_hint=self.efficiency(problem, spec),
+        )
 
     # -- modeled performance ---------------------------------------------------
     def modeled_time(self, problem: GemvProblem, spec: GPUSpec) -> float:

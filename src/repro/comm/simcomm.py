@@ -213,14 +213,17 @@ class SimCommunicator:
         tag: str = "bcast",
         backend: Optional[Backend] = None,
     ) -> List[Any]:
-        """Broadcast root's array to all ranks; returns per-rank copies.
+        """Broadcast root's array to all ranks; returns the per-rank buffers.
 
-        With a ``workspace`` the per-rank receive buffers are persistent
-        arena buffers keyed by ``tag`` and rank — repeated broadcasts of
-        the same payload shape (the grid engine's chunk loop) reuse them
-        instead of allocating ``size`` fresh copies per call.  Callers
-        must have consumed the previous copies for the same tag (the
-        usual checkout discipline).
+        Every receiving rank gets its own copy; the root's entry is the
+        payload itself (a root does not receive what it sends — callers
+        that stage the payload for this call are not charged a second
+        pass over it).  With a ``workspace`` the receive buffers are
+        persistent arena buffers keyed by ``tag`` and rank — repeated
+        broadcasts of the same payload shape (the grid engine's chunk
+        loop) reuse them instead of allocating fresh copies per call.
+        Callers must have consumed the previous copies for the same tag
+        (the usual checkout discipline).
         """
         self._maybe_fail("bcast")
         target, event = self._corruption_target("bcast")
@@ -232,11 +235,13 @@ class SimCommunicator:
         digest = _ck.payload_digest(buf) if verify else None
         self.op_counts["bcast"] += 1
         self._charge(self.size, be.nbytes(buf), phase, op="bcast")
-        if workspace is None:
-            copies = [be.copy(buf) for _ in range(self.size)]
-        else:
-            copies = []
-            for rank in range(self.size):
+        copies = []
+        for rank in range(self.size):
+            if rank == root and rank != target:
+                copies.append(buf)  # a flip aimed at the root lands on a copy
+            elif workspace is None:
+                copies.append(be.copy(buf))
+            else:
                 recv = workspace.buffer(
                     f"{tag}/r{rank}", tuple(buf.shape), be.dtype_of(buf)
                 )

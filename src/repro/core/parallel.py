@@ -15,11 +15,14 @@ spatial parameters across grid columns.  One F matvec then runs:
 
 The adjoint swaps the roles: broadcast over rows, reduce over columns.
 
-All ranks execute sequentially in-process with genuine per-rank
-numerics, and — unlike the original single-clock model — every rank
-carries its own simulated device: per-rank compute time is measured on
-per-rank clocks, and the wall time charged between collectives is the
-**max over ranks**.  Balanced partitions charge exactly one rank's time
+All ranks live in one process with genuine per-rank numerics, and every
+rank carries its own simulated device: per-rank compute time is measured
+on per-rank clocks, and the wall time charged between collectives is the
+**max over ranks**.  On the host, a chunk's ranks run as concurrent groups
+on a small thread pool when a rank-chunk is big enough to pay
+(:meth:`ParallelFFTMatvec._rank_compute`); collectives, grid clock,
+timeline and grid arena stay on the calling thread, and no output bit or
+simulated second depends on it.  Balanced partitions charge one rank's time
 (all ranks tie); irregular partitions (caller-supplied ``row_ranges`` /
 ``col_ranges``, e.g. :func:`repro.comm.partition.skewed_extents`) charge
 genuine skew — the slowest rank gates every collective, exactly as a
@@ -101,6 +104,9 @@ run ``deterministic`` too.
 
 from __future__ import annotations
 
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -131,6 +137,24 @@ _PHASES = ("pad", "fft", "sbgemv", "ifft", "unpad")
 # Phases a grid-level timing report may carry: the five device phases
 # plus the host stream's generate/save work.
 _REPORT_PHASES = _PHASES + ("host",)
+
+# A chunk's ranks run concurrently only from this many elements per
+# rank-chunk (in + out block, Nt * kc * (nd_r + nm_c)); below, a rank is
+# mostly Python and two threads queue on the GIL: 2.1x slower at 4k, 1.5x
+# at 15k, even at 39k, 0.9x at 41k, 0.7x from 52k (docs/ARCHITECTURE.md).
+_CONCURRENT_MIN_ELEMS = 40_000
+
+
+def _usable_cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+@functools.lru_cache(maxsize=None)
+def _rank_pool(workers: int) -> ThreadPoolExecutor:
+    """The process-wide rank pool, created by the first concurrent apply."""
+    return ThreadPoolExecutor(workers, thread_name_prefix="repro-rank")
+
 
 # Per-rank spec inputs the constructor accepts: one spec for the whole
 # grid, a mapping keyed by (row, col), or a pr x pc nested sequence.
@@ -596,7 +620,7 @@ class ParallelFFTMatvec:
         )
 
     def _rank_compute(
-        self, run_rank: Callable[[int, int, FFTMatvec], np.ndarray]
+        self, run_rank: Callable[[int, int, FFTMatvec], np.ndarray], kc: int
     ) -> Tuple[Dict[Tuple[int, int], np.ndarray], Dict[str, float]]:
         """Run every rank's local pipeline; return partials + max-rank time.
 
@@ -604,22 +628,59 @@ class ParallelFFTMatvec:
         is the *slowest* rank's (per-rank skew — on a balanced partition
         every rank ties and this is exactly one rank's time, matching the
         old single-charge model bitwise).
+
+        The ranks share nothing here (own engine, arena, device, clock),
+        so they run as ``w = min(ranks, usable CPUs)`` strided groups —
+        group 0 on the calling thread, the rest on the process-wide pool
+        — gathered in rank order: nothing observable depends on ``w``.
+        ``w`` is 1 (inline, in rank order) for a rank-chunk of ``kc``
+        columns under ``_CONCURRENT_MIN_ELEMS`` and while a corruption
+        schedule is installed (one event counter for all rank engines).
+        Returns or raises only once every group has finished; of several
+        failing ranks the lowest one's error wins.
         """
-        partials: Dict[Tuple[int, int], np.ndarray] = {}
-        slowest: Optional[Tuple[float, Dict[str, float]]] = None
-        for (r, c), engine in self.engines.items():
-            dev = self.devices[(r, c)]
-            if dev is not None:
-                before = {p: dev.clock.phase_total(p) for p in _PHASES}
-            partials[(r, c)] = run_rank(r, c, engine)
-            if dev is not None:
-                deltas = {
-                    p: dev.clock.phase_total(p) - before[p] for p in _PHASES
-                }
-                total = sum(deltas.values())
-                if slowest is None or total > slowest[0]:
-                    slowest = (total, deltas)
-        return partials, (slowest[1] if slowest is not None else {})
+        ranks = list(self.engines)
+        done: list = [None] * len(ranks)  # (result, clock deltas) per rank
+        elems = kc * self.nt * (self.nd // self.grid.pr + self.nm // self.grid.pc)
+        inline = elems < _CONCURRENT_MIN_ELEMS or any(
+            e._corruption is not None for e in self.engines.values()
+        )
+        cpus = 1 if inline else _usable_cpus()
+        w = min(len(ranks), cpus)
+
+        def run_group(g: int) -> Optional[Tuple[int, Exception]]:
+            for i in range(g, len(ranks), w):
+                try:
+                    done[i] = self._run_rank(ranks[i], run_rank)
+                except Exception as exc:  # collected; the lowest rank's is re-raised
+                    return i, exc
+            return None
+
+        futures = [_rank_pool(cpus - 1).submit(run_group, g) for g in range(1, w)]
+        try:
+            failed = [run_group(0)]
+        finally:
+            wait(futures)  # no worker still writes an arena past this point
+        failed = [f for f in failed + [fut.result() for fut in futures] if f]
+        if failed:
+            raise min(failed, key=lambda f: f[0])[1]
+        partials = {rc: res for rc, (res, _) in zip(ranks, done)}
+        return partials, self._slowest(deltas for _, deltas in done)
+
+    def _run_rank(self, rc: Tuple[int, int], run_rank: Callable):
+        """One rank's pipeline call and what it charged its private clock."""
+        dev = self.devices[rc]
+        if dev is None:
+            return run_rank(*rc, self.engines[rc]), None
+        before = [dev.clock.phase_total(p) for p in _PHASES]
+        res = run_rank(*rc, self.engines[rc])
+        return res, {p: dev.clock.phase_total(p) - b for p, b in zip(_PHASES, before)}
+
+    @staticmethod
+    def _slowest(deltas) -> Dict[str, float]:
+        """Phase breakdown of the rank that charged most (first on ties)."""
+        timed = (d for d in deltas if d is not None)
+        return max(timed, key=lambda d: sum(d.values()), default={})
 
     def _charge_compute(
         self, phases: Dict[str, float], stream: Optional[Stream] = None
@@ -736,7 +797,8 @@ class ParallelFFTMatvec:
                 adjoint=adjoint,
                 detach=False,
                 deterministic=deterministic,
-            )
+            ),
+            in_blocks[0].shape[2],
         )
         self._charge_compute(compute, stream=stream)
         return partials
@@ -800,7 +862,8 @@ class ParallelFFTMatvec:
                 adjoint=adjoint,
                 start=in_ranges[r if adjoint else c][0],
                 n_global=n_global,
-            )
+            ),
+            in_blocks[0].shape[2],
         )
         self._charge_compute(compute, stream=stream)
         return tables
@@ -824,7 +887,7 @@ class ParallelFFTMatvec:
         out_comm = self._timed_col if adjoint else self._timed_row
         n_out = self.grid.pc if adjoint else self.grid.pr
         n_global = self.nd if adjoint else self.nm
-        slowest: Optional[Tuple[float, Dict[str, float]]] = None
+        finished = []
         for o in range(n_out):
             o0, o1 = out_ranges[o]
             if adjoint:
@@ -839,21 +902,14 @@ class ParallelFFTMatvec:
                     contribs, n_global, root=0, phase="unpad",
                     backend=self.backend,
                 )
-            engine = self.engines[root_rc]
-            dev = self.devices[root_rc]
-            if dev is not None:
-                before = {p: dev.clock.phase_total(p) for p in _PHASES}
-            res = engine._pipeline_block_finish(merged, cfg, adjoint=adjoint)
-            if dev is not None:
-                deltas = {
-                    p: dev.clock.phase_total(p) - before[p] for p in _PHASES
-                }
-                total = sum(deltas.values())
-                if slowest is None or total > slowest[0]:
-                    slowest = (total, deltas)
-            out[:, o0:o1, :] = res
-        if slowest is not None:
-            self._charge_compute(slowest[1], stream=stream)
+            out[:, o0:o1, :], deltas = self._run_rank(
+                root_rc,
+                lambda r, c, engine: engine._pipeline_block_finish(
+                    merged, cfg, adjoint=adjoint
+                ),
+            )
+            finished.append(deltas)
+        self._charge_compute(self._slowest(finished), stream=stream)
 
     def _matmat_serial(
         self,

@@ -46,16 +46,19 @@ def _charge(
 ) -> None:
     if device is None:
         return
-    traffic = bytes_read + bytes_written
-    kernel = KernelLaunch(
-        name=name,
-        grid=Dim3(x=max(1, (out_elems + 255) // 256)),
-        block=Dim3(x=256),
-        bytes_read=bytes_read,
-        bytes_written=bytes_written,
-        efficiency_hint=stream_efficiency(traffic, device.spec) * 0.9,
-    )
-    device.launch(kernel, phase=phase)
+
+    def kernel() -> KernelLaunch:
+        traffic = bytes_read + bytes_written
+        return KernelLaunch(
+            name=name,
+            grid=Dim3(x=max(1, (out_elems + 255) // 256)),
+            block=Dim3(x=256),
+            bytes_read=bytes_read,
+            bytes_written=bytes_written,
+            efficiency_hint=stream_efficiency(traffic, device.spec) * 0.9,
+        )
+
+    device.launch_memo((name, bytes_read, bytes_written, out_elems), kernel, phase)
 
 
 def pad_to_soti(

@@ -91,19 +91,20 @@ def _charge_reorder(
     out_elems: int,
     phase: str,
 ) -> None:
-    traffic = float(in_bytes + out_bytes)
-    eff = stream_efficiency(traffic, device.spec)
-    # Transposes are less cache-friendly than pure streams; apply the
-    # classic ~0.75 factor of a tiled transpose kernel.
-    kernel = KernelLaunch(
-        name=name,
-        grid=Dim3(x=max(1, (out_elems + 255) // 256)),
-        block=Dim3(x=256),
-        bytes_read=float(in_bytes),
-        bytes_written=float(out_bytes),
-        efficiency_hint=eff * 0.75,
-    )
-    device.launch(kernel, phase=phase)
+    def kernel() -> KernelLaunch:
+        traffic = float(in_bytes + out_bytes)
+        # Transposes are less cache-friendly than pure streams; apply the
+        # classic ~0.75 factor of a tiled transpose kernel.
+        return KernelLaunch(
+            name=name,
+            grid=Dim3(x=max(1, (out_elems + 255) // 256)),
+            block=Dim3(x=256),
+            bytes_read=float(in_bytes),
+            bytes_written=float(out_bytes),
+            efficiency_hint=stream_efficiency(traffic, device.spec) * 0.75,
+        )
+
+    device.launch_memo((name, in_bytes, out_bytes, out_elems), kernel, phase)
 
 
 def _reorder(

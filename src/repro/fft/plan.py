@@ -161,18 +161,21 @@ class FFTPlan:
     def _charge(self, phase: str) -> float:
         if self.device is None:
             return 0.0
+        return self.device.launch_memo(
+            ("fft", self.fft_type, self.n, self.batch), self._kernel, phase
+        )
+
+    def _kernel(self) -> KernelLaunch:
         traffic = self._traffic_bytes()
-        eff = stream_efficiency(traffic, self.device.spec)
-        kernel = KernelLaunch(
+        return KernelLaunch(
             name=f"fft_{self.fft_type.value.lower()}_n{self.n}",
             grid=Dim3(x=max(1, self.batch)),
             block=Dim3(x=256),
             bytes_read=traffic / 2,
             bytes_written=traffic / 2,
             flops=5.0 * self.n * math.log2(max(self.n, 2)) * self.batch,
-            efficiency_hint=eff,
+            efficiency_hint=stream_efficiency(traffic, self.device.spec),
         )
-        return self.device.launch(kernel, phase=phase)
 
     # -- execution -------------------------------------------------------------
     def _check_batch_shape(self, a: Any, length: int, what: str) -> Any:

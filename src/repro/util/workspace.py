@@ -47,6 +47,7 @@ keep concurrent tenants safe.
 from __future__ import annotations
 
 import contextlib
+import functools
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -63,6 +64,16 @@ _Key = Tuple[str, Tuple[int, ...], np.dtype]
 # Leaf-module default: the numpy singleton.  Engines resolve the
 # env/auto chain and pass their backend down explicitly.
 _NUMPY = NumpyBackend()
+
+
+@functools.lru_cache(maxsize=4096)
+def _normalized_key(tag: str, shape, dtype) -> _Key:
+    """The arena key of one call site's ``(tag, shape, dtype)``: built
+    once per distinct argument triple, then a cache hit — call sites
+    hand in the same shapes apply after apply."""
+    if isinstance(shape, (int, np.integer)):
+        shape = (int(shape),)
+    return (str(tag), tuple(int(s) for s in shape), np.dtype(dtype))
 
 
 @dataclass(frozen=True)
@@ -116,9 +127,7 @@ class Workspace:
     # -- keying / growth -----------------------------------------------------
     @staticmethod
     def _key(tag: str, shape, dtype) -> _Key:
-        if isinstance(shape, (int, np.integer)):
-            shape = (int(shape),)
-        return (str(tag), tuple(int(s) for s in shape), np.dtype(dtype))
+        return _normalized_key(tag, tuple(shape) if isinstance(shape, list) else shape, dtype)
 
     def _grow(self, key: _Key) -> Any:
         tag, shape, dtype = key
@@ -132,10 +141,9 @@ class Workspace:
             self._registered_bytes += alloc.nbytes
         return buf
 
-    def _handout(self, tag: str, shape, dtype, slot: int) -> Tuple[Any, bool]:
+    def _handout(self, key: _Key, slot: int) -> Tuple[Any, bool]:
         if self._released:
             raise ReproError(f"workspace {self.name!r} has been released")
-        key = self._key(tag, shape, dtype)
         pool = self._pools.setdefault(key, [])
         fresh = slot >= len(pool)
         while slot >= len(pool):
@@ -159,12 +167,12 @@ class Workspace:
         key = self._key(tag, shape, dtype)
         slot = self._cursors.get(key, 0)
         self._cursors[key] = slot + 1
-        return self._handout(tag, shape, dtype, slot)
+        return self._handout(key, slot)
 
     def buffer(self, tag: str, shape, dtype) -> Any:
         """Persistent identity: the same key always returns the same
         buffer, across resets (uninitialized on first handout)."""
-        return self._handout(tag, shape, dtype, 0)[0]
+        return self._handout(self._key(tag, shape, dtype), 0)[0]
 
     def reset(self) -> None:
         """Mark an apply boundary: all checkout cursors return to 0.

@@ -82,6 +82,26 @@ def corruption_schedule(chaos_seed):
     return make
 
 
+@pytest.fixture
+def rank_groups(monkeypatch):
+    """Pin how many groups a grid engine splits a chunk's ranks into.
+
+    ``rank_groups(w)`` opens the per-rank size gate and reports ``w``
+    usable CPUs to :mod:`repro.core.parallel`: with ``w > 1`` the ranks
+    run as ``min(ranks, w)`` concurrent groups even at test shapes and
+    on a one-CPU runner; ``rank_groups(1)`` is the inline reference
+    (every rank on the calling thread, in rank order).  A test fixture,
+    not a switch — the engine has no argument for this.
+    """
+    from repro.core import parallel
+
+    def force(w: int) -> None:
+        monkeypatch.setattr(parallel, "_CONCURRENT_MIN_ELEMS", 0)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: w)
+
+    return force
+
+
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     """Relative L2 error ||a - b|| / ||b|| (0 if both zero)."""
     denom = float(np.linalg.norm(b))

@@ -84,6 +84,36 @@ def test_midmatmat_failure_recovers_bitwise(matrix, reference):
     assert eng.grid.pr * eng.grid.pc == 3
 
 
+def test_failures_fire_on_the_calling_thread(matrix, reference, rank_groups):
+    """Rank failures fire inside collectives, and collectives stay on
+    the caller while a chunk's ranks run on the pool: the schedule is
+    only ever consulted from the calling thread, and a kill lands on the
+    same collective, chunk and reshape as on the inline loop."""
+    import threading
+
+    class Recording(FailureSchedule):
+        threads = set()
+
+        def on_collective(self, op, comm_name):
+            self.threads.add(threading.current_thread())
+            return super().on_collective(op, comm_name)
+
+    events = {}
+    for w in (1, 3):
+        rank_groups(w)
+        sched = Recording(kills=[(11, 2)])
+        eng = ElasticEngine(matrix, 4, failures=sched, max_block_k=2)
+        assert np.array_equal(
+            eng.matmat(reference["M"], max_block_k=2), reference["forward"]
+        )
+        events[w] = eng.report.events
+    assert Recording.threads == {threading.current_thread()}
+    assert events[3] == events[1] and len(events[1]) == 1
+    (ev,) = events[1]
+    assert (ev.chunk, ev.rank, ev.op, ev.collective_index) == (2, 2, "reduce", 11)
+    assert ev.new_shape == (1, 3)
+
+
 def test_recovery_grows_back_bitwise(matrix, reference):
     """N+1 elasticity: resize back up after a loss, still bitwise."""
     eng = ElasticEngine(

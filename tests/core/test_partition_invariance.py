@@ -1,18 +1,31 @@
-"""Property test: pairwise reduction is bitwise-invariant to partitioning.
+"""Property tests: what a grid apply may *not* depend on.
 
-The ISSUE-8 acceptance property: with ``reduction="pairwise"`` the grid
-engine's matmat/rmatmat are bitwise identical to the single-device
-pairwise engine for *any* row/column partition — including width-1
-parts — at any ``max_block_k``, on both engines and both directions.
+* The partition (ISSUE-8): with ``reduction="pairwise"`` the grid
+  engine's matmat/rmatmat are bitwise identical to the single-device
+  pairwise engine for *any* row/column partition — including width-1
+  parts — at any ``max_block_k``, on both engines and both directions.
+* The executor: whether the ranks of a chunk run inline or as
+  concurrent groups (``rank_groups`` fixture) changes no output bit,
+  no simulated clock, no launch record and no arena — in either
+  reduction mode, on any partition, with or without checks.
 """
+
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro.comm.fault import NumericalHealthError, SilentCorruption
 from repro.comm.grid import ProcessGrid
+from repro.comm.partition import skewed_extents
+from repro.core import parallel
+from repro.core.elastic import ElasticEngine
 from repro.core.matvec import FFTMatvec
 from repro.core.parallel import ParallelFFTMatvec
 from repro.core.toeplitz import BlockTriangularToeplitz
+from repro.util import checksum as chk
 
 NT, ND, NM, K = 10, 9, 17, 4
 
@@ -117,3 +130,163 @@ def test_pairwise_close_to_fast(problem):
     fast = FFTMatvec(mat).matmat(M, config="dssdd")
     pw = FFTMatvec(mat, reduction="pairwise").matmat(M, config="dssdd")
     assert np.linalg.norm(fast - pw) / np.linalg.norm(fast) < 1e-5
+
+
+# -- threaded vs inline: the executor is unobservable ---------------------------
+PARTITIONS = {
+    "balanced": (None, None),
+    "skewed": (skewed_extents(ND, 2, skew=0.6), skewed_extents(NM, 2, skew=0.6)),
+    "width1": ([(0, 1), (1, ND)], [(0, NM - 1), (NM - 1, NM)]),
+}
+
+
+def _grid(mat, reduction, partition="balanced", validate=None, overlap=True):
+    rows, cols = PARTITIONS[partition]
+    eng = ParallelFFTMatvec(
+        mat, ProcessGrid(2, 2), spec="MI300X", workspace=True, max_block_k=2,
+        reduction=reduction, row_ranges=rows, col_ranges=cols,
+        validate=validate, overlap=overlap,
+    )
+    for dev in eng.devices.values():
+        dev._record = True  # keep the per-rank launch logs
+    return eng
+
+
+def _observables(eng, V, adjoint, applies=1):
+    """Everything a caller can see of ``applies`` applies of ``V``."""
+    apply = eng.rmatmat if adjoint else eng.matmat
+    for _ in range(applies):
+        out = apply(V)
+    arenas = [eng.workspace] + [e.workspace for e in eng.engines.values()]
+    return {
+        "out": out,
+        "phases": eng.last_timing.phases,
+        "wall": eng.last_timing.wall,
+        "grid_clock": eng.grid.clock.now,
+        "rank_report": eng.rank_compute_report(),
+        "launch_logs": {rc: list(d.launch_log) for rc, d in eng.devices.items()},
+        "stats": {rc: d.stats for rc, d in eng.devices.items()},
+        "allocs": [ws.alloc_count for ws in arenas],
+        "sdc_checks": [e.sdc_checks for e in eng.engines.values()],
+    }
+
+
+@pytest.mark.parametrize("overlap", [True, False], ids=["overlap", "serial"])
+@pytest.mark.parametrize("adjoint", [False, True], ids=["F", "Fstar"])
+@pytest.mark.parametrize("validate", [None, "abft"])
+@pytest.mark.parametrize("partition", list(PARTITIONS))
+@pytest.mark.parametrize("reduction", ["fast", "pairwise"])
+def test_threaded_equals_inline(
+    problem, rank_groups, reduction, partition, validate, adjoint, overlap
+):
+    mat, M, D = problem
+    V = D if adjoint else M
+    seen = {}
+    for w in (1, 3):  # 3 groups over 4 ranks: uneven strides, two workers
+        rank_groups(w)
+        eng = _grid(mat, reduction, partition, validate, overlap)
+        seen[w] = _observables(eng, V, adjoint, applies=2)
+    inline, threaded = seen[1], seen[3]
+    assert np.array_equal(threaded.pop("out"), inline.pop("out"))
+    assert threaded == inline  # clocks, logs, stats, arenas: exactly
+
+
+@pytest.mark.parametrize("reduction", ["fast", "pairwise"])
+def test_threaded_applies_are_allocation_free(problem, rank_groups, reduction):
+    mat, M, D = problem
+    rank_groups(3)
+    eng = _grid(mat, reduction)
+    warm = _observables(eng, M, False)["allocs"], _observables(eng, D, True)["allocs"]
+    for _ in range(10):
+        eng.matmat(M), eng.rmatmat(D)
+    assert _observables(eng, D, True)["allocs"] == warm[1]
+
+
+def test_two_callers_share_the_pool(problem, rank_groups):
+    """Two grid engines applied from two threads at once: one pool, no
+    deadlock, every result bitwise the inline one."""
+    mat, M, D = problem
+    rank_groups(1)
+    want = {r: _grid(mat, r).matmat(M) for r in ("fast", "pairwise")}
+    rank_groups(3)
+    engines = {r: _grid(mat, r) for r in want}
+    start = threading.Barrier(len(engines))
+    bad = []
+
+    def caller(reduction):
+        start.wait(timeout=30)
+        for _ in range(25):
+            if not np.array_equal(engines[reduction].matmat(M), want[reduction]):
+                bad.append(reduction)
+
+    threads = [threading.Thread(target=caller, args=(r,)) for r in engines]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not bad
+
+
+def _poisoned(M, cols):
+    V = M.copy()
+    V[0, cols, 0] = np.nan
+    return V
+
+
+@pytest.mark.parametrize("w", [1, 3], ids=["inline", "threaded"])
+def test_lowest_failing_rank_raises_after_all_groups_finish(problem, rank_groups, w):
+    mat, M, _ = problem
+    rank_groups(w)
+    eng = _grid(mat, "fast", validate="guard")
+    # Ranks 1 and 3 own the poisoned column part; rank 2 is clean but
+    # slow: it must have finished before the error reaches the caller.
+    slow, finished = eng.engines[(1, 0)], []
+
+    def slow_block(*args, _run=slow._pipeline_block, **kwargs):
+        time.sleep(0.05)
+        res = _run(*args, **kwargs)
+        finished.append(True)
+        return res
+
+    slow._pipeline_block = slow_block
+    with pytest.raises(NumericalHealthError) as err:
+        eng.matmat(_poisoned(M, slice(NM - 1, NM)))
+    assert (err.value.rank, err.value.phase) == (1, "pad")
+    assert finished or w == 1  # inline stops at the first failing rank
+    assert not any(e.workspace.in_use for e in eng.engines.values())
+    del slow._pipeline_block
+    with pytest.raises(NumericalHealthError) as err:
+        eng.matmat(_poisoned(M, slice(None)))
+    assert err.value.rank == 0  # every rank fails: the lowest one's wins
+    clean = eng.matmat(M)
+    rank_groups(1)
+    assert np.array_equal(clean, _grid(mat, "fast").matmat(M))
+
+
+@pytest.mark.parametrize("w", [1, 3], ids=["inline", "threaded"])
+def test_worker_corruption_keeps_its_fields(problem, rank_groups, w):
+    """A rank that detects SDC on a pool thread surfaces the same typed
+    error — rank, phase, and the chunk ElasticEngine stamps on it."""
+    mat, M, _ = problem
+    rank_groups(w)
+    eng = ElasticEngine(
+        mat, 4, max_block_k=2, workspace=True, validate="abft",
+        max_corruption_retries=1,
+    )
+    want = eng.matmat(M)  # first use pins the clean checksum rows
+    victim = eng.engine.engines[(1, 1)]
+    chk.flip_bit(victim.spectrum("d"), index=5)  # persistent: every retry trips
+    with pytest.raises(SilentCorruption) as err:
+        eng.matmat(M)
+    assert (err.value.rank, err.value.phase, err.value.chunk) == (3, "sbgemv", 0)
+    assert [(e.rank, e.chunk, e.attempt) for e in eng.report.corruption_events] == [
+        (3, 0, 1), (3, 0, 2)
+    ]
+    assert not any(e.workspace.in_use for e in eng.engine.engines.values())
+    chk.flip_bit(victim.spectrum("d"), index=5)  # repair
+    assert np.array_equal(eng.matmat(M), want)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.gpu.device import SimulatedDevice
-from repro.gpu.kernel import Dim3, KernelLaunch
+from repro.gpu.kernel import Dim3, KernelLaunch, LaunchConfigError
 from repro.gpu.specs import MI250X_GCD, MI300X
 from repro.util.timing import SimClock
 
@@ -80,6 +80,40 @@ class TestLaunch:
         a = SimulatedDevice(MI300X)
         b = SimulatedDevice(MI250X_GCD)
         assert a.launch(_kernel(eff=0.7)) < b.launch(_kernel(eff=0.7))
+
+
+class TestLaunchMemo:
+    def test_books_exactly_what_launch_books(self):
+        plain = SimulatedDevice(MI300X, record_launches=True)
+        memo = SimulatedDevice(MI300X, record_launches=True)
+        built = []
+
+        def build():
+            built.append(1)
+            return _kernel("k1")
+
+        for _ in range(3):
+            t = plain.launch(_kernel("k1"), phase="fft")
+            assert memo.launch_memo(("k1", 1), build, phase="fft") == t
+        assert len(built) == 1  # described, validated and priced once
+        assert memo.stats == plain.stats
+        assert memo.launch_log == plain.launch_log
+        assert memo.clock.now == plain.clock.now
+
+    def test_invalid_launch_raises_on_every_call(self):
+        d = SimulatedDevice(MI300X)
+        bad = KernelLaunch(name="k", grid=Dim3(x=1, y=70000), block=Dim3(x=64))
+        for _ in range(3):
+            with pytest.raises(LaunchConfigError):
+                d.launch_memo("bad", lambda: bad)
+        assert d.stats.launches == 0 and d.clock.now == 0.0
+
+    def test_memo_is_bounded(self):
+        d = SimulatedDevice(MI300X)
+        for i in range(d._MEMO_MAX + 5):
+            d.launch_memo(i, _kernel)
+        assert len(d._memo) <= d._MEMO_MAX
+        assert d.stats.launches == d._MEMO_MAX + 5
 
 
 class TestMemcpy:

@@ -5,8 +5,10 @@ re-threading the cast / injection / Parseval / ABFT / guard calls, and
 ``core/parallel.py`` a second, vector-only bcast → compute → reduce
 loop.  They are now one front/back pair and one chunk loop; this test
 walks the AST and fails when a copy grows back — a second call site of
-a phase kernel, a second collective loop, or a hand-rolled
-``begin_apply()`` bracket beside :func:`repro.util.workspace.apply_scope`.
+a phase kernel, a second collective loop, a rank loop beside
+``_rank_compute`` (the one place that may run ranks concurrently), or a
+hand-rolled ``begin_apply()`` bracket beside
+:func:`repro.util.workspace.apply_scope`.
 """
 
 from __future__ import annotations
@@ -76,6 +78,42 @@ def test_parallel_has_one_call_site_per_collective(collective):
     )
     for name in ("matvec", "rmatvec"):
         assert _calls(_method(tree, "ParallelFFTMatvec", name), collective) == []
+
+
+def test_rank_pipelines_run_through_rank_compute_only():
+    """Per-rank pipelines are launched by ``_rank_compute`` alone: every
+    ``_pipeline_block*`` call on a rank engine sits in the callback
+    handed to it, and nothing else loops over the engines' ranks or
+    touches the rank pool.  The pairwise root epilogue is the one other
+    pipeline call: a single root rank per output part, timed by the same
+    ``_run_rank``, interleaved with its ``reduce_segments`` on the
+    calling thread."""
+    tree = _module("parallel.py")
+    callbacks = {"_rank_compute": set(), "_run_rank": set()}
+    for node in ast.walk(tree):
+        runner = getattr(getattr(node, "func", None), "attr", None)
+        if isinstance(node, ast.Call) and runner in callbacks:
+            callback = node.args[-1] if runner == "_run_rank" else node.args[0]
+            if isinstance(callback, ast.Lambda):
+                callbacks[runner].update(
+                    n.lineno for n in ast.walk(callback) if isinstance(n, ast.Call)
+                )
+    for method in ("_pipeline_block", "_pipeline_block_pairwise_segments"):
+        lines = _calls(tree, method)
+        assert len(lines) == 1 and set(lines) <= callbacks["_rank_compute"], method
+    finish = _calls(tree, "_pipeline_block_finish")
+    assert len(finish) == 1 and set(finish) <= callbacks["_run_rank"]
+    assert finish == _calls(
+        _method(tree, "ParallelFFTMatvec", "_chunk_reduce_pairwise"),
+        "_pipeline_block_finish",
+    )
+    helper = _method(tree, "ParallelFFTMatvec", "_rank_compute")
+    assert _calls(tree, "_rank_pool") == _calls(helper, "_rank_pool") != []
+    assert _calls(tree, "run_rank") == _calls(
+        _method(tree, "ParallelFFTMatvec", "_run_rank"), "run_rank"
+    )
+    # _run_rank itself: once per rank from the helper, once per root.
+    assert len(_calls(tree, "_run_rank")) == 2 == 1 + len(_calls(helper, "_run_rank"))
 
 
 def test_core_brackets_applies_through_apply_scope_only():

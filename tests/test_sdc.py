@@ -486,6 +486,40 @@ class TestElasticSDC:
             assert eng.report.corruptions >= 1
             assert np.array_equal(out, ref)
 
+    # (event index, target, stage, site) injected by seeds 0, 3 and 5 with
+    # two flips over the 42-event horizon — recorded on the sequential
+    # rank loop this engine had before ranks could run concurrently.
+    AUDIT_TRAILS = {
+        0: [(26, 1, "reduce", "row_silent"), (34, 1, "sbgemm", "engine_rank2")],
+        3: [(3, 0, "sbgemm", "engine_rank0"), (33, 0, "bcast", "col_silent")],
+        5: [(27, 1, "ifft", "engine_rank2"), (33, 3, "sbgemm", "engine_rank1")],
+    }
+
+    def test_injection_keeps_ranks_inline_and_the_audit_trail(
+        self, matrix, block, clean, rank_groups, monkeypatch
+    ):
+        """A CorruptionSchedule is one event counter that every rank
+        engine advances, so while one is installed a chunk's ranks run
+        inline in rank order — with the size gate open and CPUs to
+        spare, the pool is never touched and each seed injects exactly
+        where it always did."""
+        from repro.core import parallel
+
+        def no_pool(workers):
+            raise AssertionError("rank pool used under corruption injection")
+
+        rank_groups(3)
+        monkeypatch.setattr(parallel, "_rank_pool", no_pool)
+        assert sdc_horizon(matrix, block) == 42
+        for seed, trail in self.AUDIT_TRAILS.items():
+            sched = CorruptionSchedule.seeded(seed, RANKS, n_flips=2, horizon=42)
+            eng = ElasticEngine(
+                matrix, RANKS, reduction="pairwise", corruptions=sched
+            )
+            assert np.array_equal(eng.matmat(block, max_block_k=MBK), clean)
+            assert sched.injected == trail
+            assert eng.report.corruptions == 2
+
     def test_corruption_event_metadata(self, matrix, block, clean):
         sched = CorruptionSchedule(flips=[(3, 1)])
         eng = ElasticEngine(
