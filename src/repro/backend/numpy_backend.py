@@ -38,27 +38,37 @@ class _TieredFFT:
     ``scipy.fft`` is imported by the first single-precision transform,
     not with this module: importing it costs 5-29 MB of resident memory,
     which an all-double process (most of them) should not pay.
+
+    ``out=`` reaches ``np.fft`` only (numpy >= 2.0 writes the result
+    there instead of allocating it); ``scipy.fft`` has no such argument,
+    so the single-precision tier returns a temporary of the result's
+    size — a slab's worth when the engine transforms slab by slab.
     """
 
     @staticmethod
-    def _provider(a) -> Any:
+    def _provider(a, out=None) -> Tuple[Any, dict]:
+        """The library for ``a``'s dtype and the keywords it takes."""
         if a.dtype.char not in "fF":
-            return np.fft
+            return np.fft, ({} if out is None else {"out": out})
         import scipy.fft
 
-        return scipy.fft
+        return scipy.fft, {}
 
-    def rfft(self, a, axis: int = -1):
-        return self._provider(a).rfft(a, axis=axis)
+    def rfft(self, a, axis: int = -1, out=None):
+        lib, kw = self._provider(a, out)
+        return lib.rfft(a, axis=axis, **kw)
 
-    def irfft(self, a, n=None, axis: int = -1):
-        return self._provider(a).irfft(a, n=n, axis=axis)
+    def irfft(self, a, n=None, axis: int = -1, out=None):
+        lib, kw = self._provider(a, out)
+        return lib.irfft(a, n=n, axis=axis, **kw)
 
-    def fft(self, a, axis: int = -1):
-        return self._provider(a).fft(a, axis=axis)
+    def fft(self, a, axis: int = -1, out=None):
+        lib, kw = self._provider(a, out)
+        return lib.fft(a, axis=axis, **kw)
 
-    def ifft(self, a, axis: int = -1):
-        return self._provider(a).ifft(a, axis=axis)
+    def ifft(self, a, axis: int = -1, out=None):
+        lib, kw = self._provider(a, out)
+        return lib.ifft(a, axis=axis, **kw)
 
 
 _FFT = _TieredFFT()

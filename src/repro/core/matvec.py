@@ -56,9 +56,15 @@ from repro.blas.gemm_kernels import (
 from repro.blas.gemv_kernels import RocblasSBGEMV, gemv_strided_batched_reference
 from repro.blas.permute import permute3d
 from repro.blas.types import BlasDatatype, GemmProblem, GemvProblem, Operation
-from repro.core.phases import pad_to_soti, unpad_from_soti
+from repro.core.phases import (
+    charge_pad,
+    charge_unpad,
+    pad_to_soti,
+    padded_buffer,
+    unpad_from_soti,
+)
 from repro.core.precision import PrecisionConfig
-from repro.core.reorder import soti_to_tosi, tosi_to_soti
+from repro.core.reorder import charge_reorder, soti_to_tosi, tosi_to_soti
 from repro.core.toeplitz import BlockTriangularToeplitz
 from repro.fft.plan import FFTPlan, FFTType
 from repro.gpu.device import SimulatedDevice
@@ -78,6 +84,16 @@ _PHASES = ("pad", "fft", "sbgemv", "ifft", "unpad")
 _NO_PHASE = contextlib.nullcontext()
 
 _VALIDATE_MODES = ("guard", "abft")
+
+# Byte budget of one slab buffer of the phase loops (``_front`` /
+# ``_back``), i.e. of the ``(w, 2*Nt)`` padded rows the FFT reads or
+# writes: 256 columns at Nt = 256 double, 512 single.  The host is
+# bandwidth bound (memcpy 20.5 GB/s on one thread, 19.5 on two), so the
+# lever is reading each intermediate back from the 2 MB L2; flat from
+# 0.5 to 3 MiB.  An axis within 8 budgets stays whole: there the split
+# only adds calls (a grid rank's 768-column chunk ran F 2.5 % slower in
+# two slabs, block-CG's k = 8 blocks 5 %); it pays from about 8 MiB.
+_SLAB_BYTES = 1 << 20
 
 
 def _parse_validate(validate) -> frozenset:
@@ -715,29 +731,23 @@ class FFTMatvec:
         self.sdc_checks += 1
 
     # -- the five-phase pipeline -----------------------------------------------
-    def _maybe_cast(self, arr: Any, prec: Precision, tag: str) -> Any:
-        """Standalone inter-phase cast, with the no-op made explicit (and
-        counted).
+    def _slab_cols(self, cols: int, row_bytes: int) -> int:
+        """Columns per slab of a phase loop over ``cols`` fused columns
+        of ``row_bytes`` padded bytes each: what ``_SLAB_BYTES`` holds,
+        or all of them when that is few (see there) or something needs
+        whole buffers — abft / guard checks and injection see, count and
+        index each stage buffer once per apply; a device backend's cache
+        is not this host's."""
+        whole = self._abft_on or self._guard_on or self.backend.name != "numpy"
+        if whole or cols * row_bytes <= 8 * _SLAB_BYTES:
+            return cols
+        return max(1, _SLAB_BYTES // row_bytes)
 
-        Tier changes ride the pass that already moves the data — the pad
-        kernel's writes, the two reorders — so the only boundary left
-        that can need a pass of its own is a single-precision pad
-        feeding a double FFT (the pad must round before the up-cast).
-        Everywhere else ``arr`` arrives at ``prec`` and
-        ``cast_noop_count`` advances: it counts phase boundaries crossed
-        without a standalone pass.  An actual cast writes into an arena
-        buffer when the workspace is active.
-        """
-        be = self.backend
-        target = complex_dtype(prec) if be.iscomplex(arr) else real_dtype(prec)
-        if be.dtype_of(arr) == target:
-            self.cast_noop_count += 1
-            return arr
+    def _scratch(self, tag: str, shape: Tuple[int, ...], dtype: Any) -> Any:
+        """A buffer for this apply: the arena's ``tag`` slot, else fresh."""
         if self.workspace is None:
-            return be.astype(arr, target, copy=True)
-        buf = self.workspace.checkout(tag, tuple(arr.shape), target)
-        buf[...] = arr
-        return buf
+            return self.backend.empty(shape, dtype)
+        return self.workspace.checkout(tag, shape, dtype)
 
     def _finalize(
         self, res: Any, out: Optional[np.ndarray], detach: bool = True
@@ -779,23 +789,6 @@ class FFTMatvec:
         out[...] = be.from_device(res).reshape(out.shape)
         return out
 
-    def _unpad_dest(
-        self, config: PrecisionConfig, out: Optional[np.ndarray], shape2d
-    ) -> Optional[np.ndarray]:
-        """Caller ``out`` reshaped as the unpad destination, when the
-        unpad precision already produces float64 (no staging needed).
-
-        Only the numpy backend can write the host buffer directly; a
-        device backend unpads on device and transfers in _finalize.
-        """
-        if self.backend.name != "numpy":
-            return None
-        if out is None or real_dtype(config.unpad) != np.float64:
-            return None
-        if not out.flags["C_CONTIGUOUS"]:
-            return None
-        return out.reshape(shape2d)
-
     # -- the five-phase pipeline: one front half, one back half -----------------
     # Every apply is front + back on a (Nt, nx, k) block.  The split sits
     # where the grid's pairwise mode needs it: the IFFT does not
@@ -829,57 +822,79 @@ class FFTMatvec:
         "space" axis: pad/FFT/reorder treat ``nx * k`` fused columns (the
         batched kernels are agnostic), and only Phase 3 unflattens them
         into per-frequency (nx, k) panels.
+
+        Pad -> FFT -> reorder runs **slab by slab** over those columns
+        (:meth:`_slab_cols`): a slab is padded into one reused
+        ``(w, 2*Nt)`` buffer, transformed into a ``(w, n_freq)`` scratch
+        and transposed straight into its columns of ``fwd_reorder``, so
+        no full-width padded buffer or FFT output exists and the
+        intermediates are read back from L2.  FFT rows are independent
+        and the rest are copies: the bits are those of one whole-width
+        pass, which is this loop with one slab.  The modeled device runs
+        each phase as one full-width kernel; the first slab books it.
         """
         operation = Operation.C if adjoint else Operation.N
         nt, nx, k = v_in.shape
-        ws = self.workspace
+        cols = nx * k
+        be, ws = self.backend, self.workspace
+        v2 = v_in.reshape(nt, cols)
+        rdt, cdt = real_dtype(config.fft), complex_dtype(config.fft)
+        w = self._slab_cols(cols, 2 * nt * rdt.itemsize)
+        plan = self._plan("fwd", config.fft, batch=cols)
+        # The input is double, so a double pad writes the FFT's tier
+        # directly: one rounding, the one "pad in double, then cast"
+        # would make.  Only a single pad feeding a double FFT needs a
+        # cast pass of its own (it must round before the up-cast); the
+        # other boundaries ride a pass that moves the data anyway, and
+        # ``cast_noop_count`` counts them.
+        pad_dt = rdt if config.pad is Precision.DOUBLE else real_dtype(config.pad)
+        xbuf = padded_buffer(w, nt, pad_dt, ws, be)
+        cbuf = self._scratch("cast_fft", (w, 2 * nt), rdt) if pad_dt != rdt else None
+        fbuf = self._scratch("fft_out", (w, self.n_freq), cdt) if w < cols else None
+        sdt = complex_dtype(config.sbgemv)
+        vhat = self._scratch("fwd_reorder", (self.n_freq, cols), sdt)
+        self.cast_noop_count += 2 if cbuf is None else 1
+        for c0 in range(0, cols, w):
+            n = min(w, cols - c0)
+            dev = self.device if c0 == 0 else None
+            # Phase 1: broadcast (trivial single-device) + zero-pad, in
+            # the phase's precision (cast fused into the kernel's writes).
+            with self._phase_ctx("pad"):
+                x = pad_to_soti(
+                    v2[:, c0 : c0 + n],
+                    config.pad,
+                    out=xbuf[:n],
+                    backend=be,
+                    validate=self._guard_on,
+                    rank=self.rank_label,
+                )
+                charge_pad(dev, nt, cols, v2.dtype.itemsize, config.pad)
+            # Phase 2: batched forward FFT (batch = k * space).
+            with self._phase_ctx("fft"):
+                if cbuf is not None:
+                    cbuf[:n] = x
+                    x = cbuf[:n]
+                xhat = plan.execute(
+                    x,
+                    phase="fft" if c0 == 0 else None,
+                    workspace=ws,
+                    out=None if fbuf is None else fbuf[:n],
+                )
+                self._maybe_corrupt(xhat, "fft")
+                self._check_forward_energy(x, xhat, plan)
+                self._guard_check(xhat, "fft")
+            # Reorder to frequency-outer layout, written at Phase 3's
+            # precision: the value "reorder at the lower adjacent
+            # precision, then cast" gives (a down-cast rounds once, an
+            # up-cast is exact), without the second pass.
+            with self._phase_ctx("sbgemv"):
+                soti_to_tosi(xhat, backend=be, out=vhat[:, c0 : c0 + n])
+                charge_reorder(
+                    dev, "reorder_soti_to_tosi", self.n_freq * cols,
+                    cdt.itemsize, sdt.itemsize, "sbgemv",
+                )
 
-        # Phase 1: broadcast (trivial single-device) + one zero-pad
-        # kernel over all k vectors, in the phase's precision (cast fused
-        # into the pad kernel's writes).  The input is double, so a
-        # double pad writes the FFT's tier directly: one rounding, the
-        # one "pad in double, then cast" would make.
-        with self._phase_ctx("pad"):
-            x = pad_to_soti(
-                v_in.reshape(nt, nx * k),
-                config.pad,
-                device=self.device,
-                phase="pad",
-                workspace=ws,
-                backend=self.backend,
-                validate=self._guard_on,
-                rank=self.rank_label,
-                out_precision=config.fft if config.pad is Precision.DOUBLE else None,
-            )
-
-        # Phase 2: one batched forward FFT (batch = k * space) in its
-        # precision.  Only a single-precision pad feeding a double FFT
-        # still needs a cast pass of its own.
-        with self._phase_ctx("fft"):
-            x = self._maybe_cast(x, config.fft, "cast_fft")
-            plan = self._plan("fwd", config.fft, batch=x.shape[0])
-            xhat = plan.execute(x, phase="fft", workspace=ws)
-            self._maybe_corrupt(xhat, "fft")
-            self._check_forward_energy(x, xhat, plan)
-            self._guard_check(xhat, "fft")
-
-        # Reorder to frequency-outer layout, written at Phase 3's
-        # precision: the value "reorder at the lower adjacent precision,
-        # then cast" gives (a down-cast rounds once, an up-cast is
-        # exact), without the second pass.
         with self._phase_ctx("sbgemv"):
-            vhat = soti_to_tosi(
-                xhat,
-                precision=config.sbgemv,
-                device=self.device,
-                phase="sbgemv",
-                workspace=ws,
-                tag="fwd_reorder",
-                backend=self.backend,
-            )
-            self.cast_noop_count += 1
-            if self.backend.dtype_of(vhat) != complex_dtype(config.sbgemv):
-                raise ReproError("internal: Phase-3 input precision mismatch")
             panel = vhat.reshape(self.n_freq, nx, k)
             yhat = kernel(panel, operation, config.sbgemv)
             self._maybe_corrupt(yhat, "sbgemm")
@@ -903,50 +918,68 @@ class FFTMatvec:
         precision like the forward reorder) and the ``ifft`` and
         ``unpad`` phases; the inverse Parseval check behind its
         injection site, followed by the guard.
+
+        Slab by slab like :meth:`_front`: a slab of the panel is
+        transposed into a ``(w, n_freq)`` ``bwd_reorder`` scratch,
+        inverse-transformed (unscaled in place) into a ``(w, 2*Nt)``
+        scratch and unpadded straight into its columns of the result, so
+        no full-width reorder, IFFT-input or IFFT-output buffer exists.
         """
         ny = self.nm if adjoint else self.nd
         k = yhat.shape[2]
-        ws = self.workspace
-
-        with self._phase_ctx("sbgemv"):
-            yhat = tosi_to_soti(
-                yhat.reshape(self.n_freq, ny * k),
-                precision=config.ifft,
-                device=self.device,
-                phase="sbgemv",
-                workspace=ws,
-                tag="bwd_reorder",
-                backend=self.backend,
-            )
-            self.cast_noop_count += 1
-
-        # Phase 4: one batched inverse FFT, batch = k * space.
-        with self._phase_ctx("ifft"):
-            plan = self._plan("inv", config.ifft, batch=yhat.shape[0])
-            y = plan.inverse(yhat, phase="ifft", workspace=ws)
-            self._maybe_corrupt(y, "ifft")
-            self._check_inverse_energy(yhat, y, plan)
-            self._guard_check(y, "ifft")
-
-        # Phase 5: one unpad kernel over all k vectors (+ reduction
-        # across the grid in the parallel engine) in its precision, then
-        # return to double.  With an arena and a double-precision unpad
-        # the kernel writes straight into the caller's buffer.
-        with self._phase_ctx("unpad"):
-            dest = self._unpad_dest(config, out, (self.nt, y.shape[0]))
-            res = unpad_from_soti(
-                y,
-                self.nt,
-                config.unpad,
-                device=self.device,
-                phase="unpad",
-                workspace=None if dest is not None else ws,
-                out=dest,
-                backend=self.backend,
-                validate=self._guard_on,
-                rank=self.rank_label,
-            )
-        return self._finalize(res.reshape(self.nt, ny, k), out, detach=detach)
+        nt, cols = self.nt, ny * k
+        be, ws = self.backend, self.workspace
+        y2 = yhat.reshape(self.n_freq, cols)
+        rdt, cdt = real_dtype(config.ifft), complex_dtype(config.ifft)
+        udt = real_dtype(config.unpad)
+        w = self._slab_cols(cols, 2 * nt * rdt.itemsize)
+        plan = self._plan("inv", config.ifft, batch=cols)
+        ybuf = self._scratch("bwd_reorder", (w, self.n_freq), cdt)
+        tbuf = self._scratch("ifft_out", (w, 2 * nt), rdt) if w < cols else None
+        # A double-precision unpad on the host writes a contiguous
+        # caller buffer directly; a device backend unpads on device and
+        # transfers in _finalize.
+        direct = out is not None and be.name == "numpy" and udt == np.float64
+        res = out.reshape(nt, cols) if direct and out.flags["C_CONTIGUOUS"] else None
+        self.cast_noop_count += 1
+        for c0 in range(0, cols, w):
+            n = min(w, cols - c0)
+            dev = self.device if c0 == 0 else None
+            with self._phase_ctx("sbgemv"):
+                ys = tosi_to_soti(y2[:, c0 : c0 + n], backend=be, out=ybuf[:n])
+                charge_reorder(
+                    dev, "reorder_tosi_to_soti", self.n_freq * cols,
+                    be.dtype_of(y2).itemsize, cdt.itemsize, "sbgemv",
+                )
+            # Phase 4: batched inverse FFT, batch = k * space.
+            with self._phase_ctx("ifft"):
+                y = plan.inverse(
+                    ys,
+                    phase="ifft" if c0 == 0 else None,
+                    workspace=ws,
+                    out=None if tbuf is None else tbuf[:n],
+                )
+                self._maybe_corrupt(y, "ifft")
+                self._check_inverse_energy(ys, y, plan)
+                self._guard_check(y, "ifft")
+            # Phase 5: unpad (+ reduction across the grid in the parallel
+            # engine) in its precision; back to double in _finalize.
+            with self._phase_ctx("unpad"):
+                # Checked out once the IFFT's output exists: asking earlier
+                # cost glibc ~1000 more page faults per engine build.
+                if res is None:
+                    res = self._scratch("unpad", (nt, cols), udt)
+                unpad_from_soti(
+                    y,
+                    nt,
+                    config.unpad,
+                    out=res[:, c0 : c0 + n],
+                    backend=be,
+                    validate=self._guard_on,
+                    rank=self.rank_label,
+                )
+                charge_unpad(dev, nt, cols, rdt.itemsize, udt.itemsize)
+        return self._finalize(res.reshape(nt, ny, k), out, detach=detach)
 
     def _pipeline(
         self,

@@ -11,10 +11,18 @@ phase's configured precision, with any cast fused into the same kernel
 Both kernels take an optional :class:`~repro.util.workspace.Workspace`:
 with an arena the output is written into a persistent checked-out
 buffer instead of a fresh allocation (the pad only re-zeros the padding
-half; the data half is fully overwritten), and ``unpad_from_soti`` can
-additionally write straight into a caller-supplied ``out`` buffer.  The
-values produced are bitwise-identical with the arena on or off — a
-direct cast-on-assignment rounds exactly like ``astype``.
+half; the data half is fully overwritten), and both can write straight
+into a caller-supplied ``out`` buffer.  The values produced are
+bitwise-identical with the arena on or off — a direct
+cast-on-assignment rounds exactly like ``astype``.
+
+``out=`` is also how :class:`~repro.core.matvec.FFTMatvec` runs wide
+blocks **slab by slab**: a slab is a run of columns of the fused
+``nx * k`` space axis whose ``(w, 2*Nt)`` padded buffer stays in L2
+until the FFT reads it back.  Each slab is padded into one reused
+:func:`padded_buffer` and unpadded into its columns of the result, so
+no full-width padded buffer exists; the modeled device kernel is still
+one full-width launch (:func:`charge_pad` / :func:`charge_unpad`).
 """
 
 from __future__ import annotations
@@ -22,43 +30,51 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.backend import Backend, NumpyBackend
-from repro.core.reorder import transpose_into
-from repro.gpu.bandwidth import stream_efficiency
+from repro.core.reorder import charge_copy, transpose_into
 from repro.gpu.device import SimulatedDevice
-from repro.gpu.kernel import Dim3, KernelLaunch
 from repro.util import checksum as _chk
 from repro.util.dtypes import Precision, real_dtype
 from repro.util.validation import ReproError
 from repro.util.workspace import Workspace
 
-__all__ = ["pad_to_soti", "unpad_from_soti"]
+__all__ = [
+    "pad_to_soti", "unpad_from_soti", "padded_buffer", "charge_pad", "charge_unpad",
+]
 
 _NUMPY = NumpyBackend()
 
 
-def _charge(
-    device: Optional[SimulatedDevice],
-    name: str,
-    bytes_read: float,
-    bytes_written: float,
-    out_elems: int,
-    phase: str,
-) -> None:
-    if device is None:
-        return
+def charge_pad(device, nt: int, nx: int, in_itemsize: int, precision: Precision, phase="pad"):
+    """Book the pad kernel of an ``(nt, nx)`` input on ``device`` (no-op
+    without one): written at ``precision``, whatever the buffer's tier."""
+    if device is not None:
+        elems = 2 * nt * nx
+        written = float(elems * real_dtype(precision).itemsize)
+        charge_copy(device, "pad_zero", float(nt * nx * in_itemsize), written, elems, phase, 0.9)
 
-    def kernel() -> KernelLaunch:
-        traffic = bytes_read + bytes_written
-        return KernelLaunch(
-            name=name,
-            grid=Dim3(x=max(1, (out_elems + 255) // 256)),
-            block=Dim3(x=256),
-            bytes_read=bytes_read,
-            bytes_written=bytes_written,
-            efficiency_hint=stream_efficiency(traffic, device.spec) * 0.9,
-        )
 
-    device.launch_memo((name, bytes_read, bytes_written, out_elems), kernel, phase)
+def charge_unpad(device, nt: int, nx: int, in_itemsize: int, out_itemsize: int, phase="unpad"):
+    """Book the unpad kernel producing an ``(nt, nx)`` result on
+    ``device`` (no-op without one); only the first half of each padded
+    series is read."""
+    if device is not None:
+        elems = nt * nx
+        read, written = float(elems * in_itemsize), float(elems * out_itemsize)
+        charge_copy(device, "unpad", read, written, elems, phase, 0.9)
+
+
+def padded_buffer(nx: int, nt: int, dtype, workspace=None, backend=None, tag: str = "pad"):
+    """An ``(nx, 2*nt)`` buffer whose padding half is zero: from the
+    arena, the per-apply ``tag`` slot.  The pad kernel is that buffer's
+    only writer and touches the data half alone, so the zeros of first
+    use survive every reuse — only a fresh buffer needs the memset."""
+    if workspace is None:
+        be = backend if backend is not None else _NUMPY
+        return be.zeros((nx, 2 * nt), dtype)
+    out, fresh = workspace.checkout_fresh(tag, (nx, 2 * nt), dtype)
+    if fresh:
+        out[:, nt:] = 0.0
+    return out
 
 
 def pad_to_soti(
@@ -70,18 +86,20 @@ def pad_to_soti(
     backend: Optional[Backend] = None,
     validate: bool = False,
     rank: Optional[int] = None,
-    out_precision: Optional[Precision] = None,
+    out: Optional[Any] = None,
 ) -> Any:
     """Phase-1 kernel: (Nt, nx) time-outer -> (nx, 2*Nt) padded SOTI.
 
     The output dtype is the phase's precision — the cast (if any) is
-    fused into the pad kernel's writes.  ``out_precision`` names a
-    different tier for the written buffer when the consumer (the FFT)
-    wants one: the writes then round the input once to that tier, and
-    the modeled kernel is still charged at ``precision``.  The caller
-    owns the equivalence with "pad at ``precision``, then cast" — it
-    holds whenever ``precision`` is the input's own tier, not when the
-    pad itself rounds (single pad feeding a double FFT).
+    fused into the pad kernel's writes.  ``out`` (shape ``(nx, 2*Nt)``,
+    from :func:`padded_buffer`: the caller owns the zero half) receives
+    the data half instead, at its own dtype — a different tier when the
+    consumer (the FFT) wants one: the writes then round the input once
+    to that tier, and the modeled kernel is still charged at
+    ``precision``.  The caller owns the equivalence with "pad at
+    ``precision``, then cast" — it holds whenever ``precision`` is the
+    input's own tier, not when the pad itself rounds (single pad feeding
+    a double FFT).
 
     With a ``workspace`` the output is a checked-out arena buffer: the
     data half is fully overwritten and only the padding half is
@@ -99,30 +117,19 @@ def pad_to_soti(
     if be.iscomplex(a):
         raise ReproError("pad operates on real time-domain vectors")
     nt, nx = a.shape
-    dt = real_dtype(precision if out_precision is None else out_precision)
-    if workspace is None:
-        out = be.zeros((nx, 2 * nt), dt)
-    else:
-        # The pad kernel is this buffer's only writer, so the zero
-        # padding half written on first use survives every reuse — only
-        # a fresh buffer needs the memset.
-        out, fresh = workspace.checkout_fresh(phase, (nx, 2 * nt), dt)
-        if fresh:
-            out[:, nt:] = 0.0
+    if out is None:
+        out = padded_buffer(nx, nt, real_dtype(precision), workspace, be, tag=phase)
+    elif tuple(out.shape) != (nx, 2 * nt):
+        raise ReproError(
+            f"pad out buffer must be {(nx, 2 * nt)}, got {tuple(out.shape)}"
+        )
     # Transpose+cast in one logical kernel: each output row is one
     # spatial point's time series followed by Nt zeros (the tiled copy
     # casts on the write side — no staging temporary).
     transpose_into(out[:, :nt], a, be)
     if validate:
         _chk.ensure_finite(be.from_device(out), phase=phase, rank=rank, what="pad output")
-    _charge(
-        device,
-        "pad_zero",
-        bytes_read=float(be.nbytes(a)),
-        bytes_written=float(be.size(out) * real_dtype(precision).itemsize),
-        out_elems=be.size(out),
-        phase=phase,
-    )
+    charge_pad(device, nt, nx, be.dtype_of(a).itemsize, precision, phase)
     return out
 
 
@@ -171,12 +178,8 @@ def unpad_from_soti(
         _chk.ensure_finite(
             be.from_device(out), phase=phase, rank=rank, what="unpad output"
         )
-    _charge(
-        device,
-        "unpad",
-        bytes_read=float(be.nbytes(a)) / 2.0,  # only the first half is read
-        bytes_written=float(be.nbytes(out)),
-        out_elems=be.size(out),
-        phase=phase,
+    charge_unpad(
+        device, nt, a.shape[0], be.dtype_of(a).itemsize,
+        be.dtype_of(out).itemsize, phase,
     )
     return out

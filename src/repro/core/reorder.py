@@ -23,8 +23,10 @@ read), whichever tier the host buffer carries.
 With a :class:`~repro.util.workspace.Workspace` the transposed (and
 cast) output is written into a checked-out arena buffer — the fused
 write of the real kernel — instead of a fresh
-``ascontiguousarray``/``astype`` pair; the values are bitwise-identical
-either way.
+``ascontiguousarray``/``astype`` pair; ``out=`` writes into a buffer
+the caller owns instead (its dtype is the tier) — how the engine's slab
+loop lands a column slab in its place of the full-width array.  The
+values are bitwise-identical every way.
 """
 
 from __future__ import annotations
@@ -39,16 +41,26 @@ from repro.util.dtypes import Precision, complex_dtype, real_dtype
 from repro.util.validation import ReproError
 from repro.util.workspace import Workspace
 
-__all__ = ["tosi_to_soti", "soti_to_tosi", "reorder_bytes", "transpose_into"]
+__all__ = [
+    "tosi_to_soti", "soti_to_tosi", "reorder_bytes", "transpose_into", "charge_reorder",
+]
 
 _NUMPY = NumpyBackend()
 
-# Column-block width for tiled transposes.  Wide blocked vectors (the
-# matmat/rmatmat paths fold k request columns into the space axis) make
-# a single strided transpose assignment walk far outside the cache; a
-# tiled copy of ~block columns at a time keeps the working set resident
-# and is several times faster, moving exactly the same bytes.
-_TRANSPOSE_BLOCK = 256
+# Tiles of the cache-blocked transposes.  numpy copies a transposed view
+# with the destination's contiguous axis innermost: each destination row
+# gathers one element per source row, and source rows a large power of
+# two apart share cache sets — at the 98 304 B stride of a k = 16 panel
+# one L1 set and four L2 sets hold a whole column, so a gather down 257
+# rows missed on every element (10.3 ms for the 50 MB backward reorder).
+# A tile spans the source rows such a stride leaves room for, 2**20 B
+# over its power-of-two factor: 64 rows at 16 KB multiples (that pass
+# 6.2 -> 4.8 ms, pad 3.0 -> 2.1 inside the slab loop), 256 at 4096 B
+# (unpad: 3.6 ms, 14.7 at 1024), up to the 1024 an odd stride allows
+# (forward reorder 3.0 ms untiled, 3.9 at 64).  docs/ARCHITECTURE.md.
+_TILE_ROWS = 64
+_TILE_COLS = 1024
+_ALIAS_SPAN = 1 << 20
 
 
 def transpose_into(out: Any, a: Any, backend: Optional[Backend] = None) -> Any:
@@ -56,22 +68,21 @@ def transpose_into(out: Any, a: Any, backend: Optional[Backend] = None) -> Any:
 
     ``a`` is 2-D ``(r, c)``; ``out`` is ``(c, r)`` and may carry a
     different dtype — the cast happens on the write side of each tile,
-    exactly as the untiled assignment would round it.  Small operands
-    take the single-assignment path; the tiling only matters once the
-    operand spills the cache.
+    exactly as the untiled assignment would round it.  Both axes are
+    tiled (see ``_TILE_ROWS``); a small operand is one assignment.
     """
     be = backend if backend is not None else _NUMPY
     rows, cols = a.shape[0], a.shape[1]
-    if rows <= 4 * _TRANSPOSE_BLOCK and cols <= 4 * _TRANSPOSE_BLOCK:
+    if rows * cols <= 16 * _TILE_COLS:  # every k = 1 apply: skip the stride lookup
         out[...] = be.transpose(a)
-    elif rows >= cols:
-        for i0 in range(0, rows, _TRANSPOSE_BLOCK):
-            hi = i0 + _TRANSPOSE_BLOCK
-            out[:, i0:hi] = be.transpose(a[i0:hi])
-    else:
-        for i0 in range(0, cols, _TRANSPOSE_BLOCK):
-            hi = i0 + _TRANSPOSE_BLOCK
-            out[i0:hi] = be.transpose(a[:, i0:hi])
+        return out
+    stride = getattr(a, "strides", (_ALIAS_SPAN,))[0]
+    tile_rows = min(_TILE_COLS, max(_TILE_ROWS, _ALIAS_SPAN // ((stride & -stride) or 1)))
+    for i0 in range(0, rows, tile_rows):
+        i1 = i0 + tile_rows
+        for j0 in range(0, cols, _TILE_COLS):
+            j1 = j0 + _TILE_COLS
+            out[j0:j1, i0:i1] = be.transpose(a[i0:i1, j0:j1])
     return out
 
 
@@ -83,28 +94,36 @@ def reorder_bytes(arr_shape, in_itemsize: int, out_itemsize: int) -> float:
     return float(n) * (in_itemsize + out_itemsize)
 
 
-def _charge_reorder(
-    device: SimulatedDevice,
-    name: str,
-    in_bytes: int,
-    out_bytes: int,
-    out_elems: int,
-    phase: str,
+def charge_copy(
+    device, name: str, bytes_read, bytes_written, out_elems: int, phase: str, derate: float
 ) -> None:
+    """Book one streaming copy kernel (pad, unpad, reorder) on ``device``
+    at ``derate`` times the stream efficiency of its traffic."""
+
     def kernel() -> KernelLaunch:
-        traffic = float(in_bytes + out_bytes)
-        # Transposes are less cache-friendly than pure streams; apply the
-        # classic ~0.75 factor of a tiled transpose kernel.
         return KernelLaunch(
             name=name,
             grid=Dim3(x=max(1, (out_elems + 255) // 256)),
             block=Dim3(x=256),
-            bytes_read=float(in_bytes),
-            bytes_written=float(out_bytes),
-            efficiency_hint=stream_efficiency(traffic, device.spec) * 0.75,
+            bytes_read=float(bytes_read),
+            bytes_written=float(bytes_written),
+            efficiency_hint=stream_efficiency(
+                float(bytes_read + bytes_written), device.spec
+            ) * derate,
         )
 
-    device.launch_memo((name, in_bytes, out_bytes, out_elems), kernel, phase)
+    device.launch_memo((name, bytes_read, bytes_written, out_elems), kernel, phase)
+
+
+def charge_reorder(device, name: str, elems: int, in_itemsize: int, out_itemsize: int, phase: str):
+    """Book one reorder kernel over ``elems`` elements on ``device``
+    (no-op without one): read at the source tier, written at the lower
+    of the two (see the module docstring).  Transposes are less
+    cache-friendly than pure streams; apply the classic ~0.75 factor of
+    a tiled transpose kernel."""
+    if device is not None:
+        written = elems * min(in_itemsize, out_itemsize)
+        charge_copy(device, name, elems * in_itemsize, written, elems, phase, 0.75)
 
 
 def _reorder(
@@ -116,12 +135,19 @@ def _reorder(
     tag: str,
     kernel_name: str,
     backend: Optional[Backend],
+    out: Optional[Any],
 ) -> Any:
     be = backend if backend is not None else _NUMPY
     a = be.asarray(v)
     if a.ndim != 2:
         raise ReproError(f"reorder expects a 2-D block vector, got ndim={a.ndim}")
-    if workspace is not None:
+    if out is not None:
+        if tuple(out.shape) != a.shape[::-1]:
+            raise ReproError(
+                f"reorder out buffer must be {a.shape[::-1]}, got {tuple(out.shape)}"
+            )
+        transpose_into(out, a, be)
+    elif workspace is not None:
         if precision is None:
             dt = be.dtype_of(a)
         else:
@@ -137,12 +163,9 @@ def _reorder(
         if precision is not None:
             out = be.cast(out, precision)
     if device is not None:
-        # Written at the lower tier of the two even when ``out`` was
-        # up-cast for its consumer (see the module docstring).
-        itemsize = min(be.dtype_of(a).itemsize, be.dtype_of(out).itemsize)
-        _charge_reorder(
-            device, kernel_name, be.nbytes(a), be.size(out) * itemsize,
-            be.size(out), phase,
+        charge_reorder(
+            device, kernel_name, be.size(out),
+            be.dtype_of(a).itemsize, be.dtype_of(out).itemsize, phase,
         )
     return out
 
@@ -155,10 +178,11 @@ def tosi_to_soti(
     workspace: Optional[Workspace] = None,
     tag: str = "tosi_to_soti",
     backend: Optional[Backend] = None,
+    out: Optional[Any] = None,
 ) -> Any:
     """(time, space) -> (space, time), optionally casting (fused)."""
     return _reorder(
-        v, precision, device, phase, workspace, tag, "reorder_tosi_to_soti", backend
+        v, precision, device, phase, workspace, tag, "reorder_tosi_to_soti", backend, out
     )
 
 
@@ -170,8 +194,9 @@ def soti_to_tosi(
     workspace: Optional[Workspace] = None,
     tag: str = "soti_to_tosi",
     backend: Optional[Backend] = None,
+    out: Optional[Any] = None,
 ) -> Any:
     """(space, time) -> (time, space), optionally casting (fused)."""
     return _reorder(
-        v, precision, device, phase, workspace, tag, "reorder_soti_to_tosi", backend
+        v, precision, device, phase, workspace, tag, "reorder_soti_to_tosi", backend, out
     )

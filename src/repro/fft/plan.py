@@ -158,12 +158,15 @@ class FFTPlan:
         passes = max(2, math.ceil(math.log2(max(self.n, 2)) / _STAGES_PER_PASS))
         return float(self.batch) * (in_b + out_b) * passes / 2.0
 
-    def _charge(self, phase: str) -> float:
-        if self.device is None:
-            return 0.0
-        return self.device.launch_memo(
-            ("fft", self.fft_type, self.n, self.batch), self._kernel, phase
-        )
+    def _book(self, phase: Optional[str]) -> None:
+        """Count and charge one whole-batch execution (not a further slab's)."""
+        if phase is None:
+            return
+        self.executions += 1
+        if self.device is not None:
+            self.device.launch_memo(
+                ("fft", self.fft_type, self.n, self.batch), self._kernel, phase
+            )
 
     def _kernel(self) -> KernelLaunch:
         traffic = self._traffic_bytes()
@@ -178,7 +181,7 @@ class FFTPlan:
         )
 
     # -- execution -------------------------------------------------------------
-    def _check_batch_shape(self, a: Any, length: int, what: str) -> Any:
+    def _check_batch_shape(self, a: Any, length: int, what: str, out: Any) -> Any:
         arr = self.backend.asarray(a)
         if arr.ndim == 1:
             if self.batch != 1:
@@ -186,9 +189,11 @@ class FFTPlan:
                     f"{what}: 1-D input but plan batch={self.batch}"
                 )
             arr = arr[None, :]
-        if arr.ndim != 2 or tuple(arr.shape) != (self.batch, length):
+        # A row slab of the batch rides with the out= it lands in.
+        rows = self.batch if out is None else min(self.batch, out.shape[0])
+        if arr.ndim != 2 or tuple(arr.shape) != (rows, length):
             raise ReproError(
-                f"{what}: expected shape ({self.batch}, {length}), got {tuple(arr.shape)}"
+                f"{what}: expected shape ({rows}, {length}), got {tuple(arr.shape)}"
             )
         return arr
 
@@ -219,63 +224,77 @@ class FFTPlan:
     def execute(
         self,
         x: np.ndarray,
-        phase: str = "fft",
+        phase: Optional[str] = "fft",
         workspace: Optional[Workspace] = None,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Forward transform (D2Z/R2C real-to-complex, or Z2Z/C2C forward).
 
         Real transforms return the half spectrum (``n//2+1`` bins), like
         cufftExecD2Z.
+
+        ``out`` (result shape and dtype, contiguous) receives the result
+        on the numpy double path; the other providers (``scipy.fft``,
+        cupy, torch) have no ``out=`` and return a temporary of that
+        size — use the returned array.  With ``out``, ``x`` may be a
+        **row slab** of the batch (``out``'s row count): rows are
+        independent, so slab by slab gives the bits of one call.  The
+        call that names a ``phase`` counts and charges the execution,
+        for the whole batch; its other slabs pass ``phase=None``.
         """
         if self.fft_type.is_real_inverse:
             raise ReproError(
                 f"plan type {self.fft_type.value} is inverse-only; use inverse()"
             )
         be = self.backend
+        kw = {"out": out} if out is not None and be.name == "numpy" else {}
+        arr = self._check_batch_shape(x, self.n, "execute", out)
         if self.fft_type.is_real_forward:
-            arr = self._check_batch_shape(x, self.n, "execute")
             arr = self._stage(arr, self._rdt, workspace, "fft_stage_fwd")
-            out = be.astype(be.fft.rfft(arr, axis=1), self._cdt, copy=False)
+            res = be.fft.rfft(arr, axis=1, **kw)
         else:
-            arr = self._check_batch_shape(x, self.n, "execute")
             arr = self._stage(arr, self._cdt, workspace, "fft_stage_fwd")
-            out = be.astype(be.fft.fft(arr, axis=1), self._cdt, copy=False)
-        self.executions += 1
-        self._charge(phase)
-        return out
+            res = be.fft.fft(arr, axis=1, **kw)
+        self._book(phase)
+        return be.astype(res, self._cdt, copy=False)
 
     def inverse(
         self,
         x: np.ndarray,
-        phase: str = "ifft",
+        phase: Optional[str] = "ifft",
         workspace: Optional[Workspace] = None,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Inverse transform.
 
         Follows the cuFFT convention of **unnormalized** transforms: like
         cufftExecZ2D, the result is ``n`` times the mathematical inverse,
         and callers scale by ``1/n`` themselves (FFTMatvec folds the scale
-        into the precomputed ``F_hat``).
+        into the precomputed ``F_hat``).  ``out``, row slabs and
+        ``phase=None`` as in :meth:`execute`.
         """
         if self.fft_type.is_real_forward:
             raise ReproError(
                 f"plan type {self.fft_type.value} is forward-only; use execute()"
             )
         be = self.backend
+        kw = {"out": out} if out is not None and be.name == "numpy" else {}
         if self.fft_type.is_real_inverse:
-            arr = self._check_batch_shape(x, self.half_len, "inverse")
+            arr = self._check_batch_shape(x, self.half_len, "inverse", out)
             arr = self._stage(arr, self._cdt, workspace, "fft_stage_inv")
-            out = be.astype(be.fft.irfft(arr, n=self.n, axis=1), self._rdt, copy=False)
+            res = be.fft.irfft(arr, n=self.n, axis=1, **kw)
+            res = be.astype(res, self._rdt, copy=False)
         else:
-            arr = self._check_batch_shape(x, self.n, "inverse")
+            arr = self._check_batch_shape(x, self.n, "inverse", out)
             arr = self._stage(arr, self._cdt, workspace, "fft_stage_inv")
-            out = be.astype(be.fft.ifft(arr, axis=1), self._cdt, copy=False)
-        # Unnormalize in place: the transform output is freshly owned, so
-        # the scaling needs no temporary (bitwise-identical multiply).
-        be.multiply(out, self._unscale, out=out)
-        self.executions += 1
-        self._charge(phase)
-        return out
+            res = be.fft.ifft(arr, axis=1, **kw)
+            res = be.astype(res, self._cdt, copy=False)
+        # Unnormalize in place: the transform output is ours (fresh, or
+        # the caller's ``out``), so the scaling needs no temporary
+        # (bitwise-identical multiply).
+        be.multiply(res, self._unscale, out=res)
+        self._book(phase)
+        return res
 
     # -- energy verification ---------------------------------------------------
     def verify_forward_energy(

@@ -102,6 +102,26 @@ def rank_groups(monkeypatch):
     return force
 
 
+@pytest.fixture
+def slab_bytes(monkeypatch):
+    """Set the byte budget of one slab buffer of ``FFTMatvec``'s phase
+    loops (:data:`repro.core.matvec._SLAB_BYTES`).
+
+    ``slab_bytes(n)`` makes every later apply whose padded axis exceeds
+    ``8 * n`` bytes cut it into slabs of ``max(1, n // padded-row
+    bytes)`` columns, so test shapes — all of which the shipped 1 MiB
+    leaves whole — run many; ``slab_bytes(1)`` is one column per slab
+    and a huge value the whole-width reference.  A test fixture, not a
+    switch — the engine has no argument for this.
+    """
+    from repro.core import matvec
+
+    def force(nbytes: int) -> None:
+        monkeypatch.setattr(matvec, "_SLAB_BYTES", nbytes)
+
+    return force
+
+
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     """Relative L2 error ||a - b|| / ||b|| (0 if both zero)."""
     denom = float(np.linalg.norm(b))

@@ -14,6 +14,12 @@ and the engine must equal it bitwise for all 32 configs, vector and
 block, F and F*, arena on and off — and, on a device, charge exactly
 what that composition charges (the sim clock prices each pass at its
 configured tier, not at the tier of the fused destination buffer).
+
+The second half pins the slab loop the same way: an engine whose
+pad -> FFT -> reorder and reorder -> IFFT -> unpad run slab by slab
+(budget lowered through the ``slab_bytes`` fixture) against the same
+engine at whole width — every output bit, simulated second, launch
+record and counter equal, and a smaller arena.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from repro.core.precision import PrecisionConfig
 from repro.core.reorder import soti_to_tosi, tosi_to_soti
 from repro.fft.plan import FFTPlan, FFTType
 from repro.gpu.device import SimulatedDevice
+from repro.comm.fault import CorruptionSchedule
 from repro.util.dtypes import complex_dtype, real_dtype
 from repro.util.workspace import Workspace, apply_scope
 
@@ -50,12 +57,12 @@ class RecordingWorkspace(Workspace):
         return super().checkout_fresh(tag, shape, dtype)
 
 
-def build(blocks, workspace: bool, device: bool) -> FFTMatvec:
-    dev = SimulatedDevice("MI300X") if device else None
+def build(blocks, workspace: bool, device: bool, **kwargs) -> FFTMatvec:
+    dev = SimulatedDevice("MI300X", record_launches=True) if device else None
     ws = None
     if workspace:
         ws = RecordingWorkspace(allocator=dev.allocator if dev else None)
-    return FFTMatvec(blocks, device=dev, workspace=ws, backend="numpy")
+    return FFTMatvec(blocks, device=dev, workspace=ws, backend="numpy", **kwargs)
 
 
 def unfused_apply(ref: FFTMatvec, v_in: np.ndarray, config: str, adjoint: bool):
@@ -165,3 +172,150 @@ def test_arena_never_holds_a_reorder_cast_buffer(problem):
     tags = {a.tag.split("/", 1)[1] for a in eng.device.allocator.live_allocations()}
     assert {"pad", "fwd_reorder", "bwd_reorder", "cast_fft"} <= tags
     assert not {"cast_sbgemv", "cast_ifft"} & tags
+
+
+# -- slab by slab vs whole width ---------------------------------------------------
+# Nt = 70 is not a multiple of the 64-row transpose tile; with k = 11
+# the fused axes are 55 (F) and 33 (F*) columns wide.  A 2240-byte budget
+# is 2 double / 4 single padded rows, and an axis of more than 8 budgets
+# is cut: 55 columns into 27 slabs and a width-1 tail (13 and a width-3
+# tail in single), while the k = 1 applies stay whole.  A 1-byte budget
+# makes every slab one column, the k = 1 applies' too.
+SLAB_SHAPE = (70, 3, 5)
+SLAB_K = 11
+SLAB_BUDGETS = [1, 2240]
+WHOLE = 1 << 40
+# Double, the benchmark's mixed pair, the one standalone cast (sd...),
+# a single-precision unpad, everything single, and two alternating ones.
+SLAB_CONFIGS = ["ddddd", "dssdd", "sdddd", "sdsds", "dddds", "sssss", "dsdsd", "ssdds"]
+SLAB_CALLS = [
+    (method, how)
+    for method in ("matvec", "rmatvec", "matmat", "rmatmat", "matmat_k1", "matmat_det")
+    for how in ("out", "detached", "undetached")
+    if how != "undetached" or method in ("matmat", "rmatmat", "matmat_k1")
+]
+
+
+@pytest.fixture(scope="module")
+def slab_problem():
+    nt, nd, nm = SLAB_SHAPE
+    rng = np.random.default_rng(20261002)
+    return {
+        "blocks": rng.standard_normal(SLAB_SHAPE),
+        "matvec": rng.standard_normal((nt, nm)),
+        "rmatvec": rng.standard_normal((nt, nd)),
+        "matmat": rng.standard_normal((nt, nm, SLAB_K)),
+        "rmatmat": rng.standard_normal((nt, nd, SLAB_K)),
+        "matmat_k1": rng.standard_normal((nt, nm, 1)),  # a width-1 block
+        "matmat_det": rng.standard_normal((nt, nm, SLAB_K)),
+    }
+
+
+def _call(eng: FFTMatvec, v: np.ndarray, config: str, method: str, how: str):
+    """One apply, its result copied out of whatever buffer holds it."""
+    adjoint = method.startswith("r")
+    kwargs = {"deterministic": True} if method == "matmat_det" else {}
+    name = method.split("_")[0]
+    if how == "undetached":  # the grid engine's form: result stays in the arena
+        res = eng._pipeline_block(v, PrecisionConfig.parse(config), adjoint, detach=False)
+        return np.array(res, copy=True)
+    if how == "detached":
+        return getattr(eng, name)(v, config=config, **kwargs)
+    out = np.empty((eng.nt, eng.nm if adjoint else eng.nd) + v.shape[2:])
+    assert getattr(eng, name)(v, config=config, out=out, **kwargs) is out
+    return out
+
+
+def _observe(eng: FFTMatvec, problem, config: str):
+    """Everything one engine shows for the whole call list."""
+    seen = []
+    for method, how in SLAB_CALLS:
+        got = _call(eng, problem[method], config, method, how)
+        timing = eng.last_timing.phases if eng.last_timing is not None else None
+        seen.append((method, how, got, timing))
+    dev = eng.device
+    return {
+        "calls": seen,
+        "launches": list(dev.launch_log) if dev is not None else None,
+        "stats": dev.stats if dev is not None else None,
+        "clock": dev.clock.phase_totals() if dev is not None else None,
+        "cast_noops": eng.cast_noop_count,
+        "applies": (eng.matvec_count, eng.matmat_count),
+        "executions": {key: plan.executions for key, plan in eng._plans.items()},
+    }
+
+
+@pytest.mark.parametrize("config", SLAB_CONFIGS)
+@pytest.mark.parametrize("budget", SLAB_BUDGETS)
+@pytest.mark.parametrize("device", [False, True], ids=["dev=off", "dev=on"])
+@pytest.mark.parametrize("workspace", [False, True], ids=["ws=off", "ws=on"])
+def test_slabbed_equals_whole_width(
+    slab_problem, slab_bytes, workspace, device, budget, config
+):
+    slab_bytes(WHOLE)
+    want = _observe(build(slab_problem["blocks"], workspace, device), slab_problem, config)
+    slab_bytes(budget)
+    eng = build(slab_problem["blocks"], workspace, device)
+    got = _observe(eng, slab_problem, config)
+    for (method, how, a, ta), (_, _, b, tb) in zip(got.pop("calls"), want.pop("calls")):
+        assert a.dtype == b.dtype == np.float64
+        assert np.array_equal(a, b), (method, how)
+        assert ta == tb, (method, how)  # simulated seconds, phase by phase
+    assert got == want
+    if workspace:
+        # The loop really ran in slabs: the arena holds slab-sized
+        # scratch and no full-width padded buffer.
+        nt, nd, nm = SLAB_SHAPE
+        assert {"fft_out", "ifft_out"} <= eng.workspace.tags
+        pads = {key[1][0] for key in eng.workspace._pools if key[0] == "pad"}
+        assert nm * SLAB_K not in pads and nd * SLAB_K not in pads, pads
+
+
+@pytest.mark.parametrize("config", ["ddddd", "dssdd", "sdsds"])
+def test_slabbed_applies_are_allocation_free_on_a_smaller_arena(
+    slab_problem, slab_bytes, config
+):
+    def run(eng):
+        for method in ("matvec", "rmatvec", "matmat", "rmatmat"):
+            v = slab_problem[method]
+            out = np.empty((eng.nt, eng.nd if method[0] == "m" else eng.nm) + v.shape[2:])
+            getattr(eng, method)(v, config=config, out=out)
+
+    slab_bytes(WHOLE)
+    whole = build(slab_problem["blocks"], workspace=True, device=False)
+    run(whole)
+    slab_bytes(2240)
+    eng = build(slab_problem["blocks"], workspace=True, device=False)
+    run(eng)
+    allocs = eng.workspace.alloc_count
+    for _ in range(20):
+        run(eng)
+    assert eng.workspace.alloc_count == allocs
+    assert eng.workspace.nbytes < whole.workspace.nbytes
+
+
+@pytest.mark.parametrize(
+    "hook", ["abft", "guard", "guard+abft", "schedule"]
+)
+def test_hooks_keep_whole_buffers(slab_problem, slab_bytes, hook):
+    """A check or an injection site sees each stage buffer once per
+    apply, whole, on the arena keys it always had — whatever the budget."""
+    slab_bytes(1)
+    nt, nd, nm = SLAB_SHAPE
+    eng = build(
+        slab_problem["blocks"], workspace=True, device=False,
+        validate=None if hook == "schedule" else hook,
+    )
+    if hook == "schedule":
+        eng.install_corruption_schedule(CorruptionSchedule([]))
+    eng.matmat(slab_problem["matmat"])
+    eng.rmatmat(slab_problem["rmatmat"])
+    assert eng.sdc_checks == (0 if hook == "guard" else 6)
+    assert not {"fft_out", "ifft_out"} & eng.workspace.tags
+    shapes = {key[0]: set() for key in eng.workspace._pools}
+    for tag, shape, _ in eng.workspace._pools:
+        shapes[tag].add(shape)
+    k = SLAB_K
+    assert shapes["pad"] == {(nm * k, 2 * nt), (nd * k, 2 * nt)}
+    assert shapes["bwd_reorder"] == {(nd * k, nt + 1), (nm * k, nt + 1)}
+    assert shapes["fwd_reorder"] == {(nt + 1, nm * k), (nt + 1, nd * k)}

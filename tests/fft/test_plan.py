@@ -173,6 +173,74 @@ class TestDeviceCharging:
         assert plan.executions == 2
 
 
+class TestOutAndRowSlabs:
+    """``out=``: the numpy double path writes there; a row slab of the
+    batch gives the bits of the whole call; the execution is booked once."""
+
+    TYPES = [
+        (FFTType.D2Z, FFTType.Z2D),
+        (FFTType.R2C, FFTType.C2R),
+        (FFTType.Z2Z, FFTType.Z2Z),
+        (FFTType.C2C, FFTType.C2C),
+    ]
+
+    @pytest.mark.parametrize("fwd_type,inv_type", TYPES)
+    def test_slab_by_slab_is_one_execution(self, rng, fwd_type, inv_type):
+        n, batch = 24, 7
+        double = fwd_type.precision is Precision.DOUBLE
+        x = rng.standard_normal((batch, n))
+        if not fwd_type.is_real_forward:
+            x = x + 1j * rng.standard_normal((batch, n))
+            x = x.astype(np.complex128 if double else np.complex64)
+        elif not double:
+            x = x.astype(np.float32)
+        dev_whole, dev_slabs = (
+            SimulatedDevice("MI300X", record_launches=True) for _ in range(2)
+        )
+        src = x
+        for kind, phase, ftype in (("execute", "fft", fwd_type), ("inverse", "ifft", inv_type)):
+            whole = FFTPlan(n, batch, ftype, device=dev_whole)
+            slabs = FFTPlan(n, batch, ftype, device=dev_slabs)
+            want = getattr(whole, kind)(src, phase=phase)
+            scratch = np.empty((3, want.shape[1]), dtype=want.dtype)
+            got = np.empty_like(want)
+            for r0 in range(0, batch, 3):  # 3 + 3 + 1 rows
+                rows = min(3, batch - r0)
+                res = getattr(slabs, kind)(
+                    src[r0 : r0 + rows],
+                    phase=phase if r0 == 0 else None,
+                    out=scratch[:rows],
+                )
+                # np.fft honours out=; scipy.fft returns a temporary.
+                assert np.shares_memory(res, scratch) == double
+                got[r0 : r0 + rows] = res
+            assert np.array_equal(got, want)
+            assert slabs.executions == whole.executions == 1
+            src = want
+        assert dev_slabs.launch_log == dev_whole.launch_log
+        assert dev_slabs.stats == dev_whole.stats
+
+    def test_whole_batch_out_is_written_in_place(self, rng):
+        plan = FFTPlan(32, 4, FFTType.D2Z)
+        x = rng.standard_normal((4, 32))
+        out = np.empty((4, 17), dtype=np.complex128)
+        assert plan.execute(x, out=out) is out
+        assert np.array_equal(out, FFTPlan(32, 4, FFTType.D2Z).execute(x))
+        back = np.empty((4, 32))
+        inv = FFTPlan(32, 4, FFTType.Z2D)
+        assert inv.inverse(out, out=back) is back
+        np.testing.assert_allclose(back, 32 * x, rtol=1e-12)
+
+    def test_a_slab_needs_its_out(self, rng):
+        plan = FFTPlan(32, 4, FFTType.D2Z)
+        with pytest.raises(ReproError):  # fewer rows than the batch, no out=
+            plan.execute(rng.standard_normal((3, 32)))
+        with pytest.raises(ReproError):  # rows must be out's rows
+            plan.execute(rng.standard_normal((3, 32)), out=np.empty((2, 17), complex))
+        with pytest.raises(ReproError):  # never more rows than the batch
+            plan.execute(rng.standard_normal((5, 32)), out=np.empty((5, 17), complex))
+
+
 class TestPlanMany:
     def test_defaults(self):
         plan = plan_many(128, 10)

@@ -5,7 +5,8 @@ re-threading the cast / injection / Parseval / ABFT / guard calls, and
 ``core/parallel.py`` a second, vector-only bcast → compute → reduce
 loop.  They are now one front/back pair and one chunk loop; this test
 walks the AST and fails when a copy grows back — a second call site of
-a phase kernel, a second collective loop, a rank loop beside
+a phase kernel or of its simulated-clock charge, a phase kernel outside
+the front/back slab loops, a second collective loop, a rank loop beside
 ``_rank_compute`` (the one place that may run ranks concurrently), or a
 hand-rolled ``begin_apply()`` bracket beside
 :func:`repro.util.workspace.apply_scope`.
@@ -48,24 +49,66 @@ def _method(tree: ast.Module, cls: str, name: str) -> ast.FunctionDef:
     raise AssertionError(f"{cls}.{name} not found — layout changed?")
 
 
+def _slab_loop(half: str) -> ast.For:
+    """The one ``for`` loop of ``FFTMatvec._front`` / ``_back``: the slab
+    loop (whole width = one iteration)."""
+    loops = [
+        n for n in ast.walk(_method(_module("matvec.py"), "FFTMatvec", half))
+        if isinstance(n, (ast.For, ast.While))
+    ]
+    assert len(loops) == 1 and isinstance(loops[0], ast.For), (
+        f"FFTMatvec.{half} must hold exactly one loop — no second, "
+        "whole-width copy of the phases beside the slab loop"
+    )
+    return loops[0]
+
+
 @pytest.mark.parametrize(
-    "phase_call",
-    ["pad_to_soti", "soti_to_tosi", "tosi_to_soti", "unpad_from_soti", "inverse"],
+    "half,phase_call",
+    [
+        ("_front", "pad_to_soti"),
+        ("_front", "charge_pad"),
+        ("_front", "soti_to_tosi"),
+        ("_back", "tosi_to_soti"),
+        ("_back", "inverse"),
+        ("_back", "unpad_from_soti"),
+        ("_back", "charge_unpad"),
+    ],
 )
-def test_matvec_has_one_call_site_per_phase(phase_call):
+def test_matvec_has_one_call_site_per_phase(half, phase_call):
     lines = _calls(_module("matvec.py"), phase_call)
     assert len(lines) == 1, (
         f"core/matvec.py calls {phase_call}() at lines {lines}: the pipeline "
         "must be spelled out once (FFTMatvec._front / _back), not copied"
     )
+    assert _calls(_slab_loop(half), phase_call) == lines, (
+        f"{phase_call}() must sit inside FFTMatvec.{half}'s slab loop"
+    )
+
+
+def test_each_reorder_is_charged_once_in_its_half():
+    tree = _module("matvec.py")
+    assert len(_calls(tree, "charge_reorder")) == 2
+    for half in ("_front", "_back"):
+        assert len(_calls(_slab_loop(half), "charge_reorder")) == 1
 
 
 def test_forward_fft_runs_in_the_front_half_only():
     # plan.execute has one legitimate use outside the pipeline — the
-    # setup-time spectrum FFT — so it is counted inside the front half.
+    # setup-time spectrum FFT — so it is counted inside the front loop.
     tree = _module("matvec.py")
-    assert len(_calls(_method(tree, "FFTMatvec", "_front"), "execute")) == 1
+    assert len(_calls(_slab_loop("_front"), "execute")) == 1
     assert len(_calls(tree, "execute")) == 2, _calls(tree, "execute")
+
+
+def test_engine_hands_the_layer_functions_no_device():
+    """The engine books every launch itself (first slab, full width), so
+    a layer function it calls must never see the device — it would
+    charge its slab's shape on top."""
+    for half in ("_front", "_back"):
+        for node in ast.walk(_slab_loop(half)):
+            if isinstance(node, ast.Call):
+                assert "device" not in {kw.arg for kw in node.keywords}, node.lineno
 
 
 @pytest.mark.parametrize("collective", ["bcast", "reduce"])
