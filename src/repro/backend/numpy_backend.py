@@ -157,7 +157,7 @@ class NumpyBackend(Backend):
 
     # -- introspection -------------------------------------------------------
     def dtype_of(self, a) -> np.dtype:
-        return np.asarray(a).dtype
+        return a.dtype if a.__class__ is np.ndarray else np.asarray(a).dtype
 
     def nbytes(self, a) -> int:
         return int(a.nbytes)
@@ -169,6 +169,8 @@ class NumpyBackend(Backend):
         return bool(a.flags["C_CONTIGUOUS"])
 
     def iscomplex(self, a) -> bool:
+        if a.__class__ is np.ndarray:
+            return a.dtype.kind == "c"
         return bool(np.iscomplexobj(a))
 
     def shares_memory(self, a, b) -> bool:

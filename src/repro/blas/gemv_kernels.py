@@ -73,22 +73,19 @@ def gemv_strided_batched_reference(
     the bytes ``np.conj(x)`` would produce.
     """
     be = backend if backend is not None else _NUMPY
-    A = be.asarray(A)
-    x = be.asarray(x)
+    if out is None or not (A.__class__ is x.__class__ is out.__class__):
+        A, x = be.asarray(A), be.asarray(x)  # else: the engine's own arrays
     if A.ndim != 3:
         raise ReproError(f"A must be (batch, m, n), got shape {tuple(A.shape)}")
-    op = Operation.parse(operation)
+    op = operation if operation.__class__ is Operation else Operation.parse(operation)
     out_len = A.shape[1] if op is Operation.N else A.shape[2]
-    if out is not None and (
-        tuple(out.shape) != (A.shape[0], out_len)
-        or be.dtype_of(out) != be.dtype_of(A)
-    ):
+    if out is not None and (out.shape != (A.shape[0], out_len) or out.dtype != A.dtype):
         raise ReproError(
             f"out must be {(A.shape[0], out_len)} {be.dtype_of(A)}, "
             f"got {tuple(out.shape)} {be.dtype_of(out)}"
         )
     if op is Operation.N:
-        if tuple(x.shape) != (A.shape[0], A.shape[2]):
+        if x.shape != (A.shape[0], A.shape[2]):
             raise ReproError(
                 f"x must be {(A.shape[0], A.shape[2])}, got {tuple(x.shape)}"
             )
@@ -96,13 +93,13 @@ def gemv_strided_batched_reference(
             return be.matmul(A, x[:, :, None])[:, :, 0]
         be.matmul(A, x[:, :, None], out=out[:, :, None])
         return out
-    if tuple(x.shape) != (A.shape[0], A.shape[1]):
+    if x.shape != (A.shape[0], A.shape[1]):
         raise ReproError(f"x must be {(A.shape[0], A.shape[1])}, got {tuple(x.shape)}")
     if op is Operation.C:
         # y[n] = sum_m conj(A[m,n]) x[m] = conj( (conj(x)^T A)[n] )
         if x_conj is None:
             x_conj = be.conjugate(x)
-        elif tuple(x_conj.shape) != tuple(x.shape) or be.dtype_of(x_conj) != be.dtype_of(x):
+        elif x_conj.shape != x.shape or x_conj.dtype != x.dtype:
             raise ReproError(
                 f"x_conj must be {tuple(x.shape)} {be.dtype_of(x)}, "
                 f"got {tuple(x_conj.shape)} {be.dtype_of(x_conj)}"

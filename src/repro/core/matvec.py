@@ -36,9 +36,9 @@ posterior sampling and OED sweeps get their speedup.
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 from collections import OrderedDict
+from types import SimpleNamespace
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -118,6 +118,18 @@ def _parse_validate(validate) -> frozenset:
     return modes
 
 
+def _slabs(rec: SimpleNamespace, *bufs: Any) -> list:
+    """One ``(first, columns, *rows)`` entry per slab of a prepared
+    record's fused axis: its slice of that axis (``None`` when one slab
+    is all of it) and its leading rows of each ``(w, ...)`` scratch."""
+    w, cols = rec.w, rec.cols
+    return [
+        (c0 == 0, None if w == cols else slice(c0, c0 + n))
+        + tuple(b if b is None else b[:n] for b in bufs)
+        for c0, n in ((c0, min(w, cols - c0)) for c0 in range(0, cols, w))
+    ]
+
+
 class FFTMatvec:
     """FFT-based matvec engine for a block lower-triangular Toeplitz matrix.
 
@@ -188,7 +200,8 @@ class FFTMatvec:
         self.reduction = reduction
         self.validate_modes = _parse_validate(validate)
         self.rank_label: Optional[int] = None  # grid rank, set by the owner
-        self._corruption = None  # CorruptionSchedule, armed via install_*
+        self._plans: "OrderedDict[Tuple, SimpleNamespace]" = OrderedDict()
+        self.install_corruption_schedule(None)  # no schedule yet: sets the hook flags
         self.sdc_checks = 0  # abft/energy verifications that passed
         self.matrix = (
             matrix
@@ -217,10 +230,9 @@ class FFTMatvec:
             self.device.clock.phase_total("setup") if self.device is not None else 0.0
         )
 
-        self._plans: "OrderedDict[Tuple[str, Precision, int], FFTPlan]" = (
-            OrderedDict()
-        )
-        self.plan_evictions = 0  # plans dropped by the LRU bound
+        self.plan_evictions = 0  # prepared records dropped by the LRU bound
+        # One reusable context per clock phase (a no-op without a device).
+        self._ctx = SimpleNamespace(**{p: self._phase_ctx(p) for p in _PHASES})
         self.last_timing: Optional[TimingReport] = None
         self.matvec_count = 0
         self.matmat_count = 0
@@ -242,6 +254,8 @@ class FFTMatvec:
                 f"engine backend {self.backend.name!r}"
             )
         self.workspace: Optional[Workspace] = workspace
+        if workspace is not None:  # records hold arena buffers: none survive it
+            workspace.release_hooks.append(self._plans.clear)
 
     # -- setup -----------------------------------------------------------------
     def _setup_spectrum(self) -> np.ndarray:
@@ -328,36 +342,60 @@ class FFTMatvec:
             )
         return self._abft_rows[precision, op]
 
-    # Bound on the (kind, precision, batch)-keyed FFT-plan cache.  Under
-    # serving load the batch dimension varies with every coalesced block
-    # width, so an unbounded dict would grow one plan per (k, precision)
-    # ever seen; least-recently-used plans are dropped past this size
-    # (per instance — override the attribute to tune).
+    # Bound on the cache of prepared-apply records (:meth:`_prepared`), one
+    # per (half, Phase-3 kernel, direction, config, fused width), each
+    # holding its FFT plan.  Under serving load the width varies with
+    # every coalesced block, so an unbounded dict would grow one record
+    # per (k, config) ever seen; least-recently-used records are dropped
+    # past this size (per instance — override the attribute to tune).
     plan_cache_size = 32
 
-    def _plan(self, kind: str, precision: Precision, batch: int) -> FFTPlan:
-        key = (kind, precision, batch)
-        plan = self._plans.get(key)
-        if plan is not None:
+    def _prepared(
+        self, key: Tuple, back: bool, config: PrecisionConfig, adjoint: bool, n: int, k: int
+    ) -> SimpleNamespace:
+        """The record under ``key`` of what the data does not decide about
+        one half of an apply, resolved on first use: the half's FFT plan,
+        tier dtypes, slab width and — with an arena — its buffers and
+        their per-slab views (``bufs``); the Phase-3 kernel adds its
+        operands on first run (``p3``), the back half its arena result
+        (``res``).  A record dies with what it was built from: the LRU
+        bound, ``Workspace.release()`` and
+        :meth:`install_corruption_schedule` drop it.
+        """
+        rec = self._plans.get(key)
+        if rec is not None:
             self._plans.move_to_end(key)
-            return plan
-        if kind == "fwd":
-            t = FFTType.real_forward(precision)
-        else:
-            t = FFTType.real_inverse(precision)
-        plan = FFTPlan(
-            n=self.n_pad,
-            batch=batch,
-            fft_type=t,
-            device=self.device,
-            backend=self.backend,
+            return rec
+        fft = config.ifft if back else config.fft
+        rdt, cols = real_dtype(fft), n * k
+        fft_type = FFTType.real_inverse(fft) if back else FFTType.real_forward(fft)
+        rec = SimpleNamespace(
+            n=n, k=k, cols=cols, rdt=rdt, cdt=complex_dtype(fft), p3=None, res=None,
+            w=self._slab_cols(cols, 2 * self.nt * rdt.itemsize),
+            plan=FFTPlan(self.n_pad, cols, fft_type, device=self.device, backend=self.backend),
         )
-        self._plans[key] = plan
+        if back:
+            rec.udt = real_dtype(config.unpad)
+        else:
+            rec.operation = Operation.C if adjoint else Operation.N
+            rec.precision = config.sbgemv
+            rec.sdt = complex_dtype(config.sbgemv)
+            # The input is double, so a double pad writes the FFT's tier
+            # directly: one rounding, the one "pad in double, then cast"
+            # would make.  Only a single pad feeding a double FFT needs a
+            # cast pass of its own (it must round before the up-cast); the
+            # other boundaries ride a pass that moves the data anyway, and
+            # ``cast_noop_count`` counts them.
+            rec.pad_dt = rdt if config.pad is Precision.DOUBLE else real_dtype(config.pad)
+            rec.noops = 2 if rec.pad_dt == rdt else 1
+        buffers = self._back_buffers if back else self._front_buffers
+        rec.bufs = buffers(rec) if self.workspace is not None else None
+        self._plans[key] = rec
         limit = max(1, int(self.plan_cache_size))
         while len(self._plans) > limit:
             self._plans.popitem(last=False)
             self.plan_evictions += 1
-        return plan
+        return rec
 
     def geometry_key(
         self, config: Union[None, str, PrecisionConfig] = None
@@ -397,37 +435,45 @@ class FFTMatvec:
             return self.device.clock.phase(name)
         return _NO_PHASE
 
-    def _run_sbgemv(
-        self, mhat: Any, operation: Operation, precision: Precision
-    ) -> Any:
-        be = self.backend
-        fhat = self.spectrum(precision)
-        out = x_conj = None
-        if self.workspace is not None:
-            out_len = fhat.shape[1] if operation is Operation.N else fhat.shape[2]
-            out = self.workspace.checkout(
-                "sbgemv_out", (fhat.shape[0], out_len), be.dtype_of(fhat)
+    def _phase3_operands(self, rec, out=None, conj_x=None, conj_a: bool = False) -> Tuple:
+        """Phase 3's ``(fhat, a_conj, out, x_conj)``, resolved by a kernel's
+        first run on the front record ``rec`` and kept there: the spectrum
+        at its tier, the cached conjugate for an adjoint GEMM and — from
+        an arena — the ``(tag, shape)`` output and ``conj(x)`` staging."""
+        if rec.p3 is None:
+            fhat, ws = self.spectrum(rec.precision), self.workspace
+            dt, adj = self.backend.dtype_of(fhat), rec.operation is Operation.C
+            rec.p3 = (
+                fhat,
+                self.spectrum_conj(rec.precision) if conj_a and adj else None,
+                ws.checkout(*out, dt) if ws is not None and out else None,
+                ws.checkout(*conj_x, dt) if ws is not None and conj_x and adj else None,
             )
-            if operation is Operation.C:
-                # Stage the adjoint's conj(x) in the arena — bitwise the
-                # bytes a fresh conjugation would produce, no per-apply
-                # temporary.
-                x_conj = self.workspace.checkout(
-                    "sbgemv_conj_x", tuple(mhat.shape), be.dtype_of(mhat)
-                )
-                be.conjugate(mhat, out=x_conj)
-        if self.dispatcher is not None:
-            if self.use_optimized_sbgemv:
-                return self.dispatcher.gemv_strided_batched(
-                    fhat,
-                    mhat,
-                    operation,
-                    device=self.device,
-                    phase="sbgemv",
-                    out=out,
-                    x_conj=x_conj,
-                    backend=be,
-                )
+        return rec.p3
+
+    def _run_sbgemv(self, panel: Any, rec: SimpleNamespace) -> Any:
+        """Vector Phase 3: the strided-batched GEMV on the lone column of
+        an ``(n_freq, nx, 1)`` panel, returned as an ``(n_freq, ny, 1)`` one."""
+        be, operation, mhat = self.backend, rec.operation, panel[:, :, 0]
+        fhat, _, out, x_conj = rec.p3 or self._phase3_operands(
+            rec,
+            ("sbgemv_out", (self.n_freq, self.nd if operation is Operation.N else self.nm)),
+            ("sbgemv_conj_x", tuple(mhat.shape)),
+        )
+        if x_conj is not None:
+            # Stage the adjoint's conj(x) in the arena — bitwise the bytes
+            # a fresh conjugation would produce, no per-apply temporary.
+            be.conjugate(mhat, out=x_conj)
+        if self.dispatcher is None:
+            yhat = gemv_strided_batched_reference(
+                fhat, mhat, operation, out=out, x_conj=x_conj, backend=be
+            )
+        elif self.use_optimized_sbgemv:
+            yhat = self.dispatcher.gemv_strided_batched(
+                fhat, mhat, operation, device=self.device, phase="sbgemv",
+                out=out, x_conj=x_conj, backend=be,
+            )
+        else:
             # Ablation: force the original kernel through the same path.
             problem = GemvProblem(
                 m=self.nd,
@@ -436,31 +482,13 @@ class FFTMatvec:
                 datatype=BlasDatatype.from_dtype(be.dtype_of(fhat)),
                 operation=operation,
             )
-            return RocblasSBGEMV().run(
-                fhat,
-                mhat,
-                problem,
-                device=self.device,
-                phase="sbgemv",
-                out=out,
-                x_conj=x_conj,
-                backend=be,
+            yhat = RocblasSBGEMV().run(
+                fhat, mhat, problem, device=self.device, phase="sbgemv",
+                out=out, x_conj=x_conj, backend=be,
             )
-        return gemv_strided_batched_reference(
-            fhat, mhat, operation, out=out, x_conj=x_conj, backend=be
-        )
-
-    def _run_sbgemv_column(
-        self, panel: Any, operation: Operation, precision: Precision
-    ) -> Any:
-        """Vector Phase 3 in panel form: the strided-batched GEMV on the
-        lone column of an ``(n_freq, nx, 1)`` panel."""
-        yhat = self._run_sbgemv(panel[:, :, 0], operation, precision)
         return yhat.reshape(yhat.shape + (1,))
 
-    def _run_sbgemm(
-        self, mhat: Any, operation: Operation, precision: Precision
-    ) -> Any:
+    def _run_sbgemm(self, mhat: Any, rec: SimpleNamespace) -> Any:
         """Blocked Phase 3: per-frequency GEMM on a (n_freq, nx, k) panel.
 
         Honors the engine's ``reduction`` mode: pairwise engines route
@@ -468,19 +496,14 @@ class FFTMatvec:
         the ``k == 1`` panel the GEMV degeneration would otherwise
         claim), so one accumulation order serves the whole engine.
         """
-        be = self.backend
-        fhat = self.spectrum(precision)
+        be, operation = self.backend, rec.operation
         # The conjugated spectrum is cached for the adjoint (op C): the
         # bytes match a fresh conjugation, so results are bitwise-unchanged.
-        a_conj = self.spectrum_conj(precision) if operation is Operation.C else None
-        out = None
-        if self.workspace is not None:
-            out_rows = fhat.shape[1] if operation is Operation.N else fhat.shape[2]
-            out = self.workspace.checkout(
-                "sbgemm_out",
-                (fhat.shape[0], out_rows, mhat.shape[2]),
-                be.dtype_of(fhat),
-            )
+        fhat, a_conj, out, _ = rec.p3 or self._phase3_operands(
+            rec,
+            ("sbgemm_out", (self.n_freq, self.nd if operation is Operation.N else self.nm, mhat.shape[2])),
+            conj_a=True,
+        )
         if self.dispatcher is not None:
             if self.use_optimized_sbgemv:
                 return self.dispatcher.gemm_strided_batched(
@@ -532,12 +555,7 @@ class FFTMatvec:
         )
 
     def _run_sbgemm_pairwise_segments(
-        self,
-        panel: Any,
-        operation: Operation,
-        precision: Precision,
-        start: int,
-        n_global: int,
+        self, panel: Any, rec: SimpleNamespace, start: int, n_global: int
     ) -> Dict[Tuple[int, int], Any]:
         """Phase 3 for a grid rank in pairwise mode: canonical segments.
 
@@ -550,9 +568,8 @@ class FFTMatvec:
         the full contraction is one fixed tree regardless of partition.
         Charges the local pairwise kernel's modeled launch.
         """
-        be = self.backend
-        fhat = self.spectrum(precision)
-        a_conj = self.spectrum_conj(precision) if operation is Operation.C else None
+        be, operation = self.backend, rec.operation
+        fhat, a_conj, _, _ = rec.p3 or self._phase3_operands(rec, conj_a=True)
         values = pairwise_segment_values(
             fhat,
             panel,
@@ -577,9 +594,7 @@ class FFTMatvec:
             kernel.charge_launch(problem, self.device, phase="sbgemv")
         return values
 
-    def _run_sbgemv_panel(
-        self, mhat: Any, operation: Operation, precision: Precision
-    ) -> Any:
+    def _run_sbgemv_panel(self, mhat: Any, rec: SimpleNamespace) -> Any:
         """Deterministic blocked Phase 3: k per-frequency GEMVs on a panel.
 
         ``mhat`` is the ``(n_freq, nx, k)`` panel :meth:`_run_sbgemm`
@@ -598,23 +613,22 @@ class FFTMatvec:
         charges k GEMV launches — the price of determinism the docs
         advertise.
         """
-        be = self.backend
+        be, operation = self.backend, rec.operation
         nf, nx, k = mhat.shape
         ny = self.nd if operation is Operation.N else self.nm
-        out = None
-        if self.workspace is not None:
-            out = self.workspace.checkout(
-                "det_sbgemv_out", (nf, ny, k), be.dtype_of(mhat)
-            )
-        if self.dispatcher is not None or be.name != "numpy":
-            if out is None:
-                out = be.empty((nf, ny, k), be.dtype_of(mhat))
-            for j in range(k):
-                out[:, :, j] = self._run_sbgemv(mhat[:, :, j], operation, precision)
-            return out
+        looped = self.dispatcher is not None or be.name != "numpy"
+        fhat, _, out, x_conj = rec.p3 or self._phase3_operands(
+            rec,
+            ("det_sbgemv_out", (nf, ny, k)),
+            None if looped else ("det_sbgemv_conj_x", (k, nf, nx)),
+        )
         if out is None:
             out = be.empty((nf, ny, k), be.dtype_of(mhat))
-        fhat = self.spectrum(precision)
+        if looped:
+            for j in range(k):  # a column's own operands, as a lone GEMV has them
+                col = SimpleNamespace(operation=operation, precision=rec.precision, p3=None)
+                out[:, :, j : j + 1] = self._run_sbgemv(mhat[:, :, j : j + 1], col)
+            return out
         cols = np.moveaxis(mhat, 2, 0)  # (k, nf, nx) strided view
         out_v = np.moveaxis(out, 2, 0)  # (k, nf, ny) strided view
         if operation is Operation.N:
@@ -628,10 +642,7 @@ class FFTMatvec:
         # coalescing tests assert it), but measurably faster; a
         # contiguous copy of the transpose would flip numpy into a BLAS
         # path with a different summation order and break the identity.
-        if self.workspace is not None:
-            x_conj = self.workspace.checkout(
-                "det_sbgemv_conj_x", (k, nf, nx), be.dtype_of(mhat)
-            )
+        if x_conj is not None:
             be.conjugate(cols, out=x_conj)
         else:
             x_conj = be.conjugate(cols)
@@ -656,14 +667,10 @@ class FFTMatvec:
         self._corruption = schedule
         if rank is not None:
             self.rank_label = int(rank)
-
-    @property
-    def _abft_on(self) -> bool:
-        return "abft" in self.validate_modes or self._corruption is not None
-
-    @property
-    def _guard_on(self) -> bool:
-        return "guard" in self.validate_modes
+        self._abft_on = "abft" in self.validate_modes or schedule is not None
+        self._guard_on = "guard" in self.validate_modes
+        self._armed = self._abft_on or self._guard_on  # any hook at all
+        self._plans.clear()  # armed hooks want whole buffers: prepare anew
 
     def _corruption_where(self) -> str:
         return (
@@ -738,7 +745,7 @@ class FFTMatvec:
         whole buffers — abft / guard checks and injection see, count and
         index each stage buffer once per apply; a device backend's cache
         is not this host's."""
-        whole = self._abft_on or self._guard_on or self.backend.name != "numpy"
+        whole = self._armed or self.backend.name != "numpy"
         if whole or cols * row_bytes <= 8 * _SLAB_BYTES:
             return cols
         return max(1, _SLAB_BYTES // row_bytes)
@@ -781,11 +788,6 @@ class FFTMatvec:
             host = host_empty(tuple(res.shape), np.float64)
             host[...] = be.from_device(res)
             return host
-        if be.name == "numpy":
-            if res is out or np.shares_memory(res, out):
-                return out  # unpad already wrote the caller's buffer
-            out[...] = res.reshape(out.shape)
-            return out
         out[...] = be.from_device(res).reshape(out.shape)
         return out
 
@@ -800,12 +802,46 @@ class FFTMatvec:
     # _setup_spectrum), which is what makes a rank's front bitwise-equal
     # to the corresponding slice of a single-device front.
 
+    def _front_buffers(self, rec: SimpleNamespace) -> Tuple[list, Any]:
+        """The front half's slabs — pad, cast and FFT-output rows, then
+        the slab's columns of ``fwd_reorder`` — and the Phase-3 panel.
+        With an arena these are the record's (``bufs``: the checkouts a
+        half used to make per apply, same tags, shapes and order);
+        without one every apply allocates its own."""
+        nt, w = self.nt, rec.w
+        xbuf = padded_buffer(w, nt, rec.pad_dt, self.workspace, self.backend)
+        cbuf = self._scratch("cast_fft", (w, 2 * nt), rec.rdt) if rec.pad_dt != rec.rdt else None
+        fbuf = self._scratch("fft_out", (w, self.n_freq), rec.cdt) if w < rec.cols else None
+        vhat = self._scratch("fwd_reorder", (self.n_freq, rec.cols), rec.sdt)
+        slabs = [s + (vhat if s[1] is None else vhat[:, s[1]],) for s in _slabs(rec, xbuf, cbuf, fbuf)]
+        return slabs, vhat.reshape(self.n_freq, rec.n, rec.k)
+
+    def _back_buffers(self, rec: SimpleNamespace) -> list:
+        """The back half's slabs: ``bwd_reorder`` and IFFT-output rows."""
+        w = rec.w
+        ybuf = self._scratch("bwd_reorder", (w, self.n_freq), rec.cdt)
+        tbuf = self._scratch("ifft_out", (w, 2 * self.nt), rec.rdt) if w < rec.cols else None
+        return _slabs(rec, ybuf, tbuf)
+
+    def _unpad_buffer(self, rec: SimpleNamespace) -> Any:
+        """The back half's own ``(Nt, cols)`` result buffer — asked for
+        only by an apply that cannot unpad into its caller's ``out``,
+        and only once the IFFT's output exists: asking earlier cost
+        glibc ~1000 more page faults per engine build."""
+        if rec.res is not None:
+            return rec.res
+        res = self._scratch("unpad", (self.nt, rec.cols), rec.udt)
+        if self.workspace is not None:
+            rec.res = res
+        return res
+
     def _front(
         self,
         v_in: np.ndarray,
         config: PrecisionConfig,
         adjoint: bool,
-        kernel: Callable[[Any, Operation, Precision], Any],
+        kernel: Callable[..., Any],
+        *kernel_args: Any,
     ) -> Any:
         """Phases 1-3 on a ``(Nt, nx, k)`` block; returns Phase 3's result.
 
@@ -813,10 +849,11 @@ class FFTMatvec:
         ``sbgemv``; the ``cast_fft`` cast (``sd...`` configs only) and
         the ``fwd_reorder`` arena tag; the forward Parseval check and the
         Phase-3 ABFT check, each behind its injection site and followed
-        by the guard.  ``kernel(panel, operation, precision)`` — the
-        Phase-3 kernel on the ``(n_freq, nx, k)`` panel — is the only
-        thing the entry points vary; it returns the ``(n_freq, ny, k)``
-        output panel, or a canonical-segment table on the grid front.
+        by the guard.  ``kernel(self, panel, rec, *kernel_args)`` — the
+        Phase-3 kernel (an unbound method) on the ``(n_freq, nx, k)``
+        panel — is the only thing the entry points vary; it returns the
+        ``(n_freq, ny, k)`` output panel, or a canonical-segment table
+        on the grid front.
 
         The k columns ride along as an extra inner dimension of the
         "space" axis: pad/FFT/reorder treat ``nx * k`` fused columns (the
@@ -832,74 +869,62 @@ class FFTMatvec:
         and the rest are copies: the bits are those of one whole-width
         pass, which is this loop with one slab.  The modeled device runs
         each phase as one full-width kernel; the first slab books it.
+
+        What the data does not decide comes from the prepared record
+        (:meth:`_prepared`); the loop runs kernels and, with a device or
+        an armed hook, their charges and checks.
         """
-        operation = Operation.C if adjoint else Operation.N
         nt, nx, k = v_in.shape
-        cols = nx * k
-        be, ws = self.backend, self.workspace
-        v2 = v_in.reshape(nt, cols)
-        rdt, cdt = real_dtype(config.fft), complex_dtype(config.fft)
-        w = self._slab_cols(cols, 2 * nt * rdt.itemsize)
-        plan = self._plan("fwd", config.fft, batch=cols)
-        # The input is double, so a double pad writes the FFT's tier
-        # directly: one rounding, the one "pad in double, then cast"
-        # would make.  Only a single pad feeding a double FFT needs a
-        # cast pass of its own (it must round before the up-cast); the
-        # other boundaries ride a pass that moves the data anyway, and
-        # ``cast_noop_count`` counts them.
-        pad_dt = rdt if config.pad is Precision.DOUBLE else real_dtype(config.pad)
-        xbuf = padded_buffer(w, nt, pad_dt, ws, be)
-        cbuf = self._scratch("cast_fft", (w, 2 * nt), rdt) if pad_dt != rdt else None
-        fbuf = self._scratch("fft_out", (w, self.n_freq), cdt) if w < cols else None
-        sdt = complex_dtype(config.sbgemv)
-        vhat = self._scratch("fwd_reorder", (self.n_freq, cols), sdt)
-        self.cast_noop_count += 2 if cbuf is None else 1
-        for c0 in range(0, cols, w):
-            n = min(w, cols - c0)
-            dev = self.device if c0 == 0 else None
+        rec = self._prepared((kernel, adjoint, config.code, nx * k), False, config, adjoint, nx, k)
+        slabs, panel = rec.bufs or self._front_buffers(rec)
+        be, ws, ctx, plan, armed = self.backend, self.workspace, self._ctx, rec.plan, self._armed
+        v2 = v_in.reshape(nt, rec.cols)
+        self.cast_noop_count += rec.noops
+        for first, sl, xbuf, cbuf, fbuf, vslab in slabs:
+            dev = self.device if first else None
             # Phase 1: broadcast (trivial single-device) + zero-pad, in
             # the phase's precision (cast fused into the kernel's writes).
-            with self._phase_ctx("pad"):
+            with ctx.pad:
                 x = pad_to_soti(
-                    v2[:, c0 : c0 + n],
+                    v2 if sl is None else v2[:, sl],
                     config.pad,
-                    out=xbuf[:n],
+                    out=xbuf,
                     backend=be,
                     validate=self._guard_on,
                     rank=self.rank_label,
                 )
-                charge_pad(dev, nt, cols, v2.dtype.itemsize, config.pad)
+                if dev is not None:
+                    charge_pad(dev, nt, rec.cols, v2.dtype.itemsize, config.pad)
             # Phase 2: batched forward FFT (batch = k * space).
-            with self._phase_ctx("fft"):
+            with ctx.fft:
                 if cbuf is not None:
-                    cbuf[:n] = x
-                    x = cbuf[:n]
+                    cbuf[...] = x
+                    x = cbuf
                 xhat = plan.execute(
-                    x,
-                    phase="fft" if c0 == 0 else None,
-                    workspace=ws,
-                    out=None if fbuf is None else fbuf[:n],
+                    x, phase="fft" if first else None, workspace=ws, out=fbuf
                 )
-                self._maybe_corrupt(xhat, "fft")
-                self._check_forward_energy(x, xhat, plan)
-                self._guard_check(xhat, "fft")
+                if armed:
+                    self._maybe_corrupt(xhat, "fft")
+                    self._check_forward_energy(x, xhat, plan)
+                    self._guard_check(xhat, "fft")
             # Reorder to frequency-outer layout, written at Phase 3's
             # precision: the value "reorder at the lower adjacent
             # precision, then cast" gives (a down-cast rounds once, an
             # up-cast is exact), without the second pass.
-            with self._phase_ctx("sbgemv"):
-                soti_to_tosi(xhat, backend=be, out=vhat[:, c0 : c0 + n])
-                charge_reorder(
-                    dev, "reorder_soti_to_tosi", self.n_freq * cols,
-                    cdt.itemsize, sdt.itemsize, "sbgemv",
-                )
+            with ctx.sbgemv:
+                soti_to_tosi(xhat, backend=be, out=vslab)
+                if dev is not None:
+                    charge_reorder(
+                        dev, "reorder_soti_to_tosi", self.n_freq * rec.cols,
+                        rec.cdt.itemsize, rec.sdt.itemsize, "sbgemv",
+                    )
 
-        with self._phase_ctx("sbgemv"):
-            panel = vhat.reshape(self.n_freq, nx, k)
-            yhat = kernel(panel, operation, config.sbgemv)
-            self._maybe_corrupt(yhat, "sbgemm")
-            self._check_gemm(panel, yhat, operation, config.sbgemv)
-            self._guard_check(yhat, "sbgemv")
+        with ctx.sbgemv:
+            yhat = kernel(self, panel, rec, *kernel_args)
+            if armed:
+                self._maybe_corrupt(yhat, "sbgemm")
+                self._check_gemm(panel, yhat, rec.operation, config.sbgemv)
+                self._guard_check(yhat, "sbgemv")
         return yhat
 
     def _back(
@@ -919,66 +944,67 @@ class FFTMatvec:
         ``unpad`` phases; the inverse Parseval check behind its
         injection site, followed by the guard.
 
-        Slab by slab like :meth:`_front`: a slab of the panel is
-        transposed into a ``(w, n_freq)`` ``bwd_reorder`` scratch,
-        inverse-transformed (unscaled in place) into a ``(w, 2*Nt)``
-        scratch and unpadded straight into its columns of the result, so
-        no full-width reorder, IFFT-input or IFFT-output buffer exists.
+        Slab by slab like :meth:`_front`, from a prepared record like
+        it: a slab of the panel is transposed into a ``(w, n_freq)``
+        ``bwd_reorder`` scratch, inverse-transformed (unscaled in place)
+        into a ``(w, 2*Nt)`` scratch and unpadded straight into its
+        columns of the result, so no full-width reorder, IFFT-input or
+        IFFT-output buffer exists.
         """
         ny = self.nm if adjoint else self.nd
         k = yhat.shape[2]
-        nt, cols = self.nt, ny * k
-        be, ws = self.backend, self.workspace
+        rec = self._prepared(("back", adjoint, config.code, ny * k), True, config, adjoint, ny, k)
+        slabs = rec.bufs or self._back_buffers(rec)
+        be, ws, ctx, plan, armed = self.backend, self.workspace, self._ctx, rec.plan, self._armed
+        nt, cols = self.nt, rec.cols
         y2 = yhat.reshape(self.n_freq, cols)
-        rdt, cdt = real_dtype(config.ifft), complex_dtype(config.ifft)
-        udt = real_dtype(config.unpad)
-        w = self._slab_cols(cols, 2 * nt * rdt.itemsize)
-        plan = self._plan("inv", config.ifft, batch=cols)
-        ybuf = self._scratch("bwd_reorder", (w, self.n_freq), cdt)
-        tbuf = self._scratch("ifft_out", (w, 2 * nt), rdt) if w < cols else None
         # A double-precision unpad on the host writes a contiguous
         # caller buffer directly; a device backend unpads on device and
         # transfers in _finalize.
-        direct = out is not None and be.name == "numpy" and udt == np.float64
-        res = out.reshape(nt, cols) if direct and out.flags["C_CONTIGUOUS"] else None
+        direct = (
+            out is not None
+            and rec.udt == np.float64
+            and be.name == "numpy"
+            and out.flags.c_contiguous
+        )
+        res = out.reshape(nt, cols) if direct else None
         self.cast_noop_count += 1
-        for c0 in range(0, cols, w):
-            n = min(w, cols - c0)
-            dev = self.device if c0 == 0 else None
-            with self._phase_ctx("sbgemv"):
-                ys = tosi_to_soti(y2[:, c0 : c0 + n], backend=be, out=ybuf[:n])
-                charge_reorder(
-                    dev, "reorder_tosi_to_soti", self.n_freq * cols,
-                    be.dtype_of(y2).itemsize, cdt.itemsize, "sbgemv",
-                )
+        for first, sl, ybuf, tbuf in slabs:
+            dev = self.device if first else None
+            with ctx.sbgemv:
+                ys = tosi_to_soti(y2 if sl is None else y2[:, sl], backend=be, out=ybuf)
+                if dev is not None:
+                    charge_reorder(
+                        dev, "reorder_tosi_to_soti", self.n_freq * cols,
+                        be.dtype_of(y2).itemsize, rec.cdt.itemsize, "sbgemv",
+                    )
             # Phase 4: batched inverse FFT, batch = k * space.
-            with self._phase_ctx("ifft"):
+            with ctx.ifft:
                 y = plan.inverse(
-                    ys,
-                    phase="ifft" if c0 == 0 else None,
-                    workspace=ws,
-                    out=None if tbuf is None else tbuf[:n],
+                    ys, phase="ifft" if first else None, workspace=ws, out=tbuf
                 )
-                self._maybe_corrupt(y, "ifft")
-                self._check_inverse_energy(ys, y, plan)
-                self._guard_check(y, "ifft")
+                if armed:
+                    self._maybe_corrupt(y, "ifft")
+                    self._check_inverse_energy(ys, y, plan)
+                    self._guard_check(y, "ifft")
             # Phase 5: unpad (+ reduction across the grid in the parallel
             # engine) in its precision; back to double in _finalize.
-            with self._phase_ctx("unpad"):
-                # Checked out once the IFFT's output exists: asking earlier
-                # cost glibc ~1000 more page faults per engine build.
+            with ctx.unpad:
                 if res is None:
-                    res = self._scratch("unpad", (nt, cols), udt)
+                    res = self._unpad_buffer(rec)
                 unpad_from_soti(
                     y,
                     nt,
                     config.unpad,
-                    out=res[:, c0 : c0 + n],
+                    out=res if sl is None else res[:, sl],
                     backend=be,
                     validate=self._guard_on,
                     rank=self.rank_label,
                 )
-                charge_unpad(dev, nt, cols, rdt.itemsize, udt.itemsize)
+                if dev is not None:
+                    charge_unpad(dev, nt, cols, rec.rdt.itemsize, rec.udt.itemsize)
+        if direct:
+            return out  # unpad already wrote the caller's buffer
         return self._finalize(res.reshape(nt, ny, k), out, detach=detach)
 
     def _pipeline(
@@ -999,9 +1025,8 @@ class FFTMatvec:
         fixed-tree kernel every blocked apply uses, so a lone column
         accumulates bitwise like the same column inside any block.
         """
-        kernel = (
-            self._run_sbgemm if self.reduction == "pairwise" else self._run_sbgemv_column
-        )
+        pairwise = self.reduction == "pairwise"
+        kernel = FFTMatvec._run_sbgemm if pairwise else FFTMatvec._run_sbgemv
         if out is None:
             out = host_empty((self.nt, self.nm if adjoint else self.nd), np.float64)
         with apply_scope(self.workspace):
@@ -1029,7 +1054,7 @@ class FFTMatvec:
         batched GEMV (:meth:`_run_sbgemv_panel`), making every column
         bitwise what the vector pipeline returns for it.
         """
-        kernel = self._run_sbgemv_panel if deterministic else self._run_sbgemm
+        kernel = FFTMatvec._run_sbgemv_panel if deterministic else FFTMatvec._run_sbgemm
         with apply_scope(self.workspace):
             yhat = self._front(v_in, config, adjoint, kernel)
             return self._back(yhat, config, adjoint, out, detach)
@@ -1048,11 +1073,9 @@ class FFTMatvec:
         fresh arrays (not arena buffers), safe to hold across this
         engine's next apply.
         """
-        kernel = functools.partial(
-            self._run_sbgemm_pairwise_segments, start=start, n_global=n_global
-        )
+        kernel = FFTMatvec._run_sbgemm_pairwise_segments
         with apply_scope(self.workspace):
-            return self._front(v_in, config, adjoint, kernel)
+            return self._front(v_in, config, adjoint, kernel, start, n_global)
 
     def _pipeline_block_finish(
         self,
@@ -1096,9 +1119,7 @@ class FFTMatvec:
         cfg = PrecisionConfig.parse(config)
         mm = self.matrix.check_input(m).astype(np.float64, copy=False)
         out = check_out_buffer(out, (self.nt, self.nd))
-        return self._timed(
-            lambda: self._pipeline(mm, cfg, adjoint=False, out=out), str(cfg)
-        )
+        return self._timed(cfg, None, self._pipeline, mm, cfg, False, out)
 
     def rmatvec(
         self,
@@ -1110,9 +1131,7 @@ class FFTMatvec:
         cfg = PrecisionConfig.parse(config)
         dd = self.matrix.check_output(d).astype(np.float64, copy=False)
         out = check_out_buffer(out, (self.nt, self.nm))
-        return self._timed(
-            lambda: self._pipeline(dd, cfg, adjoint=True, out=out), str(cfg)
-        )
+        return self._timed(cfg, None, self._pipeline, dd, cfg, True, out)
 
     # -- blocked multi-RHS API -------------------------------------------------
     def matmat(
@@ -1167,33 +1186,31 @@ class FFTMatvec:
         k = vv.shape[2]
         out = check_out_buffer(out, (self.nt, ny, k))
         res = self._timed(
-            lambda: self._pipeline_block(
-                vv, cfg, adjoint=adjoint, out=out, deterministic=deterministic
-            ),
-            f"{cfg}[k={k}{', det' if deterministic else ''}]",
-            k=k,
+            cfg, (k, deterministic), self._pipeline_block, vv, cfg, adjoint, out, True, deterministic
         )
         self.matmat_count += 1
         return res
 
-    def _timed(self, fn, label: str, k: int = 1) -> np.ndarray:
-        """Run one apply of ``k`` columns: ``matvec_count`` advances by
-        ``k`` and, with a device, ``last_timing`` gets the apply's
-        per-phase sim-clock breakdown."""
+    def _timed(self, cfg: PrecisionConfig, block, fn, *args) -> np.ndarray:
+        """Run one apply, ``fn(*args)``, of one column (``block`` None)
+        or a ``(k, deterministic)`` block: ``matvec_count`` advances by
+        the columns and, with a device, ``last_timing`` gets the apply's
+        per-phase sim-clock breakdown (and the label only it reads)."""
+        k, det = block or (1, False)
         if self.device is None:
             self.last_timing = None
-            out = fn()
+            out = fn(*args)
         else:
             clock = self.device.clock
             before = {p: clock.phase_total(p) for p in _PHASES}
-            out = fn()
+            out = fn(*args)
             self.last_timing = TimingReport(
                 phases={
                     p: clock.phase_total(p) - before[p]
                     for p in _PHASES
                     if clock.phase_total(p) - before[p] > 0
                 },
-                label=label,
+                label=f"{cfg}[k={k}{', det' if det else ''}]" if block else str(cfg),
             )
         self.matvec_count += k
         return out

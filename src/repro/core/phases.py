@@ -111,7 +111,9 @@ def pad_to_soti(
     the boundary.
     """
     be = backend if backend is not None else _NUMPY
-    a = be.asarray(v)
+    # A prepared ``out`` and an input of its kind (the engine's call):
+    # validation is attribute reads from here on, no conversion.
+    a = v if out is not None and v.__class__ is out.__class__ else be.asarray(v)
     if a.ndim != 2:
         raise ReproError(f"pad expects a 2-D (Nt, nx) block vector, got {a.shape}")
     if be.iscomplex(a):
@@ -119,7 +121,7 @@ def pad_to_soti(
     nt, nx = a.shape
     if out is None:
         out = padded_buffer(nx, nt, real_dtype(precision), workspace, be, tag=phase)
-    elif tuple(out.shape) != (nx, 2 * nt):
+    elif out.shape != (nx, 2 * nt):
         raise ReproError(
             f"pad out buffer must be {(nx, 2 * nt)}, got {tuple(out.shape)}"
         )
@@ -129,7 +131,8 @@ def pad_to_soti(
     transpose_into(out[:, :nt], a, be)
     if validate:
         _chk.ensure_finite(be.from_device(out), phase=phase, rank=rank, what="pad output")
-    charge_pad(device, nt, nx, be.dtype_of(a).itemsize, precision, phase)
+    if device is not None:
+        charge_pad(device, nt, nx, be.dtype_of(a).itemsize, precision, phase)
     return out
 
 
@@ -154,7 +157,7 @@ def unpad_from_soti(
     NaN/Inf exactly like :func:`pad_to_soti`.
     """
     be = backend if backend is not None else _NUMPY
-    a = be.asarray(v)
+    a = v if out is not None and v.__class__ is out.__class__ else be.asarray(v)
     if a.ndim != 2:
         raise ReproError(f"unpad expects a 2-D (nx, 2*Nt) vector, got {a.shape}")
     if a.shape[1] != 2 * nt:
@@ -163,7 +166,7 @@ def unpad_from_soti(
         )
     dt = real_dtype(precision)
     if out is not None:
-        if tuple(out.shape) != (nt, a.shape[0]) or be.dtype_of(out) != dt:
+        if out.shape != (nt, a.shape[0]) or be.dtype_of(out) != dt:
             raise ReproError(
                 f"unpad out buffer must be {(nt, a.shape[0])} {dt}, "
                 f"got {tuple(out.shape)} {be.dtype_of(out)}"
@@ -178,8 +181,9 @@ def unpad_from_soti(
         _chk.ensure_finite(
             be.from_device(out), phase=phase, rank=rank, what="unpad output"
         )
-    charge_unpad(
-        device, nt, a.shape[0], be.dtype_of(a).itemsize,
-        be.dtype_of(out).itemsize, phase,
-    )
+    if device is not None:
+        charge_unpad(
+            device, nt, a.shape[0], be.dtype_of(a).itemsize,
+            be.dtype_of(out).itemsize, phase,
+        )
     return out

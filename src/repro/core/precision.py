@@ -9,9 +9,10 @@ provides the configuration lattice used by the Pareto analysis.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Tuple, Union
+from typing import Dict, Iterator, Tuple, Union
 
 from repro.util.dtypes import Precision, lowest
 from repro.util.validation import ReproError
@@ -19,6 +20,9 @@ from repro.util.validation import ReproError
 __all__ = ["PHASE_NAMES", "PrecisionConfig"]
 
 PHASE_NAMES: Tuple[str, ...] = ("pad", "fft", "sbgemv", "ifft", "unpad")
+
+# The configs ``parse`` has built, by canonical string: at most 32.
+_PARSED: Dict[str, "PrecisionConfig"] = {}
 
 
 @dataclass(frozen=True)
@@ -34,9 +38,13 @@ class PrecisionConfig:
     # -- constructors -------------------------------------------------------
     @classmethod
     def parse(cls, spec: Union[str, "PrecisionConfig"]) -> "PrecisionConfig":
-        """Parse a 5-character string of ``d``/``s`` (e.g. ``"dssdd"``)."""
+        """Parse a 5-character string of ``d``/``s`` (e.g. ``"dssdd"``);
+        interned, so a loop passing ``"ddddd"`` pays one dict lookup."""
         if isinstance(spec, PrecisionConfig):
             return spec
+        hit = _PARSED.get(spec) if spec.__class__ is str else None
+        if hit is not None:
+            return hit
         s = str(spec).strip().lower()
         if len(s) != len(PHASE_NAMES):
             raise ReproError(
@@ -44,7 +52,7 @@ class PrecisionConfig:
                 f"(phases {PHASE_NAMES}), got {spec!r}"
             )
         try:
-            return cls(*(Precision.parse(c) for c in s))
+            return _PARSED.setdefault(s, cls(*(Precision.parse(c) for c in s)))
         except ValueError as exc:
             raise ReproError(f"invalid precision config {spec!r}: {exc}") from exc
 
@@ -74,8 +82,14 @@ class PrecisionConfig:
             raise ReproError(f"unknown phase {name!r}; phases are {PHASE_NAMES}")
         return getattr(self, name)
 
-    def __str__(self) -> str:
+    @functools.cached_property
+    def code(self) -> str:
+        """The 5-character string — a cheap dict key: a config itself
+        hashes through five Python-level ``Enum.__hash__`` calls."""
         return "".join(p.char for p in self.phases)
+
+    def __str__(self) -> str:
+        return self.code
 
     @property
     def is_all_double(self) -> bool:

@@ -138,11 +138,13 @@ def _reorder(
     out: Optional[Any],
 ) -> Any:
     be = backend if backend is not None else _NUMPY
-    a = be.asarray(v)
+    # The engine hands a prepared ``out`` and an array of its kind:
+    # everything below is then attribute reads, no conversion.
+    a = v if out is not None and v.__class__ is out.__class__ else be.asarray(v)
     if a.ndim != 2:
         raise ReproError(f"reorder expects a 2-D block vector, got ndim={a.ndim}")
     if out is not None:
-        if tuple(out.shape) != a.shape[::-1]:
+        if out.shape != a.shape[::-1]:
             raise ReproError(
                 f"reorder out buffer must be {a.shape[::-1]}, got {tuple(out.shape)}"
             )

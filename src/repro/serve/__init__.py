@@ -23,6 +23,7 @@ from repro.serve.cache import (
 )
 from repro.serve.service import (
     DeadlineExpiredError,
+    LatencyHistogram,
     ServeError,
     ServiceClosedError,
     ServiceOverloadedError,
@@ -37,6 +38,7 @@ __all__ = [
     "SolverService",
     "SolveOptions",
     "ServiceStats",
+    "LatencyHistogram",
     "EngineCache",
     "CacheStats",
     "engine_footprint",

@@ -43,16 +43,9 @@ from repro.core.operator import (
 )
 from repro.core.toeplitz import BlockTriangularToeplitz
 from repro.serve.cache import EngineCache
-from repro.serve.service import SolveOptions, SolverService
+from repro.serve.service import LatencyHistogram, SolveOptions, SolverService
 
 __all__ = ["run_serving_benchmark"]
-
-
-def _percentile_ms(latencies: Sequence[float], q: float) -> float:
-    """A latency percentile in milliseconds (NaN when empty)."""
-    if not latencies:
-        return float("nan")
-    return float(np.percentile(np.asarray(latencies), q) * 1e3)
 
 
 def _make_trace(
@@ -160,12 +153,13 @@ def _run_one(
 
     results, wall = asyncio.run(main())
     stats = service.stats()
+    latency = stats.latency.get("all", LatencyHistogram())
     summary: Dict[str, object] = {
         "completed": stats.completed,
         "throughput_rps": stats.completed / wall if wall > 0 else float("nan"),
         "wall_s": wall,
-        "p50_ms": _percentile_ms(stats.latencies_s, 50),
-        "p99_ms": _percentile_ms(stats.latencies_s, 99),
+        "p50_ms": latency.percentile(50) * 1e3,
+        "p99_ms": latency.percentile(99) * 1e3,
         "engine_passes": stats.flushes,
         "mean_batch": stats.mean_batch,
         "max_batch": stats.max_batch,

@@ -71,6 +71,7 @@ class Precision(enum.Enum):
 
 _REAL = {Precision.SINGLE: np.dtype(np.float32), Precision.DOUBLE: np.dtype(np.float64)}
 _COMPLEX = {Precision.SINGLE: np.dtype(np.complex64), Precision.DOUBLE: np.dtype(np.complex128)}
+_F64, _C128 = _REAL[Precision.DOUBLE], _COMPLEX[Precision.DOUBLE]
 _EPS = {
     Precision.SINGLE: float(np.finfo(np.float32).eps),
     Precision.DOUBLE: float(np.finfo(np.float64).eps),
@@ -79,11 +80,16 @@ _EPS = {
 
 def real_dtype(prec: Precision) -> np.dtype:
     """Real NumPy dtype for a precision (float32 or float64)."""
+    # Identity first: an enum member hashes through Python-level code.
+    if prec is Precision.DOUBLE:
+        return _F64
     return _REAL[Precision.parse(prec)]
 
 
 def complex_dtype(prec: Precision) -> np.dtype:
     """Complex NumPy dtype for a precision (complex64 or complex128)."""
+    if prec is Precision.DOUBLE:
+        return _C128
     return _COMPLEX[Precision.parse(prec)]
 
 

@@ -24,9 +24,8 @@ plus setup/total/cleanup lines, averaged over repetitions.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from repro.util.validation import ReproError
 
@@ -63,6 +62,21 @@ class HostModel:
     @property
     def per_vector(self) -> float:
         return self.gen_time + self.save_time
+
+
+class _PhaseScope:
+    """``with clock.phase(name)``: push the name, pop it on the way out."""
+
+    __slots__ = ("stack", "name")
+
+    def __init__(self, stack: List[str], name: str) -> None:
+        self.stack, self.name = stack, name
+
+    def __enter__(self) -> None:
+        self.stack.append(self.name)
+
+    def __exit__(self, *exc) -> None:
+        self.stack.pop()
 
 
 class SimClock:
@@ -117,14 +131,10 @@ class SimClock:
         if when > self._now:
             self._now = when
 
-    @contextlib.contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Attribute all clock advances inside the block to ``name``."""
-        self._phase_stack.append(name)
-        try:
-            yield
-        finally:
-            self._phase_stack.pop()
+    def phase(self, name: str) -> "_PhaseScope":
+        """Attribute all clock advances inside the block to ``name``
+        (a reusable context manager: the state is the clock's stack)."""
+        return _PhaseScope(self._phase_stack, name)
 
     def phase_total(self, name: str) -> float:
         """Accumulated seconds attributed to a phase (0.0 if never seen)."""

@@ -46,10 +46,9 @@ keep concurrent tenants safe.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -123,6 +122,9 @@ class Workspace:
         self.apply_epoch = 0
         self._in_use = False
         self._released = False
+        # Called by release(): whoever keeps arena buffers across applies
+        # (an engine's prepared-apply records) drops them here.
+        self.release_hooks: List[Callable[[], Any]] = []
 
     # -- keying / growth -----------------------------------------------------
     @staticmethod
@@ -256,6 +258,8 @@ class Workspace:
             return
         for alloc in self._registered:
             self.allocator.free(alloc)  # type: ignore[union-attr]
+        for hook in self.release_hooks:
+            hook()
         self._registered.clear()
         self._registered_bytes = 0
         self._pools.clear()
@@ -270,19 +274,24 @@ class Workspace:
         )
 
 
-@contextlib.contextmanager
-def apply_scope(ws: Optional[Workspace]) -> Iterator[None]:
+class apply_scope:
     """Bracket one engine apply in the arena's re-entrancy guard.
 
     No-op without a workspace; otherwise cursors reset at the apply
     boundary and a second apply interleaving on the same arena raises
-    :class:`ReproError` instead of aliasing checkout slots.
+    :class:`ReproError` instead of aliasing checkout slots.  A class,
+    not a generator: it opens every apply, small ones included.
     """
-    if ws is None:
-        yield
-        return
-    ws.begin_apply()
-    try:
-        yield
-    finally:
-        ws.end_apply()
+
+    __slots__ = ("ws",)
+
+    def __init__(self, ws: Optional[Workspace]) -> None:
+        self.ws = ws
+
+    def __enter__(self) -> None:
+        if self.ws is not None:
+            self.ws.begin_apply()
+
+    def __exit__(self, *exc) -> None:
+        if self.ws is not None:
+            self.ws.end_apply()

@@ -25,6 +25,7 @@ record and counter equal, and a smaller arena.
 from __future__ import annotations
 
 import contextlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from repro.core.precision import PrecisionConfig
 from repro.core.reorder import soti_to_tosi, tosi_to_soti
 from repro.fft.plan import FFTPlan, FFTType
 from repro.gpu.device import SimulatedDevice
-from repro.comm.fault import CorruptionSchedule
+from repro.comm.fault import CorruptionSchedule, SilentCorruption
 from repro.util.dtypes import complex_dtype, real_dtype
 from repro.util.workspace import Workspace, apply_scope
 
@@ -75,7 +76,7 @@ def unfused_apply(ref: FFTMatvec, v_in: np.ndarray, config: str, adjoint: bool):
     block = v_in[:, :, None] if vector else v_in
     nt, nx, k = block.shape
     ny = ref.nm if adjoint else ref.nd
-    kernel = ref._run_sbgemv_column if vector else ref._run_sbgemm
+    kernel = ref._run_sbgemv if vector else ref._run_sbgemm
 
     def phase(name):
         return dev.clock.phase(name) if dev is not None else contextlib.nullcontext()
@@ -94,7 +95,10 @@ def unfused_apply(ref: FFTMatvec, v_in: np.ndarray, config: str, adjoint: bool):
                 xhat, precision=cfg.reorder_precision("fft", "sbgemv"), device=dev,
                 phase="sbgemv", workspace=ws, tag="oracle_fwd_reorder",
             ).astype(complex_dtype(cfg.sbgemv))
-            yhat = kernel(vhat.reshape(ref.n_freq, nx, k), op, cfg.sbgemv)
+            # The kernels read their Phase-3 parameters off a front
+            # record; a bare one makes them prepare their own operands.
+            rec = SimpleNamespace(operation=op, precision=cfg.sbgemv, p3=None)
+            yhat = kernel(vhat.reshape(ref.n_freq, nx, k), rec)
             yhat = tosi_to_soti(
                 yhat.reshape(ref.n_freq, ny * k),
                 precision=cfg.reorder_precision("sbgemv", "ifft"), device=dev,
@@ -241,7 +245,7 @@ def _observe(eng: FFTMatvec, problem, config: str):
         "clock": dev.clock.phase_totals() if dev is not None else None,
         "cast_noops": eng.cast_noop_count,
         "applies": (eng.matvec_count, eng.matmat_count),
-        "executions": {key: plan.executions for key, plan in eng._plans.items()},
+        "executions": {key: rec.plan.executions for key, rec in eng._plans.items()},
     }
 
 
@@ -319,3 +323,141 @@ def test_hooks_keep_whole_buffers(slab_problem, slab_bytes, hook):
     assert shapes["pad"] == {(nm * k, 2 * nt), (nd * k, 2 * nt)}
     assert shapes["bwd_reorder"] == {(nd * k, nt + 1), (nm * k, nt + 1)}
     assert shapes["fwd_reorder"] == {(nt + 1, nm * k), (nt + 1, nd * k)}
+
+
+# -- the prepared apply: a record hit shows nothing a miss does not -----------------
+# ``_front`` / ``_back`` resolve dtypes, plan, arena buffers and views once
+# per (kernel, direction, config, width) and keep the record in the plan
+# LRU.  An engine whose cache holds one record never hits (every half of
+# every apply prepares anew — the pre-record engine's per-apply work), so
+# it is the oracle: outputs, simulated seconds, launches, counters and the
+# arena must not tell the two apart, on the first apply or the twentieth.
+RECORD_CONFIGS = ["ddddd", "dssdd", "sdddd", "dddds", "sssss", "sdsds"]
+RECORD_KS = (1, 3, 8)
+# Arena (bytes, buffers) after the call list, device off / on, measured on
+# the commit before records existed: same tags, same shapes, no new buffer.
+RECORD_ARENA = {
+    "ddddd": ((177296, 42), (189568, 60)),
+    "dssdd": ((110536, 42), (116672, 60)),
+    "sdddd": ((191120, 48), (203392, 66)),
+    "dddds": ((178448, 45), (190720, 63)),
+    "sssss": ((96712, 45), (102848, 63)),
+    "sdsds": ((139336, 51), (145472, 69)),
+}
+
+
+def _record_pass(eng: FFTMatvec, problem, config: str):
+    """Every entry point, caller ``out`` / detached / undetached, F and
+    F*, fast and deterministic, at each width: ``(result, timing,
+    launches)`` per call."""
+    cfg = PrecisionConfig.parse(config)
+    nt, nd, nm = eng.nt, eng.nd, eng.nm
+    M, D = problem["matmat8"], problem["rmatmat8"]
+    calls = [
+        lambda: eng.matvec(problem["matvec"], config=config),
+        lambda: eng.matvec(problem["matvec"], config=cfg, out=np.empty((nt, nd))),
+        lambda: eng.rmatvec(problem["rmatvec"], config=config),
+    ]
+    for k in RECORD_KS:
+        calls += [
+            lambda k=k: eng.matmat(M[:, :, :k], config=config),
+            lambda k=k: eng.matmat(M[:, :, :k], config=config, out=np.empty((nt, nd, k))),
+            lambda k=k: eng.matmat(M[:, :, :k], config=config, deterministic=True),
+            lambda k=k: eng.rmatmat(D[:, :, :k], config=config),
+            lambda k=k: eng.rmatmat(D[:, :, :k], config=config, deterministic=True),
+            lambda k=k: np.array(eng._pipeline_block(D[:, :, :k], cfg, True, detach=False)),
+        ]
+    seen = []
+    for call in calls:
+        mark = len(eng.device.launch_log) if eng.device is not None else 0
+        got = call()
+        timing = eng.last_timing.phases if eng.last_timing is not None else None
+        launches = eng.device.launch_log[mark:] if eng.device is not None else None
+        seen.append((got, timing, launches))
+    return seen
+
+
+@pytest.fixture(scope="module")
+def record_problem(problem):
+    rng = np.random.default_rng(20261003)
+    return dict(
+        problem,
+        matmat8=rng.standard_normal((NT, NM, max(RECORD_KS))),
+        rmatmat8=rng.standard_normal((NT, ND, max(RECORD_KS))),
+    )
+
+
+@pytest.mark.parametrize("config", RECORD_CONFIGS)
+@pytest.mark.parametrize("device", [False, True], ids=["dev=off", "dev=on"])
+def test_record_hit_equals_record_miss(record_problem, device, config):
+    hit = build(record_problem["blocks"], workspace=True, device=device)
+    miss = build(record_problem["blocks"], workspace=True, device=device)
+    miss.plan_cache_size = 1
+    bare = build(record_problem["blocks"], workspace=False, device=device)
+    first = _record_pass(hit, record_problem, config)
+    allocs, n_records = hit.workspace.alloc_count, len(hit._plans)
+    for _ in range(18):
+        _record_pass(hit, record_problem, config)
+    passes = {
+        "first": first,
+        "twentieth": _record_pass(hit, record_problem, config),
+        "fresh": _record_pass(build(record_problem["blocks"], True, device), record_problem, config),
+        "no arena": _record_pass(bare, record_problem, config),
+    }
+    for _ in range(20):
+        passes["never hits"] = _record_pass(miss, record_problem, config)
+    for name, seen in passes.items():
+        for i, ((a, ta, la), (b, tb, lb)) in enumerate(zip(seen, first)):
+            assert a.dtype == np.float64 and np.array_equal(a, b), (name, i)
+            # A timing is a difference of running phase totals: equal to
+            # the last bits only at equal totals (checked below).
+            assert ta == (tb and pytest.approx(tb, rel=1e-9)) and la == lb, (name, i)
+
+    # Twenty passes, no arena growth, no new record, nothing evicted ...
+    assert hit.workspace.alloc_count == allocs and len(hit._plans) == n_records
+    assert hit.plan_evictions == 0 < miss.plan_evictions
+    assert len(miss._plans) == 1
+    # ... on the arena the engine had before it kept records.
+    for eng in (hit, miss):
+        stats = eng.workspace.stats()
+        assert (stats.nbytes, stats.buffers) == RECORD_ARENA[config][device]
+    # Counters advance per apply whether a record was hit or built: one
+    # forward and one inverse execution, neither staged.
+    applies = 20 * len(first)
+    assert hit.cast_noop_count == miss.cast_noop_count == 20 * bare.cast_noop_count
+    plans = [rec.plan for rec in hit._plans.values()]
+    assert sum(p.executions for p in plans) == 2 * applies
+    assert sum(p.stage_noops for p in plans) == 2 * applies
+    assert sum(p.stage_copies for p in plans) == 0
+    assert (hit.matvec_count, hit.matmat_count) == (miss.matvec_count, miss.matmat_count)
+    if device:
+        assert hit.device.stats == miss.device.stats
+        assert hit.last_timing.phases == miss.last_timing.phases
+        assert hit.device.launch_log == miss.device.launch_log
+        assert hit.device.clock.phase_totals() == miss.device.clock.phase_totals()
+
+
+def test_arming_and_disarming_take_effect_on_the_next_apply(slab_problem, slab_bytes):
+    """Records are dropped when the set of armed hooks changes: the very
+    next apply runs whole buffers with every check armed, and disarming
+    brings the slabs back."""
+    slab_bytes(2240)
+    nt, nd, nm = SLAB_SHAPE
+    eng = build(slab_problem["blocks"], workspace=True, device=False)
+    M = slab_problem["matmat"]
+    want = eng.matmat(M)
+    assert np.array_equal(eng.matmat(M), want)
+    assert all(rec.w < rec.cols for rec in eng._plans.values())  # warm, slabbed
+
+    eng.install_corruption_schedule(CorruptionSchedule([(0, 0)]))  # next event: the FFT
+    assert not eng._plans
+    with pytest.raises(SilentCorruption):
+        eng.matmat(M)
+    assert np.array_equal(eng.matmat(M), want)  # the flip is spent; checks stay armed
+    assert eng.sdc_checks == 3
+    assert all(rec.w == rec.cols for rec in eng._plans.values())
+
+    eng.install_corruption_schedule(None)
+    assert np.array_equal(eng.matmat(M), want)
+    assert eng.sdc_checks == 3
+    assert all(rec.w < rec.cols for rec in eng._plans.values())

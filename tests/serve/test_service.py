@@ -17,6 +17,7 @@ from repro.core.operator import (
 from repro.serve import (
     DeadlineExpiredError,
     EngineCache,
+    LatencyHistogram,
     ServiceClosedError,
     ServiceOverloadedError,
     SolveOptions,
@@ -373,5 +374,51 @@ class TestWeightedFairness:
             assert [r.seq for r in take] == [1, 2, 3]
             assert not group
             await service.close()
+
+        asyncio.run(main())
+
+
+class TestLatencyHistogram:
+    """``ServiceStats.latency``: bounded however long the service runs."""
+
+    def test_constant_size_and_percentiles_within_a_bucket(self):
+        rng = np.random.default_rng(20261006)
+        # 1e5 latencies over five decades (30 us ... 3 s), heavy-tailed.
+        samples = np.exp(rng.normal(np.log(4e-3), 1.7, size=100_000)).clip(3e-5, 3.0)
+        hist = LatencyHistogram()
+        size = len(hist.counts)
+        for s in samples:
+            hist.add(float(s))
+        assert len(hist.counts) == size == LatencyHistogram.BUCKETS
+        assert hist.count == sum(hist.counts) == samples.size
+        assert hist.sum == pytest.approx(samples.sum(), rel=1e-9)
+        assert (hist.min, hist.max) == (samples.min(), samples.max())
+        for q in (1, 25, 50, 90, 99, 99.9, 100):
+            exact = float(np.percentile(samples, q))
+            assert hist.percentile(q) == pytest.approx(exact, rel=LatencyHistogram.WIDTH), q
+        assert np.isnan(LatencyHistogram().percentile(50))
+
+    def test_out_of_range_latencies_clamp_to_the_end_buckets(self):
+        hist = LatencyHistogram()
+        for s in (0.0, 1e-9, 1e7):
+            hist.add(s)
+        assert hist.counts[0] == 2 and hist.counts[-1] == 1
+        first_edge = LatencyHistogram.FLOOR_S * (1.0 + LatencyHistogram.WIDTH)
+        assert hist.percentile(50) == pytest.approx(first_edge)
+        assert hist.percentile(100) == 1e7  # clipped to the observed range
+
+    def test_service_records_per_kind_and_overall(self):
+        async def main():
+            service, handle = make_service(window=0.0)
+            async with service:
+                m = np.ones((NT, NM))
+                for _ in range(3):
+                    await service.matvec(handle, m)
+                await service.rmatvec(handle, np.ones((NT, ND)))
+            latency = service.stats().latency
+            assert {k: h.count for k, h in latency.items()} == {
+                "matvec": 3, "rmatvec": 1, "all": 4,
+            }
+            assert 0 < latency["all"].min <= latency["all"].percentile(50) <= latency["all"].max
 
         asyncio.run(main())

@@ -1,0 +1,82 @@
+"""Perf guard that cannot flake: Python-level calls per warm apply.
+
+A k = 1 apply of the (64, 24, 96) engine is ~185 us of numpy kernels;
+what the interpreter adds on top is proportional to the number of
+Python-level calls the apply makes, and that number — unlike a wall
+clock — is the same on every run of every machine.  Before the prepared
+apply (``FFTMatvec._prepared``) a warm ``matvec`` made 325 of them (353
+when the config arrives as a string); it now makes under a hundred.  The
+bound leaves room for a numpy or scipy release that adds a dispatcher
+hop, not for per-apply bookkeeping to grow back.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import numpy as np
+import pytest
+
+from repro.core.matvec import FFTMatvec
+
+SHAPE = (64, 24, 96)  # the solve_small operator
+VECTOR_BUDGET = 130  # before: 316-376, now 94-109
+BLOCK_BUDGET = 140  # k = 8 matmat / rmatmat, before: 330-387, now 111-129
+
+
+def calls_per_apply(apply, *args, reps: int = 5, **kwargs) -> float:
+    """``call`` + ``c_call`` profile events per ``apply(*args, **kwargs)``."""
+    events = [0]
+
+    def count(frame, event, arg):
+        if event in ("call", "c_call"):
+            events[0] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        for _ in range(reps):
+            apply(*args, **kwargs)
+    finally:
+        sys.setprofile(previous)
+    return (events[0] - 1) / reps  # minus the closing setprofile() itself
+
+
+@pytest.fixture(scope="module")
+def warm():
+    rng = np.random.default_rng(20261004)
+    nt, nd, nm = SHAPE
+    eng = FFTMatvec(rng.standard_normal(SHAPE), workspace=True, backend="numpy")
+    vectors = {
+        "matvec": rng.standard_normal((nt, nm)),
+        "rmatvec": rng.standard_normal((nt, nd)),
+        "matmat": rng.standard_normal((nt, nm, 8)),
+        "rmatmat": rng.standard_normal((nt, nd, 8)),
+    }
+    for config in ("ddddd", "dssdd"):
+        for name, v in vectors.items():
+            for _ in range(2):
+                getattr(eng, name)(v, config=config)
+    return eng, vectors
+
+
+@pytest.mark.parametrize("config", ["ddddd", "dssdd"])
+@pytest.mark.parametrize("name", ["matvec", "rmatvec", "matmat", "rmatmat"])
+def test_warm_apply_stays_within_its_call_budget(warm, name, config):
+    eng, vectors = warm
+    assert eng.device is None and eng.workspace is not None
+    allocs = eng.workspace.alloc_count
+    n = calls_per_apply(getattr(eng, name), vectors[name], config=config)
+    assert n <= (BLOCK_BUDGET if name.endswith("mat") else VECTOR_BUDGET), n
+    assert eng.workspace.alloc_count == allocs  # warm: nothing was prepared
+
+
+def test_the_count_sees_per_apply_bookkeeping():
+    """The guard has teeth: an engine that prepares every half of every
+    apply anew (a one-record cache) is over the budget."""
+    rng = np.random.default_rng(20261005)
+    eng = FFTMatvec(rng.standard_normal((16, 4, 6)), workspace=True, backend="numpy")
+    eng.plan_cache_size = 1
+    m = rng.standard_normal((16, 6))
+    eng.matvec(m)
+    assert calls_per_apply(eng.matvec, m) > VECTOR_BUDGET

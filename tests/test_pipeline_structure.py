@@ -7,9 +7,11 @@ loop.  They are now one front/back pair and one chunk loop; this test
 walks the AST and fails when a copy grows back — a second call site of
 a phase kernel or of its simulated-clock charge, a phase kernel outside
 the front/back slab loops, a second collective loop, a rank loop beside
-``_rank_compute`` (the one place that may run ranks concurrently), or a
+``_rank_compute`` (the one place that may run ranks concurrently), a
 hand-rolled ``begin_apply()`` bracket beside
-:func:`repro.util.workspace.apply_scope`.
+:func:`repro.util.workspace.apply_scope`, or per-apply derivation
+(dtype and plan lookups, arena checkouts) inside a half: what the data
+does not decide is resolved once, by ``FFTMatvec._prepared``.
 """
 
 from __future__ import annotations
@@ -99,6 +101,29 @@ def test_forward_fft_runs_in_the_front_half_only():
     tree = _module("matvec.py")
     assert len(_calls(_slab_loop("_front"), "execute")) == 1
     assert len(_calls(tree, "execute")) == 2, _calls(tree, "execute")
+
+
+# What a half may not do per apply: it reads these off its prepared record.
+PER_APPLY_DERIVATION = (
+    "parse", "real_dtype", "complex_dtype", "_plan", "FFTPlan", "_slab_cols",
+    "checkout", "checkout_fresh", "_scratch", "padded_buffer", "spectrum",
+)
+
+
+@pytest.mark.parametrize("half", ["_front", "_back"])
+def test_halves_prepare_outside_the_loop_and_derive_nothing(half):
+    method = _method(_module("matvec.py"), "FFTMatvec", half)
+    prepared = _calls(method, "_prepared")
+    assert len(prepared) == 1, f"FFTMatvec.{half} looks its record up once"
+    assert _calls(_slab_loop(half), "_prepared") == []
+    for name in PER_APPLY_DERIVATION:
+        assert _calls(method, name) == [], (
+            f"FFTMatvec.{half} calls {name}() per apply; resolve it in _prepared"
+        )
+    # The buffers without an arena (fresh per apply) come from one helper
+    # call ahead of the loop, never from inside it.
+    buffers = _calls(method, f"{half}_buffers")
+    assert len(buffers) == 1 and _calls(_slab_loop(half), f"{half}_buffers") == []
 
 
 def test_engine_hands_the_layer_functions_no_device():

@@ -350,6 +350,48 @@ class TestApplyScopeGuard:
         # The arena recovers once the scope closes.
         assert eng.matvec(m).shape == (NT, ND)
 
+    def test_guard_fires_on_a_warm_engine_too(self, matrix, rng):
+        """A prepared record skips the checkouts, never the bracket."""
+        eng = FFTMatvec(matrix, workspace=True)
+        m = rng.standard_normal((NT, NM))
+        want = eng.matvec(m)
+        eng.matvec(m)
+        eng.workspace.begin_apply()
+        with pytest.raises(ReproError, match="mid-apply"):
+            eng.matvec(m)
+        eng.workspace.end_apply()
+        assert np.array_equal(eng.matvec(m), want)
+
+    def test_release_drops_the_engines_records(self, matrix, rng):
+        """Records hold arena buffers; none outlives the arena, and the
+        apply after a release fails as loudly as it always did."""
+        eng = FFTMatvec(matrix, workspace=True)
+        m, D = rng.standard_normal((NT, NM)), rng.standard_normal((NT, ND, 3))
+        for _ in range(3):
+            eng.matvec(m), eng.rmatmat(D)
+        assert len(eng._plans) == 4 and eng.workspace.nbytes > 0
+        eng.workspace.release()
+        assert not eng._plans and eng.workspace.nbytes == 0
+        for apply, v in ((eng.matvec, m), (eng.rmatmat, D)):
+            with pytest.raises(ReproError, match="released"):
+                apply(v)
+        assert not eng._plans
+
+    def test_records_share_the_plan_lru_bound(self, matrix, rng):
+        eng = FFTMatvec(matrix, workspace=True)
+        eng.plan_cache_size = 4
+        M = rng.standard_normal((NT, NM, 40))
+        want = FFTMatvec(matrix).matmat(M, deterministic=True)  # column by column
+        for k in range(1, 41):
+            got = eng.matmat(M[:, :, :k], deterministic=True)
+            assert np.array_equal(got, want[:, :, :k])
+            assert len(eng._plans) <= 4
+        assert eng.plan_evictions == 2 * 40 - 4
+        allocs = eng.workspace.alloc_count
+        for k in range(1, 41):  # evicted records come back on the same buffers
+            eng.matmat(M[:, :, :k], deterministic=True)
+        assert eng.workspace.alloc_count == allocs
+
     def test_engine_closes_scope_after_each_apply(self, matrix, rng):
         eng = FFTMatvec(matrix, workspace=True)
         eng.matvec(rng.standard_normal((NT, NM)))
