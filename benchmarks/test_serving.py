@@ -49,6 +49,7 @@ class TestServingBench:
 
         # Schema spot checks (documented in docs/BENCHMARKS.md).
         assert artifact["bench"] == "serving"
+        assert "window_s" not in artifact  # no batching timer to report
         assert artifact["shape"] == {"nt": NT, "nd": ND, "nm": NM}
         assert len(artifact["rates"]) == len(RATES)
         for row in artifact["rates"]:
@@ -57,6 +58,8 @@ class TestServingBench:
                 assert stats["completed"] == N_REQUESTS
                 assert stats["rejected"] == 0
                 assert stats["throughput_rps"] > 0
+                # Where the median went: waiting for the engine, and on it.
+                assert stats["queue_wait_p50_ms"] > 0 and stats["exec_p50_ms"] > 0
             coalesced = row["coalesced"]
             # Coalescing must be invisible in the results: applies
             # bitwise, solves within the (slack-adjusted) CG tolerance.

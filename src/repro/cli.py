@@ -18,9 +18,8 @@ Flags follow the artifact appendix:
   ``REPRO_BACKEND`` environment variable, else the auto fallback chain);
 * ``--serve-bench`` — run the multi-tenant serving benchmark (coalesced
   vs serve-one; see ``docs/SERVING.md``) with ``--rates``,
-  ``--requests``, ``--tenants``, ``--window-ms``, ``--budget-mb`` and
-  ``--block-k`` knobs, reusing ``-nm/-nd/-Nt/-prec/-seed`` for the
-  operator.
+  ``--requests``, ``--tenants``, ``--budget-mb`` and ``--block-k``
+  knobs, reusing ``-nm/-nd/-Nt/-prec/-seed`` for the operator.
 
 Timing output format matches the original: three lines of
 setup/total/cleanup, then per-phase times, for the F matvec and then the
@@ -123,12 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --serve-bench: number of tenants in the trace",
     )
     p.add_argument(
-        "--window-ms",
-        type=float,
-        default=2.0,
-        help="with --serve-bench: micro-batch window (milliseconds)",
-    )
-    p.add_argument(
         "--budget-mb",
         type=float,
         default=128.0,
@@ -166,11 +159,8 @@ def _serve_bench_mode(args) -> int:
         if v <= 0:
             print(f"error: {name} must be positive", file=sys.stderr)
             return 2
-    if args.window_ms < 0 or args.budget_mb <= 0:
-        print(
-            "error: --window-ms must be >= 0 and --budget-mb > 0",
-            file=sys.stderr,
-        )
+    if args.budget_mb <= 0:
+        print("error: --budget-mb must be > 0", file=sys.stderr)
         return 2
 
     artifact = run_serving_benchmark(
@@ -181,7 +171,6 @@ def _serve_bench_mode(args) -> int:
         n_requests=args.requests,
         tenants=args.tenants,
         max_block_k=args.block_k,
-        window=args.window_ms / 1e3,
         budget_mb=args.budget_mb,
         config=args.prec,
         seed=args.seed,
@@ -189,11 +178,11 @@ def _serve_bench_mode(args) -> int:
     print(
         f"serving bench  Nm={args.nm} Nd={args.nd} Nt={args.nt} "
         f"prec={args.prec}  tenants={args.tenants} "
-        f"block_k={args.block_k} window={args.window_ms:g}ms"
+        f"block_k={args.block_k}"
     )
     header = (
         f"{'rate':>8} {'mode':>10} {'thr r/s':>9} {'p50 ms':>8} "
-        f"{'p99 ms':>8} {'batch':>6} {'speedup':>8}"
+        f"{'p99 ms':>8} {'wait ms':>8} {'exec ms':>8} {'batch':>6} {'speedup':>8}"
     )
     print(header)
     for row in artifact["rates"]:
@@ -203,7 +192,8 @@ def _serve_bench_mode(args) -> int:
             print(
                 f"{row['rate_rps']:>8.0f} {mode:>10} "
                 f"{stats['throughput_rps']:>9.1f} {stats['p50_ms']:>8.2f} "
-                f"{stats['p99_ms']:>8.2f} {stats['mean_batch']:>6.1f} "
+                f"{stats['p99_ms']:>8.2f} {stats['queue_wait_p50_ms']:>8.2f} "
+                f"{stats['exec_p50_ms']:>8.2f} {stats['mean_batch']:>6.1f} "
                 f"{speed:>8}"
             )
         coalesced = row["coalesced"]

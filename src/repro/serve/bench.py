@@ -7,16 +7,17 @@ solve requests with exponential inter-arrival gaps is driven through
 two :class:`~repro.serve.service.SolverService` instances over
 identical request traces —
 
-* **coalesced** — the real service (``max_block_k > 1``, micro-batch
-  window): concurrent applies on one operator share blocked
-  deterministic pipeline passes, and concurrent solves run as one block
-  CG (one blocked Hessian pass per iteration for all k systems);
+* **coalesced** — the real service (``max_block_k > 1``): applies on
+  one operator that are queued when the engine frees share a blocked
+  deterministic pipeline pass, and queued solves run as one block CG
+  (one blocked Hessian pass per iteration for all k systems);
 * **serve-one** — the same service with ``max_block_k=1``: every
   request pays a full five-phase pass (every solve its own CG), same
   asyncio/executor overhead.
 
 Each run reports wall-clock throughput (completed requests/s), latency
-percentiles (p50/p99 from submit to result), mean flush width, and two
+percentiles (p50/p99 from submit to result) and where the median went
+(submit to pass start, and the pass), mean flush width, and two
 correctness gates: every coalesced matvec/rmatvec result is compared
 **bitwise** against a sequential reference engine apply (coalescing
 applies must be invisible), and every solve's normal-equations relative
@@ -133,7 +134,6 @@ def _run_one(
     trace: List[Tuple[str, str, np.ndarray, float]],
     config: str,
     max_block_k: int,
-    window: float,
     budget_bytes: int,
 ) -> Tuple[Dict[str, object], List[Optional[np.ndarray]], EngineCache]:
     """Drive one service instance over the trace; summarize its stats."""
@@ -141,7 +141,6 @@ def _run_one(
     service = SolverService(
         cache,
         max_block_k=max_block_k,
-        window=window,
         max_pending=len(trace) + 1,
         deterministic=True,
     )
@@ -153,13 +152,18 @@ def _run_one(
 
     results, wall = asyncio.run(main())
     stats = service.stats()
-    latency = stats.latency.get("all", LatencyHistogram())
+    latency, queue_wait, in_pass = (
+        hists.get("all", LatencyHistogram())
+        for hists in (stats.latency, stats.queue_wait, stats.exec)
+    )
     summary: Dict[str, object] = {
         "completed": stats.completed,
         "throughput_rps": stats.completed / wall if wall > 0 else float("nan"),
         "wall_s": wall,
         "p50_ms": latency.percentile(50) * 1e3,
         "p99_ms": latency.percentile(99) * 1e3,
+        "queue_wait_p50_ms": queue_wait.percentile(50) * 1e3,
+        "exec_p50_ms": in_pass.percentile(50) * 1e3,
         "engine_passes": stats.flushes,
         "mean_batch": stats.mean_batch,
         "max_batch": stats.max_batch,
@@ -177,7 +181,6 @@ def run_serving_benchmark(
     n_requests: int = 240,
     tenants: int = 4,
     max_block_k: int = 16,
-    window: float = 0.002,
     budget_mb: float = 128.0,
     adjoint_fraction: float = 0.5,
     solve_fraction: float = 0.2,
@@ -217,7 +220,7 @@ def run_serving_benchmark(
         best = None
         for _ in range(reps):
             summary, results, cache = _run_one(
-                matrix, trace, config, k, window, budget_bytes
+                matrix, trace, config, k, budget_bytes
             )
             if best is None or summary["throughput_rps"] > best[0]["throughput_rps"]:
                 best = (summary, results, cache)
@@ -270,7 +273,6 @@ def run_serving_benchmark(
         "config": config,
         "tenants": tenants,
         "max_block_k": max_block_k,
-        "window_s": window,
         "adjoint_fraction": adjoint_fraction,
         "solve_fraction": solve_fraction,
         "seed": seed,

@@ -4,12 +4,20 @@ The blocked multi-RHS pipeline (PR 1/2) makes ``k`` matvecs against one
 operator cost one pad / batched-FFT / Phase-3 / IFFT / unpad pass.  This
 module turns that into a *serving* win: an asyncio
 :class:`SolverService` accepts per-tenant ``matvec`` / ``rmatvec`` /
-``solve`` requests, groups in-flight requests that share an operator
+``solve`` requests, groups queued requests that share an operator
 fingerprint (plus kind, precision config and resolved determinism
-mode), and flushes each group as
-one blocked apply — on ``max_block_k`` queued columns or a micro-batch
-window timeout, whichever first — then scatters per-request result
-columns back to their futures.
+mode), runs each batch as one blocked apply and scatters per-request
+result columns back to their futures.
+
+**Dispatch.**  One dispatcher feeds the one executor thread, by three
+rules.  *Never idle with work queued*: a request waits for the engine,
+never for a timer.  *Bind late*: the batch is chosen when the engine
+frees — up to ``max_block_k`` columns of the group whose head request
+is oldest — so what arrived during one pass rides the next, and batches
+widen with load, not with a delay.  *One tick of grace*: a submission
+to an idle service dispatches on the next event-loop tick, so requests
+submitted together (an ``asyncio.gather``, the clients a finished pass
+wakes) still share a pass.
 
 **Determinism.**  Coalescing must not change anyone's answer: by
 default flushes run the engines' ``deterministic=True`` blocked path,
@@ -27,10 +35,10 @@ Gauss-Newton Hessian to all k systems in one blocked pass — and are
 tolerance-equivalent (same stopping rule per column), not bitwise.
 
 **Backpressure and fairness.**  The queue is bounded: past
-``max_pending`` in-flight requests new submissions are load-shed with
+``max_pending`` queued requests new submissions are load-shed with
 :class:`ServiceOverloadedError`; a per-tenant inflight cap rejects
-monopolizing tenants with :class:`TenantThrottledError`.  When a flush
-has more candidates than ``max_block_k``, columns are picked by
+monopolizing tenants with :class:`TenantThrottledError`.  When a group
+holds more candidates than ``max_block_k``, columns are picked by
 weighted fair queuing — the tenant with the smallest
 ``served / weight`` virtual time goes first, FIFO within a tenant — so
 a weight-2 tenant gets twice the columns of a weight-1 tenant under
@@ -50,6 +58,7 @@ from __future__ import annotations
 import asyncio
 import math
 import time
+import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -168,10 +177,15 @@ class ServiceStats:
     flush_retries: int = 0  # retry passes issued after an engine death
     budget_exhausted: int = 0  # requests failed by the tenant failure budget
     deadline_expired: int = 0  # requests dropped because their deadline passed
+    cancelled: int = 0  # requests dropped because their client stopped waiting
     sdc_detections: int = 0  # flushes that tripped a silent-corruption check
     sdc_rebuilds: int = 0  # engine evictions forced by repeat-offender tenants
-    # Submit-to-result latency per request kind, plus "all" over every kind.
+    # Per request kind, plus "all": submit-to-result latency of each served
+    # request, and its two parts — submit to the start of the pass that
+    # served it (per request) and that pass, hop to scatter (per flush).
     latency: Dict[str, LatencyHistogram] = field(default_factory=dict)
+    queue_wait: Dict[str, LatencyHistogram] = field(default_factory=dict)
+    exec: Dict[str, LatencyHistogram] = field(default_factory=dict)
 
     @property
     def mean_batch(self) -> float:
@@ -189,6 +203,8 @@ class _Request:
     t_submit: float
     seq: int
     deadline: Optional[float] = None  # absolute perf_counter time, or None
+    attempt: int = 0  # engine passes that died under this request
+    not_before: float = 0.0  # retry backoff: perf_counter time of its next pass
 
 
 # A coalescing group: requests here may share one blocked apply.  The
@@ -207,12 +223,12 @@ class SolverService:
         The :class:`EngineCache` engines are built into (and evicted
         from, under its byte budget).
     max_block_k:
-        Flush a group as soon as this many columns are queued; also the
-        widest blocked apply ever issued.  ``1`` disables coalescing —
+        The widest blocked apply ever issued: a pass takes at most this
+        many of its group's queued columns.  ``1`` disables coalescing —
         the serve-one baseline with identical asyncio overhead.
     window:
-        Micro-batch window in seconds: a group flushes at most this long
-        after its oldest queued request arrived, full or not.
+        Deprecated, ignored, gone next release: no batching timer is
+        left (module docstring, *Dispatch*).  A value warns.
     max_pending:
         Bound on queued-but-unflushed requests across all groups; past
         it submissions raise :class:`ServiceOverloadedError`.
@@ -240,7 +256,7 @@ class SolverService:
         self,
         cache: EngineCache,
         max_block_k: int = 16,
-        window: float = 0.002,
+        window: Optional[float] = None,
         max_pending: int = 256,
         max_inflight_per_tenant: Optional[int] = None,
         tenant_weights: Optional[Dict[str, float]] = None,
@@ -252,8 +268,14 @@ class SolverService:
     ) -> None:
         if max_block_k < 1:
             raise ReproError(f"max_block_k must be >= 1, got {max_block_k}")
-        if window < 0:
-            raise ReproError(f"window must be >= 0, got {window}")
+        if window is not None:
+            if window < 0:
+                raise ReproError(f"window must be >= 0, got {window}")
+            warnings.warn(
+                "SolverService(window=...) is deprecated and ignored: a request "
+                "waits for the engine, never for a timer",
+                DeprecationWarning, stacklevel=2,
+            )
         if max_pending < 1:
             raise ReproError(f"max_pending must be >= 1, got {max_pending}")
         if max_flush_retries < 0:
@@ -279,7 +301,6 @@ class SolverService:
                 raise ReproError(f"tenant {tenant!r} weight must be > 0, got {w}")
         self.cache = cache
         self.max_block_k = int(max_block_k)
-        self.window = float(window)
         self.max_pending = int(max_pending)
         self.max_inflight_per_tenant = max_inflight_per_tenant
         self.tenant_weights = dict(tenant_weights or {})
@@ -294,14 +315,14 @@ class SolverService:
         self._builders: Dict[str, Callable[[], Any]] = {}
         self._shapes: Dict[str, Tuple[int, int, int]] = {}
         self._groups: Dict[_GroupKey, Deque[_Request]] = {}
-        self._timers: Dict[_GroupKey, "asyncio.TimerHandle"] = {}
         self._pending_total = 0
         self._tenant_inflight: Dict[str, int] = {}
         self._served: Dict[str, float] = {}  # WFQ virtual time per tenant
         self._seq = 0
         self._closed = False
-        self._flushing: "set[_GroupKey]" = set()
-        self._flush_tasks: "set[asyncio.Task]" = set()
+        self._pass: Optional["asyncio.Future[Any]"] = None  # the engine pass in flight
+        self._idle = asyncio.Event()  # nothing queued and no pass in flight
+        self._idle.set()
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="solver-service"
         )
@@ -417,12 +438,10 @@ class SolverService:
 
     # -- lifecycle ------------------------------------------------------------
     async def drain(self) -> None:
-        """Flush every queued group now and wait for in-flight work."""
-        for gkey in list(self._groups.keys()):
-            self._cancel_timer(gkey)
-            self._spawn_flush(gkey)
-        while self._flush_tasks:
-            await asyncio.gather(*list(self._flush_tasks), return_exceptions=True)
+        """Wait until no request is queued and no pass is in flight.
+        There is nothing to flush: the dispatcher never idles with work
+        queued (a retry backoff is waited out, not skipped)."""
+        await self._idle.wait()
 
     async def close(self) -> None:
         """Drain outstanding requests, then refuse new ones and shut
@@ -483,8 +502,6 @@ class SolverService:
             raise ReproError(f"deadline_s must be > 0, got {deadline_s}")
         if self._closed:
             raise ServiceClosedError("service is closed")
-        if handle not in self._builders:
-            raise UnknownOperatorError(f"operator handle {handle!r} not registered")
         if self._pending_total >= self.max_pending:
             self._stats.rejected_overload += 1
             raise ServiceOverloadedError(
@@ -512,27 +529,17 @@ class SolverService:
             deadline=None if deadline_s is None else t_submit + deadline_s,
         )
         det = self.deterministic if deterministic is None else bool(deterministic)
-        gkey: _GroupKey = (
-            handle, kind, str(PrecisionConfig.parse(config)), det, options
-        )
-        group = self._groups.setdefault(gkey, deque())
-        group.append(req)
+        gkey: _GroupKey = (handle, kind, str(PrecisionConfig.parse(config)), det, options)
+        self._groups.setdefault(gkey, deque()).append(req)
         self._pending_total += 1
         self._tenant_inflight[tenant] = self._tenant_inflight.get(tenant, 0) + 1
         self._stats.submitted += 1
 
-        if gkey in self._flushing:
-            # A pass is already on the engine for this group: let the
-            # batch keep forming — the completing flush re-dispatches
-            # immediately, so width adapts to the backlog under load.
-            pass
-        elif len(group) >= self.max_block_k:
-            self._cancel_timer(gkey)
-            self._spawn_flush(gkey)
-        elif gkey not in self._timers:
-            self._timers[gkey] = loop.call_later(
-                self.window, self._on_window, gkey
-            )
+        self._idle.clear()
+        if self._pass is None:
+            # Next tick, not now: everything submitted in this tick rides
+            # one pass (the first such call binds it, the rest find it bound).
+            loop.call_soon(self._dispatch)
         try:
             return await fut
         finally:
@@ -540,20 +547,43 @@ class SolverService:
             if self._tenant_inflight[tenant] <= 0:
                 del self._tenant_inflight[tenant]
 
-    def _on_window(self, gkey: _GroupKey) -> None:
-        """Window-timeout callback: flush whatever the group holds."""
-        self._timers.pop(gkey, None)
-        self._spawn_flush(gkey)
+    # -- dispatch -------------------------------------------------------------
+    def _dispatch(self) -> None:
+        """Bind the next batch to the free engine — the one way into it.
+        Runs one tick after a submission to an idle service and the
+        moment a pass ends.  The group whose head is oldest (of those not
+        in retry backoff) goes first and its batch is selected *now*: it
+        holds whatever arrived while the last pass ran.  A batch the
+        pre-pass filter empties costs no pass."""
+        if self._pass is not None:
+            return
+        loop = asyncio.get_running_loop()
 
-    def _cancel_timer(self, gkey: _GroupKey) -> None:
-        timer = self._timers.pop(gkey, None)
-        if timer is not None:
-            timer.cancel()
+        def turn(gkey: _GroupKey) -> Tuple[float, int]:
+            head = self._groups[gkey][0]
+            return max(head.not_before, now), head.seq
 
-    def _spawn_flush(self, gkey: _GroupKey) -> None:
-        task = asyncio.get_running_loop().create_task(self._flush(gkey))
-        self._flush_tasks.add(task)
-        task.add_done_callback(self._flush_tasks.discard)
+        while self._groups:
+            now = time.perf_counter()
+            gkey = min(self._groups, key=turn)
+            group = self._groups[gkey]
+            if group[0].not_before > now:
+                # Everything queued is backing off after an engine failure:
+                # come back when the first may run (a submission meanwhile
+                # dispatches as usual; this call then finds that done).
+                loop.call_at(loop.time() + group[0].not_before - now, self._dispatch)
+                return
+            batch = self._select(group)
+            if not group:
+                del self._groups[gkey]
+            self._pending_total -= len(batch)
+            batch = self._drop_expired(batch)
+            if not batch:
+                continue
+            self._pass = loop.run_in_executor(self._executor, self._execute, gkey, batch)
+            self._pass.add_done_callback(lambda f: self._flushed(gkey, batch, now, f))
+            return
+        self._idle.set()
 
     # -- fair selection -------------------------------------------------------
     def _weight(self, tenant: str) -> float:
@@ -598,158 +628,127 @@ class SolverService:
         return take
 
     # -- flushing -------------------------------------------------------------
-    def _drop_expired(self, batch: List[_Request]) -> List[_Request]:
-        """Fail requests whose deadline passed; return the live rest.
+    def _fail(self, batch: List[_Request], exc: BaseException) -> None:
+        """Resolve every request of ``batch`` with ``exc``."""
+        self._stats.failed += len(batch)
+        for req in batch:
+            if not req.future.done():
+                req.future.set_exception(exc)
 
-        Runs right before the engine pass (and before every retry pass)
-        so an expired request never occupies a flush column — its
-        tenant already stopped waiting for the answer.
-        """
+    def _drop_expired(self, batch: List[_Request]) -> List[_Request]:
+        """The one pre-pass filter, run on every batch (a retried one
+        again) right before its pass.  A request whose future is already
+        done — its client cancelled or timed out — is dropped, one whose
+        deadline passed fails with :class:`DeadlineExpiredError`: neither
+        occupies a flush column, and their group-mates are served."""
         now = time.perf_counter()
         live: List[_Request] = []
         for req in batch:
-            if req.deadline is not None and now > req.deadline:
+            if req.future.done():
+                self._stats.cancelled += 1
+            elif req.deadline is not None and now > req.deadline:
                 self._stats.deadline_expired += 1
-                self._stats.failed += 1
-                if not req.future.done():
-                    req.future.set_exception(
-                        DeadlineExpiredError(
-                            f"request from tenant {req.tenant!r} exceeded its "
-                            f"{req.deadline - req.t_submit:.3g}s deadline "
-                            "before its flush ran"
-                        )
-                    )
+                self._fail([req], DeadlineExpiredError(
+                    f"request from tenant {req.tenant!r} exceeded its "
+                    f"{req.deadline - req.t_submit:.3g}s deadline "
+                    "before its flush ran"
+                ))
             else:
                 live.append(req)
         return live
 
-    async def _flush(self, gkey: _GroupKey) -> None:
-        if gkey in self._flushing:
-            return  # the in-flight pass re-dispatches on completion
-        group = self._groups.get(gkey)
-        if not group:
-            self._groups.pop(gkey, None)
+    def _retry(self, gkey: _GroupKey, batch: List[_Request], exc: BaseException) -> None:
+        """Send the survivors of a failed pass back through the
+        dispatcher: to the *head* of their group, each with its attempt
+        count and the time its exponential backoff ends.  Until then the
+        dispatcher serves the other groups, so a backoff never holds the
+        engine.  A request out of retries fails with ``exc``."""
+        for req in batch:
+            req.attempt += 1
+        self._fail([r for r in batch if r.attempt > self.max_flush_retries], exc)
+        again = [r for r in batch if r.attempt <= self.max_flush_retries]
+        if not again:
             return
-        self._cancel_timer(gkey)
-        batch = self._select(group)
-        if not group:
-            del self._groups[gkey]
-        self._pending_total -= len(batch)
-        self._flushing.add(gkey)
-        loop = asyncio.get_running_loop()
-        attempt = 0
+        self._stats.flush_retries += 1
+        now = time.perf_counter()
+        for req in again:
+            req.not_before = now + self.retry_backoff_s * 2 ** (req.attempt - 1)
+        self._groups.setdefault(gkey, deque()).extendleft(reversed(again))
+        self._pending_total += len(again)
+
+    def _flushed(
+        self, gkey: _GroupKey, batch: List[_Request], t_start: float, done: asyncio.Future
+    ) -> None:
+        """``batch``'s engine pass, bound at ``t_start``, is ``done``:
+        scatter its columns, or fail / re-queue its requests.  Whatever
+        happened, the engine is released and the dispatcher runs again."""
+        t_done = time.perf_counter()
+        columns = None
         try:
-            while batch:
-                batch = self._drop_expired(batch)
-                if not batch:
-                    break
-                try:
-                    columns = await loop.run_in_executor(
-                        self._executor, self._execute, gkey, batch
-                    )
-                except RankFailure as exc:
-                    # A rank died under this batch's engine.  The engine's
-                    # grid is gone — evict it so the retry rebuilds a fresh
-                    # (possibly reshaped) one through the builder, then
-                    # charge each tenant's failure budget and retry the
-                    # survivors with exponential backoff.
-                    self._stats.rank_failures += 1
-                    self.cache.evict(gkey[0])
-                    attempt += 1
-                    survivors: List[_Request] = []
-                    for req in batch:
-                        n = self._tenant_failures.get(req.tenant, 0) + 1
-                        self._tenant_failures[req.tenant] = n
-                        if (
-                            self.tenant_failure_budget is not None
-                            and n > self.tenant_failure_budget
-                        ):
-                            self._stats.budget_exhausted += 1
-                            self._stats.failed += 1
-                            if not req.future.done():
-                                req.future.set_exception(exc)
-                        else:
-                            survivors.append(req)
-                    batch = survivors
-                    if not batch:
-                        break
-                    if attempt > self.max_flush_retries:
-                        for req in batch:
-                            if not req.future.done():
-                                req.future.set_exception(exc)
-                        self._stats.failed += len(batch)
-                        break
-                    self._stats.flush_retries += 1
-                    if self.retry_backoff_s > 0:
-                        await asyncio.sleep(
-                            self.retry_backoff_s * (2 ** (attempt - 1))
-                        )
-                    continue
-                except SilentCorruption as exc:
-                    # A checksum tripped under this batch.  The engine
-                    # itself is fine — the flip lived in a transient
-                    # buffer — so by default just retry the pass on the
-                    # same engine.  Tenants whose flushes keep tripping
-                    # checks are escalated: past the threshold the
-                    # engine is evicted and rebuilt from scratch, in
-                    # case the corruption is resident (spectra, arenas).
-                    self._stats.sdc_detections += 1
-                    attempt += 1
-                    escalate = False
-                    for req in batch:
-                        n = self._tenant_sdc.get(req.tenant, 0) + 1
-                        self._tenant_sdc[req.tenant] = n
-                        if n >= self.sdc_escalation_threshold:
-                            escalate = True
-                    if escalate and gkey[0] in self.cache:
-                        self.cache.evict(gkey[0])
-                        self._stats.sdc_rebuilds += 1
-                    if attempt > self.max_flush_retries:
-                        for req in batch:
-                            if not req.future.done():
-                                req.future.set_exception(exc)
-                        self._stats.failed += len(batch)
-                        break
-                    self._stats.flush_retries += 1
-                    if self.retry_backoff_s > 0:
-                        await asyncio.sleep(
-                            self.retry_backoff_s * (2 ** (attempt - 1))
-                        )
-                    continue
-                except Exception as exc:  # noqa: BLE001 - fan the failure out
-                    for req in batch:
-                        if not req.future.done():
-                            req.future.set_exception(exc)
-                    self._stats.failed += len(batch)
-                    break
+            columns = done.result()
+        except RankFailure as exc:
+            # A rank died under this batch's engine and took its grid
+            # along: evict, so the retry rebuilds a fresh (possibly reshaped)
+            # engine; charge each tenant's failure budget, retry the survivors.
+            self._stats.rank_failures += 1
+            self.cache.evict(gkey[0])
+            budget = self.tenant_failure_budget
+            survivors: List[_Request] = []
+            for req in batch:
+                n = self._tenant_failures.get(req.tenant, 0) + 1
+                self._tenant_failures[req.tenant] = n
+                if budget is not None and n > budget:
+                    self._stats.budget_exhausted += 1
+                    self._fail([req], exc)
                 else:
-                    t_done = time.perf_counter()
-                    k = len(batch)
-                    self._stats.flushes += 1
-                    self._stats.batched_columns += k
-                    self._stats.max_batch = max(self._stats.max_batch, k)
-                    if k >= 2:
-                        self._stats.coalesced_requests += k
-                    for req, col in zip(batch, columns):
-                        for name in (gkey[1], "all"):
-                            hist = self._stats.latency.setdefault(name, LatencyHistogram())
-                            hist.add(t_done - req.t_submit)
-                        self._stats.completed += 1
-                        if not req.future.done():
-                            req.future.set_result(col)
-                    break
+                    survivors.append(req)
+            self._retry(gkey, survivors, exc)
+        except SilentCorruption as exc:
+            # A checksum tripped under this batch.  The engine itself is
+            # fine — the flip lived in a transient buffer — so by default just
+            # retry the pass on the same engine.  Tenants whose flushes keep
+            # tripping checks are escalated: past the threshold the engine is
+            # rebuilt from scratch, in case the corruption is resident.
+            self._stats.sdc_detections += 1
+            escalate = False
+            for req in batch:
+                n = self._tenant_sdc.get(req.tenant, 0) + 1
+                self._tenant_sdc[req.tenant] = n
+                if n >= self.sdc_escalation_threshold:
+                    escalate = True
+            if escalate and gkey[0] in self.cache:
+                self.cache.evict(gkey[0])
+                self._stats.sdc_rebuilds += 1
+            self._retry(gkey, batch, exc)
+        except Exception as exc:  # noqa: BLE001 - fan the failure out
+            self._fail(batch, exc)
         finally:
-            self._flushing.discard(gkey)
-            if self._groups.get(gkey):
-                # Requests accumulated while the pass ran (or past
-                # max_block_k): dispatch again without waiting for a
-                # window — adaptive batching under load.
-                self._spawn_flush(gkey)
+            # Bind the next batch before scattering this one: the engine
+            # works while the loop wakes this pass's clients.
+            self._pass = None
+            self._dispatch()
+        if columns is None:
+            return
+        for req, col in zip(batch, columns):
+            if not req.future.done():
+                req.future.set_result(col)
+        k = len(batch)
+        self._stats.flushes += 1
+        self._stats.completed += k
+        self._stats.batched_columns += k
+        self._stats.max_batch = max(self._stats.max_batch, k)
+        if k >= 2:
+            self._stats.coalesced_requests += k
+        for name in (gkey[1], "all"):
+            self._stats.exec.setdefault(name, LatencyHistogram()).add(t_done - t_start)
+            wait = self._stats.queue_wait.setdefault(name, LatencyHistogram())
+            latency = self._stats.latency.setdefault(name, LatencyHistogram())
+            for req in batch:
+                wait.add(t_start - req.t_submit)
+                latency.add(t_done - req.t_submit)
 
     # -- engine execution (runs on the executor thread) -----------------------
-    def _execute(
-        self, gkey: _GroupKey, batch: List[_Request]
-    ) -> List[np.ndarray]:
+    def _execute(self, gkey: _GroupKey, batch: List[_Request]) -> List[np.ndarray]:
         handle, kind, config, deterministic, options = gkey
         engine = self.cache.get(handle, builder=self._builders[handle])
         try:

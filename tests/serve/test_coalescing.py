@@ -86,7 +86,7 @@ class TestInterleavingsBitwise:
 
         async def main():
             cache = EngineCache(256 * 2**20)
-            service = SolverService(cache, max_block_k=5, window=0.001)
+            service = SolverService(cache, max_block_k=5)
             handle = service.register(
                 matrix, builder=BUILDERS[engine_kind](matrix)
             )
@@ -116,7 +116,7 @@ class TestInterleavingsBitwise:
 
         async def main():
             cache = EngineCache(128 * 2**20)
-            service = SolverService(cache, max_block_k=4, window=0.5)
+            service = SolverService(cache, max_block_k=4)
             handle = service.register(matrix)
             async with service:
                 return await asyncio.gather(
@@ -145,7 +145,7 @@ class TestCoalescedSolves:
 
         async def main():
             cache = EngineCache(128 * 2**20)
-            service = SolverService(cache, max_block_k=6, window=0.01)
+            service = SolverService(cache, max_block_k=6)
             handle = service.register(matrix)
             async with service:
                 return await asyncio.gather(
@@ -174,7 +174,7 @@ class TestCoalescedSolves:
 
         async def main():
             cache = EngineCache(128 * 2**20)
-            service = SolverService(cache, max_block_k=8, window=0.01)
+            service = SolverService(cache, max_block_k=8)
             handle = service.register(matrix)
             async with service:
                 return await asyncio.gather(

@@ -27,9 +27,9 @@ def make_service(**kwargs):
 class TestDeterminismCoalescing:
     def test_mixed_modes_never_share_a_flush(self):
         async def main():
-            # Same handle/kind/config, a wide window and room for 4 in
+            # Same handle/kind/config, submitted together, room for 4 in
             # one batch: only the reduction mode separates the groups.
-            service, handle = make_service(window=10.0, max_block_k=4)
+            service, handle = make_service(max_block_k=4)
             async with service:
                 rng = np.random.default_rng(1)
                 payloads = [rng.standard_normal((NT, NM)) for _ in range(4)]
@@ -58,9 +58,7 @@ class TestDeterminismCoalescing:
         async def main():
             # Service default fast: None and explicit False coalesce,
             # explicit True does not.
-            service, handle = make_service(
-                window=10.0, max_block_k=4, deterministic=False
-            )
+            service, handle = make_service(max_block_k=4, deterministic=False)
             async with service:
                 await asyncio.gather(
                     service.matvec(handle, np.ones((NT, NM))),
@@ -81,7 +79,7 @@ class TestDeterminismCoalescing:
         async def main():
             # Service default is deterministic: a coalesced batch must
             # hand every caller the bits of its solo sequential apply.
-            service, handle = make_service(window=10.0, max_block_k=4)
+            service, handle = make_service(max_block_k=4)
             rng = np.random.default_rng(3)
             payloads = [rng.standard_normal((NT, NM)) for _ in range(3)]
             async with service:
@@ -97,7 +95,7 @@ class TestDeterminismCoalescing:
 
     def test_rmatvec_and_solve_accept_override(self):
         async def main():
-            service, handle = make_service(window=0.0)
+            service, handle = make_service()
             async with service:
                 d = np.ones((NT, ND))
                 got = await service.rmatvec(handle, d, deterministic=False)
@@ -110,7 +108,7 @@ class TestDeterminismCoalescing:
         async def main():
             # The point of pairwise serving: joining a batch must not
             # change a deterministic caller's bits.
-            service, handle = make_service(window=10.0, max_block_k=4)
+            service, handle = make_service(max_block_k=4)
             rng = np.random.default_rng(5)
             payloads = [rng.standard_normal((NT, NM)) for _ in range(4)]
             async with service:
@@ -121,7 +119,7 @@ class TestDeterminismCoalescing:
                     ]
                 )
             assert service.stats().flushes == 1
-            solo_service, solo_handle = make_service(window=0.0)
+            solo_service, solo_handle = make_service()
             async with solo_service:
                 for p, got in zip(payloads, batched):
                     solo = await solo_service.matvec(

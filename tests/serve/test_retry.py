@@ -43,7 +43,7 @@ def make_builder(schedule):
 
 def make_service(schedule, **kwargs):
     cache = EngineCache(kwargs.pop("budget", 64 * 2**20))
-    service = SolverService(cache, window=0.0, **kwargs)
+    service = SolverService(cache, **kwargs)
     handle = service.register(MAT, builder=make_builder(schedule), name="op")
     return service, handle
 

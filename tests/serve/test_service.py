@@ -1,6 +1,7 @@
 """Tests for SolverService request handling, backpressure and fairness."""
 
 import asyncio
+import time
 from collections import deque
 
 import numpy as np
@@ -27,6 +28,7 @@ from repro.serve import (
 )
 from repro.serve.service import _Request
 from repro.util.validation import ReproError
+from tests.serve.conftest import until
 
 NT, ND, NM = 8, 3, 12
 
@@ -36,17 +38,24 @@ def make_matrix(seed=0):
     return BlockTriangularToeplitz.random(NT, ND, NM, rng=rng)
 
 
-def make_service(**kwargs):
+def make_service(builder=None, **kwargs):
     cache = EngineCache(kwargs.pop("budget", 64 * 2**20))
     service = SolverService(cache, **kwargs)
-    handle = service.register(make_matrix())
+    handle = service.register(make_matrix(), builder=builder)
     return service, handle
+
+
+def submit(service, handle, scale=1.0, **kwargs):
+    """One matvec request as a task (submitted on the next loop tick)."""
+    return asyncio.ensure_future(
+        service.matvec(handle, scale * np.ones((NT, NM)), **kwargs)
+    )
 
 
 class TestRequestBasics:
     def test_matvec_matches_direct_engine(self):
         async def main():
-            service, handle = make_service(window=0.0)
+            service, handle = make_service()
             async with service:
                 m = np.arange(NT * NM, dtype=np.float64).reshape(NT, NM)
                 got = await service.matvec(handle, m)
@@ -57,7 +66,7 @@ class TestRequestBasics:
 
     def test_flat_payload_reshaped(self):
         async def main():
-            service, handle = make_service(window=0.0)
+            service, handle = make_service()
             async with service:
                 m = np.ones(NT * NM)
                 got = await service.matvec(handle, m)
@@ -92,7 +101,7 @@ class TestRequestBasics:
 
     def test_solve_matches_solo_cg(self):
         async def main():
-            service, handle = make_service(window=0.0)
+            service, handle = make_service()
             async with service:
                 d = np.random.default_rng(3).standard_normal((NT, ND))
                 opts = SolveOptions(tol=1e-10)
@@ -122,57 +131,58 @@ class TestLifecycle:
 
         asyncio.run(main())
 
-    def test_drain_flushes_pending_window(self):
+    def test_drain_waits_for_queued_and_in_flight(self, held_engine):
         async def main():
-            # A long window would hold the request for 10s; drain must
-            # flush it immediately.
-            service, handle = make_service(window=10.0)
-            task = asyncio.ensure_future(
-                service.matvec(handle, np.ones((NT, NM)))
-            )
-            await asyncio.sleep(0.01)
-            await service.drain()
-            assert task.done()
+            held = held_engine(make_matrix())
+            service, handle = make_service(builder=held)
+            in_flight = submit(service, handle)
+            await held.wait_held()
+            queued = submit(service, handle)
+            drained = asyncio.ensure_future(service.drain())
+            await until(lambda: service._pending_total == 1)
+            assert not drained.done()
+            held.release()
+            await drained
+            # Nothing left to wait for: both results are already set.
+            assert service._pending_total == 0 and service._pass is None
+            assert in_flight.done() and queued.done()
+            await service.drain()  # idle: returns at once
             await service.close()
 
         asyncio.run(main())
 
 
 class TestBackpressure:
-    def test_overload_sheds(self):
+    def test_overload_sheds(self, held_engine):
         async def main():
-            service, handle = make_service(window=10.0, max_pending=2)
-            tasks = [
-                asyncio.ensure_future(service.matvec(handle, np.ones((NT, NM))))
-                for _ in range(2)
-            ]
-            await asyncio.sleep(0.01)  # both queued behind the window
+            held = held_engine(make_matrix())
+            service, handle = make_service(builder=held, max_pending=2)
+            tasks = [submit(service, handle)]
+            await held.wait_held()  # in flight: no longer counted as queued
+            tasks += [submit(service, handle) for _ in range(2)]
+            await until(lambda: service._pending_total == 2)
             with pytest.raises(ServiceOverloadedError):
                 await service.matvec(handle, np.ones((NT, NM)))
             assert service.stats().rejected_overload == 1
-            await service.drain()
+            held.release()
             await asyncio.gather(*tasks)
             await service.close()
 
         asyncio.run(main())
 
-    def test_tenant_cap_throttles_only_the_offender(self):
+    def test_tenant_cap_throttles_only_the_offender(self, held_engine):
         async def main():
+            held = held_engine(make_matrix())
             service, handle = make_service(
-                window=10.0, max_inflight_per_tenant=1
+                builder=held, max_inflight_per_tenant=1
             )
-            hog = asyncio.ensure_future(
-                service.matvec(handle, np.ones((NT, NM)), tenant="hog")
-            )
-            await asyncio.sleep(0.01)
+            hog = submit(service, handle, tenant="hog")
+            await held.wait_held()
             with pytest.raises(TenantThrottledError):
                 await service.matvec(handle, np.ones((NT, NM)), tenant="hog")
             # Another tenant is unaffected by the hog's cap.
-            polite = asyncio.ensure_future(
-                service.matvec(handle, np.ones((NT, NM)), tenant="polite")
-            )
-            await asyncio.sleep(0.01)
-            await service.drain()
+            polite = submit(service, handle, tenant="polite")
+            held.release()
             await asyncio.gather(hog, polite)
             assert service.stats().rejected_tenant == 1
             await service.close()
@@ -184,57 +194,81 @@ class TestBackpressure:
         with pytest.raises(ReproError):
             SolverService(cache, max_block_k=0)
         with pytest.raises(ReproError):
-            SolverService(cache, window=-1.0)
-        with pytest.raises(ReproError):
             SolverService(cache, max_pending=0)
         with pytest.raises(ReproError):
             SolverService(cache, tenant_weights={"a": 0.0})
 
+    def test_window_is_deprecated_and_ignored(self):
+        # The one place that still passes window=: it is validated, then
+        # warned about (blaming the caller's line) and read by nothing.
+        cache = EngineCache(2**20)
+        with pytest.raises(ReproError):
+            SolverService(cache, window=-1.0)
+        with pytest.warns(DeprecationWarning, match="window") as caught:
+            service = SolverService(cache, window=10.0)
+        assert caught[0].filename == __file__
+        assert not hasattr(service, "window")
+
+        async def main():
+            handle = service.register(make_matrix())
+            async with service:
+                return await service.matvec(handle, np.ones((NT, NM)))
+
+        assert asyncio.run(main()).shape == (NT, ND)  # no 10 s wait
+
 
 class TestDeadlines:
-    def test_expired_request_dropped_before_flush(self):
+    @staticmethod
+    async def _queue_past_deadline(service, handle, held, deadline_s=0.01):
+        """A request held in the queue (behind a pass blocked at the
+        gate) until its deadline has passed."""
+        blocker = submit(service, handle)
+        await held.wait_held()
+        doomed = submit(service, handle, deadline_s=deadline_s)
+        await until(lambda: service._pending_total == 1)
+        expired = time.perf_counter() + deadline_s
+        await until(lambda: time.perf_counter() > expired)
+        return blocker, doomed
+
+    def test_expired_request_dropped_before_flush(self, held_engine):
         async def main():
-            # The window holds the request well past its deadline; the
-            # flush must fail it instead of running it.
-            service, handle = make_service(window=10.0)
-            task = asyncio.ensure_future(
-                service.matvec(handle, np.ones((NT, NM)), deadline_s=0.01)
-            )
-            await asyncio.sleep(0.05)
-            await service.drain()
+            held = held_engine(make_matrix())
+            service, handle = make_service(builder=held)
+            blocker, doomed = await self._queue_past_deadline(service, handle, held)
+            held.release()
             with pytest.raises(DeadlineExpiredError):
-                await task
+                await doomed
+            await blocker
             assert service.stats().deadline_expired == 1
-            assert service.stats().flushes == 0  # nobody rode the pass
+            assert held.passes == [("matvec", 1)]  # nobody rode a second pass
             await service.close()
 
         asyncio.run(main())
 
-    def test_expired_request_does_not_starve_groupmates(self):
+    def test_expired_request_does_not_starve_groupmates(self, held_engine):
         async def main():
-            service, handle = make_service(window=10.0)
-            doomed = asyncio.ensure_future(
-                service.matvec(handle, np.ones((NT, NM)), deadline_s=0.01)
-            )
-            alive = asyncio.ensure_future(
-                service.matvec(handle, 2.0 * np.ones((NT, NM)))
-            )
-            await asyncio.sleep(0.05)
-            await service.drain()
+            held = held_engine(make_matrix())
+            service, handle = make_service(builder=held)
+            blocker, doomed = await self._queue_past_deadline(service, handle, held)
+            alive = submit(service, handle, scale=2.0)
+            await until(lambda: service._pending_total == 2)
+            held.release()
             with pytest.raises(DeadlineExpiredError):
                 await doomed
             got = await alive
             ref = FFTMatvec(make_matrix()).matvec(2.0 * np.ones((NT, NM)))
             assert np.array_equal(got, ref)
+            await blocker
             assert service.stats().deadline_expired == 1
-            assert service.stats().completed == 1
+            assert service.stats().completed == 2
+            assert held.passes == [("matvec", 1), ("matvec", 1)]
             await service.close()
 
         asyncio.run(main())
 
     def test_generous_deadline_completes(self):
         async def main():
-            service, handle = make_service(window=0.0)
+            service, handle = make_service()
             async with service:
                 got = await service.matvec(
                     handle, np.ones((NT, NM)), deadline_s=30.0
@@ -263,7 +297,7 @@ class TestDeadlines:
 class TestCoalescingMechanics:
     def test_full_group_flushes_as_one_pass(self):
         async def main():
-            service, handle = make_service(window=10.0, max_block_k=4)
+            service, handle = make_service(max_block_k=4)
             async with service:
                 rng = np.random.default_rng(0)
                 payloads = [rng.standard_normal((NT, NM)) for _ in range(4)]
@@ -278,9 +312,9 @@ class TestCoalescingMechanics:
 
         asyncio.run(main())
 
-    def test_window_flushes_partial_group(self):
+    def test_same_tick_partial_group_rides_one_pass(self):
         async def main():
-            service, handle = make_service(window=0.005, max_block_k=16)
+            service, handle = make_service(max_block_k=16)
             async with service:
                 await asyncio.gather(
                     *[
@@ -290,13 +324,13 @@ class TestCoalescingMechanics:
                 )
             stats = service.stats()
             assert stats.completed == 3
-            assert stats.max_batch <= 3
+            assert (stats.flushes, stats.max_batch) == (1, 3)
 
         asyncio.run(main())
 
     def test_kinds_and_configs_do_not_mix(self):
         async def main():
-            service, handle = make_service(window=0.005, max_block_k=8)
+            service, handle = make_service(max_block_k=8)
             async with service:
                 await asyncio.gather(
                     service.matvec(handle, np.ones((NT, NM))),
@@ -409,7 +443,7 @@ class TestLatencyHistogram:
 
     def test_service_records_per_kind_and_overall(self):
         async def main():
-            service, handle = make_service(window=0.0)
+            service, handle = make_service()
             async with service:
                 m = np.ones((NT, NM))
                 for _ in range(3):
@@ -420,5 +454,26 @@ class TestLatencyHistogram:
                 "matvec": 3, "rmatvec": 1, "all": 4,
             }
             assert 0 < latency["all"].min <= latency["all"].percentile(50) <= latency["all"].max
+
+        asyncio.run(main())
+
+    def test_latency_splits_into_queue_wait_and_exec(self):
+        async def main():
+            service, handle = make_service()
+            async with service:
+                m = np.ones((NT, NM))
+                await asyncio.gather(*[service.matvec(handle, m) for _ in range(3)])
+                await service.rmatvec(handle, np.ones((NT, ND)))
+            stats = service.stats()
+            counts = lambda hists: {k: h.count for k, h in hists.items()}  # noqa: E731
+            # One queue wait per served request, one exec per engine pass.
+            assert counts(stats.queue_wait) == counts(stats.latency) == {
+                "matvec": 3, "rmatvec": 1, "all": 4,
+            }
+            assert counts(stats.exec) == {"matvec": 1, "rmatvec": 1, "all": 2}
+            assert stats.exec["all"].count == stats.flushes
+            # The two parts of the lone rmatvec add up to its latency.
+            parts = stats.queue_wait["rmatvec"].sum + stats.exec["rmatvec"].sum
+            assert parts == pytest.approx(stats.latency["rmatvec"].sum)
 
         asyncio.run(main())

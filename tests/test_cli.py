@@ -130,6 +130,8 @@ class TestServeBenchMode:
         assert rc == 0
         out = capsys.readouterr().out
         assert "coalesced" in out and "serve_one" in out
+        assert "wait ms" in out and "exec ms" in out  # where the median went
+        assert "window" not in out
         assert "bitwise=True" in out
         assert "within_budget=True" in out
 
@@ -140,3 +142,8 @@ class TestServeBenchMode:
     def test_serve_bench_bad_knobs(self, capsys):
         assert main(["--serve-bench", "--requests", "0"]) == 2
         assert main(["--serve-bench", "--budget-mb", "0"]) == 2
+
+    def test_serve_bench_has_no_window_knob(self, capsys):
+        # The batching timer is gone, and its flag with it.
+        with pytest.raises(SystemExit):
+            main(["--serve-bench", "--window-ms", "2"])

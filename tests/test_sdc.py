@@ -559,9 +559,7 @@ class TestServiceSDC:
             # One flip at the first engine event: the first flush trips
             # a check, the retry (consumed schedule) runs clean.
             sched = CorruptionSchedule(flips=[(0, 0)])
-            service, handle = self._service(
-                sched, window=0.0, sdc_escalation_threshold=10
-            )
+            service, handle = self._service(sched, sdc_escalation_threshold=10)
             async with service:
                 m = np.arange(NT * NM, dtype=np.float64).reshape(NT, NM)
                 got = await service.matvec(handle, m, tenant="acme")
@@ -582,9 +580,7 @@ class TestServiceSDC:
     def test_repeat_offender_escalates_to_engine_rebuild(self):
         async def main():
             sched = CorruptionSchedule(flips=[(0, 0)])
-            service, handle = self._service(
-                sched, window=0.0, sdc_escalation_threshold=1
-            )
+            service, handle = self._service(sched, sdc_escalation_threshold=1)
             async with service:
                 got = await service.matvec(handle, np.ones((NT, NM)))
                 assert np.all(np.isfinite(got))
@@ -599,9 +595,7 @@ class TestServiceSDC:
             # More flips than retry budget: the request must fail with
             # the typed error, not hang or return poisoned data.
             sched = CorruptionSchedule(flips=[(i, 0) for i in range(64)])
-            service, handle = self._service(
-                sched, window=0.0, max_flush_retries=1
-            )
+            service, handle = self._service(sched, max_flush_retries=1)
             async with service:
                 with pytest.raises(SilentCorruption):
                     await service.matvec(handle, np.ones((NT, NM)))
