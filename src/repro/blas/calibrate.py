@@ -24,6 +24,9 @@ blocked path:
 * :func:`calibration_table` renders the sweep as a Figure-1-style
   table; :func:`calibration_series` returns per-build (m, GB/s) series
   ready for a bar/line plot.
+
+Kept by ``src/repro/blas/bench.py``: paper Sec. 4.1.1 (Figure 1's bench
+results set the transition points); it fits from that module's results.
 """
 
 from __future__ import annotations

@@ -506,14 +506,16 @@ class SBGEMMKernel:
         path) can still book the kernel's modeled cost.
         """
         device.launch_memo(
-            self._launch_key(problem), lambda: self._launch_record(problem, device.spec), phase
+            self._launch_key(problem), lambda: self.launch(problem, device.spec), phase
         )
 
     def _launch_key(self, problem: GemmProblem) -> Tuple:
         """What the launch record depends on besides the device."""
         return (self.name, problem)
 
-    def _launch_record(self, problem: GemmProblem, spec: GPUSpec) -> KernelLaunch:
+    def launch(self, problem: GemmProblem, spec: GPUSpec) -> KernelLaunch:
+        """The kernel launch of one execution on ``spec`` — what a device
+        books (:meth:`charge_launch`) and what the perf model prices."""
         grid, block = self.launch_geometry(problem, spec)
         out_b = problem.out_rows * problem.k * problem.batch * problem.datatype.itemsize
         return KernelLaunch(

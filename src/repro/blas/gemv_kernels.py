@@ -276,12 +276,14 @@ class SBGEMVKernel:
         if device is not None:
             device.launch_memo(
                 (self.name, problem),
-                lambda: self._launch_record(problem, device.spec),
+                lambda: self.launch(problem, device.spec),
                 phase,
             )
         return y
 
-    def _launch_record(self, problem: GemvProblem, spec: GPUSpec) -> KernelLaunch:
+    def launch(self, problem: GemvProblem, spec: GPUSpec) -> KernelLaunch:
+        """The kernel launch of one execution on ``spec`` — what a device
+        books (:meth:`run`) and what the perf model prices."""
         grid, block = self.launch_geometry(problem, spec)
         return KernelLaunch(
             name=f"{self.name}_{problem.datatype.value}{problem.operation.value.lower()}",

@@ -24,6 +24,9 @@ Flags follow the artifact appendix:
 Timing output format matches the original: three lines of
 setup/total/cleanup, then per-phase times, for the F matvec and then the
 F* matvec.
+
+Kept by ``README.md``: the command-line entry point (``python -m
+repro.cli``), the original executable's flags.
 """
 
 from __future__ import annotations

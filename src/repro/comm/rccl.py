@@ -10,6 +10,9 @@ do.  Because all ranks live in one process, each rank's handle records
 its contribution and the collective resolves when every rank has
 arrived — which also means the tests can verify NCCL's actual contract
 (a collective completes only when all ranks call it).
+
+Kept by ``src/repro/hip/mappings.py``: the NCCL -> RCCL call surface of the
+paper's CUDA -> HIP port (Sec. 3); no engine imports it.
 """
 
 from __future__ import annotations

@@ -5,9 +5,9 @@ is :mod:`repro.util.checkpoint`): :class:`ElasticEngine` owns a grid
 engine and drives blocked applies **chunk by chunk**, committing each
 chunk's columns into the output as it completes.  When a collective
 raises :class:`~repro.comm.fault.RankFailure`, completed chunks are
-kept, the surviving ``N - 1`` ranks are re-partitioned through
-:func:`repro.comm.balance.balance_extents` onto a fresh grid, and only
-the lost chunk (plus the not-yet-run remainder) is replayed.
+kept, the surviving ``N - 1`` ranks are re-partitioned evenly
+(:meth:`~repro.comm.grid.ProcessGrid.split_extent`) onto a fresh grid,
+and only the lost chunk (plus the not-yet-run remainder) is replayed.
 
 Why the recovered result can claim **bitwise equality** with the
 no-failure run: under ``reduction="pairwise"`` (PR 8) every chunk's
@@ -33,7 +33,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.comm.balance import balance_extents, linear_cost
 from repro.comm.fault import (
     CorruptionSchedule,
     FailureSchedule,
@@ -183,7 +182,7 @@ class ElasticEngine:
     grid_shape, row_ranges, col_ranges:
         Optional explicit first-build geometry (property tests sweep
         random and width-1 partitions).  Recovery rebuilds always use
-        the balanced search — the dead grid's skew is stale information.
+        the even split — the dead grid's skew is stale information.
     """
 
     def __init__(
@@ -195,7 +194,6 @@ class ElasticEngine:
         spec=None,
         reduction: str = "pairwise",
         max_block_k: Optional[int] = None,
-        overlap: bool = True,
         workspace: Union[None, bool] = None,
         backend=None,
         failures: Optional[FailureSchedule] = None,
@@ -218,7 +216,6 @@ class ElasticEngine:
         self.spec = spec
         self.reduction = reduction
         self.max_block_k = validate_max_block_k(max_block_k)
-        self.overlap = bool(overlap)
         self.workspace = workspace
         self.backend = backend
         self.failures = failures
@@ -266,22 +263,6 @@ class ElasticEngine:
         """
         return self.engine.geometry_key(config)
 
-    def _balanced_ranges(self, n: int, parts: int) -> List[Tuple[int, int]]:
-        """Uniform-cost partition search for a fresh (reshaped) grid.
-
-        Recovery has no trustworthy per-rank measurements for the *new*
-        shape (the dead grid's clocks describe different part widths),
-        so rebuilds seed the balancer with uniform unit costs — the
-        searched optimum is the even split, found through the same
-        :func:`~repro.comm.balance.balance_extents` machinery callers
-        use to rebalance measured skew later.
-        """
-        return list(
-            balance_extents(
-                n, parts, linear_cost([1.0] * parts), what="elastic"
-            ).extents
-        )
-
     def _build(
         self,
         n_ranks: int,
@@ -301,21 +282,19 @@ class ElasticEngine:
                 f"grid shape {pr}x{pc} does not hold {n_ranks} ranks"
             )
         grid = ProcessGrid(pr, pc, net=self.net, backend=None)
-        if row_ranges is None:
-            row_ranges = self._balanced_ranges(self.nd, pr)
-        if col_ranges is None:
-            col_ranges = self._balanced_ranges(self.nm, pc)
         # Chunking lives in *this* layer (so a chunk is the replay unit);
-        # the inner engine always sees exactly one chunk per call.
+        # the inner engine always sees exactly one chunk per call.  A
+        # reshaped grid passes no ranges and gets the engine's even split
+        # (``ProcessGrid.split_extent``): the dead grid's clocks describe
+        # other part widths, so there is no measured skew to balance yet.
         self.engine = ParallelFFTMatvec(
             self.matrix,
             grid,
             spec=self.spec,
             max_block_k=None,
-            overlap=self.overlap,
             reduction=self.reduction,
-            row_ranges=list(row_ranges),
-            col_ranges=list(col_ranges),
+            row_ranges=row_ranges,
+            col_ranges=col_ranges,
             workspace=self.workspace,
             backend=self.backend,
             validate=self.validate,

@@ -32,25 +32,24 @@ Event-timeline execution (paper Sec. 4.2.2, Figure 4)
 -----------------------------------------------------
 Timing rides the stream/event model of :mod:`repro.util.timing`.  The
 blocked :meth:`ParallelFFTMatvec.matmat` / :meth:`~ParallelFFTMatvec.rmatmat`
-run a *double-buffered chunk schedule* over two streams:
+run their chunks through :func:`repro.util.timing.run_chunk_schedule`,
+the one definition of the *double-buffered chunk schedule* (its
+docstring lists every dependency edge; the perf model replays the same
+function on scalars): chunk ``i+1``'s broadcast is prefetched on the
+comm stream while chunk ``i`` computes, chunk ``i``'s reduce rides
+behind chunk ``i+1``'s compute.  This module supplies the callbacks
+that do a chunk's broadcast, compute and reduce.
 
-* the **comm stream** carries the chunk collectives — and *prefetches*
-  chunk ``i+1``'s column-broadcast while chunk ``i`` computes;
-* the **compute stream** carries the per-rank (max) five-phase pipeline,
-  waiting on the prefetched broadcast's event before starting a chunk;
-* each chunk's row-reduce waits on that chunk's compute event, and runs
-  on the comm stream concurrently with chunk ``i+1``'s compute.
-
-Wall time is the critical path through this dependency graph, realized
+Wall time is the critical path through that dependency graph, realized
 on the grid clock at the final sync: whenever a chunk's compute covers
 the next chunk's broadcast, the broadcast costs nothing.  A network
 model with ``overlap_efficiency < 1`` charges the exposed remainder of
 every prefetched collective onto the compute stream (link contention).
-``overlap=False`` (constructor or per-call) charges the classic serial
-schedule — broadcast → compute → reduce per chunk, one stream — which
-reproduces the pre-timeline charge exactly.  **Numerics are identical
-in both modes, bitwise**: the schedule only decides what time costs,
-never what is computed.
+``overlap=False`` (constructor or per-call) feeds the same schedule one
+chunk at a time — broadcast → compute → reduce per chunk, nothing to
+overlap — which reproduces the pre-timeline serial charge exactly.
+**Numerics are identical in both modes, bitwise**: the schedule only
+decides what time costs, never what is computed.
 
 A third **host stream** fuses the dense-operator-assembly host routines
 (:class:`~repro.util.timing.HostModel` — generate inputs, save results)
@@ -107,6 +106,7 @@ from __future__ import annotations
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -127,7 +127,7 @@ from repro.util.blocking import (
     validate_max_block_k,
 )
 from repro.util.dtypes import real_dtype
-from repro.util.timing import HostModel, SimClock, Stream, Timeline, TimingReport
+from repro.util.timing import HostModel, SimClock, Stream, TimingReport, run_chunk_schedule
 from repro.util.validation import ReproError
 from repro.util.workspace import Workspace, apply_scope
 
@@ -432,6 +432,19 @@ class ParallelFFTMatvec:
         self._timed_col_idx = max(
             range(grid.pc), key=lambda c: self._col_ranges[c][1] - self._col_ranges[c][0]
         )
+        # Picked once per engine: what each direction means on this grid
+        # and the fast or pairwise chunk compute / reduce pair — as plain
+        # functions called with ``self``: a bound method kept on its own
+        # instance is a reference cycle, and a dropped engine (an
+        # ``ElasticEngine`` rebuild, a cache eviction) would hold its
+        # arenas until the cycle collector's next pass.
+        self._dir = {adjoint: self._direction(adjoint) for adjoint in (False, True)}
+        cls = ParallelFFTMatvec
+        self._chunk_compute, self._chunk_reduce = (
+            (cls._chunk_compute_pairwise, cls._chunk_reduce_pairwise)
+            if reduction == "pairwise"
+            else (cls._chunk_compute_fast, cls._chunk_reduce_fast)
+        )
         self.max_block_k = validate_max_block_k(max_block_k)
         self.overlap = bool(overlap)
         self.last_timing: Optional[TimingReport] = None
@@ -596,12 +609,6 @@ class ParallelFFTMatvec:
         buf[...] = arr
         return buf
 
-    def _timed_col(self, c: int) -> SimCommunicator:
-        return self.grid.col_comm(0) if c == self._timed_col_idx else self._silent_col
-
-    def _timed_row(self, r: int) -> SimCommunicator:
-        return self.grid.row_comm(0) if r == self._timed_row_idx else self._silent_row
-
     def _snapshot(self) -> Dict[str, float]:
         return {p: self.grid.clock.phase_total(p) for p in _REPORT_PHASES}
 
@@ -682,20 +689,13 @@ class ParallelFFTMatvec:
         timed = (d for d in deltas if d is not None)
         return max(timed, key=lambda d: sum(d.values()), default={})
 
-    def _charge_compute(
-        self, phases: Dict[str, float], stream: Optional[Stream] = None
-    ) -> None:
-        """Charge a per-phase compute breakdown onto a stream or the clock."""
-        clock = self.grid.clock
+    @staticmethod
+    def _charge_compute(phases: Dict[str, float], stream: Stream) -> None:
+        """Charge a per-phase compute breakdown onto a stream."""
         for p in _PHASES:
             t = phases.get(p, 0.0)
-            if t <= 0:
-                continue
-            if stream is not None:
+            if t > 0:
                 stream.charge(t, phase=p)
-            else:
-                with clock.phase(p):
-                    clock.advance(t)
 
     # -- vector applies -------------------------------------------------------
     def matvec(
@@ -732,84 +732,111 @@ class ParallelFFTMatvec:
         return out
 
     # -- blocked multi-RHS path across the grid ------------------------------
+    def _direction(self, adjoint: bool) -> SimpleNamespace:
+        """What a direction means on this grid, derived once per engine:
+        F broadcasts each parameter part down its grid column and reduces
+        each sensor part across its grid row; F* swaps the roles.
+
+        ``inputs`` lists, per input part, its index, extent and
+        communicator; ``outputs``, per output part, its extent,
+        communicator and the contributing ranks in reduce order (the
+        first is the part's root); ``axis`` says which of a rank's
+        ``(r, c)`` names its input part, ``n_global`` is the length of
+        the contraction axis.  The widest part's communicator is the
+        grid's timed one; the others run beside it on a silent clone.
+        """
+        grid, (pr, pc) = self.grid, (self.grid.pr, self.grid.pc)
+        rows = [
+            (r, r0, r1, grid.row_comm(0) if r == self._timed_row_idx else self._silent_row)
+            for r, (r0, r1) in enumerate(self._row_ranges)
+        ]
+        cols = [
+            (c, c0, c1, grid.col_comm(0) if c == self._timed_col_idx else self._silent_col)
+            for c, (c0, c1) in enumerate(self._col_ranges)
+        ]
+        if adjoint:
+            outputs = [(c0, c1, comm, [(r, c) for r in range(pr)]) for c, c0, c1, comm in cols]
+        else:
+            outputs = [(r0, r1, comm, [(r, c) for c in range(pc)]) for r, r0, r1, comm in rows]
+        return SimpleNamespace(
+            adjoint=adjoint,
+            axis=0 if adjoint else 1,
+            tag="r" if adjoint else "c",
+            n_global=self.nd if adjoint else self.nm,
+            inputs=rows if adjoint else cols,
+            outputs=outputs,
+        )
+
     def _chunk_bcast(
         self,
         chunk: np.ndarray,
         cfg: PrecisionConfig,
-        adjoint: bool,
-        stream: Optional[Stream],
-        slot: int = 0,
-    ) -> Tuple[Dict[int, np.ndarray], float]:
+        d: SimpleNamespace,
+        stream: Stream,
+        slot: int,
+    ) -> Dict[int, np.ndarray]:
         """Phase 1 communication for one chunk: ONE batched broadcast per
         grid column (row for the adjoint) carries the whole
         ``(Nt, n_local, kc)`` block in Phase 1's precision — volume scales
         by kc, the log2 latency tree is paid once for the chunk.
 
         With the arena, payload and receive buffers are persistent and
-        keyed by ``slot`` — the overlapped schedule ping-pongs between
-        two slots (``i % 2``) so the prefetched chunk ``i + 1`` never
-        shares buffers with the chunk ``i`` payload still in flight,
-        while chunk ``i + 2`` reuses chunk ``i``'s.  Returns the
-        per-column (per-row) broadcast copies and the modeled time
-        charged (onto ``stream`` when given, else the grid clock).
+        keyed by ``slot`` — the chunk loop ping-pongs between two slots
+        (``i % 2``) so the prefetched chunk ``i + 1`` never shares
+        buffers with the chunk ``i`` payload still in flight, while
+        chunk ``i + 2`` reuses chunk ``i``'s.  Returns the per-column
+        (per-row) broadcast copies; the modeled time is charged onto
+        ``stream``.
         """
-        in_ranges = self._row_ranges if adjoint else self._col_ranges
-        in_comm = self._timed_row if adjoint else self._timed_col
-        n_in = self.grid.pr if adjoint else self.grid.pc
-        axis = "r" if adjoint else "c"
-        t0 = stream.cursor if stream is not None else self.grid.clock.now
         in_blocks: Dict[int, np.ndarray] = {}
-        for i in range(n_in):
-            i0, i1 = in_ranges[i]
+        for i, i0, i1, cobj in d.inputs:
             payload = self._stage_payload(
-                chunk[:, i0:i1, :], cfg.pad, f"pay[{slot}]/{axis}{i}"
+                chunk[:, i0:i1, :], cfg.pad, f"pay[{slot}]/{d.tag}{i}"
             )
-            cobj = in_comm(i)
             with cobj.on_stream(stream if cobj.clock is not None else None):
                 copies = cobj.bcast(
                     payload,
                     root=0,
                     phase="pad",
                     workspace=self.workspace,
-                    tag=f"recv[{slot}]/{axis}{i}",
+                    tag=f"recv[{slot}]/{d.tag}{i}",
                     backend=self.backend,
                 )
-            in_blocks[i] = self._as_input64(copies[0], f"in64[{slot}]/{axis}{i}")
-        t1 = stream.cursor if stream is not None else self.grid.clock.now
-        return in_blocks, t1 - t0
+            in_blocks[i] = self._as_input64(copies[0], f"in64[{slot}]/{d.tag}{i}")
+        return in_blocks
 
-    def _chunk_compute(
+    def _chunk_compute_fast(
         self,
         in_blocks: Dict[int, np.ndarray],
         cfg: PrecisionConfig,
-        adjoint: bool,
-        stream: Optional[Stream],
-        deterministic: bool = False,
+        d: SimpleNamespace,
+        stream: Stream,
+        deterministic: bool,
     ) -> Dict[Tuple[int, int], np.ndarray]:
         """Per-rank blocked pipelines for one chunk: one pad / batched FFT
         / SBGEMM / IFFT / unpad pass on every rank; the max-rank time is
-        charged onto ``stream`` (or the grid clock).  ``deterministic``
-        selects each rank's per-column-GEMV Phase 3."""
+        charged onto ``stream``.  ``deterministic`` selects each rank's
+        per-column-GEMV Phase 3."""
         partials, compute = self._rank_compute(
             lambda r, c, engine: engine._pipeline_block(
-                in_blocks[r if adjoint else c],
+                in_blocks[(r, c)[d.axis]],
                 cfg,
-                adjoint=adjoint,
+                adjoint=d.adjoint,
                 detach=False,
                 deterministic=deterministic,
             ),
             in_blocks[0].shape[2],
         )
-        self._charge_compute(compute, stream=stream)
+        self._charge_compute(compute, stream)
         return partials
 
-    def _chunk_reduce(
+    def _chunk_reduce_fast(
         self,
         partials: Dict[Tuple[int, int], np.ndarray],
         out: np.ndarray,
         cfg: PrecisionConfig,
-        adjoint: bool,
-        stream: Optional[Stream],
+        d: SimpleNamespace,
+        stream: Stream,
     ) -> None:
         """Phase 5 communication for one chunk: ONE batched tree-reduce
         per grid row (column for the adjoint); the eps5 * log2
@@ -817,55 +844,41 @@ class ParallelFFTMatvec:
         The reduced rows land directly in ``out`` — the caller's
         ``(Nt, ny, kc)`` output view — with no intermediate gather
         buffer."""
-        out_ranges = self._col_ranges if adjoint else self._row_ranges
-        out_comm = self._timed_col if adjoint else self._timed_row
-        n_out = self.grid.pc if adjoint else self.grid.pr
-        for o in range(n_out):
-            o0, o1 = out_ranges[o]
-            if adjoint:
-                contribs = [
-                    self.backend.cast(partials[(r, o)], cfg.unpad)
-                    for r in range(self.grid.pr)
-                ]
-            else:
-                contribs = [
-                    self.backend.cast(partials[(o, c)], cfg.unpad)
-                    for c in range(self.grid.pc)
-                ]
-            cobj = out_comm(o)
+        be = self.backend
+        for o0, o1, cobj, ranks in d.outputs:
+            contribs = [be.cast(partials[rc], cfg.unpad) for rc in ranks]
             with cobj.on_stream(stream if cobj.clock is not None else None):
                 reduced = cobj.reduce(
-                    contribs, root=0, precision=cfg.unpad, phase="unpad",
-                    backend=self.backend,
+                    contribs, root=0, precision=cfg.unpad, phase="unpad", backend=be
                 )
-            out[:, o0:o1, :] = self.backend.from_device(reduced)
+            out[:, o0:o1, :] = be.from_device(reduced)
 
     def _chunk_compute_pairwise(
         self,
         in_blocks: Dict[int, np.ndarray],
         cfg: PrecisionConfig,
-        adjoint: bool,
-        stream: Optional[Stream],
+        d: SimpleNamespace,
+        stream: Stream,
+        deterministic: bool,
     ) -> Dict[Tuple[int, int], Dict[Tuple[int, int], np.ndarray]]:
         """Pairwise front half for one chunk: every rank runs pad / FFT /
         reorder and computes Phase-3 partial panels for the canonical
         tree segments of its *global* contraction range.  No IFFT/unpad
         here — the epilogue runs once per output part after the
         frequency-domain segment reduce.  Max-rank time is charged onto
-        ``stream`` (or the grid clock)."""
-        in_ranges = self._row_ranges if adjoint else self._col_ranges
-        n_global = self.nd if adjoint else self.nm
+        ``stream``.  ``deterministic`` is redundant here (the fixed tree
+        already is) and ignored."""
         tables, compute = self._rank_compute(
             lambda r, c, engine: engine._pipeline_block_pairwise_segments(
-                in_blocks[r if adjoint else c],
+                in_blocks[(r, c)[d.axis]],
                 cfg,
-                adjoint=adjoint,
-                start=in_ranges[r if adjoint else c][0],
-                n_global=n_global,
+                adjoint=d.adjoint,
+                start=d.inputs[(r, c)[d.axis]][1],
+                n_global=d.n_global,
             ),
             in_blocks[0].shape[2],
         )
-        self._charge_compute(compute, stream=stream)
+        self._charge_compute(compute, stream)
         return tables
 
     def _chunk_reduce_pairwise(
@@ -873,8 +886,8 @@ class ParallelFFTMatvec:
         tables: Dict[Tuple[int, int], Dict[Tuple[int, int], np.ndarray]],
         out: np.ndarray,
         cfg: PrecisionConfig,
-        adjoint: bool,
-        stream: Optional[Stream],
+        d: SimpleNamespace,
+        stream: Stream,
     ) -> None:
         """Pairwise Phase 5 for one chunk: ONE frequency-domain segment
         reduce per grid row (column for the adjoint) merges every rank's
@@ -883,172 +896,21 @@ class ParallelFFTMatvec:
         panel.  All root epilogues run concurrently on distinct devices,
         so the max is charged (onto ``stream``, where it overlaps the
         next chunk's front compute like a second device queue)."""
-        out_ranges = self._col_ranges if adjoint else self._row_ranges
-        out_comm = self._timed_col if adjoint else self._timed_row
-        n_out = self.grid.pc if adjoint else self.grid.pr
-        n_global = self.nd if adjoint else self.nm
         finished = []
-        for o in range(n_out):
-            o0, o1 = out_ranges[o]
-            if adjoint:
-                contribs = [tables[(r, o)] for r in range(self.grid.pr)]
-                root_rc = (0, o)
-            else:
-                contribs = [tables[(o, c)] for c in range(self.grid.pc)]
-                root_rc = (o, 0)
-            cobj = out_comm(o)
+        for o0, o1, cobj, ranks in d.outputs:
             with cobj.on_stream(stream if cobj.clock is not None else None):
                 merged = cobj.reduce_segments(
-                    contribs, n_global, root=0, phase="unpad",
+                    [tables[rc] for rc in ranks], d.n_global, root=0, phase="unpad",
                     backend=self.backend,
                 )
             out[:, o0:o1, :], deltas = self._run_rank(
-                root_rc,
+                ranks[0],
                 lambda r, c, engine: engine._pipeline_block_finish(
-                    merged, cfg, adjoint=adjoint
+                    merged, cfg, adjoint=d.adjoint
                 ),
             )
             finished.append(deltas)
-        self._charge_compute(self._slowest(finished), stream=stream)
-
-    def _matmat_serial(
-        self,
-        VV: np.ndarray,
-        out: np.ndarray,
-        ranges: List[Tuple[int, int]],
-        cfg: PrecisionConfig,
-        adjoint: bool,
-        deterministic: bool = False,
-    ) -> None:
-        """Serial charge: broadcast → compute → reduce per chunk, in
-        program order on the grid clock (the pre-timeline model)."""
-        pairwise = self.reduction == "pairwise"
-        for i, (j0, j1) in enumerate(ranges):
-            chunk = VV[:, :, j0:j1]
-            in_blocks, _ = self._chunk_bcast(
-                chunk, cfg, adjoint, stream=None, slot=i % 2
-            )
-            if pairwise:
-                tables = self._chunk_compute_pairwise(
-                    in_blocks, cfg, adjoint, stream=None
-                )
-                self._chunk_reduce_pairwise(
-                    tables, out[:, :, j0:j1], cfg, adjoint, stream=None
-                )
-                continue
-            partials = self._chunk_compute(
-                in_blocks, cfg, adjoint, stream=None, deterministic=deterministic
-            )
-            self._chunk_reduce(
-                partials, out[:, :, j0:j1], cfg, adjoint, stream=None
-            )
-
-    def _matmat_overlapped(
-        self,
-        VV: np.ndarray,
-        out: np.ndarray,
-        ranges: List[Tuple[int, int]],
-        cfg: PrecisionConfig,
-        adjoint: bool,
-        deterministic: bool = False,
-        host: Optional[HostModel] = None,
-        overlap_host: bool = True,
-    ) -> None:
-        """Double-buffered chunk schedule on the event timeline.
-
-        Comm stream: bcast(0), bcast(1), reduce(0), bcast(2), reduce(1),
-        …, reduce(n-1) — each chunk's broadcast is *prefetched* while the
-        previous chunk computes, and each reduce waits on its chunk's
-        compute event.  Compute stream: chunk i waits on bcast(i)'s
-        event.  Wall time (realized at the final sync) is the critical
-        path; the numerics are identical to the serial schedule.
-
-        With a fused ``host`` model a third stream carries the
-        dense-assembly host routines: chunk i's generate
-        (``k_i * gen_time``) is charged before — and its event gates —
-        chunk i's broadcast, and chunk i's save (``k_i * save_time``)
-        waits on chunk i's reduce event.  The host stream is in order,
-        so generate(i+1) precedes save(i) (the classic double-buffer
-        slot) and save(i) precedes generate(i+2) — two buffers, neither
-        side runs further ahead.  Host, device and network are then
-        fully concurrent; the wall is the max of the three streams'
-        critical paths.  ``overlap_host=False`` callers run this
-        two-stream schedule unchanged and charge the host total
-        serially afterwards (see :meth:`_matmat_impl`).
-        """
-        pairwise = self.reduction == "pairwise"
-        tl = Timeline(self.grid.clock)
-        comm_s = tl.stream("comm")
-        comp_s = tl.stream("compute")
-        host_s = (
-            tl.stream("host") if host is not None and overlap_host else None
-        )
-        widths = [j1 - j0 for j0, j1 in ranges]
-        exposed = self.grid.net.exposed_fraction()
-
-        if host_s is not None:
-            # Prologue: generate chunk 0's inputs; the broadcast cannot
-            # leave before the host has produced them.
-            host_s.charge(widths[0] * host.gen_time, phase="host")
-            comm_s.wait(host_s.record("gen[0]"))
-        in_blocks, _ = self._chunk_bcast(
-            VV[:, :, ranges[0][0] : ranges[0][1]], cfg, adjoint, stream=comm_s, slot=0
-        )
-        ev_bcast = comm_s.record("bcast[0]")
-        reduce_tax = 0.0  # exposed share of the previous chunk's reduce
-        for i, (j0, j1) in enumerate(ranges):
-            comp_s.wait(ev_bcast)
-            if reduce_tax > 0.0:
-                # Imperfect overlap: the previous chunk's reduce steals
-                # link/engine bandwidth from this chunk's compute.
-                comp_s.charge(reduce_tax, phase="unpad")
-            if pairwise:
-                partials = self._chunk_compute_pairwise(
-                    in_blocks, cfg, adjoint, stream=comp_s
-                )
-            else:
-                partials = self._chunk_compute(
-                    in_blocks, cfg, adjoint, stream=comp_s,
-                    deterministic=deterministic,
-                )
-            if i + 1 < len(ranges):
-                n0, n1 = ranges[i + 1]
-                if host_s is not None:
-                    # Generate chunk i+1 while chunk i computes; the
-                    # prefetched broadcast waits on it.
-                    host_s.charge(widths[i + 1] * host.gen_time, phase="host")
-                    comm_s.wait(host_s.record(f"gen[{i + 1}]"))
-                # Prefetch into the other ping-pong slot: chunk i's
-                # payload buffers stay live while chunk i+1's broadcast
-                # is in flight, exactly as on the real machine.
-                in_blocks, t_next = self._chunk_bcast(
-                    VV[:, :, n0:n1], cfg, adjoint, stream=comm_s, slot=(i + 1) % 2
-                )
-                ev_bcast = comm_s.record(f"bcast[{i + 1}]")
-                if exposed > 0.0:
-                    # ... as does the prefetched broadcast.
-                    comp_s.charge(exposed * t_next, phase="pad")
-            ev_compute = comp_s.record(f"compute[{i}]")
-            comm_s.wait(ev_compute)
-            c0 = comm_s.cursor
-            if pairwise:
-                self._chunk_reduce_pairwise(
-                    partials, out[:, :, j0:j1], cfg, adjoint, stream=comm_s
-                )
-            else:
-                self._chunk_reduce(
-                    partials, out[:, :, j0:j1], cfg, adjoint, stream=comm_s
-                )
-            # This reduce overlaps the *next* chunk's compute (if any).
-            reduce_tax = (
-                exposed * (comm_s.cursor - c0) if i + 1 < len(ranges) else 0.0
-            )
-            if host_s is not None:
-                # Save chunk i's results once its reduce has delivered
-                # them; overlaps chunk i+1's compute and collectives.
-                host_s.wait(comm_s.record(f"reduce[{i}]"))
-                host_s.charge(widths[i] * host.save_time, phase="host")
-        tl.sync()
+        self._charge_compute(self._slowest(finished), stream)
 
     def _matmat_impl(
         self,
@@ -1075,6 +937,7 @@ class ParallelFFTMatvec:
         fuse_host = (
             self.overlap_host if overlap_host is None else bool(overlap_host)
         )
+        fused = host is not None and use_overlap and fuse_host
 
         before = self._snapshot()
         t_start = self.grid.clock.now
@@ -1082,17 +945,43 @@ class ParallelFFTMatvec:
         out = check_out_buffer(out, (self.nt, ny, k))
         if out is None:
             out = np.empty((self.nt, ny, k))
+
+        # The schedule's callbacks: chunk i's broadcast copies wait in
+        # ``staged`` for its compute, whose partials wait for its reduce.
+        d = self._dir[adjoint]
+        staged: Dict[int, dict] = {}
+
+        def bcast(i: int, stream: Stream) -> float:
+            t0, (j0, j1) = stream.cursor, ranges[i]
+            # Into the other ping-pong slot: chunk i-1's payload buffers
+            # stay live while chunk i's broadcast is in flight, exactly
+            # as on the real machine.
+            staged[i] = self._chunk_bcast(VV[:, :, j0:j1], cfg, d, stream, i % 2)
+            return stream.cursor - t0
+
+        def compute(i: int, stream: Stream) -> None:
+            staged[i] = self._chunk_compute(self, staged[i], cfg, d, stream, deterministic)
+
+        def reduce(i: int, stream: Stream) -> float:
+            t0, (j0, j1) = stream.cursor, ranges[i]
+            self._chunk_reduce(self, staged.pop(i), out[:, :, j0:j1], cfg, d, stream)
+            return stream.cursor - t0
+
+        # Fused, the host generates chunk i before its broadcast and
+        # saves it after its reduce, on the schedule's third stream.
+        host_costs = {}
+        if fused:
+            host_costs["gen"] = [(j1 - j0) * host.gen_time for j0, j1 in ranges]
+            host_costs["save"] = [(j1 - j0) * host.save_time for j0, j1 in ranges]
+        exposed = self.grid.net.exposed_fraction()
+        n = len(ranges)
         with apply_scope(self.workspace):
-            if use_overlap:
-                self._matmat_overlapped(
-                    VV, out, ranges, cfg, adjoint, deterministic=deterministic,
-                    host=host, overlap_host=fuse_host,
+            # overlap=False is the same schedule fed one chunk at a time.
+            for chunks in [range(n)] if use_overlap else [(i,) for i in range(n)]:
+                run_chunk_schedule(
+                    self.grid.clock, chunks, bcast, compute, reduce, exposed, **host_costs
                 )
-            else:
-                self._matmat_serial(
-                    VV, out, ranges, cfg, adjoint, deterministic=deterministic
-                )
-            if host is not None and not (use_overlap and fuse_host):
+            if host is not None and not fused:
                 # Unfused host charge: the generate/save total rides
                 # serially on top of the device/network schedule — the
                 # two-stream baseline the three-stream fusion beats.
@@ -1101,7 +990,7 @@ class ParallelFFTMatvec:
         name = "F*" if adjoint else "F"
         sched = "overlap" if use_overlap else "serial"
         if host is not None:
-            sched += "+host3" if use_overlap and fuse_host else "+host"
+            sched += "+host3" if fused else "+host"
         self._record(
             before,
             f"{cfg} {name}[k={k}/{len(ranges)} chunk(s), {sched}"

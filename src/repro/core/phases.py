@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.backend import Backend, NumpyBackend
-from repro.core.reorder import charge_copy, transpose_into
+from repro.core.reorder import charge_copy, copy_launch, transpose_into
 from repro.gpu.device import SimulatedDevice
 from repro.util import checksum as _chk
 from repro.util.dtypes import Precision, real_dtype
@@ -38,29 +38,37 @@ from repro.util.validation import ReproError
 from repro.util.workspace import Workspace
 
 __all__ = [
-    "pad_to_soti", "unpad_from_soti", "padded_buffer", "charge_pad", "charge_unpad",
+    "pad_to_soti", "unpad_from_soti", "padded_buffer", "pad_launch", "unpad_launch",
+    "charge_pad", "charge_unpad",
 ]
 
 _NUMPY = NumpyBackend()
 
 
+def pad_launch(spec, nt: int, nx: int, in_itemsize: int, precision: Precision):
+    """The pad kernel of an ``(nt, nx)`` input: written at ``precision``,
+    whatever the buffer's tier."""
+    elems = 2 * nt * nx
+    written = float(elems * real_dtype(precision).itemsize)
+    return copy_launch(spec, "pad_zero", float(nt * nx * in_itemsize), written, elems, 0.9)
+
+
+def unpad_launch(spec, nt: int, nx: int, in_itemsize: int, out_itemsize: int):
+    """The unpad kernel producing an ``(nt, nx)`` result; only the first
+    half of each padded series is read."""
+    elems = nt * nx
+    read, written = float(elems * in_itemsize), float(elems * out_itemsize)
+    return copy_launch(spec, "unpad", read, written, elems, 0.9)
+
+
 def charge_pad(device, nt: int, nx: int, in_itemsize: int, precision: Precision, phase="pad"):
-    """Book the pad kernel of an ``(nt, nx)`` input on ``device`` (no-op
-    without one): written at ``precision``, whatever the buffer's tier."""
-    if device is not None:
-        elems = 2 * nt * nx
-        written = float(elems * real_dtype(precision).itemsize)
-        charge_copy(device, "pad_zero", float(nt * nx * in_itemsize), written, elems, phase, 0.9)
+    """Book :func:`pad_launch` on ``device`` (no-op without one)."""
+    charge_copy(device, phase, pad_launch, nt, nx, in_itemsize, precision)
 
 
 def charge_unpad(device, nt: int, nx: int, in_itemsize: int, out_itemsize: int, phase="unpad"):
-    """Book the unpad kernel producing an ``(nt, nx)`` result on
-    ``device`` (no-op without one); only the first half of each padded
-    series is read."""
-    if device is not None:
-        elems = nt * nx
-        read, written = float(elems * in_itemsize), float(elems * out_itemsize)
-        charge_copy(device, "unpad", read, written, elems, phase, 0.9)
+    """Book :func:`unpad_launch` on ``device`` (no-op without one)."""
+    charge_copy(device, phase, unpad_launch, nt, nx, in_itemsize, out_itemsize)
 
 
 def padded_buffer(nx: int, nt: int, dtype, workspace=None, backend=None, tag: str = "pad"):

@@ -42,7 +42,8 @@ from repro.util.validation import ReproError
 from repro.util.workspace import Workspace
 
 __all__ = [
-    "tosi_to_soti", "soti_to_tosi", "reorder_bytes", "transpose_into", "charge_reorder",
+    "tosi_to_soti", "soti_to_tosi", "reorder_bytes", "transpose_into", "copy_launch",
+    "reorder_launch", "charge_reorder",
 ]
 
 _NUMPY = NumpyBackend()
@@ -94,36 +95,41 @@ def reorder_bytes(arr_shape, in_itemsize: int, out_itemsize: int) -> float:
     return float(n) * (in_itemsize + out_itemsize)
 
 
-def charge_copy(
-    device, name: str, bytes_read, bytes_written, out_elems: int, phase: str, derate: float
-) -> None:
-    """Book one streaming copy kernel (pad, unpad, reorder) on ``device``
-    at ``derate`` times the stream efficiency of its traffic."""
+def copy_launch(
+    spec, name: str, bytes_read, bytes_written, out_elems: int, derate: float
+) -> KernelLaunch:
+    """One streaming copy kernel (pad, unpad, reorder) on ``spec``, at
+    ``derate`` times the stream efficiency of its traffic — the launch
+    the engine books and the perf model prices."""
+    return KernelLaunch(
+        name=name,
+        grid=Dim3(x=max(1, (out_elems + 255) // 256)),
+        block=Dim3(x=256),
+        bytes_read=float(bytes_read),
+        bytes_written=float(bytes_written),
+        efficiency_hint=stream_efficiency(float(bytes_read + bytes_written), spec) * derate,
+    )
 
-    def kernel() -> KernelLaunch:
-        return KernelLaunch(
-            name=name,
-            grid=Dim3(x=max(1, (out_elems + 255) // 256)),
-            block=Dim3(x=256),
-            bytes_read=float(bytes_read),
-            bytes_written=float(bytes_written),
-            efficiency_hint=stream_efficiency(
-                float(bytes_read + bytes_written), device.spec
-            ) * derate,
-        )
 
-    device.launch_memo((name, bytes_read, bytes_written, out_elems), kernel, phase)
+def reorder_launch(spec, name: str, elems: int, in_itemsize: int, out_itemsize: int):
+    """The reorder kernel over ``elems`` elements: read at the source
+    tier, written at the lower of the two (see the module docstring).
+    Transposes are less cache-friendly than pure streams; apply the
+    classic ~0.75 factor of a tiled transpose kernel."""
+    written = elems * min(in_itemsize, out_itemsize)
+    return copy_launch(spec, name, elems * in_itemsize, written, elems, 0.75)
+
+
+def charge_copy(device, phase: str, launch, *args) -> None:
+    """Book the copy kernel ``launch(spec, *args)`` on ``device`` (no-op
+    without one); built and priced once per ``args`` and device."""
+    if device is not None:
+        device.launch_memo((launch,) + args, lambda: launch(device.spec, *args), phase)
 
 
 def charge_reorder(device, name: str, elems: int, in_itemsize: int, out_itemsize: int, phase: str):
-    """Book one reorder kernel over ``elems`` elements on ``device``
-    (no-op without one): read at the source tier, written at the lower
-    of the two (see the module docstring).  Transposes are less
-    cache-friendly than pure streams; apply the classic ~0.75 factor of
-    a tiled transpose kernel."""
-    if device is not None:
-        written = elems * min(in_itemsize, out_itemsize)
-        charge_copy(device, name, elems * in_itemsize, written, elems, phase, 0.75)
+    """Book :func:`reorder_launch` on ``device`` (no-op without one)."""
+    charge_copy(device, phase, reorder_launch, name, elems, in_itemsize, out_itemsize)
 
 
 def _reorder(

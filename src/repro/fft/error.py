@@ -8,6 +8,9 @@ a length-``n`` FFT computed with unit roundoff ``eps`` satisfies::
 and that the FFT operator's 2-norm is ``sqrt(n)`` (inverse ``1/sqrt(n)``
 for the normalized inverse).  These helpers package those facts so the
 error model and the tests share one definition.
+
+Kept by ``tests/fft/test_error.py``: the Van Loan facts Eq. (6) cites (Sec.
+3.2.1), checked against measured FFT error; no model imports them yet.
 """
 
 from __future__ import annotations

@@ -47,12 +47,13 @@ from repro.backend import Backend, NumpyBackend
 from repro.gpu.bandwidth import stream_efficiency
 from repro.gpu.device import SimulatedDevice
 from repro.gpu.kernel import Dim3, KernelLaunch
+from repro.gpu.specs import GPUSpec
 from repro.util import checksum as _chk
 from repro.util.dtypes import Precision, complex_dtype, real_dtype
 from repro.util.validation import ReproError, check_positive_int
 from repro.util.workspace import Workspace
 
-__all__ = ["FFTType", "FFTPlan", "plan_many"]
+__all__ = ["FFTType", "FFTPlan", "plan_many", "fft_traffic_bytes"]
 
 _NUMPY = NumpyBackend()
 
@@ -94,6 +95,25 @@ class FFTType(enum.Enum):
 
 # GPU FFT kernels fuse ~4 radix stages per global-memory pass.
 _STAGES_PER_PASS = 4
+
+
+def fft_traffic_bytes(
+    n: int, batch: int, precision: Precision, forward: bool, real: bool = True
+) -> float:
+    """Read+write HBM traffic of one batched FFT execution: a real
+    transform (half spectrum on the complex side) in the given
+    direction, or with ``real=False`` a complex-to-complex one."""
+    r = real_dtype(precision).itemsize
+    c = complex_dtype(precision).itemsize
+    half = n // 2 + 1
+    if not real:
+        in_b = out_b = n * c
+    elif forward:
+        in_b, out_b = n * r, half * c
+    else:
+        in_b, out_b = half * c, n * r
+    passes = max(2, math.ceil(math.log2(max(n, 2)) / _STAGES_PER_PASS))
+    return float(batch) * (in_b + out_b) * passes / 2.0
 
 
 class FFTPlan:
@@ -146,19 +166,6 @@ class FFTPlan:
         """Half-spectrum length for real transforms (n//2 + 1)."""
         return self.n // 2 + 1
 
-    def _traffic_bytes(self) -> float:
-        """Read+write HBM traffic of one batched execution."""
-        if self._real_fwd:
-            in_b = self.n * self._rdt.itemsize
-            out_b = self.half_len * self._cdt.itemsize
-        elif self._real_inv:
-            in_b = self.half_len * self._cdt.itemsize
-            out_b = self.n * self._rdt.itemsize
-        else:
-            in_b = out_b = self.n * self._cdt.itemsize
-        passes = max(2, math.ceil(math.log2(max(self.n, 2)) / _STAGES_PER_PASS))
-        return float(self.batch) * (in_b + out_b) * passes / 2.0
-
     def _book(self, phase: Optional[str]) -> None:
         """Count and charge one whole-batch execution (not a further slab's)."""
         if phase is None:
@@ -166,11 +173,18 @@ class FFTPlan:
         self.executions += 1
         if self.device is not None:
             self.device.launch_memo(
-                ("fft", self.fft_type, self.n, self.batch), self._kernel, phase
+                ("fft", self.fft_type, self.n, self.batch),
+                lambda: self.launch(self.device.spec),
+                phase,
             )
 
-    def _kernel(self) -> KernelLaunch:
-        traffic = self._traffic_bytes()
+    def launch(self, spec: GPUSpec) -> KernelLaunch:
+        """The kernel launch of one whole-batch execution on ``spec`` —
+        what an attached device books, and what the perf model prices."""
+        traffic = fft_traffic_bytes(
+            self.n, self.batch, self.precision, self._real_fwd,
+            real=self._real_fwd or self._real_inv,
+        )
         return KernelLaunch(
             name=f"fft_{self.fft_type.value.lower()}_n{self.n}",
             grid=Dim3(x=max(1, self.batch)),
@@ -178,7 +192,7 @@ class FFTPlan:
             bytes_read=traffic / 2,
             bytes_written=traffic / 2,
             flops=5.0 * self.n * math.log2(max(self.n, 2)) * self.batch,
-            efficiency_hint=stream_efficiency(traffic, self.device.spec),
+            efficiency_hint=stream_efficiency(traffic, spec),
         )
 
     # -- execution -------------------------------------------------------------

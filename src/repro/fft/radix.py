@@ -10,6 +10,9 @@ factors, so the observed error growth follows the Van Loan
 The implementations are vectorized over a batch axis: inputs are
 ``(batch, n)`` arrays and all butterflies are NumPy slice operations (no
 Python loop over the batch or over butterflies within a stage).
+
+Kept by ``benchmarks/test_micro.py``: the independent FFT reference, and the
+measured side of Eq. (6)'s ``eps * log2 n`` term.
 """
 
 from __future__ import annotations

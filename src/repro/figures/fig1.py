@@ -4,6 +4,8 @@ Reproduces the rocblas-bench comparison on MI300X: batch 100, transpose
 for real datatypes and conjugate transpose for complex, over the paper's
 matrix shapes.  Prints % of peak bandwidth for both builds next to the
 paper's bar annotations.
+
+Kept by ``benchmarks/test_fig1_sbgemv.py``: paper Figure 1.
 """
 
 from __future__ import annotations

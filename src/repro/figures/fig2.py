@@ -5,6 +5,8 @@ MI250X (single GCD), MI300X and MI355X.  Paper facts this regenerates:
 SBGEMV dominates (~92%+ of the runtime), total time trends with peak
 memory bandwidth, and F* matches F once the optimized transpose kernel
 is in place (with F* slightly slower on MI300X).
+
+Kept by ``benchmarks/test_fig2_breakdown.py``: paper Figure 2.
 """
 
 from __future__ import annotations

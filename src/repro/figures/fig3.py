@@ -23,6 +23,8 @@ nothing at least as accurate is faster by more than the selection
 rule's 2 % tie band.  For F*, ``ddssd`` (8.7e-8 to 9.1e-8) is selected
 at 1e-7 on every seed.  The figure reports the band; sizes and seeds
 are not tuned to hide it.
+
+Kept by ``benchmarks/test_fig3_pareto.py``: paper Figure 3.
 """
 
 from __future__ import annotations

@@ -11,6 +11,8 @@ with real per-rank numerics on a proportionally reduced local problem
 the paper's), so the error trend — flat to 512 GPUs, rising when the
 grid-row count jumps to 8 and 16 because the local SBGEMV length grows —
 is produced by actual floating-point arithmetic.
+
+Kept by ``benchmarks/test_fig4_scaling.py``: paper Figure 4.
 """
 
 from __future__ import annotations

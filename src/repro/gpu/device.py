@@ -26,7 +26,23 @@ from repro.gpu.memory import DeviceAllocator
 from repro.gpu.specs import GPUSpec, get_gpu
 from repro.util.timing import SimClock, Stream
 
-__all__ = ["SimulatedDevice", "LaunchRecord"]
+__all__ = ["SimulatedDevice", "LaunchRecord", "price_launch"]
+
+
+def price_launch(kernel: KernelLaunch, spec: GPUSpec) -> float:
+    """Validated launch -> simulated seconds on ``spec``.
+
+    The one price of a kernel launch: what a device charges when it
+    books the launch, and what the perf model sums.  If the kernel
+    provides an ``efficiency_hint`` it is used directly; otherwise a
+    streaming efficiency is derived from the total traffic.
+    """
+    kernel.validate(spec)
+    if kernel.efficiency_hint > 0:
+        eff = kernel.efficiency_hint
+    else:
+        eff = stream_efficiency(kernel.bytes_moved, spec)
+    return kernel_time(kernel.bytes_moved, spec, eff)
 
 
 @dataclass(frozen=True)
@@ -126,13 +142,9 @@ class SimulatedDevice:
 
     # -- kernels ---------------------------------------------------------
     def launch(self, kernel: KernelLaunch, phase: str = "") -> float:
-        """Validate and execute a kernel launch; returns simulated seconds.
-
-        Cost model: if the kernel provides an ``efficiency_hint`` it is
-        used directly; otherwise a streaming efficiency is derived from
-        the total traffic.
-        """
-        return self._book(kernel, self._price(kernel), phase)
+        """Validate and execute a kernel launch; returns simulated seconds
+        (:func:`price_launch` on this device's spec)."""
+        return self._book(kernel, price_launch(kernel, self.spec), phase)
 
     # Distinct launch shapes memoized per device before the memo is
     # dropped and rebuilt (serving sees one shape set per block width).
@@ -153,20 +165,11 @@ class SimulatedDevice:
         hit = self._memo.get(key)
         if hit is None:
             kernel = build()
-            hit = (kernel, self._price(kernel))
+            hit = (kernel, price_launch(kernel, self.spec))
             if len(self._memo) >= self._MEMO_MAX:
                 self._memo.clear()
             self._memo[key] = hit
         return self._book(hit[0], hit[1], phase)
-
-    def _price(self, kernel: KernelLaunch) -> float:
-        """Validated launch -> simulated seconds on this device's spec."""
-        kernel.validate(self.spec)
-        if kernel.efficiency_hint > 0:
-            eff = kernel.efficiency_hint
-        else:
-            eff = stream_efficiency(kernel.bytes_moved, self.spec)
-        return kernel_time(kernel.bytes_moved, self.spec, eff)
 
     def _book(self, kernel: KernelLaunch, t: float, phase: str) -> float:
         self._advance(t)

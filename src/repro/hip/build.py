@@ -11,6 +11,9 @@ automatically triggers re-hipification of the modified source files".
 (no untranslated CUDA identifiers may remain when targeting AMD) and
 produces an :class:`Executable` handle recording which sources and
 translation results went into it.
+
+Kept by ``examples/hipify_port.py``: the on-the-fly hipification build of
+the paper's CUDA -> HIP port (Sec. 3).
 """
 
 from __future__ import annotations

@@ -6,6 +6,9 @@ kernel launches against a :class:`~repro.gpu.device.SimulatedDevice`,
 with the same surface regardless of whether the build was CUDA or HIP.
 This mirrors how the hipified FFTMatvec binary calls hipMalloc etc. and
 the NVIDIA binary calls cudaMalloc, with identical semantics.
+
+Kept by ``ROADMAP.md``: item 4(e) keeps ``hip/`` whole (the CUDA -> HIP
+port is part of the paper, Sec. 3); no example calls the facade yet.
 """
 
 from __future__ import annotations

@@ -22,6 +22,9 @@ Two layers of batching keep the loop off the per-column slow paths:
   :class:`~repro.inverse.p2o.SensorBlockCache` and shared by every
   candidate set that contains the sensor, instead of re-running the
   impulse solves per candidate per round.
+
+Kept by ``examples/sensor_placement.py``: paper Remark 1, the outer-loop OED
+workload.
 """
 
 from __future__ import annotations

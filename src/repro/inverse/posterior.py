@@ -16,6 +16,9 @@ paper accelerates — so the precision configuration threads through.
 This reproduces the UQ workflow of the paper's references [21, 22]
 (posterior variance and expected information gain from the same
 eigenvalues used by the OED loop).
+
+Kept by ``examples/posterior_uq.py``: the UQ workflow of the paper's
+references [21, 22].
 """
 
 from __future__ import annotations

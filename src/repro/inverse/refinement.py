@@ -15,6 +15,9 @@ iterations.  This module applies that playbook to the Hessian system
 Convergence to double-precision accuracy follows as long as the mixed
 matvec is accurate enough for the inner solves to contract — exactly the
 error-tolerance reasoning of the paper's Pareto framework.
+
+Kept by ``ROADMAP.md``: no importer; ROADMAP item 3(a) decides (timed by
+``benchmarks/test_outer_loop.py``).
 """
 
 from __future__ import annotations

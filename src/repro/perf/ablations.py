@@ -10,6 +10,9 @@ the alternatives so benches can quantify each choice:
   over the vector plus a launch.
 * :func:`fused_vs_unfused` — total matvec time with fused vs standalone
   casts for a configuration.
+
+Kept by ``benchmarks/test_ablations.py``: the fused-cast design claim (Sec.
+3.2).
 """
 
 from __future__ import annotations

@@ -7,6 +7,9 @@ the SBGEMV in single), followed by the padded vector workspaces.  The
 paper notes the 1B-parameter inverse problem of [21] used 512 80-GB
 GPUs, equivalent to 640 64-GB MI250X GCDs, and that MI300X/MI355X's
 larger memories let the same problem fit on fewer devices.
+
+Kept by ``benchmarks/test_outer_loop.py``: the Sec. 4.2.2 sizing claim (640
+MI250X GCDs for the 1B-parameter problem).
 """
 
 from __future__ import annotations

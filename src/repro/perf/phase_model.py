@@ -1,22 +1,25 @@
 """Per-phase matvec cost model at arbitrary problem sizes.
 
-Replicates, kernel for kernel, the time the engine charges when it runs
+Prices, launch for launch, what the engine books when it runs
 numerically: one pad kernel, one batched FFT, (reorder + SBGEMV +
-reorder), one batched IFFT, one unpad kernel.  A consistency test
-(``tests/perf/test_phase_model.py``) runs the real engine on a simulated
-device and asserts this model reproduces the charged phase times,
-so figure benches can trust it at paper scale.
+reorder), one batched IFFT, one unpad kernel — each described by the
+function the engine describes it with and priced by
+:func:`repro.gpu.device.price_launch`, the price a device charges.  A
+consistency test (``tests/perf/test_phase_model.py``) runs the real
+engine on a simulated device and asserts this model equals the charged
+phase times exactly, so figure benches can trust it at paper scale.
 
 :func:`overlapped_chunk_schedule` extends the model to the event
-timeline: given per-chunk broadcast / compute / reduce costs, it replays
+timeline: given per-chunk broadcast / compute / reduce costs, it runs
 the grid engine's double-buffered schedule (prefetch chunk ``i+1``'s
 broadcast behind chunk ``i``'s compute, reduce behind chunk ``i+1``'s
-compute) on the same :class:`~repro.util.timing.Timeline` machinery the
-engine charges with, so analytic predictions and charged times cannot
-drift apart.  With per-chunk host costs (``chunk_gen`` / ``chunk_save``)
-it replays the *three*-stream fused schedule — host generation gating
-each broadcast, host save trailing each reduce — and reports the fused
-wall next to the two-stream-plus-serial-host baseline.
+compute) — :func:`repro.util.timing.run_chunk_schedule`, the very
+function the engine runs its chunks through — so analytic predictions
+and charged times cannot drift apart.  With per-chunk host costs
+(``chunk_gen`` / ``chunk_save``) it runs the *three*-stream fused
+schedule — host generation gating each broadcast, host save trailing
+each reduce — and reports the fused wall next to the
+two-stream-plus-serial-host baseline.
 """
 
 from __future__ import annotations
@@ -28,12 +31,15 @@ from repro.blas.dispatch import SBGEMVDispatcher
 from repro.blas.gemm_kernels import PairwiseSBGEMM
 from repro.blas.gemv_kernels import RocblasSBGEMV
 from repro.blas.types import BlasDatatype, GemmProblem, GemvProblem, Operation
+from repro.core.phases import pad_launch, unpad_launch
 from repro.core.precision import PrecisionConfig
-from repro.fft.plan import _STAGES_PER_PASS
+from repro.core.reorder import reorder_launch
+from repro.fft.plan import FFTPlan, FFTType, fft_traffic_bytes
 from repro.gpu.bandwidth import kernel_time, stream_efficiency
+from repro.gpu.device import price_launch
 from repro.gpu.specs import GPUSpec
 from repro.util.dtypes import Precision, complex_dtype, real_dtype
-from repro.util.timing import Timeline, TimingReport
+from repro.util.timing import Stream, TimingReport, run_chunk_schedule
 from repro.util.validation import ReproError, check_positive_int
 
 __all__ = [
@@ -227,15 +233,18 @@ def overlapped_chunk_schedule(
 ) -> Dict[str, float]:
     """Wall times of the serial vs double-buffered grid chunk schedule.
 
-    Mirrors ``ParallelFFTMatvec._matmat_overlapped``: comm stream runs
-    ``bcast(0), bcast(1), reduce(0), bcast(2), reduce(1), …``; the
-    compute stream waits on each chunk's broadcast event; each reduce
-    waits on its chunk's compute event.  ``overlap_efficiency < 1``
-    charges the exposed remainder of every *overlapped* collective —
-    the prefetched broadcasts and the interior reduces — onto the
-    compute stream (link contention), so at efficiency 0 the schedule
-    converges back to the serial charge.  Returns ``{"serial",
-    "overlapped", "hidden"}`` — ``hidden`` is the saving.
+    Runs :func:`repro.util.timing.run_chunk_schedule` — the schedule
+    ``ParallelFFTMatvec`` runs its chunks through — with callbacks that
+    charge these scalars, so the dependency edges are the engine's by
+    construction: comm stream ``bcast(0), bcast(1), reduce(0),
+    bcast(2), reduce(1), …``; the compute stream waits on each chunk's
+    broadcast event; each reduce waits on its chunk's compute event.
+    ``overlap_efficiency < 1`` charges the exposed remainder of every
+    *overlapped* collective — the prefetched broadcasts and the interior
+    reduces — onto the compute stream (link contention), so at
+    efficiency 0 the schedule converges back to the serial charge.
+    Returns ``{"serial", "overlapped", "hidden"}`` — ``hidden`` is the
+    saving.
 
     ``chunk_gen`` / ``chunk_save`` add the host stream of the
     three-stream fused schedule (source generation before each chunk's
@@ -243,13 +252,13 @@ def overlapped_chunk_schedule(
     carries ``{"serial3", "two_stream_host", "overlapped3",
     "hidden_host"}``: the all-serial wall, the two-stream schedule with
     the host work charged serially after it (the engine's
-    ``overlap_host=False``), the fused three-stream wall replayed with
-    the same dependency edges the engine records — ``gen(i)`` gates
-    ``bcast(i)``, ``save(i)`` waits on ``reduce(i)``, host in order —
-    and their difference.  Without host costs the extra keys degenerate
-    (``serial3 == serial``, ``two_stream_host == overlapped3 ==
-    overlapped``, ``hidden_host == 0``) so callers can read one schema
-    unconditionally; the first three keys are unchanged either way.
+    ``overlap_host=False``), the fused three-stream wall — ``gen(i)``
+    gates ``bcast(i)``, ``save(i)`` waits on ``reduce(i)``, host in
+    order — and their difference.  Without host costs the extra keys
+    degenerate (``serial3 == serial``, ``two_stream_host == overlapped3
+    == overlapped``, ``hidden_host == 0``) so callers can read one
+    schema unconditionally; the first three keys are unchanged either
+    way.
     """
     n = len(chunk_compute)
     if not (n == len(chunk_bcast) == len(chunk_reduce)):
@@ -263,59 +272,29 @@ def overlapped_chunk_schedule(
         raise ReproError(
             "chunk_gen and chunk_save must match the chunk count when given"
         )
-    if n == 0:
-        return {
-            "serial": 0.0,
-            "overlapped": 0.0,
-            "hidden": 0.0,
-            "serial3": 0.0,
-            "two_stream_host": 0.0,
-            "overlapped3": 0.0,
-            "hidden_host": 0.0,
-        }
     exposed = max(0.0, min(1.0, 1.0 - overlap_efficiency))
 
-    def replay(with_host: bool) -> float:
-        tl = Timeline()
-        comm = tl.stream("comm")
-        comp = tl.stream("compute")
-        host = tl.stream("host") if with_host else None
-        if host is not None:
-            host.charge(gen[0])
-            comm.wait(host.record())
-        comm.charge(chunk_bcast[0])
-        ev_bcast = comm.record()
-        reduce_tax = 0.0  # exposed share of the previous chunk's reduce
-        for i in range(n):
-            comp.wait(ev_bcast)
-            if reduce_tax > 0.0:
-                comp.charge(reduce_tax)
-            comp.charge(chunk_compute[i])
-            if i + 1 < n:
-                if host is not None:
-                    host.charge(gen[i + 1])
-                    comm.wait(host.record())
-                comm.charge(chunk_bcast[i + 1])
-                ev_bcast = comm.record()
-                if exposed > 0.0:
-                    comp.charge(exposed * chunk_bcast[i + 1])
-            ev_compute = comp.record()
-            comm.wait(ev_compute)
-            comm.charge(chunk_reduce[i])
-            if host is not None:
-                host.wait(comm.record())
-                host.charge(save[i])
-            reduce_tax = exposed * chunk_reduce[i] if i + 1 < n else 0.0
-        return tl.sync()
+    def charging(costs: Sequence[float]):
+        def charge(i: int, stream: Stream) -> float:
+            stream.charge(costs[i])
+            return costs[i]
 
-    overlapped = replay(with_host=False)
+        return charge
+
+    def wall(**host: Sequence[float]) -> float:
+        return run_chunk_schedule(
+            None, range(n), charging(chunk_bcast), charging(chunk_compute),
+            charging(chunk_reduce), exposed, **host,
+        )
+
+    overlapped = wall()
     serial = float(
         sum(chunk_bcast) + sum(chunk_compute) + sum(chunk_reduce)
     )
     host_total = float(sum(gen) + sum(save))
     two_stream_host = overlapped + host_total
     if host_present and overlap_host:
-        overlapped3 = replay(with_host=True)
+        overlapped3 = wall(gen=gen, save=save)
     else:
         overlapped3 = two_stream_host
     return {
@@ -327,27 +306,6 @@ def overlapped_chunk_schedule(
         "overlapped3": overlapped3,
         "hidden_host": two_stream_host - overlapped3,
     }
-
-
-def fft_traffic_bytes(n: int, batch: int, precision: Precision, forward: bool) -> float:
-    """HBM traffic of one batched real FFT execution (mirrors FFTPlan)."""
-    r = real_dtype(precision).itemsize
-    c = complex_dtype(precision).itemsize
-    half = n // 2 + 1
-    if forward:
-        in_b, out_b = n * r, half * c
-    else:
-        in_b, out_b = half * c, n * r
-    passes = max(2, math.ceil(math.log2(max(n, 2)) / _STAGES_PER_PASS))
-    return float(batch) * (in_b + out_b) * passes / 2.0
-
-
-def _reorder_time(
-    elems: int, in_itemsize: int, out_itemsize: int, spec: GPUSpec
-) -> float:
-    traffic = float(elems) * (in_itemsize + out_itemsize)
-    eff = stream_efficiency(traffic, spec) * 0.75
-    return kernel_time(traffic, spec, eff)
 
 
 def phase_times(
@@ -398,17 +356,20 @@ def block_phase_times(
 ) -> Dict[str, float]:
     """Modeled seconds per phase of one blocked ``k``-RHS pipeline pass.
 
-    The SBGEMM counterpart of :func:`phase_times`, mirroring
-    ``FFTMatvec._pipeline_block`` kernel for kernel: the ``k`` columns
+    The SBGEMM counterpart of :func:`phase_times`: the sum, per phase,
+    of :func:`~repro.gpu.device.price_launch` over the launches
+    ``FFTMatvec._front`` / ``_back`` book for this shape — built by the
+    functions the engine builds them with (``pad_launch``,
+    ``FFTPlan.launch``, ``reorder_launch``, the Phase-3 kernel's
+    ``launch``, ``unpad_launch``), so a byte formula or a price changed
+    in the engine is changed here by construction.  The ``k`` columns
     ride the batch axis of pad/FFT/reorder (one launch each, batch
     ``nx * k``), and Phase 3 is one per-frequency strided-batched GEMM
-    through the same dispatcher the engine uses.  This replaces the
-    conservative "``k`` times the per-vector rate" chunk-compute charge
-    — the blocked pipeline amortizes launch overhead and rereads the
-    spectrum once instead of ``k`` times, and the scaling sweep should
-    see that.  ``k=1`` degenerates to the GEMV dispatch, exactly like
-    the engine.  A consistency test pins every phase to the engine's
-    charge at ``rel=1e-6``.
+    through the same dispatcher the engine uses — the blocked pipeline
+    amortizes launch overhead and rereads the spectrum once instead of
+    ``k`` times, and the scaling sweep should see that.  ``k=1``
+    degenerates to the GEMV dispatch, exactly like the engine.  A
+    consistency test pins every phase ``==`` the engine's charge.
 
     ``reduction="pairwise"`` models the deterministic fixed-tree
     contraction exactly like the engine dispatches it: the Phase-3
@@ -431,28 +392,7 @@ def block_phase_times(
     nx_in = (nd if adjoint else nm) * k  # fused batch of the forward FFT
     nx_out = (nm if adjoint else nd) * k  # fused batch of the inverse FFT
 
-    times: Dict[str, float] = {}
-
-    # Phase 1: one pad kernel over all k vectors (batch = k * space).
-    read_b = float(nt * nx_in * 8)
-    write_b = float(nx_in * n_pad * real_dtype(cfg.pad).itemsize)
-    eff = stream_efficiency(read_b + write_b, spec) * 0.9
-    times["pad"] = kernel_time(read_b + write_b, spec, eff)
-
-    # Phase 2: one batched forward FFT, batch = k * space.
-    traffic = fft_traffic_bytes(n_pad, nx_in, cfg.fft, forward=True)
-    times["fft"] = kernel_time(traffic, spec, stream_efficiency(traffic, spec))
-
-    # Phase 3: reorder in, strided-batched GEMM, reorder out — the
-    # reorders carry the fused nx * k columns.
-    lo_in = cfg.reorder_precision("fft", "sbgemv")
-    lo_out = cfg.reorder_precision("sbgemv", "ifft")
-    c_fft = complex_dtype(cfg.fft).itemsize
-    c_lo_in = complex_dtype(lo_in).itemsize
-    c_sb = complex_dtype(cfg.sbgemv).itemsize
-    c_lo_out = complex_dtype(lo_out).itemsize
-    t3 = _reorder_time(n_freq * nx_in, c_fft, c_lo_in, spec)
-
+    # Phase 3's kernel, picked as the engine's dispatch picks it.
     datatype = (
         BlasDatatype.Z if cfg.sbgemv is Precision.DOUBLE else BlasDatatype.C
     )
@@ -462,13 +402,10 @@ def block_phase_times(
         # The dispatcher degenerates a single-column block to the GEMV
         # entry point; model the same dispatch.  (Pairwise mode skips
         # the degeneration — exactly like `gemm_strided_batched`.)
-        gemv = GemvProblem(
+        problem = GemvProblem(
             m=nd, n=nm, batch=n_freq, datatype=datatype, operation=operation
         )
-        if use_optimized_sbgemv:
-            kernel_t = dispatcher.select(gemv).modeled_time(gemv, spec)
-        else:
-            kernel_t = RocblasSBGEMV().modeled_time(gemv, spec)
+        kernel = dispatcher.select(problem) if use_optimized_sbgemv else RocblasSBGEMV()
     else:
         problem = GemmProblem(
             m=nd, n=nm, k=k, batch=n_freq, datatype=datatype, operation=operation
@@ -479,22 +416,30 @@ def block_phase_times(
             kernel = PairwiseSBGEMM(dispatcher.rocblas_gemm)
         else:
             kernel = dispatcher.rocblas_gemm
-        kernel_t = kernel.modeled_time(problem, spec)
-    t3 += kernel_t + spec.launch_overhead
-    t3 += _reorder_time(n_freq * nx_out, c_sb, c_lo_out, spec)
-    times["sbgemv"] = t3
 
-    # Phase 4: one batched inverse FFT, batch = k * space.
-    traffic = fft_traffic_bytes(n_pad, nx_out, cfg.ifft, forward=False)
-    times["ifft"] = kernel_time(traffic, spec, stream_efficiency(traffic, spec))
-
-    # Phase 5: one unpad kernel over all k vectors.
-    read_b = float(nx_out * n_pad * real_dtype(cfg.ifft).itemsize) / 2.0
-    write_b = float(nt * nx_out * real_dtype(cfg.unpad).itemsize)
-    eff = stream_efficiency(read_b + write_b, spec) * 0.9
-    times["unpad"] = kernel_time(read_b + write_b, spec, eff)
-
-    return times
+    # The launches of one apply, in booking order; the input is double.
+    c_fft = complex_dtype(cfg.fft).itemsize
+    c_sb = complex_dtype(cfg.sbgemv).itemsize
+    c_ifft = complex_dtype(cfg.ifft).itemsize
+    launches = {
+        "pad": [pad_launch(spec, nt, nx_in, 8, cfg.pad)],
+        "fft": [FFTPlan(n_pad, nx_in, FFTType.real_forward(cfg.fft)).launch(spec)],
+        "sbgemv": [
+            reorder_launch(spec, "reorder_soti_to_tosi", n_freq * nx_in, c_fft, c_sb),
+            kernel.launch(problem, spec),
+            reorder_launch(spec, "reorder_tosi_to_soti", n_freq * nx_out, c_sb, c_ifft),
+        ],
+        "ifft": [FFTPlan(n_pad, nx_out, FFTType.real_inverse(cfg.ifft)).launch(spec)],
+        "unpad": [
+            unpad_launch(
+                spec, nt, nx_out, real_dtype(cfg.ifft).itemsize, real_dtype(cfg.unpad).itemsize
+            )
+        ],
+    }
+    return {
+        phase: sum(price_launch(launch, spec) for launch in booked)
+        for phase, booked in launches.items()
+    }
 
 
 def modeled_timing(

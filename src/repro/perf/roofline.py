@@ -5,6 +5,9 @@ application is memory-bound" (Section 4.1.2).  These helpers make that
 claim checkable: each phase's arithmetic intensity (FLOPs per byte of
 HBM traffic) sits far below every modeled GPU's machine balance, so the
 bandwidth-only cost model is justified.
+
+Kept by ``src/repro/gpu/bandwidth.py``: the Sec. 4.1.2 memory-bound claim
+that justifies that module's bandwidth-only cost model.
 """
 
 from __future__ import annotations

@@ -105,6 +105,63 @@ def _grid_collective_times(
     return t_bcast, t_reduce
 
 
+def _chunk_schedule(
+    cfg: PrecisionConfig,
+    ranks: Sequence,
+    nd_rank: int,
+    nt: int,
+    pr: int,
+    pc: int,
+    net: NetworkModel,
+    adjoint: bool,
+    k: int,
+    max_block_k: Optional[int],
+    host: Optional[HostModel] = None,
+    overlap_host: bool = True,
+) -> dict:
+    """The chunk schedule of a ``k``-RHS matmat on a grid whose critical
+    ranks own ``ranks`` — ``(nm_rank, spec)`` pairs, all ``nd_rank``
+    sensors deep.  Per chunk, the collectives carry the largest column
+    block (it gates the broadcast) and compute is the slowest rank's
+    blocked pipeline pass.  Returns :func:`overlapped_chunk_schedule`'s
+    keys plus ``n_chunks`` and the first chunk's ``compute`` / ``bcast``
+    / ``reduce`` seconds.
+    """
+    widths = [j1 - j0 for j0, j1 in chunk_ranges(k, max_block_k)]
+    nm_max = max(nm_rank for nm_rank, _ in ranks)
+    chunk_bcast, chunk_compute, chunk_reduce = [], [], []
+    for kc in widths:
+        t_bcast, t_reduce = _grid_collective_times(
+            cfg, nm_max, nd_rank, nt, pr, pc, net, adjoint, kc=kc
+        )
+        chunk_bcast.append(t_bcast)
+        chunk_reduce.append(t_reduce)
+        chunk_compute.append(
+            max(
+                sum(
+                    block_phase_times(
+                        nm_rank, nd_rank, nt, kc, cfg, spec, adjoint=adjoint
+                    ).values()
+                )
+                for nm_rank, spec in ranks
+            )
+        )
+    sched = overlapped_chunk_schedule(
+        chunk_bcast,
+        chunk_compute,
+        chunk_reduce,
+        overlap_efficiency=net.overlap_efficiency,
+        chunk_gen=[kc * host.gen_time for kc in widths] if host is not None else None,
+        chunk_save=[kc * host.save_time for kc in widths] if host is not None else None,
+        overlap_host=overlap_host,
+    )
+    sched["n_chunks"] = len(widths)
+    sched["compute"] = chunk_compute[0]
+    sched["bcast"] = chunk_bcast[0]
+    sched["reduce"] = chunk_reduce[0]
+    return sched
+
+
 def matvec_time_at_scale(
     p: int,
     pr: int,
@@ -213,39 +270,10 @@ def blocked_matvec_time_at_scale(
 
     def schedule_for(nm_rank: int, nd_rank: int) -> dict:
         """Chunk schedule with the critical rank owning the given extents."""
-        widths = [j1 - j0 for j0, j1 in chunk_ranges(k, max_block_k)]
-        chunk_bcast, chunk_compute, chunk_reduce = [], [], []
-        for kc in widths:
-            t_bcast, t_reduce = _grid_collective_times(
-                cfg, nm_rank, nd_rank, nt, pr, pc, net, adjoint, kc=kc
-            )
-            chunk_bcast.append(t_bcast)
-            chunk_reduce.append(t_reduce)
-            chunk_compute.append(
-                sum(
-                    block_phase_times(
-                        nm_rank, nd_rank, nt, kc, cfg, spec, adjoint=adjoint
-                    ).values()
-                )
-            )
-        sched = overlapped_chunk_schedule(
-            chunk_bcast,
-            chunk_compute,
-            chunk_reduce,
-            overlap_efficiency=net.overlap_efficiency,
-            chunk_gen=(
-                [kc * host.gen_time for kc in widths] if host is not None else None
-            ),
-            chunk_save=(
-                [kc * host.save_time for kc in widths] if host is not None else None
-            ),
-            overlap_host=overlap_host,
+        return _chunk_schedule(
+            cfg, [(nm_rank, spec)], nd_rank, nt, pr, pc, net, adjoint, k, max_block_k,
+            host=host, overlap_host=overlap_host,
         )
-        sched["n_chunks"] = len(widths)
-        sched["compute"] = chunk_compute[0]
-        sched["bcast"] = chunk_bcast[0]
-        sched["reduce"] = chunk_reduce[0]
-        return sched
 
     sched = schedule_for(nm_slow, nd_slow)
     if skew > 0:
@@ -384,27 +412,9 @@ def mixed_fleet_times(
 
     def wall_for(extents) -> float:
         lengths = [stop - start for start, stop in extents]
-        nm_max = max(lengths)
-        widths = [j1 - j0 for j0, j1 in chunk_ranges(k, max_block_k)]
-        cb, cc, cr = [], [], []
-        for kc in widths:
-            t_bcast, t_reduce = _grid_collective_times(
-                cfg, nm_max, nd_local, nt, pr, pc, net, adjoint, kc=kc
-            )
-            cb.append(t_bcast)
-            cr.append(t_reduce)
-            cc.append(
-                max(
-                    sum(
-                        block_phase_times(
-                            ln, nd_local, nt, kc, cfg, sp, adjoint=adjoint
-                        ).values()
-                    )
-                    for ln, sp in zip(lengths, col_specs)
-                )
-            )
-        return overlapped_chunk_schedule(
-            cb, cc, cr, overlap_efficiency=net.overlap_efficiency
+        return _chunk_schedule(
+            cfg, list(zip(lengths, col_specs)), nd_local, nt, pr, pc, net, adjoint,
+            k, max_block_k,
         )["overlapped"]
 
     base, rem = divmod(nm_global, pc)

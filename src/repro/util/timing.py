@@ -25,7 +25,7 @@ plus setup/total/cleanup lines, averaged over repetitions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.util.validation import ReproError
 
@@ -34,6 +34,7 @@ __all__ = [
     "Timeline",
     "Stream",
     "Event",
+    "run_chunk_schedule",
     "HostModel",
     "PhaseTimer",
     "TimingReport",
@@ -257,6 +258,95 @@ class Timeline:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         names = ", ".join(self.streams) or "no streams"
         return f"Timeline({names}; t={self.frontier:.6f}s)"
+
+
+def run_chunk_schedule(
+    clock: Optional[SimClock],
+    chunks: Sequence[int],
+    bcast: Callable[[int, Stream], float],
+    compute: Callable[[int, Stream], object],
+    reduce: Callable[[int, Stream], float],
+    exposed: float = 0.0,
+    gen: Optional[Sequence[float]] = None,
+    save: Optional[Sequence[float]] = None,
+) -> float:
+    """The double-buffered chunk schedule (paper Sec. 4.2.2, Figure 4).
+
+    The one definition of the grid's chunk schedule: the engine
+    (:class:`~repro.core.parallel.ParallelFFTMatvec`) runs its chunks
+    through it with callbacks that do the work, the perf model
+    (:func:`~repro.perf.phase_model.overlapped_chunk_schedule`) with
+    callbacks that charge a scalar.  Every ``record`` / ``wait`` edge
+    lives here:
+
+    * the **comm stream** runs ``bcast(0), bcast(1), reduce(0),
+      bcast(2), reduce(1), …, reduce(n-1)`` — chunk ``i+1``'s broadcast
+      is *prefetched* while chunk ``i`` computes;
+    * the **compute stream** runs chunk ``i`` once ``bcast(i)``'s event
+      has completed;
+    * ``reduce(i)`` waits on ``compute(i)``'s event and overlaps chunk
+      ``i+1``'s compute;
+    * with ``exposed > 0`` (imperfect overlap, link contention) that
+      share of every *overlapped* collective — the prefetched
+      broadcasts and the interior reduces — is charged onto the compute
+      stream as well, so at ``exposed = 1`` the schedule converges back
+      to the serial charge;
+    * with per-chunk host costs a third **host stream** generates chunk
+      ``i`` (``gen[i]`` seconds) before — and its event gates —
+      ``bcast(i)``, and saves it (``save[i]``) once ``reduce(i)`` has
+      delivered.  The host stream is in order, so ``gen(i+1)`` precedes
+      ``save(i)`` (the double-buffer slot) and ``save(i)`` precedes
+      ``gen(i+2)``: two buffers, neither side runs further ahead.
+
+    ``chunks`` are the chunk indices handed to the callbacks, in order.
+    ``bcast(i, stream)``, ``compute(i, stream)`` and ``reduce(i,
+    stream)`` charge their work onto the stream they are given;
+    ``bcast`` and ``reduce`` return the seconds they charged (the
+    exposed share is taken of exactly that number, so neither caller's
+    floats depend on the other's).  ``gen`` / ``save`` come together and
+    are indexed by chunk index.  Streams start at ``clock.now`` (a
+    private clock when ``clock`` is None) and are joined at the end: the
+    clock advances by the critical path, and the synchronized time is
+    returned.  A callback that raises leaves them unjoined — nothing of
+    the failed pass reaches ``clock.now``; phase totals keep what was
+    charged.  Fed one chunk, the schedule *is* the serial broadcast →
+    compute → reduce charge, addition for addition.
+    """
+    tl = Timeline(clock)
+    comm, comp = tl.stream("comm"), tl.stream("compute")
+    host = tl.stream("host") if gen is not None else None
+
+    def prefetch(i: int) -> Tuple[Event, float]:
+        if host is not None:
+            # The broadcast cannot leave before the host has produced it.
+            host.charge(gen[i], phase="host")
+            comm.wait(host.record(f"gen[{i}]"))
+        seconds = bcast(i, comm)
+        return comm.record(f"bcast[{i}]"), seconds
+
+    last = len(chunks) - 1
+    ev_bcast, _ = prefetch(chunks[0]) if chunks else (None, 0.0)
+    reduce_tax = 0.0  # exposed share of the previous chunk's reduce
+    for n, i in enumerate(chunks):
+        comp.wait(ev_bcast)
+        if reduce_tax > 0.0:
+            # The previous chunk's reduce steals link/engine bandwidth
+            # from this chunk's compute ...
+            comp.charge(reduce_tax, phase="unpad")
+        compute(i, comp)
+        if n < last:
+            ev_bcast, t_next = prefetch(chunks[n + 1])
+            if exposed > 0.0:
+                # ... as does the prefetched broadcast.
+                comp.charge(exposed * t_next, phase="pad")
+        comm.wait(comp.record(f"compute[{i}]"))
+        t_reduce = reduce(i, comm)
+        # This reduce overlaps the *next* chunk's compute (if any).
+        reduce_tax = exposed * t_reduce if n < last else 0.0
+        if host is not None:
+            host.wait(comm.record(f"reduce[{i}]"))
+            host.charge(save[i], phase="host")
+    return tl.sync()
 
 
 @dataclass

@@ -1,5 +1,8 @@
 """Tests for the SPMD multi-GPU FFTMatvec."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -128,6 +131,28 @@ class TestTimingAndComm:
         assert len(eng.engines) == 6
         assert eng.engines[(0, 0)].nd == 2  # 4 sensors / 2 rows
         assert eng.engines[(0, 0)].nm == 8  # 24 params / 3 cols
+
+    @pytest.mark.parametrize("reduction", ["fast", "pairwise"])
+    def test_a_dropped_engine_dies_with_its_last_reference(self, reduction):
+        # A grid engine owns every rank's spectrum and arenas; an
+        # ElasticEngine rebuild or a serving-cache eviction drops it and
+        # must get that memory back at once, not at the cycle
+        # collector's next pass (keeping the per-engine chunk compute /
+        # reduce pair as bound methods on the instance did exactly that).
+        rng = np.random.default_rng(0)
+        eng = ParallelFFTMatvec(
+            BlockTriangularToeplitz.random(8, 4, 6, rng=rng), ProcessGrid(2, 2),
+            reduction=reduction, workspace=True,
+        )
+        eng.matmat(rng.standard_normal((8, 6, 3)), max_block_k=2)
+        probe = weakref.ref(eng)
+        gc.collect()
+        gc.disable()
+        try:
+            del eng
+            assert probe() is None
+        finally:
+            gc.enable()
 
     def test_every_rank_has_private_device(self):
         # Per-rank skew: each rank measures compute on its own clock,

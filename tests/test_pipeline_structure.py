@@ -12,6 +12,11 @@ hand-rolled ``begin_apply()`` bracket beside
 :func:`repro.util.workspace.apply_scope`, or per-apply derivation
 (dtype and plan lookups, arena checkouts) inside a half: what the data
 does not decide is resolved once, by ``FFTMatvec._prepared``.
+
+The same holds between engine and perf model: the chunk schedule's
+dependency edges live in ``util/timing.py::run_chunk_schedule`` and
+nowhere else, and ``perf/phase_model.py`` prices the launches the engine
+builds instead of re-deriving their bytes.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ import pathlib
 
 import pytest
 
-CORE = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro" / "core"
+REPRO = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+CORE = REPRO / "core"
 
 
 def _calls(tree: ast.AST, name: str) -> list:
@@ -37,9 +43,16 @@ def _calls(tree: ast.AST, name: str) -> list:
     return lines
 
 
-def _module(filename: str) -> ast.Module:
-    path = CORE / filename
+def _module(filename: str, package: str = "core") -> ast.Module:
+    path = REPRO / package / filename
     return ast.parse(path.read_text(), filename=str(path))
+
+
+def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            return node
+    raise AssertionError(f"{name}() not found — layout changed?")
 
 
 def _method(tree: ast.Module, cls: str, name: str) -> ast.FunctionDef:
@@ -191,3 +204,88 @@ def test_core_brackets_applies_through_apply_scope_only():
             f"{path.name} opens a workspace apply scope by hand; use "
             "repro.util.workspace.apply_scope"
         )
+
+
+# -- one schedule, one price: engine and perf model share definitions ----------
+
+def test_stream_edges_are_recorded_in_the_schedule_driver_only():
+    """Every ``record`` / ``wait`` edge of the chunk schedule belongs to
+    ``run_chunk_schedule``; the engine and the model hand it callbacks.
+    A hand-written copy of the schedule shows up as a stream edge in
+    ``core/`` or ``perf/``."""
+    for package in ("core", "perf"):
+        for path in sorted((REPRO / package).glob("*.py")):
+            edges = [
+                node.lineno
+                for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)  # futures' wait() is a name
+                and node.func.attr in ("record", "wait")
+            ]
+            assert edges == [], (
+                f"{package}/{path.name} records or waits on a stream at lines "
+                f"{edges}: the schedule is util.timing.run_chunk_schedule's"
+            )
+    driver = _function(_module("timing.py", "util"), "run_chunk_schedule")
+    assert _calls(driver, "record") and _calls(driver, "wait")
+    for package, filename in (("core", "parallel.py"), ("perf", "phase_model.py")):
+        assert len(_calls(_module(filename, package), "run_chunk_schedule")) == 1
+        assert _calls(_module(filename, package), "Timeline") == []
+
+
+def test_parallel_has_one_chunk_loop():
+    """One call site per chunk stage — the schedule's three callbacks —
+    and no second schedule body beside them."""
+    tree = _module("parallel.py")
+    for stage in ("_chunk_bcast", "_chunk_compute", "_chunk_reduce"):
+        assert len(_calls(tree, stage)) == 1, (stage, _calls(tree, stage))
+    methods = {
+        n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)
+    }
+    assert not {"_matmat_serial", "_matmat_overlapped"} & methods
+
+
+def test_phase_model_prices_the_engines_launches():
+    """``block_phase_times`` owns no byte formula and no price: launches
+    come from the builders the engine books with, seconds from
+    ``price_launch``."""
+    tree = _module("phase_model.py", "perf")
+    model = _function(tree, "block_phase_times")
+    for banned in ("KernelLaunch", "kernel_time", "stream_efficiency", "modeled_time"):
+        assert _calls(model, banned) == [], banned
+    assert len(_calls(model, "price_launch")) == 1
+    for builder in ("pad_launch", "unpad_launch"):
+        assert len(_calls(model, builder)) == 1, builder
+    assert len(_calls(model, "reorder_launch")) == 2
+    assert len(_calls(model, "launch")) == 3  # two FFT plans, the Phase-3 kernel
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert not {"_reorder_time", "replay", "fft_traffic_bytes"} & defined
+
+
+def test_one_builder_per_launch_kind_and_one_price():
+    # One copy-kernel launch builder under core/ ...
+    built = {
+        path.name: _calls(ast.parse(path.read_text()), "KernelLaunch")
+        for path in sorted(CORE.glob("*.py"))
+    }
+    assert {name for name, lines in built.items() if lines} == {"reorder.py"}
+    assert built["reorder.py"] == _calls(
+        _function(_module("reorder.py"), "copy_launch"), "KernelLaunch"
+    )
+    # ... one FFT traffic formula, in fft/plan.py: the pass count is
+    # read inside fft_traffic_bytes only, and the plan calls it once ...
+    plan = _module("plan.py", "fft")
+    formula = _function(plan, "fft_traffic_bytes")
+    reads = [
+        n.lineno for n in ast.walk(plan)
+        if isinstance(n, ast.Name) and n.id == "_STAGES_PER_PASS" and isinstance(n.ctx, ast.Load)
+    ]
+    assert reads and all(formula.lineno <= line <= formula.end_lineno for line in reads)
+    assert _calls(plan, "fft_traffic_bytes") == _calls(
+        _method(plan, "FFTPlan", "launch"), "fft_traffic_bytes"
+    ) != []
+    # ... and one price: the device books what price_launch says.
+    device = _module("device.py", "gpu")
+    assert _calls(device, "kernel_time") == _calls(_function(device, "price_launch"), "kernel_time")
+    assert len(_calls(_method(device, "SimulatedDevice", "launch"), "price_launch")) == 1
+    assert len(_calls(_method(device, "SimulatedDevice", "launch_memo"), "price_launch")) == 1
