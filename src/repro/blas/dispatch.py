@@ -22,7 +22,7 @@ SBGEMM pair), after which dispatch keys on the measurements.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.backend import Backend, NumpyBackend
 from repro.blas.gemm_kernels import (
@@ -55,10 +55,14 @@ class SBGEMVDispatcher:
     spec:
         Target architecture (transition points are per-architecture, the
         way rocBLAS tunes per gfx arch).
+    optimized:
+        ``False`` is the pre-optimization library of the ablation
+        benches: every selection returns the vendor kernel.
     """
 
-    def __init__(self, spec: GPUSpec) -> None:
+    def __init__(self, spec: GPUSpec, optimized: bool = True) -> None:
         self.spec = spec
+        self.use_optimized = bool(optimized)
         self.rocblas = RocblasSBGEMV()
         self.optimized = OptimizedSBGEMV()
         self.rocblas_gemm = RocblasSBGEMM()
@@ -103,7 +107,7 @@ class SBGEMVDispatcher:
     # -- dispatch ---------------------------------------------------------------
     def select(self, problem: GemvProblem) -> SBGEMVKernel:
         """Pick the kernel for a problem (the host launcher's decision)."""
-        if not problem.operation.is_transposed:
+        if not (self.use_optimized and problem.operation.is_transposed):
             return self.rocblas
         # One table lookup per dispatch (the launcher runs per batched
         # call, so this sits on the hot path).
@@ -137,14 +141,10 @@ class SBGEMVDispatcher:
         """
         be = backend if backend is not None else _NUMPY
         A = be.asarray(A)
-        problem = GemvProblem(
-            m=A.shape[1],
-            n=A.shape[2],
-            batch=A.shape[0],
-            datatype=BlasDatatype.from_dtype(be.dtype_of(A)),
-            operation=Operation.parse(operation),
+        kernel, problem = self.phase3(
+            A.shape[1], A.shape[2], A.shape[0], 1,
+            BlasDatatype.from_dtype(be.dtype_of(A)), Operation.parse(operation),
         )
-        kernel = self.select(problem)
         self.dispatch_counts[kernel.name] += 1
         return kernel.run(
             A, x, problem, device=device, phase=phase, out=out, x_conj=x_conj,
@@ -229,7 +229,7 @@ class SBGEMVDispatcher:
         """
         if reduction not in ("fast", "pairwise"):
             raise ReproError(f"reduction must be 'fast' or 'pairwise', got {reduction!r}")
-        if not problem.operation.is_transposed:
+        if not (self.use_optimized and problem.operation.is_transposed):
             kernel: SBGEMMKernel = self.rocblas_gemm
         else:
             transition = self.gemm_transition_point(
@@ -281,28 +281,42 @@ class SBGEMVDispatcher:
         op = Operation.parse(operation)
         if B.ndim != 3:
             raise ReproError(f"B must be (batch, in_rows, k), got shape {tuple(B.shape)}")
-        if B.shape[2] == 1 and reduction == "fast":
-            y = self.gemv_strided_batched(
-                A,
-                B[:, :, 0],
-                op,
-                device=device,
-                phase=phase,
-                out=None if out is None else out[:, :, 0],
-                backend=be,
+        kernel, problem = self.phase3(
+            A.shape[1], A.shape[2], A.shape[0], B.shape[2],
+            BlasDatatype.from_dtype(be.dtype_of(A)), op, reduction,
+        )
+        self.dispatch_counts[kernel.name] += 1
+        if isinstance(problem, GemvProblem):  # the lone fast column
+            y = kernel.run(
+                A, B[:, :, 0], problem, device=device, phase=phase,
+                out=None if out is None else out[:, :, 0], backend=be,
             )
             return y[:, :, None]
-        problem = GemmProblem(
-            m=A.shape[1],
-            n=A.shape[2],
-            k=B.shape[2],
-            batch=A.shape[0],
-            datatype=BlasDatatype.from_dtype(be.dtype_of(A)),
-            operation=op,
-        )
-        kernel = self.select_gemm(problem, reduction=reduction)
-        self.dispatch_counts[kernel.name] += 1
         return kernel.run(
             A, B, problem, device=device, phase=phase, out=out, a_conj=a_conj,
             backend=be,
         )
+
+    def phase3(
+        self,
+        m: int,
+        n: int,
+        batch: int,
+        k: int,
+        datatype: BlasDatatype,
+        operation: Operation,
+        reduction: str = "fast",
+    ) -> Tuple[Union[SBGEMVKernel, SBGEMMKernel], Union[GemvProblem, GemmProblem]]:
+        """The one Phase-3 decision: ``(kernel, problem)`` of ``k`` columns
+        through ``batch`` matrices of ``m x n``.
+
+        A lone fast column is the GEMV problem, anything else the GEMM
+        problem; pairwise wraps the selected GEMM kernel and never
+        degenerates.  Both host entry points, the matvec engine and the
+        perf model ask here, so what one books the others book and price.
+        """
+        if k == 1 and reduction == "fast":
+            gemv = GemvProblem(m=m, n=n, batch=batch, datatype=datatype, operation=operation)
+            return self.select(gemv), gemv
+        gemm = GemmProblem(m=m, n=n, k=k, batch=batch, datatype=datatype, operation=operation)
+        return self.select_gemm(gemm, reduction=reduction), gemm

@@ -476,7 +476,7 @@ class SBGEMMKernel:
             raise ReproError(f"{self.name} does not support {problem.describe()}")
         C = self._compute(A, B, problem, out=out, a_conj=a_conj, backend=be)
         if device is not None:
-            self.charge_launch(problem, device, phase=phase)
+            device.launch(self.launch(problem, device.spec), phase)
         return C
 
     def _compute(
@@ -493,29 +493,9 @@ class SBGEMMKernel:
             A, B, problem.operation, out=out, a_conj=a_conj, backend=backend
         )
 
-    def charge_launch(
-        self,
-        problem: GemmProblem,
-        device: SimulatedDevice,
-        phase: str = "sbgemv",
-    ) -> None:
-        """Charge the simulated launch for one execution (no numerics).
-
-        Exposed separately so callers that compute through a different
-        numerical entry point (the grid engine's per-segment pairwise
-        path) can still book the kernel's modeled cost.
-        """
-        device.launch_memo(
-            self._launch_key(problem), lambda: self.launch(problem, device.spec), phase
-        )
-
-    def _launch_key(self, problem: GemmProblem) -> Tuple:
-        """What the launch record depends on besides the device."""
-        return (self.name, problem)
-
     def launch(self, problem: GemmProblem, spec: GPUSpec) -> KernelLaunch:
         """The kernel launch of one execution on ``spec`` — what a device
-        books (:meth:`charge_launch`) and what the perf model prices."""
+        books (:meth:`run`) and what the perf model prices."""
         grid, block = self.launch_geometry(problem, spec)
         out_b = problem.out_rows * problem.k * problem.batch * problem.datatype.itemsize
         return KernelLaunch(
@@ -644,9 +624,6 @@ class PairwiseSBGEMM(SBGEMMKernel):
 
     def supports(self, problem: GemmProblem) -> bool:
         return self.inner.supports(problem)
-
-    def _launch_key(self, problem: GemmProblem) -> Tuple:
-        return (self.name,) + self.inner._launch_key(problem)
 
     def launch_geometry(self, problem: GemmProblem, spec: GPUSpec) -> Tuple[Dim3, Dim3]:
         return self.inner.launch_geometry(problem, spec)

@@ -274,11 +274,7 @@ class SBGEMVKernel:
             A, x, problem.operation, out=out, x_conj=x_conj, backend=be
         )
         if device is not None:
-            device.launch_memo(
-                (self.name, problem),
-                lambda: self.launch(problem, device.spec),
-                phase,
-            )
+            device.launch(self.launch(problem, device.spec), phase)
         return y
 
     def launch(self, problem: GemvProblem, spec: GPUSpec) -> KernelLaunch:

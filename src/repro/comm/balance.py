@@ -74,6 +74,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.comm.grid import ProcessGrid
 from repro.comm.partition import check_extents
 from repro.gpu.specs import GPUSpec
 from repro.util.dtypes import Precision
@@ -634,11 +635,6 @@ class GridBalanceResult:
         return self.initial_max / self.modeled_max if self.modeled_max > 0 else 1.0
 
 
-def _even_lengths(n: int, parts: int) -> List[int]:
-    base, rem = divmod(n, parts)
-    return [base + (1 if i < rem else 0) for i in range(parts)]
-
-
 def balance_grid(
     nd: int,
     nm: int,
@@ -694,12 +690,12 @@ def balance_grid(
     rows = (
         check_extents(row_initial, nd, pr, what="row_initial")
         if row_initial is not None
-        else _extents_from_lengths(_even_lengths(nd, pr))
+        else ProcessGrid.split_extent(nd, pr)
     )
     cols = (
         check_extents(col_initial, nm, pc, what="col_initial")
         if col_initial is not None
-        else _extents_from_lengths(_even_lengths(nm, pc))
+        else ProcessGrid.split_extent(nm, pc)
     )
 
     def rank_costs(

@@ -39,35 +39,36 @@ import contextlib
 import hashlib
 from collections import OrderedDict
 from types import SimpleNamespace
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.backend import Backend, host_empty, resolve_backend
 from repro.blas.dispatch import SBGEMVDispatcher
 from repro.blas.gemm_kernels import (
-    PairwiseSBGEMM,
     gemm_checksum_rows,
     gemm_checksum_verify,
     gemm_strided_batched_reference,
     pairwise_gemm_strided_batched_reference,
     pairwise_segment_values,
 )
-from repro.blas.gemv_kernels import RocblasSBGEMV, gemv_strided_batched_reference
+from repro.blas.gemv_kernels import gemv_strided_batched_reference
 from repro.blas.permute import permute3d
-from repro.blas.types import BlasDatatype, GemmProblem, GemvProblem, Operation
+from repro.blas.types import BlasDatatype, Operation
 from repro.core.phases import (
-    charge_pad,
-    charge_unpad,
+    pad_launch,
     pad_to_soti,
     padded_buffer,
     unpad_from_soti,
+    unpad_launch,
 )
 from repro.core.precision import PrecisionConfig
-from repro.core.reorder import charge_reorder, soti_to_tosi, tosi_to_soti
+from repro.core.reorder import reorder_launch, soti_to_tosi, tosi_to_soti
 from repro.core.toeplitz import BlockTriangularToeplitz
 from repro.fft.plan import FFTPlan, FFTType
-from repro.gpu.device import SimulatedDevice
+from repro.gpu.device import SimulatedDevice, price_launch
+from repro.gpu.kernel import KernelLaunch
+from repro.gpu.specs import GPUSpec
 from repro.util import checksum as _chk
 from repro.util.blocking import check_block, check_out_buffer
 from repro.util.dtypes import Precision, cast_to, complex_dtype, real_dtype
@@ -75,13 +76,9 @@ from repro.util.timing import TimingReport
 from repro.util.validation import ReproError
 from repro.util.workspace import Workspace, apply_scope
 
-__all__ = ["FFTMatvec"]
+__all__ = ["FFTMatvec", "front_launches", "back_launches"]
 
 _PHASES = ("pad", "fft", "sbgemv", "ifft", "unpad")
-
-# Phase context of a device-less engine: one reusable no-op instead of
-# a fresh nullcontext per phase per apply.
-_NO_PHASE = contextlib.nullcontext()
 
 _VALIDATE_MODES = ("guard", "abft")
 
@@ -130,6 +127,43 @@ def _slabs(rec: SimpleNamespace, *bufs: Any) -> list:
     ]
 
 
+def front_launches(
+    spec: GPUSpec, nt: int, cols: int, config: PrecisionConfig, phase3: Sequence[Tuple]
+) -> List[Tuple[str, KernelLaunch]]:
+    """The ``(clock phase, launch)`` pairs phases 1-3 book on ``spec`` for
+    ``cols`` fused columns of double input, in booking order: one
+    full-width pad, FFT and forward reorder, then one launch per
+    ``(kernel, problem)`` of ``phase3`` (:meth:`SBGEMVDispatcher.phase3`;
+    ``k`` GEMVs for a kernel that runs a column at a time).
+    :meth:`FFTMatvec._front` books this list and the perf model prices
+    it, so a launch added here is in both."""
+    n_freq = nt + 1
+    fft = FFTPlan(2 * nt, cols, FFTType.real_forward(config.fft))
+    c_fft, c_sb = complex_dtype(config.fft).itemsize, complex_dtype(config.sbgemv).itemsize
+    return [
+        ("pad", pad_launch(spec, nt, cols, 8, config.pad)),
+        ("fft", fft.launch(spec)),
+        ("sbgemv", reorder_launch(spec, "reorder_soti_to_tosi", n_freq * cols, c_fft, c_sb)),
+    ] + [("sbgemv", kernel.launch(problem, spec)) for kernel, problem in phase3]
+
+
+def back_launches(
+    spec: GPUSpec, nt: int, cols: int, config: PrecisionConfig
+) -> List[Tuple[str, KernelLaunch]]:
+    """Phases 4-5's counterpart of :func:`front_launches`
+    (:meth:`FFTMatvec._back`): the backward reorder, the IFFT and the
+    unpad of ``cols`` fused output columns."""
+    n_freq = nt + 1
+    ifft = FFTPlan(2 * nt, cols, FFTType.real_inverse(config.ifft))
+    c_sb, c_ifft = complex_dtype(config.sbgemv).itemsize, complex_dtype(config.ifft).itemsize
+    r_ifft, r_unpad = real_dtype(config.ifft).itemsize, real_dtype(config.unpad).itemsize
+    return [
+        ("sbgemv", reorder_launch(spec, "reorder_tosi_to_soti", n_freq * cols, c_sb, c_ifft)),
+        ("ifft", ifft.launch(spec)),
+        ("unpad", unpad_launch(spec, nt, cols, r_ifft, r_unpad)),
+    ]
+
+
 class FFTMatvec:
     """FFT-based matvec engine for a block lower-triangular Toeplitz matrix.
 
@@ -143,9 +177,10 @@ class FFTMatvec:
         charges modeled time to the device clock and ``last_timing``
         holds the per-phase breakdown of the most recent call.
     use_optimized_sbgemv:
-        When False, the dispatcher is bypassed and the original rocBLAS
-        kernel handles the (conjugate) transpose SBGEMV too — the
-        pre-optimization behaviour used in ablation benches.
+        Handed to the dispatcher: when False it selects the original
+        rocBLAS kernels for the (conjugate) transpose too — the
+        pre-optimization behaviour used in ablation benches.  Like the
+        device itself it changes what an apply books, never its bits.
     workspace:
         ``True`` builds a private :class:`Workspace` arena (registered
         with the device allocator when a device is attached), a
@@ -210,7 +245,6 @@ class FFTMatvec:
         )
         self.backend = resolve_backend(backend)
         self.device = device
-        self.use_optimized_sbgemv = use_optimized_sbgemv
         self.nt = self.matrix.nt
         self.nd = self.matrix.nd
         self.nm = self.matrix.nm
@@ -218,7 +252,9 @@ class FFTMatvec:
         self.n_freq = self.nt + 1
 
         spec = device.spec if device is not None else None
-        self.dispatcher = SBGEMVDispatcher(spec) if spec is not None else None
+        self.dispatcher = (
+            SBGEMVDispatcher(spec, optimized=use_optimized_sbgemv) if spec is not None else None
+        )
 
         # Setup: F_hat in double precision (one-time, not perf-critical),
         # with the 1/(2*Nt) inverse normalization folded in.  The host
@@ -231,8 +267,6 @@ class FFTMatvec:
         )
 
         self.plan_evictions = 0  # prepared records dropped by the LRU bound
-        # One reusable context per clock phase (a no-op without a device).
-        self._ctx = SimpleNamespace(**{p: self._phase_ctx(p) for p in _PHASES})
         self.last_timing: Optional[TimingReport] = None
         self.matvec_count = 0
         self.matmat_count = 0
@@ -269,7 +303,8 @@ class FFTMatvec:
         original CUDA code and the custom kernel performs after
         hipification (see :mod:`repro.blas.permute`).
         """
-        with self._phase_ctx("setup"):
+        dev = self.device
+        with dev.clock.phase("setup") if dev is not None else contextlib.nullcontext():
             padded = self.matrix.padded_kernel()  # (2*Nt, Nd, Nm), lag-major
             # (2Nt, Nd, Nm) -> (Nd, Nm, 2Nt): lags contiguous for the FFT.
             lag_inner = permute3d(
@@ -355,11 +390,14 @@ class FFTMatvec:
     ) -> SimpleNamespace:
         """The record under ``key`` of what the data does not decide about
         one half of an apply, resolved on first use: the half's FFT plan,
-        tier dtypes, slab width and — with an arena — its buffers and
-        their per-slab views (``bufs``); the Phase-3 kernel adds its
-        operands on first run (``p3``), the back half its arena result
-        (``res``).  A record dies with what it was built from: the LRU
-        bound, ``Workspace.release()`` and
+        tier dtypes, slab width, — with an arena — its buffers and their
+        per-slab views (``bufs``) and — with a device — the launches it
+        books, priced (``booked``: :func:`front_launches` /
+        :func:`back_launches` as ``SimulatedDevice.book`` arguments; an
+        invalid launch raises here and leaves no record); the Phase-3
+        kernel adds its operands on first run (``p3``), the back half
+        its arena result (``res``).  A record dies with what it was
+        built from: the LRU bound, ``Workspace.release()`` and
         :meth:`install_corruption_schedule` drop it.
         """
         rec = self._plans.get(key)
@@ -370,9 +408,9 @@ class FFTMatvec:
         rdt, cols = real_dtype(fft), n * k
         fft_type = FFTType.real_inverse(fft) if back else FFTType.real_forward(fft)
         rec = SimpleNamespace(
-            n=n, k=k, cols=cols, rdt=rdt, cdt=complex_dtype(fft), p3=None, res=None,
+            n=n, k=k, cols=cols, rdt=rdt, cdt=complex_dtype(fft), p3=None, res=None, booked=None,
             w=self._slab_cols(cols, 2 * self.nt * rdt.itemsize),
-            plan=FFTPlan(self.n_pad, cols, fft_type, device=self.device, backend=self.backend),
+            plan=FFTPlan(self.n_pad, cols, fft_type, backend=self.backend),
         )
         if back:
             rec.udt = real_dtype(config.unpad)
@@ -388,6 +426,23 @@ class FFTMatvec:
             # ``cast_noop_count`` counts them.
             rec.pad_dt = rdt if config.pad is Precision.DOUBLE else real_dtype(config.pad)
             rec.noops = 2 if rec.pad_dt == rdt else 1
+        if self.device is not None:
+            spec = self.device.spec
+            if back:
+                launches = back_launches(spec, self.nt, cols, config)
+            else:
+                # The panel kernel runs Phase 3 a column at a time (its
+                # engine is never pairwise: see _pipeline_block).
+                runs = k if key[0] is FFTMatvec._run_sbgemv_panel else 1
+                phase3 = self.dispatcher.phase3(
+                    self.nd, self.nm, self.n_freq, k // runs,
+                    BlasDatatype.from_dtype(rec.sdt), rec.operation, self.reduction,
+                )
+                rec.counted = (phase3[0].name, runs)
+                launches = front_launches(spec, self.nt, cols, config, [phase3] * runs)
+            rec.booked = [
+                (launch, price_launch(launch, spec), phase) for phase, launch in launches
+            ]
         buffers = self._back_buffers if back else self._front_buffers
         rec.bufs = buffers(rec) if self.workspace is not None else None
         self._plans[key] = rec
@@ -429,25 +484,20 @@ class FFTMatvec:
             str(PrecisionConfig.parse(config)) if config is not None else None,
         )
 
-    # -- phase wrappers ------------------------------------------------------
-    def _phase_ctx(self, name: str):
-        if self.device is not None:
-            return self.device.clock.phase(name)
-        return _NO_PHASE
-
-    def _phase3_operands(self, rec, out=None, conj_x=None, conj_a: bool = False) -> Tuple:
-        """Phase 3's ``(fhat, a_conj, out, x_conj)``, resolved by a kernel's
+    # -- Phase 3: numerics only (what they book is the record's) ---------------
+    def _phase3_operands(self, rec, out=None, stage=None, conj_a: bool = False) -> Tuple:
+        """Phase 3's ``(fhat, a_conj, out, staging)``, resolved by a kernel's
         first run on the front record ``rec`` and kept there: the spectrum
         at its tier, the cached conjugate for an adjoint GEMM and — from
-        an arena — the ``(tag, shape)`` output and ``conj(x)`` staging."""
+        an arena — the ``(tag, shape)`` output and input staging."""
         if rec.p3 is None:
             fhat, ws = self.spectrum(rec.precision), self.workspace
-            dt, adj = self.backend.dtype_of(fhat), rec.operation is Operation.C
+            dt = self.backend.dtype_of(fhat)
             rec.p3 = (
                 fhat,
-                self.spectrum_conj(rec.precision) if conj_a and adj else None,
+                self.spectrum_conj(rec.precision) if conj_a and rec.operation is Operation.C else None,
                 ws.checkout(*out, dt) if ws is not None and out else None,
-                ws.checkout(*conj_x, dt) if ws is not None and conj_x and adj else None,
+                ws.checkout(*stage, dt) if ws is not None and stage else None,
             )
         return rec.p3
 
@@ -455,46 +505,28 @@ class FFTMatvec:
         """Vector Phase 3: the strided-batched GEMV on the lone column of
         an ``(n_freq, nx, 1)`` panel, returned as an ``(n_freq, ny, 1)`` one."""
         be, operation, mhat = self.backend, rec.operation, panel[:, :, 0]
+        adj = operation is Operation.C
         fhat, _, out, x_conj = rec.p3 or self._phase3_operands(
             rec,
-            ("sbgemv_out", (self.n_freq, self.nd if operation is Operation.N else self.nm)),
-            ("sbgemv_conj_x", tuple(mhat.shape)),
+            ("sbgemv_out", (self.n_freq, self.nm if adj else self.nd)),
+            ("sbgemv_conj_x", tuple(mhat.shape)) if adj else None,
         )
         if x_conj is not None:
             # Stage the adjoint's conj(x) in the arena — bitwise the bytes
             # a fresh conjugation would produce, no per-apply temporary.
             be.conjugate(mhat, out=x_conj)
-        if self.dispatcher is None:
-            yhat = gemv_strided_batched_reference(
-                fhat, mhat, operation, out=out, x_conj=x_conj, backend=be
-            )
-        elif self.use_optimized_sbgemv:
-            yhat = self.dispatcher.gemv_strided_batched(
-                fhat, mhat, operation, device=self.device, phase="sbgemv",
-                out=out, x_conj=x_conj, backend=be,
-            )
-        else:
-            # Ablation: force the original kernel through the same path.
-            problem = GemvProblem(
-                m=self.nd,
-                n=self.nm,
-                batch=self.n_freq,
-                datatype=BlasDatatype.from_dtype(be.dtype_of(fhat)),
-                operation=operation,
-            )
-            yhat = RocblasSBGEMV().run(
-                fhat, mhat, problem, device=self.device, phase="sbgemv",
-                out=out, x_conj=x_conj, backend=be,
-            )
+        yhat = gemv_strided_batched_reference(
+            fhat, mhat, operation, out=out, x_conj=x_conj, backend=be
+        )
         return yhat.reshape(yhat.shape + (1,))
 
     def _run_sbgemm(self, mhat: Any, rec: SimpleNamespace) -> Any:
         """Blocked Phase 3: per-frequency GEMM on a (n_freq, nx, k) panel.
 
-        Honors the engine's ``reduction`` mode: pairwise engines route
-        through the fixed-tree kernel at every entry point (including
-        the ``k == 1`` panel the GEMV degeneration would otherwise
-        claim), so one accumulation order serves the whole engine.
+        Honors the engine's ``reduction`` mode: pairwise engines run the
+        fixed-tree kernel at every entry point (including the ``k == 1``
+        panel a fast engine books as a GEMV), so one accumulation order
+        serves the whole engine.
         """
         be, operation = self.backend, rec.operation
         # The conjugated spectrum is cached for the adjoint (op C): the
@@ -504,50 +536,9 @@ class FFTMatvec:
             ("sbgemm_out", (self.n_freq, self.nd if operation is Operation.N else self.nm, mhat.shape[2])),
             conj_a=True,
         )
-        if self.dispatcher is not None:
-            if self.use_optimized_sbgemv:
-                return self.dispatcher.gemm_strided_batched(
-                    fhat,
-                    mhat,
-                    operation,
-                    device=self.device,
-                    phase="sbgemv",
-                    out=out,
-                    a_conj=a_conj,
-                    backend=be,
-                    reduction=self.reduction,
-                )
-            # Ablation: force the vendor GEMM, mirroring the GEMV ablation
-            # (wrapped in the fixed-tree order when the engine pins one).
-            problem = GemmProblem(
-                m=self.nd,
-                n=self.nm,
-                k=mhat.shape[2],
-                batch=self.n_freq,
-                datatype=BlasDatatype.from_dtype(be.dtype_of(fhat)),
-                operation=operation,
-            )
-            kernel = self.dispatcher.rocblas_gemm
-            if self.reduction == "pairwise":
-                kernel = PairwiseSBGEMM(kernel)
-            return kernel.run(
-                fhat,
-                mhat,
-                problem,
-                device=self.device,
-                phase="sbgemv",
-                out=out,
-                a_conj=a_conj,
-                backend=be,
-            )
         if self.reduction == "pairwise":
             return pairwise_gemm_strided_batched_reference(
-                fhat,
-                mhat,
-                operation,
-                out=out,
-                a_conj=a_conj,
-                backend=be,
+                fhat, mhat, operation, out=out, a_conj=a_conj, backend=be,
                 workspace=self.workspace,
             )
         return gemm_strided_batched_reference(
@@ -566,33 +557,13 @@ class FFTMatvec:
         The grid engine merges all ranks' segments in frequency domain
         (:func:`repro.comm.collectives.fixed_tree_reduce_segments`), so
         the full contraction is one fixed tree regardless of partition.
-        Charges the local pairwise kernel's modeled launch.
+        Booked as the local pairwise kernel's launch.
         """
-        be, operation = self.backend, rec.operation
         fhat, a_conj, _, _ = rec.p3 or self._phase3_operands(rec, conj_a=True)
-        values = pairwise_segment_values(
-            fhat,
-            panel,
-            operation,
-            start,
-            n_global,
-            a_conj=a_conj,
-            backend=be,
-            workspace=self.workspace,
+        return pairwise_segment_values(
+            fhat, panel, rec.operation, start, n_global, a_conj=a_conj,
+            backend=self.backend, workspace=self.workspace,
         )
-        if self.dispatcher is not None and self.device is not None:
-            problem = GemmProblem(
-                m=self.nd,
-                n=self.nm,
-                k=panel.shape[2],
-                batch=self.n_freq,
-                datatype=BlasDatatype.from_dtype(be.dtype_of(fhat)),
-                operation=operation,
-            )
-            kernel = self.dispatcher.select_gemm(problem, reduction="pairwise")
-            self.dispatcher.dispatch_counts[kernel.name] += 1
-            kernel.charge_launch(problem, self.device, phase="sbgemv")
-        return values
 
     def _run_sbgemv_panel(self, mhat: Any, rec: SimpleNamespace) -> Any:
         """Deterministic blocked Phase 3: k per-frequency GEMVs on a panel.
@@ -605,22 +576,26 @@ class FFTMatvec:
         — so serving-layer coalescing, which promises results identical
         to sequential applies, routes through this method instead.
 
-        On the numpy backend without a device the k GEMVs run as one
-        broadcast-batched matmul over strided per-column views (no
-        copies, ~2.5-6x faster than looping Python-side).  With a
-        dispatcher attached (or a non-numpy backend) the columns loop
-        through :meth:`_run_sbgemv` so the modeled device time honestly
-        charges k GEMV launches — the price of determinism the docs
-        advertise.
+        On the numpy backend the k GEMVs run as one broadcast-batched
+        matmul over per-column views (~2.5-6x faster than looping
+        Python-side); other backends loop the columns through
+        :meth:`_run_sbgemv`.  Either way a device books k GEMV launches
+        — the price of determinism the docs advertise.
         """
         be, operation = self.backend, rec.operation
         nf, nx, k = mhat.shape
-        ny = self.nd if operation is Operation.N else self.nm
-        looped = self.dispatcher is not None or be.name != "numpy"
-        fhat, _, out, x_conj = rec.p3 or self._phase3_operands(
+        adj = operation is Operation.C
+        ny = self.nm if adj else self.nd
+        looped = be.name != "numpy"
+        # numpy picks its matmul loop by the operands' strides, so the
+        # columns are handed over as a lone GEMV has them — contiguous —
+        # wherever the strided view would take another loop: conj(x) of
+        # the adjoint, and a forward panel whose output has one row.
+        staged = not looped and (adj or ny == 1)
+        fhat, _, out, xbuf = rec.p3 or self._phase3_operands(
             rec,
             ("det_sbgemv_out", (nf, ny, k)),
-            None if looped else ("det_sbgemv_conj_x", (k, nf, nx)),
+            ("det_sbgemv_conj_x" if adj else "det_sbgemv_x", (k, nf, nx)) if staged else None,
         )
         if out is None:
             out = be.empty((nf, ny, k), be.dtype_of(mhat))
@@ -631,7 +606,15 @@ class FFTMatvec:
             return out
         cols = np.moveaxis(mhat, 2, 0)  # (k, nf, nx) strided view
         out_v = np.moveaxis(out, 2, 0)  # (k, nf, ny) strided view
-        if operation is Operation.N:
+        if staged:
+            if xbuf is None:
+                xbuf = be.empty((k, nf, nx), be.dtype_of(mhat))
+            if adj:
+                be.conjugate(cols, out=xbuf)
+            else:
+                be.copyto(xbuf, cols)
+            cols = xbuf
+        if not adj:
             # One GEMV per (column, frequency): (1,nf,ny,nx) @ (k,nf,nx,1).
             be.matmul(fhat[None], cols[..., None], out=out_v[..., None])
             return out
@@ -642,12 +625,8 @@ class FFTMatvec:
         # coalescing tests assert it), but measurably faster; a
         # contiguous copy of the transpose would flip numpy into a BLAS
         # path with a different summation order and break the identity.
-        if x_conj is not None:
-            be.conjugate(cols, out=x_conj)
-        else:
-            x_conj = be.conjugate(cols)
         fhat_t = be.transpose(fhat, (0, 2, 1))
-        be.matmul(fhat_t[None], x_conj[..., None], out=out_v[..., None])
+        be.matmul(fhat_t[None], cols[..., None], out=out_v[..., None])
         be.conjugate(out, out=out)
         return out
 
@@ -872,59 +851,58 @@ class FFTMatvec:
 
         What the data does not decide comes from the prepared record
         (:meth:`_prepared`); the loop runs kernels and, with a device or
-        an armed hook, their charges and checks.
+        an armed hook, books the record's launches (``booked``, entry
+        ``i`` right behind the kernel it describes) and runs the checks.
         """
         nt, nx, k = v_in.shape
         rec = self._prepared((kernel, adjoint, config.code, nx * k), False, config, adjoint, nx, k)
         slabs, panel = rec.bufs or self._front_buffers(rec)
-        be, ws, ctx, plan, armed = self.backend, self.workspace, self._ctx, rec.plan, self._armed
+        be, ws, plan, armed, booked = self.backend, self.workspace, rec.plan, self._armed, rec.booked
         v2 = v_in.reshape(nt, rec.cols)
         self.cast_noop_count += rec.noops
         for first, sl, xbuf, cbuf, fbuf, vslab in slabs:
             dev = self.device if first else None
             # Phase 1: broadcast (trivial single-device) + zero-pad, in
             # the phase's precision (cast fused into the kernel's writes).
-            with ctx.pad:
-                x = pad_to_soti(
-                    v2 if sl is None else v2[:, sl],
-                    config.pad,
-                    out=xbuf,
-                    backend=be,
-                    validate=self._guard_on,
-                    rank=self.rank_label,
-                )
-                if dev is not None:
-                    charge_pad(dev, nt, rec.cols, v2.dtype.itemsize, config.pad)
+            x = pad_to_soti(
+                v2 if sl is None else v2[:, sl],
+                config.pad,
+                out=xbuf,
+                backend=be,
+                validate=self._guard_on,
+                rank=self.rank_label,
+            )
+            if dev is not None:
+                dev.book(*booked[0])
             # Phase 2: batched forward FFT (batch = k * space).
-            with ctx.fft:
-                if cbuf is not None:
-                    cbuf[...] = x
-                    x = cbuf
-                xhat = plan.execute(
-                    x, phase="fft" if first else None, workspace=ws, out=fbuf
-                )
-                if armed:
-                    self._maybe_corrupt(xhat, "fft")
-                    self._check_forward_energy(x, xhat, plan)
-                    self._guard_check(xhat, "fft")
+            if cbuf is not None:
+                cbuf[...] = x
+                x = cbuf
+            xhat = plan.execute(x, phase="fft" if first else None, workspace=ws, out=fbuf)
+            if dev is not None:
+                dev.book(*booked[1])
+            if armed:
+                self._maybe_corrupt(xhat, "fft")
+                self._check_forward_energy(x, xhat, plan)
+                self._guard_check(xhat, "fft")
             # Reorder to frequency-outer layout, written at Phase 3's
             # precision: the value "reorder at the lower adjacent
             # precision, then cast" gives (a down-cast rounds once, an
             # up-cast is exact), without the second pass.
-            with ctx.sbgemv:
-                soti_to_tosi(xhat, backend=be, out=vslab)
-                if dev is not None:
-                    charge_reorder(
-                        dev, "reorder_soti_to_tosi", self.n_freq * rec.cols,
-                        rec.cdt.itemsize, rec.sdt.itemsize, "sbgemv",
-                    )
+            soti_to_tosi(xhat, backend=be, out=vslab)
+            if dev is not None:
+                dev.book(*booked[2])
 
-        with ctx.sbgemv:
-            yhat = kernel(self, panel, rec, *kernel_args)
-            if armed:
-                self._maybe_corrupt(yhat, "sbgemm")
-                self._check_gemm(panel, yhat, rec.operation, config.sbgemv)
-                self._guard_check(yhat, "sbgemv")
+        yhat = kernel(self, panel, rec, *kernel_args)
+        if booked is not None:
+            for entry in booked[3:]:
+                self.device.book(*entry)
+            name, launches = rec.counted
+            self.dispatcher.dispatch_counts[name] += launches
+        if armed:
+            self._maybe_corrupt(yhat, "sbgemm")
+            self._check_gemm(panel, yhat, rec.operation, config.sbgemv)
+            self._guard_check(yhat, "sbgemv")
         return yhat
 
     def _back(
@@ -955,7 +933,7 @@ class FFTMatvec:
         k = yhat.shape[2]
         rec = self._prepared(("back", adjoint, config.code, ny * k), True, config, adjoint, ny, k)
         slabs = rec.bufs or self._back_buffers(rec)
-        be, ws, ctx, plan, armed = self.backend, self.workspace, self._ctx, rec.plan, self._armed
+        be, ws, plan, armed, booked = self.backend, self.workspace, rec.plan, self._armed, rec.booked
         nt, cols = self.nt, rec.cols
         y2 = yhat.reshape(self.n_freq, cols)
         # A double-precision unpad on the host writes a contiguous
@@ -971,38 +949,32 @@ class FFTMatvec:
         self.cast_noop_count += 1
         for first, sl, ybuf, tbuf in slabs:
             dev = self.device if first else None
-            with ctx.sbgemv:
-                ys = tosi_to_soti(y2 if sl is None else y2[:, sl], backend=be, out=ybuf)
-                if dev is not None:
-                    charge_reorder(
-                        dev, "reorder_tosi_to_soti", self.n_freq * cols,
-                        be.dtype_of(y2).itemsize, rec.cdt.itemsize, "sbgemv",
-                    )
+            ys = tosi_to_soti(y2 if sl is None else y2[:, sl], backend=be, out=ybuf)
+            if dev is not None:
+                dev.book(*booked[0])
             # Phase 4: batched inverse FFT, batch = k * space.
-            with ctx.ifft:
-                y = plan.inverse(
-                    ys, phase="ifft" if first else None, workspace=ws, out=tbuf
-                )
-                if armed:
-                    self._maybe_corrupt(y, "ifft")
-                    self._check_inverse_energy(ys, y, plan)
-                    self._guard_check(y, "ifft")
+            y = plan.inverse(ys, phase="ifft" if first else None, workspace=ws, out=tbuf)
+            if dev is not None:
+                dev.book(*booked[1])
+            if armed:
+                self._maybe_corrupt(y, "ifft")
+                self._check_inverse_energy(ys, y, plan)
+                self._guard_check(y, "ifft")
             # Phase 5: unpad (+ reduction across the grid in the parallel
             # engine) in its precision; back to double in _finalize.
-            with ctx.unpad:
-                if res is None:
-                    res = self._unpad_buffer(rec)
-                unpad_from_soti(
-                    y,
-                    nt,
-                    config.unpad,
-                    out=res if sl is None else res[:, sl],
-                    backend=be,
-                    validate=self._guard_on,
-                    rank=self.rank_label,
-                )
-                if dev is not None:
-                    charge_unpad(dev, nt, cols, rec.rdt.itemsize, rec.udt.itemsize)
+            if res is None:
+                res = self._unpad_buffer(rec)
+            unpad_from_soti(
+                y,
+                nt,
+                config.unpad,
+                out=res if sl is None else res[:, sl],
+                backend=be,
+                validate=self._guard_on,
+                rank=self.rank_label,
+            )
+            if dev is not None:
+                dev.book(*booked[2])
         if direct:
             return out  # unpad already wrote the caller's buffer
         return self._finalize(res.reshape(nt, ny, k), out, detach=detach)
@@ -1052,9 +1024,12 @@ class FFTMatvec:
         only — it is overwritten by this engine's next apply).
         ``deterministic`` swaps the Phase-3 GEMM for the per-column
         batched GEMV (:meth:`_run_sbgemv_panel`), making every column
-        bitwise what the vector pipeline returns for it.
+        bitwise what the vector pipeline returns for it — on a pairwise
+        engine the fixed tree already does (the vector pipeline runs it
+        too), so the flag is redundant there and ignored, as on the grid.
         """
-        kernel = FFTMatvec._run_sbgemv_panel if deterministic else FFTMatvec._run_sbgemm
+        columnwise = deterministic and self.reduction != "pairwise"
+        kernel = FFTMatvec._run_sbgemv_panel if columnwise else FFTMatvec._run_sbgemm
         with apply_scope(self.workspace):
             yhat = self._front(v_in, config, adjoint, kernel)
             return self._back(yhat, config, adjoint, out, detach)
@@ -1158,7 +1133,8 @@ class FFTMatvec:
         batched either way (elementwise kernels and a row-independent
         batched FFT preserve per-column bits).  The serving coalescer
         uses this to batch concurrent tenants without perturbing anyone's
-        answer.
+        answer.  A ``reduction="pairwise"`` engine keeps that promise
+        through its fixed tree at any width and ignores the flag.
         """
         return self._apply_block(M, config, False, out, deterministic)
 

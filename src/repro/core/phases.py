@@ -22,7 +22,7 @@ blocks **slab by slab**: a slab is a run of columns of the fused
 until the FFT reads it back.  Each slab is padded into one reused
 :func:`padded_buffer` and unpadded into its columns of the result, so
 no full-width padded buffer exists; the modeled device kernel is still
-one full-width launch (:func:`charge_pad` / :func:`charge_unpad`).
+one full-width launch (:func:`pad_launch` / :func:`unpad_launch`).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.backend import Backend, NumpyBackend
-from repro.core.reorder import charge_copy, copy_launch, transpose_into
+from repro.core.reorder import copy_launch, transpose_into
 from repro.gpu.device import SimulatedDevice
 from repro.util import checksum as _chk
 from repro.util.dtypes import Precision, real_dtype
@@ -39,7 +39,6 @@ from repro.util.workspace import Workspace
 
 __all__ = [
     "pad_to_soti", "unpad_from_soti", "padded_buffer", "pad_launch", "unpad_launch",
-    "charge_pad", "charge_unpad",
 ]
 
 _NUMPY = NumpyBackend()
@@ -59,16 +58,6 @@ def unpad_launch(spec, nt: int, nx: int, in_itemsize: int, out_itemsize: int):
     elems = nt * nx
     read, written = float(elems * in_itemsize), float(elems * out_itemsize)
     return copy_launch(spec, "unpad", read, written, elems, 0.9)
-
-
-def charge_pad(device, nt: int, nx: int, in_itemsize: int, precision: Precision, phase="pad"):
-    """Book :func:`pad_launch` on ``device`` (no-op without one)."""
-    charge_copy(device, phase, pad_launch, nt, nx, in_itemsize, precision)
-
-
-def charge_unpad(device, nt: int, nx: int, in_itemsize: int, out_itemsize: int, phase="unpad"):
-    """Book :func:`unpad_launch` on ``device`` (no-op without one)."""
-    charge_copy(device, phase, unpad_launch, nt, nx, in_itemsize, out_itemsize)
 
 
 def padded_buffer(nx: int, nt: int, dtype, workspace=None, backend=None, tag: str = "pad"):
@@ -140,7 +129,9 @@ def pad_to_soti(
     if validate:
         _chk.ensure_finite(be.from_device(out), phase=phase, rank=rank, what="pad output")
     if device is not None:
-        charge_pad(device, nt, nx, be.dtype_of(a).itemsize, precision, phase)
+        device.launch(
+            pad_launch(device.spec, nt, nx, be.dtype_of(a).itemsize, precision), phase
+        )
     return out
 
 
@@ -190,8 +181,11 @@ def unpad_from_soti(
             be.from_device(out), phase=phase, rank=rank, what="unpad output"
         )
     if device is not None:
-        charge_unpad(
-            device, nt, a.shape[0], be.dtype_of(a).itemsize,
-            be.dtype_of(out).itemsize, phase,
+        device.launch(
+            unpad_launch(
+                device.spec, nt, a.shape[0], be.dtype_of(a).itemsize,
+                be.dtype_of(out).itemsize,
+            ),
+            phase,
         )
     return out

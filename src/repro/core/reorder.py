@@ -43,7 +43,7 @@ from repro.util.workspace import Workspace
 
 __all__ = [
     "tosi_to_soti", "soti_to_tosi", "reorder_bytes", "transpose_into", "copy_launch",
-    "reorder_launch", "charge_reorder",
+    "reorder_launch",
 ]
 
 _NUMPY = NumpyBackend()
@@ -120,18 +120,6 @@ def reorder_launch(spec, name: str, elems: int, in_itemsize: int, out_itemsize: 
     return copy_launch(spec, name, elems * in_itemsize, written, elems, 0.75)
 
 
-def charge_copy(device, phase: str, launch, *args) -> None:
-    """Book the copy kernel ``launch(spec, *args)`` on ``device`` (no-op
-    without one); built and priced once per ``args`` and device."""
-    if device is not None:
-        device.launch_memo((launch,) + args, lambda: launch(device.spec, *args), phase)
-
-
-def charge_reorder(device, name: str, elems: int, in_itemsize: int, out_itemsize: int, phase: str):
-    """Book :func:`reorder_launch` on ``device`` (no-op without one)."""
-    charge_copy(device, phase, reorder_launch, name, elems, in_itemsize, out_itemsize)
-
-
 def _reorder(
     v: Any,
     precision: Optional[Precision],
@@ -171,9 +159,12 @@ def _reorder(
         if precision is not None:
             out = be.cast(out, precision)
     if device is not None:
-        charge_reorder(
-            device, kernel_name, be.size(out),
-            be.dtype_of(a).itemsize, be.dtype_of(out).itemsize, phase,
+        device.launch(
+            reorder_launch(
+                device.spec, kernel_name, be.size(out),
+                be.dtype_of(a).itemsize, be.dtype_of(out).itemsize,
+            ),
+            phase,
         )
     return out
 

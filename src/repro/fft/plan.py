@@ -172,11 +172,7 @@ class FFTPlan:
             return
         self.executions += 1
         if self.device is not None:
-            self.device.launch_memo(
-                ("fft", self.fft_type, self.n, self.batch),
-                lambda: self.launch(self.device.spec),
-                phase,
-            )
+            self.device.launch(self.launch(self.device.spec), phase)
 
     def launch(self, spec: GPUSpec) -> KernelLaunch:
         """The kernel launch of one whole-batch execution on ``spec`` —

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Union
 
 from repro.gpu.bandwidth import kernel_time, memcpy_time, stream_efficiency
 from repro.gpu.kernel import KernelLaunch
@@ -91,7 +91,6 @@ class SimulatedDevice:
         self._record = record_launches
         self.launch_log: List[LaunchRecord] = []
         self.stream: Optional[Stream] = None
-        self._memo: Dict[Hashable, Tuple[KernelLaunch, float]] = {}
 
     # -- stream routing ---------------------------------------------------
     @contextlib.contextmanager
@@ -110,11 +109,11 @@ class SimulatedDevice:
         finally:
             self.stream = prev
 
-    def _advance(self, seconds: float) -> None:
+    def _advance(self, seconds: float, phase: Optional[str] = None) -> None:
         if self.stream is not None:
-            self.stream.charge(seconds)
+            self.stream.charge(seconds, phase=phase)
         else:
-            self.clock.advance(seconds)
+            self.clock.advance(seconds, phase)
 
     # -- memory ----------------------------------------------------------
     def malloc(self, nbytes: int, tag: str = ""):
@@ -143,36 +142,21 @@ class SimulatedDevice:
     # -- kernels ---------------------------------------------------------
     def launch(self, kernel: KernelLaunch, phase: str = "") -> float:
         """Validate and execute a kernel launch; returns simulated seconds
-        (:func:`price_launch` on this device's spec)."""
-        return self._book(kernel, price_launch(kernel, self.spec), phase)
-
-    # Distinct launch shapes memoized per device before the memo is
-    # dropped and rebuilt (serving sees one shape set per block width).
-    _MEMO_MAX = 2048
-
-    def launch_memo(
-        self, key: Hashable, build: Callable[[], KernelLaunch], phase: str = ""
-    ) -> float:
-        """:meth:`launch` for a hot charge site whose launch depends only
-        on ``key`` (kernel name, shapes, dtype, operation).
-
-        ``build()`` describes the launch; it runs — and the launch is
-        validated and priced — once per key on this device, after which
-        the frozen record and its seconds are reused.  Clock, stats and
-        log see exactly what :meth:`launch` would book.  A launch that
-        fails validation is never memoized: it raises on every call.
-        """
-        hit = self._memo.get(key)
-        if hit is None:
-            kernel = build()
-            hit = (kernel, price_launch(kernel, self.spec))
-            if len(self._memo) >= self._MEMO_MAX:
-                self._memo.clear()
-            self._memo[key] = hit
-        return self._book(hit[0], hit[1], phase)
-
-    def _book(self, kernel: KernelLaunch, t: float, phase: str) -> float:
+        (:func:`price_launch` on this device's spec).  The time goes to
+        the caller's open clock phase; ``phase`` only labels the log."""
+        t = price_launch(kernel, self.spec)
         self._advance(t)
+        return self._count(kernel, t, phase)
+
+    def book(self, kernel: KernelLaunch, seconds: float, phase: str) -> float:
+        """Execute a launch already priced for this spec (``seconds`` is
+        its :func:`price_launch`), attributed to ``phase`` by name — what
+        :meth:`launch` books inside ``clock.phase(phase)``, for a caller
+        that prepared its launches once and opens no scope per apply."""
+        self._advance(seconds, phase)
+        return self._count(kernel, seconds, phase)
+
+    def _count(self, kernel: KernelLaunch, t: float, phase: str) -> float:
         stats = self.stats
         stats.launches += 1
         stats.bytes_moved += kernel.bytes_moved

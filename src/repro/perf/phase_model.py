@@ -28,13 +28,10 @@ import math
 from typing import Dict, Optional, Sequence, Union
 
 from repro.blas.dispatch import SBGEMVDispatcher
-from repro.blas.gemm_kernels import PairwiseSBGEMM
-from repro.blas.gemv_kernels import RocblasSBGEMV
-from repro.blas.types import BlasDatatype, GemmProblem, GemvProblem, Operation
-from repro.core.phases import pad_launch, unpad_launch
+from repro.blas.types import BlasDatatype, Operation
+from repro.core.matvec import back_launches, front_launches
 from repro.core.precision import PrecisionConfig
-from repro.core.reorder import reorder_launch
-from repro.fft.plan import FFTPlan, FFTType, fft_traffic_bytes
+from repro.fft.plan import fft_traffic_bytes
 from repro.gpu.bandwidth import kernel_time, stream_efficiency
 from repro.gpu.device import price_launch
 from repro.gpu.specs import GPUSpec
@@ -357,89 +354,41 @@ def block_phase_times(
     """Modeled seconds per phase of one blocked ``k``-RHS pipeline pass.
 
     The SBGEMM counterpart of :func:`phase_times`: the sum, per phase,
-    of :func:`~repro.gpu.device.price_launch` over the launches
-    ``FFTMatvec._front`` / ``_back`` book for this shape — built by the
-    functions the engine builds them with (``pad_launch``,
-    ``FFTPlan.launch``, ``reorder_launch``, the Phase-3 kernel's
-    ``launch``, ``unpad_launch``), so a byte formula or a price changed
-    in the engine is changed here by construction.  The ``k`` columns
-    ride the batch axis of pad/FFT/reorder (one launch each, batch
-    ``nx * k``), and Phase 3 is one per-frequency strided-batched GEMM
-    through the same dispatcher the engine uses — the blocked pipeline
-    amortizes launch overhead and rereads the spectrum once instead of
-    ``k`` times, and the scaling sweep should see that.  ``k=1``
-    degenerates to the GEMV dispatch, exactly like the engine.  A
-    consistency test pins every phase ``==`` the engine's charge.
-
-    ``reduction="pairwise"`` models the deterministic fixed-tree
-    contraction exactly like the engine dispatches it: the Phase-3
-    kernel is the :class:`~repro.blas.gemm_kernels.PairwiseSBGEMM`
-    wrapper (its determinism tax scales the inner kernel's efficiency),
-    and ``k == 1`` does *not* degenerate to the GEMV entry point —
-    pairwise single vectors run through the width-1 blocked path.
+    of :func:`~repro.gpu.device.price_launch` over the very list
+    ``FFTMatvec._front`` / ``_back`` book for this shape
+    (:func:`~repro.core.matvec.front_launches` /
+    :func:`~repro.core.matvec.back_launches`), with Phase 3 decided
+    where the engine's is (:meth:`SBGEMVDispatcher.phase3`, handed the
+    ``use_optimized_sbgemv`` ablation the way the engine hands it) — so
+    a launch, a byte formula, a price or a dispatch rule changed in the
+    engine is changed here by construction.  The ``k`` columns ride the
+    batch axis of pad/FFT/reorder (one launch each, batch ``nx * k``),
+    and Phase 3 is one per-frequency strided-batched GEMM — the blocked
+    pipeline amortizes launch overhead and rereads the spectrum once
+    instead of ``k`` times, and the scaling sweep should see that.  A
+    lone fast column is the GEMV; ``reduction="pairwise"`` wraps the
+    GEMM kernel in :class:`~repro.blas.gemm_kernels.PairwiseSBGEMM`
+    (its determinism tax scales the inner kernel's efficiency) at every
+    width.  A consistency test pins every phase ``==`` the engine's
+    charge.
     """
     check_positive_int(nm, "nm")
     check_positive_int(nd, "nd")
     check_positive_int(nt, "nt")
     check_positive_int(k, "k")
-    if reduction not in ("fast", "pairwise"):
-        raise ReproError(
-            f"reduction must be 'fast' or 'pairwise', got {reduction!r}"
-        )
     cfg = PrecisionConfig.parse(config)
-    n_pad = 2 * nt
-    n_freq = nt + 1
     nx_in = (nd if adjoint else nm) * k  # fused batch of the forward FFT
     nx_out = (nm if adjoint else nd) * k  # fused batch of the inverse FFT
-
-    # Phase 3's kernel, picked as the engine's dispatch picks it.
-    datatype = (
-        BlasDatatype.Z if cfg.sbgemv is Precision.DOUBLE else BlasDatatype.C
-    )
+    datatype = BlasDatatype.Z if cfg.sbgemv is Precision.DOUBLE else BlasDatatype.C
     operation = Operation.C if adjoint else Operation.N
-    dispatcher = SBGEMVDispatcher(spec)
-    if k == 1 and reduction == "fast":
-        # The dispatcher degenerates a single-column block to the GEMV
-        # entry point; model the same dispatch.  (Pairwise mode skips
-        # the degeneration — exactly like `gemm_strided_batched`.)
-        problem = GemvProblem(
-            m=nd, n=nm, batch=n_freq, datatype=datatype, operation=operation
-        )
-        kernel = dispatcher.select(problem) if use_optimized_sbgemv else RocblasSBGEMV()
-    else:
-        problem = GemmProblem(
-            m=nd, n=nm, k=k, batch=n_freq, datatype=datatype, operation=operation
-        )
-        if use_optimized_sbgemv:
-            kernel = dispatcher.select_gemm(problem, reduction=reduction)
-        elif reduction == "pairwise":
-            kernel = PairwiseSBGEMM(dispatcher.rocblas_gemm)
-        else:
-            kernel = dispatcher.rocblas_gemm
-
-    # The launches of one apply, in booking order; the input is double.
-    c_fft = complex_dtype(cfg.fft).itemsize
-    c_sb = complex_dtype(cfg.sbgemv).itemsize
-    c_ifft = complex_dtype(cfg.ifft).itemsize
-    launches = {
-        "pad": [pad_launch(spec, nt, nx_in, 8, cfg.pad)],
-        "fft": [FFTPlan(n_pad, nx_in, FFTType.real_forward(cfg.fft)).launch(spec)],
-        "sbgemv": [
-            reorder_launch(spec, "reorder_soti_to_tosi", n_freq * nx_in, c_fft, c_sb),
-            kernel.launch(problem, spec),
-            reorder_launch(spec, "reorder_tosi_to_soti", n_freq * nx_out, c_sb, c_ifft),
-        ],
-        "ifft": [FFTPlan(n_pad, nx_out, FFTType.real_inverse(cfg.ifft)).launch(spec)],
-        "unpad": [
-            unpad_launch(
-                spec, nt, nx_out, real_dtype(cfg.ifft).itemsize, real_dtype(cfg.unpad).itemsize
-            )
-        ],
-    }
-    return {
-        phase: sum(price_launch(launch, spec) for launch in booked)
-        for phase, booked in launches.items()
-    }
+    dispatcher = SBGEMVDispatcher(spec, optimized=use_optimized_sbgemv)
+    phase3 = [dispatcher.phase3(nd, nm, nt + 1, k, datatype, operation, reduction)]
+    times: Dict[str, float] = {}
+    for phase, kernel in (
+        front_launches(spec, nt, nx_in, cfg, phase3) + back_launches(spec, nt, nx_out, cfg)
+    ):
+        times[phase] = times.get(phase, 0.0) + price_launch(kernel, spec)
+    return times
 
 
 def modeled_timing(

@@ -26,6 +26,7 @@ from typing import Optional, Sequence, Union
 
 from repro.comm.balance import balance_extents, linear_cost
 from repro.comm.collectives import tree_collective_time
+from repro.comm.grid import ProcessGrid
 from repro.comm.netmodel import FRONTIER_NETWORK, NetworkModel
 from repro.comm.partition import published_frontier_rows
 from repro.core.precision import PrecisionConfig
@@ -65,9 +66,10 @@ def _local_extents(p: int, pr: int, nm_per_gpu: int, nd: int):
     if p % pr != 0:
         raise ValueError(f"pr={pr} must divide p={p}")
     pc = p // pr
-    nm_global = nm_per_gpu * p
-    nm_local = -(-nm_global // pc)
-    nd_local = max(1, -(-nd // pr))
+    # The even split's first part is its largest, and starts at 0 (one
+    # sensor when there are more grid rows than sensors).
+    nm_local = ProcessGrid.split_extent(nm_per_gpu * p, pc)[0][1]
+    nd_local = ProcessGrid.split_extent(nd, pr)[0][1]
     return pc, nm_local, nd_local
 
 
@@ -229,11 +231,13 @@ def blocked_matvec_time_at_scale(
     read, and the engine-consistency test pins the model to what the
     engine actually charges.
 
-    When ``skew > 0`` the skew-searching partitioner
-    (:func:`repro.comm.balance.balance_extents`) rebalances the injected
-    irregularity on both grid axes, and the ``*_balanced`` keys report
-    the schedule on the searched partition — the skew the measure →
-    rebalance loop recovers at scale.
+    When ``skew > 0`` the ``*_balanced`` keys report the schedule after
+    the skew-searching partitioner (:mod:`repro.comm.balance`) rebalanced
+    the injected irregularity on both grid axes — the skew the measure →
+    rebalance loop recovers at scale.  The at-scale grid is homogeneous,
+    where that search lands on the even split
+    (:meth:`~repro.comm.grid.ProcessGrid.split_extent`; identical extents
+    at every point of the paper sweep), so the split is used directly.
 
     Keys: ``serial``, ``overlapped``, ``hidden``, ``total`` (the
     overlapped wall), ``per_vector`` (total / k), ``serial_per_vector``,
@@ -276,31 +280,14 @@ def blocked_matvec_time_at_scale(
         )
 
     sched = schedule_for(nm_slow, nd_slow)
-    if skew > 0:
-        # Rebalance the injected skew with the real search: uniform unit
-        # costs (the at-scale grid is homogeneous), so the searched
-        # slowest rank owns the largest remaining extent — the
-        # ceil-balanced share, up to integer granularity — whatever the
-        # injected skew was.  A grid with more rows than sensors keeps
-        # the ceil-clamped row extent (there is nothing to search).
-        if pr <= nd:
-            row_search = balance_extents(
-                nd, pr, linear_cost([1.0] * pr), what="row_ranges"
-            )
-            nd_bal = max(stop - start for start, stop in row_search.extents)
-        else:
-            nd_bal = nd_local
-        col_search = balance_extents(
-            nm_global, pc, linear_cost([1.0] * pc), what="col_ranges"
-        )
-        nm_bal = max(stop - start for start, stop in col_search.extents)
-        sched_bal = (
-            sched
-            if (nm_bal, nd_bal) == (nm_slow, nd_slow)
-            else schedule_for(nm_bal, nd_bal)
-        )
-    else:
-        sched_bal = sched
+    # Rebalancing the injected skew on a homogeneous grid recovers the
+    # even split, whatever the skew was: the slowest rank then owns the
+    # largest even part again (``_local_extents``).
+    sched_bal = (
+        sched
+        if (nm_local, nd_local) == (nm_slow, nd_slow)
+        else schedule_for(nm_local, nd_local)
+    )
     return {
         "serial": sched["serial"],
         "overlapped": sched["overlapped"],
@@ -417,12 +404,7 @@ def mixed_fleet_times(
             k, max_block_k,
         )["overlapped"]
 
-    base, rem = divmod(nm_global, pc)
-    naive_lengths = [base + (1 if c < rem else 0) for c in range(pc)]
-    naive_extents, start = [], 0
-    for ln in naive_lengths:
-        naive_extents.append((start, start + ln))
-        start += ln
+    naive_extents = ProcessGrid.split_extent(nm_global, pc)
 
     widths = [j1 - j0 for j0, j1 in chunk_ranges(k, max_block_k)]
 
@@ -447,7 +429,7 @@ def mixed_fleet_times(
     # Per-element slopes, finite-differenced so per-launch constants
     # cancel (the affine trick of repro.comm.balance applied to the
     # model itself); one slope pair per distinct spec.
-    n_hi, n_lo = base + (1 if rem else 0), max(1, base // 2)
+    n_hi, n_lo = naive_extents[0][1], max(1, nm_global // pc // 2)
     comm_slope = (bcast_seconds(n_hi) - bcast_seconds(n_lo)) / (n_hi - n_lo)
     spec_slope = {}
     for sp in col_specs:

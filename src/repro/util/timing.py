@@ -99,12 +99,13 @@ class SimClock:
         """Current simulated time in seconds."""
         return self._now
 
-    def advance(self, seconds: float) -> None:
-        """Advance the clock; attributes time to the innermost open phase."""
+    def advance(self, seconds: float, phase: Optional[str] = None) -> None:
+        """Advance the clock; attributes time to ``phase``, or without
+        one to the innermost open phase."""
         if seconds < 0:
             raise ValueError(f"cannot advance clock by negative time {seconds}")
         self._now += seconds
-        self.attribute(seconds)
+        self.attribute(seconds, phase)
 
     def attribute(self, seconds: float, phase: Optional[str] = None) -> None:
         """Attribute seconds to phase accounting *without* advancing time.

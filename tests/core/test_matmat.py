@@ -58,6 +58,53 @@ class TestBlockedEqualsLooped:
         )
 
 
+class TestDeterministicColumns:
+    """``deterministic=True``: column j is **bitwise** the vector apply —
+    whatever the local widths (numpy picks its matmul loop by operand
+    strides: one sensor row, or up to three, used to take another loop
+    than the lone GEMV), with or without an arena or a device (a device
+    books launches, it does not pick kernels), and on a pairwise engine,
+    where the fixed tree keeps the promise and the flag is ignored."""
+
+    # (4,1,48): one local sensor row; (4,2,4), (4,3,7): adjoint panels of
+    # few rows; (12,8,1): one parameter — widths a skewed partition or an
+    # ElasticEngine recovery hands a rank.
+    SHAPES = [(32, 6, 40), (4, 1, 48), (4, 2, 4), (4, 3, 7), (12, 8, 1)]
+
+    @pytest.mark.parametrize("reduction", ["fast", "pairwise"])
+    @pytest.mark.parametrize("device", [False, True], ids=["nodev", "dev"])
+    @pytest.mark.parametrize("arena", [False, True], ids=["noarena", "arena"])
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_column_j_is_the_vector_apply(self, shape, arena, device, reduction):
+        nt, nd, nm = shape
+        rng = np.random.default_rng(nt * 1000 + nd * 100 + nm)
+        eng = FFTMatvec(
+            rng.standard_normal(shape),
+            device=SimulatedDevice(MI300X) if device else None,
+            workspace=arena,
+            reduction=reduction,
+            backend="numpy",
+        )
+        for config in ("ddddd", "dssdd"):
+            for k in (2, 5):
+                M = rng.standard_normal((nt, nm, k))
+                D = rng.standard_normal((nt, nd, k))
+                FM = eng.matmat(M, config=config, deterministic=True)
+                FtD = eng.rmatmat(D, config=config, deterministic=True)
+                for j in range(k):
+                    assert np.array_equal(FM[:, :, j], eng.matvec(M[:, :, j], config=config))
+                    assert np.array_equal(FtD[:, :, j], eng.rmatvec(D[:, :, j], config=config))
+
+    def test_pairwise_engine_ignores_the_flag(self):
+        rng = np.random.default_rng(5)
+        dev = SimulatedDevice(MI300X, record_launches=True)
+        eng = FFTMatvec(rng.standard_normal((12, 5, 7)), device=dev, reduction="pairwise")
+        M = rng.standard_normal((12, 7, 4))
+        assert np.array_equal(eng.matmat(M, deterministic=True), eng.matmat(M))
+        booked = {rec.name for rec in dev.launch_log if rec.phase == "sbgemv"}
+        assert not any("sbgemv" in name for name in booked), booked
+
+
 class TestBlockedAdjointConsistency:
     def test_inner_product_identity(self, engine, block):
         # <F M, D> == <M, F* D> for blocks, the blocked adjoint test.

@@ -139,6 +139,31 @@ class TestEngineReuse:
         np.testing.assert_array_equal(m, copy)
 
 
+class TestInvalidLaunch:
+    def test_raises_on_every_apply_and_keeps_no_record(self):
+        # Phase 3 batches over grid.z = Nt + 1; a device that cannot
+        # launch it refuses while the apply is prepared — every time,
+        # with nothing booked and no record left behind.
+        from dataclasses import replace
+
+        from repro.gpu.kernel import LaunchConfigError
+        from repro.gpu.specs import MI300X
+
+        nt = 16
+        x, y, _ = MI300X.max_grid
+        dev = SimulatedDevice(replace(MI300X, max_grid=(x, y, nt)))
+        eng, rng = make(nt=nt, device=dev, workspace=True)
+        before = (dev.clock.now, dev.stats.launches)
+        m, D = rng.standard_normal((nt, 10)), rng.standard_normal((nt, 3, 4))
+        for _ in range(3):
+            with pytest.raises(LaunchConfigError, match="exceeds device max"):
+                eng.matvec(m)
+            with pytest.raises(LaunchConfigError, match="exceeds device max"):
+                eng.rmatmat(D, deterministic=True)
+        assert not eng._plans and not eng.workspace.in_use
+        assert (dev.clock.now, dev.stats.launches) == before
+
+
 class TestInputValidation:
     def test_wrong_shapes_raise(self):
         eng, rng = make()

@@ -14,12 +14,12 @@ from repro.util.validation import ReproError
 from tests.conftest import rel_err
 
 
-def make(nt=16, nd=4, nm=24, pr=2, pc=3, seed=0, spec=None, max_block_k=None):
+def make(nt=16, nd=4, nm=24, pr=2, pc=3, seed=0, spec=None, max_block_k=None, workspace=None):
     rng = np.random.default_rng(seed)
     matrix = BlockTriangularToeplitz.random(nt, nd, nm, rng=rng)
     grid = ProcessGrid(pr, pc, net=FRONTIER_NETWORK)
     eng = ParallelFFTMatvec(
-        matrix, grid, spec=spec, max_block_k=max_block_k
+        matrix, grid, spec=spec, max_block_k=max_block_k, workspace=workspace
     )
     return eng, matrix, rng
 
@@ -99,6 +99,27 @@ class TestChunkedEdgeCases:
             FtD = eng.rmatmat(d[:, :, None], deterministic=det)
             assert np.array_equal(FM[:, :, 0], Fm)
             assert np.array_equal(FtD[:, :, 0], Ftd)
+
+    @pytest.mark.parametrize("spec", [None, MI250X_GCD], ids=["nodev", "dev"])
+    @pytest.mark.parametrize("arena", [False, True], ids=["noarena", "arena"])
+    @pytest.mark.parametrize("pr,pc", [(2, 1), (2, 2)])
+    @pytest.mark.parametrize("shape", [(12, 2, 8), (12, 3, 96)], ids=str)
+    def test_deterministic_columns_are_vector_applies_at_degenerate_widths(
+        self, shape, pr, pc, arena, spec
+    ):
+        # Two or three sensors over two grid rows: ranks of one local
+        # sensor row, where the strided panel view used to send numpy
+        # down another matmul loop than the lone GEMV's.
+        nt, nd, nm = shape
+        eng, _, rng = make(nt=nt, nd=nd, nm=nm, pr=pr, pc=pc, spec=spec, workspace=arena)
+        for k in (2, 5):
+            M = rng.standard_normal((nt, nm, k))
+            D = rng.standard_normal((nt, nd, k))
+            FM = eng.matmat(M, deterministic=True)
+            FtD = eng.rmatmat(D, deterministic=True)
+            for j in range(k):
+                assert np.array_equal(FM[:, :, j], eng.matvec(M[:, :, j]))
+                assert np.array_equal(FtD[:, :, j], eng.rmatvec(D[:, :, j]))
 
     def test_max_block_k_1_is_looped_path_bitwise(self):
         eng, _, rng = make(pr=2, pc=2)

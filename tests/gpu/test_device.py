@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.gpu.device import SimulatedDevice
+from repro.gpu.device import SimulatedDevice, price_launch
 from repro.gpu.kernel import Dim3, KernelLaunch, LaunchConfigError
 from repro.gpu.specs import MI250X_GCD, MI300X
-from repro.util.timing import SimClock
+from repro.util.timing import SimClock, Timeline
 
 
 def _kernel(name="k", bytes_read=1e6, bytes_written=1e6, eff=-1.0):
@@ -82,38 +82,54 @@ class TestLaunch:
         assert a.launch(_kernel(eff=0.7)) < b.launch(_kernel(eff=0.7))
 
 
-class TestLaunchMemo:
-    def test_books_exactly_what_launch_books(self):
+class TestBook:
+    """``book(kernel, price_launch(kernel, spec), phase)`` is ``launch``
+    inside ``clock.phase(phase)``, for a caller that priced its launches
+    once and opens no scope per apply."""
+
+    def test_books_exactly_what_launch_books_inside_the_phase(self):
         plain = SimulatedDevice(MI300X, record_launches=True)
-        memo = SimulatedDevice(MI300X, record_launches=True)
-        built = []
-
-        def build():
-            built.append(1)
-            return _kernel("k1")
-
+        booked = SimulatedDevice(MI300X, record_launches=True)
+        kernels = [(_kernel("k1"), "fft"), (_kernel("k2", eff=0.3), "sbgemv"), (_kernel("k1"), "fft")]
+        priced = [(k, price_launch(k, MI300X), phase) for k, phase in kernels]
         for _ in range(3):
-            t = plain.launch(_kernel("k1"), phase="fft")
-            assert memo.launch_memo(("k1", 1), build, phase="fft") == t
-        assert len(built) == 1  # described, validated and priced once
-        assert memo.stats == plain.stats
-        assert memo.launch_log == plain.launch_log
-        assert memo.clock.now == plain.clock.now
+            for (kernel, phase), entry in zip(kernels, priced):
+                with plain.clock.phase(phase):
+                    t = plain.launch(kernel, phase=phase)
+                assert booked.book(*entry) == t
+        assert booked.stats == plain.stats
+        assert booked.launch_log == plain.launch_log
+        assert booked.clock.now == plain.clock.now
+        assert booked.clock.phase_totals() == plain.clock.phase_totals()
 
-    def test_invalid_launch_raises_on_every_call(self):
+    def test_book_names_its_phase_whatever_scope_is_open(self):
+        d = SimulatedDevice(MI300X)
+        kernel = _kernel()
+        t = price_launch(kernel, MI300X)
+        with d.clock.phase("outer"):
+            d.book(kernel, t, "fft")
+            d.launch(kernel, phase="fft")  # the label does not attribute
+        assert d.clock.phase_totals() == {"fft": t, "outer": t}
+
+    def test_book_on_a_stream_charges_the_stream(self):
+        d = SimulatedDevice(MI300X)
+        kernel = _kernel()
+        t = price_launch(kernel, MI300X)
+        stream = Timeline(d.clock).stream("compute")
+        with d.on_stream(stream):
+            d.book(kernel, t, "fft")
+        assert d.clock.now == 0.0 and stream.cursor == t
+        assert d.clock.phase_total("fft") == t and d.stats.launches == 1
+
+    def test_invalid_launch_is_refused_by_the_price(self):
         d = SimulatedDevice(MI300X)
         bad = KernelLaunch(name="k", grid=Dim3(x=1, y=70000), block=Dim3(x=64))
         for _ in range(3):
             with pytest.raises(LaunchConfigError):
-                d.launch_memo("bad", lambda: bad)
+                d.launch(bad)
+            with pytest.raises(LaunchConfigError):
+                price_launch(bad, MI300X)
         assert d.stats.launches == 0 and d.clock.now == 0.0
-
-    def test_memo_is_bounded(self):
-        d = SimulatedDevice(MI300X)
-        for i in range(d._MEMO_MAX + 5):
-            d.launch_memo(i, _kernel)
-        assert len(d._memo) <= d._MEMO_MAX
-        assert d.stats.launches == d._MEMO_MAX + 5
 
 
 class TestMemcpy:

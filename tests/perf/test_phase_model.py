@@ -80,6 +80,35 @@ class TestBlockModelEngineConsistency:
         )
         assert modeled == eng.last_timing.phases, (cfg, k, reduction)
 
+    @pytest.mark.parametrize("cfg", ["ddddd", "dssdd"])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("reduction", ["fast", "pairwise"])
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_ablation_is_interpreted_once(self, cfg, adjoint, reduction, k):
+        """``use_optimized_sbgemv=False`` lands in the dispatcher, which
+        engine and model both ask: a width-1 ``matmat`` books (and
+        counts) the vendor GEMV the model prices — it used to book the
+        vendor GEMM, 1.3-2.4x apart, and count nothing."""
+        nt, nd, nm = 16, 8, 48
+        rng = np.random.default_rng(0)
+        eng = FFTMatvec(
+            BlockTriangularToeplitz.random(nt, nd, nm, rng=rng),
+            device=SimulatedDevice(MI300X), use_optimized_sbgemv=False, reduction=reduction,
+        )
+        V = rng.standard_normal((nt, nd if adjoint else nm, k))
+        (eng.rmatmat if adjoint else eng.matmat)(V, config=cfg)
+        modeled = block_phase_times(
+            nm, nd, nt, k, cfg, MI300X, adjoint=adjoint,
+            use_optimized_sbgemv=False, reduction=reduction,
+        )
+        assert modeled == eng.last_timing.phases
+        vendor = (
+            "pairwise_sbgemm" if reduction == "pairwise"
+            else "rocblas_sbgemv" if k == 1 else "rocblas_sbgemm"
+        )
+        moved = {name: n for name, n in eng.dispatcher.dispatch_counts.items() if n}
+        assert moved == {vendor: 1}
+
     def test_block_model_matches_other_architecture(self):
         nt, nd, nm, k = 32, 4, 48, 8
         rng = np.random.default_rng(1)

@@ -17,10 +17,13 @@ def make_matrix(seed=0):
     return BlockTriangularToeplitz.random(NT, ND, NM, rng=rng)
 
 
-def make_service(**kwargs):
+def make_service(reduction="fast", **kwargs):
     cache = EngineCache(kwargs.pop("budget", 64 * 2**20))
     service = SolverService(cache, **kwargs)
-    handle = service.register(make_matrix())
+    handle = service.register(
+        make_matrix(),
+        builder=lambda: FFTMatvec(make_matrix(), workspace=True, reduction=reduction),
+    )
     return service, handle
 
 
@@ -75,11 +78,14 @@ class TestDeterminismCoalescing:
 
         asyncio.run(main())
 
-    def test_default_deterministic_batch_is_bitwise_solo(self):
+    @pytest.mark.parametrize("reduction", ["fast", "pairwise"])
+    def test_default_deterministic_batch_is_bitwise_solo(self, reduction):
         async def main():
             # Service default is deterministic: a coalesced batch must
-            # hand every caller the bits of its solo sequential apply.
-            service, handle = make_service(max_block_k=4)
+            # hand every caller the bits of its solo sequential apply —
+            # on a pairwise engine too, whose fixed tree (not the
+            # per-column GEMV) is what a solo apply runs.
+            service, handle = make_service(reduction, max_block_k=4)
             rng = np.random.default_rng(3)
             payloads = [rng.standard_normal((NT, NM)) for _ in range(3)]
             async with service:
@@ -87,7 +93,7 @@ class TestDeterminismCoalescing:
                     *[service.matvec(handle, p) for p in payloads]
                 )
             assert service.stats().flushes == 1
-            ref = FFTMatvec(make_matrix())
+            ref = FFTMatvec(make_matrix(), reduction=reduction)
             for p, g in zip(payloads, got):
                 assert np.array_equal(g, ref.matvec(p))
 

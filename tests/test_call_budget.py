@@ -21,17 +21,27 @@ from repro.comm.grid import ProcessGrid
 from repro.core.elastic import ElasticEngine
 from repro.core.matvec import FFTMatvec
 from repro.core.parallel import ParallelFFTMatvec
+from repro.gpu.device import SimulatedDevice
 
 SHAPE = (64, 24, 96)  # the solve_small operator
-VECTOR_BUDGET = 130  # before: 316-376, now 94-109
-BLOCK_BUDGET = 140  # k = 8 matmat / rmatmat, before: 330-387, now 111-129
+VECTOR_BUDGET = 130  # before: 316-376, now 81-95
+BLOCK_BUDGET = 140  # k = 8 matmat / rmatmat, before: 330-387, now 98-115
+# With a simulated device an apply books six launches off its prepared
+# record and reads the clock's phase totals for ``last_timing``; it used
+# to rebuild every launch's memo key and problem per call (274 / 292 and
+# 299 / 321) and to loop the deterministic panel a GEMV at a time (891 /
+# 1107).  Now 171 / 173, 188 / 193, 282 / 286.
+DEVICE_VECTOR_BUDGET = 200
+DEVICE_BLOCK_BUDGET = 220
+DEVICE_DETERMINISTIC_BUDGET = 320
 # k = 16 in chunks of 4 across four ranks (inline at this size: a
 # rank-chunk is 15 360 elements).  The chunk loop runs through the shared
 # schedule driver; these keep its callbacks from costing the grid
 # workloads interpreter time (2922 / 9733 before the driver, 2912 / 9729
 # with it).
-GRID_BUDGET = 3100
-ELASTIC_BUDGET = 10_300
+GRID_BUDGET = 3100  # now 2687
+SPEC_GRID_BUDGET = 4400  # a device per rank: 5841 before the ranks booked from records, now 4065
+ELASTIC_BUDGET = 10_300  # now 9549
 
 
 def calls_per_apply(apply, *args, reps: int = 5, **kwargs) -> float:
@@ -52,11 +62,10 @@ def calls_per_apply(apply, *args, reps: int = 5, **kwargs) -> float:
     return (events[0] - 1) / reps  # minus the closing setprofile() itself
 
 
-@pytest.fixture(scope="module")
-def warm():
+def _warm(device):
     rng = np.random.default_rng(20261004)
     nt, nd, nm = SHAPE
-    eng = FFTMatvec(rng.standard_normal(SHAPE), workspace=True, backend="numpy")
+    eng = FFTMatvec(rng.standard_normal(SHAPE), device=device, workspace=True, backend="numpy")
     vectors = {
         "matvec": rng.standard_normal((nt, nm)),
         "rmatvec": rng.standard_normal((nt, nd)),
@@ -70,6 +79,16 @@ def warm():
     return eng, vectors
 
 
+@pytest.fixture(scope="module")
+def warm():
+    return _warm(None)
+
+
+@pytest.fixture(scope="module")
+def warm_device():
+    return _warm(SimulatedDevice("MI300X"))
+
+
 @pytest.mark.parametrize("config", ["ddddd", "dssdd"])
 @pytest.mark.parametrize("name", ["matvec", "rmatvec", "matmat", "rmatmat"])
 def test_warm_apply_stays_within_its_call_budget(warm, name, config):
@@ -79,6 +98,28 @@ def test_warm_apply_stays_within_its_call_budget(warm, name, config):
     n = calls_per_apply(getattr(eng, name), vectors[name], config=config)
     assert n <= (BLOCK_BUDGET if name.endswith("mat") else VECTOR_BUDGET), n
     assert eng.workspace.alloc_count == allocs  # warm: nothing was prepared
+
+
+@pytest.mark.parametrize("config", ["ddddd", "dssdd"])
+@pytest.mark.parametrize(
+    "name,deterministic,budget",
+    [
+        ("matvec", False, DEVICE_VECTOR_BUDGET),
+        ("rmatvec", False, DEVICE_VECTOR_BUDGET),
+        ("matmat", False, DEVICE_BLOCK_BUDGET),
+        ("rmatmat", False, DEVICE_BLOCK_BUDGET),
+        ("matmat", True, DEVICE_DETERMINISTIC_BUDGET),
+        ("rmatmat", True, DEVICE_DETERMINISTIC_BUDGET),
+    ],
+)
+def test_warm_apply_with_a_device_stays_within_its_call_budget(
+    warm_device, name, deterministic, budget, config
+):
+    eng, vectors = warm_device
+    kwargs = {"deterministic": True} if deterministic else {}
+    getattr(eng, name)(vectors[name], config=config, **kwargs)  # the panel's record
+    n = calls_per_apply(getattr(eng, name), vectors[name], config=config, **kwargs)
+    assert n <= budget, n
 
 
 def test_the_count_sees_per_apply_bookkeeping():
@@ -101,6 +142,14 @@ def test_the_count_sees_per_apply_bookkeeping():
             ),
             GRID_BUDGET,
             id="grid-2x2",
+        ),
+        pytest.param(
+            lambda blocks: ParallelFFTMatvec(
+                blocks, ProcessGrid(2, 2), spec="MI300X", workspace=True, max_block_k=4,
+                backend="numpy",
+            ),
+            SPEC_GRID_BUDGET,
+            id="grid-2x2-devices",
         ),
         pytest.param(
             lambda blocks: ElasticEngine(

@@ -5,18 +5,21 @@ re-threading the cast / injection / Parseval / ABFT / guard calls, and
 ``core/parallel.py`` a second, vector-only bcast → compute → reduce
 loop.  They are now one front/back pair and one chunk loop; this test
 walks the AST and fails when a copy grows back — a second call site of
-a phase kernel or of its simulated-clock charge, a phase kernel outside
-the front/back slab loops, a second collective loop, a rank loop beside
-``_rank_compute`` (the one place that may run ranks concurrently), a
-hand-rolled ``begin_apply()`` bracket beside
+a phase kernel, a phase kernel outside the front/back slab loops, a
+launch described or priced per apply instead of booked off the prepared
+record, a second collective loop, a rank loop beside ``_rank_compute``
+(the one place that may run ranks concurrently), a hand-rolled
+``begin_apply()`` bracket beside
 :func:`repro.util.workspace.apply_scope`, or per-apply derivation
 (dtype and plan lookups, arena checkouts) inside a half: what the data
 does not decide is resolved once, by ``FFTMatvec._prepared``.
 
 The same holds between engine and perf model: the chunk schedule's
 dependency edges live in ``util/timing.py::run_chunk_schedule`` and
-nowhere else, and ``perf/phase_model.py`` prices the launches the engine
-builds instead of re-deriving their bytes.
+nowhere else; which launches an apply books is listed once
+(``core/matvec.py::front_launches`` / ``back_launches``) and which
+kernel Phase 3 runs is decided once (``SBGEMVDispatcher.phase3``), and
+``perf/phase_model.py`` prices that list instead of mirroring it.
 """
 
 from __future__ import annotations
@@ -64,30 +67,38 @@ def _method(tree: ast.Module, cls: str, name: str) -> ast.FunctionDef:
     raise AssertionError(f"{cls}.{name} not found — layout changed?")
 
 
+def _is_book(stmt: ast.stmt) -> bool:
+    return (
+        isinstance(stmt, ast.Expr)
+        and isinstance(stmt.value, ast.Call)
+        and getattr(stmt.value.func, "attr", None) == "book"
+    )
+
+
 def _slab_loop(half: str) -> ast.For:
-    """The one ``for`` loop of ``FFTMatvec._front`` / ``_back``: the slab
-    loop (whole width = one iteration)."""
+    """The slab loop of ``FFTMatvec._front`` / ``_back`` (whole width =
+    one iteration): the one loop that does any work — the only other
+    loop allowed books Phase 3's launches off the record, nothing else."""
     loops = [
         n for n in ast.walk(_method(_module("matvec.py"), "FFTMatvec", half))
         if isinstance(n, (ast.For, ast.While))
     ]
-    assert len(loops) == 1 and isinstance(loops[0], ast.For), (
-        f"FFTMatvec.{half} must hold exactly one loop — no second, "
+    working = [loop for loop in loops if not all(_is_book(stmt) for stmt in loop.body)]
+    assert len(working) == 1 and isinstance(working[0], ast.For), (
+        f"FFTMatvec.{half} must hold exactly one working loop — no second, "
         "whole-width copy of the phases beside the slab loop"
     )
-    return loops[0]
+    return working[0]
 
 
 @pytest.mark.parametrize(
     "half,phase_call",
     [
         ("_front", "pad_to_soti"),
-        ("_front", "charge_pad"),
         ("_front", "soti_to_tosi"),
         ("_back", "tosi_to_soti"),
         ("_back", "inverse"),
         ("_back", "unpad_from_soti"),
-        ("_back", "charge_unpad"),
     ],
 )
 def test_matvec_has_one_call_site_per_phase(half, phase_call):
@@ -101,11 +112,42 @@ def test_matvec_has_one_call_site_per_phase(half, phase_call):
     )
 
 
-def test_each_reorder_is_charged_once_in_its_half():
-    tree = _module("matvec.py")
-    assert len(_calls(tree, "charge_reorder")) == 2
-    for half in ("_front", "_back"):
-        assert len(_calls(_slab_loop(half), "charge_reorder")) == 1
+def _names(tree: ast.AST) -> set:
+    """Every identifier and attribute name read or written under ``tree``."""
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+    }
+
+
+@pytest.mark.parametrize("half,launches", [("_front", 4), ("_back", 3)])
+def test_halves_book_the_prepared_records_launches(half, launches):
+    """A half describes and prices nothing per apply: every launch it
+    books is an entry of its record's list (``rec.booked``, the priced
+    ``front_launches`` / ``back_launches``) — pad / FFT / reorder, then
+    however many Phase 3 takes; reorder / IFFT / unpad."""
+    method = _method(_module("matvec.py"), "FFTMatvec", half)
+    described = {
+        name for name in _names(method)
+        if name.startswith("charge_") or name.endswith("_launch")
+        or name in ("launch", "launch_memo", "kernel_time", "price_launch", "KernelLaunch")
+    }
+    assert not described, f"FFTMatvec.{half} describes or prices launches per apply: {described}"
+    booked = [
+        n for n in ast.walk(method)
+        if isinstance(n, ast.Assign) and any("booked" in _names(t) for t in n.targets)
+    ]
+    assert len(booked) == 1 and "booked" in _names(booked[0].value), "booked = rec.booked, once"
+    # for entry in booked[3:]: book(*entry) — the loop variable is the list's too.
+    entries = {"booked"} | {
+        loop.target.id for loop in ast.walk(method)
+        if isinstance(loop, ast.For) and "booked" in _names(loop.iter)
+    }
+    calls = [n for n in ast.walk(method) if isinstance(n, ast.Call) and getattr(n.func, "attr", "") == "book"]
+    assert len(calls) == launches
+    for call in calls:
+        assert not call.keywords and len(call.args) == 1 and isinstance(call.args[0], ast.Starred)
+        assert _names(call.args[0].value) <= entries, ast.unparse(call)
+    assert len([c for c in calls if c.lineno in _calls(_slab_loop(half), "book")]) == 3
 
 
 def test_forward_fft_runs_in_the_front_half_only():
@@ -141,12 +183,24 @@ def test_halves_prepare_outside_the_loop_and_derive_nothing(half):
 
 def test_engine_hands_the_layer_functions_no_device():
     """The engine books every launch itself (first slab, full width), so
-    a layer function it calls must never see the device — it would
-    charge its slab's shape on top."""
+    nothing it calls may see the device — a layer function would charge
+    its slab's shape on top, a Phase-3 kernel or a plan a second launch.
+    The four Phase-3 kernels are numerics only: no device, no
+    dispatcher, no ablation flag."""
+    tree = _module("matvec.py")
     for half in ("_front", "_back"):
-        for node in ast.walk(_slab_loop(half)):
+        for node in ast.walk(_method(tree, "FFTMatvec", half)):
             if isinstance(node, ast.Call):
                 assert "device" not in {kw.arg for kw in node.keywords}, node.lineno
+    for kernel in ("_run_sbgemv", "_run_sbgemm", "_run_sbgemm_pairwise_segments", "_run_sbgemv_panel"):
+        forks = _names(_method(tree, "FFTMatvec", kernel)) & {
+            "device", "dispatcher", "use_optimized_sbgemv", "book", "launch",
+        }
+        assert not forks, f"FFTMatvec.{kernel} branches on {forks}"
+    # The record's plan has no device either: its launch is the record's.
+    (plan,) = [n for n in ast.walk(_method(tree, "FFTMatvec", "_prepared"))
+               if isinstance(n, ast.Call) and getattr(n.func, "id", "") == "FFTPlan"]
+    assert "device" not in {kw.arg for kw in plan.keywords}
 
 
 @pytest.mark.parametrize("collective", ["bcast", "reduce"])
@@ -246,20 +300,54 @@ def test_parallel_has_one_chunk_loop():
 
 
 def test_phase_model_prices_the_engines_launches():
-    """``block_phase_times`` owns no byte formula and no price: launches
-    come from the builders the engine books with, seconds from
-    ``price_launch``."""
+    """``block_phase_times`` owns no byte formula, no price, no launch
+    list and no dispatch rule: it sums ``price_launch`` over
+    ``front_launches`` + ``back_launches`` with Phase 3 from the
+    dispatcher's one decision — so a launch added to the engine's list
+    is in the model."""
     tree = _module("phase_model.py", "perf")
     model = _function(tree, "block_phase_times")
-    for banned in ("KernelLaunch", "kernel_time", "stream_efficiency", "modeled_time"):
-        assert _calls(model, banned) == [], banned
-    assert len(_calls(model, "price_launch")) == 1
-    for builder in ("pad_launch", "unpad_launch"):
-        assert len(_calls(model, builder)) == 1, builder
-    assert len(_calls(model, "reorder_launch")) == 2
-    assert len(_calls(model, "launch")) == 3  # two FFT plans, the Phase-3 kernel
+    for banned in (
+        "KernelLaunch", "kernel_time", "stream_efficiency", "modeled_time",
+        "GemvProblem", "GemmProblem", "select", "select_gemm", "PairwiseSBGEMM",
+        "pad_launch", "unpad_launch", "reorder_launch", "launch", "FFTPlan",
+    ):
+        assert banned not in _names(model), banned
+    for once in ("price_launch", "front_launches", "back_launches", "phase3", "SBGEMVDispatcher"):
+        assert len(_calls(model, once)) == 1, once
     defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
     assert not {"_reorder_time", "replay", "fft_traffic_bytes"} & defined
+
+
+def test_one_phase3_decision_and_one_launch_list():
+    """Problems are built, and kernels picked for them, under ``blas/``
+    only — by ``SBGEMVDispatcher.phase3``, which both host entry points
+    ask — and the engine's launch list is the two module functions,
+    asked by ``_prepared`` (to book) and the model (to price)."""
+    for path in sorted(REPRO.rglob("*.py")):
+        if path.parent.name == "blas":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        built = [name for name in ("GemvProblem", "GemmProblem", "select_gemm") if _calls(tree, name)]
+        assert not built, f"{path.relative_to(REPRO)} builds or selects {built}"
+    for filename, package in (("matvec.py", "core"), ("phase_model.py", "perf")):
+        assert _calls(_module(filename, package), "select") == []
+    dispatch = _module("dispatch.py", "blas")
+    decision = _method(dispatch, "SBGEMVDispatcher", "phase3")
+    for entry in ("gemv_strided_batched", "gemm_strided_batched"):
+        method = _method(dispatch, "SBGEMVDispatcher", entry)
+        assert len(_calls(method, "phase3")) == 1
+        assert not _names(method) & {"select", "select_gemm", "GemmProblem"}
+        assert _calls(method, "GemvProblem") == []
+    assert _calls(dispatch, "GemmProblem") and set(_calls(decision, "GemmProblem")) < set(
+        _calls(dispatch, "GemmProblem")
+    )  # the rest: the transition-point probes
+    matvec = _module("matvec.py")
+    prepared = _method(matvec, "FFTMatvec", "_prepared")
+    for listing in ("front_launches", "back_launches"):
+        assert _calls(matvec, listing) == _calls(prepared, listing) != []
+    assert _calls(matvec, "phase3") == _calls(prepared, "phase3") != []
+    assert _calls(matvec, "price_launch") == _calls(prepared, "price_launch") != []
 
 
 def test_one_builder_per_launch_kind_and_one_price():
@@ -288,4 +376,14 @@ def test_one_builder_per_launch_kind_and_one_price():
     device = _module("device.py", "gpu")
     assert _calls(device, "kernel_time") == _calls(_function(device, "price_launch"), "kernel_time")
     assert len(_calls(_method(device, "SimulatedDevice", "launch"), "price_launch")) == 1
-    assert len(_calls(_method(device, "SimulatedDevice", "launch_memo"), "price_launch")) == 1
+    # ``book`` takes seconds the caller got from ``price_launch``; nothing
+    # under src/ memoizes launches or prices them another way.
+    assert _calls(_method(device, "SimulatedDevice", "book"), "price_launch") == []
+    gone = {
+        "launch_memo", "_MEMO_MAX", "_memo", "charge_pad", "charge_unpad", "charge_reorder",
+        "charge_copy", "charge_launch", "_launch_key", "_ctx", "_phase_ctx", "_NO_PHASE",
+    }
+    for path in sorted(REPRO.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        assert not gone & (_names(tree) | defined), (path.name, gone & (_names(tree) | defined))

@@ -273,6 +273,26 @@ class TestAllocatorFootprint:
         ws.release()
         dev.allocator.assert_no_leaks()
 
+    @pytest.mark.parametrize("reduction", ["fast", "pairwise"])
+    def test_arena_is_the_same_with_and_without_a_device(self, matrix, rng, reduction):
+        # A device books launches; it does not pick kernels or buffers.
+        # (A pairwise engine's tile scratch used to be a fresh allocation
+        # per apply once a device was attached, and the deterministic
+        # panel to loop k GEMVs through buffers of their own.)
+        M = rng.standard_normal((NT, NM, K))
+        D = rng.standard_normal((NT, ND, K))
+        arenas = []
+        for device in (None, SimulatedDevice(MI300X)):
+            eng = FFTMatvec(matrix, device=device, workspace=True, reduction=reduction)
+            for _ in range(2):
+                eng.matvec(M[:, :, 0]), eng.rmatvec(D[:, :, 0])
+                eng.matmat(M), eng.rmatmat(D)
+                eng.matmat(M, deterministic=True), eng.rmatmat(D, deterministic=True)
+            stats = eng.workspace.stats()
+            arenas.append((stats.nbytes, stats.buffers, stats.alloc_count, sorted({key[0] for key in eng.workspace._pools})))
+        assert arenas[0] == arenas[1]
+        assert ("pairwise_scratch" in arenas[0][3]) == (reduction == "pairwise")
+
     def test_grid_workspace_report(self, matrix, rng):
         arena = ParallelFFTMatvec(
             matrix,
