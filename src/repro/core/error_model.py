@@ -16,9 +16,8 @@ The constants here are calibrated once against measured errors from the
 engine (tests assert the bound actually dominates measurements across
 sizes and all 32 configurations) while keeping the *structure* exactly
 as published — the structure, not the constants, is the paper's claim.
-
-Kept by ``benchmarks/test_error_bound.py``: the Eq. (6) bound against
-measured errors.
+:func:`~repro.inverse.cg.conjugate_gradient` reads the bound to decide
+whether a double solve may iterate on a single-precision Phase 3.
 """
 
 from __future__ import annotations

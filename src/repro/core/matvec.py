@@ -64,7 +64,7 @@ from repro.core.phases import (
 )
 from repro.core.precision import PrecisionConfig
 from repro.core.reorder import reorder_launch, soti_to_tosi, tosi_to_soti
-from repro.core.toeplitz import BlockTriangularToeplitz
+from repro.core.toeplitz import BlockTriangularToeplitz, spectral_condition_number
 from repro.fft.plan import FFTPlan, FFTType
 from repro.gpu.device import SimulatedDevice, price_launch
 from repro.gpu.kernel import KernelLaunch
@@ -262,6 +262,7 @@ class FFTMatvec:
         # cached lazily in spectrum().
         self._fhat_host = self._setup_spectrum()
         self._fhat: Dict[Precision, Any] = {}
+        self._kappa: Optional[float] = None  # condition_number_hat(), on first use
         self.setup_time = (
             self.device.clock.phase_total("setup") if self.device is not None else 0.0
         )
@@ -329,6 +330,13 @@ class FFTMatvec:
     def _fhat_double_for_tests(self) -> np.ndarray:
         """The double-precision host spectrum (test hook)."""
         return self._fhat_host
+
+    def condition_number_hat(self) -> float:
+        """The kappa(F_hat) of Eq. (6), computed once from the double
+        spectrum this engine holds (no second FFT of the kernel)."""
+        if self._kappa is None:
+            self._kappa = spectral_condition_number(self._fhat_host)
+        return self._kappa
 
     # -- cached resources ----------------------------------------------------
     def spectrum(self, precision: Precision) -> Any:

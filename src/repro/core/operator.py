@@ -18,6 +18,8 @@ compositions a first-class, *blocked* interface:
   Hessian assembled from any forward operator and an optional
   regularization operator (e.g. the prior precision), with a fully
   blocked action.
+* ``A.at(config)`` — ``A`` with its engine applies at another config
+  (what :func:`~repro.inverse.cg.conjugate_gradient` iterates on).
 * Algebra: ``A + B``, ``c * A``, ``A @ B`` build sum / scaled / composed
   operators; :class:`IdentityOperator` and :class:`CallableOperator`
   adapt plain callables (sparse solves, prior actions) into the same
@@ -58,9 +60,29 @@ class LinearOperator:
         ``(nt, nx)`` of the input and output block vectors.
     """
 
+    # The engine and precision config of an engine-backed operator's
+    # applies; an operator with no engine of its own has neither.
+    engine: Optional[FFTMatvec] = None
+    config: Optional[PrecisionConfig] = None
+
     def __init__(self, in_shape: Shape, out_shape: Shape) -> None:
         self.in_shape = (int(in_shape[0]), int(in_shape[1]))
         self.out_shape = (int(out_shape[0]), int(out_shape[1]))
+        self._lowered: dict = {}
+
+    def at(self, config: Union[str, PrecisionConfig]) -> "LinearOperator":
+        """This operator with its engine applies at ``config``: rebuilt on
+        the same engine on first request and kept here.  An operator with
+        no engine, or already at ``config``, is returned as is."""
+        cfg = PrecisionConfig.parse(config)
+        if self.config is None or self.config == cfg:
+            return self
+        if cfg not in self._lowered:
+            self._lowered[cfg] = self._rebuilt_at(cfg)
+        return self._lowered[cfg]
+
+    def _rebuilt_at(self, config: PrecisionConfig) -> "LinearOperator":
+        return type(self)(self.engine, config)  # F and F*; the Hessian overrides
 
     # -- core actions (subclasses implement _apply, may override _apply_block)
     def _apply(self, v: np.ndarray) -> np.ndarray:
@@ -327,6 +349,10 @@ class GaussNewtonHessian(LinearOperator):
         self.backward = forward.adjoint()
         self.noise_std = float(noise_std)
         self.reg = reg
+        self.engine, self.config = forward.engine, forward.config
+
+    def _rebuilt_at(self, config: PrecisionConfig) -> "GaussNewtonHessian":
+        return GaussNewtonHessian(self.forward.at(config), self.noise_std, self.reg)
 
     def _apply(self, v: np.ndarray) -> np.ndarray:
         out = self.backward._apply(self.forward._apply(v) / self.noise_std**2)

@@ -18,7 +18,17 @@ import numpy as np
 
 from repro.util.validation import ReproError, check_array, check_positive_int
 
-__all__ = ["BlockTriangularToeplitz"]
+__all__ = ["BlockTriangularToeplitz", "spectral_condition_number"]
+
+
+def spectral_condition_number(spec: np.ndarray) -> float:
+    """max over frequencies of sigma_max(F_hat_k) / min sigma_min of a
+    ``(n_freq, Nd, Nm)`` spectrum.  Scale-invariant, so the engine's
+    spectrum (normalization folded in) gives the unscaled one's value."""
+    # A frequency at a time: no transient the size of the spectrum.
+    s = [np.linalg.svd(f, compute_uv=False) for f in spec]  # descending
+    smin = min(float(v[-1]) for v in s)
+    return np.inf if smin == 0.0 else max(float(v[0]) for v in s) / smin
 
 
 class BlockTriangularToeplitz:
@@ -169,21 +179,9 @@ class BlockTriangularToeplitz:
         return np.fft.rfft(self.padded_kernel(), axis=0)
 
     def condition_number_hat(self) -> float:
-        """max over frequencies of sigma_max(F_hat_k) / min sigma_min.
-
-        The kappa(F_hat) entering the paper's Eq. (6).  Uses the unscaled
-        spectrum; kappa is scale-invariant.
-        """
-        spec = self.spectrum()
-        smax = 0.0
-        smin = np.inf
-        for k in range(spec.shape[0]):
-            s = np.linalg.svd(spec[k], compute_uv=False)
-            smax = max(smax, float(s[0]))
-            smin = min(smin, float(s[-1]))
-        if smin == 0.0:
-            return np.inf
-        return smax / smin
+        """The kappa(F_hat) of the paper's Eq. (6), from a fresh spectrum
+        (an engine keeps the value of the spectrum it holds)."""
+        return spectral_condition_number(self.spectrum())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -85,15 +85,6 @@ class LinearBayesianProblem:
         self.noise_std = float(noise_std)
 
     # -- operators -----------------------------------------------------------
-    def hessian_action(
-        self, m: np.ndarray, config: Union[str, PrecisionConfig] = "ddddd"
-    ) -> np.ndarray:
-        """H m = F* Gn^{-1} F m + Gp^{-1} m (two FFT matvecs + sparse solve)."""
-        data_term = self.p2o.applyT(
-            self.p2o.apply(m, config=config) / self.noise_std**2, config=config
-        )
-        return data_term + self.prior.apply_inv(m)
-
     def rhs(
         self, d: np.ndarray, config: Union[str, PrecisionConfig] = "ddddd"
     ) -> np.ndarray:
@@ -110,10 +101,12 @@ class LinearBayesianProblem:
         tol: float = 1e-8,
         maxiter: int = 500,
     ) -> MAPResult:
-        """Solve the MAP system with CG; all matvecs use ``config``."""
+        """Solve the MAP system with CG on :meth:`hessian_operator` at
+        ``config`` (at ``ddddd`` CG may iterate at ``ddsdd`` and replace
+        its residual in double: :mod:`repro.inverse.cg`)."""
         cfg = PrecisionConfig.parse(config)
         result = conjugate_gradient(
-            lambda m: self.hessian_action(m, config=cfg),
+            self.hessian_operator(cfg).apply,
             self.rhs(d, config=cfg),
             tol=tol,
             maxiter=maxiter,

@@ -38,7 +38,7 @@ class TestConstruction:
 class TestHessian:
     def test_spd(self, problem, rng):
         m = rng.standard_normal((8, 12))
-        assert np.sum(m * problem.hessian_action(m)) > 0
+        assert np.sum(m * problem.hessian_operator().apply(m)) > 0
 
     def test_matches_dense_construction(self, problem, rng):
         # H = F^T Gn^-1 F + Gp^-1, verified against dense matrices
@@ -52,14 +52,14 @@ class TestHessian:
         H_dense = F.T @ F / problem.noise_std**2 + Gp_inv_dense
         m = rng.standard_normal((8, 12))
         np.testing.assert_allclose(
-            problem.hessian_action(m).ravel(), H_dense @ m.ravel(), rtol=1e-8
+            problem.hessian_operator().apply(m).ravel(), H_dense @ m.ravel(), rtol=1e-8
         )
 
     def test_symmetry(self, problem, rng):
         a = rng.standard_normal((8, 12))
         b = rng.standard_normal((8, 12))
-        assert np.sum(b * problem.hessian_action(a)) == pytest.approx(
-            np.sum(a * problem.hessian_action(b)), rel=1e-9
+        assert np.sum(b * problem.hessian_operator().apply(a)) == pytest.approx(
+            np.sum(a * problem.hessian_operator().apply(b)), rel=1e-9
         )
 
 
@@ -68,7 +68,7 @@ class TestMAP:
         d = rng.standard_normal((8, 2))
         result = problem.solve_map(d, tol=1e-10, maxiter=500)
         assert result.cg.converged
-        residual = problem.hessian_action(result.m_map) - problem.rhs(d)
+        residual = problem.hessian_operator().apply(result.m_map) - problem.rhs(d)
         assert np.linalg.norm(residual) / np.linalg.norm(problem.rhs(d)) < 1e-8
 
     def test_map_matches_dense_solve(self, problem, rng):

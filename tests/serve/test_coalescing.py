@@ -5,7 +5,7 @@ must return, per request, exactly the bytes a sequential engine apply
 would have produced — regardless of how the coalescer happened to slice
 the stream into blocked passes, which tenants shared a batch, or which
 engine (single-device or SPMD grid) backs the operator.  Solves are
-checked against solo-CG references to tolerance (block CG shares the
+checked against the tolerance contract (block CG shares the
 Hessian passes but keeps per-column stopping; see ``docs/SERVING.md``).
 """
 
@@ -159,13 +159,42 @@ class TestCoalescedSolves:
 
         results, stats = asyncio.run(main())
         assert stats.flushes < len(data)  # solves actually coalesced
+        # The contract is the tolerance, not the rounding: a solo solve may
+        # iterate lowered (vector CG only), so the coalesced block solve
+        # and the solo one each meet the normal equations to tol.
         for d, got in zip(data, results):
             rhs = engine.rmatvec(d) / opts.noise_std**2
             ref = conjugate_gradient(hess.apply, rhs, tol=opts.tol).x
-            np.testing.assert_allclose(got, ref, rtol=1e-7, atol=1e-12)
-            # And the normal-equations residual meets the tolerance.
-            rel = np.linalg.norm(hess.apply(got) - rhs) / np.linalg.norm(rhs)
-            assert rel < 50 * opts.tol
+            for x in (got, ref):
+                rel = np.linalg.norm(hess.apply(x) - rhs) / np.linalg.norm(rhs)
+                assert rel <= opts.tol
+
+    def test_lowered_solo_and_coalesced_block_meet_the_same_tolerance(self):
+        # (32, 24, 96): a 1.2 MB spectrum, so a solo solve iterates at
+        # ddsdd with double residual replacement; the block solve is exact.
+        matrix = BlockTriangularToeplitz.random(32, 24, 96, rng=np.random.default_rng(17))
+        d = np.random.default_rng(19).standard_normal((32, 24))
+        opts = SolveOptions()
+        engine = FFTMatvec(matrix)
+        forward = ForwardOperator(engine)
+        hess = GaussNewtonHessian(forward, reg=opts.ridge * IdentityOperator(forward.in_shape))
+
+        async def main():
+            service = SolverService(EngineCache(128 * 2**20), max_block_k=4)
+            handle = service.register(matrix)
+            async with service:
+                solo = await service.solve(handle, d, options=opts)
+                block = await asyncio.gather(
+                    *[service.solve(handle, d, options=opts) for _ in range(3)]
+                )
+                return solo, block, service.stats()
+
+        solo, block, stats = asyncio.run(main())
+        assert stats.flushes == 2  # one solo pass, one coalesced block pass
+        rhs = engine.rmatvec(d)
+        for x in (solo, *block):
+            assert np.linalg.norm(hess.apply(x) - rhs) <= opts.tol * np.linalg.norm(rhs)
+        assert not np.array_equal(solo, block[0])  # tolerance-, not rounding-equivalent
 
     def test_mixed_solve_options_do_not_coalesce(self):
         matrix = make_matrix(seed=13)
