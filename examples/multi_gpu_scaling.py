@@ -94,44 +94,6 @@ print(f"irregular partition (rank 0 owns {skewed_extents(nd, 2, 0.5)[0][1]}"
       f"/{nd} sensors): {t_skew * 1e3:.3f} ms "
       f"({t_skew / t_overlap:.2f}x the balanced overlapped time)")
 
-# --- measure -> rebalance: search the skew back out --------------------------
-print("\n=== skew-searching partitioner: measure -> rebalance loop ===")
-from repro.comm import measure_rebalance_loop, recovered_skew_fraction
-
-nt_b, nd_b, nm_b, k_b = 192, 16, 384, 8
-big = BlockTriangularToeplitz.random(nt_b, nd_b, nm_b, rng=rng, decay=0.05)
-D_b = rng.standard_normal((nt_b, nd_b, k_b))
-skew_cols = skewed_extents(nm_b, 2, skew=0.5)
-
-
-def make_engine(col_ranges=None):
-    g = ProcessGrid(2, 2, net=FRONTIER_NETWORK)
-    return ParallelFFTMatvec(big, g, spec=MI250X_GCD, max_block_k=4,
-                             col_ranges=col_ranges)
-
-
-def adjoint_wall(col_ranges=None):
-    eng = make_engine(col_ranges)
-    t0 = eng.grid.clock.now
-    eng.rmatmat(D_b, overlap=False)
-    return eng.grid.clock.now - t0
-
-
-t_balanced = adjoint_wall()
-t_skewed = adjoint_wall(skew_cols)
-loop = measure_rebalance_loop(
-    make_engine, lambda eng: eng.rmatmat(D_b, overlap=False),
-    axis="col", initial=skew_cols, min_part=2,
-)
-t_searched = adjoint_wall(loop.extents)
-rec = recovered_skew_fraction(t_skewed, t_searched, t_balanced)
-print(f"2x2 grid, k={k_b}: balanced {t_balanced * 1e3:.4f} ms, skewed "
-      f"{t_skewed * 1e3:.4f} ms")
-state = "converged" if loop.converged else "round cap hit"
-print(f"searched {loop.extents} in {loop.rounds} measure-rebalance round(s) "
-      f"({state}): {t_searched * 1e3:.4f} ms ({rec * 100:.0f}% of the injected "
-      f"skew recovered, numerics bitwise-unchanged)")
-
 # --- communication-aware partitioning at paper scale ------------------------
 print("\n=== communication-aware partitioning (model, paper scale) ===")
 for gpus in (512, 1024, 4096):
@@ -155,13 +117,15 @@ for pt in scaling_sweep():
           f"{pt.speedup:8.3f} {pt.time_mixed_overlap * 1e3:10.2f}ms "
           f"{pt.overlap_speedup:6.3f}")
 
-# The same sweep with a 1.5x-skewed partition injected, and the
-# time_*_balanced columns the partitioner recovers at 64-4096 GPUs.
-print("\n=== recovered skew at scale (skew=0.5 injected, then searched) ===")
-print(f"{'GPUs':>6} {'skewed/vec':>11} {'balanced/vec':>13} {'recovered x':>12}")
-for pt in scaling_sweep(gpu_counts=(64, 256, 1024, 4096), skew=0.5):
-    print(f"{pt.p:6d} {pt.time_mixed_overlap * 1e3:9.2f}ms "
-          f"{pt.time_mixed_balanced * 1e3:11.2f}ms {pt.balance_speedup:12.3f}")
+# The same sweep with a 1.5x-skewed partition injected: the critical
+# rank gates every chunk at every scale.
+print("\n=== skew penalty at scale (skew=0.5 vs the even split) ===")
+print(f"{'GPUs':>6} {'even/vec':>10} {'skewed/vec':>11} {'penalty x':>10}")
+counts = (64, 256, 1024, 4096)
+for even, skewed in zip(scaling_sweep(gpu_counts=counts), scaling_sweep(gpu_counts=counts, skew=0.5)):
+    print(f"{even.p:6d} {even.time_mixed_overlap * 1e3:8.2f}ms "
+          f"{skewed.time_mixed_overlap * 1e3:9.2f}ms "
+          f"{skewed.time_mixed_overlap / even.time_mixed_overlap:10.3f}")
 
 t = matvec_time_at_scale(4096, 16, paper_config_for(4096))
 params = 5000 * 4096 * 1000

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Quickstart: build a block-triangular Toeplitz matrix, run F and F*
 matvecs in mixed precision on a simulated MI300X, inspect timings, and
-rebalance a skewed process grid from measured per-rank clocks.
+see what a skewed process-grid partition costs.
 
 Run:  python examples/quickstart.py
 """
@@ -43,42 +43,34 @@ m_adj = engine.rmatvec(dv, config="ddddd")
 lhs, rhs = np.vdot(d, dv), np.vdot(m, m_adj)
 print(f"\nadjoint dot-test: <Fm,d>={lhs:.6f}  <m,F*d>={rhs:.6f}")
 
-# --- measure -> rebalance: remove the skew an irregular partition charges ---
-# Distribute a bigger problem over a simulated 2x2 grid with a skewed
-# parameter partition, measure per-rank compute on the private clocks,
-# and let the partitioner search the skew back out.
-from repro.comm import ProcessGrid, measure_rebalance_loop, skewed_extents
+# --- skew: what an irregular partition costs --------------------------------
+# Distribute a bigger problem over a simulated 2x2 grid twice: on the even
+# split, and with rank column 0 owning 1.5x its parameter share.  Every
+# rank computes on its own clock and every collective waits for the
+# slowest, so the skewed grid pays the skew on every chunk.
+from repro.comm import ProcessGrid, skewed_extents
 from repro.comm.netmodel import FRONTIER_NETWORK
 from repro.core.parallel import ParallelFFTMatvec
 
 nt, nd, nm, k = 192, 16, 384, 8
 big = BlockTriangularToeplitz.random(nt, nd, nm, rng=rng, decay=0.05)
 D = rng.standard_normal((nt, nd, k))
-skewed = skewed_extents(nm, 2, skew=0.5)  # rank column 0 owns 1.5x its share
-
-
-def make_engine(col_ranges=None):
-    grid = ProcessGrid(2, 2, net=FRONTIER_NETWORK)
-    return ParallelFFTMatvec(big, grid, spec="MI250X", max_block_k=4,
-                             col_ranges=col_ranges)
+skewed = skewed_extents(nm, 2, skew=0.5)
 
 
 def modeled_wall(col_ranges=None):
-    eng = make_engine(col_ranges)
-    t0 = eng.grid.clock.now
-    eng.rmatmat(D, overlap=False)
-    return eng.grid.clock.now - t0
+    grid = ProcessGrid(2, 2, net=FRONTIER_NETWORK)
+    eng = ParallelFFTMatvec(big, grid, spec="MI250X", max_block_k=4,
+                            col_ranges=col_ranges)
+    t0 = grid.clock.now
+    out = eng.rmatmat(D, overlap=False)
+    return grid.clock.now - t0, out
 
 
-t_skewed = modeled_wall(skewed)
-result = measure_rebalance_loop(
-    make_engine, lambda eng: eng.rmatmat(D, overlap=False),
-    axis="col", initial=skewed, min_part=2,
-)
-t_rebalanced = modeled_wall(result.extents)
-state = "converged" if result.converged else "round cap hit"
-print(f"\nskewed 2x2 grid (column 0 owns {skewed[0][1]}/{nm} parameters):")
-print(f"  modeled wall before rebalance: {t_skewed * 1e6:8.2f} us")
-print(f"  searched col_ranges {result.extents} in {result.rounds} round(s), {state}")
-print(f"  modeled wall after  rebalance: {t_rebalanced * 1e6:8.2f} us "
-      f"({t_skewed / t_rebalanced:.3f}x, numerics bitwise-unchanged)")
+t_even, M_even = modeled_wall()
+t_skewed, M_skewed = modeled_wall(skewed)
+assert np.array_equal(M_skewed, M_even)  # the partition never moves a bit
+print(f"\n2x2 grid, F* on {k} vectors (column 0 owns {skewed[0][1]}/{nm} parameters when skewed):")
+print(f"  modeled wall, even split: {t_even * 1e6:8.2f} us")
+print(f"  modeled wall, skewed:     {t_skewed * 1e6:8.2f} us "
+      f"({t_skewed / t_even:.3f}x, numerics bitwise-unchanged)")

@@ -22,12 +22,6 @@ on Frontier.  We have one machine and no MPI, so:
   chooses ``(pr, pc)`` by minimizing the modeled matvec communication
   cost; also records the paper's published Frontier schedule (1 row up
   to 512 GPUs, 8 rows for 1024–2048, 16 rows at 4096).
-* :mod:`repro.comm.balance` — the skew-searching load balancer: seeds
-  ``row_ranges``/``col_ranges`` from inverse per-rank cost (analytic
-  device specs or compute seconds measured on the engine's private
-  clocks) and descends boundary shifts on the max-over-ranks objective;
-  :func:`~repro.comm.balance.measure_rebalance_loop` iterates
-  measure → search until the charged skew converges.
 """
 
 from repro.comm.netmodel import NetworkModel, FRONTIER_NETWORK
@@ -44,18 +38,6 @@ from repro.comm.partition import (
     matvec_comm_cost,
     skewed_extents,
     check_extents,
-)
-from repro.comm.balance import (
-    BalanceResult,
-    MeasureRebalanceResult,
-    balance_extents,
-    linear_cost,
-    analytic_unit_costs,
-    measured_unit_costs,
-    rebalance_rows,
-    rebalance_cols,
-    measure_rebalance_loop,
-    recovered_skew_fraction,
 )
 from repro.comm.fault import (
     CorruptionSchedule,
@@ -85,16 +67,6 @@ __all__ = [
     "matvec_comm_cost",
     "skewed_extents",
     "check_extents",
-    "BalanceResult",
-    "MeasureRebalanceResult",
-    "balance_extents",
-    "linear_cost",
-    "analytic_unit_costs",
-    "measured_unit_costs",
-    "rebalance_rows",
-    "rebalance_cols",
-    "measure_rebalance_loop",
-    "recovered_skew_fraction",
     "FailureSchedule",
     "RankFailure",
     "CorruptionSchedule",

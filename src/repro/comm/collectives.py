@@ -126,9 +126,8 @@ def fixed_tree_reduce_segments(
     arrays; ranks' dicts may be merged into one since their keys are
     disjoint.  Every addition performed is an edge of the one virtual
     binary tree over ``[0, n)``, so the result is **bitwise identical
-    for any partition** — per-rank tree leaves never move when extents
-    change, which is what lifts the ``min_part=2`` caveat in
-    :mod:`repro.comm.balance`.  All adds happen at ``precision``
+    for any partition**, width-1 parts included — per-rank tree leaves
+    never move when extents change.  All adds happen at ``precision``
     (default: the dtype the contributions arrive in), mirroring
     :func:`tree_reduce_arrays`' contract.
     """

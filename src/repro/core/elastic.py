@@ -285,8 +285,7 @@ class ElasticEngine:
         # Chunking lives in *this* layer (so a chunk is the replay unit);
         # the inner engine always sees exactly one chunk per call.  A
         # reshaped grid passes no ranges and gets the engine's even split
-        # (``ProcessGrid.split_extent``): the dead grid's clocks describe
-        # other part widths, so there is no measured skew to balance yet.
+        # (``ProcessGrid.split_extent``).
         self.engine = ParallelFFTMatvec(
             self.matrix,
             grid,

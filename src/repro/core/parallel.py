@@ -74,12 +74,11 @@ output part's root rank runs the IFFT/unpad epilogue once on the merged
 panel.  Because every addition — intra-rank and inter-rank — is an edge
 of one tree indexed by *global element position*, the result is
 **bitwise identical for any** ``row_ranges`` / ``col_ranges``
-partition, any ``max_block_k``, and equal to the single-device pairwise
-engine — which lifts the ``min_part=2`` caveat of
-:mod:`repro.comm.balance` (single-element parts are safe).  The fast
-mode's per-rank IFFT + rank-indexed tree reduce is the throughput path;
-pairwise pays a modeled kernel tax and a larger (complex, per-segment)
-reduce payload, benchmarked in ``BENCH_determinism.json``.
+partition (single-element parts included), any ``max_block_k``, and
+equal to the single-device pairwise engine.  The fast mode's per-rank
+IFFT + rank-indexed tree reduce is the throughput path; pairwise pays a
+modeled kernel tax and a larger (complex, per-segment) reduce payload,
+benchmarked in ``BENCH_determinism.json``.
 
 Blocked collectives
 -------------------
@@ -107,7 +106,7 @@ import functools
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from types import SimpleNamespace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -156,57 +155,6 @@ def _rank_pool(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(workers, thread_name_prefix="repro-rank")
 
 
-# Per-rank spec inputs the constructor accepts: one spec for the whole
-# grid, a mapping keyed by (row, col), or a pr x pc nested sequence.
-RankSpecs = Union[
-    GPUSpec,
-    str,
-    Mapping[Tuple[int, int], Union[GPUSpec, str]],
-    Sequence[Sequence[Union[GPUSpec, str]]],
-]
-
-
-def _normalize_rank_specs(
-    spec: Optional[RankSpecs], pr: int, pc: int
-) -> Dict[Tuple[int, int], Optional[GPUSpec]]:
-    """Resolve the ``spec`` argument to one (possibly None) spec per rank.
-
-    ``None`` disables timing everywhere; anything else must cover every
-    rank of the grid — a partially-instrumented grid would charge
-    meaningless maxima.
-    """
-
-    def resolve(s: Union[GPUSpec, str]) -> GPUSpec:
-        return get_gpu(s) if isinstance(s, str) else s
-
-    ranks = [(r, c) for r in range(pr) for c in range(pc)]
-    if spec is None:
-        return {rc: None for rc in ranks}
-    if isinstance(spec, (GPUSpec, str)):
-        one = resolve(spec)
-        return {rc: one for rc in ranks}
-    if isinstance(spec, Mapping):
-        missing = [rc for rc in ranks if rc not in spec]
-        if missing:
-            raise ReproError(
-                f"per-rank spec mapping missing ranks {missing} of a {pr}x{pc} grid"
-            )
-        return {rc: resolve(spec[rc]) for rc in ranks}
-    rows = []
-    for row in spec:
-        if isinstance(row, (GPUSpec, str)) or not hasattr(row, "__iter__"):
-            raise ReproError(
-                f"per-rank spec sequence must be nested — {pr} rows of "
-                f"{pc} specs — not a flat list"
-            )
-        rows.append(list(row))
-    if len(rows) != pr or any(len(row) != pc for row in rows):
-        raise ReproError(
-            f"per-rank spec sequence must be {pr} rows of {pc} specs"
-        )
-    return {(r, c): resolve(rows[r][c]) for r, c in ranks}
-
-
 class ParallelFFTMatvec:
     """Distributed FFTMatvec on a simulated ``pr x pc`` GPU grid.
 
@@ -218,17 +166,12 @@ class ParallelFFTMatvec:
         Process grid; its clock accumulates wall time (compute max +
         communication critical path).
     spec:
-        GPU architecture(s) for the per-rank compute model.  One
-        :class:`GPUSpec` (or registry name) instruments every rank
-        identically; a mapping keyed by ``(row, col)`` or a ``pr x pc``
-        nested sequence builds a *heterogeneous* grid where ranks own
-        devices of differing throughput.  Every rank carries a device on
-        its own clock; the wall charge between collectives is the max
-        over ranks (per-rank skew is genuine).
-        :meth:`rank_compute_report` harvests the per-rank clocks, and
-        :func:`repro.comm.balance.rebalance_rows` /
-        :func:`~repro.comm.balance.rebalance_cols` search new partitions
-        against them.
+        GPU architecture for the per-rank compute model: a
+        :class:`GPUSpec`, a registry name, or None (no timing).  Every
+        rank then carries its own device of that spec on its own clock;
+        the wall charge between collectives is the max over ranks, so an
+        irregular partition charges genuine skew.
+        :meth:`rank_compute_report` harvests the per-rank clocks.
     max_block_k:
         Default chunk width for the blocked :meth:`matmat` /
         :meth:`rmatmat` path (None = all k columns in one chunk).
@@ -291,7 +234,7 @@ class ParallelFFTMatvec:
         self,
         matrix: Union[BlockTriangularToeplitz, np.ndarray],
         grid: ProcessGrid,
-        spec: Optional[RankSpecs] = None,
+        spec: Union[None, str, GPUSpec] = None,
         use_optimized_sbgemv: bool = True,
         max_block_k: Optional[int] = None,
         overlap: bool = True,
@@ -347,9 +290,12 @@ class ParallelFFTMatvec:
 
         # Per-rank devices on private clocks: each rank's compute time is
         # measured independently, and collectives take the max (ranks run
-        # concurrently; the slowest gates the blocking collective).  A
-        # heterogeneous spec gives ranks genuinely different throughput.
-        self.rank_specs = _normalize_rank_specs(spec, grid.pr, grid.pc)
+        # concurrently; the slowest gates the blocking collective).
+        if spec is not None and not isinstance(spec, (GPUSpec, str)):
+            raise ReproError(
+                f"spec must be a GPUSpec, a registry name or None, got {type(spec).__name__}"
+            )
+        self.spec = get_gpu(spec) if isinstance(spec, str) else spec
         self.devices: Dict[Tuple[int, int], Optional[SimulatedDevice]] = {}
         self.engines: Dict[Tuple[int, int], FFTMatvec] = {}
         if workspace is not None and not isinstance(workspace, bool):
@@ -367,10 +313,9 @@ class ParallelFFTMatvec:
             for c in range(grid.pc):
                 c0, c1 = self._col_ranges[c]
                 local = self.matrix.blocks[:, r0:r1, c0:c1]
-                rank_spec = self.rank_specs[(r, c)]
                 dev = (
-                    SimulatedDevice(rank_spec, clock=SimClock())
-                    if rank_spec is not None
+                    SimulatedDevice(self.spec, clock=SimClock())
+                    if self.spec is not None
                     else None
                 )
                 self.devices[(r, c)] = dev
@@ -507,10 +452,6 @@ class ParallelFFTMatvec:
         ``config`` folds a precision configuration in, as on the
         single-device engine.
         """
-        specs = tuple(
-            (rc, s.name if s is not None else None)
-            for rc, s in sorted(self.rank_specs.items())
-        )
         return (
             "ParallelFFTMatvec",
             self.nt,
@@ -520,7 +461,7 @@ class ParallelFFTMatvec:
             (self.grid.pr, self.grid.pc),
             tuple(self._row_ranges),
             tuple(self._col_ranges),
-            specs,
+            self.spec.name if self.spec is not None else None,
             self.reduction,
             str(PrecisionConfig.parse(config)) if config is not None else None,
         )
@@ -531,11 +472,9 @@ class ParallelFFTMatvec:
 
         Returns ``{(row, col): seconds}`` — the cumulative five-phase
         compute time each rank's own device has charged (setup excluded).
-        On a balanced homogeneous grid all ranks tie; irregular
-        partitions or heterogeneous specs show genuine spread, and the
-        spread *is* the skew the wall pays at every collective.  This is
-        the measured input of :func:`repro.comm.balance.rebalance_rows`
-        / :func:`~repro.comm.balance.rebalance_cols`.
+        On an even split all ranks tie; an irregular partition shows
+        genuine spread, and the spread *is* the skew the wall pays at
+        every collective.
         """
         if any(d is None for d in self.devices.values()):
             raise ReproError(

@@ -42,8 +42,7 @@ from repro.util.validation import ReproError
 from repro.util.workspace import Workspace
 
 __all__ = [
-    "tosi_to_soti", "soti_to_tosi", "reorder_bytes", "transpose_into", "copy_launch",
-    "reorder_launch",
+    "tosi_to_soti", "soti_to_tosi", "transpose_into", "copy_launch", "reorder_launch",
 ]
 
 _NUMPY = NumpyBackend()
@@ -85,14 +84,6 @@ def transpose_into(out: Any, a: Any, backend: Optional[Backend] = None) -> Any:
             j1 = j0 + _TILE_COLS
             out[j0:j1, i0:i1] = be.transpose(a[i0:i1, j0:j1])
     return out
-
-
-def reorder_bytes(arr_shape, in_itemsize: int, out_itemsize: int) -> float:
-    """HBM traffic of a fused reorder+cast: read at in-dtype, write at out."""
-    n = 1
-    for s in arr_shape:
-        n *= int(s)
-    return float(n) * (in_itemsize + out_itemsize)
 
 
 def copy_launch(

@@ -1,7 +1,8 @@
 """Achieved-bandwidth models for memory-bound kernels.
 
-Every phase of FFTMatvec is memory-bound (paper Section 4.1.2), so the
-cost of a kernel is::
+Every phase of FFTMatvec is memory-bound (paper Section 4.1.2: every
+phase's FLOPs per byte sit below each modeled GPU's machine balance, as
+``tests/gpu/test_bandwidth.py`` checks), so the cost of a kernel is::
 
     time = launch_overhead + bytes_moved / (efficiency * peak_bandwidth)
 

@@ -3,8 +3,8 @@
 Numbers are public spec-sheet values for the parts the paper uses
 (Section 4: peak memory bandwidths 1.6 / 5.3 / 8 TB/s for MI250X GCD /
 MI300X / MI355X; memory capacities 64 / 192 / 288 GB).  FLOP peaks are
-included for roofline sanity checks even though FFTMatvec is entirely
-memory-bound.
+included only to check that FFTMatvec is entirely memory-bound
+(``tests/gpu/test_bandwidth.py``).
 
 The ``sbgemv_peak_fraction`` fields encode the paper's measured
 achieved-bandwidth fractions for the (well-tuned) SBGEMV kernels:

@@ -11,13 +11,10 @@ scale without allocating the arrays:
 * :mod:`repro.perf.scaling` — the multi-GPU model behind Figure 4:
   compute + broadcast + reduce per GPU count and grid shape, speedups of
   mixed configurations, and the Eq. (6) error trend.
-* :mod:`repro.perf.roofline` — arithmetic-intensity sanity checks
-  showing every phase is memory-bound (why bandwidth is the metric).
 """
 
 from repro.perf.phase_model import modeled_timing, phase_times, recovery_cost_model
 from repro.perf.scaling import ScalingPoint, scaling_sweep, matvec_time_at_scale
-from repro.perf.roofline import arithmetic_intensity, is_memory_bound, roofline_time
 
 __all__ = [
     "modeled_timing",
@@ -26,7 +23,4 @@ __all__ = [
     "ScalingPoint",
     "scaling_sweep",
     "matvec_time_at_scale",
-    "arithmetic_intensity",
-    "is_memory_bound",
-    "roofline_time",
 ]

@@ -24,13 +24,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from repro.comm.balance import balance_extents, linear_cost
 from repro.comm.collectives import tree_collective_time
 from repro.comm.grid import ProcessGrid
 from repro.comm.netmodel import FRONTIER_NETWORK, NetworkModel
 from repro.comm.partition import published_frontier_rows
 from repro.core.precision import PrecisionConfig
-from repro.gpu.specs import GPUSpec, MI250X_GCD, get_gpu
+from repro.gpu.specs import GPUSpec, MI250X_GCD
 from repro.perf.phase_model import (
     block_phase_times,
     checksum_overhead_model,
@@ -47,7 +46,6 @@ __all__ = [
     "ScalingPoint",
     "matvec_time_at_scale",
     "blocked_matvec_time_at_scale",
-    "mixed_fleet_times",
     "scaling_sweep",
     "paper_config_for",
 ]
@@ -109,7 +107,8 @@ def _grid_collective_times(
 
 def _chunk_schedule(
     cfg: PrecisionConfig,
-    ranks: Sequence,
+    nm_rank: int,
+    spec: GPUSpec,
     nd_rank: int,
     nt: int,
     pr: int,
@@ -122,30 +121,26 @@ def _chunk_schedule(
     overlap_host: bool = True,
 ) -> dict:
     """The chunk schedule of a ``k``-RHS matmat on a grid whose critical
-    ranks own ``ranks`` — ``(nm_rank, spec)`` pairs, all ``nd_rank``
-    sensors deep.  Per chunk, the collectives carry the largest column
-    block (it gates the broadcast) and compute is the slowest rank's
-    blocked pipeline pass.  Returns :func:`overlapped_chunk_schedule`'s
-    keys plus ``n_chunks`` and the first chunk's ``compute`` / ``bcast``
-    / ``reduce`` seconds.
+    rank owns ``nm_rank`` parameters and ``nd_rank`` sensors on ``spec``.
+    Per chunk, the collectives carry that rank's column block (the
+    largest; it gates the broadcast) and compute is its blocked pipeline
+    pass.  Returns :func:`overlapped_chunk_schedule`'s keys plus
+    ``n_chunks`` and the first chunk's ``compute`` / ``bcast`` /
+    ``reduce`` seconds.
     """
     widths = [j1 - j0 for j0, j1 in chunk_ranges(k, max_block_k)]
-    nm_max = max(nm_rank for nm_rank, _ in ranks)
     chunk_bcast, chunk_compute, chunk_reduce = [], [], []
     for kc in widths:
         t_bcast, t_reduce = _grid_collective_times(
-            cfg, nm_max, nd_rank, nt, pr, pc, net, adjoint, kc=kc
+            cfg, nm_rank, nd_rank, nt, pr, pc, net, adjoint, kc=kc
         )
         chunk_bcast.append(t_bcast)
         chunk_reduce.append(t_reduce)
         chunk_compute.append(
-            max(
-                sum(
-                    block_phase_times(
-                        nm_rank, nd_rank, nt, kc, cfg, spec, adjoint=adjoint
-                    ).values()
-                )
-                for nm_rank, spec in ranks
+            sum(
+                block_phase_times(
+                    nm_rank, nd_rank, nt, kc, cfg, spec, adjoint=adjoint
+                ).values()
             )
         )
     sched = overlapped_chunk_schedule(
@@ -229,26 +224,14 @@ def blocked_matvec_time_at_scale(
     for the whole chunk), not at ``kc`` times the per-vector rate: the
     blocked pipeline amortizes launch overhead and the dominant spectrum
     read, and the engine-consistency test pins the model to what the
-    engine actually charges.
-
-    When ``skew > 0`` the ``*_balanced`` keys report the schedule after
-    the skew-searching partitioner (:mod:`repro.comm.balance`) rebalanced
-    the injected irregularity on both grid axes — the skew the measure →
-    rebalance loop recovers at scale.  The at-scale grid is homogeneous,
-    where that search lands on the even split
-    (:meth:`~repro.comm.grid.ProcessGrid.split_extent`; identical extents
-    at every point of the paper sweep), so the split is used directly.
+    engine actually charges.  The skew penalty is this call's ``total``
+    over the same call's at ``skew=0`` (the even split,
+    :meth:`~repro.comm.grid.ProcessGrid.split_extent`).
 
     Keys: ``serial``, ``overlapped``, ``hidden``, ``total`` (the
     overlapped wall), ``per_vector`` (total / k), ``serial_per_vector``,
     ``n_chunks``, ``compute``, ``bcast``, ``reduce`` (per-chunk seconds
-    of the first chunk), plus ``total_balanced`` /
-    ``per_vector_balanced`` — the searched partition's overlapped wall,
-    so ``total - total_balanced`` is the modeled skew the search wins
-    back (zero when ``skew == 0``; the homogeneous at-scale search
-    recovers the ceil-balanced split, so the balanced keys coincide
-    with a ``skew=0`` run — *measured* recovery on a real engine is
-    what ``benchmarks/test_balance_grid.py`` scores).
+    of the first chunk).
 
     ``host`` adds the third stream: a :class:`~repro.util.timing.HostModel`
     charges per-chunk source generation / result saving, and the fused
@@ -271,22 +254,9 @@ def blocked_matvec_time_at_scale(
     # the balanced share (capped at the global extent).
     nm_slow = min(nm_global, int(math.ceil(nm_local * (1.0 + skew))))
     nd_slow = min(nd, int(math.ceil(nd_local * (1.0 + skew))))
-
-    def schedule_for(nm_rank: int, nd_rank: int) -> dict:
-        """Chunk schedule with the critical rank owning the given extents."""
-        return _chunk_schedule(
-            cfg, [(nm_rank, spec)], nd_rank, nt, pr, pc, net, adjoint, k, max_block_k,
-            host=host, overlap_host=overlap_host,
-        )
-
-    sched = schedule_for(nm_slow, nd_slow)
-    # Rebalancing the injected skew on a homogeneous grid recovers the
-    # even split, whatever the skew was: the slowest rank then owns the
-    # largest even part again (``_local_extents``).
-    sched_bal = (
-        sched
-        if (nm_local, nd_local) == (nm_slow, nd_slow)
-        else schedule_for(nm_local, nd_local)
+    sched = _chunk_schedule(
+        cfg, nm_slow, spec, nd_slow, nt, pr, pc, net, adjoint, k, max_block_k,
+        host=host, overlap_host=overlap_host,
     )
     return {
         "serial": sched["serial"],
@@ -299,174 +269,10 @@ def blocked_matvec_time_at_scale(
         "compute": sched["compute"],
         "bcast": sched["bcast"],
         "reduce": sched["reduce"],
-        "total_balanced": sched_bal["overlapped"],
-        "per_vector_balanced": sched_bal["overlapped"] / k,
         "two_stream_host": sched["two_stream_host"],
         "overlapped3": sched["overlapped3"],
         "hidden_host": sched["hidden_host"],
         "per_vector_overlap3": sched["overlapped3"] / k,
-    }
-
-
-def _fleet_column_specs(pc: int, mix: Sequence) -> list:
-    """Resolve a ``[(spec_or_name, fraction), ...]`` mix to per-column specs.
-
-    Columns are assigned to spec groups contiguously by cumulative
-    fraction (rounded, every group keeps at least one column) — the
-    column-banded fleet a site gets when it extends a homogeneous
-    machine with a newer partition.
-    """
-    if not mix:
-        raise ReproError("mix must be non-empty")
-    specs, fracs = [], []
-    for entry in mix:
-        spec, frac = entry
-        specs.append(get_gpu(spec) if isinstance(spec, str) else spec)
-        f = float(frac)
-        if f <= 0:
-            raise ReproError(f"mix fraction must be > 0, got {f}")
-        fracs.append(f)
-    total = sum(fracs)
-    if abs(total - 1.0) > 1e-6:
-        raise ReproError(f"mix fractions must sum to 1, got {total}")
-    if len(specs) > pc:
-        raise ReproError(
-            f"mix has {len(specs)} groups but the grid only has {pc} columns"
-        )
-    bounds = [0]
-    cum = 0.0
-    for f in fracs:
-        cum += f
-        bounds.append(int(round(cum * pc)))
-    for i in range(1, len(bounds)):
-        bounds[i] = max(bounds[i], bounds[i - 1] + 1)
-    bounds[-1] = pc
-    if any(b1 <= b0 for b0, b1 in zip(bounds, bounds[1:])):
-        raise ReproError(f"mix fractions leave a group without columns: {mix}")
-    col_specs = []
-    for g, spec in enumerate(specs):
-        col_specs.extend([spec] * (bounds[g + 1] - bounds[g]))
-    return col_specs
-
-
-def mixed_fleet_times(
-    p: int,
-    pr: int,
-    config: Union[str, PrecisionConfig],
-    mix: Sequence,
-    k: int = 16,
-    max_block_k: Optional[int] = None,
-    nm_per_gpu: int = 5000,
-    nd: int = 100,
-    nt: int = 1000,
-    net: NetworkModel = FRONTIER_NETWORK,
-    adjoint: bool = False,
-) -> dict:
-    """Heterogeneous-fleet column of the at-scale model.
-
-    ``mix`` is ``[(spec_or_name, fraction), ...]``: the grid's ``pc``
-    columns split into contiguous spec groups by fraction, so every rank
-    in a column band owns the same device (the usual way a site mixes
-    generations).  Two partitions are modeled:
-
-    * **naive** — the even ceil split a homogeneous launcher would use;
-      every chunk's compute is gated by the slowest device holding a
-      full-size column block, so the whole fleet runs at the worst
-      device's pace;
-    * **balanced** — ``col_ranges`` searched by
-      :func:`~repro.comm.balance.balance_extents` on per-column cost
-      slopes measured from the blocked phase model itself (seconds per
-      owned parameter, finite-differenced at two extents so per-launch
-      constants drop out) *plus* the broadcast slope: the chunk
-      broadcast is gated by the largest column payload, so a search
-      that ignored comm would fatten the fast columns past the point
-      where the broadcast they gate eats the compute win.  When even
-      the comm-aware search cannot beat the naive wall (broadcast-bound
-      scales), the naive split is kept and ``speedup`` is 1.0.
-
-    Each wall runs the double-buffered chunk schedule with per-chunk
-    compute the max over columns of the blocked phase model on that
-    column's spec and extent.  Returns ``naive`` / ``balanced`` walls,
-    their ``per_vector_*`` forms, ``speedup`` (naive over balanced —
-    the Figure-4 mixed-fleet column), the searched ``extents`` and the
-    resolved ``groups`` as ``(spec name, column count)`` pairs.
-    """
-    check_positive_int(k, "k")
-    cfg = PrecisionConfig.parse(config)
-    pc, _, nd_local = _local_extents(p, pr, nm_per_gpu, nd)
-    nm_global = nm_per_gpu * p
-    col_specs = _fleet_column_specs(pc, mix)
-
-    def wall_for(extents) -> float:
-        lengths = [stop - start for start, stop in extents]
-        return _chunk_schedule(
-            cfg, list(zip(lengths, col_specs)), nd_local, nt, pr, pc, net, adjoint,
-            k, max_block_k,
-        )["overlapped"]
-
-    naive_extents = ProcessGrid.split_extent(nm_global, pc)
-
-    widths = [j1 - j0 for j0, j1 in chunk_ranges(k, max_block_k)]
-
-    def compute_seconds(ln: int, sp: GPUSpec) -> float:
-        return sum(
-            sum(
-                block_phase_times(
-                    ln, nd_local, nt, kc, cfg, sp, adjoint=adjoint
-                ).values()
-            )
-            for kc in widths
-        )
-
-    def bcast_seconds(ln: int) -> float:
-        return sum(
-            _grid_collective_times(
-                cfg, ln, nd_local, nt, pr, pc, net, adjoint, kc=kc
-            )[0]
-            for kc in widths
-        )
-
-    # Per-element slopes, finite-differenced so per-launch constants
-    # cancel (the affine trick of repro.comm.balance applied to the
-    # model itself); one slope pair per distinct spec.
-    n_hi, n_lo = naive_extents[0][1], max(1, nm_global // pc // 2)
-    comm_slope = (bcast_seconds(n_hi) - bcast_seconds(n_lo)) / (n_hi - n_lo)
-    spec_slope = {}
-    for sp in col_specs:
-        if sp.name not in spec_slope:
-            spec_slope[sp.name] = (
-                compute_seconds(n_hi, sp) - compute_seconds(n_lo, sp)
-            ) / (n_hi - n_lo)
-    units = [spec_slope[sp.name] + comm_slope for sp in col_specs]
-    searched = balance_extents(
-        nm_global,
-        pc,
-        linear_cost(units),
-        initial=naive_extents,
-        what="col_ranges",
-    )
-    wall_naive = wall_for(naive_extents)
-    wall_balanced = wall_for(searched.extents)
-    balanced_extents = searched.extents
-    if wall_balanced > wall_naive:
-        # Broadcast-bound: the largest payload gates every chunk and no
-        # repartition can beat the even split — keep it.
-        wall_balanced = wall_naive
-        balanced_extents = naive_extents
-    groups = []
-    for sp in col_specs:
-        if groups and groups[-1][0] == sp.name:
-            groups[-1] = (sp.name, groups[-1][1] + 1)
-        else:
-            groups.append((sp.name, 1))
-    return {
-        "naive": wall_naive,
-        "balanced": wall_balanced,
-        "per_vector_naive": wall_naive / k,
-        "per_vector_balanced": wall_balanced / k,
-        "speedup": wall_naive / wall_balanced if wall_balanced > 0 else 1.0,
-        "extents": balanced_extents,
-        "groups": groups,
     }
 
 
@@ -482,12 +288,6 @@ class ScalingPoint:
     serially — the pair isolates the overlap win from the collective
     batching PR 2 already delivered.  All three are 0.0 when the sweep
     ran without the blocked model.
-
-    ``time_double_balanced`` / ``time_mixed_balanced`` are the same
-    overlapped per-vector times after the skew-searching partitioner
-    (:mod:`repro.comm.balance`) rebalanced the sweep's injected ``skew``;
-    with ``skew=0`` they equal the overlap columns, and
-    :attr:`balance_speedup` quantifies the recovered skew.
 
     ``time_mixed_two_stream_host`` / ``time_mixed_overlap3`` are the
     per-vector times with the sweep's :class:`~repro.util.timing.HostModel`
@@ -521,8 +321,6 @@ class ScalingPoint:
     time_double_overlap: float = 0.0
     time_mixed_overlap: float = 0.0
     time_mixed_blocked_serial: float = 0.0
-    time_double_balanced: float = 0.0
-    time_mixed_balanced: float = 0.0
     time_mixed_two_stream_host: float = 0.0
     time_mixed_overlap3: float = 0.0
     system_mtbf_s: float = 0.0
@@ -544,18 +342,6 @@ class ScalingPoint:
         if self.time_mixed_overlap <= 0.0:
             return 1.0
         return self.time_mixed_blocked_serial / self.time_mixed_overlap
-
-    @property
-    def balance_speedup(self) -> float:
-        """Skewed overlapped time over the searched-partition time.
-
-        1.0 when the sweep injected no skew (nothing to recover); above
-        1.0, the factor the cost-model-driven ``row_ranges``/``col_ranges``
-        search wins back at this GPU count.
-        """
-        if self.time_mixed_balanced <= 0.0:
-            return 1.0
-        return self.time_mixed_overlap / self.time_mixed_balanced
 
     @property
     def host_overlap_speedup(self) -> float:
@@ -594,11 +380,8 @@ def scaling_sweep(
     paper's published schedule).  Each point also carries the
     double-buffered blocked per-vector times (``k`` RHS in chunks of
     ``max_block_k``, broadcasts prefetched behind compute, chunk compute
-    through the blocked SBGEMM phase model, per-rank ``skew`` honored)
-    plus the ``time_*_balanced`` columns: the same schedule after the
-    skew-searching partitioner rebalanced the injected skew
-    (``balance_speedup`` quantifies the recovery per GPU count).  With a
-    ``host`` model the mixed-config point also carries the serial-host
+    through the blocked SBGEMM phase model, per-rank ``skew`` honored).
+    With a ``host`` model the mixed-config point also carries the serial-host
     and three-stream fused per-vector columns
     (``host_overlap_speedup``).
 
@@ -656,8 +439,6 @@ def scaling_sweep(
                 time_double_overlap=blocked_double["per_vector"],
                 time_mixed_overlap=blocked_mixed["per_vector"],
                 time_mixed_blocked_serial=blocked_mixed["serial_per_vector"],
-                time_double_balanced=blocked_double["per_vector_balanced"],
-                time_mixed_balanced=blocked_mixed["per_vector_balanced"],
                 time_mixed_two_stream_host=(
                     blocked_mixed["two_stream_host"] / k if host is not None else 0.0
                 ),

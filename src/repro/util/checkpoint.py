@@ -2,8 +2,8 @@
 
 The ROADMAP's production setting — thousands of GPUs, 24-hour SLURM
 walls — makes rank loss and wall-time eviction the common case, and the
-iterative consumers (block CG, randomized posterior eig,
-``measure_rebalance_loop``) otherwise lose everything on one failure.
+iterative consumers (block CG, randomized posterior eig) otherwise lose
+everything on one failure.
 This module is the serialization half of the fault-tolerance story:
 
 * :class:`CheckpointStore` — a store of :class:`Snapshot` objects keyed
@@ -110,7 +110,7 @@ def state_fingerprint(*parts) -> str:
     Accepts arrays (hashed by shape + bytes), strings, and anything with
     a stable ``repr``.  The checkpoint-side counterpart of
     :func:`repro.serve.cache.operator_fingerprint` for state that is not
-    a Toeplitz kernel (e.g. a rebalance loop's problem geometry).
+    a Toeplitz kernel (e.g. a posterior eig's operator and sketch size).
     """
     import hashlib
 

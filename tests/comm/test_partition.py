@@ -1,13 +1,17 @@
 """Tests for communication-aware partitioning (Section 3.7 / 4.2.2)."""
 
+import numpy as np
 import pytest
 
+from repro.comm.grid import ProcessGrid
 from repro.comm.netmodel import FRONTIER_NETWORK
 from repro.comm.partition import (
     candidate_rows,
+    check_extents,
     communication_aware_partition,
     matvec_comm_cost,
     published_frontier_rows,
+    skewed_extents,
 )
 from repro.util.validation import ReproError
 
@@ -92,3 +96,75 @@ class TestPartitionSearch:
             pr_pub = published_frontier_rows(p)
             cost_pub = matvec_comm_cost(5000 * p, 100, 1000, pr_pub, p // pr_pub)
             assert cost_model <= cost_pub * 1.0001
+
+
+class TestCheckExtents:
+    def test_normalizes_to_int_tuples(self):
+        out = check_extents(np.array([[0, 3], [3, 8]]), 8, 2)
+        assert out == [(0, 3), (3, 8)]
+        assert all(type(v) is int for part in out for v in part)
+
+    @pytest.mark.parametrize(
+        "extents,match",
+        [
+            ([(0, 8)], "expected 2 ranges, got 1"),
+            ([(0, 3), (3, 5), (5, 8)], "expected 2 ranges, got 3"),
+            ([(1, 3), (3, 8)], "range 0 starts at 1, expected 0"),
+            ([(0, 3), (4, 8)], "range 1 starts at 4, expected 3"),
+            ([(0, 5), (3, 8)], "range 1 starts at 3, expected 5"),
+            ([(0, 0), (0, 8)], r"range 0 is empty \(0, 0\)"),
+            ([(0, 5), (5, 3)], r"range 1 is empty \(5, 3\)"),
+            ([(0, 3), (3, 7)], r"cover \[0, 7\), expected \[0, 8\)"),
+            ([(0, 3), (3, 9)], r"cover \[0, 9\), expected \[0, 8\)"),
+        ],
+        ids=["too-few", "too-many", "late-start", "gap", "overlap",
+             "empty", "reversed", "short", "overshoot"],
+    )
+    def test_rejects_malformed(self, extents, match):
+        with pytest.raises(ReproError, match=match):
+            check_extents(extents, 8, 2)
+
+    def test_error_names_the_argument(self):
+        with pytest.raises(ReproError, match="^col_ranges: "):
+            check_extents([(0, 8)], 8, 2, what="col_ranges")
+
+    @pytest.mark.parametrize("n,parts", [(0, 1), (8, 0), (-4, 2)])
+    def test_rejects_bad_sizes(self, n, parts):
+        with pytest.raises(ReproError):
+            check_extents([(0, 1)], n, parts)
+
+
+_SHAPES = [(8, 2), (23, 3), (100, 7), (257, 16), (16, 16), (9, 1)]
+
+
+class TestSkewedExtentsShape:
+    """``skewed_extents`` enlarges part 0 and splits the rest evenly."""
+
+    @pytest.mark.parametrize("n,parts", _SHAPES)
+    def test_zero_skew_is_the_even_split(self, n, parts):
+        even = ProcessGrid.split_extent(n, parts)
+        # The grid's default split meets the contract caller partitions must.
+        assert check_extents(even, n, parts) == even
+        assert skewed_extents(n, parts, skew=0.0) == even
+
+    @pytest.mark.parametrize("skew", [0.1, 0.5, 2.0])
+    @pytest.mark.parametrize("n,parts", [(23, 3), (100, 7), (257, 16)])
+    def test_only_part_zero_is_enlarged(self, n, parts, skew):
+        widths = [stop - start for start, stop in skewed_extents(n, parts, skew)]
+        target = n / parts * (1.0 + skew)
+        cap = n - (parts - 1)
+        # Part 0 owns (1 + skew) times the even share, rounded up, unless
+        # that would leave another part empty.
+        assert widths[0] == cap or target <= widths[0] < target + 1
+        assert widths[0] >= max(widths[1:])
+        # The remainder is the even split of what is left, extras first.
+        rest = widths[1:]
+        assert max(rest) - min(rest) <= 1
+        assert rest == sorted(rest, reverse=True)
+
+    def test_part_zero_grows_with_skew_until_capped(self):
+        n, parts = 100, 4
+        firsts = [skewed_extents(n, parts, s)[0][1] for s in (0.0, 0.25, 0.5, 1.0, 2.0, 50.0)]
+        assert firsts == sorted(firsts)
+        assert firsts[:4] == [25, 32, 38, 50]
+        assert firsts[-1] == n - (parts - 1)

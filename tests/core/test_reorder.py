@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.phases import pad_to_soti, padded_buffer, unpad_from_soti
-from repro.core.reorder import reorder_bytes, soti_to_tosi, tosi_to_soti, transpose_into
+from repro.core.reorder import soti_to_tosi, tosi_to_soti, transpose_into
 from repro.util.workspace import Workspace
 from repro.gpu.device import SimulatedDevice
 from repro.util.dtypes import Precision
@@ -42,9 +42,6 @@ class TestReorders:
         dev = SimulatedDevice("MI300X")
         tosi_to_soti(rng.standard_normal((100, 100)), device=dev, phase="sbgemv")
         assert dev.clock.now > 0
-
-    def test_reorder_bytes(self):
-        assert reorder_bytes((10, 10), 8, 4) == 1200.0
 
     @pytest.mark.parametrize(
         "shape,row_elems",

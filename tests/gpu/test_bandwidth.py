@@ -1,5 +1,7 @@
 """Tests for the achieved-bandwidth models."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,7 +14,24 @@ from repro.gpu.bandwidth import (
     memcpy_time,
     stream_efficiency,
 )
-from repro.gpu.specs import MI250X_GCD, MI300X
+from repro.gpu.specs import MI250X_GCD, MI300X, MI355X
+from repro.util.dtypes import Precision
+
+
+@pytest.mark.parametrize("spec", [MI250X_GCD, MI300X, MI355X])
+def test_every_fftmatvec_phase_is_memory_bound(spec):
+    # Sec. 4.1.2: "the entire application is memory-bound", which is why
+    # kernels are priced by bandwidth alone.  The phases' arithmetic
+    # intensity (FLOPs per HBM byte) sits below the machine balance (peak
+    # FLOP/s over peak B/s) at both precisions.
+    sbgemv = 8.0 / 16  # complex double GEMV: 8 FLOPs per 16-byte element read once
+    n = 2000  # the 2 Nt-point FFT at the paper's Nt = 1000
+    passes = max(2, math.ceil(math.log2(n) / 4))
+    fft = 5.0 * n * math.log2(n) / (passes * n * 16)
+    for prec in (Precision.DOUBLE, Precision.SINGLE):
+        balance = spec.peak_flops[prec] / spec.peak_bandwidth
+        assert balance > 1.0
+        assert sbgemv < balance and fft < balance
 
 
 class TestStreamEfficiency:

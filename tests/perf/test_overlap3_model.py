@@ -8,7 +8,6 @@ from repro.perf.phase_model import block_phase_times, overlapped_chunk_schedule
 from repro.perf.scaling import (
     ScalingPoint,
     blocked_matvec_time_at_scale,
-    mixed_fleet_times,
     scaling_sweep,
 )
 from repro.util.timing import HostModel
@@ -221,30 +220,3 @@ class TestScalingPointHost:
         assert pt.time_mixed_two_stream_host == 0.0
         assert pt.host_overlap_speedup == 1.0
 
-
-class TestMixedFleet:
-    MIX = [("mi300x", 0.5), ("mi250x", 0.5)]
-
-    def test_balanced_never_slower(self):
-        out = mixed_fleet_times(64, 1, "dssdd", self.MIX, k=4, max_block_k=2)
-        assert out["speedup"] >= 1.0
-        assert out["balanced"] <= out["naive"]
-        assert out["per_vector_balanced"] == pytest.approx(out["balanced"] / 4)
-
-    def test_groups_resolve_fractions(self):
-        out = mixed_fleet_times(64, 1, "dssdd", self.MIX, k=4, max_block_k=2)
-        names = [name for name, _ in out["groups"]]
-        counts = [cnt for _, cnt in out["groups"]]
-        assert names == ["MI300X", "MI250X (Single GCD)"]
-        assert sum(counts) == 64
-        assert len(out["extents"]) == 64
-
-    def test_homogeneous_mix_has_no_gain(self):
-        out = mixed_fleet_times(
-            64, 1, "dssdd", [("mi300x", 1.0)], k=4, max_block_k=2
-        )
-        assert out["speedup"] == pytest.approx(1.0)
-
-    def test_rejects_bad_fractions(self):
-        with pytest.raises(ReproError):
-            mixed_fleet_times(64, 1, "dssdd", [("mi300x", 0.4)], k=4)

@@ -8,6 +8,7 @@ from repro.perf.scaling import (
     paper_config_for,
     scaling_sweep,
 )
+from repro.util.timing import HostModel
 
 
 class TestPaperConfigSchedule:
@@ -161,57 +162,50 @@ class TestBlockedOverlappedScaling:
         assert d["compute"] < 4 * per_vec
 
 
-class TestBalancedScaling:
-    """The skew-searching partitioner's Figure-4 columns."""
+def test_skew_penalty_at_scale():
+    # The critical rank owning 1.5x the even share gates every chunk, at
+    # every scale; with more grid rows than sensors the skewed sensor
+    # extent clamps to the global one instead of raising.
+    from repro.perf.scaling import blocked_matvec_time_at_scale
 
-    def test_balanced_recovers_injected_skew_at_scale(self):
-        from repro.perf.scaling import blocked_matvec_time_at_scale
+    for p, pr in ((64, 1), (1024, 8), (4096, 16)):
+        even = blocked_matvec_time_at_scale(p, pr, "dssds", k=16, max_block_k=4)
+        skewed = blocked_matvec_time_at_scale(p, pr, "dssds", k=16, max_block_k=4, skew=0.5)
+        assert skewed["total"] > even["total"], p
+    assert blocked_matvec_time_at_scale(1024, 256, "ddddd", k=16, max_block_k=4, skew=0.5)["total"] > 0
 
-        for p, pr in ((64, 1), (1024, 8), (4096, 16)):
-            d = blocked_matvec_time_at_scale(
-                p, pr, "dssds", k=16, max_block_k=4, skew=0.5
-            )
-            base = blocked_matvec_time_at_scale(
-                p, pr, "dssds", k=16, max_block_k=4
-            )
-            assert d["total_balanced"] < d["total"]
-            # On the homogeneous at-scale grid the search lands on the
-            # ceil-balanced split, so the balanced schedule recovers the
-            # whole injected skew (coincides with the skew-free run).
-            assert d["total_balanced"] == pytest.approx(base["total"]), p
 
-    def test_skewed_grid_with_more_rows_than_sensors(self):
-        # pr > nd: nothing to search on the row axis; the ceil-clamped
-        # single-sensor extent is kept and the call must not raise.
-        from repro.perf.scaling import blocked_matvec_time_at_scale
+@pytest.mark.parametrize(
+    "host", [None, HostModel(gen_time=50e-6, save_time=100e-6)], ids=["nohost", "fused"]
+)
+@pytest.mark.parametrize("adjoint", [False, True], ids=["F", "Fstar"])
+@pytest.mark.parametrize("p,pr", [(8, 1), (64, 1), (512, 1), (4096, 16)])
+def test_skew_penalty_grows_with_skew(p, pr, adjoint, host):
+    from repro.perf.scaling import blocked_matvec_time_at_scale
 
-        d = blocked_matvec_time_at_scale(
-            1024, 256, "ddddd", k=16, max_block_k=4, skew=0.5
+    def run(**kw):
+        return blocked_matvec_time_at_scale(
+            p, pr, paper_config_for(p), k=16, max_block_k=4, adjoint=adjoint, host=host, **kw
         )
-        assert d["total_balanced"] <= d["total"]
 
-    def test_no_skew_means_nothing_to_recover(self):
-        from repro.perf.scaling import blocked_matvec_time_at_scale
+    even = run()
+    assert run(skew=0.0) == even  # skew=0 is the even split, bit for bit
+    skewed = [run(skew=s) for s in (0.25, 0.5)]
+    for key in ("total", "overlapped3"):
+        walls = [even[key]] + [d[key] for d in skewed]
+        assert walls[0] < walls[1] < walls[2], key
 
-        d = blocked_matvec_time_at_scale(256, 1, "dssdd", k=16, max_block_k=4)
-        assert d["total_balanced"] == pytest.approx(d["total"])
 
-    def test_sweep_carries_balanced_columns(self):
-        pts = scaling_sweep(gpu_counts=(64, 1024, 4096), skew=0.5)
-        for pt in pts:
-            assert pt.time_mixed_balanced > 0.0
-            assert pt.time_mixed_balanced < pt.time_mixed_overlap
-            assert pt.balance_speedup > 1.0
-        # 64-4096 GPUs: rebalancing a 1.5x-skewed partition wins back a
-        # factor comparable to the skew itself.
-        assert all(1.2 < pt.balance_speedup < 2.5 for pt in pts)
-
-    def test_sweep_without_skew_has_neutral_balance(self):
-        pts = scaling_sweep(gpu_counts=(64,))
-        assert pts[0].time_mixed_balanced == pytest.approx(
-            pts[0].time_mixed_overlap
-        )
-        assert pts[0].balance_speedup == pytest.approx(1.0)
+def test_sweep_skew_slows_only_the_blocked_columns():
+    # The classic per-matvec columns model the even split; the blocked
+    # columns carry the critical rank's enlarged block.
+    even = scaling_sweep(gpu_counts=(64, 1024, 4096))
+    skewed = scaling_sweep(gpu_counts=(64, 1024, 4096), skew=0.5)
+    for e, s in zip(even, skewed):
+        assert (s.time_double, s.time_mixed) == (e.time_double, e.time_mixed)
+        assert s.time_double_overlap > e.time_double_overlap
+        assert s.time_mixed_overlap > e.time_mixed_overlap
+        assert s.time_mixed_blocked_serial > e.time_mixed_blocked_serial
 
 
 class TestOverlappedChunkSchedule:

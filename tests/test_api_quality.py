@@ -119,17 +119,20 @@ def test_every_module_has_an_importer_or_says_what_keeps_it():
     """A module nothing in ``src/`` imports is kept alive by its own
     tests unless something outside needs it: it must name that file — a
     paper figure's benchmark, an example, the doc that decides its fate
-    — in a ``Kept by ``path``: reason`` docstring line, and the path
-    must exist.  ``inverse/lti2d.py`` had neither and is gone."""
+    — in a ``Kept by ``path``: reason`` docstring line, and that file
+    must exist and mention the module by its last dotted name.
+    ``inverse/lti2d.py`` had no keeper and ``perf/roofline.py`` named one
+    that never mentioned it; both are gone."""
     orphans = []
     for mod, who in sorted(_importers().items()):
         if who:
             continue
         kept = re.search(r"^Kept by ``([^`]+)``", importlib.import_module(mod).__doc__ or "", re.M)
-        if kept is None or not (ROOT / kept.group(1)).exists():
+        keeper = ROOT / kept.group(1) if kept else None
+        if keeper is None or not keeper.is_file() or mod.rpartition(".")[2] not in keeper.read_text():
             orphans.append(mod)
     assert not orphans, (
         f"no src/ module imports {orphans} and their docstrings name no existing "
-        "file that keeps them: wire them in, add the 'Kept by' line, or delete "
-        "them with their tests"
+        "file that mentions and keeps them: wire them in, add the 'Kept by' line, "
+        "or delete them with their tests"
     )

@@ -83,7 +83,7 @@ def test_readme_documents_the_contract():
     for example in sorted((ROOT / "examples").glob("*.py")):
         assert f"examples/{example.name}" in text, example.name
     # Every emitted benchmark artifact is named.
-    for bench in ("BENCH_parallel_blocked", "BENCH_overlap_grid", "BENCH_balance_grid"):
+    for bench in ("BENCH_parallel_blocked", "BENCH_overlap_grid"):
         assert bench in text, bench
 
 

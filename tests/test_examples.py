@@ -36,9 +36,9 @@ def test_quickstart():
     assert "rel err" in out
     assert "dssdd" in out
     assert "adjoint dot-test" in out
-    # The measure -> rebalance walkthrough the README promises.
-    assert "modeled wall before rebalance" in out
-    assert "modeled wall after  rebalance" in out
+    # The skew walkthrough the README promises.
+    assert "modeled wall, even split" in out
+    assert "modeled wall, skewed" in out
     assert "bitwise-unchanged" in out
 
 
@@ -84,6 +84,4 @@ def test_multi_gpu_scaling():
     out = run_example("multi_gpu_scaling.py")
     assert "matches single-GPU" in out
     assert "4096" in out
-    assert "measure -> rebalance loop" in out
-    assert "of the injected skew recovered" in out
-    assert "recovered skew at scale" in out
+    assert "skew penalty at scale" in out
