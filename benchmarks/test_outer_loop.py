@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.comm.grid import ProcessGrid
+from repro.core.operator import ForwardOperator, GaussNewtonHessian, IdentityOperator
 from repro.core.parallel import ParallelFFTMatvec
 from repro.core.toeplitz import BlockTriangularToeplitz
 from repro.gpu.specs import MI250X_GCD, MI300X
@@ -23,6 +24,7 @@ from repro.inverse import (
     ObservationOperator,
     P2OMap,
 )
+from repro.inverse.cg import block_conjugate_gradient, conjugate_gradient
 from repro.perf.memory_model import min_gpus_for_problem
 from repro.perf.phase_model import modeled_timing
 from repro.util.timing import HostModel
@@ -115,8 +117,32 @@ class TestIterativeRefinement:
         res = benchmark(lowered_problem.solve_map, d, tol=1e-10)
         print(f"\nMAP solve: {res.cg.iterations} iterations at "
               f"{res.cg.iteration_config}, {res.cg.exact_applies} double applies, "
-              f"final residual {res.cg.final_residual:.1e}")
+              f"final residual {res.cg.final_residual:.1e} "
+              f"(preconditioned: {res.cg.preconditioned} — the prior precision is no ridge)")
         assert res.cg.converged and res.cg.iteration_config == "ddsdd"
+        assert not res.cg.preconditioned
+
+    def test_iterations_with_and_without_m(self, benchmark, lowered_problem, rng):
+        # The same engine under a ridge: M is admitted, and both solvers
+        # are measured with it and without it (a lambda hides M).
+        engine = lowered_problem.p2o.engine
+        forward = ForwardOperator(engine)
+        hess = GaussNewtonHessian(
+            forward, lowered_problem.noise_std, 1e-8 * IdentityOperator(forward.in_shape)
+        )
+        rhs = engine.rmatmat(rng.standard_normal((32, 24, 4))) / lowered_problem.noise_std**2
+        res = benchmark(conjugate_gradient, hess.apply, rhs[:, :, 0], tol=1e-10, maxiter=500)
+        plain = conjugate_gradient(lambda v: hess.apply(v), rhs[:, :, 0], tol=1e-10, maxiter=500)
+        blk = block_conjugate_gradient(hess.apply_block, rhs, tol=1e-10, maxiter=500)
+        blk_plain = block_conjugate_gradient(
+            lambda V: hess.apply_block(V), rhs, tol=1e-10, maxiter=500
+        )
+        print(f"\nridge solve: CG {plain.iterations} -> {res.iterations} iterations with M "
+              f"({res.iteration_config}, {res.exact_applies} double applies); "
+              f"block CG k=4 {blk_plain.iterations} -> {blk.iterations}")
+        assert res.converged and res.preconditioned and not plain.preconditioned
+        assert blk.all_converged and blk.preconditioned
+        assert res.iterations < plain.iterations and blk.iterations < blk_plain.iterations
 
 
 class TestCapacityPlanning:

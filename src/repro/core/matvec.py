@@ -39,7 +39,7 @@ import contextlib
 import hashlib
 from collections import OrderedDict
 from types import SimpleNamespace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -64,7 +64,7 @@ from repro.core.phases import (
 )
 from repro.core.precision import PrecisionConfig
 from repro.core.reorder import reorder_launch, soti_to_tosi, tosi_to_soti
-from repro.core.toeplitz import BlockTriangularToeplitz, spectral_condition_number
+from repro.core.toeplitz import BlockTriangularToeplitz
 from repro.fft.plan import FFTPlan, FFTType
 from repro.gpu.device import SimulatedDevice, price_launch
 from repro.gpu.kernel import KernelLaunch
@@ -76,7 +76,7 @@ from repro.util.timing import TimingReport
 from repro.util.validation import ReproError
 from repro.util.workspace import Workspace, apply_scope
 
-__all__ = ["FFTMatvec", "front_launches", "back_launches"]
+__all__ = ["FFTMatvec", "GramFactor", "front_launches", "back_launches"]
 
 _PHASES = ("pad", "fft", "sbgemv", "ifft", "unpad")
 
@@ -91,6 +91,32 @@ _VALIDATE_MODES = ("guard", "abft")
 # only adds calls (a grid rank's 768-column chunk ran F 2.5 % slower in
 # two slabs, block-CG's k = 8 blocks 5 %); it pays from about 8 MiB.
 _SLAB_BYTES = 1 << 20
+
+# The circulant preconditioner's shift mu as a fraction of the smallest
+# Gram eigenvalue s_min^2 (never the ridge: mu = ridge diverged).  CG on
+# the (64, 24, 96) solve_small Hessian (s_min^2 = 237) takes 43-46
+# iterations for any mu in 30-100, 0.13-0.42 of s_min^2.
+_GRAM_SHIFT = 0.25
+
+
+class GramFactor(NamedTuple):
+    """What one SVD pass ``C_f = U_f diag(s_f) V_f^H`` over an engine's
+    unnormalized spectrum (F_hat with its folded ``1/(2 Nt)`` taken back
+    out) yields, frequency by frequency (:meth:`FFTMatvec.gram_factor`).
+
+    ``kappa`` is the kappa(F_hat) of Eq. (6); ``s_min`` the smallest
+    singular value over all frequencies; ``mu = 0.25 s_min^2`` the shift
+    of the block-circulant preconditioner; ``B`` its factor, one complex64
+    ``(Nt+1, r, Nm)`` array with ``r = min(Nd, Nm)`` and ``B_f =
+    diag(s_f / sqrt(s_f^2 + mu)) V_f^H``, so that ``(C_f^H C_f + mu I)^-1
+    = (I - B_f^H B_f) / mu``.  ``B`` is left unscaled when ``mu`` is 0
+    (a singular frequency), where no preconditioner is built from it.
+    """
+
+    kappa: float
+    s_min: float
+    mu: float
+    B: np.ndarray
 
 
 def _parse_validate(validate) -> frozenset:
@@ -262,7 +288,7 @@ class FFTMatvec:
         # cached lazily in spectrum().
         self._fhat_host = self._setup_spectrum()
         self._fhat: Dict[Precision, Any] = {}
-        self._kappa: Optional[float] = None  # condition_number_hat(), on first use
+        self._gram: Optional[GramFactor] = None  # gram_factor(), on first use
         self.setup_time = (
             self.device.clock.phase_total("setup") if self.device is not None else 0.0
         )
@@ -332,11 +358,29 @@ class FFTMatvec:
         return self._fhat_host
 
     def condition_number_hat(self) -> float:
-        """The kappa(F_hat) of Eq. (6), computed once from the double
-        spectrum this engine holds (no second FFT of the kernel)."""
-        if self._kappa is None:
-            self._kappa = spectral_condition_number(self._fhat_host)
-        return self._kappa
+        """The kappa(F_hat) of Eq. (6), from :meth:`gram_factor`."""
+        return self.gram_factor().kappa
+
+    def gram_factor(self) -> GramFactor:
+        """One SVD per frequency of the double spectrum this engine holds
+        (no second FFT of the kernel), run on first use and kept: kappa
+        and the preconditioner factor come from the same pass."""
+        if self._gram is None:
+            r = min(self.nd, self.nm)
+            s = host_empty((self.n_freq, r), np.float64)
+            B = host_empty((self.n_freq, r, self.nm), np.complex64)
+            # A frequency at a time: no complex128 transient the size of B.
+            for f, block in enumerate(self._fhat_host):
+                _, s[f], B[f] = np.linalg.svd(block, full_matrices=False)
+            s_min = float(s[:, -1].min())  # singular values come descending
+            kappa = np.inf if s_min == 0.0 else float(s[:, 0].max()) / s_min
+            s *= self.n_pad
+            s_min *= self.n_pad
+            mu = _GRAM_SHIFT * s_min**2
+            if mu > 0.0:
+                B *= (s / np.sqrt(s * s + mu)).astype(np.float32)[:, :, None]
+            self._gram = GramFactor(kappa, s_min, mu, B)
+        return self._gram
 
     # -- cached resources ----------------------------------------------------
     def spectrum(self, precision: Precision) -> Any:

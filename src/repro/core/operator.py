@@ -19,7 +19,9 @@ compositions a first-class, *blocked* interface:
   regularization operator (e.g. the prior precision), with a fully
   blocked action.
 * ``A.at(config)`` — ``A`` with its engine applies at another config
-  (what :func:`~repro.inverse.cg.conjugate_gradient` iterates on).
+  (what :func:`~repro.inverse.cg.conjugate_gradient` iterates on), and
+  ``A.preconditioner`` — an SPD approximation of ``A^-1`` that both CG
+  solvers apply, or ``None`` (see :class:`GaussNewtonHessian`).
 * Algebra: ``A + B``, ``c * A``, ``A @ B`` build sum / scaled / composed
   operators; :class:`IdentityOperator` and :class:`CallableOperator`
   adapt plain callables (sparse solves, prior actions) into the same
@@ -31,6 +33,7 @@ axis, matching ``matmat``'s convention.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -50,6 +53,31 @@ __all__ = [
 
 Shape = Tuple[int, int]
 
+_DOUBLE = PrecisionConfig.parse("ddddd")
+# Smallest double spectrum worth a lowered or a preconditioned solve.
+# Lowered vs plain solve wall, (Nt, 24, 96) Hessians, Xeon host, BLAS on
+# one thread: 0.29 MB +6 %, 0.59 MB -1 %, 1.2 MB -23 %, 2.4 MB -28 %,
+# 4.8 MB -19 % ((16, 6, 12): +18 %).
+_LOWER_MIN_SPECTRUM_BYTES = 1 << 20
+# M applies in single precision, so it stays SPD only while its
+# eigenvalue spread (s_max^2 + mu) / mu = 1 + 4 kappa^2 is far inside
+# 1 / eps(float32): admitted while spread * eps <= 1e-2, i.e. kappa(F_hat)
+# <= 145.  solve_small's kappa is 3.1.  With one sensor row damped 1e5x
+# (kappa 2e5) a forced M left ||r|| at 1/6 of its start after 40
+# iterations (plain CG: 1/7000) and <r, M r> went negative at iter 151.
+_M_SPREAD_BUDGET = 1e-2
+
+
+def _large_double_engine(op: "LinearOperator") -> Optional[FFTMatvec]:
+    """The engine of ``op`` if ``op`` is all-double on one
+    :class:`FFTMatvec` whose double spectrum is at least
+    ``_LOWER_MIN_SPECTRUM_BYTES``, else ``None``."""
+    eng = op.engine
+    if op.config != _DOUBLE or not isinstance(eng, FFTMatvec):
+        return None
+    nbytes = eng.n_freq * eng.nd * eng.nm * np.dtype(np.complex128).itemsize
+    return eng if nbytes >= _LOWER_MIN_SPECTRUM_BYTES else None
+
 
 class LinearOperator:
     """A linear map between (Nt, nx)-shaped block-vector spaces.
@@ -64,6 +92,8 @@ class LinearOperator:
     # applies; an operator with no engine of its own has neither.
     engine: Optional[FFTMatvec] = None
     config: Optional[PrecisionConfig] = None
+    # An SPD approximation of this operator's inverse for CG, if it has one.
+    preconditioner: Optional["LinearOperator"] = None
 
     def __init__(self, in_shape: Shape, out_shape: Shape) -> None:
         self.in_shape = (int(in_shape[0]), int(in_shape[1]))
@@ -313,6 +343,73 @@ class AdjointOperator(LinearOperator):
         return ForwardOperator(self.engine, self.config)
 
 
+class _CirculantPreconditioner(LinearOperator):
+    """``M = scale * P (I - B^H B) P^T`` per frequency of the ``2 Nt``
+    circulant embedding: pad, FFT, ``t = B v``, ``v - B^H t``, IFFT,
+    unpad.  With ``scale = sigma^2 / mu`` this is ``sigma^2 (C^H C + mu
+    I)^-1`` restricted to the first ``Nt`` steps, so SPD
+    (:class:`~repro.core.matvec.GramFactor`).
+
+    The two GEMVs against the complex64 ``B`` — M's one pass over an
+    array the size of the spectrum — run in single precision.  The FFT
+    pair takes double: ``np.fft`` computes a float32 input in double
+    anyway, and the typed single transform (``scipy.fft``) costs ~4 MB of
+    resident memory to import.  ``B^H y`` is ``conj(y^H B)^T``, a GEMM on
+    a transposed view of ``y``, not a second copy of ``B``.  Buffers are
+    kept per block width.
+    """
+
+    def __init__(self, engine: FFTMatvec, B: np.ndarray, scale: float) -> None:
+        super().__init__((engine.nt, engine.nm), (engine.nt, engine.nm))
+        self.B, self.scale = B, scale
+        self._bufs: dict = {}
+
+    def _buffers(self, k: int) -> Tuple[np.ndarray, ...]:
+        (nt, nm), (n_freq, r, _) = self.in_shape, self.B.shape
+        pad = np.zeros((2 * nt, nm, k))  # padded input, then the IFFT's output
+        # (B^H t)^H lives in pad's bytes: the FFT has read them by then and
+        # the IFFT rewrites them all (the apply re-zeroes the padding).
+        w = pad.reshape(-1).view(np.complex64)[: n_freq * k * nm].reshape(n_freq, k, nm)
+        return (
+            pad,
+            np.empty((n_freq, nm, k), np.complex64),
+            np.empty((n_freq, r, k), np.complex64),
+            w,
+        )
+
+    def _apply(self, v: np.ndarray) -> np.ndarray:
+        return self._apply_block(v[:, :, None])[:, :, 0]
+
+    def _apply_block(self, V: np.ndarray) -> np.ndarray:
+        nt, k = self.in_shape[0], V.shape[2]
+        if k not in self._bufs:
+            self._bufs[k] = self._buffers(k)
+        pad, vhat, t, w = self._bufs[k]
+        pad[:nt] = V
+        np.fft.rfft(pad, axis=0, out=vhat)
+        np.matmul(self.B, vhat, out=t)
+        np.conjugate(t, out=t)
+        np.matmul(t.transpose(0, 2, 1), self.B, out=w)  # (B^H B v)^H, per frequency
+        np.conjugate(w, out=w)
+        np.subtract(vhat, w.transpose(0, 2, 1), out=vhat)
+        np.fft.irfft(vhat, n=2 * nt, axis=0, out=pad)
+        out = pad[:nt] * self.scale
+        pad[nt:] = 0.0
+        return out
+
+    def adjoint(self) -> LinearOperator:
+        return self
+
+
+def _ridge(reg: Optional[LinearOperator]) -> Optional[float]:
+    """``c`` when ``reg`` is ``c * I`` (``None`` is ``c = 0``), else ``None``."""
+    if reg is None:
+        return 0.0
+    if isinstance(reg, _ScaledOperator) and isinstance(reg.a, IdentityOperator):
+        return reg.scalar
+    return 1.0 if isinstance(reg, IdentityOperator) else None
+
+
 class GaussNewtonHessian(LinearOperator):
     """The (regularized) Gauss-Newton Hessian ``F* Gn^{-1} F + R``.
 
@@ -327,6 +424,16 @@ class GaussNewtonHessian(LinearOperator):
         Optional regularization operator R on parameter blocks (e.g. a
         :class:`CallableOperator` wrapping the prior precision).  With
         ``reg`` SPD the Hessian is SPD and CG/block-CG apply.
+
+    Its :attr:`preconditioner` is the block-circulant inverse of
+    ``(F* F + mu I) / noise_std^2`` at ``mu = 0.25 s_min^2`` (from the
+    Gram spectrum, never from the ridge), built on first use from the
+    engine's :meth:`~repro.core.matvec.FFTMatvec.gram_factor` — or
+    ``None`` unless ``forward`` is an all-double :class:`ForwardOperator`
+    on one :class:`FFTMatvec` with a double spectrum of at least 1 MiB
+    and ``reg`` is ``None`` or
+    ``c * I`` with ``0 <= c noise_std^2 <= mu``, and kappa(F_hat) leaves
+    M SPD in single precision (``1 + 4 kappa^2 <= 1e-2 / eps(float32)``).
     """
 
     def __init__(
@@ -353,6 +460,20 @@ class GaussNewtonHessian(LinearOperator):
 
     def _rebuilt_at(self, config: PrecisionConfig) -> "GaussNewtonHessian":
         return GaussNewtonHessian(self.forward.at(config), self.noise_std, self.reg)
+
+    @cached_property
+    def preconditioner(self) -> Optional[LinearOperator]:
+        """M for CG, or ``None`` when a gate turns it away (class doc)."""
+        engine, c = _large_double_engine(self), _ridge(self.reg)
+        if engine is None or not isinstance(self.forward, ForwardOperator) or c is None or c < 0.0:
+            return None
+        factor = engine.gram_factor()
+        if not 0.0 < factor.mu < np.inf or c * self.noise_std**2 > factor.mu:
+            return None
+        spread = 1.0 + (factor.kappa * factor.s_min) ** 2 / factor.mu  # cond(M)
+        if spread * np.finfo(np.float32).eps > _M_SPREAD_BUDGET:
+            return None
+        return _CirculantPreconditioner(engine, factor.B, self.noise_std**2 / factor.mu)
 
     def _apply(self, v: np.ndarray) -> np.ndarray:
         out = self.backward._apply(self.forward._apply(v) / self.noise_std**2)

@@ -14,12 +14,40 @@ has fallen 100x (van der Vorst & Ye's residual replacement, the
 "reliable updates" of mixed-precision GPU CG).  Only a replaced residual
 converges, so the true double residual meets ``tol``.
 
+**A single-precision preconditioner.**  Handed an operator whose
+``preconditioner`` is not ``None`` — a
+:class:`~repro.core.operator.GaussNewtonHessian`, or its bound ``apply``
+/ ``apply_block``, that passes the gates its class doc lists: all-double
+on one engine, a double spectrum of at least 1 MiB, ``reg`` ``None`` or
+``c I`` with ``0 <= c sigma^2 <= mu`` — both solvers run preconditioned
+CG (Strang 1986; T. Chan 1988): ``alpha = <r, z> / <p, A p>``, ``z = M
+r``, ``p = z + beta p`` with Fletcher-Reeves ``beta``.  Per frequency
+``f`` of the 2 Nt circulant embedding ``M_f = sigma^2 (I - B_f^H B_f) /
+mu``, with ``B_f = diag(s / sqrt(s^2 + mu)) V_f^H`` from the SVD ``C_f =
+U_f diag(s) V_f^H`` of the unnormalized spectrum: that is ``sigma^2
+(C_f^H C_f + mu I)^-1``.  ``mu = 0.25 s_min^2`` comes from the Gram
+spectrum, never from the ridge.  M only has to be SPD and fixed, not
+accurate, so it applies in single precision: pad, FFT, GEMV ``B``, GEMV
+``B^H``, IFFT, unpad, the two GEMVs in complex64 against one complex64
+``B``.  The SVD pass that gives kappa(F_hat) gives ``B``
+(:meth:`~repro.core.matvec.FFTMatvec.gram_factor`): it runs on the first
+admitted solve and is kept on the engine.  M runs on the host and is not
+booked on a device clock.  At (64, 24, 96), ridge 1e-8, tol 1e-8 (numpy,
+one BLAS thread, 2-vCPU Xeon; five right-hand sides) vector CG takes
+98-104 -> 43-45 iterations and block CG (k = 8) 102-103 -> 45; one
+k = 1 M apply costs ~130 us against ~270 us for a ``ddsdd`` Hessian
+apply, and the SVD pass 26 ms once per engine.  Convergence is still tested on
+``||r||``, so ``tol`` keeps its meaning.  A replaced residual gets its
+``z = M r`` like any other, and escalation, breakdown kinds and restarts
+(``p = z``) keep their meaning.
+
 :func:`block_conjugate_gradient` solves ``k`` right-hand sides at once.
-The per-column recurrences are the classic CG recurrences, kept
-*independent* (no cross-column coupling) and exact, so column ``j`` of
-the block solve meets the stopping rule of a vector solve of column
-``j`` (and agrees with it to the tolerance — not to rounding, since the
-vector solve may iterate lowered).  Every operator action is one blocked
+The per-column recurrences are the classic (preconditioned) CG
+recurrences, kept *independent* (no cross-column coupling; M acts on
+each column alone) and exact, so column ``j`` of the block solve meets
+the stopping rule of a vector solve of column ``j`` (and agrees with it
+to the tolerance — not to rounding, since the vector solve may iterate
+lowered).  Every operator action is one blocked
 application (e.g. a Gauss-Newton Hessian built on
 ``FFTMatvec.matmat``), so the k solves share each pipeline pass instead
 of re-paying pad/FFT-plan/reorder overhead per vector.  Columns freeze
@@ -32,8 +60,9 @@ Both solvers are **resumable**: pass ``checkpoint_every=`` and a
 function of (X, R, P, rs), so a resumed solve replays the exact
 floating-point sequence of the uninterrupted one: with a deterministic
 operator (``reduction="pairwise"`` on the engines) the resumed result is
-**bitwise-identical**, at any interruption boundary.  States round-trip
-through :class:`repro.util.checkpoint.CheckpointStore` via
+**bitwise-identical**, at any interruption boundary.  A state records
+whether its loop was preconditioned and resumes in that loop.  States
+round-trip through :class:`repro.util.checkpoint.CheckpointStore` via
 ``to_arrays``/``from_arrays``.
 """
 
@@ -45,8 +74,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro.core.error_model import relative_error_bound
-from repro.core.matvec import FFTMatvec
-from repro.core.operator import LinearOperator
+from repro.core.operator import LinearOperator, _large_double_engine
 from repro.core.precision import PrecisionConfig
 from repro.util.validation import ReproError
 
@@ -86,7 +114,8 @@ class CGBreakdownError(ReproError):
 class CGResult:
     """Outcome of a CG solve: also the config the iterations applied
     (``None`` for a plain callable), the applies of the operator as
-    given, and whether the solve gave up its lowered operator."""
+    given, whether the solve gave up its lowered operator, and whether
+    it ran preconditioned."""
 
     x: np.ndarray
     converged: bool
@@ -95,6 +124,7 @@ class CGResult:
     iteration_config: Optional[str] = None
     exact_applies: int = 0
     escalated: bool = False
+    preconditioned: bool = False
 
     @property
     def final_residual(self) -> float:
@@ -111,32 +141,29 @@ def _check_options(checkpoint_every: Optional[int], stagnation_window: Optional[
             raise ReproError(f"{name} must be >= 1, got {value}")
 
 
-_DOUBLE, _LOWERED = PrecisionConfig.parse("ddddd"), PrecisionConfig.parse("ddsdd")
+_LOWERED = PrecisionConfig.parse("ddsdd")
 # The residual is replaced in double once it has fallen by this factor
 # since the last replacement; the lowered operator's Eq. (6) error (F
 # plus F*, kappa(F_hat) included) must be within it, so that every
 # stretch between replacements contracts the true residual.
 _REPLACE_DROP = 1e-2
-# Smallest double spectrum worth halving.  Lowered vs plain solve wall,
-# (Nt, 24, 96) Hessians, Xeon host, BLAS on one thread: 0.29 MB +6 %,
-# 0.59 MB -1 %, 1.2 MB -23 %, 2.4 MB -28 %, 4.8 MB -19 % ((16, 6, 12): +18 %).
-_LOWER_MIN_SPECTRUM_BYTES = 1 << 20
 
 
 def _owner(operator) -> Optional[LinearOperator]:
     """The :class:`LinearOperator` a CG callable is — the operator itself
-    or its bound ``apply`` — or ``None`` for any other callable."""
+    or its bound ``apply`` / ``apply_block`` — or ``None`` for any other
+    callable."""
     owner = operator if isinstance(operator, LinearOperator) else getattr(operator, "__self__", None)
-    return owner if isinstance(owner, LinearOperator) and operator in (owner, owner.apply) else None
+    if not isinstance(owner, LinearOperator):
+        return None
+    return owner if operator in (owner, owner.apply, owner.apply_block) else None
 
 
 def _lowered(owner: Optional[LinearOperator]) -> Optional[LinearOperator]:
     """``owner`` at ``ddsdd`` if it is all-double on one engine whose
     spectrum is worth halving and whose lowered error is in budget."""
-    if owner is None or owner.config != _DOUBLE or not isinstance(owner.engine, FFTMatvec):
-        return None
-    eng = owner.engine
-    if eng.n_freq * eng.nd * eng.nm * np.dtype(np.complex128).itemsize < _LOWER_MIN_SPECTRUM_BYTES:
+    eng = None if owner is None else _large_double_engine(owner)
+    if eng is None:
         return None
     kappa = eng.condition_number_hat()
     bound = sum(
@@ -146,15 +173,48 @@ def _lowered(owner: Optional[LinearOperator]) -> Optional[LinearOperator]:
     return owner.at(_LOWERED) if bound <= _REPLACE_DROP else None
 
 
+def _preconditioner(owner: Optional[LinearOperator], resume) -> Optional[LinearOperator]:
+    """The M a solve runs with: ``owner``'s, except that a state saved
+    by an unpreconditioned loop resumes in that loop."""
+    M = None if owner is None else owner.preconditioner
+    if resume is None:
+        return M
+    if resume.preconditioned and M is None:
+        raise ReproError(
+            "the resume state was saved by a preconditioned solve; "
+            "resume it on the operator that saved it"
+        )
+    return M if resume.preconditioned else None
+
+
+def _preconditioner_breakdown(rz, where: str, state) -> CGBreakdownError:
+    """The breakdown an ``<r, M r>`` that is not positive signals: NaN /
+    Inf from M is ``rho_breakdown``, a non-positive value ``non_spd``."""
+    rz = np.atleast_1d(rz)
+    if not np.all(np.isfinite(rz)):
+        return CGBreakdownError(
+            "rho_breakdown",
+            f"<r, M r> went non-finite {where}; the preconditioner returned NaN/Inf",
+            state=state,
+        )
+    return CGBreakdownError(
+        "non_spd",
+        f"<r, M r> = {float(np.min(rz)):g} {where}; the preconditioner is not SPD",
+        state=state,
+    )
+
+
 @dataclass
 class CGState:
     """Exact vector-CG state at an iteration boundary.
 
     Everything the recurrence reads: restarting from a state and running
     iteration ``iteration + 1`` onward performs the same floating-point
-    operations, in the same order, as the uninterrupted solve.  ``anchor``
-    is the norm of the last replaced (double) residual, ``escalated``
-    whether the iteration has left its lowered operator.
+    operations, in the same order, as the uninterrupted solve.  ``rs`` is
+    ``<r, z>`` (``<r, r>`` when not preconditioned), ``anchor`` the norm
+    of the last replaced (double) residual, ``escalated`` whether the
+    iteration has left its lowered operator, ``preconditioned`` whether
+    the loop applies M.
     """
 
     x: np.ndarray
@@ -167,6 +227,7 @@ class CGState:
     anchor: float
     escalated: bool = False
     exact_applies: int = 0
+    preconditioned: bool = False
 
     def copy(self) -> "CGState":
         """Deep copy — resuming never aliases the caller's snapshot."""
@@ -181,7 +242,7 @@ class CGState:
             "r": self.r,
             "p": self.p,
             "scalars": np.array([self.rs, self.bnorm, self.anchor, self.escalated,
-                                 self.exact_applies], dtype=np.float64),
+                                 self.exact_applies, self.preconditioned], dtype=np.float64),
             "norms": np.asarray(self.norms, dtype=np.float64),
             "iteration": np.array(self.iteration, dtype=np.int64),
         }
@@ -189,18 +250,21 @@ class CGState:
     @classmethod
     def from_arrays(cls, arrays: Dict[str, np.ndarray]) -> "CGState":
         """Rebuild from :meth:`to_arrays` output (checkpoint load path).
-        A two-scalar state is a plain loop's: anchored at its initial
-        residual, one exact apply per iteration plus that residual's."""
+        A state with fewer than six scalars is an unpreconditioned loop's;
+        one with two a plain loop's: anchored at its initial residual, one
+        exact apply per iteration plus that residual's."""
         scalars = [float(v) for v in np.asarray(arrays["scalars"], dtype=np.float64)]
         norms = [float(v) for v in np.asarray(arrays["norms"])]
         iteration = int(np.asarray(arrays["iteration"]).reshape(-1)[0])
-        anchor, escalated, exact = (scalars[2:] or [norms[0], 0.0, iteration + 1])
+        tail = (scalars[2:] or [norms[0], 0.0, iteration + 1]) + [0.0]
+        anchor, escalated, exact, preconditioned = tail[:4]
         return cls(
             x=np.asarray(arrays["x"], dtype=np.float64).copy(),
             r=np.asarray(arrays["r"], dtype=np.float64).copy(),
             p=np.asarray(arrays["p"], dtype=np.float64).copy(),
             rs=scalars[0], bnorm=scalars[1], norms=norms, iteration=iteration,
             anchor=anchor, escalated=bool(escalated), exact_applies=int(exact),
+            preconditioned=bool(preconditioned),
         )
 
 
@@ -233,11 +297,15 @@ def conjugate_gradient(
     residual replacement (module docstring); non-positive curvature from
     it, or a replaced residual that did not contract (the direction then
     restarts from it), switches the rest of the solve to ``operator``.
+    An ``operator`` with a ``preconditioner`` runs preconditioned CG
+    (module docstring); ``<r, M r>`` non-finite raises ``rho_breakdown``,
+    non-positive ``non_spd``.
     """
     b = np.asarray(rhs, dtype=np.float64)
     _check_options(checkpoint_every, stagnation_window)
     owner = _owner(operator)
     lowered = _lowered(owner)
+    M = _preconditioner(owner, resume)
     iterated = owner if lowered is None else lowered
     iteration_config = None if iterated is None or iterated.config is None else str(iterated.config)
     n_exact = 0
@@ -264,7 +332,7 @@ def conjugate_gradient(
 
         # From zero r is b exactly: the replacing loop spares that apply.
         r = b.copy() if x0 is None and lowered is not None else b - exact(x)
-        p = r.copy()
+        p = r.copy() if M is None else None  # z = M r once r is known unconverged
         rs = _dot(r, r)
         bnorm = float(np.linalg.norm(b))
         if bnorm == 0.0:
@@ -278,10 +346,16 @@ def conjugate_gradient(
         return CGResult(
             x=x, converged=converged, iterations=iterations, residual_norms=norms,
             iteration_config=iteration_config, exact_applies=n_exact, escalated=escalated,
+            preconditioned=M is not None,
         )
 
     if norms[-1] <= tol * bnorm:
         return _result(True, start)
+    if p is None:
+        p = M.apply(r)
+        rs = _dot(r, p)
+        if not rs > 0.0:
+            raise _preconditioner_breakdown(rs, "at the start", None)
 
     def _snapshot(iteration: int) -> CGState:
         # x/r/p are rebound (never mutated in place) each iteration, so
@@ -289,7 +363,7 @@ def conjugate_gradient(
         return CGState(
             x=x.copy(), r=r.copy(), p=p.copy(), rs=rs, bnorm=bnorm,
             norms=list(norms), iteration=iteration, anchor=anchor,
-            escalated=escalated, exact_applies=n_exact,
+            escalated=escalated, exact_applies=n_exact, preconditioned=M is not None,
         )
 
     for it in range(start + 1, maxiter + 1):
@@ -317,14 +391,14 @@ def conjugate_gradient(
         x_prev, r_prev = x, r
         x = x + alpha * p
         r = r - alpha * Ap
-        rs_new = _dot(r, r)
-        replaced = lowered is not None and np.isfinite(rs_new) and (
-            np.sqrt(rs_new) <= max(_REPLACE_DROP * anchor, tol * bnorm)
+        rr = _dot(r, r)
+        replaced = lowered is not None and np.isfinite(rr) and (
+            np.sqrt(rr) <= max(_REPLACE_DROP * anchor, tol * bnorm)
         )
         if replaced:
             r = b - exact(x)
-            rs_new = _dot(r, r)
-        if not np.isfinite(rs_new):
+            rr = _dot(r, r)
+        if not np.isfinite(rr):
             x, r = x_prev, r_prev  # discard the poisoned update
             raise CGBreakdownError(
                 "rho_breakdown",
@@ -332,20 +406,29 @@ def conjugate_gradient(
                 "the operator returned NaN/Inf",
                 state=_snapshot(it - 1),
             )
-        norms.append(float(np.sqrt(rs_new)))
-        if callback is not None:
-            callback(it, norms[-1])
+        norm = float(np.sqrt(rr))
         # With replacement on, a residual this small was just replaced.
-        if norms[-1] <= tol * bnorm:
+        done = norm <= tol * bnorm
+        z, rz = r, rr
+        if M is not None and not done:
+            z = M.apply(r)
+            rz = _dot(r, z)
+            if not rz > 0.0:
+                x, r = x_prev, r_prev
+                raise _preconditioner_breakdown(rz, f"at iter {it}", _snapshot(it - 1))
+        norms.append(norm)
+        if callback is not None:
+            callback(it, norm)
+        if done:
             return _result(True, it)
         # No contraction condemns the lowered operator and its directions.
-        restart = replaced and norms[-1] >= anchor and iterate is not exact
+        restart = replaced and norm >= anchor and iterate is not exact
         if restart:
             iterate, escalated = exact, True
         if replaced:
-            anchor = norms[-1]
-        p = r if restart else r + (rs_new / rs) * p
-        rs = rs_new
+            anchor = norm
+        p = z if restart else z + (rz / rs) * p
+        rs = rz
         if (
             stagnation_window is not None
             and len(norms) > stagnation_window
@@ -369,12 +452,15 @@ def conjugate_gradient(
 
 @dataclass
 class BlockCGResult:
-    """Outcome of a blocked multi-RHS CG solve."""
+    """Outcome of a blocked multi-RHS CG solve: also the blocked applies
+    of the operator as given and whether the solve ran preconditioned."""
 
     X: np.ndarray
     converged: np.ndarray  # (k,) bool, per column
     iterations: int
     residual_norms: List[np.ndarray] = field(default_factory=list)  # (k,) per iter
+    exact_applies: int = 0
+    preconditioned: bool = False
 
     @property
     def all_converged(self) -> bool:
@@ -395,7 +481,8 @@ def _col_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass
 class BlockCGState:
-    """Exact block-CG state at an iteration boundary (see :class:`CGState`)."""
+    """Exact block-CG state at an iteration boundary (see :class:`CGState`;
+    ``rs`` holds each column's ``<r, z>``)."""
 
     X: np.ndarray
     R: np.ndarray
@@ -405,18 +492,15 @@ class BlockCGState:
     converged: np.ndarray  # (k,) bool
     norms: List[np.ndarray]  # (k,) per recorded iteration, incl. iter 0
     iteration: int
+    exact_applies: int = 0
+    preconditioned: bool = False
 
     def copy(self) -> "BlockCGState":
         """Deep copy — resuming never aliases the caller's snapshot."""
-        return BlockCGState(
-            X=self.X.copy(),
-            R=self.R.copy(),
-            P=self.P.copy(),
-            rs=self.rs.copy(),
-            bnorm=self.bnorm.copy(),
-            converged=self.converged.copy(),
+        return replace(
+            self, X=self.X.copy(), R=self.R.copy(), P=self.P.copy(), rs=self.rs.copy(),
+            bnorm=self.bnorm.copy(), converged=self.converged.copy(),
             norms=[n.copy() for n in self.norms],
-            iteration=self.iteration,
         )
 
     def to_arrays(self) -> Dict[str, np.ndarray]:
@@ -430,12 +514,17 @@ class BlockCGState:
             "converged": self.converged,
             "norms": np.stack(self.norms, axis=0),
             "iteration": np.array(self.iteration, dtype=np.int64),
+            "exact_applies": np.array(self.exact_applies, dtype=np.int64),
+            "preconditioned": np.array(self.preconditioned),
         }
 
     @classmethod
     def from_arrays(cls, arrays: Dict[str, np.ndarray]) -> "BlockCGState":
-        """Rebuild from :meth:`to_arrays` output (checkpoint load path)."""
+        """Rebuild from :meth:`to_arrays` output (checkpoint load path).
+        A state without the last two arrays is an unpreconditioned loop's,
+        with one apply per iteration plus the initial residual's."""
         norms = np.asarray(arrays["norms"], dtype=np.float64)
+        iteration = int(np.asarray(arrays["iteration"]).reshape(-1)[0])
         return cls(
             X=np.asarray(arrays["X"], dtype=np.float64).copy(),
             R=np.asarray(arrays["R"], dtype=np.float64).copy(),
@@ -444,8 +533,19 @@ class BlockCGState:
             bnorm=np.asarray(arrays["bnorm"], dtype=np.float64).copy(),
             converged=np.asarray(arrays["converged"], dtype=bool).copy(),
             norms=[norms[i].copy() for i in range(norms.shape[0])],
-            iteration=int(np.asarray(arrays["iteration"]).reshape(-1)[0]),
+            iteration=iteration,
+            exact_applies=int(np.asarray(arrays.get("exact_applies", iteration + 1))),
+            preconditioned=bool(np.asarray(arrays.get("preconditioned", False))),
         )
+
+
+def _undo_update(X: np.ndarray, R: np.ndarray, P: np.ndarray, alpha, scratch) -> None:
+    """Undo an in-place ``X += alpha P; R -= alpha A P`` so a snapshot
+    holds the last healthy boundary: ``scratch`` still carries
+    ``alpha A P`` (the R update), and P/alpha re-derive the X update."""
+    R += scratch
+    np.multiply(P, alpha, out=scratch)
+    X -= scratch
 
 
 def block_conjugate_gradient(
@@ -480,6 +580,9 @@ def block_conjugate_gradient(
     operator is deterministic — the initialization (including the
     ``R = B - A X`` residual) is *not* recomputed, the stored residual
     recurrence continues exactly.
+
+    An ``operator`` with a ``preconditioner`` runs preconditioned block
+    CG — still exact, M applied to each column alone (module docstring).
     """
     B = np.asarray(rhs, dtype=np.float64)
     if B.ndim < 2:
@@ -487,7 +590,14 @@ def block_conjugate_gradient(
             f"block CG needs a (..., k) multi-RHS array, got shape {B.shape}"
         )
     _check_options(checkpoint_every, stagnation_window)
-    k = B.shape[-1]
+    M = _preconditioner(_owner(operator), resume)
+
+    def _result(iterations: int) -> BlockCGResult:
+        return BlockCGResult(
+            X=X, converged=converged, iterations=iterations, residual_norms=norms,
+            exact_applies=n_exact, preconditioned=M is not None,
+        )
+
     if resume is not None:
         if resume.X.shape != B.shape:
             raise ReproError(
@@ -496,18 +606,17 @@ def block_conjugate_gradient(
         state = resume.copy()
         X, R, P = state.X, state.R, state.P
         rs, bnorm, converged = state.rs, state.bnorm, state.converged
-        norms = state.norms
+        norms, n_exact = state.norms, state.exact_applies
         start = state.iteration
         if np.all(converged):
-            return BlockCGResult(
-                X=X, converged=converged, iterations=start, residual_norms=norms
-            )
+            return _result(start)
     else:
         X = np.zeros_like(B) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
         if X.shape != B.shape:
             raise ReproError(f"x0 shape {X.shape} != rhs shape {B.shape}")
 
         R = B - operator(X)
+        n_exact = 1
         bnorm = np.sqrt(_col_dots(B, B))
         # Zero RHS columns are solved by zeros immediately; reset their
         # iterate AND residual so a nonzero x0 cannot leak a stale residual
@@ -515,15 +624,19 @@ def block_conjugate_gradient(
         zero_rhs = bnorm == 0.0
         X[..., zero_rhs] = 0.0
         R[..., zero_rhs] = 0.0
-        P = R.copy()
         rs = _col_dots(R, R)
 
         norms = [np.sqrt(rs)]
         converged = zero_rhs | (norms[0] <= tol * bnorm)
         if np.all(converged):
-            return BlockCGResult(
-                X=X, converged=converged, iterations=0, residual_norms=norms
-            )
+            return _result(0)
+        if M is None:
+            P = R.copy()
+        else:
+            P = M.apply_block(R)
+            rs = _col_dots(R, P)
+            if not np.all(rs[~converged] > 0.0):
+                raise _preconditioner_breakdown(rs[~converged], "at the start", None)
         P[..., converged] = 0.0
         start = 0
 
@@ -537,6 +650,7 @@ def block_conjugate_gradient(
             X=X.copy(), R=R.copy(), P=P.copy(), rs=rs.copy(),
             bnorm=bnorm.copy(), converged=converged.copy(),
             norms=[n.copy() for n in norms], iteration=iteration,
+            exact_applies=n_exact, preconditioned=M is not None,
         )
 
     for it in range(start + 1, maxiter + 1):
@@ -544,6 +658,7 @@ def block_conjugate_gradient(
         # operator action does no stale work on their behalf.
         active = ~converged
         AP = operator(P)
+        n_exact += 1
         curvature = _col_dots(P, AP)
         if not np.all(np.isfinite(curvature[active])):
             raise CGBreakdownError(
@@ -565,38 +680,39 @@ def block_conjugate_gradient(
         X += scratch
         np.multiply(AP, alpha, out=scratch)
         R -= scratch
-        rs_new = _col_dots(R, R)
-        if not np.all(np.isfinite(rs_new[active])):
-            # Undo the poisoned in-place update so the snapshot holds
-            # the last healthy boundary: scratch still carries AP*alpha
-            # (the R update), and P/alpha re-derive the X update.
-            R += scratch
-            np.multiply(P, alpha, out=scratch)
-            X -= scratch
+        rr = _col_dots(R, R)
+        if not np.all(np.isfinite(rr[active])):
+            _undo_update(X, R, P, alpha, scratch)  # discard the poisoned update
             raise CGBreakdownError(
                 "rho_breakdown",
                 f"block CG residual norm went non-finite at iter {it}; "
                 "the operator returned NaN/Inf",
                 state=_snapshot(it - 1),
             )
-        norms.append(np.where(active, np.sqrt(rs_new), norms[-1]))
+        norm = np.where(active, np.sqrt(rr), norms[-1])
+        done = converged | (active & (norm <= tol * bnorm))
+        Z, rz = R, rr
+        if M is not None and not np.all(done):
+            Z = M.apply_block(R)
+            rz = _col_dots(R, Z)
+            if not np.all(rz[~done] > 0.0):
+                _undo_update(X, R, P, alpha, scratch)
+                raise _preconditioner_breakdown(rz[~done], f"at iter {it}", _snapshot(it - 1))
+        norms.append(norm)
         if callback is not None:
-            callback(it, norms[-1])
-        newly_done = active & (norms[-1] <= tol * bnorm)
-        converged = converged | newly_done
+            callback(it, norm)
+        converged = done
         if np.all(converged):
-            return BlockCGResult(
-                X=X, converged=converged, iterations=it, residual_norms=norms
-            )
+            return _result(it)
         beta = np.where(
-            ~converged, rs_new / np.where(rs > 0, rs, 1.0), 0.0
+            ~converged, rz / np.where(rs > 0, rs, 1.0), 0.0
         )
-        # P <- R + beta*P for active columns, zero for frozen ones
-        # (beta is already zero there; only the += R needs undoing).
+        # P <- Z + beta*P for active columns, zero for frozen ones
+        # (beta is already zero there; only the += Z needs undoing).
         np.multiply(P, beta, out=P)
-        P += R
+        P += Z
         P[..., converged] = 0.0
-        rs = rs_new
+        rs = rz
         if stagnation_window is not None and len(norms) > stagnation_window:
             still = ~converged
             if np.all(norms[-1][still] >= norms[-1 - stagnation_window][still]):
@@ -613,6 +729,4 @@ def block_conjugate_gradient(
         ):
             checkpoint(_snapshot(it))
 
-    return BlockCGResult(
-        X=X, converged=converged, iterations=maxiter, residual_norms=norms
-    )
+    return _result(maxiter)

@@ -89,13 +89,16 @@ def operator_fingerprint(
 
 
 def _single_engine_bytes(engine: FFTMatvec) -> int:
-    """Resident bytes of one single-device engine (spectra + arena)."""
+    """Resident bytes of one single-device engine (spectra, the
+    preconditioner factor once a solve built it, arena)."""
     be = engine.backend
     total = int(engine._fhat_host.nbytes)
     for cached in engine._fhat.values():
         total += int(be.nbytes(cached))
     for cached in engine._fhat_conj.values():
         total += int(be.nbytes(cached))
+    if engine._gram is not None:
+        total += int(engine._gram.B.nbytes)
     if engine.workspace is not None:
         total += int(engine.workspace.nbytes)
     return total
@@ -105,8 +108,8 @@ def engine_footprint(engine: Engine) -> int:
     """Modeled resident bytes of a built engine.
 
     Counts what eviction would actually reclaim: the host spectrum, the
-    per-precision backend spectrum copies (plain and conjugated), and
-    the workspace arena(s).  For :class:`ParallelFFTMatvec` this sums
+    per-precision backend spectrum copies (plain and conjugated), the
+    preconditioner factor ``B``, and the workspace arena(s).  For :class:`ParallelFFTMatvec` this sums
     every rank engine plus the grid-level staging arena — the cache
     budget covers the whole simulated machine's share, matching
     :meth:`~repro.core.parallel.ParallelFFTMatvec.workspace_report`.
@@ -237,7 +240,8 @@ class EngineCache:
         """Re-measure an entry's footprint and true-up its budget charge.
 
         Engines grow lazily (precision spectrum copies on first use,
-        arena buffers on the first apply of a new shape), so the service
+        arena buffers on the first apply of a new shape, the
+        preconditioner factor on the first admitted solve), so the service
         calls this after every flush.  Growth that no longer fits evicts
         LRU peers; if the engine alone exceeds the whole budget it is
         dropped and :class:`OutOfMemoryError` propagates.  Returns the
