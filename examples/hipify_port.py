@@ -3,8 +3,12 @@
 
 Maintains a single CUDA source for an FFTMatvec-style kernel set, then:
 
-1. builds it for an NVIDIA target (no translation),
-2. builds it for an AMD target (hipified at compile time),
+1. translates the matvec source with hipify-perl,
+2. builds it for an NVIDIA target (no translation) and an AMD target
+   (hipified at compile time), runs each executable through the
+   vendor-agnostic runtime on a matching simulated device, and shows
+   the runtime refusing the CUDA build on an MI300X — the failure mode
+   hipify exists to prevent,
 3. shows the cuTENSOR-permutation problem: translation fails with
    "Not Supported" until a custom kernel override is registered —
    mirroring how the real application replaced cuTENSOR v2 permutation
@@ -15,8 +19,11 @@ Maintains a single CUDA source for an FFTMatvec-style kernel set, then:
 Run:  python examples/hipify_port.py
 """
 
+from repro.gpu.device import SimulatedDevice
+from repro.gpu.kernel import Dim3
 from repro.gpu.specs import A100, MI300X
-from repro.hip import OnTheFlyBuildSystem, UnsupportedAPIError, hipify_perl
+from repro.hip import GPURuntime, OnTheFlyBuildSystem, UnsupportedAPIError, hipify_perl
+from repro.util.validation import ReproError
 
 MATVEC_CU = """\
 #include <cuda_runtime.h>
@@ -57,7 +64,7 @@ print(f"replacements by family: {result.stats.by_family}")
 print("translated snippet:")
 print("\n".join(result.source.splitlines()[:8]))
 
-print("\n=== 2. build for NVIDIA (CUDA as-is) and AMD (hipified) ===")
+print("\n=== 2. build for NVIDIA (CUDA as-is) and AMD (hipified), run each ===")
 build = OnTheFlyBuildSystem(hipify_enabled=True)
 build.add_source("matvec.cu", MATVEC_CU)
 exe_nv = build.build(A100)
@@ -65,6 +72,22 @@ print(f"NVIDIA build ok: arch={exe_nv.arch}, sources={exe_nv.sources}")
 exe_amd = build.build(MI300X)
 print(f"AMD build ok:    arch={exe_amd.arch} "
       f"(hipify invocations so far: {build.hipify_invocations})")
+
+# One complex-double 100 x 5000 matrix of sbgemv_phase, on each runtime.
+A_BYTES = 16 * 100 * 5000
+for exe, spec in ((exe_nv, A100), (exe_amd, MI300X)):
+    rt = GPURuntime(SimulatedDevice(spec), exe)
+    buf = rt.malloc(A_BYTES, tag="A")
+    t_copy = rt.memcpy(A_BYTES, kind="h2d")
+    t_kernel = rt.launch("sbgemv_phase", Dim3(x=5000), Dim3(x=256),
+                         bytes_read=A_BYTES, bytes_written=16 * 5000)
+    rt.free(buf)
+    print(f"{exe.target_vendor} runtime on {spec.name}: h2d {t_copy * 1e6:.1f} us, "
+          f"sbgemv_phase {t_kernel * 1e6:.1f} us")
+try:
+    GPURuntime(SimulatedDevice(MI300X), exe_nv)
+except ReproError as exc:
+    print(f"CUDA build refused on {MI300X.name}: {exc}")
 
 print("\n=== 3. the cuTENSOR permutation problem ===")
 build.add_source("setup.cu", SETUP_CU)

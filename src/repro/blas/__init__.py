@@ -18,7 +18,8 @@ Efficiency curves are calibrated against the %-of-peak annotations of
 Figure 1 (MI300X) and rescaled to other architectures via their
 ``sbgemv_peak_fraction``.  :mod:`repro.blas.dispatch` reproduces the host
 dispatcher whose kernel transition points were "set using the
-benchmarking results", and :mod:`repro.blas.bench` is the
+benchmarking results" (probed from the kernel models, for SBGEMV and
+SBGEMM alike), and :mod:`repro.blas.bench` is the Figure-1
 ``rocblas-bench`` work-alike driven by the same YAML-style configs as
 the paper's artifact.
 """

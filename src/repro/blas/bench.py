@@ -8,28 +8,26 @@ module reproduces that workflow:
 * :func:`parse_bench_yaml` — a parser for the flow-mapping YAML subset
   rocblas-bench configs use (``- {M: 128, N: 4096, transA: T, ...}``),
   so the artifact's actual config format round-trips (no PyYAML offline).
+* :func:`make_fig1_yaml` — Figure 1's SBGEMV sweep in that format.
 * :class:`RocblasBench` — runs each configuration against a chosen kernel
   ("build"), timing on the simulated device over ``iters`` repetitions
   after ``cold_iters`` warmups, and reports GB/s and % of peak.
+* :meth:`RocblasBench.comparison_table` — Figure 1's side-by-side table
+  of the two builds.
 
-The same workflow covers the blocked multi-RHS path: GEMM entries
-(``rocblas_?gemm_strided_batched`` with a ``K`` column count) run the
-SBGEMM kernel pair, so a Figure-1-style comparison — and the measured
-transition-point calibration in :mod:`repro.blas.calibrate` — can be
-produced for the blocked Phase 3 exactly as for the SBGEMV one.
+The dispatcher's SBGEMV transition points come from the same kernel
+models (:mod:`repro.blas.dispatch`), as the paper's Sec. 4.1.1 sets them
+from this benchmark.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
-import numpy as np
-
-from repro.blas.gemm_kernels import OptimizedSBGEMM, RocblasSBGEMM, SBGEMMKernel
 from repro.blas.gemv_kernels import OptimizedSBGEMV, RocblasSBGEMV, SBGEMVKernel
-from repro.blas.types import BlasDatatype, GemmProblem, GemvProblem, Operation
+from repro.blas.types import BlasDatatype, GemvProblem, Operation
 from repro.gpu.specs import GPUSpec, MI300X
 from repro.util.tables import render_table
 from repro.util.validation import ReproError
@@ -38,12 +36,9 @@ __all__ = [
     "parse_bench_yaml",
     "BenchResult",
     "RocblasBench",
-    "make_gemm_bench_yaml",
-    "gemm_problem_from_config",
 ]
 
 _FUNC_RE = re.compile(r"rocblas_([sdcz])gemv_strided_batched")
-_GEMM_FUNC_RE = re.compile(r"rocblas_([sdcz])gemm_strided_batched")
 
 
 def _parse_scalar(token: str) -> Union[int, float, str]:
@@ -104,58 +99,6 @@ def problem_from_config(cfg: Dict) -> GemvProblem:
     )
 
 
-def gemm_problem_from_config(cfg: Dict) -> GemmProblem:
-    """Build a GemmProblem from one rocblas-bench GEMM config entry.
-
-    ``K`` is the RHS-panel width of the blocked path (``B_i`` is
-    ``in_rows x K``), following the same conventions as the GEMV
-    entries: ``transA`` applies to ``A``, strides are implied.
-    """
-    func = str(cfg.get("rocblas_function", ""))
-    m = _GEMM_FUNC_RE.fullmatch(func)
-    if not m:
-        raise ReproError(f"unsupported rocblas_function {func!r}")
-    datatype = BlasDatatype.parse(m.group(1))
-    op = Operation.parse(cfg.get("transA", "N"))
-    if op is Operation.C and not datatype.is_complex:
-        op = Operation.T
-    return GemmProblem(
-        m=int(cfg["M"]),
-        n=int(cfg["N"]),
-        k=int(cfg.get("K", 1)),
-        batch=int(cfg.get("batch_count", 1)),
-        datatype=datatype,
-        operation=op,
-    )
-
-
-def make_gemm_bench_yaml(sizes, datatypes, ks) -> str:
-    """Generate a Figure-1-style rocblas-bench YAML config for SBGEMM.
-
-    Mirrors :func:`make_fig1_yaml`'s conventions (``transA`` T/H per
-    datatype, batch 100) with one entry per (datatype, shape, RHS width
-    ``K``) — the sweep the measured SBGEMM calibration fits transition
-    points from.
-    """
-    lines = []
-    for dt in datatypes:
-        dt = BlasDatatype.parse(dt)
-        trans = "H" if dt.is_complex else "T"
-        func = f"rocblas_{dt.value}gemm_strided_batched"
-        for (m, n) in sizes:
-            for k in ks:
-                lines.append(
-                    "- {"
-                    + f"M: {m}, N: {n}, K: {k}, alpha: 1.0, batch_count: 100, "
-                    + f"beta: 0.0, cold_iters: 2, iters: 10, lda: {m}, "
-                    + f"ldb: {m}, ldc: {n}, rocblas_function: {func}, "
-                    + f"stride_a: {m * n}, stride_b: {m * k}, "
-                    + f"stride_c: {n * k}, transA: {trans}"
-                    + "}"
-                )
-    return "\n".join(lines) + "\n"
-
-
 def make_fig1_yaml(sizes, datatypes) -> str:
     """Generate a Figure-1-style rocblas-bench YAML config.
 
@@ -182,18 +125,16 @@ def make_fig1_yaml(sizes, datatypes) -> str:
 
 @dataclass
 class BenchResult:
-    """One rocblas-bench output row (GEMV or GEMM problem)."""
+    """One rocblas-bench output row."""
 
-    problem: Union[GemvProblem, GemmProblem]
+    problem: GemvProblem
     kernel: str
     seconds: float
     gbytes_per_s: float
     pct_of_peak: float
 
     def _size(self) -> str:
-        k = getattr(self.problem, "k", None)
-        base = f"{self.problem.m}x{self.problem.n}"
-        return base if k is None else f"{base} k={k}"
+        return f"{self.problem.m}x{self.problem.n}"
 
     def row(self) -> List[str]:
         """Cells of this result as one bench-output table row."""
@@ -226,11 +167,6 @@ class RocblasBench:
             return OptimizedSBGEMV()
         return RocblasSBGEMV()
 
-    def _gemm_kernel_for(self, problem: GemmProblem) -> SBGEMMKernel:
-        if self.build == "optimized" and problem.operation.is_transposed:
-            return OptimizedSBGEMM()
-        return RocblasSBGEMM()
-
     def run_problem(self, problem: GemvProblem, iters: int = 10) -> BenchResult:
         """Model-run one configuration; returns the averaged result."""
         kernel = self._kernel_for(problem)
@@ -245,34 +181,12 @@ class RocblasBench:
             pct_of_peak=bw / self.spec.peak_bandwidth,
         )
 
-    def run_gemm_problem(self, problem: GemmProblem, iters: int = 10) -> BenchResult:
-        """Model-run one blocked (multi-RHS) configuration."""
-        kernel = self._gemm_kernel_for(problem)
-        t = kernel.modeled_time(problem, self.spec)
-        bw = problem.total_bytes / t
-        return BenchResult(
-            problem=problem,
-            kernel=kernel.name,
-            seconds=t,
-            gbytes_per_s=bw / 1e9,
-            pct_of_peak=bw / self.spec.peak_bandwidth,
-        )
-
     def run_yaml(self, text: str) -> List[BenchResult]:
-        """Run every configuration in a YAML config string.
-
-        GEMV and GEMM entries may be mixed; each dispatches to the
-        matching kernel pair by its ``rocblas_function``.
-        """
-        out: List[BenchResult] = []
-        for cfg in parse_bench_yaml(text):
-            func = str(cfg.get("rocblas_function", ""))
-            iters = int(cfg.get("iters", 10))
-            if _GEMM_FUNC_RE.fullmatch(func):
-                out.append(self.run_gemm_problem(gemm_problem_from_config(cfg), iters=iters))
-            else:
-                out.append(self.run_problem(problem_from_config(cfg), iters=iters))
-        return out
+        """Run every configuration in a YAML config string."""
+        return [
+            self.run_problem(problem_from_config(cfg), iters=int(cfg.get("iters", 10)))
+            for cfg in parse_bench_yaml(text)
+        ]
 
     @staticmethod
     def comparison_table(

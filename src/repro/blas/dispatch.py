@@ -13,11 +13,9 @@ The blocked multi-RHS path reuses the same machinery: GEMM transition
 points are derived per (datatype, operation, RHS-width bucket) by
 probing the same row counts against the two SBGEMM kernels' modeled
 times, and :meth:`SBGEMVDispatcher.gemm_strided_batched` is the host
-entry point FFTMatvec's ``matmat`` calls.  Model-derived GEMM points
-are a default, not a commitment: :meth:`set_gemm_transition_points`
-installs thresholds fit from *measured* timings
-(:mod:`repro.blas.calibrate` — the Figure-1 workflow applied to the
-SBGEMM pair), after which dispatch keys on the measurements.
+entry point FFTMatvec's ``matmat`` calls.  The model probe in
+:meth:`SBGEMVDispatcher.gemm_transition_point` is the one source of GEMM
+transition points.
 """
 
 from __future__ import annotations
@@ -190,32 +188,6 @@ class SBGEMVDispatcher:
                 best = m
         self._gemm_transition[key] = best
         return best
-
-    def set_gemm_transition_points(
-        self, table: Dict[Tuple[BlasDatatype, Operation, int], int]
-    ) -> None:
-        """Install measured GEMM transition points (calibration hook).
-
-        ``table`` maps ``(datatype, operation, k)`` to the threshold
-        row count ``m*``; k values are normalized to the dispatcher's
-        power-of-two RHS buckets.  Installed entries take precedence
-        over (and suppress) the model-derived probe for their bucket —
-        this is how a Figure-1-style measured calibration replaces the
-        physical efficiency curve.
-        """
-        # Validate/normalize the whole table before mutating, so an
-        # invalid entry cannot leave the dispatcher half-calibrated.
-        staged: Dict[Tuple[BlasDatatype, Operation, int], int] = {}
-        for (datatype, operation, k), m_star in table.items():
-            datatype = BlasDatatype.parse(datatype)
-            operation = Operation.parse(operation)
-            if int(m_star) < 0:
-                raise ReproError(
-                    f"transition point must be >= 0, got {m_star}"
-                )
-            key = (datatype, operation, self._rhs_bucket(int(k)))
-            staged[key] = int(m_star)
-        self._gemm_transition.update(staged)
 
     def select_gemm(
         self, problem: GemmProblem, reduction: str = "fast"

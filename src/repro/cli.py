@@ -15,11 +15,7 @@ Flags follow the artifact appendix:
 * ``-pr / -pc`` — process grid shape (defaults: 1 x p as the paper does
   for small runs); ``-p`` — total simulated GPUs;
 * ``--backend`` — array backend (numpy/cupy/torch/auto; default: the
-  ``REPRO_BACKEND`` environment variable, else the auto fallback chain);
-* ``--serve-bench`` — run the multi-tenant serving benchmark (coalesced
-  vs serve-one; see ``docs/SERVING.md``) with ``--rates``,
-  ``--requests``, ``--tenants``, ``--budget-mb`` and ``--block-k``
-  knobs, reusing ``-nm/-nd/-Nt/-prec/-seed`` for the operator.
+  ``REPRO_BACKEND`` environment variable, else the auto fallback chain).
 
 Timing output format matches the original: three lines of
 setup/total/cleanup, then per-phase times, for the F matvec and then the
@@ -100,120 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="with --pareto: analyze the F* direction instead of F",
     )
-    p.add_argument(
-        "--serve-bench",
-        action="store_true",
-        help="run the multi-tenant serving benchmark (coalesced vs "
-        "serve-one over Poisson request traces) and print the table",
-    )
-    p.add_argument(
-        "--rates",
-        type=str,
-        default="50,2000",
-        help="with --serve-bench: comma-separated arrival rates (req/s)",
-    )
-    p.add_argument(
-        "--requests",
-        type=int,
-        default=240,
-        help="with --serve-bench: requests per trace",
-    )
-    p.add_argument(
-        "--tenants",
-        type=int,
-        default=4,
-        help="with --serve-bench: number of tenants in the trace",
-    )
-    p.add_argument(
-        "--budget-mb",
-        type=float,
-        default=128.0,
-        help="with --serve-bench: engine-cache byte budget (MiB)",
-    )
-    p.add_argument(
-        "--block-k",
-        type=int,
-        default=16,
-        help="with --serve-bench: max coalesced columns per flush",
-    )
     return p
-
-
-def _serve_bench_mode(args) -> int:
-    """--serve-bench: coalesced vs serve-one throughput comparison."""
-    from repro.serve.bench import run_serving_benchmark
-
-    try:
-        rates = tuple(float(r) for r in args.rates.split(",") if r.strip())
-    except ValueError:
-        print(f"error: bad --rates value {args.rates!r}", file=sys.stderr)
-        return 2
-    if not rates or any(r <= 0 for r in rates):
-        print("error: --rates needs positive req/s values", file=sys.stderr)
-        return 2
-    for name, v in (
-        ("-nm", args.nm),
-        ("-nd", args.nd),
-        ("-Nt", args.nt),
-        ("--requests", args.requests),
-        ("--tenants", args.tenants),
-        ("--block-k", args.block_k),
-    ):
-        if v <= 0:
-            print(f"error: {name} must be positive", file=sys.stderr)
-            return 2
-    if args.budget_mb <= 0:
-        print("error: --budget-mb must be > 0", file=sys.stderr)
-        return 2
-
-    artifact = run_serving_benchmark(
-        nt=args.nt,
-        nd=args.nd,
-        nm=args.nm,
-        rates=rates,
-        n_requests=args.requests,
-        tenants=args.tenants,
-        max_block_k=args.block_k,
-        budget_mb=args.budget_mb,
-        config=args.prec,
-        seed=args.seed,
-    )
-    print(
-        f"serving bench  Nm={args.nm} Nd={args.nd} Nt={args.nt} "
-        f"prec={args.prec}  tenants={args.tenants} "
-        f"block_k={args.block_k}"
-    )
-    header = (
-        f"{'rate':>8} {'mode':>10} {'thr r/s':>9} {'p50 ms':>8} "
-        f"{'p99 ms':>8} {'wait ms':>8} {'exec ms':>8} {'batch':>6} {'speedup':>8}"
-    )
-    print(header)
-    for row in artifact["rates"]:
-        for mode in ("coalesced", "serve_one"):
-            stats = row[mode]
-            speed = f"{row['speedup']:.2f}x" if mode == "coalesced" else ""
-            print(
-                f"{row['rate_rps']:>8.0f} {mode:>10} "
-                f"{stats['throughput_rps']:>9.1f} {stats['p50_ms']:>8.2f} "
-                f"{stats['p99_ms']:>8.2f} {stats['queue_wait_p50_ms']:>8.2f} "
-                f"{stats['exec_p50_ms']:>8.2f} {stats['mean_batch']:>6.1f} "
-                f"{speed:>8}"
-            )
-        coalesced = row["coalesced"]
-        gates = (
-            f"         bitwise={coalesced['bitwise_identical']} "
-            f"solves_ok={coalesced['solves_within_tol']} "
-            f"rejected={coalesced['rejected']}"
-        )
-        print(gates)
-    cache = artifact["cache"]
-    print(
-        f"cache: peak {cache['peak_bytes'] / 2**20:.1f} MiB of "
-        f"{cache['budget_bytes'] / 2**20:.0f} MiB budget, "
-        f"{cache['evictions']} evictions, "
-        f"within_budget={cache['within_budget']}"
-    )
-    return 0
 
 
 def _pareto_mode(args) -> int:
@@ -286,8 +169,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.selftest:
         return _self_test(args)
-    if args.serve_bench:
-        return _serve_bench_mode(args)
     if args.pareto is not None:
         if args.pareto <= 0:
             print("error: --pareto tolerance must be positive", file=sys.stderr)

@@ -12,13 +12,13 @@ block vectors.  This package provides:
   FFT plus Bluestein's algorithm for arbitrary lengths; used as an
   independent reference in tests and for the per-precision rounding
   behaviour studies.
-* :mod:`repro.fft.error` — Van Loan-style FFT rounding-error bounds used
-  by the Eq. (6) error model.
+
+The FFT rounding-error term of Eq. (6) lives in
+:mod:`repro.core.error_model`.
 """
 
 from repro.fft.plan import FFTPlan, FFTType, plan_many
 from repro.fft.radix import fft_radix2, ifft_radix2, fft_bluestein, fft_auto
-from repro.fft.error import fft_error_bound, fft_operator_norm
 
 __all__ = [
     "FFTPlan",
@@ -28,6 +28,4 @@ __all__ = [
     "ifft_radix2",
     "fft_bluestein",
     "fft_auto",
-    "fft_error_bound",
-    "fft_operator_norm",
 ]

@@ -17,7 +17,8 @@ CMake.  This package reproduces that workflow in Python:
   described in Section 3.1.
 * :mod:`repro.hip.runtime` — a thin runtime facade (malloc/memcpy/launch)
   that executes translated sources' kernels on a
-  :class:`~repro.gpu.device.SimulatedDevice`, regardless of vendor.
+  :class:`~repro.gpu.device.SimulatedDevice`, regardless of vendor, and
+  refuses an executable built for the other vendor.
 """
 
 from repro.hip.mappings import (

@@ -7,8 +7,9 @@ with the same surface regardless of whether the build was CUDA or HIP.
 This mirrors how the hipified FFTMatvec binary calls hipMalloc etc. and
 the NVIDIA binary calls cudaMalloc, with identical semantics.
 
-Kept by ``ROADMAP.md``: item 7 decides its fate (the CUDA -> HIP port is
-part of the paper, Sec. 3); no example calls the facade yet.
+Kept by ``examples/hipify_port.py``: step 2 runs each build through the
+runtime on a matching device, and shows it refusing the CUDA build on an
+MI300X (the CUDA -> HIP port of the paper, Sec. 3.1).
 """
 
 from __future__ import annotations

@@ -5,16 +5,15 @@ matvec / rmatvec / solve requests against shared operator geometries.
 This package provides the asyncio front end
 (:class:`~repro.serve.service.SolverService` — bounded queue,
 cross-request coalescing into blocked deterministic pipeline passes,
-weighted per-tenant fairness, load-shed backpressure), the byte-budgeted
-engine residency layer (:class:`~repro.serve.cache.EngineCache` — LRU
-over engines + FFT plans + workspace arenas, charged against a
-:class:`~repro.gpu.memory.DeviceAllocator` capacity), and the
-Poisson-arrival benchmark driver
-(:func:`~repro.serve.bench.run_serving_benchmark`).  See
-``docs/SERVING.md`` for the architecture and knobs.
+weighted per-tenant fairness, load-shed backpressure) and the
+byte-budgeted engine residency layer
+(:class:`~repro.serve.cache.EngineCache` — LRU over engines + FFT plans
++ workspace arenas, charged against a
+:class:`~repro.gpu.memory.DeviceAllocator` capacity).  The serving load
+generator is ``bench/wl_serve.py`` (the ``serve_applies`` workload).
+See ``docs/SERVING.md`` for the architecture and knobs.
 """
 
-from repro.serve.bench import run_serving_benchmark
 from repro.serve.cache import (
     CacheStats,
     EngineCache,
@@ -43,7 +42,6 @@ __all__ = [
     "CacheStats",
     "engine_footprint",
     "operator_fingerprint",
-    "run_serving_benchmark",
     "ServeError",
     "ServiceClosedError",
     "ServiceOverloadedError",

@@ -51,6 +51,9 @@ grow lazily) so LRU eviction sees honest numbers.  All engine work runs
 on one executor thread, which serializes applies per arena — the
 :class:`~repro.util.workspace.Workspace` re-entrancy guard would raise
 otherwise — while the event loop stays free to accept requests.
+
+Kept by ``bench/wl_serve.py``: the ``serve_applies`` workload, the one
+serving load generator, drives this service end to end.
 """
 
 from __future__ import annotations

@@ -5,9 +5,7 @@ import pytest
 from repro.blas.bench import (
     BenchResult,
     RocblasBench,
-    gemm_problem_from_config,
     make_fig1_yaml,
-    make_gemm_bench_yaml,
     parse_bench_yaml,
     problem_from_config,
 )
@@ -124,46 +122,14 @@ class TestBench:
         with pytest.raises(ReproError):
             RocblasBench.comparison_table(old, new)
 
-
-class TestGemmBench:
-    def test_gemm_config_round_trip(self):
-        yaml_text = make_gemm_bench_yaml([(128, 1024)], ["z"], [4])
-        cfg = parse_bench_yaml(yaml_text)[0]
-        prob = gemm_problem_from_config(cfg)
-        assert (prob.m, prob.n, prob.k) == (128, 1024, 4)
-        assert prob.datatype is BlasDatatype.Z
-        assert prob.operation is Operation.C
-        assert prob.batch == 100
-
-    def test_gemm_real_datatype_uses_transpose(self):
-        yaml_text = make_gemm_bench_yaml([(256, 2048)], ["d"], [8])
-        prob = gemm_problem_from_config(parse_bench_yaml(yaml_text)[0])
-        assert prob.operation is Operation.T
-
-    def test_gemv_config_rejected_by_gemm_parser(self):
-        cfg = parse_bench_yaml(make_fig1_yaml([(128, 4096)], ["z"]))[0]
-        with pytest.raises(ReproError):
-            gemm_problem_from_config(cfg)
-
-    def test_mixed_yaml_dispatches_per_entry(self):
-        text = (
-            make_fig1_yaml([(128, 4096)], ["z"])
-            + make_gemm_bench_yaml([(128, 1024)], ["z"], [8])
+    @pytest.mark.parametrize("dt", "sdcz")
+    def test_gemm_entry_is_refused(self, dt):
+        # The bench runs Figure 1's SBGEMV configs only: an SBGEMM entry is
+        # an unsupported function, not a row silently run as a GEMV.
+        text = make_fig1_yaml([(128, 4096)], [dt]) + (
+            "- {M: 128, N: 1024, K: 8, batch_count: 100, "
+            f"rocblas_function: rocblas_{dt}gemm_strided_batched, transA: T}}\n"
         )
-        results = RocblasBench(MI300X, build="optimized").run_yaml(text)
-        assert results[0].kernel == "optimized_sbgemv"
-        assert results[1].kernel == "optimized_sbgemm"
+        with pytest.raises(ReproError, match="unsupported rocblas_function"):
+            RocblasBench(MI300X, build="optimized").run_yaml(text)
 
-    def test_gemm_builds_differ_and_optimized_wins_short_wide(self):
-        yaml_text = make_gemm_bench_yaml([(128, 1024)], ["z"], [8])
-        old = RocblasBench(MI300X, build="rocblas").run_yaml(yaml_text)[0]
-        new = RocblasBench(MI300X, build="optimized").run_yaml(yaml_text)[0]
-        assert old.kernel == "rocblas_sbgemm"
-        assert new.gbytes_per_s > old.gbytes_per_s
-
-    def test_gemm_comparison_table_includes_k(self):
-        y = make_gemm_bench_yaml([(128, 1024)], ["z"], [8])
-        old = RocblasBench(MI300X, build="rocblas").run_yaml(y)
-        new = RocblasBench(MI300X, build="optimized").run_yaml(y)
-        table = RocblasBench.comparison_table(old, new)
-        assert "128x1024 k=8" in table

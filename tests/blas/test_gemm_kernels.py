@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.blas.dispatch import SBGEMVDispatcher
+from repro.blas.dispatch import _PROBE_ROWS, _PROBE_SKEW, SBGEMVDispatcher
 from repro.blas.gemm_kernels import (
     OptimizedSBGEMM,
     RocblasSBGEMM,
@@ -12,7 +12,7 @@ from repro.blas.gemm_kernels import (
 from repro.blas.gemv_kernels import gemv_strided_batched_reference
 from repro.blas.types import BlasDatatype, GemmProblem, Operation
 from repro.gpu.device import SimulatedDevice
-from repro.gpu.specs import MI250X_GCD, MI300X
+from repro.gpu.specs import MI250X_GCD, MI300X, get_gpu
 from repro.util.validation import ReproError
 
 
@@ -156,3 +156,33 @@ class TestDispatcherGemm:
                 + disp.dispatch_counts[disp.optimized.name]) == 1
         assert disp.dispatch_counts[disp.rocblas_gemm.name] == 0
         assert disp.dispatch_counts[disp.optimized_gemm.name] == 0
+
+    @pytest.mark.parametrize("dt", "sdcz")
+    @pytest.mark.parametrize("gpu", ["MI250X", "MI300X", "MI355X"])
+    def test_transition_points_are_the_model_probe(self, gpu, dt):
+        # The probe is the one source of GEMM transition points: no table
+        # can be installed over it.  Per RHS bucket the point is the
+        # largest probed row count whose short-and-wide problem the
+        # optimized SBGEMM models faster, and dispatch at the probe shapes
+        # follows it.
+        spec = get_gpu(gpu)
+        disp = SBGEMVDispatcher(spec)
+        assert not hasattr(disp, "set_gemm_transition_points")
+        datatype = BlasDatatype.parse(dt)
+        op = Operation.C if datatype.is_complex else Operation.T
+        for k in (2, 4, 8, 16, 64):
+            probes = [
+                GemmProblem(m=m, n=m * _PROBE_SKEW, k=k, batch=100,
+                            datatype=datatype, operation=op)
+                for m in _PROBE_ROWS
+            ]
+            wins = [
+                p.m for p in probes
+                if disp.optimized_gemm.modeled_time(p, spec)
+                < disp.rocblas_gemm.modeled_time(p, spec)
+            ]
+            point = disp.gemm_transition_point(dt, op, k)
+            assert point == max(wins, default=0), k
+            for p in probes:
+                want = disp.optimized_gemm if p.m <= point else disp.rocblas_gemm
+                assert disp.select_gemm(p) is want, (k, p.m)

@@ -12,7 +12,8 @@ from repro.core.error_model import (
 from repro.core.matvec import FFTMatvec
 from repro.core.precision import PrecisionConfig
 from repro.core.toeplitz import BlockTriangularToeplitz
-from repro.util.dtypes import fill_low_mantissa
+from repro.fft.radix import fft_radix2
+from repro.util.dtypes import Precision, fill_low_mantissa
 
 from tests.conftest import rel_err
 
@@ -76,6 +77,18 @@ class TestStructure:
         t2 = phase_error_terms("dsddd", nt=1 << 20, nm=10, nd=10)["fft"]
         assert t2 == pytest.approx(2 * t1)
 
+    def test_ifft_term_log_nt(self):
+        t1 = phase_error_terms("dddsd", nt=1 << 10, nm=10, nd=10)["ifft"]
+        t2 = phase_error_terms("dddsd", nt=1 << 20, nm=10, nd=10)["ifft"]
+        assert t2 == pytest.approx(2 * t1)
+
+    @pytest.mark.parametrize("phase,single", [("fft", "dsddd"), ("ifft", "dddsd")])
+    def test_transform_terms_scale_with_eps(self, phase, single):
+        # Only the phase's own precision moves its term: eps_s / eps_d.
+        ts = phase_error_terms(single, nt=1024, nm=10, nd=10)[phase]
+        td = phase_error_terms("ddddd", nt=1024, nm=10, nd=10)[phase]
+        assert ts / td == pytest.approx(2.0**29)
+
     def test_custom_params(self):
         params = ErrorModelParams(c_sbgemv=10.0)
         t = phase_error_terms("ddsdd", nt=10, nm=100, nd=10, params=params)
@@ -117,6 +130,21 @@ class TestEmpiricalDomination:
             assert measured <= relative_error_bound(
                 cfg, nt=nt, nm=nm, nd=nd, kappa=kappa
             )
+
+    @pytest.mark.parametrize("phase", ["fft", "ifft"])
+    @pytest.mark.parametrize("n", [2, 16, 256, 4096])
+    def test_fft_terms_dominate_measured_transform_error(self, n, phase, rng):
+        # Van Loan's c * eps * log2(n) at the model's own constants: a
+        # single-precision radix-2 FFT / IFFT of length n stays inside the
+        # "fft" / "ifft" term the model charges that phase at Nt = n.
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        if phase == "fft":
+            cfg, inverse, exact = "dsddd", False, np.fft.fft(x)
+        else:
+            cfg, inverse, exact = "dddsd", True, np.fft.ifft(x) * n
+        approx = fft_radix2(x, precision=Precision.SINGLE, inverse=inverse)
+        measured = np.linalg.norm(approx - exact) / np.linalg.norm(exact)
+        assert measured <= phase_error_terms(cfg, nt=n, nm=1, nd=1)[phase]
 
     def test_adjoint_bound_dominates(self):
         rng = np.random.default_rng(7)

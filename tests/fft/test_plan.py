@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.fft.error import fft_error_bound
+from repro.core.error_model import phase_error_terms
 from repro.fft.plan import FFTPlan, FFTType, plan_many
 from repro.gpu.device import SimulatedDevice
-from repro.util.dtypes import Precision, machine_eps
+from repro.util.dtypes import Precision, complex_dtype, machine_eps, real_dtype
 from repro.util.validation import ReproError
 
 
@@ -64,7 +64,8 @@ class TestForward:
         assert not np.array_equal(got, exact.astype(got.dtype))
         err = np.linalg.norm(got - exact) / np.linalg.norm(exact)
         eps = machine_eps(Precision.SINGLE)
-        assert eps / 4 <= err <= fft_error_bound(n, Precision.SINGLE)
+        phase, cfg = ("ifft", "dddsd") if kind == "C2R" else ("fft", "dsddd")
+        assert eps / 4 <= err <= phase_error_terms(cfg, nt=n, nm=1, nd=1)[phase]
 
     def test_double_plans_are_the_numpy_transform_bitwise(self, rng):
         # The provider split is by dtype: double plans never left np.fft.
@@ -143,6 +144,42 @@ class TestInverse:
         plan = FFTPlan(64, 2, FFTType.Z2D)
         with pytest.raises(ReproError):
             plan.inverse(np.ones((2, 64), dtype=np.complex128))  # needs half_len
+
+
+class TestOperatorNorms:
+    """The Van Loan facts Eq. (6) rests on: the unnormalized DFT scales
+    every vector's 2-norm by sqrt(n), and so does the cuFFT-style
+    unnormalized inverse."""
+
+    COMPLEX = [(FFTType.Z2Z, 1e-12), (FFTType.C2C, 1e-5)]
+
+    @pytest.mark.parametrize("fft_type,rtol", COMPLEX, ids=["Z2Z", "C2C"])
+    def test_forward_scales_norm_by_sqrt_n(self, rng, fft_type, rtol):
+        n, batch = 2000, 3
+        x = rng.standard_normal((batch, n)) + 1j * rng.standard_normal((batch, n))
+        x = x.astype(complex_dtype(fft_type.precision))
+        X = FFTPlan(n, batch, fft_type).execute(x)
+        np.testing.assert_allclose(
+            np.linalg.norm(X, axis=1), np.sqrt(n) * np.linalg.norm(x, axis=1), rtol=rtol
+        )
+
+    @pytest.mark.parametrize("fft_type,rtol", COMPLEX, ids=["Z2Z", "C2C"])
+    def test_unnormalized_inverse_scales_norm_by_sqrt_n(self, rng, fft_type, rtol):
+        n, batch = 2000, 3
+        X = rng.standard_normal((batch, n)) + 1j * rng.standard_normal((batch, n))
+        X = X.astype(complex_dtype(fft_type.precision))
+        x = FFTPlan(n, batch, fft_type).inverse(X)
+        np.testing.assert_allclose(
+            np.linalg.norm(x, axis=1), np.sqrt(n) * np.linalg.norm(X, axis=1), rtol=rtol
+        )
+
+    @pytest.mark.parametrize("fft_type", [FFTType.D2Z, FFTType.R2C], ids=["D2Z", "R2C"])
+    def test_constant_vector_lands_in_bin_zero(self, fft_type):
+        # All of a constant input's energy goes to the DC bin: X[0] = n.
+        n = 128
+        X = FFTPlan(n, 1, fft_type).execute(np.ones(n, dtype=real_dtype(fft_type.precision)))
+        assert X[0, 0] == n
+        assert np.all(np.abs(X[0, 1:]) < 1e-3)
 
 
 class TestDeviceCharging:

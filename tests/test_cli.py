@@ -121,29 +121,24 @@ class TestParetoMode:
         assert main(["--pareto", "-1"]) == 2
 
 
-class TestServeBenchMode:
-    def test_serve_bench_runs_and_prints_table(self, capsys):
-        rc = main(
-            ["--serve-bench", "-Nt", "16", "-nd", "4", "-nm", "24",
-             "--requests", "24", "--rates", "2000", "--tenants", "2"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "coalesced" in out and "serve_one" in out
-        assert "wait ms" in out and "exec ms" in out  # where the median went
-        assert "window" not in out
-        assert "bitwise=True" in out
-        assert "within_budget=True" in out
-
-    def test_serve_bench_bad_rates(self, capsys):
-        assert main(["--serve-bench", "--rates", "abc"]) == 2
-        assert main(["--serve-bench", "--rates", "-5"]) == 2
-
-    def test_serve_bench_bad_knobs(self, capsys):
-        assert main(["--serve-bench", "--requests", "0"]) == 2
-        assert main(["--serve-bench", "--budget-mb", "0"]) == 2
-
-    def test_serve_bench_has_no_window_knob(self, capsys):
-        # The batching timer is gone, and its flag with it.
-        with pytest.raises(SystemExit):
-            main(["--serve-bench", "--window-ms", "2"])
+class TestRemovedModes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--serve-bench"],
+            ["--rates", "2000"],
+            ["--requests", "24"],
+            ["--tenants", "2"],
+            ["--budget-mb", "64"],
+            ["--block-k", "4"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_serving_benchmark_mode_is_gone(self, capsys, argv):
+        # The serving load generator is bench/wl_serve.py; the CLI mode and
+        # each of its knobs are rejected as unknown options, not silently
+        # ignored.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -6,6 +6,7 @@ a rename or move cannot silently orphan the docs.  CI runs this module
 alongside the doctest step (see ``.github/workflows/ci.yml``).
 """
 
+import importlib.util
 import re
 from pathlib import Path
 
@@ -44,7 +45,7 @@ def _resolves(doc: Path, target: str) -> bool:
     """A reference resolves if it names something that really exists.
 
     Tried in order: relative to the doc, relative to the repo root, or
-    (for shorthand prose references like ``calibrate.py`` or
+    (for shorthand prose references like ``dispatch.py`` or
     ``util/blocking.py``) as a path suffix of some tracked file.
     Benchmark artifacts (``BENCH_*.json``) are gitignored, so they
     resolve when a benchmark actually emits them.
@@ -85,6 +86,43 @@ def test_readme_documents_the_contract():
     # Every emitted benchmark artifact is named.
     for bench in ("BENCH_parallel_blocked", "BENCH_overlap_grid"):
         assert bench in text, bench
+
+
+# Public names of the deleted in-tree serving benchmark, SBGEMM
+# calibration and FFT error-bound modules.  The one serving load generator
+# is bench/wl_serve.py; GEMM transition points come from the dispatcher's
+# model probe; the FFT error terms live in repro.core.error_model.
+REMOVED_MODULES = ["repro.serve.bench", "repro.blas.calibrate", "repro.fft.error"]
+REMOVED_NAMES = REMOVED_MODULES + [
+    "run_serving_benchmark",
+    "--serve-bench",
+    "BENCH_serving",
+    "measure_gemm_points",
+    "fit_transition_points",
+    "calibrate_dispatcher",
+    "set_gemm_transition_points",
+    "make_gemm_bench_yaml",
+    "gemm_problem_from_config",
+    "run_gemm_problem",
+    "fft_error_bound",
+]
+_SHIPPED_TEXT = [ROOT / "README.md"] + [
+    f
+    for top in ("src", "benchmarks", "examples", "docs", ".github")
+    for f in sorted((ROOT / top).rglob("*"))
+    if f.suffix in (".py", ".md", ".yml", ".yaml", ".toml") and "__pycache__" not in f.parts
+]
+
+
+@pytest.mark.parametrize("modname", REMOVED_MODULES)
+def test_removed_module_stays_removed(modname):
+    assert importlib.util.find_spec(modname) is None, modname
+
+
+@pytest.mark.parametrize("name", REMOVED_NAMES)
+def test_no_reference_to_a_removed_name(name):
+    hits = [str(f.relative_to(ROOT)) for f in _SHIPPED_TEXT if name in f.read_text()]
+    assert not hits, f"{name!r} is gone but still referenced in {hits}"
 
 
 def test_benchmarks_doc_covers_every_artifact_emitter():

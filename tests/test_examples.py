@@ -45,6 +45,10 @@ def test_quickstart():
 def test_hipify_port():
     out = run_example("hipify_port.py")
     assert "NVIDIA build ok" in out
+    # Each build runs through GPURuntime on its own vendor's device; the
+    # CUDA build is refused on the AMD one.
+    assert "NVIDIA runtime on A100" in out and "AMD runtime on MI300X" in out
+    assert "CUDA build refused on MI300X: executable built for NVIDIA" in out
     assert "not supported" in out.lower()
     assert "fftmatvec_permute_kernel" in out
     assert "only the edited file re-translated" in out
