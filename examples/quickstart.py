@@ -43,6 +43,11 @@ m_adj = engine.rmatvec(dv, config="ddddd")
 lhs, rhs = np.vdot(d, dv), np.vdot(m, m_adj)
 print(f"\nadjoint dot-test: <Fm,d>={lhs:.6f}  <m,F*d>={rhs:.6f}")
 
+# Everything the device clock has charged so far, setup included, by phase.
+totals = engine.device.clock.phase_totals()
+print("modeled device time by phase, all calls: "
+      + ", ".join(f"{p} {t * 1e6:.1f} us" for p, t in sorted(totals.items())))
+
 # --- skew: what an irregular partition costs --------------------------------
 # Distribute a bigger problem over a simulated 2x2 grid twice: on the even
 # split, and with rank column 0 owning 1.5x its parameter share.  Every
@@ -64,13 +69,16 @@ def modeled_wall(col_ranges=None):
                             col_ranges=col_ranges)
     t0 = grid.clock.now
     out = eng.rmatmat(D, overlap=False)
-    return grid.clock.now - t0, out
+    ranks = eng.rank_compute_report()  # {(row, col): compute seconds}
+    return grid.clock.now - t0, out, max(ranks.values()) / min(ranks.values())
 
 
-t_even, M_even = modeled_wall()
-t_skewed, M_skewed = modeled_wall(skewed)
+t_even, M_even, spread_even = modeled_wall()
+t_skewed, M_skewed, spread_skewed = modeled_wall(skewed)
 assert np.array_equal(M_skewed, M_even)  # the partition never moves a bit
 print(f"\n2x2 grid, F* on {k} vectors (column 0 owns {skewed[0][1]}/{nm} parameters when skewed):")
-print(f"  modeled wall, even split: {t_even * 1e6:8.2f} us")
+print(f"  modeled wall, even split: {t_even * 1e6:8.2f} us "
+      f"(slowest / fastest rank compute {spread_even:.3f})")
 print(f"  modeled wall, skewed:     {t_skewed * 1e6:8.2f} us "
-      f"({t_skewed / t_even:.3f}x, numerics bitwise-unchanged)")
+      f"({t_skewed / t_even:.3f}x, numerics bitwise-unchanged; "
+      f"slowest / fastest rank compute {spread_skewed:.3f})")

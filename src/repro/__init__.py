@@ -32,7 +32,7 @@ from repro.core import (
     optimal_config,
     sweep_configs,
 )
-from repro.gpu import SimulatedDevice, get_gpu, list_gpus
+from repro.gpu import SimulatedDevice, get_gpu
 from repro.util import Precision
 
 __version__ = "1.0.0"
@@ -48,6 +48,5 @@ __all__ = [
     "sweep_configs",
     "SimulatedDevice",
     "get_gpu",
-    "list_gpus",
     "__version__",
 ]

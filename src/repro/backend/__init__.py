@@ -16,10 +16,7 @@ from repro.backend.numpy_backend import NumpyBackend
 from repro.backend.registry import (
     BACKEND_CHAIN,
     available_backends,
-    get_default_backend,
-    reset_backend_state,
     resolve_backend,
-    set_default_backend,
 )
 
 __all__ = [
@@ -29,9 +26,6 @@ __all__ = [
     "BACKEND_CHAIN",
     "NumpyBackend",
     "available_backends",
-    "get_default_backend",
     "host_empty",
-    "reset_backend_state",
     "resolve_backend",
-    "set_default_backend",
 ]

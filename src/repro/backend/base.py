@@ -6,12 +6,12 @@ and the comm payload staging — performs its array work through a
 :class:`Backend` instance instead of calling ``np.*`` directly.  The
 backend exposes:
 
-* the raw array namespace (``xp``) and an FFT adapter (``fft``) with
-  numpy-style ``rfft/irfft/fft/ifft(a, axis=...)`` signatures;
+* an FFT adapter (``fft``) with numpy-style
+  ``rfft/irfft/fft/ifft(a, axis=...)`` signatures;
 * allocation (``empty``/``zeros``) and movement (``asarray``,
-  ``to_device``/``from_device``, ``copy``/``copyto``);
-* compute entry points (``matmul``/``einsum`` with ``out=``,
-  ``conjugate``, ``add``, ``multiply``);
+  ``from_device``, ``copy``/``copyto``);
+* compute entry points (``matmul`` with ``out=``, ``conjugate``,
+  ``add``, ``multiply``, ``transpose``);
 * dtype plumbing keyed by **numpy dtypes** (``dtype_of`` maps any
   backend array's dtype back to ``np.dtype``), so the
   :class:`~repro.util.dtypes.Precision` machinery, workspace keys and
@@ -29,7 +29,7 @@ unaffected by backend choice: kernels charge modeled time from problem
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Any, Tuple
 
 import numpy as np
 
@@ -64,8 +64,8 @@ class Backend:
 
     Concrete backends (:class:`~repro.backend.numpy_backend.NumpyBackend`,
     :class:`~repro.backend.cupy_backend.CupyBackend`,
-    :class:`~repro.backend.torch_backend.TorchBackend`) fill in ``xp``,
-    ``fft`` and the per-operation methods.  All dtype *parameters* and
+    :class:`~repro.backend.torch_backend.TorchBackend`) fill in ``fft``
+    and the per-operation methods.  All dtype *parameters* and
     the :meth:`dtype_of` return value are numpy dtypes — backends
     translate internally, so precision configs, workspace keys and BLAS
     datatypes stay backend-agnostic.
@@ -77,11 +77,6 @@ class Backend:
     is_device: bool = False
 
     # -- namespaces ----------------------------------------------------------
-    @property
-    def xp(self) -> Any:
-        """The backend's array namespace (numpy-like module)."""
-        raise NotImplementedError
-
     @property
     def fft(self) -> Any:
         """FFT module with numpy-style ``rfft/irfft/fft/ifft(a, axis=)``,
@@ -108,10 +103,6 @@ class Backend:
         """Present ``a`` as a backend array (share memory when possible)."""
         raise NotImplementedError
 
-    def to_device(self, a) -> Any:
-        """Host array -> backend array (alias of :meth:`asarray` for most)."""
-        return self.asarray(a)
-
     def from_device(self, a) -> np.ndarray:
         """Backend array -> host numpy array (identity for numpy)."""
         raise NotImplementedError
@@ -137,10 +128,6 @@ class Backend:
         """Batched matrix product ``a @ b`` (optionally into ``out``)."""
         raise NotImplementedError
 
-    def einsum(self, subscripts: str, *operands) -> Any:
-        """Einstein-summation contraction over backend arrays."""
-        raise NotImplementedError
-
     def conjugate(self, a, out=None) -> Any:
         """Elementwise complex conjugate (materialized, not lazy)."""
         raise NotImplementedError
@@ -155,14 +142,6 @@ class Backend:
 
     def transpose(self, a, axes=None) -> Any:
         """Transpose (reverse axes, or permute by ``axes``)."""
-        raise NotImplementedError
-
-    def ravel(self, a) -> Any:
-        """Flattened view/copy of ``a`` (numpy ``ravel`` semantics)."""
-        raise NotImplementedError
-
-    def concatenate(self, arrays) -> Any:
-        """Concatenate 1-D payloads along axis 0 (comm gather staging)."""
         raise NotImplementedError
 
     # -- introspection -------------------------------------------------------
@@ -184,10 +163,6 @@ class Backend:
 
     def iscomplex(self, a) -> bool:
         """True when ``a`` has a complex dtype."""
-        raise NotImplementedError
-
-    def shares_memory(self, a, b) -> bool:
-        """True when ``a`` and ``b`` may share underlying storage."""
         raise NotImplementedError
 
     # -- sync ----------------------------------------------------------------

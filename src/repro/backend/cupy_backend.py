@@ -31,10 +31,6 @@ class CupyBackend(Backend):
         self._cp = importlib.import_module("cupy")
 
     @property
-    def xp(self) -> Any:
-        return self._cp
-
-    @property
     def fft(self) -> Any:
         return self._cp.fft
 
@@ -88,9 +84,6 @@ class CupyBackend(Backend):
             return self._cp.matmul(a, b)
         return self._cp.matmul(a, b, out=out)
 
-    def einsum(self, subscripts: str, *operands) -> Any:
-        return self._cp.einsum(subscripts, *operands)
-
     def conjugate(self, a, out=None) -> Any:
         if out is None:
             return self._cp.conj(a)
@@ -111,12 +104,6 @@ class CupyBackend(Backend):
             return a.T
         return a.transpose(axes)
 
-    def ravel(self, a) -> Any:
-        return a.ravel()
-
-    def concatenate(self, arrays) -> Any:
-        return self._cp.concatenate(arrays)
-
     # -- introspection -------------------------------------------------------
     def dtype_of(self, a) -> np.dtype:
         if isinstance(a, np.ndarray):
@@ -136,14 +123,6 @@ class CupyBackend(Backend):
         return bool(self._cp.iscomplexobj(a)) if not isinstance(a, np.ndarray) else bool(
             np.iscomplexobj(a)
         )
-
-    def shares_memory(self, a, b) -> bool:
-        if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-            return bool(np.shares_memory(a, b))
-        try:
-            return bool(self._cp.shares_memory(a, b))
-        except Exception:
-            return False
 
     # -- sync ----------------------------------------------------------------
     def synchronize(self) -> None:

@@ -81,10 +81,6 @@ class NumpyBackend(Backend):
     is_device = False
 
     @property
-    def xp(self) -> Any:
-        return np
-
-    @property
     def fft(self) -> Any:
         return _FFT
 
@@ -126,9 +122,6 @@ class NumpyBackend(Backend):
             return np.matmul(a, b)
         return np.matmul(a, b, out=out)
 
-    def einsum(self, subscripts: str, *operands) -> np.ndarray:
-        return np.einsum(subscripts, *operands)
-
     def conjugate(self, a, out=None) -> np.ndarray:
         if out is None:
             return np.conj(a)
@@ -149,12 +142,6 @@ class NumpyBackend(Backend):
             return a.T
         return a.transpose(axes)
 
-    def ravel(self, a) -> np.ndarray:
-        return a.ravel()
-
-    def concatenate(self, arrays) -> np.ndarray:
-        return np.concatenate(arrays)
-
     # -- introspection -------------------------------------------------------
     def dtype_of(self, a) -> np.dtype:
         return a.dtype if a.__class__ is np.ndarray else np.asarray(a).dtype
@@ -172,6 +159,3 @@ class NumpyBackend(Backend):
         if a.__class__ is np.ndarray:
             return a.dtype.kind == "c"
         return bool(np.iscomplexobj(a))
-
-    def shares_memory(self, a, b) -> bool:
-        return bool(np.shares_memory(a, b))

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from typing import Dict, Optional, Tuple, Type, Union
+from typing import Dict, Tuple, Type, Union
 
 from repro.backend.base import (
     Backend,
@@ -32,14 +32,7 @@ from repro.backend.base import (
     BackendUnavailableError,
 )
 
-__all__ = [
-    "resolve_backend",
-    "available_backends",
-    "get_default_backend",
-    "set_default_backend",
-    "reset_backend_state",
-    "BACKEND_CHAIN",
-]
+__all__ = ["resolve_backend", "available_backends", "BACKEND_CHAIN"]
 
 #: ``auto`` preference order: fastest hardware first, numpy as the floor.
 BACKEND_CHAIN: Tuple[str, ...] = ("cupy", "torch", "numpy")
@@ -47,7 +40,6 @@ BACKEND_CHAIN: Tuple[str, ...] = ("cupy", "torch", "numpy")
 _INSTALL_EXTRA = {"cupy": "pip install .[cupy]", "torch": "pip install .[torch]"}
 
 _instances: Dict[str, Backend] = {}
-_default: Optional[Backend] = None
 _fallback_warned = False
 
 
@@ -129,27 +121,3 @@ def resolve_backend(which: Union[Backend, str, None] = None) -> Backend:
             msg += f" (install with `{hint}`)"
         raise BackendUnavailableError(msg)
     return _instance(name)
-
-
-def get_default_backend() -> Backend:
-    """The process-wide default backend (resolved on first use)."""
-    global _default
-    if _default is None:
-        _default = resolve_backend(None)
-    return _default
-
-
-def set_default_backend(which: Union[Backend, str, None]) -> Backend:
-    """Override the process-wide default; returns the resolved backend."""
-    global _default
-    _default = resolve_backend(which)
-    return _default
-
-
-def reset_backend_state() -> None:
-    """Forget cached instances, the default, and the one-shot fallback
-    warning flag (test isolation helper)."""
-    global _default, _fallback_warned
-    _instances.clear()
-    _default = None
-    _fallback_warned = False

@@ -79,10 +79,6 @@ class TorchBackend(Backend):
         self._torch2np = {t: n for n, t in self._np2torch.items()}
 
     @property
-    def xp(self) -> Any:
-        return self._torch
-
-    @property
     def fft(self) -> Any:
         return self._fft_adapter
 
@@ -160,9 +156,6 @@ class TorchBackend(Backend):
             out.copy_(self._torch.matmul(a, b))
             return out
 
-    def einsum(self, subscripts: str, *operands) -> Any:
-        return self._torch.einsum(subscripts, *operands)
-
     def conjugate(self, a, out=None) -> Any:
         if out is None:
             return self._torch.conj_physical(a)
@@ -185,12 +178,6 @@ class TorchBackend(Backend):
             axes = tuple(range(a.ndim))[::-1]
         return a.permute(*axes)
 
-    def ravel(self, a) -> Any:
-        return self.asarray(a).reshape(-1)
-
-    def concatenate(self, arrays) -> Any:
-        return self._torch.cat([self.asarray(a) for a in arrays])
-
     # -- introspection -------------------------------------------------------
     def nbytes(self, a) -> int:
         if isinstance(a, np.ndarray):
@@ -211,20 +198,6 @@ class TorchBackend(Backend):
         if self._torch.is_tensor(a):
             return bool(a.dtype.is_complex)
         return bool(np.iscomplexobj(a))
-
-    def shares_memory(self, a, b) -> bool:
-        if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-            return bool(np.shares_memory(a, b))
-        if self._torch.is_tensor(a) and self._torch.is_tensor(b):
-            if a.nelement() == 0 or b.nelement() == 0:
-                return False
-            if a.device != b.device:
-                return False
-            a0, b0 = a.storage_offset(), b.storage_offset()
-            # Conservative overlap check on the underlying storages.
-            same = a.untyped_storage().data_ptr() == b.untyped_storage().data_ptr()
-            return bool(same)
-        return False
 
     # -- sync ----------------------------------------------------------------
     def synchronize(self) -> None:

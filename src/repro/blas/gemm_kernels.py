@@ -37,8 +37,8 @@ from typing import Any, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.backend import Backend, NumpyBackend
-from repro.blas.types import BlasDatatype, GemmProblem, Operation
-from repro.gpu.bandwidth import grid_efficiency, stream_efficiency
+from repro.blas.types import GemmProblem, Operation
+from repro.gpu.bandwidth import grid_efficiency
 from repro.gpu.device import SimulatedDevice
 from repro.gpu.kernel import Dim3, KernelLaunch
 from repro.gpu.specs import GPUSpec, MI300X
@@ -265,7 +265,7 @@ def pairwise_gemm_strided_batched_reference(
     """Strided-batched GEMM with fixed-order pairwise accumulation.
 
     Same shapes and contract as :func:`gemm_strided_batched_reference`,
-    but every output element is the :func:`~repro.util.pairwise.fold_pairwise`
+    but every output element is the :func:`~repro.util.pairwise.fold_in_place`
     tree sum of its elementwise leaf products rather than whatever
     grouping the vendor GEMM's tiling produces.  Because the tree is per
     output element and independent of ``k``, blocked and looped applies
@@ -514,10 +514,6 @@ class SBGEMMKernel:
         eff = self.efficiency(problem, spec)
         bw = eff * spec.peak_bandwidth
         return problem.total_bytes / bw
-
-    def modeled_bandwidth(self, problem: GemmProblem, spec: GPUSpec) -> float:
-        """rocblas-bench's metric: problem bytes / measured time (B/s)."""
-        return problem.total_bytes / self.modeled_time(problem, spec)
 
 
 class RocblasSBGEMM(SBGEMMKernel):

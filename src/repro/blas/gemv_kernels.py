@@ -303,10 +303,6 @@ class SBGEMVKernel:
         bw = eff * spec.peak_bandwidth
         return problem.total_bytes / bw
 
-    def modeled_bandwidth(self, problem: GemvProblem, spec: GPUSpec) -> float:
-        """rocblas-bench's metric: problem bytes / measured time (B/s)."""
-        return problem.total_bytes / self.modeled_time(problem, spec)
-
 
 class RocblasSBGEMV(SBGEMVKernel):
     """The original rocBLAS strided-batched GEMV kernel (pre-optimization)."""
@@ -362,10 +358,6 @@ class OptimizedSBGEMV(SBGEMVKernel):
 
     def supports(self, problem: GemvProblem) -> bool:
         return problem.operation.is_transposed
-
-    def vector_width(self, datatype: BlasDatatype) -> int:
-        """Elements fetched per 16-byte vectorized load (float4/double2...)."""
-        return max(1, 16 // datatype.itemsize)
 
     def launch_geometry(self, problem: GemvProblem, spec: GPUSpec) -> Tuple[Dim3, Dim3]:
         blocks_x = max(1, math.ceil(problem.n / self._TILE_COLS))

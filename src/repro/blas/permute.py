@@ -12,15 +12,13 @@ This module reproduces both halves of that story:
 
 * :func:`permute3d` — the numeric permutation (vectorized NumPy) with a
   launch-geometry model;
-* :func:`naive_launch_geometry` — the textbook Jodra-style launch that
-  maps tensor extents directly onto grid (x, y, z) and therefore
-  *overflows* the 65535 y/z limits for FFTMatvec-scale tensors;
 * :func:`tiled_launch_geometry` — the paper's fix: fold the large
   extents into grid.x tiles so y/z stay bounded.
 
-Tests verify that the naive geometry really is rejected by the device at
-paper scale while the tiled geometry passes, which is precisely why the
-custom kernel exists.
+Tests verify that the textbook Jodra-style launch, which maps tensor
+extents directly onto grid (x, y, z), really is rejected by the device
+at paper scale while the tiled geometry passes, which is precisely why
+the custom kernel exists.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from repro.util.validation import ReproError, check_array
 
 __all__ = [
     "permute3d",
-    "naive_launch_geometry",
     "tiled_launch_geometry",
     "PERMUTE_KERNEL_NAME",
 ]
@@ -53,21 +50,6 @@ def _check_perm(perm: Sequence[int]) -> Tuple[int, int, int]:
     if sorted(p) != [0, 1, 2]:
         raise ReproError(f"perm must be a permutation of (0,1,2), got {perm}")
     return p  # type: ignore[return-value]
-
-
-def naive_launch_geometry(shape: Sequence[int]) -> Dim3:
-    """Jodra-style direct mapping: one block axis per tensor axis.
-
-    Overflows grid.y / grid.z (max 65535) when the middle or outer
-    extent is large — e.g. FFTMatvec's (Nt+1, Nd, Nm) kernel tensor with
-    Nm beyond 65535 on large multi-GPU runs.
-    """
-    a, b, c = (int(s) for s in shape)
-    return Dim3(
-        x=max(1, math.ceil(c / _TILE)),
-        y=max(1, b),
-        z=max(1, a),
-    )
 
 
 def tiled_launch_geometry(shape: Sequence[int], spec: GPUSpec) -> Dim3:

@@ -231,25 +231,9 @@ class GemmProblem:
         return self.matrix_bytes + self.panel_bytes
 
     @property
-    def looped_gemv_bytes(self) -> int:
-        """Traffic ``k`` separate GEMV calls would generate (matrix re-read
-        per RHS) — the quantity the blocked path saves."""
-        return self.k * self.as_gemv().total_bytes
-
-    @property
     def is_short_wide(self) -> bool:
         """True when each matrix is short and wide (m < n)."""
         return self.m < self.n
-
-    def as_gemv(self) -> GemvProblem:
-        """The single-RHS GEMV problem with the same matrix and operation."""
-        return GemvProblem(
-            m=self.m,
-            n=self.n,
-            batch=self.batch,
-            datatype=self.datatype,
-            operation=self.operation,
-        )
 
     def describe(self) -> str:
         """Human-readable problem summary for error messages and logs."""

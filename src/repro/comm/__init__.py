@@ -1,7 +1,8 @@
-"""Simulated multi-GPU communication substrate (NCCL/RCCL work-alike).
+"""Simulated multi-GPU communication substrate.
 
 FFTMatvec runs on a 2D processor grid ``pr x pc`` using RCCL collectives
-on Frontier.  We have one machine and no MPI, so:
+on Frontier.  The engines need two of them — a column broadcast and a
+row reduce — and this package simulates exactly those in-process:
 
 * :mod:`repro.comm.netmodel` — a hierarchical alpha-beta network model
   (intra-group vs inter-group latency/bandwidth, congestion growing with
@@ -12,9 +13,8 @@ on Frontier.  We have one machine and no MPI, so:
   point error genuinely grows like ``eps * log2(p)`` (the term Eq. (6)
   attributes to Phase 5), plus matching cost formulas.
 * :mod:`repro.comm.simcomm` — :class:`SimCommunicator`: an SPMD world of
-  ``p`` ranks executed sequentially in-process; bcast/reduce/allreduce/
-  allgather over per-rank NumPy arrays, advancing a shared simulated
-  clock.
+  ``p`` ranks executed sequentially in-process; bcast/reduce over
+  per-rank NumPy arrays, advancing a shared simulated clock.
 * :mod:`repro.comm.grid` — the 2D process grid with row/column
   subcommunicators (row-major placement: a grid row occupies contiguous
   ranks, as on Frontier with "closest" GPU binding).
@@ -46,13 +46,6 @@ from repro.comm.fault import (
     RankFailure,
     SilentCorruption,
 )
-from repro.comm.rccl import (
-    NcclComm,
-    NcclDataType,
-    NcclOp,
-    comm_init_rank,
-    get_unique_id,
-)
 
 __all__ = [
     "NetworkModel",
@@ -72,9 +65,4 @@ __all__ = [
     "CorruptionSchedule",
     "SilentCorruption",
     "NumericalHealthError",
-    "NcclComm",
-    "NcclDataType",
-    "NcclOp",
-    "comm_init_rank",
-    "get_unique_id",
 ]

@@ -156,11 +156,6 @@ class FailureSchedule:
         """Remaining ``(collective_index, rank)`` kills, ascending."""
         return tuple(sorted(self._pending.items()))
 
-    @property
-    def exhausted(self) -> bool:
-        """True once every scheduled kill has fired."""
-        return not self._pending
-
     def on_collective(self, op: str, comm_name: str = "world") -> None:
         """Advance the collective counter; raise if a kill is due here.
 
@@ -276,11 +271,6 @@ class CorruptionSchedule:
     def pending(self) -> Tuple[Tuple[int, int], ...]:
         """Remaining ``(event_index, rank)`` flips, ascending."""
         return tuple(sorted(self._pending.items()))
-
-    @property
-    def exhausted(self) -> bool:
-        """True once every scheduled flip has been injected."""
-        return not self._pending
 
     def on_event(self, op: str, where: str = "") -> Optional[int]:
         """Advance the event counter; return the target rank if a flip

@@ -111,12 +111,6 @@ class ProcessGrid:
             )
         return row * self.pc + col
 
-    def coords_of(self, rank: int) -> Tuple[int, int]:
-        """(row, col) grid coordinates of a world rank."""
-        if not (0 <= rank < self.size):
-            raise ReproError(f"rank {rank} out of range for size {self.size}")
-        return divmod(rank, self.pc)
-
     def row_comm(self, row: int) -> SimCommunicator:
         """Communicator of grid row ``row`` (pc members, contiguous)."""
         if not (0 <= row < self.pr):
@@ -147,14 +141,6 @@ class ProcessGrid:
             out.append((start, stop))
             start = stop
         return out
-
-    def local_rows(self, nd: int, row: int) -> Tuple[int, int]:
-        """Sensor-range (start, stop) owned by grid row ``row``."""
-        return self.split_extent(nd, self.pr)[row]
-
-    def local_cols(self, nm: int, col: int) -> Tuple[int, int]:
-        """Parameter-range (start, stop) owned by grid column ``col``."""
-        return self.split_extent(nm, self.pc)[col]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ProcessGrid({self.pr}x{self.pc})"

@@ -73,14 +73,6 @@ class NetworkModel:
         """Latency of one inter-group tree step with congestion."""
         return self.alpha_inter * (1.0 + participants / self.congestion_ranks)
 
-    def intra_step_time(self, nbytes: float) -> float:
-        """Seconds for one in-group tree step carrying ``nbytes``."""
-        return self.alpha_intra + nbytes * self.beta_intra
-
-    def inter_step_time(self, nbytes: float, participants: int) -> float:
-        """Seconds for one congested cross-group tree step."""
-        return self.inter_step_latency(participants) + nbytes * self.beta_inter
-
 
 # Calibrated Frontier-like parameters: 100 GB/s NIC bandwidth (the paper's
 # number), ~10 us in-group latency, 1.5 ms base cost per machine-spanning

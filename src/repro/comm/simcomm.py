@@ -72,7 +72,7 @@ class SimCommunicator:
         override for mixed host/device traffic.
     """
 
-    _OPS = ("bcast", "reduce", "allreduce", "allgather", "scatter", "barrier")
+    _OPS = ("bcast", "reduce")
 
     def __init__(
         self,
@@ -383,62 +383,6 @@ class SimCommunicator:
         )
         self._charge(self.size, nbytes, phase, op="reduce")
         return out
-
-    def allreduce(
-        self,
-        arrays: Sequence[Any],
-        precision: Optional[Precision] = None,
-        phase: str = "comm",
-        backend: Optional[Backend] = None,
-    ) -> List[Any]:
-        """Reduce + broadcast; every rank receives the identical sum."""
-        self._maybe_fail("allreduce")
-        be = backend if backend is not None else self.backend
-        bufs = self._check_per_rank(arrays, "allreduce", be)
-        out = tree_reduce_arrays(bufs, precision=precision, backend=be)
-        self.op_counts["allreduce"] += 1
-        # reduce + bcast trees; charge both.
-        self._charge(self.size, be.nbytes(bufs[0]), phase, op="allreduce")
-        self._charge(self.size, be.nbytes(bufs[0]), phase, op="allreduce")
-        return [be.copy(out) for _ in range(self.size)]
-
-    def allgather(
-        self,
-        arrays: Sequence[Any],
-        phase: str = "comm",
-        backend: Optional[Backend] = None,
-    ) -> List[Any]:
-        """Concatenate per-rank arrays; every rank receives the whole."""
-        self._maybe_fail("allgather")
-        be = backend if backend is not None else self.backend
-        bufs = self._check_per_rank(arrays, "allgather", be)
-        gathered = be.concatenate([be.ravel(b) for b in bufs])
-        self.op_counts["allgather"] += 1
-        self._charge(self.size, be.nbytes(gathered), phase, op="allgather")
-        return [be.copy(gathered) for _ in range(self.size)]
-
-    def scatter(
-        self,
-        chunks: Sequence[Any],
-        root: int = 0,
-        phase: str = "comm",
-        backend: Optional[Backend] = None,
-    ) -> List[Any]:
-        """Distribute root's per-rank chunks."""
-        self._maybe_fail("scatter")
-        be = backend if backend is not None else self.backend
-        bufs = self._check_per_rank(chunks, "scatter", be)
-        if not (0 <= root < self.size):
-            raise ReproError(f"root {root} out of range for size {self.size}")
-        self.op_counts["scatter"] += 1
-        self._charge(self.size, max(be.nbytes(b) for b in bufs), phase, op="scatter")
-        return [be.copy(b) for b in bufs]
-
-    def barrier(self, phase: str = "comm") -> None:
-        """Synchronize (latency-only collective)."""
-        self._maybe_fail("barrier")
-        self.op_counts["barrier"] += 1
-        self._charge(self.size, 0.0, phase, op="barrier")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SimCommunicator({self.name!r}, size={self.size}, span={self.span})"

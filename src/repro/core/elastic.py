@@ -312,6 +312,10 @@ class ElasticEngine:
 
         The next apply runs on the new balanced grid; under the pairwise
         reduction its results are bitwise-identical to every other size.
+
+        Kept by ``docs/FAULT_TOLERANCE.md``: growing back to ``N`` when a
+        replacement rank joins is the operator's half of elastic recovery;
+        no engine path resizes on its own.
         """
         check_positive_int(n_ranks, "n_ranks")
         if n_ranks == self.n_ranks:

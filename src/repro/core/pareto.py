@@ -10,7 +10,7 @@ stays below the application's tolerance (10^-7 in Section 4.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -31,10 +31,6 @@ class ParetoPoint:
     time: float
     error: float
     speedup: float  # vs the all-double baseline
-
-    @property
-    def is_baseline(self) -> bool:
-        return self.config.is_all_double
 
 
 def sweep_configs(

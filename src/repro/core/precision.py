@@ -62,10 +62,6 @@ class PrecisionConfig:
         return cls.parse("ddddd")
 
     @classmethod
-    def all_single(cls) -> "PrecisionConfig":
-        return cls.parse("sssss")
-
-    @classmethod
     def all_configs(cls) -> Iterator["PrecisionConfig"]:
         """All 32 configurations, in lexicographic d<s order of the string."""
         for chars in itertools.product("ds", repeat=len(PHASE_NAMES)):
@@ -109,15 +105,3 @@ class PrecisionConfig:
         major phases adjacent to them".
         """
         return lowest(self.phase(before), self.phase(after))
-
-    def adjoint_view(self) -> "PrecisionConfig":
-        """The same physical configuration read in the F* direction.
-
-        The adjoint matvec traverses the phases with input/output swapped:
-        its Phase 1 pads the *data* vector and its Phase 4 IFFT produces
-        the *parameter* vector.  The configuration string indexes the
-        algorithmic phases (pad, fft, sbgemv, ifft, unpad) in execution
-        order for either direction, so no permutation is needed; this
-        helper exists to make that explicit at call sites.
-        """
-        return self

@@ -126,7 +126,11 @@ class BlockTriangularToeplitz:
 
     # -- reference (O(Nt^2)) operations ----------------------------------------
     def dense(self) -> np.ndarray:
-        """Materialize the full (Nt*Nd, Nt*Nm) matrix.  Small sizes only."""
+        """Materialize the full (Nt*Nd, Nt*Nm) matrix.  Small sizes only.
+
+        Kept by ``docs/ARCHITECTURE.md``: the explicit matrix is the oracle the
+        engines and the reference block convolutions are tested against.
+        """
         nt, nd, nm = self.nt, self.nd, self.nm
         out = np.zeros((nt * nd, nt * nm))
         for i in range(nt):

@@ -17,13 +17,12 @@ The FFT rounding-error term of Eq. (6) lives in
 :mod:`repro.core.error_model`.
 """
 
-from repro.fft.plan import FFTPlan, FFTType, plan_many
+from repro.fft.plan import FFTPlan, FFTType
 from repro.fft.radix import fft_radix2, ifft_radix2, fft_bluestein, fft_auto
 
 __all__ = [
     "FFTPlan",
     "FFTType",
-    "plan_many",
     "fft_radix2",
     "ifft_radix2",
     "fft_bluestein",

@@ -53,7 +53,7 @@ from repro.util.dtypes import Precision, complex_dtype, real_dtype
 from repro.util.validation import ReproError, check_positive_int
 from repro.util.workspace import Workspace
 
-__all__ = ["FFTType", "FFTPlan", "plan_many", "fft_traffic_bytes"]
+__all__ = ["FFTType", "FFTPlan", "fft_traffic_bytes"]
 
 _NUMPY = NumpyBackend()
 
@@ -87,10 +87,6 @@ class FFTType(enum.Enum):
     @classmethod
     def real_inverse(cls, prec: Precision) -> "FFTType":
         return cls.Z2D if Precision.parse(prec) is Precision.DOUBLE else cls.C2R
-
-    @classmethod
-    def complex_complex(cls, prec: Precision) -> "FFTType":
-        return cls.Z2Z if Precision.parse(prec) is Precision.DOUBLE else cls.C2C
 
 
 # GPU FFT kernels fuse ~4 radix stages per global-memory pass.
@@ -362,21 +358,3 @@ class FFTPlan:
             rank=rank,
             context=context,
         )
-
-
-def plan_many(
-    n: int,
-    batch: int,
-    *,
-    precision: Precision = Precision.DOUBLE,
-    real: bool = True,
-    forward: bool = True,
-    device: Optional[SimulatedDevice] = None,
-    backend: Optional[Backend] = None,
-) -> FFTPlan:
-    """Convenience constructor in the style of ``cufftPlanMany``."""
-    if real:
-        t = FFTType.real_forward(precision) if forward else FFTType.real_inverse(precision)
-    else:
-        t = FFTType.complex_complex(precision)
-    return FFTPlan(n=n, batch=batch, fft_type=t, device=device, backend=backend)

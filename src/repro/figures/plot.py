@@ -1,7 +1,7 @@
 """Terminal plotting for the figure harnesses.
 
 The benches run in a terminal, so each figure's *curves* (Figure 4's
-speedup/error series, Figure 1's bar pairs) render as ASCII charts next
+speedup/error series) render as ASCII charts next
 to the tables — enough to eyeball the reproduced shapes against the
 paper's plots.
 """
@@ -9,11 +9,11 @@ paper's plots.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.util.validation import ReproError
 
-__all__ = ["line_chart", "bar_chart"]
+__all__ = ["line_chart"]
 
 
 def _scale(values: Sequence[float], lo: float, hi: float, height: int) -> List[int]:
@@ -61,39 +61,4 @@ def line_chart(
     labels = [str(x) for x in xs]
     lines.append(" " * 10 + "^" * width)
     lines.append(" " * 10 + f"x: {labels[0]} .. {labels[-1]} ({width} points)")
-    return "\n".join(lines)
-
-
-def bar_chart(
-    labels: Sequence[str],
-    values: Sequence[float],
-    *,
-    title: str = "",
-    width: int = 40,
-    reference: Optional[Sequence[float]] = None,
-    unit: str = "",
-) -> str:
-    """Horizontal bars; optional reference values shown as '+' marks."""
-    if len(labels) != len(values):
-        raise ReproError("labels and values must have equal length")
-    if len(values) == 0:
-        raise ReproError("nothing to plot")
-    hi = max(list(values) + list(reference or []) or [1.0])
-    if hi <= 0:
-        hi = 1.0
-    lines = []
-    if title:
-        lines.append(title)
-    label_w = max(len(str(l)) for l in labels)
-    for i, (label, v) in enumerate(zip(labels, values)):
-        n = int(round(v / hi * width))
-        bar = list("#" * n + " " * (width - n))
-        if reference is not None:
-            r = min(width - 1, int(round(reference[i] / hi * width)))
-            bar[r] = "+"
-        lines.append(
-            f"{str(label):>{label_w}} |{''.join(bar)}| {v:.3g} {unit}".rstrip()
-        )
-    if reference is not None:
-        lines.append(f"{'':>{label_w}}  ('+' marks the paper's value)")
     return "\n".join(lines)

@@ -17,7 +17,7 @@ have no GPUs, so this package provides:
 * :mod:`repro.gpu.device` — ties the above to a :class:`SimClock`.
 """
 
-from repro.gpu.specs import GPUSpec, get_gpu, list_gpus, MI250X_GCD, MI300X, MI355X
+from repro.gpu.specs import GPUSpec, get_gpu, MI250X_GCD, MI300X, MI355X
 from repro.gpu.memory import DeviceAllocator, OutOfMemoryError, Allocation
 from repro.gpu.kernel import KernelLaunch, LaunchConfigError, Dim3
 from repro.gpu.device import SimulatedDevice
@@ -26,7 +26,6 @@ from repro.gpu.bandwidth import stream_efficiency, achieved_bandwidth, memcpy_ti
 __all__ = [
     "GPUSpec",
     "get_gpu",
-    "list_gpus",
     "MI250X_GCD",
     "MI300X",
     "MI355X",

@@ -24,7 +24,6 @@ increases with work per block.
 
 from __future__ import annotations
 
-import math
 
 from repro.gpu.specs import GPUSpec
 
@@ -101,10 +100,3 @@ def memcpy_time(bytes_moved: float, spec: GPUSpec) -> float:
     traffic = 2.0 * float(bytes_moved)
     eff = stream_efficiency(traffic, spec)
     return kernel_time(traffic, spec, eff)
-
-
-def log2ceil(n: int) -> int:
-    """ceil(log2(n)) for n >= 1 (0 for n == 1)."""
-    if n < 1:
-        raise ValueError(f"log2ceil requires n >= 1, got {n}")
-    return int(math.ceil(math.log2(n))) if n > 1 else 0

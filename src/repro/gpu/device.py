@@ -179,10 +179,5 @@ class SimulatedDevice:
         """Total simulated seconds spent in kernels with this name."""
         return self.stats.per_kernel.get(name, 0.0)
 
-    def reset_stats(self) -> None:
-        """Clear launch counters and the launch log."""
-        self.stats = DeviceStats()
-        self.launch_log.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SimulatedDevice({self.spec.name!r}, t={self.clock.now:.6f}s)"

@@ -76,10 +76,6 @@ class DeviceAllocator:
     def free_bytes(self) -> int:
         return self._capacity - self._in_use
 
-    def live_allocations(self) -> tuple:
-        """Snapshot of live allocations (for leak reporting in tests)."""
-        return tuple(self._live.values())
-
     def _rounded(self, nbytes: int) -> int:
         if nbytes < 0:
             raise ReproError(f"allocation size must be non-negative, got {nbytes}")
@@ -110,12 +106,6 @@ class DeviceAllocator:
         del self._live[alloc.handle]
         self._in_use -= alloc.nbytes
         self.n_frees += 1
-
-    def assert_no_leaks(self) -> None:
-        """Raise if any allocation is still live (used by tests)."""
-        if self._live:
-            tags = sorted(a.tag or f"handle{a.handle}" for a in self._live.values())
-            raise ReproError(f"leaked device allocations: {tags}")
 
     def reset(self) -> None:
         """Drop all allocations and statistics."""

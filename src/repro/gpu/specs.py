@@ -22,7 +22,7 @@ from typing import Dict, Tuple
 from repro.util.dtypes import Precision
 from repro.util.validation import ReproError
 
-__all__ = ["GPUSpec", "get_gpu", "list_gpus", "MI250X_GCD", "MI300X", "MI355X"]
+__all__ = ["GPUSpec", "get_gpu", "MI250X_GCD", "MI300X", "MI355X"]
 
 
 @dataclass(frozen=True)
@@ -193,13 +193,3 @@ def get_gpu(name: str) -> GPUSpec:
         known = sorted({s.name for s in _REGISTRY.values()})
         raise ReproError(f"unknown GPU {name!r}; known: {known}")
     return _REGISTRY[key]
-
-
-def list_gpus() -> Tuple[GPUSpec, ...]:
-    """All registered specs, deduplicated, in a stable order."""
-    seen, out = set(), []
-    for spec in _REGISTRY.values():
-        if id(spec) not in seen:
-            seen.add(id(spec))
-            out.append(spec)
-    return tuple(sorted(out, key=lambda s: (s.vendor, s.name)))

@@ -25,7 +25,6 @@ from repro.hip.mappings import (
     CUDA_TO_HIP,
     UNSUPPORTED_CUDA,
     INCLUDE_MAP,
-    is_unsupported,
 )
 from repro.hip.hipify import hipify_perl, HipifyResult, HipifyStats, UnsupportedAPIError
 from repro.hip.build import OnTheFlyBuildSystem, SourceFile, Executable, CompileError
@@ -35,7 +34,6 @@ __all__ = [
     "CUDA_TO_HIP",
     "UNSUPPORTED_CUDA",
     "INCLUDE_MAP",
-    "is_unsupported",
     "hipify_perl",
     "HipifyResult",
     "HipifyStats",

@@ -107,10 +107,6 @@ class OnTheFlyBuildSystem:
         """Names of the maintained CUDA sources, sorted."""
         return sorted(self._sources)
 
-    def get_source(self, name: str) -> str:
-        """Current text of a maintained source."""
-        return self._sources[name].text
-
     # -- translation cache ---------------------------------------------------
     def _hipify_cached(self, src: SourceFile) -> HipifyResult:
         cached = self._hip_cache.get(src.name)

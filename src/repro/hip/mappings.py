@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet
 
-__all__ = ["CUDA_TO_HIP", "UNSUPPORTED_CUDA", "INCLUDE_MAP", "is_unsupported"]
+__all__ = ["CUDA_TO_HIP", "UNSUPPORTED_CUDA", "INCLUDE_MAP"]
 
 # --------------------------------------------------------------------------
 # Runtime API
@@ -225,8 +225,3 @@ UNSUPPORTED_CUDA: FrozenSet[str] = frozenset(
         "cutensorCreatePlan",
     }
 )
-
-
-def is_unsupported(identifier: str) -> bool:
-    """True if the CUDA identifier has no HIP translation available."""
-    return identifier in UNSUPPORTED_CUDA

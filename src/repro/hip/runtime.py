@@ -14,8 +14,6 @@ MI300X (the CUDA -> HIP port of the paper, Sec. 3.1).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 from repro.gpu.device import SimulatedDevice
 from repro.gpu.kernel import Dim3, KernelLaunch
 from repro.gpu.specs import GPUSpec
@@ -40,8 +38,6 @@ class GPURuntime:
                 f"executable built for {executable.target_vendor} cannot run "
                 f"on {device.spec.vendor} device {device.spec.name}"
             )
-        self._streams: Dict[int, str] = {0: "default"}
-        self._next_stream = 1
 
     @property
     def spec(self) -> GPUSpec:
@@ -60,25 +56,6 @@ class GPURuntime:
         """hipMemcpy: simulate a copy, returning the modeled seconds."""
         return self.device.memcpy(nbytes, kind=kind)
 
-    # -- streams (bookkeeping only; simulation is in-order) ------------------
-    def stream_create(self) -> int:
-        """hipStreamCreate: returns a new stream id."""
-        sid = self._next_stream
-        self._next_stream += 1
-        self._streams[sid] = f"stream{sid}"
-        return sid
-
-    def stream_destroy(self, sid: int) -> None:
-        """hipStreamDestroy."""
-        if sid == 0:
-            raise ReproError("cannot destroy the default stream")
-        if sid not in self._streams:
-            raise ReproError(f"unknown stream {sid}")
-        del self._streams[sid]
-
-    def device_synchronize(self) -> None:
-        """No-op in the in-order simulation; kept for API fidelity."""
-
     # -- kernels -------------------------------------------------------------
     def launch(
         self,
@@ -91,11 +68,8 @@ class GPURuntime:
         flops: float = 0.0,
         efficiency_hint: float = -1.0,
         phase: str = "",
-        stream: int = 0,
     ) -> float:
         """Launch a named kernel; returns simulated seconds."""
-        if stream not in self._streams:
-            raise ReproError(f"launch on unknown stream {stream}")
         kernel = KernelLaunch(
             name=name,
             grid=grid,

@@ -23,7 +23,7 @@ at laptop scale:
   where mixed-precision matvec speedups multiply.
 """
 
-from repro.inverse.mesh import Grid1D, Grid2D
+from repro.inverse.mesh import Grid1D
 from repro.inverse.lti import HeatEquation1D, AdvectionDiffusion1D, LTISystem
 from repro.inverse.observation import ObservationOperator
 from repro.inverse.p2o import P2OMap, build_p2o_blocks
@@ -34,13 +34,12 @@ from repro.inverse.cg import (
     block_conjugate_gradient,
     BlockCGResult,
 )
-from repro.inverse.bayes import LinearBayesianProblem, MAPResult, BlockMAPResult
+from repro.inverse.bayes import LinearBayesianProblem, MAPResult
 from repro.inverse.oed import greedy_sensor_placement, expected_information_gain
 from repro.inverse.posterior import LowRankPosterior, randomized_eig
 
 __all__ = [
     "Grid1D",
-    "Grid2D",
     "HeatEquation1D",
     "AdvectionDiffusion1D",
     "LTISystem",
@@ -54,7 +53,6 @@ __all__ = [
     "BlockCGResult",
     "LinearBayesianProblem",
     "MAPResult",
-    "BlockMAPResult",
     "greedy_sensor_placement",
     "expected_information_gain",
     "LowRankPosterior",

@@ -21,18 +21,13 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.core.precision import PrecisionConfig
-from repro.inverse.cg import (
-    BlockCGResult,
-    CGResult,
-    block_conjugate_gradient,
-    conjugate_gradient,
-)
+from repro.inverse.cg import CGResult, conjugate_gradient
 from repro.inverse.p2o import P2OMap
 from repro.inverse.prior import GaussianPrior
 from repro.util.blocking import chunk_ranges, validate_max_block_k
 from repro.util.validation import ReproError
 
-__all__ = ["MAPResult", "BlockMAPResult", "LinearBayesianProblem"]
+__all__ = ["MAPResult", "LinearBayesianProblem"]
 
 
 @dataclass
@@ -44,15 +39,6 @@ class MAPResult:
     config: str
     misfit: float  # ||F m_map - d||^2 weighted by Gn^{-1}
     reg: float  # prior term at the MAP point
-
-
-@dataclass
-class BlockMAPResult:
-    """MAP estimates for a block of k datasets solved in one block-CG."""
-
-    m_map: np.ndarray  # (nt, nm, k)
-    cg: BlockCGResult
-    config: str
 
 
 class LinearBayesianProblem:
@@ -119,7 +105,7 @@ class LinearBayesianProblem:
             m_map=result.x, cg=result, config=str(cfg), misfit=misfit, reg=reg
         )
 
-    # -- blocked multi-RHS MAP ----------------------------------------------
+    # -- the Hessian ----------------------------------------------------------
     def hessian_operator(self, config: Union[str, PrecisionConfig] = "ddddd"):
         """The MAP Hessian as a composable :class:`GaussNewtonHessian`.
 
@@ -143,35 +129,6 @@ class LinearBayesianProblem:
             noise_std=self.noise_std,
             reg=reg,
         )
-
-    def solve_map_block(
-        self,
-        D: np.ndarray,
-        config: Union[str, PrecisionConfig] = "ddddd",
-        tol: float = 1e-8,
-        maxiter: int = 500,
-    ) -> BlockMAPResult:
-        """Solve k MAP systems at once with block CG.
-
-        ``D`` is ``(nt, Nd, k)`` — k observed datasets (e.g. posterior
-        resampling or OED candidate batches).  Each block-CG iteration
-        costs one blocked F and one blocked F* pass instead of k of each.
-        """
-        cfg = PrecisionConfig.parse(config)
-        DD = np.asarray(D, dtype=np.float64)
-        if DD.ndim != 3 or DD.shape[:2] != (self.p2o.nt, self.p2o.nd):
-            raise ReproError(
-                f"data block must be ({self.p2o.nt}, {self.p2o.nd}, k), "
-                f"got {DD.shape}"
-            )
-        hessian = self.hessian_operator(cfg)
-        rhs = self.p2o.applyT_block(DD / self.noise_std**2, config=cfg)
-        prior_term = self.prior.apply_inv(self.prior.mean)
-        rhs = rhs + prior_term[:, :, None]
-        result = block_conjugate_gradient(
-            hessian.apply_block, rhs, tol=tol, maxiter=maxiter
-        )
-        return BlockMAPResult(m_map=result.X, cg=result, config=str(cfg))
 
     # -- data-space Hessian (the OED workhorse) -------------------------------
     def data_space_hessian(

@@ -466,12 +466,6 @@ class BlockCGResult:
     def all_converged(self) -> bool:
         return bool(np.all(self.converged))
 
-    @property
-    def final_residuals(self) -> np.ndarray:
-        if not self.residual_norms:
-            return np.full(self.converged.shape, np.nan)
-        return self.residual_norms[-1]
-
 
 def _col_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-column inner products over all leading axes: (..., k) -> (k,)."""

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
 from repro.util.validation import ReproError, check_positive_int
 
-__all__ = ["Grid1D", "Grid2D"]
+__all__ = ["Grid1D"]
 
 
 @dataclass(frozen=True)
@@ -39,51 +38,3 @@ class Grid1D:
         if not (0.0 <= x <= self.length):
             raise ReproError(f"x={x} outside [0, {self.length}]")
         return int(np.argmin(np.abs(self.points - x)))
-
-
-@dataclass(frozen=True)
-class Grid2D:
-    """Uniform 2-D grid on [0, lx] x [0, ly], nx x ny interior points."""
-
-    nx: int
-    ny: int
-    lx: float = 1.0
-    ly: float = 1.0
-
-    def __post_init__(self) -> None:
-        check_positive_int(self.nx, "nx")
-        check_positive_int(self.ny, "ny")
-        if self.lx <= 0 or self.ly <= 0:
-            raise ReproError("domain lengths must be positive")
-
-    @property
-    def n(self) -> int:
-        """Total number of points (the spatial parameter dimension Nm)."""
-        return self.nx * self.ny
-
-    @property
-    def hx(self) -> float:
-        return self.lx / (self.nx + 1)
-
-    @property
-    def hy(self) -> float:
-        return self.ly / (self.ny + 1)
-
-    @property
-    def points(self) -> np.ndarray:
-        """(n, 2) coordinates, x fastest (C-order raveling of (ny, nx))."""
-        xs = np.linspace(self.hx, self.lx - self.hx, self.nx)
-        ys = np.linspace(self.hy, self.ly - self.hy, self.ny)
-        xx, yy = np.meshgrid(xs, ys)
-        return np.column_stack([xx.ravel(), yy.ravel()])
-
-    def flat_index(self, ix: int, iy: int) -> int:
-        """Flat state index of grid point (ix, iy), x fastest."""
-        if not (0 <= ix < self.nx and 0 <= iy < self.ny):
-            raise ReproError(f"index ({ix},{iy}) outside {self.nx}x{self.ny}")
-        return iy * self.nx + ix
-
-    def nearest_index(self, x: float, y: float) -> int:
-        """Index of the grid point nearest to coordinates (x, y)."""
-        pts = self.points
-        return int(np.argmin((pts[:, 0] - x) ** 2 + (pts[:, 1] - y) ** 2))

@@ -58,7 +58,7 @@ def build_p2o_blocks(
 
     # Kernel convention: F_t = dt * B * S^{t+1} with S = (I - dt A)^{-1},
     # so that apply() agrees exactly with integrating the PDE under a
-    # zero-order-hold source (see apply_via_pde).
+    # zero-order-hold source (``system.evolve`` + ``obs.observe``).
     nm, nd = system.n, obs.nd
     blocks = np.empty((nt, nd, nm))
     if method == "forward":
@@ -221,10 +221,3 @@ class P2OMap:
     ) -> np.ndarray:
         """M = F* D for a (nt, Nd, k) block — one blocked pipeline pass."""
         return self.engine.rmatmat(D, config=config)
-
-    # -- slow path (validation) --------------------------------------------------
-    def apply_via_pde(self, m: np.ndarray) -> np.ndarray:
-        """d = F m by actually integrating the PDE (O(nt) solves)."""
-        mm = self.matrix.check_input(m)
-        states = self.system.evolve(self.nt, m=mm)
-        return self.obs.observe(states)

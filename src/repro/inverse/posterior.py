@@ -317,14 +317,3 @@ class LowRankPosterior:
                 Zc.reshape(nt, nm, j1 - j0)
             )
         return out[:, :, 0] if single else out
-
-    def posterior_covariance_action(self, m: np.ndarray) -> np.ndarray:
-        """Gamma_post applied to a (nt, nm) field via the low-rank formula."""
-        nt, nm = self.problem.p2o.nt, self.problem.p2o.nm
-        a = np.asarray(m, dtype=np.float64)
-        if a.shape != (nt, nm):
-            raise ReproError(f"field must be ({nt},{nm}), got {a.shape}")
-        w = self.problem.prior.apply_sqrt_t(a).ravel()
-        weights = self.eigenvalues / (1.0 + self.eigenvalues)
-        w = w - self.eigenvectors @ (weights * (self.eigenvectors.T @ w))
-        return self.problem.prior.apply_sqrt(w.reshape(nt, nm))

@@ -164,9 +164,3 @@ class GaussianPrior:
         z = rng.standard_normal((self.nt, self.nm))
         x = np.linalg.solve(L.T, z.T).T
         return self.mean + x
-
-    def logdet_prec(self) -> float:
-        """log det Gamma_prior^{-1} of one time block (used by the OED
-        information-gain formulas)."""
-        L = np.linalg.cholesky(self._Kinv.toarray())
-        return 2.0 * float(np.sum(np.log(np.diag(L))))

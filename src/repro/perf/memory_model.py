@@ -14,7 +14,6 @@ MI250X GCDs for the 1B-parameter problem).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -37,10 +36,6 @@ class MatvecMemoryFootprint:
     @property
     def total(self) -> int:
         return self.fhat_double + self.fhat_single + self.vector_workspaces
-
-    def fits(self, spec: GPUSpec) -> bool:
-        """Whether the footprint fits in the device's HBM."""
-        return self.total <= spec.memory_bytes
 
 
 def matvec_memory(

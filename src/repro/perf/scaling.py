@@ -292,7 +292,7 @@ class ScalingPoint:
     ``time_mixed_two_stream_host`` / ``time_mixed_overlap3`` are the
     per-vector times with the sweep's :class:`~repro.util.timing.HostModel`
     charged serially after the two-stream schedule vs fused as the third
-    stream; :attr:`host_overlap_speedup` is their ratio.  Both are 0.0
+    stream; their ratio is the host-fusion effect alone.  Both are 0.0
     when the sweep ran without a host model.
 
     ``system_mtbf_s`` / ``recovery_slowdown`` are the fault-tolerance
@@ -343,18 +343,6 @@ class ScalingPoint:
             return 1.0
         return self.time_mixed_blocked_serial / self.time_mixed_overlap
 
-    @property
-    def host_overlap_speedup(self) -> float:
-        """Serial-host per-vector time over the three-stream fused one.
-
-        Same chunking and same host charges on both sides, so this is
-        the host-fusion effect alone; 1.0 when the sweep carried no
-        host model.
-        """
-        if self.time_mixed_overlap3 <= 0.0:
-            return 1.0
-        return self.time_mixed_two_stream_host / self.time_mixed_overlap3
-
 
 def scaling_sweep(
     gpu_counts: Sequence[int] = (8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096),
@@ -382,8 +370,7 @@ def scaling_sweep(
     ``max_block_k``, broadcasts prefetched behind compute, chunk compute
     through the blocked SBGEMM phase model, per-rank ``skew`` honored).
     With a ``host`` model the mixed-config point also carries the serial-host
-    and three-stream fused per-vector columns
-    (``host_overlap_speedup``).
+    and three-stream fused per-vector columns.
 
     ``mtbf_per_gpu_s`` turns on the fault-tolerance columns: each point
     gets the system-level MTBF (``mtbf_per_gpu_s / p`` — failures

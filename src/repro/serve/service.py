@@ -468,11 +468,19 @@ class SolverService:
         return self._stats
 
     def tenant_failures(self) -> Dict[str, int]:
-        """Rank failures charged to each tenant so far (a copy)."""
+        """Rank failures charged to each tenant so far (a copy).
+
+        Kept by ``docs/FAULT_TOLERANCE.md``: the operator's view of the
+        per-tenant failure budget.
+        """
         return dict(self._tenant_failures)
 
     def tenant_sdc_detections(self) -> Dict[str, int]:
-        """Silent-corruption detections charged per tenant (a copy)."""
+        """Silent-corruption detections charged per tenant (a copy).
+
+        Kept by ``docs/FAULT_TOLERANCE.md``: the operator's view of the
+        per-tenant escalation count.
+        """
         return dict(self._tenant_sdc)
 
     # -- submission internals -------------------------------------------------

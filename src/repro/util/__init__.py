@@ -11,20 +11,16 @@ from repro.util.dtypes import (
     real_dtype,
     machine_eps,
     lowest,
-    highest,
     cast_to,
     fill_low_mantissa,
-    dtype_itemsize,
-    precision_of,
 )
-from repro.util.timing import SimClock, Timeline, Stream, Event, TimingReport, PhaseTimer
+from repro.util.timing import SimClock, Timeline, Stream, Event, TimingReport
 from repro.util.validation import (
     check_positive_int,
-    check_in,
     check_array,
     ReproError,
 )
-from repro.util.tables import render_table, format_si, format_seconds
+from repro.util.tables import render_table
 from repro.util.checkpoint import (
     CheckpointError,
     CheckpointFingerprintError,
@@ -41,24 +37,17 @@ __all__ = [
     "real_dtype",
     "machine_eps",
     "lowest",
-    "highest",
     "cast_to",
     "fill_low_mantissa",
-    "dtype_itemsize",
-    "precision_of",
     "SimClock",
     "Timeline",
     "Stream",
     "Event",
     "TimingReport",
-    "PhaseTimer",
     "check_positive_int",
-    "check_in",
     "check_array",
     "ReproError",
     "render_table",
-    "format_si",
-    "format_seconds",
     "CheckpointError",
     "CheckpointFingerprintError",
     "CheckpointNotFoundError",

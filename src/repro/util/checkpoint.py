@@ -35,7 +35,7 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -336,17 +336,6 @@ class CheckpointStore:
                     if self.steps(name):
                         found.add(name)
         return tuple(sorted(found))
-
-    def delete(self, key: str, step: Optional[int] = None) -> None:
-        """Drop one step (or every step when ``step=None``) of ``key``."""
-        _check_key(key)
-        targets: Iterable[int] = self.steps(key) if step is None else (int(step),)
-        for s in targets:
-            self._mem.get(key, {}).pop(s, None)
-            if self.root is not None:
-                path = self._path(key, s)
-                if os.path.exists(path):
-                    os.unlink(path)
 
     def __contains__(self, key: str) -> bool:
         return bool(self.steps(key))

@@ -6,7 +6,7 @@ defines the :class:`Precision` enum, the mapping between precisions and
 NumPy real/complex dtypes, machine epsilons, and helpers used throughout
 the matvec engine:
 
-* :func:`lowest` / :func:`highest` implement the lattice used to pick the
+* :func:`lowest` implements the lattice used to pick the
   precision of memory operations between two compute phases (the paper
   performs padding/unpadding/reordering "in the lowest possible precision
   among the compute precisions of adjacent phases").
@@ -30,11 +30,8 @@ __all__ = [
     "complex_dtype",
     "machine_eps",
     "lowest",
-    "highest",
     "cast_to",
     "fill_low_mantissa",
-    "dtype_itemsize",
-    "precision_of",
 ]
 
 
@@ -102,27 +99,6 @@ def lowest(a: Precision, b: Precision) -> Precision:
     """Lower of two precisions (memory ops run at the lower neighbour)."""
     a, b = Precision.parse(a), Precision.parse(b)
     return a if a <= b else b
-
-
-def highest(a: Precision, b: Precision) -> Precision:
-    """Higher of two precisions (accumulations run at the higher one)."""
-    a, b = Precision.parse(a), Precision.parse(b)
-    return b if a <= b else a
-
-
-def precision_of(dtype) -> Precision:
-    """Precision enum for a NumPy dtype (real or complex)."""
-    dt = np.dtype(dtype)
-    if dt in (np.dtype(np.float32), np.dtype(np.complex64)):
-        return Precision.SINGLE
-    if dt in (np.dtype(np.float64), np.dtype(np.complex128)):
-        return Precision.DOUBLE
-    raise ValueError(f"dtype {dt} has no single/double precision classification")
-
-
-def dtype_itemsize(dtype) -> int:
-    """Bytes per element of a dtype."""
-    return int(np.dtype(dtype).itemsize)
 
 
 def cast_to(arr: np.ndarray, prec: Precision) -> np.ndarray:

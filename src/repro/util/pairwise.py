@@ -19,8 +19,7 @@ canonical grouping for any contraction axis of length ``n``:
   leaves by level-order adjacent pairing with odd-tail passthrough,
   which is provably the same grouping as the virtual tree (an unpaired
   trailing node at any level is exactly a node with an absent right
-  sibling).  It works in a caller-owned buffer with doubling strides;
-  :func:`fold_pairwise` is its non-mutating wrapper.
+  sibling).  It works in a caller-owned buffer with doubling strides.
 * :func:`fixed_tree_merge` combines per-segment node values up the tree
   by splitting at virtual midpoints, so *every* addition performed —
   inside segments and across them — is an edge of the one fixed tree.
@@ -49,7 +48,6 @@ __all__ = [
     "virtual_span",
     "canonical_segments",
     "fold_in_place",
-    "fold_pairwise",
     "fixed_tree_merge",
     "validate_segments",
 ]
@@ -134,37 +132,6 @@ def fold_in_place(
         return buf[0]
     be.copyto(out, buf[0])
     return out
-
-
-def fold_pairwise(leaves: Any, axis: int = 0, backend: Optional[Backend] = None) -> Any:
-    """Reduce ``leaves`` along ``axis`` in fixed level-order pairs.
-
-    Level by level, adjacent pairs are added and an odd trailing node
-    passes through unchanged — the grouping of a complete binary tree
-    over the next power of two with absent leaves skipped.  Returns the
-    root value with ``axis`` removed.  Additions happen in the input
-    dtype via ``backend.add`` (elementwise — per-output-element order is
-    independent of every other axis, which is what makes blocked and
-    looped applies bitwise-identical).
-
-    ``leaves`` is not modified: the first level lands in a fresh buffer
-    of ``ceil(count / 2)`` nodes and :func:`fold_in_place` finishes the
-    tree there.
-    """
-    be = backend if backend is not None else _NUMPY
-    count = int(leaves.shape[axis])
-    if count < 1:
-        raise ReproError(f"cannot fold an empty axis (axis {axis})")
-    order = (axis,) + tuple(i for i in range(leaves.ndim) if i != axis)
-    rows = be.transpose(leaves, order)
-    if count == 1:
-        return rows[0]
-    pairs = count // 2
-    nodes = be.empty((count - pairs,) + tuple(rows.shape[1:]), be.dtype_of(leaves))
-    be.add(rows[0 : 2 * pairs : 2], rows[1 : 2 * pairs : 2], out=nodes[:pairs])
-    if count % 2:
-        be.copyto(nodes[pairs:], rows[count - 1 :])
-    return fold_in_place(nodes, count - pairs, backend=be)
 
 
 def validate_segments(segments: Mapping[Segment, Any], n: int) -> None:

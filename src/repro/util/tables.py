@@ -9,43 +9,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-__all__ = ["render_table", "format_si", "format_seconds", "format_bandwidth"]
-
-_SI_PREFIXES = [
-    (1e12, "T"),
-    (1e9, "G"),
-    (1e6, "M"),
-    (1e3, "k"),
-    (1.0, ""),
-]
-
-
-def format_si(value: float, unit: str = "", digits: int = 3) -> str:
-    """Format with SI prefixes: ``format_si(5.3e12, 'B/s') -> '5.30 TB/s'``."""
-    if value == 0:
-        return f"0 {unit}".strip()
-    av = abs(value)
-    for scale, prefix in _SI_PREFIXES:
-        if av >= scale:
-            return f"{value / scale:.{digits}g} {prefix}{unit}".strip()
-    return f"{value:.{digits}g} {unit}".strip()
-
-
-def format_seconds(seconds: float) -> str:
-    """Human-scale time: ns/us/ms/s."""
-    av = abs(seconds)
-    if av >= 1.0:
-        return f"{seconds:.3f} s"
-    if av >= 1e-3:
-        return f"{seconds * 1e3:.3f} ms"
-    if av >= 1e-6:
-        return f"{seconds * 1e6:.3f} us"
-    return f"{seconds * 1e9:.1f} ns"
-
-
-def format_bandwidth(bytes_per_s: float) -> str:
-    """Bandwidth in GB/s (the unit rocblas-bench reports)."""
-    return f"{bytes_per_s / 1e9:.1f} GB/s"
+__all__ = ["render_table"]
 
 
 def render_table(

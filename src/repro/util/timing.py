@@ -36,7 +36,6 @@ __all__ = [
     "Event",
     "run_chunk_schedule",
     "HostModel",
-    "PhaseTimer",
     "TimingReport",
 ]
 
@@ -145,10 +144,6 @@ class SimClock:
     def phase_totals(self) -> Dict[str, float]:
         """Copy of all per-phase accumulated times."""
         return dict(self._phase_totals)
-
-    def reset_phases(self) -> None:
-        """Clear phase accounting without resetting absolute time."""
-        self._phase_totals.clear()
 
     def reset(self) -> None:
         """Reset absolute time and phase accounting."""
@@ -350,26 +345,6 @@ def run_chunk_schedule(
     return tl.sync()
 
 
-@dataclass
-class PhaseTimer:
-    """Records the duration of a single named region on a :class:`SimClock`."""
-
-    clock: SimClock
-    name: str
-    start: float = 0.0
-    elapsed: Optional[float] = None
-
-    def __enter__(self) -> "PhaseTimer":
-        self.start = self.clock.now
-        self._cm = self.clock.phase(self.name)
-        self._cm.__enter__()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._cm.__exit__(*exc)
-        self.elapsed = self.clock.now - self.start
-
-
 # Canonical phase order used by the matvec engine and all figures.
 PHASE_ORDER = ("pad", "fft", "sbgemv", "ifft", "unpad")
 
@@ -419,17 +394,6 @@ class TimingReport:
         """Fraction of total time spent in a phase."""
         t = self.total
         return self.phases.get(name, 0.0) / t if t > 0 else 0.0
-
-    def scaled(self, factor: float) -> "TimingReport":
-        """A report with every time multiplied by ``factor``."""
-        return TimingReport(
-            phases={k: v * factor for k, v in self.phases.items()},
-            setup=self.setup * factor,
-            cleanup=self.cleanup * factor,
-            reps=self.reps,
-            label=self.label,
-            wall=self.wall * factor if self.wall is not None else None,
-        )
 
     def merged(self, other: "TimingReport") -> "TimingReport":
         """Phase-wise sum of two reports (used to accumulate repetitions)."""

@@ -7,7 +7,7 @@ internals.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -15,7 +15,6 @@ __all__ = [
     "ReproError",
     "UnsupportedError",
     "check_positive_int",
-    "check_in",
     "check_array",
 ]
 
@@ -40,14 +39,6 @@ def check_positive_int(value, name: str) -> int:
     if v <= 0:
         raise ReproError(f"{name} must be positive, got {v}")
     return v
-
-
-def check_in(value, options: Iterable, name: str):
-    """Validate membership of ``value`` in ``options``."""
-    opts = list(options)
-    if value not in opts:
-        raise ReproError(f"{name} must be one of {opts}, got {value!r}")
-    return value
 
 
 def check_array(

@@ -27,7 +27,7 @@ def test_identity_and_probe():
     ok, reason = NumpyBackend.probe()
     assert ok and "numpy" in reason
     assert BE.name == "numpy"
-    assert BE.xp is np
+    assert not BE.is_device
 
 
 def test_fft_namespace_picks_its_provider_from_the_input_dtype(rng):
@@ -83,12 +83,13 @@ def test_matmul_matches_numpy(rng, carr):
     assert np.array_equal(out, expect)
 
 
-def test_einsum_matches_numpy(rng):
+def test_matmul_into_a_transposed_view_matches_numpy(rng):
+    # The GEMV kernels and Phase 3 hand matmul strided views of their outputs.
     a = rng.standard_normal((3, 4, 5))
-    v = rng.standard_normal((3, 5))
-    assert np.array_equal(
-        BE.einsum("bij,bj->bi", a, v), np.einsum("bij,bj->bi", a, v)
-    )
+    b = rng.standard_normal((3, 5, 2))
+    out = np.empty((3, 2, 4))
+    BE.matmul(a, b, out=BE.transpose(out, (0, 2, 1)))
+    assert np.array_equal(BE.transpose(out, (0, 2, 1)), np.matmul(a, b))
 
 
 def test_conjugate_matches_numpy(carr):
@@ -109,13 +110,11 @@ def test_add_multiply_match_numpy(rng):
     assert np.array_equal(out, a * b)
 
 
-def test_transpose_ravel_concatenate(rng):
+def test_transpose_is_a_view(rng):
     a = rng.standard_normal((2, 3, 4))
     assert np.array_equal(BE.transpose(a), a.T)
     assert np.array_equal(BE.transpose(a, (0, 2, 1)), a.transpose(0, 2, 1))
-    assert np.array_equal(BE.ravel(a), a.ravel())
-    parts = [rng.standard_normal(3), rng.standard_normal(2)]
-    assert np.array_equal(BE.concatenate(parts), np.concatenate(parts))
+    assert np.shares_memory(BE.transpose(a, (0, 2, 1)), a)
 
 
 def test_astype_and_ascontiguous(rng):
@@ -144,7 +143,6 @@ def test_introspection(rng, carr):
     assert BE.size(a) == a.size
     assert BE.is_contiguous(a) and not BE.is_contiguous(a.T)
     assert BE.iscomplex(carr) and not BE.iscomplex(a)
-    assert BE.shares_memory(a, a[1:]) and not BE.shares_memory(a, a.copy())
 
 
 def test_fft_roundtrip_matches_numpy(rng):

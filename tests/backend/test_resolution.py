@@ -14,19 +14,17 @@ from repro.backend import (
     BackendUnavailableError,
     NumpyBackend,
     available_backends,
-    get_default_backend,
-    reset_backend_state,
+    registry,
     resolve_backend,
-    set_default_backend,
 )
 
 
 @pytest.fixture(autouse=True)
-def _fresh_registry():
-    """Each test sees a registry with no cached instances or warn flag."""
-    reset_backend_state()
-    yield
-    reset_backend_state()
+def _fresh_registry(monkeypatch):
+    """Each test sees a registry with no cached instances or warn flag;
+    the process's own cache and flag come back afterwards."""
+    monkeypatch.setattr(registry, "_instances", {})
+    monkeypatch.setattr(registry, "_fallback_warned", False)
 
 
 def _mock_device_backends_absent(monkeypatch):
@@ -122,11 +120,9 @@ def test_available_backends_probes_all(monkeypatch):
     assert probes["cupy"][0] is False and probes["torch"][0] is False
 
 
-def test_default_backend_roundtrip(monkeypatch):
+def test_auto_hands_back_the_cached_named_instance(monkeypatch):
     _mock_device_backends_absent(monkeypatch)
     with pytest.warns(BackendFallbackWarning):
-        first = get_default_backend()
-    assert get_default_backend() is first
-    override = set_default_backend("numpy")
-    assert isinstance(override, Backend)
-    assert get_default_backend() is override
+        first = resolve_backend(None)
+    assert isinstance(first, Backend)
+    assert resolve_backend("auto") is first is resolve_backend("numpy")

@@ -18,9 +18,11 @@ from repro.comm.collectives import fixed_tree_reduce_segments
 from repro.core.matvec import FFTMatvec
 from repro.core.toeplitz import BlockTriangularToeplitz
 from repro.gpu.specs import get_gpu
-from repro.util.pairwise import canonical_segments, fold_pairwise
+from repro.util.pairwise import canonical_segments
 from repro.util.validation import ReproError
 from repro.util.workspace import Workspace
+
+from tests.conftest import fold_pairwise
 
 SPEC = get_gpu("mi300x")
 

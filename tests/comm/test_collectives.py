@@ -125,6 +125,11 @@ class TestRingAllreduce:
     def test_single_rank_free(self):
         assert ring_allreduce_time(1, 1e9, SIMPLE_NETWORK) == 0.0
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_rejects_no_ranks(self, k):
+        with pytest.raises(ReproError, match="k must be >= 1"):
+            ring_allreduce_time(k, 1.0, SIMPLE_NETWORK)
+
     def test_latency_scales_linearly(self):
         t8 = ring_allreduce_time(8, 0.0, SIMPLE_NETWORK)
         t16 = ring_allreduce_time(16, 0.0, SIMPLE_NETWORK)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.comm.fault import FailureSchedule, RankFailure
+from repro.comm.fault import CorruptionSchedule, FailureSchedule, RankFailure
 from repro.comm.grid import ProcessGrid
 from repro.comm.simcomm import SimCommunicator
 from repro.util.validation import ReproError
@@ -22,7 +22,7 @@ def test_explicit_schedule_fires_at_index():
     assert err.rank == 1
     assert err.op == "bcast"
     assert err.collective_index == 2
-    assert sched.exhausted
+    assert sched.pending == ()
     assert sched.fired == [err]
 
 
@@ -38,24 +38,21 @@ def test_kill_consumed_before_raising():
     assert all(np.array_equal(o, np.ones(2)) for o in out)
 
 
-@pytest.mark.parametrize("op", ["bcast", "reduce", "allreduce", "allgather", "barrier"])
+@pytest.mark.parametrize("op", ["bcast", "reduce", "reduce_segments"])
 def test_every_collective_kind_is_injectable(op):
     sched = FailureSchedule(kills=[(0, 0)])
     comm = SimCommunicator(2)
     comm.install_failure_schedule(sched)
     per_rank = [np.ones(2), np.ones(2)]
     with pytest.raises(RankFailure) as exc_info:
-        if op == "barrier":
-            comm.barrier()
-        elif op == "reduce":
+        if op == "reduce":
             comm.reduce(per_rank, root=0)
-        elif op == "allreduce":
-            comm.allreduce(per_rank)
-        elif op == "allgather":
-            comm.allgather(per_rank)
+        elif op == "reduce_segments":
+            comm.reduce_segments([{(0, 1): np.ones(2)}, {(1, 2): np.ones(2)}], 2)
         else:
             comm.bcast(np.ones(2), root=0)
-    assert exc_info.value.op == op
+    # A segment reduce is a reduce on the wire: the schedule sees "reduce".
+    assert exc_info.value.op == ("reduce" if op == "reduce_segments" else op)
 
 
 def test_counter_shared_across_grid_communicators():
@@ -100,6 +97,31 @@ def test_schedule_validation():
         FailureSchedule.seeded(0, size=4, n_failures=9, horizon=4)
     with pytest.raises(ReproError):
         FailureSchedule.seeded(0, size=4, n_failures=0)
+
+
+def test_seeded_corruptions_are_reproducible():
+    a = CorruptionSchedule.seeded(123, size=8, n_flips=3, horizon=20, first=4, bit=30)
+    b = CorruptionSchedule.seeded(123, size=8, n_flips=3, horizon=20, first=4, bit=30)
+    assert a.pending == b.pending and len(a.pending) == 3
+    assert all(4 <= i < 24 and 0 <= r < 8 for i, r in a.pending)
+    assert (a.seed, a.bit) == (123, 30)
+    assert CorruptionSchedule.seeded(124, size=8, n_flips=3, horizon=20).pending != a.pending
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: CorruptionSchedule(flips=[(0, 1), (0, 2)]), "duplicate flip"),
+        (lambda: CorruptionSchedule(flips=[(-1, 0)]), "event index"),
+        (lambda: CorruptionSchedule(flips=[(0, -1)]), "rank"),
+        (lambda: CorruptionSchedule.seeded(0, size=4, n_flips=9, horizon=4), "horizon"),
+        (lambda: CorruptionSchedule.seeded(0, size=4, n_flips=0), "n_flips"),
+    ],
+    ids=["duplicate", "negative-index", "negative-rank", "past-horizon", "no-flips"],
+)
+def test_corruption_schedule_validation(build, match):
+    with pytest.raises(ReproError, match=match):
+        build()
 
 
 def test_chaos_fixture_factory(failure_schedule, chaos_seed):

@@ -17,16 +17,15 @@ class TestRankArithmetic:
 
     def test_roundtrip(self):
         g = ProcessGrid(4, 8)
-        for rank in range(g.size):
-            r, c = g.coords_of(rank)
-            assert g.rank_of(r, c) == rank
+        ranks = [g.rank_of(r, c) for r in range(g.pr) for c in range(g.pc)]
+        assert ranks == list(range(g.size))
 
     def test_out_of_range(self):
         g = ProcessGrid(2, 2)
         with pytest.raises(ReproError):
             g.rank_of(2, 0)
         with pytest.raises(ReproError):
-            g.coords_of(4)
+            g.rank_of(0, 2)
 
 
 class TestSubcommunicators:
@@ -80,6 +79,8 @@ class TestSplitExtent:
         assert sum(sizes) == n
 
     def test_local_rows_cols(self):
+        # What a 2x4 grid's row 0 / column 3 own: the engines slice
+        # split_extent(nd, pr) and split_extent(nm, pc) directly.
         g = ProcessGrid(2, 4)
-        assert g.local_rows(100, 0) == (0, 50)
-        assert g.local_cols(100, 3) == (75, 100)
+        assert g.split_extent(100, g.pr)[0] == (0, 50)
+        assert g.split_extent(100, g.pc)[3] == (75, 100)

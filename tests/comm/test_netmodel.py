@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.comm.collectives import tree_collective_time
 from repro.comm.netmodel import FRONTIER_NETWORK, SIMPLE_NETWORK
 from repro.util.validation import ReproError
 
@@ -30,13 +31,15 @@ class TestStepTimes:
         assert large > 10 * small
 
     def test_intra_step_includes_volume(self):
-        t0 = FRONTIER_NETWORK.intra_step_time(0)
-        t1 = FRONTIER_NETWORK.intra_step_time(1e9)
-        assert t1 > t0
+        # One in-group tree level: latency plus the volume at beta_intra.
+        t0 = tree_collective_time(2, 0, FRONTIER_NETWORK)
+        t1 = tree_collective_time(2, 1e9, FRONTIER_NETWORK)
         assert t0 == pytest.approx(FRONTIER_NETWORK.alpha_intra)
+        assert t1 - t0 == pytest.approx(1e9 * FRONTIER_NETWORK.beta_intra)
 
     def test_inter_slower_than_intra(self):
-        assert FRONTIER_NETWORK.inter_step_time(1e6, 2) > FRONTIER_NETWORK.intra_step_time(1e6)
+        assert FRONTIER_NETWORK.inter_step_latency(2) > FRONTIER_NETWORK.alpha_intra
+        assert FRONTIER_NETWORK.beta_inter > FRONTIER_NETWORK.beta_intra
 
     def test_paper_nic_bandwidth(self):
         # Section 4.2.2: "the network bandwidth is 100 GB/s"

@@ -5,9 +5,11 @@ import pytest
 
 from repro.comm.collectives import fixed_tree_reduce_segments, tree_reduce_arrays
 from repro.comm.simcomm import SimCommunicator
-from repro.util.pairwise import canonical_segments, fold_pairwise
+from repro.util.pairwise import canonical_segments
 from repro.util.timing import SimClock
 from repro.util.validation import ReproError
+
+from tests.conftest import fold_pairwise
 
 
 def _segments_for(leaves, bounds, n):
@@ -53,6 +55,10 @@ class TestFixedTreeReduceSegments:
         assert fixed_tree_reduce_segments(m1, n) == fixed_tree_reduce_segments(m2, n)
         del a, b
 
+    def test_rejects_zero_segments(self):
+        with pytest.raises(ReproError, match="zero segments"):
+            fixed_tree_reduce_segments({}, 8)
+
 
 class TestCommReduceSegments:
     def _run(self, bounds, n, leaves, **kw):
@@ -75,8 +81,16 @@ class TestCommReduceSegments:
         clock = SimClock()
         comm, _ = self._run([0, 1, n], n, leaves, clock=clock)
         assert comm.op_counts["reduce"] == 1
-        assert comm.op_bytes["reduce"] > 0
+        # Rank 1 holds [1, 8) = (1,2) + (2,4) + (4,8): three 16-byte
+        # panels against rank 0's one; the larger total crosses one link.
+        assert comm.op_bytes["reduce"] == pytest.approx(3 * 16.0)
         assert clock.now > 0
+
+    @pytest.mark.parametrize("root", [-1, 2])
+    def test_rejects_bad_root(self, root):
+        comm = SimCommunicator(2)
+        with pytest.raises(ReproError, match=f"root {root} out of range"):
+            comm.reduce_segments([{(0, 4): np.zeros(2)}, {(4, 8): np.zeros(2)}], 8, root=root)
 
     def test_rejects_wrong_rank_count(self):
         comm = SimCommunicator(3)

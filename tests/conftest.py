@@ -128,3 +128,13 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     if denom == 0.0:
         return float(np.linalg.norm(a))
     return float(np.linalg.norm(np.asarray(a) - np.asarray(b))) / denom
+
+
+def fold_pairwise(leaves: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Fixed-tree sum of ``leaves`` along ``axis``, leaving them intact:
+    :func:`repro.util.pairwise.fold_in_place` on a copy — the grouping
+    every pairwise kernel and reduce must reproduce bit for bit."""
+    from repro.util.pairwise import fold_in_place
+
+    rows = np.moveaxis(np.asarray(leaves), axis, 0).copy()
+    return fold_in_place(rows, rows.shape[0])

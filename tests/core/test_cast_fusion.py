@@ -175,7 +175,7 @@ def test_arena_never_holds_a_reorder_cast_buffer(problem):
         casts = {t for t in eng.workspace.tags if t.startswith("cast")}
         assert casts == ({"cast_fft"} if config.startswith("sd") else set()), config
     # ... which the device allocator's registrations agree with.
-    tags = {a.tag.split("/", 1)[1] for a in eng.device.allocator.live_allocations()}
+    tags = {a.tag.split("/", 1)[1] for a in eng.device.allocator._live.values()}
     assert {"pad", "fwd_reorder", "bwd_reorder", "cast_fft"} <= tags
     assert not {"cast_sbgemv", "cast_ifft"} & tags
 

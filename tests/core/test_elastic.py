@@ -114,6 +114,24 @@ def test_failures_fire_on_the_calling_thread(matrix, reference, rank_groups):
     assert ev.new_shape == (1, 3)
 
 
+@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
+def test_vector_apply_is_the_width_one_block(matrix, reference, adjoint):
+    eng = ElasticEngine(matrix, 4)
+    if adjoint:
+        d = reference["D"][:, :, 3]
+        assert np.array_equal(eng.rmatvec(d), eng.rmatmat(d[:, :, None])[..., 0])
+    else:
+        m = reference["M"][:, :, 3]
+        assert np.array_equal(eng.matvec(m), eng.matmat(m[:, :, None])[..., 0])
+
+
+def test_resize_to_the_current_size_keeps_the_grid(matrix):
+    eng = ElasticEngine(matrix, 4)
+    grid, engine = eng.grid, eng.engine
+    eng.resize(4)
+    assert eng.grid is grid and eng.engine is engine
+
+
 def test_recovery_grows_back_bitwise(matrix, reference):
     """N+1 elasticity: resize back up after a loss, still bitwise."""
     eng = ElasticEngine(

@@ -178,3 +178,8 @@ class TestInputValidation:
         eng, rng = make()
         with pytest.raises(ReproError):
             eng.matvec(rng.standard_normal((16, 10)), config="dsxdd")
+
+    @pytest.mark.parametrize("reduction", ["tree", "PAIRWISE"])
+    def test_unknown_reduction(self, reduction):
+        with pytest.raises(ReproError, match="reduction must be 'fast' or 'pairwise'"):
+            make(reduction=reduction)

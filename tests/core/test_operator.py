@@ -119,6 +119,54 @@ class TestAlgebra:
             LinearOperator((4, 3), (4, 3)).adjoint()
 
 
+_W = np.random.default_rng(5).standard_normal((12, 4))
+
+
+def _dense_map():
+    """(16, 12) -> (16, 4) by a fixed matrix, with adjoint and blocked form."""
+    return CallableOperator(
+        (16, 12),
+        (16, 4),
+        lambda x: x @ _W,
+        fn_adjoint=lambda y: y @ _W.T,
+        fn_block=lambda X: np.einsum("tik,ij->tjk", X, _W),
+    )
+
+
+# Every way the algebra combines operators, built on the engine's F.
+_EXPRESSIONS = {
+    "sum": lambda F: F + _dense_map(),
+    "scaled": lambda F: -2.5 * F,
+    "composed": lambda F: F @ IdentityOperator((16, 12)),
+    "normal": lambda F: F.adjoint() @ F,
+    "nested": lambda F: (
+        0.5 * (F + _dense_map())
+        @ (IdentityOperator((16, 12)) + 3.0 * IdentityOperator((16, 12)))
+    ),
+}
+
+
+class TestAlgebraAdjoints:
+    @pytest.mark.parametrize("expr", _EXPRESSIONS)
+    def test_adjoint_satisfies_the_dot_product_identity(self, engine, rng, expr):
+        A = _EXPRESSIONS[expr](ForwardOperator(engine))
+        At = A.T
+        assert At.in_shape == A.out_shape and At.out_shape == A.in_shape
+        v = rng.standard_normal(A.in_shape)
+        w = rng.standard_normal(A.out_shape)
+        lhs, rhs = float(np.sum(A.apply(v) * w)), float(np.sum(v * At.apply(w)))
+        assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
+
+    @pytest.mark.parametrize("expr", _EXPRESSIONS)
+    def test_block_action_is_the_column_actions(self, engine, rng, expr):
+        A = _EXPRESSIONS[expr](ForwardOperator(engine))
+        V = rng.standard_normal(A.in_shape + (3,))
+        AV = A.apply_block(V)
+        assert AV.shape == A.out_shape + (3,)
+        for j in range(3):
+            np.testing.assert_allclose(AV[:, :, j], A.apply(V[:, :, j]), rtol=0, atol=1e-10)
+
+
 class TestGaussNewtonHessian:
     def test_matches_manual_normal_equations(self, engine, rng):
         F = ForwardOperator(engine)

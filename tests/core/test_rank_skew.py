@@ -17,7 +17,7 @@ from repro.comm.netmodel import SIMPLE_NETWORK
 from repro.comm.partition import skewed_extents
 from repro.core.parallel import ParallelFFTMatvec
 from repro.core.toeplitz import BlockTriangularToeplitz
-from repro.gpu.specs import MI250X_GCD, MI300X, list_gpus
+from repro.gpu.specs import A100, H100, MI250X_GCD, MI300X, MI355X
 from repro.util.validation import ReproError
 
 NT, ND, NM, K = 128, 16, 256, 8
@@ -164,7 +164,7 @@ class TestSpec:
         with pytest.raises(ReproError, match="spec must be"):
             _engine(matrix, spec=spec)
 
-    @pytest.mark.parametrize("gpu", list_gpus(), ids=lambda g: g.name)
+    @pytest.mark.parametrize("gpu", [MI250X_GCD, MI300X, MI355X, A100, H100], ids=lambda g: g.name)
     def test_every_registered_gpu_by_name(self, problem, gpu):
         matrix, _, _ = problem
         eng = _engine(matrix, spec=gpu.name)

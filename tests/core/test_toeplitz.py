@@ -77,6 +77,12 @@ class TestReferenceOps:
             small.matvec_reference(m), small.matvec_reference(m.reshape(6, 3))
         )
 
+    def test_flat_data_vectors_accepted(self, small, rng):
+        d = rng.standard_normal(12)
+        np.testing.assert_array_equal(
+            small.rmatvec_reference(d), small.rmatvec_reference(d.reshape(6, 2))
+        )
+
     def test_shape_errors(self, small):
         with pytest.raises(ReproError):
             small.check_input(np.zeros(17))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.error_model import phase_error_terms
-from repro.fft.plan import FFTPlan, FFTType, plan_many
+from repro.fft.plan import FFTPlan, FFTType
 from repro.gpu.device import SimulatedDevice
 from repro.util.dtypes import Precision, complex_dtype, machine_eps, real_dtype
 from repro.util.validation import ReproError
@@ -20,7 +20,7 @@ class TestFFTType:
         assert FFTType.real_forward(Precision.DOUBLE) is FFTType.D2Z
         assert FFTType.real_forward(Precision.SINGLE) is FFTType.R2C
         assert FFTType.real_inverse(Precision.DOUBLE) is FFTType.Z2D
-        assert FFTType.complex_complex(Precision.DOUBLE) is FFTType.Z2Z
+        assert FFTType.real_inverse(Precision.SINGLE) is FFTType.C2R
 
 
 class TestForward:
@@ -276,23 +276,3 @@ class TestOutAndRowSlabs:
             plan.execute(rng.standard_normal((3, 32)), out=np.empty((2, 17), complex))
         with pytest.raises(ReproError):  # never more rows than the batch
             plan.execute(rng.standard_normal((5, 32)), out=np.empty((5, 17), complex))
-
-
-class TestPlanMany:
-    def test_defaults(self):
-        plan = plan_many(128, 10)
-        assert plan.fft_type is FFTType.D2Z
-
-    def test_inverse_single(self):
-        plan = plan_many(128, 10, precision=Precision.SINGLE, forward=False)
-        assert plan.fft_type is FFTType.C2R
-
-    def test_complex(self):
-        plan = plan_many(128, 10, real=False)
-        assert plan.fft_type is FFTType.Z2Z
-
-    def test_invalid_sizes(self):
-        with pytest.raises(Exception):
-            plan_many(0, 1)
-        with pytest.raises(Exception):
-            plan_many(8, -1)

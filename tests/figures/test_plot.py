@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.figures.plot import bar_chart, line_chart
+from repro.figures.plot import line_chart
 from repro.util.validation import ReproError
 
 
@@ -36,27 +36,3 @@ class TestLineChart:
     def test_empty(self):
         with pytest.raises(ReproError):
             line_chart([], [])
-
-
-class TestBarChart:
-    def test_proportional_bars(self):
-        out = bar_chart(["a", "b"], [1.0, 2.0], width=10)
-        la, lb = out.splitlines()
-        assert lb.count("#") == 10
-        assert la.count("#") == 5
-
-    def test_reference_marks(self):
-        out = bar_chart(["a"], [0.5], reference=[1.0], width=10)
-        assert "+" in out
-
-    def test_unit_suffix(self):
-        out = bar_chart(["x"], [3.0], unit="ms")
-        assert "3 ms" in out
-
-    def test_length_mismatch(self):
-        with pytest.raises(ReproError):
-            bar_chart(["a"], [1.0, 2.0])
-
-    def test_zero_values(self):
-        out = bar_chart(["a"], [0.0])
-        assert "|" in out

@@ -10,7 +10,6 @@ from repro.gpu.bandwidth import (
     achieved_bandwidth,
     grid_efficiency,
     kernel_time,
-    log2ceil,
     memcpy_time,
     stream_efficiency,
 )
@@ -54,6 +53,14 @@ class TestStreamEfficiency:
         e = stream_efficiency(b, MI300X)
         assert 0.0 < e <= STREAM_FRACTION
 
+    @pytest.mark.parametrize("spec", [MI250X_GCD, MI300X, MI355X])
+    def test_zero_byte_kernel_costs_only_the_launch(self, spec):
+        # An empty panel (a rank with no columns) still launches: its
+        # efficiency is defined, and its time is the launch overhead.
+        eff = stream_efficiency(0, spec)
+        assert eff == STREAM_FRACTION
+        assert kernel_time(0, spec, eff) == spec.launch_overhead
+
 
 class TestGridEfficiency:
     def test_tiny_blocks_penalized(self):
@@ -75,6 +82,11 @@ class TestGridEfficiency:
 
     def test_never_exceeds_stream(self):
         assert grid_efficiency(1e9, 10, 1e8, MI300X) <= stream_efficiency(1e9, MI300X)
+
+    @pytest.mark.parametrize("blocks", [0, -1])
+    def test_no_grid_is_plain_streaming(self, blocks):
+        # Without a launch geometry there is no per-block penalty to apply.
+        assert grid_efficiency(1e6, blocks, 1.0, MI300X) == stream_efficiency(1e6, MI300X)
 
 
 class TestKernelTime:
@@ -109,13 +121,3 @@ def test_memcpy_counts_read_and_write():
     # d2d copies move 2x the payload; time exceeds one-way streaming
     one_way = 1e9 / (STREAM_FRACTION * MI300X.peak_bandwidth)
     assert memcpy_time(1e9, MI300X) > one_way
-
-
-class TestLog2Ceil:
-    @pytest.mark.parametrize("n,expect", [(1, 0), (2, 1), (3, 2), (4, 2), (1000, 10)])
-    def test_values(self, n, expect):
-        assert log2ceil(n) == expect
-
-    def test_zero_raises(self):
-        with pytest.raises(ValueError):
-            log2ceil(0)

@@ -70,12 +70,6 @@ class TestLaunch:
         d.launch(_kernel())
         assert d.launch_log == []
 
-    def test_reset_stats(self):
-        d = SimulatedDevice(MI300X)
-        d.launch(_kernel())
-        d.reset_stats()
-        assert d.stats.launches == 0
-
     def test_faster_gpu_faster_kernel(self):
         a = SimulatedDevice(MI300X)
         b = SimulatedDevice(MI250X_GCD)
@@ -153,4 +147,4 @@ class TestMemoryIntegration:
         h = d.malloc(1024, tag="buf")
         assert d.allocator.in_use >= 1024
         d.free(h)
-        d.allocator.assert_no_leaks()
+        assert d.allocator.in_use == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gpu.specs import MI250X_GCD, MI300X, MI355X, GPUSpec, get_gpu, list_gpus
+from repro.gpu.specs import A100, H100, MI250X_GCD, MI300X, MI355X, GPUSpec, get_gpu
 from repro.util.dtypes import Precision
 from repro.util.validation import ReproError
 
@@ -24,11 +24,12 @@ class TestRegistry:
         with pytest.raises(ReproError, match="MI300X"):
             get_gpu("tpu-v5")
 
-    def test_list_gpus_dedup(self):
-        gpus = list_gpus()
-        names = [g.name for g in gpus]
-        assert len(names) == len(set(names))
-        assert {"MI300X", "MI355X"} <= set(names)
+    @pytest.mark.parametrize(
+        "spec", [MI250X_GCD, MI300X, MI355X, A100, H100], ids=lambda s: s.name
+    )
+    def test_every_spec_resolves_by_its_name(self, spec):
+        assert get_gpu(spec.name) is spec
+        assert get_gpu(spec.name.lower()) is spec
 
 
 class TestPaperFacts:

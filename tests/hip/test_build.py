@@ -89,6 +89,10 @@ class TestCaching:
         build.build(MI300X)
         assert build.hipify_invocations == n + 1  # main.cu cache hit
 
+    def test_sources_are_listed_by_name(self, build):
+        build.add_source("a_first.cu", "void g(){}\n")
+        assert build.sources() == ["a_first.cu", "main.cu"]
+
     def test_update_unknown_source(self, build):
         with pytest.raises(ReproError):
             build.update_source("nope.cu", "x")
@@ -119,3 +123,18 @@ class TestUnsupportedWorkflow:
         exe = b.build(MI300X)
         assert "custom_permute" in exe.translated["setup.cu"]
         assert "cutensorPermute" not in exe.translated["setup.cu"]
+
+    @pytest.mark.parametrize("ident", ["cudaFancyNewApi", "cufftPlanMany2", "curandMakeNoise"])
+    def test_unknown_cuda_identifier_fails_the_amd_compile(self, build, ident):
+        # hipify leaves a name its tables do not know; the HIP toolchain
+        # then finds it undeclared, while nvcc still compiles it.
+        build.add_source("new.cu", f"void h(double* p) {{ {ident}(p); }}\n")
+        with pytest.raises(CompileError, match=f"new.cu: .*{ident}"):
+            build.build(MI300X)
+        build.build(A100)
+
+    def test_override_back_to_cuda_is_caught(self):
+        b = OnTheFlyBuildSystem(custom_overrides={"cudaMalloc": "cudaMalloc"})
+        b.add_source("main.cu", CUDA_SRC)
+        with pytest.raises(CompileError, match="cudaMalloc"):
+            b.build(MI300X)

@@ -37,7 +37,7 @@ class TestRuntimeOps:
     def test_malloc_free(self, rt):
         h = rt.malloc(512, tag="x")
         rt.free(h)
-        rt.device.allocator.assert_no_leaks()
+        assert rt.device.allocator.in_use == 0
 
     def test_memcpy_advances_clock(self, rt):
         rt.memcpy(1e6)
@@ -51,21 +51,3 @@ class TestRuntimeOps:
         assert t > 0
         assert rt.device.clock.phase_total("pad") == 0  # phase ctx is caller's job
         assert rt.device.stats.launches == 1
-
-    def test_streams(self, rt):
-        s = rt.stream_create()
-        rt.launch("k", Dim3(x=1), Dim3(x=64), stream=s)
-        rt.stream_destroy(s)
-        with pytest.raises(ReproError):
-            rt.launch("k", Dim3(x=1), Dim3(x=64), stream=s)
-
-    def test_default_stream_indestructible(self, rt):
-        with pytest.raises(ReproError):
-            rt.stream_destroy(0)
-
-    def test_destroy_unknown_stream(self, rt):
-        with pytest.raises(ReproError):
-            rt.stream_destroy(42)
-
-    def test_device_synchronize_noop(self, rt):
-        rt.device_synchronize()

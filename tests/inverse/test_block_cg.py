@@ -77,7 +77,7 @@ class TestBlockCGOnDenseSPD:
         B = rng.standard_normal((1, 18, 2))
         res = block_conjugate_gradient(op, B, tol=1e-10)
         assert all(r.shape == (2,) for r in res.residual_norms)
-        assert np.all(res.final_residuals <= 1e-10 * np.linalg.norm(B, axis=(0, 1)))
+        assert np.all(res.residual_norms[-1] <= 1e-10 * np.linalg.norm(B, axis=(0, 1)))
 
     def test_non_spd_raises(self, rng):
         def neg_op(X):
@@ -105,7 +105,7 @@ class TestBlockCGOnDenseSPD:
         # The zero-RHS column is solved by zeros and must report a zero
         # residual, not the stale ||op(x0)|| of the discarded guess.
         np.testing.assert_array_equal(res.X[:, :, 1], 0.0)
-        assert res.final_residuals[1] == 0.0
+        assert res.residual_norms[-1][1] == 0.0
 
     def test_x0_and_callback(self, rng):
         A, op = self._spd_operator(rng)
@@ -120,32 +120,6 @@ class TestBlockCGOnDenseSPD:
         )
         assert res.all_converged
         assert len(seen) == res.iterations
-
-
-class TestBlockMAP:
-    def test_block_map_matches_vector_map(self, bayes_problem, rng):
-        D = rng.standard_normal((16, 3, 4))
-        block = bayes_problem.solve_map_block(D, tol=1e-10, maxiter=300)
-        assert block.cg.all_converged
-        assert block.m_map.shape == (16, 24, 4)
-        for j in range(4):
-            vec = bayes_problem.solve_map(D[:, :, j], tol=1e-10, maxiter=300)
-            np.testing.assert_allclose(
-                block.m_map[:, :, j], vec.m_map, rtol=0, atol=1e-8
-            )
-
-    def test_block_map_shares_pipeline_passes(self, bayes_problem, rng):
-        engine = bayes_problem.p2o.engine
-        D = rng.standard_normal((16, 3, 4))
-        before_mm = engine.matmat_count
-        block = bayes_problem.solve_map_block(D, tol=1e-10, maxiter=300)
-        passes = engine.matmat_count - before_mm
-        # one blocked F* for the RHS + (F, F*) per CG iteration (incl. r0)
-        assert passes == 1 + 2 * (block.cg.iterations + 1)
-
-    def test_bad_shape_raises(self, bayes_problem):
-        with pytest.raises(ReproError):
-            bayes_problem.solve_map_block(np.zeros((16, 3)))
 
 
 class TestBlockedPriorActions:

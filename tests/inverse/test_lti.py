@@ -40,6 +40,11 @@ class TestStepping:
         with pytest.raises(ReproError):
             HeatEquation1D(Grid1D(4), dt=0.0)
 
+    @pytest.mark.parametrize("cls", [HeatEquation1D, AdvectionDiffusion1D])
+    def test_invalid_kappa(self, cls):
+        with pytest.raises(ReproError, match="kappa must be positive"):
+            cls(Grid1D(4), dt=0.1, kappa=0.0)
+
 
 class TestPhysics:
     def test_heat_decays(self, heat, rng):
@@ -109,6 +114,10 @@ class TestEvolveAndImpulse:
     def test_evolve_shape_validation(self, heat):
         with pytest.raises(ReproError):
             heat.evolve(2, m=np.zeros((3, 20)))
+
+    def test_evolve_initial_condition_validation(self, heat):
+        with pytest.raises(ReproError, match=r"u0 must have shape \(20,\)"):
+            heat.evolve(2, u0=np.zeros(19))
 
     def test_impulse_response_superposition(self, heat):
         # linearity: response to e_i + e_j = sum of impulse responses

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.inverse.mesh import Grid1D, Grid2D
+from repro.inverse.mesh import Grid1D
 from repro.util.validation import ReproError
 
 
@@ -39,33 +39,3 @@ class TestGrid1D:
             Grid1D(0)
         with pytest.raises(ReproError):
             Grid1D(4, length=-1.0)
-
-
-class TestGrid2D:
-    def test_counts(self):
-        g = Grid2D(4, 3)
-        assert g.n == 12
-        assert g.points.shape == (12, 2)
-
-    def test_flat_index_c_order(self):
-        g = Grid2D(4, 3)
-        assert g.flat_index(0, 0) == 0
-        assert g.flat_index(3, 0) == 3
-        assert g.flat_index(0, 1) == 4
-
-    def test_flat_index_bounds(self):
-        with pytest.raises(ReproError):
-            Grid2D(2, 2).flat_index(2, 0)
-
-    def test_points_match_flat_index(self):
-        g = Grid2D(3, 3)
-        pts = g.points
-        idx = g.flat_index(1, 2)
-        assert pts[idx][0] == pytest.approx(2 * g.hx)
-        assert pts[idx][1] == pytest.approx(3 * g.hy)
-
-    def test_nearest_index(self):
-        g = Grid2D(5, 5)
-        i = g.nearest_index(0.5, 0.5)
-        x, y = g.points[i]
-        assert abs(x - 0.5) < g.hx and abs(y - 0.5) < g.hy

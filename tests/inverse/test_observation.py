@@ -79,3 +79,5 @@ class TestAdjoint:
             obs.adjoint(np.zeros(2))
         with pytest.raises(ReproError):
             obs.observe(np.zeros((2, 3, 4)))
+        with pytest.raises(ReproError):
+            obs.adjoint(np.zeros((2, 1, 4)))

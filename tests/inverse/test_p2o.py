@@ -64,7 +64,7 @@ class TestP2OMap:
         _, system, obs = setup
         p2o = P2OMap(system, obs, nt=10)
         m = rng.standard_normal((10, 16))
-        assert rel_err(p2o.apply(m), p2o.apply_via_pde(m)) < 1e-11
+        assert rel_err(p2o.apply(m), obs.observe(system.evolve(10, m=m))) < 1e-11
 
     def test_this_is_the_toeplitz_structure(self, setup, rng):
         # time invariance: the dense p2o matrix is block-Toeplitz

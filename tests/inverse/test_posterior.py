@@ -71,6 +71,10 @@ class TestRandomizedEig:
         with pytest.raises(ReproError):
             randomized_eig(lambda v: v, 4, 5)
 
+    def test_needs_an_operator(self):
+        with pytest.raises(ReproError, match="need operator or block_operator"):
+            randomized_eig(None, 4, 2)
+
     def test_vectors_orthonormal(self, rng):
         A = np.diag(np.linspace(1, 2, 12))
         _, V = randomized_eig(lambda v: A @ v, 12, 4, rng=rng)
@@ -93,16 +97,6 @@ class TestLowRankPosterior:
     def test_spectrum_decays(self, post):
         # sparse observations: data inform only a few directions
         assert post.eigenvalues[0] > 10 * max(post.eigenvalues[-1], 1e-12)
-
-    def test_covariance_action_matches_dense(self, problem, post, rng):
-        n = 60
-        Ht = dense_ht(problem)
-        m = rng.standard_normal((6, 10))
-        w = problem.prior.apply_sqrt_t(m).ravel()
-        w = np.linalg.solve(np.eye(n) + Ht, w)
-        expect = problem.prior.apply_sqrt(w.reshape(6, 10))
-        got = post.posterior_covariance_action(m)
-        assert np.linalg.norm(got - expect) / np.linalg.norm(expect) < 1e-4
 
     def test_posterior_variance_below_prior(self, problem, post):
         # data can only reduce uncertainty

@@ -53,11 +53,6 @@ class TestGaussianPrior:
         samples = np.mean([prior.sample(rng) for _ in range(500)], axis=0)
         np.testing.assert_allclose(samples, 5.0, atol=0.2)
 
-    def test_logdet_matches_dense(self, prior):
-        sign, logdet = np.linalg.slogdet(prior._Kinv.toarray())
-        assert sign > 0
-        assert prior.logdet_prec() == pytest.approx(logdet)
-
     def test_smoothness_increases_with_gamma(self, rng):
         rough = GaussianPrior(nm=64, nt=1, gamma=1e-4, delta=1.0)
         smooth = GaussianPrior(nm=64, nt=1, gamma=1.0, delta=1.0)

@@ -30,7 +30,7 @@ class TestFootprint:
     def test_paper_size_fits_single_gcd(self):
         # the single-GPU benchmarks ran on one 64 GB MI250X GCD
         fp = matvec_memory(5000, 100, 1000, configs=["ddddd", "dssdd"])
-        assert fp.fits(MI250X_GCD)
+        assert fp.total <= MI250X_GCD.memory_bytes
 
     def test_total_is_sum(self):
         fp = MatvecMemoryFootprint(100, 50, 25)
@@ -83,4 +83,4 @@ class TestAgainstAllocator:
         assert alloc.in_use >= fp.total
         for h in handles:
             alloc.free(h)
-        alloc.assert_no_leaks()
+        assert alloc.in_use == 0

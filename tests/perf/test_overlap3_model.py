@@ -200,23 +200,20 @@ class TestScalingPointHost:
         pt = ScalingPoint(**base)
         assert pt.time_mixed_two_stream_host == 0.0
         assert pt.time_mixed_overlap3 == 0.0
-        assert pt.host_overlap_speedup == 1.0
         pt2 = ScalingPoint(
             **base,
             time_mixed_two_stream_host=3.0,
             time_mixed_overlap3=2.0,
         )
-        assert pt2.host_overlap_speedup == pytest.approx(1.5)
+        assert pt2.time_mixed_two_stream_host / pt2.time_mixed_overlap3 == pytest.approx(1.5)
 
     def test_sweep_carries_host_columns(self):
         pts = scaling_sweep(gpu_counts=[64], k=4, max_block_k=2, host=HM)
         (pt,) = pts
         assert pt.time_mixed_overlap3 > 0.0
         assert pt.time_mixed_two_stream_host > pt.time_mixed_overlap3
-        assert pt.host_overlap_speedup > 1.0
 
     def test_sweep_without_host_zeroes_columns(self):
         (pt,) = scaling_sweep(gpu_counts=[64], k=4, max_block_k=2)
         assert pt.time_mixed_two_stream_host == 0.0
-        assert pt.host_overlap_speedup == 1.0
-
+        assert pt.time_mixed_overlap3 == 0.0

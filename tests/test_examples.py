@@ -6,6 +6,7 @@ library and its documentation-by-example.
 """
 
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -36,10 +37,15 @@ def test_quickstart():
     assert "rel err" in out
     assert "dssdd" in out
     assert "adjoint dot-test" in out
-    # The skew walkthrough the README promises.
+    # The clock's whole breakdown, setup included.
+    assert "modeled device time by phase, all calls: fft" in out and "setup" in out
+    # The skew walkthrough the README promises: an even split ties every
+    # rank's compute, the skewed one spreads it.
     assert "modeled wall, even split" in out
     assert "modeled wall, skewed" in out
     assert "bitwise-unchanged" in out
+    spreads = [float(s) for s in re.findall(r"slowest / fastest rank compute ([\d.]+)", out)]
+    assert len(spreads) == 2 and spreads[0] == 1.0 < spreads[1]
 
 
 def test_hipify_port():

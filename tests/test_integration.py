@@ -10,7 +10,6 @@ import pytest
 
 from repro.comm.grid import ProcessGrid
 from repro.comm.netmodel import FRONTIER_NETWORK
-from repro.comm.rccl import NcclDataType, comm_init_rank, get_unique_id
 from repro.core.matvec import FFTMatvec
 from repro.core.parallel import ParallelFFTMatvec
 from repro.core.pareto import optimal_config, sweep_configs
@@ -140,27 +139,24 @@ class TestDistributedInverseProblem:
         assert rel_err(m_mixed, m_double) < 1e-3  # far below the 5% noise
 
 
-class TestRcclBackedReduction:
-    """Phase-5 reduction through the NCCL-style API, timed on one clock."""
+class TestCommunicatorBackedReduction:
+    """Phase-5 reduction through the simulated communicator, timed on one clock."""
 
-    def test_manual_spmd_matvec_with_rccl(self, rng):
+    def test_manual_spmd_matvec_with_row_reduce(self, rng):
         # hand-rolled data-parallel matvec: each rank owns a column
-        # block, partial results reduce through ncclAllReduce
+        # block, partial results tree-reduce to the root of one grid row
         nt, nd, nm, p = 12, 3, 16, 4
         matrix = BlockTriangularToeplitz.random(nt, nd, nm, rng=rng)
         m = rng.standard_normal((nt, nm))
 
         clock = SimClock()
-        uid = get_unique_id(p, net=FRONTIER_NETWORK, clock=clock)
-        comms = [comm_init_rank(uid, r) for r in range(p)]
-
-        bounds = ProcessGrid.split_extent(nm, p)
-        for rank, (c0, c1) in enumerate(bounds):
+        row = ProcessGrid(1, p, net=FRONTIER_NETWORK, clock=clock).row_comm(0)
+        partials = []
+        for c0, c1 in ProcessGrid.split_extent(nm, p):
             local = BlockTriangularToeplitz(matrix.blocks[:, :, c0:c1])
-            partial = FFTMatvec(local).matvec(m[:, c0:c1])
-            comms[rank].all_reduce(partial, NcclDataType.ncclDouble)
+            partials.append(FFTMatvec(local).matvec(m[:, c0:c1]))
 
-        total = comms[0].fetch_result()
+        total = row.reduce(partials)
         ref = FFTMatvec(matrix).matvec(m)
         assert rel_err(total, ref) < 1e-12
         assert clock.now > 0  # the collective charged simulated time

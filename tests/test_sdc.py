@@ -36,8 +36,10 @@ from repro.core.precision import PrecisionConfig
 from repro.core.toeplitz import BlockTriangularToeplitz
 from repro.serve import EngineCache, SolverService
 from repro.util import checksum as chk
-from repro.util.pairwise import canonical_segments, fold_pairwise
+from repro.util.pairwise import canonical_segments
 from repro.util.validation import ReproError
+
+from tests.conftest import fold_pairwise
 
 NT, ND, NM = 8, 6, 12
 K = 6
@@ -166,6 +168,10 @@ class TestChecksumPrimitives:
         assert ei.value.check == "payload"
         assert "segment" in ei.value.detail
 
+    def test_flip_table_bit_needs_a_segment(self):
+        with pytest.raises(ReproError, match="empty segment table"):
+            chk.flip_table_bit({}, index=0)
+
     def test_ensure_finite(self):
         chk.ensure_finite(np.ones(8), phase="pad")
         bad = np.ones(8)
@@ -200,7 +206,7 @@ class TestCommunicatorPayloads:
         assert ei.value.check == "payload"
         assert ei.value.op == "bcast"
         assert ei.value.rank == 2
-        assert sched.exhausted and len(sched.injected) == 1
+        assert sched.pending == () and len(sched.injected) == 1
 
     def test_reduce_flip_detected(self):
         comm = SimCommunicator(4)

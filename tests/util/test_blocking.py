@@ -1,8 +1,14 @@
 """Tests for the shared multi-RHS chunking helpers."""
 
+import numpy as np
 import pytest
 
-from repro.util.blocking import chunk_ranges, n_chunks, validate_max_block_k
+from repro.util.blocking import (
+    check_out_buffer,
+    chunk_ranges,
+    n_chunks,
+    validate_max_block_k,
+)
 from repro.util.validation import ReproError
 
 
@@ -50,3 +56,31 @@ class TestValidateMaxBlockK:
     def test_rejected(self, bad):
         with pytest.raises(ReproError):
             validate_max_block_k(bad)
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+class TestCheckOutBuffer:
+    def test_none_passthrough(self):
+        assert check_out_buffer(None, (2, 3)) is None
+
+    def test_valid_buffer_is_returned_as_is(self):
+        out = np.empty((2, 3))
+        assert check_out_buffer(out, (2, 3)) is out
+
+    @pytest.mark.parametrize(
+        "make, match",
+        [
+            (lambda: np.empty((3, 2)), "must be \\(2, 3\\) float64"),
+            (lambda: np.empty((2, 3), np.float32), "float64, got .* float32"),
+            (lambda: np.empty((3, 2)).T, "C-contiguous"),
+            (lambda: _read_only(np.empty((2, 3))), "writeable"),
+        ],
+        ids=["shape", "dtype", "transposed", "read-only"],
+    )
+    def test_rejected(self, make, match):
+        with pytest.raises(ReproError, match=match):
+            check_out_buffer(make(), (2, 3), what="d")

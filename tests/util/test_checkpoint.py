@@ -114,15 +114,13 @@ def test_missing_key_and_step(store):
         store.load("k", step=5)
 
 
-def test_delete_and_contains(store):
+def test_contains_steps_and_keys(store):
+    assert "k" not in store and store.keys() == ()
     store.save("k", {"a": np.ones(1)}, fingerprint="fp")
     store.save("k", {"a": np.ones(1)}, fingerprint="fp")
     assert "k" in store
-    store.delete("k", step=0)
-    assert store.steps("k") == (1,)
-    store.delete("k")
-    assert "k" not in store
-    assert store.keys() == ()
+    assert store.steps("k") == (0, 1)
+    assert store.keys() == ("k",)
 
 
 def test_invalid_keys_and_inputs(store):

@@ -8,12 +8,9 @@ from repro.util.dtypes import (
     Precision,
     cast_to,
     complex_dtype,
-    dtype_itemsize,
     fill_low_mantissa,
-    highest,
     lowest,
     machine_eps,
-    precision_of,
     real_dtype,
 )
 
@@ -55,13 +52,12 @@ class TestLattice:
         assert not (Precision.DOUBLE < Precision.SINGLE)
         assert Precision.SINGLE <= Precision.SINGLE
 
-    def test_lowest_highest(self):
+    def test_lowest(self):
         s, d = Precision.SINGLE, Precision.DOUBLE
         assert lowest(s, d) is s
         assert lowest(d, s) is s
         assert lowest(d, d) is d
-        assert highest(s, d) is d
-        assert highest(s, s) is s
+        assert lowest(s, s) is s
 
     def test_lowest_accepts_strings(self):
         assert lowest("d", "s") is Precision.SINGLE
@@ -79,26 +75,6 @@ class TestDtypes:
     def test_machine_eps_values(self):
         assert machine_eps(Precision.SINGLE) == pytest.approx(1.19e-7, rel=1e-2)
         assert machine_eps(Precision.DOUBLE) == pytest.approx(2.22e-16, rel=1e-2)
-
-    @pytest.mark.parametrize(
-        "dtype,prec",
-        [
-            (np.float32, Precision.SINGLE),
-            (np.float64, Precision.DOUBLE),
-            (np.complex64, Precision.SINGLE),
-            (np.complex128, Precision.DOUBLE),
-        ],
-    )
-    def test_precision_of(self, dtype, prec):
-        assert precision_of(dtype) is prec
-
-    def test_precision_of_rejects_others(self):
-        with pytest.raises(ValueError):
-            precision_of(np.int32)
-
-    def test_itemsize(self):
-        assert dtype_itemsize(np.complex128) == 16
-        assert dtype_itemsize("float32") == 4
 
 
 class TestCastTo:

@@ -10,11 +10,12 @@ from repro.util.pairwise import (
     canonical_segments,
     fixed_tree_merge,
     fold_in_place,
-    fold_pairwise,
     validate_segments,
     virtual_span,
 )
 from repro.util.validation import ReproError
+
+from tests.conftest import fold_pairwise
 
 
 class TestVirtualSpan:
@@ -186,3 +187,19 @@ class TestFixedTreeMerge:
         segs = {(0, 4): np.zeros(1)}
         with pytest.raises(ReproError):
             validate_segments(segs, n)
+
+    @pytest.mark.parametrize(
+        "keys, match",
+        [
+            ([], "no segments"),
+            ([(0, 3), (3, 6)], "not a node"),  # length 3 is not a power of two
+            ([(0, 2), (2, 6)], "not a node"),  # length 4 starting at 2
+            ([(0, 8), (8, 16)], "not a node"),  # past n = 6's virtual span [0, 8)
+            ([(0, 2), (4, 8)], "contiguously"),  # [2, 4) missing
+            ([(0, 4), (2, 4)], "contiguously"),  # [2, 4) twice
+        ],
+        ids=["empty", "odd-length", "misaligned", "past-span", "gap", "overlap"],
+    )
+    def test_validate_rejects_non_tilings(self, keys, match):
+        with pytest.raises(ReproError, match=match):
+            validate_segments({k: np.zeros(1) for k in keys}, 6)

@@ -2,31 +2,7 @@
 
 import pytest
 
-from repro.util.tables import format_bandwidth, format_seconds, format_si, render_table
-
-
-class TestFormatSI:
-    def test_terabytes(self):
-        assert format_si(5.3e12, "B/s") == "5.3 TB/s"
-
-    def test_zero(self):
-        assert format_si(0, "B") == "0 B"
-
-    def test_small(self):
-        assert format_si(12.0) == "12"
-
-
-class TestFormatSeconds:
-    @pytest.mark.parametrize(
-        "value,expect",
-        [(2.0, "2.000 s"), (3.5e-3, "3.500 ms"), (4.2e-6, "4.200 us"), (5e-9, "5.0 ns")],
-    )
-    def test_scales(self, value, expect):
-        assert format_seconds(value) == expect
-
-
-def test_format_bandwidth():
-    assert format_bandwidth(123.4e9) == "123.4 GB/s"
+from repro.util.tables import render_table
 
 
 class TestRenderTable:

@@ -131,9 +131,8 @@ class TestTimingReportWall:
         assert r.elapsed == pytest.approx(2.5)
         assert r.total == pytest.approx(3.0)
 
-    def test_scaled_and_averaged_carry_wall(self):
+    def test_averaged_carries_wall(self):
         r = TimingReport(phases={"pad": 1.0}, wall=0.8, reps=2)
-        assert r.scaled(2.0).wall == pytest.approx(1.6)
         assert r.averaged().wall == pytest.approx(0.4)
 
     def test_merged_sums_walls(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.timing import PhaseTimer, SimClock, TimingReport
+from repro.util.timing import SimClock, TimingReport
 
 
 class TestSimClock:
@@ -38,14 +38,6 @@ class TestSimClock:
         assert c.phase_total("outer") == pytest.approx(1.5)
         assert c.phase_total("inner") == pytest.approx(2.0)
 
-    def test_reset_phases_keeps_time(self):
-        c = SimClock()
-        with c.phase("x"):
-            c.advance(1.0)
-        c.reset_phases()
-        assert c.phase_total("x") == 0.0
-        assert c.now == pytest.approx(1.0)
-
     def test_full_reset(self):
         c = SimClock()
         with c.phase("x"):
@@ -62,15 +54,6 @@ class TestSimClock:
         assert c.phase_total("p") == pytest.approx(0.75)
 
 
-class TestPhaseTimer:
-    def test_elapsed(self):
-        c = SimClock()
-        with PhaseTimer(c, "work") as t:
-            c.advance(0.7)
-        assert t.elapsed == pytest.approx(0.7)
-        assert c.phase_total("work") == pytest.approx(0.7)
-
-
 class TestTimingReport:
     def test_total_and_fraction(self):
         r = TimingReport(phases={"pad": 1.0, "sbgemv": 3.0})
@@ -80,12 +63,6 @@ class TestTimingReport:
 
     def test_empty_fraction_is_zero(self):
         assert TimingReport().fraction("pad") == 0.0
-
-    def test_scaled(self):
-        r = TimingReport(phases={"pad": 1.0}, setup=2.0)
-        s = r.scaled(2.0)
-        assert s.phases["pad"] == pytest.approx(2.0)
-        assert s.setup == pytest.approx(4.0)
 
     def test_merged_and_averaged(self):
         a = TimingReport(phases={"pad": 1.0, "fft": 2.0}, reps=1)

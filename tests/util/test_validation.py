@@ -7,7 +7,6 @@ from repro.util.validation import (
     ReproError,
     UnsupportedError,
     check_array,
-    check_in,
     check_positive_int,
 )
 
@@ -25,15 +24,6 @@ class TestCheckPositiveInt:
     def test_error_names_argument(self):
         with pytest.raises(ReproError, match="nt"):
             check_positive_int(-2, "nt")
-
-
-class TestCheckIn:
-    def test_member(self):
-        assert check_in("a", ["a", "b"], "opt") == "a"
-
-    def test_nonmember(self):
-        with pytest.raises(ReproError, match="opt"):
-            check_in("c", ["a", "b"], "opt")
 
 
 class TestCheckArray:
