@@ -45,7 +45,6 @@ def _build(backend_name: str) -> FFTMatvec:
     return FFTMatvec(
         matrix,
         device=SimulatedDevice(MI300X),
-        workspace=True,
         backend=resolve_backend(backend_name),
     )
 

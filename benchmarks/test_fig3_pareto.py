@@ -135,7 +135,7 @@ class TestWallClockPareto:
         nt, nd, nm = WALL_SHAPE
         rng = np.random.default_rng(5)
         matrix = BlockTriangularToeplitz.random(nt, nd, nm, rng=rng, decay=0.05)
-        engine = FFTMatvec(matrix, workspace=True)
+        engine = FFTMatvec(matrix)
         M = rng.standard_normal((nt, nm, WALL_K))
         D = rng.standard_normal((nt, nd, WALL_K))
         FM, FtD = np.empty((nt, nd, WALL_K)), np.empty((nt, nm, WALL_K))

@@ -168,6 +168,9 @@ class ElasticEngine:
         Forwarded to :class:`ParallelFFTMatvec`: ``"guard"``,
         ``"abft"``, ``"guard+abft"`` or ``True`` turn on boundary
         checks even with no corruption schedule armed.
+    workspace:
+        ``None`` or ``True``; every grid this engine builds owns its
+        arenas (see :class:`ParallelFFTMatvec`).  Anything else raises.
     max_corruption_retries:
         Per-chunk cap on SDC recomputations; a chunk that keeps failing
         its checksums past this many retries re-raises the last
@@ -206,6 +209,8 @@ class ElasticEngine:
         row_ranges: Optional[Sequence[Tuple[int, int]]] = None,
         col_ranges: Optional[Sequence[Tuple[int, int]]] = None,
     ) -> None:
+        if workspace not in (None, True):
+            raise ReproError(f"workspace must be None or True, got {workspace!r}")
         self.matrix = (
             matrix
             if isinstance(matrix, BlockTriangularToeplitz)
@@ -216,7 +221,6 @@ class ElasticEngine:
         self.spec = spec
         self.reduction = reduction
         self.max_block_k = validate_max_block_k(max_block_k)
-        self.workspace = workspace
         self.backend = backend
         self.failures = failures
         self.corruptions = corruptions
@@ -294,7 +298,6 @@ class ElasticEngine:
             reduction=self.reduction,
             row_ranges=row_ranges,
             col_ranges=col_ranges,
-            workspace=self.workspace,
             backend=self.backend,
             validate=self.validate,
         )

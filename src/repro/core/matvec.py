@@ -74,7 +74,7 @@ from repro.util.blocking import check_block, check_out_buffer
 from repro.util.dtypes import Precision, cast_to, complex_dtype, real_dtype
 from repro.util.timing import TimingReport
 from repro.util.validation import ReproError
-from repro.util.workspace import Workspace, apply_scope
+from repro.util.workspace import Workspace
 
 __all__ = ["FFTMatvec", "GramFactor", "front_launches", "back_launches"]
 
@@ -208,13 +208,11 @@ class FFTMatvec:
         pre-optimization behaviour used in ablation benches.  Like the
         device itself it changes what an apply books, never its bits.
     workspace:
-        ``True`` builds a private :class:`Workspace` arena (registered
-        with the device allocator when a device is attached), a
-        :class:`Workspace` instance is used as given, ``None``/``False``
-        keeps the allocate-per-call reference path.  With an arena every
-        phase of the pipeline writes into persistent checked-out
-        buffers — numerics are bitwise-identical either way; only the
-        allocation behaviour changes.
+        The engine's :class:`Workspace` arena, which every phase of the
+        pipeline writes into (persistent checked-out buffers, nothing
+        allocated per apply at steady state).  ``None``/``True`` build a
+        private one (registered with the device allocator when a device
+        is attached); a :class:`Workspace` instance is used as given.
     backend:
         Array backend for the hot path: a :class:`Backend` instance, a
         name (``"numpy"``/``"cupy"``/``"torch"``, explicit mode — raises
@@ -301,22 +299,21 @@ class FFTMatvec:
         self._ref_cache: Dict[Tuple[bool, Tuple[int, ...], bytes], np.ndarray] = {}
         self._fhat_conj: Dict[Precision, Any] = {}
         self._abft_rows: Dict[Tuple[Precision, Operation], Tuple[Any, np.ndarray]] = {}
-        if workspace is True:
+        if not isinstance(workspace, Workspace):
+            if workspace not in (None, True):
+                raise ReproError(f"workspace must be None, True or a Workspace, got {workspace!r}")
             workspace = Workspace(
                 allocator=device.allocator if device is not None else None,
                 name="fftmatvec",
                 backend=self.backend,
             )
-        elif workspace is False:
-            workspace = None
-        elif workspace is not None and workspace.backend.name != self.backend.name:
+        elif workspace.backend.name != self.backend.name:
             raise ReproError(
                 f"workspace backend {workspace.backend.name!r} does not match "
                 f"engine backend {self.backend.name!r}"
             )
-        self.workspace: Optional[Workspace] = workspace
-        if workspace is not None:  # records hold arena buffers: none survive it
-            workspace.release_hooks.append(self._plans.clear)
+        self.workspace = workspace
+        workspace.release_hooks.append(self._plans.clear)  # records hold arena buffers
 
     # -- setup -----------------------------------------------------------------
     def _setup_spectrum(self) -> np.ndarray:
@@ -442,8 +439,8 @@ class FFTMatvec:
     ) -> SimpleNamespace:
         """The record under ``key`` of what the data does not decide about
         one half of an apply, resolved on first use: the half's FFT plan,
-        tier dtypes, slab width, — with an arena — its buffers and their
-        per-slab views (``bufs``) and — with a device — the launches it
+        tier dtypes, slab width, its arena buffers and their per-slab
+        views (``bufs``) and — with a device — the launches it
         books, priced (``booked``: :func:`front_launches` /
         :func:`back_launches` as ``SimulatedDevice.book`` arguments; an
         invalid launch raises here and leaves no record); the Phase-3
@@ -495,8 +492,22 @@ class FFTMatvec:
             rec.booked = [
                 (launch, price_launch(launch, spec), phase) for phase, launch in launches
             ]
-        buffers = self._back_buffers if back else self._front_buffers
-        rec.bufs = buffers(rec) if self.workspace is not None else None
+        # The half's arena buffers, checked out once and cut into slabs
+        # (front: plus the slab's fwd_reorder columns and the Phase-3 panel).
+        ws, nt, w = self.workspace, self.nt, rec.w
+        if back:
+            ybuf = ws.checkout("bwd_reorder", (w, self.n_freq), rec.cdt)
+            tbuf = ws.checkout("ifft_out", (w, 2 * nt), rdt) if w < cols else None
+            rec.bufs = _slabs(rec, ybuf, tbuf)
+        else:
+            xbuf = padded_buffer(w, nt, rec.pad_dt, ws, self.backend)
+            cbuf = ws.checkout("cast_fft", (w, 2 * nt), rdt) if rec.pad_dt != rdt else None
+            fbuf = ws.checkout("fft_out", (w, self.n_freq), rec.cdt) if w < cols else None
+            vhat = ws.checkout("fwd_reorder", (self.n_freq, cols), rec.sdt)
+            rec.bufs = (
+                [s + (vhat if s[1] is None else vhat[:, s[1]],) for s in _slabs(rec, xbuf, cbuf, fbuf)],
+                vhat.reshape(self.n_freq, n, k),
+            )
         self._plans[key] = rec
         limit = max(1, int(self.plan_cache_size))
         while len(self._plans) > limit:
@@ -540,16 +551,16 @@ class FFTMatvec:
     def _phase3_operands(self, rec, out=None, stage=None, conj_a: bool = False) -> Tuple:
         """Phase 3's ``(fhat, a_conj, out, staging)``, resolved by a kernel's
         first run on the front record ``rec`` and kept there: the spectrum
-        at its tier, the cached conjugate for an adjoint GEMM and — from
-        an arena — the ``(tag, shape)`` output and input staging."""
+        at its tier, the cached conjugate for an adjoint GEMM and the
+        arena's ``(tag, shape)`` output and input staging."""
         if rec.p3 is None:
             fhat, ws = self.spectrum(rec.precision), self.workspace
             dt = self.backend.dtype_of(fhat)
             rec.p3 = (
                 fhat,
                 self.spectrum_conj(rec.precision) if conj_a and rec.operation is Operation.C else None,
-                ws.checkout(*out, dt) if ws is not None and out else None,
-                ws.checkout(*stage, dt) if ws is not None and stage else None,
+                ws.checkout(*out, dt) if out else None,
+                ws.checkout(*stage, dt) if stage else None,
             )
         return rec.p3
 
@@ -649,8 +660,6 @@ class FFTMatvec:
             ("det_sbgemv_out", (nf, ny, k)),
             ("det_sbgemv_conj_x" if adj else "det_sbgemv_x", (k, nf, nx)) if staged else None,
         )
-        if out is None:
-            out = be.empty((nf, ny, k), be.dtype_of(mhat))
         if looped:
             for j in range(k):  # a column's own operands, as a lone GEMV has them
                 col = SimpleNamespace(operation=operation, precision=rec.precision, p3=None)
@@ -659,8 +668,6 @@ class FFTMatvec:
         cols = np.moveaxis(mhat, 2, 0)  # (k, nf, nx) strided view
         out_v = np.moveaxis(out, 2, 0)  # (k, nf, ny) strided view
         if staged:
-            if xbuf is None:
-                xbuf = be.empty((k, nf, nx), be.dtype_of(mhat))
             if adj:
                 be.conjugate(cols, out=xbuf)
             else:
@@ -781,35 +788,23 @@ class FFTMatvec:
             return cols
         return max(1, _SLAB_BYTES // row_bytes)
 
-    def _scratch(self, tag: str, shape: Tuple[int, ...], dtype: Any) -> Any:
-        """A buffer for this apply: the arena's ``tag`` slot, else fresh."""
-        if self.workspace is None:
-            return self.backend.empty(shape, dtype)
-        return self.workspace.checkout(tag, shape, dtype)
-
     def _finalize(
         self, res: Any, out: Optional[np.ndarray], detach: bool = True
     ) -> Any:
         """Return the pipeline result as float64.
 
-        ``res`` is the unpad output (possibly an arena buffer, possibly
-        already ``out`` itself).  Without a workspace and without ``out``
-        this is the historical ``astype(float64, copy=False)``; with a
-        workspace the result is *detached* from the arena (copied) so the
-        caller can hold it across subsequent applies.  ``detach=False``
-        skips that copy for internal callers (the grid engine) that
-        consume the result before the next apply on this engine; on a
-        device backend the undetached result stays a backend array.
+        ``res`` is the unpad output, an arena buffer.  Without ``out`` it
+        is *detached* (copied to a fresh host array) so the caller can
+        hold it across later applies; ``detach=False`` skips that copy
+        for internal callers (the grid engine) that consume the result
+        before this engine's next apply — on a device backend it then
+        stays a backend array.
 
         Caller-facing results (``out`` given, or detached) are always
         host float64, whatever the compute backend.
         """
         be = self.backend
         if out is None:
-            if self.workspace is None and not detach:
-                return be.astype(res, np.float64, copy=False)
-            if self.workspace is None:
-                return be.from_device(be.astype(res, np.float64, copy=False))
             if not detach:
                 if be.dtype_of(res) == np.float64:
                     return res
@@ -833,38 +828,14 @@ class FFTMatvec:
     # _setup_spectrum), which is what makes a rank's front bitwise-equal
     # to the corresponding slice of a single-device front.
 
-    def _front_buffers(self, rec: SimpleNamespace) -> Tuple[list, Any]:
-        """The front half's slabs — pad, cast and FFT-output rows, then
-        the slab's columns of ``fwd_reorder`` — and the Phase-3 panel.
-        With an arena these are the record's (``bufs``: the checkouts a
-        half used to make per apply, same tags, shapes and order);
-        without one every apply allocates its own."""
-        nt, w = self.nt, rec.w
-        xbuf = padded_buffer(w, nt, rec.pad_dt, self.workspace, self.backend)
-        cbuf = self._scratch("cast_fft", (w, 2 * nt), rec.rdt) if rec.pad_dt != rec.rdt else None
-        fbuf = self._scratch("fft_out", (w, self.n_freq), rec.cdt) if w < rec.cols else None
-        vhat = self._scratch("fwd_reorder", (self.n_freq, rec.cols), rec.sdt)
-        slabs = [s + (vhat if s[1] is None else vhat[:, s[1]],) for s in _slabs(rec, xbuf, cbuf, fbuf)]
-        return slabs, vhat.reshape(self.n_freq, rec.n, rec.k)
-
-    def _back_buffers(self, rec: SimpleNamespace) -> list:
-        """The back half's slabs: ``bwd_reorder`` and IFFT-output rows."""
-        w = rec.w
-        ybuf = self._scratch("bwd_reorder", (w, self.n_freq), rec.cdt)
-        tbuf = self._scratch("ifft_out", (w, 2 * self.nt), rec.rdt) if w < rec.cols else None
-        return _slabs(rec, ybuf, tbuf)
-
     def _unpad_buffer(self, rec: SimpleNamespace) -> Any:
         """The back half's own ``(Nt, cols)`` result buffer — asked for
         only by an apply that cannot unpad into its caller's ``out``,
         and only once the IFFT's output exists: asking earlier cost
         glibc ~1000 more page faults per engine build."""
-        if rec.res is not None:
-            return rec.res
-        res = self._scratch("unpad", (self.nt, rec.cols), rec.udt)
-        if self.workspace is not None:
-            rec.res = res
-        return res
+        if rec.res is None:
+            rec.res = self.workspace.checkout("unpad", (self.nt, rec.cols), rec.udt)
+        return rec.res
 
     def _front(
         self,
@@ -908,7 +879,7 @@ class FFTMatvec:
         """
         nt, nx, k = v_in.shape
         rec = self._prepared((kernel, adjoint, config.code, nx * k), False, config, adjoint, nx, k)
-        slabs, panel = rec.bufs or self._front_buffers(rec)
+        slabs, panel = rec.bufs
         be, ws, plan, armed, booked = self.backend, self.workspace, rec.plan, self._armed, rec.booked
         v2 = v_in.reshape(nt, rec.cols)
         self.cast_noop_count += rec.noops
@@ -984,7 +955,7 @@ class FFTMatvec:
         ny = self.nm if adjoint else self.nd
         k = yhat.shape[2]
         rec = self._prepared(("back", adjoint, config.code, ny * k), True, config, adjoint, ny, k)
-        slabs = rec.bufs or self._back_buffers(rec)
+        slabs = rec.bufs
         be, ws, plan, armed, booked = self.backend, self.workspace, rec.plan, self._armed, rec.booked
         nt, cols = self.nt, rec.cols
         y2 = yhat.reshape(self.n_freq, cols)
@@ -1053,7 +1024,7 @@ class FFTMatvec:
         kernel = FFTMatvec._run_sbgemm if pairwise else FFTMatvec._run_sbgemv
         if out is None:
             out = host_empty((self.nt, self.nm if adjoint else self.nd), np.float64)
-        with apply_scope(self.workspace):
+        with self.workspace:
             yhat = self._front(v_in[:, :, None], config, adjoint, kernel)
             self._back(yhat, config, adjoint, out.reshape(out.shape + (1,)), True)
         return out
@@ -1082,7 +1053,7 @@ class FFTMatvec:
         """
         columnwise = deterministic and self.reduction != "pairwise"
         kernel = FFTMatvec._run_sbgemv_panel if columnwise else FFTMatvec._run_sbgemm
-        with apply_scope(self.workspace):
+        with self.workspace:
             yhat = self._front(v_in, config, adjoint, kernel)
             return self._back(yhat, config, adjoint, out, detach)
 
@@ -1101,7 +1072,7 @@ class FFTMatvec:
         engine's next apply.
         """
         kernel = FFTMatvec._run_sbgemm_pairwise_segments
-        with apply_scope(self.workspace):
+        with self.workspace:
             return self._front(v_in, config, adjoint, kernel, start, n_global)
 
     def _pipeline_block_finish(
@@ -1121,7 +1092,7 @@ class FFTMatvec:
                 f"finish panel must be ({self.n_freq}, {ny}, k), "
                 f"got {tuple(yhat.shape)}"
             )
-        with apply_scope(self.workspace):
+        with self.workspace:
             return self._back(yhat, config, adjoint, out, detach)
 
     # -- public API ----------------------------------------------------------
@@ -1135,8 +1106,8 @@ class FFTMatvec:
 
         ``m`` is a double-precision ``(Nt, Nm)`` array (or flat vector);
         the result is a double-precision ``(Nt, Nd)`` array.  ``out``
-        receives the result in a caller-owned buffer — combined with a
-        workspace arena, repeated applies are allocation-free.
+        receives the result in a caller-owned buffer — with the engine's
+        arena, repeated applies are then allocation-free.
 
         In pairwise mode the vector rides the width-1 blocked pipeline:
         the fixed tree makes a lone column accumulate bitwise like the

@@ -128,7 +128,7 @@ from repro.util.blocking import (
 from repro.util.dtypes import real_dtype
 from repro.util.timing import HostModel, SimClock, Stream, TimingReport, run_chunk_schedule
 from repro.util.validation import ReproError
-from repro.util.workspace import Workspace, apply_scope
+from repro.util.workspace import Workspace
 
 __all__ = ["ParallelFFTMatvec"]
 
@@ -208,13 +208,10 @@ class ParallelFFTMatvec:
         row / column).  Defaults to the balanced ceil-based split; pass
         :func:`repro.comm.partition.skewed_extents` to study skew.
     workspace:
-        ``True`` gives every rank engine its own
-        :class:`~repro.util.workspace.Workspace` arena (registered with
-        the rank device's allocator when instrumented) plus a grid-level
-        arena for broadcast payloads, receive buffers and reduce
-        staging.  The chunk loop then reuses ping-pong payload buffers
-        across chunks instead of re-``ascontiguousarray``-ing each one.
-        Numerics are bitwise-identical with the arena on or off.
+        ``None`` or ``True`` (anything else raises): every rank engine
+        owns its :class:`~repro.util.workspace.Workspace` arena
+        (registered with the rank device's allocator) and the grid one
+        more, for the chunk loop's ping-pong payload and receive buffers.
     backend:
         Array backend every rank engine and comm payload runs on — a
         :class:`~repro.backend.Backend` instance, a registry name
@@ -298,16 +295,8 @@ class ParallelFFTMatvec:
         self.spec = get_gpu(spec) if isinstance(spec, str) else spec
         self.devices: Dict[Tuple[int, int], Optional[SimulatedDevice]] = {}
         self.engines: Dict[Tuple[int, int], FFTMatvec] = {}
-        if workspace is not None and not isinstance(workspace, bool):
-            # A single Workspace instance cannot serve the grid: every
-            # rank engine needs its own arena (checkout keys would
-            # collide across ranks).  Refuse rather than silently
-            # ignoring the caller's instance.
-            raise ReproError(
-                "ParallelFFTMatvec builds one arena per rank engine plus a "
-                "grid arena; pass workspace=True, not a Workspace instance"
-            )
-        use_workspace = bool(workspace)
+        if workspace not in (None, True):  # an arena per rank engine, not one
+            raise ReproError(f"workspace must be None or True, got {workspace!r}")
         for r in range(grid.pr):
             r0, r1 = self._row_ranges[r]
             for c in range(grid.pc):
@@ -323,7 +312,6 @@ class ParallelFFTMatvec:
                     BlockTriangularToeplitz(local),
                     device=dev,
                     use_optimized_sbgemv=use_optimized_sbgemv,
-                    workspace=use_workspace,
                     backend=self.backend,
                     reduction=reduction,
                     validate=validate,
@@ -336,12 +324,7 @@ class ParallelFFTMatvec:
             # payload digests at every receive, grid-wide (the silent
             # clones are armed below, once constructed).
             grid.set_payload_verification(True)
-        # Grid-level arena: broadcast payload staging, per-rank receive
-        # buffers and float64 input staging for the chunk loop (per-rank
-        # pipeline buffers live in each engine's own arena).
-        self.workspace: Optional[Workspace] = (
-            Workspace(name="grid", backend=self.backend) if use_workspace else None
-        )
+        self.workspace = Workspace(name="grid", backend=self.backend)  # chunk-loop staging
         self.device = self.devices[(0, 0)]
         if spec is not None:
             # One-time spectrum setup happens on every rank concurrently;
@@ -487,34 +470,23 @@ class ParallelFFTMatvec:
         }
 
     def workspace_report(self) -> Dict[str, object]:
-        """Arena footprint across the grid (requires ``workspace=True``).
+        """Arena footprint across the grid.
 
         Returns the grid-level arena's size plus, per rank, the engine
         arena's bytes/buffers and the rank DeviceAllocator's peak — the
         modeled persistent device footprint of the allocation-free hot
         path, a first-class capacity-planning field.
         """
-        if self.workspace is None:
-            raise ReproError(
-                "workspace_report requires the engine to be constructed "
-                "with workspace=True"
-            )
-        ranks: Dict[str, Dict[str, Optional[int]]] = {}
-        for rc, engine in self.engines.items():
-            ws = engine.workspace
-            dev = self.devices[rc]
-            assert ws is not None
-            ranks[f"{rc[0]},{rc[1]}"] = {
-                "arena_bytes": ws.nbytes,
-                "arena_buffers": ws.buffer_count,
-                "registered_bytes": ws.registered_bytes,
-                "allocator_peak_bytes": (
-                    dev.allocator.peak if dev is not None else None
-                ),
+        ranks = {
+            f"{r},{c}": {
+                "arena_bytes": e.workspace.nbytes,
+                "arena_buffers": e.workspace.buffer_count,
+                "registered_bytes": e.workspace.registered_bytes,
+                "allocator_peak_bytes": e.device.allocator.peak if e.device is not None else None,
             }
-        rank_total = sum(
-            e.workspace.nbytes for e in self.engines.values()  # type: ignore[union-attr]
-        )
+            for (r, c), e in self.engines.items()
+        }
+        rank_total = sum(e.workspace.nbytes for e in self.engines.values())
         return {
             "grid_arena_bytes": self.workspace.nbytes,
             "grid_arena_buffers": self.workspace.buffer_count,
@@ -523,31 +495,6 @@ class ParallelFFTMatvec:
         }
 
     # -- helpers ------------------------------------------------------------
-    def _stage_payload(self, block: np.ndarray, prec, tag: str) -> np.ndarray:
-        """Contiguous Phase-1 payload at the broadcast precision.
-
-        The reference path re-``ascontiguousarray``s (and casts) per
-        call; with the arena the strided block is copied-with-cast into
-        a persistent buffer — same bytes, no allocation.
-        """
-        be = self.backend
-        if self.workspace is None:
-            return be.cast(be.ascontiguous(be.asarray(block)), prec)
-        buf = self.workspace.buffer(tag, tuple(block.shape), real_dtype(prec))
-        buf[...] = be.asarray(block)
-        return buf
-
-    def _as_input64(self, arr, tag: str):
-        """Present a broadcast copy to the rank engines as float64."""
-        be = self.backend
-        if be.dtype_of(arr) == np.float64:
-            return arr
-        if self.workspace is None:
-            return be.astype(be.asarray(arr), np.float64, copy=False)
-        buf = self.workspace.buffer(tag, tuple(arr.shape), np.float64)
-        buf[...] = arr
-        return buf
-
     def _snapshot(self) -> Dict[str, float]:
         return {p: self.grid.clock.phase_total(p) for p in _REPORT_PHASES}
 
@@ -719,29 +666,35 @@ class ParallelFFTMatvec:
         ``(Nt, n_local, kc)`` block in Phase 1's precision — volume scales
         by kc, the log2 latency tree is paid once for the chunk.
 
-        With the arena, payload and receive buffers are persistent and
-        keyed by ``slot`` — the chunk loop ping-pongs between two slots
+        Payload and receive buffers are persistent arena buffers keyed
+        by ``slot`` — the chunk loop ping-pongs between two slots
         (``i % 2``) so the prefetched chunk ``i + 1`` never shares
         buffers with the chunk ``i`` payload still in flight, while
         chunk ``i + 2`` reuses chunk ``i``'s.  Returns the per-column
         (per-row) broadcast copies; the modeled time is charged onto
         ``stream``.
         """
+        ws, be = self.workspace, self.backend
         in_blocks: Dict[int, np.ndarray] = {}
         for i, i0, i1, cobj in d.inputs:
-            payload = self._stage_payload(
-                chunk[:, i0:i1, :], cfg.pad, f"pay[{slot}]/{d.tag}{i}"
-            )
+            # The strided block, copied-with-cast into a contiguous payload.
+            block = chunk[:, i0:i1, :]
+            payload = ws.buffer(f"pay[{slot}]/{d.tag}{i}", tuple(block.shape), real_dtype(cfg.pad))
+            payload[...] = be.asarray(block)
             with cobj.on_stream(stream if cobj.clock is not None else None):
-                copies = cobj.bcast(
+                copy = cobj.bcast(
                     payload,
                     root=0,
                     phase="pad",
-                    workspace=self.workspace,
+                    workspace=ws,
                     tag=f"recv[{slot}]/{d.tag}{i}",
-                    backend=self.backend,
-                )
-            in_blocks[i] = self._as_input64(copies[0], f"in64[{slot}]/{d.tag}{i}")
+                    backend=be,
+                )[0]
+            if be.dtype_of(copy) != np.float64:  # rank engines take float64 input
+                in64 = ws.buffer(f"in64[{slot}]/{d.tag}{i}", tuple(copy.shape), np.float64)
+                in64[...] = copy
+                copy = in64
+            in_blocks[i] = copy
         return in_blocks
 
     def _chunk_compute_fast(
@@ -914,7 +867,7 @@ class ParallelFFTMatvec:
             host_costs["save"] = [(j1 - j0) * host.save_time for j0, j1 in ranges]
         exposed = self.grid.net.exposed_fraction()
         n = len(ranges)
-        with apply_scope(self.workspace):
+        with self.workspace:
             # overlap=False is the same schedule fed one chunk at a time.
             for chunks in [range(n)] if use_overlap else [(i,) for i in range(n)]:
                 run_chunk_schedule(
@@ -967,8 +920,8 @@ class ParallelFFTMatvec:
         chunk count; ``last_timing.wall`` holds the schedule's critical
         path, ``last_timing.phases`` the work charged per phase.
         ``out`` (``(Nt, Nd, k)`` float64, C-contiguous) receives the
-        result in place — with ``workspace=True`` repeated applies are
-        allocation-free at steady state.  ``deterministic=True`` runs
+        result in place — repeated applies are then allocation-free at
+        steady state.  ``deterministic=True`` runs
         every rank's Phase 3 as per-column GEMVs so column ``j`` is
         **bitwise** ``matvec(M[:, :, j])`` (see
         :meth:`FFTMatvec.matmat`); the elementwise tree-reduce already

@@ -99,9 +99,7 @@ def _single_engine_bytes(engine: FFTMatvec) -> int:
         total += int(be.nbytes(cached))
     if engine._gram is not None:
         total += int(engine._gram.B.nbytes)
-    if engine.workspace is not None:
-        total += int(engine.workspace.nbytes)
-    return total
+    return total + int(engine.workspace.nbytes)
 
 
 def engine_footprint(engine: Engine) -> int:
@@ -120,9 +118,7 @@ def engine_footprint(engine: Engine) -> int:
         return engine_footprint(engine.engine)
     if isinstance(engine, ParallelFFTMatvec):
         total = sum(_single_engine_bytes(e) for e in engine.engines.values())
-        if engine.workspace is not None:
-            total += int(engine.workspace.nbytes)
-        return total
+        return total + int(engine.workspace.nbytes)
     return _single_engine_bytes(engine)
 
 
@@ -289,12 +285,8 @@ class EngineCache:
             engine = engine.engine
         if isinstance(engine, ParallelFFTMatvec):
             for rank_engine in engine.engines.values():
-                if rank_engine.workspace is not None:
-                    rank_engine.workspace.release()
-            if engine.workspace is not None:
-                engine.workspace.release()
-        elif engine.workspace is not None:
-            engine.workspace.release()
+                rank_engine.workspace.release()
+        engine.workspace.release()
 
     def evict_lru(self) -> Optional[str]:
         """Evict the least-recently-used engine; returns its key (or

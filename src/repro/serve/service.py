@@ -344,12 +344,12 @@ class SolverService:
         the same operator — any tenant, any time — yields the same
         handle and its requests coalesce.  ``builder`` constructs the
         engine on first use (cache miss); the default builds a
-        single-device :class:`FFTMatvec` with a private workspace arena.
-        Builders **must** enable a workspace per engine — the arena is
-        what the cache budget meters and what keeps concurrent tenants'
-        applies from sharing buffers.  ``name`` prefixes the handle for
-        readable logs; it does not affect grouping semantics beyond
-        being part of the handle string.
+        single-device :class:`FFTMatvec`.  Every engine owns its
+        workspace arena — what the cache budget meters and what keeps
+        concurrent tenants' applies from sharing buffers — so a builder
+        must not hand two engines one arena.  ``name`` prefixes the
+        handle for readable logs; it does not affect grouping semantics
+        beyond being part of the handle string.
         """
         mat = (
             matrix
@@ -361,7 +361,7 @@ class SolverService:
         handle = f"{prefix}-{mat.nt}x{mat.nd}x{mat.nm}-{digest}"
         if builder is None:
             def builder(m=mat):  # noqa: E306 - default engine builder
-                return FFTMatvec(m, workspace=True)
+                return FFTMatvec(m)
 
         self._builders[handle] = builder
         self._shapes[handle] = (mat.nt, mat.nd, mat.nm)

@@ -37,7 +37,7 @@ registrations (and drops the buffers), letting leak checks pass.
 The checkout discipline assumes **one apply at a time**: two pipelines
 interleaving checkouts on a shared arena would silently hand the same
 buffer to both (the slot cursor cannot tell the callers apart).  The
-engines therefore bracket every apply in :func:`apply_scope`
+engines therefore bracket every apply in ``with workspace:``
 (:meth:`Workspace.begin_apply` / :meth:`Workspace.end_apply`), which
 raises :class:`ReproError` on re-entrant use instead of corrupting
 results — the serving layer relies on this plus per-engine arenas to
@@ -56,7 +56,7 @@ from repro.backend import Backend, NumpyBackend
 from repro.gpu.memory import Allocation, DeviceAllocator
 from repro.util.validation import ReproError
 
-__all__ = ["Workspace", "WorkspaceStats", "apply_scope"]
+__all__ = ["Workspace", "WorkspaceStats"]
 
 _Key = Tuple[str, Tuple[int, ...], np.dtype]
 
@@ -215,9 +215,13 @@ class Workspace:
         self.reset()
         return self.apply_epoch
 
-    def end_apply(self) -> None:
-        """Close the apply scope opened by :meth:`begin_apply`."""
+    def end_apply(self, *exc) -> None:
+        """Close the apply scope opened by :meth:`begin_apply` (as
+        ``__exit__`` too: whatever the apply raised, ``exc``)."""
         self._in_use = False
+
+    # ``with workspace:`` brackets one engine apply.
+    __enter__, __exit__ = begin_apply, end_apply
 
     # -- introspection -------------------------------------------------------
     @property
@@ -272,26 +276,3 @@ class Workspace:
             f"Workspace({self.name!r}, buffers={self.buffer_count}, "
             f"nbytes={self.nbytes}, allocs={self.alloc_count})"
         )
-
-
-class apply_scope:
-    """Bracket one engine apply in the arena's re-entrancy guard.
-
-    No-op without a workspace; otherwise cursors reset at the apply
-    boundary and a second apply interleaving on the same arena raises
-    :class:`ReproError` instead of aliasing checkout slots.  A class,
-    not a generator: it opens every apply, small ones included.
-    """
-
-    __slots__ = ("ws",)
-
-    def __init__(self, ws: Optional[Workspace]) -> None:
-        self.ws = ws
-
-    def __enter__(self) -> None:
-        if self.ws is not None:
-            self.ws.begin_apply()
-
-    def __exit__(self, *exc) -> None:
-        if self.ws is not None:
-            self.ws.end_apply()

@@ -6,7 +6,8 @@ Two layers of guarantee:
   explicit ``backend="numpy"`` produces byte-identical results to the
   default construction, for matvec/rmatvec/matmat/rmatmat on both
   :class:`FFTMatvec` and :class:`ParallelFFTMatvec` — the refactor seam
-  changed nothing on the reference path.
+  changed nothing on the reference path — whether the explicit engine
+  is fresh or warm (``warm_up``: applied at another width and config).
 * **numpy vs torch** (skipped unless torch is importable — the CI torch
   leg exercises it): the same engines on :class:`TorchBackend` (CPU)
   match the numpy results to a tolerance tiered by the precision
@@ -27,6 +28,7 @@ from repro.core.parallel import ParallelFFTMatvec
 from repro.core.precision import PrecisionConfig
 from repro.core.toeplitz import BlockTriangularToeplitz
 from repro.util.dtypes import Precision, machine_eps
+from tests.conftest import warm_up
 
 NT, ND, NM, K = 16, 3, 10, 4
 
@@ -67,11 +69,13 @@ def _apply_all(engine, config, m, d, M, D):
 
 
 @pytest.mark.parametrize("config", CONFIGS)
-@pytest.mark.parametrize("workspace", [None, True])
-def test_numpy_explicit_backend_is_bitwise(config, workspace):
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_numpy_explicit_backend_is_bitwise(config, warm):
     matrix, m, d, M, D = _problem()
-    default = FFTMatvec(matrix, workspace=workspace)
-    explicit = FFTMatvec(matrix, workspace=workspace, backend="numpy")
+    default = FFTMatvec(matrix)
+    explicit = FFTMatvec(matrix, backend="numpy")
+    if warm:
+        warm_up(explicit)
     assert explicit.backend.name == "numpy"
     for got, want in zip(
         _apply_all(explicit, config, m, d, M, D),
@@ -84,9 +88,9 @@ def test_numpy_explicit_backend_is_bitwise(config, workspace):
 @pytest.mark.parametrize("config", CONFIGS)
 def test_numpy_explicit_backend_is_bitwise_parallel(config):
     matrix, m, d, M, D = _problem()
-    e_def = ParallelFFTMatvec(matrix, ProcessGrid(2, 2), workspace=True)
+    e_def = ParallelFFTMatvec(matrix, ProcessGrid(2, 2))
     e_np = ParallelFFTMatvec(
-        matrix, ProcessGrid(2, 2), workspace=True, backend="numpy"
+        matrix, ProcessGrid(2, 2), backend="numpy"
     )
     for got, want in zip(
         _apply_all(e_np, config, m, d, M, D),
@@ -101,13 +105,15 @@ def _rel_err(a: np.ndarray, b: np.ndarray) -> float:
 
 @needs_torch
 @pytest.mark.parametrize("config", CONFIGS)
-@pytest.mark.parametrize("workspace", [None, True])
-def test_torch_cpu_matches_numpy_fftmatvec(config, workspace, monkeypatch):
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_torch_cpu_matches_numpy_fftmatvec(config, warm, monkeypatch):
     monkeypatch.setenv("REPRO_TORCH_DEVICE", "cpu")
     matrix, m, d, M, D = _problem()
-    ref = FFTMatvec(matrix, workspace=workspace, backend="numpy")
+    ref = FFTMatvec(matrix, backend="numpy")
     tbe = resolve_backend("torch")
-    eng = FFTMatvec(matrix, workspace=True if workspace else None, backend=tbe)
+    eng = FFTMatvec(matrix, backend=tbe)
+    if warm:
+        warm_up(eng)
     tol = _tol(config)
     for got, want in zip(
         _apply_all(eng, config, m, d, M, D),
@@ -125,10 +131,10 @@ def test_torch_cpu_matches_numpy_parallel(config, monkeypatch):
     monkeypatch.setenv("REPRO_TORCH_DEVICE", "cpu")
     matrix, m, d, M, D = _problem()
     ref = ParallelFFTMatvec(
-        matrix, ProcessGrid(2, 2), workspace=True, backend="numpy"
+        matrix, ProcessGrid(2, 2), backend="numpy"
     )
     eng = ParallelFFTMatvec(
-        matrix, ProcessGrid(2, 2), workspace=True, backend="torch"
+        matrix, ProcessGrid(2, 2), backend="torch"
     )
     assert eng.backend.name == "torch"
     tol = _tol(config)

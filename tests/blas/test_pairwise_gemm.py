@@ -291,7 +291,7 @@ class TestBoundedTransientMemory:
     def test_workspace_engine_shows_zero_arena_growth(self):
         rng = np.random.default_rng(0)
         matrix = BlockTriangularToeplitz(rng.standard_normal((16, 6, 20)))
-        engine = FFTMatvec(matrix, workspace=True, reduction="pairwise", validate="abft")
+        engine = FFTMatvec(matrix, reduction="pairwise", validate="abft")
         M, D = rng.standard_normal((16, 20, 4)), rng.standard_normal((16, 6, 4))
         for _ in range(2):
             engine.matmat(M), engine.rmatmat(D), engine.matvec(M[:, :, 0])

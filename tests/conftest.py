@@ -122,6 +122,40 @@ def slab_bytes(monkeypatch):
     return force
 
 
+WARM_CONFIG = "ddsss"  # a double pad and FFT: ddddd's pad buffers, other tiers
+WARM_WIDTH = 3
+
+
+def warm_up(engine):
+    """Leave ``engine`` (single, grid or elastic) warm and return it: F
+    and F* as vectors, then as ``WARM_WIDTH`` blocks, at ``WARM_CONFIG``
+    on random data, with every single-device engine's record cache held
+    to one entry meanwhile (each half evicts the other and is rebuilt).
+    The next apply of another width or config runs over stale arena
+    contents, reuses the pad buffers whose zero half the warm-up wrote,
+    and builds its records in an arena the warm-up grew.  The ``warm``
+    cell of a ``cold`` / ``warm`` axis; ``cold`` is a fresh engine.
+    """
+    from repro.core.matvec import FFTMatvec
+
+    singles = (
+        [engine] if isinstance(engine, FFTMatvec)
+        else list(getattr(engine, "engine", engine).engines.values())
+    )
+    sizes = [e.plan_cache_size for e in singles]
+    for e in singles:
+        e.plan_cache_size = 1
+    rng = np.random.default_rng(99)
+    nt, nd, nm = engine.nt, engine.nd, engine.nm
+    engine.matvec(rng.standard_normal((nt, nm)), config=WARM_CONFIG)
+    engine.rmatvec(rng.standard_normal((nt, nd)), config=WARM_CONFIG)
+    engine.matmat(rng.standard_normal((nt, nm, WARM_WIDTH)), config=WARM_CONFIG)
+    engine.rmatmat(rng.standard_normal((nt, nd, WARM_WIDTH)), config=WARM_CONFIG)
+    for e, size in zip(singles, sizes):
+        e.plan_cache_size = size
+    return engine
+
+
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     """Relative L2 error ||a - b|| / ||b|| (0 if both zero)."""
     denom = float(np.linalg.norm(b))

@@ -11,7 +11,8 @@ adjacent tier, every tier change its own ``astype`` —
       -> FFTPlan.inverse -> unpad_from_soti
 
 and the engine must equal it bitwise for all 32 configs, vector and
-block, F and F*, arena on and off — and, on a device, charge exactly
+block, F and F*, on a fresh and on a warm engine (``warm_up``: stale
+arena contents, rebuilt records) — and, on a device, charge exactly
 what that composition charges (the sim clock prices each pass at its
 configured tier, not at the tier of the fused destination buffer).
 
@@ -40,7 +41,8 @@ from repro.gpu.device import SimulatedDevice
 from repro.gpu.specs import MI300X
 from repro.comm.fault import CorruptionSchedule, SilentCorruption
 from repro.util.dtypes import complex_dtype, real_dtype
-from repro.util.workspace import Workspace, apply_scope
+from repro.util.workspace import Workspace
+from tests.conftest import warm_up
 
 NT, ND, NM, K = 12, 5, 7, 3  # non-power-of-two Nt
 CONFIGS = [str(c) for c in PrecisionConfig.all_configs()]
@@ -59,12 +61,12 @@ class RecordingWorkspace(Workspace):
         return super().checkout_fresh(tag, shape, dtype)
 
 
-def build(blocks, workspace: bool, device: bool, **kwargs) -> FFTMatvec:
+def build(blocks, warm: bool, device: bool, **kwargs) -> FFTMatvec:
+    """A fresh engine on a :class:`RecordingWorkspace`, or a ``warm`` one."""
     dev = SimulatedDevice("MI300X", record_launches=True) if device else None
-    ws = None
-    if workspace:
-        ws = RecordingWorkspace(allocator=dev.allocator if dev else None)
-    return FFTMatvec(blocks, device=dev, workspace=ws, backend="numpy", **kwargs)
+    ws = RecordingWorkspace(allocator=dev.allocator if dev else None)
+    eng = FFTMatvec(blocks, device=dev, workspace=ws, backend="numpy", **kwargs)
+    return warm_up(eng) if warm else eng
 
 
 def unfused_apply(ref: FFTMatvec, v_in: np.ndarray, config: str, adjoint: bool):
@@ -87,7 +89,7 @@ def unfused_apply(ref: FFTMatvec, v_in: np.ndarray, config: str, adjoint: bool):
     def plan(fft_type, batch):
         return FFTPlan(ref.n_pad, batch, fft_type, device=dev)
 
-    with apply_scope(ws):
+    with ws:
         with phase("pad"):
             x = pad_to_soti(block.reshape(nt, nx * k), cfg.pad, device=dev, workspace=ws)
         with phase("fft"):
@@ -130,13 +132,14 @@ def problem():
 @pytest.fixture(
     scope="module",
     params=[(w, d) for w in (False, True) for d in (False, True)],
-    ids=lambda p: f"ws={'on' if p[0] else 'off'}-dev={'on' if p[1] else 'off'}",
+    ids=lambda p: f"{'warm' if p[0] else 'cold'}-dev={'on' if p[1] else 'off'}",
 )
 def engines(request, problem):
-    workspace, device = request.param
+    """The engine under test (cold or warm) and the oracle's, kept cold."""
+    warm, device = request.param
     return (
-        build(problem["blocks"], workspace, device),
-        build(problem["blocks"], workspace, device),
+        build(problem["blocks"], warm, device),
+        build(problem["blocks"], False, device),
     )
 
 
@@ -167,7 +170,7 @@ def test_engine_is_the_unfused_composition(engines, problem, config, method):
 
 
 def test_arena_never_holds_a_reorder_cast_buffer(problem):
-    eng = build(problem["blocks"], workspace=True, device=True)
+    eng = build(problem["blocks"], warm=False, device=True)
     for config in CONFIGS:
         eng.workspace.tags.clear()
         for method in ("matvec", "rmatvec", "matmat", "rmatmat"):
@@ -254,27 +257,26 @@ def _observe(eng: FFTMatvec, problem, config: str):
 @pytest.mark.parametrize("config", SLAB_CONFIGS)
 @pytest.mark.parametrize("budget", SLAB_BUDGETS)
 @pytest.mark.parametrize("device", [False, True], ids=["dev=off", "dev=on"])
-@pytest.mark.parametrize("workspace", [False, True], ids=["ws=off", "ws=on"])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_slabbed_equals_whole_width(
-    slab_problem, slab_bytes, workspace, device, budget, config
+    slab_problem, slab_bytes, warm, device, budget, config
 ):
     slab_bytes(WHOLE)
-    want = _observe(build(slab_problem["blocks"], workspace, device), slab_problem, config)
+    want = _observe(build(slab_problem["blocks"], warm, device), slab_problem, config)
     slab_bytes(budget)
-    eng = build(slab_problem["blocks"], workspace, device)
+    eng = build(slab_problem["blocks"], warm, device)
     got = _observe(eng, slab_problem, config)
     for (method, how, a, ta), (_, _, b, tb) in zip(got.pop("calls"), want.pop("calls")):
         assert a.dtype == b.dtype == np.float64
         assert np.array_equal(a, b), (method, how)
         assert ta == tb, (method, how)  # simulated seconds, phase by phase
     assert got == want
-    if workspace:
-        # The loop really ran in slabs: the arena holds slab-sized
-        # scratch and no full-width padded buffer.
-        nt, nd, nm = SLAB_SHAPE
-        assert {"fft_out", "ifft_out"} <= eng.workspace.tags
-        pads = {key[1][0] for key in eng.workspace._pools if key[0] == "pad"}
-        assert nm * SLAB_K not in pads and nd * SLAB_K not in pads, pads
+    # The loop really ran in slabs: the arena holds slab-sized scratch
+    # and no full-width padded buffer.
+    nt, nd, nm = SLAB_SHAPE
+    assert {"fft_out", "ifft_out"} <= eng.workspace.tags
+    pads = {key[1][0] for key in eng.workspace._pools if key[0] == "pad"}
+    assert nm * SLAB_K not in pads and nd * SLAB_K not in pads, pads
 
 
 @pytest.mark.parametrize("config", ["ddddd", "dssdd", "sdsds"])
@@ -288,10 +290,10 @@ def test_slabbed_applies_are_allocation_free_on_a_smaller_arena(
             getattr(eng, method)(v, config=config, out=out)
 
     slab_bytes(WHOLE)
-    whole = build(slab_problem["blocks"], workspace=True, device=False)
+    whole = build(slab_problem["blocks"], warm=False, device=False)
     run(whole)
     slab_bytes(2240)
-    eng = build(slab_problem["blocks"], workspace=True, device=False)
+    eng = build(slab_problem["blocks"], warm=False, device=False)
     run(eng)
     allocs = eng.workspace.alloc_count
     for _ in range(20):
@@ -309,7 +311,7 @@ def test_hooks_keep_whole_buffers(slab_problem, slab_bytes, hook):
     slab_bytes(1)
     nt, nd, nm = SLAB_SHAPE
     eng = build(
-        slab_problem["blocks"], workspace=True, device=False,
+        slab_problem["blocks"], warm=False, device=False,
         validate=None if hook == "schedule" else hook,
     )
     if hook == "schedule":
@@ -395,10 +397,10 @@ def record_problem(problem):
 @pytest.mark.parametrize("config", RECORD_CONFIGS)
 @pytest.mark.parametrize("device", [False, True], ids=["dev=off", "dev=on"])
 def test_record_hit_equals_record_miss(record_problem, device, config):
-    hit = build(record_problem["blocks"], workspace=True, device=device)
-    miss = build(record_problem["blocks"], workspace=True, device=device)
+    hit = build(record_problem["blocks"], warm=False, device=device)
+    miss = build(record_problem["blocks"], warm=False, device=device)
     miss.plan_cache_size = 1
-    bare = build(record_problem["blocks"], workspace=False, device=device)
+    fresh = build(record_problem["blocks"], warm=False, device=device)
     first = _record_pass(hit, record_problem, config)
     allocs, n_records = hit.workspace.alloc_count, len(hit._plans)
     for _ in range(18):
@@ -406,8 +408,8 @@ def test_record_hit_equals_record_miss(record_problem, device, config):
     passes = {
         "first": first,
         "twentieth": _record_pass(hit, record_problem, config),
-        "fresh": _record_pass(build(record_problem["blocks"], True, device), record_problem, config),
-        "no arena": _record_pass(bare, record_problem, config),
+        "fresh": _record_pass(fresh, record_problem, config),
+        "warm": _record_pass(build(record_problem["blocks"], True, device), record_problem, config),
     }
     for _ in range(20):
         passes["never hits"] = _record_pass(miss, record_problem, config)
@@ -429,7 +431,7 @@ def test_record_hit_equals_record_miss(record_problem, device, config):
     # Counters advance per apply whether a record was hit or built: one
     # forward and one inverse execution, neither staged.
     applies = 20 * len(first)
-    assert hit.cast_noop_count == miss.cast_noop_count == 20 * bare.cast_noop_count
+    assert hit.cast_noop_count == miss.cast_noop_count == 20 * fresh.cast_noop_count
     plans = [rec.plan for rec in hit._plans.values()]
     assert sum(p.executions for p in plans) == 2 * applies
     assert sum(p.stage_noops for p in plans) == 2 * applies
@@ -448,7 +450,7 @@ def test_arming_and_disarming_take_effect_on_the_next_apply(slab_problem, slab_b
     brings the slabs back."""
     slab_bytes(2240)
     nt, nd, nm = SLAB_SHAPE
-    eng = build(slab_problem["blocks"], workspace=True, device=False)
+    eng = build(slab_problem["blocks"], warm=False, device=False)
     M = slab_problem["matmat"]
     want = eng.matmat(M)
     assert np.array_equal(eng.matmat(M), want)

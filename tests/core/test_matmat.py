@@ -8,6 +8,7 @@ from repro.core.toeplitz import BlockTriangularToeplitz
 from repro.gpu.device import SimulatedDevice
 from repro.gpu.specs import MI300X
 from repro.util.validation import ReproError
+from tests.conftest import warm_up
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +63,8 @@ class TestDeterministicColumns:
     """``deterministic=True``: column j is **bitwise** the vector apply —
     whatever the local widths (numpy picks its matmul loop by operand
     strides: one sensor row, or up to three, used to take another loop
-    than the lone GEMV), with or without an arena or a device (a device
+    than the lone GEMV), on a fresh engine or a warm one (stale arena,
+    rebuilt records: ``warm_up``), with or without a device (a device
     books launches, it does not pick kernels), and on a pairwise engine,
     where the fixed tree keeps the promise and the flag is ignored."""
 
@@ -73,18 +75,19 @@ class TestDeterministicColumns:
 
     @pytest.mark.parametrize("reduction", ["fast", "pairwise"])
     @pytest.mark.parametrize("device", [False, True], ids=["nodev", "dev"])
-    @pytest.mark.parametrize("arena", [False, True], ids=["noarena", "arena"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     @pytest.mark.parametrize("shape", SHAPES, ids=str)
-    def test_column_j_is_the_vector_apply(self, shape, arena, device, reduction):
+    def test_column_j_is_the_vector_apply(self, shape, warm, device, reduction):
         nt, nd, nm = shape
         rng = np.random.default_rng(nt * 1000 + nd * 100 + nm)
         eng = FFTMatvec(
             rng.standard_normal(shape),
             device=SimulatedDevice(MI300X) if device else None,
-            workspace=arena,
             reduction=reduction,
             backend="numpy",
         )
+        if warm:
+            warm_up(eng)
         for config in ("ddddd", "dssdd"):
             for k in (2, 5):
                 M = rng.standard_normal((nt, nm, k))

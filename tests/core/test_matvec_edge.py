@@ -152,7 +152,7 @@ class TestInvalidLaunch:
         nt = 16
         x, y, _ = MI300X.max_grid
         dev = SimulatedDevice(replace(MI300X, max_grid=(x, y, nt)))
-        eng, rng = make(nt=nt, device=dev, workspace=True)
+        eng, rng = make(nt=nt, device=dev)
         before = (dev.clock.now, dev.stats.launches)
         m, D = rng.standard_normal((nt, 10)), rng.standard_normal((nt, 3, 4))
         for _ in range(3):

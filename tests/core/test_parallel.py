@@ -142,7 +142,7 @@ class TestTimingAndComm:
         rng = np.random.default_rng(0)
         eng = ParallelFFTMatvec(
             BlockTriangularToeplitz.random(8, 4, 6, rng=rng), ProcessGrid(2, 2),
-            reduction=reduction, workspace=True,
+            reduction=reduction,
         )
         eng.matmat(rng.standard_normal((8, 6, 3)), max_block_k=2)
         probe = weakref.ref(eng)

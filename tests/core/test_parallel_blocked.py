@@ -11,16 +11,14 @@ from repro.core.toeplitz import BlockTriangularToeplitz
 from repro.gpu.specs import MI250X_GCD
 from repro.util.validation import ReproError
 
-from tests.conftest import rel_err
+from tests.conftest import rel_err, warm_up
 
 
-def make(nt=16, nd=4, nm=24, pr=2, pc=3, seed=0, spec=None, max_block_k=None, workspace=None):
+def make(nt=16, nd=4, nm=24, pr=2, pc=3, seed=0, spec=None, max_block_k=None):
     rng = np.random.default_rng(seed)
     matrix = BlockTriangularToeplitz.random(nt, nd, nm, rng=rng)
     grid = ProcessGrid(pr, pc, net=FRONTIER_NETWORK)
-    eng = ParallelFFTMatvec(
-        matrix, grid, spec=spec, max_block_k=max_block_k, workspace=workspace
-    )
+    eng = ParallelFFTMatvec(matrix, grid, spec=spec, max_block_k=max_block_k)
     return eng, matrix, rng
 
 
@@ -101,17 +99,20 @@ class TestChunkedEdgeCases:
             assert np.array_equal(FtD[:, :, 0], Ftd)
 
     @pytest.mark.parametrize("spec", [None, MI250X_GCD], ids=["nodev", "dev"])
-    @pytest.mark.parametrize("arena", [False, True], ids=["noarena", "arena"])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     @pytest.mark.parametrize("pr,pc", [(2, 1), (2, 2)])
     @pytest.mark.parametrize("shape", [(12, 2, 8), (12, 3, 96)], ids=str)
     def test_deterministic_columns_are_vector_applies_at_degenerate_widths(
-        self, shape, pr, pc, arena, spec
+        self, shape, pr, pc, warm, spec
     ):
         # Two or three sensors over two grid rows: ranks of one local
         # sensor row, where the strided panel view used to send numpy
-        # down another matmul loop than the lone GEMV's.
+        # down another matmul loop than the lone GEMV's.  Warm: the same
+        # grid after applies of another width and config.
         nt, nd, nm = shape
-        eng, _, rng = make(nt=nt, nd=nd, nm=nm, pr=pr, pc=pc, spec=spec, workspace=arena)
+        eng, _, rng = make(nt=nt, nd=nd, nm=nm, pr=pr, pc=pc, spec=spec)
+        if warm:
+            warm_up(eng)
         for k in (2, 5):
             M = rng.standard_normal((nt, nm, k))
             D = rng.standard_normal((nt, nd, k))

@@ -143,7 +143,7 @@ PARTITIONS = {
 def _grid(mat, reduction, partition="balanced", validate=None, overlap=True):
     rows, cols = PARTITIONS[partition]
     eng = ParallelFFTMatvec(
-        mat, ProcessGrid(2, 2), spec="MI300X", workspace=True, max_block_k=2,
+        mat, ProcessGrid(2, 2), spec="MI300X", max_block_k=2,
         reduction=reduction, row_ranges=rows, col_ranges=cols,
         validate=validate, overlap=overlap,
     )
@@ -275,7 +275,7 @@ def test_worker_corruption_keeps_its_fields(problem, rank_groups, w):
     mat, M, _ = problem
     rank_groups(w)
     eng = ElasticEngine(
-        mat, 4, max_block_k=2, workspace=True, validate="abft",
+        mat, 4, max_block_k=2, validate="abft",
         max_corruption_retries=1,
     )
     want = eng.matmat(M)  # first use pins the clean checksum rows

@@ -109,7 +109,7 @@ class TestTheOperator:
             assert np.linalg.norm(Z[:, :, j] - col) <= 1e-6 * np.linalg.norm(col)
 
     def test_factor_is_built_lazily_once_per_engine(self):
-        eng = CountingEngine(_blocks((32, 24, 96)), workspace=True)
+        eng = CountingEngine(_blocks((32, 24, 96)))
         first = _hessian(eng)
         assert eng._gram is None  # neither the engine nor the Hessian built it
         B = first.preconditioner.B
@@ -216,7 +216,7 @@ class TestGatesKeepThePlainLoop:
     def test_an_ill_conditioned_spectrum_gets_no_single_precision_m(self):
         blocks = _blocks((32, 24, 96))
         blocks[:, 0, :] *= 1e-5  # kappa(F_hat) ~ 2e5: cond(M) = 1 + 4 kappa^2
-        eng = CountingEngine(blocks, workspace=True)
+        eng = CountingEngine(blocks)
         assert eng.gram_factor().kappa > 1e5
         assert RIDGE <= eng.gram_factor().mu  # the ridge gate alone would admit it
         assert _hessian(eng).preconditioner is None

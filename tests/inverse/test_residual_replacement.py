@@ -68,7 +68,7 @@ def _blocks(shape, seed=0):
 def _system(shape, config="ddddd", blocks=None, seed=0):
     """Engine, ridge-regularized Hessian (the ``solve_small`` operator) and
     a right-hand side ``F* d``."""
-    eng = CountingEngine(_blocks(shape, seed) if blocks is None else blocks, workspace=True)
+    eng = CountingEngine(_blocks(shape, seed) if blocks is None else blocks)
     forward = ForwardOperator(eng, config)
     hess = GaussNewtonHessian(forward, 1.0, RIDGE * IdentityOperator(forward.in_shape))
     rhs = eng.rmatvec(np.random.default_rng(seed + 1).standard_normal((shape[0], shape[1])))

@@ -38,7 +38,7 @@ class HeldEngine:
         self._open = threading.Event()
 
     def __call__(self) -> FFTMatvec:
-        return _GatedEngine(self.matrix, workspace=True, holder=self)
+        return _GatedEngine(self.matrix, holder=self)
 
     def hold(self) -> None:
         self._open.clear()

@@ -54,7 +54,7 @@ class TestEngineCacheBasics:
 
         def builder():
             built.append(1)
-            return FFTMatvec(mat, workspace=True)
+            return FFTMatvec(mat)
 
         a = cache.get("k1", builder)
         b = cache.get("k1", builder)
@@ -76,7 +76,7 @@ class TestEngineCacheBasics:
         cache = EngineCache(256 * 2**20)
         mats = [make_matrix(seed=s) for s in range(3)]
         for i, mat in enumerate(mats):
-            cache.get(f"k{i}", lambda m=mat: FFTMatvec(m, workspace=True))
+            cache.get(f"k{i}", lambda m=mat: FFTMatvec(m))
         assert cache.keys() == ("k0", "k1", "k2")
         cache.get("k0")  # hit refreshes to most-recently-used
         assert cache.keys() == ("k1", "k2", "k0")
@@ -87,11 +87,11 @@ class TestEngineCacheBasics:
 class TestByteBudget:
     def test_budget_evicts_lru(self):
         mat = make_matrix()
-        one = engine_footprint(FFTMatvec(mat, workspace=True))
+        one = engine_footprint(FFTMatvec(mat))
         # Room for two engines but not three.
         cache = EngineCache(int(2.5 * one))
         for i in range(3):
-            cache.get(f"k{i}", lambda m=mat: FFTMatvec(m, workspace=True))
+            cache.get(f"k{i}", lambda m=mat: FFTMatvec(m))
             assert cache.stats().peak_bytes <= cache.budget_bytes
         assert "k0" not in cache  # LRU victim
         assert cache.keys() == ("k1", "k2")
@@ -99,16 +99,16 @@ class TestByteBudget:
 
     def test_engine_larger_than_budget_raises(self):
         mat = make_matrix()
-        one = engine_footprint(FFTMatvec(mat, workspace=True))
+        one = engine_footprint(FFTMatvec(mat))
         cache = EngineCache(max(1, one // 2))
         with pytest.raises(OutOfMemoryError):
-            cache.get("big", lambda: FFTMatvec(mat, workspace=True))
+            cache.get("big", lambda: FFTMatvec(mat))
         assert len(cache) == 0
 
     def test_update_footprint_tracks_lazy_growth(self):
         mat = make_matrix()
         cache = EngineCache(64 * 2**20)
-        eng = cache.get("k", lambda: FFTMatvec(mat, workspace=True))
+        eng = cache.get("k", lambda: FFTMatvec(mat))
         before = cache.stats().in_use_bytes
         # First apply grows the arena and caches a precision spectrum.
         eng.matvec(np.ones((mat.nt, mat.nm)))
@@ -125,15 +125,15 @@ class TestByteBudget:
         # old charge, so the eviction loop can only victimize peers —
         # this is the double-free regression guard.
         mat = make_matrix()
-        probe = FFTMatvec(mat, workspace=True)
+        probe = FFTMatvec(mat)
         fresh = engine_footprint(probe)
         probe.matmat(np.ones((mat.nt, mat.nm, 8)))
         grown = engine_footprint(probe)
         assert grown > fresh
         # Fits one grown engine plus change, not grown + fresh.
         cache = EngineCache(grown + fresh // 2)
-        eng = cache.get("grow", lambda: FFTMatvec(mat, workspace=True))
-        cache.get("peer", lambda: FFTMatvec(mat, workspace=True))
+        eng = cache.get("grow", lambda: FFTMatvec(mat))
+        cache.get("peer", lambda: FFTMatvec(mat))
         # Grow "grow" well past its admission size: blocked apply arena.
         eng.matmat(np.ones((mat.nt, mat.nm, 8)))
         cache.update_footprint("grow")
@@ -150,7 +150,7 @@ class TestByteBudget:
     def test_clear_returns_budget(self):
         mat = make_matrix()
         cache = EngineCache(64 * 2**20)
-        cache.get("k", lambda: FFTMatvec(mat, workspace=True))
+        cache.get("k", lambda: FFTMatvec(mat))
         cache.clear()
         assert len(cache) == 0
         assert cache.stats().in_use_bytes == 0

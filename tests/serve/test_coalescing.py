@@ -35,11 +35,11 @@ def make_matrix(seed=0):
 
 
 def single_builder(matrix):
-    return lambda: FFTMatvec(matrix, workspace=True)
+    return lambda: FFTMatvec(matrix)
 
 def grid_builder(matrix):
     return lambda: ParallelFFTMatvec(
-        matrix, ProcessGrid(2, 2), workspace=True
+        matrix, ProcessGrid(2, 2)
     )
 
 

@@ -22,7 +22,7 @@ def make_service(reduction="fast", **kwargs):
     service = SolverService(cache, **kwargs)
     handle = service.register(
         make_matrix(),
-        builder=lambda: FFTMatvec(make_matrix(), workspace=True, reduction=reduction),
+        builder=lambda: FFTMatvec(make_matrix(), reduction=reduction),
     )
     return service, handle
 

@@ -285,7 +285,7 @@ class TestReleasingTheEngine:
             builds.append(len(builds))
             if len(builds) == 1:
                 raise RuntimeError("no device today")
-            return FFTMatvec(MATRIX, workspace=True)
+            return FFTMatvec(MATRIX)
 
         async def main():
             service, handle = make_service(builder=builder)
@@ -317,7 +317,7 @@ class TestReleasingTheEngine:
         async def main():
             backoff = 0.2
             service, handle = make_service(
-                builder=lambda: DiesOnce(MATRIX, workspace=True),
+                builder=lambda: DiesOnce(MATRIX),
                 retry_backoff_s=backoff,
             )
             order = []

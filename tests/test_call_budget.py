@@ -24,13 +24,14 @@ from repro.core.parallel import ParallelFFTMatvec
 from repro.gpu.device import SimulatedDevice
 
 SHAPE = (64, 24, 96)  # the solve_small operator
-VECTOR_BUDGET = 130  # before: 316-376, now 81-95
-BLOCK_BUDGET = 140  # k = 8 matmat / rmatmat, before: 330-387, now 98-115
+VECTOR_BUDGET = 130  # before: 316-376, then 81-95, now 78-92 (no apply_scope)
+BLOCK_BUDGET = 140  # k = 8 matmat / rmatmat, before: 330-387, then 98-115, now 95-112
 # With a simulated device an apply books six launches off its prepared
 # record and reads the clock's phase totals for ``last_timing``; it used
 # to rebuild every launch's memo key and problem per call (274 / 292 and
 # 299 / 321) and to loop the deterministic panel a GEMV at a time (891 /
-# 1107).  Now 171 / 173, 188 / 193, 282 / 286.
+# 1107).  Then 171 / 173, 188 / 193, 282 / 286; now 168 / 170, 185 / 190,
+# 279 / 283 (the arena's own ``with`` instead of an ``apply_scope`` wrapper).
 DEVICE_VECTOR_BUDGET = 200
 DEVICE_BLOCK_BUDGET = 220
 DEVICE_DETERMINISTIC_BUDGET = 320
@@ -39,9 +40,9 @@ DEVICE_DETERMINISTIC_BUDGET = 320
 # schedule driver; these keep its callbacks from costing the grid
 # workloads interpreter time (2922 / 9733 before the driver, 2912 / 9729
 # with it).
-GRID_BUDGET = 3100  # now 2687
-SPEC_GRID_BUDGET = 4400  # a device per rank: 5841 before the ranks booked from records, now 4065
-ELASTIC_BUDGET = 10_300  # now 9549
+GRID_BUDGET = 3100  # 2687, now 2620
+SPEC_GRID_BUDGET = 4400  # a device per rank: 5841 before the ranks booked from records, 4065, now 3998
+ELASTIC_BUDGET = 10_300  # 9549, now 9449
 
 
 def calls_per_apply(apply, *args, reps: int = 5, **kwargs) -> float:
@@ -65,7 +66,7 @@ def calls_per_apply(apply, *args, reps: int = 5, **kwargs) -> float:
 def _warm(device):
     rng = np.random.default_rng(20261004)
     nt, nd, nm = SHAPE
-    eng = FFTMatvec(rng.standard_normal(SHAPE), device=device, workspace=True, backend="numpy")
+    eng = FFTMatvec(rng.standard_normal(SHAPE), device=device, backend="numpy")
     vectors = {
         "matvec": rng.standard_normal((nt, nm)),
         "rmatvec": rng.standard_normal((nt, nd)),
@@ -93,7 +94,7 @@ def warm_device():
 @pytest.mark.parametrize("name", ["matvec", "rmatvec", "matmat", "rmatmat"])
 def test_warm_apply_stays_within_its_call_budget(warm, name, config):
     eng, vectors = warm
-    assert eng.device is None and eng.workspace is not None
+    assert eng.device is None
     allocs = eng.workspace.alloc_count
     n = calls_per_apply(getattr(eng, name), vectors[name], config=config)
     assert n <= (BLOCK_BUDGET if name.endswith("mat") else VECTOR_BUDGET), n
@@ -126,7 +127,7 @@ def test_the_count_sees_per_apply_bookkeeping():
     """The guard has teeth: an engine that prepares every half of every
     apply anew (a one-record cache) is over the budget."""
     rng = np.random.default_rng(20261005)
-    eng = FFTMatvec(rng.standard_normal((16, 4, 6)), workspace=True, backend="numpy")
+    eng = FFTMatvec(rng.standard_normal((16, 4, 6)), backend="numpy")
     eng.plan_cache_size = 1
     m = rng.standard_normal((16, 6))
     eng.matvec(m)
@@ -138,14 +139,14 @@ def test_the_count_sees_per_apply_bookkeeping():
     [
         pytest.param(
             lambda blocks: ParallelFFTMatvec(
-                blocks, ProcessGrid(2, 2), workspace=True, max_block_k=4, backend="numpy"
+                blocks, ProcessGrid(2, 2), max_block_k=4, backend="numpy"
             ),
             GRID_BUDGET,
             id="grid-2x2",
         ),
         pytest.param(
             lambda blocks: ParallelFFTMatvec(
-                blocks, ProcessGrid(2, 2), spec="MI300X", workspace=True, max_block_k=4,
+                blocks, ProcessGrid(2, 2), spec="MI300X", max_block_k=4,
                 backend="numpy",
             ),
             SPEC_GRID_BUDGET,
@@ -153,7 +154,7 @@ def test_the_count_sees_per_apply_bookkeeping():
         ),
         pytest.param(
             lambda blocks: ElasticEngine(
-                blocks, 4, workspace=True, max_block_k=4, validate="abft", backend="numpy"
+                blocks, 4, max_block_k=4, validate="abft", backend="numpy"
             ),
             ELASTIC_BUDGET,
             id="elastic-abft",

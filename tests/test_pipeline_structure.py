@@ -8,11 +8,11 @@ walks the AST and fails when a copy grows back — a second call site of
 a phase kernel, a phase kernel outside the front/back slab loops, a
 launch described or priced per apply instead of booked off the prepared
 record, a second collective loop, a rank loop beside ``_rank_compute``
-(the one place that may run ranks concurrently), a hand-rolled
-``begin_apply()`` bracket beside
-:func:`repro.util.workspace.apply_scope`, or per-apply derivation
-(dtype and plan lookups, arena checkouts) inside a half: what the data
-does not decide is resolved once, by ``FFTMatvec._prepared``.
+(the one place that may run ranks concurrently), an apply bracketed
+by hand-rolled ``begin_apply()`` instead of ``with <engine>.workspace:``,
+or per-apply derivation (dtype and plan lookups, arena checkouts)
+inside a half: what the data does not decide is resolved once, by
+``FFTMatvec._prepared``.
 
 The same holds between engine and perf model: the chunk schedule's
 dependency edges live in ``util/timing.py::run_chunk_schedule`` and
@@ -44,6 +44,14 @@ def _calls(tree: ast.AST, name: str) -> list:
         if called == name:
             lines.append(node.lineno)
     return lines
+
+
+def _attributes(tree: ast.AST, name: str) -> list:
+    """Line numbers of ``<anything>.name`` reads."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == name
+    ]
 
 
 def _module(filename: str, package: str = "core") -> ast.Module:
@@ -161,7 +169,7 @@ def test_forward_fft_runs_in_the_front_half_only():
 # What a half may not do per apply: it reads these off its prepared record.
 PER_APPLY_DERIVATION = (
     "parse", "real_dtype", "complex_dtype", "_plan", "FFTPlan", "_slab_cols",
-    "checkout", "checkout_fresh", "_scratch", "padded_buffer", "spectrum",
+    "checkout", "checkout_fresh", "padded_buffer", "spectrum",
 )
 
 
@@ -175,10 +183,9 @@ def test_halves_prepare_outside_the_loop_and_derive_nothing(half):
         assert _calls(method, name) == [], (
             f"FFTMatvec.{half} calls {name}() per apply; resolve it in _prepared"
         )
-    # The buffers without an arena (fresh per apply) come from one helper
-    # call ahead of the loop, never from inside it.
-    buffers = _calls(method, f"{half}_buffers")
-    assert len(buffers) == 1 and _calls(_slab_loop(half), f"{half}_buffers") == []
+    # The buffers are the record's arena views, read once ahead of the loop.
+    assert len(_attributes(method, "bufs")) == 1
+    assert _attributes(_slab_loop(half), "bufs") == []
 
 
 def test_engine_hands_the_layer_functions_no_device():
@@ -251,13 +258,39 @@ def test_rank_pipelines_run_through_rank_compute_only():
     assert len(_calls(tree, "_run_rank")) == 2 == 1 + len(_calls(helper, "_run_rank"))
 
 
-def test_core_brackets_applies_through_apply_scope_only():
+# The entry points that bracket an apply, each in one ``with <engine>.workspace:``.
+APPLY_SCOPES = {
+    "matvec.py": ("FFTMatvec", (
+        "_pipeline", "_pipeline_block", "_pipeline_block_pairwise_segments",
+        "_pipeline_block_finish",
+    )),
+    "parallel.py": ("ParallelFFTMatvec", ("_matmat_impl",)),
+}
+
+
+def _workspace_scopes(tree: ast.AST) -> list:
+    """Line numbers of ``with <anything>.workspace:`` statements."""
+    return [
+        node.lineno for node in ast.walk(tree) if isinstance(node, ast.With)
+        for item in node.items
+        if isinstance(item.context_expr, ast.Attribute)
+        and item.context_expr.attr == "workspace"
+    ]
+
+
+def test_core_brackets_applies_through_with_workspace_only():
     for path in sorted(CORE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        assert _calls(tree, "begin_apply") == [], (
-            f"{path.name} opens a workspace apply scope by hand; use "
-            "repro.util.workspace.apply_scope"
-        )
+        for name in ("begin_apply", "end_apply", "apply_scope"):
+            assert _calls(tree, name) == [], (
+                f"{path.name} calls {name}(); bracket the apply in "
+                "`with <engine>.workspace:`"
+            )
+    for filename, (cls, methods) in APPLY_SCOPES.items():
+        tree = _module(filename)
+        assert len(_workspace_scopes(tree)) == len(methods), filename
+        for name in methods:
+            assert len(_workspace_scopes(_method(tree, cls, name))) == 1, (cls, name)
 
 
 # -- one schedule, one price: engine and perf model share definitions ----------

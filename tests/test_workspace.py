@@ -2,11 +2,12 @@
 
 The arena contract has three legs, each a test class here:
 
-* **Bitwise identity** — matvec/matmat/rmatmat results with the arena on
-  must equal the allocate-per-call reference *bitwise*, on the
-  single-device engine and on a 2x2 grid including skewed extents and
-  mixed-precision configs.  The arena decides where results are written,
-  never what is computed.
+* **Warm equals cold** — matvec/matmat/rmatmat results of a warm engine
+  (``warm_up``: stale arena contents, rebuilt records) must equal a
+  fresh engine's *bitwise*, and both the dense product of
+  ``core/toeplitz.py`` to the config's tolerance, on the single-device
+  engine and on a 2x2 grid including skewed extents and mixed-precision
+  configs.  What an earlier apply left in the arena never shows.
 * **Zero growth** — after a one-apply warmup, 50 further applies must
   not allocate a single new arena buffer (``alloc_count`` frozen).
 * **Allocator registration** — every arena buffer is registered with the
@@ -24,13 +25,17 @@ import pytest
 from repro.comm.grid import ProcessGrid
 from repro.comm.netmodel import FRONTIER_NETWORK
 from repro.comm.partition import skewed_extents
+from repro.core.elastic import ElasticEngine
 from repro.core.matvec import FFTMatvec
 from repro.core.parallel import ParallelFFTMatvec
+from repro.core.precision import PrecisionConfig
 from repro.core.toeplitz import BlockTriangularToeplitz
 from repro.gpu.device import SimulatedDevice
 from repro.gpu.specs import MI300X
+from repro.util.dtypes import machine_eps
 from repro.util.validation import ReproError
 from repro.util.workspace import Workspace
+from tests.conftest import rel_err, warm_up
 
 NT, ND, NM, K = 16, 8, 24, 10
 CONFIGS = ["ddddd", "sssss", "dsdsd", "sdsds"]
@@ -47,10 +52,20 @@ def matrix(rng):
 
 
 def total_allocs(engine: ParallelFFTMatvec) -> int:
-    assert engine.workspace is not None
     return engine.workspace.alloc_count + sum(
         e.workspace.alloc_count for e in engine.engines.values()
     )
+
+
+def assert_dense(matrix, config, got, v, adjoint=False):
+    """``got`` is the dense product of ``v`` (a vector or a block) to the
+    tolerance of ``config``'s weakest phase."""
+    dense = matrix.rmatvec_reference if adjoint else matrix.matvec_reference
+    want = dense(v) if v.ndim == 2 else np.stack(
+        [dense(v[:, :, j]) for j in range(v.shape[2])], axis=-1
+    )
+    tol = 1e3 * machine_eps(min(PrecisionConfig.parse(config).phases))
+    assert rel_err(got, want) < tol
 
 
 class TestWorkspaceUnit:
@@ -110,23 +125,23 @@ class TestWorkspaceUnit:
         assert st.nbytes == 4 * 8
 
 
-class TestBitwiseSingleDevice:
+class TestWarmEqualsCold:
     @pytest.mark.parametrize("config", CONFIGS)
-    def test_all_ops_bitwise_identical(self, matrix, rng, config):
-        ref = FFTMatvec(matrix)
-        arena = FFTMatvec(matrix, workspace=True)
+    def test_all_ops_warm_equal_cold(self, matrix, rng, config):
+        cold = FFTMatvec(matrix)
+        warm = warm_up(FFTMatvec(matrix))
         m = rng.standard_normal((NT, NM))
         d = rng.standard_normal((NT, ND))
         B = rng.standard_normal((NT, NM, K))
         D = rng.standard_normal((NT, ND, K))
-        assert np.array_equal(ref.matvec(m, config), arena.matvec(m, config))
-        assert np.array_equal(ref.rmatvec(d, config), arena.rmatvec(d, config))
-        assert np.array_equal(ref.matmat(B, config), arena.matmat(B, config))
-        assert np.array_equal(ref.rmatmat(D, config), arena.rmatmat(D, config))
+        for name, v in (("matvec", m), ("rmatvec", d), ("matmat", B), ("rmatmat", D)):
+            got = getattr(cold, name)(v, config)
+            assert np.array_equal(got, getattr(warm, name)(v, config)), name
+            assert_dense(matrix, config, got, v, adjoint=name.startswith("r"))
 
     def test_out_param_returns_caller_buffer(self, matrix, rng):
         ref = FFTMatvec(matrix)
-        arena = FFTMatvec(matrix, workspace=True)
+        arena = FFTMatvec(matrix)
         B = rng.standard_normal((NT, NM, K))
         out = np.empty((NT, ND, K))
         res = arena.matmat(B, out=out)
@@ -136,7 +151,7 @@ class TestBitwiseSingleDevice:
         assert arena.matvec(rng.standard_normal((NT, NM)), out=o2) is o2
 
     def test_out_param_shape_checked(self, matrix, rng):
-        arena = FFTMatvec(matrix, workspace=True)
+        arena = FFTMatvec(matrix)
         with pytest.raises(ReproError):
             arena.matvec(rng.standard_normal((NT, NM)), out=np.empty((NT, ND + 1)))
         with pytest.raises(ReproError):
@@ -148,7 +163,7 @@ class TestBitwiseSingleDevice:
     def test_results_detached_from_arena(self, matrix, rng):
         # A caller holding result i must not see it change when apply
         # i+1 reuses the arena.
-        arena = FFTMatvec(matrix, workspace=True)
+        arena = FFTMatvec(matrix)
         m1, m2 = rng.standard_normal((2, NT, NM))
         r1 = arena.matvec(m1)
         saved = r1.copy()
@@ -156,51 +171,44 @@ class TestBitwiseSingleDevice:
         assert np.array_equal(r1, saved)
 
 
-class TestBitwiseGrid:
+class TestWarmEqualsColdGrid:
     # "sssss" exercises the grid arena's float32 broadcast staging and
-    # the float32 -> float64 input conversion (_stage_payload/_as_input64).
+    # the float32 -> float64 input conversion (``_chunk_bcast``).
     @pytest.mark.parametrize("config", ["ddddd", "dsdsd", "sssss"])
     @pytest.mark.parametrize("skew", [False, True])
-    def test_grid_ops_bitwise_identical(self, matrix, rng, config, skew):
+    def test_grid_ops_warm_equal_cold(self, matrix, rng, config, skew):
         kw = {}
         if skew:
             kw["row_ranges"] = skewed_extents(ND, 2, skew=0.5)
             kw["col_ranges"] = skewed_extents(NM, 2, skew=0.4)
 
-        def make(**extra):
+        def make():
             return ParallelFFTMatvec(
                 matrix,
                 ProcessGrid(2, 2, net=FRONTIER_NETWORK),
                 spec=MI300X,
                 max_block_k=4,
                 **kw,
-                **extra,
             )
 
-        ref, arena = make(), make(workspace=True)
+        cold, warm = make(), warm_up(make())
         m = rng.standard_normal((NT, NM))
         d = rng.standard_normal((NT, ND))
         B = rng.standard_normal((NT, NM, K))
         D = rng.standard_normal((NT, ND, K))
-        assert np.array_equal(ref.matvec(m, config), arena.matvec(m, config))
-        assert np.array_equal(ref.rmatvec(d, config), arena.rmatvec(d, config))
-        for overlap in (True, False):
-            assert np.array_equal(
-                ref.matmat(B, config, overlap=overlap),
-                arena.matmat(B, config, overlap=overlap),
-            )
-            assert np.array_equal(
-                ref.rmatmat(D, config, overlap=overlap),
-                arena.rmatmat(D, config, overlap=overlap),
-            )
+        for name, v, kwargs in (
+            ("matvec", m, {}), ("rmatvec", d, {}),
+            *[(name, v, {"overlap": o}) for o in (True, False) for name, v in (("matmat", B), ("rmatmat", D))],
+        ):
+            got = getattr(cold, name)(v, config, **kwargs)
+            assert np.array_equal(got, getattr(warm, name)(v, config, **kwargs)), (name, kwargs)
+            assert_dense(matrix, config, got, v, adjoint=name.startswith("r"))
 
     def test_grid_matches_single_device(self, matrix, rng):
         # The arena-backed grid must still reproduce the single-device
         # blocked result to rounding (sanity against cross-rank aliasing).
-        single = FFTMatvec(matrix, workspace=True)
-        grid = ParallelFFTMatvec(
-            matrix, ProcessGrid(2, 2), workspace=True, max_block_k=4
-        )
+        single = FFTMatvec(matrix)
+        grid = ParallelFFTMatvec(matrix, ProcessGrid(2, 2), max_block_k=4)
         B = rng.standard_normal((NT, NM, K))
         np.testing.assert_allclose(
             grid.matmat(B), single.matmat(B), rtol=1e-12, atol=1e-12
@@ -211,7 +219,7 @@ class TestZeroGrowth:
     N_APPLIES = 50
 
     def test_single_device_zero_growth_after_warmup(self, matrix, rng):
-        arena = FFTMatvec(matrix, workspace=True)
+        arena = FFTMatvec(matrix)
         B = rng.standard_normal((NT, NM, K))
         arena.matmat(B)  # warmup
         frozen = arena.workspace.alloc_count
@@ -222,7 +230,7 @@ class TestZeroGrowth:
         assert arena.workspace.resets == 1 + self.N_APPLIES
 
     def test_single_device_mixed_ops_zero_growth(self, matrix, rng):
-        arena = FFTMatvec(matrix, workspace=True)
+        arena = FFTMatvec(matrix)
         m = rng.standard_normal((NT, NM))
         D = rng.standard_normal((NT, ND, K))
         arena.matvec(m)
@@ -239,7 +247,6 @@ class TestZeroGrowth:
             ProcessGrid(2, 2, net=FRONTIER_NETWORK),
             spec=MI300X,
             max_block_k=4,
-            workspace=True,
         )
         B = rng.standard_normal((NT, NM, K))
         arena.matmat(B)  # warmup covers both ping-pong slots + ragged tail
@@ -250,7 +257,7 @@ class TestZeroGrowth:
         assert total_allocs(arena) == frozen
 
     def test_grid_vector_zero_growth(self, matrix, rng):
-        arena = ParallelFFTMatvec(matrix, ProcessGrid(2, 2), workspace=True)
+        arena = ParallelFFTMatvec(matrix, ProcessGrid(2, 2))
         m = rng.standard_normal((NT, NM))
         arena.matvec(m)
         frozen = total_allocs(arena)
@@ -262,7 +269,7 @@ class TestZeroGrowth:
 class TestAllocatorFootprint:
     def test_peak_matches_registered_footprint(self, matrix, rng):
         dev = SimulatedDevice(MI300X)
-        arena = FFTMatvec(matrix, device=dev, workspace=True)
+        arena = FFTMatvec(matrix, device=dev)
         B = rng.standard_normal((NT, NM, K))
         arena.matmat(B)
         arena.matmat(B)
@@ -283,7 +290,7 @@ class TestAllocatorFootprint:
         D = rng.standard_normal((NT, ND, K))
         arenas = []
         for device in (None, SimulatedDevice(MI300X)):
-            eng = FFTMatvec(matrix, device=device, workspace=True, reduction=reduction)
+            eng = FFTMatvec(matrix, device=device, reduction=reduction)
             for _ in range(2):
                 eng.matvec(M[:, :, 0]), eng.rmatvec(D[:, :, 0])
                 eng.matmat(M), eng.rmatmat(D)
@@ -299,7 +306,6 @@ class TestAllocatorFootprint:
             ProcessGrid(2, 2, net=FRONTIER_NETWORK),
             spec=MI300X,
             max_block_k=4,
-            workspace=True,
         )
         arena.matmat(rng.standard_normal((NT, NM, K)))
         report = arena.workspace_report()
@@ -310,10 +316,14 @@ class TestAllocatorFootprint:
             assert rank["arena_bytes"] > 0
         assert report["total_arena_bytes"] > report["grid_arena_bytes"]
 
-    def test_report_requires_workspace(self, matrix):
+    def test_default_built_grid_reports(self, matrix, rng):
         eng = ParallelFFTMatvec(matrix, ProcessGrid(2, 2))
-        with pytest.raises(ReproError):
-            eng.workspace_report()
+        eng.matvec(rng.standard_normal((NT, NM)))
+        report = eng.workspace_report()
+        assert report["grid_arena_bytes"] > 0
+        assert len(report["rank_arenas"]) == 4
+        for rank in report["rank_arenas"].values():
+            assert rank["arena_bytes"] > 0 and rank["allocator_peak_bytes"] is None
 
     def test_grid_rejects_workspace_instance(self, matrix):
         # The grid needs one arena per rank engine; a caller-supplied
@@ -321,17 +331,31 @@ class TestAllocatorFootprint:
         with pytest.raises(ReproError):
             ParallelFFTMatvec(matrix, ProcessGrid(2, 2), workspace=Workspace())
 
+    def test_workspace_false_raises_on_every_engine(self, matrix):
+        # Every engine runs from its arena: there is no arena-less mode
+        # to turn on, and ``True`` / ``None`` build the same engine.
+        builders = (
+            lambda **kw: FFTMatvec(matrix, **kw),
+            lambda **kw: ParallelFFTMatvec(matrix, ProcessGrid(2, 2), **kw),
+            lambda **kw: ElasticEngine(matrix, 4, **kw),
+        )
+        for build in builders:
+            with pytest.raises(ReproError, match="workspace"):
+                build(workspace=False)
+            eng = build(workspace=True)
+            assert isinstance(getattr(eng, "engine", eng).workspace, Workspace)
+
 
 class TestCastNoopCounter:
     def test_all_double_skips_every_interphase_cast(self, matrix, rng):
-        arena = FFTMatvec(matrix, workspace=True)
+        arena = FFTMatvec(matrix)
         before = arena.cast_noop_count
         arena.matvec(rng.standard_normal((NT, NM)))
         # pad->fft, fft->sbgemv (reorder already lands at sbgemv prec),
         # sbgemv->ifft: three explicit no-ops per all-double apply.
         assert arena.cast_noop_count == before + 3
 
-    def test_counter_counts_on_reference_path_too(self, matrix, rng):
+    def test_counter_counts_block_applies_too(self, matrix, rng):
         ref = FFTMatvec(matrix)
         before = ref.cast_noop_count
         ref.matmat(rng.standard_normal((NT, NM, K)))
@@ -359,7 +383,7 @@ class TestApplyScopeGuard:
             ws.begin_apply()
 
     def test_engine_refuses_concurrent_apply_on_one_arena(self, matrix, rng):
-        eng = FFTMatvec(matrix, workspace=True)
+        eng = FFTMatvec(matrix)
         m = rng.standard_normal((NT, NM))
         # Simulate an apply already live on this arena (what a second
         # thread mid-pipeline would look like to the guard).
@@ -372,7 +396,7 @@ class TestApplyScopeGuard:
 
     def test_guard_fires_on_a_warm_engine_too(self, matrix, rng):
         """A prepared record skips the checkouts, never the bracket."""
-        eng = FFTMatvec(matrix, workspace=True)
+        eng = FFTMatvec(matrix)
         m = rng.standard_normal((NT, NM))
         want = eng.matvec(m)
         eng.matvec(m)
@@ -385,7 +409,7 @@ class TestApplyScopeGuard:
     def test_release_drops_the_engines_records(self, matrix, rng):
         """Records hold arena buffers; none outlives the arena, and the
         apply after a release fails as loudly as it always did."""
-        eng = FFTMatvec(matrix, workspace=True)
+        eng = FFTMatvec(matrix)
         m, D = rng.standard_normal((NT, NM)), rng.standard_normal((NT, ND, 3))
         for _ in range(3):
             eng.matvec(m), eng.rmatmat(D)
@@ -398,7 +422,7 @@ class TestApplyScopeGuard:
         assert not eng._plans
 
     def test_records_share_the_plan_lru_bound(self, matrix, rng):
-        eng = FFTMatvec(matrix, workspace=True)
+        eng = FFTMatvec(matrix)
         eng.plan_cache_size = 4
         M = rng.standard_normal((NT, NM, 40))
         want = FFTMatvec(matrix).matmat(M, deterministic=True)  # column by column
@@ -413,14 +437,14 @@ class TestApplyScopeGuard:
         assert eng.workspace.alloc_count == allocs
 
     def test_engine_closes_scope_after_each_apply(self, matrix, rng):
-        eng = FFTMatvec(matrix, workspace=True)
+        eng = FFTMatvec(matrix)
         eng.matvec(rng.standard_normal((NT, NM)))
         assert not eng.workspace.in_use
         eng.matmat(rng.standard_normal((NT, NM, 3)))
         assert not eng.workspace.in_use
 
     def test_grid_engine_guard_on_rank_arena(self, matrix, rng):
-        eng = ParallelFFTMatvec(matrix, ProcessGrid(2, 2), workspace=True)
+        eng = ParallelFFTMatvec(matrix, ProcessGrid(2, 2))
         rank = next(iter(eng.engines.values()))
         rank.workspace.begin_apply()
         with pytest.raises(ReproError, match="mid-apply"):
