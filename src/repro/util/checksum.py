@@ -7,13 +7,12 @@ thousand-GPU scale is the failure mode checkpoint/restart cannot see
 fail-stop complement).  This module holds the *math* of the defense
 layer; the engines call in from their hot paths:
 
-* **Payload digests** — a (sum, abs-sum) pair computed before a
-  collective "sends" and re-verified on every received copy.  A faithful
-  copy reproduces the digest bit-for-bit (same summation order over the
-  same bytes), so clean runs can never false-positive; any flipped bit
-  shifts the sum and is caught at receive
-  (:meth:`repro.comm.simcomm.SimCommunicator.bcast` / ``reduce`` /
-  ``reduce_segments``).
+* **Payload digests** — the wraparound ``uint64`` sum of the buffer's
+  64-bit words, computed before a collective "sends" and re-verified on
+  every received copy (:meth:`repro.comm.simcomm.SimCommunicator.bcast`
+  / ``reduce`` / ``reduce_segments``).  Integer sums are exact, so a
+  faithful copy always verifies; a flip of bit ``b`` moves one word by
+  ``±2**b`` (never ``0 mod 2**64``), so every single-bit flip is caught.
 * **GEMM column checksums** (Huang–Abraham ABFT) — for
   ``C = op(A) @ B``, the column sums of the output panel must equal the
   checksum row ``(e^T op(A)) @ B``.  The checksum row costs one extra
@@ -25,8 +24,8 @@ layer; the engines call in from their hot paths:
   ``sum(x^2) == weighted(|X|^2) / n`` for the rfft half-spectrum
   (DC/Nyquist bins weigh 1, interior bins 2).  The engine's inverse is
   *unnormalized* (``out = n * irfft_math(X)``), so the inverse identity
-  is ``sum(out^2) == n * weighted(|X|^2)``.  One streaming pass over
-  input + output verifies an entire transform.
+  is ``sum(out^2) == n * weighted(|X|^2)``.  Each sum of squares is one
+  pass over its buffer, accumulated in float64 at every precision tier.
 * **Bit flips** — :func:`flip_bit` is the seeded injector used by
   :class:`~repro.comm.fault.CorruptionSchedule`: it XORs one bit of one
   float (complex buffers are flipped in their real/imag view).  The
@@ -173,31 +172,26 @@ def energy_rtol(dtype) -> float:
 
 
 # -- payload digests ----------------------------------------------------------
-def _real_view(a: np.ndarray) -> np.ndarray:
-    if a.dtype.kind == "c":
-        return a.view(np.float32 if a.dtype.itemsize == 8 else np.float64)
-    return a
+def payload_digest(arr: Any) -> int:
+    """Exact digest: the wraparound ``uint64`` sum of the buffer's words.
 
-
-def payload_digest(arr: Any) -> Tuple[float, float]:
-    """(sum, abs-sum) digest of a buffer, computed in float64.
-
-    Deterministic for a fixed buffer (one contiguous summation order),
-    so a faithful copy verifies *exactly* — the clean-run false-positive
-    rate is structurally zero.
+    A trailing 4-byte word (odd-length float32) is added on its own.
+    Integer addition is associative, so a faithful copy verifies exactly
+    at any address; a flip of bit ``b`` moves its word by ``±2**b``, so
+    every single-bit flip is detected, Inf and NaN payloads included.
     """
-    a = _real_view(np.ascontiguousarray(np.asarray(arr)))
-    a64 = a.astype(np.float64, copy=False)
-    return float(np.sum(a64)), float(np.sum(np.abs(a64)))
-
-
-def _same_digest(a: float, b: float) -> bool:
-    return a == b or (math.isnan(a) and math.isnan(b))
+    flat = np.ascontiguousarray(arr).reshape(-1)
+    tail = flat.nbytes % 8
+    if not tail:
+        return int(np.add.reduce(flat.view(np.uint64), dtype=np.uint64))
+    raw = flat.view(np.uint8)
+    body = int(np.add.reduce(raw[:-tail].view(np.uint64), dtype=np.uint64))
+    return (body + int.from_bytes(raw[-tail:].tobytes(), "little")) % 2**64
 
 
 def verify_payload(
     arr: Any,
-    digest: Tuple[float, float],
+    digest: int,
     *,
     op: str,
     phase: str,
@@ -207,7 +201,7 @@ def verify_payload(
 ) -> None:
     """Raise :class:`SilentCorruption` unless ``arr`` reproduces ``digest``."""
     got = payload_digest(arr)
-    if _same_digest(got[0], digest[0]) and _same_digest(got[1], digest[1]):
+    if got == digest:
         return
     raise SilentCorruption(
         check="payload",
@@ -216,15 +210,13 @@ def verify_payload(
         op=op,
         collective_index=collective_index,
         comm_name=comm_name,
-        detail=f"digest {got} != sent {digest}",
+        detail=f"digest {got:#018x} != sent {digest:#018x}",
     )
 
 
 def table_digest(table: Dict[Tuple[int, int], Any]) -> Tuple:
     """Digest of a canonical-segment table (the pairwise reduce payload)."""
-    return tuple(
-        (key, payload_digest(table[key])) for key in sorted(table.keys())
-    )
+    return tuple((key, payload_digest(table[key])) for key in sorted(table))
 
 
 def verify_table(
@@ -240,9 +232,7 @@ def verify_table(
     """Per-segment payload verification of a rank's segment table."""
     for key, seg_digest in digest:
         got = payload_digest(table[key])
-        if _same_digest(got[0], seg_digest[0]) and _same_digest(
-            got[1], seg_digest[1]
-        ):
+        if got == seg_digest:
             continue
         raise SilentCorruption(
             check="payload",
@@ -251,11 +241,17 @@ def verify_table(
             op=op,
             collective_index=collective_index,
             comm_name=comm_name,
-            detail=f"segment {key} digest {got} != sent {seg_digest}",
+            detail=f"segment {key} digest {got:#018x} != sent {seg_digest:#018x}",
         )
 
 
 # -- bit-flip injection -------------------------------------------------------
+def _real_view(a: np.ndarray) -> np.ndarray:
+    if a.dtype.kind == "c":
+        return a.view(np.float32 if a.dtype.itemsize == 8 else np.float64)
+    return a
+
+
 _UINT = {4: np.uint32, 8: np.uint64}
 
 
@@ -379,6 +375,16 @@ def verify_gemm_checksums(
 
 
 # -- Parseval energy checks ---------------------------------------------------
+def _sum_squares(a: Any) -> float:
+    """``sum(|a|^2)``: one pass, no temporaries, float64 accumulation at
+    every tier (float32 accumulation would eat the 1e-4 tolerance).
+    Complex buffers are summed as (re, im) float pairs."""
+    r = _real_view(np.ascontiguousarray(a)).reshape(-1)
+    if r.dtype == np.float64:
+        return float(np.dot(r, r))
+    return float(np.einsum("i,i->", r, r, dtype=np.float64))
+
+
 def half_spectrum_energy(X: Any, n: int) -> float:
     """Weighted power of an rfft half-spectrum of transform length ``n``.
 
@@ -387,19 +393,11 @@ def half_spectrum_energy(X: Any, n: int) -> float:
     ``sum(|X_full|^2)`` of the implied full spectrum.
     """
     a = np.asarray(X)
-    # A corrupted buffer may hold Inf/NaN; the squares then propagate
-    # non-finite energy (which _check_energy treats as a detection)
-    # without tripping numpy's warning machinery mid-check.
+    # Inf/NaN in a corrupted buffer: a non-finite energy, i.e. a detection.
     with np.errstate(over="ignore", invalid="ignore"):
-        p = (
-            np.square(a.real.astype(np.float64, copy=False))
-            + np.square(a.imag.astype(np.float64, copy=False))
-            if a.dtype.kind == "c"
-            else np.square(a.astype(np.float64, copy=False))
-        )
-    total = 2.0 * float(np.sum(p)) - float(np.sum(p[..., 0]))
-    if n % 2 == 0:
-        total -= float(np.sum(p[..., -1]))
+        total = 2.0 * _sum_squares(a) - _sum_squares(a[..., 0])
+        if n % 2 == 0:
+            total -= _sum_squares(a[..., -1])
     return total
 
 
@@ -449,9 +447,7 @@ def verify_forward_energy(
     if rtol is None:
         rtol = energy_rtol(np.asarray(X).dtype)
     with np.errstate(over="ignore", invalid="ignore"):
-        tx = float(
-            np.sum(np.square(np.asarray(x).astype(np.float64, copy=False)))
-        )
+        tx = _sum_squares(x)
     _check_energy(
         tx,
         half_spectrum_energy(X, n) / float(n),
@@ -478,9 +474,7 @@ def verify_inverse_energy(
     if rtol is None:
         rtol = energy_rtol(np.asarray(X).dtype)
     with np.errstate(over="ignore", invalid="ignore"):
-        to = float(
-            np.sum(np.square(np.asarray(out).astype(np.float64, copy=False)))
-        )
+        to = _sum_squares(out)
     _check_energy(
         half_spectrum_energy(X, n) * float(n),
         to,

@@ -42,7 +42,9 @@ DEVICE_DETERMINISTIC_BUDGET = 320
 # with it).
 GRID_BUDGET = 3100  # 2687, now 2620
 SPEC_GRID_BUDGET = 4400  # a device per rank: 5841 before the ranks booked from records, 4065, now 3998
-ELASTIC_BUDGET = 10_300  # 9549, now 9449
+# The elastic engine's abft checks: 9549, then 9449; now 7825 with one
+# integer pass per payload digest and one float64 pass per Parseval sum.
+ELASTIC_BUDGET = 7825
 
 
 def calls_per_apply(apply, *args, reps: int = 5, **kwargs) -> float:

@@ -98,6 +98,81 @@ class TestChecksumPrimitives:
         assert ei.value.check == "payload"
         assert ei.value.rank == 3
 
+    @staticmethod
+    def _payload(dtype, size, seed):
+        """A C-contiguous buffer of ``size`` elements whose first floats
+        are Inf, NaN and 0.0 — values a float digest cannot see past."""
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(size)
+        if np.dtype(dtype).kind == "c":
+            a = a + 1j * rng.standard_normal(size)
+        a = a.astype(dtype)
+        floats = a.view(np.float32 if a.itemsize in (4, 8) else np.float64)
+        floats[:3] = (np.inf, np.nan, 0.0)
+        return a
+
+    @staticmethod
+    def _xor_bit(a, index, bit):
+        """Flip any bit (sign included) of float ``index`` of ``a``'s real view."""
+        bits = np.uint32 if a.itemsize in (4, 8) else np.uint64
+        words = a.view(np.float32 if bits is np.uint32 else np.float64).view(bits)
+        words[index] ^= bits(1 << bit)
+
+    @pytest.mark.parametrize(
+        "dtype,size",
+        [
+            (np.float64, 33),
+            (np.complex128, 17),
+            (np.float32, 33),  # odd: a trailing 4-byte word
+            (np.float32, 32),
+            (np.complex64, 17),
+        ],
+        ids=["f64", "c128", "f32-odd", "f32-even", "c64"],
+    )
+    def test_every_single_bit_flip_is_caught(self, dtype, size):
+        """The integer digest moves by +-2**b for a flip of bit b, so no
+        flip hides below a rounding step — low mantissa bits, the sign,
+        and flips of Inf / NaN / 0.0 included, in a payload or a segment
+        table alike."""
+        a = self._payload(dtype, size, seed=6)
+        n_floats = a.size * (2 if a.dtype.kind == "c" else 1)
+        width = 32 if a.itemsize in (4, 8) else 64
+        sent = chk.payload_digest(a)
+        table = {(0, 1): a, (1, 2): self._payload(dtype, size, seed=7)}
+        sent_table = chk.table_digest(table)
+        for index in (0, 1, 2, n_floats // 2, n_floats - 1):
+            for bit in range(width):
+                b = a.copy()
+                self._xor_bit(b, index, bit)
+                with pytest.raises(SilentCorruption):
+                    chk.verify_payload(b, sent, op="bcast", phase="comm")
+                with pytest.raises(SilentCorruption) as ei:
+                    chk.verify_table(
+                        {**table, (0, 1): b}, sent_table, op="reduce", phase="comm"
+                    )
+                assert "segment (0, 1)" in ei.value.detail
+
+    @pytest.mark.parametrize(
+        "dtype,size",
+        [(np.float64, 33), (np.complex128, 17), (np.float32, 33), (np.complex64, 17)],
+        ids=["f64", "c128", "f32-odd", "c64"],
+    )
+    def test_faithful_copy_verifies_exactly_at_any_alignment(self, dtype, size):
+        a = self._payload(dtype, size, seed=8).reshape(-1, 1)
+        sent = chk.payload_digest(a)
+        assert isinstance(sent, int) and 0 <= sent < 2**64
+        for offset in range(1, 8):  # byte offsets: no copy is 8-byte aligned
+            raw = np.zeros(a.nbytes + offset, dtype=np.uint8)
+            b = raw[offset:].view(a.dtype).reshape(a.shape)
+            b[...] = a
+            assert chk.payload_digest(b) == sent
+            chk.verify_payload(b, sent, op="bcast", phase="comm")
+        # A copy sitting one element into a larger buffer (the odd float32
+        # case straddles 8-byte words differently from the original).
+        host = np.zeros(a.size + 1, dtype=a.dtype)
+        host[1:] = a.reshape(-1)
+        chk.verify_payload(host[1:].reshape(a.shape), sent, op="bcast", phase="comm")
+
     def test_flip_bit_semantics(self):
         z = np.zeros(4)
         idx, old, new = chk.flip_bit(z, index=2, bit=62)
@@ -151,6 +226,21 @@ class TestChecksumPrimitives:
         chk.flip_bit(outbad, index=21)
         with pytest.raises(SilentCorruption):
             chk.verify_inverse_energy(X, outbad, n)
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("n", [16, 15])
+    def test_half_spectrum_energy_matches_a_float64_reference(self, dtype, n):
+        """The one-pass sum against the bin-weighted power squared and
+        summed in float64 the slow way: the summation order differs, the
+        precision does not (single-precision spectra included)."""
+        rng = np.random.default_rng(9)
+        X = np.fft.rfft(rng.standard_normal((5, n)), axis=-1).astype(dtype)
+        weight = np.full(X.shape[-1], 2.0)
+        weight[0] = 1.0
+        if n % 2 == 0:
+            weight[-1] = 1.0
+        want = float(np.sum(weight * np.abs(X.astype(np.complex128)) ** 2))
+        assert chk.half_spectrum_energy(X, n) == pytest.approx(want, rel=1e-12)
 
     def test_table_digest_and_flip(self):
         rng = np.random.default_rng(4)
@@ -420,6 +510,47 @@ class TestPipelineHooks:
         call(armed)
         assert sched.stages == stages
         assert armed.sdc_checks == checks  # an armed schedule implies abft
+
+
+class TestEveryPrecisionConfig:
+    """Detection tolerances hold across all 32 precision configs, not
+    just ``ddddd``: a clean checked apply raises nothing, and a bit-62
+    flip (bit 30 in single precision) at each device site is caught by
+    the check that guards it."""
+
+    SHAPE, WIDTH = (16, 6, 12), 3
+    SITES = {0: ("fft", "energy"), 1: ("sbgemm", "abft"), 2: ("ifft", "energy")}
+
+    @pytest.fixture(scope="class")
+    def operands(self):
+        rng = np.random.default_rng(32)
+        nt, nd, nm = self.SHAPE
+        return {
+            "blocks": rng.standard_normal(self.SHAPE),
+            "matvec": rng.standard_normal((nt, nm)),
+            "rmatvec": rng.standard_normal((nt, nd)),
+            "matmat": rng.standard_normal((nt, nm, self.WIDTH)),
+            "rmatmat": rng.standard_normal((nt, nd, self.WIDTH)),
+        }
+
+    @pytest.mark.parametrize(
+        "config", [c.code for c in PrecisionConfig.all_configs()]
+    )
+    def test_clean_applies_pass_and_seeded_flips_are_caught(self, operands, config):
+        eng = FFTMatvec(operands["blocks"], validate="abft")
+        names = ("matvec", "rmatvec", "matmat", "rmatmat")
+        for name in names:
+            checks = eng.sdc_checks
+            getattr(eng, name)(operands[name], config=config)
+            assert eng.sdc_checks - checks == 3
+        for name in names:
+            for event, (stage, check) in self.SITES.items():
+                sched = CorruptionSchedule(flips=[(event, 0)], seed=event)
+                eng.install_corruption_schedule(sched)
+                with pytest.raises(SilentCorruption) as ei:
+                    getattr(eng, name)(operands[name], config=config)
+                assert [i[2] for i in sched.injected] == [stage]
+                assert ei.value.check == check, (name, stage, ei.value)
 
 
 # -- elastic chunk-local recomputation ----------------------------------------
