@@ -115,7 +115,6 @@ def tree_reduce_arrays(
 def fixed_tree_reduce_segments(
     segments: Any,
     n: int,
-    precision: Optional[Precision] = None,
     backend: Optional[Backend] = None,
 ) -> Any:
     """Partition-invariant reduction of canonical contraction segments.
@@ -127,17 +126,15 @@ def fixed_tree_reduce_segments(
     disjoint.  Every addition performed is an edge of the one virtual
     binary tree over ``[0, n)``, so the result is **bitwise identical
     for any partition**, width-1 parts included — per-rank tree leaves
-    never move when extents change.  All adds happen at ``precision``
-    (default: the dtype the contributions arrive in), mirroring
-    :func:`tree_reduce_arrays`' contract.
+    never move when extents change.  All adds happen at the dtype the
+    contributions arrive in.
     """
     be = backend if backend is not None else _NUMPY
     if not segments:
         raise ReproError("cannot reduce zero segments")
     work = {}
     for key, arr in segments.items():
-        arr = be.asarray(arr)
-        work[key] = be.cast(arr, precision) if precision is not None else arr
+        work[key] = be.asarray(arr)
     return fixed_tree_merge(work, n, backend=be)
 
 

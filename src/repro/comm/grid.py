@@ -30,14 +30,13 @@ class ProcessGrid:
         pr: int,
         pc: int,
         net: NetworkModel = SIMPLE_NETWORK,
-        clock: Optional[SimClock] = None,
         backend: Optional[Backend] = None,
     ) -> None:
         self.pr = check_positive_int(pr, "pr")
         self.pc = check_positive_int(pc, "pc")
         self.size = self.pr * self.pc
         self.net = net
-        self.clock = clock if clock is not None else SimClock()
+        self.clock = SimClock()
         self.world = SimCommunicator(
             self.size, net=net, clock=self.clock, span=self.size, name="world",
             backend=backend,

@@ -21,10 +21,10 @@ grids win — the paper reports 1 row through 512 GPUs, 8 rows for
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.comm.collectives import tree_collective_time
-from repro.comm.netmodel import FRONTIER_NETWORK, NetworkModel
+from repro.comm.netmodel import FRONTIER_NETWORK
 from repro.util.validation import ReproError, check_positive_int
 
 __all__ = [
@@ -45,10 +45,9 @@ def matvec_comm_cost(
     nt: int,
     pr: int,
     pc: int,
-    net: NetworkModel = FRONTIER_NETWORK,
-    itemsize: int = _ITEM,
 ) -> float:
-    """Modeled communication seconds of one F matvec on a pr x pc grid.
+    """Modeled communication seconds of one double F matvec on a pr x pc
+    grid of the Frontier network.
 
     ``nm_global`` is the total spatial parameter count; each grid column
     owns ``ceil(nm_global/pc)`` of it.
@@ -58,13 +57,13 @@ def matvec_comm_cost(
     p = pr * pc
     nm_local = -(-nm_global // pc)
     nd_local = -(-nd // pr)
-    bcast_bytes = nm_local * nt * itemsize
-    reduce_bytes = nd_local * nt * itemsize
+    bcast_bytes = nm_local * nt * _ITEM
+    reduce_bytes = nd_local * nt * _ITEM
     # Column broadcast: pr members, strided by pc, spanning ~the machine.
     col_span = (pr - 1) * pc + 1
-    t_bcast = tree_collective_time(pr, bcast_bytes, net, span=col_span)
+    t_bcast = tree_collective_time(pr, bcast_bytes, FRONTIER_NETWORK, span=col_span)
     # Row reduction: pc contiguous members.
-    t_reduce = tree_collective_time(pc, reduce_bytes, net, span=pc)
+    t_reduce = tree_collective_time(pc, reduce_bytes, FRONTIER_NETWORK, span=pc)
     return t_bcast + t_reduce
 
 
@@ -91,17 +90,14 @@ def communication_aware_partition(
     nd: int,
     nt: int,
     p: int,
-    net: NetworkModel = FRONTIER_NETWORK,
-    rows_to_try: Optional[Iterable[int]] = None,
 ) -> Tuple[int, int]:
-    """Choose (pr, pc) minimizing the modeled matvec communication cost."""
+    """Choose (pr, pc) among :func:`candidate_rows` minimizing the modeled
+    matvec communication cost."""
     check_positive_int(p, "p")
     best: Optional[Tuple[float, int]] = None
-    for pr in rows_to_try if rows_to_try is not None else candidate_rows(p):
-        if p % pr != 0:
-            raise ReproError(f"pr={pr} does not divide p={p}")
+    for pr in candidate_rows(p):
         pc = p // pr
-        cost = matvec_comm_cost(nm_global, nd, nt, pr, pc, net=net)
+        cost = matvec_comm_cost(nm_global, nd, nt, pr, pc)
         if best is None or cost < best[0] or (cost == best[0] and pr < best[1]):
             best = (cost, pr)
     assert best is not None

@@ -310,11 +310,11 @@ class SimCommunicator:
         segments: Sequence[Any],
         n: int,
         root: int = 0,
-        precision: Optional[Precision] = None,
         phase: str = "comm",
         backend: Optional[Backend] = None,
     ) -> Any:
-        """Partition-invariant reduce of canonical contraction segments.
+        """Partition-invariant reduce of canonical contraction segments,
+        at the dtype the partials arrive in.
 
         ``segments`` holds one dict per rank, mapping virtual tree
         extents (:func:`repro.util.pairwise.canonical_segments` of the
@@ -373,9 +373,7 @@ class SimCommunicator:
                         f"segment {key} contributed by more than one rank"
                     )
             merged.update(table)
-        out = fixed_tree_reduce_segments(
-            merged, n, precision=precision, backend=be
-        )
+        out = fixed_tree_reduce_segments(merged, n, backend=be)
         self.op_counts["reduce"] += 1
         nbytes = max(
             float(sum(be.nbytes(be.asarray(a)) for a in table.values()))

@@ -29,7 +29,7 @@ the same bitwise guarantee.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from repro.comm.fault import (
     SilentCorruption,
 )
 from repro.comm.grid import ProcessGrid
-from repro.comm.netmodel import NetworkModel, SIMPLE_NETWORK
+from repro.comm.netmodel import SIMPLE_NETWORK
 from repro.core.parallel import ParallelFFTMatvec
 from repro.core.precision import PrecisionConfig
 from repro.core.toeplitz import BlockTriangularToeplitz
@@ -146,8 +146,9 @@ class ElasticEngine:
         The block-Toeplitz operator (shared by every grid incarnation —
         rebuilding re-slices it, nothing is lost with a dead rank).
     n_ranks:
-        Initial world size.  The grid shape is chosen by
-        :func:`elastic_grid_shape` unless ``grid_shape`` pins it.
+        Initial world size; the grid shape is chosen by
+        :func:`elastic_grid_shape`, on the simple network model, with no
+        simulated device and the backend's fallback chain.
     reduction:
         Passed to :class:`ParallelFFTMatvec`; ``"pairwise"`` (default)
         is what makes recovery bitwise-exact.  ``"fast"`` recovers with
@@ -171,43 +172,30 @@ class ElasticEngine:
     workspace:
         ``None`` or ``True``; every grid this engine builds owns its
         arenas (see :class:`ParallelFFTMatvec`).  Anything else raises.
-    max_corruption_retries:
-        Per-chunk cap on SDC recomputations; a chunk that keeps failing
-        its checksums past this many retries re-raises the last
-        :class:`SilentCorruption` (a persistent mismatch is a real bug,
-        not a transient flip).
-    min_ranks:
-        Recovery floor: a failure that would leave fewer survivors than
-        this re-raises :class:`RankFailure` instead of reshaping.
-    max_failures:
-        Total failures absorbed before giving up (re-raising), a
-        backstop against schedules that kill faster than replays finish.
-    grid_shape, row_ranges, col_ranges:
-        Optional explicit first-build geometry (property tests sweep
-        random and width-1 partitions).  Recovery rebuilds always use
-        the even split — the dead grid's skew is stale information.
+
+    Recovery policy: a chunk that keeps failing its checksums past
+    ``MAX_CORRUPTION_RETRIES`` recomputations re-raises the last
+    :class:`SilentCorruption` (a persistent mismatch is a real bug, not
+    a transient flip); a failure that would leave no survivor re-raises
+    :class:`RankFailure` instead of reshaping; and after
+    ``MAX_FAILURES`` absorbed failures the next one re-raises, a
+    backstop against schedules that kill faster than replays finish.
     """
+
+    MAX_CORRUPTION_RETRIES = 4
+    MAX_FAILURES = 8
 
     def __init__(
         self,
         matrix: Union[BlockTriangularToeplitz, np.ndarray],
         n_ranks: int,
         *,
-        net: NetworkModel = SIMPLE_NETWORK,
-        spec=None,
         reduction: str = "pairwise",
         max_block_k: Optional[int] = None,
         workspace: Union[None, bool] = None,
-        backend=None,
         failures: Optional[FailureSchedule] = None,
         corruptions: Optional[CorruptionSchedule] = None,
         validate: Union[None, bool, str] = None,
-        max_corruption_retries: int = 4,
-        min_ranks: int = 1,
-        max_failures: int = 8,
-        grid_shape: Optional[Tuple[int, int]] = None,
-        row_ranges: Optional[Sequence[Tuple[int, int]]] = None,
-        col_ranges: Optional[Sequence[Tuple[int, int]]] = None,
     ) -> None:
         if workspace not in (None, True):
             raise ReproError(f"workspace must be None or True, got {workspace!r}")
@@ -217,28 +205,15 @@ class ElasticEngine:
             else BlockTriangularToeplitz(np.asarray(matrix))
         )
         check_positive_int(n_ranks, "n_ranks")
-        self.net = net
-        self.spec = spec
         self.reduction = reduction
         self.max_block_k = validate_max_block_k(max_block_k)
-        self.backend = backend
         self.failures = failures
         self.corruptions = corruptions
         self.validate = validate
-        self.max_corruption_retries = check_positive_int(
-            max_corruption_retries, "max_corruption_retries"
-        )
-        self.min_ranks = check_positive_int(min_ranks, "min_ranks")
-        self.max_failures = check_positive_int(max_failures, "max_failures")
         self.report = RecoveryReport()
         self.engine: Optional[ParallelFFTMatvec] = None
         self.n_ranks = 0
-        self._build(
-            n_ranks,
-            grid_shape=grid_shape,
-            row_ranges=row_ranges,
-            col_ranges=col_ranges,
-        )
+        self._build(n_ranks)
 
     # -- geometry -------------------------------------------------------------
     @property
@@ -257,48 +232,25 @@ class ElasticEngine:
     def grid(self) -> ProcessGrid:
         return self.engine.grid
 
-    def geometry_key(
-        self, config: Union[None, str, PrecisionConfig] = None
-    ) -> Tuple:
+    def geometry_key(self) -> Tuple:
         """The *current* grid engine's geometry key (see
         :meth:`ParallelFFTMatvec.geometry_key`).  After a recovery
         reshape this key changes — which is exactly how the serving
         cache detects (and evicts) an engine whose grid shrank mid-run.
         """
-        return self.engine.geometry_key(config)
+        return self.engine.geometry_key()
 
-    def _build(
-        self,
-        n_ranks: int,
-        grid_shape: Optional[Tuple[int, int]] = None,
-        row_ranges: Optional[Sequence[Tuple[int, int]]] = None,
-        col_ranges: Optional[Sequence[Tuple[int, int]]] = None,
-    ) -> None:
-        if grid_shape is None:
-            if row_ranges is not None and col_ranges is not None:
-                pr, pc = len(list(row_ranges)), len(list(col_ranges))
-            else:
-                pr, pc = elastic_grid_shape(n_ranks, self.nd, self.nm)
-        else:
-            pr, pc = grid_shape
-        if pr * pc != n_ranks:
-            raise ReproError(
-                f"grid shape {pr}x{pc} does not hold {n_ranks} ranks"
-            )
-        grid = ProcessGrid(pr, pc, net=self.net, backend=None)
+    def _build(self, n_ranks: int) -> None:
+        pr, pc = elastic_grid_shape(n_ranks, self.nd, self.nm)
+        grid = ProcessGrid(pr, pc, net=SIMPLE_NETWORK, backend=None)
         # Chunking lives in *this* layer (so a chunk is the replay unit);
-        # the inner engine always sees exactly one chunk per call.  A
-        # reshaped grid passes no ranges and gets the engine's even split
-        # (``ProcessGrid.split_extent``).
+        # the inner engine always sees exactly one chunk per call, on the
+        # even split (``ProcessGrid.split_extent``).
         self.engine = ParallelFFTMatvec(
             self.matrix,
             grid,
-            spec=self.spec,
             max_block_k=None,
             reduction=self.reduction,
-            row_ranges=row_ranges,
-            col_ranges=col_ranges,
-            backend=self.backend,
             validate=self.validate,
         )
         if self.failures is not None:
@@ -338,10 +290,10 @@ class ElasticEngine:
         self.engine.install_corruption_schedule(schedule)
 
     def _recover(self, failure: RankFailure, chunk: int) -> None:
-        if self.report.failures + 1 > self.max_failures:
+        if self.report.failures + 1 > self.MAX_FAILURES:
             raise failure
         survivors = self.n_ranks - 1
-        if survivors < self.min_ranks:
+        if survivors < 1:
             # Failure budget exhausted: nothing left to reshape onto.
             raise failure
         old_shape = (self.grid.pr, self.grid.pc)
@@ -368,7 +320,7 @@ class ElasticEngine:
         max_block_k: Optional[int],
         adjoint: bool,
         out: Optional[np.ndarray],
-        deterministic: bool = False,
+        deterministic: bool,
     ) -> np.ndarray:
         nx_in = self.nd if adjoint else self.nm
         nx_out = self.nm if adjoint else self.nd
@@ -415,7 +367,7 @@ class ElasticEngine:
                         attempt=sdc_retries,
                     )
                 )
-                if sdc_retries > self.max_corruption_retries:
+                if sdc_retries > self.MAX_CORRUPTION_RETRIES:
                     raise
                 self.report.chunks_recomputed += 1
                 continue
@@ -449,14 +401,13 @@ class ElasticEngine:
         self,
         D: np.ndarray,
         config: Union[str, PrecisionConfig] = "ddddd",
-        max_block_k: Optional[int] = None,
         out: Optional[np.ndarray] = None,
         deterministic: bool = False,
     ) -> np.ndarray:
-        """``M = F* D`` with transparent rank-failure recovery."""
+        """``M = F* D`` with transparent rank-failure recovery, in chunks
+        of the constructor's ``max_block_k``."""
         return self._apply(
-            D, config, max_block_k, adjoint=True, out=out,
-            deterministic=deterministic,
+            D, config, None, adjoint=True, out=out, deterministic=deterministic,
         )
 
     def matvec(

@@ -56,7 +56,6 @@ def phase_error_terms(
     pr: int = 1,
     pc: int = 1,
     adjoint: bool = False,
-    params: ErrorModelParams = DEFAULT_PARAMS,
 ) -> dict:
     """Per-phase contributions to the Eq. (6) bracket (kappa excluded).
 
@@ -89,6 +88,7 @@ def phase_error_terms(
     e4 = machine_eps(cfg.ifft)
     e5 = machine_eps(cfg.unpad)
 
+    params = DEFAULT_PARAMS
     c1 = 0.0 if cfg.pad is Precision.DOUBLE else params.c_pad
     # Phase 5 in single rounds the unpadded output even on one GPU (the
     # same pure-memory rounding as Phase 1), on top of the paper's
@@ -110,19 +110,15 @@ def relative_error_bound(
     nm: int,
     nd: int,
     kappa: float = 1.0,
-    pr: int = 1,
-    pc: int = 1,
     adjoint: bool = False,
-    params: ErrorModelParams = DEFAULT_PARAMS,
 ) -> float:
-    """Evaluate Eq. (6): the relative-error bound of one configuration.
+    """Evaluate Eq. (6): the relative-error bound of one configuration on
+    one GPU (:func:`phase_error_terms` prices a grid).
 
     ``kappa`` is the condition number of F_hat
     (:meth:`BlockTriangularToeplitz.condition_number_hat`).
     """
     if kappa < 1.0:
         raise ValueError(f"kappa must be >= 1, got {kappa}")
-    terms = phase_error_terms(
-        config, nt, nm, nd, pr=pr, pc=pc, adjoint=adjoint, params=params
-    )
+    terms = phase_error_terms(config, nt, nm, nd, adjoint=adjoint)
     return kappa * sum(terms.values())

@@ -202,11 +202,6 @@ class FFTMatvec:
         Optional :class:`SimulatedDevice`; when given, every phase
         charges modeled time to the device clock and ``last_timing``
         holds the per-phase breakdown of the most recent call.
-    use_optimized_sbgemv:
-        Handed to the dispatcher: when False it selects the original
-        rocBLAS kernels for the (conjugate) transpose too — the
-        pre-optimization behaviour used in ablation benches.  Like the
-        device itself it changes what an apply books, never its bits.
     workspace:
         The engine's :class:`Workspace` arena, which every phase of the
         pipeline writes into (persistent checked-out buffers, nothing
@@ -246,7 +241,6 @@ class FFTMatvec:
         self,
         matrix: Union[BlockTriangularToeplitz, np.ndarray],
         device: Optional[SimulatedDevice] = None,
-        use_optimized_sbgemv: bool = True,
         workspace: Union[None, bool, Workspace] = None,
         backend: Union[None, str, Backend] = None,
         reduction: str = "fast",
@@ -276,9 +270,7 @@ class FFTMatvec:
         self.n_freq = self.nt + 1
 
         spec = device.spec if device is not None else None
-        self.dispatcher = (
-            SBGEMVDispatcher(spec, optimized=use_optimized_sbgemv) if spec is not None else None
-        )
+        self.dispatcher = SBGEMVDispatcher(spec) if spec is not None else None
 
         # Setup: F_hat in double precision (one-time, not perf-critical),
         # with the 1/(2*Nt) inverse normalization folded in.  The host
@@ -515,16 +507,12 @@ class FFTMatvec:
             self.plan_evictions += 1
         return rec
 
-    def geometry_key(
-        self, config: Union[None, str, PrecisionConfig] = None
-    ) -> Tuple:
+    def geometry_key(self) -> Tuple:
         """Stable, hashable fingerprint of this engine's geometry.
 
         Two engines with equal keys run the same five-phase shapes:
         problem extents, padded/frequency lengths, backend name and the
-        simulated device (None without one).  ``config`` folds a
-        precision configuration into the key for callers that cache per
-        config.  The serving layer's coalescer and
+        simulated device (None without one).  The serving layer's coalescer and
         :class:`~repro.serve.cache.EngineCache` group requests by this
         key (plus the kernel-content digest — geometry says nothing
         about the Toeplitz blocks' values).
@@ -544,7 +532,6 @@ class FFTMatvec:
             self.backend.name,
             self.device.spec.name if self.device is not None else None,
             self.reduction,
-            str(PrecisionConfig.parse(config)) if config is not None else None,
         )
 
     # -- Phase 3: numerics only (what they book is the record's) ---------------
@@ -1217,34 +1204,25 @@ class FFTMatvec:
     # -- convenience -----------------------------------------------------------
     _REF_CACHE_MAX = 16
 
-    def relative_error(
-        self,
-        config: Union[str, PrecisionConfig],
-        m: np.ndarray,
-        adjoint: bool = False,
-        ref: Optional[np.ndarray] = None,
-    ) -> float:
-        """Relative L2 error of a config vs the all-double baseline.
+    def relative_error(self, config: Union[str, PrecisionConfig], m: np.ndarray) -> float:
+        """Relative L2 error of a config's forward matvec vs the
+        all-double baseline.
 
         This mirrors the artifact workflow: mixed-precision outputs are
         compared against the saved double-precision output.  The
         ``ddddd`` reference is cached per input (keyed by the input's
         bytes), so config sweeps over the same test vector pay for it
-        once instead of doubling every evaluation; pass ``ref`` to
-        supply a precomputed reference and skip the cache entirely.
+        once instead of doubling every evaluation.
         """
-        op = self.rmatvec if adjoint else self.matvec
+        mm = np.ascontiguousarray(self.matrix.check_input(m), dtype=np.float64)
+        key = (mm.shape, hashlib.sha1(mm.tobytes()).digest())
+        ref = self._ref_cache.get(key)
         if ref is None:
-            check = self.matrix.check_output if adjoint else self.matrix.check_input
-            mm = np.ascontiguousarray(check(m), dtype=np.float64)
-            key = (adjoint, mm.shape, hashlib.sha1(mm.tobytes()).digest())
-            ref = self._ref_cache.get(key)
-            if ref is None:
-                ref = op(m, config="ddddd")
-                if len(self._ref_cache) >= self._REF_CACHE_MAX:
-                    self._ref_cache.pop(next(iter(self._ref_cache)))
-                self._ref_cache[key] = ref
-        val = op(m, config=config)
+            ref = self.matvec(m, config="ddddd")
+            if len(self._ref_cache) >= self._REF_CACHE_MAX:
+                self._ref_cache.pop(next(iter(self._ref_cache)))
+            self._ref_cache[key] = ref
+        val = self.matvec(m, config=config)
         denom = float(np.linalg.norm(ref))
         if denom == 0.0:
             return float(np.linalg.norm(val))

@@ -45,7 +45,7 @@ on the grid clock at the final sync: whenever a chunk's compute covers
 the next chunk's broadcast, the broadcast costs nothing.  A network
 model with ``overlap_efficiency < 1`` charges the exposed remainder of
 every prefetched collective onto the compute stream (link contention).
-``overlap=False`` (constructor or per-call) feeds the same schedule one
+``overlap=False`` (per call) feeds the same schedule one
 chunk at a time — broadcast → compute → reduce per chunk, nothing to
 overlap — which reproduces the pre-timeline serial charge exactly.
 **Numerics are identical in both modes, bitwise**: the schedule only
@@ -177,11 +177,6 @@ class ParallelFFTMatvec:
         :meth:`rmatmat` path (None = all k columns in one chunk).
         Bounds per-rank workspace; each chunk costs one
         broadcast + one reduce.
-    overlap:
-        Default schedule for the blocked path: ``True`` prefetches each
-        chunk's broadcast on the comm stream while the previous chunk
-        computes (double buffering); ``False`` charges the serial
-        broadcast → compute → reduce schedule.  Numerics are identical.
     reduction:
         ``"fast"`` (default) — vendor accumulation order per rank, tree
         reduce indexed by rank.  ``"pairwise"`` — the fixed-tree
@@ -194,9 +189,10 @@ class ParallelFFTMatvec:
         chunk charges ``k_chunk * gen_time`` before (and gating) its
         broadcast and ``k_chunk * save_time`` after its reduce.  With
         the overlapped schedule these ride a third *host* stream (fully
-        concurrent with comm + compute); with ``overlap=False`` or
-        ``overlap_host=False`` the host total is charged serially on
-        top.  ``None`` charges no host work (the historical behavior).
+        concurrent with comm + compute); with a serial apply
+        (``overlap=False``) or ``overlap_host=False`` the host total is
+        charged serially on top.  ``None`` charges no host work (the
+        historical behavior).
     overlap_host:
         ``False`` restricts overlap to the two-stream comm/compute
         schedule and charges the host total serially after it — the
@@ -232,9 +228,7 @@ class ParallelFFTMatvec:
         matrix: Union[BlockTriangularToeplitz, np.ndarray],
         grid: ProcessGrid,
         spec: Union[None, str, GPUSpec] = None,
-        use_optimized_sbgemv: bool = True,
         max_block_k: Optional[int] = None,
-        overlap: bool = True,
         reduction: str = "fast",
         row_ranges: Optional[Sequence[Tuple[int, int]]] = None,
         col_ranges: Optional[Sequence[Tuple[int, int]]] = None,
@@ -311,7 +305,6 @@ class ParallelFFTMatvec:
                 engine = FFTMatvec(
                     BlockTriangularToeplitz(local),
                     device=dev,
-                    use_optimized_sbgemv=use_optimized_sbgemv,
                     backend=self.backend,
                     reduction=reduction,
                     validate=validate,
@@ -374,7 +367,6 @@ class ParallelFFTMatvec:
             else (cls._chunk_compute_fast, cls._chunk_reduce_fast)
         )
         self.max_block_k = validate_max_block_k(max_block_k)
-        self.overlap = bool(overlap)
         self.last_timing: Optional[TimingReport] = None
         self.matvec_count = 0  # logical operator actions (k per block)
         self.matmat_count = 0  # blocked pipeline passes (one per chunk)
@@ -421,9 +413,7 @@ class ParallelFFTMatvec:
         """The parameter-axis partition: one ``(start, stop)`` per grid column."""
         return list(self._col_ranges)
 
-    def geometry_key(
-        self, config: Union[None, str, PrecisionConfig] = None
-    ) -> Tuple:
+    def geometry_key(self) -> Tuple:
         """Stable, hashable fingerprint of the distributed geometry.
 
         Extends :meth:`FFTMatvec.geometry_key` with the grid extents:
@@ -432,8 +422,6 @@ class ParallelFFTMatvec:
         collectives).  The reduction mode is part of the key — a
         fast-mode and a pairwise-mode grid must never be conflated (the
         serving cache keys engines and coalesced batches on this).
-        ``config`` folds a precision configuration in, as on the
-        single-device engine.
         """
         return (
             "ParallelFFTMatvec",
@@ -446,7 +434,6 @@ class ParallelFFTMatvec:
             tuple(self._col_ranges),
             self.spec.name if self.spec is not None else None,
             self.reduction,
-            str(PrecisionConfig.parse(config)) if config is not None else None,
         )
 
     # -- measurement hooks ---------------------------------------------------
@@ -824,7 +811,7 @@ class ParallelFFTMatvec:
         else:
             max_block_k = validate_max_block_k(max_block_k)
         ranges = chunk_ranges(k, max_block_k)
-        use_overlap = self.overlap if overlap is None else bool(overlap)
+        use_overlap = True if overlap is None else bool(overlap)
         host = self.host
         fuse_host = (
             self.overlap_host if overlap_host is None else bool(overlap_host)
@@ -903,7 +890,6 @@ class ParallelFFTMatvec:
         overlap: Optional[bool] = None,
         out: Optional[np.ndarray] = None,
         deterministic: bool = False,
-        overlap_host: Optional[bool] = None,
     ) -> np.ndarray:
         """Compute ``D = F M`` for k parameter vectors across the grid.
 
@@ -912,8 +898,8 @@ class ParallelFFTMatvec:
         columns (default: the constructor's knob; None = one chunk) pays
         one column-broadcast and one row-reduce — ``ceil(k/max_block_k)``
         collectives total instead of ``k``.  ``overlap`` selects the
-        charged schedule (None = constructor default): the overlapped
-        schedule prefetches each chunk's broadcast behind the previous
+        charged schedule (None = overlapped): the overlapped schedule
+        prefetches each chunk's broadcast behind the previous
         chunk's compute, the serial one charges them back to back;
         results are bitwise identical either way.  ``matvec_count``
         advances by ``k`` (logical actions), ``matmat_count`` by the
@@ -930,34 +916,34 @@ class ParallelFFTMatvec:
         unconditionally *and* the result is bitwise-invariant to the
         grid partition and chunking (``deterministic`` is then
         redundant and ignored).  A constructor-fused ``host`` model
-        charges each chunk's generate/save on the third stream;
-        ``overlap_host`` (None = constructor default) selects fused vs
-        serial host charging per call.
+        charges each chunk's generate/save on the third stream.
         """
         return self._matmat_impl(
             M, config, max_block_k, adjoint=False, overlap=overlap, out=out,
-            deterministic=deterministic, overlap_host=overlap_host,
+            deterministic=deterministic,
         )
 
     def rmatmat(
         self,
         D: np.ndarray,
         config: Union[str, PrecisionConfig] = "ddddd",
-        max_block_k: Optional[int] = None,
         overlap: Optional[bool] = None,
         out: Optional[np.ndarray] = None,
         deterministic: bool = False,
         overlap_host: Optional[bool] = None,
     ) -> np.ndarray:
-        """Compute ``M = F* D`` for k data vectors across the grid.
+        """Compute ``M = F* D`` for k data vectors across the grid, in
+        chunks of the constructor's ``max_block_k``.
 
         The blocked adjoint: one row-broadcast and one column-reduce per
         chunk (the column reduce crosses machine groups, so hiding its
         latency behind compute matters most).  See :meth:`matmat`,
         including the ``deterministic`` / ``reduction="pairwise"``
-        bitwise guarantees and the fused ``host`` stream.
+        bitwise guarantees and the fused ``host`` stream;
+        ``overlap_host`` (None = constructor default) selects fused vs
+        serial host charging per call.
         """
         return self._matmat_impl(
-            D, config, max_block_k, adjoint=True, overlap=overlap, out=out,
+            D, config, None, adjoint=True, overlap=overlap, out=out,
             deterministic=deterministic, overlap_host=overlap_host,
         )

@@ -10,7 +10,7 @@ stays below the application's tolerance (10^-7 in Section 4.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -35,17 +35,15 @@ class ParetoPoint:
 
 def sweep_configs(
     engine: FFTMatvec,
-    m: Optional[np.ndarray] = None,
     adjoint: bool = False,
-    configs: Optional[Iterable[Union[str, PrecisionConfig]]] = None,
     rng: Optional[np.random.Generator] = None,
     time_model: Optional[Callable[[PrecisionConfig], float]] = None,
 ) -> List[ParetoPoint]:
-    """Measure (time, relative error) for every configuration.
+    """Measure (time, relative error) for all 32 configurations.
 
-    ``m`` defaults to a random input whose mantissas are filled below the
-    float32 field (paper Section 4.2.1's initialization) so single-
-    precision memory phases commit genuine error.
+    The input is random with its mantissas filled below the float32
+    field (paper Section 4.2.1's initialization) so single-precision
+    memory phases commit genuine error.
 
     Time per configuration comes from ``time_model(config)`` when given —
     typically :func:`repro.perf.phase_model.modeled_timing` at the paper's
@@ -54,9 +52,8 @@ def sweep_configs(
     the engine's simulated device clock.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
-    if m is None:
-        shape = (engine.nt, engine.nd) if adjoint else (engine.nt, engine.nm)
-        m = fill_low_mantissa(rng.standard_normal(shape))
+    shape = (engine.nt, engine.nd) if adjoint else (engine.nt, engine.nm)
+    m = fill_low_mantissa(rng.standard_normal(shape))
     if engine.device is None and time_model is None:
         raise ReproError(
             "sweep_configs needs an engine with a simulated device or a time_model"
@@ -75,12 +72,7 @@ def sweep_configs(
     base_norm = float(np.linalg.norm(baseline_out))
 
     points: List[ParetoPoint] = []
-    cfg_list = (
-        [PrecisionConfig.parse(c) for c in configs]
-        if configs is not None
-        else list(PrecisionConfig.all_configs())
-    )
-    for cfg in cfg_list:
+    for cfg in PrecisionConfig.all_configs():
         out = op(m, config=cfg)
         t = time_of(cfg)
         if base_norm == 0.0:

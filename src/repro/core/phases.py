@@ -8,11 +8,11 @@ time-outer layout.  Both are pure memory operations executed in the
 phase's configured precision, with any cast fused into the same kernel
 (the write side simply uses the target dtype).
 
-Both kernels take an optional :class:`~repro.util.workspace.Workspace`:
+The pad takes an optional :class:`~repro.util.workspace.Workspace`:
 with an arena the output is written into a persistent checked-out
 buffer instead of a fresh allocation (the pad only re-zeros the padding
-half; the data half is fully overwritten), and both can write straight
-into a caller-supplied ``out`` buffer.  The values produced are
+half; the data half is fully overwritten), and both kernels can write
+straight into a caller-supplied ``out`` buffer.  The values produced are
 bitwise-identical with the arena on or off — a direct
 cast-on-assignment rounds exactly like ``astype``.
 
@@ -141,7 +141,6 @@ def unpad_from_soti(
     precision: Precision,
     device: Optional[SimulatedDevice] = None,
     phase: str = "unpad",
-    workspace: Optional[Workspace] = None,
     out: Optional[Any] = None,
     backend: Optional[Backend] = None,
     validate: bool = False,
@@ -150,8 +149,7 @@ def unpad_from_soti(
     """Phase-5 kernel: (nx, 2*Nt) padded SOTI -> (Nt, nx) time-outer.
 
     ``out`` (shape ``(nt, nx)``, dtype of the phase precision) writes the
-    result into a caller-owned buffer; ``workspace`` writes into a
-    checked-out arena buffer.  Both produce the bytes of the default
+    result into a caller-owned buffer, with the bytes of the default
     allocate-per-call path.  ``validate=True`` guards the output against
     NaN/Inf exactly like :func:`pad_to_soti`.
     """
@@ -170,9 +168,6 @@ def unpad_from_soti(
                 f"unpad out buffer must be {(nt, a.shape[0])} {dt}, "
                 f"got {tuple(out.shape)} {be.dtype_of(out)}"
             )
-        transpose_into(out, a[:, :nt], be)
-    elif workspace is not None:
-        out = workspace.checkout(phase, (nt, a.shape[0]), dt)
         transpose_into(out, a[:, :nt], be)
     else:
         out = be.astype(be.ascontiguous(be.transpose(a[:, :nt])), dt, copy=False)

@@ -318,7 +318,6 @@ class FFTPlan:
         X: Any,
         phase: str = "fft",
         rank: Optional[int] = None,
-        context: str = "",
     ) -> None:
         """Parseval check of a real forward transform this plan computed.
 
@@ -334,7 +333,6 @@ class FFTPlan:
             self.n,
             phase=phase,
             rank=rank,
-            context=context,
         )
 
     def verify_inverse_energy(
@@ -343,7 +341,6 @@ class FFTPlan:
         out: Any,
         phase: str = "ifft",
         rank: Optional[int] = None,
-        context: str = "",
     ) -> None:
         """Parseval check of an *unnormalized* real inverse transform.
 
@@ -356,5 +353,4 @@ class FFTPlan:
             self.n,
             phase=phase,
             rank=rank,
-            context=context,
         )

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.blas.bench import RocblasBench, make_fig1_yaml
 from repro.blas.types import BlasDatatype
-from repro.gpu.specs import GPUSpec, MI300X
+from repro.gpu.specs import MI300X
 from repro.util.tables import render_table
 
 __all__ = ["figure1", "FIG1_SIZES", "FIG1_DATATYPES", "Fig1Row"]
@@ -70,8 +70,10 @@ class Fig1Row:
         return self.optimized_gbs / self.rocblas_gbs
 
 
-def figure1(spec: GPUSpec = MI300X) -> Tuple[List[Fig1Row], str]:
-    """Run both builds through rocblas-bench; returns (rows, table text)."""
+def figure1() -> Tuple[List[Fig1Row], str]:
+    """Run both builds through rocblas-bench on an MI300X; returns (rows,
+    table text)."""
+    spec = MI300X
     rows: List[Fig1Row] = []
     for dt in FIG1_DATATYPES:
         yaml_text = make_fig1_yaml(FIG1_SIZES[dt], [dt])

@@ -42,15 +42,11 @@ class Fig2Entry:
         return self.report.fraction("sbgemv")
 
 
-def figure2(
-    nm: int = FIG2_PROBLEM["nm"],
-    nd: int = FIG2_PROBLEM["nd"],
-    nt: int = FIG2_PROBLEM["nt"],
-    gpus: Tuple[GPUSpec, ...] = FIG2_GPUS,
-) -> Tuple[List[Fig2Entry], str]:
+def figure2() -> Tuple[List[Fig2Entry], str]:
     """Model the breakdowns; returns (entries, table text)."""
+    nm, nd, nt = FIG2_PROBLEM["nm"], FIG2_PROBLEM["nd"], FIG2_PROBLEM["nt"]
     entries: List[Fig2Entry] = []
-    for spec in gpus:
+    for spec in FIG2_GPUS:
         for adjoint in (False, True):
             rep = modeled_timing(nm, nd, nt, "ddddd", spec, adjoint=adjoint)
             entries.append(

@@ -30,7 +30,7 @@ Kept by ``benchmarks/test_fig3_pareto.py``: paper Figure 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from repro.core.matvec import FFTMatvec
 from repro.core.pareto import ParetoPoint, optimal_config, pareto_front, sweep_configs
 from repro.core.toeplitz import BlockTriangularToeplitz
 from repro.gpu.device import SimulatedDevice
-from repro.gpu.specs import GPUSpec, MI250X_GCD, MI300X, MI355X
+from repro.gpu.specs import MI250X_GCD, MI300X, MI355X
 from repro.perf.phase_model import modeled_timing
 from repro.util.dtypes import Precision, machine_eps
 from repro.util.tables import render_table
@@ -57,6 +57,8 @@ __all__ = [
 PAPER_OPTIMAL_F = "dssdd"
 PAPER_OPTIMAL_ADJ = "ddssd"
 TOLERANCE = 1e-7
+# (Nm, Nd, Nt) the times are modeled at: the paper's problem.
+PAPER_PROBLEM = (5000, 100, 1000)
 # 2^-23: the tolerance a configuration with single-precision compute
 # phases can honestly be held to at any size.
 SINGLE_ROUNDOFF = machine_eps(Precision.SINGLE)
@@ -99,33 +101,24 @@ class SeedBand:
         return min(self.errors), max(self.errors)
 
 
-def measured_sweep(
-    nt: int = 48,
-    nd: int = 6,
-    nm: int = 64,
-    adjoint: bool = False,
-    seed: int = 0,
-    spec: GPUSpec = MI300X,
-    paper_scale_times: bool = True,
-) -> List[ParetoPoint]:
-    """Numeric 32-config sweep on a reduced-size engine.
+def measured_sweep(adjoint: bool = False, seed: int = 0) -> List[ParetoPoint]:
+    """Numeric 32-config sweep on a reduced-size engine (Nt=48, Nd=6,
+    Nm=64 on an MI300X).
 
-    With ``paper_scale_times`` (default) each point's time comes from the
-    phase model at Nm=5000, Nd=100, Nt=1000 — the configuration selection
-    then reflects the paper's phase weights while errors stay measured.
+    Each point's time comes from the phase model at the paper's Nm=5000,
+    Nd=100, Nt=1000 — the configuration selection then reflects the
+    paper's phase weights while errors stay measured.
     """
     rng = np.random.default_rng(seed)
-    matrix = BlockTriangularToeplitz.random(nt, nd, nm, rng=rng, decay=0.08)
-    engine = FFTMatvec(matrix, device=SimulatedDevice(spec))
-    time_model = None
-    if paper_scale_times:
-        time_model = lambda cfg: modeled_timing(  # noqa: E731
-            5000, 100, 1000, cfg, spec, adjoint=adjoint
-        ).total
+    matrix = BlockTriangularToeplitz.random(48, 6, 64, rng=rng, decay=0.08)
+    engine = FFTMatvec(matrix, device=SimulatedDevice(MI300X))
+    time_model = lambda cfg: modeled_timing(  # noqa: E731
+        *PAPER_PROBLEM, cfg, MI300X, adjoint=adjoint
+    ).total
     return sweep_configs(engine, adjoint=adjoint, rng=rng, time_model=time_model)
 
 
-def seed_band(adjoint: bool = False, tolerance: float = TOLERANCE) -> SeedBand:
+def seed_band(adjoint: bool = False) -> SeedBand:
     """Sweep every seed of SEEDS and follow the published optimum.
 
     ``within_tie_band_of_front`` is Pareto-front membership under the
@@ -142,7 +135,7 @@ def seed_band(adjoint: bool = False, tolerance: float = TOLERANCE) -> SeedBand:
         points = measured_sweep(adjoint=adjoint, seed=seed)
         mine = next(p for p in points if str(p.config) == cfg)
         errors.append(mine.error)
-        selected.append(str(optimal_config(points, tolerance, TIE_BAND).config))
+        selected.append(str(optimal_config(points, TOLERANCE, TIE_BAND).config))
         at_roundoff.append(str(optimal_config(points, SINGLE_ROUNDOFF, TIE_BAND).config))
         on_front = on_front and not any(
             p.error <= mine.error and p.time * (1.0 + TIE_BAND) < mine.time
@@ -151,20 +144,16 @@ def seed_band(adjoint: bool = False, tolerance: float = TOLERANCE) -> SeedBand:
     return SeedBand(cfg, tuple(errors), tuple(selected), tuple(at_roundoff), on_front)
 
 
-def figure3(
-    nm: int = 5000,
-    nd: int = 100,
-    nt: int = 1000,
-    gpus: Tuple[GPUSpec, ...] = (MI250X_GCD, MI300X, MI355X),
-    tolerance: float = TOLERANCE,
-) -> Tuple[List[Fig3Entry], str]:
+def figure3() -> Tuple[List[Fig3Entry], str]:
     """Returns (entries, table text) for both matvec directions."""
+    nm, nd, nt = PAPER_PROBLEM
+    tolerance = TOLERANCE
     entries: List[Fig3Entry] = []
     # Numeric sweeps per direction for the measured error of the
     # published optimum (error is architecture-independent).
-    bands = {adjoint: seed_band(adjoint, tolerance) for adjoint in (False, True)}
+    bands = {adjoint: seed_band(adjoint) for adjoint in (False, True)}
 
-    for spec in gpus:
+    for spec in (MI250X_GCD, MI300X, MI355X):
         for adjoint, cfg in ((False, PAPER_OPTIMAL_F), (True, PAPER_OPTIMAL_ADJ)):
             base = modeled_timing(nm, nd, nt, "ddddd", spec, adjoint=adjoint)
             mixed = modeled_timing(nm, nd, nt, cfg, spec, adjoint=adjoint)

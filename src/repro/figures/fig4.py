@@ -18,7 +18,7 @@ Kept by ``benchmarks/test_fig4_scaling.py``: paper Figure 4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -34,28 +34,28 @@ from repro.util.tables import render_table
 __all__ = ["figure4", "Fig4Row", "measured_scaling_error", "FIG4_GPU_COUNTS"]
 
 FIG4_GPU_COUNTS: Tuple[int, ...] = (8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
+# Spatial points per GPU of the SPMD error runs (the paper's is 5000).
+NM_PER_GPU_ERROR = 8
 
 
 def measured_scaling_error(
     p: int,
     pr: Optional[int] = None,
     config: Optional[str] = None,
-    nm_per_gpu: int = 8,
-    nd: int = 16,
-    nt: int = 32,
-    seed: int = 0,
 ) -> float:
     """Measured relative error of the mixed config at p simulated ranks.
 
-    Runs the real SPMD engine at a reduced local size (``nm_per_gpu``
-    spatial points per GPU instead of 5000) and compares the mixed
-    configuration against the all-double run on the same grid.
+    Runs the real SPMD engine at a reduced local size (Nt=32, Nd=16 and
+    ``NM_PER_GPU_ERROR`` spatial points per GPU instead of 5000) and
+    compares the mixed configuration against the all-double run on the
+    same grid.
     """
+    nt, nd = 32, 16
     pr = pr if pr is not None else published_frontier_rows(p)
     config = config if config is not None else paper_config_for(p)
     pc = p // pr
-    nm_global = nm_per_gpu * p
-    rng = np.random.default_rng(seed)
+    nm_global = NM_PER_GPU_ERROR * p
+    rng = np.random.default_rng(0)
     matrix = BlockTriangularToeplitz.random(nt, nd, nm_global, rng=rng, decay=0.05)
     grid = ProcessGrid(pr, pc, net=FRONTIER_NETWORK)
     engine = ParallelFFTMatvec(matrix, grid)
@@ -71,25 +71,18 @@ class Fig4Row:
     measured_error: Optional[float]
 
 
-def figure4(
-    gpu_counts: Sequence[int] = FIG4_GPU_COUNTS,
-    measure_errors: bool = True,
-    max_error_ranks: int = 4096,
-    nm_per_gpu_error: int = 8,
-) -> Tuple[List[Fig4Row], str]:
+def figure4(max_error_ranks: int = 4096) -> Tuple[List[Fig4Row], str]:
     """Returns (rows, table text) of the scaling sweep.
 
     ``max_error_ranks`` caps the SPMD error measurements (each GPU count
     runs p real ranks in-process; 4096 takes a couple of minutes).
     """
-    points = scaling_sweep(gpu_counts)
+    points = scaling_sweep(FIG4_GPU_COUNTS)
     rows: List[Fig4Row] = []
     for pt in points:
         err = None
-        if measure_errors and pt.p <= max_error_ranks:
-            err = measured_scaling_error(
-                pt.p, pr=pt.pr, config=pt.config, nm_per_gpu=nm_per_gpu_error
-            )
+        if pt.p <= max_error_ranks:
+            err = measured_scaling_error(pt.p, pr=pt.pr, config=pt.config)
         rows.append(Fig4Row(point=pt, measured_error=err))
 
     table = [
@@ -110,7 +103,7 @@ def figure4(
         title=(
             "Figure 4: mixed-precision scaling, weak scaling Nm=5000p "
             "(times modeled at paper scale; errors measured via SPMD runs "
-            f"at {8} spatial points per GPU)"
+            f"at {NM_PER_GPU_ERROR} spatial points per GPU)"
         ),
     )
     from repro.figures.plot import line_chart

@@ -32,7 +32,6 @@ def line_chart(
     title: str = "",
     height: int = 10,
     logy: bool = False,
-    marker: str = "o",
 ) -> str:
     """Render one series as an ASCII chart, one column per point."""
     if len(xs) != len(ys):
@@ -46,7 +45,7 @@ def line_chart(
     width = len(ys)
     grid = [[" "] * width for _ in range(height)]
     for col, row in enumerate(rows):
-        grid[height - 1 - row][col] = marker
+        grid[height - 1 - row][col] = "o"
 
     def fmt_axis(v: float) -> str:
         real = 10**v if logy else v

@@ -35,19 +35,16 @@ class DeviceAllocator:
     """Capacity-tracking allocator with leak detection.
 
     Alignment follows real allocators: requests are rounded up to
-    ``alignment`` bytes (256 by default, matching hipMalloc granularity).
+    ``ALIGNMENT`` bytes (256, matching hipMalloc granularity).
     ``capacity`` overrides the spec's HBM size — the serving-layer
     :class:`~repro.serve.cache.EngineCache` uses this to enforce a byte
     budget smaller than (or independent of) any one device.
     """
 
-    def __init__(
-        self, spec: GPUSpec, alignment: int = 256, capacity: Optional[int] = None
-    ) -> None:
-        if alignment <= 0 or (alignment & (alignment - 1)) != 0:
-            raise ReproError(f"alignment must be a positive power of two, got {alignment}")
+    ALIGNMENT = 256
+
+    def __init__(self, spec: GPUSpec, capacity: Optional[int] = None) -> None:
         self.spec = spec
-        self.alignment = alignment
         self._capacity = int(spec.memory_bytes if capacity is None else capacity)
         if self._capacity <= 0:
             raise ReproError(f"capacity must be positive, got {self._capacity}")
@@ -79,7 +76,7 @@ class DeviceAllocator:
     def _rounded(self, nbytes: int) -> int:
         if nbytes < 0:
             raise ReproError(f"allocation size must be non-negative, got {nbytes}")
-        a = self.alignment
+        a = self.ALIGNMENT
         return ((int(nbytes) + a - 1) // a) * a
 
     def malloc(self, nbytes: int, tag: str = "") -> Allocation:

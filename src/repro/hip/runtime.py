@@ -65,18 +65,14 @@ class GPURuntime:
         *,
         bytes_read: float = 0.0,
         bytes_written: float = 0.0,
-        flops: float = 0.0,
-        efficiency_hint: float = -1.0,
         phase: str = "",
     ) -> float:
-        """Launch a named kernel; returns simulated seconds."""
+        """Launch a named memory-bound kernel; returns simulated seconds."""
         kernel = KernelLaunch(
             name=name,
             grid=grid,
             block=block,
             bytes_read=bytes_read,
             bytes_written=bytes_written,
-            flops=flops,
-            efficiency_hint=efficiency_hint,
         )
         return self.device.launch(kernel, phase=phase)

@@ -16,7 +16,7 @@ end-to-end effect of the mixed-precision framework on inversion quality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from repro.core.precision import PrecisionConfig
 from repro.inverse.cg import CGResult, conjugate_gradient
 from repro.inverse.p2o import P2OMap
 from repro.inverse.prior import GaussianPrior
-from repro.util.blocking import chunk_ranges, validate_max_block_k
 from repro.util.validation import ReproError
 
 __all__ = ["MAPResult", "LinearBayesianProblem"]
@@ -134,36 +133,23 @@ class LinearBayesianProblem:
     def data_space_hessian(
         self,
         config: Union[str, PrecisionConfig] = "ddddd",
-        block_k: Optional[int] = None,
     ) -> np.ndarray:
         """Dense H_d = Gn^{-1/2} F Gp F* Gn^{-1/2}, (nt*Nd, nt*Nd).
 
         Assembled from ``nt * Nd`` F/F* actions — the O(1e5)-matvec
         workload of the paper's Remark 1 that motivates mixed precision.
         The columns are exactly a multi-RHS block, so they run through
-        the engine's blocked pipeline in chunks of ``block_k`` unit
-        vectors (None = all at once): one blocked F* and one blocked F
-        pass per chunk instead of ``2 * nt * Nd`` single matvecs, with
-        the prior sandwich applied blockwise.  ``block_k`` bounds the
-        pad/FFT workspace for larger sensor counts.  Laptop-scale sizes
-        only (the result is dense).
+        the engine's blocked pipeline as one blocked F* and one blocked
+        F pass instead of ``2 * nt * Nd`` single matvecs, with the prior
+        sandwich applied blockwise.  Laptop-scale sizes only (the result
+        is dense).
         """
         nt, nd = self.p2o.nt, self.p2o.nd
         n = nt * nd
-        H = np.empty((n, n))
-        ranges = chunk_ranges(n, validate_max_block_k(block_k))
-        # One unit-vector block allocated for the whole sweep (sized for
-        # the widest chunk); each pass re-zeros the slice it uses instead
-        # of allocating a fresh block per chunk.
-        kmax = max(j1 - j0 for j0, j1 in ranges)
-        E_full = np.empty((nt, nd, kmax))
-        for j0, j1 in ranges:
-            E = E_full[:, :, : j1 - j0]
-            E[...] = 0.0
-            for col in range(j0, j1):
-                E[col // nd, col % nd, col - j0] = 1.0 / self.noise_std
-            V = self.p2o.applyT_block(E, config=config)
-            V = self.prior.apply_block(V)
-            W = self.p2o.apply_block(V, config=config) / self.noise_std
-            H[:, j0:j1] = W.reshape(n, j1 - j0)
-        return H
+        E = np.zeros((nt, nd, n))
+        for col in range(n):
+            E[col // nd, col % nd, col] = 1.0 / self.noise_std
+        V = self.p2o.applyT_block(E, config=config)
+        V = self.prior.apply_block(V)
+        W = self.p2o.apply_block(V, config=config) / self.noise_std
+        return W.reshape(n, n)

@@ -76,6 +76,7 @@ import numpy as np
 from repro.core.error_model import relative_error_bound
 from repro.core.operator import LinearOperator, _large_double_engine
 from repro.core.precision import PrecisionConfig
+from repro.util.checkpoint import CheckpointSchemaError
 from repro.util.validation import ReproError
 
 __all__ = [
@@ -250,19 +251,21 @@ class CGState:
     @classmethod
     def from_arrays(cls, arrays: Dict[str, np.ndarray]) -> "CGState":
         """Rebuild from :meth:`to_arrays` output (checkpoint load path).
-        A state with fewer than six scalars is an unpreconditioned loop's;
-        one with two a plain loop's: anchored at its initial residual, one
-        exact apply per iteration plus that residual's."""
+        Raises :class:`~repro.util.checkpoint.CheckpointSchemaError` on a
+        state without all six scalars."""
         scalars = [float(v) for v in np.asarray(arrays["scalars"], dtype=np.float64)]
+        if len(scalars) != 6:
+            raise CheckpointSchemaError.incomplete(
+                "CGState", f"{6 - len(scalars)} of its 6 scalars"
+            )
         norms = [float(v) for v in np.asarray(arrays["norms"])]
         iteration = int(np.asarray(arrays["iteration"]).reshape(-1)[0])
-        tail = (scalars[2:] or [norms[0], 0.0, iteration + 1]) + [0.0]
-        anchor, escalated, exact, preconditioned = tail[:4]
+        rs, bnorm, anchor, escalated, exact, preconditioned = scalars
         return cls(
             x=np.asarray(arrays["x"], dtype=np.float64).copy(),
             r=np.asarray(arrays["r"], dtype=np.float64).copy(),
             p=np.asarray(arrays["p"], dtype=np.float64).copy(),
-            rs=scalars[0], bnorm=scalars[1], norms=norms, iteration=iteration,
+            rs=rs, bnorm=bnorm, norms=norms, iteration=iteration,
             anchor=anchor, escalated=bool(escalated), exact_applies=int(exact),
             preconditioned=bool(preconditioned),
         )
@@ -271,16 +274,14 @@ class CGState:
 def conjugate_gradient(
     operator: Callable[[np.ndarray], np.ndarray],
     rhs: np.ndarray,
-    x0: Optional[np.ndarray] = None,
     tol: float = 1e-8,
     maxiter: int = 500,
-    callback: Optional[Callable[[int, float], None]] = None,
     resume: Optional[CGState] = None,
     checkpoint_every: Optional[int] = None,
     checkpoint: Optional[Callable[[CGState], None]] = None,
     stagnation_window: Optional[int] = None,
 ) -> CGResult:
-    """Solve ``operator(x) = rhs`` for an SPD operator.
+    """Solve ``operator(x) = rhs`` for an SPD operator, from ``x = 0``.
 
     Converges when ``||r|| <= tol * ||rhs||``.  Breakdown — non-positive
     curvature (not SPD; with the regularized Hessian that indicates a
@@ -290,7 +291,7 @@ def conjugate_gradient(
     last healthy :class:`CGState` for a ``resume=`` restart.
 
     ``resume=`` continues from a :class:`CGState` (``rhs`` must be the
-    same right-hand side; ``x0`` is ignored).  ``checkpoint_every=n``
+    same right-hand side).  ``checkpoint_every=n``
     hands a copied state to ``checkpoint`` after every n-th iteration.
 
     An ``operator`` :func:`_lowered` admits is iterated at ``ddsdd`` with
@@ -326,12 +327,9 @@ def conjugate_gradient(
         anchor, escalated, n_exact = state.anchor, state.escalated, state.exact_applies
         start = state.iteration
     else:
-        x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-        if x.shape != b.shape:
-            raise ReproError(f"x0 shape {x.shape} != rhs shape {b.shape}")
-
+        x = np.zeros_like(b)
         # From zero r is b exactly: the replacing loop spares that apply.
-        r = b.copy() if x0 is None and lowered is not None else b - exact(x)
+        r = b.copy() if lowered is not None else b - exact(x)
         p = r.copy() if M is None else None  # z = M r once r is known unconverged
         rs = _dot(r, r)
         bnorm = float(np.linalg.norm(b))
@@ -417,8 +415,6 @@ def conjugate_gradient(
                 x, r = x_prev, r_prev
                 raise _preconditioner_breakdown(rz, f"at iter {it}", _snapshot(it - 1))
         norms.append(norm)
-        if callback is not None:
-            callback(it, norm)
         if done:
             return _result(True, it)
         # No contraction condemns the lowered operator and its directions.
@@ -515,8 +511,11 @@ class BlockCGState:
     @classmethod
     def from_arrays(cls, arrays: Dict[str, np.ndarray]) -> "BlockCGState":
         """Rebuild from :meth:`to_arrays` output (checkpoint load path).
-        A state without the last two arrays is an unpreconditioned loop's,
-        with one apply per iteration plus the initial residual's."""
+        Raises :class:`~repro.util.checkpoint.CheckpointSchemaError` on a
+        state without ``exact_applies`` or ``preconditioned``."""
+        missing = [name for name in ("exact_applies", "preconditioned") if name not in arrays]
+        if missing:
+            raise CheckpointSchemaError.incomplete("BlockCGState", " and ".join(missing))
         norms = np.asarray(arrays["norms"], dtype=np.float64)
         iteration = int(np.asarray(arrays["iteration"]).reshape(-1)[0])
         return cls(
@@ -528,8 +527,8 @@ class BlockCGState:
             converged=np.asarray(arrays["converged"], dtype=bool).copy(),
             norms=[norms[i].copy() for i in range(norms.shape[0])],
             iteration=iteration,
-            exact_applies=int(np.asarray(arrays.get("exact_applies", iteration + 1))),
-            preconditioned=bool(np.asarray(arrays.get("preconditioned", False))),
+            exact_applies=int(np.asarray(arrays["exact_applies"])),
+            preconditioned=bool(np.asarray(arrays["preconditioned"])),
         )
 
 
@@ -545,16 +544,15 @@ def _undo_update(X: np.ndarray, R: np.ndarray, P: np.ndarray, alpha, scratch) ->
 def block_conjugate_gradient(
     operator: Callable[[np.ndarray], np.ndarray],
     rhs: np.ndarray,
-    x0: Optional[np.ndarray] = None,
     tol: float = 1e-8,
     maxiter: int = 500,
-    callback: Optional[Callable[[int, np.ndarray], None]] = None,
     resume: Optional[BlockCGState] = None,
     checkpoint_every: Optional[int] = None,
     checkpoint: Optional[Callable[[BlockCGState], None]] = None,
     stagnation_window: Optional[int] = None,
 ) -> BlockCGResult:
-    """Solve ``operator(X) = RHS`` column-wise for an SPD block operator.
+    """Solve ``operator(X) = RHS`` column-wise for an SPD block operator,
+    from ``X = 0``.
 
     ``rhs`` is ``(..., k)`` (typically ``(nt, n, k)``) and ``operator``
     maps blocks of that shape to blocks of the same shape — pass e.g.
@@ -605,18 +603,12 @@ def block_conjugate_gradient(
         if np.all(converged):
             return _result(start)
     else:
-        X = np.zeros_like(B) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-        if X.shape != B.shape:
-            raise ReproError(f"x0 shape {X.shape} != rhs shape {B.shape}")
-
+        X = np.zeros_like(B)
         R = B - operator(X)
         n_exact = 1
         bnorm = np.sqrt(_col_dots(B, B))
-        # Zero RHS columns are solved by zeros immediately; reset their
-        # iterate AND residual so a nonzero x0 cannot leak a stale residual
-        # norm into the report for a column whose true residual is 0.
+        # Zero RHS columns are solved by zeros immediately.
         zero_rhs = bnorm == 0.0
-        X[..., zero_rhs] = 0.0
         R[..., zero_rhs] = 0.0
         rs = _col_dots(R, R)
 
@@ -693,8 +685,6 @@ def block_conjugate_gradient(
                 _undo_update(X, R, P, alpha, scratch)
                 raise _preconditioner_breakdown(rz[~done], f"at iter {it}", _snapshot(it - 1))
         norms.append(norm)
-        if callback is not None:
-            callback(it, norm)
         converged = done
         if np.all(converged):
             return _result(it)

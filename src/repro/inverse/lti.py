@@ -81,21 +81,15 @@ class LTISystem:
         self,
         nt: int,
         m: Optional[np.ndarray] = None,
-        u0: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Run nt steps; returns states (nt, n) AFTER each step.
+        """Run nt steps from a zero state; returns states (nt, n) AFTER
+        each step.
 
         ``m`` is the (nt, n) source history (zero if omitted); the source
         at step k acts during step k (zero-order hold).
         """
         check_positive_int(nt, "nt")
-        u = (
-            np.zeros(self.n)
-            if u0 is None
-            else np.asarray(u0, dtype=np.float64).copy()
-        )
-        if u.shape != (self.n,):
-            raise ReproError(f"u0 must have shape ({self.n},)")
+        u = np.zeros(self.n)
         if m is not None:
             m = np.asarray(m, dtype=np.float64)
             if m.shape != (nt, self.n):

@@ -18,7 +18,7 @@ __all__ = ["ObservationOperator"]
 
 
 class ObservationOperator:
-    """Pointwise (or locally averaged) observation of the state.
+    """Pointwise observation of the state.
 
     Parameters
     ----------
@@ -26,11 +26,9 @@ class ObservationOperator:
         State dimension.
     indices:
         Grid indices of the sensors (length Nd, unique).
-    width:
-        Averaging half-width in grid points (0 = pointwise).
     """
 
-    def __init__(self, n: int, indices: Sequence[int], width: int = 0) -> None:
+    def __init__(self, n: int, indices: Sequence[int]) -> None:
         check_positive_int(n, "n")
         idx = [int(i) for i in indices]
         if len(idx) == 0:
@@ -40,11 +38,8 @@ class ObservationOperator:
         for i in idx:
             if not (0 <= i < n):
                 raise ReproError(f"sensor index {i} outside [0,{n})")
-        if width < 0:
-            raise ReproError(f"width must be >= 0, got {width}")
         self.n = n
         self.indices = tuple(idx)
-        self.width = int(width)
 
     @property
     def nd(self) -> int:
@@ -53,10 +48,7 @@ class ObservationOperator:
     def matrix(self) -> np.ndarray:
         """Dense (Nd, n) observation matrix B."""
         B = np.zeros((self.nd, self.n))
-        for row, i in enumerate(self.indices):
-            lo = max(0, i - self.width)
-            hi = min(self.n, i + self.width + 1)
-            B[row, lo:hi] = 1.0 / (hi - lo)
+        B[np.arange(self.nd), self.indices] = 1.0
         return B
 
     def observe(self, u: np.ndarray) -> np.ndarray:

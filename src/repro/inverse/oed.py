@@ -15,9 +15,9 @@ compounds by orders of magnitude.
 Two layers of batching keep the loop off the per-column slow paths:
 
 * every candidate Hessian is assembled through the engine's *blocked*
-  pipeline (``data_space_hessian(block_k=...)`` — the columns are a
-  multi-RHS block, so each chunk is one blocked F* + one blocked F pass
-  instead of ``2 * nt * Nd`` single matvecs), and
+  pipeline (``data_space_hessian`` — the columns are a multi-RHS block,
+  so the assembly is one blocked F* + one blocked F pass instead of
+  ``2 * nt * Nd`` single matvecs), and
 * the p2o kernel rows of each sensor are computed once in a
   :class:`~repro.inverse.p2o.SensorBlockCache` and shared by every
   candidate set that contains the sensor, instead of re-running the
@@ -30,12 +30,11 @@ workload.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
 from repro.core.precision import PrecisionConfig
-from repro.gpu.device import SimulatedDevice
 from repro.inverse.bayes import LinearBayesianProblem
 from repro.inverse.lti import LTISystem
 from repro.inverse.observation import ObservationOperator
@@ -76,16 +75,13 @@ def greedy_sensor_placement(
     prior: GaussianPrior,
     noise_std: float,
     config: Union[str, PrecisionConfig] = "ddddd",
-    device: Optional[SimulatedDevice] = None,
-    block_k: Optional[int] = None,
 ) -> OEDResult:
     """Greedily pick ``n_select`` sensors from ``candidates`` by EIG.
 
     Every candidate evaluation assembles the tentative sensor set's
     data-space Hessian through the engine's blocked multi-RHS pipeline
     in the given precision configuration — the Remark-1 workflow with
-    its columns batched (``block_k`` bounds the chunk width; None runs
-    all ``nt * Nd`` columns in one blocked F* / F pass each).  The p2o
+    all ``nt * Nd`` columns in one blocked F* / F pass each.  The p2o
     kernel rows are cached per sensor and shared across the candidate
     sets of every round.  Sizes must be laptop-scale (the Hessian is
     dense ``(nt*Nd)^2``).
@@ -117,12 +113,9 @@ def greedy_sensor_placement(
         for cand in remaining:
             trial = selected + [cand]
             obs = ObservationOperator(system.n, trial)
-            p2o = P2OMap(
-                system, obs, nt, device=device,
-                blocks=sensor_cache.blocks(trial),
-            )
+            p2o = P2OMap(system, obs, nt, blocks=sensor_cache.blocks(trial))
             problem = LinearBayesianProblem(p2o, prior, noise_std)
-            hd = problem.data_space_hessian(config=cfg, block_k=block_k)
+            hd = problem.data_space_hessian(config=cfg)
             evaluations += 1
             matvecs += p2o.engine.matvec_count  # one F + one F* per column
             matmats += p2o.engine.matmat_count

@@ -31,37 +31,29 @@ def build_p2o_blocks(
     system: LTISystem,
     obs: ObservationOperator,
     nt: int,
-    method: str = "auto",
 ) -> np.ndarray:
     """First block column of the p2o map: blocks[t] = F_t, (nt, Nd, Nm).
 
     ``F_t[i, j]`` is sensor ``i``'s reading ``t`` steps after a unit
-    impulse at parameter point ``j``.
+    impulse at parameter point ``j``.  Built the cheap way round:
 
-    ``method``:
-      * ``"forward"`` — Nm forward impulse solves (one per parameter).
-      * ``"adjoint"`` — Nd adjoint solves (one per sensor); for our
+      * Nd < Nm — Nd adjoint solves (one per sensor); for our
         self-adjoint-in-space solvers this runs the same time stepper on
-        B^T e_i and reads out all parameter points at once — the cheap
-        direction when ``Nd << Nm``.
-      * ``"auto"`` — adjoint when Nd < Nm.
+        B^T e_i and reads out all parameter points at once;
+      * otherwise — Nm forward impulse solves (one per parameter).
     """
     check_positive_int(nt, "nt")
     if obs.n != system.n:
         raise ReproError(
             f"observation operator is over {obs.n} points, system over {system.n}"
         )
-    if method == "auto":
-        method = "adjoint" if obs.nd < system.n else "forward"
-    if method not in ("forward", "adjoint"):
-        raise ReproError(f"unknown method {method!r}")
 
     # Kernel convention: F_t = dt * B * S^{t+1} with S = (I - dt A)^{-1},
     # so that apply() agrees exactly with integrating the PDE under a
     # zero-order-hold source (``system.evolve`` + ``obs.observe``).
     nm, nd = system.n, obs.nd
     blocks = np.empty((nt, nd, nm))
-    if method == "forward":
+    if nd >= nm:
         for j in range(nm):
             states = system.impulse_response(j, nt)  # (nt, n) = S^{t+1} e_j
             blocks[:, :, j] = system.dt * obs.observe(states)
@@ -123,28 +115,23 @@ class SensorBlockCache:
         self._solve_T = _factorized_transposed_stepper(system)
         self._rows: dict = {}
 
-    def row(self, sensor: int, width: int = 0) -> np.ndarray:
-        """Kernel row of one sensor: (nt, Nm), computed once per sensor.
-
-        ``width`` mirrors :class:`ObservationOperator`'s averaging
-        window (0 = point observation) so cached rows are exactly the
-        rows ``build_p2o_blocks`` would produce.
-        """
+    def row(self, sensor: int) -> np.ndarray:
+        """Kernel row of one point sensor: (nt, Nm), computed once per
+        sensor — exactly the row ``build_p2o_blocks`` would produce."""
         sensor = int(sensor)
         n = self.system.n
         if not (0 <= sensor < n):
             raise ReproError(f"sensor {sensor} outside [0, {n})")
-        key = (sensor, int(width))
-        if key not in self._rows:
-            w = ObservationOperator(n, [sensor], width=width).matrix()[0]
-            self._rows[key] = _adjoint_kernel_row(
+        if sensor not in self._rows:
+            w = ObservationOperator(n, [sensor]).matrix()[0]
+            self._rows[sensor] = _adjoint_kernel_row(
                 self._solve_T, w, self.nt, self.system.dt
             )
-        return self._rows[key]
+        return self._rows[sensor]
 
-    def blocks(self, sensors, width: int = 0) -> np.ndarray:
+    def blocks(self, sensors) -> np.ndarray:
         """Kernel of a sensor set: (nt, len(sensors), Nm) stacked rows."""
-        return np.stack([self.row(s, width=width) for s in sensors], axis=1)
+        return np.stack([self.row(s) for s in sensors], axis=1)
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -171,14 +158,13 @@ class P2OMap:
         obs: ObservationOperator,
         nt: int,
         device: Optional[SimulatedDevice] = None,
-        method: str = "auto",
         blocks: Optional[np.ndarray] = None,
     ) -> None:
         self.system = system
         self.obs = obs
         self.nt = check_positive_int(nt, "nt")
         if blocks is None:
-            blocks = build_p2o_blocks(system, obs, nt, method=method)
+            blocks = build_p2o_blocks(system, obs, nt)
         else:
             blocks = np.asarray(blocks, dtype=np.float64)
             if blocks.shape != (nt, obs.nd, system.n):

@@ -30,22 +30,23 @@ import numpy as np
 
 from repro.core.precision import PrecisionConfig
 from repro.inverse.bayes import LinearBayesianProblem
-from repro.util.blocking import chunk_ranges, validate_max_block_k
 from repro.util.checkpoint import CheckpointError, CheckpointStore, state_fingerprint
 from repro.util.validation import ReproError, check_positive_int
 
 __all__ = ["LowRankPosterior", "randomized_eig"]
 
 
+#: Extra sketch columns beyond the rank, and power iterations, of the
+#: randomized eigendecomposition (Halko-Martinsson-Tropp).
+OVERSAMPLE = 10
+POWER_ITERS = 1
+
+
 def randomized_eig(
-    operator,
+    block_operator,
     n: int,
     rank: int,
-    oversample: int = 10,
-    power_iters: int = 1,
     rng: Optional[np.random.Generator] = None,
-    block_operator=None,
-    max_block_k: Optional[int] = None,
     store: Optional[CheckpointStore] = None,
     checkpoint_key: str = "randomized-eig",
     fingerprint: Optional[str] = None,
@@ -53,23 +54,13 @@ def randomized_eig(
 ):
     """Randomized symmetric eigendecomposition of a PSD operator.
 
-    ``operator`` maps (n,) -> (n,); returns (eigenvalues desc, vectors)
-    of the best rank-``rank`` approximation (Halko-Martinsson-Tropp with
-    optional power iterations for sharper decay separation).
-
-    ``block_operator``, when given, maps an (n, j) matrix to the (n, j)
-    matrix of column-wise operator actions in *one* call; the sketch,
-    power iterations and projection then each cost a single blocked
-    application (FFTMatvec's multi-RHS pipeline) instead of j vector
-    actions.  ``operator`` may be None in that case.
-
-    ``max_block_k`` chunks every blocked application through
-    :func:`repro.util.blocking.chunk_ranges` — ``ceil(j / max_block_k)``
-    calls of at most ``max_block_k`` columns each — bounding the
-    engine-side workspace exactly like the grid engine's knob (None =
-    one full-width block, the historical behaviour).  Chunk boundaries
-    only regroup GEMM panels, so results match the full-width block to
-    rounding.
+    ``block_operator`` maps an (n, j) matrix to the (n, j) matrix of
+    column-wise operator actions in *one* call, so the sketch, the
+    ``POWER_ITERS`` power iterations and the projection each cost a
+    single blocked application (FFTMatvec's multi-RHS pipeline).
+    Returns (eigenvalues desc, vectors) of the best rank-``rank``
+    approximation (Halko-Martinsson-Tropp, ``OVERSAMPLE`` extra sketch
+    columns).
 
     With a ``store`` the sketch and every power iteration checkpoint the
     working block ``Y`` (the expensive state — each stage costs one
@@ -85,24 +76,8 @@ def randomized_eig(
     check_positive_int(rank, "rank")
     if rank > n:
         raise ReproError(f"rank {rank} exceeds dimension {n}")
-    if operator is None and block_operator is None:
-        raise ReproError("need operator or block_operator")
-    max_block_k = validate_max_block_k(max_block_k)
     rng = rng if rng is not None else np.random.default_rng(0)
-    k = min(n, rank + max(oversample, 0))
-
-    if block_operator is not None:
-        if max_block_k is None:
-            apply_mat = block_operator
-        else:
-            def apply_mat(M: np.ndarray) -> np.ndarray:
-                out = np.empty_like(M, dtype=np.float64)
-                for j0, j1 in chunk_ranges(M.shape[1], max_block_k):
-                    out[:, j0:j1] = block_operator(M[:, j0:j1])
-                return out
-    else:
-        def apply_mat(M: np.ndarray) -> np.ndarray:
-            return np.column_stack([operator(M[:, j]) for j in range(M.shape[1])])
+    k = min(n, rank + OVERSAMPLE)
 
     fp = fingerprint if fingerprint is not None else "unkeyed"
     applies_done = 0
@@ -131,17 +106,17 @@ def randomized_eig(
 
     if applies_done == 0:
         omega = rng.standard_normal((n, k))
-        Y = apply_mat(omega)
+        Y = block_operator(omega)
         applies_done = 1
         _save_stage()
-    total_stages = 1 + max(power_iters, 0)
+    total_stages = 1 + POWER_ITERS
     while applies_done < total_stages:
         Q, _ = np.linalg.qr(Y)
-        Y = apply_mat(Q)
+        Y = block_operator(Q)
         applies_done += 1
         _save_stage()
     Q, _ = np.linalg.qr(Y)
-    T = Q.T @ apply_mat(Q)
+    T = Q.T @ block_operator(Q)
     T = 0.5 * (T + T.T)
     lam, S = np.linalg.eigh(T)
     order = np.argsort(lam)[::-1][:rank]
@@ -175,24 +150,15 @@ class LowRankPosterior:
         problem: LinearBayesianProblem,
         rank: int,
         config: Union[str, PrecisionConfig] = "ddddd",
-        oversample: int = 10,
-        power_iters: int = 1,
         rng: Optional[np.random.Generator] = None,
-        blocked: bool = True,
-        max_block_k: Optional[int] = None,
         store: Optional[CheckpointStore] = None,
         checkpoint_key: str = "posterior-eig",
         resume: bool = False,
     ) -> "LowRankPosterior":
         """Randomized eigendecomposition of Ht with FFT matvec actions.
 
-        With ``blocked`` (the default) every sketch/power/projection
-        stage applies Ht to all probe vectors through *one*
-        ``matmat``/``rmatmat`` pipeline pass; ``blocked=False`` keeps
-        the historical one-vector-at-a-time path (same numbers, k times
-        the pipeline overhead).  ``max_block_k`` chunks each blocked
-        stage into ``ceil(width / max_block_k)`` passes to bound the
-        engine workspace (matches the grid engine's knob).
+        Every sketch/power/projection stage applies Ht to all probe
+        vectors through *one* ``matmat``/``rmatmat`` pipeline pass.
 
         With a ``store`` each eig stage checkpoints under
         ``checkpoint_key``, fingerprinted by the p2o kernel, noise level
@@ -205,14 +171,6 @@ class LowRankPosterior:
         nt, nm = problem.p2o.nt, problem.p2o.nm
         n = nt * nm
         counter = {"n": 0}
-
-        def ht_action(v: np.ndarray) -> np.ndarray:
-            counter["n"] += 1
-            z = v.reshape(nt, nm)
-            w = problem.prior.apply_sqrt(z)
-            fw = problem.p2o.apply(w, config=cfg) / problem.noise_std**2
-            hw = problem.p2o.applyT(fw, config=cfg)
-            return problem.prior.apply_sqrt_t(hw).ravel()
 
         def ht_block_action(M: np.ndarray) -> np.ndarray:
             j = M.shape[1]
@@ -229,14 +187,10 @@ class LowRankPosterior:
             problem.p2o.matrix.blocks, float(problem.noise_std), str(cfg)
         )
         lam, V = randomized_eig(
-            None if blocked else ht_action,
+            ht_block_action,
             n,
             rank,
-            oversample=oversample,
-            power_iters=power_iters,
             rng=rng,
-            block_operator=ht_block_action if blocked else None,
-            max_block_k=max_block_k if blocked else None,
             store=store,
             checkpoint_key=checkpoint_key,
             fingerprint=fingerprint,
@@ -268,52 +222,20 @@ class LowRankPosterior:
         nt, nm = self.problem.p2o.nt, self.problem.p2o.nm
         prior_var = self.problem.prior.variance_diag()
         weights = self.eigenvalues / (1.0 + self.eigenvalues)
-        # rows of Gp^{1/2} V: apply the sqrt factor to each eigenvector
-        corr = np.zeros(nt * nm)
-        for j in range(self.rank):
-            col = self.problem.prior.apply_sqrt(
-                self.eigenvectors[:, j].reshape(nt, nm)
-            ).ravel()
-            corr += weights[j] * col**2
-        return prior_var - corr.reshape(nt, nm)
+        # Gp^{1/2} V: one blocked sqrt-factor pass over all eigenvectors.
+        W = self.problem.prior.apply_sqrt_block(self.eigenvectors.reshape(nt, nm, self.rank))
+        return prior_var - (W**2) @ weights
 
-    def sample(
-        self,
-        rng: Optional[np.random.Generator] = None,
-        n_samples: Optional[int] = None,
-        max_block_k: Optional[int] = None,
-    ) -> np.ndarray:
-        """Draw zero-mean posterior samples (add the MAP point for full
-        posterior draws).
+    def sample(self, rng: Optional[np.random.Generator] = None) -> np.ndarray:
+        """Draw one zero-mean (nt, nm) posterior sample (add the MAP point
+        for a full posterior draw).
 
         Uses the exact low-rank square root:
         Gp^{1/2} (I + V diag(1/sqrt(1+lam) - 1) V^T) z  with z ~ N(0, I).
-
-        With ``n_samples=None`` one (nt, nm) draw is returned (historical
-        behaviour); with ``n_samples=k`` the k draws are generated as a
-        (nt, nm, k) block — the low-rank correction is a matrix-matrix
-        product over the draws.  ``max_block_k`` processes the draws in
-        chunks of at most that many columns (``ceil(k / max_block_k)``
-        correction + prior-sqrt passes), bounding the workspace without
-        changing the random stream: all k standard-normal draws are
-        generated up front, chunking only regroups the GEMM panels.
         """
         rng = rng if rng is not None else np.random.default_rng()
         nt, nm = self.problem.p2o.nt, self.problem.p2o.nm
-        single = n_samples is None
-        k = 1 if single else int(n_samples)
-        if k < 1:
-            raise ReproError(f"n_samples must be >= 1, got {n_samples}")
-        max_block_k = validate_max_block_k(max_block_k)
-        Z = rng.standard_normal((nt * nm, k))
+        Z = rng.standard_normal((nt * nm, 1))
         scale = 1.0 / np.sqrt(1.0 + self.eigenvalues) - 1.0
-        out = np.empty((nt, nm, k))
-        for j0, j1 in chunk_ranges(k, max_block_k):
-            Zc = Z[:, j0:j1]
-            Zc = Zc + self.eigenvectors @ (
-                scale[:, None] * (self.eigenvectors.T @ Zc)
-            )
-            out[:, :, j0:j1] = self.problem.prior.apply_sqrt_block(
-                Zc.reshape(nt, nm, j1 - j0)
-            )
-        return out[:, :, 0] if single else out
+        Z = Z + self.eigenvectors @ (scale[:, None] * (self.eigenvectors.T @ Z))
+        return self.problem.prior.apply_sqrt_block(Z.reshape(nt, nm, 1))[:, :, 0]

@@ -34,8 +34,8 @@ class GaussianPrior:
         Spatial/temporal dimensions.
     gamma, delta:
         Smoothness and mass weights (both > 0 keeps the precision SPD).
-    mean:
-        Optional prior mean (defaults to zero).
+
+    The prior mean ``mean`` is zero.
     """
 
     def __init__(
@@ -44,7 +44,6 @@ class GaussianPrior:
         nt: int,
         gamma: float = 1e-2,
         delta: float = 1.0,
-        mean: Optional[np.ndarray] = None,
     ) -> None:
         check_positive_int(nm, "nm")
         check_positive_int(nt, "nt")
@@ -55,13 +54,7 @@ class GaussianPrior:
         lap = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(nm, nm))
         self._Kinv = (delta * sp.eye(nm) - gamma * lap).tocsc()  # precision
         self._solve_prec = spla.factorized(self._Kinv)
-        if mean is None:
-            self.mean = np.zeros((nt, nm))
-        else:
-            m = np.asarray(mean, dtype=np.float64)
-            if m.shape != (nt, nm):
-                raise ReproError(f"mean must be ({nt},{nm}), got {m.shape}")
-            self.mean = m.copy()
+        self.mean = np.zeros((nt, nm))
 
     # -- operator actions ----------------------------------------------------
     def _check(self, m: np.ndarray) -> np.ndarray:
@@ -80,20 +73,9 @@ class GaussianPrior:
         a = self._check(m)
         return np.column_stack([self._solve_prec(a[t]) for t in range(self.nt)]).T
 
-    def apply_sqrt(self, z: np.ndarray) -> np.ndarray:
-        """Gamma_prior^{1/2} z via the precision's Cholesky (L L^T = K^-1:
-        Gamma^{1/2} = L^{-T}), applied blockwise in time."""
-        a = self._check(z)
-        L = self._chol()
-        return np.linalg.solve(L.T, a.T).T
-
-    def apply_sqrt_t(self, z: np.ndarray) -> np.ndarray:
-        """Gamma_prior^{T/2} z = L^{-1} z (the transpose factor)."""
-        a = self._check(z)
-        L = self._chol()
-        return np.linalg.solve(L, a.T).T
-
     def _chol(self) -> np.ndarray:
+        """L with L L^T = K^-1, the precision's Cholesky factor:
+        Gamma^{1/2} = L^{-T}."""
         if not hasattr(self, "_chol_cache"):
             self._chol_cache = np.linalg.cholesky(self._Kinv.toarray())
         return self._chol_cache

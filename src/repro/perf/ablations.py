@@ -45,11 +45,10 @@ def cast_boundaries(config: Union[str, PrecisionConfig]):
     return out
 
 
-def _vector_bytes_at(boundary_after: str, nm: int, nd: int, nt: int,
-                     prec: Precision, adjoint: bool) -> float:
-    """Size of the vector crossing into a phase, at the cast target."""
-    nx_in = nd if adjoint else nm
-    nx_out = nm if adjoint else nd
+def _vector_bytes_at(boundary_after: str, nx_in: int, nx_out: int, nt: int,
+                     prec: Precision) -> float:
+    """Size of the forward matvec's vector crossing into a phase, at the
+    cast target."""
     n_pad, n_freq = 2 * nt, nt + 1
     r = real_dtype(prec).itemsize
     c = complex_dtype(prec).itemsize
@@ -70,16 +69,16 @@ def unfused_cast_penalty(
     nt: int,
     config: Union[str, PrecisionConfig],
     spec: GPUSpec,
-    adjoint: bool = False,
 ) -> float:
-    """Extra seconds if every precision cast were a standalone kernel."""
+    """Extra seconds if every precision cast of the forward matvec were a
+    standalone kernel."""
     cfg = PrecisionConfig.parse(config)
     penalty = 0.0
     seq = dict(zip(["input", *PHASE_NAMES, "output"],
                    [Precision.DOUBLE, *cfg.phases, Precision.DOUBLE]))
     for _, after in cast_boundaries(cfg):
         target = seq[after]
-        nbytes = _vector_bytes_at(after, nm, nd, nt, target, adjoint)
+        nbytes = _vector_bytes_at(after, nm, nd, nt, target)
         traffic = 2.0 * nbytes  # read old precision (~same size), write new
         eff = stream_efficiency(traffic, spec) * 0.9
         penalty += kernel_time(traffic, spec, eff)
@@ -92,11 +91,10 @@ def fused_vs_unfused(
     nt: int,
     config: Union[str, PrecisionConfig],
     spec: GPUSpec,
-    adjoint: bool = False,
 ):
-    """(fused_total, unfused_total, n_casts) for one matvec."""
+    """(fused_total, unfused_total, n_casts) for one forward matvec."""
     cfg = PrecisionConfig.parse(config)
-    fused = sum(phase_times(nm, nd, nt, cfg, spec, adjoint=adjoint).values())
+    fused = sum(phase_times(nm, nd, nt, cfg, spec).values())
     casts = cast_boundaries(cfg)
-    unfused = fused + unfused_cast_penalty(nm, nd, nt, cfg, spec, adjoint=adjoint)
+    unfused = fused + unfused_cast_penalty(nm, nd, nt, cfg, spec)
     return fused, unfused, len(casts)

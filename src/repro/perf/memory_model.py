@@ -42,7 +42,7 @@ def matvec_memory(
     nm: int,
     nd: int,
     nt: int,
-    configs: Union[str, PrecisionConfig, Iterable] = "ddddd",
+    configs: Union[str, PrecisionConfig, Iterable],
 ) -> MatvecMemoryFootprint:
     """Footprint of an engine serving the given configuration(s).
 
@@ -77,31 +77,20 @@ def matvec_memory(
     )
 
 
-def min_gpus_for_problem(
-    nm_global: int,
-    nd: int,
-    nt: int,
-    spec: GPUSpec,
-    configs: Union[str, Iterable] = ("ddddd", "dssdd"),
-    pr: int = 1,
-    utilization: float = 0.9,
-) -> int:
+def min_gpus_for_problem(nm_global: int, nd: int, nt: int, spec: GPUSpec) -> int:
     """Smallest GPU count whose aggregate memory holds the problem.
 
-    Each of ``p`` ranks (grid ``pr x p/pr``) stores its
-    ``(Nd/pr) x (Nm/pc)`` sub-block spectrum plus workspaces;
-    ``utilization`` reserves headroom for the runtime.
+    Each of ``p`` ranks (a ``1 x p`` grid) stores its ``Nd x (Nm/p)``
+    sub-block spectrum plus the workspaces of an engine serving
+    ``ddddd`` and ``dssdd``; 10 % of device memory is headroom for the
+    runtime.
     """
     check_positive_int(nm_global, "nm_global")
-    if not (0 < utilization <= 1):
-        raise ValueError(f"utilization must be in (0,1], got {utilization}")
-    budget = spec.memory_bytes * utilization
-    p = pr
+    budget = spec.memory_bytes * 0.9
+    p = 1
     while True:
-        pc = max(1, p // pr)
-        nm_local = -(-nm_global // pc)
-        nd_local = max(1, -(-nd // pr))
-        fp = matvec_memory(nm_local, nd_local, nt, configs=configs)
+        nm_local = -(-nm_global // p)
+        fp = matvec_memory(nm_local, nd, nt, ("ddddd", "dssdd"))
         if fp.total <= budget:
             return p
         p *= 2

@@ -35,7 +35,7 @@ from repro.fft.plan import fft_traffic_bytes
 from repro.gpu.bandwidth import kernel_time, stream_efficiency
 from repro.gpu.device import price_launch
 from repro.gpu.specs import GPUSpec
-from repro.util.dtypes import Precision, complex_dtype, real_dtype
+from repro.util.dtypes import Precision, complex_dtype
 from repro.util.timing import Stream, TimingReport, run_chunk_schedule
 from repro.util.validation import ReproError, check_positive_int
 
@@ -62,12 +62,9 @@ def checksum_overhead_model(
     k: int,
     config: Union[str, PrecisionConfig],
     spec: GPUSpec,
-    adjoint: bool = False,
-    use_optimized_sbgemv: bool = True,
-    reduction: str = "fast",
-    guard: bool = False,
 ) -> Dict[str, float]:
-    """Modeled cost of the SDC checks on one blocked ``k``-RHS apply.
+    """Modeled cost of the SDC checks on one blocked ``k``-RHS forward
+    apply.
 
     Three detector families, costed against the
     :func:`block_phase_times` apply they protect:
@@ -84,23 +81,16 @@ def checksum_overhead_model(
       per-apply cost is one streaming pass over the panel ``B`` (row
       times B) and one over the result ``C`` (column sums), both at the
       SBGEMV precision.
-    * **NaN/Inf guard** (``guard=True``, off by default like the
-      engines' ``validate="guard"``): one streaming read of the pad and
-      unpad outputs.
 
-    Returns ``{"energy_s", "abft_s", "guard_s", "total_s", "apply_s",
-    "fraction", "covered_s", "coverage"}`` — ``fraction`` is the
-    modeled overhead of the checks (the ISSUE bound asserts it stays
-    under 15% on the blocked apply); ``coverage`` is the fraction of
-    apply time spent in phases a detector guards (FFT/GEMM/IFFT always;
-    pad/unpad only with the guard on).
+    Returns ``{"energy_s", "abft_s", "total_s", "apply_s", "fraction",
+    "covered_s", "coverage"}`` — ``fraction`` is the modeled overhead of
+    the checks (the SDC benchmark asserts it stays under 15% on the
+    blocked apply); ``coverage`` is the fraction of apply time spent in
+    phases a detector guards (FFT/GEMM/IFFT).
     """
     check_positive_int(k, "k")
     cfg = PrecisionConfig.parse(config)
-    times = block_phase_times(
-        nm, nd, nt, k, cfg, spec, adjoint=adjoint,
-        use_optimized_sbgemv=use_optimized_sbgemv, reduction=reduction,
-    )
+    times = block_phase_times(nm, nd, nt, k, cfg, spec)
     apply_s = sum(times.values())
 
     energy_s = _FUSED_EPILOGUE_TAX * (
@@ -108,35 +98,17 @@ def checksum_overhead_model(
     )
 
     n_freq = nt + 1
-    out_rows = nm if adjoint else nd
-    in_rows = nd if adjoint else nm
     c_sb = complex_dtype(cfg.sbgemv).itemsize
-    abft_bytes = float(n_freq * k * (in_rows + out_rows) * c_sb)
+    abft_bytes = float(n_freq * k * (nm + nd) * c_sb)
     abft_s = kernel_time(
         abft_bytes, spec, stream_efficiency(abft_bytes, spec)
     )
 
-    if guard:
-        nx_in = in_rows * k
-        nx_out = out_rows * k
-        guard_bytes = float(
-            nx_in * 2 * nt * real_dtype(cfg.pad).itemsize
-            + nx_out * nt * real_dtype(cfg.unpad).itemsize
-        )
-        guard_s = kernel_time(
-            guard_bytes, spec, stream_efficiency(guard_bytes, spec)
-        )
-    else:
-        guard_s = 0.0
-
     covered_s = times["fft"] + times["sbgemv"] + times["ifft"]
-    if guard:
-        covered_s += times["pad"] + times["unpad"]
-    total_s = energy_s + abft_s + guard_s
+    total_s = energy_s + abft_s
     return {
         "energy_s": energy_s,
         "abft_s": abft_s,
-        "guard_s": guard_s,
         "total_s": total_s,
         "apply_s": apply_s,
         "fraction": total_s / apply_s if apply_s > 0 else 0.0,
@@ -150,13 +122,14 @@ def recovery_cost_model(
     mtbf_s: float,
     checkpoint_s: float,
     restart_s: float,
-    interval_s: Optional[float] = None,
 ) -> Dict[str, float]:
     """Expected wall time of a checkpointed run under random rank failures.
 
     The Young/Daly first-order model, applied to the elastic grid: a run
-    of ``work_s`` useful seconds checkpoints every ``interval_s`` seconds
-    (``checkpoint_s`` per snapshot — e.g. one
+    of ``work_s`` useful seconds checkpoints at the Young optimum
+    interval ``sqrt(2 * checkpoint_s * mtbf_s)`` (capped at ``work_s`` —
+    checkpointing less than once per run is just one final snapshot;
+    ``checkpoint_s`` per snapshot — e.g. one
     :meth:`~repro.util.checkpoint.CheckpointStore.save` of the block-CG
     state), and each failure costs ``restart_s`` (grid rebuild +
     re-partition + engine reconstruction on the survivors) plus on
@@ -164,14 +137,9 @@ def recovery_cost_model(
     ``1 / mtbf_s`` (system MTBF — per-device MTBF divided by the device
     count); ``mtbf_s = math.inf`` models a failure-free machine.
 
-    When ``interval_s`` is omitted the Young optimum
-    ``sqrt(2 * checkpoint_s * mtbf_s)`` is used (capped at ``work_s`` —
-    checkpointing less than once per run is just one final snapshot).
-
     Returns a dict:
 
-    * ``interval_s`` — the interval actually modeled;
-    * ``optimal_interval_s`` — the Young optimum at these costs;
+    * ``interval_s`` — the interval modeled;
     * ``n_checkpoints`` — snapshots taken (``work_s / interval_s``);
     * ``checkpoint_overhead_s`` — total seconds spent snapshotting;
     * ``expected_failures`` — failures over the protected run;
@@ -191,14 +159,10 @@ def recovery_cost_model(
             f"{checkpoint_s} and {restart_s}"
         )
     if math.isinf(mtbf_s):
-        optimal = float(work_s)
+        interval = float(work_s)
     else:
-        optimal = min(float(work_s), math.sqrt(2.0 * checkpoint_s * mtbf_s))
-        optimal = max(optimal, 1e-12) if checkpoint_s > 0 else float(work_s)
-    interval = float(interval_s) if interval_s is not None else optimal
-    if interval <= 0:
-        raise ReproError(f"interval_s must be > 0, got {interval_s}")
-    interval = min(interval, float(work_s))
+        interval = min(float(work_s), math.sqrt(2.0 * checkpoint_s * mtbf_s))
+        interval = max(interval, 1e-12) if checkpoint_s > 0 else float(work_s)
     n_ckpt = work_s / interval
     ckpt_overhead = n_ckpt * checkpoint_s
     protected = work_s + ckpt_overhead
@@ -208,7 +172,6 @@ def recovery_cost_model(
     expected = protected + rework + restart_overhead
     return {
         "interval_s": interval,
-        "optimal_interval_s": optimal,
         "n_checkpoints": n_ckpt,
         "checkpoint_overhead_s": ckpt_overhead,
         "expected_failures": failures,
@@ -226,7 +189,6 @@ def overlapped_chunk_schedule(
     overlap_efficiency: float = 1.0,
     chunk_gen: Optional[Sequence[float]] = None,
     chunk_save: Optional[Sequence[float]] = None,
-    overlap_host: bool = True,
 ) -> Dict[str, float]:
     """Wall times of the serial vs double-buffered grid chunk schedule.
 
@@ -290,7 +252,7 @@ def overlapped_chunk_schedule(
     )
     host_total = float(sum(gen) + sum(save))
     two_stream_host = overlapped + host_total
-    if host_present and overlap_host:
+    if host_present:
         overlapped3 = wall(gen=gen, save=save)
     else:
         overlapped3 = two_stream_host
@@ -313,7 +275,6 @@ def phase_times(
     spec: GPUSpec,
     adjoint: bool = False,
     use_optimized_sbgemv: bool = True,
-    reduction: str = "fast",
 ) -> Dict[str, float]:
     """Modeled seconds per phase of one local matvec (no communication).
 
@@ -336,7 +297,6 @@ def phase_times(
         spec,
         adjoint=adjoint,
         use_optimized_sbgemv=use_optimized_sbgemv,
-        reduction=reduction,
     )
 
 
@@ -349,28 +309,26 @@ def block_phase_times(
     spec: GPUSpec,
     adjoint: bool = False,
     use_optimized_sbgemv: bool = True,
-    reduction: str = "fast",
 ) -> Dict[str, float]:
-    """Modeled seconds per phase of one blocked ``k``-RHS pipeline pass.
+    """Modeled seconds per phase of one blocked ``k``-RHS pipeline pass
+    of an engine on the fast reduction.
 
     The SBGEMM counterpart of :func:`phase_times`: the sum, per phase,
     of :func:`~repro.gpu.device.price_launch` over the very list
     ``FFTMatvec._front`` / ``_back`` book for this shape
     (:func:`~repro.core.matvec.front_launches` /
     :func:`~repro.core.matvec.back_launches`), with Phase 3 decided
-    where the engine's is (:meth:`SBGEMVDispatcher.phase3`, handed the
-    ``use_optimized_sbgemv`` ablation the way the engine hands it) — so
+    where the engine's is (:meth:`SBGEMVDispatcher.phase3`; the
+    ``use_optimized_sbgemv`` ablation is a dispatcher built with
+    ``optimized=False``, as an engine holding one books it) — so
     a launch, a byte formula, a price or a dispatch rule changed in the
     engine is changed here by construction.  The ``k`` columns ride the
     batch axis of pad/FFT/reorder (one launch each, batch ``nx * k``),
     and Phase 3 is one per-frequency strided-batched GEMM — the blocked
     pipeline amortizes launch overhead and rereads the spectrum once
     instead of ``k`` times, and the scaling sweep should see that.  A
-    lone fast column is the GEMV; ``reduction="pairwise"`` wraps the
-    GEMM kernel in :class:`~repro.blas.gemm_kernels.PairwiseSBGEMM`
-    (its determinism tax scales the inner kernel's efficiency) at every
-    width.  A consistency test pins every phase ``==`` the engine's
-    charge.
+    lone column is the GEMV.  A consistency test pins every phase
+    ``==`` the engine's charge.
     """
     check_positive_int(nm, "nm")
     check_positive_int(nd, "nd")
@@ -382,7 +340,7 @@ def block_phase_times(
     datatype = BlasDatatype.Z if cfg.sbgemv is Precision.DOUBLE else BlasDatatype.C
     operation = Operation.C if adjoint else Operation.N
     dispatcher = SBGEMVDispatcher(spec, optimized=use_optimized_sbgemv)
-    phase3 = [dispatcher.phase3(nd, nm, nt + 1, k, datatype, operation, reduction)]
+    phase3 = [dispatcher.phase3(nd, nm, nt + 1, k, datatype, operation)]
     times: Dict[str, float] = {}
     for phase, kernel in (
         front_launches(spec, nt, nx_in, cfg, phase3) + back_launches(spec, nt, nx_out, cfg)
@@ -399,7 +357,6 @@ def modeled_timing(
     spec: GPUSpec,
     adjoint: bool = False,
     use_optimized_sbgemv: bool = True,
-    reduction: str = "fast",
 ) -> TimingReport:
     """Phase times wrapped in a :class:`TimingReport`."""
     cfg = PrecisionConfig.parse(config)
@@ -413,7 +370,6 @@ def modeled_timing(
             spec,
             adjoint=adjoint,
             use_optimized_sbgemv=use_optimized_sbgemv,
-            reduction=reduction,
         ),
         label=f"{cfg} {direction} {spec.name}",
     )

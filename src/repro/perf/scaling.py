@@ -26,16 +26,15 @@ from typing import Optional, Sequence, Union
 
 from repro.comm.collectives import tree_collective_time
 from repro.comm.grid import ProcessGrid
-from repro.comm.netmodel import FRONTIER_NETWORK, NetworkModel
+from repro.comm.netmodel import FRONTIER_NETWORK
 from repro.comm.partition import published_frontier_rows
 from repro.core.precision import PrecisionConfig
-from repro.gpu.specs import GPUSpec, MI250X_GCD
+from repro.gpu.specs import MI250X_GCD
 from repro.perf.phase_model import (
     block_phase_times,
     checksum_overhead_model,
     overlapped_chunk_schedule,
     phase_times,
-    recovery_cost_model,
 )
 from repro.util.blocking import chunk_ranges
 from repro.util.dtypes import real_dtype
@@ -51,13 +50,20 @@ __all__ = [
 ]
 
 
+# The paper's weak-scaling problem: Nm = 5000 p, Nd = 100, Nt = 1000 on
+# MI250X GCDs and the Frontier network.
+NM_PER_GPU, ND, NT = 5000, 100, 1000
+SPEC = MI250X_GCD
+SWEEP_K, SWEEP_MAX_BLOCK_K = 16, 4
+
+
 def paper_config_for(p: int) -> str:
     """The paper's optimal mixed config per GPU count (artifact appendix):
     ``dssdd`` below 512 GPUs, ``dssds`` at 512 and above."""
     return "dssdd" if p < 512 else "dssds"
 
 
-def _local_extents(p: int, pr: int, nm_per_gpu: int, nd: int):
+def _local_extents(p: int, pr: int):
     """Shared sizing: (pc, nm_local, nd_local) of the balanced grid split."""
     check_positive_int(p, "p")
     check_positive_int(pr, "pr")
@@ -66,8 +72,8 @@ def _local_extents(p: int, pr: int, nm_per_gpu: int, nd: int):
     pc = p // pr
     # The even split's first part is its largest, and starts at 0 (one
     # sensor when there are more grid rows than sensors).
-    nm_local = ProcessGrid.split_extent(nm_per_gpu * p, pc)[0][1]
-    nd_local = ProcessGrid.split_extent(nd, pr)[0][1]
+    nm_local = ProcessGrid.split_extent(NM_PER_GPU * p, pc)[0][1]
+    nd_local = ProcessGrid.split_extent(ND, pr)[0][1]
     return pc, nm_local, nd_local
 
 
@@ -75,82 +81,58 @@ def _grid_collective_times(
     cfg: PrecisionConfig,
     nm_local: int,
     nd_local: int,
-    nt: int,
     pr: int,
     pc: int,
-    net: NetworkModel,
-    adjoint: bool,
     kc: int = 1,
 ):
     """Shared comm model: (t_bcast, t_reduce) of one kc-wide chunk.
 
     Volumes follow the phase precisions (Phase 1 in single halves the
     broadcast; Phase 5 in single halves the reduce) and scale by the
-    chunk width; the forward broadcast goes down machine-spanning
-    columns and the reduce across contiguous rows, the adjoint swaps
-    both the payloads and the topologies.
+    chunk width; the broadcast goes down machine-spanning columns and
+    the reduce across contiguous rows.
     """
-    bcast_bytes = nm_local * nt * real_dtype(cfg.pad).itemsize * kc
-    reduce_bytes = nd_local * nt * real_dtype(cfg.unpad).itemsize * kc
+    bcast_bytes = nm_local * NT * real_dtype(cfg.pad).itemsize * kc
+    reduce_bytes = nd_local * NT * real_dtype(cfg.unpad).itemsize * kc
     col_span = (pr - 1) * pc + 1
-    if adjoint:
-        # F*: broadcast data over rows (pc contiguous), reduce parameters
-        # over columns (pr machine-spanning).
-        bcast_bytes, reduce_bytes = reduce_bytes, bcast_bytes
-        t_bcast = tree_collective_time(pc, bcast_bytes, net, span=pc)
-        t_reduce = tree_collective_time(pr, reduce_bytes, net, span=col_span)
-    else:
-        t_bcast = tree_collective_time(pr, bcast_bytes, net, span=col_span)
-        t_reduce = tree_collective_time(pc, reduce_bytes, net, span=pc)
+    t_bcast = tree_collective_time(pr, bcast_bytes, FRONTIER_NETWORK, span=col_span)
+    t_reduce = tree_collective_time(pc, reduce_bytes, FRONTIER_NETWORK, span=pc)
     return t_bcast, t_reduce
 
 
 def _chunk_schedule(
     cfg: PrecisionConfig,
     nm_rank: int,
-    spec: GPUSpec,
     nd_rank: int,
-    nt: int,
     pr: int,
     pc: int,
-    net: NetworkModel,
-    adjoint: bool,
     k: int,
     max_block_k: Optional[int],
-    host: Optional[HostModel] = None,
-    overlap_host: bool = True,
+    host: Optional[HostModel],
 ) -> dict:
     """The chunk schedule of a ``k``-RHS matmat on a grid whose critical
-    rank owns ``nm_rank`` parameters and ``nd_rank`` sensors on ``spec``.
-    Per chunk, the collectives carry that rank's column block (the
-    largest; it gates the broadcast) and compute is its blocked pipeline
-    pass.  Returns :func:`overlapped_chunk_schedule`'s keys plus
-    ``n_chunks`` and the first chunk's ``compute`` / ``bcast`` /
-    ``reduce`` seconds.
+    rank owns ``nm_rank`` parameters and ``nd_rank`` sensors.  Per chunk,
+    the collectives carry that rank's column block (the largest; it
+    gates the broadcast) and compute is its blocked pipeline pass.
+    Returns :func:`overlapped_chunk_schedule`'s keys plus ``n_chunks``
+    and the first chunk's ``compute`` / ``bcast`` / ``reduce`` seconds.
     """
     widths = [j1 - j0 for j0, j1 in chunk_ranges(k, max_block_k)]
     chunk_bcast, chunk_compute, chunk_reduce = [], [], []
     for kc in widths:
-        t_bcast, t_reduce = _grid_collective_times(
-            cfg, nm_rank, nd_rank, nt, pr, pc, net, adjoint, kc=kc
-        )
+        t_bcast, t_reduce = _grid_collective_times(cfg, nm_rank, nd_rank, pr, pc, kc=kc)
         chunk_bcast.append(t_bcast)
         chunk_reduce.append(t_reduce)
         chunk_compute.append(
-            sum(
-                block_phase_times(
-                    nm_rank, nd_rank, nt, kc, cfg, spec, adjoint=adjoint
-                ).values()
-            )
+            sum(block_phase_times(nm_rank, nd_rank, NT, kc, cfg, SPEC).values())
         )
     sched = overlapped_chunk_schedule(
         chunk_bcast,
         chunk_compute,
         chunk_reduce,
-        overlap_efficiency=net.overlap_efficiency,
+        overlap_efficiency=FRONTIER_NETWORK.overlap_efficiency,
         chunk_gen=[kc * host.gen_time for kc in widths] if host is not None else None,
         chunk_save=[kc * host.save_time for kc in widths] if host is not None else None,
-        overlap_host=overlap_host,
     )
     sched["n_chunks"] = len(widths)
     sched["compute"] = chunk_compute[0]
@@ -163,25 +145,16 @@ def matvec_time_at_scale(
     p: int,
     pr: int,
     config: Union[str, PrecisionConfig],
-    nm_per_gpu: int = 5000,
-    nd: int = 100,
-    nt: int = 1000,
-    spec: GPUSpec = MI250X_GCD,
-    net: NetworkModel = FRONTIER_NETWORK,
-    adjoint: bool = False,
 ) -> dict:
-    """Modeled seconds of one distributed matvec; returns a breakdown.
+    """Modeled seconds of one distributed forward matvec at the paper's
+    weak-scaling sizes; returns a breakdown.
 
     Keys: ``compute``, ``bcast``, ``reduce``, ``total``.
     """
     cfg = PrecisionConfig.parse(config)
-    pc, nm_local, nd_local = _local_extents(p, pr, nm_per_gpu, nd)
-    compute = sum(
-        phase_times(nm_local, nd_local, nt, cfg, spec, adjoint=adjoint).values()
-    )
-    t_bcast, t_reduce = _grid_collective_times(
-        cfg, nm_local, nd_local, nt, pr, pc, net, adjoint
-    )
+    pc, nm_local, nd_local = _local_extents(p, pr)
+    compute = sum(phase_times(nm_local, nd_local, NT, cfg, SPEC).values())
+    t_bcast, t_reduce = _grid_collective_times(cfg, nm_local, nd_local, pr, pc)
     return {
         "compute": compute,
         "bcast": t_bcast,
@@ -197,26 +170,20 @@ def blocked_matvec_time_at_scale(
     k: int = 16,
     max_block_k: Optional[int] = None,
     skew: float = 0.0,
-    nm_per_gpu: int = 5000,
-    nd: int = 100,
-    nt: int = 1000,
-    spec: GPUSpec = MI250X_GCD,
-    net: NetworkModel = FRONTIER_NETWORK,
-    adjoint: bool = False,
     host: Optional[HostModel] = None,
-    overlap_host: bool = True,
 ) -> dict:
-    """Modeled seconds of a blocked k-RHS distributed matmat; breakdown.
+    """Modeled seconds of a blocked k-RHS distributed forward matmat at
+    the paper's weak-scaling sizes; breakdown.
 
     The event-timeline counterpart of :func:`matvec_time_at_scale`: per
     chunk of ``max_block_k`` columns the grid pays one broadcast (volume
     scaled by the chunk width, one latency tree) and one reduce, and the
     double-buffered schedule prefetches chunk ``i+1``'s broadcast behind
     chunk ``i``'s compute (:func:`overlapped_chunk_schedule`, honoring
-    ``net.overlap_efficiency``).  ``skew`` models an irregular partition:
-    the slowest rank owns ``(1 + skew)`` times the balanced local block,
-    and — since every collective waits for the slowest rank — its
-    per-chunk compute gates the schedule.
+    the network's ``overlap_efficiency``).  ``skew`` models an irregular
+    partition: the slowest rank owns ``(1 + skew)`` times the balanced
+    local block, and — since every collective waits for the slowest
+    rank — its per-chunk compute gates the schedule.
 
     Per-chunk compute is charged through the blocked SBGEMM phase model
     (:func:`~repro.perf.phase_model.block_phase_times` — one pad / one
@@ -235,29 +202,26 @@ def blocked_matvec_time_at_scale(
 
     ``host`` adds the third stream: a :class:`~repro.util.timing.HostModel`
     charges per-chunk source generation / result saving, and the fused
-    schedule (``overlap_host=True``) runs it concurrently with device
-    compute and network — ``gen(i)`` gates ``bcast(i)``, ``save(i)``
-    trails ``reduce(i)``, the replay of
-    ``ParallelFFTMatvec(host=...)``.  The result then also carries
-    ``two_stream_host`` (host charged serially after the two-stream
-    schedule — the engine's ``overlap_host=False``), ``overlapped3``
-    (the fused wall), ``hidden_host``, and ``per_vector_overlap3``;
-    without a host model those keys degenerate to the two-stream values.
+    schedule runs it concurrently with device compute and network —
+    ``gen(i)`` gates ``bcast(i)``, ``save(i)`` trails ``reduce(i)``, the
+    replay of ``ParallelFFTMatvec(host=...)``.  The result then also
+    carries ``two_stream_host`` (host charged serially after the
+    two-stream schedule — the engine's ``overlap_host=False``),
+    ``overlapped3`` (the fused wall), ``hidden_host``, and
+    ``per_vector_overlap3``; without a host model those keys degenerate
+    to the two-stream values.
     """
     check_positive_int(k, "k")
     if skew < 0:
         raise ReproError(f"skew must be >= 0, got {skew}")
     cfg = PrecisionConfig.parse(config)
-    pc, nm_local, nd_local = _local_extents(p, pr, nm_per_gpu, nd)
-    nm_global = nm_per_gpu * p
+    pc, nm_local, nd_local = _local_extents(p, pr)
+    nm_global = NM_PER_GPU * p
     # Irregular partition: the critical rank's local block is (1+skew)x
     # the balanced share (capped at the global extent).
     nm_slow = min(nm_global, int(math.ceil(nm_local * (1.0 + skew))))
-    nd_slow = min(nd, int(math.ceil(nd_local * (1.0 + skew))))
-    sched = _chunk_schedule(
-        cfg, nm_slow, spec, nd_slow, nt, pr, pc, net, adjoint, k, max_block_k,
-        host=host, overlap_host=overlap_host,
-    )
+    nd_slow = min(ND, int(math.ceil(nd_local * (1.0 + skew))))
+    sched = _chunk_schedule(cfg, nm_slow, nd_slow, pr, pc, k, max_block_k, host)
     return {
         "serial": sched["serial"],
         "overlapped": sched["overlapped"],
@@ -286,22 +250,7 @@ class ScalingPoint:
     chunk broadcasts prefetched behind compute), and
     ``time_mixed_blocked_serial`` is the *same* blocked chunking charged
     serially — the pair isolates the overlap win from the collective
-    batching PR 2 already delivered.  All three are 0.0 when the sweep
-    ran without the blocked model.
-
-    ``time_mixed_two_stream_host`` / ``time_mixed_overlap3`` are the
-    per-vector times with the sweep's :class:`~repro.util.timing.HostModel`
-    charged serially after the two-stream schedule vs fused as the third
-    stream; their ratio is the host-fusion effect alone.  Both are 0.0
-    when the sweep ran without a host model.
-
-    ``system_mtbf_s`` / ``recovery_slowdown`` are the fault-tolerance
-    columns: the machine-level mean time between failures at this GPU
-    count (per-GPU MTBF divided by ``p`` — more devices, more failures)
-    and the expected wall-time inflation of a nominal job under the
-    Young/Daly checkpoint model
-    (:func:`~repro.perf.phase_model.recovery_cost_model`).  They default
-    to 0.0 / 1.0 when the sweep ran without an MTBF.
+    batching of the blocked path.
 
     ``checksum_overhead`` / ``sdc_coverage`` are the silent-data-
     corruption defense columns
@@ -321,10 +270,6 @@ class ScalingPoint:
     time_double_overlap: float = 0.0
     time_mixed_overlap: float = 0.0
     time_mixed_blocked_serial: float = 0.0
-    time_mixed_two_stream_host: float = 0.0
-    time_mixed_overlap3: float = 0.0
-    system_mtbf_s: float = 0.0
-    recovery_slowdown: float = 1.0
     checksum_overhead: float = 0.0
     sdc_coverage: float = 0.0
 
@@ -346,40 +291,16 @@ class ScalingPoint:
 
 def scaling_sweep(
     gpu_counts: Sequence[int] = (8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096),
-    nm_per_gpu: int = 5000,
-    nd: int = 100,
-    nt: int = 1000,
-    spec: GPUSpec = MI250X_GCD,
-    net: NetworkModel = FRONTIER_NETWORK,
-    rows: Optional[Sequence[int]] = None,
-    k: int = 16,
-    max_block_k: Optional[int] = 4,
     skew: float = 0.0,
-    host: Optional[HostModel] = None,
-    mtbf_per_gpu_s: Optional[float] = None,
-    job_s: float = 3600.0,
-    checkpoint_s: float = 0.5,
-    restart_s: float = 5.0,
     checksums: bool = False,
 ) -> list:
-    """The Figure-4 time/speedup series over GPU counts.
+    """The Figure-4 time/speedup series over GPU counts, on the paper's
+    published grid-row schedule.
 
-    ``rows`` overrides the per-count grid-row schedule (defaults to the
-    paper's published schedule).  Each point also carries the
-    double-buffered blocked per-vector times (``k`` RHS in chunks of
-    ``max_block_k``, broadcasts prefetched behind compute, chunk compute
-    through the blocked SBGEMM phase model, per-rank ``skew`` honored).
-    With a ``host`` model the mixed-config point also carries the serial-host
-    and three-stream fused per-vector columns.
-
-    ``mtbf_per_gpu_s`` turns on the fault-tolerance columns: each point
-    gets the system-level MTBF (``mtbf_per_gpu_s / p`` — failures
-    multiply with the fleet) and the expected slowdown of a ``job_s``-
-    second job under the Young/Daly checkpoint model at that MTBF
-    (:func:`~repro.perf.phase_model.recovery_cost_model` with
-    ``checkpoint_s`` per snapshot and ``restart_s`` per grid rebuild).
-    The slowdown grows with ``p`` even though per-matvec time shrinks —
-    the cost of riding an elastic grid at scale.
+    Each point also carries the double-buffered blocked per-vector times
+    (``SWEEP_K`` RHS in chunks of ``SWEEP_MAX_BLOCK_K``, broadcasts
+    prefetched behind compute, chunk compute through the blocked SBGEMM
+    phase model, per-rank ``skew`` honored).
 
     ``checksums=True`` adds the SDC-defense columns: the modeled
     fractional cost of ABFT + Parseval checks on the local blocked
@@ -388,31 +309,20 @@ def scaling_sweep(
     mixed config and local extents of each point).
     """
     points = []
-    for i, p in enumerate(gpu_counts):
-        pr = rows[i] if rows is not None else published_frontier_rows(p)
+    for p in gpu_counts:
+        pr = published_frontier_rows(p)
         cfg = paper_config_for(p)
-        t_d = matvec_time_at_scale(
-            p, pr, "ddddd", nm_per_gpu, nd, nt, spec=spec, net=net
-        )["total"]
-        t_m = matvec_time_at_scale(
-            p, pr, cfg, nm_per_gpu, nd, nt, spec=spec, net=net
-        )["total"]
+        t_d = matvec_time_at_scale(p, pr, "ddddd")["total"]
+        t_m = matvec_time_at_scale(p, pr, cfg)["total"]
         blocked_double = blocked_matvec_time_at_scale(
-            p, pr, "ddddd", k=k, max_block_k=max_block_k, skew=skew,
-            nm_per_gpu=nm_per_gpu, nd=nd, nt=nt, spec=spec, net=net,
+            p, pr, "ddddd", k=SWEEP_K, max_block_k=SWEEP_MAX_BLOCK_K, skew=skew
         )
         blocked_mixed = blocked_matvec_time_at_scale(
-            p, pr, cfg, k=k, max_block_k=max_block_k, skew=skew,
-            nm_per_gpu=nm_per_gpu, nd=nd, nt=nt, spec=spec, net=net,
-            host=host,
+            p, pr, cfg, k=SWEEP_K, max_block_k=SWEEP_MAX_BLOCK_K, skew=skew
         )
         if checksums:
-            _, nm_local, nd_local = _local_extents(p, pr, nm_per_gpu, nd)
-            ck = checksum_overhead_model(
-                nm_local, nd_local, nt,
-                max_block_k if max_block_k is not None else k,
-                cfg, spec,
-            )
+            _, nm_local, nd_local = _local_extents(p, pr)
+            ck = checksum_overhead_model(nm_local, nd_local, NT, SWEEP_MAX_BLOCK_K, cfg, SPEC)
         else:
             ck = None
         points.append(
@@ -426,25 +336,6 @@ def scaling_sweep(
                 time_double_overlap=blocked_double["per_vector"],
                 time_mixed_overlap=blocked_mixed["per_vector"],
                 time_mixed_blocked_serial=blocked_mixed["serial_per_vector"],
-                time_mixed_two_stream_host=(
-                    blocked_mixed["two_stream_host"] / k if host is not None else 0.0
-                ),
-                time_mixed_overlap3=(
-                    blocked_mixed["overlapped3"] / k if host is not None else 0.0
-                ),
-                system_mtbf_s=(
-                    mtbf_per_gpu_s / p if mtbf_per_gpu_s is not None else 0.0
-                ),
-                recovery_slowdown=(
-                    recovery_cost_model(
-                        job_s,
-                        mtbf_per_gpu_s / p,
-                        checkpoint_s,
-                        restart_s,
-                    )["slowdown"]
-                    if mtbf_per_gpu_s is not None
-                    else 1.0
-                ),
                 checksum_overhead=ck["fraction"] if ck is not None else 0.0,
                 sdc_coverage=ck["coverage"] if ck is not None else 0.0,
             )

@@ -21,7 +21,6 @@ from repro.serve.cache import (
     operator_fingerprint,
 )
 from repro.serve.service import (
-    DeadlineExpiredError,
     LatencyHistogram,
     ServeError,
     ServiceClosedError,
@@ -46,6 +45,5 @@ __all__ = [
     "ServiceClosedError",
     "ServiceOverloadedError",
     "TenantThrottledError",
-    "DeadlineExpiredError",
     "UnknownOperatorError",
 ]

@@ -48,7 +48,7 @@ from repro.core.matvec import FFTMatvec
 from repro.core.parallel import ParallelFFTMatvec
 from repro.core.toeplitz import BlockTriangularToeplitz
 from repro.gpu.memory import Allocation, DeviceAllocator, OutOfMemoryError
-from repro.gpu.specs import GPUSpec, get_gpu
+from repro.gpu.specs import get_gpu
 from repro.util.validation import ReproError
 
 __all__ = [
@@ -61,16 +61,11 @@ __all__ = [
 Engine = Union[FFTMatvec, ParallelFFTMatvec, ElasticEngine]
 
 
-def operator_fingerprint(
-    matrix: Union[BlockTriangularToeplitz, np.ndarray],
-    extra: Tuple = (),
-) -> str:
+def operator_fingerprint(matrix: Union[BlockTriangularToeplitz, np.ndarray]) -> str:
     """Stable hex digest of an operator's kernel content and geometry.
 
     Hashes the block-Toeplitz kernel's shape and bytes (SHA-1, first 16
-    hex chars) plus any ``extra`` geometry the caller wants folded in
-    (e.g. an engine :meth:`~repro.core.matvec.FFTMatvec.geometry_key`).
-    Two operators with equal fingerprints produce bitwise-equal engine
+    hex chars).  Two operators with equal fingerprints produce bitwise-equal engine
     results, which is what licenses the coalescer to batch their
     requests together.
     """
@@ -83,8 +78,6 @@ def operator_fingerprint(
     h = hashlib.sha1()
     h.update(repr(blocks.shape).encode())
     h.update(blocks.tobytes())
-    if extra:
-        h.update(repr(tuple(extra)).encode())
     return h.hexdigest()[:16]
 
 
@@ -165,27 +158,15 @@ class EngineCache:
         ``capacity`` — admission that would exceed it either evicts
         least-recently-used engines until it fits or raises
         :class:`~repro.gpu.memory.OutOfMemoryError` (one engine larger
-        than the whole budget cannot be admitted at all).
-    spec:
-        GPU spec (name or :class:`~repro.gpu.specs.GPUSpec`) the budget
-        allocator reports under; purely cosmetic for accounting.
-    alignment:
-        Allocator rounding granularity (bytes).
+        than the whole budget cannot be admitted at all).  The allocator
+        reports under an MI250X spec, purely for accounting.
     """
 
-    def __init__(
-        self,
-        budget_bytes: int,
-        spec: Union[str, GPUSpec] = "MI250X",
-        alignment: int = 256,
-    ) -> None:
+    def __init__(self, budget_bytes: int) -> None:
         if budget_bytes <= 0:
             raise ReproError(f"budget_bytes must be positive, got {budget_bytes}")
         self.budget_bytes = int(budget_bytes)
-        gspec = get_gpu(spec) if isinstance(spec, str) else spec
-        self.allocator = DeviceAllocator(
-            gspec, alignment=alignment, capacity=self.budget_bytes
-        )
+        self.allocator = DeviceAllocator(get_gpu("MI250X"), capacity=self.budget_bytes)
         self._entries: "OrderedDict[str, _CacheEntry]" = OrderedDict()
         self.hits = 0
         self.misses = 0

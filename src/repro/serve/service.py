@@ -23,13 +23,9 @@ wakes) still share a pass.
 default flushes run the engines' ``deterministic=True`` blocked path,
 whose column ``j`` is *bitwise* what a sequential ``matvec`` of request
 ``j`` returns (see :meth:`repro.core.matvec.FFTMatvec.matmat`).  A
-request therefore cannot observe whether it shared a batch.  Requests
-may override the mode per call (``deterministic=False`` buys the fast
-blocked GEMM); the resolved mode is part of the coalescing key, so a
-deterministic request can never be flushed through a fast-mode pass —
-the same separation the engines' ``geometry_key`` enforces for
-``reduction="pairwise"`` engine instances in the
-:class:`~repro.serve.cache.EngineCache`.  ``solve``
+request therefore cannot observe whether it shared a batch.  A service
+built with ``deterministic=False`` buys the fast blocked GEMM instead,
+for every request.  ``solve``
 requests coalesce at the CG level — each iteration applies the
 Gauss-Newton Hessian to all k systems in one blocked pass — and are
 tolerance-equivalent (same stopping rule per column), not bitwise.
@@ -82,7 +78,6 @@ __all__ = [
     "ServiceClosedError",
     "ServiceOverloadedError",
     "TenantThrottledError",
-    "DeadlineExpiredError",
     "UnknownOperatorError",
     "SolveOptions",
     "LatencyHistogram",
@@ -105,10 +100,6 @@ class ServiceOverloadedError(ServeError):
 
 class TenantThrottledError(ServeError):
     """A tenant exceeded its per-tenant max-inflight cap."""
-
-
-class DeadlineExpiredError(ServeError):
-    """A request's ``deadline_s`` elapsed before its flush ran."""
 
 
 class UnknownOperatorError(ServeError):
@@ -179,7 +170,6 @@ class ServiceStats:
     rank_failures: int = 0  # flushes whose engine died mid-pass
     flush_retries: int = 0  # retry passes issued after an engine death
     budget_exhausted: int = 0  # requests failed by the tenant failure budget
-    deadline_expired: int = 0  # requests dropped because their deadline passed
     cancelled: int = 0  # requests dropped because their client stopped waiting
     sdc_detections: int = 0  # flushes that tripped a silent-corruption check
     sdc_rebuilds: int = 0  # engine evictions forced by repeat-offender tenants
@@ -205,16 +195,12 @@ class _Request:
     future: "asyncio.Future[np.ndarray]"
     t_submit: float
     seq: int
-    deadline: Optional[float] = None  # absolute perf_counter time, or None
     attempt: int = 0  # engine passes that died under this request
     not_before: float = 0.0  # retry backoff: perf_counter time of its next pass
 
 
-# A coalescing group: requests here may share one blocked apply.  The
-# resolved determinism mode is part of the key: a request that asked for
-# the bitwise path must never ride a fast-mode flush (and vice versa),
-# whatever the service default is.
-_GroupKey = Tuple[str, str, str, bool, Optional[SolveOptions]]
+# A coalescing group: requests here may share one blocked apply.
+_GroupKey = Tuple[str, str, str, Optional[SolveOptions]]
 
 
 class SolverService:
@@ -245,8 +231,6 @@ class SolverService:
         Default flush mode: run through the engines' bitwise per-column
         Phase 3 (default ``True``).  ``False`` uses the faster blocked
         GEMM whose columns match sequential applies only to rounding.
-        Every request can override per call; requests only coalesce
-        with requests that *resolved* to the same mode.
     sdc_escalation_threshold:
         A tenant whose flushes trip this many silent-corruption
         detections is treated as a repeat offender: the flush's engine
@@ -374,24 +358,14 @@ class SolverService:
         m: np.ndarray,
         config: Union[str, PrecisionConfig] = "ddddd",
         tenant: str = "default",
-        deterministic: Optional[bool] = None,
-        deadline_s: Optional[float] = None,
     ) -> np.ndarray:
         """``d = F m`` for one tenant; may share a blocked pass with
-        concurrent requests on the same handle/config and resolved
-        determinism mode (bitwise-identical to an uncoalesced apply in
-        deterministic mode).  ``deterministic`` overrides the service
-        default for this request only.  ``deadline_s`` is a per-request
-        latency budget: a request still queued (or awaiting a retry)
-        when it expires is dropped from its coalescing group and fails
-        with :class:`DeadlineExpiredError` instead of riding a flush
-        whose result nobody wants."""
+        concurrent requests on the same handle and config
+        (bitwise-identical to an uncoalesced apply in deterministic
+        mode)."""
         nt, nd, nm = self._shape(handle)
         payload = self._as_block(m, (nt, nm), "matvec input")
-        return await self._submit(
-            "matvec", handle, payload, config, tenant, None, deterministic,
-            deadline_s,
-        )
+        return await self._submit("matvec", handle, payload, config, tenant, None)
 
     async def rmatvec(
         self,
@@ -399,18 +373,12 @@ class SolverService:
         d: np.ndarray,
         config: Union[str, PrecisionConfig] = "ddddd",
         tenant: str = "default",
-        deterministic: Optional[bool] = None,
-        deadline_s: Optional[float] = None,
     ) -> np.ndarray:
         """``m = F* d`` for one tenant (adjoint of :meth:`matvec`, same
-        coalescing, bitwise guarantees and per-request ``deterministic``
-        / ``deadline_s`` semantics)."""
+        coalescing and bitwise guarantees)."""
         nt, nd, nm = self._shape(handle)
         payload = self._as_block(d, (nt, nd), "rmatvec input")
-        return await self._submit(
-            "rmatvec", handle, payload, config, tenant, None, deterministic,
-            deadline_s,
-        )
+        return await self._submit("rmatvec", handle, payload, config, tenant, None)
 
     async def solve(
         self,
@@ -419,8 +387,6 @@ class SolverService:
         config: Union[str, PrecisionConfig] = "ddddd",
         tenant: str = "default",
         options: Optional[SolveOptions] = None,
-        deterministic: Optional[bool] = None,
-        deadline_s: Optional[float] = None,
     ) -> np.ndarray:
         """Regularized least-squares solve for one tenant.
 
@@ -434,10 +400,7 @@ class SolverService:
         nt, nd, nm = self._shape(handle)
         payload = self._as_block(d, (nt, nd), "solve input")
         opts = options if options is not None else SolveOptions()
-        return await self._submit(
-            "solve", handle, payload, config, tenant, opts, deterministic,
-            deadline_s,
-        )
+        return await self._submit("solve", handle, payload, config, tenant, opts)
 
     # -- lifecycle ------------------------------------------------------------
     async def drain(self) -> None:
@@ -506,11 +469,7 @@ class SolverService:
         config: Union[str, PrecisionConfig],
         tenant: str,
         options: Optional[SolveOptions],
-        deterministic: Optional[bool] = None,
-        deadline_s: Optional[float] = None,
     ) -> np.ndarray:
-        if deadline_s is not None and deadline_s <= 0:
-            raise ReproError(f"deadline_s must be > 0, got {deadline_s}")
         if self._closed:
             raise ServiceClosedError("service is closed")
         if self._pending_total >= self.max_pending:
@@ -530,17 +489,14 @@ class SolverService:
         loop = asyncio.get_running_loop()
         fut: "asyncio.Future[np.ndarray]" = loop.create_future()
         self._seq += 1
-        t_submit = time.perf_counter()
         req = _Request(
             tenant=tenant,
             payload=payload,
             future=fut,
-            t_submit=t_submit,
+            t_submit=time.perf_counter(),
             seq=self._seq,
-            deadline=None if deadline_s is None else t_submit + deadline_s,
         )
-        det = self.deterministic if deterministic is None else bool(deterministic)
-        gkey: _GroupKey = (handle, kind, str(PrecisionConfig.parse(config)), det, options)
+        gkey: _GroupKey = (handle, kind, str(PrecisionConfig.parse(config)), options)
         self._groups.setdefault(gkey, deque()).append(req)
         self._pending_total += 1
         self._tenant_inflight[tenant] = self._tenant_inflight.get(tenant, 0) + 1
@@ -588,7 +544,7 @@ class SolverService:
             if not group:
                 del self._groups[gkey]
             self._pending_total -= len(batch)
-            batch = self._drop_expired(batch)
+            batch = self._drop_cancelled(batch)
             if not batch:
                 continue
             self._pass = loop.run_in_executor(self._executor, self._execute, gkey, batch)
@@ -646,24 +602,15 @@ class SolverService:
             if not req.future.done():
                 req.future.set_exception(exc)
 
-    def _drop_expired(self, batch: List[_Request]) -> List[_Request]:
+    def _drop_cancelled(self, batch: List[_Request]) -> List[_Request]:
         """The one pre-pass filter, run on every batch (a retried one
         again) right before its pass.  A request whose future is already
-        done — its client cancelled or timed out — is dropped, one whose
-        deadline passed fails with :class:`DeadlineExpiredError`: neither
-        occupies a flush column, and their group-mates are served."""
-        now = time.perf_counter()
+        done — its client cancelled or timed out — is dropped: it occupies
+        no flush column, and its group-mates are served."""
         live: List[_Request] = []
         for req in batch:
             if req.future.done():
                 self._stats.cancelled += 1
-            elif req.deadline is not None and now > req.deadline:
-                self._stats.deadline_expired += 1
-                self._fail([req], DeadlineExpiredError(
-                    f"request from tenant {req.tenant!r} exceeded its "
-                    f"{req.deadline - req.t_submit:.3g}s deadline "
-                    "before its flush ran"
-                ))
             else:
                 live.append(req)
         return live
@@ -760,7 +707,8 @@ class SolverService:
 
     # -- engine execution (runs on the executor thread) -----------------------
     def _execute(self, gkey: _GroupKey, batch: List[_Request]) -> List[np.ndarray]:
-        handle, kind, config, deterministic, options = gkey
+        handle, kind, config, options = gkey
+        deterministic = self.deterministic
         engine = self.cache.get(handle, builder=self._builders[handle])
         try:
             if kind == "solve":
@@ -798,8 +746,10 @@ class SolverService:
         block = np.empty((nt, nx, k))
         for j, req in enumerate(batch):
             block[:, :, j] = req.payload
-        apply_block = engine.matmat if kind == "matvec" else engine.rmatmat
-        out = apply_block(block, config=config, deterministic=deterministic)
+        if kind == "matvec":
+            out = engine.matmat(block, config=config, deterministic=deterministic)
+        else:
+            out = engine.rmatmat(block, config=config, deterministic=deterministic)
         return [np.ascontiguousarray(out[:, :, j]) for j in range(k)]
 
     def _execute_solve(

@@ -19,7 +19,6 @@ from repro.util.validation import ReproError, check_positive_int
 
 __all__ = [
     "chunk_ranges",
-    "n_chunks",
     "validate_max_block_k",
     "check_block",
     "check_out_buffer",
@@ -85,23 +84,6 @@ def chunk_ranges(k: int, max_block_k: Optional[int] = None) -> List[Tuple[int, i
         return [(0, k)]
     check_positive_int(max_block_k, "max_block_k")
     return [(j, min(j + max_block_k, k)) for j in range(0, k, max_block_k)]
-
-
-def n_chunks(k: int, max_block_k: Optional[int] = None) -> int:
-    """Number of chunks ``chunk_ranges`` produces: ``ceil(k / max_block_k)``.
-
-    This is also the number of collectives (and pipeline passes) a
-    blocked path pays for ``k`` right-hand sides.
-
-    >>> n_chunks(10, 4)
-    3
-    >>> n_chunks(10)
-    1
-    """
-    if max_block_k is None:
-        check_positive_int(k, "k")
-        return 1
-    return len(chunk_ranges(k, max_block_k))
 
 
 def validate_max_block_k(max_block_k: Optional[int]) -> Optional[int]:

@@ -103,6 +103,20 @@ class CheckpointSchemaError(CheckpointError):
             f"{SCHEMA_VERSION}; refusing to resume"
         )
 
+    @classmethod
+    def incomplete(cls, key: str, missing: str) -> "CheckpointSchemaError":
+        """A state of this build's schema version that lacks ``missing``
+        — a layout no current writer produces.  Resuming it would mean
+        guessing the missing fields, so it is refused like a version
+        mismatch."""
+        err = cls.__new__(cls)
+        err.key, err.fingerprint = key, ""
+        err.found_version = err.expected_version = SCHEMA_VERSION
+        CheckpointError.__init__(
+            err, f"checkpoint {key!r} lacks {missing}; refusing to resume"
+        )
+        return err
+
 
 def state_fingerprint(*parts) -> str:
     """Stable 16-hex digest of arbitrary state parts.
@@ -248,11 +262,9 @@ class CheckpointStore:
         key: str,
         *,
         expect_fingerprint: Optional[str] = None,
-        step: Optional[int] = None,
     ) -> Snapshot:
-        """Return a snapshot, validating schema version and fingerprint.
-
-        ``step=None`` loads the latest.  Raises
+        """Return the latest snapshot, validating schema version and
+        fingerprint.  Raises
         :class:`CheckpointSchemaError` on a schema-version mismatch and
         :class:`CheckpointFingerprintError` when ``expect_fingerprint``
         is given and differs from the stored one — both *before* any
@@ -260,11 +272,9 @@ class CheckpointStore:
         against the wrong operator or layout.
         """
         _check_key(key)
+        step = self.latest_step(key)
         if step is None:
-            step = self.latest_step(key)
-            if step is None:
-                raise CheckpointNotFoundError(f"no snapshots for key {key!r}")
-        step = int(step)
+            raise CheckpointNotFoundError(f"no snapshots for key {key!r}")
         snap = self._mem.get(key, {}).get(step)
         if snap is None and self.root is not None:
             snap = self._read_file(key, step)

@@ -408,7 +408,6 @@ def _check_energy(
     *,
     phase: str,
     rank: Optional[int],
-    context: str,
 ) -> None:
     # A non-finite energy is always a detection: clean transforms of
     # finite data cannot overflow the float64 energy sum, and letting an
@@ -428,7 +427,6 @@ def _check_energy(
         detail=(
             f"Parseval mismatch {a:.9e} vs {b:.9e}"
             f" (|delta| {diff:.3e}, rtol {rtol:.1e})"
-            + (f" [{context}]" if context else "")
         ),
     )
 
@@ -440,7 +438,6 @@ def verify_forward_energy(
     *,
     phase: str = "fft",
     rank: Optional[int] = None,
-    context: str = "",
     rtol: Optional[float] = None,
 ) -> None:
     """Check ``sum(x^2) == weighted(|X|^2) / n`` for a forward rfft."""
@@ -454,7 +451,6 @@ def verify_forward_energy(
         rtol,
         phase=phase,
         rank=rank,
-        context=context,
     )
 
 
@@ -465,7 +461,6 @@ def verify_inverse_energy(
     *,
     phase: str = "ifft",
     rank: Optional[int] = None,
-    context: str = "",
     rtol: Optional[float] = None,
 ) -> None:
     """Check ``sum(out^2) == n * weighted(|X|^2)`` — the engine's inverse
@@ -481,7 +476,6 @@ def verify_inverse_energy(
         rtol,
         phase=phase,
         rank=rank,
-        context=context,
     )
 
 

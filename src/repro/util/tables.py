@@ -17,14 +17,9 @@ def render_table(
     rows: Sequence[Sequence],
     *,
     title: Optional[str] = None,
-    aligns: Optional[Sequence[str]] = None,
 ) -> str:
-    """Render an ASCII table.
-
-    ``aligns`` is a sequence of ``'l'``/``'r'`` per column (default: left
-    for the first column, right for the rest, which suits name-then-numbers
-    benchmark rows).
-    """
+    """Render an ASCII table: the first column left-aligned, the rest
+    right-aligned, which suits name-then-numbers benchmark rows."""
     cells: List[List[str]] = [[str(h) for h in headers]]
     for row in rows:
         if len(row) != len(headers):
@@ -34,17 +29,11 @@ def render_table(
         cells.append([str(c) for c in row])
 
     ncol = len(headers)
-    if aligns is None:
-        aligns = ["l"] + ["r"] * (ncol - 1)
     widths = [max(len(r[i]) for r in cells) for i in range(ncol)]
 
     def fmt_row(row: List[str]) -> str:
-        parts = []
-        for i, cell in enumerate(row):
-            if aligns[i] == "r":
-                parts.append(cell.rjust(widths[i]))
-            else:
-                parts.append(cell.ljust(widths[i]))
+        parts = [row[0].ljust(widths[0])]
+        parts += [cell.rjust(width) for cell, width in zip(row[1:], widths[1:])]
         return "| " + " | ".join(parts) + " |"
 
     sep = "|" + "|".join("-" * (w + 2) for w in widths) + "|"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.comm.grid import ProcessGrid
-from repro.comm.netmodel import FRONTIER_NETWORK
 from repro.comm.partition import (
     candidate_rows,
     check_extents,
@@ -42,7 +41,7 @@ class TestCandidateRows:
 
 class TestCommCost:
     def _cost(self, p, pr):
-        return matvec_comm_cost(5000 * p, 100, 1000, pr, p // pr, net=FRONTIER_NETWORK)
+        return matvec_comm_cost(5000 * p, 100, 1000, pr, p // pr)
 
     def test_one_row_cheap_at_small_scale(self):
         # within one network group the single-row reduce is nearly free
@@ -76,16 +75,6 @@ class TestPartitionSearch:
             pr, pc = communication_aware_partition(5000 * p, 100, 1000, p)
             assert pr > 1
             assert pr * pc == p
-
-    def test_respects_rows_to_try(self):
-        pr, pc = communication_aware_partition(
-            5000 * 4096, 100, 1000, 4096, rows_to_try=[1, 16]
-        )
-        assert pr == 16
-
-    def test_bad_rows_to_try(self):
-        with pytest.raises(ReproError):
-            communication_aware_partition(1000, 10, 10, 8, rows_to_try=[3])
 
     def test_optimum_not_worse_than_published(self):
         # the model's argmin must be at least as good as the published

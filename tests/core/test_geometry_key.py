@@ -14,7 +14,6 @@ import pytest
 from repro.comm.grid import ProcessGrid
 from repro.core.matvec import FFTMatvec
 from repro.core.parallel import ParallelFFTMatvec
-from repro.core.precision import PrecisionConfig
 from repro.core.toeplitz import BlockTriangularToeplitz
 
 
@@ -42,15 +41,6 @@ class TestSingleEngineKey:
         base = FFTMatvec(make_matrix()).geometry_key()
         other = FFTMatvec(make_matrix(**kw)).geometry_key()
         assert base != other
-
-    def test_config_folds_in(self):
-        eng = FFTMatvec(make_matrix())
-        assert eng.geometry_key() != eng.geometry_key("ddddd")
-        assert eng.geometry_key("ddddd") != eng.geometry_key("sssss")
-        # String and parsed configs are the same key.
-        assert eng.geometry_key("dsdsd") == eng.geometry_key(
-            PrecisionConfig.parse("dsdsd")
-        )
 
     def test_usable_as_dict_key(self):
         eng = FFTMatvec(make_matrix())

@@ -175,18 +175,7 @@ class TestRelativeErrorCache:
         # Second sweep entry: only the mixed evaluation, ref is cached.
         assert eng.matvec_count == count_after_first + 1
 
-    def test_precomputed_reference_argument(self):
-        rng = np.random.default_rng(5)
-        matrix = BlockTriangularToeplitz.random(16, 3, 10, rng=rng)
-        eng = FFTMatvec(matrix)
-        m = rng.standard_normal((16, 10))
-        ref = eng.matvec(m, config="ddddd")
-        before = eng.matvec_count
-        err = eng.relative_error("dssdd", m, ref=ref)
-        assert eng.matvec_count == before + 1  # only the mixed run
-        assert err == eng.relative_error("dssdd", m, ref=ref)
-
-    def test_cache_distinguishes_inputs_and_direction(self):
+    def test_cache_distinguishes_inputs(self):
         rng = np.random.default_rng(6)
         matrix = BlockTriangularToeplitz.random(16, 3, 10, rng=rng)
         eng = FFTMatvec(matrix)
@@ -195,8 +184,6 @@ class TestRelativeErrorCache:
         e1 = eng.relative_error("dssdd", m1)
         e2 = eng.relative_error("dssdd", m2)
         assert e1 != e2  # different inputs, different cached refs
-        d = rng.standard_normal((16, 3))
-        assert eng.relative_error("dssdd", d, adjoint=True) > 0
 
     def test_baseline_config_is_exactly_zero(self):
         rng = np.random.default_rng(6)

@@ -203,28 +203,3 @@ class TestDeviceTiming:
         n_plans = len(eng._plans)
         eng.matvec(m)
         assert len(eng._plans) == n_plans
-
-
-class TestAblation:
-    def test_unoptimized_kernel_same_numerics(self):
-        dev1, dev2 = SimulatedDevice("MI300X"), SimulatedDevice("MI300X")
-        rng = np.random.default_rng(0)
-        M = BlockTriangularToeplitz.random(16, 3, 64, rng=rng)
-        opt = FFTMatvec(M, device=dev1, use_optimized_sbgemv=True)
-        base = FFTMatvec(M, device=dev2, use_optimized_sbgemv=False)
-        d = rng.standard_normal((16, 3))
-        np.testing.assert_array_equal(opt.rmatvec(d), base.rmatvec(d))
-
-    def test_unoptimized_adjoint_slower(self):
-        # the Section 3.1.1 observation: pre-fix F* is much slower
-        dev1, dev2 = SimulatedDevice("MI300X"), SimulatedDevice("MI300X")
-        rng = np.random.default_rng(0)
-        M = BlockTriangularToeplitz.random(16, 4, 512, rng=rng)
-        opt = FFTMatvec(M, device=dev1, use_optimized_sbgemv=True)
-        base = FFTMatvec(M, device=dev2, use_optimized_sbgemv=False)
-        d = rng.standard_normal((16, 4))
-        opt.rmatvec(d)
-        t_opt = opt.last_timing.phase("sbgemv")
-        base.rmatvec(d)
-        t_base = base.last_timing.phase("sbgemv")
-        assert t_opt < t_base

@@ -88,19 +88,20 @@ def test_fused_wall_strictly_between(mat, M):
     assert wall3 >= wall2  # cannot beat the device-side critical path
 
 
-def test_per_call_override(mat, M):
+def test_per_call_override(mat):
+    D = np.random.default_rng(3).standard_normal((mat.nt, mat.nd, K))
     two = _make(mat, host=HM, overlap_host=False)
-    two.matmat(M)
+    two.rmatmat(D)
     unfused_wall = two.last_timing.wall
 
     fused = _make(mat, host=HM, overlap_host=True)
-    fused.matmat(M, overlap_host=False)
+    fused.rmatmat(D, overlap_host=False)
     assert fused.last_timing.wall == pytest.approx(unfused_wall, abs=1e-15)
 
 
 def test_serial_schedule_charges_host_serially(mat, M):
-    ser = _make(mat, host=HM, overlap=False)
-    ser.matmat(M)
+    ser = _make(mat, host=HM)
+    ser.matmat(M, overlap=False)
     assert ser.last_timing.phases["host"] == pytest.approx(
         K * HM.per_vector, abs=1e-18
     )

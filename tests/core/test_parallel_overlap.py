@@ -58,13 +58,13 @@ class TestOverlappedSchedule:
         assert eng.last_timing.total > t_overlap
 
     def test_adjoint_bitwise_identical_and_faster(self):
-        eng, _, rng = make()
+        eng, _, rng = make(max_block_k=4)
         D = rng.standard_normal((NT, ND, K))
         t0 = eng.grid.clock.now
-        serial = eng.rmatmat(D, max_block_k=4, overlap=False)
+        serial = eng.rmatmat(D, overlap=False)
         t_serial = eng.grid.clock.now - t0
         t0 = eng.grid.clock.now
-        overlapped = eng.rmatmat(D, max_block_k=4, overlap=True)
+        overlapped = eng.rmatmat(D, overlap=True)
         t_overlap = eng.grid.clock.now - t0
         assert np.array_equal(overlapped, serial)
         assert t_overlap < t_serial
@@ -82,16 +82,13 @@ class TestOverlappedSchedule:
         t_overlap = eng.grid.clock.now - t0
         assert t_overlap == pytest.approx(t_serial, rel=1e-12)
 
-    def test_constructor_default_and_per_call_override(self):
-        eng, _, rng = make(overlap=False)
+    def test_overlapped_by_default_serial_per_call(self):
+        eng, _, rng = make()
         M = rng.standard_normal((NT, NM, 8))
         eng.matmat(M, max_block_k=4)
-        assert "serial" in eng.last_timing.label
-        eng.matmat(M, max_block_k=4, overlap=True)
         assert "overlap" in eng.last_timing.label
-        eng2, _, _ = make()
-        eng2.matmat(M, max_block_k=4)
-        assert "overlap" in eng2.last_timing.label
+        eng.matmat(M, max_block_k=4, overlap=False)
+        assert "serial" in eng.last_timing.label
 
     def test_serial_schedule_reproduces_pre_timeline_charge(self):
         # The overlap-disabled schedule must charge exactly what the old

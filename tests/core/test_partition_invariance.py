@@ -140,23 +140,23 @@ PARTITIONS = {
 }
 
 
-def _grid(mat, reduction, partition="balanced", validate=None, overlap=True):
+def _grid(mat, reduction, partition="balanced", validate=None):
     rows, cols = PARTITIONS[partition]
     eng = ParallelFFTMatvec(
         mat, ProcessGrid(2, 2), spec="MI300X", max_block_k=2,
         reduction=reduction, row_ranges=rows, col_ranges=cols,
-        validate=validate, overlap=overlap,
+        validate=validate,
     )
     for dev in eng.devices.values():
         dev._record = True  # keep the per-rank launch logs
     return eng
 
 
-def _observables(eng, V, adjoint, applies=1):
+def _observables(eng, V, adjoint, applies=1, overlap=True):
     """Everything a caller can see of ``applies`` applies of ``V``."""
     apply = eng.rmatmat if adjoint else eng.matmat
     for _ in range(applies):
-        out = apply(V)
+        out = apply(V, overlap=overlap)
     arenas = [eng.workspace] + [e.workspace for e in eng.engines.values()]
     return {
         "out": out,
@@ -184,8 +184,8 @@ def test_threaded_equals_inline(
     seen = {}
     for w in (1, 3):  # 3 groups over 4 ranks: uneven strides, two workers
         rank_groups(w)
-        eng = _grid(mat, reduction, partition, validate, overlap)
-        seen[w] = _observables(eng, V, adjoint, applies=2)
+        eng = _grid(mat, reduction, partition, validate)
+        seen[w] = _observables(eng, V, adjoint, applies=2, overlap=overlap)
     inline, threaded = seen[1], seen[3]
     assert np.array_equal(threaded.pop("out"), inline.pop("out"))
     assert threaded == inline  # clocks, logs, stats, arenas: exactly
@@ -274,18 +274,16 @@ def test_worker_corruption_keeps_its_fields(problem, rank_groups, w):
     error — rank, phase, and the chunk ElasticEngine stamps on it."""
     mat, M, _ = problem
     rank_groups(w)
-    eng = ElasticEngine(
-        mat, 4, max_block_k=2, validate="abft",
-        max_corruption_retries=1,
-    )
+    eng = ElasticEngine(mat, 4, max_block_k=2, validate="abft")
     want = eng.matmat(M)  # first use pins the clean checksum rows
     victim = eng.engine.engines[(1, 1)]
     chk.flip_bit(victim.spectrum("d"), index=5)  # persistent: every retry trips
     with pytest.raises(SilentCorruption) as err:
         eng.matmat(M)
     assert (err.value.rank, err.value.phase, err.value.chunk) == (3, "sbgemv", 0)
+    retries = ElasticEngine.MAX_CORRUPTION_RETRIES
     assert [(e.rank, e.chunk, e.attempt) for e in eng.report.corruption_events] == [
-        (3, 0, 1), (3, 0, 2)
+        (3, 0, attempt) for attempt in range(1, retries + 2)
     ]
     assert not any(e.workspace.in_use for e in eng.engine.engines.values())
     chk.flip_bit(victim.spectrum("d"), index=5)  # repair

@@ -144,5 +144,5 @@ class TestFigure4:
 
     def test_error_grows_with_scale(self):
         e8 = measured_scaling_error(8)
-        e1024 = measured_scaling_error(1024, nm_per_gpu=4)
+        e1024 = measured_scaling_error(1024)
         assert e1024 > e8

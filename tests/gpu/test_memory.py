@@ -99,10 +99,6 @@ class TestErrors:
         alloc.free(h)
         assert alloc.in_use == 0
 
-    def test_bad_alignment(self):
-        with pytest.raises(ReproError):
-            DeviceAllocator(MI300X, alignment=100)
-
     def test_reset(self, alloc):
         alloc.malloc(100)
         alloc.reset()

@@ -154,11 +154,3 @@ class TestDataSpaceHessian:
         assert engine.matmat_count - mm0 == 2  # one F* + one F pass
         assert engine.matvec_count - mv0 == 2 * n  # all logical actions blocked
 
-    def test_block_k_chunking_matches_and_counts(self, problem):
-        H_full = problem.data_space_hessian()
-        engine = problem.p2o.engine
-        mm0 = engine.matmat_count
-        H_chunked = problem.data_space_hessian(block_k=5)
-        # 16 columns in chunks of 5 -> 4 chunks, two passes each.
-        assert engine.matmat_count - mm0 == 8
-        np.testing.assert_allclose(H_chunked, H_full, rtol=1e-11, atol=1e-13)

@@ -90,46 +90,27 @@ class TestBlockCGOnDenseSPD:
         A, op = self._spd_operator(rng)
         with pytest.raises(ReproError):
             block_conjugate_gradient(op, np.zeros(5))
-        with pytest.raises(ReproError):
-            block_conjugate_gradient(
-                op, np.zeros((1, 18, 2)), x0=np.zeros((1, 18, 3))
-            )
 
-    def test_zero_rhs_with_nonzero_x0_reports_zero_residual(self, rng):
+    def test_zero_rhs_column_reports_zero_residual(self, rng):
         A, op = self._spd_operator(rng)
         B = rng.standard_normal((1, 18, 2))
         B[:, :, 1] = 0.0
-        x0 = rng.standard_normal((1, 18, 2))  # nonzero guess everywhere
-        res = block_conjugate_gradient(op, B, x0=x0, tol=1e-12, maxiter=200)
+        res = block_conjugate_gradient(op, B, tol=1e-12, maxiter=200)
         assert res.all_converged
-        # The zero-RHS column is solved by zeros and must report a zero
-        # residual, not the stale ||op(x0)|| of the discarded guess.
         np.testing.assert_array_equal(res.X[:, :, 1], 0.0)
         assert res.residual_norms[-1][1] == 0.0
-
-    def test_x0_and_callback(self, rng):
-        A, op = self._spd_operator(rng)
-        B = rng.standard_normal((1, 18, 2))
-        seen = []
-        res = block_conjugate_gradient(
-            op,
-            B,
-            x0=0.1 * rng.standard_normal((1, 18, 2)),
-            tol=1e-12,
-            callback=lambda it, norms: seen.append((it, norms.copy())),
-        )
-        assert res.all_converged
-        assert len(seen) == res.iterations
+        assert len(res.residual_norms) == res.iterations + 1
 
 
 class TestBlockedPriorActions:
     def test_block_actions_match_per_column(self, rng):
         prior = GaussianPrior(24, 16, gamma=5e-3, delta=4.0)
         M = rng.standard_normal((16, 24, 5))
+        L = prior._chol()  # Gamma^{1/2} = L^{-T}, Gamma^{T/2} = L^{-1}
         for block_fn, col_fn in (
             (prior.apply_inv_block, prior.apply_inv),
-            (prior.apply_sqrt_block, prior.apply_sqrt),
-            (prior.apply_sqrt_t_block, prior.apply_sqrt_t),
+            (prior.apply_sqrt_block, lambda z: np.linalg.solve(L.T, z.T).T),
+            (prior.apply_sqrt_t_block, lambda z: np.linalg.solve(L, z.T).T),
         ):
             out = block_fn(M)
             assert out.shape == M.shape
@@ -147,38 +128,17 @@ class TestBlockedPriorActions:
 
 
 class TestBlockedPosterior:
-    def test_blocked_eig_matches_unblocked(self, bayes_problem):
-        p_loop = LowRankPosterior.compute(
-            bayes_problem, 8, rng=np.random.default_rng(0), blocked=False
-        )
-        p_block = LowRankPosterior.compute(
-            bayes_problem, 8, rng=np.random.default_rng(0), blocked=True
-        )
-        np.testing.assert_allclose(
-            p_loop.eigenvalues, p_block.eigenvalues, rtol=0, atol=1e-10
-        )
-        assert p_loop.hessian_actions == p_block.hessian_actions
-
     def test_blocked_eig_uses_matmat(self, bayes_problem):
         engine = bayes_problem.p2o.engine
         before = engine.matmat_count
-        LowRankPosterior.compute(
-            bayes_problem, 6, rng=np.random.default_rng(1), blocked=True
-        )
+        LowRankPosterior.compute(bayes_problem, 6, rng=np.random.default_rng(1))
         # sketch + power iteration + projection = 3 blocked F and F* passes
         assert engine.matmat_count - before == 6
 
-    def test_multi_sample_block(self, bayes_problem):
+    def test_sample_shape_and_seed(self, bayes_problem):
         post = LowRankPosterior.compute(
             bayes_problem, 6, rng=np.random.default_rng(2)
         )
         one = post.sample(np.random.default_rng(5))
-        many = post.sample(np.random.default_rng(5), n_samples=3)
         assert one.shape == (16, 24)
-        assert many.shape == (16, 24, 3)
-        # Same seed, first draw of the single path matches the stream head.
-        np.testing.assert_allclose(
-            one, post.sample(np.random.default_rng(5), n_samples=1)[:, :, 0]
-        )
-        with pytest.raises(ReproError):
-            post.sample(n_samples=0)
+        np.testing.assert_array_equal(one, post.sample(np.random.default_rng(5)))

@@ -147,7 +147,7 @@ class TestBlockCGResume:
                 "bcg", state.to_arrays(), fingerprint=fp, step=state.iteration
             )
         # Resume from the checkpoint an operator crash would leave behind.
-        snap = store.load("bcg", step=store.latest_step("bcg"))
+        snap = store.load("bcg")
         restored = BlockCGState.from_arrays(snap.arrays)
         resumed = block_conjugate_gradient(
             _op(A), B_rhs, tol=TOL, resume=restored
@@ -196,36 +196,18 @@ class TestRandomizedEigResume:
 
     def test_resume_after_stage_crash_is_bitwise(self, psd):
         H = psd
-        kwargs = dict(n=30, rank=4, oversample=4, power_iters=2)
-        lam_full, V_full = randomized_eig(
-            None,
-            block_operator=lambda M: H @ M,
-            rng=np.random.default_rng(5),
-            **kwargs,
-        )
+        lam_full, V_full = randomized_eig(lambda M: H @ M, 30, 4, rng=np.random.default_rng(5))
         store = CheckpointStore()
         fp = state_fingerprint(H, 4)
-        flaky = _FlakyBlockOp(H, fail_at=2)  # dies mid power iteration
+        flaky = _FlakyBlockOp(H, fail_at=1)  # dies in the power iteration
         with pytest.raises(RuntimeError):
-            randomized_eig(
-                None,
-                block_operator=flaky,
-                rng=np.random.default_rng(5),
-                store=store,
-                fingerprint=fp,
-                **kwargs,
-            )
+            randomized_eig(flaky, 30, 4, rng=np.random.default_rng(5), store=store, fingerprint=fp)
         assert "randomized-eig" in store  # stages before the crash landed
         # Resume: the rng is NOT re-consumed (the sketch stage is restored
         # from the snapshot), so a fresh generator is fine.
         lam_res, V_res = randomized_eig(
-            None,
-            block_operator=lambda M: H @ M,
-            rng=np.random.default_rng(5),
-            store=store,
-            fingerprint=fp,
-            resume=True,
-            **kwargs,
+            lambda M: H @ M, 30, 4, rng=np.random.default_rng(5), store=store,
+            fingerprint=fp, resume=True,
         )
         assert np.array_equal(lam_res, lam_full)
         assert np.array_equal(V_res, V_full)
@@ -233,51 +215,22 @@ class TestRandomizedEigResume:
     def test_resume_meta_mismatch_raises(self, psd):
         H = psd
         store = CheckpointStore()
-        randomized_eig(
-            None,
-            n=30,
-            rank=4,
-            oversample=4,
-            power_iters=1,
-            block_operator=lambda M: H @ M,
-            rng=np.random.default_rng(5),
-            store=store,
-        )
+        randomized_eig(lambda M: H @ M, 30, 4, rng=np.random.default_rng(5), store=store)
         with pytest.raises(CheckpointError):
-            randomized_eig(
-                None,
-                n=30,
-                rank=4,
-                oversample=2,  # different sketch width k
-                power_iters=1,
-                block_operator=lambda M: H @ M,
-                rng=np.random.default_rng(5),
-                store=store,
-                resume=True,
+            randomized_eig(  # a different rank sketches a different width k
+                lambda M: H @ M, 30, 3, rng=np.random.default_rng(5), store=store, resume=True,
             )
 
     def test_resume_fingerprint_mismatch_raises(self, psd):
         H = psd
         store = CheckpointStore()
         randomized_eig(
-            None,
-            n=30,
-            rank=4,
-            block_operator=lambda M: H @ M,
-            rng=np.random.default_rng(5),
-            store=store,
-            fingerprint="aaaa",
+            lambda M: H @ M, 30, 4, rng=np.random.default_rng(5), store=store, fingerprint="aaaa",
         )
         with pytest.raises(CheckpointFingerprintError):
             randomized_eig(
-                None,
-                n=30,
-                rank=4,
-                block_operator=lambda M: H @ M,
-                rng=np.random.default_rng(5),
-                store=store,
-                fingerprint="bbbb",
-                resume=True,
+                lambda M: H @ M, 30, 4, rng=np.random.default_rng(5), store=store,
+                fingerprint="bbbb", resume=True,
             )
 
 

@@ -106,18 +106,9 @@ class TestEvolveAndImpulse:
             u = heat.step(u, m[k])
             np.testing.assert_allclose(out[k], u, rtol=1e-14)
 
-    def test_evolve_with_initial_condition(self, heat, rng):
-        u0 = rng.standard_normal(20)
-        out = heat.evolve(1, u0=u0)
-        np.testing.assert_allclose(out[0], heat.step(u0), rtol=1e-14)
-
     def test_evolve_shape_validation(self, heat):
         with pytest.raises(ReproError):
             heat.evolve(2, m=np.zeros((3, 20)))
-
-    def test_evolve_initial_condition_validation(self, heat):
-        with pytest.raises(ReproError, match=r"u0 must have shape \(20,\)"):
-            heat.evolve(2, u0=np.zeros(19))
 
     def test_impulse_response_superposition(self, heat):
         # linearity: response to e_i + e_j = sum of impulse responses

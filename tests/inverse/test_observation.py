@@ -24,9 +24,6 @@ class TestConstruction:
         with pytest.raises(ReproError):
             ObservationOperator(10, [])
 
-    def test_negative_width(self):
-        with pytest.raises(ReproError):
-            ObservationOperator(10, [2], width=-1)
 
 
 class TestPointwise:
@@ -40,25 +37,14 @@ class TestPointwise:
         hist = rng.standard_normal((4, 8))
         np.testing.assert_allclose(obs.observe(hist), hist[:, [1, 5]])
 
-    def test_matrix_rows_sum_to_one(self):
-        obs = ObservationOperator(10, [0, 4, 9], width=1)
-        np.testing.assert_allclose(obs.matrix().sum(axis=1), 1.0)
-
-    def test_width_averages(self, rng):
-        obs = ObservationOperator(10, [5], width=1)
-        u = rng.standard_normal(10)
-        assert obs.observe(u)[0] == pytest.approx(np.mean(u[4:7]))
-
-    def test_width_clipped_at_boundary(self):
-        obs = ObservationOperator(10, [0], width=2)
-        B = obs.matrix()
-        assert B[0, :3].sum() == pytest.approx(1.0)
-        assert np.all(B[0, 3:] == 0)
+    def test_matrix_is_rows_of_the_identity(self):
+        obs = ObservationOperator(10, [0, 4, 9])
+        np.testing.assert_array_equal(obs.matrix(), np.eye(10)[[0, 4, 9]])
 
 
 class TestAdjoint:
     def test_adjoint_consistency(self, rng):
-        obs = ObservationOperator(12, [3, 8], width=1)
+        obs = ObservationOperator(12, [3, 8])
         u = rng.standard_normal(12)
         d = rng.standard_normal(2)
         assert np.dot(obs.observe(u), d) == pytest.approx(

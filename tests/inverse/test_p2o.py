@@ -21,29 +21,32 @@ def setup():
     return grid, system, obs
 
 
+def _forward_blocks(system, obs, nt):
+    """The kernel by Nm forward impulse solves, one per parameter point."""
+    blocks = np.empty((nt, obs.nd, system.n))
+    for j in range(system.n):
+        blocks[:, :, j] = system.dt * obs.observe(system.impulse_response(j, nt))
+    return blocks
+
+
 class TestBuildBlocks:
     def test_shape(self, setup):
         _, system, obs = setup
         blocks = build_p2o_blocks(system, obs, nt=6)
         assert blocks.shape == (6, 3, 16)
 
-    def test_forward_and_adjoint_agree(self, setup):
-        # Nm forward solves and Nd adjoint solves build the same kernel
+    def test_adjoint_solves_agree_with_forward_solves(self, setup):
+        # Nd < Nm: Nd adjoint solves build the kernel Nm forward solves do
         _, system, obs = setup
-        bf = build_p2o_blocks(system, obs, 6, method="forward")
-        ba = build_p2o_blocks(system, obs, 6, method="adjoint")
-        np.testing.assert_allclose(bf, ba, rtol=1e-10, atol=1e-12)
+        ba = build_p2o_blocks(system, obs, 6)
+        np.testing.assert_allclose(ba, _forward_blocks(system, obs, 6), rtol=1e-10, atol=1e-12)
 
-    def test_auto_picks_adjoint_when_nd_small(self, setup):
-        _, system, obs = setup
-        auto = build_p2o_blocks(system, obs, 4, method="auto")
-        adj = build_p2o_blocks(system, obs, 4, method="adjoint")
-        np.testing.assert_array_equal(auto, adj)
-
-    def test_unknown_method(self, setup):
-        _, system, obs = setup
-        with pytest.raises(ReproError):
-            build_p2o_blocks(system, obs, 4, method="magic")
+    def test_every_point_observed_builds_by_forward_solves(self, setup):
+        _, system, _ = setup
+        obs = ObservationOperator(system.n, range(system.n))
+        np.testing.assert_array_equal(
+            build_p2o_blocks(system, obs, 4), _forward_blocks(system, obs, 4)
+        )
 
     def test_mismatched_operator(self, setup):
         _, system, _ = setup
@@ -54,9 +57,8 @@ class TestBuildBlocks:
         grid = Grid1D(12)
         system = AdvectionDiffusion1D(grid, dt=0.01, kappa=0.05, velocity=0.5)
         obs = ObservationOperator(grid.n, [9])
-        bf = build_p2o_blocks(system, obs, 5, method="forward")
-        ba = build_p2o_blocks(system, obs, 5, method="adjoint")
-        np.testing.assert_allclose(bf, ba, rtol=1e-9, atol=1e-12)
+        ba = build_p2o_blocks(system, obs, 5)
+        np.testing.assert_allclose(ba, _forward_blocks(system, obs, 5), rtol=1e-9, atol=1e-12)
 
 
 class TestP2OMap:

@@ -31,20 +31,19 @@ def dense_ht(problem):
     for i in range(n):
         e = np.zeros(n)
         e[i] = 1.0
-        z = e.reshape(nt, nm)
-        w = problem.prior.apply_sqrt(z)
+        w = problem.prior.apply_sqrt_block(e.reshape(nt, nm, 1))[:, :, 0]
         fw = problem.p2o.apply(w) / problem.noise_std**2
         hw = problem.p2o.applyT(fw)
-        H[:, i] = problem.prior.apply_sqrt_t(hw).ravel()
+        H[:, i] = problem.prior.apply_sqrt_t_block(hw[:, :, None]).ravel()
     return 0.5 * (H + H.T)
 
 
 class TestPriorSqrt:
     def test_sqrt_times_sqrt_t_is_cov(self, problem, rng):
         prior = problem.prior
-        z = rng.standard_normal((6, 10))
-        via_sqrt = prior.apply_sqrt(prior.apply_sqrt_t(z))
-        np.testing.assert_allclose(via_sqrt, prior.apply(z), rtol=1e-9, atol=1e-12)
+        z = rng.standard_normal((6, 10, 1))
+        via_sqrt = prior.apply_sqrt_block(prior.apply_sqrt_t_block(z))[:, :, 0]
+        np.testing.assert_allclose(via_sqrt, prior.apply(z[:, :, 0]), rtol=1e-9, atol=1e-12)
 
     def test_variance_diag_matches_dense(self, problem):
         prior = problem.prior
@@ -71,10 +70,6 @@ class TestRandomizedEig:
         with pytest.raises(ReproError):
             randomized_eig(lambda v: v, 4, 5)
 
-    def test_needs_an_operator(self):
-        with pytest.raises(ReproError, match="need operator or block_operator"):
-            randomized_eig(None, 4, 2)
-
     def test_vectors_orthonormal(self, rng):
         A = np.diag(np.linspace(1, 2, 12))
         _, V = randomized_eig(lambda v: A @ v, 12, 4, rng=rng)
@@ -85,7 +80,7 @@ class TestLowRankPosterior:
     @pytest.fixture(scope="class")
     def post(self, problem):
         return LowRankPosterior.compute(
-            problem, rank=12, rng=np.random.default_rng(0), power_iters=2
+            problem, rank=12, rng=np.random.default_rng(0)
         )
 
     def test_eigenvalues_match_dense(self, problem, post):
@@ -104,6 +99,19 @@ class TestLowRankPosterior:
         prior_var = problem.prior.variance_diag()
         assert np.all(post_var <= prior_var + 1e-12)
         assert np.all(post_var > 0)
+
+    def test_pointwise_variance_is_the_per_eigenvector_loop(self, problem, post):
+        # One blocked sqrt-factor pass equals applying Gp^{1/2} = L^{-T}
+        # to each eigenvector in turn and summing the weighted squares.
+        nt, nm = problem.p2o.nt, problem.p2o.nm
+        L = problem.prior._chol()
+        weights = post.eigenvalues / (1.0 + post.eigenvalues)
+        corr = np.zeros(nt * nm)
+        for j in range(post.rank):
+            col = np.linalg.solve(L.T, post.eigenvectors[:, j].reshape(nt, nm).T).T
+            corr += weights[j] * col.ravel() ** 2
+        looped = problem.prior.variance_diag() - corr.reshape(nt, nm)
+        np.testing.assert_allclose(post.pointwise_variance(), looped, rtol=0, atol=1e-13)
 
     def test_variance_reduced_most_near_sensors(self, problem, post):
         # uncertainty drops most where the data actually look
@@ -134,73 +142,3 @@ class TestLowRankPosterior:
         np.testing.assert_allclose(
             pd.eigenvalues, ps.eigenvalues, rtol=1e-4, atol=1e-8
         )
-
-
-class TestChunkedBlockedPath:
-    def test_eig_chunked_matches_full_width(self, problem):
-        rng_a = np.random.default_rng(5)
-        rng_b = np.random.default_rng(5)
-        full = LowRankPosterior.compute(
-            problem, rank=8, rng=rng_a, power_iters=1
-        )
-        chunked = LowRankPosterior.compute(
-            problem, rank=8, rng=rng_b, power_iters=1, max_block_k=5
-        )
-        # Chunk boundaries only regroup GEMM panels: same spectrum to
-        # rounding, same number of Hessian actions.
-        np.testing.assert_allclose(
-            chunked.eigenvalues, full.eigenvalues, rtol=1e-9, atol=1e-12
-        )
-        assert chunked.hessian_actions == full.hessian_actions
-
-    def test_eig_chunk_count(self, problem):
-        # rank 8 + oversample 10 = 18 probes -> ceil(18/5) = 4 matmat
-        # passes per stage instead of 1 full-width pass.
-        passes = {}
-        for mbk in (None, 5):
-            eng = problem.p2o.engine
-            before = eng.matmat_count
-            LowRankPosterior.compute(
-                problem,
-                rank=8,
-                rng=np.random.default_rng(1),
-                power_iters=0,
-                max_block_k=mbk,
-            )
-            passes[mbk] = eng.matmat_count - before
-        assert passes[5] == 4 * passes[None]
-
-    def test_randomized_eig_chunked(self, rng):
-        n = 40
-        A = rng.standard_normal((n, 12))
-        H = A @ A.T  # PSD, rank 12
-        lam_full, V_full = randomized_eig(
-            None, n, 10, rng=np.random.default_rng(2), block_operator=lambda M: H @ M
-        )
-        lam_chunk, V_chunk = randomized_eig(
-            None,
-            n,
-            10,
-            rng=np.random.default_rng(2),
-            block_operator=lambda M: H @ M,
-            max_block_k=4,
-        )
-        np.testing.assert_allclose(lam_chunk, lam_full, rtol=1e-9, atol=1e-11)
-
-    def test_sample_chunked_same_random_stream(self, problem):
-        # Chunking must not change the draws: all k normals are taken up
-        # front, chunks only regroup the correction GEMM panels.
-        post = LowRankPosterior.compute(
-            problem, rank=8, rng=np.random.default_rng(0)
-        )
-        full = post.sample(rng=np.random.default_rng(3), n_samples=7)
-        chunked = post.sample(
-            rng=np.random.default_rng(3), n_samples=7, max_block_k=3
-        )
-        np.testing.assert_allclose(chunked, full, rtol=1e-12, atol=1e-14)
-
-    def test_invalid_max_block_k_rejected(self, problem):
-        with pytest.raises(ReproError):
-            LowRankPosterior.compute(
-                problem, rank=4, rng=np.random.default_rng(0), max_block_k=0
-            )

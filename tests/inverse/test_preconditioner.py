@@ -33,6 +33,7 @@ from repro.inverse.cg import (
     conjugate_gradient,
 )
 from repro.serve.cache import engine_footprint
+from repro.util.checkpoint import CheckpointSchemaError
 from repro.util.validation import ReproError
 from tests.inverse.test_residual_replacement import (
     MAXITER,
@@ -297,41 +298,35 @@ class TestResume:
             assert np.array_equal(got.X, full.X) and got.iterations == full.iterations
             assert got.exact_applies == full.exact_applies and got.preconditioned
 
-    def test_unpreconditioned_states_resume_in_their_own_loop(self, system):
+    @pytest.mark.parametrize("n_scalars", [5, 2], ids=["before-M", "before-replacement"])
+    def test_states_without_all_six_scalars_are_refused(self, system, n_scalars):
+        # No current writer produces the older layouts; a state missing a
+        # field is refused, not resumed with guessed values.
         _, hess, rhs = system
-        old = _Unpreconditioned(hess.forward, hess.noise_std, hess.reg)
         states = []
-        full = conjugate_gradient(old.apply, rhs, tol=TOL, maxiter=MAXITER, checkpoint_every=1,
-                                  checkpoint=states.append)
-        assert full.iteration_config == "ddsdd" and not full.preconditioned
-        for state in states:
-            arrays = state.to_arrays()
-            arrays["scalars"] = arrays["scalars"][:5]  # the layout before M
-            got = conjugate_gradient(hess.apply, rhs, tol=TOL, maxiter=MAXITER,
-                                     resume=CGState.from_arrays(arrays))
-            _assert_same_solve(got, full)
-            assert not got.preconditioned and got.exact_applies == full.exact_applies
-        # The two-scalar form is anchored at the initial residual: it
-        # matches any state from before the first replacement.
+        conjugate_gradient(hess.apply, rhs, tol=TOL, maxiter=MAXITER, checkpoint_every=1,
+                           checkpoint=states.append)
         arrays = states[2].to_arrays()
-        arrays["scalars"] = arrays["scalars"][:2]
-        got = conjugate_gradient(hess.apply, rhs, tol=TOL, maxiter=MAXITER,
-                                 resume=CGState.from_arrays(arrays))
-        _assert_same_solve(got, full)
+        arrays["scalars"] = arrays["scalars"][:n_scalars]
+        with pytest.raises(CheckpointSchemaError, match="CGState"):
+            CGState.from_arrays(arrays)
 
-    def test_unpreconditioned_block_states_resume_in_their_own_loop(self, system):
+    @pytest.mark.parametrize(
+        "dropped", [("exact_applies",), ("preconditioned",), ("exact_applies", "preconditioned")]
+    )
+    def test_block_states_without_their_apply_count_are_refused(self, system, dropped):
         eng, hess, _ = system
         R = _block_rhs(eng, (eng.nt, eng.nd))
         states = []
-        full = block_conjugate_gradient(lambda V: hess.apply_block(V), R, tol=TOL,
-                                        maxiter=MAXITER, checkpoint_every=10,
-                                        checkpoint=states.append)
+        block_conjugate_gradient(lambda V: hess.apply_block(V), R, tol=TOL, maxiter=MAXITER,
+                                 checkpoint_every=10, checkpoint=states.append)
         arrays = states[-1].to_arrays()
-        del arrays["exact_applies"], arrays["preconditioned"]  # the layout before M
-        got = block_conjugate_gradient(hess.apply_block, R, tol=TOL, maxiter=MAXITER,
-                                       resume=BlockCGState.from_arrays(arrays))
-        assert not got.preconditioned and np.array_equal(got.X, full.X)
-        assert got.exact_applies == full.exact_applies
+        for name in dropped:
+            del arrays[name]
+        with pytest.raises(CheckpointSchemaError, match="BlockCGState"):
+            BlockCGState.from_arrays(arrays)
+        whole = BlockCGState.from_arrays(states[-1].to_arrays())
+        assert whole.exact_applies == states[-1].exact_applies
 
     def test_a_preconditioned_state_needs_its_operator(self, system):
         _, hess, rhs = system

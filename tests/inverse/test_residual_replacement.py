@@ -36,6 +36,7 @@ from repro.inverse.cg import (
     conjugate_gradient,
 )
 from repro.serve import EngineCache, SolverService
+from repro.util.checkpoint import CheckpointSchemaError
 
 TOL, MAXITER = 1e-8, 200  # the serving layer's SolveOptions defaults
 RIDGE = 1e-8
@@ -232,7 +233,9 @@ class TestResume:
             assert resumed.escalated == full.escalated
             assert resumed.preconditioned
 
-    def test_two_scalar_state_still_loads(self):
+    def test_two_scalar_state_is_refused(self):
+        # The layout before replacement: no anchor, escalation or apply
+        # count to resume from, so no resume.
         rng = np.random.default_rng(321)
         B = rng.standard_normal((24, 24))
         A = B @ B.T + 24 * np.eye(24)
@@ -241,13 +244,12 @@ class TestResume:
         full = conjugate_gradient(lambda x: A @ x, b, tol=1e-10, checkpoint_every=3,
                                   checkpoint=states.append)
         arrays = states[-1].to_arrays()
-        arrays["scalars"] = arrays["scalars"][:2]  # the layout before replacement
-        old = CGState.from_arrays(arrays)
-        assert old.anchor == old.norms[0] and not old.escalated
-        assert old.exact_applies == old.iteration + 1
-        resumed = conjugate_gradient(lambda x: A @ x, b, tol=1e-10, resume=old)
+        arrays["scalars"] = arrays["scalars"][:2]
+        with pytest.raises(CheckpointSchemaError, match="lacks 4 of its 6 scalars"):
+            CGState.from_arrays(arrays)
+        resumed = conjugate_gradient(lambda x: A @ x, b, tol=1e-10,
+                                     resume=CGState.from_arrays(states[-1].to_arrays()))
         _assert_same_solve(resumed, full)
-        assert resumed.exact_applies == full.exact_applies
 
 
 class TestConditionNumber:

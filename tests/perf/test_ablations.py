@@ -37,10 +37,6 @@ class TestPenalty:
         many = unfused_cast_penalty(5000, 100, 1000, "dsdsd", MI250X_GCD)
         assert many > few
 
-    def test_adjoint_supported(self):
-        p = unfused_cast_penalty(5000, 100, 1000, "ddssd", MI250X_GCD, adjoint=True)
-        assert p > 0.0
-
 
 class TestFusedVsUnfused:
     def test_fusion_always_wins(self):

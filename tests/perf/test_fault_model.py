@@ -1,16 +1,11 @@
-"""Tests for the Young/Daly recovery-cost model and its scaling column.
-
-The phase-model satellite of the fault-tolerance PR: expected slowdown
-versus MTBF for a checkpointed job, and the ``system_mtbf_s`` /
-``recovery_slowdown`` columns of :func:`scaling_sweep`.
-"""
+"""Tests for the Young/Daly recovery-cost model: expected slowdown versus
+MTBF for a checkpointed job."""
 
 import math
 
 import pytest
 
 from repro.perf.phase_model import recovery_cost_model
-from repro.perf.scaling import scaling_sweep
 from repro.util.validation import ReproError
 
 HOUR = 3600.0
@@ -33,24 +28,17 @@ class TestRecoveryCostModel:
     def test_young_optimal_interval(self):
         ckpt, mtbf = 2.0, 6.0 * HOUR
         out = recovery_cost_model(24.0 * HOUR, mtbf, ckpt, restart_s=30.0)
-        assert out["optimal_interval_s"] == pytest.approx(
-            math.sqrt(2.0 * ckpt * mtbf)
-        )
-        assert out["interval_s"] == out["optimal_interval_s"]
+        assert out["interval_s"] == pytest.approx(math.sqrt(2.0 * ckpt * mtbf))
 
     def test_interval_capped_at_work(self):
         out = recovery_cost_model(10.0, YEAR, checkpoint_s=1.0, restart_s=1.0)
         assert out["interval_s"] <= 10.0
 
-    def test_fixed_interval_override(self):
-        out = recovery_cost_model(
-            HOUR, 12.0 * HOUR, checkpoint_s=1.0, restart_s=5.0, interval_s=600.0
-        )
-        assert out["interval_s"] == 600.0
-        assert out["n_checkpoints"] == pytest.approx(6.0)
-        # Expected rework is half an interval per failure.
+    def test_rework_is_half_an_interval_per_failure(self):
+        out = recovery_cost_model(HOUR, 12.0 * HOUR, checkpoint_s=1.0, restart_s=5.0)
+        assert out["n_checkpoints"] == pytest.approx(HOUR / out["interval_s"])
         assert out["rework_s"] == pytest.approx(
-            out["expected_failures"] * 300.0
+            out["expected_failures"] * out["interval_s"] / 2.0
         )
         assert out["expected_s"] == pytest.approx(
             HOUR
@@ -82,32 +70,3 @@ class TestRecoveryCostModel:
             recovery_cost_model(HOUR, HOUR, -1.0, 1.0)
         with pytest.raises(ReproError):
             recovery_cost_model(HOUR, HOUR, 1.0, -1.0)
-        with pytest.raises(ReproError):
-            recovery_cost_model(HOUR, HOUR, 1.0, 1.0, interval_s=0.0)
-
-
-class TestScalingSweepColumns:
-    def test_defaults_without_mtbf(self):
-        pts = scaling_sweep(gpu_counts=(8, 16), nm_per_gpu=64, nd=8, nt=16, k=4)
-        for pt in pts:
-            assert pt.system_mtbf_s == 0.0
-            assert pt.recovery_slowdown == 1.0
-
-    def test_slowdown_grows_with_gpu_count(self):
-        pts = scaling_sweep(
-            gpu_counts=(8, 64, 512),
-            nm_per_gpu=64,
-            nd=8,
-            nt=16,
-            k=4,
-            mtbf_per_gpu_s=YEAR,
-        )
-        mtbfs = [pt.system_mtbf_s for pt in pts]
-        slows = [pt.recovery_slowdown for pt in pts]
-        assert mtbfs == [YEAR / 8, YEAR / 64, YEAR / 512]
-        assert all(b > a for a, b in zip(slows, slows[1:]))
-        assert all(s >= 1.0 for s in slows)
-        # Modeled, not measured: the column must agree with the model.
-        assert slows[-1] == pytest.approx(
-            recovery_cost_model(3600.0, YEAR / 512, 0.5, 5.0)["slowdown"]
-        )

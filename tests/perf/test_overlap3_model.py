@@ -1,19 +1,11 @@
-"""Three-stream schedule model + pairwise phase model + host scaling."""
+"""Three-stream schedule model + host scaling."""
 
 import pytest
 
-from repro.comm.netmodel import FRONTIER_NETWORK
-from repro.gpu.specs import get_gpu
-from repro.perf.phase_model import block_phase_times, overlapped_chunk_schedule
-from repro.perf.scaling import (
-    ScalingPoint,
-    blocked_matvec_time_at_scale,
-    scaling_sweep,
-)
+from repro.perf.phase_model import overlapped_chunk_schedule
+from repro.perf.scaling import blocked_matvec_time_at_scale
 from repro.util.timing import HostModel
 from repro.util.validation import ReproError
-
-SPEC = get_gpu("mi300x")
 
 BCAST = [3.0, 3.0, 3.0]
 COMPUTE = [5.0, 5.0, 5.0]
@@ -64,18 +56,6 @@ class TestScheduleContract:
         assert out["hidden_host"] == pytest.approx(
             out["two_stream_host"] - out["overlapped3"]
         )
-
-    def test_overlap_host_false_charges_serially(self):
-        out = overlapped_chunk_schedule(
-            BCAST,
-            COMPUTE,
-            REDUCE,
-            chunk_gen=GEN,
-            chunk_save=SAVE,
-            overlap_host=False,
-        )
-        assert out["overlapped3"] == out["two_stream_host"]
-        assert out["hidden_host"] == 0.0
 
     def test_host_dominated_schedule_gated_by_host(self):
         # When gen costs dwarf everything the host stream is the
@@ -130,38 +110,6 @@ class TestScheduleContract:
             )
 
 
-class TestPairwisePhaseModel:
-    ARGS = dict(nm=4000, nd=100, nt=1000, k=8, config="dssdd", spec=SPEC)
-
-    def test_overhead_positive_and_bounded(self):
-        fast = block_phase_times(**self.ARGS)
-        pw = block_phase_times(**self.ARGS, reduction="pairwise")
-        t_fast, t_pw = sum(fast.values()), sum(pw.values())
-        assert t_pw > t_fast
-        assert (t_pw - t_fast) / t_fast <= 0.15
-
-    def test_only_sbgemv_phase_changes(self):
-        fast = block_phase_times(**self.ARGS)
-        pw = block_phase_times(**self.ARGS, reduction="pairwise")
-        for phase in fast:
-            if phase == "sbgemv":
-                assert pw[phase] > fast[phase]
-            else:
-                assert pw[phase] == fast[phase]
-
-    def test_k1_pairwise_skips_gemv_path(self):
-        args = dict(self.ARGS, k=1)
-        fast = block_phase_times(**args)
-        pw = block_phase_times(**args, reduction="pairwise")
-        # Fast k=1 dispatches GEMV; pairwise rides the width-1 blocked
-        # GEMM path with the determinism tax — the charges must differ.
-        assert pw["sbgemv"] != fast["sbgemv"]
-
-    def test_rejects_bad_mode(self):
-        with pytest.raises(ReproError):
-            block_phase_times(**self.ARGS, reduction="det")
-
-
 HM = HostModel(gen_time=50e-6, save_time=100e-6)
 
 
@@ -184,36 +132,3 @@ class TestHostAtScale:
         assert t["overlapped3"] < t["two_stream_host"]
         assert t["overlapped3"] >= t["overlapped"]
         assert t["per_vector_overlap3"] == pytest.approx(t["overlapped3"] / 16)
-
-    def test_overlap_host_false_reproduces_serial_charge(self):
-        t = blocked_matvec_time_at_scale(
-            64, 1, "dssdd", k=16, max_block_k=4, host=HM, overlap_host=False
-        )
-        assert t["overlapped3"] == t["two_stream_host"]
-
-
-class TestScalingPointHost:
-    def test_defaults_and_speedup(self):
-        base = dict(
-            p=8, pr=1, pc=8, config="dssdd", time_double=1.0, time_mixed=0.5
-        )
-        pt = ScalingPoint(**base)
-        assert pt.time_mixed_two_stream_host == 0.0
-        assert pt.time_mixed_overlap3 == 0.0
-        pt2 = ScalingPoint(
-            **base,
-            time_mixed_two_stream_host=3.0,
-            time_mixed_overlap3=2.0,
-        )
-        assert pt2.time_mixed_two_stream_host / pt2.time_mixed_overlap3 == pytest.approx(1.5)
-
-    def test_sweep_carries_host_columns(self):
-        pts = scaling_sweep(gpu_counts=[64], k=4, max_block_k=2, host=HM)
-        (pt,) = pts
-        assert pt.time_mixed_overlap3 > 0.0
-        assert pt.time_mixed_two_stream_host > pt.time_mixed_overlap3
-
-    def test_sweep_without_host_zeroes_columns(self):
-        (pt,) = scaling_sweep(gpu_counts=[64], k=4, max_block_k=2)
-        assert pt.time_mixed_two_stream_host == 0.0
-        assert pt.time_mixed_overlap3 == 0.0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.blas.dispatch import SBGEMVDispatcher
 from repro.core.matvec import FFTMatvec
 from repro.core.precision import PrecisionConfig
 from repro.core.toeplitz import BlockTriangularToeplitz
@@ -57,55 +58,42 @@ class TestBlockModelEngineConsistency:
     @pytest.mark.parametrize("cfg", ["ddddd", "dssdd", "sssss"])
     @pytest.mark.parametrize("adjoint", [False, True])
     @pytest.mark.parametrize(
-        "shape,k,reduction",
-        [pytest.param((64, 8, 96), k, "fast", id=str(k)) for k in (1, 4, 16)]
-        + [
-            pytest.param((12, 5, 7), k, red, id=f"tiny-{k}-{red}")
-            for k in (1, 4)
-            for red in ("fast", "pairwise")
-        ],
+        "shape,k",
+        [pytest.param((64, 8, 96), k, id=str(k)) for k in (1, 4, 16)]
+        + [pytest.param((12, 5, 7), k, id=f"tiny-{k}") for k in (1, 4)],
     )
-    def test_block_model_matches_engine_charges(self, cfg, adjoint, shape, k, reduction):
+    def test_block_model_matches_engine_charges(self, cfg, adjoint, shape, k):
         nt, nd, nm = shape
         rng = np.random.default_rng(0)
         dev = SimulatedDevice(MI300X)
-        eng = FFTMatvec(
-            BlockTriangularToeplitz.random(nt, nd, nm, rng=rng), device=dev,
-            reduction=reduction,
-        )
+        eng = FFTMatvec(BlockTriangularToeplitz.random(nt, nd, nm, rng=rng), device=dev)
         V = rng.standard_normal((nt, nd if adjoint else nm, k))
         (eng.rmatmat if adjoint else eng.matmat)(V, config=cfg)
-        modeled = block_phase_times(
-            nm, nd, nt, k, cfg, MI300X, adjoint=adjoint, reduction=reduction
-        )
-        assert modeled == eng.last_timing.phases, (cfg, k, reduction)
+        modeled = block_phase_times(nm, nd, nt, k, cfg, MI300X, adjoint=adjoint)
+        assert modeled == eng.last_timing.phases, (cfg, k)
 
     @pytest.mark.parametrize("cfg", ["ddddd", "dssdd"])
     @pytest.mark.parametrize("adjoint", [False, True])
-    @pytest.mark.parametrize("reduction", ["fast", "pairwise"])
-    @pytest.mark.parametrize("k", [1, 4])
-    def test_ablation_is_interpreted_once(self, cfg, adjoint, reduction, k):
-        """``use_optimized_sbgemv=False`` lands in the dispatcher, which
-        engine and model both ask: a width-1 ``matmat`` books (and
-        counts) the vendor GEMV the model prices — it used to book the
-        vendor GEMM, 1.3-2.4x apart, and count nothing."""
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_ablation_prices_what_the_vendor_dispatcher_books(self, cfg, adjoint, k):
+        """The model's ``use_optimized_sbgemv=False`` row is what an
+        engine books when its dispatcher is the pre-optimization library:
+        a width-1 apply books (and counts) the vendor GEMV, a wider one
+        the vendor GEMM, and every phase equals the model's exactly."""
         nt, nd, nm = 16, 8, 48
         rng = np.random.default_rng(0)
         eng = FFTMatvec(
             BlockTriangularToeplitz.random(nt, nd, nm, rng=rng),
-            device=SimulatedDevice(MI300X), use_optimized_sbgemv=False, reduction=reduction,
+            device=SimulatedDevice(MI300X),
         )
+        eng.dispatcher = SBGEMVDispatcher(MI300X, optimized=False)
         V = rng.standard_normal((nt, nd if adjoint else nm, k))
         (eng.rmatmat if adjoint else eng.matmat)(V, config=cfg)
         modeled = block_phase_times(
-            nm, nd, nt, k, cfg, MI300X, adjoint=adjoint,
-            use_optimized_sbgemv=False, reduction=reduction,
+            nm, nd, nt, k, cfg, MI300X, adjoint=adjoint, use_optimized_sbgemv=False
         )
         assert modeled == eng.last_timing.phases
-        vendor = (
-            "pairwise_sbgemm" if reduction == "pairwise"
-            else "rocblas_sbgemv" if k == 1 else "rocblas_sbgemm"
-        )
+        vendor = "rocblas_sbgemv" if k == 1 else "rocblas_sbgemm"
         moved = {name: n for name, n in eng.dispatcher.dispatch_counts.items() if n}
         assert moved == {vendor: 1}
 
@@ -142,6 +130,30 @@ class TestBlockModelEngineConsistency:
             use_optimized_sbgemv=False,
         )
         assert base["sbgemv"] >= opt["sbgemv"]
+
+
+class TestEveryConfiguration:
+    """``sweep_configs`` prices all 32 configurations with the model
+    (its ``time_model``, at paper scale), so the Pareto selection is only
+    the engine's if model == engine holds for each of them — not only
+    for the handful the tests above pick.  Vector and blocked passes,
+    on an operator small enough to run every configuration."""
+
+    @pytest.mark.parametrize("adjoint", [False, True], ids=["F", "Fstar"])
+    @pytest.mark.parametrize("cfg", [str(c) for c in PrecisionConfig.all_configs()])
+    def test_model_matches_engine_charges(self, cfg, adjoint):
+        nt, nd, nm, k = 12, 5, 7, 4
+        rng = np.random.default_rng(0)
+        matrix = BlockTriangularToeplitz.random(nt, nd, nm, rng=rng)
+        eng = FFTMatvec(matrix, device=SimulatedDevice(MI300X))
+        v = rng.standard_normal((nt, nd if adjoint else nm))
+        (eng.rmatvec if adjoint else eng.matvec)(v, config=cfg)
+        assert phase_times(nm, nd, nt, cfg, MI300X, adjoint=adjoint) == eng.last_timing.phases
+        eng = FFTMatvec(matrix, device=SimulatedDevice(MI300X))
+        V = rng.standard_normal((nt, nd if adjoint else nm, k))
+        (eng.rmatmat if adjoint else eng.matmat)(V, config=cfg)
+        modeled = block_phase_times(nm, nd, nt, k, cfg, MI300X, adjoint=adjoint)
+        assert modeled == eng.last_timing.phases
 
 
 class TestPaperScaleFacts:

@@ -33,14 +33,6 @@ class TestOperatorFingerprint:
             BlockTriangularToeplitz(bumped)
         )
 
-    def test_extra_geometry_folds_in(self):
-        mat = make_matrix()
-        eng = FFTMatvec(mat)
-        plain = operator_fingerprint(mat)
-        keyed = operator_fingerprint(mat, extra=eng.geometry_key())
-        assert plain != keyed
-        assert keyed == operator_fingerprint(mat, extra=eng.geometry_key())
-
     def test_raw_array_accepted(self):
         mat = make_matrix()
         assert operator_fingerprint(mat.blocks) == operator_fingerprint(mat)

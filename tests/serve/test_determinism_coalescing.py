@@ -1,4 +1,5 @@
-"""Deterministic and fast requests must never share a coalesced flush."""
+"""A deterministic service's coalesced flushes are bitwise its solo
+applies; a fast one's match them to rounding."""
 
 import asyncio
 
@@ -28,53 +29,18 @@ def make_service(reduction="fast", **kwargs):
 
 
 class TestDeterminismCoalescing:
-    def test_mixed_modes_never_share_a_flush(self):
+    def test_fast_service_batch_matches_solo_to_rounding(self):
         async def main():
-            # Same handle/kind/config, submitted together, room for 4 in
-            # one batch: only the reduction mode separates the groups.
-            service, handle = make_service(max_block_k=4)
+            service, handle = make_service(max_block_k=4, deterministic=False)
             async with service:
                 rng = np.random.default_rng(1)
                 payloads = [rng.standard_normal((NT, NM)) for _ in range(4)]
-                got = await asyncio.gather(
-                    service.matvec(handle, payloads[0], deterministic=True),
-                    service.matvec(handle, payloads[1], deterministic=False),
-                    service.matvec(handle, payloads[2], deterministic=True),
-                    service.matvec(handle, payloads[3], deterministic=False),
-                )
+                got = await asyncio.gather(*[service.matvec(handle, p) for p in payloads])
             stats = service.stats()
-            assert stats.flushes == 2
-            assert stats.max_batch == 2
-            # Deterministic flushes guarantee each column bitwise-equal
-            # to its sequential solo apply; fast flushes only promise
-            # "up to rounding".
+            assert stats.flushes == 1 and stats.max_batch == 4
             ref = FFTMatvec(make_matrix())
-            assert np.array_equal(got[0], ref.matvec(payloads[0]))
-            assert np.array_equal(got[2], ref.matvec(payloads[2]))
-            for j in (1, 3):
-                solo = ref.matvec(payloads[j])
-                assert np.allclose(got[j], solo, rtol=1e-12)
-
-        asyncio.run(main())
-
-    def test_override_resolves_against_service_default(self):
-        async def main():
-            # Service default fast: None and explicit False coalesce,
-            # explicit True does not.
-            service, handle = make_service(max_block_k=4, deterministic=False)
-            async with service:
-                await asyncio.gather(
-                    service.matvec(handle, np.ones((NT, NM))),
-                    service.matvec(
-                        handle, np.ones((NT, NM)), deterministic=False
-                    ),
-                    service.matvec(
-                        handle, np.ones((NT, NM)), deterministic=True
-                    ),
-                )
-            stats = service.stats()
-            assert stats.flushes == 2
-            assert stats.max_batch == 2
+            for p, g in zip(payloads, got):
+                assert np.allclose(g, ref.matvec(p), rtol=1e-12)
 
         asyncio.run(main())
 
@@ -99,12 +65,12 @@ class TestDeterminismCoalescing:
 
         asyncio.run(main())
 
-    def test_rmatvec_and_solve_accept_override(self):
+    def test_fast_service_solo_rmatvec_is_the_engines(self):
         async def main():
-            service, handle = make_service()
+            service, handle = make_service(deterministic=False)
             async with service:
                 d = np.ones((NT, ND))
-                got = await service.rmatvec(handle, d, deterministic=False)
+                got = await service.rmatvec(handle, d)
                 ref = FFTMatvec(make_matrix()).rmatvec(d)
                 assert np.array_equal(got, ref)
 
@@ -118,19 +84,12 @@ class TestDeterminismCoalescing:
             rng = np.random.default_rng(5)
             payloads = [rng.standard_normal((NT, NM)) for _ in range(4)]
             async with service:
-                batched = await asyncio.gather(
-                    *[
-                        service.matvec(handle, p, deterministic=True)
-                        for p in payloads
-                    ]
-                )
+                batched = await asyncio.gather(*[service.matvec(handle, p) for p in payloads])
             assert service.stats().flushes == 1
             solo_service, solo_handle = make_service()
             async with solo_service:
                 for p, got in zip(payloads, batched):
-                    solo = await solo_service.matvec(
-                        solo_handle, p, deterministic=True
-                    )
+                    solo = await solo_service.matvec(solo_handle, p)
                     assert np.array_equal(got, solo)
 
         asyncio.run(main())

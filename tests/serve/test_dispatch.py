@@ -184,24 +184,6 @@ class TestLateBinding:
 
         asyncio.run(main())
 
-    def test_deterministic_and_fast_requests_never_share_a_pass(self, held_engine):
-        async def main():
-            held = held_engine(MATRIX)
-            service, handle = make_service(builder=held, max_block_k=4)
-            requests = [dict(i=i, deterministic=i % 2 == 0) for i in range(4)]
-            blocker, tasks = await queue_behind_a_held_pass(service, handle, held, requests)
-            held.release()
-            got = await asyncio.gather(*tasks)
-            await blocker
-            assert held.passes == [("matvec", 1), ("matvec", 2), ("matvec", 2)]
-            for i in (0, 2):
-                assert np.array_equal(got[i], expected("matvec", i))
-            for i in (1, 3):
-                assert np.allclose(got[i], expected("matvec", i), rtol=1e-12)
-            await service.close()
-
-        asyncio.run(main())
-
 
 class TestCancellation:
     def test_cancelled_requests_stop_riding_flushes(self, held_engine):

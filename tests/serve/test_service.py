@@ -16,7 +16,6 @@ from repro.core.operator import (
     IdentityOperator,
 )
 from repro.serve import (
-    DeadlineExpiredError,
     EngineCache,
     LatencyHistogram,
     ServiceClosedError,
@@ -215,83 +214,6 @@ class TestBackpressure:
                 return await service.matvec(handle, np.ones((NT, NM)))
 
         assert asyncio.run(main()).shape == (NT, ND)  # no 10 s wait
-
-
-class TestDeadlines:
-    @staticmethod
-    async def _queue_past_deadline(service, handle, held, deadline_s=0.01):
-        """A request held in the queue (behind a pass blocked at the
-        gate) until its deadline has passed."""
-        blocker = submit(service, handle)
-        await held.wait_held()
-        doomed = submit(service, handle, deadline_s=deadline_s)
-        await until(lambda: service._pending_total == 1)
-        expired = time.perf_counter() + deadline_s
-        await until(lambda: time.perf_counter() > expired)
-        return blocker, doomed
-
-    def test_expired_request_dropped_before_flush(self, held_engine):
-        async def main():
-            held = held_engine(make_matrix())
-            service, handle = make_service(builder=held)
-            blocker, doomed = await self._queue_past_deadline(service, handle, held)
-            held.release()
-            with pytest.raises(DeadlineExpiredError):
-                await doomed
-            await blocker
-            assert service.stats().deadline_expired == 1
-            assert held.passes == [("matvec", 1)]  # nobody rode a second pass
-            await service.close()
-
-        asyncio.run(main())
-
-    def test_expired_request_does_not_starve_groupmates(self, held_engine):
-        async def main():
-            held = held_engine(make_matrix())
-            service, handle = make_service(builder=held)
-            blocker, doomed = await self._queue_past_deadline(service, handle, held)
-            alive = submit(service, handle, scale=2.0)
-            await until(lambda: service._pending_total == 2)
-            held.release()
-            with pytest.raises(DeadlineExpiredError):
-                await doomed
-            got = await alive
-            ref = FFTMatvec(make_matrix()).matvec(2.0 * np.ones((NT, NM)))
-            assert np.array_equal(got, ref)
-            await blocker
-            assert service.stats().deadline_expired == 1
-            assert service.stats().completed == 2
-            assert held.passes == [("matvec", 1), ("matvec", 1)]
-            await service.close()
-
-        asyncio.run(main())
-
-    def test_generous_deadline_completes(self):
-        async def main():
-            service, handle = make_service()
-            async with service:
-                got = await service.matvec(
-                    handle, np.ones((NT, NM)), deadline_s=30.0
-                )
-                assert got.shape == (NT, ND)
-            assert service.stats().deadline_expired == 0
-
-        asyncio.run(main())
-
-    def test_deadline_validation(self):
-        async def main():
-            service, handle = make_service()
-            async with service:
-                with pytest.raises(ReproError):
-                    await service.matvec(
-                        handle, np.ones((NT, NM)), deadline_s=0.0
-                    )
-                with pytest.raises(ReproError):
-                    await service.rmatvec(
-                        handle, np.ones((NT, ND)), deadline_s=-1.0
-                    )
-
-        asyncio.run(main())
 
 
 class TestCoalescingMechanics:

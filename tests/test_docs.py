@@ -113,6 +113,16 @@ REMOVED_NAMES = REMOVED_MODULES + [
     "gemm_problem_from_config",
     "run_gemm_problem",
     "fft_error_bound",
+    # Keyword options no caller outside tests set (the parameter audit).
+    "mtbf_per_gpu_s",
+    "power_iters",
+    "deadline_s",
+    "DeadlineExpiredError",
+    "max_corruption_retries",
+    "min_ranks",
+    "rows_to_try",
+    "paper_scale_times",
+    "n_samples",
 ]
 _SHIPPED_TEXT = [ROOT / "README.md"] + [
     f

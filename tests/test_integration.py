@@ -28,7 +28,6 @@ from repro.inverse import (
 )
 from repro.perf.phase_model import modeled_timing
 from repro.util.dtypes import fill_low_mantissa
-from repro.util.timing import SimClock
 
 from tests.conftest import rel_err
 
@@ -149,8 +148,8 @@ class TestCommunicatorBackedReduction:
         matrix = BlockTriangularToeplitz.random(nt, nd, nm, rng=rng)
         m = rng.standard_normal((nt, nm))
 
-        clock = SimClock()
-        row = ProcessGrid(1, p, net=FRONTIER_NETWORK, clock=clock).row_comm(0)
+        grid = ProcessGrid(1, p, net=FRONTIER_NETWORK)
+        row = grid.row_comm(0)
         partials = []
         for c0, c1 in ProcessGrid.split_extent(nm, p):
             local = BlockTriangularToeplitz(matrix.blocks[:, :, c0:c1])
@@ -159,4 +158,4 @@ class TestCommunicatorBackedReduction:
         total = row.reduce(partials)
         ref = FFTMatvec(matrix).matvec(m)
         assert rel_err(total, ref) < 1e-12
-        assert clock.now > 0  # the collective charged simulated time
+        assert grid.clock.now > 0  # the collective charged simulated time

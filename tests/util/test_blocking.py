@@ -6,7 +6,6 @@ import pytest
 from repro.util.blocking import (
     check_out_buffer,
     chunk_ranges,
-    n_chunks,
     validate_max_block_k,
 )
 from repro.util.validation import ReproError
@@ -15,14 +14,12 @@ from repro.util.validation import ReproError
 class TestChunkRanges:
     def test_unbounded_is_one_chunk(self):
         assert chunk_ranges(7) == [(0, 7)]
-        assert n_chunks(7) == 1
 
     def test_exact_multiple(self):
         assert chunk_ranges(8, 4) == [(0, 4), (4, 8)]
 
     def test_ragged_tail(self):
         assert chunk_ranges(7, 3) == [(0, 3), (3, 6), (6, 7)]
-        assert n_chunks(7, 3) == 3
 
     def test_chunk_larger_than_k(self):
         assert chunk_ranges(3, 16) == [(0, 3)]

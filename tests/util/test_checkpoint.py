@@ -56,14 +56,13 @@ def test_saved_arrays_are_copies(store):
     assert np.array_equal(store.load("k").arrays["a"], np.zeros(4))
 
 
-def test_steps_append_and_explicit(store):
+def test_steps_append_and_the_latest_loads(store):
     store.save("k", {"a": np.ones(1)}, fingerprint="fp")
     store.save("k", {"a": np.ones(1) * 2}, fingerprint="fp")
     store.save("k", {"a": np.ones(1) * 9}, fingerprint="fp", step=9)
     assert store.steps("k") == (0, 1, 9)
     assert store.latest_step("k") == 9
     assert store.load("k").arrays["a"][0] == 9.0
-    assert store.load("k", step=1).arrays["a"][0] == 2.0
 
 
 def test_fingerprint_mismatch_raises_typed_error(store):
@@ -106,12 +105,9 @@ def test_schema_mismatch_raises_typed_error(store):
         store.load("cg", expect_fingerprint="aaaa")
 
 
-def test_missing_key_and_step(store):
+def test_missing_key(store):
     with pytest.raises(CheckpointNotFoundError):
         store.load("nothing-here")
-    store.save("k", {"a": np.ones(1)}, fingerprint="fp")
-    with pytest.raises(CheckpointNotFoundError):
-        store.load("k", step=5)
 
 
 def test_contains_steps_and_keys(store):
