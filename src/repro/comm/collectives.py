@@ -49,6 +49,7 @@ def tree_reduce_arrays(
     arrays: Sequence[Any],
     precision: Optional[Precision] = None,
     backend: Optional[Backend] = None,
+    out: Optional[Any] = None,
 ) -> Any:
     """Binary-tree pairwise sum of per-rank arrays.
 
@@ -57,7 +58,10 @@ def tree_reduce_arrays(
     reduction.  The result keeps the computation dtype; the caller casts
     back as its precision configuration dictates.  Contributions may be
     arrays of the given ``backend`` (default numpy); the accumulation
-    then stays on that backend.
+    then stays on that backend.  ``out`` (an array of the computation
+    dtype, any strides) receives the sum: the root level adds into it —
+    ``add(a, b, out=)`` rounds exactly like ``a + b`` — which saves the
+    caller a result temporary and its copy.
 
     The fold — adjacent pairs per level, an odd trailing contribution
     passing through unchanged — is exactly the virtual power-of-two tree
@@ -90,7 +94,7 @@ def tree_reduce_arrays(
             raise ReproError(
                 f"rank {i} contribution has shape {tuple(a.shape)}, expected {shape}"
             )
-    while len(work) > 1:
+    while len(work) > 2:
         nxt: List[Any] = []
         nxt_owned: List[bool] = []
         for i in range(0, len(work) - 1, 2):
@@ -109,7 +113,15 @@ def tree_reduce_arrays(
             nxt.append(work[-1])
             nxt_owned.append(owned[-1])
         work, owned = nxt, nxt_owned
-    return work[0]
+    if len(work) == 2:
+        # The root level: into ``out`` when given, else into the
+        # temporary the left operand owns (or a fresh sum).
+        a, b = work
+        return be.add(a, b, out=out if out is not None or not owned[0] else a)
+    if out is None:
+        return work[0]
+    be.copyto(out, work[0])
+    return out
 
 
 def fixed_tree_reduce_segments(

@@ -212,18 +212,20 @@ class SimCommunicator:
         workspace: Optional[Workspace] = None,
         tag: str = "bcast",
         backend: Optional[Backend] = None,
+        out: Optional[Sequence[Any]] = None,
     ) -> List[Any]:
         """Broadcast root's array to all ranks; returns the per-rank buffers.
 
         Every receiving rank gets its own copy; the root's entry is the
         payload itself (a root does not receive what it sends — callers
         that stage the payload for this call are not charged a second
-        pass over it).  With a ``workspace`` the receive buffers are
-        persistent arena buffers keyed by ``tag`` and rank — repeated
-        broadcasts of the same payload shape (the grid engine's chunk
-        loop) reuse them instead of allocating fresh copies per call.
-        Callers must have consumed the previous copies for the same tag
-        (the usual checkout discipline).
+        pass over it).  ``out`` holds a receive buffer per rank (the
+        root's entry unused, may be None): repeated broadcasts of the
+        same payload shape (the grid engine's chunk loop) reuse them
+        instead of allocating fresh copies per call.  With a
+        ``workspace`` instead, they are its persistent arena buffers
+        keyed by ``tag`` and rank.  Callers must have consumed the
+        previous copies (the usual checkout discipline).
         """
         self._maybe_fail("bcast")
         target, event = self._corruption_target("bcast")
@@ -235,18 +237,21 @@ class SimCommunicator:
         digest = _ck.payload_digest(buf) if verify else None
         self.op_counts["bcast"] += 1
         self._charge(self.size, be.nbytes(buf), phase, op="bcast")
+        if out is None and workspace is not None:
+            shape, dtype = tuple(buf.shape), be.dtype_of(buf)
+            out = [
+                None if rank == root else workspace.buffer(f"{tag}/r{rank}", shape, dtype)
+                for rank in range(self.size)
+            ]
         copies = []
         for rank in range(self.size):
             if rank == root and rank != target:
                 copies.append(buf)  # a flip aimed at the root lands on a copy
-            elif workspace is None:
+            elif out is None or out[rank] is None:
                 copies.append(be.copy(buf))
             else:
-                recv = workspace.buffer(
-                    f"{tag}/r{rank}", tuple(buf.shape), be.dtype_of(buf)
-                )
-                be.copyto(recv, buf)
-                copies.append(recv)
+                be.copyto(out[rank], buf)
+                copies.append(out[rank])
         if target is not None:
             # The flip happens "on the wire": the sender's digest is
             # honest, the target rank's received copy is not.
@@ -270,12 +275,15 @@ class SimCommunicator:
         precision: Optional[Precision] = None,
         phase: str = "comm",
         backend: Optional[Backend] = None,
+        out: Optional[Any] = None,
     ) -> Any:
         """Tree-sum per-rank arrays to the root; returns the root's result.
 
         ``precision`` sets the accumulation precision (the paper's
         mixed-precision framework may run the Phase-5 reduction in
-        single precision).
+        single precision).  ``out``, an array of that precision, receives
+        the sum in place of a fresh result (bitwise the same values, see
+        :func:`~repro.comm.collectives.tree_reduce_arrays`).
         """
         self._maybe_fail("reduce")
         target, event = self._corruption_target("reduce")
@@ -300,7 +308,7 @@ class SimCommunicator:
                     b, digests[rank], op="reduce", phase=phase, rank=rank,
                     collective_index=event, comm_name=self.name,
                 )
-        out = tree_reduce_arrays(bufs, precision=precision, backend=be)
+        out = tree_reduce_arrays(bufs, precision=precision, backend=be, out=out)
         self.op_counts["reduce"] += 1
         self._charge(self.size, be.nbytes(bufs[0]), phase, op="reduce")
         return out

@@ -18,11 +18,14 @@ The adjoint swaps the roles: broadcast over rows, reduce over columns.
 All ranks live in one process with genuine per-rank numerics, and every
 rank carries its own simulated device: per-rank compute time is measured
 on per-rank clocks, and the wall time charged between collectives is the
-**max over ranks**.  On the host, a chunk's ranks run as concurrent groups
-on a small thread pool when a rank-chunk is big enough to pay
-(:meth:`ParallelFFTMatvec._rank_compute`); collectives, grid clock,
-timeline and grid arena stay on the calling thread, and no output bit or
-simulated second depends on it.  Balanced partitions charge one rank's time
+**max over ranks**.  The host runs a chunk the way that charge assumes
+it runs: its ranks, its input parts' broadcasts and its output parts'
+reduces (with the pairwise root epilogue) each run as concurrent groups
+on a small thread pool when the work per rank or part is big enough to
+pay (:meth:`ParallelFFTMatvec._run_groups`).  Each part owns its
+communicator, only the timed one charges the timeline, and the grid
+arena is only entered on the calling thread — no output bit or
+simulated second depends on the pool.  Balanced partitions charge one rank's time
 (all ranks tie); irregular partitions (caller-supplied ``row_ranges`` /
 ``col_ranges``, e.g. :func:`repro.comm.partition.skewed_extents`) charge
 genuine skew — the slowest rank gates every collective, exactly as a
@@ -125,7 +128,7 @@ from repro.util.blocking import (
     chunk_ranges,
     validate_max_block_k,
 )
-from repro.util.dtypes import real_dtype
+from repro.util.dtypes import Precision, real_dtype
 from repro.util.timing import HostModel, SimClock, Stream, TimingReport, run_chunk_schedule
 from repro.util.validation import ReproError
 from repro.util.workspace import Workspace
@@ -141,6 +144,7 @@ _REPORT_PHASES = _PHASES + ("host",)
 # rank-chunk (in + out block, Nt * kc * (nd_r + nm_c)); below, a rank is
 # mostly Python and two threads queue on the GIL: 2.1x slower at 4k, 1.5x
 # at 15k, even at 39k, 0.9x at 41k, 0.7x from 52k (docs/ARCHITECTURE.md).
+# A chunk's input / output parts use the same gate on Nt * kc * extent.
 _CONCURRENT_MIN_ELEMS = 40_000
 
 
@@ -328,20 +332,6 @@ class ParallelFFTMatvec:
             with grid.clock.phase("setup"):
                 grid.clock.advance(setup)
 
-        # Timed collectives (row 0 / col 0) vs silent clones for the
-        # other rows/columns, which run concurrently with the timed ones.
-        self._silent_row = SimCommunicator(
-            grid.pc, net=grid.net, clock=None, span=grid.pc, name="row_silent",
-            backend=self.backend,
-        )
-        col_span = (grid.pr - 1) * grid.pc + 1
-        self._silent_col = SimCommunicator(
-            grid.pr, net=grid.net, clock=None, span=col_span, name="col_silent",
-            backend=self.backend,
-        )
-        if validate:
-            self._silent_row.verify_payloads = True
-            self._silent_col.verify_payloads = True
         # All columns' (rows') collectives run concurrently; the one with
         # the widest payload gates the wall, so that index is the timed
         # one.  Balanced ceil-splits put the extra elements first, making
@@ -353,6 +343,31 @@ class ParallelFFTMatvec:
         self._timed_col_idx = max(
             range(grid.pc), key=lambda c: self._col_ranges[c][1] - self._col_ranges[c][0]
         )
+        # The timed row (column) collectives ride the grid's row 0 (col 0)
+        # communicator; every other row and column gets a silent clone of
+        # its own (no clock), so concurrent parts never share one.
+        col_span = (grid.pr - 1) * grid.pc + 1
+        self._row_comms = [
+            grid.row_comm(0) if r == self._timed_row_idx
+            else self._silent_clone(grid.pc, grid.pc, "row_silent")
+            for r in range(grid.pr)
+        ]
+        self._col_comms = [
+            grid.col_comm(0) if c == self._timed_col_idx
+            else self._silent_clone(grid.pr, col_span, "col_silent")
+            for c in range(grid.pc)
+        ]
+        self._silent = [
+            comm for comm in self._row_comms + self._col_comms if comm.clock is None
+        ]
+        # Phase 1's arena buffers, resolved once per (direction, slot,
+        # chunk width, payload dtype) on the calling thread — part tasks
+        # never enter the arena.  They die with it.
+        self._staged: Dict[tuple, list] = {}
+        self.workspace.release_hooks.append(self._staged.clear)
+        self._ranks = list(self.engines)
+        # Fast Phase 5 sums straight into the host output at float64.
+        self._reduce_into_out = self.backend.name == "numpy"
         # Picked once per engine: what each direction means on this grid
         # and the fast or pairwise chunk compute / reduce pair — as plain
         # functions called with ``self``: a bound method kept on its own
@@ -380,8 +395,8 @@ class ParallelFFTMatvec:
         deterministic SPMD sequence.  Pass ``None`` to disarm.
         """
         self.grid.install_failure_schedule(schedule)
-        self._silent_row.install_failure_schedule(schedule)
-        self._silent_col.install_failure_schedule(schedule)
+        for comm in self._silent:
+            comm.install_failure_schedule(schedule)
 
     def install_corruption_schedule(self, schedule) -> None:
         """Attach a :class:`~repro.comm.fault.CorruptionSchedule` to the
@@ -395,12 +410,31 @@ class ParallelFFTMatvec:
         (checks stay as configured by ``validate=``).
         """
         self.grid.install_corruption_schedule(schedule)
-        self._silent_row.install_corruption_schedule(schedule)
-        self._silent_col.install_corruption_schedule(schedule)
+        for comm in self._silent:
+            comm.install_corruption_schedule(schedule)
         for (r, c), engine in self.engines.items():
             engine.install_corruption_schedule(
                 schedule, rank=self.grid.rank_of(r, c)
             )
+
+    def _silent_clone(self, size: int, span: int, name: str) -> SimCommunicator:
+        """An untimed row / column communicator (payload digests armed
+        with ``validate=``, like the grid's own)."""
+        comm = SimCommunicator(
+            size, net=self.grid.net, clock=None, span=span, name=name,
+            backend=self.backend,
+        )
+        comm.verify_payloads = bool(self.validate)
+        return comm
+
+    def _injecting(self) -> bool:
+        """Whether a failure or corruption schedule is installed on any
+        communicator or rank engine this engine drives: one shared event
+        counter, whose sequence only an inline run keeps."""
+        return any(
+            c.failures is not None or c.corruption is not None
+            for c in self._row_comms + self._col_comms
+        ) or any(e._corruption is not None for e in self.engines.values())
 
     # -- partition introspection ---------------------------------------------
     @property
@@ -499,6 +533,51 @@ class ParallelFFTMatvec:
             wall=wall,
         )
 
+    def _run_groups(self, task: Callable, items: Sequence, elems: int, *args) -> list:
+        """``[task(item, *args) for item in items]``, run as strided groups.
+
+        The items — a chunk's ranks, input parts or output parts — share
+        nothing (own engine, arena, device, clock, communicator), so they
+        run as ``w = min(items, usable CPUs)`` strided groups: group 0 on
+        the calling thread, the rest on the process-wide pool, results
+        gathered in item order — nothing observable depends on ``w``.
+        ``w`` is 1 (inline, in item order) for items of under
+        ``_CONCURRENT_MIN_ELEMS`` elements and while a failure or
+        corruption schedule is installed (one event counter for the whole
+        engine); a group the pool refuses (it is shut down at interpreter
+        exit) runs on the calling thread too.  Returns or raises only once
+        every group has finished; of several failing items the lowest
+        one's error wins.
+        """
+        n = len(items)
+        done: list = [None] * n
+        cpus = 1 if elems < _CONCURRENT_MIN_ELEMS or self._injecting() else _usable_cpus()
+        w = min(n, cpus)
+
+        def run_group(g: int) -> Optional[Tuple[int, Exception]]:
+            for i in range(g, n, w):
+                try:
+                    done[i] = task(items[i], *args)
+                except Exception as exc:  # collected; the lowest item's is re-raised
+                    return i, exc
+            return None
+
+        here, futures = [0], []
+        for g in range(1, w):
+            try:
+                futures.append(_rank_pool(cpus - 1).submit(run_group, g))
+            except RuntimeError:  # the pool takes no work after shutdown
+                here.append(g)
+        try:
+            failed = [run_group(g) for g in here]
+        finally:
+            if futures:
+                wait(futures)  # no worker still writes an arena past this point
+        failed = [f for f in failed + [fut.result() for fut in futures] if f]
+        if failed:
+            raise min(failed, key=lambda f: f[0])[1]
+        return done
+
     def _rank_compute(
         self, run_rank: Callable[[int, int, FFTMatvec], np.ndarray], kc: int
     ) -> Tuple[Dict[Tuple[int, int], np.ndarray], Dict[str, float]]:
@@ -507,43 +586,13 @@ class ParallelFFTMatvec:
         Each rank charges its private clock; the returned phase breakdown
         is the *slowest* rank's (per-rank skew — on a balanced partition
         every rank ties and this is exactly one rank's time, matching the
-        old single-charge model bitwise).
-
-        The ranks share nothing here (own engine, arena, device, clock),
-        so they run as ``w = min(ranks, usable CPUs)`` strided groups —
-        group 0 on the calling thread, the rest on the process-wide pool
-        — gathered in rank order: nothing observable depends on ``w``.
-        ``w`` is 1 (inline, in rank order) for a rank-chunk of ``kc``
-        columns under ``_CONCURRENT_MIN_ELEMS`` and while a corruption
-        schedule is installed (one event counter for all rank engines).
-        Returns or raises only once every group has finished; of several
-        failing ranks the lowest one's error wins.
+        old single-charge model bitwise).  One task per rank through
+        :meth:`_run_groups`, gated on a rank-chunk's ``kc`` columns of in
+        + out block.
         """
-        ranks = list(self.engines)
-        done: list = [None] * len(ranks)  # (result, clock deltas) per rank
+        ranks = self._ranks
         elems = kc * self.nt * (self.nd // self.grid.pr + self.nm // self.grid.pc)
-        inline = elems < _CONCURRENT_MIN_ELEMS or any(
-            e._corruption is not None for e in self.engines.values()
-        )
-        cpus = 1 if inline else _usable_cpus()
-        w = min(len(ranks), cpus)
-
-        def run_group(g: int) -> Optional[Tuple[int, Exception]]:
-            for i in range(g, len(ranks), w):
-                try:
-                    done[i] = self._run_rank(ranks[i], run_rank)
-                except Exception as exc:  # collected; the lowest rank's is re-raised
-                    return i, exc
-            return None
-
-        futures = [_rank_pool(cpus - 1).submit(run_group, g) for g in range(1, w)]
-        try:
-            failed = [run_group(0)]
-        finally:
-            wait(futures)  # no worker still writes an arena past this point
-        failed = [f for f in failed + [fut.result() for fut in futures] if f]
-        if failed:
-            raise min(failed, key=lambda f: f[0])[1]
+        done = self._run_groups(self._run_rank, ranks, elems, run_rank)
         partials = {rc: res for rc, (res, _) in zip(ranks, done)}
         return partials, self._slowest(deltas for _, deltas in done)
 
@@ -615,29 +664,34 @@ class ParallelFFTMatvec:
         communicator and the contributing ranks in reduce order (the
         first is the part's root); ``axis`` says which of a rank's
         ``(r, c)`` names its input part, ``n_global`` is the length of
-        the contraction axis.  The widest part's communicator is the
-        grid's timed one; the others run beside it on a silent clone.
+        the contraction axis, ``in_width`` / ``out_width`` the widest
+        part's extent.  The widest part's communicator is the grid's
+        timed one; every other part runs beside it on its own silent
+        clone.
         """
-        grid, (pr, pc) = self.grid, (self.grid.pr, self.grid.pc)
+        pr, pc = self.grid.pr, self.grid.pc
         rows = [
-            (r, r0, r1, grid.row_comm(0) if r == self._timed_row_idx else self._silent_row)
-            for r, (r0, r1) in enumerate(self._row_ranges)
+            (r, r0, r1, comm)
+            for r, ((r0, r1), comm) in enumerate(zip(self._row_ranges, self._row_comms))
         ]
         cols = [
-            (c, c0, c1, grid.col_comm(0) if c == self._timed_col_idx else self._silent_col)
-            for c, (c0, c1) in enumerate(self._col_ranges)
+            (c, c0, c1, comm)
+            for c, ((c0, c1), comm) in enumerate(zip(self._col_ranges, self._col_comms))
         ]
         if adjoint:
             outputs = [(c0, c1, comm, [(r, c) for r in range(pr)]) for c, c0, c1, comm in cols]
         else:
             outputs = [(r0, r1, comm, [(r, c) for c in range(pc)]) for r, r0, r1, comm in rows]
+        inputs = rows if adjoint else cols
         return SimpleNamespace(
             adjoint=adjoint,
             axis=0 if adjoint else 1,
             tag="r" if adjoint else "c",
             n_global=self.nd if adjoint else self.nm,
-            inputs=rows if adjoint else cols,
+            inputs=inputs,
             outputs=outputs,
+            in_width=max(i1 - i0 for _, i0, i1, _ in inputs),
+            out_width=max(o1 - o0 for o0, o1, _, _ in outputs),
         )
 
     def _chunk_bcast(
@@ -647,11 +701,13 @@ class ParallelFFTMatvec:
         d: SimpleNamespace,
         stream: Stream,
         slot: int,
-    ) -> Dict[int, np.ndarray]:
+    ) -> List[np.ndarray]:
         """Phase 1 communication for one chunk: ONE batched broadcast per
         grid column (row for the adjoint) carries the whole
         ``(Nt, n_local, kc)`` block in Phase 1's precision — volume scales
-        by kc, the log2 latency tree is paid once for the chunk.
+        by kc, the log2 latency tree is paid once for the chunk.  One
+        task per input part (:meth:`_bcast_part`) through
+        :meth:`_run_groups`.
 
         Payload and receive buffers are persistent arena buffers keyed
         by ``slot`` — the chunk loop ping-pongs between two slots
@@ -661,32 +717,44 @@ class ParallelFFTMatvec:
         (per-row) broadcast copies; the modeled time is charged onto
         ``stream``.
         """
-        ws, be = self.workspace, self.backend
-        in_blocks: Dict[int, np.ndarray] = {}
+        kc, dtype = chunk.shape[2], real_dtype(cfg.pad)
+        parts = self._staged.get((d.tag, slot, kc, dtype))
+        if parts is None:
+            parts = self._stage(d, slot, kc, dtype)
+        return self._run_groups(
+            self._bcast_part, parts, self.nt * kc * d.in_width, chunk, stream
+        )
+
+    def _stage(self, d: SimpleNamespace, slot: int, kc: int, dtype) -> list:
+        """Resolve one slot's Phase-1 arena buffers, per input part: the
+        payload, every non-root rank's receive buffer and — below float64
+        — the float64 copy the rank engines take."""
+        ws, parts = self.workspace, []
         for i, i0, i1, cobj in d.inputs:
-            # The strided block, copied-with-cast into a contiguous payload.
-            block = chunk[:, i0:i1, :]
-            payload = ws.buffer(f"pay[{slot}]/{d.tag}{i}", tuple(block.shape), real_dtype(cfg.pad))
-            payload[...] = be.asarray(block)
-            with cobj.on_stream(stream if cobj.clock is not None else None):
-                copy = cobj.bcast(
-                    payload,
-                    root=0,
-                    phase="pad",
-                    workspace=ws,
-                    tag=f"recv[{slot}]/{d.tag}{i}",
-                    backend=be,
-                )[0]
-            if be.dtype_of(copy) != np.float64:  # rank engines take float64 input
-                in64 = ws.buffer(f"in64[{slot}]/{d.tag}{i}", tuple(copy.shape), np.float64)
-                in64[...] = copy
-                copy = in64
-            in_blocks[i] = copy
-        return in_blocks
+            shape, name = (self.nt, i1 - i0, kc), f"[{slot}]/{d.tag}{i}"
+            recv = [None] + [
+                ws.buffer(f"recv{name}/r{rank}", shape, dtype) for rank in range(1, cobj.size)
+            ]
+            in64 = None if dtype == np.float64 else ws.buffer(f"in64{name}", shape, np.float64)
+            parts.append((i0, i1, cobj, ws.buffer(f"pay{name}", shape, dtype), recv, in64))
+        self._staged[(d.tag, slot, kc, dtype)] = parts
+        return parts
+
+    def _bcast_part(self, part: tuple, chunk: np.ndarray, stream: Stream) -> np.ndarray:
+        """One input part's Phase 1: stage, broadcast, cast to float64."""
+        i0, i1, cobj, payload, recv, in64 = part
+        # The strided block, copied-with-cast into a contiguous payload.
+        payload[...] = self.backend.asarray(chunk[:, i0:i1, :])
+        with cobj.on_stream(stream if cobj.clock is not None else None):
+            copy = cobj.bcast(payload, root=0, phase="pad", backend=self.backend, out=recv)[0]
+        if in64 is None:
+            return copy
+        in64[...] = copy  # rank engines take float64 input
+        return in64
 
     def _chunk_compute_fast(
         self,
-        in_blocks: Dict[int, np.ndarray],
+        in_blocks: List[np.ndarray],
         cfg: PrecisionConfig,
         d: SimpleNamespace,
         stream: Stream,
@@ -720,21 +788,33 @@ class ParallelFFTMatvec:
         """Phase 5 communication for one chunk: ONE batched tree-reduce
         per grid row (column for the adjoint); the eps5 * log2
         accumulation applies elementwise to every column of the block.
-        The reduced rows land directly in ``out`` — the caller's
-        ``(Nt, ny, kc)`` output view — with no intermediate gather
-        buffer."""
+        One task per output part (:meth:`_reduce_part_fast`) through
+        :meth:`_run_groups`."""
+        self._run_groups(
+            self._reduce_part_fast, d.outputs, self.nt * out.shape[2] * d.out_width,
+            partials, out, cfg, stream,
+        )
+
+    def _reduce_part_fast(
+        self, part: tuple, partials: dict, out: np.ndarray, cfg: PrecisionConfig, stream: Stream
+    ) -> None:
+        """One output part's fast Phase 5: cast, then tree-reduce straight
+        into the caller's ``(Nt, ny, kc)`` output view when the reduce
+        runs at its float64 (else through the reduce's own result)."""
+        o0, o1, cobj, ranks = part
         be = self.backend
-        for o0, o1, cobj, ranks in d.outputs:
-            contribs = [be.cast(partials[rc], cfg.unpad) for rc in ranks]
-            with cobj.on_stream(stream if cobj.clock is not None else None):
-                reduced = cobj.reduce(
-                    contribs, root=0, precision=cfg.unpad, phase="unpad", backend=be
-                )
+        contribs = [be.cast(partials[rc], cfg.unpad) for rc in ranks]
+        into = out[:, o0:o1, :] if self._reduce_into_out and cfg.unpad is Precision.DOUBLE else None
+        with cobj.on_stream(stream if cobj.clock is not None else None):
+            reduced = cobj.reduce(
+                contribs, root=0, precision=cfg.unpad, phase="unpad", backend=be, out=into
+            )
+        if into is None:
             out[:, o0:o1, :] = be.from_device(reduced)
 
     def _chunk_compute_pairwise(
         self,
-        in_blocks: Dict[int, np.ndarray],
+        in_blocks: List[np.ndarray],
         cfg: PrecisionConfig,
         d: SimpleNamespace,
         stream: Stream,
@@ -774,22 +854,41 @@ class ParallelFFTMatvec:
         part's root rank runs the IFFT/unpad epilogue once on the merged
         panel.  All root epilogues run concurrently on distinct devices,
         so the max is charged (onto ``stream``, where it overlaps the
-        next chunk's front compute like a second device queue)."""
-        finished = []
-        for o0, o1, cobj, ranks in d.outputs:
-            with cobj.on_stream(stream if cobj.clock is not None else None):
-                merged = cobj.reduce_segments(
-                    [tables[rc] for rc in ranks], d.n_global, root=0, phase="unpad",
-                    backend=self.backend,
-                )
-            out[:, o0:o1, :], deltas = self._run_rank(
-                ranks[0],
-                lambda r, c, engine: engine._pipeline_block_finish(
-                    merged, cfg, adjoint=d.adjoint
-                ),
-            )
-            finished.append(deltas)
+        next chunk's front compute like a second device queue) — and the
+        host runs them so: one task per output part, its reduce then its
+        epilogue (:meth:`_reduce_part_pairwise`), through
+        :meth:`_run_groups`.  Inline, that keeps the event order
+        ``reduce(0), epilogue(0), reduce(1), epilogue(1)``."""
+        finished = self._run_groups(
+            self._reduce_part_pairwise, d.outputs, self.nt * out.shape[2] * d.out_width,
+            tables, out, cfg, d, stream,
+        )
         self._charge_compute(self._slowest(finished), stream)
+
+    def _reduce_part_pairwise(
+        self,
+        part: tuple,
+        tables: dict,
+        out: np.ndarray,
+        cfg: PrecisionConfig,
+        d: SimpleNamespace,
+        stream: Stream,
+    ) -> Optional[Dict[str, float]]:
+        """One output part's pairwise Phase 5: segment reduce, then the
+        root's epilogue; returns what the epilogue charged the root."""
+        o0, o1, cobj, ranks = part
+        with cobj.on_stream(stream if cobj.clock is not None else None):
+            merged = cobj.reduce_segments(
+                [tables[rc] for rc in ranks], d.n_global, root=0, phase="unpad",
+                backend=self.backend,
+            )
+        out[:, o0:o1, :], deltas = self._run_rank(
+            ranks[0],
+            lambda r, c, engine: engine._pipeline_block_finish(
+                merged, cfg, adjoint=d.adjoint
+            ),
+        )
+        return deltas
 
     def _matmat_impl(
         self,

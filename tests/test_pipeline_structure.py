@@ -7,8 +7,9 @@ loop.  They are now one front/back pair and one chunk loop; this test
 walks the AST and fails when a copy grows back — a second call site of
 a phase kernel, a phase kernel outside the front/back slab loops, a
 launch described or priced per apply instead of booked off the prepared
-record, a second collective loop, a rank loop beside ``_rank_compute``
-(the one place that may run ranks concurrently), an apply bracketed
+record, a second collective loop, a rank loop beside ``_rank_compute``, a
+pool outside ``_run_groups`` (the one place that runs ranks and parts
+concurrently), an apply bracketed
 by hand-rolled ``begin_apply()`` instead of ``with <engine>.workspace:``,
 or per-apply derivation (dtype and plan lookups, arena checkouts)
 inside a half: what the data does not decide is resolved once, by
@@ -225,11 +226,13 @@ def test_parallel_has_one_call_site_per_collective(collective):
 def test_rank_pipelines_run_through_rank_compute_only():
     """Per-rank pipelines are launched by ``_rank_compute`` alone: every
     ``_pipeline_block*`` call on a rank engine sits in the callback
-    handed to it, and nothing else loops over the engines' ranks or
-    touches the rank pool.  The pairwise root epilogue is the one other
-    pipeline call: a single root rank per output part, timed by the same
-    ``_run_rank``, interleaved with its ``reduce_segments`` on the
-    calling thread."""
+    handed to it, and nothing else loops over the engines' ranks.  The
+    pairwise root epilogue is the one other pipeline call: a single root
+    rank per output part, timed by the same ``_run_rank``, in the part
+    task that first runs that part's ``reduce_segments``.  A chunk's
+    ranks, input parts and output parts all run through one executor,
+    ``_run_groups`` — the only code that touches the rank pool — and
+    every collective sits in a part task it runs."""
     tree = _module("parallel.py")
     callbacks = {"_rank_compute": set(), "_run_rank": set()}
     for node in ast.walk(tree):
@@ -245,17 +248,33 @@ def test_rank_pipelines_run_through_rank_compute_only():
         assert len(lines) == 1 and set(lines) <= callbacks["_rank_compute"], method
     finish = _calls(tree, "_pipeline_block_finish")
     assert len(finish) == 1 and set(finish) <= callbacks["_run_rank"]
-    assert finish == _calls(
-        _method(tree, "ParallelFFTMatvec", "_chunk_reduce_pairwise"),
-        "_pipeline_block_finish",
-    )
-    helper = _method(tree, "ParallelFFTMatvec", "_rank_compute")
+    epilogue = _method(tree, "ParallelFFTMatvec", "_reduce_part_pairwise")
+    assert finish == _calls(epilogue, "_pipeline_block_finish")
+    assert _calls(tree, "reduce_segments") == _calls(epilogue, "reduce_segments")
+    helper = _method(tree, "ParallelFFTMatvec", "_run_groups")
     assert _calls(tree, "_rank_pool") == _calls(helper, "_rank_pool") != []
     assert _calls(tree, "run_rank") == _calls(
         _method(tree, "ParallelFFTMatvec", "_run_rank"), "run_rank"
     )
-    # _run_rank itself: once per rank from the helper, once per root.
-    assert len(_calls(tree, "_run_rank")) == 2 == 1 + len(_calls(helper, "_run_rank"))
+    # _run_rank itself: the task of the rank runner, called once per root.
+    assert _calls(tree, "_run_rank") == _calls(epilogue, "_run_rank") != []
+    tasks = {
+        "_rank_compute": "_run_rank",
+        "_chunk_bcast": "_bcast_part",
+        "_chunk_reduce_fast": "_reduce_part_fast",
+        "_chunk_reduce_pairwise": "_reduce_part_pairwise",
+    }
+    runs = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+            and getattr(n.func, "attr", None) == "_run_groups"]
+    assert len(runs) == len(tasks)
+    for caller, task in tasks.items():
+        (run,) = [n for n in ast.walk(_method(tree, "ParallelFFTMatvec", caller))
+                  if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "_run_groups"]
+        assert run.args[0].attr == task, caller
+    for collective, task in (("bcast", "_bcast_part"), ("reduce", "_reduce_part_fast")):
+        assert _calls(tree, collective) == _calls(
+            _method(tree, "ParallelFFTMatvec", task), collective
+        )
 
 
 # The entry points that bracket an apply, each in one ``with <engine>.workspace:``.
