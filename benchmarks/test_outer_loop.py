@@ -20,11 +20,12 @@ from repro.inverse import (
     Grid1D,
     HeatEquation1D,
     LinearBayesianProblem,
-    LowRankPosterior,
+    DataSpacePosterior,
     ObservationOperator,
     P2OMap,
 )
 from repro.inverse.cg import block_conjugate_gradient, conjugate_gradient
+from repro.inverse.oed import expected_information_gain
 from repro.perf.memory_model import min_gpus_for_problem
 from repro.perf.phase_model import modeled_timing
 from repro.util.timing import HostModel
@@ -84,20 +85,26 @@ class TestHessianAssembly:
 
 
 class TestPosteriorUQ:
-    def test_lowrank_posterior(self, benchmark, bayes_problem):
+    def test_exact_posterior(self, benchmark, bayes_problem):
         post = benchmark.pedantic(
-            LowRankPosterior.compute,
-            args=(bayes_problem, 16),
-            kwargs={"rng": np.random.default_rng(0)},
+            DataSpacePosterior.compute,
+            args=(bayes_problem,),
             rounds=1,
             iterations=1,
         )
-        print(f"\nrank-16 posterior: {post.hessian_actions} Hessian actions, "
-              f"EIG {post.information_gain():.2f} nats, "
-              f"lam_1={post.eigenvalues[0]:.2f}")
-        assert post.information_gain() > 0
-        var = post.pointwise_variance()
-        assert np.all(var > 0)
+        # The dense oracle: Gamma_post = (F* F / sigma^2 + Gp^{-1})^{-1}.
+        p2o, prior = bayes_problem.p2o, bayes_problem.prior
+        nt, nm = p2o.nt, p2o.nm
+        F = np.stack(
+            [p2o.apply(e.reshape(nt, nm)).ravel() for e in np.eye(nt * nm)], axis=1
+        )
+        prec = np.kron(np.eye(nt), prior._Kinv.toarray())
+        var = np.diag(np.linalg.inv(F.T @ F / bayes_problem.noise_std**2 + prec))
+        eig = expected_information_gain(bayes_problem.data_space_hessian())
+        print(f"\nexact posterior: {len(post.eigenvalues)}x{len(post.eigenvalues)} factor, "
+              f"EIG {post.information_gain():.2f} nats, lam_1={post.eigenvalues[0]:.2f}")
+        assert abs(post.information_gain() - eig) <= 1e-12 * eig
+        np.testing.assert_allclose(post.pointwise_variance().ravel(), var, rtol=1e-12)
 
 
 class TestIterativeRefinement:

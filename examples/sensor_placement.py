@@ -1,19 +1,28 @@
 #!/usr/bin/env python
 """Optimal sensor placement — the "outer-loop" problem of the paper's
 Remark 1: greedily choose sensor locations maximizing expected
-information gain (KL divergence prior→posterior), re-assembling the
-data-space Hessian with FFT matvecs at every candidate evaluation.
+information gain (KL divergence prior→posterior).
 
-This is where the mixed-precision speedup compounds: thousands of F/F*
-actions per placement decision.
+A sensor set's data-space Hessian is a principal submatrix of the
+Hessian over all candidates, so the loop assembles that one Hessian with
+FFT matvecs (2 * Nt * Nc F/F* actions) and scores every candidate by a
+Cholesky (Schur-complement) update.  The mixed-precision lever is that
+one assembly, not thousands of F/F* actions per placement decision.
 
 Run:  python examples/sensor_placement.py
 """
 
 import numpy as np
 
-from repro.inverse import GaussianPrior, Grid1D, AdvectionDiffusion1D
-from repro.inverse.oed import greedy_sensor_placement
+from repro.inverse import (
+    AdvectionDiffusion1D,
+    GaussianPrior,
+    Grid1D,
+    LinearBayesianProblem,
+    ObservationOperator,
+    P2OMap,
+)
+from repro.inverse.oed import expected_information_gain, greedy_sensor_placement
 
 # Contaminant transport: advection-diffusion with rightward flow.
 grid = Grid1D(32)
@@ -43,9 +52,18 @@ for config in ("ddddd", "dssdd"):
     print(f"  EIG after each pick: {[round(g, 4) for g in result.gains]}")
     print(f"  candidate evaluations: {result.evaluations}, "
           f"FFT matvec actions: {result.matvec_count} "
-          f"(carried by {result.matmat_count} blocked passes)\n")
+          f"(one assembly, carried by {result.matmat_count} blocked passes)\n")
+
+# The chosen set's Hessian, assembled on its own, gives the same EIG.
+obs = ObservationOperator(grid.n, result.selected)
+alone = LinearBayesianProblem(P2OMap(system, obs, nt), prior, noise_std)
+eig = expected_information_gain(alone.data_space_hessian())
+print(f"EIG of the chosen set, re-assembled on its own: {eig:.4f} "
+      f"(greedy at {config}: {result.gains[-1]:.4f})\n")
 
 print("Both precision configurations must select the same sensors: the")
 print("1e-7-level matvec error is far below the information-gain gaps.")
+print(f"Every decision reads one assembly of {result.matvec_count} F/F* actions;")
+print("that assembly is where the mixed-precision matvec pays.")
 print("With flow to the right, informative sensors sit downstream of the")
 print("prior mass — exactly what the greedy picks show.")

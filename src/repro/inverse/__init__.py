@@ -19,8 +19,9 @@ at laptop scale:
   actions in a configurable precision.
 * :mod:`repro.inverse.oed` — the "outer-loop" problem of Remark 1:
   greedy optimal sensor placement maximizing expected information gain
-  (KL divergence), which re-assembles the data-space Hessian and is
-  where mixed-precision matvec speedups multiply.
+  (KL divergence), scored from one assembly of the data-space Hessian.
+* :mod:`repro.inverse.posterior` — the exact posterior (EIG, pointwise
+  variance, samples) from the same assembly and its Cholesky factor.
 """
 
 from repro.inverse.mesh import Grid1D
@@ -36,7 +37,7 @@ from repro.inverse.cg import (
 )
 from repro.inverse.bayes import LinearBayesianProblem, MAPResult
 from repro.inverse.oed import greedy_sensor_placement, expected_information_gain
-from repro.inverse.posterior import LowRankPosterior, randomized_eig
+from repro.inverse.posterior import DataSpacePosterior
 
 __all__ = [
     "Grid1D",
@@ -55,6 +56,5 @@ __all__ = [
     "MAPResult",
     "greedy_sensor_placement",
     "expected_information_gain",
-    "LowRankPosterior",
-    "randomized_eig",
+    "DataSpacePosterior",
 ]

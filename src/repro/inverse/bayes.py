@@ -11,12 +11,17 @@ CG on the Hessian, where each Hessian action costs one F and one F*
 FFTMatvec — the operation the whole paper accelerates.  The matvec
 precision configuration is a parameter, so examples can demonstrate the
 end-to-end effect of the mixed-precision framework on inversion quality.
+
+The outer loop reads the data space instead: one assembly of
+``V = Gp F* / sigma`` and ``H_d = F V / sigma`` (2 * nt * Nd F/F*
+actions in fixed-width blocked chunks) serves both greedy sensor
+placement and the exact posterior.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -27,6 +32,14 @@ from repro.inverse.prior import GaussianPrior
 from repro.util.validation import ReproError
 
 __all__ = ["MAPResult", "LinearBayesianProblem"]
+
+#: Data-space unit vectors per assembly chunk.  Measured at (nt, Nd, Nm) =
+#: (64, 24, 96), numpy, one BLAS thread: all 1536 columns in one pass
+#: leave a 482 MB engine arena and a 691 MB peak RSS; 128-column chunks
+#: leave 50 MB, 64-column chunks 36 MB (223 MB peak RSS, the 75 MB ``V``
+#: included), at 0.7-0.8x the one-pass wall.  Every width gives a
+#: bitwise-equal ``H_d``.
+_ASSEMBLY_COLUMNS = 64
 
 
 @dataclass
@@ -129,27 +142,41 @@ class LinearBayesianProblem:
             reg=reg,
         )
 
-    # -- data-space Hessian (the OED workhorse) -------------------------------
+    # -- the data space (the outer loop's one assembly) ---------------------
+    def data_space_assembly(
+        self, config: Union[str, PrecisionConfig] = "ddddd"
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``V = Gp F* E / sigma``, (nt, Nm, nt*Nd), and the dense
+        data-space Hessian ``H_d = F V / sigma``, (nt*Nd, nt*Nd).
+
+        ``E`` is the data-space identity, so column ``j`` of ``V`` is the
+        prior-smoothed adjoint response to datum ``j``.  The posterior
+        reads both (:mod:`repro.inverse.posterior`); sensor placement
+        reads ``H_d`` (:meth:`data_space_hessian`).
+
+        The columns are a multi-RHS block, assembled in chunks of
+        :data:`_ASSEMBLY_COLUMNS`: one blocked F* pass, one blocked prior
+        solve and one blocked F pass each.  Each chunk's unit block is
+        built on its own, so neither it nor the engine's arena grows
+        with ``nt * Nd``.
+        """
+        nt, nm, nd = self.p2o.nt, self.p2o.nm, self.p2o.nd
+        n = nt * nd
+        V, H = np.empty((nt, nm, n)), np.empty((n, n))
+        for start in range(0, n, _ASSEMBLY_COLUMNS):
+            cols = np.arange(start, min(start + _ASSEMBLY_COLUMNS, n))
+            E = np.zeros((nt, nd, cols.size))
+            E[cols // nd, cols % nd, np.arange(cols.size)] = 1.0 / self.noise_std
+            Vc = self.prior.apply_block(self.p2o.applyT_block(E, config=config))
+            FV = self.p2o.apply_block(Vc, config=config)
+            V[:, :, cols] = Vc
+            H[:, cols] = FV.reshape(n, cols.size) / self.noise_std
+        return V, H
+
     def data_space_hessian(
         self,
         config: Union[str, PrecisionConfig] = "ddddd",
     ) -> np.ndarray:
-        """Dense H_d = Gn^{-1/2} F Gp F* Gn^{-1/2}, (nt*Nd, nt*Nd).
-
-        Assembled from ``nt * Nd`` F/F* actions — the O(1e5)-matvec
-        workload of the paper's Remark 1 that motivates mixed precision.
-        The columns are exactly a multi-RHS block, so they run through
-        the engine's blocked pipeline as one blocked F* and one blocked
-        F pass instead of ``2 * nt * Nd`` single matvecs, with the prior
-        sandwich applied blockwise.  Laptop-scale sizes only (the result
-        is dense).
-        """
-        nt, nd = self.p2o.nt, self.p2o.nd
-        n = nt * nd
-        E = np.zeros((nt, nd, n))
-        for col in range(n):
-            E[col // nd, col % nd, col] = 1.0 / self.noise_std
-        V = self.p2o.applyT_block(E, config=config)
-        V = self.prior.apply_block(V)
-        W = self.p2o.apply_block(V, config=config) / self.noise_std
-        return W.reshape(n, n)
+        """Dense H_d = Gn^{-1/2} F Gp F* Gn^{-1/2}, (nt*Nd, nt*Nd): the
+        ``H_d`` half of :meth:`data_space_assembly`."""
+        return self.data_space_assembly(config=config)[1]

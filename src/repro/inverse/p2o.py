@@ -15,6 +15,8 @@ from __future__ import annotations
 from typing import Optional, Union
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from repro.core.matvec import FFTMatvec
 from repro.core.precision import PrecisionConfig
@@ -24,7 +26,7 @@ from repro.inverse.lti import LTISystem
 from repro.inverse.observation import ObservationOperator
 from repro.util.validation import ReproError, check_positive_int
 
-__all__ = ["build_p2o_blocks", "P2OMap", "SensorBlockCache"]
+__all__ = ["build_p2o_blocks", "P2OMap"]
 
 
 def build_p2o_blocks(
@@ -59,82 +61,18 @@ def build_p2o_blocks(
             blocks[:, :, j] = system.dt * obs.observe(states)
         return blocks
 
-    # Adjoint method: F_t[i, :] = (S^{t+1})^T B^T e_i * dt-normalization.
-    solve_T = _factorized_transposed_stepper(system)
-    B = obs.matrix()
-    for i in range(nd):
-        blocks[:, i, :] = _adjoint_kernel_row(solve_T, B[i].copy(), nt, system.dt)
-    return blocks
-
-
-def _factorized_transposed_stepper(system: LTISystem):
-    """Factorize the transposed implicit-Euler stepper ``(I - dt A)^T``.
-
-    Implicit Euler's S is symmetric for our diffusion operators when the
-    spatial operator is symmetric; for generality we step with the
-    transposed operator explicitly.
-    """
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
-    system_T = (
+    # Adjoint method: F_t[i, :] = dt * ((S^{t+1})^T B^T e_i), stepping the
+    # transposed implicit-Euler operator (I - dt A)^T, factorized once.
+    solve_T = spla.factorized(
         sp.eye(system.n, format="csc") - system.dt * system._A.T.tocsc()
     )
-    return spla.factorized(system_T)
-
-
-def _adjoint_kernel_row(solve_T, w: np.ndarray, nt: int, dt: float) -> np.ndarray:
-    """One sensor's kernel row (nt, Nm) from its observation row ``w``.
-
-    The single definition of the adjoint sweep, so cached OED rows and
-    ``build_p2o_blocks`` cannot drift apart.
-    """
-    row = np.empty((nt, w.shape[0]))
-    for t in range(nt):
-        w = solve_T(w)
-        row[t] = dt * w
-    return row
-
-
-class SensorBlockCache:
-    """Per-sensor p2o kernel rows, shared across OED candidate sets.
-
-    The greedy OED loop evaluates many overlapping sensor sets per
-    round; the p2o kernel row of sensor ``i`` — ``blocks[:, i, :]``,
-    i.e. its observed impulse responses — depends only on ``i``, not on
-    which other sensors are in the set.  This cache computes each row
-    once (one adjoint time-stepping sweep, with the transposed stepper
-    factorized a single time) and assembles the ``(nt, Nd, Nm)`` kernel
-    of any candidate set by stacking cached rows, turning the
-    per-candidate rebuild into a dictionary lookup.
-    """
-
-    def __init__(self, system: LTISystem, nt: int) -> None:
-        self.system = system
-        self.nt = check_positive_int(nt, "nt")
-        self._solve_T = _factorized_transposed_stepper(system)
-        self._rows: dict = {}
-
-    def row(self, sensor: int) -> np.ndarray:
-        """Kernel row of one point sensor: (nt, Nm), computed once per
-        sensor — exactly the row ``build_p2o_blocks`` would produce."""
-        sensor = int(sensor)
-        n = self.system.n
-        if not (0 <= sensor < n):
-            raise ReproError(f"sensor {sensor} outside [0, {n})")
-        if sensor not in self._rows:
-            w = ObservationOperator(n, [sensor]).matrix()[0]
-            self._rows[sensor] = _adjoint_kernel_row(
-                self._solve_T, w, self.nt, self.system.dt
-            )
-        return self._rows[sensor]
-
-    def blocks(self, sensors) -> np.ndarray:
-        """Kernel of a sensor set: (nt, len(sensors), Nm) stacked rows."""
-        return np.stack([self.row(s) for s in sensors], axis=1)
-
-    def __len__(self) -> int:
-        return len(self._rows)
+    B = obs.matrix()
+    for i in range(nd):
+        w = B[i]
+        for t in range(nt):
+            w = solve_T(w)
+            blocks[t, i, :] = system.dt * w
+    return blocks
 
 
 class P2OMap:
@@ -145,11 +83,8 @@ class P2OMap:
     :class:`FFTMatvec` with a selectable precision configuration — this
     is the object the Bayesian solver and the OED loop consume.
 
-    ``blocks`` supplies a precomputed kernel (e.g. assembled from a
-    :class:`SensorBlockCache`) and skips the per-construction impulse
-    solves — the OED greedy loop rebuilds P2OMaps for overlapping sensor
-    sets every round, so recomputing the kernel each time is pure
-    double-work.
+    ``blocks`` supplies a precomputed ``(nt, Nd, Nm)`` kernel in place of
+    the impulse solves (e.g. a random decaying kernel for benchmarks).
     """
 
     def __init__(

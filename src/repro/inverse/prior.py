@@ -121,14 +121,6 @@ class GaussianPrior:
             np.linalg.solve(L.T, self._to_space_rhs(a)), a.shape[2]
         )
 
-    def apply_sqrt_t_block(self, Z: np.ndarray) -> np.ndarray:
-        """Gamma_prior^{T/2} applied to a (nt, nm, k) block in one solve."""
-        a = self._check_block(Z)
-        L = self._chol()
-        return self._from_space_rhs(
-            np.linalg.solve(L, self._to_space_rhs(a)), a.shape[2]
-        )
-
     def variance_diag(self) -> np.ndarray:
         """Pointwise prior variance, shape (nt, nm) (constant over time)."""
         cov = np.linalg.inv(self._Kinv.toarray())

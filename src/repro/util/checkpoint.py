@@ -2,8 +2,8 @@
 
 The ROADMAP's production setting — thousands of GPUs, 24-hour SLURM
 walls — makes rank loss and wall-time eviction the common case, and the
-iterative consumers (block CG, randomized posterior eig) otherwise lose
-everything on one failure.
+iterative consumers (CG and block CG) otherwise lose everything on one
+failure.
 This module is the serialization half of the fault-tolerance story:
 
 * :class:`CheckpointStore` — a store of :class:`Snapshot` objects keyed
@@ -124,7 +124,11 @@ def state_fingerprint(*parts) -> str:
     Accepts arrays (hashed by shape + bytes), strings, and anything with
     a stable ``repr``.  The checkpoint-side counterpart of
     :func:`repro.serve.cache.operator_fingerprint` for state that is not
-    a Toeplitz kernel (e.g. a posterior eig's operator and sketch size).
+    a Toeplitz kernel (e.g. a CG solve's operator, right-hand side and
+    tolerance).
+
+    Kept by ``docs/FAULT_TOLERANCE.md``: the fingerprint CG restarts are
+    validated against.
     """
     import hashlib
 
@@ -149,7 +153,6 @@ class Snapshot:
     step: int
     fingerprint: str
     schema_version: int
-    meta: Dict[str, object] = field(default_factory=dict)
     arrays: Dict[str, np.ndarray] = field(default_factory=dict)
 
 
@@ -171,6 +174,9 @@ class CheckpointStore:
         ``None`` keeps everything in memory — same semantics, no disk;
         the chaos tests use this mode, the SLURM-restart story uses a
         path on the parallel filesystem.
+
+    Kept by ``docs/FAULT_TOLERANCE.md``: where CG and block-CG restarts
+    keep their snapshots.
     """
 
     def __init__(self, root: Optional[str] = None) -> None:
@@ -187,13 +193,12 @@ class CheckpointStore:
         *,
         fingerprint: str,
         step: Optional[int] = None,
-        meta: Optional[Dict[str, object]] = None,
     ) -> Snapshot:
         """Persist one snapshot; returns the stored :class:`Snapshot`.
 
         ``step=None`` appends after the latest existing step (starting
         at 0).  Arrays are copied — the caller's live buffers may keep
-        mutating.  ``meta`` must be JSON-serializable.
+        mutating.
         """
         _check_key(key)
         if not isinstance(fingerprint, str) or not fingerprint:
@@ -219,7 +224,6 @@ class CheckpointStore:
             step=step,
             fingerprint=fingerprint,
             schema_version=SCHEMA_VERSION,
-            meta=dict(meta or {}),
             arrays=copied,
         )
         if self.root is not None:
@@ -237,7 +241,6 @@ class CheckpointStore:
                 "fingerprint": snap.fingerprint,
                 "key": snap.key,
                 "step": snap.step,
-                "meta": snap.meta,
             }
         )
         payload = dict(snap.arrays)
@@ -293,7 +296,6 @@ class CheckpointStore:
             step=snap.step,
             fingerprint=snap.fingerprint,
             schema_version=snap.schema_version,
-            meta=dict(snap.meta),
             arrays={name: arr.copy() for name, arr in snap.arrays.items()},
         )
 
@@ -312,7 +314,6 @@ class CheckpointStore:
             step=step,
             fingerprint=str(header.get("fingerprint", "")),
             schema_version=int(header.get("schema_version", -1)),
-            meta=dict(header.get("meta", {})),
             arrays=raw,
         )
 

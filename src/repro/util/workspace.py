@@ -4,8 +4,8 @@ The paper's production code runs the pad → FFT → SBGEMM → IFFT → unpad
 pipeline out of *persistent* device buffers — nothing is ``cudaMalloc``'d
 per apply.  This module is the reproduction's counterpart: a
 :class:`Workspace` is a per-engine arena of reusable NumPy buffers keyed
-by ``(tag, shape, dtype)``, so iterative consumers (block-CG, randomized
-posterior eig/sampling, the OED greedy loop — thousands of applies)
+by ``(tag, shape, dtype)``, so iterative consumers (CG and block-CG,
+the outer loop's chunked data-space assembly — thousands of applies)
 stop paying Python/NumPy allocation churn on every phase of every apply.
 
 Two handout disciplines, both backed by the same keyed pools:

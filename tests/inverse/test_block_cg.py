@@ -8,7 +8,7 @@ from repro.inverse import (
     Grid1D,
     HeatEquation1D,
     LinearBayesianProblem,
-    LowRankPosterior,
+    DataSpacePosterior,
     ObservationOperator,
     P2OMap,
 )
@@ -106,11 +106,10 @@ class TestBlockedPriorActions:
     def test_block_actions_match_per_column(self, rng):
         prior = GaussianPrior(24, 16, gamma=5e-3, delta=4.0)
         M = rng.standard_normal((16, 24, 5))
-        L = prior._chol()  # Gamma^{1/2} = L^{-T}, Gamma^{T/2} = L^{-1}
+        L = prior._chol()  # Gamma^{1/2} = L^{-T}
         for block_fn, col_fn in (
             (prior.apply_inv_block, prior.apply_inv),
             (prior.apply_sqrt_block, lambda z: np.linalg.solve(L.T, z.T).T),
-            (prior.apply_sqrt_t_block, lambda z: np.linalg.solve(L, z.T).T),
         ):
             out = block_fn(M)
             assert out.shape == M.shape
@@ -128,17 +127,8 @@ class TestBlockedPriorActions:
 
 
 class TestBlockedPosterior:
-    def test_blocked_eig_uses_matmat(self, bayes_problem):
-        engine = bayes_problem.p2o.engine
-        before = engine.matmat_count
-        LowRankPosterior.compute(bayes_problem, 6, rng=np.random.default_rng(1))
-        # sketch + power iteration + projection = 3 blocked F and F* passes
-        assert engine.matmat_count - before == 6
-
     def test_sample_shape_and_seed(self, bayes_problem):
-        post = LowRankPosterior.compute(
-            bayes_problem, 6, rng=np.random.default_rng(2)
-        )
+        post = DataSpacePosterior.compute(bayes_problem)
         one = post.sample(np.random.default_rng(5))
         assert one.shape == (16, 24)
         np.testing.assert_array_equal(one, post.sample(np.random.default_rng(5)))

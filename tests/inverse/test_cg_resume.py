@@ -1,4 +1,4 @@
-"""Checkpoint/resume property tests for the CG solvers and posterior eig.
+"""Checkpoint/resume property tests for the CG solvers.
 
 The checkpoint satellite of the fault-tolerance PR: a solve resumed
 from a :class:`CGState` / :class:`BlockCGState` captured at *any*
@@ -17,9 +17,7 @@ from repro.inverse.cg import (
     block_conjugate_gradient,
     conjugate_gradient,
 )
-from repro.inverse.posterior import randomized_eig
 from repro.util.checkpoint import (
-    CheckpointError,
     CheckpointFingerprintError,
     CheckpointStore,
     state_fingerprint,
@@ -170,68 +168,6 @@ class TestBlockCGResume:
         wrong = state_fingerprint(A + 1.0, B_rhs, TOL)
         with pytest.raises(CheckpointFingerprintError):
             store.load("bcg", expect_fingerprint=wrong)
-
-
-class _FlakyBlockOp:
-    """Blocked PSD operator that dies on its n-th application."""
-
-    def __init__(self, H, fail_at):
-        self.H = H
-        self.fail_at = fail_at
-        self.calls = 0
-
-    def __call__(self, M):
-        if self.calls == self.fail_at:
-            raise RuntimeError("injected stage failure")
-        self.calls += 1
-        return self.H @ M
-
-
-class TestRandomizedEigResume:
-    @pytest.fixture(scope="class")
-    def psd(self):
-        rng = np.random.default_rng(99)
-        C = rng.standard_normal((30, 30))
-        return C @ C.T
-
-    def test_resume_after_stage_crash_is_bitwise(self, psd):
-        H = psd
-        lam_full, V_full = randomized_eig(lambda M: H @ M, 30, 4, rng=np.random.default_rng(5))
-        store = CheckpointStore()
-        fp = state_fingerprint(H, 4)
-        flaky = _FlakyBlockOp(H, fail_at=1)  # dies in the power iteration
-        with pytest.raises(RuntimeError):
-            randomized_eig(flaky, 30, 4, rng=np.random.default_rng(5), store=store, fingerprint=fp)
-        assert "randomized-eig" in store  # stages before the crash landed
-        # Resume: the rng is NOT re-consumed (the sketch stage is restored
-        # from the snapshot), so a fresh generator is fine.
-        lam_res, V_res = randomized_eig(
-            lambda M: H @ M, 30, 4, rng=np.random.default_rng(5), store=store,
-            fingerprint=fp, resume=True,
-        )
-        assert np.array_equal(lam_res, lam_full)
-        assert np.array_equal(V_res, V_full)
-
-    def test_resume_meta_mismatch_raises(self, psd):
-        H = psd
-        store = CheckpointStore()
-        randomized_eig(lambda M: H @ M, 30, 4, rng=np.random.default_rng(5), store=store)
-        with pytest.raises(CheckpointError):
-            randomized_eig(  # a different rank sketches a different width k
-                lambda M: H @ M, 30, 3, rng=np.random.default_rng(5), store=store, resume=True,
-            )
-
-    def test_resume_fingerprint_mismatch_raises(self, psd):
-        H = psd
-        store = CheckpointStore()
-        randomized_eig(
-            lambda M: H @ M, 30, 4, rng=np.random.default_rng(5), store=store, fingerprint="aaaa",
-        )
-        with pytest.raises(CheckpointFingerprintError):
-            randomized_eig(
-                lambda M: H @ M, 30, 4, rng=np.random.default_rng(5), store=store,
-                fingerprint="bbbb", resume=True,
-            )
 
 
 def _poisoned(A, healthy_calls):

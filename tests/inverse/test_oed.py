@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.inverse.bayes import _ASSEMBLY_COLUMNS, LinearBayesianProblem
 from repro.inverse.lti import AdvectionDiffusion1D, HeatEquation1D
 from repro.inverse.mesh import Grid1D
 from repro.inverse.oed import expected_information_gain, greedy_sensor_placement
-from repro.inverse.p2o import P2OMap, SensorBlockCache, build_p2o_blocks
+from repro.inverse.p2o import P2OMap, build_p2o_blocks
 from repro.inverse.observation import ObservationOperator
 from repro.inverse.prior import GaussianPrior
 from repro.util.validation import ReproError
@@ -84,24 +85,28 @@ class TestGreedy:
         assert sel_d.selected == sel_s.selected
 
     def test_blocked_assembly_carries_all_actions(self, oed_setup):
-        # Every candidate Hessian must be assembled with blocked passes:
-        # the per-evaluation actions are 2 * nt * |trial| logical
-        # matvecs riding 2 matmats, so matmat_count == 2 * evaluations.
+        # One all-candidate assembly carries every F/F* action of the
+        # loop, in blocked chunks; the scoring is dense algebra on it.
         _, system, prior = oed_setup
-        res = greedy_sensor_placement(system, [2, 6, 10, 14], 2, 6, prior, 0.05)
-        assert res.matmat_count == 2 * res.evaluations
-        assert res.matvec_count > 0
+        nt, nc = 6, 4
+        res = greedy_sensor_placement(system, [2, 6, 10, 14], 2, nt, prior, 0.05)
+        assert res.matvec_count == 2 * nt * nc
+        assert res.matmat_count == 2 * -(-nt * nc // _ASSEMBLY_COLUMNS)
 
-    def test_matches_uncached_per_candidate_rebuild(self, oed_setup):
-        # The sensor-block cache + blocked assembly must reproduce the
+    @pytest.mark.parametrize("config, rel", [("ddddd", 1e-9), ("dssdd", 1e-6)])
+    @pytest.mark.parametrize("n_select", [2, 3])
+    def test_matches_uncached_per_candidate_rebuild(self, oed_setup, n_select, config, rel):
+        # The one assembly + Schur-complement scoring must reproduce the
         # original algorithm: rebuild the p2o map per candidate and
         # assemble the Hessian column by column.
         _, system, prior = oed_setup
-        res = greedy_sensor_placement(system, [2, 6, 10], 2, 6, prior, 0.05)
+        res = greedy_sensor_placement(
+            system, [2, 6, 10], n_select, 6, prior, 0.05, config=config
+        )
 
         selected, gains = [], []
         remaining = [2, 6, 10]
-        for _ in range(2):
+        for _ in range(n_select):
             best_gain, best_idx = -np.inf, None
             for cand in remaining:
                 trial = selected + [cand]
@@ -112,8 +117,8 @@ class TestGreedy:
                 for col in range(nt * nd):
                     e = np.zeros((nt, nd))
                     e[col // nd, col % nd] = 1.0 / 0.05
-                    v = prior.apply(p2o.applyT(e))
-                    hd[:, col] = (p2o.apply(v) / 0.05).ravel()
+                    v = prior.apply(p2o.applyT(e, config=config))
+                    hd[:, col] = (p2o.apply(v, config=config) / 0.05).ravel()
                 gain = expected_information_gain(hd)
                 if gain > best_gain:
                     best_gain, best_idx = gain, cand
@@ -122,7 +127,25 @@ class TestGreedy:
             gains.append(best_gain)
 
         assert res.selected == selected
-        assert res.gains == pytest.approx(gains, rel=1e-9)
+        assert res.gains == pytest.approx(gains, rel=rel)
+
+    def test_non_finite_hessian_names_the_candidate(self, oed_setup, monkeypatch):
+        _, system, prior = oed_setup
+        monkeypatch.setattr(
+            LinearBayesianProblem, "data_space_hessian",
+            lambda self, config: np.full((6 * 3, 6 * 3), np.nan),
+        )
+        with pytest.raises(ReproError, match="candidate sensor 2 is not finite"):
+            greedy_sensor_placement(system, [2, 6, 10], 2, 6, prior, 0.05)
+
+    def test_indefinite_schur_complement_names_the_candidate(self, oed_setup, monkeypatch):
+        _, system, prior = oed_setup
+        monkeypatch.setattr(
+            LinearBayesianProblem, "data_space_hessian",
+            lambda self, config: -2.0 * np.eye(6 * 3),
+        )
+        with pytest.raises(ReproError, match="candidate sensor 2 is not positive definite"):
+            greedy_sensor_placement(system, [2, 6, 10], 2, 6, prior, 0.05)
 
     def test_spread_beats_clustered_for_diffusion(self):
         # with diffusive smoothing, greedy avoids placing the second
@@ -137,35 +160,12 @@ class TestGreedy:
         assert abs(first - second) > 1
 
 
-class TestSensorBlockCache:
-    def test_rows_match_build_p2o_blocks_bitwise(self, oed_setup):
-        _, system, prior = oed_setup
-        cache = SensorBlockCache(system, 6)
-        sensors = [3, 9, 12]
-        obs = ObservationOperator(system.n, sensors)
-        ref = build_p2o_blocks(system, obs, 6)
-        assert np.array_equal(cache.blocks(sensors), ref)
-
-    def test_rows_computed_once(self, oed_setup):
-        _, system, _ = oed_setup
-        cache = SensorBlockCache(system, 6)
-        cache.blocks([3, 9])
-        r1 = cache.row(3)
-        cache.blocks([3, 12])
-        assert cache.row(3) is r1  # cached object, not recomputed
-        assert len(cache) == 3
-
-    def test_out_of_range_sensor_rejected(self, oed_setup):
-        _, system, _ = oed_setup
-        with pytest.raises(ReproError):
-            SensorBlockCache(system, 6).row(system.n)
-
+class TestPrecomputedBlocks:
     def test_precomputed_blocks_shortcut_p2o(self, oed_setup):
         _, system, _ = oed_setup
         obs = ObservationOperator(system.n, [4, 11])
-        cache = SensorBlockCache(system, 6)
         direct = P2OMap(system, obs, 6)
-        shortcut = P2OMap(system, obs, 6, blocks=cache.blocks([4, 11]))
+        shortcut = P2OMap(system, obs, 6, blocks=build_p2o_blocks(system, obs, 6))
         assert np.array_equal(
             shortcut.matrix.blocks, direct.matrix.blocks
         )

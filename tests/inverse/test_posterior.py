@@ -1,4 +1,4 @@
-"""Tests for the low-rank posterior UQ machinery."""
+"""Tests for the exact data-space posterior."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,8 @@ from repro.inverse.lti import HeatEquation1D
 from repro.inverse.mesh import Grid1D
 from repro.inverse.observation import ObservationOperator
 from repro.inverse.p2o import P2OMap
-from repro.inverse.posterior import LowRankPosterior, randomized_eig
+from repro.inverse.posterior import DataSpacePosterior
 from repro.inverse.prior import GaussianPrior
-from repro.util.validation import ReproError
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +33,8 @@ def dense_ht(problem):
         w = problem.prior.apply_sqrt_block(e.reshape(nt, nm, 1))[:, :, 0]
         fw = problem.p2o.apply(w) / problem.noise_std**2
         hw = problem.p2o.applyT(fw)
-        H[:, i] = problem.prior.apply_sqrt_t_block(hw[:, :, None]).ravel()
+        # Gamma^{T/2} = L^{-1}, L the precision's Cholesky factor
+        H[:, i] = np.linalg.solve(problem.prior._chol(), hw.T).T.ravel()
     return 0.5 * (H + H.T)
 
 
@@ -42,7 +42,8 @@ class TestPriorSqrt:
     def test_sqrt_times_sqrt_t_is_cov(self, problem, rng):
         prior = problem.prior
         z = rng.standard_normal((6, 10, 1))
-        via_sqrt = prior.apply_sqrt_block(prior.apply_sqrt_t_block(z))[:, :, 0]
+        sqrt_t = np.linalg.solve(prior._chol(), z[:, :, 0].T).T  # Gamma^{T/2} = L^{-1}
+        via_sqrt = prior.apply_sqrt_block(sqrt_t[:, :, None])[:, :, 0]
         np.testing.assert_allclose(via_sqrt, prior.apply(z[:, :, 0]), rtol=1e-9, atol=1e-12)
 
     def test_variance_diag_matches_dense(self, problem):
@@ -51,42 +52,39 @@ class TestPriorSqrt:
         np.testing.assert_allclose(prior.variance_diag()[0], np.diag(cov), rtol=1e-10)
 
 
-class TestRandomizedEig:
-    def test_exact_for_lowrank_operator(self, rng):
-        # a rank-3 PSD matrix is recovered exactly
-        U = np.linalg.qr(rng.standard_normal((20, 3)))[0]
-        lam_true = np.array([5.0, 2.0, 0.5])
-        A = U @ np.diag(lam_true) @ U.T
-        lam, V = randomized_eig(lambda v: A @ v, 20, 3, rng=rng)
-        np.testing.assert_allclose(lam, lam_true, rtol=1e-8)
-        np.testing.assert_allclose(V @ V.T @ U, U, atol=1e-7)
-
-    def test_descending_order(self, rng):
-        A = np.diag(np.arange(1.0, 11.0))
-        lam, _ = randomized_eig(lambda v: A @ v, 10, 5, rng=rng)
-        assert np.all(np.diff(lam) <= 1e-12)
-
-    def test_rank_exceeds_dim(self, rng):
-        with pytest.raises(ReproError):
-            randomized_eig(lambda v: v, 4, 5)
-
-    def test_vectors_orthonormal(self, rng):
-        A = np.diag(np.linspace(1, 2, 12))
-        _, V = randomized_eig(lambda v: A @ v, 12, 4, rng=rng)
-        np.testing.assert_allclose(V.T @ V, np.eye(4), atol=1e-10)
+def dense_operators(problem):
+    """The explicit F, (nt*Nd, nt*Nm), and Gp, (nt*Nm, nt*Nm)."""
+    nt, nm = problem.p2o.nt, problem.p2o.nm
+    F = np.stack(
+        [problem.p2o.apply(e.reshape(nt, nm)).ravel() for e in np.eye(nt * nm)], axis=1
+    )
+    return F, np.kron(np.eye(nt), np.linalg.inv(problem.prior._Kinv.toarray()))
 
 
-class TestLowRankPosterior:
+def dense_posterior(problem):
+    """Dense Gamma_post = (F* F / sigma^2 + Gp^{-1})^{-1} and the EIG
+    0.5 * log det (I + F Gp F* / sigma^2), from the explicit F."""
+    nt, nm, nd = problem.p2o.nt, problem.p2o.nm, problem.p2o.nd
+    F, Gp = dense_operators(problem)
+    s2 = problem.noise_std**2
+    cov = np.linalg.inv(F.T @ F / s2 + np.linalg.inv(Gp))
+    eig = 0.5 * np.linalg.slogdet(np.eye(nt * nd) + F @ Gp @ F.T / s2)[1]
+    return np.diag(cov).reshape(nt, nm), eig
+
+
+class TestDataSpacePosterior:
     @pytest.fixture(scope="class")
     def post(self, problem):
-        return LowRankPosterior.compute(
-            problem, rank=12, rng=np.random.default_rng(0)
-        )
+        return DataSpacePosterior.compute(problem)
 
     def test_eigenvalues_match_dense(self, problem, post):
+        # H_d's spectrum is the nonzero spectrum of the prior-preconditioned
+        # Hessian: all nt * Nd of it, not a rank-r sketch.
+        n = problem.p2o.nt * problem.p2o.nd
         lam_dense = np.linalg.eigvalsh(dense_ht(problem))[::-1]
+        assert post.eigenvalues.shape == (n,)
         np.testing.assert_allclose(
-            post.eigenvalues[:6], lam_dense[:6], rtol=1e-6, atol=1e-10
+            post.eigenvalues, lam_dense[:n], rtol=1e-6, atol=1e-10
         )
 
     def test_spectrum_decays(self, post):
@@ -100,18 +98,12 @@ class TestLowRankPosterior:
         assert np.all(post_var <= prior_var + 1e-12)
         assert np.all(post_var > 0)
 
-    def test_pointwise_variance_is_the_per_eigenvector_loop(self, problem, post):
-        # One blocked sqrt-factor pass equals applying Gp^{1/2} = L^{-T}
-        # to each eigenvector in turn and summing the weighted squares.
-        nt, nm = problem.p2o.nt, problem.p2o.nm
-        L = problem.prior._chol()
-        weights = post.eigenvalues / (1.0 + post.eigenvalues)
-        corr = np.zeros(nt * nm)
-        for j in range(post.rank):
-            col = np.linalg.solve(L.T, post.eigenvectors[:, j].reshape(nt, nm).T).T
-            corr += weights[j] * col.ravel() ** 2
-        looped = problem.prior.variance_diag() - corr.reshape(nt, nm)
-        np.testing.assert_allclose(post.pointwise_variance(), looped, rtol=0, atol=1e-13)
+    @pytest.mark.parametrize("config, rel", [("ddddd", 1e-12), ("dssdd", 1e-6)])
+    def test_matches_dense_posterior(self, problem, config, rel):
+        var, eig = dense_posterior(problem)
+        post = DataSpacePosterior.compute(problem, config=config)
+        assert abs(post.information_gain() - eig) <= rel * eig
+        np.testing.assert_allclose(post.pointwise_variance(), var, rtol=rel, atol=0)
 
     def test_variance_reduced_most_near_sensors(self, problem, post):
         # uncertainty drops most where the data actually look
@@ -130,15 +122,31 @@ class TestLowRankPosterior:
             emp_var, post.pointwise_variance(), rtol=0.35, atol=1e-3
         )
 
-    def test_hessian_action_count_recorded(self, post):
-        assert post.hessian_actions >= post.rank
+    def test_sample_is_the_dense_kalman_update(self, problem, post):
+        # x = m - Gp F* (F Gp F* + sigma^2 I)^{-1} (F m + eps) for the same
+        # draws (m from z ~ N(0, I) first, then eps): covariance Gamma_post.
+        nt, nm, nd = problem.p2o.nt, problem.p2o.nm, problem.p2o.nd
+        sigma = problem.noise_std
+        F, Gp = dense_operators(problem)
+        draws = np.random.default_rng(11)
+        z = draws.standard_normal((nt, nm, 1))
+        eps = sigma * draws.standard_normal(nt * nd)
+        m = problem.prior.apply_sqrt_block(z).ravel()
+        gain = Gp @ F.T @ np.linalg.inv(F @ Gp @ F.T + sigma**2 * np.eye(nt * nd))
+        want = m - gain @ (F @ m + eps)
+        got = post.sample(np.random.default_rng(11)).ravel()
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    def test_one_assembly(self, problem):
+        # 2 * nt * Nd logical F/F* actions, and nothing else.
+        engine = problem.p2o.engine
+        before = engine.matvec_count
+        DataSpacePosterior.compute(problem)
+        assert engine.matvec_count - before == 2 * problem.p2o.nt * problem.p2o.nd
 
     def test_mixed_precision_agrees(self, problem):
-        rng = np.random.default_rng(1)
-        pd = LowRankPosterior.compute(problem, rank=6, rng=np.random.default_rng(5))
-        ps = LowRankPosterior.compute(
-            problem, rank=6, config="dssdd", rng=np.random.default_rng(5)
-        )
+        pd = DataSpacePosterior.compute(problem)
+        ps = DataSpacePosterior.compute(problem, config="dssdd")
         np.testing.assert_allclose(
             pd.eigenvalues, ps.eigenvalues, rtol=1e-4, atol=1e-8
         )

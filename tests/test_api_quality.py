@@ -266,14 +266,14 @@ def test_public_defs_include_async_methods():
 #: must go (:func:`test_shared_public_names_are_listed`).
 SHADOWED_NAMES = frozenset({
     "add", "adjoint", "apply", "apply_block", "asarray", "ascontiguous", "astype",
-    "blocks", "condition_number_hat", "conjugate", "copy", "copyto", "describe",
+    "condition_number_hat", "conjugate", "copy", "copyto", "describe",
     "dtype_of", "efficiency", "empty", "fft", "free", "from_arrays", "from_device",
     "geometry_key", "in_use", "install_corruption_schedule",
     "install_failure_schedule", "is_contiguous", "is_short_wide", "iscomplex", "keys",
     "launch", "launch_geometry", "malloc", "matmat", "matmul", "matrix_bytes",
     "matvec", "memcpy", "modeled_time", "multiply", "nbytes", "nd", "nm", "on_stream",
     "parse", "pending", "phase", "precision", "probe", "reset", "rmatmat", "rmatvec",
-    "row", "run", "sample", "seeded", "size", "spatial_operator", "spectrum",
+    "run", "sample", "seeded", "size", "spatial_operator", "spectrum",
     "speedup", "stats", "supports", "synchronize", "to_arrays", "total",
     "total_bytes", "transpose", "verify_forward_energy", "verify_inverse_energy",
     "zeros",
@@ -345,10 +345,6 @@ KEPT_OPTIONS = MappingProxyType({
     "repro.inverse.cg.conjugate_gradient:checkpoint": ("safety", "CG restart point"),
     "repro.inverse.cg.conjugate_gradient:checkpoint_every": ("safety", "CG restart cadence"),
     "repro.inverse.cg.conjugate_gradient:resume": ("safety", "CG restart from a saved state"),
-    "repro.inverse.posterior.LowRankPosterior.compute:store": ("safety", "eig restart store"),
-    "repro.inverse.posterior.LowRankPosterior.compute:checkpoint_key": (
-        "safety", "eig restart key in a shared store"),
-    "repro.inverse.posterior.LowRankPosterior.compute:resume": ("safety", "eig restart"),
     # Where a fault report says the fault was, and input validation.
     "repro.util.checksum.SilentCorruption:chunk": ("safety", "fault report: which chunk"),
     "repro.util.checksum.ensure_finite:chunk": ("safety", "fault report: which chunk"),

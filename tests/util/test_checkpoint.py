@@ -87,7 +87,6 @@ def test_schema_mismatch_raises_typed_error(store):
         step=snap.step,
         fingerprint=snap.fingerprint,
         schema_version=SCHEMA_VERSION + 1,
-        meta=snap.meta,
         arrays=snap.arrays,
     )
     store._mem["cg"][0] = forged
@@ -134,13 +133,12 @@ def test_disk_store_survives_process_restart(tmp_path, rng):
     root = str(tmp_path / "ckpt")
     a = rng.standard_normal((3, 5))
     CheckpointStore(root=root).save(
-        "solver", {"a": a}, fingerprint="fp16", meta={"n": 5}
+        "solver", {"a": a}, fingerprint="fp16"
     )
     # A fresh store (fresh process after eviction) reads the same bits.
     reborn = CheckpointStore(root=root)
     snap = reborn.load("solver", expect_fingerprint="fp16")
     assert np.array_equal(snap.arrays["a"], a)
-    assert snap.meta == {"n": 5}
     assert reborn.keys() == ("solver",)
 
 
