@@ -7,7 +7,8 @@ and the comm payload staging — performs its array work through a
 backend exposes:
 
 * an FFT adapter (``fft``) with numpy-style
-  ``rfft/irfft/fft/ifft(a, axis=...)`` signatures;
+  ``rfft/irfft/fft/ifft(a, axis=...)`` signatures, the inverses taking
+  numpy's ``norm=`` too;
 * allocation (``empty``/``zeros``) and movement (``asarray``,
   ``from_device``, ``copy``/``copyto``);
 * compute entry points (``matmul`` with ``out=``, ``conjugate``,
@@ -79,8 +80,9 @@ class Backend:
     # -- namespaces ----------------------------------------------------------
     @property
     def fft(self) -> Any:
-        """FFT module with numpy-style ``rfft/irfft/fft/ifft(a, axis=)``,
-        each computed at the precision of its input."""
+        """FFT module with numpy-style ``rfft/irfft/fft/ifft(a, axis=)``
+        (``irfft``/``ifft`` also take ``norm=``), each computed at the
+        precision of its input."""
         raise NotImplementedError
 
     # -- availability --------------------------------------------------------

@@ -58,17 +58,17 @@ class _TieredFFT:
         lib, kw = self._provider(a, out)
         return lib.rfft(a, axis=axis, **kw)
 
-    def irfft(self, a, n=None, axis: int = -1, out=None):
+    def irfft(self, a, n=None, axis: int = -1, norm=None, out=None):
         lib, kw = self._provider(a, out)
-        return lib.irfft(a, n=n, axis=axis, **kw)
+        return lib.irfft(a, n=n, axis=axis, norm=norm, **kw)
 
     def fft(self, a, axis: int = -1, out=None):
         lib, kw = self._provider(a, out)
         return lib.fft(a, axis=axis, **kw)
 
-    def ifft(self, a, axis: int = -1, out=None):
+    def ifft(self, a, axis: int = -1, norm=None, out=None):
         lib, kw = self._provider(a, out)
-        return lib.ifft(a, axis=axis, **kw)
+        return lib.ifft(a, axis=axis, norm=norm, **kw)
 
 
 _FFT = _TieredFFT()

@@ -43,14 +43,14 @@ class _TorchFFT:
     def rfft(self, a, axis: int = -1):
         return self._fft.rfft(a, dim=axis)
 
-    def irfft(self, a, n=None, axis: int = -1):
-        return self._fft.irfft(a, n=n, dim=axis)
+    def irfft(self, a, n=None, axis: int = -1, norm=None):
+        return self._fft.irfft(a, n=n, dim=axis, norm=norm)
 
     def fft(self, a, axis: int = -1):
         return self._fft.fft(a, dim=axis)
 
-    def ifft(self, a, axis: int = -1):
-        return self._fft.ifft(a, dim=axis)
+    def ifft(self, a, axis: int = -1, norm=None):
+        return self._fft.ifft(a, dim=axis, norm=norm)
 
 
 class TorchBackend(Backend):

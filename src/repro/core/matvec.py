@@ -31,6 +31,11 @@ FFT and one unpad.  The spectrum — the dominant Phase-3 traffic — is
 read once instead of ``k`` times, and the per-call launch/plan overhead
 of the other phases is paid once, which is where block solvers,
 posterior sampling and OED sweeps get their speedup.
+
+On the host, a wide apply's column slabs and a large fast GEMM's
+frequency parts run on every usable core through the host executor
+(:mod:`repro.util.executor`); the bits, the simulated clock and every
+counter are those of the inline run.
 """
 
 from __future__ import annotations
@@ -70,8 +75,10 @@ from repro.gpu.device import SimulatedDevice, price_launch
 from repro.gpu.kernel import KernelLaunch
 from repro.gpu.specs import GPUSpec
 from repro.util import checksum as _chk
+from repro.util import executor
 from repro.util.blocking import check_block, check_out_buffer
 from repro.util.dtypes import Precision, cast_to, complex_dtype, real_dtype
+from repro.util.executor import run_groups
 from repro.util.timing import TimingReport
 from repro.util.validation import ReproError
 from repro.util.workspace import Workspace
@@ -84,13 +91,24 @@ _VALIDATE_MODES = ("guard", "abft")
 
 # Byte budget of one slab buffer of the phase loops (``_front`` /
 # ``_back``), i.e. of the ``(w, 2*Nt)`` padded rows the FFT reads or
-# writes: 256 columns at Nt = 256 double, 512 single.  The host is
-# bandwidth bound (memcpy 20.5 GB/s on one thread, 19.5 on two), so the
-# lever is reading each intermediate back from the 2 MB L2; flat from
-# 0.5 to 3 MiB.  An axis within 8 budgets stays whole: there the split
-# only adds calls (a grid rank's 768-column chunk ran F 2.5 % slower in
-# two slabs, block-CG's k = 8 blocks 5 %); it pays from about 8 MiB.
+# writes: 256 columns at Nt = 256 double, 512 single.  The lever is
+# reading each intermediate back from L2 instead of memory; flat from
+# 0.5 to 3 MiB.  A multi-slab half runs its slabs on every usable CPU,
+# one scratch set each: whole-width passes only split the memory
+# bandwidth between two threads (0.8-1.2x), slab-sized ones stay in
+# each core's L2 and run 1.4-1.8x faster on two (docs/ARCHITECTURE.md).
+# An axis within 8 budgets stays whole: there the split only adds calls
+# (a grid rank's 768-column chunk ran F 2.5 % slower in two slabs,
+# block-CG's k = 8 blocks 5 %); it pays from about 8 MiB.
 _SLAB_BYTES = 1 << 20
+
+# Phase 3's fast GEMM (``_run_sbgemm``) splits its frequencies over the
+# host's cores from this many multiply-adds, ``n_freq * Nd * Nm * k``.
+# Two threads against one (one BLAS thread, complex128 / complex64, F and
+# F*): 0.6 M 0.92-1.5x, 1.2 M 1.05-1.9x, 2.4 M 1.08-1.4x, 4.8 M 1.3-1.9x,
+# 9.5 M and up 1.3-2.0x.  solve_small's k = 8 blocks (1.2 M) and a
+# grid_fast rank-chunk (1.19 M) stay below, apply_large (37.9 M) above.
+_PHASE3_SPLIT_MADDS = 2_000_000
 
 # The circulant preconditioner's shift mu as a fraction of the smallest
 # Gram eigenvalue s_min^2 (never the ridge: mu = ridge diverged).  CG on
@@ -141,16 +159,28 @@ def _parse_validate(validate) -> frozenset:
     return modes
 
 
-def _slabs(rec: SimpleNamespace, *bufs: Any) -> list:
+def _slabs(rec: SimpleNamespace, sets: Sequence[Tuple]) -> list:
     """One ``(first, columns, *rows)`` entry per slab of a prepared
     record's fused axis: its slice of that axis (``None`` when one slab
-    is all of it) and its leading rows of each ``(w, ...)`` scratch."""
+    is all of it) and its leading rows of each ``(w, ...)`` scratch of
+    set ``i % len(sets)`` for slab ``i``."""
     w, cols = rec.w, rec.cols
     return [
         (c0 == 0, None if w == cols else slice(c0, c0 + n))
-        + tuple(b if b is None else b[:n] for b in bufs)
-        for c0, n in ((c0, min(w, cols - c0)) for c0 in range(0, cols, w))
+        + tuple(b if b is None else b[:n] for b in sets[i % len(sets)])
+        for i, (c0, n) in enumerate((c0, min(w, cols - c0)) for c0 in range(0, cols, w))
     ]
+
+
+def _gemm_frequencies(
+    part: slice, fhat: Any, mhat: Any, operation: Operation, out: Any, a_conj: Any, be: Backend
+) -> Any:
+    """One contiguous frequency part of the fast Phase-3 GEMM
+    (:meth:`FFTMatvec._run_sbgemm`)."""
+    return gemm_strided_batched_reference(
+        fhat[part], mhat[part], operation, out=out[part],
+        a_conj=None if a_conj is None else a_conj[part], backend=be,
+    )
 
 
 def front_launches(
@@ -448,10 +478,14 @@ class FFTMatvec:
         fft = config.ifft if back else config.fft
         rdt, cols = real_dtype(fft), n * k
         fft_type = FFTType.real_inverse(fft) if back else FFTType.real_forward(fft)
+        w = self._slab_cols(cols, 2 * self.nt * rdt.itemsize)
         rec = SimpleNamespace(
             n=n, k=k, cols=cols, rdt=rdt, cdt=complex_dtype(fft), p3=None, res=None, booked=None,
-            w=self._slab_cols(cols, 2 * self.nt * rdt.itemsize),
-            plan=FFTPlan(self.n_pad, cols, fft_type, backend=self.backend),
+            w=w, plan=FFTPlan(self.n_pad, cols, fft_type, backend=self.backend),
+            # A multi-slab half runs its slabs as up to this many groups
+            # (run_groups): slab i uses scratch set i % sets, so slabs
+            # sharing a set never run at once.
+            sets=1 if w == cols else min(-(-cols // w), executor.usable_cpus()),
         )
         if back:
             rec.udt = real_dtype(config.unpad)
@@ -467,6 +501,16 @@ class FFTMatvec:
             # ``cast_noop_count`` counts them.
             rec.pad_dt = rdt if config.pad is Precision.DOUBLE else real_dtype(config.pad)
             rec.noops = 2 if rec.pad_dt == rdt else 1
+            # The fast GEMM's frequency parts (_run_sbgemm), one per group.
+            nf, parts = self.n_freq, 1
+            if (
+                key[0] is FFTMatvec._run_sbgemm
+                and self.reduction == "fast"
+                and self.backend.name == "numpy"
+                and nf * self.nd * self.nm * k >= _PHASE3_SPLIT_MADDS
+            ):
+                parts = min(nf, executor.usable_cpus())
+            rec.parts = [slice(f * nf // parts, (f + 1) * nf // parts) for f in range(parts)]
         if self.device is not None:
             spec = self.device.spec
             if back:
@@ -486,18 +530,28 @@ class FFTMatvec:
             ]
         # The half's arena buffers, checked out once and cut into slabs
         # (front: plus the slab's fwd_reorder columns and the Phase-3 panel).
-        ws, nt, w = self.workspace, self.nt, rec.w
+        ws, nt = self.workspace, self.nt
         if back:
-            ybuf = ws.checkout("bwd_reorder", (w, self.n_freq), rec.cdt)
-            tbuf = ws.checkout("ifft_out", (w, 2 * nt), rdt) if w < cols else None
-            rec.bufs = _slabs(rec, ybuf, tbuf)
+            sets = [
+                (
+                    ws.checkout("bwd_reorder", (w, self.n_freq), rec.cdt),
+                    ws.checkout("ifft_out", (w, 2 * nt), rdt) if w < cols else None,
+                )
+                for _ in range(rec.sets)
+            ]
+            rec.bufs = _slabs(rec, sets)
         else:
-            xbuf = padded_buffer(w, nt, rec.pad_dt, ws, self.backend)
-            cbuf = ws.checkout("cast_fft", (w, 2 * nt), rdt) if rec.pad_dt != rdt else None
-            fbuf = ws.checkout("fft_out", (w, self.n_freq), rec.cdt) if w < cols else None
+            sets = [
+                (
+                    padded_buffer(w, nt, rec.pad_dt, ws, self.backend),
+                    ws.checkout("cast_fft", (w, 2 * nt), rdt) if rec.pad_dt != rdt else None,
+                    ws.checkout("fft_out", (w, self.n_freq), rec.cdt) if w < cols else None,
+                )
+                for _ in range(rec.sets)
+            ]
             vhat = ws.checkout("fwd_reorder", (self.n_freq, cols), rec.sdt)
             rec.bufs = (
-                [s + (vhat if s[1] is None else vhat[:, s[1]],) for s in _slabs(rec, xbuf, cbuf, fbuf)],
+                [s + (vhat if s[1] is None else vhat[:, s[1]],) for s in _slabs(rec, sets)],
                 vhat.reshape(self.n_freq, n, k),
             )
         self._plans[key] = rec
@@ -591,9 +645,12 @@ class FFTMatvec:
                 fhat, mhat, operation, out=out, a_conj=a_conj, backend=be,
                 workspace=self.workspace,
             )
-        return gemm_strided_batched_reference(
-            fhat, mhat, operation, out=out, a_conj=a_conj, backend=be
-        )
+        # numpy's stacked matmul runs one GEMM per frequency, so the
+        # contiguous frequency parts of the record give the bits of one
+        # call on any number of threads.
+        parts = rec.parts
+        run_groups(_gemm_frequencies, parts, len(parts), fhat, mhat, operation, out, a_conj, be)
+        return out
 
     def _run_sbgemm_pairwise_segments(
         self, panel: Any, rec: SimpleNamespace, start: int, n_global: int
@@ -818,8 +875,10 @@ class FFTMatvec:
     def _unpad_buffer(self, rec: SimpleNamespace) -> Any:
         """The back half's own ``(Nt, cols)`` result buffer — asked for
         only by an apply that cannot unpad into its caller's ``out``,
-        and only once the IFFT's output exists: asking earlier cost
-        glibc ~1000 more page faults per engine build."""
+        and by a lone slab only once the IFFT's output exists: asking
+        earlier cost glibc ~1000 more page faults per engine build.
+        Several slabs ask for it before any runs; their IFFT output is
+        arena scratch."""
         if rec.res is None:
             rec.res = self.workspace.checkout("unpad", (self.nt, rec.cols), rec.udt)
         return rec.res
@@ -850,70 +909,82 @@ class FFTMatvec:
         into per-frequency (nx, k) panels.
 
         Pad -> FFT -> reorder runs **slab by slab** over those columns
-        (:meth:`_slab_cols`): a slab is padded into one reused
-        ``(w, 2*Nt)`` buffer, transformed into a ``(w, n_freq)`` scratch
-        and transposed straight into its columns of ``fwd_reorder``, so
-        no full-width padded buffer or FFT output exists and the
-        intermediates are read back from L2.  FFT rows are independent
-        and the rest are copies: the bits are those of one whole-width
-        pass, which is this loop with one slab.  The modeled device runs
-        each phase as one full-width kernel; the first slab books it.
+        (:meth:`_slab_cols`), one :meth:`_front_slab` per slab through
+        the host executor (:func:`~repro.util.executor.run_groups`): a
+        multi-slab half's slabs run as up to ``rec.sets`` groups on the
+        host's cores, whole width is one slab run inline.  FFT rows are
+        independent and the rest are copies into disjoint columns: the
+        bits are those of one whole-width pass on one thread.
 
         What the data does not decide comes from the prepared record
-        (:meth:`_prepared`); the loop runs kernels and, with a device or
-        an armed hook, books the record's launches (``booked``, entry
-        ``i`` right behind the kernel it describes) and runs the checks.
+        (:meth:`_prepared`); with a device, Phase 3 books the record's
+        launches behind the slabs' (``booked[3:]``).
         """
         nt, nx, k = v_in.shape
         rec = self._prepared((kernel, adjoint, config.code, nx * k), False, config, adjoint, nx, k)
         slabs, panel = rec.bufs
-        be, ws, plan, armed, booked = self.backend, self.workspace, rec.plan, self._armed, rec.booked
-        v2 = v_in.reshape(nt, rec.cols)
         self.cast_noop_count += rec.noops
-        for first, sl, xbuf, cbuf, fbuf, vslab in slabs:
-            dev = self.device if first else None
-            # Phase 1: broadcast (trivial single-device) + zero-pad, in
-            # the phase's precision (cast fused into the kernel's writes).
-            x = pad_to_soti(
-                v2 if sl is None else v2[:, sl],
-                config.pad,
-                out=xbuf,
-                backend=be,
-                validate=self._guard_on,
-                rank=self.rank_label,
-            )
-            if dev is not None:
-                dev.book(*booked[0])
-            # Phase 2: batched forward FFT (batch = k * space).
-            if cbuf is not None:
-                cbuf[...] = x
-                x = cbuf
-            xhat = plan.execute(x, phase="fft" if first else None, workspace=ws, out=fbuf)
-            if dev is not None:
-                dev.book(*booked[1])
-            if armed:
-                self._maybe_corrupt(xhat, "fft")
-                self._check_forward_energy(x, xhat, plan)
-                self._guard_check(xhat, "fft")
-            # Reorder to frequency-outer layout, written at Phase 3's
-            # precision: the value "reorder at the lower adjacent
-            # precision, then cast" gives (a down-cast rounds once, an
-            # up-cast is exact), without the second pass.
-            soti_to_tosi(xhat, backend=be, out=vslab)
-            if dev is not None:
-                dev.book(*booked[2])
-
+        run_groups(self._front_slab, slabs, rec.sets, rec, v_in.reshape(nt, rec.cols), config)
         yhat = kernel(self, panel, rec, *kernel_args)
-        if booked is not None:
-            for entry in booked[3:]:
+        if rec.booked is not None:
+            for entry in rec.booked[3:]:
                 self.device.book(*entry)
             name, launches = rec.counted
             self.dispatcher.dispatch_counts[name] += launches
-        if armed:
+        if self._armed:
             self._maybe_corrupt(yhat, "sbgemm")
             self._check_gemm(panel, yhat, rec.operation, config.sbgemv)
             self._guard_check(yhat, "sbgemv")
         return yhat
+
+    def _front_slab(
+        self, slab: Tuple, rec: SimpleNamespace, v2: np.ndarray, config: PrecisionConfig
+    ) -> None:
+        """Pad -> FFT -> reorder of one slab of :meth:`_front`: padded
+        into its ``(w, 2*Nt)`` scratch, transformed into a ``(w,
+        n_freq)`` one and transposed straight into its columns of
+        ``fwd_reorder``, so the intermediates are read back from L2.
+
+        The first slab runs on the calling thread (group 0) and alone
+        counts the execution and books each phase's launch for the full
+        width (``booked[i]`` right behind the kernel it describes: the
+        modeled device does not slab); the others touch no counter,
+        device or arena, so they may run on any thread.  Armed hooks
+        see whole buffers: an armed engine is one slab.
+        """
+        first, sl, xbuf, cbuf, fbuf, vslab = slab
+        be, plan, booked = self.backend, rec.plan, rec.booked
+        dev = self.device if first else None
+        # Phase 1: broadcast (trivial single-device) + zero-pad, in
+        # the phase's precision (cast fused into the kernel's writes).
+        x = pad_to_soti(
+            v2 if sl is None else v2[:, sl],
+            config.pad,
+            out=xbuf,
+            backend=be,
+            validate=self._guard_on,
+            rank=self.rank_label,
+        )
+        if dev is not None:
+            dev.book(*booked[0])
+        # Phase 2: batched forward FFT (batch = k * space).
+        if cbuf is not None:
+            cbuf[...] = x
+            x = cbuf
+        xhat = plan.execute(x, phase="fft" if first else None, out=fbuf)
+        if dev is not None:
+            dev.book(*booked[1])
+        if self._armed:
+            self._maybe_corrupt(xhat, "fft")
+            self._check_forward_energy(x, xhat, plan)
+            self._guard_check(xhat, "fft")
+        # Reorder to frequency-outer layout, written at Phase 3's
+        # precision: the value "reorder at the lower adjacent
+        # precision, then cast" gives (a down-cast rounds once, an
+        # up-cast is exact), without the second pass.
+        soti_to_tosi(xhat, backend=be, out=vslab)
+        if dev is not None:
+            dev.book(*booked[2])
 
     def _back(
         self,
@@ -933,61 +1004,83 @@ class FFTMatvec:
         injection site, followed by the guard.
 
         Slab by slab like :meth:`_front`, from a prepared record like
-        it: a slab of the panel is transposed into a ``(w, n_freq)``
-        ``bwd_reorder`` scratch, inverse-transformed (unscaled in place)
-        into a ``(w, 2*Nt)`` scratch and unpadded straight into its
-        columns of the result, so no full-width reorder, IFFT-input or
-        IFFT-output buffer exists.
+        it: one :meth:`_back_slab` per slab through the host executor,
+        so no full-width reorder, IFFT-input or IFFT-output buffer
+        exists.
         """
         ny = self.nm if adjoint else self.nd
         k = yhat.shape[2]
         rec = self._prepared(("back", adjoint, config.code, ny * k), True, config, adjoint, ny, k)
-        slabs = rec.bufs
-        be, ws, plan, armed, booked = self.backend, self.workspace, rec.plan, self._armed, rec.booked
         nt, cols = self.nt, rec.cols
-        y2 = yhat.reshape(self.n_freq, cols)
         # A double-precision unpad on the host writes a contiguous
         # caller buffer directly; a device backend unpads on device and
         # transfers in _finalize.
         direct = (
             out is not None
             and rec.udt == np.float64
-            and be.name == "numpy"
+            and self.backend.name == "numpy"
             and out.flags.c_contiguous
         )
-        res = out.reshape(nt, cols) if direct else None
+        if direct:
+            res = out.reshape(nt, cols)
+        elif rec.w < cols:  # the slabs share one, resolved before any runs
+            res = self._unpad_buffer(rec)
+        else:
+            res = None
         self.cast_noop_count += 1
-        for first, sl, ybuf, tbuf in slabs:
-            dev = self.device if first else None
-            ys = tosi_to_soti(y2 if sl is None else y2[:, sl], backend=be, out=ybuf)
-            if dev is not None:
-                dev.book(*booked[0])
-            # Phase 4: batched inverse FFT, batch = k * space.
-            y = plan.inverse(ys, phase="ifft" if first else None, workspace=ws, out=tbuf)
-            if dev is not None:
-                dev.book(*booked[1])
-            if armed:
-                self._maybe_corrupt(y, "ifft")
-                self._check_inverse_energy(ys, y, plan)
-                self._guard_check(y, "ifft")
-            # Phase 5: unpad (+ reduction across the grid in the parallel
-            # engine) in its precision; back to double in _finalize.
-            if res is None:
-                res = self._unpad_buffer(rec)
-            unpad_from_soti(
-                y,
-                nt,
-                config.unpad,
-                out=res if sl is None else res[:, sl],
-                backend=be,
-                validate=self._guard_on,
-                rank=self.rank_label,
-            )
-            if dev is not None:
-                dev.book(*booked[2])
+        res = run_groups(
+            self._back_slab, rec.bufs, rec.sets, rec, yhat.reshape(self.n_freq, cols), res, config
+        )[0]
         if direct:
             return out  # unpad already wrote the caller's buffer
         return self._finalize(res.reshape(nt, ny, k), out, detach=detach)
+
+    def _back_slab(
+        self,
+        slab: Tuple,
+        rec: SimpleNamespace,
+        y2: Any,
+        res: Optional[Any],
+        config: PrecisionConfig,
+    ) -> Any:
+        """Reorder -> IFFT -> unpad of one slab of :meth:`_back`:
+        transposed into its ``(w, n_freq)`` ``bwd_reorder`` scratch,
+        inverse-transformed into a ``(w, 2*Nt)`` one and unpadded
+        straight into its columns of ``res``, which it returns.  ``res``
+        is ``None`` only for a lone slab (on the calling thread): the
+        result buffer is then asked for once the IFFT's output exists.
+        Counts, books and checks as :meth:`_front_slab` does.
+        """
+        first, sl, ybuf, tbuf = slab
+        be, plan, booked = self.backend, rec.plan, rec.booked
+        dev = self.device if first else None
+        ys = tosi_to_soti(y2 if sl is None else y2[:, sl], backend=be, out=ybuf)
+        if dev is not None:
+            dev.book(*booked[0])
+        # Phase 4: batched inverse FFT, batch = k * space.
+        y = plan.inverse(ys, phase="ifft" if first else None, out=tbuf)
+        if dev is not None:
+            dev.book(*booked[1])
+        if self._armed:
+            self._maybe_corrupt(y, "ifft")
+            self._check_inverse_energy(ys, y, plan)
+            self._guard_check(y, "ifft")
+        # Phase 5: unpad (+ reduction across the grid in the parallel
+        # engine) in its precision; back to double in _finalize.
+        if res is None:
+            res = self._unpad_buffer(rec)
+        unpad_from_soti(
+            y,
+            self.nt,
+            config.unpad,
+            out=res if sl is None else res[:, sl],
+            backend=be,
+            validate=self._guard_on,
+            rank=self.rank_label,
+        )
+        if dev is not None:
+            dev.book(*booked[2])
+        return res
 
     def _pipeline(
         self,

@@ -21,8 +21,10 @@ on per-rank clocks, and the wall time charged between collectives is the
 **max over ranks**.  The host runs a chunk the way that charge assumes
 it runs: its ranks, its input parts' broadcasts and its output parts'
 reduces (with the pairwise root epilogue) each run as concurrent groups
-on a small thread pool when the work per rank or part is big enough to
-pay (:meth:`ParallelFFTMatvec._run_groups`).  Each part owns its
+on the host executor's thread pool (:mod:`repro.util.executor`) when the
+work per rank or part is big enough to pay
+(:meth:`ParallelFFTMatvec._run_groups`); a rank engine applied inside a
+group keeps its own slabs inline.  Each part owns its
 communicator, only the timed one charges the timeline, and the grid
 arena is only entered on the calling thread — no output bit or
 simulated second depends on the pool.  Balanced partitions charge one rank's time
@@ -105,9 +107,6 @@ run ``deterministic`` too.
 
 from __future__ import annotations
 
-import functools
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -129,6 +128,7 @@ from repro.util.blocking import (
     validate_max_block_k,
 )
 from repro.util.dtypes import Precision, real_dtype
+from repro.util.executor import run_groups
 from repro.util.timing import HostModel, SimClock, Stream, TimingReport, run_chunk_schedule
 from repro.util.validation import ReproError
 from repro.util.workspace import Workspace
@@ -146,17 +146,6 @@ _REPORT_PHASES = _PHASES + ("host",)
 # at 15k, even at 39k, 0.9x at 41k, 0.7x from 52k (docs/ARCHITECTURE.md).
 # A chunk's input / output parts use the same gate on Nt * kc * extent.
 _CONCURRENT_MIN_ELEMS = 40_000
-
-
-def _usable_cpus() -> int:
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
-@functools.lru_cache(maxsize=None)
-def _rank_pool(workers: int) -> ThreadPoolExecutor:
-    """The process-wide rank pool, created by the first concurrent apply."""
-    return ThreadPoolExecutor(workers, thread_name_prefix="repro-rank")
 
 
 class ParallelFFTMatvec:
@@ -534,49 +523,16 @@ class ParallelFFTMatvec:
         )
 
     def _run_groups(self, task: Callable, items: Sequence, elems: int, *args) -> list:
-        """``[task(item, *args) for item in items]``, run as strided groups.
-
-        The items — a chunk's ranks, input parts or output parts — share
-        nothing (own engine, arena, device, clock, communicator), so they
-        run as ``w = min(items, usable CPUs)`` strided groups: group 0 on
-        the calling thread, the rest on the process-wide pool, results
-        gathered in item order — nothing observable depends on ``w``.
-        ``w`` is 1 (inline, in item order) for items of under
-        ``_CONCURRENT_MIN_ELEMS`` elements and while a failure or
-        corruption schedule is installed (one event counter for the whole
-        engine); a group the pool refuses (it is shut down at interpreter
-        exit) runs on the calling thread too.  Returns or raises only once
-        every group has finished; of several failing items the lowest
-        one's error wins.
-        """
-        n = len(items)
-        done: list = [None] * n
-        cpus = 1 if elems < _CONCURRENT_MIN_ELEMS or self._injecting() else _usable_cpus()
-        w = min(n, cpus)
-
-        def run_group(g: int) -> Optional[Tuple[int, Exception]]:
-            for i in range(g, n, w):
-                try:
-                    done[i] = task(items[i], *args)
-                except Exception as exc:  # collected; the lowest item's is re-raised
-                    return i, exc
-            return None
-
-        here, futures = [0], []
-        for g in range(1, w):
-            try:
-                futures.append(_rank_pool(cpus - 1).submit(run_group, g))
-            except RuntimeError:  # the pool takes no work after shutdown
-                here.append(g)
-        try:
-            failed = [run_group(g) for g in here]
-        finally:
-            if futures:
-                wait(futures)  # no worker still writes an arena past this point
-        failed = [f for f in failed + [fut.result() for fut in futures] if f]
-        if failed:
-            raise min(failed, key=lambda f: f[0])[1]
-        return done
+        """``[task(item, *args) for item in items]`` through the host
+        executor (:func:`~repro.util.executor.run_groups`), one item per
+        group at most.  The items — a chunk's ranks, input parts or
+        output parts — share nothing (own engine, arena, device, clock,
+        communicator); they stay inline, in item order, below
+        ``_CONCURRENT_MIN_ELEMS`` elements per item and while a failure
+        or corruption schedule is installed (one event counter for the
+        whole engine)."""
+        concurrent = elems >= _CONCURRENT_MIN_ELEMS and not self._injecting()
+        return run_groups(task, items, len(items) if concurrent else 1, *args)
 
     def _rank_compute(
         self, run_rank: Callable[[int, int, FFTMatvec], np.ndarray], kc: int

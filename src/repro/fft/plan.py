@@ -30,9 +30,9 @@ plan's dtype and is contiguous, staging is an explicit no-op (counted
 in ``stage_noops``); otherwise the plan copies into a persistent
 workspace buffer when a :class:`~repro.util.workspace.Workspace` is
 supplied (counted in ``stage_copies``) instead of allocating a fresh
-``ascontiguousarray`` per execution.  The inverse transform's
-unnormalization is applied in place on the transform output — one less
-temporary, bitwise-identical scaling.
+``ascontiguousarray`` per execution.  The inverse transform is asked
+of the backend unnormalized (``norm="forward"``), so no scaling pass
+follows it.
 """
 
 from __future__ import annotations
@@ -150,11 +150,11 @@ class FFTPlan:
         self._rdt = real_dtype(self.precision)
         self._cdt = complex_dtype(self.precision)
         self._real_fwd, self._real_inv = fft_type.is_real_forward, fft_type.is_real_inverse
-        # cuFFT-style unnormalized inverse: the result is scaled back by n.
-        self._unscale = np.asarray(self.n, dtype=self._rdt)
         self.executions = 0
-        self.stage_noops = 0  # inputs that needed no staging copy
-        self.stage_copies = 0  # inputs staged into a workspace buffer
+        # Of the executions (not a further slab's call): inputs that
+        # needed no staging copy, inputs staged into a workspace buffer.
+        self.stage_noops = 0
+        self.stage_copies = 0
 
     # -- cost model ----------------------------------------------------------
     @property
@@ -206,7 +206,7 @@ class FFTPlan:
 
     def _stage(
         self, x: Any, length: int, dtype: np.dtype, what: str, out: Any,
-        workspace: Optional[Workspace], tag: str,
+        workspace: Optional[Workspace], tag: str, counted: bool,
     ) -> Any:
         """Present the input validated, contiguous and at the plan dtype.
 
@@ -214,7 +214,9 @@ class FFTPlan:
         from attribute reads alone for a host array that already is what
         the plan wants, as every engine apply's is; with a workspace a
         mismatch is a copy-into the persistent staging buffer, not a
-        fresh allocation.
+        fresh allocation.  Only a ``counted`` call (one that names a
+        phase) advances the staging counters, so the engine's further
+        slabs, which may run on other threads, touch no counter.
         """
         be = self.backend
         if (
@@ -224,17 +226,17 @@ class FFTPlan:
             and x.shape[0] <= self.batch
             and x.flags.c_contiguous
         ):
-            self.stage_noops += 1
+            self.stage_noops += counted
             return x
         arr = self._check_batch_shape(x, length, what, out)
         if be.dtype_of(arr) == dtype and be.is_contiguous(arr):
-            self.stage_noops += 1
+            self.stage_noops += counted
             return arr
         if workspace is None:
             return be.ascontiguous(arr, dtype=dtype)
         buf = workspace.checkout(tag, tuple(arr.shape), dtype)
         be.copyto(buf, arr)
-        self.stage_copies += 1
+        self.stage_copies += counted
         return buf
 
     def execute(
@@ -256,7 +258,8 @@ class FFTPlan:
         **row slab** of the batch (``out``'s row count): rows are
         independent, so slab by slab gives the bits of one call.  The
         call that names a ``phase`` counts and charges the execution,
-        for the whole batch; its other slabs pass ``phase=None``.
+        for the whole batch; its other slabs pass ``phase=None`` and
+        count nothing.
         """
         if self._real_inv:
             raise ReproError(
@@ -264,11 +267,11 @@ class FFTPlan:
             )
         be = self.backend
         kw = {"out": out} if out is not None and be.name == "numpy" else {}
+        dt = self._rdt if self._real_fwd else self._cdt
+        arr = self._stage(x, self.n, dt, "execute", out, workspace, "fft_stage_fwd", phase is not None)
         if self._real_fwd:
-            arr = self._stage(x, self.n, self._rdt, "execute", out, workspace, "fft_stage_fwd")
             res = be.fft.rfft(arr, axis=1, **kw)
         else:
-            arr = self._stage(x, self.n, self._cdt, "execute", out, workspace, "fft_stage_fwd")
             res = be.fft.fft(arr, axis=1, **kw)
         self._book(phase)
         return res if res.dtype == self._cdt else be.astype(res, self._cdt, copy=False)
@@ -285,7 +288,10 @@ class FFTPlan:
         Follows the cuFFT convention of **unnormalized** transforms: like
         cufftExecZ2D, the result is ``n`` times the mathematical inverse,
         and callers scale by ``1/n`` themselves (FFTMatvec folds the scale
-        into the precomputed ``F_hat``).  ``out``, row slabs and
+        into the precomputed ``F_hat``).  The backend computes it so
+        (``norm="forward"`` puts the ``1/n`` on the forward transform):
+        bitwise ``n`` times the normalized inverse at power-of-two ``n``,
+        one rounding fewer elsewhere.  ``out``, row slabs and
         ``phase=None`` as in :meth:`execute`.
         """
         if self._real_fwd:
@@ -294,20 +300,16 @@ class FFTPlan:
             )
         be = self.backend
         kw = {"out": out} if out is not None and be.name == "numpy" else {}
+        length = self.half_len if self._real_inv else self.n
+        arr = self._stage(
+            x, length, self._cdt, "inverse", out, workspace, "fft_stage_inv", phase is not None
+        )
         if self._real_inv:
-            arr = self._stage(
-                x, self.half_len, self._cdt, "inverse", out, workspace, "fft_stage_inv"
-            )
-            res, dt = be.fft.irfft(arr, n=self.n, axis=1, **kw), self._rdt
+            res, dt = be.fft.irfft(arr, n=self.n, axis=1, norm="forward", **kw), self._rdt
         else:
-            arr = self._stage(x, self.n, self._cdt, "inverse", out, workspace, "fft_stage_inv")
-            res, dt = be.fft.ifft(arr, axis=1, **kw), self._cdt
+            res, dt = be.fft.ifft(arr, axis=1, norm="forward", **kw), self._cdt
         if res.dtype != dt:
             res = be.astype(res, dt, copy=False)
-        # Unnormalize in place: the transform output is ours (fresh, or
-        # the caller's ``out``), so the scaling needs no temporary
-        # (bitwise-identical multiply).
-        be.multiply(res, self._unscale, out=res)
         self._book(phase)
         return res
 

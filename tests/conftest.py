@@ -87,17 +87,40 @@ def rank_groups(monkeypatch):
     """Pin how many groups a grid engine splits a chunk's ranks into.
 
     ``rank_groups(w)`` opens the per-rank size gate and reports ``w``
-    usable CPUs to :mod:`repro.core.parallel`: with ``w > 1`` the ranks
-    run as ``min(ranks, w)`` concurrent groups even at test shapes and
-    on a one-CPU runner; ``rank_groups(1)`` is the inline reference
-    (every rank on the calling thread, in rank order).  A test fixture,
-    not a switch — the engine has no argument for this.
+    usable CPUs to the host executor (:mod:`repro.util.executor`): with
+    ``w > 1`` the ranks run as ``min(ranks, w)`` concurrent groups even
+    at test shapes and on a one-CPU runner; ``rank_groups(1)`` is the
+    inline reference (every rank on the calling thread, in rank order).
+    A test fixture, not a switch — the engine has no argument for this.
     """
     from repro.core import parallel
+    from repro.util import executor
 
     def force(w: int) -> None:
         monkeypatch.setattr(parallel, "_CONCURRENT_MIN_ELEMS", 0)
-        monkeypatch.setattr(parallel, "_usable_cpus", lambda: w)
+        monkeypatch.setattr(executor, "usable_cpus", lambda: w)
+
+    return force
+
+
+@pytest.fixture
+def engine_groups(monkeypatch):
+    """Pin how many groups a single ``FFTMatvec`` splits its work into.
+
+    ``engine_groups(w)`` reports ``w`` usable CPUs to the host executor
+    and opens the Phase-3 gate (:data:`repro.core.matvec._PHASE3_SPLIT_MADDS`):
+    every later-prepared fast GEMM runs in ``w`` frequency parts, and a
+    multi-slab half (lower the budget with ``slab_bytes``) in up to ``w``
+    slab groups, even at test shapes and on a one-CPU runner;
+    ``engine_groups(1)`` is the inline reference.  A test fixture, not a
+    switch — the engine has no argument for this.
+    """
+    from repro.core import matvec
+    from repro.util import executor
+
+    def force(w: int) -> None:
+        monkeypatch.setattr(matvec, "_PHASE3_SPLIT_MADDS", 0)
+        monkeypatch.setattr(executor, "usable_cpus", lambda: w)
 
     return force
 

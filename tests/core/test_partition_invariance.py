@@ -36,6 +36,7 @@ from repro.core.matvec import FFTMatvec
 from repro.core.parallel import ParallelFFTMatvec
 from repro.core.toeplitz import BlockTriangularToeplitz
 from repro.util import checksum as chk
+from repro.util import executor
 
 NT, ND, NM, K = 10, 9, 17, 4
 
@@ -390,7 +391,7 @@ def test_pool_gate_keeps_the_seeded_corruption_audit_trail(
     rank_groups(3)
     clean = ElasticEngine(mat, n_ranks, max_block_k=2)
     clean = clean.rmatmat(V) if adjoint else clean.matmat(V)
-    monkeypatch.setattr(parallel, "_rank_pool", _no_pool)
+    monkeypatch.setattr(executor, "_rank_pool", _no_pool)
     sched = CorruptionSchedule.seeded(seed, n_ranks, n_flips=2, horizon=horizon)
     eng = ElasticEngine(mat, n_ranks, max_block_k=2, corruptions=sched)
     out = eng.rmatmat(V) if adjoint else eng.matmat(V)
@@ -409,7 +410,7 @@ def test_pool_gate_keeps_failure_recovery_bitwise(problem, rank_groups, monkeypa
     rank_groups(3)
     clean = ElasticEngine(mat, 4, max_block_k=2)
     clean = clean.rmatmat(V) if adjoint else clean.matmat(V)
-    monkeypatch.setattr(parallel, "_rank_pool", _no_pool)
+    monkeypatch.setattr(executor, "_rank_pool", _no_pool)
     sched = FailureSchedule(kills=[(5, 2), (9, 0)])
     eng = ElasticEngine(mat, 4, max_block_k=2, failures=sched)
     out = eng.rmatmat(V) if adjoint else eng.matmat(V)
@@ -428,6 +429,7 @@ SHUTDOWN_SCRIPT = textwrap.dedent(
     from repro.comm.grid import ProcessGrid
     from repro.core import parallel
     from repro.core.parallel import ParallelFFTMatvec
+    from repro.util import executor
 
     parallel._CONCURRENT_MIN_ELEMS = 0  # every rank and part above the gate
     rng = np.random.default_rng(0)
@@ -438,9 +440,9 @@ SHUTDOWN_SCRIPT = textwrap.dedent(
         eng = ParallelFFTMatvec(blocks, ProcessGrid(2, 2), max_block_k=2, reduction=reduction)
         return eng.matmat(M), eng.rmatmat(D)
 
-    parallel._usable_cpus = lambda: 1
+    executor.usable_cpus = lambda: 1
     want = {r: applies(r) for r in ("fast", "pairwise")}
-    parallel._usable_cpus = lambda: 3
+    executor.usable_cpus = lambda: 3
 
     @atexit.register
     def at_exit():

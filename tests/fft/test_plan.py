@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from repro.core.error_model import phase_error_terms
 from repro.fft.plan import FFTPlan, FFTType
@@ -73,7 +74,26 @@ class TestForward:
         X = FFTPlan(96, 3, FFTType.D2Z).execute(x)
         assert np.array_equal(X, np.fft.rfft(x, axis=1))
         back = FFTPlan(96, 3, FFTType.Z2D).inverse(X)
-        assert np.array_equal(back, np.fft.irfft(X, n=96, axis=1) * np.float64(96))
+        assert np.array_equal(back, np.fft.irfft(X, n=96, axis=1, norm="forward"))
+
+    @pytest.mark.parametrize("n", [48, 64, 200, 512])
+    @pytest.mark.parametrize("kind", ["Z2D", "C2R"])
+    def test_unnormalized_inverse_is_the_scaled_inverse(self, rng, n, kind):
+        # The inverse asks the backend for the unnormalized transform
+        # instead of scaling the normalized one back by n: the same bits
+        # at a power-of-two n (both scalings are exact), one rounding
+        # fewer elsewhere.
+        dtype = np.complex128 if kind == "Z2D" else np.complex64
+        X = np.fft.rfft(rng.standard_normal((3, n)), axis=1).astype(dtype)
+        got = FFTPlan(n, 3, FFTType[kind]).inverse(X)
+        lib = np.fft if kind == "Z2D" else scipy.fft
+        scaled = lib.irfft(X, n=n, axis=1)
+        scaled *= scaled.dtype.type(n)
+        if n & (n - 1) == 0:
+            assert np.array_equal(got, scaled)
+        else:
+            eps = np.finfo(scaled.dtype).eps
+            assert np.linalg.norm(got - scaled) <= eps * np.linalg.norm(scaled)
 
     def test_numpy_float32_rfft_canary(self, rng, record_property):
         # Why single-precision plans run on scipy.fft: numpy (2.4)

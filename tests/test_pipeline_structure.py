@@ -5,15 +5,17 @@ re-threading the cast / injection / Parseval / ABFT / guard calls, and
 ``core/parallel.py`` a second, vector-only bcast → compute → reduce
 loop.  They are now one front/back pair and one chunk loop; this test
 walks the AST and fails when a copy grows back — a second call site of
-a phase kernel, a phase kernel outside the front/back slab loops, a
-launch described or priced per apply instead of booked off the prepared
-record, a second collective loop, a rank loop beside ``_rank_compute``, a
-pool outside ``_run_groups`` (the one place that runs ranks and parts
-concurrently), an apply bracketed
-by hand-rolled ``begin_apply()`` instead of ``with <engine>.workspace:``,
-or per-apply derivation (dtype and plan lookups, arena checkouts)
-inside a half: what the data does not decide is resolved once, by
-``FFTMatvec._prepared``.
+a phase kernel, a phase kernel outside the one slab-body method per
+half (``_front_slab`` / ``_back_slab``, run per slab through the host
+executor), a launch described or priced per apply instead of booked off
+the prepared record, a second collective loop, a rank loop beside
+``_rank_compute``, a pool outside the executor
+(``util/executor.py::run_groups``, the one place that runs a grid's
+ranks and parts and an engine's slabs and Phase-3 parts concurrently),
+an apply bracketed by hand-rolled ``begin_apply()`` instead of ``with
+<engine>.workspace:``, or per-apply derivation (dtype and plan lookups,
+arena checkouts) inside a half: what the data does not decide is
+resolved once, by ``FFTMatvec._prepared``.
 
 The same holds between engine and perf model: the chunk schedule's
 dependency edges live in ``util/timing.py::run_chunk_schedule`` and
@@ -84,20 +86,26 @@ def _is_book(stmt: ast.stmt) -> bool:
     )
 
 
-def _slab_loop(half: str) -> ast.For:
-    """The slab loop of ``FFTMatvec._front`` / ``_back`` (whole width =
-    one iteration): the one loop that does any work — the only other
-    loop allowed books Phase 3's launches off the record, nothing else."""
-    loops = [
-        n for n in ast.walk(_method(_module("matvec.py"), "FFTMatvec", half))
-        if isinstance(n, (ast.For, ast.While))
-    ]
-    working = [loop for loop in loops if not all(_is_book(stmt) for stmt in loop.body)]
-    assert len(working) == 1 and isinstance(working[0], ast.For), (
-        f"FFTMatvec.{half} must hold exactly one working loop — no second, "
-        "whole-width copy of the phases beside the slab loop"
-    )
-    return working[0]
+def _slab_body(half: str) -> ast.FunctionDef:
+    """The slab body of ``FFTMatvec._front`` / ``_back``
+    (``_front_slab`` / ``_back_slab``): the one method that does a
+    half's phase work, straight-line, handed once to the host executor,
+    which runs it per slab (whole width = one slab, inline).  The half
+    itself holds no working loop — the only loop allowed books Phase 3's
+    launches off the record, nothing else."""
+    tree = _module("matvec.py")
+    method = _method(tree, "FFTMatvec", half)
+    for loop in (n for n in ast.walk(method) if isinstance(n, (ast.For, ast.While))):
+        assert all(_is_book(stmt) for stmt in loop.body), (
+            f"FFTMatvec.{half} loops over work itself — no second, whole-width "
+            "copy of the phases beside the slab body"
+        )
+    (run,) = [n for n in ast.walk(method) if isinstance(n, ast.Call)
+              and getattr(n.func, "id", None) == "run_groups"]
+    assert ast.unparse(run.args[0]) == f"self.{half}_slab"
+    body = _method(tree, "FFTMatvec", f"{half}_slab")
+    assert not [n for n in ast.walk(body) if isinstance(n, (ast.For, ast.While))]
+    return body
 
 
 @pytest.mark.parametrize(
@@ -116,8 +124,8 @@ def test_matvec_has_one_call_site_per_phase(half, phase_call):
         f"core/matvec.py calls {phase_call}() at lines {lines}: the pipeline "
         "must be spelled out once (FFTMatvec._front / _back), not copied"
     )
-    assert _calls(_slab_loop(half), phase_call) == lines, (
-        f"{phase_call}() must sit inside FFTMatvec.{half}'s slab loop"
+    assert _calls(_slab_body(half), phase_call) == lines, (
+        f"{phase_call}() must sit inside FFTMatvec.{half}_slab"
     )
 
 
@@ -131,39 +139,51 @@ def _names(tree: ast.AST) -> set:
 @pytest.mark.parametrize("half,launches", [("_front", 4), ("_back", 3)])
 def test_halves_book_the_prepared_records_launches(half, launches):
     """A half describes and prices nothing per apply: every launch it
-    books is an entry of its record's list (``rec.booked``, the priced
-    ``front_launches`` / ``back_launches``) — pad / FFT / reorder, then
-    however many Phase 3 takes; reorder / IFFT / unpad."""
-    method = _method(_module("matvec.py"), "FFTMatvec", half)
-    described = {
-        name for name in _names(method)
-        if name.startswith("charge_") or name.endswith("_launch")
-        or name in ("launch", "launch_memo", "kernel_time", "price_launch", "KernelLaunch")
-    }
-    assert not described, f"FFTMatvec.{half} describes or prices launches per apply: {described}"
+    and its slab body book is an entry of its record's list
+    (``rec.booked``, the priced ``front_launches`` / ``back_launches``)
+    — pad / FFT / reorder, then however many Phase 3 takes; reorder /
+    IFFT / unpad.  The slab body books entries 0-2 through the device it
+    sees on the first slab only, which runs on the calling thread."""
+    tree = _module("matvec.py")
+    method, body = _method(tree, "FFTMatvec", half), _slab_body(half)
+    for fn in (method, body):
+        described = {
+            name for name in _names(fn)
+            if name.startswith("charge_") or name.endswith("_launch")
+            or name in ("launch", "launch_memo", "kernel_time", "price_launch", "KernelLaunch")
+        }
+        assert not described, f"FFTMatvec.{fn.name} describes or prices launches per apply: {described}"
     booked = [
-        n for n in ast.walk(method)
+        n for n in ast.walk(body)
         if isinstance(n, ast.Assign) and any("booked" in _names(t) for t in n.targets)
     ]
     assert len(booked) == 1 and "booked" in _names(booked[0].value), "booked = rec.booked, once"
-    # for entry in booked[3:]: book(*entry) — the loop variable is the list's too.
+    # for entry in rec.booked[3:]: book(*entry) — the loop variable is the list's too.
     entries = {"booked"} | {
         loop.target.id for loop in ast.walk(method)
         if isinstance(loop, ast.For) and "booked" in _names(loop.iter)
     }
-    calls = [n for n in ast.walk(method) if isinstance(n, ast.Call) and getattr(n.func, "attr", "") == "book"]
+    calls = [
+        n for fn in (method, body) for n in ast.walk(fn)
+        if isinstance(n, ast.Call) and getattr(n.func, "attr", "") == "book"
+    ]
     assert len(calls) == launches
     for call in calls:
         assert not call.keywords and len(call.args) == 1 and isinstance(call.args[0], ast.Starred)
         assert _names(call.args[0].value) <= entries, ast.unparse(call)
-    assert len([c for c in calls if c.lineno in _calls(_slab_loop(half), "book")]) == 3
+    assert [ast.unparse(c) for c in calls if c.lineno in _calls(body, "book")] == [
+        f"dev.book(*booked[{i}])" for i in range(3)
+    ]
+    (dev,) = [n for n in ast.walk(body) if isinstance(n, ast.Assign)
+              and [ast.unparse(t) for t in n.targets] == ["dev"]]
+    assert ast.unparse(dev.value) == "self.device if first else None"
 
 
 def test_forward_fft_runs_in_the_front_half_only():
     # plan.execute has one legitimate use outside the pipeline — the
     # setup-time spectrum FFT — so it is counted inside the front loop.
     tree = _module("matvec.py")
-    assert len(_calls(_slab_loop("_front"), "execute")) == 1
+    assert len(_calls(_slab_body("_front"), "execute")) == 1
     assert len(_calls(tree, "execute")) == 2, _calls(tree, "execute")
 
 
@@ -176,17 +196,22 @@ PER_APPLY_DERIVATION = (
 
 @pytest.mark.parametrize("half", ["_front", "_back"])
 def test_halves_prepare_outside_the_loop_and_derive_nothing(half):
-    method = _method(_module("matvec.py"), "FFTMatvec", half)
+    method, body = _method(_module("matvec.py"), "FFTMatvec", half), _slab_body(half)
     prepared = _calls(method, "_prepared")
     assert len(prepared) == 1, f"FFTMatvec.{half} looks its record up once"
-    assert _calls(_slab_loop(half), "_prepared") == []
-    for name in PER_APPLY_DERIVATION:
-        assert _calls(method, name) == [], (
-            f"FFTMatvec.{half} calls {name}() per apply; resolve it in _prepared"
-        )
-    # The buffers are the record's arena views, read once ahead of the loop.
+    assert _calls(body, "_prepared") == []
+    for fn in (method, body):
+        for name in PER_APPLY_DERIVATION:
+            assert _calls(fn, name) == [], (
+                f"FFTMatvec.{fn.name} calls {name}() per apply; resolve it in _prepared"
+            )
+    # The buffers are the record's arena views, read once ahead of the slabs.
     assert len(_attributes(method, "bufs")) == 1
-    assert _attributes(_slab_loop(half), "bufs") == []
+    assert _attributes(body, "bufs") == []
+    # A slab may run on a pool thread: it hands nothing the arena and
+    # advances no counter (the half counts, on the calling thread).
+    assert "workspace" not in _names(body)
+    assert not [n for n in ast.walk(body) if isinstance(n, ast.AugAssign)]
 
 
 def test_engine_hands_the_layer_functions_no_device():
@@ -196,7 +221,7 @@ def test_engine_hands_the_layer_functions_no_device():
     The four Phase-3 kernels are numerics only: no device, no
     dispatcher, no ablation flag."""
     tree = _module("matvec.py")
-    for half in ("_front", "_back"):
+    for half in ("_front", "_front_slab", "_back", "_back_slab"):
         for node in ast.walk(_method(tree, "FFTMatvec", half)):
             if isinstance(node, ast.Call):
                 assert "device" not in {kw.arg for kw in node.keywords}, node.lineno
@@ -230,9 +255,10 @@ def test_rank_pipelines_run_through_rank_compute_only():
     pairwise root epilogue is the one other pipeline call: a single root
     rank per output part, timed by the same ``_run_rank``, in the part
     task that first runs that part's ``reduce_segments``.  A chunk's
-    ranks, input parts and output parts all run through one executor,
-    ``_run_groups`` — the only code that touches the rank pool — and
-    every collective sits in a part task it runs."""
+    ranks, input parts and output parts all run through one gate,
+    ``_run_groups``, into the host executor — the only code that
+    touches the pool — and every collective sits in a part task it
+    runs."""
     tree = _module("parallel.py")
     callbacks = {"_rank_compute": set(), "_run_rank": set()}
     for node in ast.walk(tree):
@@ -252,7 +278,11 @@ def test_rank_pipelines_run_through_rank_compute_only():
     assert finish == _calls(epilogue, "_pipeline_block_finish")
     assert _calls(tree, "reduce_segments") == _calls(epilogue, "reduce_segments")
     helper = _method(tree, "ParallelFFTMatvec", "_run_groups")
-    assert _calls(tree, "_rank_pool") == _calls(helper, "_rank_pool") != []
+    assert _calls(tree, "run_groups") == _calls(helper, "run_groups") != []
+    executor = _module("executor.py", "util")
+    assert _calls(executor, "_rank_pool") == _calls(
+        _function(executor, "run_groups"), "_rank_pool"
+    ) != []
     assert _calls(tree, "run_rank") == _calls(
         _method(tree, "ParallelFFTMatvec", "_run_rank"), "run_rank"
     )
@@ -275,6 +305,33 @@ def test_rank_pipelines_run_through_rank_compute_only():
         assert _calls(tree, collective) == _calls(
             _method(tree, "ParallelFFTMatvec", task), collective
         )
+
+
+def test_both_engines_run_on_one_executor_and_one_pool():
+    """``src/`` has one compute pool, the host executor's, and only
+    ``run_groups`` submits to it; the other ``ThreadPoolExecutor`` is the
+    serving layer's one-thread engine-pass executor.  The engines call
+    the executor at fixed places: the grid's gate, and a single
+    engine's two halves (one slab body each) and fast Phase 3."""
+    pools, runs, submits = {}, {}, {}
+    for path in sorted(REPRO.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        name = str(path.relative_to(REPRO))
+        for found, call in ((pools, "ThreadPoolExecutor"), (runs, "run_groups"), (submits, "submit")):
+            if _calls(tree, call):
+                found[name] = len(_calls(tree, call))
+    assert pools == {"util/executor.py": 1, "serve/service.py": 1}
+    assert _calls(_function(_module("executor.py", "util"), "_rank_pool"), "ThreadPoolExecutor")
+    (service,) = [
+        n for n in ast.walk(_module("service.py", "serve"))
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "ThreadPoolExecutor"
+    ]
+    assert {kw.arg: ast.unparse(kw.value) for kw in service.keywords}["max_workers"] == "1"
+    assert submits == {"util/executor.py": 1}
+    assert runs == {"core/matvec.py": 3, "core/parallel.py": 1}
+    matvec = _module("matvec.py")
+    for method in ("_front", "_back", "_run_sbgemm"):
+        assert len(_calls(_method(matvec, "FFTMatvec", method), "run_groups")) == 1, method
 
 
 # The entry points that bracket an apply, each in one ``with <engine>.workspace:``.

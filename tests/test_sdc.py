@@ -615,13 +615,13 @@ class TestElasticSDC:
         inline in rank order — with the size gate open and CPUs to
         spare, the pool is never touched and each seed injects exactly
         where it always did."""
-        from repro.core import parallel
+        from repro.util import executor
 
         def no_pool(workers):
             raise AssertionError("rank pool used under corruption injection")
 
         rank_groups(3)
-        monkeypatch.setattr(parallel, "_rank_pool", no_pool)
+        monkeypatch.setattr(executor, "_rank_pool", no_pool)
         assert sdc_horizon(matrix, block) == 42
         for seed, trail in self.AUDIT_TRAILS.items():
             sched = CorruptionSchedule.seeded(seed, RANKS, n_flips=2, horizon=42)
