@@ -35,9 +35,10 @@ class _TieredFFT:
 
     The provider is picked from the input dtype alone: float32/complex64
     run on ``scipy.fft``, everything else on ``np.fft`` exactly as before.
-    ``scipy.fft`` is imported by the first single-precision transform,
-    not with this module: importing it costs 5-29 MB of resident memory,
-    which an all-double process (most of them) should not pay.
+    ``scipy.fft`` is imported by :meth:`load` — which every
+    single-precision :class:`~repro.fft.plan.FFTPlan` calls when it is
+    built — not with this module: importing it costs 5-29 MB of resident
+    memory, which an all-double process (most of them) should not pay.
 
     ``out=`` reaches ``np.fft`` only (numpy >= 2.0 writes the result
     there instead of allocating it); ``scipy.fft`` has no such argument,
@@ -46,13 +47,18 @@ class _TieredFFT:
     """
 
     @staticmethod
-    def _provider(a, out=None) -> Tuple[Any, dict]:
-        """The library for ``a``'s dtype and the keywords it takes."""
-        if a.dtype.char not in "fF":
-            return np.fft, ({} if out is None else {"out": out})
+    def load(dtype) -> Any:
+        """The library that transforms ``dtype``, imported if need be."""
+        if np.dtype(dtype).char not in "fF":
+            return np.fft
         import scipy.fft
 
-        return scipy.fft, {}
+        return scipy.fft
+
+    def _provider(self, a, out=None) -> Tuple[Any, dict]:
+        """The library for ``a``'s dtype and the keywords it takes."""
+        lib = self.load(a.dtype)
+        return lib, ({"out": out} if lib is np.fft and out is not None else {})
 
     def rfft(self, a, axis: int = -1, out=None):
         lib, kw = self._provider(a, out)

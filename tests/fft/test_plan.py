@@ -1,8 +1,14 @@
 """Tests for the cuFFT-style batched FFT plans."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.fft
+
+import repro
 
 from repro.core.error_model import phase_error_terms
 from repro.fft.plan import FFTPlan, FFTType
@@ -287,6 +293,21 @@ class TestOutAndRowSlabs:
         inv = FFTPlan(32, 4, FFTType.Z2D)
         assert inv.inverse(out, out=back) is back
         np.testing.assert_allclose(back, 32 * x, rtol=1e-12)
+
+    @pytest.mark.parametrize("ftype,imported", [("D2Z", False), ("R2C", True), ("C2R", True)])
+    def test_a_plan_imports_its_library_when_built(self, ftype, imported):
+        # The engine's slabs may execute a plan first on pool threads; the
+        # library must already be loaded by the thread that built it.
+        code = (
+            "import sys; from repro.fft.plan import FFTPlan, FFTType; "
+            f"FFTPlan(64, 4, FFTType.{ftype}); print('scipy.fft' in sys.modules)"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={"PYTHONPATH": src}, timeout=120,
+        ).stdout
+        assert out.strip() == str(imported)
 
     def test_a_slab_needs_its_out(self, rng):
         plan = FFTPlan(32, 4, FFTType.D2Z)
