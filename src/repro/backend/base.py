@@ -22,8 +22,9 @@ backend exposes:
 
 The numpy backend implements every operation with the *exact* numpy
 call the engines used before this layer existed — single-precision FFTs
-excepted, which run on ``scipy.fft`` because ``np.fft`` computes them in
-double (see :mod:`repro.backend.numpy_backend`).  Simulated timing is
+excepted, which call numpy's pocketfft with a single-precision scale
+because ``np.fft`` computes them in double (see
+:mod:`repro.backend.numpy_backend`).  Simulated timing is
 unaffected by backend choice: kernels charge modeled time from problem
 *sizes*, never from array contents.
 """

@@ -1,21 +1,20 @@
 """NumPy backend: the reference implementation, bitwise-stable.
 
-Every method but one is the *exact* numpy call the hot-path modules made
-before the backend layer existed (``np.empty``, ``np.matmul(..., out=)``,
+Every method is the *exact* numpy call the hot-path modules made before
+the backend layer existed (``np.empty``, ``np.matmul(..., out=)``,
 ``np.conj``, ``np.copyto(..., casting="same_kind")``, ...), so routing
 through this backend changes nothing — not allocation behaviour, not
 rounding, not a single bit of any result.  The parity tests assert
 exactly that.
 
-The exception is :attr:`NumpyBackend.fft` for float32/complex64 input.
-``np.fft.rfft``/``np.fft.fft`` hand pocketfft a Python-int scale, which
-numpy (2.4) resolves to the *double* loop through buffered casts: the
-result is bit-for-bit ``rfft(x.astype(float64)).astype(complex64)`` —
-double-precision error at 2.5x the cost of the float64 transform.  A
-single-precision tier computed that way is neither single nor fast, so
-single-precision transforms go to ``scipy.fft`` (typed pocketfft, SIMD)
-and double-precision ones stay on ``np.fft``, where the two libraries
-agree bit for bit.  See :class:`_TieredFFT`.
+The FFTs are numpy's own pocketfft ufuncs, called as ``np.fft`` calls
+them but with a scale of the input's dtype.  ``np.fft.rfft``/``fft``
+hand the ufunc a Python-int scale, which numpy (2.4) resolves to the
+*double* loop: a float32 result is bit-for-bit
+``rfft(x.astype(float64)).astype(complex64)``, double-precision error at
+2.5x the cost of the float64 transform.  Typed, a single-precision
+transform is computed in single (bitwise ``scipy.fft``) and a double
+one is bitwise ``np.fft``'s, both honouring ``out=``.
 """
 
 from __future__ import annotations
@@ -25,56 +24,53 @@ from typing import Any, Tuple
 import numpy as np
 
 from repro.backend.base import Backend
+from repro.util.validation import ReproError
 
 __all__ = ["NumpyBackend"]
+
+try:  # a private numpy module: without it the backend refuses, never falls back
+    from numpy.fft import _pocketfft_umath as _pfu
+
+    _RFFT_EVEN, _RFFT_ODD, _IRFFT, _CFFT, _ICFFT = (
+        getattr(_pfu, name) for name in ("rfft_n_even", "rfft_n_odd", "irfft", "fft", "ifft")
+    )
+except (ImportError, AttributeError) as exc:
+    raise ReproError(f"the numpy backend needs numpy >= 2.0's pocketfft ufuncs: {exc}") from exc
 
 
 class _TieredFFT:
     """numpy-style ``rfft/irfft/fft/ifft``, each computed at the
-    precision of its input.
-
-    The provider is picked from the input dtype alone: float32/complex64
-    run on ``scipy.fft``, everything else on ``np.fft`` exactly as before.
-    ``scipy.fft`` is imported by :meth:`load` — which every
-    single-precision :class:`~repro.fft.plan.FFTPlan` calls when it is
-    built — not with this module: importing it costs 5-29 MB of resident
-    memory, which an all-double process (most of them) should not pay.
-
-    ``out=`` reaches ``np.fft`` only (numpy >= 2.0 writes the result
-    there instead of allocating it); ``scipy.fft`` has no such argument,
-    so the single-precision tier returns a temporary of the result's
-    size — a slab's worth when the engine transforms slab by slab.
-    """
+    precision of its input: one pocketfft ufunc call whose scale — 1, or
+    ``1/n`` on an inverse under ``norm=None`` / ``"backward"`` — has the
+    input's real dtype.  ``out=`` (the result's shape and dtype) receives
+    the result at both tiers; without it a fresh array is returned."""
 
     @staticmethod
-    def load(dtype) -> Any:
-        """The library that transforms ``dtype``, imported if need be."""
-        if np.dtype(dtype).char not in "fF":
-            return np.fft
-        import scipy.fft
-
-        return scipy.fft
-
-    def _provider(self, a, out=None) -> Tuple[Any, dict]:
-        """The library for ``a``'s dtype and the keywords it takes."""
-        lib = self.load(a.dtype)
-        return lib, ({"out": out} if lib is np.fft and out is not None else {})
+    def _run(ufunc, a, axis: int, n_out: int, out, real_out: bool = False, norm="forward"):
+        if norm not in (None, "backward", "forward"):
+            raise ReproError(f"norm must be None, 'backward' or 'forward', got {norm!r}")
+        a = np.asarray(a)
+        real = np.result_type(a.real.dtype, 1.0)
+        scale = real.type(1) if norm == "forward" else np.reciprocal(n_out, dtype=real)
+        if out is None:
+            shape = list(a.shape)
+            shape[axis] = n_out
+            out = np.empty(shape, real if real_out else np.result_type(real, 1j))
+        return ufunc(a, scale, axes=[(axis,), (), (axis,)], out=out)
 
     def rfft(self, a, axis: int = -1, out=None):
-        lib, kw = self._provider(a, out)
-        return lib.rfft(a, axis=axis, **kw)
+        n = np.shape(a)[axis]
+        return self._run(_RFFT_EVEN if n % 2 == 0 else _RFFT_ODD, a, axis, n // 2 + 1, out)
 
     def irfft(self, a, n=None, axis: int = -1, norm=None, out=None):
-        lib, kw = self._provider(a, out)
-        return lib.irfft(a, n=n, axis=axis, norm=norm, **kw)
+        n = 2 * (np.shape(a)[axis] - 1) if n is None else n
+        return self._run(_IRFFT, a, axis, n, out, real_out=True, norm=norm)
 
     def fft(self, a, axis: int = -1, out=None):
-        lib, kw = self._provider(a, out)
-        return lib.fft(a, axis=axis, **kw)
+        return self._run(_CFFT, a, axis, np.shape(a)[axis], out)
 
     def ifft(self, a, axis: int = -1, norm=None, out=None):
-        lib, kw = self._provider(a, out)
-        return lib.ifft(a, axis=axis, norm=norm, **kw)
+        return self._run(_ICFFT, a, axis, np.shape(a)[axis], out, norm=norm)
 
 
 _FFT = _TieredFFT()

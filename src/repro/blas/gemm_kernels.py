@@ -124,6 +124,7 @@ def gemm_strided_batched_reference(
     for op C callers that apply the same spectrum every iteration (the
     matvec engine caches it); it must hold exactly the bytes
     ``np.conj(A)`` would produce, so the result is bitwise-unchanged.
+    In any layout: numpy's NN and TN GEMMs agree bitwise for ``k >= 2``.
     """
     be = backend if backend is not None else _NUMPY
     A, B, op, _ = _gemm_operands(A, B, operation, out, be)

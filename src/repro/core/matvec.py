@@ -419,12 +419,21 @@ class FFTMatvec:
         iteration; caching the exact bytes a fresh conjugation would
         produce keeps repeated adjoint applies from re-materializing the
         largest array on the hot path, with bitwise-unchanged results.
+        The op-C GEMM transposes it back, so complex64 is kept as the
+        view of a contiguous conjugate transpose (numpy's NN cgemm, ~1.8x
+        the TN one) and complex128 as the spectrum is (TN is the faster
+        zgemm); the bytes are the same.
         """
         precision = Precision.parse(precision)
         if precision not in self._fhat_conj:
-            self._fhat_conj[precision] = self.backend.conjugate(
-                self.spectrum(precision)
-            )
+            be, fhat = self.backend, self.spectrum(precision)
+            if be.dtype_of(fhat) == np.complex64:
+                nf, nd, nm = fhat.shape
+                conj = be.empty((nf, nm, nd), np.complex64)
+                be.conjugate(be.transpose(fhat, (0, 2, 1)), out=conj)
+                self._fhat_conj[precision] = be.transpose(conj, (0, 2, 1))
+            else:
+                self._fhat_conj[precision] = be.conjugate(fhat)
         return self._fhat_conj[precision]
 
     def checksum_rows(
@@ -1131,8 +1140,13 @@ class FFTMatvec:
         engine the fixed tree already does (the vector pipeline runs it
         too), so the flag is redundant there and ignored, as on the grid.
         """
-        columnwise = deterministic and self.reduction != "pairwise"
-        kernel = FFTMatvec._run_sbgemv_panel if columnwise else FFTMatvec._run_sbgemm
+        kernel = FFTMatvec._run_sbgemm
+        if self.reduction != "pairwise" and v_in.shape[2] == 1:
+            # A lone fast column is the GEMV (as SBGEMVDispatcher.phase3
+            # books it): the GEMM's bits, on any spectrum_conj layout.
+            kernel = FFTMatvec._run_sbgemv
+        elif deterministic and self.reduction != "pairwise":
+            kernel = FFTMatvec._run_sbgemv_panel
         with self.workspace:
             yhat = self._front(v_in, config, adjoint, kernel)
             return self._back(yhat, config, adjoint, out, detach)

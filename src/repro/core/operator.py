@@ -38,6 +38,7 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
+from repro.backend import NumpyBackend
 from repro.core.matvec import FFTMatvec
 from repro.core.precision import PrecisionConfig
 from repro.util.validation import ReproError
@@ -54,6 +55,7 @@ __all__ = [
 Shape = Tuple[int, int]
 
 _DOUBLE = PrecisionConfig.parse("ddddd")
+_FFT = NumpyBackend().fft  # typed: float32 in, single-precision transform
 # Smallest double spectrum worth a lowered or a preconditioned solve.
 # Lowered vs plain solve wall, (Nt, 24, 96) Hessians, Xeon host, BLAS on
 # one thread: 0.29 MB +6 %, 0.59 MB -1 %, 1.2 MB -23 %, 2.4 MB -28 %,
@@ -350,13 +352,12 @@ class _CirculantPreconditioner(LinearOperator):
     I)^-1`` restricted to the first ``Nt`` steps, so SPD
     (:class:`~repro.core.matvec.GramFactor`).
 
-    The two GEMVs against the complex64 ``B`` — M's one pass over an
-    array the size of the spectrum — run in single precision.  The FFT
-    pair takes double: ``np.fft`` computes a float32 input in double
-    anyway, and the typed single transform (``scipy.fft``) costs ~4 MB of
-    resident memory to import.  ``B^H y`` is ``conj(y^H B)^T``, a GEMM on
-    a transposed view of ``y``, not a second copy of ``B``.  Buffers are
-    kept per block width.
+    M is single precision end to end: a float32 pad, the numpy backend's
+    typed FFTs (``np.fft`` computes float32 in double) and the two GEMVs
+    against the complex64 ``B``, M's one pass over an array the size of
+    the spectrum; only the result is double.  ``B^H y`` is ``conj(y^H
+    B)^T``, a GEMM on a transposed view of ``y``, not a second copy of
+    ``B``.  Buffers are kept per block width.
     """
 
     def __init__(self, engine: FFTMatvec, B: np.ndarray, scale: float) -> None:
@@ -366,15 +367,11 @@ class _CirculantPreconditioner(LinearOperator):
 
     def _buffers(self, k: int) -> Tuple[np.ndarray, ...]:
         (nt, nm), (n_freq, r, _) = self.in_shape, self.B.shape
-        pad = np.zeros((2 * nt, nm, k))  # padded input, then the IFFT's output
-        # (B^H t)^H lives in pad's bytes: the FFT has read them by then and
-        # the IFFT rewrites them all (the apply re-zeroes the padding).
-        w = pad.reshape(-1).view(np.complex64)[: n_freq * k * nm].reshape(n_freq, k, nm)
         return (
-            pad,
+            np.zeros((2 * nt, nm, k), np.float32),  # padded input, then the IFFT's output
             np.empty((n_freq, nm, k), np.complex64),
             np.empty((n_freq, r, k), np.complex64),
-            w,
+            np.empty((n_freq, k, nm), np.complex64),  # (B^H t)^H
         )
 
     def _apply(self, v: np.ndarray) -> np.ndarray:
@@ -386,14 +383,14 @@ class _CirculantPreconditioner(LinearOperator):
             self._bufs[k] = self._buffers(k)
         pad, vhat, t, w = self._bufs[k]
         pad[:nt] = V
-        np.fft.rfft(pad, axis=0, out=vhat)
+        _FFT.rfft(pad, axis=0, out=vhat)
         np.matmul(self.B, vhat, out=t)
         np.conjugate(t, out=t)
         np.matmul(t.transpose(0, 2, 1), self.B, out=w)  # (B^H B v)^H, per frequency
         np.conjugate(w, out=w)
         np.subtract(vhat, w.transpose(0, 2, 1), out=vhat)
-        np.fft.irfft(vhat, n=2 * nt, axis=0, out=pad)
-        out = pad[:nt] * self.scale
+        _FFT.irfft(vhat, n=2 * nt, axis=0, out=pad)
+        out = np.multiply(pad[:nt], self.scale, dtype=np.float64)
         pad[nt:] = 0.0
         return out
 

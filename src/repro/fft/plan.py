@@ -4,16 +4,13 @@ A plan fixes the transform length, batch count, type (D2Z/Z2D/Z2Z and the
 single-precision variants R2C/C2R/C2C) and precision.  Executing a plan:
 
 * computes the transform through the backend's ``fft`` namespace **at
-  the plan's precision**.  On the numpy backend that means two
-  libraries: double-precision plans (D2Z/Z2D/Z2Z) run on ``np.fft``,
-  single-precision plans (R2C/C2R/C2C) on ``scipy.fft`` — because
-  ``np.fft.rfft``/``np.fft.fft`` compute float32/complex64 input in
-  *double* and round the result (slower than the float64 transform, and
-  not single-precision error), whereas ``scipy.fft`` is typed: complex64
-  in, single-precision butterflies, complex64 out.  So the numerical
-  error of a single-precision FFT phase is measured, not modeled, and
-  lowering the tier makes the transform faster.  The two libraries
-  agree bit for bit on float64 transforms; details and measurements in
+  the plan's precision**.  On the numpy backend both tiers run numpy's
+  pocketfft ufuncs with a scale of the plan's dtype, so a single plan
+  (R2C/C2R/C2C) computes in single — ``np.fft.rfft``/``np.fft.fft``
+  would compute float32/complex64 input in *double* and round the
+  result — and a double one (D2Z/Z2D/Z2Z) is bitwise ``np.fft``.  So
+  the numerical error of a single-precision FFT phase is measured, not
+  modeled, and lowering the tier makes the transform faster; details in
   :mod:`repro.backend.numpy_backend`;
 * optionally charges simulated time on an attached
   :class:`~repro.gpu.device.SimulatedDevice`.  FFT cost model: a radix
@@ -150,12 +147,6 @@ class FFTPlan:
         self._rdt = real_dtype(self.precision)
         self._cdt = complex_dtype(self.precision)
         self._real_fwd, self._real_inv = fft_type.is_real_forward, fft_type.is_real_inverse
-        if isinstance(self.backend, NumpyBackend):
-            # Import the plan's library on the thread that builds it: an
-            # engine's slabs may execute the plan first on pool threads,
-            # and a first import of scipy.fft racing there moved the
-            # process's peak memory by 33 MB from one run to the next.
-            self.backend.fft.load(self._rdt)
         self.executions = 0
         # Of the executions (not a further slab's call): inputs that
         # needed no staging copy, inputs staged into a workspace buffer.
@@ -258,10 +249,10 @@ class FFTPlan:
         cufftExecD2Z.
 
         ``out`` (result shape and dtype, contiguous) receives the result
-        on the numpy double path; the other providers (``scipy.fft``,
-        cupy, torch) have no ``out=`` and return a temporary of that
-        size — use the returned array.  With ``out``, ``x`` may be a
-        **row slab** of the batch (``out``'s row count): rows are
+        on the numpy backend, at both tiers; cupy and torch have no
+        ``out=`` and return a temporary of that size — use the returned
+        array.  With ``out``, ``x`` may be a **row slab** of the batch
+        (``out``'s row count): rows are
         independent, so slab by slab gives the bits of one call.  The
         call that names a ``phase`` counts and charges the execution,
         for the whole batch; its other slabs pass ``phase=None`` and
@@ -275,12 +266,9 @@ class FFTPlan:
         kw = {"out": out} if out is not None and be.name == "numpy" else {}
         dt = self._rdt if self._real_fwd else self._cdt
         arr = self._stage(x, self.n, dt, "execute", out, workspace, "fft_stage_fwd", phase is not None)
-        if self._real_fwd:
-            res = be.fft.rfft(arr, axis=1, **kw)
-        else:
-            res = be.fft.fft(arr, axis=1, **kw)
+        res = (be.fft.rfft if self._real_fwd else be.fft.fft)(arr, axis=1, **kw)
         self._book(phase)
-        return res if res.dtype == self._cdt else be.astype(res, self._cdt, copy=False)
+        return res
 
     def inverse(
         self,
@@ -311,11 +299,9 @@ class FFTPlan:
             x, length, self._cdt, "inverse", out, workspace, "fft_stage_inv", phase is not None
         )
         if self._real_inv:
-            res, dt = be.fft.irfft(arr, n=self.n, axis=1, norm="forward", **kw), self._rdt
+            res = be.fft.irfft(arr, n=self.n, axis=1, norm="forward", **kw)
         else:
-            res, dt = be.fft.ifft(arr, axis=1, norm="forward", **kw), self._cdt
-        if res.dtype != dt:
-            res = be.astype(res, dt, copy=False)
+            res = be.fft.ifft(arr, axis=1, norm="forward", **kw)
         self._book(phase)
         return res
 

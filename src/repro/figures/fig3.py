@@ -12,8 +12,8 @@ Two halves, as in the paper's workflow:
 
 **The published 1e-7 selection sits on the boundary at reduced size.**
 With a single-precision FFT tier that really computes in single
-(``scipy.fft`` on the numpy backend — ``np.fft.rfft`` of float32 input
-computes in double), ``dssdd``'s measured error over seeds 0-7 is
+(the numpy backend's typed pocketfft call — ``np.fft.rfft`` of float32
+input computes in double), ``dssdd``'s measured error over seeds 0-7 is
 0.97e-7 to 1.14e-7: it straddles the paper's 1e-7 tolerance, and a
 sweep at exactly 1e-7 selects ``ddsdd`` on six of the eight seeds.
 What does hold for every seed, and what the tests gate on, is:

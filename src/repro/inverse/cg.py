@@ -27,16 +27,20 @@ mu``, with ``B_f = diag(s / sqrt(s^2 + mu)) V_f^H`` from the SVD ``C_f =
 U_f diag(s) V_f^H`` of the unnormalized spectrum: that is ``sigma^2
 (C_f^H C_f + mu I)^-1``.  ``mu = 0.25 s_min^2`` comes from the Gram
 spectrum, never from the ridge.  M only has to be SPD and fixed, not
-accurate, so it applies in single precision: pad, FFT, GEMV ``B``, GEMV
-``B^H``, IFFT, unpad, the two GEMVs in complex64 against one complex64
-``B``.  The SVD pass that gives kappa(F_hat) gives ``B``
+accurate, so it applies in single precision end to end: a float32 pad,
+the typed single-precision FFT, GEMV ``B``, GEMV ``B^H``, IFFT, unpad,
+the two GEMVs in complex64 against one complex64 ``B``.  The SVD pass
+that gives kappa(F_hat) gives ``B``
 (:meth:`~repro.core.matvec.FFTMatvec.gram_factor`): it runs on the first
 admitted solve and is kept on the engine.  M runs on the host and is not
 booked on a device clock.  At (64, 24, 96), ridge 1e-8, tol 1e-8 (numpy,
 one BLAS thread, 2-vCPU Xeon; five right-hand sides) vector CG takes
 98-104 -> 43-45 iterations and block CG (k = 8) 102-103 -> 45; one
 k = 1 M apply costs ~130 us against ~270 us for a ``ddsdd`` Hessian
-apply, and the SVD pass 26 ms once per engine.  Convergence is still tested on
+apply, and the SVD pass 26 ms once per engine.  Its single-precision
+FFT pair makes M's steps ~190 us at k = 1 and ~1.3 ms at k = 8 against
+~225 us and ~1.6 ms with a double pair (one process, same host), at the
+same iteration counts.  Convergence is still tested on
 ``||r||``, so ``tol`` keeps its meaning.  A replaced residual gets its
 ``z = M r`` like any other, and escalation, breakdown kinds and restarts
 (``p = z``) keep their meaning.

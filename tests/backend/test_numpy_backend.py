@@ -1,5 +1,5 @@
 """NumpyBackend op parity: every method is the exact legacy numpy call
-(single-precision FFTs excepted — they run on scipy.fft, see below).
+(single-precision FFTs excepted — they compute in single, see below).
 
 The refactor's core invariant — routing the hot path through
 :class:`NumpyBackend` is *bitwise* identical to the direct ``np.*``
@@ -30,12 +30,11 @@ def test_identity_and_probe():
     assert not BE.is_device
 
 
-def test_fft_namespace_picks_its_provider_from_the_input_dtype(rng):
-    # Double input: the legacy np.fft call, bit for bit.  Single input:
-    # scipy.fft, which (unlike np.fft.rfft/fft) computes in single — so
-    # ``BE.fft is np.fft`` no longer holds, by design.
-    import scipy.fft
-
+def test_fft_namespace_computes_at_the_input_precision(rng):
+    # One provider, numpy's pocketfft ufuncs with a typed scale.  Double
+    # input: the legacy np.fft call, bit for bit.  Single input: the
+    # single loop (np.fft.rfft/fft would round a double transform), so
+    # ``BE.fft is np.fft`` does not hold, by design.  Both honour out=.
     x = rng.standard_normal((3, 64))
     X = np.fft.rfft(x, axis=1)
     z = (x[:, :32] + 1j * x[:, 32:]).astype(np.complex128)
@@ -44,14 +43,18 @@ def test_fft_namespace_picks_its_provider_from_the_input_dtype(rng):
     assert np.array_equal(BE.fft.fft(z, axis=1), np.fft.fft(z, axis=1))
     assert np.array_equal(BE.fft.ifft(z, axis=1), np.fft.ifft(z, axis=1))
     x32, X64, z64 = x.astype(np.float32), X.astype(np.complex64), z.astype(np.complex64)
-    for got, want in (
-        (BE.fft.rfft(x32, axis=1), scipy.fft.rfft(x32, axis=1)),
-        (BE.fft.irfft(X64, n=64, axis=1), scipy.fft.irfft(X64, n=64, axis=1)),
-        (BE.fft.fft(z64, axis=1), scipy.fft.fft(z64, axis=1)),
-        (BE.fft.ifft(z64, axis=1), scipy.fft.ifft(z64, axis=1)),
+    for got, in_double in (
+        (BE.fft.rfft(x32, axis=1), np.fft.rfft(x32.astype(float), axis=1)),
+        (BE.fft.irfft(X64, n=64, axis=1), np.fft.irfft(X64.astype(complex), n=64, axis=1)),
+        (BE.fft.fft(z64, axis=1), np.fft.fft(z64.astype(complex), axis=1)),
+        (BE.fft.ifft(z64, axis=1), np.fft.ifft(z64.astype(complex), axis=1)),
     ):
-        assert got.dtype == want.dtype and got.dtype.char in "fF"
-        assert np.array_equal(got, want)
+        assert got.dtype.char in "fF"
+        assert not np.array_equal(got, in_double.astype(got.dtype))
+    for a, fn in ((x, BE.fft.rfft), (x32, BE.fft.rfft), (z, BE.fft.fft), (z64, BE.fft.fft)):
+        want = fn(a, axis=1)
+        out = np.empty_like(want)
+        assert fn(a, axis=1, out=out) is out and np.array_equal(out, want)
 
 
 def test_allocation_shapes_and_dtypes():

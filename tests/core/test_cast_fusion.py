@@ -342,14 +342,16 @@ RECORD_KS = (1, 3, 8)
 # records existed: same tags, same shapes, no new buffer — and the same
 # with a device as without (a device changes what is booked, never which
 # kernels run; the deterministic panel used to loop k GEMVs through 18
-# more buffers when one was attached).
+# more buffers when one was attached).  Since a lone fast column of a
+# block runs the vector apply's GEMV record, the k = 1 blocks add nothing
+# to it: 5 buffers and 6032 bytes fewer than that commit's figures.
 RECORD_ARENA = {
-    "ddddd": (177296, 42),
-    "dssdd": (110536, 42),
-    "sdddd": (191120, 48),
-    "dddds": (178448, 45),
-    "sssss": (96712, 45),
-    "sdsds": (139336, 51),
+    "ddddd": (171264, 37),
+    "dssdd": (107520, 37),
+    "sdddd": (185088, 43),
+    "dddds": (172416, 40),
+    "sssss": (93696, 40),
+    "sdsds": (136320, 46),
 }
 
 

@@ -126,7 +126,7 @@ class TestEmpiricalDomination:
     def test_fft_terms_dominate_measured_transform_error(self, n, phase, rng):
         # Van Loan's c * eps * log2(n) at the model's own constants: the
         # single-precision FFT / IFFT of length n the engine's single tier
-        # runs (typed scipy.fft on complex64) stays inside the "fft" /
+        # runs (bitwise scipy.fft on complex64) stays inside the "fft" /
         # "ifft" term the model charges that phase at Nt = n.
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         x32 = x.astype(np.complex64)

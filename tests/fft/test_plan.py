@@ -75,7 +75,7 @@ class TestForward:
         assert eps / 4 <= err <= phase_error_terms(cfg, nt=n, nm=1, nd=1)[phase]
 
     def test_double_plans_are_the_numpy_transform_bitwise(self, rng):
-        # The provider split is by dtype: double plans never left np.fft.
+        # The typed transform at double is np.fft's own call, bit for bit.
         x = rng.standard_normal((3, 96))
         X = FFTPlan(96, 3, FFTType.D2Z).execute(x)
         assert np.array_equal(X, np.fft.rfft(x, axis=1))
@@ -102,11 +102,11 @@ class TestForward:
             assert np.linalg.norm(got - scaled) <= eps * np.linalg.norm(scaled)
 
     def test_numpy_float32_rfft_canary(self, rng, record_property):
-        # Why single-precision plans run on scipy.fft: numpy (2.4)
-        # computes rfft of float32 input in double and rounds the result.
-        # Recorded, not asserted — a numpy that computes in single is an
-        # improvement, and the day this flips the provider split in
-        # repro.backend.numpy_backend can be retired.
+        # Why the numpy backend types the scale it hands pocketfft:
+        # np.fft.rfft (numpy 2.4) computes float32 input in double and
+        # rounds the result.  Recorded, not asserted — a numpy that
+        # computes in single is an improvement, and the day this flips
+        # repro.backend.numpy_backend could call np.fft again.
         x = rng.standard_normal((4, 1024)).astype(np.float32)
         via_double = np.fft.rfft(x.astype(np.float64), axis=1).astype(np.complex64)
         in_double = bool(np.array_equal(np.fft.rfft(x, axis=1), via_double))
@@ -237,8 +237,9 @@ class TestDeviceCharging:
 
 
 class TestOutAndRowSlabs:
-    """``out=``: the numpy double path writes there; a row slab of the
-    batch gives the bits of the whole call; the execution is booked once."""
+    """``out=``: the numpy backend writes there at both tiers; a row slab
+    of the batch gives the bits of the whole call; the execution is
+    booked once."""
 
     TYPES = [
         (FFTType.D2Z, FFTType.Z2D),
@@ -268,15 +269,15 @@ class TestOutAndRowSlabs:
             scratch = np.empty((3, want.shape[1]), dtype=want.dtype)
             got = np.empty_like(want)
             for r0 in range(0, batch, 3):  # 3 + 3 + 1 rows
-                rows = min(3, batch - r0)
+                dst = scratch[: min(3, batch - r0)]
                 res = getattr(slabs, kind)(
-                    src[r0 : r0 + rows],
+                    src[r0 : r0 + len(dst)],
                     phase=phase if r0 == 0 else None,
-                    out=scratch[:rows],
+                    out=dst,
                 )
-                # np.fft honours out=; scipy.fft returns a temporary.
-                assert np.shares_memory(res, scratch) == double
-                got[r0 : r0 + rows] = res
+                # Both tiers honour out=: no slab returns a temporary.
+                assert res is dst
+                got[r0 : r0 + len(dst)] = res
             assert np.array_equal(got, want)
             assert slabs.executions == whole.executions == 1
             src = want
@@ -294,20 +295,37 @@ class TestOutAndRowSlabs:
         assert inv.inverse(out, out=back) is back
         np.testing.assert_allclose(back, 32 * x, rtol=1e-12)
 
-    @pytest.mark.parametrize("ftype,imported", [("D2Z", False), ("R2C", True), ("C2R", True)])
-    def test_a_plan_imports_its_library_when_built(self, ftype, imported):
-        # The engine's slabs may execute a plan first on pool threads; the
-        # library must already be loaded by the thread that built it.
-        code = (
-            "import sys; from repro.fft.plan import FFTPlan, FFTType; "
-            f"FFTPlan(64, 4, FFTType.{ftype}); print('scipy.fft' in sys.modules)"
-        )
+    @pytest.mark.parametrize("ftype", ["D2Z", "R2C", "C2R"])
+    def test_no_plan_imports_scipy_fft(self, ftype):
+        # Both tiers are numpy's own pocketfft: building a plan and
+        # executing it slab by slab on two threads, as an engine's slabs
+        # do, imports no further FFT library (scipy.fft cost a single-
+        # precision process ~20 MB of resident memory).
+        code = f"""
+import sys, threading
+import numpy as np
+from repro.fft.plan import FFTPlan, FFTType
+plan = FFTPlan(64, 4, FFTType.{ftype})
+fwd = plan.fft_type.is_real_forward
+x = np.ones((4, 64 if fwd else 33), plan._rdt if fwd else plan._cdt)
+out = np.empty((4, 33 if fwd else 64), plan._cdt if fwd else plan._rdt)
+run = plan.execute if fwd else plan.inverse
+threads = [threading.Thread(target=run, args=(x[r:r + 2],),
+                            kwargs=dict(phase=None, out=out[r:r + 2])) for r in (0, 2)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+    assert not t.is_alive()
+assert np.array_equal(out, run(x))
+print('scipy.fft' in sys.modules)
+"""
         src = str(Path(repro.__file__).resolve().parents[1])
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
             env={"PYTHONPATH": src}, timeout=120,
         ).stdout
-        assert out.strip() == str(imported)
+        assert out.strip() == "False"
 
     def test_a_slab_needs_its_out(self, rng):
         plan = FFTPlan(32, 4, FFTType.D2Z)
