@@ -1,10 +1,13 @@
 """Remark-1 benches: the "outer-loop" workloads that motivate the paper.
 
 A single matvec takes milliseconds; the payoff of mixed precision is in
-workloads that take millions of them — dense data-space Hessian
-assembly, optimal sensor placement, posterior UQ.  These benches run
-those workloads end to end (real numerics at laptop scale) and model the
-time the mixed configuration saves at paper scale.
+workloads that take millions of them — in the paper, dense data-space
+Hessian assembly, optimal sensor placement, posterior UQ.  These benches
+run those workloads end to end (real numerics at laptop scale) and model
+the time the mixed configuration saves at paper scale.  The package's
+own data-space assembly reads ``H_d`` from the held kernel with no
+matvec (``inverse/bayes.py``); the Remark-1 projection below prices the
+paper's engine assembly, and the MAP solve still runs FFTMatvec.
 """
 
 import numpy as np

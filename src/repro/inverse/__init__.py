@@ -19,9 +19,12 @@ at laptop scale:
   actions in a configurable precision.
 * :mod:`repro.inverse.oed` — the "outer-loop" problem of Remark 1:
   greedy optimal sensor placement maximizing expected information gain
-  (KL divergence), scored from one assembly of the data-space Hessian.
+  (KL divergence), scored from one assembly of the data-space Hessian,
+  read from the p2o kernel by time-shift invariance with no F/F*
+  action.
 * :mod:`repro.inverse.posterior` — the exact posterior (EIG, pointwise
-  variance, samples) from the same assembly and its Cholesky factor.
+  variance, samples) from the same assembly and its Cholesky factor;
+  only its sampler runs F and F*.
 """
 
 from repro.inverse.mesh import Grid1D

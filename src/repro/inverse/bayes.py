@@ -12,10 +12,10 @@ FFTMatvec — the operation the whole paper accelerates.  The matvec
 precision configuration is a parameter, so examples can demonstrate the
 end-to-end effect of the mixed-precision framework on inversion quality.
 
-The outer loop reads the data space instead: one assembly of
-``V = Gp F* / sigma`` and ``H_d = F V / sigma`` (2 * nt * Nd F/F*
-actions in fixed-width blocked chunks) serves both greedy sensor
-placement and the exact posterior.
+The outer loop reads the data space instead: one assembly of ``H_d``
+from the held kernel, with no F/F* action
+(:meth:`~LinearBayesianProblem.data_space_assembly`), serves both greedy
+sensor placement and the exact posterior.
 """
 
 from __future__ import annotations
@@ -32,14 +32,6 @@ from repro.inverse.prior import GaussianPrior
 from repro.util.validation import ReproError
 
 __all__ = ["MAPResult", "LinearBayesianProblem"]
-
-#: Data-space unit vectors per assembly chunk.  Measured at (nt, Nd, Nm) =
-#: (64, 24, 96), numpy, one BLAS thread: all 1536 columns in one pass
-#: leave a 482 MB engine arena and a 691 MB peak RSS; 128-column chunks
-#: leave 50 MB, 64-column chunks 36 MB (223 MB peak RSS, the 75 MB ``V``
-#: included), at 0.7-0.8x the one-pass wall.  Every width gives a
-#: bitwise-equal ``H_d``.
-_ASSEMBLY_COLUMNS = 64
 
 
 @dataclass
@@ -143,40 +135,28 @@ class LinearBayesianProblem:
         )
 
     # -- the data space (the outer loop's one assembly) ---------------------
-    def data_space_assembly(
-        self, config: Union[str, PrecisionConfig] = "ddddd"
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``V = Gp F* E / sigma``, (nt, Nm, nt*Nd), and the dense
-        data-space Hessian ``H_d = F V / sigma``, (nt*Nd, nt*Nd).
+    def data_space_assembly(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``W = Gs C^T / sigma``, (Nm, nt*Nd), and the dense data-space
+        Hessian ``H_d = F Gp F* / sigma^2``, (nt*Nd, nt*Nd), from the kernel
+        ``C`` (the p2o blocks stacked to (nt*Nd, Nm)) with no F/F* action.
 
-        ``E`` is the data-space identity, so column ``j`` of ``V`` is the
-        prior-smoothed adjoint response to datum ``j``.  The posterior
-        reads both (:mod:`repro.inverse.posterior`); sensor placement
-        reads ``H_d`` (:meth:`data_space_hessian`).
-
-        The columns are a multi-RHS block, assembled in chunks of
-        :data:`_ASSEMBLY_COLUMNS`: one blocked F* pass, one blocked prior
-        solve and one blocked F pass each.  Each chunk's unit block is
-        built on its own, so neither it nor the engine's arena grows
-        with ``nt * Nd``.
+        F is block lower-triangular Toeplitz and ``Gp = I_nt (x) Gs``, so
+        ``H_d[i, j] = H_d[i-1, j-1] + F_i Gs F_j^T / sigma^2``: one GEMM and
+        a prefix sum along the block diagonals.  ``V = Gp F* / sigma`` is
+        never formed: its column ``(j, d)`` at time ``s`` is ``W``'s
+        column ``(j - s, d)``.
         """
-        nt, nm, nd = self.p2o.nt, self.p2o.nm, self.p2o.nd
-        n = nt * nd
-        V, H = np.empty((nt, nm, n)), np.empty((n, n))
-        for start in range(0, n, _ASSEMBLY_COLUMNS):
-            cols = np.arange(start, min(start + _ASSEMBLY_COLUMNS, n))
-            E = np.zeros((nt, nd, cols.size))
-            E[cols // nd, cols % nd, np.arange(cols.size)] = 1.0 / self.noise_std
-            Vc = self.prior.apply_block(self.p2o.applyT_block(E, config=config))
-            FV = self.p2o.apply_block(Vc, config=config)
-            V[:, :, cols] = Vc
-            H[:, cols] = FV.reshape(n, cols.size) / self.noise_std
-        return V, H
+        nt, nd = self.p2o.nt, self.p2o.nd
+        blocks = self.p2o.matrix.blocks
+        W = self.prior.apply_block(blocks.transpose(0, 2, 1)).transpose(1, 0, 2)
+        W = W.reshape(self.p2o.nm, nt * nd) / self.noise_std
+        H = blocks.reshape(nt * nd, -1) @ W / self.noise_std
+        Hb = H.reshape(nt, nd, nt, nd)
+        for i in range(1, nt):
+            Hb[i, :, 1:, :] += Hb[i - 1, :, :-1, :]
+        return W, H
 
-    def data_space_hessian(
-        self,
-        config: Union[str, PrecisionConfig] = "ddddd",
-    ) -> np.ndarray:
+    def data_space_hessian(self) -> np.ndarray:
         """Dense H_d = Gn^{-1/2} F Gp F* Gn^{-1/2}, (nt*Nd, nt*Nd): the
         ``H_d`` half of :meth:`data_space_assembly`."""
-        return self.data_space_assembly(config=config)[1]
+        return self.data_space_assembly()[1]

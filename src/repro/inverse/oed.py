@@ -11,14 +11,16 @@ that maximizes the EIG.
 
 A sensor set's p2o map is a row selection of the map over all
 candidates, so its ``H_d(S)`` is a principal submatrix of the
-all-candidate ``H_d``.  The loop therefore assembles ``H_d`` once —
-``2 * nt * Nc`` F/F* actions through the blocked pipeline
-(:meth:`~repro.inverse.bayes.LinearBayesianProblem.data_space_hessian`)
-— and scores every candidate by a Schur-complement update of the
-selected set's Cholesky factor.  Remark 1's "thousands of F/F* actions
-per decision" no longer apply here: the one assembly is where the
-mixed-precision matvec pays, and everything after it is dense linear
-algebra on the data space.
+all-candidate ``H_d``.  The loop therefore assembles ``H_d`` once, from
+the all-candidate kernel by time-shift invariance
+(:meth:`~repro.inverse.bayes.LinearBayesianProblem.data_space_hessian`),
+and scores every candidate by a Schur-complement update of the selected
+set's Cholesky factor.  No F/F* action runs, so Remark 1's "thousands
+of F/F* actions per decision" are zero here and the mixed-precision
+matvec does not pay in this loop.  It pays online: in the MAP solves
+and the posterior sampler.  ``benchmarks/test_outer_loop.py`` still
+projects the paper's engine assembly (2 * Nd * Nt actions) at paper
+scale.
 
 What the exact route needs: the dense ``(nt*Nc)^2`` Hessian, i.e.
 ``8 (nt*Nc)^2`` bytes, and Cholesky updates of at most
@@ -32,12 +34,11 @@ workload.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence, Union
+from typing import List, Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from repro.core.precision import PrecisionConfig
 from repro.inverse.bayes import LinearBayesianProblem
 from repro.inverse.lti import LTISystem
 from repro.inverse.observation import ObservationOperator
@@ -66,8 +67,6 @@ class OEDResult:
     selected: List[int]
     gains: List[float] = field(default_factory=list)  # EIG after each pick
     evaluations: int = 0  # number of candidate EIG evaluations
-    matvec_count: int = 0  # logical F/F* actions (the Remark-1 cost)
-    matmat_count: int = 0  # blocked pipeline passes those actions rode in
 
 
 def greedy_sensor_placement(
@@ -77,11 +76,10 @@ def greedy_sensor_placement(
     nt: int,
     prior: GaussianPrior,
     noise_std: float,
-    config: Union[str, PrecisionConfig] = "ddddd",
 ) -> OEDResult:
     """Greedily pick ``n_select`` sensors from ``candidates`` by EIG.
 
-    ``H_d`` over all candidates is assembled once at ``config``; row
+    ``H_d`` over all candidates is assembled once from the kernel; row
     ``t * Nc + s`` is candidate ``s`` at time ``t``.  With ``L_S`` the
     Cholesky factor of ``I + H_S`` for the selected set ``S``, candidate
     ``c`` scores::
@@ -94,10 +92,6 @@ def greedy_sensor_placement(
     ``L_S``.  A non-finite ``H_d`` block or a Schur complement that is
     not positive definite raises :class:`ReproError` naming the
     candidate.
-
-    ``matvec_count`` reports the assembly's logical F/F* actions
-    (``2 * nt * Nc``); ``matmat_count`` the blocked pipeline passes that
-    carried them.
     """
     check_positive_int(n_select, "n_select")
     cands = [int(c) for c in candidates]
@@ -108,9 +102,7 @@ def greedy_sensor_placement(
             f"cannot select {n_select} sensors from {len(cands)} candidates"
         )
     p2o = P2OMap(system, ObservationOperator(system.n, cands), nt)
-    H = LinearBayesianProblem(p2o, prior, noise_std).data_space_hessian(
-        config=PrecisionConfig.parse(config)
-    )
+    H = LinearBayesianProblem(p2o, prior, noise_std).data_space_hessian()
     H = 0.5 * (H + H.T)
     nc = len(cands)
     rows = {c: np.arange(nt) * nc + s for s, c in enumerate(cands)}
@@ -149,10 +141,4 @@ def greedy_sensor_placement(
         selected.append(cand)
         gains.append(gain)
 
-    return OEDResult(
-        selected=selected,
-        gains=gains,
-        evaluations=evaluations,
-        matvec_count=p2o.engine.matvec_count,
-        matmat_count=p2o.engine.matmat_count,
-    )
+    return OEDResult(selected=selected, gains=gains, evaluations=evaluations)

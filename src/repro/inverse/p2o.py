@@ -130,15 +130,3 @@ class P2OMap:
     ) -> np.ndarray:
         """m = F* d via the FFT engine."""
         return self.engine.rmatvec(d, config=config)
-
-    def apply_block(
-        self, M: np.ndarray, config: Union[str, PrecisionConfig] = "ddddd"
-    ) -> np.ndarray:
-        """D = F M for a (nt, Nm, k) block — one blocked pipeline pass."""
-        return self.engine.matmat(M, config=config)
-
-    def applyT_block(
-        self, D: np.ndarray, config: Union[str, PrecisionConfig] = "ddddd"
-    ) -> np.ndarray:
-        """M = F* D for a (nt, Nd, k) block — one blocked pipeline pass."""
-        return self.engine.rmatmat(D, config=config)

@@ -2,10 +2,9 @@
 
 The standard choice for spatiotemporal source inversion is a
 Laplacian-like smoothness prior: ``Gamma_prior^{-1} = (delta I - gamma
-Laplacian)`` applied independently at each time step (plus an optional
-temporal damping), which regularizes the ill-posed inversion (paper
-Section 3.2.1 notes regularization mitigates the conditioning of the
-data-space Hessian).
+Laplacian)`` applied independently at each time step, which regularizes
+the ill-posed inversion (paper Section 3.2.1 notes regularization
+mitigates the conditioning of the data-space Hessian).
 """
 
 from __future__ import annotations
@@ -25,7 +24,11 @@ class GaussianPrior:
     """Gaussian prior N(m_prior, Gamma_prior) over (nt, nm) source fields.
 
     ``Gamma_prior^{-1} = delta * I - gamma * Laplacian_1D(space)`` acting
-    blockwise in time.  Exposes precision (``apply_inv``), covariance
+    blockwise in time: the covariance is ``I_nt (x) Gs``, the same
+    spatial block ``Gs`` at every time step.  The data-space assembly
+    (:meth:`~repro.inverse.bayes.LinearBayesianProblem.data_space_assembly`)
+    relies on this to read ``H_d`` from the kernel by time-shift
+    invariance.  Exposes precision (``apply_inv``), covariance
     (``apply``) and sampling via the prefactorized sparse operators.
 
     Parameters

@@ -5,8 +5,8 @@ pipeline out of *persistent* device buffers — nothing is ``cudaMalloc``'d
 per apply.  This module is the reproduction's counterpart: a
 :class:`Workspace` is a per-engine arena of reusable NumPy buffers keyed
 by ``(tag, shape, dtype)``, so iterative consumers (CG and block-CG,
-the outer loop's chunked data-space assembly — thousands of applies)
-stop paying Python/NumPy allocation churn on every phase of every apply.
+the serving layer's coalesced solves — thousands of applies) stop
+paying Python/NumPy allocation churn on every phase of every apply.
 
 Two handout disciplines, both backed by the same keyed pools:
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.inverse.bayes import _ASSEMBLY_COLUMNS, LinearBayesianProblem
+from repro.inverse.bayes import LinearBayesianProblem
 from repro.inverse.lti import AdvectionDiffusion1D, HeatEquation1D
 from repro.inverse.mesh import Grid1D
 from repro.inverse.oed import expected_information_gain, greedy_sensor_placement
@@ -57,7 +57,6 @@ class TestGreedy:
         _, system, prior = oed_setup
         res = greedy_sensor_placement(system, [2, 6, 10, 14], 2, 6, prior, 0.05)
         assert res.evaluations == 4 + 3
-        assert res.matvec_count > 0
 
     def test_selected_from_candidates(self, oed_setup):
         _, system, prior = oed_setup
@@ -75,34 +74,14 @@ class TestGreedy:
         with pytest.raises(ReproError):
             greedy_sensor_placement(system, [2, 2, 6], 1, 6, prior, 0.05)
 
-    def test_precision_config_does_not_change_selection(self, oed_setup):
-        # the paper's premise: 1e-7-level matvec error is far below the
-        # information-gain differences between sensor sites
-        _, system, prior = oed_setup
-        kw = dict(n_select=2, nt=6, prior=prior, noise_std=0.05)
-        sel_d = greedy_sensor_placement(system, [2, 7, 12], config="ddddd", **kw)
-        sel_s = greedy_sensor_placement(system, [2, 7, 12], config="dssdd", **kw)
-        assert sel_d.selected == sel_s.selected
-
-    def test_blocked_assembly_carries_all_actions(self, oed_setup):
-        # One all-candidate assembly carries every F/F* action of the
-        # loop, in blocked chunks; the scoring is dense algebra on it.
-        _, system, prior = oed_setup
-        nt, nc = 6, 4
-        res = greedy_sensor_placement(system, [2, 6, 10, 14], 2, nt, prior, 0.05)
-        assert res.matvec_count == 2 * nt * nc
-        assert res.matmat_count == 2 * -(-nt * nc // _ASSEMBLY_COLUMNS)
-
-    @pytest.mark.parametrize("config, rel", [("ddddd", 1e-9), ("dssdd", 1e-6)])
+    @pytest.mark.parametrize("config, rel", [("ddddd", 1e-9)])
     @pytest.mark.parametrize("n_select", [2, 3])
     def test_matches_uncached_per_candidate_rebuild(self, oed_setup, n_select, config, rel):
-        # The one assembly + Schur-complement scoring must reproduce the
-        # original algorithm: rebuild the p2o map per candidate and
-        # assemble the Hessian column by column.
+        # The one kernel assembly + Schur-complement scoring must reproduce
+        # the original algorithm: rebuild the p2o map per candidate and
+        # assemble the Hessian column by column with engine F* / F.
         _, system, prior = oed_setup
-        res = greedy_sensor_placement(
-            system, [2, 6, 10], n_select, 6, prior, 0.05, config=config
-        )
+        res = greedy_sensor_placement(system, [2, 6, 10], n_select, 6, prior, 0.05)
 
         selected, gains = [], []
         remaining = [2, 6, 10]
@@ -133,7 +112,7 @@ class TestGreedy:
         _, system, prior = oed_setup
         monkeypatch.setattr(
             LinearBayesianProblem, "data_space_hessian",
-            lambda self, config: np.full((6 * 3, 6 * 3), np.nan),
+            lambda self: np.full((6 * 3, 6 * 3), np.nan),
         )
         with pytest.raises(ReproError, match="candidate sensor 2 is not finite"):
             greedy_sensor_placement(system, [2, 6, 10], 2, 6, prior, 0.05)
@@ -142,7 +121,7 @@ class TestGreedy:
         _, system, prior = oed_setup
         monkeypatch.setattr(
             LinearBayesianProblem, "data_space_hessian",
-            lambda self, config: -2.0 * np.eye(6 * 3),
+            lambda self: -2.0 * np.eye(6 * 3),
         )
         with pytest.raises(ReproError, match="candidate sensor 2 is not positive definite"):
             greedy_sensor_placement(system, [2, 6, 10], 2, 6, prior, 0.05)

@@ -78,10 +78,11 @@ def test_source_inversion():
 
 def test_sensor_placement():
     out = run_example("sensor_placement.py")
-    assert out.count("selected sites") == 2
-    # both precision configs must agree on the selection
-    lines = [l for l in out.splitlines() if "selected sites" in l]
-    assert lines[0] == lines[1]
+    assert out.count("selected sites") == 1
+    # the greedy final gain is the chosen set's EIG, re-assembled on its own
+    line = next(l for l in out.splitlines() if "re-assembled on its own" in l)
+    eig, greedy = re.findall(r"\d+\.\d+", line)
+    assert eig == greedy
 
 
 def test_posterior_uq():
