@@ -35,7 +35,7 @@ that gives kappa(F_hat) gives ``B``
 admitted solve and is kept on the engine.  M runs on the host and is not
 booked on a device clock.  At (64, 24, 96), ridge 1e-8, tol 1e-8 (numpy,
 one BLAS thread, 2-vCPU Xeon; five right-hand sides) vector CG takes
-98-104 -> 43-45 iterations and block CG (k = 8) 102-103 -> 45; one
+98-104 -> 43-45 iterations and block CG (k = 8) 62 -> 30; one
 k = 1 M apply costs ~130 us against ~270 us for a ``ddsdd`` Hessian
 apply, and the SVD pass 26 ms once per engine.  Its single-precision
 FFT pair makes M's steps ~190 us at k = 1 and ~1.3 ms at k = 8 against
@@ -45,24 +45,34 @@ same iteration counts.  Convergence is still tested on
 ``z = M r`` like any other, and escalation, breakdown kinds and restarts
 (``p = z``) keep their meaning.
 
-:func:`block_conjugate_gradient` solves ``k`` right-hand sides at once.
-The per-column recurrences are the classic (preconditioned) CG
-recurrences, kept *independent* (no cross-column coupling; M acts on
-each column alone) and exact, so column ``j`` of the block solve meets
-the stopping rule of a vector solve of column ``j`` (and agrees with it
-to the tolerance — not to rounding, since the vector solve may iterate
-lowered).  Every operator action is one blocked
-application (e.g. a Gauss-Newton Hessian built on
-``FFTMatvec.matmat``), so the k solves share each pipeline pass instead
-of re-paying pad/FFT-plan/reorder overhead per vector.  Columns freeze
-once converged; the solve runs until all columns converge or ``maxiter``.
+:func:`block_conjugate_gradient` solves ``k`` right-hand sides at once,
+and the columns are *coupled*: every column searches the whole block
+Krylov space (O'Leary 1980), not only its own.  Each iteration applies
+the operator once to the block of search directions ``P`` (e.g. a
+Gauss-Newton Hessian built on ``FFTMatvec.matmat``, so the k columns
+share each pipeline pass), then solves the small system ``C = P^T A P``
+for every column's step.  New directions come from ``M R`` made
+A-conjugate to ``P`` and then orthonormalised with rank revealing
+(Ji & Li 2017, breakdown-free block CG): a direction the block no longer
+spans is dropped instead of making ``C`` singular, so duplicate or
+dependent right-hand sides, and columns that converge together, are
+safe.  The rank test normalises the columns first, so a right-hand side
+1e-12 times its neighbours is not mistaken for a dependent one.
+Operator calls keep width ``k``: ``P``'s columns past the rank are zero.
+Columns freeze once converged, and only ``B - A X`` declares a block
+solved (:func:`block_conjugate_gradient`).  At (64, 24, 96), ridge
+1e-8, tol 1e-8, k = 8 (numpy, one BLAS thread, 2-vCPU Xeon) the
+preconditioned block takes 30 iterations where each column alone takes
+45, and the plain block 62 where each column alone takes 102-104.  A
+column's iterate depends on the other right-hand sides of its block.
 
 Both solvers are **resumable**: pass ``checkpoint_every=`` and a
 ``checkpoint=`` callback to receive a deep-copied :class:`CGState` /
 :class:`BlockCGState` at iteration boundaries, and pass one back via
-``resume=`` to continue a killed solve.  The CG recurrence is a pure
-function of (X, R, P, rs), so a resumed solve replays the exact
-floating-point sequence of the uninterrupted one: with a deterministic
+``resume=`` to continue a killed solve.  Each recurrence is a pure
+function of its state (X, R, P, and ``rs`` or the direction rank), so a
+resumed solve replays the exact floating-point sequence of the
+uninterrupted one: with a deterministic
 operator (``reduction="pairwise"`` on the engines) the resumed result is
 **bitwise-identical**, at any interruption boundary.  A state records
 whether its loop was preconditioned and resumes in that loop.  States
@@ -473,15 +483,64 @@ def _col_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", a.reshape(-1, k), b.reshape(-1, k))
 
 
+# A normalised direction whose square outside the span of those kept
+# before it is under this is dropped (duplicate, dependent or converging
+# together), so C = P^T A P stays SPD: Ji & Li's breakdown-free block CG.
+_RANK_DROP = 1e-10
+# Restarts from B - A X (a solve has made n_exact - it checks) before the
+# columns that miss tol on it return unconverged: a gap one restart did
+# not close is the operator's (coarser than tol, or not linear).
+_RESTARTS = 1
+
+
+def _inverse_factor(G: np.ndarray, drop: Optional[float] = None) -> Optional[np.ndarray]:
+    """``Y`` (k, r) with ``Y^T G Y = I``: the Cholesky ``G = L L^T`` of a
+    small symmetric ``G``, run on ``[[G, I], [I, 0]]`` so that ``L^-T``
+    lands in the lower rows.  With ``drop``, a pivot ``<= drop`` skips its
+    column (its row of ``Y`` is zero); without, ``None`` unless ``G`` is
+    positive definite.  Plain numpy: LAPACK's ``eigh`` / ``cholesky`` /
+    ``inv`` page in ~0.5 MB of code that nothing else in a solve runs."""
+    k = len(G)
+    S, Y = np.zeros((2 * k, 2 * k)), []
+    S[:k, :k], S[:k, k:], S[k:, :k] = G, np.eye(k), np.eye(k)
+    for j in range(k):
+        if not S[j, j] > (drop or 0.0):
+            if drop is None:
+                return None
+            continue
+        col = S[:, j] / np.sqrt(S[j, j])
+        S -= np.multiply.outer(col, col)
+        Y.append(col[k:])
+    return np.array(Y).T.reshape(k, len(Y))
+
+
+def _orth(W: np.ndarray, P: np.ndarray) -> int:
+    """Write an orthonormal basis of ``W``'s column span into ``P``'s
+    leading columns (both ``(n, k)``), zero the rest, return its rank.
+
+    ``W``'s columns are normalised before the rank test — folded into
+    the Gram as ``D^-1 W^T W D^-1`` and into ``P = W D^-1 Y`` — so a
+    column 1e-12 times its neighbours keeps its direction."""
+    gram = W.T @ W
+    norm = np.sqrt(np.diag(gram))
+    inv = np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0.0)
+    Y = _inverse_factor(gram * np.multiply.outer(inv, inv), drop=_RANK_DROP)
+    T = np.zeros_like(gram)
+    T[:, : Y.shape[1]] = inv[:, None] * Y
+    np.matmul(W, T, out=P)
+    return Y.shape[1]
+
+
 @dataclass
 class BlockCGState:
-    """Exact block-CG state at an iteration boundary (see :class:`CGState`;
-    ``rs`` holds each column's ``<r, z>``)."""
+    """Exact block-CG state at an iteration boundary (see :class:`CGState`):
+    the leading ``rank`` columns of ``P`` are the orthonormal search
+    directions, the others zero."""
 
     X: np.ndarray
     R: np.ndarray
     P: np.ndarray
-    rs: np.ndarray  # (k,)
+    rank: int
     bnorm: np.ndarray  # (k,)
     converged: np.ndarray  # (k,) bool
     norms: List[np.ndarray]  # (k,) per recorded iteration, incl. iter 0
@@ -492,7 +551,7 @@ class BlockCGState:
     def copy(self) -> "BlockCGState":
         """Deep copy — resuming never aliases the caller's snapshot."""
         return replace(
-            self, X=self.X.copy(), R=self.R.copy(), P=self.P.copy(), rs=self.rs.copy(),
+            self, X=self.X.copy(), R=self.R.copy(), P=self.P.copy(),
             bnorm=self.bnorm.copy(), converged=self.converged.copy(),
             norms=[n.copy() for n in self.norms],
         )
@@ -503,7 +562,7 @@ class BlockCGState:
             "X": self.X,
             "R": self.R,
             "P": self.P,
-            "rs": self.rs,
+            "rank": np.array(self.rank, dtype=np.int64),
             "bnorm": self.bnorm,
             "converged": self.converged,
             "norms": np.stack(self.norms, axis=0),
@@ -516,33 +575,24 @@ class BlockCGState:
     def from_arrays(cls, arrays: Dict[str, np.ndarray]) -> "BlockCGState":
         """Rebuild from :meth:`to_arrays` output (checkpoint load path).
         Raises :class:`~repro.util.checkpoint.CheckpointSchemaError` on a
-        state without ``exact_applies`` or ``preconditioned``."""
-        missing = [name for name in ("exact_applies", "preconditioned") if name not in arrays]
+        state without ``rank`` (as the per-column loop saved them),
+        ``exact_applies`` or ``preconditioned``."""
+        missing = [n for n in ("rank", "exact_applies", "preconditioned") if n not in arrays]
         if missing:
             raise CheckpointSchemaError.incomplete("BlockCGState", " and ".join(missing))
         norms = np.asarray(arrays["norms"], dtype=np.float64)
-        iteration = int(np.asarray(arrays["iteration"]).reshape(-1)[0])
         return cls(
             X=np.asarray(arrays["X"], dtype=np.float64).copy(),
             R=np.asarray(arrays["R"], dtype=np.float64).copy(),
             P=np.asarray(arrays["P"], dtype=np.float64).copy(),
-            rs=np.asarray(arrays["rs"], dtype=np.float64).copy(),
+            rank=int(np.asarray(arrays["rank"])),
             bnorm=np.asarray(arrays["bnorm"], dtype=np.float64).copy(),
             converged=np.asarray(arrays["converged"], dtype=bool).copy(),
             norms=[norms[i].copy() for i in range(norms.shape[0])],
-            iteration=iteration,
+            iteration=int(np.asarray(arrays["iteration"]).reshape(-1)[0]),
             exact_applies=int(np.asarray(arrays["exact_applies"])),
             preconditioned=bool(np.asarray(arrays["preconditioned"])),
         )
-
-
-def _undo_update(X: np.ndarray, R: np.ndarray, P: np.ndarray, alpha, scratch) -> None:
-    """Undo an in-place ``X += alpha P; R -= alpha A P`` so a snapshot
-    holds the last healthy boundary: ``scratch`` still carries
-    ``alpha A P`` (the R update), and P/alpha re-derive the X update."""
-    R += scratch
-    np.multiply(P, alpha, out=scratch)
-    X -= scratch
 
 
 def block_conjugate_gradient(
@@ -555,38 +605,40 @@ def block_conjugate_gradient(
     checkpoint: Optional[Callable[[BlockCGState], None]] = None,
     stagnation_window: Optional[int] = None,
 ) -> BlockCGResult:
-    """Solve ``operator(X) = RHS`` column-wise for an SPD block operator,
-    from ``X = 0``.
+    """Solve ``operator(X) = RHS`` for an SPD block operator, from ``X = 0``.
 
     ``rhs`` is ``(..., k)`` (typically ``(nt, n, k)``) and ``operator``
     maps blocks of that shape to blocks of the same shape — pass e.g.
     ``GaussNewtonHessian(...).apply_block`` so each iteration costs one
-    blocked pipeline pass for all k systems.  Column ``j`` converges when
-    ``||r_j|| <= tol * ||rhs_j||`` and is frozen from then on, so its
-    iterate matches what :func:`conjugate_gradient` would return for the
-    same column (up to rounding).  Breakdown in any active column —
-    non-positive or non-finite curvature, a non-finite residual, or
-    ``stagnation_window`` iterations with no progress in any active
-    column — raises :class:`CGBreakdownError` with the last healthy
+    blocked pipeline pass for all k systems.  The columns share one
+    search space (module docstring).  Column ``j`` meets the recurrence's
+    ``||r_j|| <= tol * ||rhs_j||`` and is frozen: its residual is zeroed,
+    so it leaves the search space and its iterate stops.  Once all are,
+    one apply checks ``B - A X``: columns that miss ``tol`` on it restart
+    the directions from it, once (``_RESTARTS``), then return unconverged.
+    A Cholesky of ``C = P^T A P`` that fails (``non_spd``: the operator is
+    not SPD), a non-finite ``B``, ``C`` or residual (``rho_breakdown``),
+    or ``stagnation_window`` iterations with no progress in any active
+    column raise :class:`CGBreakdownError` with the last healthy
     :class:`BlockCGState`, as the vector solver does.
 
     ``resume=`` continues from a :class:`BlockCGState` captured by a
     ``checkpoint=`` callback (see ``checkpoint_every``).  The resumed
     solve is bitwise-identical to the uninterrupted one when the
-    operator is deterministic — the initialization (including the
-    ``R = B - A X`` residual) is *not* recomputed, the stored residual
-    recurrence continues exactly.
+    operator is deterministic: the stored recurrence continues exactly.
 
     An ``operator`` with a ``preconditioner`` runs preconditioned block
-    CG — still exact, M applied to each column alone (module docstring).
+    CG, M applied to each column alone (module docstring).
     """
     B = np.asarray(rhs, dtype=np.float64)
     if B.ndim < 2:
-        raise ReproError(
-            f"block CG needs a (..., k) multi-RHS array, got shape {B.shape}"
-        )
+        raise ReproError(f"block CG needs a (..., k) multi-RHS array, got shape {B.shape}")
     _check_options(checkpoint_every, stagnation_window)
     M = _preconditioner(_owner(operator), resume)
+    k = B.shape[-1]
+
+    def flat(a: np.ndarray) -> np.ndarray:
+        return a.reshape(-1, k)
 
     def _result(iterations: int) -> BlockCGResult:
         return BlockCGResult(
@@ -596,111 +648,103 @@ def block_conjugate_gradient(
 
     if resume is not None:
         if resume.X.shape != B.shape:
-            raise ReproError(
-                f"resume state shape {resume.X.shape} != rhs shape {B.shape}"
-            )
+            raise ReproError(f"resume state shape {resume.X.shape} != rhs shape {B.shape}")
         state = resume.copy()
-        X, R, P = state.X, state.R, state.P
-        rs, bnorm, converged = state.rs, state.bnorm, state.converged
-        norms, n_exact = state.norms, state.exact_applies
-        start = state.iteration
+        X, R, P, rank = state.X, state.R, state.P, state.rank
+        bnorm, converged = state.bnorm, state.converged
+        norms, n_exact, start = state.norms, state.exact_applies, state.iteration
         if np.all(converged):
             return _result(start)
     else:
-        X = np.zeros_like(B)
-        R = B - operator(X)
-        n_exact = 1
+        # From X = 0 the residual is B exactly: no apply spent on it.
+        X, R, P = np.zeros(B.shape), B.copy(), np.empty(B.shape)
         bnorm = np.sqrt(_col_dots(B, B))
-        # Zero RHS columns are solved by zeros immediately.
-        zero_rhs = bnorm == 0.0
-        R[..., zero_rhs] = 0.0
-        rs = _col_dots(R, R)
-
-        norms = [np.sqrt(rs)]
-        converged = zero_rhs | (norms[0] <= tol * bnorm)
+        if not np.all(np.isfinite(bnorm)):
+            raise CGBreakdownError("rho_breakdown", "block CG right-hand side holds NaN/Inf")
+        norms, n_exact, start = [bnorm.copy()], 0, 0
+        converged = bnorm <= tol * bnorm  # zero RHS columns: solved by zeros
         if np.all(converged):
             return _result(0)
-        if M is None:
-            P = R.copy()
-        else:
-            P = M.apply_block(R)
-            rs = _col_dots(R, P)
-            if not np.all(rs[~converged] > 0.0):
-                raise _preconditioner_breakdown(rs[~converged], "at the start", None)
-        P[..., converged] = 0.0
-        start = 0
+        R[..., converged] = 0.0
+        Z = R if M is None else M.apply_block(R)
+        if M is not None:
+            rz = _col_dots(R, Z)
+            if not np.all(rz[~converged] > 0.0):
+                raise _preconditioner_breakdown(rz[~converged], "at the start", None)
+        rank = _orth(flat(Z), flat(P))
 
-    # One scratch block keeps the per-iteration linear algebra
-    # allocation-free: for wide blocks the vector updates otherwise cost
-    # a noticeable fraction of the shared operator action they amortize.
-    scratch = np.empty_like(B)
+    # The next residual, then scratch: the (n, k) buffer beside X, R and P.
+    R2 = np.empty(B.shape)
 
     def _snapshot(iteration: int) -> BlockCGState:
         return BlockCGState(
-            X=X.copy(), R=R.copy(), P=P.copy(), rs=rs.copy(),
+            X=X.copy(), R=R.copy(), P=P.copy(), rank=rank,
             bnorm=bnorm.copy(), converged=converged.copy(),
             norms=[n.copy() for n in norms], iteration=iteration,
             exact_applies=n_exact, preconditioned=M is not None,
         )
 
+    def _breakdown(kind: str, what: str, it: int) -> CGBreakdownError:
+        cause = "is not SPD" if kind == "non_spd" else "returned NaN/Inf"
+        return CGBreakdownError(
+            kind, f"block CG {what} at iter {it}; the operator {cause}", state=_snapshot(it - 1)
+        )
+
+    def _measure(Rn: np.ndarray, frozen: np.ndarray, it: int):
+        rr = _col_dots(Rn, Rn)
+        if not np.all(np.isfinite(rr[~frozen])):
+            raise _breakdown("rho_breakdown", "residual norm went non-finite", it)
+        norm = np.where(frozen, norms[-1], np.sqrt(rr))
+        return norm, frozen | (norm <= tol * bnorm)
+
     for it in range(start + 1, maxiter + 1):
-        # Frozen columns keep a zero search direction, so the shared
-        # operator action does no stale work on their behalf.
-        active = ~converged
-        AP = operator(P)
+        Q = operator(P)  # P's columns past the rank are zero: width stays k
         n_exact += 1
-        curvature = _col_dots(P, AP)
-        if not np.all(np.isfinite(curvature[active])):
-            raise CGBreakdownError(
-                "rho_breakdown",
-                f"block CG curvature went non-finite at iter {it}; "
-                "the operator returned NaN/Inf",
-                state=_snapshot(it - 1),
-            )
-        if np.any(curvature[active] <= 0.0):
-            bad = float(np.min(curvature[active]))
-            raise CGBreakdownError(
-                "non_spd",
-                f"block CG detected non-positive curvature {bad:g} at iter "
-                f"{it}; the operator is not SPD",
-                state=_snapshot(it - 1),
-            )
-        alpha = np.where(active, rs / np.where(active, curvature, 1.0), 0.0)
-        np.multiply(P, alpha, out=scratch)
-        X += scratch
-        np.multiply(AP, alpha, out=scratch)
-        R -= scratch
-        rr = _col_dots(R, R)
-        if not np.all(np.isfinite(rr[active])):
-            _undo_update(X, R, P, alpha, scratch)  # discard the poisoned update
-            raise CGBreakdownError(
-                "rho_breakdown",
-                f"block CG residual norm went non-finite at iter {it}; "
-                "the operator returned NaN/Inf",
-                state=_snapshot(it - 1),
-            )
-        norm = np.where(active, np.sqrt(rr), norms[-1])
-        done = converged | (active & (norm <= tol * bnorm))
-        Z, rz = R, rr
-        if M is not None and not np.all(done):
-            Z = M.apply_block(R)
-            rz = _col_dots(R, Z)
+        Ps, Qs = flat(P)[:, :rank], flat(Q)[:, :rank]
+        C = Ps.T @ Qs
+        C = 0.5 * (C + C.T)
+        if not np.all(np.isfinite(C)):
+            raise _breakdown("rho_breakdown", "P^T A P went non-finite", it)
+        Y = _inverse_factor(C)
+        if Y is None:
+            raise _breakdown("non_spd", "P^T A P has no Cholesky factor", it)
+        C_inv = Y @ Y.T
+        alpha = C_inv @ (Ps.T @ flat(R))
+        np.matmul(Qs, alpha, out=flat(R2))
+        np.subtract(R, R2, out=R2)
+        norm, done = _measure(R2, converged, it)
+        checked = final = bool(np.all(done))
+        Rn = R2
+        if checked:  # the recurrence says solved: only B - A X is believed
+            Q = Qs = None  # the check's apply holds no more buffers than A P
+            np.matmul(Ps, alpha, out=flat(R2))
+            R2 += X  # the new X, committed below
+            Rn = B - operator(R2)
+            n_exact += 1
+            norm, done = _measure(Rn, np.zeros(k, dtype=bool), it)
+            final = bool(np.all(done)) or n_exact - it > _RESTARTS
+        Rn[..., done] = 0.0  # frozen: alpha leaves the column's X alone
+        Z = Rn
+        if M is not None and not final:
+            Z = M.apply_block(Rn)
+            rz = _col_dots(Rn, Z)
             if not np.all(rz[~done] > 0.0):
-                _undo_update(X, R, P, alpha, scratch)
                 raise _preconditioner_breakdown(rz[~done], f"at iter {it}", _snapshot(it - 1))
+        if checked:
+            X, R2, R = R2, X, Rn
+        else:
+            np.matmul(Ps, alpha, out=flat(R))  # the old residual's buffer is free
+            X += R
+            R, R2 = R2, R
         norms.append(norm)
         converged = done
-        if np.all(converged):
+        if final:
             return _result(it)
-        beta = np.where(
-            ~converged, rz / np.where(rs > 0, rs, 1.0), 0.0
-        )
-        # P <- Z + beta*P for active columns, zero for frozen ones
-        # (beta is already zero there; only the += Z needs undoing).
-        np.multiply(P, beta, out=P)
-        P += Z
-        P[..., converged] = 0.0
-        rs = rz
+        if not checked:  # else the recurrence drifted: restart from B - A X
+            beta = C_inv @ (Qs.T @ flat(Z))
+            np.matmul(Ps, beta, out=flat(R2))
+            Z = np.subtract(Z, R2, out=R2)
+        rank = _orth(flat(Z), flat(P))
         if stagnation_window is not None and len(norms) > stagnation_window:
             still = ~converged
             if np.all(norms[-1][still] >= norms[-1 - stagnation_window][still]):
@@ -710,11 +754,7 @@ def block_conjugate_gradient(
                     f"over {stagnation_window} iterations (iter {it})",
                     state=_snapshot(it),
                 )
-        if (
-            checkpoint is not None
-            and checkpoint_every is not None
-            and it % checkpoint_every == 0
-        ):
+        if checkpoint is not None and checkpoint_every is not None and it % checkpoint_every == 0:
             checkpoint(_snapshot(it))
 
     return _result(maxiter)

@@ -27,8 +27,10 @@ request therefore cannot observe whether it shared a batch.  A service
 built with ``deterministic=False`` buys the fast blocked GEMM instead,
 for every request.  ``solve``
 requests coalesce at the CG level — each iteration applies the
-Gauss-Newton Hessian to all k systems in one blocked pass — and are
-tolerance-equivalent (same stopping rule per column), not bitwise.
+Gauss-Newton Hessian to all k systems in one blocked pass, and the
+columns share one search space — and are tolerance-equivalent (same
+stopping rule per column), not bitwise: a solve's iterate depends on
+the right-hand sides it shared a flush with.
 
 **Backpressure and fairness.**  The queue is bounded: past
 ``max_pending`` queued requests new submissions are load-shed with

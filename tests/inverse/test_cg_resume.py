@@ -212,6 +212,24 @@ def _stalled(A, healthy_calls, scale=0.01):
     return op
 
 
+def _skewed(A, healthy_calls, scale=10.0):
+    """Operator that goes quietly wrong after ``healthy_calls``: it gains
+    a skew-symmetric part ``S``, so every curvature ``p @ op(p)`` and the
+    symmetric part of block CG's ``P^T op(P)`` are exactly A's (non_spd
+    can never fire) while the residual recurrence stops contracting.
+    Unlike :func:`_stalled`'s leak it is linear, so the recurrence and
+    ``b - op(x)`` agree: the stall shows in the recurrence itself."""
+    calls = {"n": 0}
+    G = np.random.default_rng(5).standard_normal(A.shape)
+    S = scale * (G - G.T)
+
+    def op(x):
+        calls["n"] += 1
+        return A @ x if calls["n"] <= healthy_calls else (A + S) @ x
+
+    return op
+
+
 class TestVectorCGBreakdown:
     def test_non_spd_raises_typed(self, spd):
         A, b, _ = spd
@@ -313,6 +331,20 @@ class TestBlockCGBreakdown:
         with pytest.raises(CGBreakdownError) as ei:
             block_conjugate_gradient(
                 _stalled(A, 4), B_rhs, tol=TOL, maxiter=500,
+                stagnation_window=5,
+            )
+        err = ei.value
+        assert err.kind == "stagnation"
+        assert isinstance(err.state, BlockCGState)
+        assert np.all(np.isfinite(err.state.X))
+
+    def test_linear_leak_stagnation_detected(self, spd):
+        # A skew leak is linear, so the recurrence and B - A X agree, and
+        # the recurrence itself stops contracting.
+        A, _, B_rhs = spd
+        with pytest.raises(CGBreakdownError) as ei:
+            block_conjugate_gradient(
+                _skewed(A, 4), B_rhs, tol=TOL, maxiter=500,
                 stagnation_window=5,
             )
         err = ei.value

@@ -166,7 +166,7 @@ class TestGatesKeepThePlainLoop:
             hess.apply_block, np.stack([rhs, rhs], -1), tol=TOL, maxiter=5
         )
         assert set(eng.calls) == {"k=2 ddddd"}
-        assert res.preconditioned and res.exact_applies == eng.calls["k=2 ddddd"] == 6
+        assert res.preconditioned and res.exact_applies == eng.calls["k=2 ddddd"] == 5
 
 
 class _Injected(GaussNewtonHessian):
