@@ -1,8 +1,8 @@
 """Per-backend engine bench: simulated + real wall-clock per backend.
 
 Runs the same :class:`FFTMatvec` workload (one matvec and one ``k = 8``
-blocked matmat) on every *available* backend — numpy always, torch and
-CuPy when their probes pass — and emits ``BENCH_backend.json`` with, per
+blocked matmat) on every *available* backend — numpy always, torch
+when its probe passes — and emits ``BENCH_backend.json`` with, per
 backend:
 
 * ``simulated_matvec_s`` / ``simulated_matmat_s`` — the modeled device
@@ -11,7 +11,7 @@ backend:
   bench asserts every backend's simulated columns match numpy's exactly.
 * ``wall_matvec_s`` / ``wall_matmat_s`` — real host wall-clock
   (``time.perf_counter`` around the apply), which *does* vary by
-  backend: that is the number a CuPy/torch run is trying to improve.
+  backend: that is the number a torch run is trying to improve.
 * ``rel_err_*`` — parity against the numpy reference results.
 
 ``REPRO_BENCH_TINY=1`` shrinks the problem for the CI smoke, which

@@ -50,18 +50,21 @@ class TestHessianAssembly:
         # host vector generation/saving — one F* action per unit vector
         # on a 1x1 grid, whose host stream carries the generate/save work
         matrix = BlockTriangularToeplitz.random(32, 4, 64, rng=rng, decay=0.05)
-        engine = ParallelFFTMatvec(
-            matrix, ProcessGrid(1, 1), spec=MI250X_GCD,
-            host=HostModel(20e-6, 50e-6), max_block_k=1,
-        )
+        engines = {
+            fused: ParallelFFTMatvec(
+                matrix, ProcessGrid(1, 1), spec=MI250X_GCD,
+                host=HostModel(20e-6, 50e-6), overlap_host=fused, max_block_k=1,
+            )
+            for fused in (False, True)
+        }
         units = np.zeros((32, 4, 32))
         for j in range(32):
             units[j // 4, j % 4, j] = 1.0
 
         def assemble():
             walls = {}
-            for fused in (False, True):
-                cols = engine.rmatmat(units, overlap_host=fused)
+            for fused, engine in engines.items():
+                cols = engine.rmatmat(units)
                 walls[fused] = engine.last_timing.wall
             return cols.reshape(32 * 64, 32), walls[False], walls[True]
 

@@ -2,8 +2,8 @@
 
 See :mod:`repro.backend.base` for the protocol and
 :mod:`repro.backend.registry` for the ``REPRO_BACKEND`` fallback chain.
-Importing this package never imports torch or cupy — device backend
-classes are loaded lazily when named.
+Importing this package never imports torch — the torch backend class
+is loaded lazily when named.
 """
 
 from repro.backend.base import (

@@ -65,7 +65,6 @@ class Backend:
     """Abstract array backend.
 
     Concrete backends (:class:`~repro.backend.numpy_backend.NumpyBackend`,
-    :class:`~repro.backend.cupy_backend.CupyBackend`,
     :class:`~repro.backend.torch_backend.TorchBackend`) fill in ``fft``
     and the per-operation methods.  All dtype *parameters* and
     the :meth:`dtype_of` return value are numpy dtypes — backends
@@ -73,7 +72,7 @@ class Backend:
     datatypes stay backend-agnostic.
     """
 
-    #: Registry name (``"numpy"``, ``"cupy"``, ``"torch"``).
+    #: Registry name (``"numpy"``, ``"torch"``).
     name: str = "abstract"
     #: True when arrays live in device memory (host transfers are real).
     is_device: bool = False

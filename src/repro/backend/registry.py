@@ -4,14 +4,18 @@ the ``auto`` fallback chain.
 Resolution order for :func:`resolve_backend`:
 
 1. a :class:`Backend` *instance* passes through untouched;
-2. an explicit name (``"numpy"``/``"cupy"``/``"torch"``) is probed and
-   **raises** :class:`BackendUnavailableError` when the host can't run
-   it — naming the install extra — never silently substituting;
+2. an explicit name (``"numpy"``/``"torch"``) is probed and **raises**
+   :class:`BackendUnavailableError` when the host can't run it —
+   naming the install extra — never silently substituting; any other
+   name raises too, naming the known backends;
 3. ``None`` reads the ``REPRO_BACKEND`` environment variable, default
    ``auto``;
-4. ``auto`` walks ``cupy → torch → numpy`` and takes the first backend
-   whose probe passes, emitting one :class:`BackendFallbackWarning` per
-   process when a device backend was skipped.
+4. ``auto`` walks ``torch → numpy`` and takes the first backend whose
+   probe passes, emitting one :class:`BackendFallbackWarning` per
+   process when torch was skipped.
+
+Only backends that run somewhere are registered: numpy everywhere, torch
+on CPU in CI's ``backend-torch`` job (or CUDA where present).
 
 Instances are cached per name (backends are stateless beyond their
 module handles), and only the *engines* and the CLI resolve the
@@ -35,9 +39,9 @@ from repro.backend.base import (
 __all__ = ["resolve_backend", "available_backends", "BACKEND_CHAIN"]
 
 #: ``auto`` preference order: fastest hardware first, numpy as the floor.
-BACKEND_CHAIN: Tuple[str, ...] = ("cupy", "torch", "numpy")
+BACKEND_CHAIN: Tuple[str, ...] = ("torch", "numpy")
 
-_INSTALL_EXTRA = {"cupy": "pip install .[cupy]", "torch": "pip install .[torch]"}
+_INSTALL_EXTRA = {"torch": "pip install .[torch]"}
 
 _instances: Dict[str, Backend] = {}
 _fallback_warned = False
@@ -45,15 +49,11 @@ _fallback_warned = False
 
 def _backend_class(name: str) -> Type[Backend]:
     # Imported lazily so that ``import repro.backend`` never touches
-    # torch/cupy (absent on most hosts) at import time.
+    # torch (absent on most hosts) at import time.
     if name == "numpy":
         from repro.backend.numpy_backend import NumpyBackend
 
         return NumpyBackend
-    if name == "cupy":
-        from repro.backend.cupy_backend import CupyBackend
-
-        return CupyBackend
     if name == "torch":
         from repro.backend.torch_backend import TorchBackend
 

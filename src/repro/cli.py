@@ -14,7 +14,7 @@ Flags follow the artifact appendix:
 * ``-gpu NAME`` — simulated architecture (default MI250X GCD);
 * ``-pr / -pc`` — process grid shape (defaults: 1 x p as the paper does
   for small runs); ``-p`` — total simulated GPUs;
-* ``--backend`` — array backend (numpy/cupy/torch/auto; default: the
+* ``--backend`` — array backend (numpy/torch/auto; default: the
   ``REPRO_BACKEND`` environment variable, else the auto fallback chain).
 
 Timing output format matches the original: three lines of
@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         type=str,
         default=None,
-        help="array backend: numpy, cupy, torch or auto "
+        help="array backend: numpy, torch or auto "
         "(default: $REPRO_BACKEND, else the auto fallback chain)",
     )
     p.add_argument(

@@ -22,12 +22,14 @@ double precision (Section 3.2).  The spectrum ``F_hat`` is precomputed
 in double precision at setup, with the ``1/(2*Nt)`` inverse-transform
 normalization folded in.
 
-**Blocked multi-RHS path** (:meth:`FFTMatvec.matmat` /
-:meth:`FFTMatvec.rmatmat`): ``k`` right-hand sides flow through *one*
-pipeline pass — one pad kernel, one batched FFT with batch ``k * space``,
-a per-frequency strided-batched **GEMM** (``F_hat[f] @ M_hat[f]`` with
-``M_hat[f]`` an ``(Nm, k)`` panel) via the same dispatcher, one inverse
-FFT and one unpad.  The spectrum — the dominant Phase-3 traffic — is
+**One pipeline, blocked** (:meth:`FFTMatvec.matmat` /
+:meth:`FFTMatvec.rmatmat`; :meth:`FFTMatvec.matvec` /
+:meth:`FFTMatvec.rmatvec` are its width-1 block, whose Phase 3 is the
+GEMV): ``k`` right-hand sides flow through *one* pipeline pass — one
+pad kernel, one batched FFT with batch ``k * space``, a per-frequency
+strided-batched **GEMM** (``F_hat[f] @ M_hat[f]`` with ``M_hat[f]`` an
+``(Nm, k)`` panel) via the same dispatcher, one inverse FFT and one
+unpad.  The spectrum — the dominant Phase-3 traffic — is
 read once instead of ``k`` times, and the per-call launch/plan overhead
 of the other phases is paid once, which is where block solvers,
 posterior sampling and OED sweeps get their speedup.
@@ -233,24 +235,23 @@ class FFTMatvec:
         charges modeled time to the device clock and ``last_timing``
         holds the per-phase breakdown of the most recent call.
     workspace:
-        The engine's :class:`Workspace` arena, which every phase of the
-        pipeline writes into (persistent checked-out buffers, nothing
-        allocated per apply at steady state).  ``None``/``True`` build a
-        private one (registered with the device allocator when a device
-        is attached); a :class:`Workspace` instance is used as given.
+        ``None`` or ``True`` (anything else raises): the engine owns a
+        :class:`Workspace` arena, which every phase of the pipeline
+        writes into (persistent checked-out buffers, nothing allocated
+        per apply at steady state), registered with the device allocator
+        when a device is attached.
     backend:
         Array backend for the hot path: a :class:`Backend` instance, a
-        name (``"numpy"``/``"cupy"``/``"torch"``, explicit mode — raises
-        when unavailable), or ``None`` to follow ``REPRO_BACKEND``
-        (default ``auto``: cupy → torch → numpy).  Inputs and outputs
-        stay host float64 on every backend.
+        name (``"numpy"``/``"torch"``, explicit mode — raises when
+        unavailable), or ``None`` to follow ``REPRO_BACKEND`` (default
+        ``auto``: torch → numpy).  Inputs and outputs stay host float64
+        on every backend.
     reduction:
         ``"fast"`` (default) lets Phase 3 accumulate in whatever order
         the selected BLAS kernel's tiling produces.  ``"pairwise"``
         pins the fixed binary-tree order of :mod:`repro.util.pairwise`
         instead: vector and blocked applies become bitwise-identical at
-        any block width (``matvec`` routes through the width-1 blocked
-        pipeline), and on the grid engine any contraction-axis
+        any block width, and on the grid engine any contraction-axis
         partition — including width-1 parts — reproduces the same bits.
         Costs the modeled determinism tax of
         :class:`~repro.blas.gemm_kernels.PairwiseSBGEMM`.
@@ -271,7 +272,7 @@ class FFTMatvec:
         self,
         matrix: Union[BlockTriangularToeplitz, np.ndarray],
         device: Optional[SimulatedDevice] = None,
-        workspace: Union[None, bool, Workspace] = None,
+        workspace: Union[None, bool] = None,
         backend: Union[None, str, Backend] = None,
         reduction: str = "fast",
         validate: Union[None, bool, str] = None,
@@ -321,21 +322,14 @@ class FFTMatvec:
         self._ref_cache: Dict[Tuple[bool, Tuple[int, ...], bytes], np.ndarray] = {}
         self._fhat_conj: Dict[Precision, Any] = {}
         self._abft_rows: Dict[Tuple[Precision, Operation], Tuple[Any, np.ndarray]] = {}
-        if not isinstance(workspace, Workspace):
-            if workspace not in (None, True):
-                raise ReproError(f"workspace must be None, True or a Workspace, got {workspace!r}")
-            workspace = Workspace(
-                allocator=device.allocator if device is not None else None,
-                name="fftmatvec",
-                backend=self.backend,
-            )
-        elif workspace.backend.name != self.backend.name:
-            raise ReproError(
-                f"workspace backend {workspace.backend.name!r} does not match "
-                f"engine backend {self.backend.name!r}"
-            )
-        self.workspace = workspace
-        workspace.release_hooks.append(self._plans.clear)  # records hold arena buffers
+        if workspace not in (None, True):
+            raise ReproError(f"workspace must be None or True, got {workspace!r}")
+        self.workspace = Workspace(
+            allocator=device.allocator if device is not None else None,
+            name="fftmatvec",
+            backend=self.backend,
+        )
+        self.workspace.release_hooks.append(self._plans.clear)  # records hold arena buffers
 
     # -- setup -----------------------------------------------------------------
     def _setup_spectrum(self) -> np.ndarray:
@@ -371,10 +365,6 @@ class FFTMatvec:
             )
             scale = 1.0 / float(self.n_pad)  # fold in the IFFT normalization
             return (freq_major * scale).astype(np.complex128)
-
-    def _fhat_double_for_tests(self) -> np.ndarray:
-        """The double-precision host spectrum (test hook)."""
-        return self._fhat_host
 
     def condition_number_hat(self) -> float:
         """The kappa(F_hat) of Eq. (6), from :meth:`gram_factor`."""
@@ -1091,33 +1081,6 @@ class FFTMatvec:
             dev.book(*booked[2])
         return res
 
-    def _pipeline(
-        self,
-        v_in: np.ndarray,
-        config: PrecisionConfig,
-        adjoint: bool,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Vector pipeline: front + back on the ``(Nt, nx, 1)`` view.
-
-        Forward: v_in is (Nt, Nm); output (Nt, Nd); Phase-3 op = N.
-        Adjoint: v_in is (Nt, Nd); output (Nt, Nm); Phase-3 op = C.
-        The result lands in ``out`` (float64, (Nt, ny)) — the caller's,
-        or a fresh host array, so a vector apply returns an array that
-        owns its data, never a view into a width-1 block.  Phase 3 is
-        the strided-batched GEMV — or, on a pairwise engine, the
-        fixed-tree kernel every blocked apply uses, so a lone column
-        accumulates bitwise like the same column inside any block.
-        """
-        pairwise = self.reduction == "pairwise"
-        kernel = FFTMatvec._run_sbgemm if pairwise else FFTMatvec._run_sbgemv
-        if out is None:
-            out = host_empty((self.nt, self.nm if adjoint else self.nd), np.float64)
-        with self.workspace:
-            yhat = self._front(v_in[:, :, None], config, adjoint, kernel)
-            self._back(yhat, config, adjoint, out.reshape(out.shape + (1,)), True)
-        return out
-
     def _pipeline_block(
         self,
         v_in: np.ndarray,
@@ -1127,7 +1090,8 @@ class FFTMatvec:
         detach: bool = True,
         deterministic: bool = False,
     ) -> np.ndarray:
-        """Blocked pipeline: all ``k`` RHS in one pass per phase.
+        """The pipeline: all ``k`` RHS in one pass per phase (a vector
+        apply is the width-1 block).
 
         Forward: v_in is (Nt, Nm, k); output (Nt, Nd, k); GEMM op = N.
         Adjoint: v_in is (Nt, Nd, k); output (Nt, Nm, k); GEMM op = C.
@@ -1136,8 +1100,8 @@ class FFTMatvec:
         only — it is overwritten by this engine's next apply).
         ``deterministic`` swaps the Phase-3 GEMM for the per-column
         batched GEMV (:meth:`_run_sbgemv_panel`), making every column
-        bitwise what the vector pipeline returns for it — on a pairwise
-        engine the fixed tree already does (the vector pipeline runs it
+        bitwise what the width-1 apply returns for it — on a pairwise
+        engine the fixed tree already does (the width-1 apply runs it
         too), so the flag is redundant there and ignored, as on the grid.
         """
         kernel = FFTMatvec._run_sbgemm
@@ -1203,15 +1167,13 @@ class FFTMatvec:
         receives the result in a caller-owned buffer — with the engine's
         arena, repeated applies are then allocation-free.
 
-        In pairwise mode the vector rides the width-1 blocked pipeline:
-        the fixed tree makes a lone column accumulate bitwise like the
-        same column inside any block, so ``matvec(m)`` ==
-        ``matmat(M)[:, :, j]`` exactly whenever ``M[:, :, j] == m``.
+        The vector rides the width-1 blocked pipeline, so ``matvec(m)``
+        == ``matmat(M)[:, :, j]`` exactly whenever ``M[:, :, j] == m``
+        for a width-1 ``M``, a ``deterministic=True`` block, or any block
+        on a pairwise engine.
         """
-        cfg = PrecisionConfig.parse(config)
         mm = self.matrix.check_input(m).astype(np.float64, copy=False)
-        out = check_out_buffer(out, (self.nt, self.nd))
-        return self._timed(cfg, None, self._pipeline, mm, cfg, False, out)
+        return self._apply_vector(mm, config, False, check_out_buffer(out, (self.nt, self.nd)))
 
     def rmatvec(
         self,
@@ -1220,10 +1182,24 @@ class FFTMatvec:
         out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Compute ``m = F* d`` (adjoint/conjugate-transpose matvec)."""
-        cfg = PrecisionConfig.parse(config)
         dd = self.matrix.check_output(d).astype(np.float64, copy=False)
-        out = check_out_buffer(out, (self.nt, self.nm))
-        return self._timed(cfg, None, self._pipeline, dd, cfg, True, out)
+        return self._apply_vector(dd, config, True, check_out_buffer(out, (self.nt, self.nm)))
+
+    def _apply_vector(
+        self, v: np.ndarray, config, adjoint: bool, out: Optional[np.ndarray]
+    ) -> np.ndarray:
+        """:meth:`matvec` / :meth:`rmatvec` body: the width-1 block apply
+        of ``v``'s ``(Nt, nx, 1)`` view into ``out`` — the caller's, or a
+        fresh host array, so a vector apply returns an array that owns
+        its data, never a view into a width-1 block."""
+        cfg = PrecisionConfig.parse(config)
+        if out is None:
+            out = host_empty((self.nt, self.nm if adjoint else self.nd), np.float64)
+        self._timed(
+            cfg, None, self._pipeline_block, v[:, :, None], cfg, adjoint,
+            out.reshape(out.shape + (1,)),
+        )
+        return out
 
     # -- blocked multi-RHS API -------------------------------------------------
     def matmat(

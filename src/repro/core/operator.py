@@ -5,13 +5,12 @@ posterior sampling, OED — ultimately applies compositions of F, F* and
 regularization terms to block vectors.  This module gives those
 compositions a first-class, *blocked* interface:
 
-* :class:`LinearOperator` — the abstract base: ``apply`` acts on one
-  ``(Nt, nx)`` block vector, ``apply_block`` on a ``(Nt, nx, k)``
-  multi-RHS block.  Subclasses that implement only ``apply`` get a
-  column-looped ``apply_block`` for free; subclasses backed by the
-  engine's blocked pipeline (:meth:`~repro.core.matvec.FFTMatvec.matmat`)
-  override it so all k vectors share one pad / FFT / GEMM / IFFT / unpad
-  pass.
+* :class:`LinearOperator` — the abstract base: ``apply_block`` acts on a
+  ``(Nt, nx, k)`` multi-RHS block, ``apply`` on one ``(Nt, nx)`` block
+  vector as the width-1 block.  Subclasses implement the block action;
+  those backed by the engine (:meth:`~repro.core.matvec.FFTMatvec.matmat`)
+  run all k vectors through one pad / FFT / GEMM / IFFT / unpad pass and
+  route a vector to :meth:`~repro.core.matvec.FFTMatvec.matvec`.
 * :class:`ForwardOperator` / :class:`AdjointOperator` — F and F* wrapping
   an :class:`~repro.core.matvec.FFTMatvec` at a fixed precision config.
 * :class:`GaussNewtonHessian` — ``F* Gn^{-1} F + R``: the MAP/posterior
@@ -22,10 +21,9 @@ compositions a first-class, *blocked* interface:
   (what :func:`~repro.inverse.cg.conjugate_gradient` iterates on), and
   ``A.preconditioner`` — an SPD approximation of ``A^-1`` that both CG
   solvers apply, or ``None`` (see :class:`GaussNewtonHessian`).
-* Algebra: ``A + B``, ``c * A``, ``A @ B`` build sum / scaled / composed
-  operators; :class:`IdentityOperator` and :class:`CallableOperator`
-  adapt plain callables (sparse solves, prior actions) into the same
-  interface.
+* ``c * A`` scales an operator (a ridge is ``c * IdentityOperator``);
+  :class:`CallableOperator` adapts a plain block callable (a sparse
+  solve, a prior action) into the same interface.
 
 Shapes are tuples ``(nt, nx)``; blocks carry the RHS index as a trailing
 axis, matching ``matmat``'s convention.
@@ -116,16 +114,12 @@ class LinearOperator:
     def _rebuilt_at(self, config: PrecisionConfig) -> "LinearOperator":
         return type(self)(self.engine, config)  # F and F*; the Hessian overrides
 
-    # -- core actions (subclasses implement _apply, may override _apply_block)
+    # -- core actions (subclasses implement _apply_block, may override _apply)
     def _apply(self, v: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self._apply_block(v[:, :, None])[:, :, 0]
 
     def _apply_block(self, V: np.ndarray) -> np.ndarray:
-        # Fallback: loop the columns. Engine-backed operators override
-        # this with a single blocked pipeline pass.
-        return np.stack(
-            [self._apply(V[:, :, j]) for j in range(V.shape[2])], axis=-1
-        )
+        raise NotImplementedError
 
     # -- validated public API ------------------------------------------------
     def _check(self, v: np.ndarray, block: bool) -> np.ndarray:
@@ -157,47 +151,16 @@ class LinearOperator:
         """The adjoint operator, when the subclass defines one."""
         raise ReproError(f"{type(self).__name__} has no adjoint defined")
 
-    @property
-    def T(self) -> "LinearOperator":
-        """Alias for :meth:`adjoint` (the operators here are real)."""
-        return self.adjoint()
-
     # -- algebra ---------------------------------------------------------------
-    def __add__(self, other: "LinearOperator") -> "LinearOperator":
-        return _SumOperator(self, other)
-
     def __mul__(self, scalar: float) -> "LinearOperator":
         return _ScaledOperator(self, float(scalar))
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
-        return _ComposedOperator(self, other)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"{type(self).__name__}({self.in_shape} -> {self.out_shape})"
         )
-
-
-class _SumOperator(LinearOperator):
-    def __init__(self, a: LinearOperator, b: LinearOperator) -> None:
-        if a.in_shape != b.in_shape or a.out_shape != b.out_shape:
-            raise ReproError(
-                f"cannot add operators with shapes {a.in_shape}->{a.out_shape} "
-                f"and {b.in_shape}->{b.out_shape}"
-            )
-        super().__init__(a.in_shape, a.out_shape)
-        self.a, self.b = a, b
-
-    def _apply(self, v: np.ndarray) -> np.ndarray:
-        return self.a._apply(v) + self.b._apply(v)
-
-    def _apply_block(self, V: np.ndarray) -> np.ndarray:
-        return self.a._apply_block(V) + self.b._apply_block(V)
-
-    def adjoint(self) -> LinearOperator:
-        return _SumOperator(self.a.adjoint(), self.b.adjoint())
 
 
 class _ScaledOperator(LinearOperator):
@@ -215,36 +178,11 @@ class _ScaledOperator(LinearOperator):
         return _ScaledOperator(self.a.adjoint(), self.scalar)
 
 
-class _ComposedOperator(LinearOperator):
-    """``(A @ B)(v) = A(B(v))``."""
-
-    def __init__(self, a: LinearOperator, b: LinearOperator) -> None:
-        if b.out_shape != a.in_shape:
-            raise ReproError(
-                f"cannot compose: inner produces {b.out_shape}, "
-                f"outer expects {a.in_shape}"
-            )
-        super().__init__(b.in_shape, a.out_shape)
-        self.a, self.b = a, b
-
-    def _apply(self, v: np.ndarray) -> np.ndarray:
-        return self.a._apply(self.b._apply(v))
-
-    def _apply_block(self, V: np.ndarray) -> np.ndarray:
-        return self.a._apply_block(self.b._apply_block(V))
-
-    def adjoint(self) -> LinearOperator:
-        return _ComposedOperator(self.b.adjoint(), self.a.adjoint())
-
-
 class IdentityOperator(LinearOperator):
     """The identity on ``(nt, nx)`` block vectors."""
 
     def __init__(self, shape: Shape) -> None:
         super().__init__(shape, shape)
-
-    def _apply(self, v: np.ndarray) -> np.ndarray:
-        return v.copy()
 
     def _apply_block(self, V: np.ndarray) -> np.ndarray:
         return V.copy()
@@ -254,17 +192,16 @@ class IdentityOperator(LinearOperator):
 
 
 class CallableOperator(LinearOperator):
-    """Adapt a plain callable (prior action, sparse solve) to the interface.
+    """Adapt a plain block callable (prior action, sparse solve) to the
+    interface.
 
     Parameters
     ----------
     fn:
-        Maps one (nt, nx_in) array to (nt, nx_out).
+        Maps an (nt, nx_in, k) block to (nt, nx_out, k); a vector is its
+        width-1 block.
     fn_adjoint:
-        Optional adjoint callable; enables :meth:`adjoint`.
-    fn_block:
-        Optional blocked form mapping (nt, nx_in, k) to (nt, nx_out, k);
-        columns are looped through ``fn`` when omitted.
+        Optional adjoint block callable; enables :meth:`adjoint`.
     """
 
     def __init__(
@@ -273,20 +210,13 @@ class CallableOperator(LinearOperator):
         out_shape: Shape,
         fn: Callable[[np.ndarray], np.ndarray],
         fn_adjoint: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        fn_block: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> None:
         super().__init__(in_shape, out_shape)
         self._fn = fn
         self._fn_adjoint = fn_adjoint
-        self._fn_block = fn_block
-
-    def _apply(self, v: np.ndarray) -> np.ndarray:
-        return np.asarray(self._fn(v), dtype=np.float64)
 
     def _apply_block(self, V: np.ndarray) -> np.ndarray:
-        if self._fn_block is not None:
-            return np.asarray(self._fn_block(V), dtype=np.float64)
-        return super()._apply_block(V)
+        return np.asarray(self._fn(V), dtype=np.float64)
 
     def adjoint(self) -> LinearOperator:
         if self._fn_adjoint is None:
@@ -299,9 +229,9 @@ class CallableOperator(LinearOperator):
 class ForwardOperator(LinearOperator):
     """F: parameter blocks (Nt, Nm) -> data blocks (Nt, Nd), engine-backed.
 
-    ``apply`` runs one five-phase matvec; ``apply_block`` runs the
-    blocked pipeline (one pass for all k columns) — the whole point of
-    the multi-RHS path.
+    ``apply`` runs :meth:`~repro.core.matvec.FFTMatvec.matvec` (the
+    engine's width-1 block); ``apply_block`` runs ``matmat``, one pass
+    for all k columns — the whole point of the multi-RHS path.
     """
 
     def __init__(
@@ -373,9 +303,6 @@ class _CirculantPreconditioner(LinearOperator):
             np.empty((n_freq, r, k), np.complex64),
             np.empty((n_freq, k, nm), np.complex64),  # (B^H t)^H
         )
-
-    def _apply(self, v: np.ndarray) -> np.ndarray:
-        return self._apply_block(v[:, :, None])[:, :, 0]
 
     def _apply_block(self, V: np.ndarray) -> np.ndarray:
         nt, k = self.in_shape[0], V.shape[2]

@@ -95,8 +95,9 @@ in Phase 1's precision — the volume term of the tree cost scales by
 ``k_c``, the ``log2`` latency trees are paid once per chunk — and the
 Phase-5 tree-reduce sums ``(Nt, nd_r, k_c)`` partial blocks elementwise,
 so the ``eps5 * log2(pc)`` accumulation term of Eq. 6 applies per
-column.  Per-rank compute routes through ``FFTMatvec``'s blocked
-pipeline.  A vector apply (:meth:`ParallelFFTMatvec.matvec` /
+column.  Per-rank compute routes through ``FFTMatvec``'s one pipeline,
+the blocked one (a single engine's vector apply is its width-1 block).
+A vector apply (:meth:`ParallelFFTMatvec.matvec` /
 :meth:`~ParallelFFTMatvec.rmatvec`) *is* this loop — one width-1 chunk
 on the serial schedule with ``deterministic=True``, which swaps each
 rank's Phase-3 GEMM for per-column batched GEMVs (the serving
@@ -204,7 +205,7 @@ class ParallelFFTMatvec:
     backend:
         Array backend every rank engine and comm payload runs on — a
         :class:`~repro.backend.Backend` instance, a registry name
-        (``"numpy"``/``"cupy"``/``"torch"``), or None for the
+        (``"numpy"``/``"torch"``), or None for the
         ``REPRO_BACKEND`` / ``auto`` fallback chain.  Gathered results
         are always host float64 regardless of backend.
     validate:
@@ -855,7 +856,6 @@ class ParallelFFTMatvec:
         overlap: Optional[bool],
         out: Optional[np.ndarray] = None,
         deterministic: bool = False,
-        overlap_host: Optional[bool] = None,
     ) -> np.ndarray:
         cfg = PrecisionConfig.parse(config)
         nx = self.nd if adjoint else self.nm
@@ -868,10 +868,7 @@ class ParallelFFTMatvec:
         ranges = chunk_ranges(k, max_block_k)
         use_overlap = True if overlap is None else bool(overlap)
         host = self.host
-        fuse_host = (
-            self.overlap_host if overlap_host is None else bool(overlap_host)
-        )
-        fused = host is not None and use_overlap and fuse_host
+        fused = host is not None and use_overlap and self.overlap_host
 
         before = self._snapshot()
         t_start = self.grid.clock.now
@@ -985,7 +982,6 @@ class ParallelFFTMatvec:
         overlap: Optional[bool] = None,
         out: Optional[np.ndarray] = None,
         deterministic: bool = False,
-        overlap_host: Optional[bool] = None,
     ) -> np.ndarray:
         """Compute ``M = F* D`` for k data vectors across the grid, in
         chunks of the constructor's ``max_block_k``.
@@ -994,11 +990,9 @@ class ParallelFFTMatvec:
         chunk (the column reduce crosses machine groups, so hiding its
         latency behind compute matters most).  See :meth:`matmat`,
         including the ``deterministic`` / ``reduction="pairwise"``
-        bitwise guarantees and the fused ``host`` stream;
-        ``overlap_host`` (None = constructor default) selects fused vs
-        serial host charging per call.
+        bitwise guarantees and the fused ``host`` stream.
         """
         return self._matmat_impl(
             D, config, None, adjoint=True, overlap=overlap, out=out,
-            deterministic=deterministic, overlap_host=overlap_host,
+            deterministic=deterministic,
         )

@@ -249,7 +249,7 @@ class FFTPlan:
         cufftExecD2Z.
 
         ``out`` (result shape and dtype, contiguous) receives the result
-        on the numpy backend, at both tiers; cupy and torch have no
+        on the numpy backend, at both tiers; torch has no
         ``out=`` and return a temporary of that size — use the returned
         array.  With ``out``, ``x`` may be a **row slab** of the batch
         (``out``'s row count): rows are

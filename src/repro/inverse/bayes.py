@@ -81,7 +81,7 @@ class LinearBayesianProblem:
         """F* Gn^{-1} d + Gp^{-1} m_prior."""
         return self.p2o.applyT(
             np.asarray(d, dtype=np.float64) / self.noise_std**2, config=config
-        ) + self.prior.apply_inv(self.prior.mean)
+        ) + self.prior.apply_inv_block(self.prior.mean[:, :, None])[:, :, 0]
 
     # -- MAP ----------------------------------------------------------------
     def solve_map(
@@ -104,7 +104,7 @@ class LinearBayesianProblem:
         residual = self.p2o.apply(result.x) - np.asarray(d, dtype=np.float64)
         misfit = float(np.sum(residual**2)) / self.noise_std**2
         dm = result.x - self.prior.mean
-        reg = float(np.sum(dm * self.prior.apply_inv(dm)))
+        reg = float(np.sum(dm * self.prior.apply_inv_block(dm[:, :, None])[:, :, 0]))
         return MAPResult(
             m_map=result.x, cg=result, config=str(cfg), misfit=misfit, reg=reg
         )
@@ -114,7 +114,8 @@ class LinearBayesianProblem:
         """The MAP Hessian as a composable :class:`GaussNewtonHessian`.
 
         Blocked actions route every F / F* through the engine's
-        multi-RHS pipeline; the prior precision rides along per column.
+        multi-RHS pipeline; the prior precision acts on the whole block in
+        one sparse product.
         """
         from repro.core.operator import (
             CallableOperator,
@@ -124,9 +125,8 @@ class LinearBayesianProblem:
 
         nt, nm = self.p2o.nt, self.p2o.nm
         reg = CallableOperator(
-            (nt, nm), (nt, nm), self.prior.apply_inv,
-            fn_adjoint=self.prior.apply_inv,
-            fn_block=self.prior.apply_inv_block,
+            (nt, nm), (nt, nm), self.prior.apply_inv_block,
+            fn_adjoint=self.prior.apply_inv_block,
         )
         return GaussNewtonHessian(
             ForwardOperator(self.p2o.engine, config),

@@ -28,8 +28,10 @@ class GaussianPrior:
     spatial block ``Gs`` at every time step.  The data-space assembly
     (:meth:`~repro.inverse.bayes.LinearBayesianProblem.data_space_assembly`)
     relies on this to read ``H_d`` from the kernel by time-shift
-    invariance.  Exposes precision (``apply_inv``), covariance
-    (``apply``) and sampling via the prefactorized sparse operators.
+    invariance.  Exposes precision (``apply_inv_block``), covariance
+    (``apply_block``), its square root (``apply_sqrt_block``) and
+    sampling, each once, on ``(nt, nm, k)`` blocks (a field is the
+    width-1 block), via the prefactorized sparse operators.
 
     Parameters
     ----------
@@ -59,23 +61,6 @@ class GaussianPrior:
         self._solve_prec = spla.factorized(self._Kinv)
         self.mean = np.zeros((nt, nm))
 
-    # -- operator actions ----------------------------------------------------
-    def _check(self, m: np.ndarray) -> np.ndarray:
-        a = np.asarray(m, dtype=np.float64)
-        if a.shape != (self.nt, self.nm):
-            raise ReproError(f"field must be ({self.nt},{self.nm}), got {a.shape}")
-        return a
-
-    def apply_inv(self, m: np.ndarray) -> np.ndarray:
-        """Gamma_prior^{-1} m (blockwise in time)."""
-        a = self._check(m)
-        return (self._Kinv @ a.T).T
-
-    def apply(self, m: np.ndarray) -> np.ndarray:
-        """Gamma_prior m."""
-        a = self._check(m)
-        return np.column_stack([self._solve_prec(a[t]) for t in range(self.nt)]).T
-
     def _chol(self) -> np.ndarray:
         """L with L L^T = K^-1, the precision's Cholesky factor:
         Gamma^{1/2} = L^{-T}."""
@@ -83,12 +68,12 @@ class GaussianPrior:
             self._chol_cache = np.linalg.cholesky(self._Kinv.toarray())
         return self._chol_cache
 
-    # -- blocked multi-RHS actions -------------------------------------------
+    # -- operator actions (blocked multi-RHS) --------------------------------
     # The prior acts independently on each time block's space vector, so a
     # (nt, nm, k) block flattens to one (nm, nt*k) right-hand side and
     # every action is a single sparse product / triangular solve instead
-    # of k Python-level column loops (the hot path of blocked Hessian
-    # actions, block CG and multi-sample draws).
+    # of Python-level loops over time steps or columns (the hot path of
+    # Hessian actions, block CG and multi-sample draws).
     def _check_block(self, M: np.ndarray) -> np.ndarray:
         a = np.asarray(M, dtype=np.float64)
         if a.ndim != 3 or a.shape[:2] != (self.nt, self.nm):
@@ -133,11 +118,11 @@ class GaussianPrior:
     def sample(self, rng: Optional[np.random.Generator] = None) -> np.ndarray:
         """Draw from N(mean, Gamma_prior) via the precision's Cholesky.
 
-        Solves ``L^T x = z`` with ``Gamma^{-1} = L L^T`` (dense Cholesky of
-        the small spatial block — priors here are laptop-scale).
+        Solves ``L^T x = z`` with ``Gamma^{-1} = L L^T``
+        (:meth:`apply_sqrt_block` at width 1, on the cached dense
+        Cholesky of the small spatial block — priors here are
+        laptop-scale).
         """
         rng = rng if rng is not None else np.random.default_rng()
-        L = np.linalg.cholesky(self._Kinv.toarray())
         z = rng.standard_normal((self.nt, self.nm))
-        x = np.linalg.solve(L.T, z.T).T
-        return self.mean + x
+        return self.mean + self.apply_sqrt_block(z[:, :, None])[:, :, 0]

@@ -153,6 +153,6 @@ def test_torch_backend_spectrum_roundtrip(monkeypatch):
     monkeypatch.setenv("REPRO_TORCH_DEVICE", "cpu")
     matrix, *_ = _problem()
     eng = FFTMatvec(matrix, backend="torch")
-    host = eng._fhat_double_for_tests()
+    host = eng._fhat_host
     dev = eng.backend.from_device(eng.spectrum(Precision.DOUBLE))
     assert np.array_equal(host, dev)

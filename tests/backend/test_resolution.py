@@ -28,13 +28,13 @@ def _fresh_registry(monkeypatch):
 
 
 def _mock_device_backends_absent(monkeypatch):
-    """Make ``import cupy`` / ``import torch`` raise ImportError."""
-    monkeypatch.setitem(sys.modules, "cupy", None)
+    """Make ``import torch`` raise ImportError."""
     monkeypatch.setitem(sys.modules, "torch", None)
 
 
 def test_chain_order_ends_in_numpy():
-    assert BACKEND_CHAIN == ("cupy", "torch", "numpy")
+    """Two rungs: the backend CI runs (torch), then the numpy floor."""
+    assert BACKEND_CHAIN == ("torch", "numpy")
 
 
 def test_explicit_numpy_always_resolves():
@@ -61,7 +61,8 @@ def test_auto_with_device_backends_absent_falls_back_to_numpy(monkeypatch):
     fallback = [w for w in record if issubclass(w.category, BackendFallbackWarning)]
     assert len(fallback) == 1
     msg = str(fallback[0].message)
-    assert "numpy" in msg and "cupy" in msg and "torch" in msg
+    assert msg.startswith("REPRO_BACKEND=auto fell back to 'numpy' (torch: ")
+    assert msg.endswith(")") and "cupy" not in msg
 
 
 def test_auto_warns_exactly_once_per_process(monkeypatch):
@@ -85,7 +86,7 @@ def test_env_auto_is_default(monkeypatch):
         assert resolve_backend(None).name == "numpy"
 
 
-@pytest.mark.parametrize("name", ["cupy", "torch"])
+@pytest.mark.parametrize("name", ["torch"])
 def test_explicit_device_backend_raises_with_install_hint(monkeypatch, name):
     monkeypatch.setitem(sys.modules, name, None)
     with pytest.raises(BackendUnavailableError) as exc:
@@ -97,10 +98,22 @@ def test_explicit_device_backend_raises_with_install_hint(monkeypatch, name):
 
 
 def test_explicit_mode_never_silently_substitutes(monkeypatch):
-    """Explicit cupy on a cupy-less host must raise, not hand back numpy."""
-    monkeypatch.setitem(sys.modules, "cupy", None)
+    """Explicit torch on a torch-less host must raise, not hand back numpy."""
+    monkeypatch.setitem(sys.modules, "torch", None)
     with pytest.raises(BackendUnavailableError):
-        resolve_backend("cupy")
+        resolve_backend("torch")
+
+
+@pytest.mark.parametrize("how", ["argument", "env"])
+def test_cupy_is_no_longer_a_backend(monkeypatch, how):
+    """No CuPy backend is registered: naming it, as an argument or as
+    ``REPRO_BACKEND=cupy``, is an unknown name that lists the known ones
+    (and never imports cupy)."""
+    monkeypatch.setitem(sys.modules, "cupy", None)
+    monkeypatch.setenv("REPRO_BACKEND", "cupy")
+    with pytest.raises(BackendUnavailableError) as exc:
+        resolve_backend("cupy" if how == "argument" else None)
+    assert str(exc.value) == "unknown backend 'cupy'; known backends: torch, numpy"
 
 
 def test_unknown_backend_name_lists_known_ones():
@@ -117,7 +130,7 @@ def test_available_backends_probes_all(monkeypatch):
     probes = available_backends()
     assert set(probes) == set(BACKEND_CHAIN)
     assert probes["numpy"][0] is True
-    assert probes["cupy"][0] is False and probes["torch"][0] is False
+    assert probes["torch"][0] is False
 
 
 def test_auto_hands_back_the_cached_named_instance(monkeypatch):

@@ -119,5 +119,5 @@ class TestDeviceExecution:
         eng = FFTMatvec(matrix)
         direct = np.fft.rfft(matrix.padded_kernel(), axis=0) / 24.0
         np.testing.assert_allclose(
-            eng._fhat_double_for_tests(), direct, rtol=1e-13, atol=1e-15
+            eng._fhat_host, direct, rtol=1e-13, atol=1e-15
         )

@@ -49,23 +49,25 @@ CONFIGS = [str(c) for c in PrecisionConfig.all_configs()]
 PHASES = ("pad", "fft", "sbgemv", "ifft", "unpad")
 
 
-class RecordingWorkspace(Workspace):
-    """An arena that remembers every tag it was asked for."""
+def record_tags(ws: Workspace) -> Workspace:
+    """Make ``ws`` remember every tag it is asked for, in ``ws.tags``."""
+    ws.tags = set()
+    checkout_fresh = ws.checkout_fresh
 
-    def __init__(self, **kwargs) -> None:
-        super().__init__(**kwargs)
-        self.tags = set()
+    def recording(tag, shape, dtype):
+        ws.tags.add(tag)
+        return checkout_fresh(tag, shape, dtype)
 
-    def checkout_fresh(self, tag, shape, dtype):
-        self.tags.add(tag)
-        return super().checkout_fresh(tag, shape, dtype)
+    ws.checkout_fresh = recording
+    return ws
 
 
 def build(blocks, warm: bool, device: bool, **kwargs) -> FFTMatvec:
-    """A fresh engine on a :class:`RecordingWorkspace`, or a ``warm`` one."""
+    """A fresh engine whose arena records its tags (:func:`record_tags`),
+    or a ``warm`` one."""
     dev = SimulatedDevice("MI300X", record_launches=True) if device else None
-    ws = RecordingWorkspace(allocator=dev.allocator if dev else None)
-    eng = FFTMatvec(blocks, device=dev, workspace=ws, backend="numpy", **kwargs)
+    eng = FFTMatvec(blocks, device=dev, backend="numpy", **kwargs)
+    record_tags(eng.workspace)
     return warm_up(eng) if warm else eng
 
 

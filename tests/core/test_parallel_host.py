@@ -88,15 +88,20 @@ def test_fused_wall_strictly_between(mat, M):
     assert wall3 >= wall2  # cannot beat the device-side critical path
 
 
-def test_per_call_override(mat):
+def test_overlap_host_is_set_at_construction(mat):
+    """One engine per host schedule: the adjoint, like the forward
+    apply, takes no per-call ``overlap_host``."""
     D = np.random.default_rng(3).standard_normal((mat.nt, mat.nd, K))
     two = _make(mat, host=HM, overlap_host=False)
-    two.rmatmat(D)
+    out_two = two.rmatmat(D)
     unfused_wall = two.last_timing.wall
 
     fused = _make(mat, host=HM, overlap_host=True)
-    fused.rmatmat(D, overlap_host=False)
-    assert fused.last_timing.wall == pytest.approx(unfused_wall, abs=1e-15)
+    out_fused = fused.rmatmat(D)
+    assert np.array_equal(out_two, out_fused)
+    assert fused.last_timing.wall < unfused_wall
+    with pytest.raises(TypeError):
+        fused.rmatmat(D, overlap_host=False)
 
 
 def test_serial_schedule_charges_host_serially(mat, M):

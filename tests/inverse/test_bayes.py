@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core.operator import ForwardOperator, GaussNewtonHessian, LinearOperator
 from repro.inverse import oed
 from repro.inverse.bayes import LinearBayesianProblem
+from repro.inverse.cg import conjugate_gradient
 from repro.inverse.lti import HeatEquation1D
 from repro.inverse.mesh import Grid1D
 from repro.inverse.observation import ObservationOperator
@@ -50,7 +52,7 @@ class TestHessian:
         for i in range(n):
             e = np.zeros((8, 12))
             e[i // 12, i % 12] = 1.0
-            Gp_inv_dense[:, i] = problem.prior.apply_inv(e).ravel()
+            Gp_inv_dense[:, i] = problem.prior.apply_inv_block(e[:, :, None]).ravel()
         H_dense = F.T @ F / problem.noise_std**2 + Gp_inv_dense
         m = rng.standard_normal((8, 12))
         np.testing.assert_allclose(
@@ -82,7 +84,7 @@ class TestMAP:
         for i in range(n):
             e = np.zeros((8, 12))
             e[i // 12, i % 12] = 1.0
-            Gp_inv[:, i] = problem.prior.apply_inv(e).ravel()
+            Gp_inv[:, i] = problem.prior.apply_inv_block(e[:, :, None]).ravel()
         H = F.T @ F / problem.noise_std**2 + Gp_inv
         rhs = F.T @ d.ravel() / problem.noise_std**2
         m_dense = np.linalg.solve(H, rhs)
@@ -114,6 +116,27 @@ class TestMAP:
         m_s = problem.solve_map(d, config="dssdd", tol=1e-9, maxiter=500).m_map
         assert rel_err(m_s, m_d) < 1e-3
 
+    def test_map_is_the_vector_formula_solve(self, problem, rng):
+        """At ddddd the MAP point and its iteration count are bitwise those
+        of CG on a Hessian whose prior precision is the per-vector sparse
+        product ``(K m^T)^T`` (not the width-1 block action)."""
+
+        class VectorPrecision(LinearOperator):
+            def _apply(self, v):
+                return (problem.prior._Kinv @ v.T).T
+
+        shape = (problem.p2o.nt, problem.p2o.nm)
+        sigma2 = problem.noise_std**2
+        d = rng.standard_normal((problem.p2o.nt, problem.p2o.nd))
+        hess = GaussNewtonHessian(
+            ForwardOperator(problem.p2o.engine), problem.noise_std, VectorPrecision(shape, shape)
+        )
+        rhs = problem.p2o.applyT(d / sigma2) + (problem.prior._Kinv @ problem.prior.mean.T).T
+        want = conjugate_gradient(hess.apply, rhs, tol=1e-8, maxiter=500)
+        got = problem.solve_map(d)
+        np.testing.assert_array_equal(got.m_map, want.x)
+        assert got.cg.iterations == want.iterations
+
     def test_diagnostics_populated(self, problem, rng):
         d = rng.standard_normal((8, 2))
         res = problem.solve_map(d)
@@ -144,7 +167,7 @@ class TestDataSpaceHessian:
         for col in range(nt * nd):
             e = np.zeros((nt, nd))
             e[col // nd, col % nd] = 1.0 / problem.noise_std
-            v = problem.prior.apply(problem.p2o.applyT(e))
+            v = problem.prior.apply_block(problem.p2o.applyT(e)[:, :, None])[:, :, 0]
             ref[:, col] = (problem.p2o.apply(v) / problem.noise_std).ravel()
         assert np.linalg.norm(H - ref) / np.linalg.norm(ref) < 1e-14
 
@@ -157,7 +180,7 @@ class TestDataSpaceHessian:
         for col in range(nt * nd):
             e = np.zeros((nt, nd))
             e[col // nd, col % nd] = 1.0 / problem.noise_std
-            v = problem.prior.apply(problem.p2o.applyT(e))
+            v = problem.prior.apply_block(problem.p2o.applyT(e)[:, :, None])[:, :, 0]
             j = col // nd
             shifted = np.zeros((nt, nm))
             shifted[: j + 1] = W[:, col - np.arange(j + 1) * nd].T

@@ -284,8 +284,10 @@ class TestBlockedPriorActions:
         prior = GaussianPrior(24, 16, gamma=5e-3, delta=4.0)
         M = rng.standard_normal((16, 24, 5))
         L = prior._chol()  # Gamma^{1/2} = L^{-T}
+        K = prior._Kinv.toarray()  # the precision's spatial block, dense
         for block_fn, col_fn in (
-            (prior.apply_inv_block, prior.apply_inv),
+            (prior.apply_inv_block, lambda m: (K @ m.T).T),
+            (prior.apply_block, lambda m: np.linalg.solve(K, m.T).T),
             (prior.apply_sqrt_block, lambda z: np.linalg.solve(L.T, z.T).T),
         ):
             out = block_fn(M)

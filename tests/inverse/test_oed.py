@@ -96,7 +96,7 @@ class TestGreedy:
                 for col in range(nt * nd):
                     e = np.zeros((nt, nd))
                     e[col // nd, col % nd] = 1.0 / 0.05
-                    v = prior.apply(p2o.applyT(e, config=config))
+                    v = prior.apply_block(p2o.applyT(e, config=config)[:, :, None])[:, :, 0]
                     hd[:, col] = (p2o.apply(v, config=config) / 0.05).ravel()
                 gain = expected_information_gain(hd)
                 if gain > best_gain:

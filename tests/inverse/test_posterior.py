@@ -45,7 +45,7 @@ class TestPriorSqrt:
         z = rng.standard_normal((6, 10, 1))
         sqrt_t = np.linalg.solve(prior._chol(), z[:, :, 0].T).T  # Gamma^{T/2} = L^{-1}
         via_sqrt = prior.apply_sqrt_block(sqrt_t[:, :, None])[:, :, 0]
-        np.testing.assert_allclose(via_sqrt, prior.apply(z[:, :, 0]), rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(via_sqrt, prior.apply_block(z)[:, :, 0], rtol=1e-9, atol=1e-12)
 
     def test_variance_diag_matches_dense(self, problem):
         prior = problem.prior

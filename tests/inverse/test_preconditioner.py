@@ -70,7 +70,7 @@ def _hessian(eng, noise_std=1.0, reg=None, config="ddddd"):
 def _dense_inverse(eng, v, noise_std):
     """``sigma^2 P (C^H C + mu I)^-1 P^T v`` in double, one solve per frequency."""
     nt, mu = eng.nt, eng.gram_factor().mu
-    C = eng._fhat_double_for_tests() * eng.n_pad  # unnormalized spectrum
+    C = eng._fhat_host * eng.n_pad  # unnormalized spectrum
     vhat = np.fft.rfft(np.concatenate([v, np.zeros_like(v)]), axis=0)
     gram = np.conj(C.transpose(0, 2, 1)) @ C + mu * np.eye(eng.nm)
     zhat = np.linalg.solve(gram, vhat[:, :, None])[:, :, 0]
@@ -158,8 +158,7 @@ class _Unpreconditioned(GaussNewtonHessian):
 def _prior_reg(shape):
     prior = GaussianPrior(shape[2], shape[0])
     return CallableOperator(
-        (shape[0], shape[2]), (shape[0], shape[2]), prior.apply_inv,
-        fn_block=prior.apply_inv_block,
+        (shape[0], shape[2]), (shape[0], shape[2]), prior.apply_inv_block,
     )
 
 
@@ -235,16 +234,16 @@ class _WithM(GaussNewtonHessian):
     def __init__(self, hess: GaussNewtonHessian, fn) -> None:
         super().__init__(hess.forward, hess.noise_std, hess.reg)
         self.__dict__["preconditioner"] = CallableOperator(
-            hess.in_shape, hess.in_shape, fn, fn_block=fn
+            hess.in_shape, hess.in_shape, fn
         )
 
 
 def _poisoned_m(hess, healthy):
     calls = {"n": 0}
 
-    def fn(v):
+    def fn(V):
         calls["n"] += 1
-        out = hess.preconditioner.apply(v) if v.ndim == 2 else hess.preconditioner.apply_block(v)
+        out = hess.preconditioner.apply_block(V)
         return np.full_like(out, np.nan) if calls["n"] > healthy else out
 
     return fn

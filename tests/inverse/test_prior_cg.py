@@ -16,22 +16,45 @@ class TestGaussianPrior:
     def test_apply_inverse_roundtrip(self, prior, rng):
         m = rng.standard_normal((5, 12))
         np.testing.assert_allclose(
-            prior.apply(prior.apply_inv(m)), m, rtol=1e-10, atol=1e-12
+            prior.apply_block(prior.apply_inv_block(m[:, :, None]))[:, :, 0],
+            m, rtol=1e-10, atol=1e-12,
         )
 
     def test_precision_spd(self, prior, rng):
         m = rng.standard_normal((5, 12))
-        assert np.sum(m * prior.apply_inv(m)) > 0
+        assert np.sum(m * prior.apply_inv_block(m[:, :, None])[:, :, 0]) > 0
 
     def test_shape_validation(self, prior):
         with pytest.raises(ReproError):
-            prior.apply_inv(np.zeros((4, 12)))
+            prior.apply_inv_block(np.zeros((4, 12, 1)))
+        with pytest.raises(ReproError):
+            prior.apply_inv_block(np.zeros((5, 12)))
 
     def test_invalid_params(self):
         with pytest.raises(ReproError):
             GaussianPrior(4, 4, delta=0.0)
         with pytest.raises(ReproError):
             GaussianPrior(4, 4, gamma=-1.0)
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_seeded_sample_is_the_cholesky_draw(self, prior, seed):
+        """Bitwise the draw of a fresh Cholesky and one triangular solve,
+        ``L^T x = z``: the cached factor behind ``apply_sqrt_block``
+        changes no bit of it."""
+        z = np.random.default_rng(seed).standard_normal((5, 12))
+        L = np.linalg.cholesky(prior._Kinv.toarray())
+        want = prior.mean + np.linalg.solve(L.T, z.T).T
+        np.testing.assert_array_equal(prior.sample(np.random.default_rng(seed)), want)
+
+    def test_width_one_blocks_are_the_vector_formulas(self, prior, rng):
+        """Each action at width 1 is bitwise the vector formula it
+        replaced: one sparse product, one sparse solve per time step."""
+        m = rng.standard_normal((5, 12))
+        np.testing.assert_array_equal(
+            prior.apply_inv_block(m[:, :, None])[:, :, 0], (prior._Kinv @ m.T).T
+        )
+        per_step = np.column_stack([prior._solve_prec(m[t]) for t in range(5)]).T
+        np.testing.assert_array_equal(prior.apply_block(m[:, :, None])[:, :, 0], per_step)
 
     def test_sample_statistics(self):
         # empirical covariance of samples approximates Gamma_prior

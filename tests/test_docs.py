@@ -89,10 +89,11 @@ def test_readme_documents_the_contract():
 
 
 # Public names of the deleted in-tree serving benchmark, SBGEMM
-# calibration, FFT error-bound and NCCL-style communicator modules.  The
-# one serving load generator is bench/wl_serve.py; GEMM transition points
-# come from the dispatcher's model probe; the FFT error terms live in
-# repro.core.error_model; the grid engines reduce through SimCommunicator.
+# calibration, FFT error-bound, NCCL-style communicator and CuPy backend
+# modules.  The one serving load generator is bench/wl_serve.py; GEMM
+# transition points come from the dispatcher's model probe; the FFT error
+# terms live in repro.core.error_model; the grid engines reduce through
+# SimCommunicator; the array backends are torch and numpy.
 # Helpers deleted one by one are not listed: the function-level audit in
 # tests/test_api_quality.py fails on any that comes back with no caller.
 REMOVED_MODULES = [
@@ -100,6 +101,7 @@ REMOVED_MODULES = [
     "repro.blas.calibrate",
     "repro.fft.error",
     "repro.comm.rccl",
+    "repro.backend.cupy_backend",
 ]
 REMOVED_NAMES = REMOVED_MODULES + [
     "run_serving_benchmark",
@@ -127,6 +129,7 @@ REMOVED_NAMES = REMOVED_MODULES + [
     "SensorBlockCache",
     "randomized_eig",
     "LowRankPosterior",
+    "CupyBackend",
 ]
 _SHIPPED_TEXT = [ROOT / "README.md"] + [
     f

@@ -334,11 +334,11 @@ def test_both_engines_run_on_one_executor_and_one_pool():
         assert len(_calls(_method(matvec, "FFTMatvec", method), "run_groups")) == 1, method
 
 
-# The entry points that bracket an apply, each in one ``with <engine>.workspace:``.
+# The entry points that bracket an apply, each in one ``with <engine>.workspace:``
+# (a vector apply is ``_pipeline_block`` at width 1: it has no entry point).
 APPLY_SCOPES = {
     "matvec.py": ("FFTMatvec", (
-        "_pipeline", "_pipeline_block", "_pipeline_block_pairwise_segments",
-        "_pipeline_block_finish",
+        "_pipeline_block", "_pipeline_block_pairwise_segments", "_pipeline_block_finish",
     )),
     "parallel.py": ("ParallelFFTMatvec", ("_matmat_impl",)),
 }

@@ -480,7 +480,8 @@ class TestPipelineHooks:
 
         def call(eng):
             if entry == "vector":
-                return eng._pipeline(v[:, :, 0], cfg, adjoint)
+                apply = eng.rmatvec if adjoint else eng.matvec
+                return apply(v[:, :, 0], cfg)
             if entry == "block":
                 return eng._pipeline_block(v, cfg, adjoint)
             if entry == "segments":
