@@ -44,11 +44,11 @@ PR, PC, K = 2, 2, 16
 ARTIFACT = Path(__file__).parent / "BENCH_parallel_blocked.json"
 
 
-def make_engine(spec=MI300X):
+def make_engine(spec=MI300X, max_block_k=None):
     rng = np.random.default_rng(1234)
     matrix = BlockTriangularToeplitz.random(NT, ND, NM, rng=rng, decay=0.05)
     grid = ProcessGrid(PR, PC, net=FRONTIER_NETWORK)
-    eng = ParallelFFTMatvec(matrix, grid, spec=spec)
+    eng = ParallelFFTMatvec(matrix, grid, spec=spec, max_block_k=max_block_k)
     block = rng.standard_normal((NT, NM, K))
     return eng, grid, matrix, block
 
@@ -129,11 +129,11 @@ class TestBlockedGridSpeedup:
         assert json.loads(ARTIFACT.read_text())["modeled_speedup"] >= 3.0
 
     def test_chunked_collective_count(self):
-        eng, grid, _, block = make_engine(spec=None)
-        col0, row0 = grid.col_comm(0), grid.row_comm(0)
         for max_block_k, chunks in ((4, 4), (6, 3), (16, 1)):
+            eng, grid, _, block = make_engine(spec=None, max_block_k=max_block_k)
+            col0, row0 = grid.col_comm(0), grid.row_comm(0)
             b0, r0 = col0.op_counts["bcast"], row0.op_counts["reduce"]
-            eng.matmat(block, max_block_k=max_block_k)
+            eng.matmat(block)
             assert col0.op_counts["bcast"] - b0 == chunks
             assert row0.op_counts["reduce"] - r0 == chunks
 

@@ -67,8 +67,8 @@ class TestSDCBench:
         ).matmat(block)
 
         t0 = time.perf_counter()
-        plain = ElasticEngine(matrix, RANKS, reduction="pairwise")
-        out_plain = plain.matmat(block, max_block_k=MBK)
+        plain = ElasticEngine(matrix, RANKS, reduction="pairwise", max_block_k=MBK)
+        out_plain = plain.matmat(block)
         t_plain = time.perf_counter() - t0
         assert np.array_equal(out_plain, ref)
 
@@ -78,9 +78,9 @@ class TestSDCBench:
         probe = CorruptionSchedule()
         t0 = time.perf_counter()
         armed = ElasticEngine(
-            matrix, RANKS, reduction="pairwise", corruptions=probe
+            matrix, RANKS, reduction="pairwise", max_block_k=MBK, corruptions=probe
         )
-        out_armed = armed.matmat(block, max_block_k=MBK)
+        out_armed = armed.matmat(block)
         t_armed = time.perf_counter() - t0
         clean_bitwise = bool(np.array_equal(out_armed, ref))
         assert clean_bitwise, "armed clean run not bitwise"
@@ -103,9 +103,9 @@ class TestSDCBench:
                 1000 + trial, RANKS, n_flips=1, horizon=horizon
             )
             eng = ElasticEngine(
-                matrix, RANKS, reduction="pairwise", corruptions=sched
+                matrix, RANKS, reduction="pairwise", max_block_k=MBK, corruptions=sched
             )
-            out = eng.matmat(block, max_block_k=MBK)
+            out = eng.matmat(block)
             injected += len(sched.injected)
             if eng.report.corruptions >= 1:
                 detected += 1

@@ -165,10 +165,13 @@ class ElasticEngine:
         recomputing only the corrupted chunk — no grid rebuild, since
         the engine state is untouched (the flip lived in a transient
         buffer) and the consumed schedule entry never re-fires.
+    max_block_k:
+        Chunk width of every apply (None = one chunk), set here only:
+        a chunk is the unit of commit and replay.
     validate:
         Forwarded to :class:`ParallelFFTMatvec`: ``"guard"``,
-        ``"abft"``, ``"guard+abft"`` or ``True`` turn on boundary
-        checks even with no corruption schedule armed.
+        ``"abft"`` or ``"guard+abft"`` turn on boundary checks even
+        with no corruption schedule armed; ``None`` leaves them off.
     workspace:
         ``None`` or ``True``; every grid this engine builds owns its
         arenas (see :class:`ParallelFFTMatvec`).  Anything else raises.
@@ -195,7 +198,7 @@ class ElasticEngine:
         workspace: Union[None, bool] = None,
         failures: Optional[FailureSchedule] = None,
         corruptions: Optional[CorruptionSchedule] = None,
-        validate: Union[None, bool, str] = None,
+        validate: Optional[str] = None,
     ) -> None:
         if workspace not in (None, True):
             raise ReproError(f"workspace must be None or True, got {workspace!r}")
@@ -317,7 +320,6 @@ class ElasticEngine:
         self,
         V: np.ndarray,
         config: Union[str, PrecisionConfig],
-        max_block_k: Optional[int],
         adjoint: bool,
         out: Optional[np.ndarray],
         deterministic: bool,
@@ -326,10 +328,7 @@ class ElasticEngine:
         nx_out = self.nm if adjoint else self.nd
         A = check_block(V, self.nt, nx_in, "elastic input")
         k = A.shape[2]
-        mbk = self.max_block_k if max_block_k is None else validate_max_block_k(
-            max_block_k
-        )
-        ranges = chunk_ranges(k, mbk)
+        ranges = chunk_ranges(k, self.max_block_k)
         result = check_out_buffer(out, (self.nt, nx_out, k), "out")
         if result is None:
             result = np.empty((self.nt, nx_out, k), dtype=np.float64)
@@ -381,11 +380,11 @@ class ElasticEngine:
         self,
         M: np.ndarray,
         config: Union[str, PrecisionConfig] = "ddddd",
-        max_block_k: Optional[int] = None,
         out: Optional[np.ndarray] = None,
         deterministic: bool = False,
     ) -> np.ndarray:
-        """``D = F M`` with transparent rank-failure recovery.
+        """``D = F M`` with transparent rank-failure recovery, in chunks
+        of the constructor's ``max_block_k``.
 
         Identical contract to :meth:`ParallelFFTMatvec.matmat`; under
         ``reduction="pairwise"`` the result is bitwise-identical to the
@@ -393,8 +392,7 @@ class ElasticEngine:
         mid-apply.
         """
         return self._apply(
-            M, config, max_block_k, adjoint=False, out=out,
-            deterministic=deterministic,
+            M, config, adjoint=False, out=out, deterministic=deterministic,
         )
 
     def rmatmat(
@@ -407,22 +405,28 @@ class ElasticEngine:
         """``M = F* D`` with transparent rank-failure recovery, in chunks
         of the constructor's ``max_block_k``."""
         return self._apply(
-            D, config, None, adjoint=True, out=out, deterministic=deterministic,
+            D, config, adjoint=True, out=out, deterministic=deterministic,
         )
 
     def matvec(
         self, m: np.ndarray, config: Union[str, PrecisionConfig] = "ddddd"
     ) -> np.ndarray:
-        """Single-vector forward apply (width-1 blocked path)."""
-        m2 = np.asarray(m, dtype=np.float64)
-        return self.matmat(m2.reshape(self.nt, self.nm, 1), config=config)[..., 0]
+        """Single-vector forward apply: the width-1 block, into an
+        ``(Nt, Nd)`` array the caller owns."""
+        out = np.empty((self.nt, self.nd))
+        m2 = np.asarray(m, dtype=np.float64).reshape(self.nt, self.nm, 1)
+        self.matmat(m2, config=config, out=out.reshape(self.nt, self.nd, 1))
+        return out
 
     def rmatvec(
         self, d: np.ndarray, config: Union[str, PrecisionConfig] = "ddddd"
     ) -> np.ndarray:
-        """Single-vector adjoint apply (width-1 blocked path)."""
-        d2 = np.asarray(d, dtype=np.float64)
-        return self.rmatmat(d2.reshape(self.nt, self.nd, 1), config=config)[..., 0]
+        """Single-vector adjoint apply: the width-1 block, into an
+        ``(Nt, Nm)`` array the caller owns."""
+        out = np.empty((self.nt, self.nm))
+        d2 = np.asarray(d, dtype=np.float64).reshape(self.nt, self.nd, 1)
+        self.rmatmat(d2, config=config, out=out.reshape(self.nt, self.nm, 1))
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -89,7 +89,8 @@ __all__ = ["FFTMatvec", "GramFactor", "front_launches", "back_launches"]
 
 _PHASES = ("pad", "fft", "sbgemv", "ifft", "unpad")
 
-_VALIDATE_MODES = ("guard", "abft")
+# The ``validate=`` specs an engine accepts: off, either check, both.
+_VALIDATE_SPECS = (None, "guard", "abft", "guard+abft")
 
 # Byte budget of one slab buffer of the phase loops (``_front`` /
 # ``_back``), i.e. of the ``(w, 2*Nt)`` padded rows the FFT reads or
@@ -140,25 +141,15 @@ class GramFactor(NamedTuple):
 
 
 def _parse_validate(validate) -> frozenset:
-    """Parse a ``validate=`` spec into its mode set.
-
-    ``None``/``False``/``""`` mean no checks; a string is a
-    ``"+"``-separated combination of ``"guard"`` (NaN/Inf at every
-    five-phase boundary) and ``"abft"`` (checksum/energy verification of
-    the compute phases).  ``True`` enables everything.
-    """
-    if validate is None or validate is False or validate == "":
-        return frozenset()
-    if validate is True:
-        return frozenset(_VALIDATE_MODES)
-    modes = frozenset(t for t in str(validate).split("+") if t)
-    bad = modes - set(_VALIDATE_MODES)
-    if bad:
+    """Parse a ``validate=`` spec into its mode set: ``None`` (no
+    checks), ``"guard"`` (NaN/Inf at every five-phase boundary),
+    ``"abft"`` (checksum/energy verification of the compute phases) or
+    ``"guard+abft"`` (both).  Anything else raises."""
+    if validate not in _VALIDATE_SPECS:
         raise ReproError(
-            f"unknown validate mode(s) {sorted(bad)}; pick from "
-            f"{list(_VALIDATE_MODES)} joined with '+'"
+            f"validate must be one of {list(_VALIDATE_SPECS)}, got {validate!r}"
         )
-    return modes
+    return frozenset(validate.split("+")) if validate else frozenset()
 
 
 def _slabs(rec: SimpleNamespace, sets: Sequence[Tuple]) -> list:
@@ -262,8 +253,9 @@ class FFTMatvec:
         ``"abft"`` verifies each compute phase algebraically — Parseval
         energy checks after the FFT/IFFT, Huang–Abraham column checksums
         after the SBGEMM panel — raising
-        :class:`~repro.util.checksum.SilentCorruption` on mismatch.
-        Combine with ``"guard+abft"`` (or ``True``).  Installing a
+        :class:`~repro.util.checksum.SilentCorruption` on mismatch;
+        ``"guard+abft"`` runs both.  Any other value raises
+        :class:`~repro.util.validation.ReproError`.  Installing a
         :class:`~repro.comm.fault.CorruptionSchedule` implies the
         ``abft`` checks, so every injected flip has a detector armed.
     """
@@ -275,7 +267,7 @@ class FFTMatvec:
         workspace: Union[None, bool] = None,
         backend: Union[None, str, Backend] = None,
         reduction: str = "fast",
-        validate: Union[None, bool, str] = None,
+        validate: Optional[str] = None,
     ) -> None:
         if reduction not in ("fast", "pairwise"):
             raise ReproError(
@@ -1270,15 +1262,10 @@ class FFTMatvec:
             self.last_timing = None
             out = fn(*args)
         else:
-            clock = self.device.clock
-            before = {p: clock.phase_total(p) for p in _PHASES}
-            out = fn(*args)
+            with self.device.clock.tally() as seconds:
+                out = fn(*args)
             self.last_timing = TimingReport(
-                phases={
-                    p: clock.phase_total(p) - before[p]
-                    for p in _PHASES
-                    if clock.phase_total(p) - before[p] > 0
-                },
+                phases={p: seconds[p] for p in _PHASES if seconds.get(p, 0.0) > 0},
                 label=f"{cfg}[k={k}{', det' if det else ''}]" if block else str(cfg),
             )
         self.matvec_count += k

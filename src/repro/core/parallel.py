@@ -61,11 +61,14 @@ A third **host stream** fuses the dense-operator-assembly host routines
 directly into the chunk schedule: constructed with ``host=...``, each
 chunk's generate gates its broadcast and each save waits on its reduce,
 so host, device and network run fully concurrently and the wall is the
-critical path through all three streams.  ``overlap_host=False`` keeps
-the two-stream schedule and charges the host total serially after the
-final sync — the composition the two-stream model implied (device/net
-schedule + host on top), kept as the baseline the three-stream gain is
-measured against.  ``host=None`` (default) charges no host work at all.
+critical path through all three streams.  With ``overlap=False`` the
+chunks run one at a time, so each is the serial chain generate →
+broadcast → compute → reduce → save.  ``host=None`` (default) charges
+no host work at all; such an engine's wall plus ``k *
+host.per_vector`` is the two-stream-plus-serial-host charge the
+three-stream gain is measured against
+(:func:`repro.perf.phase_model.overlapped_chunk_schedule`'s
+``two_stream_host``).
 
 Deterministic reduction (``reduction="pairwise"``)
 --------------------------------------------------
@@ -79,7 +82,7 @@ output part's root rank runs the IFFT/unpad epilogue once on the merged
 panel.  Because every addition — intra-rank and inter-rank — is an edge
 of one tree indexed by *global element position*, the result is
 **bitwise identical for any** ``row_ranges`` / ``col_ranges``
-partition (single-element parts included), any ``max_block_k``, and
+partition (single-element parts included), any chunk width, and
 equal to the single-device pairwise engine.  The fast mode's per-rank
 IFFT + rank-indexed tree reduce is the throughput path; pairwise pays a
 modeled kernel tax and a larger (complex, per-segment) reduce payload,
@@ -167,10 +170,10 @@ class ParallelFFTMatvec:
         irregular partition charges genuine skew.
         :meth:`rank_compute_report` harvests the per-rank clocks.
     max_block_k:
-        Default chunk width for the blocked :meth:`matmat` /
-        :meth:`rmatmat` path (None = all k columns in one chunk).
-        Bounds per-rank workspace; each chunk costs one
-        broadcast + one reduce.
+        Chunk width of the blocked :meth:`matmat` / :meth:`rmatmat`
+        path (None = all k columns in one chunk), set here only: to
+        compare widths, build one engine per width.  Bounds per-rank
+        workspace; each chunk costs one broadcast + one reduce.
     reduction:
         ``"fast"`` (default) — vendor accumulation order per rank, tree
         reduce indexed by rank.  ``"pairwise"`` — the fixed-tree
@@ -181,17 +184,11 @@ class ParallelFFTMatvec:
         Optional :class:`~repro.util.timing.HostModel` fusing the
         dense-assembly host routines into the blocked schedule: each
         chunk charges ``k_chunk * gen_time`` before (and gating) its
-        broadcast and ``k_chunk * save_time`` after its reduce.  With
-        the overlapped schedule these ride a third *host* stream (fully
-        concurrent with comm + compute); with a serial apply
-        (``overlap=False``) or ``overlap_host=False`` the host total is
-        charged serially on top.  ``None`` charges no host work (the
-        historical behavior).
-    overlap_host:
-        ``False`` restricts overlap to the two-stream comm/compute
-        schedule and charges the host total serially after it — the
-        baseline charge the three-stream fusion is measured against.
-        Ignored when ``host`` is None.
+        broadcast and ``k_chunk * save_time`` after its reduce, on a
+        third *host* stream (fully concurrent with comm + compute under
+        the overlapped schedule; a serial apply, ``overlap=False``,
+        runs each chunk's generate → broadcast → compute → reduce →
+        save back to back).  ``None`` charges no host work.
     row_ranges, col_ranges:
         Optional explicit 1-D partitions of the sensor / parameter
         extents (lists of contiguous ``(start, stop)``, one per grid
@@ -210,9 +207,10 @@ class ParallelFFTMatvec:
         are always host float64 regardless of backend.
     validate:
         SDC defense checks, forwarded to every rank engine (see
-        :class:`~repro.core.matvec.FFTMatvec`): ``"guard"`` for NaN/Inf
-        boundary guards, ``"abft"`` for checksum/energy verification,
-        ``"guard+abft"`` or ``True`` for both.  Any enabled mode also
+        :class:`~repro.core.matvec.FFTMatvec`): ``None`` (off),
+        ``"guard"`` for NaN/Inf boundary guards, ``"abft"`` for
+        checksum/energy verification, ``"guard+abft"`` for both; any
+        other value raises.  Any enabled mode also
         switches on receive-side payload digests on every grid
         communicator, so collective payloads are covered end to end.
     """
@@ -229,8 +227,7 @@ class ParallelFFTMatvec:
         workspace: Union[None, bool] = None,
         backend: Union[None, str, Backend] = None,
         host: Optional[HostModel] = None,
-        overlap_host: bool = True,
-        validate: Union[None, bool, str] = None,
+        validate: Optional[str] = None,
     ) -> None:
         if reduction not in ("fast", "pairwise"):
             raise ReproError(
@@ -242,7 +239,6 @@ class ParallelFFTMatvec:
                 f"host must be a HostModel (or None), got {type(host).__name__}"
             )
         self.host = host
-        self.overlap_host = bool(overlap_host)
         self.backend = resolve_backend(backend)
         self.matrix = (
             matrix
@@ -506,23 +502,6 @@ class ParallelFFTMatvec:
         }
 
     # -- helpers ------------------------------------------------------------
-    def _snapshot(self) -> Dict[str, float]:
-        return {p: self.grid.clock.phase_total(p) for p in _REPORT_PHASES}
-
-    def _record(
-        self, before: Dict[str, float], label: str, wall: Optional[float] = None
-    ) -> None:
-        clock = self.grid.clock
-        self.last_timing = TimingReport(
-            phases={
-                p: clock.phase_total(p) - before[p]
-                for p in _REPORT_PHASES
-                if clock.phase_total(p) - before[p] > 0
-            },
-            label=label,
-            wall=wall,
-        )
-
     def _run_groups(self, task: Callable, items: Sequence, elems: int, *args) -> list:
         """``[task(item, *args) for item in items]`` through the host
         executor (:func:`~repro.util.executor.run_groups`), one item per
@@ -558,9 +537,9 @@ class ParallelFFTMatvec:
         dev = self.devices[rc]
         if dev is None:
             return run_rank(*rc, self.engines[rc]), None
-        before = [dev.clock.phase_total(p) for p in _PHASES]
-        res = run_rank(*rc, self.engines[rc])
-        return res, {p: dev.clock.phase_total(p) - b for p, b in zip(_PHASES, before)}
+        with dev.clock.tally() as seconds:
+            res = run_rank(*rc, self.engines[rc])
+        return res, {p: seconds.get(p, 0.0) for p in _PHASES}
 
     @staticmethod
     def _slowest(deltas) -> Dict[str, float]:
@@ -602,7 +581,7 @@ class ParallelFFTMatvec:
         """Single-chunk, serial-schedule block apply of one vector."""
         out = np.empty((self.nt, self.nm if adjoint else self.nd))
         self._matmat_impl(
-            v[:, :, None], config, None, adjoint=adjoint, overlap=False,
+            v[:, :, None], config, adjoint=adjoint, overlap=False,
             out=out.reshape(out.shape + (1,)), deterministic=True,
         )
         # The lone chunk is one logical action (matvec_count), not a
@@ -851,7 +830,6 @@ class ParallelFFTMatvec:
         self,
         V: np.ndarray,
         config: Union[str, PrecisionConfig],
-        max_block_k: Optional[int],
         adjoint: bool,
         overlap: Optional[bool],
         out: Optional[np.ndarray] = None,
@@ -861,16 +839,10 @@ class ParallelFFTMatvec:
         nx = self.nd if adjoint else self.nm
         VV = check_block(V, self.nt, nx, "data" if adjoint else "parameter")
         k = VV.shape[2]
-        if max_block_k is None:
-            max_block_k = self.max_block_k
-        else:
-            max_block_k = validate_max_block_k(max_block_k)
-        ranges = chunk_ranges(k, max_block_k)
+        ranges = chunk_ranges(k, self.max_block_k)
         use_overlap = True if overlap is None else bool(overlap)
         host = self.host
-        fused = host is not None and use_overlap and self.overlap_host
 
-        before = self._snapshot()
         t_start = self.grid.clock.now
         ny = self.nm if adjoint else self.nd
         out = check_out_buffer(out, (self.nt, ny, k))
@@ -898,33 +870,26 @@ class ParallelFFTMatvec:
             self._chunk_reduce(self, staged.pop(i), out[:, :, j0:j1], cfg, d, stream)
             return stream.cursor - t0
 
-        # Fused, the host generates chunk i before its broadcast and
-        # saves it after its reduce, on the schedule's third stream.
+        # The host generates chunk i before its broadcast and saves it
+        # after its reduce, on the schedule's third stream.
         host_costs = {}
-        if fused:
+        if host is not None:
             host_costs["gen"] = [(j1 - j0) * host.gen_time for j0, j1 in ranges]
             host_costs["save"] = [(j1 - j0) * host.save_time for j0, j1 in ranges]
         exposed = self.grid.net.exposed_fraction()
         n = len(ranges)
-        with self.workspace:
+        with self.workspace, self.grid.clock.tally() as seconds:
             # overlap=False is the same schedule fed one chunk at a time.
             for chunks in [range(n)] if use_overlap else [(i,) for i in range(n)]:
                 run_chunk_schedule(
                     self.grid.clock, chunks, bcast, compute, reduce, exposed, **host_costs
                 )
-            if host is not None and not fused:
-                # Unfused host charge: the generate/save total rides
-                # serially on top of the device/network schedule — the
-                # two-stream baseline the three-stream fusion beats.
-                with self.grid.clock.phase("host"):
-                    self.grid.clock.advance(k * host.per_vector)
         name = "F*" if adjoint else "F"
         sched = "overlap" if use_overlap else "serial"
-        if host is not None:
-            sched += "+host3" if fused else "+host"
-        self._record(
-            before,
-            f"{cfg} {name}[k={k}/{len(ranges)} chunk(s), {sched}"
+        self.last_timing = TimingReport(
+            phases={p: seconds[p] for p in _REPORT_PHASES if seconds.get(p, 0.0) > 0},
+            label=f"{cfg} {name}[k={k}/{len(ranges)} chunk(s), {sched}"
+            f"{'+host' if host is not None else ''}"
             f"{', det' if deterministic else ''}"
             f"{', pairwise' if self.reduction == 'pairwise' else ''}] "
             f"({self.grid.pr}x{self.grid.pc})",
@@ -938,7 +903,6 @@ class ParallelFFTMatvec:
         self,
         M: np.ndarray,
         config: Union[str, PrecisionConfig] = "ddddd",
-        max_block_k: Optional[int] = None,
         overlap: Optional[bool] = None,
         out: Optional[np.ndarray] = None,
         deterministic: bool = False,
@@ -946,8 +910,8 @@ class ParallelFFTMatvec:
         """Compute ``D = F M`` for k parameter vectors across the grid.
 
         ``M`` is ``(Nt, Nm, k)`` (or scipy-style ``(Nt*Nm, k)``); the
-        result is ``(Nt, Nd, k)``.  Each chunk of at most ``max_block_k``
-        columns (default: the constructor's knob; None = one chunk) pays
+        result is ``(Nt, Nd, k)``.  Each chunk of at most the
+        constructor's ``max_block_k`` columns (None = one chunk) pays
         one column-broadcast and one row-reduce — ``ceil(k/max_block_k)``
         collectives total instead of ``k``.  ``overlap`` selects the
         charged schedule (None = overlapped): the overlapped schedule
@@ -971,7 +935,7 @@ class ParallelFFTMatvec:
         charges each chunk's generate/save on the third stream.
         """
         return self._matmat_impl(
-            M, config, max_block_k, adjoint=False, overlap=overlap, out=out,
+            M, config, adjoint=False, overlap=overlap, out=out,
             deterministic=deterministic,
         )
 
@@ -993,6 +957,6 @@ class ParallelFFTMatvec:
         bitwise guarantees and the fused ``host`` stream.
         """
         return self._matmat_impl(
-            D, config, None, adjoint=True, overlap=overlap, out=out,
+            D, config, adjoint=True, overlap=overlap, out=out,
             deterministic=deterministic,
         )

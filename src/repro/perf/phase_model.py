@@ -210,8 +210,8 @@ def overlapped_chunk_schedule(
     broadcast, result saving after its reduce).  The result then also
     carries ``{"serial3", "two_stream_host", "overlapped3",
     "hidden_host"}``: the all-serial wall, the two-stream schedule with
-    the host work charged serially after it (the engine's
-    ``overlap_host=False``), the fused three-stream wall — ``gen(i)``
+    the host work charged serially after it (a host-less engine's wall
+    plus ``k * host.per_vector``), the fused three-stream wall — ``gen(i)``
     gates ``bcast(i)``, ``save(i)`` waits on ``reduce(i)``, host in
     order — and their difference.  Without host costs the extra keys
     degenerate (``serial3 == serial``, ``two_stream_host == overlapped3

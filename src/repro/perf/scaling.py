@@ -206,7 +206,8 @@ def blocked_matvec_time_at_scale(
     ``gen(i)`` gates ``bcast(i)``, ``save(i)`` trails ``reduce(i)``, the
     replay of ``ParallelFFTMatvec(host=...)``.  The result then also
     carries ``two_stream_host`` (host charged serially after the
-    two-stream schedule — the engine's ``overlap_host=False``),
+    two-stream schedule — a host-less engine's wall plus
+    ``k * host.per_vector``),
     ``overlapped3`` (the fused wall), ``hidden_host``, and
     ``per_vector_overlap3``; without a host model those keys degenerate
     to the two-stream values.

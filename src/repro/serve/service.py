@@ -5,9 +5,9 @@ operator cost one pad / batched-FFT / Phase-3 / IFFT / unpad pass.  This
 module turns that into a *serving* win: an asyncio
 :class:`SolverService` accepts per-tenant ``matvec`` / ``rmatvec`` /
 ``solve`` requests, groups queued requests that share an operator
-fingerprint (plus kind, precision config and resolved determinism
-mode), runs each batch as one blocked apply and scatters per-request
-result columns back to their futures.
+fingerprint (plus kind and precision config), runs each batch as one
+blocked apply and scatters per-request result columns back to their
+futures.
 
 **Dispatch.**  One dispatcher feeds the one executor thread, by three
 rules.  *Never idle with work queued*: a request waits for the engine,
@@ -19,14 +19,11 @@ to an idle service dispatches on the next event-loop tick, so requests
 submitted together (an ``asyncio.gather``, the clients a finished pass
 wakes) still share a pass.
 
-**Determinism.**  Coalescing must not change anyone's answer: by
-default flushes run the engines' ``deterministic=True`` blocked path,
-whose column ``j`` is *bitwise* what a sequential ``matvec`` of request
-``j`` returns (see :meth:`repro.core.matvec.FFTMatvec.matmat`).  A
-request therefore cannot observe whether it shared a batch.  A service
-built with ``deterministic=False`` buys the fast blocked GEMM instead,
-for every request.  ``solve``
-requests coalesce at the CG level — each iteration applies the
+**Determinism.**  Coalescing must not change anyone's answer: flushes
+run the engines' ``deterministic=True`` blocked path, whose column ``j``
+is *bitwise* what a sequential ``matvec`` of request ``j`` returns (see
+:meth:`repro.core.matvec.FFTMatvec.matmat`).  A request therefore cannot
+observe whether it shared a batch.  ``solve`` requests coalesce at the CG level — each iteration applies the
 Gauss-Newton Hessian to all k systems in one blocked pass, and the
 columns share one search space — and are tolerance-equivalent (same
 stopping rule per column), not bitwise: a solve's iterate depends on
@@ -230,9 +227,9 @@ class SolverService:
         Weighted-fair-queuing weights (default 1.0).  Under contention a
         tenant's share of flush columns is proportional to its weight.
     deterministic:
-        Default flush mode: run through the engines' bitwise per-column
-        Phase 3 (default ``True``).  ``False`` uses the faster blocked
-        GEMM whose columns match sequential applies only to rounding.
+        Accepted for one release, and only as ``True`` (anything else
+        raises): flushes always run the engines' bitwise per-column
+        Phase 3 (module docstring, *Determinism*).
     sdc_escalation_threshold:
         A tenant whose flushes trip this many silent-corruption
         detections is treated as a repeat offender: the flush's engine
@@ -265,6 +262,8 @@ class SolverService:
                 "waits for the engine, never for a timer",
                 DeprecationWarning, stacklevel=2,
             )
+        if deterministic is not True:
+            raise ReproError(f"deterministic must be True, got {deterministic!r}")
         if max_pending < 1:
             raise ReproError(f"max_pending must be >= 1, got {max_pending}")
         if max_flush_retries < 0:
@@ -293,7 +292,6 @@ class SolverService:
         self.max_pending = int(max_pending)
         self.max_inflight_per_tenant = max_inflight_per_tenant
         self.tenant_weights = dict(tenant_weights or {})
-        self.deterministic = bool(deterministic)
         self.max_flush_retries = int(max_flush_retries)
         self.retry_backoff_s = float(retry_backoff_s)
         self.tenant_failure_budget = tenant_failure_budget
@@ -363,8 +361,7 @@ class SolverService:
     ) -> np.ndarray:
         """``d = F m`` for one tenant; may share a blocked pass with
         concurrent requests on the same handle and config
-        (bitwise-identical to an uncoalesced apply in deterministic
-        mode)."""
+        (bitwise-identical to an uncoalesced apply)."""
         nt, nd, nm = self._shape(handle)
         payload = self._as_block(m, (nt, nm), "matvec input")
         return await self._submit("matvec", handle, payload, config, tenant, None)
@@ -710,18 +707,13 @@ class SolverService:
     # -- engine execution (runs on the executor thread) -----------------------
     def _execute(self, gkey: _GroupKey, batch: List[_Request]) -> List[np.ndarray]:
         handle, kind, config, options = gkey
-        deterministic = self.deterministic
         engine = self.cache.get(handle, builder=self._builders[handle])
         try:
             if kind == "solve":
                 assert options is not None
-                results = self._execute_solve(
-                    engine, batch, config, options, deterministic
-                )
+                results = self._execute_solve(engine, batch, config, options)
             else:
-                results = self._execute_apply(
-                    engine, kind, batch, config, deterministic
-                )
+                results = self._execute_apply(engine, kind, batch, config)
         finally:
             # Arenas and spectrum caches grow lazily; keep the budget
             # charge honest after every pass.
@@ -735,10 +727,9 @@ class SolverService:
         kind: str,
         batch: List[_Request],
         config: str,
-        deterministic: bool,
     ) -> List[np.ndarray]:
-        """Run one (possibly coalesced) matvec/rmatvec flush in the
-        group's resolved determinism mode."""
+        """Run one (possibly coalesced) matvec/rmatvec flush, each column
+        bitwise its solo apply."""
         k = len(batch)
         apply_one = engine.matvec if kind == "matvec" else engine.rmatvec
         if k == 1:
@@ -749,9 +740,9 @@ class SolverService:
         for j, req in enumerate(batch):
             block[:, :, j] = req.payload
         if kind == "matvec":
-            out = engine.matmat(block, config=config, deterministic=deterministic)
+            out = engine.matmat(block, config=config, deterministic=True)
         else:
-            out = engine.rmatmat(block, config=config, deterministic=deterministic)
+            out = engine.rmatmat(block, config=config, deterministic=True)
         return [np.ascontiguousarray(out[:, :, j]) for j in range(k)]
 
     def _execute_solve(
@@ -760,7 +751,6 @@ class SolverService:
         batch: List[_Request],
         config: str,
         options: SolveOptions,
-        deterministic: bool,
     ) -> List[np.ndarray]:
         """Run one (possibly block-)CG solve flush."""
         from repro.inverse.cg import block_conjugate_gradient, conjugate_gradient
@@ -785,7 +775,7 @@ class SolverService:
         for j, req in enumerate(batch):
             d_block[:, :, j] = req.payload
         rhs = (
-            engine.rmatmat(d_block, config=config, deterministic=deterministic)
+            engine.rmatmat(d_block, config=config, deterministic=True)
             * inv_var
         )
         res = block_conjugate_gradient(

@@ -79,19 +79,38 @@ class _PhaseScope:
         self.stack.pop()
 
 
+class _TallyScope:
+    """``with clock.tally() as seconds``: open a per-phase tally that
+    every attribution adds into, close it on the way out."""
+
+    __slots__ = ("open", "seconds")
+
+    def __init__(self, open_tallies: List[Dict[str, float]]) -> None:
+        self.open, self.seconds = open_tallies, {}
+
+    def __enter__(self) -> Dict[str, float]:
+        self.open.append(self.seconds)
+        return self.seconds
+
+    def __exit__(self, *exc) -> None:
+        self.open.pop()
+
+
 class SimClock:
     """A monotonically advancing simulated clock (seconds).
 
     The clock supports named *phase accounting*: while a phase is active,
     all advances are attributed to it.  Nested phases attribute time to the
     innermost phase only, matching how a profiler attributes GPU kernel
-    time to the enclosing region.
+    time to the enclosing region.  :meth:`tally` collects what one scope
+    attributes, summed from zero.
     """
 
     def __init__(self) -> None:
         self._now = 0.0
         self._phase_stack: List[str] = []
         self._phase_totals: Dict[str, float] = {}
+        self._tallies: List[Dict[str, float]] = []
 
     @property
     def now(self) -> float:
@@ -121,6 +140,8 @@ class SimClock:
         )
         if name is not None:
             self._phase_totals[name] = self._phase_totals.get(name, 0.0) + seconds
+            for tally in self._tallies:
+                tally[name] = tally.get(name, 0.0) + seconds
 
     def advance_to(self, when: float) -> None:
         """Move the clock forward to an absolute time (no phase attribution).
@@ -136,6 +157,13 @@ class SimClock:
         """Attribute all clock advances inside the block to ``name``
         (a reusable context manager: the state is the clock's stack)."""
         return _PhaseScope(self._phase_stack, name)
+
+    def tally(self) -> _TallyScope:
+        """A scope whose dict collects, per phase, every second
+        attributed while it is open: one apply's breakdown, summed from
+        zero, so it is the same bits whatever the clock ran before
+        (a difference of running totals is not)."""
+        return _TallyScope(self._tallies)
 
     def phase_total(self, name: str) -> float:
         """Accumulated seconds attributed to a phase (0.0 if never seen)."""

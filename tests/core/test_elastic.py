@@ -65,7 +65,7 @@ def test_midmatmat_failure_recovers_bitwise(matrix, reference):
     eng = ElasticEngine(
         matrix, 4, failures=FailureSchedule(kills=[(5, 2)]), max_block_k=2
     )
-    out = eng.matmat(reference["M"], max_block_k=2)
+    out = eng.matmat(reference["M"])
     assert np.array_equal(out, reference["forward"])
     assert eng.report.failures == 1
     assert eng.n_ranks == 3
@@ -97,7 +97,7 @@ def test_failures_fire_on_the_calling_thread(matrix, reference, rank_groups):
         sched = Recording(kills=[(11, 2)])
         eng = ElasticEngine(matrix, 4, failures=sched, max_block_k=2)
         assert np.array_equal(
-            eng.matmat(reference["M"], max_block_k=2), reference["forward"]
+            eng.matmat(reference["M"]), reference["forward"]
         )
         events[w] = eng.report.events
     assert Recording.threads == {threading.current_thread()}
@@ -105,17 +105,6 @@ def test_failures_fire_on_the_calling_thread(matrix, reference, rank_groups):
     (ev,) = events[1]
     assert (ev.chunk, ev.rank, ev.op, ev.collective_index) == (2, 2, "reduce", 11)
     assert ev.new_shape == (1, 3)
-
-
-@pytest.mark.parametrize("adjoint", [False, True], ids=["forward", "adjoint"])
-def test_vector_apply_is_the_width_one_block(matrix, reference, adjoint):
-    eng = ElasticEngine(matrix, 4)
-    if adjoint:
-        d = reference["D"][:, :, 3]
-        assert np.array_equal(eng.rmatvec(d), eng.rmatmat(d[:, :, None])[..., 0])
-    else:
-        m = reference["M"][:, :, 3]
-        assert np.array_equal(eng.matvec(m), eng.matmat(m[:, :, None])[..., 0])
 
 
 def test_resize_to_the_current_size_keeps_the_grid(matrix):
@@ -130,7 +119,7 @@ def test_recovery_grows_back_bitwise(matrix, reference):
     eng = ElasticEngine(
         matrix, 4, failures=FailureSchedule(kills=[(5, 2)]), max_block_k=2
     )
-    eng.matmat(reference["M"], max_block_k=2)
+    eng.matmat(reference["M"])
     assert eng.n_ranks == 3
     eng.resize(4)  # replacement node joined
     assert eng.n_ranks == 4
@@ -147,7 +136,7 @@ def test_seeded_chaos_sweep_recovers_bitwise(matrix, reference, chaos_seed):
             chaos_seed + trial, size=4, n_failures=1, horizon=24
         )
         eng = ElasticEngine(matrix, 4, failures=sched, max_block_k=2)
-        out = eng.matmat(reference["M"], max_block_k=2)
+        out = eng.matmat(reference["M"])
         assert np.array_equal(out, reference["forward"]), (
             f"trial {trial}: seed {sched.seed} schedule {sched.fired} "
             "broke bitwise recovery"
@@ -161,7 +150,7 @@ def test_random_victims_on_every_world_size(matrix, reference, chaos_seed):
     for n_ranks in (2, 3, 4, 6):
         sched = FailureSchedule(kills=[(4, int(rng.integers(0, n_ranks)))])
         eng = ElasticEngine(matrix, n_ranks, failures=sched, max_block_k=2)
-        out = eng.matmat(reference["M"], max_block_k=2)
+        out = eng.matmat(reference["M"])
         assert np.array_equal(out, reference["forward"]), (
             f"{n_ranks} ranks, seed={chaos_seed}"
         )
@@ -173,7 +162,7 @@ def test_cascading_failures(matrix, reference, chaos_seed):
     """Multi-kill schedules cascade across rebuilds, still bitwise."""
     sched = FailureSchedule(kills=[(4, 1), (40, 0)])
     eng = ElasticEngine(matrix, 4, failures=sched, max_block_k=2)
-    out = eng.matmat(reference["M"], max_block_k=2)
+    out = eng.matmat(reference["M"])
     assert np.array_equal(out, reference["forward"])
     # Both kills fired (the second on the rebuilt 3-rank grid) unless
     # the replay finished before collective #40 — then it stays pending.
@@ -187,7 +176,7 @@ def test_last_rank_failure_reraises(matrix, reference):
     kills = [(i, 0) for i in range(0, 400, 4)]
     eng = ElasticEngine(matrix, 2, failures=FailureSchedule(kills=kills), max_block_k=2)
     with pytest.raises(RankFailure):
-        eng.matmat(reference["M"], max_block_k=2)
+        eng.matmat(reference["M"])
     assert eng.report.failures == 1 and eng.n_ranks == 1
 
 
@@ -196,9 +185,9 @@ def test_max_failures_backstop(matrix, reference, monkeypatch):
     # rather than thrash forever.
     monkeypatch.setattr(ElasticEngine, "MAX_FAILURES", 2)
     kills = [(i, 0) for i in range(0, 400, 4)]
-    eng = ElasticEngine(matrix, 4, failures=FailureSchedule(kills=kills))
+    eng = ElasticEngine(matrix, 4, failures=FailureSchedule(kills=kills), max_block_k=2)
     with pytest.raises(RankFailure):
-        eng.matmat(reference["M"], max_block_k=2)
+        eng.matmat(reference["M"])
     assert eng.report.failures <= 2
 
 
@@ -207,7 +196,7 @@ def test_geometry_key_changes_on_recovery(matrix, reference):
         matrix, 4, failures=FailureSchedule(kills=[(5, 2)]), max_block_k=2
     )
     key_before = eng.geometry_key()
-    eng.matmat(reference["M"], max_block_k=2)
+    eng.matmat(reference["M"])
     assert eng.geometry_key() != key_before  # grid shrank mid-run
 
 

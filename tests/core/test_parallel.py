@@ -142,9 +142,9 @@ class TestTimingAndComm:
         rng = np.random.default_rng(0)
         eng = ParallelFFTMatvec(
             BlockTriangularToeplitz.random(8, 4, 6, rng=rng), ProcessGrid(2, 2),
-            reduction=reduction,
+            reduction=reduction, max_block_k=2,
         )
-        eng.matmat(rng.standard_normal((8, 6, 3)), max_block_k=2)
+        eng.matmat(rng.standard_normal((8, 6, 3)))
         probe = weakref.ref(eng)
         gc.collect()
         gc.disable()

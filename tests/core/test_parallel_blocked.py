@@ -53,18 +53,6 @@ class TestAgreement:
 
 
 class TestChunkedEdgeCases:
-    def test_k1_degenerates_to_matvec_bitwise(self):
-        # A single-column block rides the SBGEMV dispatch exactly.
-        eng, _, rng = make(pr=2, pc=3, spec=MI250X_GCD)
-        m = rng.standard_normal((16, 24))
-        assert np.array_equal(
-            eng.matmat(m[:, :, None])[:, :, 0], eng.matvec(m)
-        )
-        d = rng.standard_normal((16, 4))
-        assert np.array_equal(
-            eng.rmatmat(d[:, :, None])[:, :, 0], eng.rmatvec(d)
-        )
-
     def test_vector_apply_is_the_deterministic_k1_chunk_bitwise(self):
         # Device-less, skewed, fast mode: no dispatcher forces the GEMV,
         # so a vector apply routed through the wrong Phase-3 kernel
@@ -123,21 +111,21 @@ class TestChunkedEdgeCases:
                 assert np.array_equal(FtD[:, :, j], eng.rmatvec(D[:, :, j]))
 
     def test_max_block_k_1_is_looped_path_bitwise(self):
-        eng, _, rng = make(pr=2, pc=2)
+        eng, _, rng = make(pr=2, pc=2, max_block_k=1)
         M = rng.standard_normal((16, 24, 7))
         looped = np.stack(
             [eng.matvec(M[:, :, j]) for j in range(7)], axis=-1
         )
-        assert np.array_equal(eng.matmat(M, max_block_k=1), looped)
+        assert np.array_equal(eng.matmat(M), looped)
 
     def test_k_not_multiple_of_chunk(self):
         # k=7, max_block_k=3 -> chunks of 3, 3, 1.
         eng, _, rng = make(pr=2, pc=2)
         M = rng.standard_normal((16, 24, 7))
         full = eng.matmat(M)
-        passes0 = eng.matmat_count
-        chunked = eng.matmat(M, max_block_k=3)
-        assert eng.matmat_count - passes0 == 3
+        chunker, _, _ = make(pr=2, pc=2, max_block_k=3)
+        chunked = chunker.matmat(M)
+        assert chunker.matmat_count == 3
         assert rel_err(chunked, full) < 1e-13
 
     def test_k_exceeds_nm_on_small_grid(self):
@@ -156,10 +144,17 @@ class TestChunkedEdgeCases:
         assert eng.matmat_count - passes0 == 3
 
     def test_invalid_chunk_rejected(self):
-        eng, _, rng = make(pr=1, pc=1)
-        M = rng.standard_normal((16, 24, 4))
         with pytest.raises(ReproError):
-            eng.matmat(M, max_block_k=0)
+            make(pr=1, pc=1, max_block_k=0)
+
+    def test_chunk_width_is_set_at_construction(self):
+        # One engine per width: neither blocked apply takes a per-call
+        # max_block_k.
+        eng, _, rng = make(pr=2, pc=2)
+        with pytest.raises(TypeError):
+            eng.matmat(rng.standard_normal((16, 24, 4)), max_block_k=2)
+        with pytest.raises(TypeError):
+            eng.rmatmat(rng.standard_normal((16, 4, 4)), max_block_k=2)
 
     def test_bad_block_shape_rejected(self):
         eng, _, _ = make(pr=1, pc=1)
@@ -171,12 +166,12 @@ class TestChunkedEdgeCases:
 
 class TestCollectivesAndCounters:
     def test_one_bcast_one_reduce_per_chunk(self):
-        eng, _, rng = make(pr=2, pc=2, spec=MI250X_GCD)
+        eng, _, rng = make(pr=2, pc=2, spec=MI250X_GCD, max_block_k=4)
         grid = eng.grid
         M = rng.standard_normal((16, 24, 8))
         b0 = grid.col_comm(0).op_counts["bcast"]
         r0 = grid.row_comm(0).op_counts["reduce"]
-        eng.matmat(M, max_block_k=4)
+        eng.matmat(M)
         assert grid.col_comm(0).op_counts["bcast"] - b0 == 2
         assert grid.row_comm(0).op_counts["reduce"] - r0 == 2
 
@@ -203,12 +198,13 @@ class TestCollectivesAndCounters:
         rng = np.random.default_rng(0)
         matrix = BlockTriangularToeplitz.random(16, 4, 24, rng=rng)
         eng = ParallelFFTMatvec(
-            matrix, ProcessGrid(2, 2, net=FRONTIER_NETWORK), reduction=reduction
+            matrix, ProcessGrid(2, 2, net=FRONTIER_NETWORK), reduction=reduction,
+            max_block_k=4,
         )
         eng.matvec(rng.standard_normal((16, 24)))
         eng.rmatvec(rng.standard_normal((16, 4)))
         assert (eng.matvec_count, eng.matmat_count) == (2, 0)
-        eng.matmat(rng.standard_normal((16, 24, 6)), max_block_k=4)
+        eng.matmat(rng.standard_normal((16, 24, 6)))
         assert eng.matvec_count == 8  # 2 + 6 logical actions
         assert eng.matmat_count == 2  # ceil(6/4) chunks
 

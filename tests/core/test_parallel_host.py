@@ -60,17 +60,21 @@ def test_no_host_leaves_timing_untouched(mat, M):
     assert "host" not in eng.last_timing.phases
 
 
-def test_unfused_wall_is_two_stream_plus_host(mat, M):
-    base = _make(mat)
-    out0 = base.matmat(M)
-    wall2 = base.last_timing.wall
+@pytest.mark.parametrize("reduction", ["fast", "pairwise"])
+def test_serial_apply_is_the_per_chunk_chain(mat, M, reduction):
+    """``overlap=False`` runs each chunk as gen -> bcast -> compute ->
+    reduce -> save, so the wall is the host-less serial wall plus the
+    host total (to the order of the additions)."""
+    base = _make(mat, reduction=reduction)
+    out0 = base.matmat(M, overlap=False)
+    wall = base.last_timing.wall
 
-    two = _make(mat, host=HM, overlap_host=False)
-    out1 = two.matmat(M)
+    ser = _make(mat, host=HM, reduction=reduction)
+    out1 = ser.matmat(M, overlap=False)
     host_total = K * HM.per_vector
     assert np.array_equal(out0, out1)
-    assert two.last_timing.wall == pytest.approx(wall2 + host_total, abs=1e-15)
-    assert two.last_timing.phases["host"] == pytest.approx(host_total, abs=1e-18)
+    assert ser.last_timing.wall == pytest.approx(wall + host_total, rel=1e-12)
+    assert ser.last_timing.phases["host"] == pytest.approx(host_total, abs=1e-18)
 
 
 def test_fused_wall_strictly_between(mat, M):
@@ -88,20 +92,19 @@ def test_fused_wall_strictly_between(mat, M):
     assert wall3 >= wall2  # cannot beat the device-side critical path
 
 
-def test_overlap_host_is_set_at_construction(mat):
-    """One engine per host schedule: the adjoint, like the forward
-    apply, takes no per-call ``overlap_host``."""
+def test_host_stream_has_no_unfused_mode(mat):
+    """A ``host=`` engine always runs the host stream; the serial-host
+    baseline is a host-less wall plus ``k * host.per_vector``."""
     D = np.random.default_rng(3).standard_normal((mat.nt, mat.nd, K))
-    two = _make(mat, host=HM, overlap_host=False)
-    out_two = two.rmatmat(D)
-    unfused_wall = two.last_timing.wall
+    base = _make(mat)
+    out_base = base.rmatmat(D)
+    serial_host = base.last_timing.wall + K * HM.per_vector
 
-    fused = _make(mat, host=HM, overlap_host=True)
-    out_fused = fused.rmatmat(D)
-    assert np.array_equal(out_two, out_fused)
-    assert fused.last_timing.wall < unfused_wall
+    fused = _make(mat, host=HM)
+    assert np.array_equal(fused.rmatmat(D), out_base)
+    assert fused.last_timing.wall < serial_host
     with pytest.raises(TypeError):
-        fused.rmatmat(D, overlap_host=False)
+        _make(mat, host=HM, overlap_host=False)
 
 
 def test_serial_schedule_charges_host_serially(mat, M):

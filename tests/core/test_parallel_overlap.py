@@ -38,15 +38,15 @@ class TestOverlappedSchedule:
         # in strictly less modeled time (compute covers the prefetched
         # broadcasts; only chunk 0's broadcast and the last reduce stay
         # exposed).
-        eng, _, rng = make()
+        eng, _, rng = make(max_block_k=4)
         M = rng.standard_normal((NT, NM, K))
 
         t0 = eng.grid.clock.now
-        serial = eng.matmat(M, max_block_k=4, overlap=False)
+        serial = eng.matmat(M, overlap=False)
         t_serial = eng.grid.clock.now - t0
 
         t0 = eng.grid.clock.now
-        overlapped = eng.matmat(M, max_block_k=4, overlap=True)
+        overlapped = eng.matmat(M, overlap=True)
         t_overlap = eng.grid.clock.now - t0
 
         assert np.array_equal(overlapped, serial)
@@ -83,11 +83,11 @@ class TestOverlappedSchedule:
         assert t_overlap == pytest.approx(t_serial, rel=1e-12)
 
     def test_overlapped_by_default_serial_per_call(self):
-        eng, _, rng = make()
+        eng, _, rng = make(max_block_k=4)
         M = rng.standard_normal((NT, NM, 8))
-        eng.matmat(M, max_block_k=4)
+        eng.matmat(M)
         assert "overlap" in eng.last_timing.label
-        eng.matmat(M, max_block_k=4, overlap=False)
+        eng.matmat(M, overlap=False)
         assert "serial" in eng.last_timing.label
 
     def test_serial_schedule_reproduces_pre_timeline_charge(self):
@@ -95,7 +95,7 @@ class TestOverlappedSchedule:
         # single-clock model charged: per chunk, one timed column
         # broadcast + the (max-)rank pipeline + one timed row reduce,
         # in program order.
-        eng, matrix, rng = make()
+        eng, matrix, rng = make(max_block_k=4)
         M = rng.standard_normal((NT, NM, K))
         cfg = PrecisionConfig.parse("ddddd")
         net = eng.grid.net
@@ -134,7 +134,7 @@ class TestOverlappedSchedule:
             expected += tree_collective_time(PC, reduce_bytes, net, span=PC)
 
         t0 = eng.grid.clock.now
-        eng.matmat(M, max_block_k=4, overlap=False)
+        eng.matmat(M, overlap=False)
         charged = eng.grid.clock.now - t0
         assert charged == pytest.approx(expected, rel=1e-12)
 
@@ -157,9 +157,9 @@ class TestOverlappedSchedule:
                 overlap_efficiency=eff,
             )
             grid = ProcessGrid(PR, PC, net=net)
-            eng = ParallelFFTMatvec(matrix, grid, spec=MI250X_GCD)
+            eng = ParallelFFTMatvec(matrix, grid, spec=MI250X_GCD, max_block_k=4)
             t0 = grid.clock.now
-            eng.matmat(M, max_block_k=4, overlap=True)
+            eng.matmat(M, overlap=True)
             walls[eff] = grid.clock.now - t0
         assert walls[0.0] > walls[1.0]
 
@@ -179,9 +179,11 @@ class TestPerRankSkew:
             ("skewed", skewed_extents(ND, PR, skew=0.5)),
         ):
             grid = ProcessGrid(PR, PC, net=FRONTIER_NETWORK)
-            eng = ParallelFFTMatvec(matrix, grid, spec=MI250X_GCD, row_ranges=rows)
+            eng = ParallelFFTMatvec(
+                matrix, grid, spec=MI250X_GCD, row_ranges=rows, max_block_k=4
+            )
             t0 = grid.clock.now
-            outs[name] = eng.matmat(M, max_block_k=4)
+            outs[name] = eng.matmat(M)
             walls[name] = grid.clock.now - t0
         assert walls["skewed"] > walls["balanced"]
         # The partition only re-tiles the work; results agree.

@@ -1,5 +1,5 @@
-"""A deterministic service's coalesced flushes are bitwise its solo
-applies; a fast one's match them to rounding."""
+"""A service's coalesced flushes are bitwise its solo applies: every
+flush runs the engines' deterministic path (there is no fast mode)."""
 
 import asyncio
 
@@ -29,9 +29,9 @@ def make_service(reduction="fast", **kwargs):
 
 
 class TestDeterminismCoalescing:
-    def test_fast_service_batch_matches_solo_to_rounding(self):
+    def test_full_batch_is_bitwise_solo(self):
         async def main():
-            service, handle = make_service(max_block_k=4, deterministic=False)
+            service, handle = make_service(max_block_k=4)
             async with service:
                 rng = np.random.default_rng(1)
                 payloads = [rng.standard_normal((NT, NM)) for _ in range(4)]
@@ -40,7 +40,7 @@ class TestDeterminismCoalescing:
             assert stats.flushes == 1 and stats.max_batch == 4
             ref = FFTMatvec(make_matrix())
             for p, g in zip(payloads, got):
-                assert np.allclose(g, ref.matvec(p), rtol=1e-12)
+                assert np.array_equal(g, ref.matvec(p))
 
         asyncio.run(main())
 
@@ -65,9 +65,9 @@ class TestDeterminismCoalescing:
 
         asyncio.run(main())
 
-    def test_fast_service_solo_rmatvec_is_the_engines(self):
+    def test_solo_rmatvec_is_the_engines(self):
         async def main():
-            service, handle = make_service(deterministic=False)
+            service, handle = make_service()
             async with service:
                 d = np.ones((NT, ND))
                 got = await service.rmatvec(handle, d)

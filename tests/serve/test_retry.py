@@ -151,13 +151,13 @@ class TestCacheStaleness:
         sched = FailureSchedule(kills=[(5, 2)])
 
         def build():
-            e = ElasticEngine(MAT, 4, reduction="pairwise")
+            e = ElasticEngine(MAT, 4, reduction="pairwise", max_block_k=2)
             e.install_failure_schedule(sched)
             return e
 
         eng = cache.get("el", builder=build)
         X = np.random.default_rng(1).standard_normal((NT, NM, 4))
-        eng.matmat(X, max_block_k=2)  # recovers in place onto 3 ranks
+        eng.matmat(X)  # recovers in place onto 3 ranks
         assert eng.report.failures == 1
         cache.update_footprint("el")  # the service does this post-flush
         assert cache.get("el", builder=build) is eng

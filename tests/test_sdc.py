@@ -62,15 +62,17 @@ def block(matrix):
 @pytest.fixture(scope="module")
 def clean(matrix, block):
     """Unchecked pairwise elastic result — the bitwise ground truth."""
-    eng = ElasticEngine(matrix, RANKS, reduction="pairwise")
-    return eng.matmat(block, max_block_k=MBK)
+    eng = ElasticEngine(matrix, RANKS, reduction="pairwise", max_block_k=MBK)
+    return eng.matmat(block)
 
 
 def sdc_horizon(matrix, block, n_ranks=RANKS):
     """Number of corruptible events one checked apply performs."""
     probe = CorruptionSchedule()
-    eng = ElasticEngine(matrix, n_ranks, reduction="pairwise", corruptions=probe)
-    eng.matmat(block, max_block_k=MBK)
+    eng = ElasticEngine(
+        matrix, n_ranks, reduction="pairwise", max_block_k=MBK, corruptions=probe
+    )
+    eng.matmat(block)
     assert probe.calls > 0
     return probe.calls
 
@@ -341,9 +343,11 @@ class TestCommunicatorPayloads:
 
 # -- engine-boundary validation modes -----------------------------------------
 class TestEngineValidate:
-    def test_unknown_mode_rejected(self, matrix):
-        with pytest.raises(ReproError):
-            FFTMatvec(matrix, validate="bogus")
+    @pytest.mark.parametrize("spec", ["bogus", True, False, "", "abft+guard", "guard+"])
+    def test_unknown_mode_rejected(self, matrix, spec):
+        # One spelling per mode: None, "guard", "abft", "guard+abft".
+        with pytest.raises(ReproError, match="'guard\\+abft'"):
+            FFTMatvec(matrix, validate=spec)
 
     def test_guard_catches_nonfinite_input(self, matrix):
         x = np.ones((NT, NM))
@@ -357,7 +361,7 @@ class TestEngineValidate:
 
     def test_checked_apply_is_bitwise_and_counts_checks(self, matrix, block):
         plain = FFTMatvec(matrix, reduction="pairwise")
-        checked = FFTMatvec(matrix, reduction="pairwise", validate=True)
+        checked = FFTMatvec(matrix, reduction="pairwise", validate="guard+abft")
         assert np.array_equal(
             checked.matmat(block, deterministic=True),
             plain.matmat(block, deterministic=True),
@@ -557,9 +561,9 @@ class TestElasticSDC:
     def test_armed_clean_run_zero_detections_bitwise(self, matrix, block, clean):
         sched = CorruptionSchedule()
         eng = ElasticEngine(
-            matrix, RANKS, reduction="pairwise", corruptions=sched
+            matrix, RANKS, reduction="pairwise", max_block_k=MBK, corruptions=sched
         )
-        out = eng.matmat(block, max_block_k=MBK)
+        out = eng.matmat(block)
         assert np.array_equal(out, clean)  # checks only read
         assert eng.report.corruptions == 0
         assert eng.report.chunks_recomputed == 0
@@ -576,9 +580,9 @@ class TestElasticSDC:
                 chaos_seed + trial, RANKS, n_flips=1, horizon=horizon
             )
             eng = ElasticEngine(
-                matrix, RANKS, reduction="pairwise", corruptions=sched
+                matrix, RANKS, reduction="pairwise", max_block_k=MBK, corruptions=sched
             )
-            out = eng.matmat(block, max_block_k=MBK)
+            out = eng.matmat(block)
             assert len(sched.injected) == 1  # the flip really happened
             assert eng.report.corruptions >= 1  # ... and was detected
             assert eng.report.chunks_recomputed >= 1
@@ -590,11 +594,13 @@ class TestElasticSDC:
     def test_detection_on_other_world_sizes(
         self, matrix, block, chaos_seed, corruption_schedule, n_ranks
     ):
-        ref = ElasticEngine(matrix, n_ranks, reduction="pairwise").matmat(block, max_block_k=MBK)
+        ref = ElasticEngine(matrix, n_ranks, reduction="pairwise", max_block_k=MBK).matmat(block)
         horizon = sdc_horizon(matrix, block, n_ranks=n_ranks)
         sched = corruption_schedule(n_ranks, n_flips=1, horizon=horizon)
-        eng = ElasticEngine(matrix, n_ranks, reduction="pairwise", corruptions=sched)
-        out = eng.matmat(block, max_block_k=MBK)
+        eng = ElasticEngine(
+            matrix, n_ranks, reduction="pairwise", max_block_k=MBK, corruptions=sched
+        )
+        out = eng.matmat(block)
         assert len(sched.injected) == 1
         assert eng.report.corruptions >= 1
         assert np.array_equal(out, ref)
@@ -627,18 +633,18 @@ class TestElasticSDC:
         for seed, trail in self.AUDIT_TRAILS.items():
             sched = CorruptionSchedule.seeded(seed, RANKS, n_flips=2, horizon=42)
             eng = ElasticEngine(
-                matrix, RANKS, reduction="pairwise", corruptions=sched
+                matrix, RANKS, reduction="pairwise", max_block_k=MBK, corruptions=sched
             )
-            assert np.array_equal(eng.matmat(block, max_block_k=MBK), clean)
+            assert np.array_equal(eng.matmat(block), clean)
             assert sched.injected == trail
             assert eng.report.corruptions == 2
 
     def test_corruption_event_metadata(self, matrix, block, clean):
         sched = CorruptionSchedule(flips=[(3, 1)])
         eng = ElasticEngine(
-            matrix, RANKS, reduction="pairwise", corruptions=sched
+            matrix, RANKS, reduction="pairwise", max_block_k=MBK, corruptions=sched
         )
-        out = eng.matmat(block, max_block_k=MBK)
+        out = eng.matmat(block)
         assert np.array_equal(out, clean)
         (ev,) = eng.report.corruption_events
         assert ev.check in ("payload", "abft", "energy")

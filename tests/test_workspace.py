@@ -32,6 +32,7 @@ from repro.core.precision import PrecisionConfig
 from repro.core.toeplitz import BlockTriangularToeplitz
 from repro.gpu.device import SimulatedDevice
 from repro.gpu.specs import MI300X
+from repro.serve import EngineCache, SolverService
 from repro.util.dtypes import machine_eps
 from repro.util.validation import ReproError
 from repro.util.workspace import Workspace
@@ -344,6 +345,14 @@ class TestAllocatorFootprint:
                 build(workspace=False)
             eng = build(workspace=True)
             assert isinstance(getattr(eng, "engine", eng).workspace, Workspace)
+
+    def test_service_deterministic_false_raises(self):
+        # Flushes always run the engines' bitwise path: there is no fast
+        # mode to turn on, and True is the one value accepted.
+        for value in (False, None, 1):
+            with pytest.raises(ReproError, match="deterministic"):
+                SolverService(EngineCache(1 << 20), deterministic=value)
+        SolverService(EngineCache(1 << 20), deterministic=True)
 
 
 class TestCastNoopCounter:
