@@ -222,7 +222,10 @@ class SimCommunicator:
         pass over it).  ``out`` holds a receive buffer per rank (the
         root's entry unused, may be None): repeated broadcasts of the
         same payload shape (the grid engine's chunk loop) reuse them
-        instead of allocating fresh copies per call.  With a
+        instead of allocating fresh copies per call; an entry that *is*
+        the payload is delivered in place, no copy (in-process ranks
+        that read the sender's bits; a corruption flip aimed at such a
+        rank lands on the payload itself).  With a
         ``workspace`` instead, they are its persistent arena buffers
         keyed by ``tag`` and rank.  Callers must have consumed the
         previous copies (the usual checkout discipline).
@@ -245,8 +248,11 @@ class SimCommunicator:
             ]
         copies = []
         for rank in range(self.size):
-            if rank == root and rank != target:
-                copies.append(buf)  # a flip aimed at the root lands on a copy
+            if rank == root and rank != target or out is not None and out[rank] is buf:
+                # The root keeps its payload (a flip aimed at it lands on a
+                # copy); a receive buffer that *is* the payload is delivered
+                # in place — in-process ranks that share the sender's bits.
+                copies.append(buf)
             elif out is None or out[rank] is None:
                 copies.append(be.copy(buf))
             else:

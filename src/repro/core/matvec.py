@@ -881,6 +881,7 @@ class FFTMatvec:
         adjoint: bool,
         kernel: Callable[..., Any],
         *kernel_args: Any,
+        panel: Optional[Any] = None,
     ) -> Any:
         """Phases 1-3 on a ``(Nt, nx, k)`` block; returns Phase 3's result.
 
@@ -899,26 +900,29 @@ class FFTMatvec:
         batched kernels are agnostic), and only Phase 3 unflattens them
         into per-frequency (nx, k) panels.
 
-        Pad -> FFT -> reorder runs **slab by slab** over those columns
-        (:meth:`_slab_cols`), one :meth:`_front_slab` per slab through
-        the host executor (:func:`~repro.util.executor.run_groups`): a
-        multi-slab half's slabs run as up to ``rec.sets`` groups on the
-        host's cores, whole width is one slab run inline.  FFT rows are
-        independent and the rest are copies into disjoint columns: the
-        bits are those of one whole-width pass on one thread.
+        Pad -> FFT -> reorder is :meth:`_transform`, which with a device
+        books each launch right behind its kernel, unless ``panel``
+        already holds it: an engine of the same input extent ran it on
+        the same block (the ranks of a grid column share their part
+        root's, see :meth:`_pipeline_block_transform`).  This engine
+        then books those three launches itself after Phase 3, right
+        ahead of the rest of the list (``booked[3:]``): the modeled
+        device runs pad, FFT, reorder and Phase 3 whether or not the
+        host shared them, and nothing else books in between, so its
+        clock reads the same bits.  Either way this engine counts its
+        cast no-ops.
 
         What the data does not decide comes from the prepared record
-        (:meth:`_prepared`); with a device, Phase 3 books the record's
-        launches behind the slabs' (``booked[3:]``).
+        (:meth:`_front_record`).
         """
-        nt, nx, k = v_in.shape
-        rec = self._prepared((kernel, adjoint, config.code, nx * k), False, config, adjoint, nx, k)
-        slabs, panel = rec.bufs
+        rec = self._front_record(v_in, config, adjoint, kernel)
+        shared = panel is not None
+        if not shared:
+            panel = self._transform(rec, v_in, config, book=True)
         self.cast_noop_count += rec.noops
-        run_groups(self._front_slab, slabs, rec.sets, rec, v_in.reshape(nt, rec.cols), config)
         yhat = kernel(self, panel, rec, *kernel_args)
         if rec.booked is not None:
-            for entry in rec.booked[3:]:
+            for entry in rec.booked[0 if shared else 3:]:
                 self.device.book(*entry)
             name, launches = rec.counted
             self.dispatcher.dispatch_counts[name] += launches
@@ -928,24 +932,59 @@ class FFTMatvec:
             self._guard_check(yhat, "sbgemv")
         return yhat
 
+    def _front_record(
+        self, v_in: np.ndarray, config: PrecisionConfig, adjoint: bool, kernel: Callable[..., Any]
+    ) -> SimpleNamespace:
+        """The front half's prepared record (:meth:`_prepared`) for a
+        ``(Nt, nx, k)`` block and its Phase-3 ``kernel``: the one key
+        both an engine's own :meth:`_front` and a grid part root's
+        shared :meth:`_pipeline_block_transform` look up."""
+        _, nx, k = v_in.shape
+        return self._prepared((kernel, adjoint, config.code, nx * k), False, config, adjoint, nx, k)
+
+    def _transform(
+        self, rec: SimpleNamespace, v_in: np.ndarray, config: PrecisionConfig, book: bool
+    ) -> Any:
+        """Pad -> FFT -> reorder of a ``(Nt, nx, k)`` block into the front
+        record's ``(n_freq, nx, k)`` panel, which it returns.  With
+        ``book`` (and a device) each of the three launches is booked for
+        the full width right behind the kernel it describes
+        (``booked[0:3]``: the modeled device does not slab), so a check
+        that raises after the FFT leaves the pad and FFT booked; without,
+        numerics only (the plan still counts its execution).
+
+        Runs **slab by slab** over the fused columns (:meth:`_slab_cols`),
+        one :meth:`_front_slab` per slab through the host executor
+        (:func:`~repro.util.executor.run_groups`): a multi-slab half's
+        slabs run as up to ``rec.sets`` groups on the host's cores, whole
+        width is one slab run inline.  FFT rows are independent and the
+        rest are copies into disjoint columns: the bits are those of one
+        whole-width pass on one thread.
+        """
+        slabs, panel = rec.bufs
+        v2 = v_in.reshape(self.nt, rec.cols)
+        run_groups(self._front_slab, slabs, rec.sets, rec, v2, config, book)
+        return panel
+
     def _front_slab(
-        self, slab: Tuple, rec: SimpleNamespace, v2: np.ndarray, config: PrecisionConfig
+        self, slab: Tuple, rec: SimpleNamespace, v2: np.ndarray, config: PrecisionConfig, book: bool
     ) -> None:
-        """Pad -> FFT -> reorder of one slab of :meth:`_front`: padded
+        """Pad -> FFT -> reorder of one slab of :meth:`_transform`: padded
         into its ``(w, 2*Nt)`` scratch, transformed into a ``(w,
         n_freq)`` one and transposed straight into its columns of
         ``fwd_reorder``, so the intermediates are read back from L2.
 
         The first slab runs on the calling thread (group 0) and alone
-        counts the execution and books each phase's launch for the full
-        width (``booked[i]`` right behind the kernel it describes: the
-        modeled device does not slab); the others touch no counter,
-        device or arena, so they may run on any thread.  Armed hooks
-        see whole buffers: an armed engine is one slab.
+        counts the plan's execution and, with ``book``, books each
+        phase's launch for the full width (``booked[i]`` right behind
+        the kernel it describes: the modeled device does not slab); the
+        others touch no counter, device or arena, so they may run on any
+        thread.  Armed hooks see whole buffers: an armed engine is one
+        slab.
         """
         first, sl, xbuf, cbuf, fbuf, vslab = slab
         be, plan, booked = self.backend, rec.plan, rec.booked
-        dev = self.device if first else None
+        dev = self.device if first and book else None
         # Phase 1: broadcast (trivial single-device) + zero-pad, in
         # the phase's precision (cast fused into the kernel's writes).
         x = pad_to_soti(
@@ -1081,6 +1120,7 @@ class FFTMatvec:
         out: Optional[np.ndarray] = None,
         detach: bool = True,
         deterministic: bool = False,
+        panel: Optional[Any] = None,
     ) -> np.ndarray:
         """The pipeline: all ``k`` RHS in one pass per phase (a vector
         apply is the width-1 block).
@@ -1090,22 +1130,46 @@ class FFTMatvec:
         ``out`` (float64, (Nt, ny, k)) receives the result in place;
         ``detach=False`` may return an arena buffer (internal callers
         only — it is overwritten by this engine's next apply).
-        ``deterministic`` swaps the Phase-3 GEMM for the per-column
-        batched GEMV (:meth:`_run_sbgemv_panel`), making every column
-        bitwise what the width-1 apply returns for it — on a pairwise
-        engine the fixed tree already does (the width-1 apply runs it
-        too), so the flag is redundant there and ignored, as on the grid.
+        ``deterministic`` picks the per-column Phase 3 (see
+        :meth:`_block_kernel`).  ``panel`` is ``v_in`` already
+        transformed by :meth:`_pipeline_block_transform` (internal: the
+        grid's ranks that share one input part).
         """
-        kernel = FFTMatvec._run_sbgemm
-        if self.reduction != "pairwise" and v_in.shape[2] == 1:
+        kernel = self._block_kernel(v_in.shape[2], deterministic)
+        with self.workspace:
+            yhat = self._front(v_in, config, adjoint, kernel, panel=panel)
+            return self._back(yhat, config, adjoint, out, detach)
+
+    def _block_kernel(self, k: int, deterministic: bool) -> Callable[..., Any]:
+        """The Phase-3 kernel of a width-``k`` :meth:`_pipeline_block`.
+
+        ``deterministic`` swaps the fast GEMM for the per-column batched
+        GEMV (:meth:`_run_sbgemv_panel`), making every column bitwise
+        what the width-1 apply returns for it — on a pairwise engine the
+        fixed tree already does (the width-1 apply runs it too), so the
+        flag is redundant there and ignored, as on the grid.
+        """
+        if self.reduction == "pairwise":
+            return FFTMatvec._run_sbgemm
+        if k == 1:
             # A lone fast column is the GEMV (as SBGEMVDispatcher.phase3
             # books it): the GEMM's bits, on any spectrum_conj layout.
-            kernel = FFTMatvec._run_sbgemv
-        elif deterministic and self.reduction != "pairwise":
-            kernel = FFTMatvec._run_sbgemv_panel
+            return FFTMatvec._run_sbgemv
+        return FFTMatvec._run_sbgemv_panel if deterministic else FFTMatvec._run_sbgemm
+
+    def _pipeline_block_transform(
+        self, v_in: np.ndarray, config: PrecisionConfig, adjoint: bool, kernel: Callable[..., Any]
+    ) -> Any:
+        """Pad -> FFT -> reorder alone (:meth:`_transform`), for the root
+        of a grid input part whose ranks all receive the same bits: the
+        returned panel is this engine's arena buffer, which every rank
+        of the part hands its own :meth:`_front` as ``panel`` before this
+        engine's next apply.  Books and counts nothing but the plan's
+        execution: each rank books its own launches.  ``kernel`` names
+        the front record, the one the ranks' own applies look up."""
         with self.workspace:
-            yhat = self._front(v_in, config, adjoint, kernel)
-            return self._back(yhat, config, adjoint, out, detach)
+            rec = self._front_record(v_in, config, adjoint, kernel)
+            return self._transform(rec, v_in, config, book=False)
 
     def _pipeline_block_pairwise_segments(
         self,
@@ -1114,16 +1178,17 @@ class FFTMatvec:
         adjoint: bool,
         start: int,
         n_global: int,
+        panel: Optional[Any] = None,
     ) -> Dict[Tuple[int, int], Any]:
         """Front half alone, for one grid rank in pairwise mode: Phase 3
         yields the canonical-segment partials over the rank's global
         contraction range ``[start, start + nx)``.  Segment values are
         fresh arrays (not arena buffers), safe to hold across this
-        engine's next apply.
+        engine's next apply.  ``panel`` as in :meth:`_pipeline_block`.
         """
         kernel = FFTMatvec._run_sbgemm_pairwise_segments
         with self.workspace:
-            return self._front(v_in, config, adjoint, kernel, start, n_global)
+            return self._front(v_in, config, adjoint, kernel, start, n_global, panel=panel)
 
     def _pipeline_block_finish(
         self,

@@ -18,13 +18,34 @@ The adjoint swaps the roles: broadcast over rows, reduce over columns.
 All ranks live in one process with genuine per-rank numerics, and every
 rank carries its own simulated device: per-rank compute time is measured
 on per-rank clocks, and the wall time charged between collectives is the
-**max over ranks**.  The host runs a chunk the way that charge assumes
-it runs: its ranks, its input parts' broadcasts and its output parts'
-reduces (with the pairwise root epilogue) each run as concurrent groups
-on the host executor's thread pool (:mod:`repro.util.executor`) when the
-work per rank or part is big enough to pay
-(:meth:`ParallelFFTMatvec._run_groups`); a rank engine applied inside a
-group keeps its own slabs inline.  Each part owns its
+**max over ranks**.  One thing the host does not repeat per rank: every
+rank of an input part (a grid column for F, a row for F*) receives the
+same broadcast bits, so pad → FFT → reorder runs once per part, on the
+part root's engine and prepared record (the *front step*,
+:meth:`ParallelFFTMatvec._chunk_fronts`), and each rank then books its
+own pad / FFT / reorder launches on its own device, counts its own cast
+no-ops and runs Phase 3 with its own spectrum on the shared panel, then
+its own back half (fast) or segment table (pairwise).  On real GPUs
+those copies run side by side; here they would run one after another
+on the host for nothing — simulated time, outputs, dispatch and
+communicator counts are the same bits either way.  What stays still on
+a rank that uses its root's panel is its own front plan's ``executions``
+/ ``stage_noops``.  An armed grid (``validate=``) or one with a failure
+or corruption schedule installed does not share: each rank's armed
+hooks (the FFT-stage corruption site, the Parseval check, the guard)
+must see its own FFT output, and the schedule's one event counter must
+see each rank's FFT, Phase 3 and IFFT in rank order, so every rank
+transforms the part's block inside its own rank task, as before.  (No
+rank ever reads its own receive copy: every rank of a part takes the
+root's; the copies exist for payload verification and corruption flips,
+and a sharing grid, which has neither, delivers the payload in place.)
+The host runs a chunk the way the charge assumes it runs: its input
+parts' broadcasts and front steps, its ranks, and its output parts'
+reduces (with the pairwise root epilogue) each run as concurrent
+groups on the host executor's thread pool
+(:mod:`repro.util.executor`) when the work per rank or part is big
+enough to pay (:meth:`ParallelFFTMatvec._run_groups`); a rank engine
+applied inside a group keeps its own slabs inline.  Each part owns its
 communicator, only the timed one charges the timeline, and the grid
 arena is only entered on the calling thread — no output bit or
 simulated second depends on the pool.  Balanced partitions charge one rank's time
@@ -148,7 +169,8 @@ _REPORT_PHASES = _PHASES + ("host",)
 # rank-chunk (in + out block, Nt * kc * (nd_r + nm_c)); below, a rank is
 # mostly Python and two threads queue on the GIL: 2.1x slower at 4k, 1.5x
 # at 15k, even at 39k, 0.9x at 41k, 0.7x from 52k (docs/ARCHITECTURE.md).
-# A chunk's input / output parts use the same gate on Nt * kc * extent.
+# A chunk's input parts (broadcast, shared front) and output parts use the
+# same gate on Nt * kc * extent.
 _CONCURRENT_MIN_ELEMS = 40_000
 
 
@@ -505,8 +527,9 @@ class ParallelFFTMatvec:
     def _run_groups(self, task: Callable, items: Sequence, elems: int, *args) -> list:
         """``[task(item, *args) for item in items]`` through the host
         executor (:func:`~repro.util.executor.run_groups`), one item per
-        group at most.  The items — a chunk's ranks, input parts or
-        output parts — share nothing (own engine, arena, device, clock,
+        group at most.  The items — a chunk's ranks, input parts (their
+        broadcasts or their shared fronts) or output parts — share
+        nothing they write (own engine, arena, device, clock,
         communicator); they stay inline, in item order, below
         ``_CONCURRENT_MIN_ELEMS`` elements per item and while a failure
         or corruption schedule is installed (one event counter for the
@@ -596,7 +619,8 @@ class ParallelFFTMatvec:
         each sensor part across its grid row; F* swaps the roles.
 
         ``inputs`` lists, per input part, its index, extent and
-        communicator; ``outputs``, per output part, its extent,
+        communicator; ``roots``, per input part, the rank its broadcast
+        leaves from (the part root); ``outputs``, per output part, its extent,
         communicator and the contributing ranks in reduce order (the
         first is the part's root); ``axis`` says which of a rank's
         ``(r, c)`` names its input part, ``n_global`` is the length of
@@ -625,6 +649,7 @@ class ParallelFFTMatvec:
             tag="r" if adjoint else "c",
             n_global=self.nd if adjoint else self.nm,
             inputs=inputs,
+            roots=[(i, 0) if adjoint else (0, i) for i, _, _, _ in inputs],
             outputs=outputs,
             in_width=max(i1 - i0 for _, i0, i1, _ in inputs),
             out_width=max(o1 - o0 for o0, o1, _, _ in outputs),
@@ -637,6 +662,7 @@ class ParallelFFTMatvec:
         d: SimpleNamespace,
         stream: Stream,
         slot: int,
+        share: bool,
     ) -> List[np.ndarray]:
         """Phase 1 communication for one chunk: ONE batched broadcast per
         grid column (row for the adjoint) carries the whole
@@ -649,44 +675,82 @@ class ParallelFFTMatvec:
         by ``slot`` — the chunk loop ping-pongs between two slots
         (``i % 2``) so the prefetched chunk ``i + 1`` never shares
         buffers with the chunk ``i`` payload still in flight, while
-        chunk ``i + 2`` reuses chunk ``i``'s.  Returns the per-column
-        (per-row) broadcast copies; the modeled time is charged onto
-        ``stream``.
+        chunk ``i + 2`` reuses chunk ``i``'s.  Returns, per column (row),
+        the block every rank of it takes — the root's entry of the
+        broadcast, at Phase 1's precision (with ``share`` only the part
+        root's front reads it, :meth:`_chunk_fronts`); the modeled time
+        is charged onto ``stream``.
         """
         kc, dtype = chunk.shape[2], real_dtype(cfg.pad)
-        parts = self._staged.get((d.tag, slot, kc, dtype))
+        parts = self._staged.get((d.tag, slot, kc, dtype, share))
         if parts is None:
-            parts = self._stage(d, slot, kc, dtype)
+            parts = self._stage(d, slot, kc, dtype, share)
         return self._run_groups(
             self._bcast_part, parts, self.nt * kc * d.in_width, chunk, stream
         )
 
-    def _stage(self, d: SimpleNamespace, slot: int, kc: int, dtype) -> list:
+    def _stage(self, d: SimpleNamespace, slot: int, kc: int, dtype, share: bool) -> list:
         """Resolve one slot's Phase-1 arena buffers, per input part: the
-        payload, every non-root rank's receive buffer and — below float64
-        — the float64 copy the rank engines take."""
+        payload and every non-root rank's receive buffer.  No rank reads
+        its receive copy — every rank of a part takes the root's entry
+        (the payload, or its flipped copy when a corruption aims at the
+        root) — so only payload verification and corruption flips touch
+        them; with ``share`` (nothing verifies or flips) they are the
+        payload itself, delivered in place without a copy."""
         ws, parts = self.workspace, []
         for i, i0, i1, cobj in d.inputs:
             shape, name = (self.nt, i1 - i0, kc), f"[{slot}]/{d.tag}{i}"
+            payload = ws.buffer(f"pay{name}", shape, dtype)
             recv = [None] + [
-                ws.buffer(f"recv{name}/r{rank}", shape, dtype) for rank in range(1, cobj.size)
+                payload if share else ws.buffer(f"recv{name}/r{rank}", shape, dtype)
+                for rank in range(1, cobj.size)
             ]
-            in64 = None if dtype == np.float64 else ws.buffer(f"in64{name}", shape, np.float64)
-            parts.append((i0, i1, cobj, ws.buffer(f"pay{name}", shape, dtype), recv, in64))
-        self._staged[(d.tag, slot, kc, dtype)] = parts
+            parts.append((i0, i1, cobj, payload, recv))
+        self._staged[(d.tag, slot, kc, dtype, share)] = parts
         return parts
 
     def _bcast_part(self, part: tuple, chunk: np.ndarray, stream: Stream) -> np.ndarray:
-        """One input part's Phase 1: stage, broadcast, cast to float64."""
-        i0, i1, cobj, payload, recv, in64 = part
+        """One input part's Phase 1: stage and broadcast.  Returns the
+        root's copy at the pad precision: the pad rounds nothing more
+        (its input's tier is its own), so the rank engines take it as
+        it is."""
+        i0, i1, cobj, payload, recv = part
         # The strided block, copied-with-cast into a contiguous payload.
         payload[...] = self.backend.asarray(chunk[:, i0:i1, :])
         with cobj.on_stream(stream if cobj.clock is not None else None):
-            copy = cobj.bcast(payload, root=0, phase="pad", backend=self.backend, out=recv)[0]
-        if in64 is None:
-            return copy
-        in64[...] = copy  # rank engines take float64 input
-        return in64
+            return cobj.bcast(payload, root=0, phase="pad", backend=self.backend, out=recv)[0]
+
+    def _chunk_fronts(
+        self,
+        in_blocks: List[np.ndarray],
+        cfg: PrecisionConfig,
+        d: SimpleNamespace,
+        kernel: Callable,
+        share: bool,
+    ) -> list:
+        """The front step of one chunk's compute: per input part, the
+        ``(n_freq, n_local, kc)`` panel every rank of the part hands its
+        own front (see the module docstring) — pad → FFT → reorder once
+        per part on the part root's engine and record
+        (:meth:`FFTMatvec._pipeline_block_transform`), one task per part
+        (:meth:`_front_part`) through :meth:`_run_groups`.  Without
+        ``share`` (an armed or injecting grid) every entry is ``None``
+        and each rank transforms its input inside its own rank task."""
+        if not share:
+            return [None] * len(in_blocks)
+        kc = in_blocks[0].shape[2]
+        return self._run_groups(
+            self._front_part, d.roots, self.nt * kc * d.in_width, in_blocks, cfg, d, kernel
+        )
+
+    def _front_part(
+        self, root: Tuple[int, int], in_blocks: List[np.ndarray], cfg: PrecisionConfig,
+        d: SimpleNamespace, kernel: Callable,
+    ) -> np.ndarray:
+        """One input part's shared pad → FFT → reorder, on its root."""
+        return self.engines[root]._pipeline_block_transform(
+            in_blocks[root[d.axis]], cfg, d.adjoint, kernel
+        )
 
     def _chunk_compute_fast(
         self,
@@ -695,11 +759,16 @@ class ParallelFFTMatvec:
         d: SimpleNamespace,
         stream: Stream,
         deterministic: bool,
+        share: bool,
     ) -> Dict[Tuple[int, int], np.ndarray]:
         """Per-rank blocked pipelines for one chunk: one pad / batched FFT
-        / SBGEMM / IFFT / unpad pass on every rank; the max-rank time is
-        charged onto ``stream``.  ``deterministic`` selects each rank's
-        per-column-GEMV Phase 3."""
+        / SBGEMM / IFFT / unpad pass on every rank (pad / FFT shared by
+        the ranks of an input part, :meth:`_chunk_fronts`); the max-rank
+        time is charged onto ``stream``.  ``deterministic`` selects each
+        rank's per-column-GEMV Phase 3."""
+        kc = in_blocks[0].shape[2]
+        kernel = self.engines[self._ranks[0]]._block_kernel(kc, deterministic)
+        panels = self._chunk_fronts(in_blocks, cfg, d, kernel, share)
         partials, compute = self._rank_compute(
             lambda r, c, engine: engine._pipeline_block(
                 in_blocks[(r, c)[d.axis]],
@@ -707,8 +776,9 @@ class ParallelFFTMatvec:
                 adjoint=d.adjoint,
                 detach=False,
                 deterministic=deterministic,
+                panel=panels[(r, c)[d.axis]],
             ),
-            in_blocks[0].shape[2],
+            kc,
         )
         self._charge_compute(compute, stream)
         return partials
@@ -755,14 +825,19 @@ class ParallelFFTMatvec:
         d: SimpleNamespace,
         stream: Stream,
         deterministic: bool,
+        share: bool,
     ) -> Dict[Tuple[int, int], Dict[Tuple[int, int], np.ndarray]]:
         """Pairwise front half for one chunk: every rank runs pad / FFT /
-        reorder and computes Phase-3 partial panels for the canonical
-        tree segments of its *global* contraction range.  No IFFT/unpad
-        here — the epilogue runs once per output part after the
-        frequency-domain segment reduce.  Max-rank time is charged onto
-        ``stream``.  ``deterministic`` is redundant here (the fixed tree
-        already is) and ignored."""
+        reorder (shared by the ranks of an input part,
+        :meth:`_chunk_fronts`) and computes Phase-3 partial panels for
+        the canonical tree segments of its *global* contraction range.
+        No IFFT/unpad here — the epilogue runs once per output part
+        after the frequency-domain segment reduce.  Max-rank time is
+        charged onto ``stream``.  ``deterministic`` is redundant here
+        (the fixed tree already is) and ignored."""
+        panels = self._chunk_fronts(
+            in_blocks, cfg, d, FFTMatvec._run_sbgemm_pairwise_segments, share
+        )
         tables, compute = self._rank_compute(
             lambda r, c, engine: engine._pipeline_block_pairwise_segments(
                 in_blocks[(r, c)[d.axis]],
@@ -770,6 +845,7 @@ class ParallelFFTMatvec:
                 adjoint=d.adjoint,
                 start=d.inputs[(r, c)[d.axis]][1],
                 n_global=d.n_global,
+                panel=panels[(r, c)[d.axis]],
             ),
             in_blocks[0].shape[2],
         )
@@ -843,7 +919,6 @@ class ParallelFFTMatvec:
         use_overlap = True if overlap is None else bool(overlap)
         host = self.host
 
-        t_start = self.grid.clock.now
         ny = self.nm if adjoint else self.nd
         out = check_out_buffer(out, (self.nt, ny, k))
         if out is None:
@@ -853,17 +928,20 @@ class ParallelFFTMatvec:
         # ``staged`` for its compute, whose partials wait for its reduce.
         d = self._dir[adjoint]
         staged: Dict[int, dict] = {}
+        # Every receive copy is bitwise the payload and nothing inspects a
+        # rank's own one unless checks are armed or a schedule injects.
+        share = not self.validate and not self._injecting()
 
         def bcast(i: int, stream: Stream) -> float:
             t0, (j0, j1) = stream.cursor, ranges[i]
             # Into the other ping-pong slot: chunk i-1's payload buffers
             # stay live while chunk i's broadcast is in flight, exactly
             # as on the real machine.
-            staged[i] = self._chunk_bcast(VV[:, :, j0:j1], cfg, d, stream, i % 2)
+            staged[i] = self._chunk_bcast(VV[:, :, j0:j1], cfg, d, stream, i % 2, share)
             return stream.cursor - t0
 
         def compute(i: int, stream: Stream) -> None:
-            staged[i] = self._chunk_compute(self, staged[i], cfg, d, stream, deterministic)
+            staged[i] = self._chunk_compute(self, staged[i], cfg, d, stream, deterministic, share)
 
         def reduce(i: int, stream: Stream) -> float:
             t0, (j0, j1) = stream.cursor, ranges[i]
@@ -878,10 +956,11 @@ class ParallelFFTMatvec:
             host_costs["save"] = [(j1 - j0) * host.save_time for j0, j1 in ranges]
         exposed = self.grid.net.exposed_fraction()
         n = len(ranges)
+        wall = 0.0
         with self.workspace, self.grid.clock.tally() as seconds:
             # overlap=False is the same schedule fed one chunk at a time.
             for chunks in [range(n)] if use_overlap else [(i,) for i in range(n)]:
-                run_chunk_schedule(
+                wall += run_chunk_schedule(
                     self.grid.clock, chunks, bcast, compute, reduce, exposed, **host_costs
                 )
         name = "F*" if adjoint else "F"
@@ -893,7 +972,7 @@ class ParallelFFTMatvec:
             f"{', det' if deterministic else ''}"
             f"{', pairwise' if self.reduction == 'pairwise' else ''}] "
             f"({self.grid.pr}x{self.grid.pc})",
-            wall=self.grid.clock.now - t_start,
+            wall=wall,
         )
         self.matvec_count += k
         self.matmat_count += len(ranges)

@@ -146,8 +146,8 @@ class SimClock:
     def advance_to(self, when: float) -> None:
         """Move the clock forward to an absolute time (no phase attribution).
 
-        Used by :meth:`Timeline.sync`: the jump to the maximum stream
-        cursor is elapsed wall time, not attributable work.  Backward
+        Used by :meth:`Timeline.sync`: the jump by the streams' critical
+        path is elapsed wall time, not attributable work.  Backward
         moves are ignored (the clock is monotone).
         """
         if when > self._now:
@@ -196,19 +196,19 @@ class Event:
 class Stream:
     """An in-order work queue with its own completion cursor.
 
-    Work charged onto a stream completes at ``cursor`` (absolute
-    simulated seconds); charges are serialized in call order, mirroring
-    a HIP/CUDA stream.  The cursor starts at the shared clock's current
-    time when the stream is created — a fresh stream is idle "now",
-    independent of work other streams already have in flight (create
-    streams before charging, or ``wait`` on an event, to order against
-    them).
+    Work charged onto a stream completes at ``cursor`` (seconds on its
+    timeline's axis); charges are serialized in call order, mirroring
+    a HIP/CUDA stream.  The cursor starts at the timeline's last
+    synchronized time when the stream is created — a fresh stream is
+    idle "now", independent of work other streams already have in
+    flight (create streams before charging, or ``wait`` on an event, to
+    order against them).
     """
 
     def __init__(self, timeline: "Timeline", name: str) -> None:
         self.timeline = timeline
         self.name = name
-        self.cursor = timeline.clock.now
+        self.cursor = timeline._synced
 
     def charge(self, seconds: float, phase: Optional[str] = None) -> float:
         """Enqueue ``seconds`` of work; returns the new cursor.
@@ -247,34 +247,44 @@ class Timeline:
     wall time observed on the clock at a :meth:`sync` point is the
     maximum stream cursor — the critical path through the schedule, not
     the sum of the work.
+
+    The streams run on the timeline's own time axis, from zero: phases
+    are attributed on the clock as work is charged, and :meth:`sync`
+    advances the clock by the span the streams covered since the last
+    sync.  A span timed from zero is the same bits whatever the clock
+    read before (:func:`run_chunk_schedule`'s wall); a difference of
+    absolute times is not.
     """
 
     def __init__(self, clock: Optional[SimClock] = None) -> None:
         self.clock = clock if clock is not None else SimClock()
         self.streams: Dict[str, Stream] = {}
         self.events: List[Event] = []
+        self._synced = 0.0  # the point of this axis the clock last caught up to
 
     def stream(self, name: str) -> Stream:
-        """Get or create the named stream (cursor starts at clock.now)."""
+        """Get or create the named stream (cursor starts at the last sync)."""
         if name not in self.streams:
             self.streams[name] = Stream(self, name)
         return self.streams[name]
 
     @property
     def frontier(self) -> float:
-        """Latest completion time across all streams (>= clock.now)."""
+        """Latest completion time across all streams (>= the last sync)."""
         cursors = [s.cursor for s in self.streams.values()]
-        return max([self.clock.now] + cursors)
+        return max([self._synced] + cursors)
 
     def sync(self) -> float:
-        """Join every stream: advance the clock to the frontier.
+        """Join every stream: advance the clock by the frontier's span
+        past the last sync.
 
         All stream cursors are pulled up to the synchronized time (a
         barrier), so work charged afterwards starts from a common
-        origin.  Returns the synchronized wall time.
+        origin.  Returns the synchronized time on the timeline's axis.
         """
         now = self.frontier
-        self.clock.advance_to(now)
+        self.clock.advance_to(self.clock.now + (now - self._synced))
+        self._synced = now
         for s in self.streams.values():
             s.cursor = now
         return now
@@ -328,13 +338,15 @@ def run_chunk_schedule(
     ``bcast`` and ``reduce`` return the seconds they charged (the
     exposed share is taken of exactly that number, so neither caller's
     floats depend on the other's).  ``gen`` / ``save`` come together and
-    are indexed by chunk index.  Streams start at ``clock.now`` (a
-    private clock when ``clock`` is None) and are joined at the end: the
-    clock advances by the critical path, and the synchronized time is
-    returned.  A callback that raises leaves them unjoined — nothing of
-    the failed pass reaches ``clock.now``; phase totals keep what was
-    charged.  Fed one chunk, the schedule *is* the serial broadcast →
-    compute → reduce charge, addition for addition.
+    are indexed by chunk index.  Charges attribute their phases on
+    ``clock`` (a private clock when it is None); the streams run from
+    zero on the timeline's own axis, so the critical path they are
+    joined at — the schedule's wall, which is returned — is the same
+    bits whatever the clock read before, and the clock advances by it.  A
+    callback that raises leaves them unjoined — nothing of the failed
+    pass reaches ``clock.now``; phase totals keep what was charged.
+    Fed one chunk, the schedule *is* the serial broadcast → compute →
+    reduce charge, addition for addition.
     """
     tl = Timeline(clock)
     comm, comp = tl.stream("comm"), tl.stream("compute")

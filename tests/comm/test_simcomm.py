@@ -29,6 +29,19 @@ class TestBcast:
         out[0][0] = 7.0
         assert out[1][0] == 0.0
 
+    def test_a_receive_buffer_that_is_the_payload_is_delivered_in_place(self, comm):
+        # In-process ranks that share the sender's bits get no copy; the
+        # charge and the counters are the broadcast's all the same.
+        x, recv = np.arange(3.0), np.zeros(3)
+        shared = SimCommunicator(4, clock=SimClock())
+        out = shared.bcast(x, out=[None, x, recv, x])
+        assert [o is x for o in out] == [True, True, False, True]
+        np.testing.assert_array_equal(recv, x)
+        comm.bcast(x, out=[None, np.zeros(3), np.zeros(3), np.zeros(3)])
+        assert (shared.clock.now, shared.op_counts, shared.op_bytes) == (
+            comm.clock.now, comm.op_counts, comm.op_bytes
+        )
+
     def test_invalid_root(self, comm):
         with pytest.raises(ReproError):
             comm.bcast(np.zeros(2), root=4)
@@ -135,16 +148,16 @@ class TestStreamCharging:
     def test_on_stream_charges_stream_not_clock(self, comm, rng):
         from repro.util.timing import Timeline
 
+        comm.clock.advance(1.0)  # the stream's axis starts at zero regardless
         tl = Timeline(comm.clock)
         s = tl.stream("comm")
-        t0 = comm.clock.now
         with comm.on_stream(s):
             comm.bcast(np.zeros(1024), phase="pad")
-        assert comm.clock.now == t0  # wall advances only at sync
-        assert s.cursor > t0
+        assert comm.clock.now == 1.0  # wall advances only at sync
+        assert s.cursor > 0.0
         assert comm.clock.phase_total("pad") > 0  # work attributed now
         tl.sync()
-        assert comm.clock.now == pytest.approx(s.cursor)
+        assert comm.clock.now == 1.0 + s.cursor
 
     def test_stream_restored_after_block(self, comm):
         from repro.util.timing import Timeline

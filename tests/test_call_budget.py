@@ -40,9 +40,10 @@ DEVICE_DETERMINISTIC_BUDGET = 320
 # rank-chunk is 15 360 elements).  The chunk loop runs through the shared
 # schedule driver; these keep its callbacks from costing the grid
 # workloads interpreter time (2922 / 9733 before the driver, 2912 / 9729
-# with it).
-GRID_BUDGET = 3100  # 2687, now 2620
-SPEC_GRID_BUDGET = 4400  # a device per rank: 5841 before the ranks booked from records, 4065, now 3998
+# with it).  The ranks of an input part share one pad / FFT / reorder
+# on their part root: 2513 / 3857 before, now 2443 / 3787.
+GRID_BUDGET = 2800  # 2687, 2620, 2513, now 2443
+SPEC_GRID_BUDGET = 4150  # a device per rank: 5841 before the ranks booked from records, 4065, 3998, 3857, now 3787
 # The elastic engine's abft checks: 9549, then 9449; now 7825 with one
 # integer pass per payload digest and one float64 pass per Parseval sum.
 ELASTIC_BUDGET = 7825

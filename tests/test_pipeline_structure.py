@@ -86,20 +86,28 @@ def _is_book(stmt: ast.stmt) -> bool:
     )
 
 
+# The method that hands each half's slab body to the host executor: the
+# front's is ``_transform`` (pad → FFT → reorder alone, which a grid
+# column's ranks share), the back's the half itself.
+SLAB_RUNNER = {"_front": "_transform", "_back": "_back"}
+
+
 def _slab_body(half: str) -> ast.FunctionDef:
     """The slab body of ``FFTMatvec._front`` / ``_back``
     (``_front_slab`` / ``_back_slab``): the one method that does a
     half's phase work, straight-line, handed once to the host executor,
     which runs it per slab (whole width = one slab, inline).  The half
-    itself holds no working loop — the only loop allowed books Phase 3's
-    launches off the record, nothing else."""
+    itself holds no working loop — the only loop allowed books the
+    record's launches, nothing else."""
     tree = _module("matvec.py")
-    method = _method(tree, "FFTMatvec", half)
-    for loop in (n for n in ast.walk(method) if isinstance(n, (ast.For, ast.While))):
-        assert all(_is_book(stmt) for stmt in loop.body), (
-            f"FFTMatvec.{half} loops over work itself — no second, whole-width "
-            "copy of the phases beside the slab body"
-        )
+    for name in {half, SLAB_RUNNER[half]}:
+        method = _method(tree, "FFTMatvec", name)
+        for loop in (n for n in ast.walk(method) if isinstance(n, (ast.For, ast.While))):
+            assert all(_is_book(stmt) for stmt in loop.body), (
+                f"FFTMatvec.{name} loops over work itself — no second, whole-width "
+                "copy of the phases beside the slab body"
+            )
+    method = _method(tree, "FFTMatvec", SLAB_RUNNER[half])
     (run,) = [n for n in ast.walk(method) if isinstance(n, ast.Call)
               and getattr(n.func, "id", None) == "run_groups"]
     assert ast.unparse(run.args[0]) == f"self.{half}_slab"
@@ -143,10 +151,13 @@ def test_halves_book_the_prepared_records_launches(half, launches):
     (``rec.booked``, the priced ``front_launches`` / ``back_launches``)
     — pad / FFT / reorder, then however many Phase 3 takes; reorder /
     IFFT / unpad.  The slab body books entries 0-2 through the device it
-    sees on the first slab only, which runs on the calling thread."""
+    sees on the first slab only, which runs on the calling thread — the
+    front's only when its transform books (``book``); a front handed a
+    grid part root's shared panel books the whole list after Phase 3."""
     tree = _module("matvec.py")
     method, body = _method(tree, "FFTMatvec", half), _slab_body(half)
-    for fn in (method, body):
+    runner = _method(tree, "FFTMatvec", SLAB_RUNNER[half])
+    for fn in (method, runner, body):
         described = {
             name for name in _names(fn)
             if name.startswith("charge_") or name.endswith("_launch")
@@ -158,13 +169,13 @@ def test_halves_book_the_prepared_records_launches(half, launches):
         if isinstance(n, ast.Assign) and any("booked" in _names(t) for t in n.targets)
     ]
     assert len(booked) == 1 and "booked" in _names(booked[0].value), "booked = rec.booked, once"
-    # for entry in rec.booked[3:]: book(*entry) — the loop variable is the list's too.
+    # for entry in rec.booked[...]: book(*entry) — the loop variable is the list's too.
     entries = {"booked"} | {
         loop.target.id for loop in ast.walk(method)
         if isinstance(loop, ast.For) and "booked" in _names(loop.iter)
     }
     calls = [
-        n for fn in (method, body) for n in ast.walk(fn)
+        n for fn in {method, runner, body} for n in ast.walk(fn)
         if isinstance(n, ast.Call) and getattr(n.func, "attr", "") == "book"
     ]
     assert len(calls) == launches
@@ -176,7 +187,17 @@ def test_halves_book_the_prepared_records_launches(half, launches):
     ]
     (dev,) = [n for n in ast.walk(body) if isinstance(n, ast.Assign)
               and [ast.unparse(t) for t in n.targets] == ["dev"]]
-    assert ast.unparse(dev.value) == "self.device if first else None"
+    if half == "_back":
+        assert ast.unparse(dev.value) == "self.device if first else None"
+        return
+    assert ast.unparse(dev.value) == "self.device if first and book else None"
+    # The half books the rest of the list after Phase 3 — all of it when
+    # its panel was shared (its own transform booked nothing).
+    (loop,) = [n for n in ast.walk(method) if isinstance(n, ast.For)]
+    assert ast.unparse(loop.iter) == "rec.booked[0 if shared else 3:]"
+    (own,) = [n for n in ast.walk(method) if isinstance(n, ast.Call)
+              and getattr(n.func, "attr", "") == SLAB_RUNNER[half]]
+    assert ast.unparse(own.keywords[0]) == "book=True"
 
 
 def test_forward_fft_runs_in_the_front_half_only():
@@ -196,17 +217,29 @@ PER_APPLY_DERIVATION = (
 
 @pytest.mark.parametrize("half", ["_front", "_back"])
 def test_halves_prepare_outside_the_loop_and_derive_nothing(half):
-    method, body = _method(_module("matvec.py"), "FFTMatvec", half), _slab_body(half)
-    prepared = _calls(method, "_prepared")
-    assert len(prepared) == 1, f"FFTMatvec.{half} looks its record up once"
-    assert _calls(body, "_prepared") == []
-    for fn in (method, body):
+    tree = _module("matvec.py")
+    method, body = _method(tree, "FFTMatvec", half), _slab_body(half)
+    runner = _method(tree, "FFTMatvec", SLAB_RUNNER[half])
+    # The front's record key lives in _front_record alone: a grid part
+    # root's shared transform looks up the record its ranks' fronts use.
+    lookup = "_front_record" if half == "_front" else "_prepared"
+    assert len(_calls(method, lookup)) == 1, f"FFTMatvec.{half} looks its record up once"
+    if half == "_front":
+        assert len(_calls(_method(tree, "FFTMatvec", "_front_record"), "_prepared")) == 1
+        shared = _method(tree, "FFTMatvec", "_pipeline_block_transform")
+        assert len(_calls(shared, "_front_record")) == 1 and _calls(shared, "_prepared") == []
+    for fn in {runner, body} - {method}:
+        assert _calls(fn, "_prepared") == _calls(fn, "_front_record") == [], (
+            f"FFTMatvec.{fn.name} is handed its record"
+        )
+    for fn in (method, runner, body):
         for name in PER_APPLY_DERIVATION:
             assert _calls(fn, name) == [], (
                 f"FFTMatvec.{fn.name} calls {name}() per apply; resolve it in _prepared"
             )
     # The buffers are the record's arena views, read once ahead of the slabs.
-    assert len(_attributes(method, "bufs")) == 1
+    assert len(_attributes(runner, "bufs")) == 1
+    assert runner is method or _attributes(method, "bufs") == []
     assert _attributes(body, "bufs") == []
     # A slab may run on a pool thread: it hands nothing the arena and
     # advances no counter (the half counts, on the calling thread).
@@ -221,7 +254,7 @@ def test_engine_hands_the_layer_functions_no_device():
     The four Phase-3 kernels are numerics only: no device, no
     dispatcher, no ablation flag."""
     tree = _module("matvec.py")
-    for half in ("_front", "_front_slab", "_back", "_back_slab"):
+    for half in ("_front", "_transform", "_front_slab", "_back", "_back_slab"):
         for node in ast.walk(_method(tree, "FFTMatvec", half)):
             if isinstance(node, ast.Call):
                 assert "device" not in {kw.arg for kw in node.keywords}, node.lineno
@@ -272,6 +305,11 @@ def test_rank_pipelines_run_through_rank_compute_only():
     for method in ("_pipeline_block", "_pipeline_block_pairwise_segments"):
         lines = _calls(tree, method)
         assert len(lines) == 1 and set(lines) <= callbacks["_rank_compute"], method
+    # The one pipeline call outside a rank task: a part root's shared
+    # transform, in the front step's part task.
+    assert _calls(tree, "_pipeline_block_transform") == _calls(
+        _method(tree, "ParallelFFTMatvec", "_front_part"), "_pipeline_block_transform"
+    ) != []
     finish = _calls(tree, "_pipeline_block_finish")
     assert len(finish) == 1 and set(finish) <= callbacks["_run_rank"]
     epilogue = _method(tree, "ParallelFFTMatvec", "_reduce_part_pairwise")
@@ -290,6 +328,7 @@ def test_rank_pipelines_run_through_rank_compute_only():
     assert _calls(tree, "_run_rank") == _calls(epilogue, "_run_rank") != []
     tasks = {
         "_rank_compute": "_run_rank",
+        "_chunk_fronts": "_front_part",
         "_chunk_bcast": "_bcast_part",
         "_chunk_reduce_fast": "_reduce_part_fast",
         "_chunk_reduce_pairwise": "_reduce_part_pairwise",
@@ -330,7 +369,7 @@ def test_both_engines_run_on_one_executor_and_one_pool():
     assert submits == {"util/executor.py": 1}
     assert runs == {"core/matvec.py": 3, "core/parallel.py": 1}
     matvec = _module("matvec.py")
-    for method in ("_front", "_back", "_run_sbgemm"):
+    for method in ("_transform", "_back", "_run_sbgemm"):
         assert len(_calls(_method(matvec, "FFTMatvec", method), "run_groups")) == 1, method
 
 
@@ -339,6 +378,7 @@ def test_both_engines_run_on_one_executor_and_one_pool():
 APPLY_SCOPES = {
     "matvec.py": ("FFTMatvec", (
         "_pipeline_block", "_pipeline_block_pairwise_segments", "_pipeline_block_finish",
+        "_pipeline_block_transform",
     )),
     "parallel.py": ("ParallelFFTMatvec", ("_matmat_impl",)),
 }

@@ -556,6 +556,54 @@ class TestEveryPrecisionConfig:
                 assert ei.value.check == check, (name, stage, ei.value)
 
 
+class TestGridFrontDetection:
+    """An armed grid transforms each rank's input inside its own rank
+    task and books every front launch right behind its kernel: a rank
+    that detects a flip at its FFT has booked that attempt's pad and FFT
+    and nothing after, and every rank's device has booked a prefix of
+    what the clean apply books on it."""
+
+    @pytest.mark.parametrize("victim", range(RANKS))
+    @pytest.mark.parametrize("adjoint", [False, True], ids=["F", "Fstar"])
+    @pytest.mark.parametrize("reduction", ["fast", "pairwise"])
+    def test_fft_stage_detection_leaves_pad_and_fft_booked(
+        self, matrix, reduction, adjoint, victim
+    ):
+        V = np.random.default_rng(9).standard_normal((NT, ND if adjoint else NM, K))
+
+        def armed(schedule):
+            eng = ParallelFFTMatvec(
+                matrix, ProcessGrid(2, 2), spec="MI300X", validate="abft",
+                reduction=reduction, max_block_k=MBK,
+            )
+            for dev in eng.devices.values():
+                dev._record = True  # keep the per-rank launch logs
+            eng.install_corruption_schedule(schedule)
+            return eng, eng.rmatmat if adjoint else eng.matmat
+
+        probe = _RecordingSchedule()
+        clean, apply = armed(probe)
+        apply(V)
+        # The victim-th FFT stage of the apply: the first chunk's ranks,
+        # in rank order.
+        event = [i for i, op in enumerate(probe.stages) if op == "fft"][victim]
+        failed, apply = armed(CorruptionSchedule(flips=[(event, 0)]))
+        before = {rc: dev.clock.now for rc, dev in failed.devices.items()}
+        with pytest.raises(SilentCorruption) as ei:
+            apply(V)
+        assert (ei.value.check, ei.value.phase) == ("energy", "fft")
+        for (r, c), dev in failed.devices.items():
+            log = [(e.name, e.time, e.phase) for e in dev.launch_log]
+            ref = [(e.name, e.time, e.phase) for e in clean.devices[(r, c)].launch_log]
+            assert log == ref[: len(log)]
+            if failed.grid.rank_of(r, c) == ei.value.rank:
+                assert [phase for _, _, phase in log] == ["pad", "fft"]
+            t = before[(r, c)]
+            for _, seconds, _ in log:
+                t += seconds
+            assert dev.clock.now == t
+
+
 # -- elastic chunk-local recomputation ----------------------------------------
 class TestElasticSDC:
     def test_armed_clean_run_zero_detections_bitwise(self, matrix, block, clean):

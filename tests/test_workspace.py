@@ -173,8 +173,8 @@ class TestWarmEqualsCold:
 
 
 class TestWarmEqualsColdGrid:
-    # "sssss" exercises the grid arena's float32 broadcast staging and
-    # the float32 -> float64 input conversion (``_chunk_bcast``).
+    # "sssss" exercises the grid arena's float32 broadcast staging
+    # (``_chunk_bcast``), whose payload the rank engines pad as it is.
     @pytest.mark.parametrize("config", ["ddddd", "dsdsd", "sssss"])
     @pytest.mark.parametrize("skew", [False, True])
     def test_grid_ops_warm_equal_cold(self, matrix, rng, config, skew):

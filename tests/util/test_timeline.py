@@ -37,11 +37,28 @@ class TestClockAttribution:
 
 
 class TestStreams:
-    def test_streams_start_at_clock_now(self):
+    def test_streams_run_on_the_timelines_own_axis(self):
+        # Streams start at zero whatever the clock reads: the span is
+        # history-free, phases still land on the clock, and sync
+        # advances it by the span.
         c = SimClock()
-        c.advance(1.0)
+        c.advance(1.0 / 3.0)
         tl = Timeline(c)
-        assert tl.stream("a").cursor == pytest.approx(1.0)
+        s = tl.stream("a")
+        assert s.cursor == 0.0
+        s.charge(0.1, phase="pad")
+        s.charge(0.2, phase="fft")
+        assert c.now == 1.0 / 3.0  # wall advances only at sync
+        assert tl.sync() == 0.1 + 0.2
+        assert c.now == 1.0 / 3.0 + (0.1 + 0.2)
+        assert c.phase_totals() == {"pad": 0.1, "fft": 0.2}
+        # A stream made after a sync starts there, and a later sync
+        # adds only what was charged after the first.
+        b = tl.stream("b")
+        assert b.cursor == 0.1 + 0.2
+        b.charge(0.5)
+        assert tl.sync() == pytest.approx(0.8)
+        assert c.now == pytest.approx(1.0 / 3.0 + 0.8)
 
     def test_stream_is_cached_by_name(self):
         tl = Timeline()
