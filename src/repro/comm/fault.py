@@ -13,9 +13,8 @@ Two scheduling modes share one object:
 
 * **Explicit** — ``FailureSchedule(kills=[(index, rank), ...])``: kill
   ``rank`` at the ``index``-th collective (0-based, counted across every
-  communicator the schedule is installed on: world, row, column and the
-  engines' silent clones, in the deterministic order the SPMD loop runs
-  them).  This is what targeted tests use to hit a specific chunk.
+  communicator the schedule is installed on — a grid's rows and columns
+  — in the deterministic order the SPMD loop runs them).  This is what targeted tests use to hit a specific chunk.
 * **Seeded** — :meth:`FailureSchedule.seeded`: draw ``n_failures``
   distinct kill points uniformly from the first ``horizon`` collectives
   with ``numpy``'s seeded generator.  Chaos tests print the seed; any

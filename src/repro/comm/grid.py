@@ -7,6 +7,12 @@ runs with "closest" GPU binding: a grid *row* occupies ``pc``
 consecutive machine ranks (cheap, in-group collectives for the Phase-5
 reduction), while a grid *column* strides by ``pc`` and spans the whole
 machine (its Phase-1 broadcast pays inter-group costs).
+
+The grid holds one communicator per row and per column — the paper's
+one broadcast per column and one reduce per row — and the clock a grid
+engine realizes its wall on.  The communicators own no clock: an engine
+hands the chunk schedule's stream to the collectives that gate the wall
+(:meth:`~repro.comm.simcomm.SimCommunicator.on_stream`).
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ __all__ = ["ProcessGrid"]
 
 
 class ProcessGrid:
-    """A ``pr x pc`` process grid over a simulated world communicator."""
+    """A ``pr x pc`` process grid: its row and column communicators and
+    the grid clock."""
 
     def __init__(
         self,
@@ -37,25 +44,15 @@ class ProcessGrid:
         self.size = self.pr * self.pc
         self.net = net
         self.clock = SimClock()
-        self.world = SimCommunicator(
-            self.size, net=net, clock=self.clock, span=self.size, name="world",
-            backend=backend,
-        )
         # A row's pc members are contiguous; a column's pr members stride
         # by pc and span (pr-1)*pc + 1 machine ranks.
         self._row_comms = [
-            SimCommunicator(
-                self.pc, net=net, clock=self.clock, span=self.pc, name=f"row{r}",
-                backend=backend,
-            )
+            SimCommunicator(self.pc, net=net, span=self.pc, name=f"row{r}", backend=backend)
             for r in range(self.pr)
         ]
         col_span = (self.pr - 1) * self.pc + 1
         self._col_comms = [
-            SimCommunicator(
-                self.pr, net=net, clock=self.clock, span=col_span, name=f"col{c}",
-                backend=backend,
-            )
+            SimCommunicator(self.pr, net=net, span=col_span, name=f"col{c}", backend=backend)
             for c in range(self.pc)
         ]
 
@@ -63,12 +60,11 @@ class ProcessGrid:
     def install_failure_schedule(self, schedule) -> None:
         """Attach one :class:`~repro.comm.fault.FailureSchedule` grid-wide.
 
-        Installs the same schedule object on the world communicator and
-        every row/column subcommunicator, so its collective counter sees
-        the full deterministic sequence the SPMD loop runs.  Pass
-        ``None`` to disarm.
+        Installs the same schedule object on every row/column
+        communicator, so its collective counter sees the full
+        deterministic sequence the SPMD loop runs.  Pass ``None`` to
+        disarm.
         """
-        self.world.install_failure_schedule(schedule)
         for comm in self._row_comms:
             comm.install_failure_schedule(schedule)
         for comm in self._col_comms:
@@ -78,11 +74,10 @@ class ProcessGrid:
         """Attach one :class:`~repro.comm.fault.CorruptionSchedule` grid-wide.
 
         Same contract as :meth:`install_failure_schedule`: the one
-        schedule object goes on the world communicator and every
-        row/column subcommunicator (shared event counter), and payload
-        verification switches on with it.  Pass ``None`` to disarm.
+        schedule object goes on every row/column communicator (shared
+        event counter), and payload verification switches on with it.
+        Pass ``None`` to disarm (verification switches off with it).
         """
-        self.world.install_corruption_schedule(schedule)
         for comm in self._row_comms:
             comm.install_corruption_schedule(schedule)
         for comm in self._col_comms:
@@ -95,7 +90,6 @@ class ProcessGrid:
         from any source; it is also implied by installing a corruption
         schedule.
         """
-        self.world.verify_payloads = bool(on)
         for comm in self._row_comms:
             comm.verify_payloads = bool(on)
         for comm in self._col_comms:

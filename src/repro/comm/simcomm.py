@@ -7,10 +7,10 @@ the upper-case buffer API of mpi4py / the NCCL collectives the hipified
 FFTMatvec calls.
 
 Numerics are faithful (tree reduction order, computation in the caller's
-dtype); time is charged to an optional shared :class:`SimClock` using the
-tree cost model.  Subcommunicators (grid rows/columns) carry a ``span``
-describing their placement in the world so the hierarchical network
-model can tell a contiguous row from a machine-spanning column.
+dtype); time is priced with the tree cost model.  Subcommunicators (grid
+rows/columns) carry a ``span`` describing their placement in the world
+so the hierarchical network model can tell a contiguous row from a
+machine-spanning column.
 
 Collectives are *payload-shape agnostic*: the blocked multi-RHS grid
 path broadcasts and tree-reduces whole ``(Nt, nx, k)`` blocks in one
@@ -21,10 +21,11 @@ every column of the block.  Per-operation call counters (``op_counts``)
 and byte totals (``op_bytes``) let benchmarks assert per-stage batching
 without rebuilding the communicator (:meth:`reset_op_counts`).
 
-Time is charged to the shared clock directly (blocking collectives), or
-— inside an :meth:`SimCommunicator.on_stream` block — onto a timeline
-stream, so an overlapped schedule can prefetch a broadcast on its comm
-stream while compute proceeds on another.
+A communicator owns no clock: inside an :meth:`SimCommunicator.on_stream`
+block its collectives charge that timeline stream, so an overlapped
+schedule can prefetch a broadcast on its comm stream while compute
+proceeds on another; outside one they charge nothing (a part whose
+time another part's collective already covers).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from repro.comm.collectives import (
 from repro.comm.netmodel import NetworkModel, SIMPLE_NETWORK
 from repro.util import checksum as _ck
 from repro.util.dtypes import Precision
-from repro.util.timing import SimClock, Stream
+from repro.util.timing import Stream
 from repro.util.validation import ReproError, check_positive_int
 from repro.util.workspace import Workspace
 
@@ -59,13 +60,10 @@ class SimCommunicator:
         Number of ranks.
     net:
         Network model used for timing (default: flat test network).
-    clock:
-        Shared simulated clock; collectives advance it by the modeled
-        time (all ranks are synchronized — collectives are blocking).
     span:
         Consecutive machine ranks this communicator's members are spread
-        over (>= size); a world communicator has span == size, a strided
-        grid-column subcommunicator spans nearly the whole machine.
+        over (>= size); a contiguous grid row has span == size, a
+        strided grid column spans nearly the whole machine.
     backend:
         Array backend the collectives stage payloads with (default
         numpy).  Individual collectives accept a per-call ``backend=``
@@ -78,14 +76,12 @@ class SimCommunicator:
         self,
         size: int,
         net: NetworkModel = SIMPLE_NETWORK,
-        clock: Optional[SimClock] = None,
         span: Optional[int] = None,
         name: str = "world",
         backend: Optional[Backend] = None,
     ) -> None:
         self.size = check_positive_int(size, "size")
         self.net = net
-        self.clock = clock
         self.span = self.size if span is None else max(span, self.size)
         self.name = name
         self.backend = backend if backend is not None else _NUMPY
@@ -125,7 +121,8 @@ class SimCommunicator:
         a schedule also switches :attr:`verify_payloads` on so the
         flipped payload is caught at receive and raised as
         :class:`~repro.comm.fault.SilentCorruption`; disarming with
-        ``None`` switches verification back off.
+        ``None`` switches verification back off (an engine whose
+        ``validate=`` wants it switches it on again).
         """
         self.corruption = schedule
         self.verify_payloads = schedule is not None
@@ -157,8 +154,8 @@ class SimCommunicator:
         The collective's numerics still run eagerly (ranks are simulated
         in-process); only the modeled time rides the stream, letting a
         scheduler overlap it against compute.  Phase attribution happens
-        at charge time on the stream's shared clock.  ``None`` restores
-        direct clock charging.
+        at charge time on the stream's shared clock.  ``None`` charges
+        no time (the traffic counters still move).
         """
         prev = self.stream
         self.stream = stream
@@ -181,9 +178,6 @@ class SimCommunicator:
         t = tree_collective_time(k, nbytes, self.net, span=self.span)
         if self.stream is not None:
             self.stream.charge(t, phase=phase)
-        elif self.clock is not None:
-            with self.clock.phase(phase):
-                self.clock.advance(t)
         moved = nbytes * max(k - 1, 0)
         self.bytes_communicated += moved
         self.collective_calls += 1
@@ -195,8 +189,8 @@ class SimCommunicator:
         """Zero the traffic counters (call counts, per-op and total bytes).
 
         Benchmarks asserting per-stage batching can reset between stages
-        instead of rebuilding the communicator (which would also reset
-        the shared clock wiring).
+        instead of rebuilding the communicator (and the grid that owns
+        it).
         """
         self.bytes_communicated = 0.0
         self.collective_calls = 0

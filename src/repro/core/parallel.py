@@ -45,14 +45,16 @@ reduces (with the pairwise root epilogue) each run as concurrent
 groups on the host executor's thread pool
 (:mod:`repro.util.executor`) when the work per rank or part is big
 enough to pay (:meth:`ParallelFFTMatvec._run_groups`); a rank engine
-applied inside a group keeps its own slabs inline.  Each part owns its
-communicator, only the timed one charges the timeline, and the grid
-arena is only entered on the calling thread — no output bit or
-simulated second depends on the pool.  Balanced partitions charge one rank's time
-(all ranks tie); irregular partitions (caller-supplied ``row_ranges`` /
-``col_ranges``, e.g. :func:`repro.comm.partition.skewed_extents`) charge
-genuine skew — the slowest rank gates every collective, exactly as a
-blocking collective would on the real machine.
+applied inside a group keeps its own slabs inline.  Each part rides
+its own grid communicator (:meth:`ProcessGrid.row_comm` /
+:meth:`~ProcessGrid.col_comm`); only the widest part's charges the
+timeline, and the grid arena is only entered on the calling thread —
+no output bit or simulated second depends on the pool.  Balanced
+partitions charge one rank's time (all ranks tie); irregular
+partitions (caller-supplied ``row_ranges`` / ``col_ranges``, e.g.
+:func:`repro.comm.partition.skewed_extents`) charge genuine skew — the
+slowest rank gates every collective, exactly as a blocking collective
+would on the real machine.
 
 Event-timeline execution (paper Sec. 4.2.2, Figure 4)
 -----------------------------------------------------
@@ -140,7 +142,6 @@ import numpy as np
 from repro.backend import Backend, resolve_backend
 from repro.comm.grid import ProcessGrid
 from repro.comm.partition import check_extents
-from repro.comm.simcomm import SimCommunicator
 from repro.core.matvec import FFTMatvec
 from repro.core.precision import PrecisionConfig
 from repro.core.toeplitz import BlockTriangularToeplitz
@@ -154,7 +155,7 @@ from repro.util.blocking import (
 )
 from repro.util.dtypes import Precision, real_dtype
 from repro.util.executor import run_groups
-from repro.util.timing import HostModel, SimClock, Stream, TimingReport, run_chunk_schedule
+from repro.util.timing import HostModel, Stream, TimingReport, run_chunk_schedule
 from repro.util.validation import ReproError
 from repro.util.workspace import Workspace
 
@@ -308,11 +309,7 @@ class ParallelFFTMatvec:
             for c in range(grid.pc):
                 c0, c1 = self._col_ranges[c]
                 local = self.matrix.blocks[:, r0:r1, c0:c1]
-                dev = (
-                    SimulatedDevice(self.spec, clock=SimClock())
-                    if self.spec is not None
-                    else None
-                )
+                dev = SimulatedDevice(self.spec) if self.spec is not None else None
                 self.devices[(r, c)] = dev
                 engine = FFTMatvec(
                     BlockTriangularToeplitz(local),
@@ -326,8 +323,7 @@ class ParallelFFTMatvec:
         self.validate = validate
         if validate:
             # Any defense mode extends to the wire: verify collective
-            # payload digests at every receive, grid-wide (the silent
-            # clones are armed below, once constructed).
+            # payload digests at every receive, grid-wide.
             grid.set_payload_verification(True)
         self.workspace = Workspace(name="grid", backend=self.backend)  # chunk-loop staging
         self.device = self.devices[(0, 0)]
@@ -351,23 +347,15 @@ class ParallelFFTMatvec:
         self._timed_col_idx = max(
             range(grid.pc), key=lambda c: self._col_ranges[c][1] - self._col_ranges[c][0]
         )
-        # The timed row (column) collectives ride the grid's row 0 (col 0)
-        # communicator; every other row and column gets a silent clone of
-        # its own (no clock), so concurrent parts never share one.
-        col_span = (grid.pr - 1) * grid.pc + 1
-        self._row_comms = [
-            grid.row_comm(0) if r == self._timed_row_idx
-            else self._silent_clone(grid.pc, grid.pc, "row_silent")
-            for r in range(grid.pr)
-        ]
-        self._col_comms = [
-            grid.col_comm(0) if c == self._timed_col_idx
-            else self._silent_clone(grid.pr, col_span, "col_silent")
-            for c in range(grid.pc)
-        ]
-        self._silent = [
-            comm for comm in self._row_comms + self._col_comms if comm.clock is None
-        ]
+        # Each row (column) part rides the grid's own row (column)
+        # communicator, so concurrent parts never share one; only the
+        # timed ones are handed the chunk schedule's stream (the others'
+        # collectives charge nothing: the timed one covers them).
+        self._row_comms = [grid.row_comm(r) for r in range(grid.pr)]
+        self._col_comms = [grid.col_comm(c) for c in range(grid.pc)]
+        self._timed = (
+            self._row_comms[self._timed_row_idx], self._col_comms[self._timed_col_idx]
+        )
         # Phase 1's arena buffers, resolved once per (direction, slot,
         # chunk width, payload dtype) on the calling thread — part tasks
         # never enter the arena.  They die with it.
@@ -397,43 +385,31 @@ class ParallelFFTMatvec:
     # -- fault injection ------------------------------------------------------
     def install_failure_schedule(self, schedule) -> None:
         """Attach a :class:`~repro.comm.fault.FailureSchedule` to every
-        communicator this engine drives: the grid's world/row/column
-        comms *and* the silent clones the untimed rows/columns use, so
-        the schedule's collective counter advances through the full
-        deterministic SPMD sequence.  Pass ``None`` to disarm.
+        row and column communicator of the grid, so the schedule's
+        collective counter advances through the full deterministic SPMD
+        sequence.  Pass ``None`` to disarm.
         """
         self.grid.install_failure_schedule(schedule)
-        for comm in self._silent:
-            comm.install_failure_schedule(schedule)
 
     def install_corruption_schedule(self, schedule) -> None:
         """Attach a :class:`~repro.comm.fault.CorruptionSchedule` to the
-        whole engine: every grid communicator (and the silent clones)
-        counts its collectives as corruption events, and every rank
-        engine counts its FFT/SBGEMM/IFFT device stages — one shared
-        deterministic event sequence, exactly like
-        :meth:`install_failure_schedule`.  Installing also arms payload
-        digests and the per-engine abft checks, so every scheduled flip
-        has a detector downstream.  Pass ``None`` to disarm injection
-        (checks stay as configured by ``validate=``).
+        whole engine: every grid communicator counts its collectives as
+        corruption events, and every rank engine counts its
+        FFT/SBGEMM/IFFT device stages — one shared deterministic event
+        sequence, exactly like :meth:`install_failure_schedule`.
+        Installing also arms payload digests and the per-engine abft
+        checks, so every scheduled flip has a detector downstream.  Pass
+        ``None`` to disarm injection (checks stay as configured by
+        ``validate=``).
         """
         self.grid.install_corruption_schedule(schedule)
-        for comm in self._silent:
-            comm.install_corruption_schedule(schedule)
+        if self.validate:
+            # Disarming switched the digests off with the schedule.
+            self.grid.set_payload_verification(True)
         for (r, c), engine in self.engines.items():
             engine.install_corruption_schedule(
                 schedule, rank=self.grid.rank_of(r, c)
             )
-
-    def _silent_clone(self, size: int, span: int, name: str) -> SimCommunicator:
-        """An untimed row / column communicator (payload digests armed
-        with ``validate=``, like the grid's own)."""
-        comm = SimCommunicator(
-            size, net=self.grid.net, clock=None, span=span, name=name,
-            backend=self.backend,
-        )
-        comm.verify_payloads = bool(self.validate)
-        return comm
 
     def _injecting(self) -> bool:
         """Whether a failure or corruption schedule is installed on any
@@ -625,9 +601,9 @@ class ParallelFFTMatvec:
         first is the part's root); ``axis`` says which of a rank's
         ``(r, c)`` names its input part, ``n_global`` is the length of
         the contraction axis, ``in_width`` / ``out_width`` the widest
-        part's extent.  The widest part's communicator is the grid's
-        timed one; every other part runs beside it on its own silent
-        clone.
+        part's extent.  Every part rides its own grid row or column
+        communicator; only the widest part's (``_timed``) charges the
+        chunk schedule's stream.
         """
         pr, pc = self.grid.pr, self.grid.pc
         rows = [
@@ -717,7 +693,7 @@ class ParallelFFTMatvec:
         i0, i1, cobj, payload, recv = part
         # The strided block, copied-with-cast into a contiguous payload.
         payload[...] = self.backend.asarray(chunk[:, i0:i1, :])
-        with cobj.on_stream(stream if cobj.clock is not None else None):
+        with cobj.on_stream(stream if cobj in self._timed else None):
             return cobj.bcast(payload, root=0, phase="pad", backend=self.backend, out=recv)[0]
 
     def _chunk_fronts(
@@ -811,7 +787,7 @@ class ParallelFFTMatvec:
         be = self.backend
         contribs = [be.cast(partials[rc], cfg.unpad) for rc in ranks]
         into = out[:, o0:o1, :] if self._reduce_into_out and cfg.unpad is Precision.DOUBLE else None
-        with cobj.on_stream(stream if cobj.clock is not None else None):
+        with cobj.on_stream(stream if cobj in self._timed else None):
             reduced = cobj.reduce(
                 contribs, root=0, precision=cfg.unpad, phase="unpad", backend=be, out=into
             )
@@ -889,7 +865,7 @@ class ParallelFFTMatvec:
         """One output part's pairwise Phase 5: segment reduce, then the
         root's epilogue; returns what the epilogue charged the root."""
         o0, o1, cobj, ranks = part
-        with cobj.on_stream(stream if cobj.clock is not None else None):
+        with cobj.on_stream(stream if cobj in self._timed else None):
             merged = cobj.reduce_segments(
                 [tables[rc] for rc in ranks], d.n_global, root=0, phase="unpad",
                 backend=self.backend,

@@ -7,24 +7,23 @@ It owns a :class:`~repro.util.timing.SimClock` and a
 and converts kernel traffic into simulated time through the bandwidth
 model.
 
-Time is charged to the clock directly (serial execution), or — when a
-caller supplies a :class:`~repro.util.timing.Stream` via
-:meth:`SimulatedDevice.on_stream` — onto that stream's cursor, so a
-timeline scheduler can overlap device work with communication or host
-routines and realize only the critical path as wall time.
+Time is charged to the device's own clock (serial execution: kernels
+on one device run back to back).  A grid engine gives every rank its
+own device and reads what a chunk charged from the clock's
+:meth:`~repro.util.timing.SimClock.tally`; the slowest rank's tally is
+what the chunk schedule charges its compute stream.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, List, Union
 
 from repro.gpu.bandwidth import kernel_time, memcpy_time, stream_efficiency
 from repro.gpu.kernel import KernelLaunch
 from repro.gpu.memory import DeviceAllocator
 from repro.gpu.specs import GPUSpec, get_gpu
-from repro.util.timing import SimClock, Stream
+from repro.util.timing import SimClock
 
 __all__ = ["SimulatedDevice", "LaunchRecord", "price_launch"]
 
@@ -73,47 +72,21 @@ class SimulatedDevice:
     ----------
     spec:
         A :class:`GPUSpec` or a registry name like ``"MI300X"``.
-    clock:
-        Optional shared clock (multi-GPU simulations share one clock per
-        rank); a fresh clock is created when omitted.
+    record_launches:
+        Keep a :class:`LaunchRecord` per launch in :attr:`launch_log`.
     """
 
     def __init__(
         self,
         spec: Union[GPUSpec, str],
-        clock: Optional[SimClock] = None,
         record_launches: bool = False,
     ) -> None:
         self.spec = get_gpu(spec) if isinstance(spec, str) else spec
-        self.clock = clock if clock is not None else SimClock()
+        self.clock = SimClock()
         self.allocator = DeviceAllocator(self.spec)
         self.stats = DeviceStats()
         self._record = record_launches
         self.launch_log: List[LaunchRecord] = []
-        self.stream: Optional[Stream] = None
-
-    # -- stream routing ---------------------------------------------------
-    @contextlib.contextmanager
-    def on_stream(self, stream: Optional[Stream]) -> Iterator[None]:
-        """Charge all work inside the block onto ``stream``.
-
-        Phase attribution still lands on the clock (streams attribute at
-        charge time); only the wall-time accounting moves to the stream,
-        to be realized at the owning timeline's next sync.  ``None``
-        restores direct clock charging.
-        """
-        prev = self.stream
-        self.stream = stream
-        try:
-            yield
-        finally:
-            self.stream = prev
-
-    def _advance(self, seconds: float, phase: Optional[str] = None) -> None:
-        if self.stream is not None:
-            self.stream.charge(seconds, phase=phase)
-        else:
-            self.clock.advance(seconds, phase)
 
     # -- memory ----------------------------------------------------------
     def malloc(self, nbytes: int, tag: str = ""):
@@ -136,7 +109,7 @@ class SimulatedDevice:
             t = 10e-6 + float(nbytes) / 64e9
         else:
             raise ValueError(f"unknown memcpy kind {kind!r}")
-        self._advance(t)
+        self.clock.advance(t)
         return t
 
     # -- kernels ---------------------------------------------------------
@@ -145,7 +118,7 @@ class SimulatedDevice:
         (:func:`price_launch` on this device's spec).  The time goes to
         the caller's open clock phase; ``phase`` only labels the log."""
         t = price_launch(kernel, self.spec)
-        self._advance(t)
+        self.clock.advance(t)
         return self._count(kernel, t, phase)
 
     def book(self, kernel: KernelLaunch, seconds: float, phase: str) -> float:
@@ -153,7 +126,7 @@ class SimulatedDevice:
         its :func:`price_launch`), attributed to ``phase`` by name — what
         :meth:`launch` books inside ``clock.phase(phase)``, for a caller
         that prepared its launches once and opens no scope per apply."""
-        self._advance(seconds, phase)
+        self.clock.advance(seconds, phase)
         return self._count(kernel, seconds, phase)
 
     def _count(self, kernel: KernelLaunch, t: float, phase: str) -> float:
@@ -173,11 +146,6 @@ class SimulatedDevice:
                 )
             )
         return t
-
-    # -- introspection ----------------------------------------------------
-    def kernel_seconds(self, name: str) -> float:
-        """Total simulated seconds spent in kernels with this name."""
-        return self.stats.per_kernel.get(name, 0.0)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SimulatedDevice({self.spec.name!r}, t={self.clock.now:.6f}s)"

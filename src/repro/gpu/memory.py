@@ -103,11 +103,3 @@ class DeviceAllocator:
         del self._live[alloc.handle]
         self._in_use -= alloc.nbytes
         self.n_frees += 1
-
-    def reset(self) -> None:
-        """Drop all allocations and statistics."""
-        self._live.clear()
-        self._in_use = 0
-        self._peak = 0
-        self.n_allocs = 0
-        self.n_frees = 0

@@ -173,11 +173,6 @@ class SimClock:
         """Copy of all per-phase accumulated times."""
         return dict(self._phase_totals)
 
-    def reset(self) -> None:
-        """Reset absolute time and phase accounting."""
-        self._now = 0.0
-        self._phase_totals.clear()
-
 
 @dataclass(frozen=True)
 class Event:

@@ -56,18 +56,18 @@ def test_every_collective_kind_is_injectable(op):
 
 
 def test_counter_shared_across_grid_communicators():
-    """One schedule counts world + row + column collectives together."""
+    """One schedule counts row and column collectives together."""
     sched = FailureSchedule(kills=[(1, 0)])
     grid = ProcessGrid(2, 2)
     grid.install_failure_schedule(sched)
-    grid.world.bcast(np.ones(2), root=0)  # collective 0
+    grid.col_comm(1).bcast(np.ones(2), root=0)  # collective 0
     row = grid.row_comm(0)
     with pytest.raises(RankFailure) as exc_info:
         row.bcast(np.ones(2), root=0)  # collective 1
-    assert exc_info.value.comm_name.startswith("row")
+    assert exc_info.value.comm_name == "row0"
     # Disarm: no further injection anywhere on the grid.
     grid.install_failure_schedule(None)
-    grid.world.bcast(np.ones(2), root=0)
+    grid.col_comm(1).bcast(np.ones(2), root=0)
 
 
 def test_seeded_schedules_are_reproducible():

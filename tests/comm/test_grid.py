@@ -1,9 +1,11 @@
 """Tests for the 2D process grid."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.comm.grid import ProcessGrid
+from repro.util.timing import Timeline
 from repro.util.validation import ReproError
 
 
@@ -49,9 +51,18 @@ class TestSubcommunicators:
             g.col_comm(5)
 
     def test_shared_clock(self):
+        # The communicators own no clock: rows and columns alike charge
+        # the grid clock through a stream on its timeline.
         g = ProcessGrid(2, 2)
-        assert g.row_comm(0).clock is g.clock
-        assert g.col_comm(1).clock is g.clock
+        tl = Timeline(g.clock)
+        s = tl.stream("comm")
+        with g.row_comm(0).on_stream(s):
+            g.row_comm(0).bcast(np.zeros(64), phase="pad")
+        with g.col_comm(1).on_stream(s):
+            g.col_comm(1).reduce([np.zeros(64)] * 2, phase="unpad")
+        assert g.clock.phase_total("pad") > 0 and g.clock.phase_total("unpad") > 0
+        tl.sync()
+        assert g.clock.now == s.cursor > 0
 
 
 class TestSplitExtent:

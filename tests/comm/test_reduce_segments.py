@@ -6,7 +6,7 @@ import pytest
 from repro.comm.collectives import fixed_tree_reduce_segments, tree_reduce_arrays
 from repro.comm.simcomm import SimCommunicator
 from repro.util.pairwise import canonical_segments
-from repro.util.timing import SimClock
+from repro.util.timing import SimClock, Timeline
 from repro.util.validation import ReproError
 
 from tests.conftest import fold_pairwise
@@ -61,8 +61,8 @@ class TestFixedTreeReduceSegments:
 
 
 class TestCommReduceSegments:
-    def _run(self, bounds, n, leaves, **kw):
-        comm = SimCommunicator(len(bounds) - 1, **kw)
+    def _run(self, bounds, n, leaves):
+        comm = SimCommunicator(len(bounds) - 1)
         return comm, comm.reduce_segments(
             _segments_for(leaves, bounds, n), n
         )
@@ -78,13 +78,15 @@ class TestCommReduceSegments:
     def test_charges_max_per_rank_bytes(self):
         n = 8
         leaves = np.ones((n, 2))
-        clock = SimClock()
-        comm, _ = self._run([0, 1, n], n, leaves, clock=clock)
+        stream = Timeline(SimClock()).stream("comm")
+        comm = SimCommunicator(2)
+        with comm.on_stream(stream):
+            comm.reduce_segments(_segments_for(leaves, [0, 1, n], n), n)
         assert comm.op_counts["reduce"] == 1
         # Rank 1 holds [1, 8) = (1,2) + (2,4) + (4,8): three 16-byte
         # panels against rank 0's one; the larger total crosses one link.
         assert comm.op_bytes["reduce"] == pytest.approx(3 * 16.0)
-        assert clock.now > 0
+        assert stream.cursor > 0
 
     @pytest.mark.parametrize("root", [-1, 2])
     def test_rejects_bad_root(self, root):

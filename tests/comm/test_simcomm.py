@@ -7,13 +7,19 @@ from repro.comm.collectives import tree_reduce_arrays
 from repro.comm.netmodel import FRONTIER_NETWORK, SIMPLE_NETWORK
 from repro.comm.simcomm import SimCommunicator
 from repro.util.dtypes import Precision
-from repro.util.timing import SimClock
+from repro.util.timing import SimClock, Timeline
 from repro.util.validation import ReproError
 
 
 @pytest.fixture
 def comm():
-    return SimCommunicator(4, clock=SimClock())
+    return SimCommunicator(4)
+
+
+def _stream():
+    """A stream on a fresh timeline, and the clock under it."""
+    clock = SimClock()
+    return clock, Timeline(clock).stream("comm")
 
 
 class TestBcast:
@@ -33,23 +39,27 @@ class TestBcast:
         # In-process ranks that share the sender's bits get no copy; the
         # charge and the counters are the broadcast's all the same.
         x, recv = np.arange(3.0), np.zeros(3)
-        shared = SimCommunicator(4, clock=SimClock())
-        out = shared.bcast(x, out=[None, x, recv, x])
+        shared = SimCommunicator(4)
+        (_, s_shared), (_, s_comm) = _stream(), _stream()
+        with shared.on_stream(s_shared):
+            out = shared.bcast(x, out=[None, x, recv, x])
         assert [o is x for o in out] == [True, True, False, True]
         np.testing.assert_array_equal(recv, x)
-        comm.bcast(x, out=[None, np.zeros(3), np.zeros(3), np.zeros(3)])
-        assert (shared.clock.now, shared.op_counts, shared.op_bytes) == (
-            comm.clock.now, comm.op_counts, comm.op_bytes
+        with comm.on_stream(s_comm):
+            comm.bcast(x, out=[None, np.zeros(3), np.zeros(3), np.zeros(3)])
+        assert (s_shared.cursor, shared.op_counts, shared.op_bytes) == (
+            s_comm.cursor, comm.op_counts, comm.op_bytes
         )
 
     def test_invalid_root(self, comm):
         with pytest.raises(ReproError):
             comm.bcast(np.zeros(2), root=4)
 
-    def test_advances_clock(self, comm):
-        t0 = comm.clock.now
-        comm.bcast(np.zeros(1000))
-        assert comm.clock.now > t0
+    def test_charges_its_stream(self, comm):
+        _, s = _stream()
+        with comm.on_stream(s):
+            comm.bcast(np.zeros(1000))
+        assert s.cursor > 0.0
 
 
 class TestReduce:
@@ -68,9 +78,10 @@ class TestReduce:
         assert out.dtype == np.float32
 
     def test_phase_attribution(self, rng):
-        clock = SimClock()
-        comm = SimCommunicator(4, net=FRONTIER_NETWORK, clock=clock)
-        comm.reduce([rng.standard_normal(4)] * 4, phase="unpad")
+        clock, s = _stream()
+        comm = SimCommunicator(4, net=FRONTIER_NETWORK)
+        with comm.on_stream(s):
+            comm.reduce([rng.standard_normal(4)] * 4, phase="unpad")
         assert clock.phase_total("unpad") > 0
 
     @pytest.mark.parametrize("size", [1, 2, 3, 5, 8])
@@ -103,11 +114,12 @@ class TestAccounting:
         assert comm.bytes_communicated > 0
 
     def test_size_one_comm_is_free(self, rng):
-        clock = SimClock()
-        c = SimCommunicator(1, net=FRONTIER_NETWORK, clock=clock)
-        c.bcast(np.zeros(100))
-        c.reduce([np.zeros(100)])
-        assert clock.now == 0.0
+        clock, s = _stream()
+        c = SimCommunicator(1, net=FRONTIER_NETWORK)
+        with c.on_stream(s):
+            c.bcast(np.zeros(100))
+            c.reduce([np.zeros(100)])
+        assert s.cursor == clock.phase_total("comm") == 0.0
 
     def test_span_defaults_to_size(self):
         assert SimCommunicator(8).span == 8
@@ -130,43 +142,42 @@ class TestOpAccounting:
         assert set(comm.op_counts) == set(comm.op_bytes) == {"bcast", "reduce"}
 
     def test_reset_op_counts(self, comm, rng):
-        comm.bcast(np.zeros(8))
-        comm.reduce([rng.standard_normal(4)] * 4)
-        t_before = comm.clock.now
+        _, s = _stream()
+        with comm.on_stream(s):
+            comm.bcast(np.zeros(8))
+            comm.reduce([rng.standard_normal(4)] * 4)
+        t_before = s.cursor
         comm.reset_op_counts()
         assert comm.collective_calls == 0
         assert comm.bytes_communicated == 0.0
         assert all(v == 0 for v in comm.op_counts.values())
         assert all(v == 0.0 for v in comm.op_bytes.values())
-        # The clock is untouched: only the traffic counters reset.
-        assert comm.clock.now == t_before
+        # The charged time is untouched: only the traffic counters reset.
+        assert s.cursor == t_before
         comm.bcast(np.zeros(8))
         assert comm.op_counts["bcast"] == 1
 
 
 class TestStreamCharging:
     def test_on_stream_charges_stream_not_clock(self, comm, rng):
-        from repro.util.timing import Timeline
-
-        comm.clock.advance(1.0)  # the stream's axis starts at zero regardless
-        tl = Timeline(comm.clock)
+        clock = SimClock()
+        clock.advance(1.0)  # the stream's axis starts at zero regardless
+        tl = Timeline(clock)
         s = tl.stream("comm")
         with comm.on_stream(s):
             comm.bcast(np.zeros(1024), phase="pad")
-        assert comm.clock.now == 1.0  # wall advances only at sync
+        assert clock.now == 1.0  # wall advances only at sync
         assert s.cursor > 0.0
-        assert comm.clock.phase_total("pad") > 0  # work attributed now
+        assert clock.phase_total("pad") > 0  # work attributed now
         tl.sync()
-        assert comm.clock.now == 1.0 + s.cursor
+        assert clock.now == 1.0 + s.cursor
 
     def test_stream_restored_after_block(self, comm):
-        from repro.util.timing import Timeline
-
-        s = Timeline(comm.clock).stream("comm")
+        clock, s = _stream()
         with comm.on_stream(s):
             assert comm.stream is s
         assert comm.stream is None
-        # Back to direct clock charging.
-        t0 = comm.clock.now
+        # Outside a block a collective charges no time; it still counts.
         comm.bcast(np.zeros(1024))
-        assert comm.clock.now > t0
+        assert (s.cursor, clock.now, clock.phase_totals()) == (0.0, 0.0, {})
+        assert comm.op_counts["bcast"] == 1

@@ -14,7 +14,6 @@ from repro.core.toeplitz import BlockTriangularToeplitz
 from repro.gpu.device import SimulatedDevice
 from repro.gpu.specs import MI250X_GCD
 from repro.util.blocking import chunk_ranges
-from repro.util.timing import SimClock
 from repro.util.validation import ReproError
 
 NT, ND, NM = 16, 8, 48
@@ -110,7 +109,7 @@ class TestOverlappedSchedule:
             c0, c1 = eng._col_ranges[c]
             locals_[(r, c)] = FFTMatvec(
                 BlockTriangularToeplitz(matrix.blocks[:, r0:r1, c0:c1]),
-                device=SimulatedDevice(MI250X_GCD, clock=SimClock()),
+                device=SimulatedDevice(MI250X_GCD),
             )
         for j0, j1 in chunk_ranges(K, 4):
             kc = j1 - j0

@@ -26,6 +26,7 @@ from repro.comm.fault import (
     CorruptionSchedule,
     FailureSchedule,
     NumericalHealthError,
+    RankFailure,
     SilentCorruption,
 )
 from repro.comm.grid import ProcessGrid
@@ -175,12 +176,9 @@ def _observables(eng, V, adjoint, applies=1, overlap=True):
         out = apply(V, overlap=overlap)
     arenas = [eng.workspace] + [e.workspace for e in eng.engines.values()]
     grid = eng.grid
-    comms = (
-        [grid.world]
-        + [grid.row_comm(r) for r in range(grid.pr)]
-        + [grid.col_comm(c) for c in range(grid.pc)]
-        + eng._silent
-    )
+    comms = [grid.row_comm(r) for r in range(grid.pr)] + [
+        grid.col_comm(c) for c in range(grid.pc)
+    ]
     return {
         "comms": [
             (c.name, c.op_counts, c.op_bytes, c.bytes_communicated, c.collective_calls)
@@ -219,6 +217,40 @@ def test_threaded_equals_inline(
     # Concurrent parts never share a communicator.
     comms = eng._row_comms + eng._col_comms
     assert len(set(map(id, comms))) == len(comms)
+
+
+@pytest.mark.parametrize("adjoint", [False, True], ids=["F", "Fstar"])
+def test_routing_each_part_rides_its_own_communicator(problem, adjoint):
+    """Column ``c``'s collectives run on ``grid.col_comm(c)`` and row
+    ``r``'s on ``grid.row_comm(r)``, wherever the widest part sits; only
+    the widest charges the wall, so mirroring the partition moves no
+    simulated second."""
+    mat, M, D = problem
+    V = D if adjoint else M
+    walls = []
+    for cols in ([(0, 3), (3, NM)], [(0, NM - 3), (NM - 3, NM)]):
+        grid = ProcessGrid(2, 2)
+        eng = ParallelFFTMatvec(mat, grid, spec="MI300X", max_block_k=2, col_ranges=cols)
+        (eng.rmatmat if adjoint else eng.matmat)(V)
+        walls.append(eng.last_timing.wall)
+        # Two chunks of two float64 columns, one peer per part.
+        for c, (c0, c1) in enumerate(cols):
+            comm = grid.col_comm(c)
+            assert comm.op_counts == {"bcast": 0 if adjoint else 2, "reduce": 2 if adjoint else 0}
+            assert comm.bytes_communicated == NT * (c1 - c0) * K * 8
+        for r, (r0, r1) in enumerate(eng.row_ranges):
+            assert grid.row_comm(r).bytes_communicated == NT * (r1 - r0) * K * 8
+    assert walls[0] == walls[1]
+
+
+def test_routing_a_failure_names_its_part(problem):
+    """A kill that lands on column 1's broadcast says so."""
+    mat, M, _ = problem
+    eng = ParallelFFTMatvec(mat, ProcessGrid(2, 2), max_block_k=2)
+    eng.install_failure_schedule(FailureSchedule(kills=[(1, 1)]))
+    with pytest.raises(RankFailure) as err:
+        eng.matmat(M)
+    assert (err.value.op, err.value.collective_index, err.value.comm_name) == ("bcast", 1, "col1")
 
 
 @pytest.mark.parametrize("reduction", ["fast", "pairwise"])
@@ -364,12 +396,12 @@ def test_pool_raises_lowest_failing_part_after_all_groups_finish(problem, rank_g
 # (n_ranks, adjoint, seed) -> the (event, target, stage, site) trail of a
 # two-flip seeded schedule over one apply's events, recorded with every
 # rank and part inline (before parts could run concurrently).  4 ranks is
-# a 2x2 grid, 3 ranks a 1x3 one: the silent clones' events included.
+# a 2x2 grid, 3 ranks a 1x3 one: every row's and column's events included.
 PART_AUDIT_TRAILS = {
-    (4, False, 1): (28, [(12, 3, "reduce", "row_silent"), (14, 0, "bcast", "col_silent")]),
+    (4, False, 1): (28, [(12, 3, "reduce", "row1"), (14, 0, "bcast", "col1")]),
     (4, True, 2): (28, [(7, 1, "sbgemm", "engine_rank2"), (22, 1, "bcast", "row0")]),
     (3, False, 4): (22, [(15, 1, "sbgemm", "engine_rank0"), (20, 2, "sbgemm", "engine_rank0")]),
-    (3, True, 1): (26, [(11, 2, "reduce", "col_silent"), (13, 0, "fft", "engine_rank0")]),
+    (3, True, 1): (26, [(11, 2, "reduce", "col2"), (13, 0, "fft", "engine_rank0")]),
 }
 
 

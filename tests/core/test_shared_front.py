@@ -85,7 +85,7 @@ def _observe(eng, V, config, adjoint):
         out = run()
         t = eng.last_timing
         calls.append((out, t.phases, t.wall, t.label))
-    comms = eng._row_comms + eng._col_comms + [eng.grid.world]
+    comms = eng._row_comms + eng._col_comms
     return {
         "calls": calls,
         "rank_report": eng.rank_compute_report(),

@@ -24,11 +24,13 @@ class TestConstruction:
         d = SimulatedDevice("MI300X")
         assert d.spec is MI300X
 
-    def test_shared_clock(self):
-        clock = SimClock()
-        d = SimulatedDevice(MI300X, clock=clock)
+    def test_own_clock(self):
+        # Every device runs on its own clock: a rank's kernels move no
+        # other rank's time.
+        d, other = SimulatedDevice(MI300X), SimulatedDevice(MI300X)
         d.launch(_kernel())
-        assert clock.now > 0
+        assert d.clock is not other.clock
+        assert d.clock.now > 0 and other.clock.now == 0.0
 
 
 class TestLaunch:
@@ -57,7 +59,7 @@ class TestLaunch:
         d.launch(_kernel("b"))
         assert d.stats.launches == 3
         assert d.stats.bytes_moved == pytest.approx(6e6)
-        assert d.kernel_seconds("a") > d.kernel_seconds("b") > 0
+        assert d.stats.per_kernel["a"] > d.stats.per_kernel["b"] > 0
 
     def test_launch_log_when_recording(self):
         d = SimulatedDevice(MI300X, record_launches=True)
@@ -105,15 +107,19 @@ class TestBook:
             d.launch(kernel, phase="fft")  # the label does not attribute
         assert d.clock.phase_totals() == {"fft": t, "outer": t}
 
-    def test_book_on_a_stream_charges_the_stream(self):
+    def test_a_tally_of_bookings_charges_a_stream(self):
+        # A scheduler puts a device's work on a stream by charging what a
+        # tally of its bookings collected (the grid's per-rank route).
         d = SimulatedDevice(MI300X)
         kernel = _kernel()
         t = price_launch(kernel, MI300X)
-        stream = Timeline(d.clock).stream("compute")
-        with d.on_stream(stream):
+        with d.clock.tally() as seconds:
             d.book(kernel, t, "fft")
-        assert d.clock.now == 0.0 and stream.cursor == t
-        assert d.clock.phase_total("fft") == t and d.stats.launches == 1
+        clock = SimClock()
+        stream = Timeline(clock).stream("compute")
+        stream.charge(seconds["fft"], phase="fft")
+        assert d.clock.now == stream.cursor == t and clock.now == 0.0
+        assert clock.phase_total("fft") == t and d.stats.launches == 1
 
     def test_invalid_launch_is_refused_by_the_price(self):
         d = SimulatedDevice(MI300X)

@@ -99,7 +99,3 @@ class TestErrors:
         alloc.free(h)
         assert alloc.in_use == 0
 
-    def test_reset(self, alloc):
-        alloc.malloc(100)
-        alloc.reset()
-        assert alloc.in_use == 0

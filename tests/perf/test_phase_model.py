@@ -271,7 +271,7 @@ class TestOverlappedScheduleConsistency:
         from repro.core.toeplitz import BlockTriangularToeplitz
         from repro.gpu.device import SimulatedDevice
         from repro.perf.phase_model import overlapped_chunk_schedule
-        from repro.util.timing import HostModel, SimClock
+        from repro.util.timing import HostModel
 
         nt, nd, nm, k, mbk, pr, pc = 16, 8, 48, 16, 4, 2, 2
         net = NetworkModel(
@@ -306,7 +306,7 @@ class TestOverlappedScheduleConsistency:
         t_reduce = tree_collective_time(pc, nt * (r1 - r0) * kc * 8, net, span=pc)
         local = FFTMatvec(
             BlockTriangularToeplitz(matrix.blocks[:, r0:r1, c0:c1]),
-            device=SimulatedDevice(MI300X, clock=SimClock()),
+            device=SimulatedDevice(MI300X),
         )
         before = local.device.clock.now
         local._pipeline_block(

@@ -261,7 +261,7 @@ def test_public_defs_include_async_methods():
 
 #: Public names more than one def under ``src/repro`` carries.  Both audits
 #: match callees by name, so a live def hides a dead one of the same name
-#: (``reset``, ``run``, ``copy`` ...).  The set may only shrink: a new
+#: (``run``, ``copy``, ``free`` ...).  The set may only shrink: a new
 #: collision needs an entry here, and an entry that no longer collides
 #: must go (:func:`test_shared_public_names_are_listed`).
 SHADOWED_NAMES = frozenset({
@@ -271,8 +271,8 @@ SHADOWED_NAMES = frozenset({
     "geometry_key", "in_use", "install_corruption_schedule",
     "install_failure_schedule", "is_contiguous", "is_short_wide", "iscomplex", "keys",
     "launch", "launch_geometry", "malloc", "matmat", "matmul", "matrix_bytes",
-    "matvec", "memcpy", "modeled_time", "multiply", "nbytes", "nd", "nm", "on_stream",
-    "parse", "pending", "phase", "precision", "probe", "reset", "rmatmat", "rmatvec",
+    "matvec", "memcpy", "modeled_time", "multiply", "nbytes", "nd", "nm",
+    "parse", "pending", "phase", "precision", "probe", "rmatmat", "rmatvec",
     "run", "sample", "seeded", "size", "spatial_operator", "spectrum",
     "speedup", "stats", "supports", "synchronize", "to_arrays", "total",
     "total_bytes", "transpose", "verify_forward_energy", "verify_inverse_energy",

@@ -28,6 +28,7 @@ from repro.inverse import (
 )
 from repro.perf.phase_model import modeled_timing
 from repro.util.dtypes import fill_low_mantissa
+from repro.util.timing import Timeline
 
 from tests.conftest import rel_err
 
@@ -155,7 +156,10 @@ class TestCommunicatorBackedReduction:
             local = BlockTriangularToeplitz(matrix.blocks[:, :, c0:c1])
             partials.append(FFTMatvec(local).matvec(m[:, c0:c1]))
 
-        total = row.reduce(partials)
+        tl = Timeline(grid.clock)
+        with row.on_stream(tl.stream("comm")):
+            total = row.reduce(partials)
+        tl.sync()
         ref = FFTMatvec(matrix).matvec(m)
         assert rel_err(total, ref) < 1e-12
         assert grid.clock.now > 0  # the collective charged simulated time

@@ -375,6 +375,28 @@ class TestEngineValidate:
         eng.matmat(block)
         assert eng.sdc_checks > 0
 
+    @pytest.mark.parametrize("validate", [None, "abft"])
+    @pytest.mark.parametrize("kind", ["grid", "elastic"])
+    def test_disarming_keeps_the_digests_validate_set(self, matrix, kind, validate):
+        # Payload digests stay as ``validate=`` set them once a schedule
+        # is disarmed, whether or not one was ever armed.
+        if kind == "grid":
+            eng = ParallelFFTMatvec(matrix, ProcessGrid(2, 2), validate=validate)
+        else:
+            eng = ElasticEngine(matrix, RANKS, validate=validate)
+        grid = eng.grid
+        comms = [grid.row_comm(r) for r in range(grid.pr)] + [
+            grid.col_comm(c) for c in range(grid.pc)
+        ]
+        want = [validate is not None] * len(comms)
+        assert [c.verify_payloads for c in comms] == want
+        eng.install_corruption_schedule(None)
+        assert [c.verify_payloads for c in comms] == want
+        eng.install_corruption_schedule(CorruptionSchedule())
+        assert all(c.verify_payloads for c in comms)
+        eng.install_corruption_schedule(None)
+        assert [c.verify_payloads for c in comms] == want
+
 
 class TestSpectrumCorruptedAfterFirstUse:
     """A bit that flips in the live spectrum *after* the engine has used
@@ -657,8 +679,8 @@ class TestElasticSDC:
     # two flips over the 42-event horizon — recorded on the sequential
     # rank loop this engine had before ranks could run concurrently.
     AUDIT_TRAILS = {
-        0: [(26, 1, "reduce", "row_silent"), (34, 1, "sbgemm", "engine_rank2")],
-        3: [(3, 0, "sbgemm", "engine_rank0"), (33, 0, "bcast", "col_silent")],
+        0: [(26, 1, "reduce", "row1"), (34, 1, "sbgemm", "engine_rank2")],
+        3: [(3, 0, "sbgemm", "engine_rank0"), (33, 0, "bcast", "col1")],
         5: [(27, 1, "ifft", "engine_rank2"), (33, 3, "sbgemm", "engine_rank1")],
     }
 

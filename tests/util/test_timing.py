@@ -38,14 +38,6 @@ class TestSimClock:
         assert c.phase_total("outer") == pytest.approx(1.5)
         assert c.phase_total("inner") == pytest.approx(2.0)
 
-    def test_full_reset(self):
-        c = SimClock()
-        with c.phase("x"):
-            c.advance(1.0)
-        c.reset()
-        assert c.now == 0.0
-        assert c.phase_totals() == {}
-
     def test_phase_reentry_accumulates(self):
         c = SimClock()
         for _ in range(3):
