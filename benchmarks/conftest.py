@@ -2,9 +2,10 @@
 
 Every ``test_fig*`` bench regenerates one paper table/figure: it prints
 the figure's rows (model/measured vs paper) and uses pytest-benchmark to
-time the *numeric* workload that underlies it, so `pytest benchmarks/
---benchmark-only` both exercises the real computation and emits the
-reproduction tables.
+time the *numeric* workload that underlies it.  ``pyproject.toml`` runs
+each benchmarked function once (``--benchmark-disable``); `pytest
+benchmarks/ --benchmark-enable --benchmark-only` times the rounds and
+emits the reproduction tables.
 """
 
 import numpy as np

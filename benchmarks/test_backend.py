@@ -14,8 +14,9 @@ backend:
   backend: that is the number a torch run is trying to improve.
 * ``rel_err_*`` — parity against the numpy reference results.
 
-``REPRO_BENCH_TINY=1`` shrinks the problem for the CI smoke, which
-asserts the schema and the numpy row only.
+It reads the artifact back and asserts its schema, that the numpy row
+leads, and, when torch imports, that a torch row follows.
+``REPRO_BENCH_TINY=1`` shrinks the problem; the assertions are the same.
 """
 
 import json
@@ -47,6 +48,14 @@ def _build(backend_name: str) -> FFTMatvec:
         device=SimulatedDevice(MI300X),
         backend=resolve_backend(backend_name),
     )
+
+
+def _torch_imports() -> bool:
+    try:
+        import torch  # noqa: F401
+    except ImportError:
+        return False
+    return True
 
 
 def _rel_err(a, b) -> float:
@@ -126,8 +135,13 @@ class TestBackendBench:
 
         data = json.loads(ARTIFACT.read_text())
         names = [r["backend"] for r in data["backends"]]
-        assert names[0] == "numpy"
-        sim_ref = (rows[0]["simulated_matvec_s"], rows[0]["simulated_matmat_s"])
+        assert names[0] == "numpy", names
+        assert data["probes"]["numpy"]["available"], data["probes"]
+        assert set(data["probes"]) == {"torch", "numpy"}, data["probes"]
+        if _torch_imports():
+            assert names[0] == "numpy" and "torch" in names, names
+        ref_row = data["backends"][0]
+        sim_ref = (ref_row["simulated_matvec_s"], ref_row["simulated_matmat_s"])
         for row in data["backends"]:
             # Simulated time is backend-invariant; parity is tolerance-
             # tiered (double everywhere -> a few ulps across FFT libs).

@@ -13,10 +13,9 @@ on a 2x2 grid, ``ParallelFFTMatvec.matmat`` must
   from a GEMV's at rounding level).
 
 It also reports real wall-clock for both paths and emits a
-``BENCH_parallel_blocked.json`` artifact next to this file so the
-timing/JSON plumbing is exercised by CI's benchmark smoke step.
-``REPRO_BENCH_TINY=1`` shrinks the problem so that smoke step stays
-cheap.
+``BENCH_parallel_blocked.json`` artifact next to this file, then reads
+it back and asserts the collective counts and the modeled speedup.
+``REPRO_BENCH_TINY=1`` shrinks the problem; the assertions are the same.
 """
 
 import json
@@ -126,7 +125,9 @@ class TestBlockedGridSpeedup:
             "timed_bcasts_looped": K,
             "timed_reduces_looped": K,
         }, indent=2) + "\n")
-        assert json.loads(ARTIFACT.read_text())["modeled_speedup"] >= 3.0
+        data = json.loads(ARTIFACT.read_text())
+        assert data["timed_bcasts_blocked"] == 1 and data["timed_reduces_blocked"] == 1, data
+        assert data["modeled_speedup"] >= 3.0, data
 
     def test_chunked_collective_count(self):
         for max_block_k, chunks in ((4, 4), (6, 3), (16, 1)):

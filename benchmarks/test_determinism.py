@@ -18,8 +18,8 @@ interleaved runs) and their ``wall_ratio`` — with no threshold: at tiny
 sizes the ratio is Python overhead, but the modeled-vs-measured gap is
 now visible in every run.
 
-Emits ``BENCH_determinism.json`` so CI's smoke step can assert the
-bitwise guarantee and the overhead bound at tiny sizes
+Emits ``BENCH_determinism.json`` and asserts the bitwise guarantee and
+the overhead bound on what it wrote, at full size and at tiny sizes
 (``REPRO_BENCH_TINY=1``).
 """
 
@@ -160,10 +160,14 @@ class TestDeterminismBench:
             "wall_ratio": wall_ratio,
         }, indent=2) + "\n")
         data = json.loads(ARTIFACT.read_text())
-        assert data["bitwise_across_partitions"]
-        assert data["overhead_fraction"] <= data["overhead_bound"]
-        assert data["overhead_fraction_serial"] <= data["overhead_bound"]
-        assert min(data["wall_fast_s"], data["wall_pairwise_s"], data["wall_ratio"]) > 0
+        assert data["bitwise_across_partitions"], data
+        assert data["bitwise_vs_single_device"], data
+        assert data["includes_width_one_part"], data
+        assert data["partitions_checked"] >= 3, data
+        assert data["overhead_fraction"] <= data["overhead_bound"], data
+        assert data["overhead_fraction_serial"] <= data["overhead_bound"], data
+        walls = [float(data[key]) for key in ("wall_fast_s", "wall_pairwise_s", "wall_ratio")]
+        assert min(walls) > 0, data
 
     def test_fast_mode_regroups_where_pairwise_does_not(self):
         # The control: under the fast reduction, repartitioning is

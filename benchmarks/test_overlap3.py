@@ -13,8 +13,8 @@ source generation + result saving) into the grid chunk schedule must
 * beat the two-stream + serial-host model at all of 64–4096 GPUs in
   the at-scale model, strictly at 4096.
 
-Emits ``BENCH_overlap3.json`` for CI's tiny smoke
-(``REPRO_BENCH_TINY=1``).
+Emits ``BENCH_overlap3.json`` and asserts these facts on what it wrote,
+at full size and at tiny sizes (``REPRO_BENCH_TINY=1``).
 """
 
 import json
@@ -133,9 +133,11 @@ class TestOverlap3Bench:
             "at_scale": scale_rows,
         }, indent=2) + "\n")
         data = json.loads(ARTIFACT.read_text())
-        assert data["engine_speedup"] > 1.0
-        assert all(row["speedup"] >= 1.0 for row in data["at_scale"])
-        assert data["at_scale"][-1]["speedup"] > 1.0
+        assert data["bitwise_identical"], data
+        assert data["serial_host_charge_exact"], data
+        assert data["engine_speedup"] > 1.0, data
+        assert all(row["speedup"] >= 1.0 for row in data["at_scale"]), data
+        assert data["at_scale"][-1]["speedup"] > 1.0, data
 
     def test_fused_pairwise_keeps_bitwise_guarantee(self):
         # The two tentpole halves compose: pairwise + fused host is

@@ -14,8 +14,8 @@ applies with a caller-supplied ``out=`` this bench gates three facts:
 The seconds per warm apply (``wall_arena_s``) are recorded, not
 asserted: tier-1 asserts no raw wall-clock number (ROADMAP item 1(a));
 wall-clock claims live in ``bench/``.  It emits ``BENCH_workspace.json``
-next to this file; full size and CI's tiny smoke
-(``REPRO_BENCH_TINY=1``) assert the same things.
+next to this file and asserts these facts on what it wrote; full size
+and tiny (``REPRO_BENCH_TINY=1``) assert the same things.
 """
 
 import json
@@ -140,12 +140,13 @@ class TestWorkspaceBench:
         }, indent=2) + "\n")
 
         data = json.loads(ARTIFACT.read_text())
-        assert data["warm_equals_cold"]
+        assert data["warm_equals_cold"], data
         assert data["dense_rel_err"] < DENSE_TOL, data
-        assert data["steady_state_allocations"] == 0
-        assert data["grid"]["warm_equals_cold"]
-        assert data["grid"]["steady_state_allocations"] == 0
+        assert data["steady_state_allocations"] == 0, data
+        assert data["grid"]["warm_equals_cold"], data
+        assert data["grid"]["steady_state_allocations"] == 0, data
         assert data["grid"]["rank_arenas"] == 4 and data["grid"]["grid_arena_bytes"] > 0, data
+        assert data["arena"]["alloc_count"] > 0 and data["arena"]["nbytes"] > 0, data
 
     def test_device_footprint_registered(self):
         # The modeled device peak is exactly the arena's registered

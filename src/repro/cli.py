@@ -215,7 +215,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         pr, pc = args.pr, args.pc
         if pr <= 0 or pc <= 0:
             pr, pc = communication_aware_partition(args.nm, args.nd, args.nt, p)
-        grid = ProcessGrid(pr, pc, net=FRONTIER_NETWORK, backend=backend)
+        grid = ProcessGrid(pr, pc, net=FRONTIER_NETWORK)
         engine = ParallelFFTMatvec(matrix, grid, spec=spec, backend=backend)
         if not args.raw:
             print(f"process grid: {pr} x {pc} ({p} simulated GPUs)")

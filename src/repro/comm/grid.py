@@ -17,9 +17,8 @@ hands the chunk schedule's stream to the collectives that gate the wall
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from repro.backend import Backend
 from repro.comm.netmodel import NetworkModel, SIMPLE_NETWORK
 from repro.comm.simcomm import SimCommunicator
 from repro.util.timing import SimClock
@@ -37,7 +36,6 @@ class ProcessGrid:
         pr: int,
         pc: int,
         net: NetworkModel = SIMPLE_NETWORK,
-        backend: Optional[Backend] = None,
     ) -> None:
         self.pr = check_positive_int(pr, "pr")
         self.pc = check_positive_int(pc, "pc")
@@ -47,12 +45,12 @@ class ProcessGrid:
         # A row's pc members are contiguous; a column's pr members stride
         # by pc and span (pr-1)*pc + 1 machine ranks.
         self._row_comms = [
-            SimCommunicator(self.pc, net=net, span=self.pc, name=f"row{r}", backend=backend)
+            SimCommunicator(self.pc, net=net, span=self.pc, name=f"row{r}")
             for r in range(self.pr)
         ]
         col_span = (self.pr - 1) * self.pc + 1
         self._col_comms = [
-            SimCommunicator(self.pr, net=net, span=col_span, name=f"col{c}", backend=backend)
+            SimCommunicator(self.pr, net=net, span=col_span, name=f"col{c}")
             for c in range(self.pc)
         ]
 

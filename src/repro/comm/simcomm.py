@@ -64,10 +64,9 @@ class SimCommunicator:
         Consecutive machine ranks this communicator's members are spread
         over (>= size); a contiguous grid row has span == size, a
         strided grid column spans nearly the whole machine.
-    backend:
-        Array backend the collectives stage payloads with (default
-        numpy).  Individual collectives accept a per-call ``backend=``
-        override for mixed host/device traffic.
+
+    Collectives stage payloads with numpy unless the call passes
+    ``backend=`` (the grid engine passes its backend on every call).
     """
 
     _OPS = ("bcast", "reduce")
@@ -78,13 +77,11 @@ class SimCommunicator:
         net: NetworkModel = SIMPLE_NETWORK,
         span: Optional[int] = None,
         name: str = "world",
-        backend: Optional[Backend] = None,
     ) -> None:
         self.size = check_positive_int(size, "size")
         self.net = net
         self.span = self.size if span is None else max(span, self.size)
         self.name = name
-        self.backend = backend if backend is not None else _NUMPY
         self.stream: Optional[Stream] = None
         self.bytes_communicated = 0.0
         self.collective_calls = 0
@@ -226,7 +223,7 @@ class SimCommunicator:
         """
         self._maybe_fail("bcast")
         target, event = self._corruption_target("bcast")
-        be = backend if backend is not None else self.backend
+        be = backend if backend is not None else _NUMPY
         if not (0 <= root < self.size):
             raise ReproError(f"root {root} out of range for size {self.size}")
         buf = be.asarray(value)
@@ -287,7 +284,7 @@ class SimCommunicator:
         """
         self._maybe_fail("reduce")
         target, event = self._corruption_target("reduce")
-        be = backend if backend is not None else self.backend
+        be = backend if backend is not None else _NUMPY
         bufs = self._check_per_rank(arrays, "reduce", be)
         if not (0 <= root < self.size):
             raise ReproError(f"root {root} out of range for size {self.size}")
@@ -342,7 +339,7 @@ class SimCommunicator:
         """
         self._maybe_fail("reduce")
         target, event = self._corruption_target("reduce")
-        be = backend if backend is not None else self.backend
+        be = backend if backend is not None else _NUMPY
         if len(segments) != self.size:
             raise ReproError(
                 f"reduce_segments: expected {self.size} per-rank segment "

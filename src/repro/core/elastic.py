@@ -245,7 +245,7 @@ class ElasticEngine:
 
     def _build(self, n_ranks: int) -> None:
         pr, pc = elastic_grid_shape(n_ranks, self.nd, self.nm)
-        grid = ProcessGrid(pr, pc, net=SIMPLE_NETWORK, backend=None)
+        grid = ProcessGrid(pr, pc, net=SIMPLE_NETWORK)
         # Chunking lives in *this* layer (so a chunk is the replay unit);
         # the inner engine always sees exactly one chunk per call, on the
         # even split (``ProcessGrid.split_extent``).

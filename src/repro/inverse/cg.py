@@ -701,8 +701,9 @@ def block_conjugate_gradient(
         Q = operator(P)  # P's columns past the rank are zero: width stays k
         n_exact += 1
         Ps, Qs = flat(P)[:, :rank], flat(Q)[:, :rank]
-        C = Ps.T @ Qs
-        C = 0.5 * (C + C.T)
+        with np.errstate(invalid="ignore", over="ignore"):  # non-finite is typed below
+            C = Ps.T @ Qs
+            C = 0.5 * (C + C.T)
         if not np.all(np.isfinite(C)):
             raise _breakdown("rho_breakdown", "P^T A P went non-finite", it)
         Y = _inverse_factor(C)

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.inverse import oed
 from repro.inverse.bayes import LinearBayesianProblem
 from repro.inverse.lti import AdvectionDiffusion1D, HeatEquation1D
 from repro.inverse.mesh import Grid1D
 from repro.inverse.oed import expected_information_gain, greedy_sensor_placement
+from repro.inverse.posterior import DataSpacePosterior
 from repro.inverse.p2o import P2OMap, build_p2o_blocks
 from repro.inverse.observation import ObservationOperator
 from repro.inverse.prior import GaussianPrior
@@ -154,3 +156,24 @@ class TestPrecomputedBlocks:
         obs = ObservationOperator(system.n, [4, 11])
         with pytest.raises(ReproError):
             P2OMap(system, obs, 6, blocks=np.zeros((6, 3, system.n)))
+
+
+class TestOneAssembly:
+    def test_greedy_and_posterior_run_no_engine_action(self, monkeypatch):
+        # Sensor placement and the posterior read one data-space assembly:
+        # neither runs an F / F* action on any engine it builds.
+        built = []
+
+        class RecordingP2OMap(oed.P2OMap):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(oed, "P2OMap", RecordingP2OMap)
+        system = HeatEquation1D(Grid1D(16), dt=0.05, kappa=0.2)
+        prior = GaussianPrior(16, 8)
+        res = greedy_sensor_placement(system, [2, 6, 10, 14], 2, 8, prior, 0.05)
+        p2o = RecordingP2OMap(system, ObservationOperator(16, res.selected), 8)
+        DataSpacePosterior.compute(LinearBayesianProblem(p2o, prior, 0.05))
+        assert len(built) == 2
+        assert all(p.engine.matvec_count == 0 for p in built), [p.engine.matvec_count for p in built]

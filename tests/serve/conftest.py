@@ -1,4 +1,9 @@
-"""Shared serving-test helper: an engine the test can hold.
+"""Shared serving-test helpers: asyncio debug mode and an engine the
+test can hold.
+
+Every serving test runs its event loops in asyncio's debug mode (the
+autouse ``asyncio_debug`` fixture), so a loop call from the wrong thread
+raises and a slow callback is logged, under the plain tier-1 command.
 
 The dispatcher of :class:`~repro.serve.SolverService` is work
 conserving — nothing queues while the engine is free — so a test that
@@ -18,6 +23,12 @@ from typing import List, Tuple
 import pytest
 
 from repro.core.matvec import FFTMatvec
+
+
+@pytest.fixture(autouse=True)
+def asyncio_debug(monkeypatch):
+    """Every event loop a serving test creates starts in debug mode."""
+    monkeypatch.setenv("PYTHONASYNCIODEBUG", "1")
 
 
 class HeldEngine:

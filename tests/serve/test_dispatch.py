@@ -72,6 +72,15 @@ async def queue_behind_a_held_pass(service, handle, held, requests):
     return blocker, tasks
 
 
+def test_serving_loops_run_in_asyncio_debug_mode():
+    # conftest's autouse fixture: a loop call from the wrong thread
+    # raises here under the plain tier-1 command, not only under -X dev.
+    async def main():
+        return asyncio.get_running_loop().get_debug()
+
+    assert asyncio.run(main())
+
+
 class TestIdleService:
     def test_lone_request_arms_no_timer(self, monkeypatch):
         async def main():

@@ -2,10 +2,12 @@
 
 The README and docs/ pages point at real files (module map, example
 table, benchmark list); these tests resolve every internal reference so
-a rename or move cannot silently orphan the docs.  CI runs this module
-alongside the doctest step (see ``.github/workflows/ci.yml``).
+a rename or move cannot silently orphan the docs.  The examples in the
+partition and chunking contracts' docstrings run as doctests.
 """
 
+import doctest
+import importlib
 import importlib.util
 import re
 from pathlib import Path
@@ -39,6 +41,12 @@ def test_doc_files_exist():
     assert (ROOT / "README.md").is_file()
     assert (ROOT / "docs" / "ARCHITECTURE.md").is_file()
     assert (ROOT / "docs" / "BENCHMARKS.md").is_file()
+
+
+@pytest.mark.parametrize("modname", ["repro.util.blocking", "repro.comm.partition"])
+def test_docstring_examples_run(modname):
+    result = doctest.testmod(importlib.import_module(modname), optionflags=doctest.ELLIPSIS)
+    assert result.attempted > 0 and result.failed == 0, result
 
 
 def _resolves(doc: Path, target: str) -> bool:

@@ -11,11 +11,18 @@
 * A ``dssdd`` F* under ``validate="abft"`` raises no false positive.
 * M is single precision end to end.
 * Without numpy's pocketfft ufuncs the numpy backend refuses to import.
+* ``dssdd`` F / F* applies and a preconditioned solve never import
+  ``scipy.fft`` (checked in a fresh interpreter).
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,3 +204,43 @@ def test_the_numpy_backend_refuses_to_import_without_a_pocketfft_ufunc(monkeypat
     spec = importlib.util.spec_from_file_location("_numpy_backend_without_irfft", nb.__file__)
     with pytest.raises(ReproError, match=r"numpy >= 2\.0"):
         spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+_NO_SCIPY_FFT = """
+import json, sys
+import numpy as np
+from repro.core.matvec import FFTMatvec
+from repro.core.operator import ForwardOperator, GaussNewtonHessian, IdentityOperator
+from repro.inverse.cg import block_conjugate_gradient, conjugate_gradient
+
+rng = np.random.default_rng(0)
+blocks = rng.standard_normal((64, 24, 96)) * np.exp(-0.05 * np.arange(64))[:, None, None]
+eng = FFTMatvec(blocks, workspace=True)
+eng.rmatmat(eng.matmat(rng.standard_normal((64, 96, 16)), "dssdd"), "dssdd")
+forward = ForwardOperator(eng)
+hess = GaussNewtonHessian(forward, 1.0, 1e-8 * IdentityOperator(forward.in_shape))
+rhs = eng.rmatvec(rng.standard_normal((64, 24)))
+res = conjugate_gradient(hess.apply, rhs, tol=1e-8, maxiter=200)
+blk = block_conjugate_gradient(hess.apply_block, np.stack([rhs] * 8, axis=2), tol=1e-8, maxiter=200)
+print(json.dumps({
+    "converged": bool(res.converged),
+    "preconditioned": bool(res.preconditioned),
+    "block_preconditioned": bool(blk.preconditioned),
+    "scipy_fft_imported": "scipy.fft" in sys.modules,
+}))
+"""
+
+
+def test_dssdd_applies_and_a_preconditioned_solve_never_import_scipy_fft():
+    # This module imports scipy.fft as the oracle, so the claim needs an
+    # interpreter whose sys.modules holds only what the library imported.
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_FFT],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["converged"] and out["preconditioned"] and out["block_preconditioned"], out
+    assert not out["scipy_fft_imported"], "scipy.fft was imported"
