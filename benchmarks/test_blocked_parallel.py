@@ -112,6 +112,7 @@ class TestBlockedGridSpeedup:
 
         ARTIFACT.write_text(json.dumps({
             "bench": "parallel_blocked",
+            "tiny": TINY,
             "grid": f"{PR}x{PC}",
             "shape": {"nt": NT, "nd": ND, "nm": NM, "k": K},
             "modeled_looped_s": modeled_looped,
@@ -126,6 +127,7 @@ class TestBlockedGridSpeedup:
             "timed_reduces_looped": K,
         }, indent=2) + "\n")
         data = json.loads(ARTIFACT.read_text())
+        assert data["tiny"] == TINY, data
         assert data["timed_bcasts_blocked"] == 1 and data["timed_reduces_blocked"] == 1, data
         assert data["modeled_speedup"] >= 3.0, data
 

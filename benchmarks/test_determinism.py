@@ -142,6 +142,7 @@ class TestDeterminismBench:
 
         ARTIFACT.write_text(json.dumps({
             "bench": "determinism",
+            "tiny": TINY,
             "grid": f"{PR}x{PC}",
             "shape": {"nt": NT, "nd": ND, "nm": NM, "k": K, "max_block_k": MBK},
             "partitions_checked": len(outputs),
@@ -160,6 +161,7 @@ class TestDeterminismBench:
             "wall_ratio": wall_ratio,
         }, indent=2) + "\n")
         data = json.loads(ARTIFACT.read_text())
+        assert data["tiny"] == TINY, data
         assert data["bitwise_across_partitions"], data
         assert data["bitwise_vs_single_device"], data
         assert data["includes_width_one_part"], data

@@ -71,12 +71,8 @@ class TestFaultBench:
         t_base = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        faulty = ElasticEngine(
-            matrix,
-            RANKS,
-            max_block_k=MBK,
-            failures=FailureSchedule(kills=[(11, 2)]),
-        )
+        faulty = ElasticEngine(matrix, RANKS, max_block_k=MBK)
+        faulty.install_failure_schedule(FailureSchedule(kills=[(11, 2)]))
         out_fault = faulty.matmat(block)
         t_fault = time.perf_counter() - t0
 

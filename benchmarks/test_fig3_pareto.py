@@ -170,6 +170,7 @@ class TestWallClockPareto:
         ratio = rows["dssdd"]["wall_f_ms"] / rows["ddddd"]["wall_f_ms"]
         WALL_ARTIFACT.write_text(json.dumps({
             "bench": "pareto_wall",
+            "tiny": TINY,
             "shape": {"nt": nt, "nd": nd, "nm": nm, "k": WALL_K},
             "rounds": WALL_ROUNDS,
             "modeled_on": MI300X.name,
@@ -186,6 +187,7 @@ class TestWallClockPareto:
         print(f"dssdd / ddddd F wall: {ratio:.2f}")
 
         data = json.loads(WALL_ARTIFACT.read_text())
+        assert data["tiny"] == TINY, data
         assert set(data["configs"]) == {"ddddd", "dsddd", "ddsdd", "dssdd", "sssss"}, data["configs"]
         for cfg, r in data["configs"].items():
             assert min(r["wall_f_ms"], r["wall_adj_ms"], r["modeled_ms"]) > 0, (cfg, r)

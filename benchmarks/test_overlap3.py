@@ -120,6 +120,7 @@ class TestOverlap3Bench:
 
         ARTIFACT.write_text(json.dumps({
             "bench": "overlap3",
+            "tiny": TINY,
             "grid": f"{PR}x{PC}",
             "shape": {"nt": NT, "nd": ND, "nm": NM, "k": K, "max_block_k": MBK},
             "host": {"gen_time_s": HOST.gen_time, "save_time_s": HOST.save_time},
@@ -133,6 +134,7 @@ class TestOverlap3Bench:
             "at_scale": scale_rows,
         }, indent=2) + "\n")
         data = json.loads(ARTIFACT.read_text())
+        assert data["tiny"] == TINY, data
         assert data["bitwise_identical"], data
         assert data["serial_host_charge_exact"], data
         assert data["engine_speedup"] > 1.0, data

@@ -87,6 +87,7 @@ class TestOverlapGridBench:
 
         ARTIFACT.write_text(json.dumps({
             "bench": "overlap_grid",
+            "tiny": TINY,
             "grid": f"{PR}x{PC}",
             "shape": {"nt": NT, "nd": ND, "nm": NM, "k": K, "max_block_k": MBK},
             "modeled_serial_s": t_serial,
@@ -98,6 +99,7 @@ class TestOverlapGridBench:
             "bitwise_identical": True,
         }, indent=2) + "\n")
         data = json.loads(ARTIFACT.read_text())
+        assert data["tiny"] == TINY, data
         assert data["bitwise_identical"], data
         assert data["overlap_speedup"] > 1.0, data
         assert data["skew_penalty"] > 1.0, data

@@ -77,9 +77,8 @@ class TestSDCBench:
         # which doubles as the campaign's event horizon.
         probe = CorruptionSchedule()
         t0 = time.perf_counter()
-        armed = ElasticEngine(
-            matrix, RANKS, reduction="pairwise", max_block_k=MBK, corruptions=probe
-        )
+        armed = ElasticEngine(matrix, RANKS, reduction="pairwise", max_block_k=MBK)
+        armed.install_corruption_schedule(probe)
         out_armed = armed.matmat(block)
         t_armed = time.perf_counter() - t0
         clean_bitwise = bool(np.array_equal(out_armed, ref))
@@ -102,9 +101,8 @@ class TestSDCBench:
             sched = CorruptionSchedule.seeded(
                 1000 + trial, RANKS, n_flips=1, horizon=horizon
             )
-            eng = ElasticEngine(
-                matrix, RANKS, reduction="pairwise", max_block_k=MBK, corruptions=sched
-            )
+            eng = ElasticEngine(matrix, RANKS, reduction="pairwise", max_block_k=MBK)
+            eng.install_corruption_schedule(sched)
             out = eng.matmat(block)
             injected += len(sched.injected)
             if eng.report.corruptions >= 1:

@@ -38,7 +38,9 @@ flip (:func:`repro.util.checksum.flip_bit`), and the *detection* layer
 (payload digests, ABFT column checksums, Parseval energy checks) raises
 the typed :class:`SilentCorruption`, re-exported here from
 :mod:`repro.util.checksum` together with :class:`NumericalHealthError`
-(the ``validate="guard"`` NaN/Inf boundary check).
+(a NaN/Inf in an engine's pad or unpad output under
+``validate="abft"``, or in a request payload at submit: bad input, not
+corruption).
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ import numpy as np
 from repro.comm.fault import (
     CorruptionSchedule,
     FailureSchedule,
+    NumericalHealthError,
     RankFailure,
     SilentCorruption,
 )
@@ -153,28 +154,29 @@ class ElasticEngine:
         Passed to :class:`ParallelFFTMatvec`; ``"pairwise"`` (default)
         is what makes recovery bitwise-exact.  ``"fast"`` recovers with
         only ``~1e-12`` relative agreement.
-    failures:
-        Optional :class:`~repro.comm.fault.FailureSchedule`, installed
-        on every grid this engine builds (including recovery rebuilds,
-        so multi-kill schedules cascade deterministically).
-    corruptions:
-        Optional :class:`~repro.comm.fault.CorruptionSchedule`,
-        installed the same way.  Armed corruption implies ABFT checks
-        inside every rank engine; a detected flip surfaces as
-        :class:`~repro.comm.fault.SilentCorruption` and is absorbed by
-        recomputing only the corrupted chunk — no grid rebuild, since
-        the engine state is untouched (the flip lived in a transient
-        buffer) and the consumed schedule entry never re-fires.
     max_block_k:
         Chunk width of every apply (None = one chunk), set here only:
         a chunk is the unit of commit and replay.
     validate:
-        Forwarded to :class:`ParallelFFTMatvec`: ``"guard"``,
-        ``"abft"`` or ``"guard+abft"`` turn on boundary checks even
-        with no corruption schedule armed; ``None`` leaves them off.
+        Forwarded to :class:`ParallelFFTMatvec`: ``"abft"`` turns on
+        the checks even with no corruption schedule installed; ``None``
+        leaves them off.  A NaN/Inf in the input raises
+        :class:`~repro.comm.fault.NumericalHealthError` at the pad,
+        stamped with its chunk, with nothing recomputed.
     workspace:
         ``None`` or ``True``; every grid this engine builds owns its
         arenas (see :class:`ParallelFFTMatvec`).  Anything else raises.
+
+    Schedules are installed after construction, with
+    :meth:`install_failure_schedule` / :meth:`install_corruption_schedule`,
+    which keep them and re-install them on every grid this engine builds
+    (including recovery rebuilds, so multi-kill schedules cascade
+    deterministically).  An installed corruption schedule implies the
+    abft checks inside every rank engine; a detected flip surfaces as
+    :class:`~repro.comm.fault.SilentCorruption` and is absorbed by
+    recomputing only the corrupted chunk — no grid rebuild, since the
+    engine state is untouched (the flip lived in a transient buffer)
+    and the consumed schedule entry never re-fires.
 
     Recovery policy: a chunk that keeps failing its checksums past
     ``MAX_CORRUPTION_RETRIES`` recomputations re-raises the last
@@ -196,8 +198,6 @@ class ElasticEngine:
         reduction: str = "pairwise",
         max_block_k: Optional[int] = None,
         workspace: Union[None, bool] = None,
-        failures: Optional[FailureSchedule] = None,
-        corruptions: Optional[CorruptionSchedule] = None,
         validate: Optional[str] = None,
     ) -> None:
         if workspace not in (None, True):
@@ -210,8 +210,8 @@ class ElasticEngine:
         check_positive_int(n_ranks, "n_ranks")
         self.reduction = reduction
         self.max_block_k = validate_max_block_k(max_block_k)
-        self.failures = failures
-        self.corruptions = corruptions
+        self.failures: Optional[FailureSchedule] = None
+        self.corruptions: Optional[CorruptionSchedule] = None
         self.validate = validate
         self.report = RecoveryReport()
         self.engine: Optional[ParallelFFTMatvec] = None
@@ -353,6 +353,11 @@ class ElasticEngine:
                 self._recover(failure, chunk=i)
                 self.report.chunks_replayed += 1
                 continue
+            except NumericalHealthError as bad:
+                # Bad input (or a cast that overflowed), not a flip:
+                # recomputing would only fail again.
+                bad.chunk = i
+                raise
             except SilentCorruption as sdc:
                 if sdc.chunk is None:
                     sdc.chunk = i

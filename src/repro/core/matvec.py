@@ -89,9 +89,6 @@ __all__ = ["FFTMatvec", "GramFactor", "front_launches", "back_launches"]
 
 _PHASES = ("pad", "fft", "sbgemv", "ifft", "unpad")
 
-# The ``validate=`` specs an engine accepts: off, either check, both.
-_VALIDATE_SPECS = (None, "guard", "abft", "guard+abft")
-
 # Byte budget of one slab buffer of the phase loops (``_front`` /
 # ``_back``), i.e. of the ``(w, 2*Nt)`` padded rows the FFT reads or
 # writes: 256 columns at Nt = 256 double, 512 single.  The lever is
@@ -142,14 +139,11 @@ class GramFactor(NamedTuple):
 
 def _parse_validate(validate) -> frozenset:
     """Parse a ``validate=`` spec into its mode set: ``None`` (no
-    checks), ``"guard"`` (NaN/Inf at every five-phase boundary),
-    ``"abft"`` (checksum/energy verification of the compute phases) or
-    ``"guard+abft"`` (both).  Anything else raises."""
-    if validate not in _VALIDATE_SPECS:
-        raise ReproError(
-            f"validate must be one of {list(_VALIDATE_SPECS)}, got {validate!r}"
-        )
-    return frozenset(validate.split("+")) if validate else frozenset()
+    checks) or ``"abft"`` (see :class:`FFTMatvec`).  Anything else
+    raises."""
+    if validate is not None and validate != "abft":
+        raise ReproError(f"validate must be None or 'abft', got {validate!r}")
+    return frozenset({"abft"}) if validate else frozenset()
 
 
 def _slabs(rec: SimpleNamespace, sets: Sequence[Tuple]) -> list:
@@ -247,17 +241,19 @@ class FFTMatvec:
         Costs the modeled determinism tax of
         :class:`~repro.blas.gemm_kernels.PairwiseSBGEMM`.
     validate:
-        SDC defense checks, off by default.  ``"guard"`` runs the
-        NaN/Inf numerical-health guard at every five-phase boundary
-        (raising :class:`~repro.util.checksum.NumericalHealthError`);
-        ``"abft"`` verifies each compute phase algebraically — Parseval
+        SDC defense checks: ``None`` (off, the default) or ``"abft"``,
+        which verifies each compute phase algebraically — Parseval
         energy checks after the FFT/IFFT, Huang–Abraham column checksums
         after the SBGEMM panel — raising
-        :class:`~repro.util.checksum.SilentCorruption` on mismatch;
-        ``"guard+abft"`` runs both.  Any other value raises
-        :class:`~repro.util.validation.ReproError`.  Installing a
-        :class:`~repro.comm.fault.CorruptionSchedule` implies the
-        ``abft`` checks, so every injected flip has a detector armed.
+        :class:`~repro.util.checksum.SilentCorruption` on mismatch, and
+        checks that the pad output's data half (before the FFT) and the
+        unpad output are finite, raising
+        :class:`~repro.util.checksum.NumericalHealthError` for a NaN/Inf
+        the caller's input or a phase's cast brought in.  Any other
+        value raises :class:`~repro.util.validation.ReproError`.
+        Installing a :class:`~repro.comm.fault.CorruptionSchedule`
+        implies the ``abft`` checks, so every injected flip has a
+        detector armed.
     """
 
     def __init__(
@@ -741,8 +737,6 @@ class FFTMatvec:
         if rank is not None:
             self.rank_label = int(rank)
         self._abft_on = "abft" in self.validate_modes or schedule is not None
-        self._guard_on = "guard" in self.validate_modes
-        self._armed = self._abft_on or self._guard_on  # any hook at all
         self._plans.clear()  # armed hooks want whole buffers: prepare anew
 
     def _corruption_where(self) -> str:
@@ -766,22 +760,13 @@ class FFTMatvec:
         floats = int(arr.size) * (2 if arr.dtype.kind == "c" else 1)
         _chk.flip_bit(arr, sched.element_index(max(1, floats)), bit=sched.bit)
 
-    def _guard_check(self, arr: Any, phase: str) -> None:
-        if self._guard_on:
-            for part in arr.values() if isinstance(arr, dict) else (arr,):
-                _chk.ensure_finite(
-                    self.backend.from_device(part), phase=phase, rank=self.rank_label
-                )
-
     def _check_forward_energy(self, x: Any, xhat: Any, plan: FFTPlan) -> None:
-        if self._abft_on:
-            plan.verify_forward_energy(x, xhat, phase="fft", rank=self.rank_label)
-            self.sdc_checks += 1
+        plan.verify_forward_energy(x, xhat, phase="fft", rank=self.rank_label)
+        self.sdc_checks += 1
 
     def _check_inverse_energy(self, xhat: Any, y: Any, plan: FFTPlan) -> None:
-        if self._abft_on:
-            plan.verify_inverse_energy(xhat, y, phase="ifft", rank=self.rank_label)
-            self.sdc_checks += 1
+        plan.verify_inverse_energy(xhat, y, phase="ifft", rank=self.rank_label)
+        self.sdc_checks += 1
 
     def _check_gemm(
         self, panel: Any, result: Any, operation: Operation, precision: Precision
@@ -795,8 +780,6 @@ class FFTMatvec:
         covers every segment.  The row itself comes from
         :meth:`checksum_rows`, not from the live spectrum.
         """
-        if not self._abft_on:
-            return
         gemm_checksum_verify(
             self.spectrum(precision),
             panel,
@@ -815,10 +798,10 @@ class FFTMatvec:
         """Columns per slab of a phase loop over ``cols`` fused columns
         of ``row_bytes`` padded bytes each: what ``_SLAB_BYTES`` holds,
         or all of them when that is few (see there) or something needs
-        whole buffers — abft / guard checks and injection see, count and
-        index each stage buffer once per apply; a device backend's cache
-        is not this host's."""
-        whole = self._armed or self.backend.name != "numpy"
+        whole buffers — abft checks and injection see, count and index
+        each stage buffer once per apply; a device backend's cache is not
+        this host's."""
+        whole = self._abft_on or self.backend.name != "numpy"
         if whole or cols * row_bytes <= 8 * _SLAB_BYTES:
             return cols
         return max(1, _SLAB_BYTES // row_bytes)
@@ -887,9 +870,9 @@ class FFTMatvec:
 
         Owns the ``pad`` and ``fft`` clock phases and the head of
         ``sbgemv``; the ``cast_fft`` cast (``sd...`` configs only) and
-        the ``fwd_reorder`` arena tag; the forward Parseval check and the
-        Phase-3 ABFT check, each behind its injection site and followed
-        by the guard.  ``kernel(self, panel, rec, *kernel_args)`` — the
+        the ``fwd_reorder`` arena tag; the pad output's finite check, and
+        the forward Parseval check and the Phase-3 ABFT check, each behind
+        its injection site.  ``kernel(self, panel, rec, *kernel_args)`` — the
         Phase-3 kernel (an unbound method) on the ``(n_freq, nx, k)``
         panel — is the only thing the entry points vary; it returns the
         ``(n_freq, ny, k)`` output panel, or a canonical-segment table
@@ -926,10 +909,9 @@ class FFTMatvec:
                 self.device.book(*entry)
             name, launches = rec.counted
             self.dispatcher.dispatch_counts[name] += launches
-        if self._armed:
+        if self._abft_on:
             self._maybe_corrupt(yhat, "sbgemm")
             self._check_gemm(panel, yhat, rec.operation, config.sbgemv)
-            self._guard_check(yhat, "sbgemv")
         return yhat
 
     def _front_record(
@@ -987,16 +969,14 @@ class FFTMatvec:
         dev = self.device if first and book else None
         # Phase 1: broadcast (trivial single-device) + zero-pad, in
         # the phase's precision (cast fused into the kernel's writes).
-        x = pad_to_soti(
-            v2 if sl is None else v2[:, sl],
-            config.pad,
-            out=xbuf,
-            backend=be,
-            validate=self._guard_on,
-            rank=self.rank_label,
-        )
+        x = pad_to_soti(v2 if sl is None else v2[:, sl], config.pad, out=xbuf, backend=be)
         if dev is not None:
             dev.book(*booked[0])
+        if self._abft_on:  # the caller's input, as the pad cast it
+            _chk.ensure_finite(
+                be.from_device(x[:, : self.nt]),
+                phase="pad", rank=self.rank_label, what="pad output",
+            )
         # Phase 2: batched forward FFT (batch = k * space).
         if cbuf is not None:
             cbuf[...] = x
@@ -1004,10 +984,9 @@ class FFTMatvec:
         xhat = plan.execute(x, phase="fft" if first else None, out=fbuf)
         if dev is not None:
             dev.book(*booked[1])
-        if self._armed:
+        if self._abft_on:
             self._maybe_corrupt(xhat, "fft")
             self._check_forward_energy(x, xhat, plan)
-            self._guard_check(xhat, "fft")
         # Reorder to frequency-outer layout, written at Phase 3's
         # precision: the value "reorder at the lower adjacent
         # precision, then cast" gives (a down-cast rounds once, an
@@ -1031,7 +1010,7 @@ class FFTMatvec:
         space-outer, arena tag ``bwd_reorder``, written at the IFFT's
         precision like the forward reorder) and the ``ifft`` and
         ``unpad`` phases; the inverse Parseval check behind its
-        injection site, followed by the guard.
+        injection site, and the unpad output's finite check.
 
         Slab by slab like :meth:`_front`, from a prepared record like
         it: one :meth:`_back_slab` per slab through the host executor,
@@ -1091,25 +1070,20 @@ class FFTMatvec:
         y = plan.inverse(ys, phase="ifft" if first else None, out=tbuf)
         if dev is not None:
             dev.book(*booked[1])
-        if self._armed:
+        if self._abft_on:
             self._maybe_corrupt(y, "ifft")
             self._check_inverse_energy(ys, y, plan)
-            self._guard_check(y, "ifft")
         # Phase 5: unpad (+ reduction across the grid in the parallel
         # engine) in its precision; back to double in _finalize.
         if res is None:
             res = self._unpad_buffer(rec)
-        unpad_from_soti(
-            y,
-            self.nt,
-            config.unpad,
-            out=res if sl is None else res[:, sl],
-            backend=be,
-            validate=self._guard_on,
-            rank=self.rank_label,
-        )
+        unpad_from_soti(y, self.nt, config.unpad, out=res if sl is None else res[:, sl], backend=be)
         if dev is not None:
             dev.book(*booked[2])
+        if self._abft_on:  # what the unpad's cast wrote
+            _chk.ensure_finite(
+                be.from_device(res), phase="unpad", rank=self.rank_label, what="unpad output",
+            )
         return res
 
     def _pipeline_block(

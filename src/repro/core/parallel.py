@@ -32,10 +32,11 @@ communicator counts are the same bits either way.  What stays still on
 a rank that uses its root's panel is its own front plan's ``executions``
 / ``stage_noops``.  An armed grid (``validate=``) or one with a failure
 or corruption schedule installed does not share: each rank's armed
-hooks (the FFT-stage corruption site, the Parseval check, the guard)
-must see its own FFT output, and the schedule's one event counter must
-see each rank's FFT, Phase 3 and IFFT in rank order, so every rank
-transforms the part's block inside its own rank task, as before.  (No
+hooks (the pad output's finite check, the FFT-stage corruption site,
+the Parseval check) must see its own pad and FFT output, and the
+schedule's one event counter must see each rank's FFT, Phase 3 and
+IFFT in rank order, so every rank transforms the part's block inside
+its own rank task, as before.  (No
 rank ever reads its own receive copy: every rank of a part takes the
 root's; the copies exist for payload verification and corruption flips,
 and a sharing grid, which has neither, delivers the payload in place.)
@@ -230,11 +231,10 @@ class ParallelFFTMatvec:
         are always host float64 regardless of backend.
     validate:
         SDC defense checks, forwarded to every rank engine (see
-        :class:`~repro.core.matvec.FFTMatvec`): ``None`` (off),
-        ``"guard"`` for NaN/Inf boundary guards, ``"abft"`` for
-        checksum/energy verification, ``"guard+abft"`` for both; any
-        other value raises.  Any enabled mode also
-        switches on receive-side payload digests on every grid
+        :class:`~repro.core.matvec.FFTMatvec`): ``None`` (off) or
+        ``"abft"`` (checksum/energy verification plus finite checks of
+        the pad and unpad outputs); any other value raises.  ``"abft"``
+        also switches on receive-side payload digests on every grid
         communicator, so collective payloads are covered end to end.
     """
 

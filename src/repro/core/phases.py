@@ -32,7 +32,6 @@ from typing import Any, Optional
 from repro.backend import Backend, NumpyBackend
 from repro.core.reorder import copy_launch, transpose_into
 from repro.gpu.device import SimulatedDevice
-from repro.util import checksum as _chk
 from repro.util.dtypes import Precision, real_dtype
 from repro.util.validation import ReproError
 from repro.util.workspace import Workspace
@@ -81,8 +80,6 @@ def pad_to_soti(
     phase: str = "pad",
     workspace: Optional[Workspace] = None,
     backend: Optional[Backend] = None,
-    validate: bool = False,
-    rank: Optional[int] = None,
     out: Optional[Any] = None,
 ) -> Any:
     """Phase-1 kernel: (Nt, nx) time-outer -> (nx, 2*Nt) padded SOTI.
@@ -101,11 +98,6 @@ def pad_to_soti(
     With a ``workspace`` the output is a checked-out arena buffer: the
     data half is fully overwritten and only the padding half is
     re-zeroed, no allocation at steady state.
-    ``validate=True`` runs the numerical-health guard on the
-    produced buffer and raises
-    :class:`~repro.util.checksum.NumericalHealthError` naming this
-    phase (and ``rank`` when supplied) if anything non-finite crossed
-    the boundary.
     """
     be = backend if backend is not None else _NUMPY
     # A prepared ``out`` and an input of its kind (the engine's call):
@@ -126,8 +118,6 @@ def pad_to_soti(
     # spatial point's time series followed by Nt zeros (the tiled copy
     # casts on the write side — no staging temporary).
     transpose_into(out[:, :nt], a, be)
-    if validate:
-        _chk.ensure_finite(be.from_device(out), phase=phase, rank=rank, what="pad output")
     if device is not None:
         device.launch(
             pad_launch(device.spec, nt, nx, be.dtype_of(a).itemsize, precision), phase
@@ -143,15 +133,12 @@ def unpad_from_soti(
     phase: str = "unpad",
     out: Optional[Any] = None,
     backend: Optional[Backend] = None,
-    validate: bool = False,
-    rank: Optional[int] = None,
 ) -> Any:
     """Phase-5 kernel: (nx, 2*Nt) padded SOTI -> (Nt, nx) time-outer.
 
     ``out`` (shape ``(nt, nx)``, dtype of the phase precision) writes the
     result into a caller-owned buffer, with the bytes of the default
-    allocate-per-call path.  ``validate=True`` guards the output against
-    NaN/Inf exactly like :func:`pad_to_soti`.
+    allocate-per-call path.
     """
     be = backend if backend is not None else _NUMPY
     a = v if out is not None and v.__class__ is out.__class__ else be.asarray(v)
@@ -171,10 +158,6 @@ def unpad_from_soti(
         transpose_into(out, a[:, :nt], be)
     else:
         out = be.astype(be.ascontiguous(be.transpose(a[:, :nt])), dt, copy=False)
-    if validate:
-        _chk.ensure_finite(
-            be.from_device(out), phase=phase, rank=rank, what="unpad output"
-        )
     if device is not None:
         device.launch(
             unpad_launch(

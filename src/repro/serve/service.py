@@ -37,7 +37,9 @@ holds more candidates than ``max_block_k``, columns are picked by
 weighted fair queuing — the tenant with the smallest
 ``served / weight`` virtual time goes first, FIFO within a tenant — so
 a weight-2 tenant gets twice the columns of a weight-1 tenant under
-contention and nobody starves.
+contention and nobody starves.  A payload holding a NaN/Inf is refused
+at submit with :class:`~repro.comm.fault.NumericalHealthError`: in a
+coalesced flush it would fail every request it shared the pass with.
 
 **Engine residency.**  Engines are built lazily through an
 :class:`~repro.serve.cache.EngineCache` under a device byte budget;
@@ -70,6 +72,7 @@ from repro.core.operator import ForwardOperator, GaussNewtonHessian, IdentityOpe
 from repro.core.precision import PrecisionConfig
 from repro.core.toeplitz import BlockTriangularToeplitz
 from repro.serve.cache import EngineCache, operator_fingerprint
+from repro.util.checksum import ensure_finite
 from repro.util.validation import ReproError
 
 __all__ = [
@@ -458,6 +461,9 @@ class SolverService:
             a = a.reshape(shape)
         if a.shape != shape:
             raise ReproError(f"{what} must be shaped {shape}, got {a.shape}")
+        # Refused here, a bad column never reaches a coalesced flush,
+        # where it would fail its batch-mates too.
+        ensure_finite(a, phase="submit", what=what)
         return np.ascontiguousarray(a)
 
     async def _submit(

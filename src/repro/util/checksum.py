@@ -37,7 +37,11 @@ layer; the engines call in from their hot paths:
 
 The typed errors live here too: :class:`SilentCorruption` (a check
 fired — the buffer is wrong) and :class:`NumericalHealthError` (a
-NaN/Inf crossed a five-phase boundary under ``validate="guard"``).
+NaN/Inf where the data must be finite: an engine's pad output — the
+caller's input — or unpad output under ``validate="abft"``, or a
+request payload at :class:`~repro.serve.SolverService` submit).  The
+pad output is checked before any algebraic check runs, so a non-finite
+input is reported as bad input, never as corruption.
 Both are re-exported from :mod:`repro.comm.fault` next to the
 schedules that provoke them.
 
@@ -119,10 +123,11 @@ class SilentCorruption(ReproError):
 
 
 class NumericalHealthError(ReproError):
-    """A NaN/Inf crossed a five-phase boundary under ``validate="guard"``.
+    """A NaN/Inf where the data must be finite (see the module docstring).
 
-    Names the ``phase`` whose output went non-finite, plus the ``rank``
-    and ``chunk`` when the caller knows them.
+    Names the ``phase`` whose output went non-finite (``"pad"``,
+    ``"unpad"``, or ``"submit"`` for a request payload), plus the
+    ``rank`` and ``chunk`` when the caller knows them.
     """
 
     def __init__(
@@ -479,7 +484,7 @@ def verify_inverse_energy(
     )
 
 
-# -- numerical-health guard ---------------------------------------------------
+# -- finite checks ------------------------------------------------------------
 def ensure_finite(
     arr: Any,
     *,
@@ -489,15 +494,14 @@ def ensure_finite(
     what: str = "",
 ) -> None:
     """Raise :class:`NumericalHealthError` if ``arr`` holds NaN/Inf."""
-    a = np.asarray(arr)
-    finite = np.isfinite(a)
-    if bool(np.all(finite)):
+    finite = np.isfinite(arr)
+    if finite.all():
         return
-    bad = int(a.size - np.sum(finite))
+    bad = int(finite.size - np.count_nonzero(finite))
     raise NumericalHealthError(
         phase=phase,
         rank=rank,
         chunk=chunk,
-        detail=f"{bad} of {a.size} values non-finite"
+        detail=f"{bad} of {finite.size} values non-finite"
         + (f" in {what}" if what else ""),
     )

@@ -53,6 +53,13 @@ def test_elastic_grid_shape_prefers_square():
         elastic_grid_shape(7 * 13, 6, 12)
 
 
+def killing(matrix, n_ranks, sched):
+    """A 2-column-chunk elastic engine with failure schedule ``sched``."""
+    eng = ElasticEngine(matrix, n_ranks, max_block_k=2)
+    eng.install_failure_schedule(sched)
+    return eng
+
+
 def test_failure_free_apply_matches_reference(matrix, reference):
     eng = ElasticEngine(matrix, 4)
     assert np.array_equal(eng.matmat(reference["M"]), reference["forward"])
@@ -62,9 +69,7 @@ def test_failure_free_apply_matches_reference(matrix, reference):
 
 def test_midmatmat_failure_recovers_bitwise(matrix, reference):
     """The headline claim: kill a rank mid-apply, get the same bits."""
-    eng = ElasticEngine(
-        matrix, 4, failures=FailureSchedule(kills=[(5, 2)]), max_block_k=2
-    )
+    eng = killing(matrix, 4, FailureSchedule(kills=[(5, 2)]))
     out = eng.matmat(reference["M"])
     assert np.array_equal(out, reference["forward"])
     assert eng.report.failures == 1
@@ -95,7 +100,7 @@ def test_failures_fire_on_the_calling_thread(matrix, reference, rank_groups):
     for w in (1, 3):
         rank_groups(w)
         sched = Recording(kills=[(11, 2)])
-        eng = ElasticEngine(matrix, 4, failures=sched, max_block_k=2)
+        eng = killing(matrix, 4, sched)
         assert np.array_equal(
             eng.matmat(reference["M"]), reference["forward"]
         )
@@ -116,9 +121,7 @@ def test_resize_to_the_current_size_keeps_the_grid(matrix):
 
 def test_recovery_grows_back_bitwise(matrix, reference):
     """N+1 elasticity: resize back up after a loss, still bitwise."""
-    eng = ElasticEngine(
-        matrix, 4, failures=FailureSchedule(kills=[(5, 2)]), max_block_k=2
-    )
+    eng = killing(matrix, 4, FailureSchedule(kills=[(5, 2)]))
     eng.matmat(reference["M"])
     assert eng.n_ranks == 3
     eng.resize(4)  # replacement node joined
@@ -135,7 +138,7 @@ def test_seeded_chaos_sweep_recovers_bitwise(matrix, reference, chaos_seed):
         sched = FailureSchedule.seeded(
             chaos_seed + trial, size=4, n_failures=1, horizon=24
         )
-        eng = ElasticEngine(matrix, 4, failures=sched, max_block_k=2)
+        eng = killing(matrix, 4, sched)
         out = eng.matmat(reference["M"])
         assert np.array_equal(out, reference["forward"]), (
             f"trial {trial}: seed {sched.seed} schedule {sched.fired} "
@@ -149,7 +152,7 @@ def test_random_victims_on_every_world_size(matrix, reference, chaos_seed):
     rng = np.random.default_rng(chaos_seed)
     for n_ranks in (2, 3, 4, 6):
         sched = FailureSchedule(kills=[(4, int(rng.integers(0, n_ranks)))])
-        eng = ElasticEngine(matrix, n_ranks, failures=sched, max_block_k=2)
+        eng = killing(matrix, n_ranks, sched)
         out = eng.matmat(reference["M"])
         assert np.array_equal(out, reference["forward"]), (
             f"{n_ranks} ranks, seed={chaos_seed}"
@@ -161,7 +164,7 @@ def test_random_victims_on_every_world_size(matrix, reference, chaos_seed):
 def test_cascading_failures(matrix, reference, chaos_seed):
     """Multi-kill schedules cascade across rebuilds, still bitwise."""
     sched = FailureSchedule(kills=[(4, 1), (40, 0)])
-    eng = ElasticEngine(matrix, 4, failures=sched, max_block_k=2)
+    eng = killing(matrix, 4, sched)
     out = eng.matmat(reference["M"])
     assert np.array_equal(out, reference["forward"])
     # Both kills fired (the second on the rebuilt 3-rank grid) unless
@@ -174,7 +177,7 @@ def test_cascading_failures(matrix, reference, chaos_seed):
 def test_last_rank_failure_reraises(matrix, reference):
     # One survivor absorbs the first kill; the next leaves none.
     kills = [(i, 0) for i in range(0, 400, 4)]
-    eng = ElasticEngine(matrix, 2, failures=FailureSchedule(kills=kills), max_block_k=2)
+    eng = killing(matrix, 2, FailureSchedule(kills=kills))
     with pytest.raises(RankFailure):
         eng.matmat(reference["M"])
     assert eng.report.failures == 1 and eng.n_ranks == 1
@@ -185,16 +188,14 @@ def test_max_failures_backstop(matrix, reference, monkeypatch):
     # rather than thrash forever.
     monkeypatch.setattr(ElasticEngine, "MAX_FAILURES", 2)
     kills = [(i, 0) for i in range(0, 400, 4)]
-    eng = ElasticEngine(matrix, 4, failures=FailureSchedule(kills=kills), max_block_k=2)
+    eng = killing(matrix, 4, FailureSchedule(kills=kills))
     with pytest.raises(RankFailure):
         eng.matmat(reference["M"])
     assert eng.report.failures <= 2
 
 
 def test_geometry_key_changes_on_recovery(matrix, reference):
-    eng = ElasticEngine(
-        matrix, 4, failures=FailureSchedule(kills=[(5, 2)]), max_block_k=2
-    )
+    eng = killing(matrix, 4, FailureSchedule(kills=[(5, 2)]))
     key_before = eng.geometry_key()
     eng.matmat(reference["M"])
     assert eng.geometry_key() != key_before  # grid shrank mid-run

@@ -304,7 +304,7 @@ def _poisoned(M, cols):
 def test_lowest_failing_rank_raises_after_all_groups_finish(problem, rank_groups, w):
     mat, M, _ = problem
     rank_groups(w)
-    eng = _grid(mat, "fast", validate="guard")
+    eng = _grid(mat, "fast", validate="abft")
     # Ranks 1 and 3 own the poisoned column part; rank 2 is clean but
     # slow: it must have finished before the error reaches the caller.
     slow, finished = eng.engines[(1, 0)], []
@@ -355,12 +355,13 @@ def test_worker_corruption_keeps_its_fields(problem, rank_groups, w):
 @pytest.mark.parametrize("w", [1, 3], ids=["inline", "threaded"])
 def test_pool_raises_lowest_failing_part_after_all_groups_finish(problem, rank_groups, w):
     """The part-level twin of the rank test above: output part 1's root
-    epilogue trips a guard while part 0's is slow; part 0 finishes
-    before the error reaches the caller, and with both parts failing the
-    lower one's error wins."""
+    epilogue trips a check (the poisoned merged panel fails the IFFT's
+    Parseval check) while part 0's is slow; part 0 finishes before the
+    error reaches the caller, and with both parts failing the lower
+    one's error wins."""
     mat, _, D = problem
     rank_groups(w)
-    eng = _grid(mat, "pairwise", validate="guard")
+    eng = _grid(mat, "pairwise", validate="abft")
     # F*: output part c is grid column c, its root the rank (0, c).
     slow, bad, finished = eng.engines[(0, 0)], eng.engines[(0, 1)], []
 
@@ -376,15 +377,15 @@ def test_pool_raises_lowest_failing_part_after_all_groups_finish(problem, rank_g
         return _run(yhat, *args, **kwargs)
 
     slow._pipeline_block_finish, bad._pipeline_block_finish = slow_finish, poisoned_finish
-    with pytest.raises(NumericalHealthError) as err:
+    with pytest.raises(SilentCorruption) as err:
         eng.rmatmat(D)
-    assert err.value.rank == 1
+    assert (err.value.rank, err.value.phase) == (1, "ifft")
     assert finished  # part 0 ran before (inline) or beside (threaded) part 1
     assert not any(e.workspace.in_use for e in eng.engines.values())
     slow._pipeline_block_finish = lambda yhat, *args, **kwargs: poisoned_finish(
         yhat, *args, _run=slow_finish, **kwargs
     )
-    with pytest.raises(NumericalHealthError) as err:
+    with pytest.raises(SilentCorruption) as err:
         eng.rmatmat(D)
     assert err.value.rank == 0  # both parts fail: the lower one's wins
     del slow._pipeline_block_finish, bad._pipeline_block_finish
@@ -425,7 +426,8 @@ def test_pool_gate_keeps_the_seeded_corruption_audit_trail(
     clean = clean.rmatmat(V) if adjoint else clean.matmat(V)
     monkeypatch.setattr(executor, "_rank_pool", _no_pool)
     sched = CorruptionSchedule.seeded(seed, n_ranks, n_flips=2, horizon=horizon)
-    eng = ElasticEngine(mat, n_ranks, max_block_k=2, corruptions=sched)
+    eng = ElasticEngine(mat, n_ranks, max_block_k=2)
+    eng.install_corruption_schedule(sched)
     out = eng.rmatmat(V) if adjoint else eng.matmat(V)
     assert sched.injected == trail
     assert eng.report.corruptions == 2
@@ -444,7 +446,8 @@ def test_pool_gate_keeps_failure_recovery_bitwise(problem, rank_groups, monkeypa
     clean = clean.rmatmat(V) if adjoint else clean.matmat(V)
     monkeypatch.setattr(executor, "_rank_pool", _no_pool)
     sched = FailureSchedule(kills=[(5, 2), (9, 0)])
-    eng = ElasticEngine(mat, 4, max_block_k=2, failures=sched)
+    eng = ElasticEngine(mat, 4, max_block_k=2)
+    eng.install_failure_schedule(sched)
     out = eng.rmatmat(V) if adjoint else eng.matmat(V)
     assert [
         (e.chunk, e.rank, e.op, e.collective_index, e.old_shape, e.new_shape)

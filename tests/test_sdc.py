@@ -66,12 +66,17 @@ def clean(matrix, block):
     return eng.matmat(block)
 
 
+def scheduled_elastic(matrix, n_ranks, sched):
+    """A chunked pairwise elastic engine with ``sched`` installed."""
+    eng = ElasticEngine(matrix, n_ranks, reduction="pairwise", max_block_k=MBK)
+    eng.install_corruption_schedule(sched)
+    return eng
+
+
 def sdc_horizon(matrix, block, n_ranks=RANKS):
     """Number of corruptible events one checked apply performs."""
     probe = CorruptionSchedule()
-    eng = ElasticEngine(
-        matrix, n_ranks, reduction="pairwise", max_block_k=MBK, corruptions=probe
-    )
+    eng = scheduled_elastic(matrix, n_ranks, probe)
     eng.matmat(block)
     assert probe.calls > 0
     return probe.calls
@@ -343,25 +348,32 @@ class TestCommunicatorPayloads:
 
 # -- engine-boundary validation modes -----------------------------------------
 class TestEngineValidate:
-    @pytest.mark.parametrize("spec", ["bogus", True, False, "", "abft+guard", "guard+"])
-    def test_unknown_mode_rejected(self, matrix, spec):
-        # One spelling per mode: None, "guard", "abft", "guard+abft".
-        with pytest.raises(ReproError, match="'guard\\+abft'"):
-            FFTMatvec(matrix, validate=spec)
+    @pytest.mark.parametrize(
+        "spec", ["bogus", True, False, "", "guard", "guard+abft", "abft+guard", "guard+"]
+    )
+    @pytest.mark.parametrize("kind", ["single", "grid", "elastic"])
+    def test_unknown_mode_rejected(self, matrix, kind, spec):
+        # One spelling per mode: None or "abft"; dropped ones get no alias.
+        build = {
+            "single": lambda: FFTMatvec(matrix, validate=spec),
+            "grid": lambda: ParallelFFTMatvec(matrix, ProcessGrid(2, 2), validate=spec),
+            "elastic": lambda: ElasticEngine(matrix, RANKS, validate=spec),
+        }[kind]
+        with pytest.raises(ReproError, match="validate must be None or 'abft'"):
+            build()
 
-    def test_guard_catches_nonfinite_input(self, matrix):
+    def test_abft_catches_nonfinite_input(self, matrix):
         x = np.ones((NT, NM))
         x[2, 3] = np.nan
-        # Off by default: NaN flows through silently (the status quo
-        # this PR defends against).
+        # Off by default: NaN flows through silently.
         assert np.isnan(FFTMatvec(matrix).matvec(x)).any()
         with pytest.raises(NumericalHealthError) as ei:
-            FFTMatvec(matrix, validate="guard").matvec(x)
+            FFTMatvec(matrix, validate="abft").matvec(x)
         assert ei.value.phase == "pad"
 
     def test_checked_apply_is_bitwise_and_counts_checks(self, matrix, block):
         plain = FFTMatvec(matrix, reduction="pairwise")
-        checked = FFTMatvec(matrix, reduction="pairwise", validate="guard+abft")
+        checked = FFTMatvec(matrix, reduction="pairwise", validate="abft")
         assert np.array_equal(
             checked.matmat(block, deterministic=True),
             plain.matmat(block, deterministic=True),
@@ -396,6 +408,60 @@ class TestEngineValidate:
         assert all(c.verify_payloads for c in comms)
         eng.install_corruption_schedule(None)
         assert [c.verify_payloads for c in comms] == want
+
+
+# -- non-finite input is bad input, not corruption ------------------------------
+class TestNonFiniteInput:
+    """Under ``"abft"`` a NaN/Inf the caller hands in raises
+    :class:`NumericalHealthError` at the pad, before any algebraic check
+    could blame it on a flip; the unpad's own cast is checked too."""
+
+    @staticmethod
+    def _poisoned(block, value, col):
+        bad = block.copy()
+        bad[1, NM - 1, col] = value  # parameter NM - 1: grid column 1
+        return bad
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_single_engine(self, matrix, block, value):
+        eng = FFTMatvec(matrix, validate="abft")
+        with pytest.raises(NumericalHealthError) as ei:
+            eng.matmat(self._poisoned(block, value, 0))
+        assert (ei.value.phase, ei.value.rank) == ("pad", None)
+        assert eng.sdc_checks == 0
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("reduction", ["fast", "pairwise"])
+    def test_grid(self, matrix, block, reduction, value):
+        eng = ParallelFFTMatvec(
+            matrix, ProcessGrid(2, 2), reduction=reduction, validate="abft"
+        )
+        with pytest.raises(NumericalHealthError) as ei:
+            eng.matmat(self._poisoned(block, value, 0))
+        # Ranks 1 and 3 own grid column 1; the lowest one's error wins.
+        assert (ei.value.phase, ei.value.rank) == ("pad", 1)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_elastic_recomputes_nothing(self, matrix, block, value):
+        eng = ElasticEngine(
+            matrix, RANKS, reduction="pairwise", max_block_k=MBK, validate="abft"
+        )
+        with pytest.raises(NumericalHealthError) as ei:
+            eng.matmat(self._poisoned(block, value, MBK))  # chunk 1's first column
+        assert (ei.value.phase, ei.value.rank, ei.value.chunk) == ("pad", 1, 1)
+        assert eng.report.chunks_recomputed == 0
+        assert eng.report.corruption_events == []
+        assert eng.report.chunks_applied == 1  # chunk 0 committed
+
+    def test_unpad_cast_overflow(self, matrix):
+        # The double IFFT output exceeds float32's range: the single
+        # unpad writes Inf, which no algebraic check sees.
+        x = np.full((NT, NM), 1e38)
+        eng = FFTMatvec(matrix, validate="abft")
+        with pytest.warns(RuntimeWarning, match="overflow encountered in cast"):
+            with pytest.raises(NumericalHealthError) as ei:
+                eng.matvec(x, config="dddds")
+        assert (ei.value.phase, ei.value.rank) == ("unpad", None)
 
 
 class TestSpectrumCorruptedAfterFirstUse:
@@ -523,7 +589,7 @@ class TestPipelineHooks:
         # Warm: the engines have applied another width and config first.
         prepare = warm_up if warm else (lambda eng: eng)
         checks, stages = PIPELINE_HOOKS[entry]
-        checked = prepare(FFTMatvec(matrix, validate="guard+abft"))
+        checked = prepare(FFTMatvec(matrix, validate="abft"))
         base = checked.sdc_checks
         for n_calls in (1, 2):  # steady state too: no hook is first-call-only
             call(checked)
@@ -630,9 +696,7 @@ class TestGridFrontDetection:
 class TestElasticSDC:
     def test_armed_clean_run_zero_detections_bitwise(self, matrix, block, clean):
         sched = CorruptionSchedule()
-        eng = ElasticEngine(
-            matrix, RANKS, reduction="pairwise", max_block_k=MBK, corruptions=sched
-        )
+        eng = scheduled_elastic(matrix, RANKS, sched)
         out = eng.matmat(block)
         assert np.array_equal(out, clean)  # checks only read
         assert eng.report.corruptions == 0
@@ -649,9 +713,7 @@ class TestElasticSDC:
             sched = CorruptionSchedule.seeded(
                 chaos_seed + trial, RANKS, n_flips=1, horizon=horizon
             )
-            eng = ElasticEngine(
-                matrix, RANKS, reduction="pairwise", max_block_k=MBK, corruptions=sched
-            )
+            eng = scheduled_elastic(matrix, RANKS, sched)
             out = eng.matmat(block)
             assert len(sched.injected) == 1  # the flip really happened
             assert eng.report.corruptions >= 1  # ... and was detected
@@ -667,9 +729,7 @@ class TestElasticSDC:
         ref = ElasticEngine(matrix, n_ranks, reduction="pairwise", max_block_k=MBK).matmat(block)
         horizon = sdc_horizon(matrix, block, n_ranks=n_ranks)
         sched = corruption_schedule(n_ranks, n_flips=1, horizon=horizon)
-        eng = ElasticEngine(
-            matrix, n_ranks, reduction="pairwise", max_block_k=MBK, corruptions=sched
-        )
+        eng = scheduled_elastic(matrix, n_ranks, sched)
         out = eng.matmat(block)
         assert len(sched.injected) == 1
         assert eng.report.corruptions >= 1
@@ -702,18 +762,14 @@ class TestElasticSDC:
         assert sdc_horizon(matrix, block) == 42
         for seed, trail in self.AUDIT_TRAILS.items():
             sched = CorruptionSchedule.seeded(seed, RANKS, n_flips=2, horizon=42)
-            eng = ElasticEngine(
-                matrix, RANKS, reduction="pairwise", max_block_k=MBK, corruptions=sched
-            )
+            eng = scheduled_elastic(matrix, RANKS, sched)
             assert np.array_equal(eng.matmat(block), clean)
             assert sched.injected == trail
             assert eng.report.corruptions == 2
 
     def test_corruption_event_metadata(self, matrix, block, clean):
         sched = CorruptionSchedule(flips=[(3, 1)])
-        eng = ElasticEngine(
-            matrix, RANKS, reduction="pairwise", max_block_k=MBK, corruptions=sched
-        )
+        eng = scheduled_elastic(matrix, RANKS, sched)
         out = eng.matmat(block)
         assert np.array_equal(out, clean)
         (ev,) = eng.report.corruption_events
@@ -787,3 +843,34 @@ class TestServiceSDC:
             assert service.stats().sdc_detections == 2  # initial + 1 retry
 
         asyncio.run(main())
+
+    def test_nonfinite_payload_refused_at_submit(self):
+        """One tenant's NaN request is refused before it can share a
+        flush: its batch-mates return their solo bits, and no detection,
+        rebuild or retry is charged to anyone."""
+        rng = np.random.default_rng(0)
+        mat = BlockTriangularToeplitz.random(NT, ND, NM, rng=rng)
+        service = SolverService(EngineCache(64 * 2**20))
+        handle = service.register(mat, builder=lambda: FFTMatvec(mat, validate="abft"))
+        good = [rng.standard_normal((NT, NM)) for _ in range(3)]
+        bad = rng.standard_normal((NT, NM))
+        bad[3, 5] = np.nan
+
+        async def main():
+            async with service:
+                return await asyncio.gather(
+                    *(service.matvec(handle, m, tenant=f"t{i}") for i, m in enumerate(good)),
+                    service.matvec(handle, bad, tenant="t3"),
+                    return_exceptions=True,
+                )
+
+        *got, refused = asyncio.run(main())
+        solo = FFTMatvec(mat)
+        for m, y in zip(good, got):
+            assert np.array_equal(y, solo.matvec(m))
+        assert isinstance(refused, NumericalHealthError)
+        assert refused.phase == "submit"
+        stats = service.stats()
+        assert (stats.sdc_detections, stats.sdc_rebuilds, stats.flush_retries) == (0, 0, 0)
+        assert (stats.completed, stats.failed) == (3, 0)
+        assert stats.max_batch == 3  # the good ones still shared one pass
