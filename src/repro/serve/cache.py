@@ -18,7 +18,11 @@ provides:
   aliases a fast one in the cache, and the service keys each request's
   resolved determinism mode into its coalescing group;
 * :func:`engine_footprint` — the modeled resident bytes of a built
-  engine (spectrum copies + arenas, grid-wide for the parallel engine);
+  engine (spectrum copies + arenas, grid-wide for the parallel engine).
+  Building one costs a transient on top that the budget does not
+  charge: one column panel of the spectrum build (about 1 MiB, see
+  :meth:`~repro.core.toeplitz.BlockTriangularToeplitz.spectrum`), not a
+  multiple of the footprint;
 * :class:`EngineCache` — an LRU of built engines charged against a
   :class:`~repro.gpu.memory.DeviceAllocator` constructed with a
   ``capacity`` equal to the byte budget.  Admission *allocates* the

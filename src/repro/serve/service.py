@@ -39,7 +39,10 @@ weighted fair queuing — the tenant with the smallest
 a weight-2 tenant gets twice the columns of a weight-1 tenant under
 contention and nobody starves.  A payload holding a NaN/Inf is refused
 at submit with :class:`~repro.comm.fault.NumericalHealthError`: in a
-coalesced flush it would fail every request it shared the pass with.
+coalesced flush it would fail every request it shared the pass with.  A
+finite payload can still go non-finite where a phase's cast overflows;
+a coalesced flush that raises ``NumericalHealthError`` is re-run as
+solo passes of its requests, so only the owner's request fails.
 
 **Engine residency.**  Engines are built lazily through an
 :class:`~repro.serve.cache.EngineCache` under a device byte budget;
@@ -67,7 +70,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.matvec import FFTMatvec
-from repro.comm.fault import RankFailure, SilentCorruption
+from repro.comm.fault import NumericalHealthError, RankFailure, SilentCorruption
 from repro.core.operator import ForwardOperator, GaussNewtonHessian, IdentityOperator
 from repro.core.precision import PrecisionConfig
 from repro.core.toeplitz import BlockTriangularToeplitz
@@ -692,12 +695,17 @@ class SolverService:
             self._dispatch()
         if columns is None:
             return
+        served: List[_Request] = []
         for req, col in zip(batch, columns):
+            if isinstance(col, NumericalHealthError):
+                self._fail([req], col)
+                continue
+            served.append(req)
             if not req.future.done():
                 req.future.set_result(col)
         k = len(batch)
         self._stats.flushes += 1
-        self._stats.completed += k
+        self._stats.completed += len(served)
         self._stats.batched_columns += k
         self._stats.max_batch = max(self._stats.max_batch, k)
         if k >= 2:
@@ -706,26 +714,45 @@ class SolverService:
             self._stats.exec.setdefault(name, LatencyHistogram()).add(t_done - t_start)
             wait = self._stats.queue_wait.setdefault(name, LatencyHistogram())
             latency = self._stats.latency.setdefault(name, LatencyHistogram())
-            for req in batch:
+            for req in served:
                 wait.add(t_start - req.t_submit)
                 latency.add(t_done - req.t_submit)
 
     # -- engine execution (runs on the executor thread) -----------------------
-    def _execute(self, gkey: _GroupKey, batch: List[_Request]) -> List[np.ndarray]:
+    def _execute(
+        self, gkey: _GroupKey, batch: List[_Request]
+    ) -> List[Union[np.ndarray, NumericalHealthError]]:
+        """One flush's pass: a column per request, or the
+        ``NumericalHealthError`` of a request whose own solo pass raised
+        it (a coalesced flush that raises one is split into solo passes,
+        each bitwise what the request alone would get)."""
         handle, kind, config, options = gkey
         engine = self.cache.get(handle, builder=self._builders[handle])
-        try:
+
+        def run(reqs: List[_Request]) -> List[np.ndarray]:
             if kind == "solve":
                 assert options is not None
-                results = self._execute_solve(engine, batch, config, options)
-            else:
-                results = self._execute_apply(engine, kind, batch, config)
+                return self._execute_solve(engine, reqs, config, options)
+            return self._execute_apply(engine, kind, reqs, config)
+
+        try:
+            try:
+                return run(batch)
+            except NumericalHealthError:
+                if len(batch) == 1:
+                    raise
+            results: List[Union[np.ndarray, NumericalHealthError]] = []
+            for req in batch:
+                try:
+                    results.extend(run([req]))
+                except NumericalHealthError as exc:
+                    results.append(exc)
+            return results
         finally:
             # Arenas and spectrum caches grow lazily; keep the budget
             # charge honest after every pass.
             if handle in self.cache:
                 self.cache.update_footprint(handle)
-        return results
 
     def _execute_apply(
         self,

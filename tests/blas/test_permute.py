@@ -6,6 +6,7 @@ import pytest
 from repro.blas.permute import (
     PERMUTE_KERNEL_NAME,
     permute3d,
+    permute_launch,
     tiled_launch_geometry,
 )
 from repro.gpu.device import SimulatedDevice
@@ -51,6 +52,16 @@ class TestNumerics:
         with pytest.raises(ReproError):
             permute3d(rng.standard_normal((2, 2)), (0, 1, 2))
 
+    def test_into_strided_out(self, rng):
+        t = rng.standard_normal((3, 4, 5))
+        big = np.zeros((7, 3, 4))
+        got = permute3d(t, (2, 0, 1), out=big[1:6])
+        assert got.base is big
+        np.testing.assert_array_equal(big[1:6], np.transpose(t, (2, 0, 1)))
+        assert not big[0].any() and not big[6].any()
+        with pytest.raises(ReproError):
+            permute3d(t, (2, 0, 1), out=big)
+
 
 class TestLaunchGeometry:
     def test_naive_overflows_at_fftmatvec_scale(self):
@@ -85,10 +96,10 @@ class TestLaunchGeometry:
 
 
 class TestDeviceExecution:
-    def test_charges_setup_phase(self, rng):
+    def test_charges_setup_phase(self):
         dev = SimulatedDevice(MI300X, record_launches=True)
         with dev.clock.phase("setup"):
-            permute3d(rng.standard_normal((8, 8, 8)), (2, 0, 1), device=dev)
+            dev.launch(permute_launch((8, 8, 8), 8, dev.spec), phase="setup")
         assert dev.clock.phase_total("setup") > 0
         assert dev.launch_log[0].name == PERMUTE_KERNEL_NAME
 
@@ -117,7 +128,6 @@ class TestDeviceExecution:
 
         matrix = BlockTriangularToeplitz.random(12, 3, 5, rng=rng)
         eng = FFTMatvec(matrix)
-        direct = np.fft.rfft(matrix.padded_kernel(), axis=0) / 24.0
-        np.testing.assert_allclose(
-            eng._fhat_host, direct, rtol=1e-13, atol=1e-15
-        )
+        padded = np.concatenate([matrix.blocks, np.zeros_like(matrix.blocks)])
+        direct = np.fft.rfft(padded, axis=0) * (1.0 / 24.0)
+        assert np.array_equal(eng._fhat_host, direct)

@@ -12,9 +12,10 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.comm.fault import FailureSchedule, RankFailure
+from repro.comm.fault import FailureSchedule, NumericalHealthError, RankFailure
 from repro.comm.grid import ProcessGrid
 from repro.core.elastic import ElasticEngine
+from repro.core.matvec import FFTMatvec
 from repro.core.parallel import ParallelFFTMatvec
 from repro.core.toeplitz import BlockTriangularToeplitz
 from repro.serve.cache import EngineCache
@@ -162,3 +163,39 @@ class TestCacheStaleness:
         cache.update_footprint("el")  # the service does this post-flush
         assert cache.get("el", builder=build) is eng
         assert cache.stats().stale_evictions == 0
+
+
+class TestNonFiniteConfinement:
+    def test_a_cast_overflow_fails_only_its_own_request(self):
+        # Every payload is finite, so all four pass submit; the last one's
+        # single-precision unpad overflows (dddds) under the abft checks
+        # (the cast's overflow warning is expected, as in tests/test_sdc.py).
+        rng = np.random.default_rng(7)
+        payloads = [rng.standard_normal((NT, NM)) for _ in range(3)]
+        payloads.append(np.full((NT, NM), 1e38))
+
+        async def main():
+            service = SolverService(EngineCache(64 * 2**20), max_block_k=4)
+            handle = service.register(
+                MAT, builder=lambda: FFTMatvec(MAT, validate="abft"), name="op"
+            )
+            async with service:
+                got = await asyncio.gather(
+                    *(
+                        service.matvec(handle, m, config="dddds", tenant=f"t{i}")
+                        for i, m in enumerate(payloads)
+                    ),
+                    return_exceptions=True,
+                )
+            return got, service.stats()
+
+        with pytest.warns(RuntimeWarning, match="overflow encountered in cast"):
+            got, st = asyncio.run(main())
+        solo = FFTMatvec(MAT, validate="abft")
+        for m, col in zip(payloads[:3], got[:3]):
+            assert np.array_equal(col, solo.matvec(m, config="dddds"))
+        assert isinstance(got[3], NumericalHealthError) and got[3].phase == "unpad"
+        # One coalesced flush, split into solo passes after it raised.
+        assert (st.flushes, st.max_batch, st.coalesced_requests) == (1, 4, 4)
+        assert (st.completed, st.failed, st.flush_retries) == (3, 1, 0)
+        assert st.latency["all"].count == 3

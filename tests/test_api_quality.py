@@ -349,7 +349,6 @@ KEPT_OPTIONS = MappingProxyType({
     "repro.util.checksum.SilentCorruption:chunk": ("safety", "fault report: which chunk"),
     "repro.util.checksum.ensure_finite:chunk": ("safety", "fault report: which chunk"),
     "repro.util.validation.check_array:dtypes": ("safety", "input validation"),
-    "repro.util.validation.check_array:shape": ("safety", "input validation"),
     # What a test sets to inject a fault or read what the device ran.
     "repro.comm.fault.FailureSchedule:seed": ("test instrument", "seeded rank kills"),
     "repro.comm.fault.FailureSchedule.seeded:first": ("test instrument", "first killed call"),
