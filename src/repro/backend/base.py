@@ -175,10 +175,11 @@ class Backend:
     def cast(self, a, precision: Precision) -> Any:
         """Precision cast preserving real/complexness.
 
-        Returns the input unchanged when already at the target precision
-        — the backend generalization of
-        :func:`repro.util.dtypes.cast_to`, bitwise-identical to it on
-        the numpy backend.
+        Returns the input unchanged when already at the target
+        precision, else a copy rounded once to it (the engine's held
+        spectrum tiers are built by
+        :meth:`repro.core.matvec.FFTMatvec.spectrum` instead, a column
+        panel at a time).
         """
         prec = Precision.parse(precision)
         target = complex_dtype(prec) if self.iscomplex(a) else real_dtype(prec)

@@ -18,9 +18,10 @@ Algorithm (paper Section 2.4) for ``d = F m``:
 input/output roles swapped.  Every phase computes in the precision its
 :class:`~repro.core.precision.PrecisionConfig` assigns; casts are fused
 into the adjacent memory operations; inputs and outputs are always
-double precision (Section 3.2).  The spectrum ``F_hat`` is precomputed
-in double precision at setup, with the ``1/(2*Nt)`` inverse-transform
-normalization folded in.
+double precision (Section 3.2).  The spectrum ``F_hat`` is computed in
+double precision with the ``1/(2*Nt)`` inverse-transform normalization
+folded in, and held at each Phase-3 tier an apply asks for, built on
+first use (:meth:`FFTMatvec.spectrum`).
 
 **One pipeline, blocked** (:meth:`FFTMatvec.matmat` /
 :meth:`FFTMatvec.rmatmat`; :meth:`FFTMatvec.matvec` /
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
+from contextlib import nullcontext
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -78,7 +80,7 @@ from repro.gpu.specs import GPUSpec
 from repro.util import checksum as _chk
 from repro.util import executor
 from repro.util.blocking import check_block, check_out_buffer
-from repro.util.dtypes import Precision, cast_to, complex_dtype, real_dtype
+from repro.util.dtypes import Precision, complex_dtype, real_dtype
 from repro.util.executor import run_groups
 from repro.util.timing import TimingReport
 from repro.util.validation import ReproError
@@ -87,6 +89,10 @@ from repro.util.workspace import Workspace
 __all__ = ["FFTMatvec", "GramFactor", "front_launches", "back_launches"]
 
 _PHASES = ("pad", "fft", "sbgemv", "ifft", "unpad")
+
+# The numpy error state of a pad or unpad cast no finite check follows
+# (see ``checked_cast`` in FFTMatvec._prepared): unchanged.
+_UNCHECKED = nullcontext()
 
 # Byte budget of one slab buffer of the phase loops (``_front`` /
 # ``_back``), i.e. of the ``(w, 2*Nt)`` padded rows the FFT reads or
@@ -290,12 +296,12 @@ class FFTMatvec:
         spec = device.spec if device is not None else None
         self.dispatcher = SBGEMVDispatcher(spec) if spec is not None else None
 
-        # Setup: F_hat in double precision, with the 1/(2*Nt) inverse
-        # normalization folded in.  Run once, but its transient sets the
-        # peak memory of an apply workload, so it is built in column
-        # panels.  The host double copy is authoritative; per-precision
-        # backend copies are cached lazily in spectrum().
-        self._fhat_host = self._setup_spectrum()
+        # Setup: a device books the spectrum build here, once.  The
+        # numbers are built by spectrum() at the tier an apply (or the
+        # Gram factor) first asks for, in column panels, and only the
+        # tiers asked for are held: a dssdd engine holds no complex128
+        # spectrum.
+        self._setup_spectrum()
         self._fhat: Dict[Precision, Any] = {}
         self._gram: Optional[GramFactor] = None  # gram_factor(), on first use
         self.setup_time = (
@@ -320,18 +326,15 @@ class FFTMatvec:
         self.workspace.release_hooks.append(self._plans.clear)  # records hold arena buffers
 
     # -- setup -----------------------------------------------------------------
-    def _setup_spectrum(self) -> np.ndarray:
-        """Precompute F_hat (always double precision, Section 3.2).
+    def _setup_spectrum(self) -> None:
+        """Book the setup of F_hat (double precision, Section 3.2).
 
-        The matrix builds the unscaled spectrum a column panel at a time
-        (:meth:`BlockTriangularToeplitz.spectrum`: permute lag-contiguous,
-        D2Z written frequency-major straight into the result) and the
-        1/(2*Nt) normalization is folded in in place, so the build's
-        transient is one panel, not six spectrum-sized arrays.  A device
-        books what the real code launches once over the whole shape:
-        the two 3-D permutations cuTENSOR performed in the original CUDA
-        code and the custom kernel performs after hipification (see
-        :mod:`repro.blas.permute`), around one whole-batch D2Z.
+        A device books what the real code launches once over the whole
+        shape: the two 3-D permutations cuTENSOR performed in the
+        original CUDA code and the custom kernel performs after
+        hipification (see :mod:`repro.blas.permute`), around one
+        whole-batch D2Z.  The numbers are :meth:`spectrum`'s, built on
+        first use at the tier asked for.
         """
         dev = self.device
         if dev is not None:
@@ -343,24 +346,23 @@ class FFTMatvec:
                     permute_launch((self.nd, self.nm, self.n_freq), 16, dev.spec),
                 ):
                     dev.launch(kernel, phase="setup")
-        fhat = self.matrix.spectrum()
-        fhat *= 1.0 / float(self.n_pad)  # fold in the IFFT normalization
-        return fhat
 
     def condition_number_hat(self) -> float:
         """The kappa(F_hat) of Eq. (6), from :meth:`gram_factor`."""
         return self.gram_factor().kappa
 
     def gram_factor(self) -> GramFactor:
-        """One SVD per frequency of the double spectrum this engine holds
-        (no second FFT of the kernel), run on first use and kept: kappa
-        and the preconditioner factor come from the same pass."""
+        """One SVD per frequency of the engine's double spectrum (built
+        and held from here on if no double apply has asked for it yet),
+        run on first use and kept: kappa and the preconditioner factor
+        come from the same pass."""
         if self._gram is None:
             r = min(self.nd, self.nm)
             s = host_empty((self.n_freq, r), np.float64)
             B = host_empty((self.n_freq, r, self.nm), np.complex64)
+            fhat = self.backend.from_device(self.spectrum(Precision.DOUBLE))
             # A frequency at a time: no complex128 transient the size of B.
-            for f, block in enumerate(self._fhat_host):
+            for f, block in enumerate(fhat):
                 _, s[f], B[f] = np.linalg.svd(block, full_matrices=False)
             s_min = float(s[:, -1].min())  # singular values come descending
             kappa = np.inf if s_min == 0.0 else float(s[:, 0].max()) / s_min
@@ -374,12 +376,21 @@ class FFTMatvec:
 
     # -- cached resources ----------------------------------------------------
     def spectrum(self, precision: Precision) -> Any:
-        """F_hat at the requested precision on the engine backend
-        (single copy cached lazily; identity for numpy double)."""
+        """F_hat at the requested precision on the engine backend, built
+        on first use and kept.
+
+        The only place a held spectrum is built: each column panel is
+        transformed and scaled by 1/(2*Nt) in double, then written into
+        the tier's own array (cast per panel for complex64), so a tier
+        is bitwise the double spectrum cast to it and a single-precision
+        engine never holds a complex128 spectrum.  A first double request
+        on an engine that so far ran only single applies pays one panel
+        build (40-55 ms at (256, 24, 384)).
+        """
         precision = Precision.parse(precision)
         if precision not in self._fhat:
             self._fhat[precision] = self.backend.asarray(
-                cast_to(self._fhat_host, precision)
+                self.matrix.spectrum(1.0 / float(self.n_pad), complex_dtype(precision))
             )
         return self._fhat[precision]
 
@@ -467,8 +478,14 @@ class FFTMatvec:
             # sharing a set never run at once.
             sets=1 if w == cols else min(-(-cols // w), executor.usable_cpus()),
         )
+        # A narrowing pad or unpad cast of an armed engine is followed by
+        # its finite check, which reports an overflow as a typed
+        # NumericalHealthError: numpy's cast warning is silenced there
+        # (under -W error it would raise first).  An unarmed engine keeps
+        # it; its casts run under _UNCHECKED.
         if back:
             rec.udt = real_dtype(config.unpad)
+            rec.checked_cast = self._abft_on and rec.udt.itemsize < rdt.itemsize
         else:
             rec.operation = Operation.C if adjoint else Operation.N
             rec.precision = config.sbgemv
@@ -481,6 +498,7 @@ class FFTMatvec:
             # ``cast_noop_count`` counts them.
             rec.pad_dt = rdt if config.pad is Precision.DOUBLE else real_dtype(config.pad)
             rec.noops = 2 if rec.pad_dt == rdt else 1
+            rec.checked_cast = self._abft_on and rec.pad_dt == np.float32
             # The fast GEMM's frequency parts (_run_sbgemm), one per group.
             nf, parts = self.n_freq, 1
             if (
@@ -836,8 +854,9 @@ class FFTMatvec:
     # lives) and run phases 4-5 exactly once per output part.  Phases 1-2
     # are per-column batch-independent and the spectrum slices are bitwise
     # slices of the global spectrum (per-(d,m) lag FFTs in
-    # _setup_spectrum), which is what makes a rank's front bitwise-equal
-    # to the corresponding slice of a single-device front.
+    # BlockTriangularToeplitz.spectrum), which is what makes a rank's
+    # front bitwise-equal to the corresponding slice of a single-device
+    # front.
 
     def _unpad_buffer(self, rec: SimpleNamespace) -> Any:
         """The back half's own ``(Nt, cols)`` result buffer — asked for
@@ -962,7 +981,8 @@ class FFTMatvec:
         dev = self.device if first and book else None
         # Phase 1: broadcast (trivial single-device) + zero-pad, in
         # the phase's precision (cast fused into the kernel's writes).
-        x = pad_to_soti(v2 if sl is None else v2[:, sl], config.pad, out=xbuf, backend=be)
+        with np.errstate(over="ignore") if rec.checked_cast else _UNCHECKED:
+            x = pad_to_soti(v2 if sl is None else v2[:, sl], config.pad, out=xbuf, backend=be)
         if dev is not None:
             dev.book(*booked[0])
         if self._abft_on:  # the caller's input, as the pad cast it
@@ -1070,7 +1090,8 @@ class FFTMatvec:
         # engine) in its precision; back to double in _finalize.
         if res is None:
             res = self._unpad_buffer(rec)
-        unpad_from_soti(y, self.nt, config.unpad, out=res if sl is None else res[:, sl], backend=be)
+        with np.errstate(over="ignore") if rec.checked_cast else _UNCHECKED:
+            unpad_from_soti(y, self.nt, config.unpad, out=res if sl is None else res[:, sl], backend=be)
         if dev is not None:
             dev.book(*booked[2])
         if self._abft_on:  # what the unpad's cast wrote

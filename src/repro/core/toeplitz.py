@@ -22,12 +22,12 @@ from repro.util.validation import ReproError, check_array, check_positive_int
 __all__ = ["BlockTriangularToeplitz", "spectral_condition_number"]
 
 # Padded-kernel bytes of one column panel of the spectrum build
-# (:meth:`BlockTriangularToeplitz.spectrum`), its only transient: 16
-# columns at Nt = 256, Nd = 24.  At (256, 24, 384) the build peaks 1 MiB
-# above the 36 MiB it returns, in 57 ms; the whole-shape build held six
-# spectrum-sized arrays at once.  Panels of 256 KiB took 1.6x as long
-# (per-panel calls), 2 MiB ones the same at twice the transient.  A
-# small shape is one panel.
+# (:meth:`BlockTriangularToeplitz.spectrum`), whose transient is this
+# panel and its transform: 16 columns at Nt = 256, Nd = 24.  At
+# (256, 24, 384) a tier takes 40-55 ms (one BLAS thread); the
+# whole-shape build held six spectrum-sized arrays at once.  Panels of
+# 256 KiB took 1.5x as long (per-panel calls), 2 MiB ones 0.9x at twice
+# the transient.  A small shape is one panel.
 _PANEL_BYTES = 1 << 20
 
 
@@ -172,36 +172,42 @@ class BlockTriangularToeplitz:
         return out
 
     # -- circulant embedding -----------------------------------------------------
-    def spectrum(self) -> np.ndarray:
+    def spectrum(self, scale: float = 1.0, dtype=np.complex128) -> np.ndarray:
         """DFT of the zero-padded kernel along lags: shape (Nt+1, Nd, Nm).
 
         The padded kernel is the ``(2*Nt, Nd, Nm)`` first block column of
         the circulant embedding (lags ``Nt..2*Nt-1`` zero), which agrees
         with ``F`` on the leading (Nt, Nt) block window.  Real input, so
-        the half spectrum suffices (rfft).  This is the ``F_hat`` the
-        engine precomputes in double precision at setup; the engine folds
-        the 1/(2*Nt) inverse-FFT normalization into it, this accessor
-        returns the *unscaled* spectrum.
+        the half spectrum suffices (rfft).  By default the *unscaled*
+        complex128 spectrum; the engine asks for each tier it holds with
+        the 1/(2*Nt) inverse-FFT normalization as ``scale`` and its tier
+        as ``dtype`` (complex128 or complex64).
 
         Built in column panels of Nm (:data:`_PANEL_BYTES` of padded
         kernel each), the real code's permute -> D2Z -> permute data flow
         (:mod:`repro.blas.permute`) a panel at a time: the panel's blocks
-        are permuted lag-contiguous into a zeroed buffer, and the
-        transform writes them frequency-major straight into the result
-        (its ``out`` is the panel's transposed view).  The only
-        transient is that one panel buffer.  Every lag series is its own
-        transform, so the bits are those of one whole-shape transform.
+        are permuted lag-contiguous into a zeroed buffer, transformed
+        into a reused complex128 panel buffer and scaled there in
+        double, and the second permutation is the copy of that panel
+        into its frequency-major columns of the result, cast to the tier
+        on the way (so a complex64 tier never has a complex128 array the
+        size of the spectrum beside it).  The transients are those two
+        panel buffers.  Every lag series is its own transform and the
+        scale and cast are elementwise, so the bits are those of one
+        whole-shape transform, scaled, then cast.
         """
         nt, nd, nm = self.nt, self.nd, self.nm
-        out = np.empty((nt + 1, nd, nm), np.complex128)
+        out = np.empty((nt + 1, nd, nm), dtype)
         width = min(nm, max(1, _PANEL_BYTES // (2 * nt * nd * 8)))
         lag_inner = np.zeros((nd, width, 2 * nt))  # lags nt.. stay zero
+        transformed = np.empty((nd, width, nt + 1), np.complex128)
         for m0 in range(0, nm, width):
             w = min(width, nm - m0)
             permute3d(self.blocks[:, :, m0 : m0 + w], (1, 2, 0), out=lag_inner[:, :w, :nt])
-            np.fft.rfft(
-                lag_inner[:, :w], axis=-1, out=out[:, :, m0 : m0 + w].transpose(1, 2, 0)
-            )
+            panel = np.fft.rfft(lag_inner[:, :w], axis=-1, out=transformed[:, :w])
+            if scale != 1.0:
+                panel *= scale
+            out[:, :, m0 : m0 + w] = panel.transpose(2, 0, 1)
         return out
 
     def condition_number_hat(self) -> float:

@@ -3,10 +3,10 @@
 A long-lived solver service sees many distinct operators — different
 tenants' problems, different geometries — but only a bounded slice of
 device memory to keep them resident.  Each cached engine is expensive in
-exactly the ways the repo already models: the precomputed spectrum
-``F_hat`` (per cached precision), the FFT-plan dictionary, and the
-workspace arena the allocation-free pipeline writes into.  This module
-provides:
+exactly the ways the repo already models: the spectrum ``F_hat`` (one
+array per precision tier it has applied at), the FFT-plan dictionary,
+and the workspace arena the allocation-free pipeline writes into.  This
+module provides:
 
 * :func:`operator_fingerprint` — a stable content+geometry digest of a
   :class:`~repro.core.toeplitz.BlockTriangularToeplitz`, the key the
@@ -18,9 +18,10 @@ provides:
   aliases a fast one in the cache, and the service keys each request's
   resolved determinism mode into its coalescing group;
 * :func:`engine_footprint` — the modeled resident bytes of a built
-  engine (spectrum copies + arenas, grid-wide for the parallel engine).
-  Building one costs a transient on top that the budget does not
-  charge: one column panel of the spectrum build (about 1 MiB, see
+  engine (the spectrum tiers it holds + arenas, grid-wide for the
+  parallel engine).  An engine builds each spectrum tier on its first
+  use; the transient that costs is not charged: one or two column
+  panels (about 1 MiB each, see
   :meth:`~repro.core.toeplitz.BlockTriangularToeplitz.spectrum`), not a
   multiple of the footprint;
 * :class:`EngineCache` — an LRU of built engines charged against a
@@ -87,13 +88,17 @@ def operator_fingerprint(matrix: Union[BlockTriangularToeplitz, np.ndarray]) -> 
 
 def _single_engine_bytes(engine: FFTMatvec) -> int:
     """Resident bytes of one single-device engine (spectra, the
-    preconditioner factor once a solve built it, arena)."""
+    preconditioner factor once a solve built it, arena).
+
+    Each held spectrum and conjugate counts once.  A fresh engine holds
+    none yet, so the spectra are charged at least what its first apply
+    builds: one complex128 spectrum, the size of a complex64 spectrum
+    plus its conjugate.
+    """
     be = engine.backend
-    total = int(engine._fhat_host.nbytes)
-    for cached in engine._fhat.values():
-        total += int(be.nbytes(cached))
-    for cached in engine._fhat_conj.values():
-        total += int(be.nbytes(cached))
+    held = [*engine._fhat.values(), *engine._fhat_conj.values()]
+    floor = engine.n_freq * engine.nd * engine.nm * np.dtype(np.complex128).itemsize
+    total = max(floor, sum(int(be.nbytes(a)) for a in held))
     if engine._gram is not None:
         total += int(engine._gram.B.nbytes)
     return total + int(engine.workspace.nbytes)
@@ -102,9 +107,10 @@ def _single_engine_bytes(engine: FFTMatvec) -> int:
 def engine_footprint(engine: Engine) -> int:
     """Modeled resident bytes of a built engine.
 
-    Counts what eviction would actually reclaim: the host spectrum, the
-    per-precision backend spectrum copies (plain and conjugated), the
-    preconditioner factor ``B``, and the workspace arena(s).  For :class:`ParallelFFTMatvec` this sums
+    Counts what eviction would actually reclaim: the per-precision
+    backend spectra the engine has built (plain and conjugated; at least
+    one complex128 spectrum's bytes), the preconditioner factor ``B``,
+    and the workspace arena(s).  For :class:`ParallelFFTMatvec` this sums
     every rank engine plus the grid-level staging arena — the cache
     budget covers the whole simulated machine's share, matching
     :meth:`~repro.core.parallel.ParallelFFTMatvec.workspace_report`.

@@ -11,7 +11,6 @@ from repro.util.dtypes import (
     real_dtype,
     machine_eps,
     lowest,
-    cast_to,
     fill_low_mantissa,
 )
 from repro.util.timing import SimClock, Timeline, Stream, Event, TimingReport
@@ -37,7 +36,6 @@ __all__ = [
     "real_dtype",
     "machine_eps",
     "lowest",
-    "cast_to",
     "fill_low_mantissa",
     "SimClock",
     "Timeline",

@@ -30,7 +30,6 @@ __all__ = [
     "complex_dtype",
     "machine_eps",
     "lowest",
-    "cast_to",
     "fill_low_mantissa",
 ]
 
@@ -99,19 +98,6 @@ def lowest(a: Precision, b: Precision) -> Precision:
     """Lower of two precisions (memory ops run at the lower neighbour)."""
     a, b = Precision.parse(a), Precision.parse(b)
     return a if a <= b else b
-
-
-def cast_to(arr: np.ndarray, prec: Precision) -> np.ndarray:
-    """Cast an array to the given precision, preserving real/complexness.
-
-    Returns the input unchanged (no copy) when already at the target
-    precision, matching the engine's behaviour of skipping no-op casts.
-    """
-    prec = Precision.parse(prec)
-    target = complex_dtype(prec) if np.iscomplexobj(arr) else real_dtype(prec)
-    if arr.dtype == target:
-        return arr
-    return arr.astype(target)
 
 
 def fill_low_mantissa(arr: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.backend import NumpyBackend, host_empty
-from repro.util.dtypes import Precision, cast_to
+from repro.util.dtypes import Precision, complex_dtype, real_dtype
 
 BE = NumpyBackend()
 
@@ -131,12 +131,14 @@ def test_astype_and_ascontiguous(rng):
     assert np.array_equal(cont, np.ascontiguousarray(strided))
 
 
-def test_cast_matches_cast_to(rng, carr):
+def test_cast_matches_astype(rng, carr):
     a = rng.standard_normal((4, 4))
     for prec in (Precision.DOUBLE, Precision.SINGLE):
-        assert np.array_equal(BE.cast(a, prec), cast_to(a, prec))
-        assert np.array_equal(BE.cast(carr, prec), cast_to(carr, prec))
+        for arr, dt in ((a, real_dtype(prec)), (carr, complex_dtype(prec))):
+            got = BE.cast(arr, prec)
+            assert got.dtype == dt and np.array_equal(got, arr.astype(dt))
     assert BE.cast(a, Precision.DOUBLE) is a  # no-op cast aliases
+    assert BE.cast(np.array([1.0 + 2.0**-40]), Precision.SINGLE)[0] == np.float32(1.0)
 
 
 def test_introspection(rng, carr):

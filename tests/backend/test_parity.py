@@ -149,10 +149,10 @@ def test_torch_cpu_matches_numpy_parallel(config, monkeypatch):
 
 @needs_torch
 def test_torch_backend_spectrum_roundtrip(monkeypatch):
-    """The torch engine's cached spectrum matches the host double setup."""
+    """The torch engine's cached spectrum matches the numpy engine's."""
     monkeypatch.setenv("REPRO_TORCH_DEVICE", "cpu")
     matrix, *_ = _problem()
     eng = FFTMatvec(matrix, backend="torch")
-    host = eng._fhat_host
+    host = FFTMatvec(matrix, backend="numpy").spectrum(Precision.DOUBLE)
     dev = eng.backend.from_device(eng.spectrum(Precision.DOUBLE))
     assert np.array_equal(host, dev)

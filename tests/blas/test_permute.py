@@ -12,6 +12,7 @@ from repro.blas.permute import (
 from repro.gpu.device import SimulatedDevice
 from repro.gpu.kernel import Dim3, KernelLaunch, LaunchConfigError
 from repro.gpu.specs import MI300X
+from repro.util.dtypes import Precision
 from repro.util.validation import ReproError
 
 
@@ -130,4 +131,4 @@ class TestDeviceExecution:
         eng = FFTMatvec(matrix)
         padded = np.concatenate([matrix.blocks, np.zeros_like(matrix.blocks)])
         direct = np.fft.rfft(padded, axis=0) * (1.0 / 24.0)
-        assert np.array_equal(eng._fhat_host, direct)
+        assert np.array_equal(eng.spectrum(Precision.DOUBLE), direct)

@@ -34,6 +34,7 @@ from repro.inverse.cg import (
 )
 from repro.serve.cache import engine_footprint
 from repro.util.checkpoint import CheckpointSchemaError
+from repro.util.dtypes import Precision
 from repro.util.validation import ReproError
 from tests.inverse.test_residual_replacement import (
     MAXITER,
@@ -70,7 +71,7 @@ def _hessian(eng, noise_std=1.0, reg=None, config="ddddd"):
 def _dense_inverse(eng, v, noise_std):
     """``sigma^2 P (C^H C + mu I)^-1 P^T v`` in double, one solve per frequency."""
     nt, mu = eng.nt, eng.gram_factor().mu
-    C = eng._fhat_host * eng.n_pad  # unnormalized spectrum
+    C = eng.spectrum(Precision.DOUBLE) * eng.n_pad  # unnormalized spectrum
     vhat = np.fft.rfft(np.concatenate([v, np.zeros_like(v)]), axis=0)
     gram = np.conj(C.transpose(0, 2, 1)) @ C + mu * np.eye(eng.nm)
     zhat = np.linalg.solve(gram, vhat[:, :, None])[:, :, 0]

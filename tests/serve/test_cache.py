@@ -76,6 +76,36 @@ class TestEngineCacheBasics:
         assert "k1" not in cache and len(cache) == 2
 
 
+class TestFootprint:
+    @staticmethod
+    def distinct_bytes(arrays):
+        counted = []
+        for a in arrays:
+            if not any(np.shares_memory(a, b) for b in counted):
+                counted.append(a)
+        return sum(a.nbytes for a in counted)
+
+    def test_a_fresh_engine_is_charged_one_double_spectrum(self):
+        eng = FFTMatvec(make_matrix(64, 24, 96))
+        assert not eng._fhat and not eng._fhat_conj  # built on first use
+        assert engine_footprint(eng) == 65 * 24 * 96 * 16 + eng.workspace.nbytes
+
+    def test_counts_each_held_array_once(self):
+        mat = make_matrix(64, 24, 96)
+        eng = FFTMatvec(mat)
+        M, D = np.ones((mat.nt, mat.nm, 3)), np.ones((mat.nt, mat.nd, 3))
+        for config in ("ddddd", "dssdd"):
+            eng.matvec(M[:, :, 0], config=config)
+            eng.matmat(M, config=config)
+            eng.rmatmat(D, config=config)
+            held = [*eng._fhat.values(), *eng._fhat_conj.values()]
+            want = self.distinct_bytes(held) + eng.workspace.nbytes
+            assert engine_footprint(eng) == want
+        # Both tiers and their conjugates: 16 + 16 + 8 + 8 bytes an entry.
+        assert len(held) == 4
+        assert self.distinct_bytes(held) == 65 * 24 * 96 * 48
+
+
 class TestByteBudget:
     def test_budget_evicts_lru(self):
         mat = make_matrix()

@@ -166,13 +166,16 @@ class TestCacheStaleness:
 
 
 class TestNonFiniteConfinement:
-    def test_a_cast_overflow_fails_only_its_own_request(self):
+    @pytest.mark.parametrize(
+        "config,value,phase", [("dddds", 1e38, "unpad"), ("sdddd", 1e39, "pad")]
+    )
+    def test_a_cast_overflow_fails_only_its_own_request(self, config, value, phase):
         # Every payload is finite, so all four pass submit; the last one's
-        # single-precision unpad overflows (dddds) under the abft checks
-        # (the cast's overflow warning is expected, as in tests/test_sdc.py).
+        # single-precision unpad (dddds) or pad (sdddd) overflows under the
+        # abft checks, which report it before numpy's cast warning could.
         rng = np.random.default_rng(7)
         payloads = [rng.standard_normal((NT, NM)) for _ in range(3)]
-        payloads.append(np.full((NT, NM), 1e38))
+        payloads.append(np.full((NT, NM), value))
 
         async def main():
             service = SolverService(EngineCache(64 * 2**20), max_block_k=4)
@@ -182,19 +185,18 @@ class TestNonFiniteConfinement:
             async with service:
                 got = await asyncio.gather(
                     *(
-                        service.matvec(handle, m, config="dddds", tenant=f"t{i}")
+                        service.matvec(handle, m, config=config, tenant=f"t{i}")
                         for i, m in enumerate(payloads)
                     ),
                     return_exceptions=True,
                 )
             return got, service.stats()
 
-        with pytest.warns(RuntimeWarning, match="overflow encountered in cast"):
-            got, st = asyncio.run(main())
+        got, st = asyncio.run(main())
         solo = FFTMatvec(MAT, validate="abft")
         for m, col in zip(payloads[:3], got[:3]):
-            assert np.array_equal(col, solo.matvec(m, config="dddds"))
-        assert isinstance(got[3], NumericalHealthError) and got[3].phase == "unpad"
+            assert np.array_equal(col, solo.matvec(m, config=config))
+        assert isinstance(got[3], NumericalHealthError) and got[3].phase == phase
         # One coalesced flush, split into solo passes after it raised.
         assert (st.flushes, st.max_batch, st.coalesced_requests) == (1, 4, 4)
         assert (st.completed, st.failed, st.flush_retries) == (3, 1, 0)

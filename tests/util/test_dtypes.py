@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from repro.util.dtypes import (
     Precision,
-    cast_to,
     complex_dtype,
     fill_low_mantissa,
     lowest,
@@ -75,27 +74,6 @@ class TestDtypes:
     def test_machine_eps_values(self):
         assert machine_eps(Precision.SINGLE) == pytest.approx(1.19e-7, rel=1e-2)
         assert machine_eps(Precision.DOUBLE) == pytest.approx(2.22e-16, rel=1e-2)
-
-
-class TestCastTo:
-    def test_real_down_up(self):
-        a = np.array([1.0, 2.5], dtype=np.float64)
-        down = cast_to(a, Precision.SINGLE)
-        assert down.dtype == np.float32
-        up = cast_to(down, Precision.DOUBLE)
-        assert up.dtype == np.float64
-
-    def test_complex_preserved(self):
-        a = np.array([1 + 2j], dtype=np.complex128)
-        assert cast_to(a, Precision.SINGLE).dtype == np.complex64
-
-    def test_noop_returns_same_object(self):
-        a = np.zeros(4, dtype=np.float32)
-        assert cast_to(a, Precision.SINGLE) is a
-
-    def test_cast_rounds(self):
-        x = np.array([1.0 + 2.0**-40], dtype=np.float64)
-        assert cast_to(x, Precision.SINGLE)[0] == np.float32(1.0)
 
 
 class TestFillLowMantissa:
