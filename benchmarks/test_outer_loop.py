@@ -174,5 +174,8 @@ class TestCapacityPlanning:
             return out
 
         counts = benchmark(size)
-        print(f"\nGPUs needed for the 1B-parameter problem of [21]: {counts}")
+        print(
+            f"\nGPUs needed for the 1B-parameter problem of [21]: {counts} "
+            "(paper, Sec. 4.2.2: 640 MI250X GCDs)"
+        )
         assert counts["MI300X"] < counts["MI250X (Single GCD)"]

@@ -15,7 +15,9 @@ Algorithm (paper Section 2.4) for ``d = F m``:
    layout.
 
 ``F* d`` runs the same pipeline with the conjugate-transpose SBGEMV and
-input/output roles swapped.  Every phase computes in the precision its
+input/output roles swapped, as ``conj(F_hat^T conj(d_hat))``: the two
+conjugations run in place on slab scratch the pipeline writes anyway, so
+no conjugated spectrum is held.  Every phase computes in the precision its
 :class:`~repro.core.precision.PrecisionConfig` assigns; casts are fused
 into the adjacent memory operations; inputs and outputs are always
 double precision (Section 3.2).  The spectrum ``F_hat`` is computed in
@@ -165,13 +167,12 @@ def _slabs(rec: SimpleNamespace, sets: Sequence[Tuple]) -> list:
 
 
 def _gemm_frequencies(
-    part: slice, fhat: Any, mhat: Any, operation: Operation, out: Any, a_conj: Any, be: Backend
+    part: slice, fhat: Any, mhat: Any, operation: Operation, out: Any, be: Backend
 ) -> Any:
     """One contiguous frequency part of the fast Phase-3 GEMM
     (:meth:`FFTMatvec._run_sbgemm`)."""
     return gemm_strided_batched_reference(
-        fhat[part], mhat[part], operation, out=out[part],
-        a_conj=None if a_conj is None else a_conj[part], backend=be,
+        fhat[part], mhat[part], operation, out=out[part], backend=be
     )
 
 
@@ -314,7 +315,8 @@ class FFTMatvec:
         self.matmat_count = 0
         self.cast_noop_count = 0  # phase boundaries crossed without a cast pass
         self._ref_cache: Dict[Tuple[bool, Tuple[int, ...], bytes], np.ndarray] = {}
-        self._fhat_conj: Dict[Precision, Any] = {}
+        self._fhat_t: Dict[Precision, Any] = {}  # adjoint_spectrum()'s transposes
+        self._fhat_conj: Dict[Precision, Any] = {}  # spectrum_conj(), never read here
         self._abft_rows: Dict[Tuple[Precision, Operation], Tuple[Any, np.ndarray]] = {}
         if workspace not in (None, True):
             raise ReproError(f"workspace must be None or True, got {workspace!r}")
@@ -394,17 +396,36 @@ class FFTMatvec:
             )
         return self._fhat[precision]
 
-    def spectrum_conj(self, precision: Precision) -> Any:
-        """The conjugated spectrum at the requested precision, cached.
+    def adjoint_spectrum(self, precision: Precision) -> Any:
+        """The array the adjoint GEMM reads, as op T on the conjugated
+        panel: the spectrum's values in the spectrum's shape.
 
-        The adjoint GEMM applies the conjugated spectrum on every
-        iteration; caching the exact bytes a fresh conjugation would
-        produce keeps repeated adjoint applies from re-materializing the
-        largest array on the hot path, with bitwise-unchanged results.
-        The op-C GEMM transposes it back, so complex64 is kept as the
-        view of a contiguous conjugate transpose (numpy's NN cgemm, ~1.8x
-        the TN one) and complex128 as the spectrum is (TN is the faster
-        zgemm); the bytes are the same.
+        complex128 is the spectrum itself (TN is the faster zgemm).
+        complex64 is the view of a contiguous transpose, built on first
+        use and kept, so the op-T GEMM reads it as an NN cgemm (~1.8x the
+        TN one).
+        """
+        precision = Precision.parse(precision)
+        be, fhat = self.backend, self.spectrum(precision)
+        if be.dtype_of(fhat) != np.complex64:
+            return fhat
+        if precision not in self._fhat_t:
+            nf, nd, nm = fhat.shape
+            t = be.empty((nf, nm, nd), np.complex64)
+            be.copyto(t, be.transpose(fhat, (0, 2, 1)))
+            self._fhat_t[precision] = be.transpose(t, (0, 2, 1))
+        return self._fhat_t[precision]
+
+    def spectrum_conj(self, precision: Precision) -> Any:
+        """The conjugated spectrum at the requested precision, cached:
+        complex64 as the view of a contiguous conjugate transpose,
+        complex128 in the spectrum's layout.
+
+        No apply reads it: the adjoint conjugates its panel instead
+        (:meth:`adjoint_spectrum`).  Only ``bench/``'s phase replay,
+        which runs the adjoint as op C, still calls it; the benchmark
+        change that moves the replay to op T deletes it, with the
+        ``a_conj`` / ``x_conj`` parameters of the BLAS references.
         """
         precision = Precision.parse(precision)
         if precision not in self._fhat_conj:
@@ -423,19 +444,17 @@ class FFTMatvec:
     ) -> Tuple[Any, np.ndarray]:
         """The ABFT checksum rows ``(e^T op(F_hat), e^T |op(F_hat)|)``, cached.
 
-        Taken from the spectrum on first use and kept, like
-        :meth:`spectrum_conj`: every later check then compares the
-        panel against what the *clean* spectrum implies, so a bit that
-        flips in the live spectrum afterwards breaks the identity
-        instead of moving both of its sides together.
+        Taken from the spectrum on first use and kept: every later check
+        then compares the panel against what the *clean* spectrum
+        implies, so a bit that flips in the live spectrum (or the
+        adjoint's transpose) afterwards breaks the identity instead of
+        moving both of its sides together.  The adjoint checks op T on
+        its conjugated panel.
         """
         precision, op = Precision.parse(precision), Operation.parse(operation)
         if (precision, op) not in self._abft_rows:
             self._abft_rows[precision, op] = gemm_checksum_rows(
-                self.spectrum(precision),
-                op,
-                a_conj=self.spectrum_conj(precision) if op is Operation.C else None,
-                backend=self.backend,
+                self.spectrum(precision), op, backend=self.backend
             )
         return self._abft_rows[precision, op]
 
@@ -473,6 +492,9 @@ class FFTMatvec:
         rec = SimpleNamespace(
             n=n, k=k, cols=cols, rdt=rdt, cdt=complex_dtype(fft), p3=None, res=None, booked=None,
             w=w, plan=FFTPlan(self.n_pad, cols, fft_type, backend=self.backend),
+            # The adjoint conjugates its slabs: the FFT's output in the
+            # front, the reorder's in the back (_front_slab / _back_slab).
+            adjoint=adjoint,
             # A multi-slab half runs its slabs as up to this many groups
             # (run_groups): slab i uses scratch set i % sets, so slabs
             # sharing a set never run at once.
@@ -487,7 +509,9 @@ class FFTMatvec:
             rec.udt = real_dtype(config.unpad)
             rec.checked_cast = self._abft_on and rec.udt.itemsize < rdt.itemsize
         else:
-            rec.operation = Operation.C if adjoint else Operation.N
+            # Phase 3's numeric op: the adjoint's panel is conjugated, so
+            # op T gives conj(F_hat^H x).  A device books op C (phase3).
+            rec.operation = Operation.T if adjoint else Operation.N
             rec.precision = config.sbgemv
             rec.sdt = complex_dtype(config.sbgemv)
             # The input is double, so a double pad writes the FFT's tier
@@ -519,7 +543,8 @@ class FFTMatvec:
                 runs = k if key[0] is FFTMatvec._run_sbgemv_panel else 1
                 phase3 = self.dispatcher.phase3(
                     self.nd, self.nm, self.n_freq, k // runs,
-                    BlasDatatype.from_dtype(rec.sdt), rec.operation, self.reduction,
+                    BlasDatatype.from_dtype(rec.sdt), Operation.C if adjoint else Operation.N,
+                    self.reduction,
                 )
                 rec.counted = (phase3[0].name, runs)
                 launches = front_launches(spec, self.nt, cols, config, [phase3] * runs)
@@ -587,17 +612,17 @@ class FFTMatvec:
         )
 
     # -- Phase 3: numerics only (what they book is the record's) ---------------
-    def _phase3_operands(self, rec, out=None, stage=None, conj_a: bool = False) -> Tuple:
-        """Phase 3's ``(fhat, a_conj, out, staging)``, resolved by a kernel's
-        first run on the front record ``rec`` and kept there: the spectrum
-        at its tier, the cached conjugate for an adjoint GEMM and the
-        arena's ``(tag, shape)`` output and input staging."""
+    def _phase3_operands(self, rec, out=None, stage=None, gemm: bool = False) -> Tuple:
+        """Phase 3's ``(fhat, out, staging)``, resolved by a kernel's first
+        run on the front record ``rec`` and kept there: the spectrum at
+        its tier (for an adjoint ``gemm``, :meth:`adjoint_spectrum`) and
+        the arena's ``(tag, shape)`` output and input staging."""
         if rec.p3 is None:
-            fhat, ws = self.spectrum(rec.precision), self.workspace
+            read = self.adjoint_spectrum if gemm and rec.adjoint else self.spectrum
+            fhat, ws = read(rec.precision), self.workspace
             dt = self.backend.dtype_of(fhat)
             rec.p3 = (
                 fhat,
-                self.spectrum_conj(rec.precision) if conj_a and rec.operation is Operation.C else None,
                 ws.checkout(*out, dt) if out else None,
                 ws.checkout(*stage, dt) if stage else None,
             )
@@ -606,19 +631,11 @@ class FFTMatvec:
     def _run_sbgemv(self, panel: Any, rec: SimpleNamespace) -> Any:
         """Vector Phase 3: the strided-batched GEMV on the lone column of
         an ``(n_freq, nx, 1)`` panel, returned as an ``(n_freq, ny, 1)`` one."""
-        be, operation, mhat = self.backend, rec.operation, panel[:, :, 0]
-        adj = operation is Operation.C
-        fhat, _, out, x_conj = rec.p3 or self._phase3_operands(
-            rec,
-            ("sbgemv_out", (self.n_freq, self.nm if adj else self.nd)),
-            ("sbgemv_conj_x", tuple(mhat.shape)) if adj else None,
+        fhat, out, _ = rec.p3 or self._phase3_operands(
+            rec, ("sbgemv_out", (self.n_freq, self.nm if rec.adjoint else self.nd))
         )
-        if x_conj is not None:
-            # Stage the adjoint's conj(x) in the arena — bitwise the bytes
-            # a fresh conjugation would produce, no per-apply temporary.
-            be.conjugate(mhat, out=x_conj)
         yhat = gemv_strided_batched_reference(
-            fhat, mhat, operation, out=out, x_conj=x_conj, backend=be
+            fhat, panel[:, :, 0], rec.operation, out=out, backend=self.backend
         )
         return yhat.reshape(yhat.shape + (1,))
 
@@ -631,23 +648,20 @@ class FFTMatvec:
         serves the whole engine.
         """
         be, operation = self.backend, rec.operation
-        # The conjugated spectrum is cached for the adjoint (op C): the
-        # bytes match a fresh conjugation, so results are bitwise-unchanged.
-        fhat, a_conj, out, _ = rec.p3 or self._phase3_operands(
+        fhat, out, _ = rec.p3 or self._phase3_operands(
             rec,
-            ("sbgemm_out", (self.n_freq, self.nd if operation is Operation.N else self.nm, mhat.shape[2])),
-            conj_a=True,
+            ("sbgemm_out", (self.n_freq, self.nm if rec.adjoint else self.nd, mhat.shape[2])),
+            gemm=True,
         )
         if self.reduction == "pairwise":
             return pairwise_gemm_strided_batched_reference(
-                fhat, mhat, operation, out=out, a_conj=a_conj, backend=be,
-                workspace=self.workspace,
+                fhat, mhat, operation, out=out, backend=be, workspace=self.workspace
             )
         # numpy's stacked matmul runs one GEMM per frequency, so the
         # contiguous frequency parts of the record give the bits of one
         # call on any number of threads.
         parts = rec.parts
-        run_groups(_gemm_frequencies, parts, len(parts), fhat, mhat, operation, out, a_conj, be)
+        run_groups(_gemm_frequencies, parts, len(parts), fhat, mhat, operation, out, be)
         return out
 
     def _run_sbgemm_pairwise_segments(
@@ -664,9 +678,9 @@ class FFTMatvec:
         the full contraction is one fixed tree regardless of partition.
         Booked as the local pairwise kernel's launch.
         """
-        fhat, a_conj, _, _ = rec.p3 or self._phase3_operands(rec, conj_a=True)
+        fhat, _, _ = rec.p3 or self._phase3_operands(rec, gemm=True)
         return pairwise_segment_values(
-            fhat, panel, rec.operation, start, n_global, a_conj=a_conj,
+            fhat, panel, rec.operation, start, n_global,
             backend=self.backend, workspace=self.workspace,
         )
 
@@ -687,48 +701,43 @@ class FFTMatvec:
         :meth:`_run_sbgemv`.  Either way a device books k GEMV launches
         — the price of determinism the docs advertise.
         """
-        be, operation = self.backend, rec.operation
+        be, operation, adj = self.backend, rec.operation, rec.adjoint
         nf, nx, k = mhat.shape
-        adj = operation is Operation.C
         ny = self.nm if adj else self.nd
         looped = be.name != "numpy"
         # numpy picks its matmul loop by the operands' strides, so the
         # columns are handed over as a lone GEMV has them — contiguous —
-        # wherever the strided view would take another loop: conj(x) of
-        # the adjoint, and a forward panel whose output has one row.
+        # wherever the strided view would take another loop: the
+        # adjoint, and a forward panel whose output has one row.
         staged = not looped and (adj or ny == 1)
-        fhat, _, out, xbuf = rec.p3 or self._phase3_operands(
-            rec,
-            ("det_sbgemv_out", (nf, ny, k)),
-            ("det_sbgemv_conj_x" if adj else "det_sbgemv_x", (k, nf, nx)) if staged else None,
+        fhat, out, xbuf = rec.p3 or self._phase3_operands(
+            rec, ("det_sbgemv_out", (nf, ny, k)), ("det_sbgemv_x", (k, nf, nx)) if staged else None
         )
         if looped:
             for j in range(k):  # a column's own operands, as a lone GEMV has them
-                col = SimpleNamespace(operation=operation, precision=rec.precision, p3=None)
+                col = SimpleNamespace(
+                    operation=operation, adjoint=adj, precision=rec.precision, p3=None
+                )
                 out[:, :, j : j + 1] = self._run_sbgemv(mhat[:, :, j : j + 1], col)
             return out
         cols = np.moveaxis(mhat, 2, 0)  # (k, nf, nx) strided view
         out_v = np.moveaxis(out, 2, 0)  # (k, nf, ny) strided view
         if staged:
-            if adj:
-                be.conjugate(cols, out=xbuf)
-            else:
-                be.copyto(xbuf, cols)
+            be.copyto(xbuf, cols)
             cols = xbuf
         if not adj:
             # One GEMV per (column, frequency): (1,nf,ny,nx) @ (k,nf,nx,1).
             be.matmul(fhat[None], cols[..., None], out=out_v[..., None])
             return out
-        # Adjoint GEMV per column: conj(conj(x)^T A), conjugated in
-        # place after the write.  The contraction runs as matrix-vector
-        # against the transposed spectrum *view* — same strided gufunc
-        # accumulation as the row-vector form (bitwise-identical, the
-        # coalescing tests assert it), but measurably faster; a
-        # contiguous copy of the transpose would flip numpy into a BLAS
-        # path with a different summation order and break the identity.
+        # Adjoint GEMV per column: x^T A on the conjugated panel.  The
+        # contraction runs as matrix-vector against the transposed
+        # spectrum *view* — same strided gufunc accumulation as the
+        # row-vector form (bitwise-identical, the coalescing tests assert
+        # it), but measurably faster; a contiguous copy of the transpose
+        # would flip numpy into a BLAS path with a different summation
+        # order and break the identity.
         fhat_t = be.transpose(fhat, (0, 2, 1))
         be.matmul(fhat_t[None], cols[..., None], out=out_v[..., None])
-        be.conjugate(out, out=out)
         return out
 
     # -- SDC defense: injection sites and algebraic checks ---------------------
@@ -1000,6 +1009,8 @@ class FFTMatvec:
         if self._abft_on:
             self._maybe_corrupt(xhat, "fft")
             self._check_forward_energy(x, xhat, plan)
+        if rec.adjoint:  # Phase 3 reads conj(x_hat) as op T
+            be.conjugate(xhat, out=xhat)
         # Reorder to frequency-outer layout, written at Phase 3's
         # precision: the value "reorder at the lower adjacent
         # precision, then cast" gives (a down-cast rounds once, an
@@ -1079,6 +1090,8 @@ class FFTMatvec:
         ys = tosi_to_soti(y2 if sl is None else y2[:, sl], backend=be, out=ybuf)
         if dev is not None:
             dev.book(*booked[0])
+        if rec.adjoint:  # op T gave conj(F_hat^H x_hat): conjugate it back
+            be.conjugate(ys, out=ys)
         # Phase 4: batched inverse FFT, batch = k * space.
         y = plan.inverse(ys, phase="ifft" if first else None, out=tbuf)
         if dev is not None:
@@ -1141,7 +1154,7 @@ class FFTMatvec:
             return FFTMatvec._run_sbgemm
         if k == 1:
             # A lone fast column is the GEMV (as SBGEMVDispatcher.phase3
-            # books it): the GEMM's bits, on any spectrum_conj layout.
+            # books it): the GEMM's bits, on either adjoint_spectrum layout.
             return FFTMatvec._run_sbgemv
         return FFTMatvec._run_sbgemv_panel if deterministic else FFTMatvec._run_sbgemm
 

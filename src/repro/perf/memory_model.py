@@ -1,15 +1,19 @@
 """Device-memory footprint model for FFTMatvec.
 
 Answers the sizing questions in the paper's Section 4.2.2: the dominant
-allocation is the precomputed spectrum ``F_hat`` (``(Nt+1) x Nd x Nm``
-complex doubles, plus a complex-single copy when any configuration runs
-the SBGEMV in single), followed by the padded vector workspaces.  The
-paper notes the 1B-parameter inverse problem of [21] used 512 80-GB
-GPUs, equivalent to 640 64-GB MI250X GCDs, and that MI300X/MI355X's
-larger memories let the same problem fit on fewer devices.
+allocation is the precomputed spectrum ``F_hat`` (``(Nt+1) x Nd x Nm``),
+held at each tier a configuration runs the SBGEMV in — complex doubles,
+and complex singles plus the contiguous transpose the single adjoint GEMM
+reads — followed by the padded vector workspaces.  No conjugate is held:
+the adjoint conjugates its panel instead.  The paper notes the
+1B-parameter inverse problem of [21] used 512 80-GB GPUs, equivalent to
+640 64-GB MI250X GCDs, and that MI300X/MI355X's larger memories let the
+same problem fit on fewer devices.
 
 Kept by ``benchmarks/test_outer_loop.py``: the Sec. 4.2.2 sizing claim (640
-MI250X GCDs for the 1B-parameter problem).
+MI250X GCDs for the 1B-parameter problem).  At the engine's 32 bytes per
+spectrum element for ``ddddd`` + ``dssdd`` the model answers 512 MI250X
+GCDs and 128 MI300X.
 """
 
 from __future__ import annotations
@@ -46,9 +50,12 @@ def matvec_memory(
 ) -> MatvecMemoryFootprint:
     """Footprint of an engine serving the given configuration(s).
 
-    ``configs`` may be one configuration or an iterable (the dynamic
-    framework keeps a single-precision ``F_hat`` copy cached as soon as
-    any served configuration runs the SBGEMV in single).
+    ``configs`` may be one configuration or an iterable.  The engine
+    builds a tier when a served configuration first runs the SBGEMV in
+    it: ``fhat_double`` is the complex128 spectrum when some
+    configuration runs it in double, ``fhat_single`` the complex64
+    spectrum and its contiguous transpose when some configuration runs
+    it in single (zero otherwise).
     """
     check_positive_int(nm, "nm")
     check_positive_int(nd, "nd")
@@ -61,9 +68,9 @@ def matvec_memory(
     z = complex_dtype(Precision.DOUBLE).itemsize
     c = complex_dtype(Precision.SINGLE).itemsize
 
-    fhat_d = n_freq * nd * nm * z
-    needs_single = any(cfg.sbgemv is Precision.SINGLE for cfg in cfgs)
-    fhat_s = n_freq * nd * nm * c if needs_single else 0
+    tiers = {cfg.sbgemv for cfg in cfgs}
+    fhat_d = n_freq * nd * nm * z if Precision.DOUBLE in tiers else 0
+    fhat_s = 2 * n_freq * nd * nm * c if Precision.SINGLE in tiers else 0
 
     # Workspaces at the widest precision any config touches them with:
     # padded input (nx_in x 2Nt real), its spectrum (nx_in x (Nt+1)

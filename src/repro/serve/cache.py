@@ -90,13 +90,16 @@ def _single_engine_bytes(engine: FFTMatvec) -> int:
     """Resident bytes of one single-device engine (spectra, the
     preconditioner factor once a solve built it, arena).
 
-    Each held spectrum and conjugate counts once.  A fresh engine holds
-    none yet, so the spectra are charged at least what its first apply
-    builds: one complex128 spectrum, the size of a complex64 spectrum
-    plus its conjugate.
+    Each held array counts once: a spectrum per tier, the complex64
+    tier's transpose once an adjoint GEMM read it, and a conjugate only
+    if a caller asked :meth:`~repro.core.matvec.FFTMatvec.spectrum_conj`
+    for one (no apply does).  A fresh engine holds none yet, so the
+    spectra are charged at least what its first apply builds: one
+    complex128 spectrum, the size of a complex64 spectrum plus its
+    transpose.
     """
     be = engine.backend
-    held = [*engine._fhat.values(), *engine._fhat_conj.values()]
+    held = [*engine._fhat.values(), *engine._fhat_t.values(), *engine._fhat_conj.values()]
     floor = engine.n_freq * engine.nd * engine.nm * np.dtype(np.complex128).itemsize
     total = max(floor, sum(int(be.nbytes(a)) for a in held))
     if engine._gram is not None:
@@ -108,8 +111,8 @@ def engine_footprint(engine: Engine) -> int:
     """Modeled resident bytes of a built engine.
 
     Counts what eviction would actually reclaim: the per-precision
-    backend spectra the engine has built (plain and conjugated; at least
-    one complex128 spectrum's bytes), the preconditioner factor ``B``,
+    backend spectra the engine has built (with the complex64 tier's
+    transpose; at least one complex128 spectrum's bytes), the preconditioner factor ``B``,
     and the workspace arena(s).  For :class:`ParallelFFTMatvec` this sums
     every rank engine plus the grid-level staging arena — the cache
     budget covers the whole simulated machine's share, matching

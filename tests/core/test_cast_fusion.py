@@ -344,14 +344,16 @@ RECORD_KS = (1, 3, 8)
 # kernels run; the deterministic panel used to loop k GEMVs through 18
 # more buffers when one was attached).  Since a lone fast column of a
 # block runs the vector apply's GEMV record, the k = 1 blocks add nothing
-# to it: 5 buffers and 6032 bytes fewer than that commit's figures.
+# to it: 5 buffers and 6032 bytes fewer than that commit's figures.  The
+# adjoint GEMV reads its conjugated panel directly, so its ``(n_freq,
+# Nd)`` conj(x) staging is gone too: one buffer fewer again.
 RECORD_ARENA = {
-    "ddddd": (171264, 37),
-    "dssdd": (107520, 37),
-    "sdddd": (185088, 43),
-    "dddds": (172416, 40),
-    "sssss": (93696, 40),
-    "sdsds": (136320, 46),
+    "ddddd": (170224, 36),
+    "dssdd": (107000, 36),
+    "sdddd": (184048, 42),
+    "dddds": (171376, 39),
+    "sssss": (93176, 39),
+    "sdsds": (135800, 45),
 }
 
 

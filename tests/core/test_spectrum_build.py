@@ -181,12 +181,12 @@ def test_a_single_engine_holds_no_double_spectrum():
     eng, peak, current = traced_build_and_apply(a, "dssdd", 3)
     assert list(eng._fhat) == [Precision.SINGLE]
     single = eng.spectrum(Precision.SINGLE)
-    conj = eng.spectrum_conj(Precision.SINGLE)
-    assert single.dtype == conj.dtype == np.complex64
-    assert not np.shares_memory(single, conj)
+    trans = eng.adjoint_spectrum(Precision.SINGLE)
+    assert single.dtype == trans.dtype == np.complex64
+    assert not np.shares_memory(single, trans) and not eng._fhat_conj
     # Both complex64 arrays and the arena are all that stays: a
     # complex128 spectrum (2 * single.nbytes) would not fit beside them.
-    held = single.nbytes + conj.nbytes + eng.workspace.nbytes
+    held = single.nbytes + trans.nbytes + eng.workspace.nbytes
     assert current <= held + panel, (current - held) / panel
     assert single.nbytes > 4 * panel
     assert peak <= held + 3 * panel, (peak - held) / panel

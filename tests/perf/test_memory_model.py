@@ -20,8 +20,10 @@ class TestFootprint:
     def test_single_copy_only_when_needed(self):
         only_double = matvec_memory(100, 10, 50, configs="ddddd")
         assert only_double.fhat_single == 0
-        with_single = matvec_memory(100, 10, 50, configs="dssdd")
-        assert with_single.fhat_single == only_double.fhat_double // 2
+        only_single = matvec_memory(100, 10, 50, configs="dssdd")
+        assert only_single.fhat_double == 0
+        # The complex64 spectrum and its transpose: one complex128's bytes.
+        assert only_single.fhat_single == only_double.fhat_double
 
     def test_multiple_configs_union(self):
         fp = matvec_memory(100, 10, 50, configs=["ddddd", "ddsdd", "dssdd"])
@@ -54,6 +56,13 @@ class TestMinGpus:
         # numbers of GPUs"
         assert p355 <= p300 <= p250
         assert p300 < p250
+
+    def test_billion_parameter_counts_at_the_engines_bytes(self):
+        # ddddd + dssdd hold 16 + 8 + 8 bytes per spectrum element.
+        fp = matvec_memory(1000, 600, 1000, ("ddddd", "dssdd"))
+        assert fp.fhat_double + fp.fhat_single == 1001 * 600 * 1000 * 32
+        assert min_gpus_for_problem(1_000_000, 600, 1000, MI250X_GCD) == 512
+        assert min_gpus_for_problem(1_000_000, 600, 1000, MI300X) == 128
 
     def test_small_problem_one_gpu(self):
         assert min_gpus_for_problem(1000, 10, 100, MI300X) == 1

@@ -87,7 +87,7 @@ class TestFootprint:
 
     def test_a_fresh_engine_is_charged_one_double_spectrum(self):
         eng = FFTMatvec(make_matrix(64, 24, 96))
-        assert not eng._fhat and not eng._fhat_conj  # built on first use
+        assert not eng._fhat and not eng._fhat_t  # built on first use
         assert engine_footprint(eng) == 65 * 24 * 96 * 16 + eng.workspace.nbytes
 
     def test_counts_each_held_array_once(self):
@@ -98,12 +98,18 @@ class TestFootprint:
             eng.matvec(M[:, :, 0], config=config)
             eng.matmat(M, config=config)
             eng.rmatmat(D, config=config)
-            held = [*eng._fhat.values(), *eng._fhat_conj.values()]
+            held = [*eng._fhat.values(), *eng._fhat_t.values()]
             want = self.distinct_bytes(held) + eng.workspace.nbytes
             assert engine_footprint(eng) == want
-        # Both tiers and their conjugates: 16 + 16 + 8 + 8 bytes an entry.
-        assert len(held) == 4
-        assert self.distinct_bytes(held) == 65 * 24 * 96 * 48
+        # Both tiers and the complex64 transpose: 16 + 8 + 8 bytes an entry.
+        assert len(held) == 3
+        assert self.distinct_bytes(held) == 65 * 24 * 96 * 32
+
+    def test_a_double_adjoint_holds_one_spectrum(self):
+        mat = make_matrix(64, 24, 96)
+        eng = FFTMatvec(mat)
+        eng.rmatmat(np.ones((mat.nt, mat.nd, 3)))
+        assert engine_footprint(eng) == 65 * 24 * 96 * 16 + eng.workspace.nbytes
 
 
 class TestByteBudget:

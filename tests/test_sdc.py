@@ -505,14 +505,20 @@ class TestSpectrumCorruptedAfterFirstUse:
         )
 
     @staticmethod
-    def _flip_and_apply(engine, rank_engine, operands, adjoint, bit, index):
-        """One clean apply (first use), flip one spectrum bit (float
-        ``index`` of a mid-band frequency), apply again."""
+    def _flip_and_apply(engine, rank_engine, operands, adjoint, bit, index, config="ddddd"):
+        """One clean apply (first use), flip one bit (float ``index`` of a
+        mid-band frequency) of the array Phase 3 reads, apply again: the
+        spectrum, or for a complex64 adjoint its contiguous transpose."""
         _, M, D = operands
-        apply = (lambda: engine.rmatmat(D)) if adjoint else (lambda: engine.matmat(M))
+        apply = (
+            (lambda: engine.rmatmat(D, config)) if adjoint else (lambda: engine.matmat(M, config))
+        )
         want = apply().copy()
         checks = rank_engine.sdc_checks
-        live = rank_engine.spectrum_conj("d") if adjoint else rank_engine.spectrum("d")
+        tier = PrecisionConfig.parse(config).sbgemv
+        live = rank_engine.adjoint_spectrum(tier) if adjoint else rank_engine.spectrum(tier)
+        if not live.flags.c_contiguous:
+            live = live.transpose(0, 2, 1)
         chk.flip_bit(live, index, bit)
         with pytest.raises(SilentCorruption) as ei:
             apply()
@@ -528,6 +534,13 @@ class TestSpectrumCorruptedAfterFirstUse:
     def test_single_engine(self, operands, reduction, adjoint, bit):
         engine = FFTMatvec(operands[0], reduction=reduction, validate="abft")
         self._flip_and_apply(engine, engine, operands, adjoint, bit, index=1001)
+
+    @pytest.mark.parametrize("bit", [22, 25, 28, 30])
+    @pytest.mark.parametrize("adjoint", [False, True])
+    @pytest.mark.parametrize("reduction", ["fast", "pairwise"])
+    def test_single_tier(self, operands, reduction, adjoint, bit):
+        engine = FFTMatvec(operands[0], reduction=reduction, validate="abft")
+        self._flip_and_apply(engine, engine, operands, adjoint, bit, index=1001, config="dssdd")
 
     @pytest.mark.parametrize("bit", [51, 54, 58, 62])
     @pytest.mark.parametrize("adjoint", [False, True])

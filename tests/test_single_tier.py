@@ -5,9 +5,9 @@
   / complex128 — rfft, irfft, fft and ifft, even and odd ``n``, row
   slabs through ``out=`` and a strided axis (how M transforms).
   ``scipy.fft`` is the oracle here only.
-* The adjoint's complex64 conjugated spectrum is laid out for an NN
-  GEMM and gives the bits of a fresh conjugation on the fast, pairwise
-  and segment kernels and through whole engines.
+* The adjoint's complex64 GEMM operand is a contiguous transpose, laid
+  out for an NN GEMM, and gives the bits of the spectrum's own layout
+  on the fast, pairwise and segment kernels and through whole engines.
 * A ``dssdd`` F* under ``validate="abft"`` raises no false positive.
 * M is single precision end to end.
 * Without numpy's pocketfft ufuncs the numpy backend refuses to import.
@@ -110,52 +110,51 @@ class TestTypedTransforms:
 
 
 def _engines(reduction):
-    """An engine and its twin holding the complex64 conjugate in the
-    layout of a fresh ``np.conj`` (the reference)."""
+    """An engine and its twin whose complex64 adjoint GEMM reads the
+    spectrum itself, in the spectrum's layout (the reference)."""
     blocks = np.random.default_rng(5).standard_normal((16, 6, 20))
     eng, ref = FFTMatvec(blocks, reduction=reduction), FFTMatvec(blocks, reduction=reduction)
-    ref._fhat_conj[Precision.SINGLE] = np.conj(ref.spectrum("s"))
+    ref._fhat_t[Precision.SINGLE] = ref.spectrum("s")
     return eng, ref
 
 
 class TestAdjointSpectrumLayout:
-    def test_complex64_is_an_nn_view_and_complex128_is_stored_as_is(self):
+    def test_complex64_is_an_nn_view_and_complex128_is_the_spectrum(self):
         eng, _ = _engines("fast")
-        single, double = eng.spectrum_conj("s"), eng.spectrum_conj("d")
+        single, double = eng.adjoint_spectrum("s"), eng.adjoint_spectrum("d")
         assert single.shape == double.shape == (eng.n_freq, eng.nd, eng.nm)
         assert single.transpose(0, 2, 1).flags.c_contiguous
-        assert double.flags.c_contiguous
-        assert np.array_equal(single, np.conj(eng.spectrum("s")))
-        assert np.array_equal(double, np.conj(eng.spectrum("d")))
-        assert eng.spectrum_conj("s") is single  # cached
+        assert double is eng.spectrum("d")
+        assert np.array_equal(single, eng.spectrum("s"))
+        assert not np.shares_memory(single, eng.spectrum("s"))
+        assert eng.adjoint_spectrum("s") is single  # cached
+        assert not eng._fhat_conj  # no conjugate is held
 
-    def test_kernels_are_bitwise_a_fresh_conjugation(self):
+    def test_kernels_are_bitwise_on_either_layout(self):
         eng, _ = _engines("fast")
-        fhat, a_conj = eng.spectrum("s"), eng.spectrum_conj("s")
+        fhat, fhat_t = eng.spectrum("s"), eng.adjoint_spectrum("s")
         rng = np.random.default_rng(6)
         for k in (1, 2, 5, 16):
             B = (rng.standard_normal((eng.n_freq, eng.nd, k))
                  + 1j * rng.standard_normal((eng.n_freq, eng.nd, k))).astype(np.complex64)
-            if k > 1:  # a lone fast column is the GEMV, which takes no a_conj
+            if k > 1:  # a lone fast column is the GEMV, which reads the spectrum
                 assert np.array_equal(
-                    gemm_strided_batched_reference(fhat, B, Operation.C, a_conj=a_conj),
-                    gemm_strided_batched_reference(fhat, B, Operation.C),
+                    gemm_strided_batched_reference(fhat_t, B, Operation.T),
+                    gemm_strided_batched_reference(fhat, B, Operation.T),
                 )
             assert np.array_equal(
-                pairwise_gemm_strided_batched_reference(fhat, B, Operation.C, a_conj=a_conj),
-                pairwise_gemm_strided_batched_reference(fhat, B, Operation.C),
+                pairwise_gemm_strided_batched_reference(fhat_t, B, Operation.T),
+                pairwise_gemm_strided_batched_reference(fhat, B, Operation.T),
             )
             lo = 2  # a rank's row block [2, 5) of a 9-row global contraction
             part = slice(lo, lo + 3)
-            got = pairwise_segment_values(
-                fhat[:, part], B[:, part], Operation.C, lo, 9, a_conj=a_conj[:, part]
-            )
-            want = pairwise_segment_values(fhat[:, part], B[:, part], Operation.C, lo, 9)
+            got = pairwise_segment_values(fhat_t[:, part], B[:, part], Operation.T, lo, 9)
+            want = pairwise_segment_values(fhat[:, part], B[:, part], Operation.T, lo, 9)
             assert got.keys() == want.keys()
             assert all(np.array_equal(got[s], want[s]) for s in want)
 
     @pytest.mark.parametrize("reduction", ["fast", "pairwise"])
-    def test_engines_are_bitwise_the_fresh_conjugate_layout(self, reduction):
+    def test_engines_are_bitwise_the_spectrum_layout(self, reduction):
         eng, ref = _engines(reduction)
         rng = np.random.default_rng(7)
         D = rng.standard_normal((eng.nt, eng.nd, 4))
