@@ -46,7 +46,6 @@ counter are those of the inline run.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from contextlib import nullcontext
 from types import SimpleNamespace
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -278,7 +277,7 @@ class FFTMatvec:
         self.reduction = reduction
         self.validate_modes = _parse_validate(validate)
         self.rank_label: Optional[int] = None  # grid rank, set by the owner
-        self._plans: "OrderedDict[Tuple, SimpleNamespace]" = OrderedDict()
+        self._plans: Dict[Tuple, SimpleNamespace] = {}
         self.install_corruption_schedule(None)  # no schedule yet: sets the hook flags
         self.sdc_checks = 0  # abft/energy verifications that passed
         self.matrix = (
@@ -309,7 +308,6 @@ class FFTMatvec:
             self.device.clock.phase_total("setup") if self.device is not None else 0.0
         )
 
-        self.plan_evictions = 0  # prepared records dropped by the LRU bound
         self.last_timing: Optional[TimingReport] = None
         self.matvec_count = 0
         self.matmat_count = 0
@@ -325,7 +323,7 @@ class FFTMatvec:
             name="fftmatvec",
             backend=self.backend,
         )
-        self.workspace.release_hooks.append(self._plans.clear)  # records hold arena buffers
+        self.workspace.release_hooks.append(self._plans.clear)  # records hold arena views
 
     # -- setup -----------------------------------------------------------------
     def _setup_spectrum(self) -> None:
@@ -458,39 +456,32 @@ class FFTMatvec:
             )
         return self._abft_rows[precision, op]
 
-    # Bound on the cache of prepared-apply records (:meth:`_prepared`), one
-    # per (half, Phase-3 kernel, direction, config, fused width), each
-    # holding its FFT plan.  Under serving load the width varies with
-    # every coalesced block, so an unbounded dict would grow one record
-    # per (k, config) ever seen; least-recently-used records are dropped
-    # past this size (per instance — override the attribute to tune).
-    plan_cache_size = 32
-
     def _prepared(
         self, key: Tuple, back: bool, config: PrecisionConfig, adjoint: bool, n: int, k: int
     ) -> SimpleNamespace:
         """The record under ``key`` of what the data does not decide about
         one half of an apply, resolved on first use: the half's FFT plan,
-        tier dtypes, slab width, its arena buffers and their per-slab
-        views (``bufs``) and — with a device — the launches it
+        tier dtypes, slab width, its arena views (``bufs``), the front's
+        Phase-3 operands (``p3``) and — with a device — the launches it
         books, priced (``booked``: :func:`front_launches` /
         :func:`back_launches` as ``SimulatedDevice.book`` arguments; an
-        invalid launch raises here and leaves no record); the Phase-3
-        kernel adds its operands on first run (``p3``), the back half
-        its arena result (``res``).  A record dies with what it was
-        built from: the LRU bound, ``Workspace.release()`` and
-        :meth:`install_corruption_schedule` drop it.
+        invalid launch raises here and leaves no record); the back half
+        adds its arena result on first need (``res``).  Records need no
+        bound: each is a few KB of metadata over arena bytes every width
+        shares, and callers run few keys (the service and the grid cap
+        the width at ``max_block_k``).  An arena regrowth or release
+        (``release_hooks``) and :meth:`install_corruption_schedule` drop
+        them.
         """
         rec = self._plans.get(key)
         if rec is not None:
-            self._plans.move_to_end(key)
             return rec
         fft = config.ifft if back else config.fft
         rdt, cols = real_dtype(fft), n * k
         fft_type = FFTType.real_inverse(fft) if back else FFTType.real_forward(fft)
         w = self._slab_cols(cols, 2 * self.nt * rdt.itemsize)
         rec = SimpleNamespace(
-            n=n, k=k, cols=cols, rdt=rdt, cdt=complex_dtype(fft), p3=None, res=None, booked=None,
+            n=n, k=k, cols=cols, rdt=rdt, cdt=complex_dtype(fft), res=None, booked=None,
             w=w, plan=FFTPlan(self.n_pad, cols, fft_type, backend=self.backend),
             # The adjoint conjugates its slabs: the FFT's output in the
             # front, the reorder's in the back (_front_slab / _back_slab).
@@ -577,11 +568,8 @@ class FFTMatvec:
                 [s + (vhat if s[1] is None else vhat[:, s[1]],) for s in _slabs(rec, sets)],
                 vhat.reshape(self.n_freq, n, k),
             )
+            rec.p3 = self._phase3_operands(key[0], adjoint, rec.precision, n, k)
         self._plans[key] = rec
-        limit = max(1, int(self.plan_cache_size))
-        while len(self._plans) > limit:
-            self._plans.popitem(last=False)
-            self.plan_evictions += 1
         return rec
 
     def geometry_key(self) -> Tuple:
@@ -612,28 +600,30 @@ class FFTMatvec:
         )
 
     # -- Phase 3: numerics only (what they book is the record's) ---------------
-    def _phase3_operands(self, rec, out=None, stage=None, gemm: bool = False) -> Tuple:
-        """Phase 3's ``(fhat, out, staging)``, resolved by a kernel's first
-        run on the front record ``rec`` and kept there: the spectrum at
-        its tier (for an adjoint ``gemm``, :meth:`adjoint_spectrum`) and
-        the arena's ``(tag, shape)`` output and input staging."""
-        if rec.p3 is None:
-            read = self.adjoint_spectrum if gemm and rec.adjoint else self.spectrum
-            fhat, ws = read(rec.precision), self.workspace
-            dt = self.backend.dtype_of(fhat)
-            rec.p3 = (
-                fhat,
-                ws.checkout(*out, dt) if out else None,
-                ws.checkout(*stage, dt) if stage else None,
-            )
-        return rec.p3
+    def _phase3_operands(self, kernel, adjoint: bool, precision: Precision, nx: int, k: int) -> Tuple:
+        """A front record's Phase-3 ``(fhat, out, staging)``: the spectrum
+        at its tier (an adjoint GEMM's :meth:`adjoint_spectrum`) and the
+        ``kernel``'s arena output and staging, or ``None``.  All kernels
+        write one output tag: a vector's is a prefix of a block's."""
+        gemm = kernel in (FFTMatvec._run_sbgemm, FFTMatvec._run_sbgemm_pairwise_segments)
+        fhat = (self.adjoint_spectrum if gemm and adjoint else self.spectrum)(precision)
+        if kernel is FFTMatvec._run_sbgemm_pairwise_segments:
+            return fhat, None, None
+        ws, dt, nf = self.workspace, self.backend.dtype_of(fhat), self.n_freq
+        ny = self.nm if adjoint else self.nd
+        out = ws.checkout("sbgemm_out", (nf, ny) if kernel is FFTMatvec._run_sbgemv else (nf, ny, k), dt)
+        stage = None  # the deterministic panel's: a column's GEMV output, or numpy's staged columns
+        if kernel is FFTMatvec._run_sbgemv_panel:
+            if self.backend.name != "numpy":
+                stage = ws.checkout("sbgemv_stage", (nf, ny), dt)
+            elif adjoint or ny == 1:
+                stage = ws.checkout("sbgemv_stage", (k, nf, nx), dt)
+        return fhat, out, stage
 
     def _run_sbgemv(self, panel: Any, rec: SimpleNamespace) -> Any:
         """Vector Phase 3: the strided-batched GEMV on the lone column of
         an ``(n_freq, nx, 1)`` panel, returned as an ``(n_freq, ny, 1)`` one."""
-        fhat, out, _ = rec.p3 or self._phase3_operands(
-            rec, ("sbgemv_out", (self.n_freq, self.nm if rec.adjoint else self.nd))
-        )
+        fhat, out, _ = rec.p3
         yhat = gemv_strided_batched_reference(
             fhat, panel[:, :, 0], rec.operation, out=out, backend=self.backend
         )
@@ -648,11 +638,7 @@ class FFTMatvec:
         serves the whole engine.
         """
         be, operation = self.backend, rec.operation
-        fhat, out, _ = rec.p3 or self._phase3_operands(
-            rec,
-            ("sbgemm_out", (self.n_freq, self.nm if rec.adjoint else self.nd, mhat.shape[2])),
-            gemm=True,
-        )
+        fhat, out, _ = rec.p3
         if self.reduction == "pairwise":
             return pairwise_gemm_strided_batched_reference(
                 fhat, mhat, operation, out=out, backend=be, workspace=self.workspace
@@ -678,7 +664,7 @@ class FFTMatvec:
         the full contraction is one fixed tree regardless of partition.
         Booked as the local pairwise kernel's launch.
         """
-        fhat, _, _ = rec.p3 or self._phase3_operands(rec, gemm=True)
+        fhat = rec.p3[0]
         return pairwise_segment_values(
             fhat, panel, rec.operation, start, n_global,
             backend=self.backend, workspace=self.workspace,
@@ -697,32 +683,25 @@ class FFTMatvec:
 
         On the numpy backend the k GEMVs run as one broadcast-batched
         matmul over per-column views (~2.5-6x faster than looping
-        Python-side); other backends loop the columns through
-        :meth:`_run_sbgemv`.  Either way a device books k GEMV launches
+        Python-side); other backends loop the columns through the GEMV
+        :meth:`_run_sbgemv` runs.  Either way a device books k GEMV launches
         — the price of determinism the docs advertise.
         """
         be, operation, adj = self.backend, rec.operation, rec.adjoint
-        nf, nx, k = mhat.shape
-        ny = self.nm if adj else self.nd
-        looped = be.name != "numpy"
-        # numpy picks its matmul loop by the operands' strides, so the
-        # columns are handed over as a lone GEMV has them — contiguous —
-        # wherever the strided view would take another loop: the
-        # adjoint, and a forward panel whose output has one row.
-        staged = not looped and (adj or ny == 1)
-        fhat, out, xbuf = rec.p3 or self._phase3_operands(
-            rec, ("det_sbgemv_out", (nf, ny, k)), ("det_sbgemv_x", (k, nf, nx)) if staged else None
-        )
-        if looped:
-            for j in range(k):  # a column's own operands, as a lone GEMV has them
-                col = SimpleNamespace(
-                    operation=operation, adjoint=adj, precision=rec.precision, p3=None
+        fhat, out, xbuf = rec.p3
+        if be.name != "numpy":
+            for j in range(mhat.shape[2]):  # each column as a lone GEMV runs it
+                out[:, :, j] = gemv_strided_batched_reference(
+                    fhat, mhat[:, :, j], operation, out=xbuf, backend=be
                 )
-                out[:, :, j : j + 1] = self._run_sbgemv(mhat[:, :, j : j + 1], col)
             return out
-        cols = np.moveaxis(mhat, 2, 0)  # (k, nf, nx) strided view
-        out_v = np.moveaxis(out, 2, 0)  # (k, nf, ny) strided view
-        if staged:
+        cols = mhat.transpose(2, 0, 1)  # (k, nf, nx) strided view
+        out_v = out.transpose(2, 0, 1)  # (k, nf, ny) strided view
+        if xbuf is not None:
+            # numpy picks its matmul loop by the operands' strides, so the
+            # columns are handed over as a lone GEMV has them — contiguous —
+            # wherever the strided view would take another loop: the
+            # adjoint, and a forward panel whose output has one row.
             be.copyto(xbuf, cols)
             cols = xbuf
         if not adj:
@@ -872,8 +851,8 @@ class FFTMatvec:
         only by an apply that cannot unpad into its caller's ``out``,
         and by a lone slab only once the IFFT's output exists: asking
         earlier cost glibc ~1000 more page faults per engine build.
-        Several slabs ask for it before any runs; their IFFT output is
-        arena scratch."""
+        Several slabs ask for it before any runs.  Should it outgrow its
+        slot, the regrowth drops the record, rebuilt by the next apply."""
         if rec.res is None:
             rec.res = self.workspace.checkout("unpad", (self.nt, rec.cols), rec.udt)
         return rec.res

@@ -358,7 +358,7 @@ class ParallelFFTMatvec:
         )
         # Phase 1's arena buffers, resolved once per (direction, slot,
         # chunk width, payload dtype) on the calling thread — part tasks
-        # never enter the arena.  They die with it.
+        # never enter the arena.  An arena release or regrowth drops them.
         self._staged: Dict[tuple, list] = {}
         self.workspace.release_hooks.append(self._staged.clear)
         self._ranks = list(self.engines)

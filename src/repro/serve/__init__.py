@@ -7,8 +7,8 @@ This package provides the asyncio front end
 cross-request coalescing into blocked deterministic pipeline passes,
 weighted per-tenant fairness, load-shed backpressure) and the
 byte-budgeted engine residency layer
-(:class:`~repro.serve.cache.EngineCache` — LRU over engines + FFT plans
-+ workspace arenas, charged against a
+(:class:`~repro.serve.cache.EngineCache` — LRU over engines, their
+spectra and workspace arenas, charged against a
 :class:`~repro.gpu.memory.DeviceAllocator` capacity).  The serving load
 generator is ``bench/wl_serve.py`` (the ``serve_applies`` workload).
 See ``docs/SERVING.md`` for the architecture and knobs.

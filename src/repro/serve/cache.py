@@ -4,9 +4,10 @@ A long-lived solver service sees many distinct operators — different
 tenants' problems, different geometries — but only a bounded slice of
 device memory to keep them resident.  Each cached engine is expensive in
 exactly the ways the repo already models: the spectrum ``F_hat`` (one
-array per precision tier it has applied at), the FFT-plan dictionary,
-and the workspace arena the allocation-free pipeline writes into.  This
-module provides:
+array per precision tier it has applied at) and the workspace arena the
+allocation-free pipeline writes into — one buffer per tag, as large as
+the widest block the engine ran, which its prepared-apply records view
+(metadata, not counted).  This module provides:
 
 * :func:`operator_fingerprint` — a stable content+geometry digest of a
   :class:`~repro.core.toeplitz.BlockTriangularToeplitz`, the key the
@@ -230,7 +231,7 @@ class EngineCache:
         """Re-measure an entry's footprint and true-up its budget charge.
 
         Engines grow lazily (precision spectrum copies on first use,
-        arena buffers on the first apply of a new shape, the
+        arena buffers on the first apply wider than any before it, the
         preconditioner factor on the first admitted solve), so the service
         calls this after every flush.  Growth that no longer fits evicts
         LRU peers; if the engine alone exceeds the whole budget it is

@@ -152,9 +152,9 @@ WARM_WIDTH = 3
 def warm_up(engine):
     """Leave ``engine`` (single, grid or elastic) warm and return it: F
     and F* as vectors, then as ``WARM_WIDTH`` blocks, at ``WARM_CONFIG``
-    on random data, with every single-device engine's record cache held
-    to one entry meanwhile (each half evicts the other and is rebuilt).
-    The next apply of another width or config runs over stale arena
+    on random data, with every single-device engine's records dropped
+    before each apply (each half of each apply is prepared anew).  The
+    next apply of another width or config runs over stale arena
     contents, reuses the pad buffers whose zero half the warm-up wrote,
     and builds its records in an arena the warm-up grew.  The ``warm``
     cell of a ``cold`` / ``warm`` axis; ``cold`` is a fresh engine.
@@ -165,17 +165,17 @@ def warm_up(engine):
         [engine] if isinstance(engine, FFTMatvec)
         else list(getattr(engine, "engine", engine).engines.values())
     )
-    sizes = [e.plan_cache_size for e in singles]
-    for e in singles:
-        e.plan_cache_size = 1
     rng = np.random.default_rng(99)
     nt, nd, nm = engine.nt, engine.nd, engine.nm
-    engine.matvec(rng.standard_normal((nt, nm)), config=WARM_CONFIG)
-    engine.rmatvec(rng.standard_normal((nt, nd)), config=WARM_CONFIG)
-    engine.matmat(rng.standard_normal((nt, nm, WARM_WIDTH)), config=WARM_CONFIG)
-    engine.rmatmat(rng.standard_normal((nt, nd, WARM_WIDTH)), config=WARM_CONFIG)
-    for e, size in zip(singles, sizes):
-        e.plan_cache_size = size
+    for apply, v in (
+        (engine.matvec, rng.standard_normal((nt, nm))),
+        (engine.rmatvec, rng.standard_normal((nt, nd))),
+        (engine.matmat, rng.standard_normal((nt, nm, WARM_WIDTH))),
+        (engine.rmatmat, rng.standard_normal((nt, nd, WARM_WIDTH))),
+    ):
+        for e in singles:
+            e._plans.clear()
+        apply(v, config=WARM_CONFIG)
     return engine
 
 

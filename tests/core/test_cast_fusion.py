@@ -52,13 +52,13 @@ PHASES = ("pad", "fft", "sbgemv", "ifft", "unpad")
 def record_tags(ws: Workspace) -> Workspace:
     """Make ``ws`` remember every tag it is asked for, in ``ws.tags``."""
     ws.tags = set()
-    checkout_fresh = ws.checkout_fresh
+    handout = ws._handout  # what checkout, checkout_fresh and buffer call
 
-    def recording(tag, shape, dtype):
+    def recording(tag, *args):
         ws.tags.add(tag)
-        return checkout_fresh(tag, shape, dtype)
+        return handout(tag, *args)
 
-    ws.checkout_fresh = recording
+    ws._handout = recording
     return ws
 
 
@@ -274,11 +274,11 @@ def test_slabbed_equals_whole_width(
         assert ta == tb, (method, how)  # simulated seconds, phase by phase
     assert got == want
     # The loop really ran in slabs: the arena holds slab-sized scratch
-    # and no full-width padded buffer.
+    # and no padded buffer as wide as a whole block.
     nt, nd, nm = SLAB_SHAPE
     assert {"fft_out", "ifft_out"} <= eng.workspace.tags
-    pads = {key[1][0] for key in eng.workspace._pools if key[0] == "pad"}
-    assert nm * SLAB_K not in pads and nd * SLAB_K not in pads, pads
+    pads = {s.buf.size for (tag, _), pool in eng.workspace._pools.items() if tag == "pad" for s in pool}
+    assert max(pads) < min(nd, nm) * SLAB_K * 2 * nt, pads
 
 
 @pytest.mark.parametrize("config", ["ddddd", "dssdd", "sdsds"])
@@ -320,47 +320,43 @@ def test_hooks_keep_whole_buffers(slab_problem, slab_bytes, hook):
     eng.rmatmat(slab_problem["rmatmat"])
     assert eng.sdc_checks == 6
     assert not {"fft_out", "ifft_out"} & eng.workspace.tags
-    shapes = {key[0]: set() for key in eng.workspace._pools}
-    for tag, shape, _ in eng.workspace._pools:
-        shapes[tag].add(shape)
-    k = SLAB_K
-    assert shapes["pad"] == {(nm * k, 2 * nt), (nd * k, 2 * nt)}
-    assert shapes["bwd_reorder"] == {(nd * k, nt + 1), (nm * k, nt + 1)}
-    assert shapes["fwd_reorder"] == {(nt + 1, nm * k), (nt + 1, nd * k)}
+    # One buffer per tag, as wide as the wider direction's whole block.
+    sizes = {tag: [s.buf.size for s in pool] for (tag, _), pool in eng.workspace._pools.items()}
+    cols = max(nm, nd) * SLAB_K
+    assert sizes["pad"] == [cols * 2 * nt]
+    assert sizes["bwd_reorder"] == sizes["fwd_reorder"] == [cols * (nt + 1)]
 
 
 # -- the prepared apply: a record hit shows nothing a miss does not -----------------
 # ``_front`` / ``_back`` resolve dtypes, plan, arena buffers and views once
-# per (kernel, direction, config, width) and keep the record in the plan
-# LRU.  An engine whose cache holds one record never hits (every half of
+# per (kernel, direction, config, width) and keep the record.  An engine
+# whose records are dropped before every apply never hits (every half of
 # every apply prepares anew — the pre-record engine's per-apply work), so
 # it is the oracle: outputs, simulated seconds, launches, counters and the
 # arena must not tell the two apart, on the first apply or the twentieth.
 RECORD_CONFIGS = ["ddddd", "dssdd", "sdddd", "dddds", "sssss", "sdsds"]
 RECORD_KS = (1, 3, 8)
-# Arena (bytes, buffers) after the call list, measured on the commit before
-# records existed: same tags, same shapes, no new buffer — and the same
-# with a device as without (a device changes what is booked, never which
-# kernels run; the deterministic panel used to loop k GEMVs through 18
-# more buffers when one was attached).  Since a lone fast column of a
-# block runs the vector apply's GEMV record, the k = 1 blocks add nothing
-# to it: 5 buffers and 6032 bytes fewer than that commit's figures.  The
-# adjoint GEMV reads its conjugated panel directly, so its ``(n_freq,
-# Nd)`` conj(x) staging is gone too: one buffer fewer again.
+# Arena (bytes, buffers) after the call list: one flat buffer per (tag,
+# dtype) and slot, as large as the widest request it served (every
+# Phase-3 kernel writes one output tag) — the same with a device as
+# without (a device changes what is booked, never which kernels run).
+# The arena that kept a buffer per (tag, shape, dtype) held 36-45
+# buffers here, e.g. ddddd (170224, 36).
 RECORD_ARENA = {
-    "ddddd": (170224, 36),
-    "dssdd": (107000, 36),
-    "sdddd": (184048, 42),
-    "dddds": (171376, 39),
-    "sssss": (93176, 39),
-    "sdsds": (135800, 45),
+    "ddddd": (59392, 6),
+    "dssdd": (38208, 6),
+    "sdddd": (64768, 7),
+    "dddds": (62080, 7),
+    "sssss": (35072, 7),
+    "sdsds": (51648, 8),
 }
 
 
-def _record_pass(eng: FFTMatvec, problem, config: str):
+def _record_pass(eng: FFTMatvec, problem, config: str, cold: bool = False):
     """Every entry point, caller ``out`` / detached / undetached, F and
     F*, fast and deterministic, at each width: ``(result, timing,
-    launches)`` per call."""
+    launches)`` per call.  ``cold`` drops the engine's records before
+    each call, so every half of every apply is prepared anew."""
     cfg = PrecisionConfig.parse(config)
     nt, nd, nm = eng.nt, eng.nd, eng.nm
     M, D = problem["matmat8"], problem["rmatmat8"]
@@ -380,6 +376,8 @@ def _record_pass(eng: FFTMatvec, problem, config: str):
         ]
     seen = []
     for call in calls:
+        if cold:
+            eng._plans.clear()
         mark = len(eng.device.launch_log) if eng.device is not None else 0
         got = call()
         timing = eng.last_timing.phases if eng.last_timing is not None else None
@@ -403,11 +401,13 @@ def record_problem(problem):
 def test_record_hit_equals_record_miss(record_problem, device, config):
     hit = build(record_problem["blocks"], warm=False, device=device)
     miss = build(record_problem["blocks"], warm=False, device=device)
-    miss.plan_cache_size = 1
     fresh = build(record_problem["blocks"], warm=False, device=device)
     first = _record_pass(hit, record_problem, config)
-    allocs, n_records = hit.workspace.alloc_count, len(hit._plans)
-    for _ in range(18):
+    allocs = hit.workspace.alloc_count
+    _record_pass(hit, record_problem, config)
+    records = dict(hit._plans)
+    executions = sum(rec.plan.executions for rec in records.values())
+    for _ in range(17):
         _record_pass(hit, record_problem, config)
     passes = {
         "first": first,
@@ -416,7 +416,7 @@ def test_record_hit_equals_record_miss(record_problem, device, config):
         "warm": _record_pass(build(record_problem["blocks"], True, device), record_problem, config),
     }
     for _ in range(20):
-        passes["never hits"] = _record_pass(miss, record_problem, config)
+        passes["never hits"] = _record_pass(miss, record_problem, config, cold=True)
     for name, seen in passes.items():
         for i, ((a, ta, la), (b, tb, lb)) in enumerate(zip(seen, first)):
             assert a.dtype == np.float64 and np.array_equal(a, b), (name, i)
@@ -424,21 +424,24 @@ def test_record_hit_equals_record_miss(record_problem, device, config):
             # the last bits only at equal totals (checked below).
             assert ta == (tb and pytest.approx(tb, rel=1e-9)) and la == lb, (name, i)
 
-    # Twenty passes, no arena growth, no new record, nothing evicted ...
-    assert hit.workspace.alloc_count == allocs and len(hit._plans) == n_records
-    assert hit.plan_evictions == 0 < miss.plan_evictions
-    assert len(miss._plans) == 1
-    # ... on the arena the engine had before it kept records.
+    # The first pass grows the arena, and each regrowth drops the records
+    # kept so far; the second rebuilds them on the grown arena.  From then
+    # on nothing is allocated, prepared or dropped ...
+    assert hit.workspace.alloc_count == allocs
+    assert hit._plans.keys() == records.keys()
+    assert all(hit._plans[key] is rec for key, rec in records.items())
+    assert len(miss._plans) == 2  # the last apply's two halves
+    # ... on the same per-tag arena as an engine that never hits.
     for eng in (hit, miss):
         stats = eng.workspace.stats()
         assert (stats.nbytes, stats.buffers) == RECORD_ARENA[config]
     # Counters advance per apply whether a record was hit or built: one
     # forward and one inverse execution, neither staged.
-    applies = 20 * len(first)
+    applies = 18 * len(first)
     assert hit.cast_noop_count == miss.cast_noop_count == 20 * fresh.cast_noop_count
     plans = [rec.plan for rec in hit._plans.values()]
-    assert sum(p.executions for p in plans) == 2 * applies
-    assert sum(p.stage_noops for p in plans) == 2 * applies
+    assert sum(p.executions for p in plans) - executions == 2 * applies
+    assert sum(p.stage_noops for p in plans) == sum(p.executions for p in plans)
     assert sum(p.stage_copies for p in plans) == 0
     assert (hit.matvec_count, hit.matmat_count) == (miss.matvec_count, miss.matmat_count)
     if device:

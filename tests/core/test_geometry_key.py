@@ -1,11 +1,8 @@
-"""Tests for engine geometry fingerprints and the FFT-plan LRU bound.
+"""Tests for engine geometry fingerprints.
 
 ``geometry_key()`` is what the serving layer folds into operator
 fingerprints: equal keys must mean "identical five-phase shapes", be
-hashable (dict/set usable) and stable across engine instances.  The
-plan-cache tests pin the LRU bound a long-lived service relies on —
-an engine serving many precision configs must not grow its plan dict
-without limit.
+hashable (dict/set usable) and stable across engine instances.
 """
 
 import numpy as np
@@ -92,42 +89,3 @@ class TestGridEngineKey:
         assert det.geometry_key() == ParallelFFTMatvec(
             make_matrix(seed=5), ProcessGrid(2, 2), reduction="pairwise"
         ).geometry_key()
-
-
-class TestPlanCacheLRU:
-    def test_plans_bounded_with_eviction_counter(self):
-        eng = FFTMatvec(make_matrix())
-        eng.plan_cache_size = 2  # shrink the bound for the test
-        rng = np.random.default_rng(0)
-        m = rng.standard_normal((16, 24))
-        d = rng.standard_normal((16, 4))
-        # Distinct FFT/iFFT precisions mint distinct plans; cycling
-        # configs in both directions overflows a 2-entry cache.
-        for config in ["ddddd", "sssss", "dsdsd", "sdsds"]:
-            eng.matvec(m, config=config)
-            eng.rmatvec(d, config=config)
-        assert len(eng._plans) <= 2
-        assert eng.plan_evictions > 0
-
-    def test_hot_plan_survives_lru(self):
-        eng = FFTMatvec(make_matrix())
-        eng.plan_cache_size = 2
-        rng = np.random.default_rng(1)
-        m = rng.standard_normal((16, 24))
-        eng.matvec(m, config="ddddd")
-        hot = set(eng._plans.keys())
-        # Re-touch the hot plans between cold configs: they must stay.
-        eng.matvec(m, config="ddddd")
-        assert hot <= set(eng._plans.keys())
-
-    def test_steady_state_mints_no_new_plans(self):
-        eng = FFTMatvec(make_matrix())
-        rng = np.random.default_rng(2)
-        m = rng.standard_normal((16, 24))
-        eng.matvec(m)
-        n_plans = len(eng._plans)
-        evictions = eng.plan_evictions
-        for _ in range(5):
-            eng.matvec(m)
-        assert len(eng._plans) == n_plans
-        assert eng.plan_evictions == evictions

@@ -130,7 +130,8 @@ class TestPad:
         ws.end_apply()
         ws.begin_apply()
         buf[:, :6] = np.nan  # only a *fresh* buffer is zeroed; the data half is the pad's
-        assert padded_buffer(4, 6, np.float32, ws) is buf
+        again = padded_buffer(4, 6, np.float32, ws)
+        assert np.shares_memory(again, buf) and np.isnan(again[:, :6]).all()
         ws.end_apply()
         with pytest.raises(ReproError, match="out buffer"):
             pad_to_soti(v, Precision.DOUBLE, out=np.zeros((7, 11)))

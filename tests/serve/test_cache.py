@@ -1,12 +1,14 @@
 """Tests for operator fingerprinting and the byte-budgeted engine cache."""
 
+import asyncio
+
 import numpy as np
 import pytest
 
 from repro.core.matvec import FFTMatvec
 from repro.core.toeplitz import BlockTriangularToeplitz
-from repro.gpu.memory import OutOfMemoryError
-from repro.serve import EngineCache, engine_footprint, operator_fingerprint
+from repro.gpu.memory import DeviceAllocator, OutOfMemoryError
+from repro.serve import EngineCache, SolverService, engine_footprint, operator_fingerprint
 from repro.util.validation import ReproError
 
 
@@ -182,3 +184,39 @@ class TestByteBudget:
         cache.clear()
         assert len(cache) == 0
         assert cache.stats().in_use_bytes == 0
+
+
+class TestServingFootprint:
+    def test_a_tenant_flushed_at_every_width_is_charged_its_widest_block(self, held_engine):
+        """Flushes of widths 1..max_block_k in both directions (a lone
+        request as a vector, the rest coalesced) leave the cache's peak
+        at one complex128 spectrum plus the arena of the widest flushes:
+        every width runs out of the same arena bytes."""
+        mat, widest = make_matrix(64, 24, 96), 16
+        nt, nd, nm = mat.nt, mat.nd, mat.nm
+        rng = np.random.default_rng(3)
+        held = held_engine(mat)
+        held.release()  # only counting passes
+
+        async def main():
+            service = SolverService(EngineCache(256 * 2**20), max_block_k=widest)
+            handle = service.register(mat, builder=held)
+            async with service:
+                for k in range(1, widest + 1):
+                    for kind, shape in (("matvec", (nt, nm)), ("rmatvec", (nt, nd))):
+                        await asyncio.gather(
+                            *[getattr(service, kind)(handle, rng.standard_normal(shape)) for _ in range(k)]
+                        )
+            return service.cache.stats()
+
+        stats = asyncio.run(main())
+        assert held.passes == [
+            (kind, k) for k in range(1, widest + 1) for kind in ("matvec", "rmatvec")
+        ]
+        ref = FFTMatvec(mat)
+        ref.matvec(np.ones((nt, nm))), ref.rmatvec(np.ones((nt, nd)))
+        ref.matmat(np.ones((nt, nm, widest)), deterministic=True)
+        ref.rmatmat(np.ones((nt, nd, widest)), deterministic=True)
+        spectrum = (nt + 1) * nd * nm * np.dtype(np.complex128).itemsize
+        bound = spectrum + ref.workspace.nbytes
+        assert stats.peak_bytes <= bound + DeviceAllocator.ALIGNMENT, (stats.peak_bytes, bound)

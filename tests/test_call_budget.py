@@ -142,10 +142,38 @@ def test_the_count_sees_per_apply_bookkeeping():
     apply anew (a one-record cache) is over the budget."""
     rng = np.random.default_rng(20261005)
     eng = FFTMatvec(rng.standard_normal((16, 4, 6)), backend="numpy")
-    eng.plan_cache_size = 1
     m = rng.standard_normal((16, 6))
     eng.matvec(m)
-    assert calls_per_apply(eng.matvec, m) > VECTOR_BUDGET
+    eng._plans.clear()
+    assert calls_per_apply(eng.matvec, m, reps=1) > VECTOR_BUDGET
+
+
+def test_a_serving_engine_stays_within_budget_at_every_width():
+    """Widths 1..16 in both directions, as ``SolverService`` flushes
+    them (a lone request as a vector, a coalesced block deterministic):
+    64 (half, direction, width) records, every one kept.  The first sweep
+    grows the arena (each regrowth drops the records kept so far), the
+    second prepares every record on the grown arena; from then on each
+    width's first apply is a warm one and allocates nothing."""
+    rng = np.random.default_rng(20261006)
+    nt, nd, nm = SHAPE
+    eng = FFTMatvec(rng.standard_normal(SHAPE), backend="numpy")
+    M, D = rng.standard_normal((nt, nm, 16)), rng.standard_normal((nt, nd, 16))
+    flushes = [(eng.matvec, M[:, :, 0], {}, VECTOR_BUDGET), (eng.rmatvec, D[:, :, 0], {}, VECTOR_BUDGET)]
+    flushes += [
+        (apply, V[:, :, :k], {"deterministic": True}, BLOCK_BUDGET)
+        for k in range(2, 17)
+        for apply, V in ((eng.matmat, M), (eng.rmatmat, D))
+    ]
+    for _ in range(2):
+        for apply, v, kwargs, _budget in flushes:
+            apply(v, **kwargs)
+    allocs = eng.workspace.alloc_count
+    for apply, v, kwargs, budget in flushes:
+        n = calls_per_apply(apply, v, reps=1, **kwargs)
+        assert n <= budget, (apply.__name__, v.shape, n)
+    assert eng.workspace.alloc_count == allocs
+    assert len(eng._plans) == 2 * len(flushes)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 """Allocation-regression suite for the workspace arena.
 
-The arena contract has three legs, each a test class here:
+The arena contract has four legs, each a test class here:
 
 * **Warm equals cold** — matvec/matmat/rmatmat results of a warm engine
   (``warm_up``: stale arena contents, rebuilt records) must equal a
@@ -10,6 +10,10 @@ The arena contract has three legs, each a test class here:
   configs.  What an earlier apply left in the arena never shows.
 * **Zero growth** — after a one-apply warmup, 50 further applies must
   not allocate a single new arena buffer (``alloc_count`` frozen).
+* **One buffer per tag** — every block width runs out of the same
+  bytes: after widths 1..16 the arena is as large as width 16 alone
+  leaves it, and widths that shrink and grow again are bitwise a fresh
+  engine's (single engine fast / pairwise / abft, 2x2 grid).
 * **Allocator registration** — every arena buffer is registered with the
   device's :class:`~repro.gpu.memory.DeviceAllocator`, so the modeled
   peak matches the arena's registered footprint and ``release()``
@@ -75,7 +79,7 @@ class TestWorkspaceUnit:
         a = ws.checkout("pad", (4, 8), np.float64)
         ws.reset()
         b = ws.checkout("pad", (4, 8), np.float64)
-        assert a is b
+        assert np.shares_memory(a, b) and a.ctypes.data == b.ctypes.data
         assert ws.alloc_count == 1 and ws.checkout_count == 2
 
     def test_repeated_checkout_hands_distinct_buffers(self):
@@ -84,25 +88,47 @@ class TestWorkspaceUnit:
         ws = Workspace()
         a = ws.checkout("reorder", (4,), np.float64)
         b = ws.checkout("reorder", (4,), np.float64)
-        assert a is not b
+        assert not np.shares_memory(a, b)
         ws.reset()
-        assert ws.checkout("reorder", (4,), np.float64) is a
-        assert ws.checkout("reorder", (4,), np.float64) is b
+        assert np.shares_memory(ws.checkout("reorder", (4,), np.float64), a)
+        assert np.shares_memory(ws.checkout("reorder", (4,), np.float64), b)
         assert ws.alloc_count == 2
 
     def test_persistent_buffer_survives_reset(self):
         ws = Workspace()
         a = ws.buffer("pay[0]", (3, 3), np.float32)
         ws.reset()
-        assert ws.buffer("pay[0]", (3, 3), np.float32) is a
+        assert np.shares_memory(ws.buffer("pay[0]", (3, 3), np.float32), a)
 
-    def test_keys_include_shape_and_dtype(self):
+    def test_one_pool_per_tag_and_dtype(self):
+        # The shape is not part of the key: a narrower request is a
+        # C-contiguous view of the front of the tag's buffer.
         ws = Workspace()
-        a = ws.checkout("x", (4,), np.float64)
-        b = ws.checkout("x", (5,), np.float64)
-        c = ws.checkout("x", (4,), np.float32)
-        assert a is not b and a is not c
-        assert ws.buffer_count == 3
+        a = ws.checkout("x", (4, 3), np.float64)
+        ws.reset()
+        b = ws.checkout("x", (2, 5), np.float64)
+        c = ws.checkout("x", (4, 3), np.float32)
+        assert b.shape == (2, 5) and b.flags.c_contiguous
+        assert a.ctypes.data == b.ctypes.data and not np.shares_memory(a, c)
+        assert ws.buffer_count == 2 and ws.alloc_count == 2
+
+    def test_a_wider_request_regrows_the_slot_and_drops_its_holders(self):
+        alloc = SimulatedDevice(MI300X).allocator
+        ws = Workspace(allocator=alloc)
+        dropped = []
+        ws.release_hooks.append(lambda: dropped.append(True))
+        a, fresh = ws.checkout_fresh("pad", (2, 8), np.float64)
+        assert fresh and not dropped
+        ws.reset()
+        b, fresh = ws.checkout_fresh("pad", (1, 8), np.float64)
+        assert not fresh and np.shares_memory(a, b) and not dropped
+        ws.reset()
+        c, fresh = ws.checkout_fresh("pad", (3, 8), np.float64)
+        assert fresh and not np.shares_memory(a, c) and dropped == [True]
+        assert ws.buffer_count == 1 and ws.alloc_count == 2
+        assert ws.nbytes == 3 * 8 * 8
+        # The outgrown buffer's registration was freed.
+        assert alloc.in_use == ws.registered_bytes == alloc._rounded(3 * 8 * 8)
 
     def test_allocator_registration_and_release(self):
         alloc = SimulatedDevice(MI300X).allocator
@@ -265,6 +291,73 @@ class TestZeroGrowth:
         for _ in range(self.N_APPLIES):
             arena.matvec(m)
         assert total_allocs(arena) == frozen
+
+
+class TestOneBufferPerTag:
+    """Every width runs out of the same bytes: an arena holds one buffer
+    per (tag, dtype) and slot, as large as the widest request, and a
+    narrower apply after a wider one (or a wider one after a narrower)
+    shows nothing of the other."""
+
+    SHRINK_THEN_GROW = (16, 1, 9, 3, 16)
+
+    @staticmethod
+    def fresh_pair(build, M, D, k, **kwargs):
+        eng = build()
+        return eng.matmat(M[:, :, :k], **kwargs), eng.rmatmat(D[:, :, :k], **kwargs)
+
+    @pytest.mark.parametrize("deterministic", [False, True], ids=["fast", "det"])
+    def test_widths_1_to_16_hold_the_arena_of_width_16(self, matrix, rng, deterministic):
+        M, D = rng.standard_normal((NT, NM, 16)), rng.standard_normal((NT, ND, 16))
+        eng, widest = FFTMatvec(matrix), FFTMatvec(matrix)
+        for k in range(1, 17):
+            got = (
+                eng.matmat(M[:, :, :k], deterministic=deterministic),
+                eng.rmatmat(D[:, :, :k], deterministic=deterministic),
+            )
+            want = self.fresh_pair(lambda: FFTMatvec(matrix), M, D, k, deterministic=deterministic)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), k
+        widest.matmat(M, deterministic=deterministic)
+        widest.rmatmat(D, deterministic=deterministic)
+        assert eng.workspace.stats().buffers == widest.workspace.stats().buffers
+        assert eng.workspace.nbytes == widest.workspace.nbytes
+
+    @pytest.mark.parametrize("validate", [None, "abft"])
+    @pytest.mark.parametrize("reduction", ["fast", "pairwise"])
+    @pytest.mark.parametrize("config", ["ddddd", "sdddd"])  # sdddd: a single pad feeds a double FFT
+    def test_shrink_then_grow_is_bitwise_a_fresh_engine(self, matrix, rng, config, reduction, validate):
+        M, D = rng.standard_normal((NT, NM, 16)), rng.standard_normal((NT, ND, 16))
+
+        def build():
+            return FFTMatvec(matrix, reduction=reduction, validate=validate)
+
+        eng = build()
+        for k in self.SHRINK_THEN_GROW:
+            got = eng.matmat(M[:, :, :k], config=config), eng.rmatmat(D[:, :, :k], config=config)
+            want = self.fresh_pair(build, M, D, k, config=config)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), k
+        if validate:
+            assert eng.sdc_checks == 2 * 3 * len(self.SHRINK_THEN_GROW)
+
+    @pytest.mark.parametrize("reduction", ["fast", "pairwise"])
+    def test_grid_with_a_ragged_chunk(self, matrix, rng, reduction):
+        """k = 10 in chunks of 4 ends in a width-2 chunk; the widths after
+        it shrink to a vector and grow back.  Each is bitwise a fresh
+        grid's, and the arenas end as large as k = 10 alone leaves them."""
+        M, D = rng.standard_normal((NT, NM, 10)), rng.standard_normal((NT, ND, 10))
+
+        def build():
+            return ParallelFFTMatvec(matrix, ProcessGrid(2, 2), max_block_k=4, reduction=reduction)
+
+        grid = build()
+        for k in (10, 1, 7, 3, 10):
+            got = grid.matmat(M[:, :, :k]), grid.rmatmat(D[:, :, :k])
+            want = self.fresh_pair(build, M, D, k)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), k
+        widest = build()
+        widest.matmat(M), widest.rmatmat(D)
+        report, want = grid.workspace_report(), widest.workspace_report()
+        assert report["total_arena_bytes"] == want["total_arena_bytes"]
 
 
 class TestAllocatorFootprint:
@@ -430,20 +523,25 @@ class TestApplyScopeGuard:
                 apply(v)
         assert not eng._plans
 
-    def test_records_share_the_plan_lru_bound(self, matrix, rng):
+    def test_records_are_kept_until_the_arena_outgrows_them(self, matrix, rng):
+        """No bound on the records: each is metadata over bytes every
+        width shares.  The first sweep grows the arena, and every
+        regrowth drops the records kept so far; the second allocates
+        nothing and prepares each width's two halves on the grown arena;
+        the third finds every record kept."""
         eng = FFTMatvec(matrix)
-        eng.plan_cache_size = 4
         M = rng.standard_normal((NT, NM, 40))
         want = FFTMatvec(matrix).matmat(M, deterministic=True)  # column by column
-        for k in range(1, 41):
-            got = eng.matmat(M[:, :, :k], deterministic=True)
-            assert np.array_equal(got, want[:, :, :k])
-            assert len(eng._plans) <= 4
-        assert eng.plan_evictions == 2 * 40 - 4
-        allocs = eng.workspace.alloc_count
-        for k in range(1, 41):  # evicted records come back on the same buffers
-            eng.matmat(M[:, :, :k], deterministic=True)
+        kept = []
+        for _ in range(3):
+            kept.append((eng.workspace.alloc_count, dict(eng._plans)))
+            for k in range(1, 41):
+                got = eng.matmat(M[:, :, :k], deterministic=True)
+                assert np.array_equal(got, want[:, :, :k])
+        (_, first), (allocs, second), (_, third) = kept
+        assert len(first) == 0 and len(second) < 2 * 40 == len(third) == len(eng._plans)
         assert eng.workspace.alloc_count == allocs
+        assert all(eng._plans[key] is rec for key, rec in third.items())
 
     def test_engine_closes_scope_after_each_apply(self, matrix, rng):
         eng = FFTMatvec(matrix)
